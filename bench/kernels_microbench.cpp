@@ -99,25 +99,6 @@ void BM_ShiftEngineConv(benchmark::State& state) {
 }
 BENCHMARK(BM_ShiftEngineConv)->Arg(1)->Arg(2);
 
-// The pre-plan reference term-walk on the same layer: the seed engine the
-// compiled plan is measured against. BM_ShiftEngineConv/2 vs
-// BM_ShiftEngineConvReference/2 is the per-layer plan speedup.
-void BM_ShiftEngineConvReference(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  support::Rng rng(6);
-  const quant::Pow2Config config;
-  tensor::Tensor w = random_weights(32, 32, 7);
-  tensor::Tensor wq = quant::quantize_lightnn(w, k, config);
-  tensor::Tensor img = tensor::Tensor::randn(tensor::Shape{32, 16, 16}, rng);
-  const auto qimg = inference::quantize_image(img, 8);
-  inference::ShiftConv2d engine(wq, k, config, 1, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run_reference(qimg));
-  }
-  state.SetItemsProcessed(state.iterations() * 32 * 32 * 16 * 16 * 9);
-}
-BENCHMARK(BM_ShiftEngineConvReference)->Arg(1)->Arg(2);
-
 // Sparsity elision payoff: the same layer with a fraction of its filters
 // pruned to zero. Arg is the pruned percentage; plan work is proportional
 // to surviving entries, so 50 should run ~2x faster than 0.

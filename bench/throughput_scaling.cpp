@@ -1,11 +1,10 @@
 // Throughput of the compiled shift-plan runtime: images/second of a Table-1
 // CIFAR-10 network (id 1, VGG-7/64) swept over thread counts, the
-// whole-network speedup of the compiled plan over the pre-plan reference
-// engine, per-term kernel cost, and the sparsity payoff of a 50%-pruned
-// layer vs its dense twin. The parallelism is across batch elements
-// (BatchRunner) composed with output-filter blocks inside each kernel, all
-// drawing from one shared pool -- so scaling reflects the whole runtime,
-// not a single kernel.
+// whole-network scalar-vs-vector tier comparison, per-term kernel cost, and
+// the sparsity payoff of a 50%-pruned layer vs its dense twin. The
+// parallelism is across batch elements (BatchRunner) composed with
+// output-filter blocks inside each kernel, all drawing from one shared pool
+// -- so scaling reflects the whole runtime, not a single kernel.
 //
 //   $ ./bench/throughput_scaling [--batch N] [--repeats R] [--width-scale S]
 //                                [--json PATH] [--smoke]
@@ -151,12 +150,7 @@ int main(int argc, char** argv) {
   runtime::set_num_threads(1);
   const auto network = inference::QuantizedNetwork::compile(
       *model, tensor::Shape{1, 3, 32, 32});
-  inference::CompileOptions reference_options;
-  reference_options.use_reference_engine = true;
-  const auto reference_network = inference::QuantizedNetwork::compile(
-      *model, tensor::Shape{1, 3, 32, 32}, reference_options);
   const runtime::BatchRunner runner(network);
-  const runtime::BatchRunner reference_runner(reference_network);
   std::printf("plan: %s\n", network.describe().c_str());
 
   support::Rng rng(2);
@@ -202,13 +196,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Plan vs pre-plan reference engine, whole network, 1 thread ---------
+  // --- Whole network, 1 thread, active tier --------------------------------
   runtime::set_num_threads(1);
   const double plan_img_s = run_once(runner, request, repeats, nullptr);
-  std::vector<tensor::Tensor> ref_logits;
-  const double ref_img_s =
-      run_once(reference_runner, request, repeats, &ref_logits);
-  const double engine_speedup = plan_img_s / ref_img_s;
 
   // --- Per-term kernel cost + sparsity payoff on one conv layer -----------
   // Dense 32x32x3x3 layer vs the same layer with half its filters pruned:
@@ -322,25 +312,19 @@ int main(int argc, char** argv) {
   const double scalar_img_s =
       run_once(runner, request, repeats, &scalar_logits);
   inference::set_kernel_tier_override(-1);
-  // All three engines -- vectorized plan (thread-sweep baseline `reference`),
-  // scalar plan, and the pre-plan reference term walk -- must produce
-  // byte-identical logits: the tiers regroup the same integer addends.
-  if (!bitwise_equal(reference, scalar_logits) ||
-      !bitwise_equal(reference, ref_logits)) {
+  // The vectorized plan (thread-sweep baseline `reference`) and the scalar
+  // plan must produce byte-identical logits: the tiers regroup the same
+  // integer addends.
+  if (!bitwise_equal(reference, scalar_logits)) {
     std::fprintf(stderr,
-                 "FATAL: kernel tiers disagree (vector vs scalar vs "
-                 "reference logits)\n");
+                 "FATAL: kernel tiers disagree (vector vs scalar logits)\n");
     return 1;
   }
 
   std::printf("\nbatch=%lld repeats=%d hardware_concurrency-default=%d%s\n\n%s",
               static_cast<long long>(batch), repeats, hw,
               smoke ? " (smoke)" : "", table.to_string().c_str());
-  std::printf(
-      "\nplan vs reference engine (1 thread): %.1f img/s vs %.1f img/s "
-      "(%.2fx)\n",
-      plan_img_s, ref_img_s, engine_speedup);
-  std::printf("dense conv layer: %.3f ms (%lld terms, %.1f ns/term, %s tier)\n",
+  std::printf("\ndense conv layer: %.3f ms (%lld terms, %.1f ns/term, %s tier)\n",
               dense_s * 1e3, static_cast<long long>(dense.term_count()),
               ns_per_term, active_tier);
   std::printf("50%%-pruned layer: %.3f ms (%.2fx faster than dense)\n",
@@ -353,7 +337,7 @@ int main(int argc, char** argv) {
       interior_conv_vector_speedup);
   std::printf(
       "scalar-tier whole network (1 thread): %.1f img/s (vs %.1f img/s %s "
-      "tier); vector/scalar/reference logits bit-identical\n",
+      "tier); vector/scalar logits bit-identical\n",
       scalar_img_s, plan_img_s, active_tier);
 
   // --- Result file --------------------------------------------------------
@@ -366,8 +350,6 @@ int main(int argc, char** argv) {
   out.add_number("width_scale", parser.get_double("--width-scale"));
   out.add("thread_sweep", bench::json_array(sweep_json));
   out.add_number("plan_img_per_s_1thread", plan_img_s);
-  out.add_number("reference_img_per_s_1thread", ref_img_s);
-  out.add_number("plan_speedup_vs_reference", engine_speedup);
   out.add_number("dense_layer_ms", dense_s * 1e3);
   out.add_number("pruned50_layer_ms", pruned_s * 1e3);
   out.add_number("pruned50_speedup_vs_dense", sparse_speedup);

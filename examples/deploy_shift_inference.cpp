@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "core/decompose.hpp"
 #include "core/quantize_model.hpp"
 #include "core/trainer.hpp"
 #include "inference/memory_plan.hpp"
@@ -320,8 +321,12 @@ int main(int argc, char** argv) {
   std::printf("compiled conv layer: %lld filters -> %lld single-shift terms\n",
               static_cast<long long>(target->out_channels()),
               static_cast<long long>(engine.term_count()));
+  // The engine keeps only its compiled plan; the per-filter k comes from the
+  // same decomposition the plan was lowered from.
   int histogram[3] = {0, 0, 0};
-  for (int k : engine.filter_k()) ++histogram[k];
+  for (int k : core::decompose_to_lightnn1(wq, 2, pow2).filter_k) {
+    ++histogram[k];
+  }
   std::printf("filter k histogram: k=0: %d, k=1: %d, k=2: %d\n", histogram[0],
               histogram[1], histogram[2]);
 

@@ -33,15 +33,15 @@ void set_memory_planning_override(int mode) {
   g_planning_override.store(mode, std::memory_order_relaxed);
 }
 
-// Shape-and-liveness simulation of one program. Mirrors the semantics of
-// QuantizedNetwork::run / from_program exactly: flat pre-order op indices
-// are the time axis (main -> shortcut -> post segment order equals
-// execution order), every step output is a fresh pooled tensor, and chain
-// entries (`current = input` in run/run_chain) are deep copies that the
-// analysis models as their own short-lived activations. The structural
-// checks shadow from_program's; a program this walker rejects would be
-// rejected there too (try_build turns that into "no plan" so the builder
-// reports the canonical error).
+// Shape-and-liveness simulation of one program. Mirrors QuantizedNetwork's
+// flat executor (run_ops / run_op) op for op: flat pre-order op indices are
+// the time axis (main -> shortcut -> post segment order equals execution
+// order), every op output is a fresh pooled tensor, and the entry of run()
+// and of a residual's main and shortcut chains is a deep copy that the
+// analysis models as its own short-lived activation. The post chain starts
+// on the summed main output itself. from_program validates a program before
+// planning it; the checks here guard direct construction, and try_build
+// turns a failure into "no plan".
 struct MemoryPlan::Analysis {
   const NetworkProgram& program;
   std::vector<runtime::BufferInterval> intervals;
@@ -61,7 +61,7 @@ struct MemoryPlan::Analysis {
     FLIGHTNN_CHECK(p.input_c > 0 && p.input_h > 0 && p.input_w > 0,
                    "memory plan: bad input geometry [", p.input_c, ", ",
                    p.input_h, ", ", p.input_w, "]");
-    // run()'s entry copy (`current = image`).
+    // run()'s entry copy of the image.
     std::size_t cur = define(0, Shape{p.input_c, p.input_h, p.input_w});
     std::size_t cursor = 0;
     while (cursor < n) cur = walk_op(cursor, cur);
@@ -91,7 +91,7 @@ struct MemoryPlan::Analysis {
         std::max(quant_peak_values, static_cast<std::size_t>(values));
   }
 
-  // Walk the ops of a residual segment as a chain: entry deep copy, then
+  // Walk the ops of a residual main or shortcut chain: entry deep copy, then
   // each op consuming the previous output. `t_fallback` is the time an
   // empty chain's pass-through copy happens at.
   std::size_t walk_chain(std::size_t& cursor, std::int64_t count,
@@ -124,18 +124,8 @@ struct MemoryPlan::Analysis {
       case ProgramOpKind::kShiftConv: {
         FLIGHTNN_CHECK(in.rank() == 3, "memory plan: shift conv at op ", t,
                        " expects CHW input, got ", in.to_string());
-        // In-memory programs describe geometry through the weight tensor;
-        // artifact programs through the scalar fields.
-        std::int64_t out_c = op.out_channels, in_c = op.in_channels,
-                     kernel = op.kernel;
-        if (!op.weights.empty()) {
-          const auto& ws = op.weights.shape();
-          FLIGHTNN_CHECK(ws.rank() == 4, "memory plan: shift conv weights at op ",
-                         t, " must be OIHW, got ", ws.to_string());
-          out_c = ws[0];
-          in_c = ws[1];
-          kernel = ws[2];
-        }
+        const std::int64_t out_c = op.out_channels, in_c = op.in_channels,
+                           kernel = op.kernel;
         FLIGHTNN_CHECK(out_c > 0 && in_c > 0 && kernel > 0 && op.stride > 0 &&
                            op.padding >= 0,
                        "memory plan: bad shift conv geometry at op ", t);
@@ -199,8 +189,7 @@ struct MemoryPlan::Analysis {
         return define(t, Shape{in.numel()});
       }
       case ProgramOpKind::kShiftLinear: {
-        std::int64_t out_f = op.out_channels;
-        if (!op.weights.empty()) out_f = op.weights.shape()[0];
+        const std::int64_t out_f = op.out_channels;
         FLIGHTNN_CHECK(out_f > 0, "memory plan: bad shift linear at op ", t);
         note_quant(mem, in.numel());
         use(cur, t);
@@ -210,10 +199,6 @@ struct MemoryPlan::Analysis {
         const auto& ws = op.weights.shape();
         FLIGHTNN_CHECK(ws.rank() == 2, "memory plan: float linear weights at op ",
                        t, " must be [out, in]");
-        if (in.rank() != 1) {
-          // FloatLinearStep reshapes to a flat copy before the dot.
-          define(t, Shape{in.numel()});
-        }
         use(cur, t);
         return define(t, Shape{ws[0]});
       }
@@ -230,7 +215,7 @@ struct MemoryPlan::Analysis {
         FLIGHTNN_CHECK(op.has_shortcut || op.shortcut_ops == 0,
                        "memory plan: residual without shortcut claims ",
                        op.shortcut_ops, " shortcut ops");
-        // ResidualStep::run: main chain, then shortcut chain (both deep-copy
+        // run_op's residual: main chain, then shortcut chain (both deep-copy
         // the input at entry), then `main_out += skip_out` in place, then the
         // post chain on main_out's buffer.
         const std::size_t main_out = walk_chain(cursor, op.main_ops, cur, t);
@@ -250,8 +235,11 @@ struct MemoryPlan::Analysis {
         }
         use(main_out, t_add);
         use(skip_out, t_add);
-        if (op.post_ops == 0) return main_out;
-        return walk_chain(cursor, op.post_ops, main_out, t_add);
+        const std::size_t post_end =
+            cursor + static_cast<std::size_t>(op.post_ops);
+        std::size_t out = main_out;
+        while (cursor < post_end) out = walk_op(cursor, out);
+        return out;
       }
     }
     FLIGHTNN_CHECK(false, "memory plan: unknown op kind ",
@@ -302,9 +290,8 @@ std::shared_ptr<const MemoryPlan> MemoryPlan::try_build(
   try {
     return std::make_shared<const MemoryPlan>(program);
   } catch (const support::CheckFailure& failure) {
-    // Structurally invalid program: skip planning so from_program's walk
-    // reports the canonical diagnostic (or, if only the planner objects,
-    // execution stays on the dynamic route).
+    // The planner objects to the program (from_program has already
+    // validated its structure): execution stays on the dynamic route.
     support::log_debug() << "memory plan: analysis failed, staying dynamic: "
                          << failure.what();
     return nullptr;

@@ -11,7 +11,7 @@
 //     coloring in runtime/memory_plan.hpp. Accumulator extents use the
 //     *static* narrow gate (plan_narrow_accumulator), so a plan that always
 //     runs int32 is planned at 4 bytes/element, not the worst-case 8.
-//   - Activations (step outputs, residual chain-entry copies, reshapes):
+//   - Activations (op outputs, the run and residual chain-entry copies):
 //     value-semantic pooled tensors, so they stay in tensor::pool; the
 //     planner accounts their live intervals and prewarms the pool with the
 //     exact working set (per-numel max simultaneous live count), which
@@ -63,14 +63,11 @@ struct ActivationInterval {
 class MemoryPlan {
  public:
   // Analyzes `program` and colors the arena layout. Throws CheckFailure on
-  // structurally invalid programs (same conditions from_program rejects);
-  // use try_build when the caller wants the canonical from_program error
-  // instead.
+  // programs whose structure or geometry the analysis cannot follow.
   explicit MemoryPlan(const NetworkProgram& program);
 
-  // Builds a plan, or returns nullptr when the program is structurally
-  // invalid (the subsequent from_program walk then reports the canonical
-  // error) -- planning must never mask the builder's diagnostics.
+  // Builds a plan, or returns nullptr when the analysis rejects the program
+  // (the network then runs on the dynamic arena).
   static std::shared_ptr<const MemoryPlan> try_build(
       const NetworkProgram& program);
 
@@ -125,8 +122,7 @@ class MemoryPlan {
 
 // --- Planned-arena policy ----------------------------------------------------
 //
-// Planning is on by default for plan-executing networks (never for
-// reference-engine networks, which bypass the arena-backed kernels).
+// Planning is on by default for every network from_program builds.
 // FLIGHTNN_FORCE_DYNAMIC_ARENA=1 disables it process-wide; the programmatic
 // override wins over the environment (differential tests flip it between
 // runs of the same program).

@@ -87,7 +87,6 @@ void program_layer(nn::Layer& layer, ProgramState& state,
       op.term_count = decomposition.term_count();
       op.plan = ShiftPlan::compile_conv(decomposition, coding.pow2,
                                         op.in_channels, op.kernel);
-      op.weights = std::move(wq);
     } else {
       op.kind = ProgramOpKind::kFloatConv;
       op.weights = std::move(wq);
@@ -156,7 +155,6 @@ void program_layer(nn::Layer& layer, ProgramState& state,
           core::decompose_to_lightnn1(wq, coding.k_max, coding.pow2);
       op.term_count = decomposition.term_count();
       op.plan = ShiftPlan::compile_linear(decomposition, coding.pow2);
-      op.weights = std::move(wq);
     } else {
       op.kind = ProgramOpKind::kFloatLinear;
       op.weights = std::move(wq);

@@ -12,11 +12,10 @@
 // stable, pointer-free description to serialize: every field is a scalar,
 // a tensor, or a plan stream, so an op can be laid out into a flat blob
 // and reconstituted without re-deriving anything from the float model.
-// QuantizedNetwork::from_program() turns a program back into steps; for
-// ops whose quantized weights are present (the in-memory compile path) the
-// engines keep their reference decomposition, and for ops carrying only a
-// plan (the artifact load path) the engines adopt the plan directly --
-// run() is bit-identical either way because both execute the same plan.
+// It is also the executable form: QuantizedNetwork::from_program() keeps the
+// validated op list and runs it directly, adopting each shift op's plan into
+// an engine. The in-memory compile path and the artifact load path hand it
+// the same plans, so both produce one kind of network with identical logits.
 
 #include <cstdint>
 #include <vector>
@@ -37,10 +36,6 @@ struct CompileOptions {
   // Maximum shift terms expected per weight (for decomposition).
   int k_max = 2;
   quant::Pow2Config pow2;
-  // Execute shift layers through the pre-plan reference engine instead of
-  // the compiled plan. Outputs are bit-identical; this exists so benchmarks
-  // can measure the whole-network seed-vs-plan speedup.
-  bool use_reference_engine = false;
 };
 
 // Serialization-stable op kinds (artifact format v1 records these values;
@@ -85,12 +80,10 @@ struct ProgramOp {
   quant::Pow2Config pow2;
   ShiftPlan plan;
 
-  // Shift ops, in-memory compile only: the quantized weight tensor the plan
-  // was lowered from. Kept so from_program can build engines that retain
-  // the reference term-walk (use_reference_engine, filter_k). Empty on the
-  // artifact load path -- the artifact stores plans, not float weights.
-  tensor::Tensor weights;  // also: kFloatConv/kFloatLinear weights
-  tensor::Tensor bias;     // conv/linear bias; may be empty
+  // kFloatConv/kFloatLinear: the (quantized) float weights. Shift ops carry
+  // only their plan, never weights.
+  tensor::Tensor weights;
+  tensor::Tensor bias;  // conv/linear bias; may be empty
 
   // kAffine (folded batch norm): y = scale[c] * x + affine_bias[c].
   std::vector<float> scale;

@@ -15,462 +15,250 @@ namespace flightnn::inference {
 
 namespace {
 
-using Step = QuantizedNetwork::Step;
-using StepPtr = std::unique_ptr<Step>;
-
-// Quantization scratch shared by the steps on one thread. Safe because a
-// thread runs its forward pass step by step: the quantized values are
-// consumed (by dequantize or an engine run) before the next step overwrites
-// them. Reusing one buffer across layers keeps steady-state quantization
-// allocation-free once the largest layer has sized it.
+// Quantization scratch shared by the shift ops on one thread. Safe because a
+// thread runs its forward pass op by op: the quantized values are consumed
+// by the engine before the next op overwrites them. Reusing one buffer
+// across layers keeps steady-state quantization allocation-free once the
+// largest layer has sized it.
 QuantizedActivations& quant_scratch() {
   thread_local QuantizedActivations scratch;
   return scratch;
 }
 
-// --- Steps --------------------------------------------------------------------
-
-class QuantizeActStep final : public Step {
- public:
-  explicit QuantizeActStep(int bits) : bits_(bits) {}
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* /*counts*/) const override {
-    return fake_quantize(input, bits_);
-  }
-  [[nodiscard]] std::string describe() const override {
-    return "quant(" + std::to_string(bits_) + "b)";
-  }
-
- private:
-  int bits_;
-};
-
-class ShiftConvStep final : public Step {
- public:
-  ShiftConvStep(ShiftConv2d engine, int act_bits, bool use_reference,
-                runtime::PlanContext ctx = {})
-      : engine_(std::move(engine)),
-        act_bits_(act_bits),
-        use_reference_(use_reference),
-        ctx_(ctx) {}
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* counts) const override {
-    // Inputs arriving here are already on the activation-quantizer grid, so
-    // this re-quantization is lossless (same abs-max-driven pow2 scale).
-    QuantizedActivations& q = quant_scratch();
-    quantize_image_into(input, act_bits_, q);
-    OpCounts ops{};
-    tensor::Tensor out =
-        use_reference_
-            ? engine_.run_reference(q, counts ? &ops : nullptr)
-            : engine_.run(q, counts ? &ops : nullptr,
-                          ctx_.layout != nullptr ? &ctx_ : nullptr);
-    if (counts != nullptr) {
-      counts->shifts += ops.shifts;
-      counts->adds += ops.adds;
-    }
-    return out;
-  }
-  [[nodiscard]] std::string describe() const override {
-    return "shift_conv[" + std::to_string(engine_.out_channels()) + "f/" +
-           std::to_string(engine_.term_count()) + "t]";
-  }
-  [[nodiscard]] std::int64_t term_count() const override {
-    return engine_.term_count();
-  }
-  [[nodiscard]] const char* kernel_tier() const override {
-    return use_reference_ ? "reference" : engine_.kernel_tier(act_bits_);
-  }
-
- private:
-  ShiftConv2d engine_;
-  int act_bits_;
-  bool use_reference_;
-  // Planned-arena context; layout lives in the owning network's shared
-  // MemoryPlan, so the pointer stays valid across network moves.
-  runtime::PlanContext ctx_;
-};
-
-class FloatConvStep final : public Step {
- public:
-  FloatConvStep(tensor::Tensor weights, tensor::Tensor bias, std::int64_t stride,
-                std::int64_t padding)
-      : weights_(std::move(weights)),
-        bias_(std::move(bias)),
-        stride_(stride),
-        padding_(padding) {}
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* counts) const override {
-    if (counts != nullptr) {
-      const auto& ws = weights_.shape();
-      const std::int64_t out_h =
-          (input.shape()[1] + 2 * padding_ - ws[2]) / stride_ + 1;
-      const std::int64_t out_w =
-          (input.shape()[2] + 2 * padding_ - ws[3]) / stride_ + 1;
-      counts->float_macs += ws[0] * ws[1] * ws[2] * ws[3] * out_h * out_w;
-    }
-    return reference_conv(weights_, input, stride_, padding_, bias_);
-  }
-  [[nodiscard]] std::string describe() const override {
-    return "float_conv[" + std::to_string(weights_.shape()[0]) + "f]";
-  }
-
- private:
-  tensor::Tensor weights_, bias_;
-  std::int64_t stride_, padding_;
-};
-
-// Per-channel y = scale[c] * x + bias[c] (folded batch norm).
-class AffineStep final : public Step {
- public:
-  AffineStep(std::vector<float> scale, std::vector<float> bias)
-      : scale_(std::move(scale)), bias_(std::move(bias)) {}
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* /*counts*/) const override {
-    const auto& s = input.shape();
-    FLIGHTNN_CHECK(s.rank() == 3 &&
-                       s[0] == static_cast<std::int64_t>(scale_.size()),
-                   "AffineStep: expected [", scale_.size(),
-                   ", H, W] input, got ", s.to_string());
-    tensor::Tensor out(s);
-    const std::int64_t hw = s[1] * s[2];
-    for (std::size_t c = 0; c < scale_.size(); ++c) {
-      const float* in_plane = input.data() + static_cast<std::int64_t>(c) * hw;
-      float* out_plane = out.data() + static_cast<std::int64_t>(c) * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        out_plane[i] = scale_[c] * in_plane[i] + bias_[c];
-      }
-    }
-    return out;
-  }
-  [[nodiscard]] std::string describe() const override { return "affine"; }
-
- private:
-  std::vector<float> scale_, bias_;
-};
-
-class LeakyReLUStep final : public Step {
- public:
-  explicit LeakyReLUStep(float slope) : slope_(slope) {}
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* /*counts*/) const override {
-    tensor::Tensor out(input.shape());
-    for (std::int64_t i = 0; i < input.numel(); ++i) {
-      const float v = input[i];
-      out[i] = v > 0.0F ? v : slope_ * v;
-    }
-    return out;
-  }
-  [[nodiscard]] std::string describe() const override { return "leaky_relu"; }
-
- private:
-  float slope_;
-};
-
-class MaxPoolStep final : public Step {
- public:
-  MaxPoolStep(std::int64_t window, std::int64_t stride)
-      : window_(window), stride_(stride) {}
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* /*counts*/) const override {
-    const auto& s = input.shape();
-    FLIGHTNN_CHECK(s.rank() == 3, "MaxPoolStep: CHW input expected, got ",
-                   s.to_string());
-    const std::int64_t channels = s[0], in_h = s[1], in_w = s[2];
-    FLIGHTNN_CHECK(in_h >= window_ && in_w >= window_,
-                   "MaxPoolStep: window ", window_, " larger than input ",
-                   s.to_string());
-    const std::int64_t out_h = (in_h - window_) / stride_ + 1;
-    const std::int64_t out_w = (in_w - window_) / stride_ + 1;
-    tensor::Tensor out(tensor::Shape{channels, out_h, out_w});
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float* plane = input.data() + c * in_h * in_w;
-      float* out_plane = out.data() + c * out_h * out_w;
-      for (std::int64_t oy = 0; oy < out_h; ++oy) {
-        for (std::int64_t ox = 0; ox < out_w; ++ox) {
-          float best = plane[(oy * stride_) * in_w + ox * stride_];
-          for (std::int64_t ky = 0; ky < window_; ++ky) {
-            for (std::int64_t kx = 0; kx < window_; ++kx) {
-              best = std::max(best, plane[(oy * stride_ + ky) * in_w +
-                                          ox * stride_ + kx]);
-            }
-          }
-          out_plane[oy * out_w + ox] = best;
-        }
-      }
-    }
-    return out;
-  }
-  [[nodiscard]] std::string describe() const override { return "maxpool"; }
-
- private:
-  std::int64_t window_, stride_;
-};
-
-class GapStep final : public Step {
- public:
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* /*counts*/) const override {
-    const auto& s = input.shape();
-    FLIGHTNN_CHECK(s.rank() == 3, "GapStep: CHW input expected, got ",
-                   s.to_string());
-    const std::int64_t channels = s[0], hw = s[1] * s[2];
-    tensor::Tensor out(tensor::Shape{channels});
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float* plane = input.data() + c * hw;
-      double acc = 0.0;
-      for (std::int64_t i = 0; i < hw; ++i) acc += plane[i];
-      out[c] = static_cast<float>(acc / static_cast<double>(hw));
-    }
-    return out;
-  }
-  [[nodiscard]] std::string describe() const override { return "gap"; }
-};
-
-class FlattenStep final : public Step {
- public:
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* /*counts*/) const override {
-    return input.reshaped(tensor::Shape{input.numel()});
-  }
-  [[nodiscard]] std::string describe() const override { return "flatten"; }
-};
-
-class ShiftLinearStep final : public Step {
- public:
-  ShiftLinearStep(ShiftLinear engine, int act_bits, bool use_reference)
-      : engine_(std::move(engine)),
-        act_bits_(act_bits),
-        use_reference_(use_reference) {}
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* counts) const override {
-    // No explicit flatten: quantization is shape-oblivious and the engine
-    // validates numel, so the values stream straight through.
-    QuantizedActivations& q = quant_scratch();
-    quantize_tensor_into(input, act_bits_, q);
-    q.shape = tensor::Shape{input.numel()};
-    OpCounts ops{};
-    tensor::Tensor out = use_reference_
-                             ? engine_.run_reference(q, counts ? &ops : nullptr)
-                             : engine_.run(q, counts ? &ops : nullptr);
-    if (counts != nullptr) {
-      counts->shifts += ops.shifts;
-      counts->adds += ops.adds;
-    }
-    return out;
-  }
-  [[nodiscard]] std::string describe() const override {
-    return "shift_linear[" + std::to_string(engine_.out_features()) + "]";
-  }
-  [[nodiscard]] std::int64_t term_count() const override {
-    return engine_.term_count();
-  }
-  [[nodiscard]] const char* kernel_tier() const override {
-    return use_reference_ ? "reference" : engine_.kernel_tier(act_bits_);
-  }
-
- private:
-  ShiftLinear engine_;
-  int act_bits_;
-  bool use_reference_;
-};
-
-class FloatLinearStep final : public Step {
- public:
-  FloatLinearStep(tensor::Tensor weights, tensor::Tensor bias)
-      : weights_(std::move(weights)), bias_(std::move(bias)) {}
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* counts) const override {
-    const std::int64_t out_features = weights_.shape()[0];
-    const std::int64_t in_features = weights_.shape()[1];
-    tensor::Tensor flat = input.shape().rank() == 1
-                              ? input
-                              : input.reshaped(tensor::Shape{input.numel()});
-    FLIGHTNN_CHECK(flat.numel() == in_features,
-                   "FloatLinearStep: input numel ", flat.numel(),
-                   " does not match in features ", in_features);
-    if (counts != nullptr) counts->float_macs += out_features * in_features;
-    tensor::Tensor out(tensor::Shape{out_features});
-    for (std::int64_t o = 0; o < out_features; ++o) {
-      double acc = bias_.empty() ? 0.0 : bias_[o];
-      const float* row = weights_.data() + o * in_features;
-      for (std::int64_t e = 0; e < in_features; ++e) {
-        acc += static_cast<double>(row[e]) * flat[e];
-      }
-      out[o] = static_cast<float>(acc);
-    }
-    return out;
-  }
-  [[nodiscard]] std::string describe() const override {
-    return "float_linear[" + std::to_string(weights_.shape()[0]) + "]";
-  }
-
- private:
-  tensor::Tensor weights_, bias_;
-};
-
-class ResidualStep final : public Step {
- public:
-  ResidualStep(std::vector<StepPtr> main_steps, std::vector<StepPtr> shortcut_steps,
-               bool has_shortcut, std::vector<StepPtr> post_steps)
-      : main_(std::move(main_steps)),
-        shortcut_(std::move(shortcut_steps)),
-        has_shortcut_(has_shortcut),
-        post_(std::move(post_steps)) {}
-
-  tensor::Tensor run(const tensor::Tensor& input,
-                     NetworkOpCounts* counts) const override {
-    tensor::Tensor main_out = run_chain(main_, input, counts);
-    tensor::Tensor skip_out =
-        has_shortcut_ ? run_chain(shortcut_, input, counts) : input;
-    main_out += skip_out;
-    return run_chain(post_, main_out, counts);
-  }
-  [[nodiscard]] std::string describe() const override { return "residual"; }
-
- private:
-  static tensor::Tensor run_chain(const std::vector<StepPtr>& steps,
-                                  const tensor::Tensor& input,
-                                  NetworkOpCounts* counts) {
-    tensor::Tensor current = input;
-    for (const auto& step : steps) current = step->run(current, counts);
-    return current;
-  }
-
-  std::vector<StepPtr> main_, shortcut_;
-  bool has_shortcut_;
-  std::vector<StepPtr> post_;
-};
-
-// --- Program -> steps -----------------------------------------------------
-//
-// from_program consumes the flat pre-order op list with a cursor. Residual
-// segments are length-delimited (op.main_ops etc. are total counts), so the
-// builder checks exact consumption at every nesting level: a program whose
-// counts lie -- truncated, overlapping, or out of range -- fails with a
-// typed CheckFailure instead of misassembling a network. The artifact
-// loader leans on this as its final structural gate.
-
-StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
-                   std::size_t end, bool use_reference,
-                   const runtime::ArenaLayout* layout);
-
-std::vector<StepPtr> build_segment(std::vector<ProgramOp>& ops,
-                                   std::size_t& cursor, std::int64_t count,
-                                   std::size_t end, bool use_reference,
-                                   const runtime::ArenaLayout* layout,
-                                   const char* what) {
-  FLIGHTNN_CHECK(count >= 0 && static_cast<std::size_t>(count) <= end - cursor,
-                 "from_program: residual ", what, " segment claims ", count,
-                 " ops but only ", end - cursor, " remain");
-  const std::size_t segment_end = cursor + static_cast<std::size_t>(count);
-  std::vector<StepPtr> steps;
-  steps.reserve(static_cast<std::size_t>(count));
-  while (cursor < segment_end) {
-    steps.push_back(build_step(ops, cursor, segment_end, use_reference, layout));
-  }
-  return steps;
+// One past the last flat op of op `i`'s subtree: residual segment counts are
+// nested-inclusive totals, so a block is skipped without recursing.
+std::size_t subtree_end(const std::vector<ProgramOp>& ops, std::size_t i) {
+  const ProgramOp& op = ops[i];
+  if (op.kind != ProgramOpKind::kResidual) return i + 1;
+  return i + 1 +
+         static_cast<std::size_t>(op.main_ops + op.shortcut_ops + op.post_ops);
 }
 
-StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
-                   std::size_t end, bool use_reference,
-                   const runtime::ArenaLayout* layout) {
-  FLIGHTNN_CHECK(cursor < end, "from_program: op stream exhausted");
-  // The planner keyed this op's arena extents by its flat index.
-  const auto op_index = static_cast<std::uint32_t>(cursor);
-  const runtime::PlanContext ctx{layout, op_index};
-  ProgramOp op = std::move(ops[cursor]);
-  ++cursor;
-  switch (op.kind) {
-    case ProgramOpKind::kQuantAct:
-      FLIGHTNN_CHECK(op.bits >= 2 && op.bits <= 16, "from_program: quant op ",
-                     op.bits, " bits outside [2, 16]");
-      return std::make_unique<QuantizeActStep>(op.bits);
-    case ProgramOpKind::kShiftConv: {
-      FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
-                     "from_program: shift conv act bits ", op.act_bits,
-                     " outside [2, 16]");
-      if (!op.weights.empty()) {
-        // In-memory compile: rebuild from the quantized weights so the
-        // engine keeps its reference decomposition.
-        return std::make_unique<ShiftConvStep>(
-            ShiftConv2d(op.weights, op.k_max, op.pow2, op.stride, op.padding,
-                        std::move(op.bias)),
-            op.act_bits, use_reference, ctx);
+// --- Validation ---------------------------------------------------------------
+//
+// from_program's structural gate over ops [begin, end). Residual segments
+// are length-delimited (op.main_ops etc. are total counts), so exact
+// consumption is checked at every nesting level: a program whose counts lie
+// -- truncated, overlapping, or out of range -- fails with a typed
+// CheckFailure instead of misassembling a network. The artifact loader
+// leans on this as its final structural gate.
+void validate_ops(const std::vector<ProgramOp>& ops, std::size_t begin,
+                  std::size_t end) {
+  std::size_t cursor = begin;
+  while (cursor < end) {
+    const ProgramOp& op = ops[cursor];
+    ++cursor;
+    switch (op.kind) {
+      case ProgramOpKind::kQuantAct:
+        FLIGHTNN_CHECK(op.bits >= 2 && op.bits <= 16, "from_program: quant op ",
+                       op.bits, " bits outside [2, 16]");
+        break;
+      case ProgramOpKind::kShiftConv:
+        FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
+                       "from_program: shift conv act bits ", op.act_bits,
+                       " outside [2, 16]");
+        break;
+      case ProgramOpKind::kFloatConv:
+        FLIGHTNN_CHECK(op.weights.shape().rank() == 4,
+                       "from_program: float conv weights must be OIHW");
+        break;
+      case ProgramOpKind::kAffine:
+        FLIGHTNN_CHECK(op.scale.size() == op.affine_bias.size(),
+                       "from_program: affine scale/bias size mismatch (",
+                       op.scale.size(), " vs ", op.affine_bias.size(), ")");
+        break;
+      case ProgramOpKind::kLeakyRelu:
+      case ProgramOpKind::kGap:
+      case ProgramOpKind::kFlatten:
+        break;
+      case ProgramOpKind::kMaxPool:
+        FLIGHTNN_CHECK(op.window > 0 && op.stride > 0,
+                       "from_program: max pool window ", op.window,
+                       " / stride ", op.stride, " must be positive");
+        break;
+      case ProgramOpKind::kShiftLinear:
+        FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
+                       "from_program: shift linear act bits ", op.act_bits,
+                       " outside [2, 16]");
+        break;
+      case ProgramOpKind::kFloatLinear:
+        FLIGHTNN_CHECK(op.weights.shape().rank() == 2,
+                       "from_program: float linear weights must be [out, in]");
+        break;
+      case ProgramOpKind::kResidual: {
+        FLIGHTNN_CHECK(op.has_shortcut || op.shortcut_ops == 0,
+                       "from_program: residual without shortcut claims ",
+                       op.shortcut_ops, " shortcut ops");
+        const std::pair<std::int64_t, const char*> segments[] = {
+            {op.main_ops, "main"},
+            {op.shortcut_ops, "shortcut"},
+            {op.post_ops, "post"}};
+        for (const auto& [count, what] : segments) {
+          FLIGHTNN_CHECK(
+              count >= 0 && static_cast<std::size_t>(count) <= end - cursor,
+              "from_program: residual ", what, " segment claims ", count,
+              " ops but only ", end - cursor, " remain");
+          const std::size_t segment_end =
+              cursor + static_cast<std::size_t>(count);
+          validate_ops(ops, cursor, segment_end);
+          cursor = segment_end;
+        }
+        break;
       }
-      FLIGHTNN_CHECK(!use_reference,
-                     "from_program: reference engine requested but the "
-                     "program carries plans only (artifact load path)");
-      const ShiftConvSpec spec{op.out_channels, op.in_channels, op.kernel,
-                               op.stride,       op.padding,     op.term_count};
-      return std::make_unique<ShiftConvStep>(
-          ShiftConv2d(std::move(op.plan), spec, op.pow2, std::move(op.bias)),
-          op.act_bits, /*use_reference=*/false, ctx);
-    }
-    case ProgramOpKind::kFloatConv:
-      FLIGHTNN_CHECK(op.weights.shape().rank() == 4,
-                     "from_program: float conv weights must be OIHW");
-      return std::make_unique<FloatConvStep>(std::move(op.weights),
-                                             std::move(op.bias), op.stride,
-                                             op.padding);
-    case ProgramOpKind::kAffine:
-      FLIGHTNN_CHECK(op.scale.size() == op.affine_bias.size(),
-                     "from_program: affine scale/bias size mismatch (",
-                     op.scale.size(), " vs ", op.affine_bias.size(), ")");
-      return std::make_unique<AffineStep>(std::move(op.scale),
-                                          std::move(op.affine_bias));
-    case ProgramOpKind::kLeakyRelu:
-      return std::make_unique<LeakyReLUStep>(op.slope);
-    case ProgramOpKind::kMaxPool:
-      FLIGHTNN_CHECK(op.window > 0 && op.stride > 0,
-                     "from_program: max pool window ", op.window, " / stride ",
-                     op.stride, " must be positive");
-      return std::make_unique<MaxPoolStep>(op.window, op.stride);
-    case ProgramOpKind::kGap:
-      return std::make_unique<GapStep>();
-    case ProgramOpKind::kFlatten:
-      return std::make_unique<FlattenStep>();
-    case ProgramOpKind::kShiftLinear: {
-      FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
-                     "from_program: shift linear act bits ", op.act_bits,
-                     " outside [2, 16]");
-      if (!op.weights.empty()) {
-        return std::make_unique<ShiftLinearStep>(
-            ShiftLinear(op.weights, op.k_max, op.pow2, std::move(op.bias)),
-            op.act_bits, use_reference);
-      }
-      FLIGHTNN_CHECK(!use_reference,
-                     "from_program: reference engine requested but the "
-                     "program carries plans only (artifact load path)");
-      const ShiftLinearSpec spec{op.out_channels, op.in_channels,
-                                 op.term_count};
-      return std::make_unique<ShiftLinearStep>(
-          ShiftLinear(std::move(op.plan), spec, op.pow2, std::move(op.bias)),
-          op.act_bits, /*use_reference=*/false);
-    }
-    case ProgramOpKind::kFloatLinear:
-      FLIGHTNN_CHECK(op.weights.shape().rank() == 2,
-                     "from_program: float linear weights must be [out, in]");
-      return std::make_unique<FloatLinearStep>(std::move(op.weights),
-                                               std::move(op.bias));
-    case ProgramOpKind::kResidual: {
-      FLIGHTNN_CHECK(op.has_shortcut || op.shortcut_ops == 0,
-                     "from_program: residual without shortcut claims ",
-                     op.shortcut_ops, " shortcut ops");
-      auto main_steps = build_segment(ops, cursor, op.main_ops, end,
-                                      use_reference, layout, "main");
-      auto shortcut_steps = build_segment(ops, cursor, op.shortcut_ops, end,
-                                          use_reference, layout, "shortcut");
-      auto post_steps = build_segment(ops, cursor, op.post_ops, end,
-                                      use_reference, layout, "post");
-      return std::make_unique<ResidualStep>(
-          std::move(main_steps), std::move(shortcut_steps), op.has_shortcut,
-          std::move(post_steps));
+      default:
+        FLIGHTNN_CHECK(false, "from_program: unknown op kind ",
+                       static_cast<std::uint32_t>(op.kind));
     }
   }
-  FLIGHTNN_CHECK(false, "from_program: unknown op kind ",
-                 static_cast<std::uint32_t>(op.kind));
-  return nullptr;  // unreachable
+}
+
+// --- Float glue -----------------------------------------------------------------
+//
+// The ops that do not run on the shift engine. Each returns a fresh pooled
+// tensor.
+
+// Per-channel y = scale[c] * x + bias[c] (folded batch norm).
+FLIGHTNN_HOT tensor::Tensor affine_channels(const ProgramOp& op,
+                                            const tensor::Tensor& input) {
+  const auto& s = input.shape();
+  FLIGHTNN_CHECK(
+      s.rank() == 3 && s[0] == static_cast<std::int64_t>(op.scale.size()),
+      "affine: expected [", op.scale.size(), ", H, W] input, got ",
+      s.to_string());
+  tensor::Tensor out(s);
+  const std::int64_t hw = s[1] * s[2];
+  for (std::size_t c = 0; c < op.scale.size(); ++c) {
+    const float* in_plane = input.data() + static_cast<std::int64_t>(c) * hw;
+    float* out_plane = out.data() + static_cast<std::int64_t>(c) * hw;
+    for (std::int64_t i = 0; i < hw; ++i) {
+      out_plane[i] = op.scale[c] * in_plane[i] + op.affine_bias[c];
+    }
+  }
+  return out;
+}
+
+FLIGHTNN_HOT tensor::Tensor leaky_relu_values(const tensor::Tensor& input,
+                                              float slope) {
+  tensor::Tensor out(input.shape());
+  for (std::int64_t i = 0; i < input.numel(); ++i) {
+    const float v = input[i];
+    out[i] = v > 0.0F ? v : slope * v;
+  }
+  return out;
+}
+
+FLIGHTNN_HOT tensor::Tensor max_pool_planes(const tensor::Tensor& input,
+                                            std::int64_t window,
+                                            std::int64_t stride) {
+  const auto& s = input.shape();
+  FLIGHTNN_CHECK(s.rank() == 3, "maxpool: CHW input expected, got ",
+                 s.to_string());
+  const std::int64_t channels = s[0], in_h = s[1], in_w = s[2];
+  FLIGHTNN_CHECK(in_h >= window && in_w >= window, "maxpool: window ", window,
+                 " larger than input ", s.to_string());
+  const std::int64_t out_h = (in_h - window) / stride + 1;
+  const std::int64_t out_w = (in_w - window) / stride + 1;
+  tensor::Tensor out(tensor::Shape{channels, out_h, out_w});
+  for (std::int64_t c = 0; c < channels; ++c) {
+    const float* plane = input.data() + c * in_h * in_w;
+    float* out_plane = out.data() + c * out_h * out_w;
+    for (std::int64_t oy = 0; oy < out_h; ++oy) {
+      for (std::int64_t ox = 0; ox < out_w; ++ox) {
+        float best = plane[(oy * stride) * in_w + ox * stride];
+        for (std::int64_t ky = 0; ky < window; ++ky) {
+          for (std::int64_t kx = 0; kx < window; ++kx) {
+            best = std::max(
+                best, plane[(oy * stride + ky) * in_w + ox * stride + kx]);
+          }
+        }
+        out_plane[oy * out_w + ox] = best;
+      }
+    }
+  }
+  return out;
+}
+
+FLIGHTNN_HOT tensor::Tensor global_avg_pool(const tensor::Tensor& input) {
+  const auto& s = input.shape();
+  FLIGHTNN_CHECK(s.rank() == 3, "gap: CHW input expected, got ",
+                 s.to_string());
+  const std::int64_t channels = s[0], hw = s[1] * s[2];
+  tensor::Tensor out(tensor::Shape{channels});
+  for (std::int64_t c = 0; c < channels; ++c) {
+    const float* plane = input.data() + c * hw;
+    double acc = 0.0;
+    for (std::int64_t i = 0; i < hw; ++i) acc += plane[i];
+    out[c] = static_cast<float>(acc / static_cast<double>(hw));
+  }
+  return out;
+}
+
+// Dense fallback over the op's (quantized) float weights; the input is read
+// as a flat vector whatever its shape.
+FLIGHTNN_HOT tensor::Tensor float_linear(const ProgramOp& op,
+                                         const tensor::Tensor& input,
+                                         NetworkOpCounts* counts) {
+  const std::int64_t out_features = op.weights.shape()[0];
+  const std::int64_t in_features = op.weights.shape()[1];
+  FLIGHTNN_CHECK(input.numel() == in_features, "float linear: input numel ",
+                 input.numel(), " does not match in features ", in_features);
+  if (counts != nullptr) counts->float_macs += out_features * in_features;
+  tensor::Tensor out(tensor::Shape{out_features});
+  const float* x = input.data();
+  for (std::int64_t o = 0; o < out_features; ++o) {
+    double acc = op.bias.empty() ? 0.0 : op.bias[o];
+    const float* row = op.weights.data() + o * in_features;
+    for (std::int64_t e = 0; e < in_features; ++e) {
+      acc += static_cast<double>(row[e]) * x[e];
+    }
+    out[o] = static_cast<float>(acc);
+  }
+  return out;
+}
+
+void add_shift_counts(const OpCounts& ops, NetworkOpCounts* counts) {
+  if (counts == nullptr) return;
+  counts->shifts += ops.shifts;
+  counts->adds += ops.adds;
+}
+
+// Whether `s` is the program's input geometry, as [C, H, W] or [1, C, H, W].
+bool is_input_shape(const tensor::Shape& s, const NetworkProgram& program) {
+  const std::size_t lead = s.rank() == 4 ? 1 : 0;
+  return (s.rank() == 3 || (s.rank() == 4 && s[0] == 1)) &&
+         s[lead] == program.input_c && s[lead + 1] == program.input_h &&
+         s[lead + 2] == program.input_w;
+}
+
+// describe() token of one op ("quant(8b)", "shift_conv[16f/25t]", ...).
+std::string op_token(const ProgramOp& op) {
+  switch (op.kind) {
+    case ProgramOpKind::kQuantAct:
+      return "quant(" + std::to_string(op.bits) + "b)";
+    case ProgramOpKind::kShiftConv:
+      return "shift_conv[" + std::to_string(op.out_channels) + "f/" +
+             std::to_string(op.term_count) + "t]";
+    case ProgramOpKind::kFloatConv:
+      return "float_conv[" + std::to_string(op.weights.shape()[0]) + "f]";
+    case ProgramOpKind::kAffine:
+      return "affine";
+    case ProgramOpKind::kLeakyRelu:
+      return "leaky_relu";
+    case ProgramOpKind::kMaxPool:
+      return "maxpool";
+    case ProgramOpKind::kGap:
+      return "gap";
+    case ProgramOpKind::kFlatten:
+      return "flatten";
+    case ProgramOpKind::kShiftLinear:
+      return "shift_linear[" + std::to_string(op.out_channels) + "]";
+    case ProgramOpKind::kFloatLinear:
+      return "float_linear[" + std::to_string(op.weights.shape()[0]) + "]";
+    case ProgramOpKind::kResidual:
+      return "residual";
+  }
+  FLIGHTNN_UNREACHABLE("op kind ", static_cast<std::uint32_t>(op.kind),
+                       " passed from_program's validation");
 }
 
 // Compact byte count for the profile table ("832B", "4.5K", "1.2M").
@@ -488,10 +276,10 @@ std::string format_bytes(std::size_t bytes) {
   return buffer;
 }
 
-// Fill a step's planned-scratch column from the memory plan: the flat ops
-// [begin, end) the step was built from (a single op for plain steps, the
-// whole subtree for residuals). Single-buffer steps show the exact
-// placement; aggregates summarize.
+// Fill a profile row's planned-scratch column from the memory plan: the flat
+// ops [begin, end) the row covers (a single op for plain ops, the whole
+// subtree for residuals). Single-buffer rows show the exact placement;
+// aggregates summarize.
 void fill_planned_scratch(const MemoryPlan& plan, std::uint32_t begin,
                           std::uint32_t end, StepProfile& out) {
   std::size_t total = 0;
@@ -538,84 +326,173 @@ void reserve_quant_scratch(std::size_t values) {
 QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
                                            const tensor::Shape& input_shape,
                                            const CompileOptions& options) {
-  return from_program(compile_program(model, input_shape, options),
-                      options.use_reference_engine);
+  return from_program(compile_program(model, input_shape, options));
 }
 
-QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program,
-                                                bool use_reference_engine) {
+QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
+  FLIGHTNN_CHECK(
+      program.input_c > 0 && program.input_h > 0 && program.input_w > 0,
+      "from_program: bad input geometry [", program.input_c, ", ",
+      program.input_h, ", ", program.input_w, "]");
+  validate_ops(program.ops, 0, program.ops.size());
   QuantizedNetwork network;
-  // Plan the memory layout before build_step consumes the ops. Reference
-  // engines bypass the arena-backed kernels, so they stay unplanned; on the
-  // artifact load path this is the in-loader rebuild (format stays v1).
-  if (!use_reference_engine && memory_planning_enabled()) {
+  // Plan before the engines adopt (and so empty) the ops' plan streams; on
+  // the artifact load path this is the in-loader rebuild (format stays v1).
+  if (memory_planning_enabled()) {
     network.memory_plan_ = MemoryPlan::try_build(program);
   }
-  const runtime::ArenaLayout* layout =
-      network.memory_plan_ ? &network.memory_plan_->layout() : nullptr;
-  std::size_t cursor = 0;
-  const std::size_t end = program.ops.size();
-  network.steps_.reserve(end);
-  while (cursor < end) {
-    const auto begin = static_cast<std::uint32_t>(cursor);
-    network.steps_.push_back(
-        build_step(program.ops, cursor, end, use_reference_engine, layout));
-    network.step_ops_.emplace_back(begin, static_cast<std::uint32_t>(cursor));
+  network.engines_.resize(program.ops.size());
+  for (std::size_t i = 0; i < program.ops.size(); ++i) {
+    ProgramOp& op = program.ops[i];
+    if (op.kind == ProgramOpKind::kShiftConv) {
+      const ShiftConvSpec spec{op.out_channels, op.in_channels, op.kernel,
+                               op.stride,       op.padding,     op.term_count};
+      network.engines_[i].emplace<ShiftConv2d>(std::move(op.plan), spec,
+                                               op.pow2, std::move(op.bias));
+    } else if (op.kind == ProgramOpKind::kShiftLinear) {
+      const ShiftLinearSpec spec{op.out_channels, op.in_channels,
+                                 op.term_count};
+      network.engines_[i].emplace<ShiftLinear>(std::move(op.plan), spec,
+                                               op.pow2, std::move(op.bias));
+    }
   }
+  network.program_ = std::move(program);
   return network;
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor QuantizedNetwork::run(
     const tensor::Tensor& image, NetworkOpCounts* counts) const {
-  tensor::Tensor current;
   const auto& s = image.shape();
-  FLIGHTNN_CHECK(s.rank() == 3 || (s.rank() == 4 && s[0] == 1),
-                 "QuantizedNetwork::run: expected [C,H,W] or [1,C,H,W], got ",
-                 s.to_string());
-  if (s.rank() == 3) {
-    current = image;
-  } else {
-    current = image.reshaped(tensor::Shape{s[1], s[2], s[3]});
-  }
-  for (const auto& step : steps_) {
-    current = step->run(current, counts);
-  }
+  FLIGHTNN_CHECK(is_input_shape(s, program_),
+                 "QuantizedNetwork::run: expected a [", program_.input_c, ", ",
+                 program_.input_h, ", ", program_.input_w,
+                 "] image (or [1, C, H, W]), got ", s.to_string());
+  // The chain starts on a copy of the image (run_ops owns its activation).
+  tensor::Tensor logits = run_ops(
+      0, program_.ops.size(),
+      s.rank() == 3 ? image : image.reshaped(tensor::Shape{s[1], s[2], s[3]}),
+      counts);
   if (counts != nullptr) ++counts->images;
-  return current;
+  return logits;
+}
+
+FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_ops(
+    std::size_t begin, std::size_t end, tensor::Tensor x,
+    NetworkOpCounts* counts) const {
+  for (std::size_t i = begin; i < end; i = subtree_end(program_.ops, i)) {
+    x = run_op(i, x, counts);
+  }
+  return x;
+}
+
+FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(
+    std::size_t i, const tensor::Tensor& input,
+    NetworkOpCounts* counts) const {
+  const ProgramOp& op = program_.ops[i];
+  switch (op.kind) {
+    case ProgramOpKind::kQuantAct:
+      return fake_quantize(input, op.bits);
+    case ProgramOpKind::kShiftConv: {
+      // Inputs arriving here are already on the activation-quantizer grid,
+      // so this re-quantization is lossless (same abs-max-driven pow2
+      // scale). The planner keyed this op's arena extents by its index.
+      QuantizedActivations& q = quant_scratch();
+      quantize_image_into(input, op.act_bits, q);
+      const runtime::PlanContext ctx{
+          memory_plan_ != nullptr ? &memory_plan_->layout() : nullptr,
+          static_cast<std::uint32_t>(i)};
+      OpCounts ops{};
+      tensor::Tensor out = std::get<ShiftConv2d>(engines_[i]).run(
+          q, counts != nullptr ? &ops : nullptr,
+          ctx.layout != nullptr ? &ctx : nullptr);
+      add_shift_counts(ops, counts);
+      return out;
+    }
+    case ProgramOpKind::kFloatConv: {
+      tensor::Tensor out =
+          reference_conv(op.weights, input, op.stride, op.padding, op.bias);
+      if (counts != nullptr) {
+        const auto& ws = op.weights.shape();
+        counts->float_macs += ws[0] * ws[1] * ws[2] * ws[3] *
+                              out.shape()[1] * out.shape()[2];
+      }
+      return out;
+    }
+    case ProgramOpKind::kAffine:
+      return affine_channels(op, input);
+    case ProgramOpKind::kLeakyRelu:
+      return leaky_relu_values(input, op.slope);
+    case ProgramOpKind::kMaxPool:
+      return max_pool_planes(input, op.window, op.stride);
+    case ProgramOpKind::kGap:
+      return global_avg_pool(input);
+    case ProgramOpKind::kFlatten:
+      return input.reshaped(tensor::Shape{input.numel()});
+    case ProgramOpKind::kShiftLinear: {
+      // No explicit flatten: quantization is shape-oblivious and the engine
+      // validates numel, so the values stream straight through.
+      QuantizedActivations& q = quant_scratch();
+      quantize_tensor_into(input, op.act_bits, q);
+      q.shape = tensor::Shape{input.numel()};
+      OpCounts ops{};
+      tensor::Tensor out = std::get<ShiftLinear>(engines_[i]).run(
+          q, counts != nullptr ? &ops : nullptr);
+      add_shift_counts(ops, counts);
+      return out;
+    }
+    case ProgramOpKind::kFloatLinear:
+      return float_linear(op, input, counts);
+    case ProgramOpKind::kResidual: {
+      // Main and shortcut chains each start on a copy of the block input (an
+      // empty shortcut is the identity); the post chain runs on the sum.
+      const std::size_t shortcut = i + 1 + static_cast<std::size_t>(op.main_ops);
+      const std::size_t post =
+          shortcut + static_cast<std::size_t>(op.shortcut_ops);
+      tensor::Tensor sum = run_ops(i + 1, shortcut, input, counts);
+      sum += run_ops(shortcut, post, input, counts);
+      return run_ops(post, subtree_end(program_.ops, i), std::move(sum),
+                     counts);
+    }
+  }
+  FLIGHTNN_UNREACHABLE("op kind ", static_cast<std::uint32_t>(op.kind),
+                       " passed from_program's validation");
 }
 
 std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
                                                    int repeats) const {
   FLIGHTNN_CHECK(repeats >= 1, "QuantizedNetwork::profile: repeats ", repeats,
                  " must be >= 1");
-  tensor::Tensor current;
   const auto& s = image.shape();
-  FLIGHTNN_CHECK(s.rank() == 3 || (s.rank() == 4 && s[0] == 1),
-                 "QuantizedNetwork::profile: expected [C,H,W] or [1,C,H,W], "
-                 "got ", s.to_string());
-  if (s.rank() == 3) {
-    current = image;
-  } else {
-    current = image.reshaped(tensor::Shape{s[1], s[2], s[3]});
-  }
+  FLIGHTNN_CHECK(is_input_shape(s, program_),
+                 "QuantizedNetwork::profile: expected a [", program_.input_c,
+                 ", ", program_.input_h, ", ", program_.input_w,
+                 "] image (or [1, C, H, W]), got ", s.to_string());
+  tensor::Tensor current =
+      s.rank() == 3 ? image : image.reshaped(tensor::Shape{s[1], s[2], s[3]});
 
   std::vector<StepProfile> profiles;
-  profiles.reserve(steps_.size());
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    const auto& step = steps_[i];
+  for (std::size_t i = 0; i < program_.ops.size();
+       i = subtree_end(program_.ops, i)) {
+    const ProgramOp& op = program_.ops[i];
     StepProfile p;
-    p.name = step->describe();
-    p.terms = step->term_count();
-    p.kernel_tier = step->kernel_tier();
-    if (memory_plan_ != nullptr && i < step_ops_.size()) {
-      fill_planned_scratch(*memory_plan_, step_ops_[i].first,
-                           step_ops_[i].second, p);
+    p.name = op_token(op);
+    if (const auto* conv = std::get_if<ShiftConv2d>(&engines_[i])) {
+      p.terms = conv->term_count();
+      p.kernel_tier = conv->kernel_tier(op.act_bits);
+    } else if (const auto* linear = std::get_if<ShiftLinear>(&engines_[i])) {
+      p.terms = linear->term_count();
+      p.kernel_tier = linear->kernel_tier(op.act_bits);
+    }
+    if (memory_plan_ != nullptr) {
+      fill_planned_scratch(
+          *memory_plan_, static_cast<std::uint32_t>(i),
+          static_cast<std::uint32_t>(subtree_end(program_.ops, i)), p);
     }
     NetworkOpCounts ops{};
     tensor::Tensor out;
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < repeats; ++r) {
-      out = step->run(current, r == 0 ? &ops : nullptr);
+      out = run_op(i, current, r == 0 ? &ops : nullptr);
     }
     const auto t1 = std::chrono::steady_clock::now();
     p.seconds = std::chrono::duration<double>(t1 - t0).count() / repeats;
@@ -645,11 +522,21 @@ double QuantizedNetwork::evaluate(const data::Dataset& dataset, int top_k,
              : 0.0;
 }
 
+std::size_t QuantizedNetwork::step_count() const {
+  std::size_t steps = 0;
+  for (std::size_t i = 0; i < program_.ops.size();
+       i = subtree_end(program_.ops, i)) {
+    ++steps;
+  }
+  return steps;
+}
+
 std::string QuantizedNetwork::describe() const {
   std::string out;
-  for (const auto& step : steps_) {
+  for (std::size_t i = 0; i < program_.ops.size();
+       i = subtree_end(program_.ops, i)) {
     if (!out.empty()) out += " -> ";
-    out += step->describe();
+    out += op_token(program_.ops[i]);
   }
   return out;
 }

@@ -21,9 +21,17 @@
 // integer engine; fixed-point / full-precision layers fall back to float
 // math on their (quantized) weights so that any model variant can be
 // compiled and compared.
+//
+// Execution form: the network *is* its validated NetworkProgram. run() is
+// one switch over the flat pre-order op list, recursing only into a
+// residual op's main/shortcut/post ranges, with one plan-adopting shift
+// engine per shift op looked up by flat op index -- the fixed per-layer
+// stage pipeline of the paper's accelerator mapping (Fig. 3, Sec. 5.2).
+// profile(), describe() and step_count() walk the same top-level ranges.
 
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -43,19 +51,20 @@ struct NetworkOpCounts {
   std::int64_t images = 0;
 };
 
-// Per-step observability record produced by QuantizedNetwork::profile().
+// Per-op observability record produced by QuantizedNetwork::profile(): one
+// per top-level op of the program (a residual block is one row).
 struct StepProfile {
-  std::string name;        // step->describe()
-  double seconds = 0.0;    // mean wall time per run of this step
+  std::string name;        // the op's describe() token
+  double seconds = 0.0;    // mean wall time per run of this op
   std::int64_t shifts = 0;
   std::int64_t adds = 0;
   std::int64_t float_macs = 0;
-  std::int64_t terms = 0;  // single-shift filter terms (0 for non-shift steps)
-  // Kernel tier the step dispatches to ("scalar" / "avx2"; "reference" for
-  // term-walk steps, "-" for steps that do not run on the shift engine).
+  std::int64_t terms = 0;  // single-shift filter terms (0 for non-shift ops)
+  // Kernel tier the op dispatches to ("scalar" / "avx2"; "-" for ops that
+  // do not run on the shift engine).
   std::string kernel_tier = "-";
-  // Planned arena scratch this step's kernels fetch (0 when the network
-  // runs on the dynamic arena or the step uses no arena scratch).
+  // Planned arena scratch this op's kernels fetch (0 when the network runs
+  // on the dynamic arena or the op uses no arena scratch).
   std::size_t planned_scratch_bytes = 0;
   // Planned placement, "slot@offset+bytes" per extent ("-" when none), e.g.
   // "off@0+1.1KiB acc@1.2K+4.0KiB".
@@ -72,15 +81,15 @@ class QuantizedNetwork {
                                   const CompileOptions& options = {});
 
   // Build an executable network from a lowered program (the IR
-  // compile_program emits and the deployment artifact stores). Ops whose
-  // quantized weights are present get engines with the full reference
-  // term-walk; plan-only ops (artifact load path) get plan-adopting
-  // engines. run() is bit-identical either way. `use_reference_engine`
-  // requires the weights to be present.
-  static QuantizedNetwork from_program(NetworkProgram program,
-                                       bool use_reference_engine = false);
+  // compile_program emits and the deployment artifact stores). Validates the
+  // program's structure -- residual segment counts at every nesting level,
+  // bit widths, per-kind fields, input geometry -- and throws CheckFailure
+  // on a malformed one; then keeps the op list and adopts each shift op's
+  // plan into its engine. Both load paths build the same kind of network.
+  static QuantizedNetwork from_program(NetworkProgram program);
 
-  // Run one image [C, H, W] (or [1, C, H, W]) to logits.
+  // Run one image [C, H, W] (or [1, C, H, W]) to logits. The geometry must
+  // be the program's input geometry.
   [[nodiscard]] tensor::Tensor run(const tensor::Tensor& image,
                                    NetworkOpCounts* counts = nullptr) const;
 
@@ -88,20 +97,20 @@ class QuantizedNetwork {
   [[nodiscard]] double evaluate(const data::Dataset& dataset, int top_k = 1,
                                 NetworkOpCounts* counts = nullptr) const;
 
-  // Per-layer wall time and op census: runs the image through the network
-  // step by step, timing each step over `repeats` runs (the first run of
-  // each step also collects its op counts). Observability only -- outputs
-  // are discarded.
+  // Per-op wall time and op census: runs the image through the network one
+  // top-level op at a time (a residual block is one row), timing each op
+  // over `repeats` runs (the first run of each also collects its op
+  // counts). Observability only -- outputs are discarded.
   [[nodiscard]] std::vector<StepProfile> profile(const tensor::Tensor& image,
                                                  int repeats = 10) const;
 
-  // Number of executable steps (for introspection / tests).
-  [[nodiscard]] std::size_t step_count() const { return steps_.size(); }
+  // Number of top-level ops (profile() rows, describe() tokens).
+  [[nodiscard]] std::size_t step_count() const;
 
   // The memory plan attached at from_program time, or nullptr when the
-  // network runs on the dynamic arena (reference engines,
-  // FLIGHTNN_FORCE_DYNAMIC_ARENA, or the planning override). Valid for the
-  // network's lifetime; BatchRunner's warm path adopts it per worker.
+  // network runs on the dynamic arena (FLIGHTNN_FORCE_DYNAMIC_ARENA, or the
+  // planning override). Valid for the network's lifetime; BatchRunner's
+  // warm path adopts it per worker.
   [[nodiscard]] const MemoryPlan* memory_plan() const {
     return memory_plan_.get();
   }
@@ -109,28 +118,21 @@ class QuantizedNetwork {
   // Human-readable plan ("quant(8b) -> shift_conv[16f/25t] -> affine ...").
   [[nodiscard]] std::string describe() const;
 
-  // One step of the compiled plan. Public so tests can extend/inspect.
-  class Step {
-   public:
-    virtual ~Step() = default;
-    virtual tensor::Tensor run(const tensor::Tensor& input,
-                               NetworkOpCounts* counts) const = 0;
-    [[nodiscard]] virtual std::string describe() const = 0;
-    // Single-shift filter terms executed by this step (0 for steps that do
-    // not run on the shift engine).
-    [[nodiscard]] virtual std::int64_t term_count() const { return 0; }
-    // Kernel tier this step dispatches to (see StepProfile::kernel_tier).
-    [[nodiscard]] virtual const char* kernel_tier() const { return "-"; }
-  };
-
  private:
-  std::vector<std::unique_ptr<Step>> steps_;
-  // Shared so the steps' PlanContext pointers into the layout stay valid
-  // across moves of the network object.
+  // Runs top-level op `i` (a residual runs its whole block) on `input`.
+  [[nodiscard]] tensor::Tensor run_op(std::size_t i,
+                                      const tensor::Tensor& input,
+                                      NetworkOpCounts* counts) const;
+  // Runs the chain of top-level ops in [begin, end), starting from `x`.
+  [[nodiscard]] tensor::Tensor run_ops(std::size_t begin, std::size_t end,
+                                       tensor::Tensor x,
+                                       NetworkOpCounts* counts) const;
+
+  NetworkProgram program_;  // validated flat op list + input geometry
+  // Parallel to program_.ops: the engine of each shift op, monostate for
+  // the rest. The engines own the plans; the ops keep everything else.
+  std::vector<std::variant<std::monostate, ShiftConv2d, ShiftLinear>> engines_;
   std::shared_ptr<const MemoryPlan> memory_plan_;
-  // Flat-op index range [begin, end) each top-level step was built from;
-  // parallel to steps_. profile() joins this with MemoryPlan::per_op().
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> step_ops_;
 };
 
 // Pre-reserve the calling thread's shared quantization scratch for `values`

@@ -1,11 +1,11 @@
 #include "inference/shift_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <type_traits>
 
+#include "core/decompose.hpp"
 #include "inference/shift_kernels.hpp"
 #include "runtime/scratch_arena.hpp"
 #include "runtime/thread_pool.hpp"
@@ -16,11 +16,7 @@ namespace flightnn::inference {
 
 namespace {
 
-// Accumulators hold values scaled by 2^(scale_exp + e_min); anything nearing
-// the int64 ceiling means a shift went wrong, not a big activation.
-constexpr std::int64_t kAccumulatorGuard = kShiftAccumulatorGuard;
-
-// Shared engine-construction invariants: the decomposition's terms must
+// Weights-constructor invariants: the decomposition's terms must
 // address real filters, carry full-size element vectors, and hold exponents
 // inside the barrel shifter's budget. A violation here means the quantizer
 // and the engine disagree about the datapath.
@@ -52,34 +48,6 @@ void validate_decomposition(const core::Decomposition& decomposition,
   }
 }
 
-// Group term indices by output filter (preserving decomposition order, so a
-// filter's terms accumulate in the same order serial execution used) and
-// precompute each filter's worst-case accumulator gain: the sum of 2^shift
-// over its nonzero weight elements, saturated at the guard. With max|q| the
-// largest input magnitude, |accumulator| never exceeds max|q| * gain, which
-// is what lets the run paths hoist the overflow check out of the inner loop.
-void index_terms_by_filter(const core::Decomposition& decomposition,
-                           const quant::Pow2Config& config,
-                           std::int64_t filters,
-                           std::vector<std::vector<std::size_t>>& filter_terms,
-                           std::vector<std::int64_t>& filter_gain) {
-  filter_terms.assign(static_cast<std::size_t>(filters), {});
-  filter_gain.assign(static_cast<std::size_t>(filters), 0);
-  for (std::size_t t = 0; t < decomposition.terms.size(); ++t) {
-    const auto& term = decomposition.terms[t];
-    const auto f = static_cast<std::size_t>(term.filter);
-    filter_terms[f].push_back(t);
-    for (const auto& element : term.elements) {
-      if (element.sign == 0) continue;
-      const int shift = static_cast<int>(element.exponent) - config.e_min;
-      const std::int64_t gain = std::int64_t{1} << shift;
-      filter_gain[f] = filter_gain[f] > kAccumulatorGuard - gain
-                           ? kAccumulatorGuard
-                           : filter_gain[f] + gain;
-    }
-  }
-}
-
 // Largest input magnitude (fallback when QuantizedActivations::max_abs was
 // not populated at quantize time).
 std::int64_t max_abs_value(const std::vector<std::int32_t>& values) {
@@ -91,27 +59,28 @@ std::int64_t max_abs_value(const std::vector<std::int32_t>& values) {
   return max_abs;
 }
 
-// Hoisted overflow contract shared by all run paths: |accumulator| <=
+// Hoisted overflow contract shared by both engines: |accumulator| <=
 // max|q| * filter_gain, so one check per filter replaces the per-element
 // DCHECK the inner loop would otherwise carry. (The bound sums absolute
 // contributions, so it also covers every intermediate partial sum.)
+// Accumulators hold values scaled by 2^(scale_exp + e_min); anything nearing
+// the int64 guard means a shift went wrong, not a big activation.
 #if FLIGHTNN_DCHECKS_ENABLED
-template <typename GainArray>  // std::vector or PlanArray of int64
 void dcheck_no_overflow(const QuantizedActivations& input,
-                        const GainArray& filter_gain, const char* what) {
+                        const PlanArray<std::int64_t>& filter_gain,
+                        const char* what) {
+  constexpr std::int64_t kGuard = kShiftAccumulatorGuard;
   const std::int64_t max_q = input.abs_max();
   for (std::size_t o = 0; o < filter_gain.size(); ++o) {
     const std::int64_t gain = filter_gain[o];
-    FLIGHTNN_DCHECK(gain == 0 || (gain < kAccumulatorGuard &&
-                                  max_q <= (kAccumulatorGuard - 1) / gain),
+    FLIGHTNN_DCHECK(gain == 0 || (gain < kGuard && max_q <= (kGuard - 1) / gain),
                     what, ": accumulator could overflow at filter ", o,
                     " (gain ", gain, ", max |q| ", max_q, ")");
   }
 }
 #else
-template <typename GainArray>
-void dcheck_no_overflow(const QuantizedActivations&, const GainArray&,
-                        const char*) {}
+void dcheck_no_overflow(const QuantizedActivations&,
+                        const PlanArray<std::int64_t>&, const char*) {}
 #endif
 
 // Structural invariants shared by the plan-adopting constructors: stream
@@ -231,7 +200,7 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_border_filter(
 // adds (the multiplier q * sign*2^shift equals the shift-and-signed-add
 // exactly -- no overflow by the gain bound), and integer addition without
 // overflow is associative and commutative, so the integer plane is
-// bit-identical to run_reference at any accumulator width and thread count.
+// bit-identical to the term walk at any accumulator width and thread count.
 // Dequantization (the only float arithmetic) stays in the caller, after
 // this returns.
 template <typename AccT>
@@ -314,10 +283,18 @@ bool narrow_bound_ok(std::int64_t max_gain, std::int64_t amax) {
 }
 
 // Shared core of the quantize functions: pow2 scale from the abs-max, values
-// rounded-to-nearest and clamped symmetric, max|q| cached on the way.
-void quantize_values_into(const float* data, std::int64_t n, int bits,
-                          float abs_max, QuantizedActivations& out) {
+// rounded-to-nearest and clamped symmetric, max|q| cached on the way. `out`
+// is reused scratch: its value buffer grows to the largest layer once and is
+// never reallocated after (the warm path pre-reserves it).
+FLIGHTNN_COLD_ALLOC void quantize_values_into(const float* data, std::int64_t n,
+                                              int bits, float abs_max,
+                                              QuantizedActivations& out) {
   const std::int64_t q_max = (1LL << (bits - 1)) - 1;
+  // Tensor::abs_max is NaN/Inf for a non-finite input; the scale exponent
+  // cast below would then be undefined.
+  FLIGHTNN_CHECK(std::isfinite(abs_max),
+                 "quantize: input holds a non-finite value (abs-max ", abs_max,
+                 ")");
   int scale_exp = 0;
   if (abs_max > 0.0F) {
     scale_exp = static_cast<int>(
@@ -390,6 +367,9 @@ tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits) {
                  " outside [2, 16]");
   const std::int64_t q_max = (1LL << (bits - 1)) - 1;
   const float abs_max = x.abs_max();
+  FLIGHTNN_CHECK(std::isfinite(abs_max),
+                 "fake_quantize: input holds a non-finite value (abs-max ",
+                 abs_max, ")");
   int scale_exp = 0;
   if (abs_max > 0.0F) {
     scale_exp = static_cast<int>(
@@ -447,37 +427,48 @@ tensor::Tensor dequantize(const QuantizedActivations& activations) {
   return out;
 }
 
-ShiftConv2d::ShiftConv2d(const tensor::Tensor& quantized_weights, int k_max,
-                         const quant::Pow2Config& config, std::int64_t stride,
-                         std::int64_t padding, tensor::Tensor bias)
-    : decomposition_(core::decompose_to_lightnn1(quantized_weights, k_max, config)),
-      config_(config),
-      stride_(stride),
-      padding_(padding),
-      bias_(std::move(bias)) {
+namespace {
+
+// Decompose (Fig. 3) and lower the weights, then hand the plan to the
+// adopting constructor -- the one construction path every engine takes.
+ShiftConv2d lower_conv(const tensor::Tensor& quantized_weights, int k_max,
+                       const quant::Pow2Config& config, std::int64_t stride,
+                       std::int64_t padding, tensor::Tensor bias) {
   const auto& s = quantized_weights.shape();
   FLIGHTNN_CHECK(s.rank() == 4, "ShiftConv2d: OIHW weights required, got ",
                  s.to_string());
-  out_channels_ = s[0];
-  in_channels_ = s[1];
-  kernel_ = s[2];
   FLIGHTNN_CHECK(s[2] == s[3], "ShiftConv2d: square kernels only, got ",
                  s.to_string());
-  FLIGHTNN_CHECK(stride_ > 0 && padding_ >= 0, "ShiftConv2d: bad stride ",
-                 stride_, " / padding ", padding_);
-  FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_channels_,
-                 "ShiftConv2d: bias size ", bias_.numel(),
-                 " does not match out channels ", out_channels_);
-  validate_decomposition(decomposition_, out_channels_,
-                         in_channels_ * kernel_ * kernel_, config_,
+  const core::Decomposition decomposition =
+      core::decompose_to_lightnn1(quantized_weights, k_max, config);
+  validate_decomposition(decomposition, s[0], s[1] * s[2] * s[3], config,
                          "ShiftConv2d");
-  plan_ = ShiftPlan::compile_conv(decomposition_, config_, in_channels_,
-                                  kernel_);
-  index_terms_by_filter(decomposition_, config_, out_channels_, filter_terms_,
-                        filter_gain_);
-  term_count_ = decomposition_.term_count();
-  has_reference_ = true;
+  const ShiftConvSpec spec{s[0],   s[1],    s[2],
+                           stride, padding, decomposition.term_count()};
+  return {ShiftPlan::compile_conv(decomposition, config, s[1], s[2]), spec,
+          config, std::move(bias)};
 }
+
+ShiftLinear lower_linear(const tensor::Tensor& quantized_weights, int k_max,
+                         const quant::Pow2Config& config, tensor::Tensor bias) {
+  const auto& s = quantized_weights.shape();
+  FLIGHTNN_CHECK(s.rank() == 2, "ShiftLinear: [out, in] weights required, got ",
+                 s.to_string());
+  const core::Decomposition decomposition =
+      core::decompose_to_lightnn1(quantized_weights, k_max, config);
+  validate_decomposition(decomposition, s[0], s[1], config, "ShiftLinear");
+  const ShiftLinearSpec spec{s[0], s[1], decomposition.term_count()};
+  return {ShiftPlan::compile_linear(decomposition, config), spec, config,
+          std::move(bias)};
+}
+
+}  // namespace
+
+ShiftConv2d::ShiftConv2d(const tensor::Tensor& quantized_weights, int k_max,
+                         const quant::Pow2Config& config, std::int64_t stride,
+                         std::int64_t padding, tensor::Tensor bias)
+    : ShiftConv2d(lower_conv(quantized_weights, k_max, config, stride, padding,
+                             std::move(bias))) {}
 
 ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
                          const quant::Pow2Config& config, tensor::Tensor bias)
@@ -503,13 +494,6 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
   // zero-copy views into the artifact mapping; only the derived mult stream
   // is materialized here (idempotent if the plan already carries it).
   plan_.build_vector_streams();
-}
-
-const std::vector<int>& ShiftConv2d::filter_k() const {
-  FLIGHTNN_CHECK(has_reference_,
-                 "ShiftConv2d::filter_k: engine was adopted from a compiled "
-                 "plan; the decomposition is gone");
-  return decomposition_.filter_k;
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
@@ -595,7 +579,7 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   };
 
   // One filter block, templated on the accumulator type: the integer kernel
-  // (conv_accumulate_filter, bit-identical to run_reference by the
+  // (conv_accumulate_filter, bit-identical to the term walk by the
   // regrouping argument on its definition) followed by the float
   // dequantize-and-bias tail.
   const auto filter_block = [&](auto* acc, std::int64_t f_begin,
@@ -656,7 +640,7 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   if (counts != nullptr) {
     // Analytic census: each entry accumulates once per output position whose
     // tap is in-bounds, which is vy(ky) * vx(kx). Matches the per-accumulate
-    // counting of run_reference exactly.
+    // counting of the term walk exactly.
     std::int64_t total = 0;
     for (std::int64_t e = 0; e < n_entries; ++e) {
       const auto ei = static_cast<std::size_t>(e);
@@ -669,111 +653,10 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   return output;
 }
 
-tensor::Tensor ShiftConv2d::run_reference(const QuantizedActivations& input,
-                                          OpCounts* counts) const {
-  FLIGHTNN_CHECK(has_reference_,
-                 "ShiftConv2d::run_reference: engine was adopted from a "
-                 "compiled plan; only run() is available");
-  FLIGHTNN_CHECK(input.shape.rank() == 3 && input.shape[0] == in_channels_,
-                 "ShiftConv2d::run: expected [", in_channels_,
-                 ", H, W] input, got ", input.shape.to_string());
-  FLIGHTNN_CHECK(static_cast<std::int64_t>(input.values.size()) ==
-                     input.shape.numel(),
-                 "ShiftConv2d::run: ", input.values.size(),
-                 " values do not fill shape ", input.shape.to_string());
-  const std::int64_t in_h = input.shape[1], in_w = input.shape[2];
-  const tensor::ConvGeometry geom{in_channels_, in_h, in_w, kernel_, stride_,
-                                  padding_};
-  const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
-
-  dcheck_no_overflow(input, filter_gain_, "ShiftConv2d::run_reference");
-
-  const std::int64_t out_hw = out_h * out_w;
-  const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
-  tensor::Tensor output(tensor::Shape{out_channels_, out_h, out_w});
-  std::atomic<std::int64_t> total_shifts{0};
-  std::atomic<std::int64_t> total_adds{0};
-
-  runtime::parallel_for(0, out_channels_, 1, [&](std::int64_t f_begin,
-                                                 std::int64_t f_end) {
-    std::vector<std::int64_t> accumulator(static_cast<std::size_t>(out_hw));
-    OpCounts local{};
-    for (std::int64_t f = f_begin; f < f_end; ++f) {
-      std::fill(accumulator.begin(), accumulator.end(), std::int64_t{0});
-      for (const std::size_t t : filter_terms_[static_cast<std::size_t>(f)]) {
-        const auto& term = decomposition_.terms[t];
-        // Walk the filter elements; each nonzero element is one shifter lane.
-        std::int64_t e = 0;
-        for (std::int64_t c = 0; c < in_channels_; ++c) {
-          const std::int32_t* in_plane = input.values.data() + c * in_h * in_w;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            for (std::int64_t kx = 0; kx < kernel_; ++kx, ++e) {
-              const quant::Pow2Term w =
-                  term.elements[static_cast<std::size_t>(e)];
-              if (w.sign == 0) continue;
-              const int shift = static_cast<int>(w.exponent) - config_.e_min;
-              FLIGHTNN_DCHECK(shift >= 0 && shift < 62,
-                              "ShiftConv2d::run: shift ", shift,
-                              " outside the barrel shifter's range");
-              for (std::int64_t oy = 0; oy < out_h; ++oy) {
-                const std::int64_t iy = oy * stride_ + ky - padding_;
-                if (iy < 0 || iy >= in_h) continue;
-                for (std::int64_t ox = 0; ox < out_w; ++ox) {
-                  const std::int64_t ix = ox * stride_ + kx - padding_;
-                  if (ix < 0 || ix >= in_w) continue;
-                  const std::int64_t q = in_plane[iy * in_w + ix];
-                  accumulator[static_cast<std::size_t>(oy * out_w + ox)] +=
-                      (w.sign > 0 ? q : -q) << shift;
-                  ++local.shifts;
-                  ++local.adds;
-                }
-              }
-            }
-          }
-        }
-      }
-      // Dequantize and fold in the float bias.
-      const float b = bias_.empty() ? 0.0F : bias_[f];
-      float* out_plane = output.data() + f * out_hw;
-      for (std::int64_t i = 0; i < out_hw; ++i) {
-        out_plane[i] =
-            static_cast<float>(accumulator[static_cast<std::size_t>(i)]) *
-                scale +
-            b;
-      }
-    }
-    total_shifts.fetch_add(local.shifts, std::memory_order_relaxed);
-    total_adds.fetch_add(local.adds, std::memory_order_relaxed);
-  });
-
-  if (counts != nullptr) {
-    counts->shifts += total_shifts.load(std::memory_order_relaxed);
-    counts->adds += total_adds.load(std::memory_order_relaxed);
-  }
-  return output;
-}
-
 ShiftLinear::ShiftLinear(const tensor::Tensor& quantized_weights, int k_max,
                          const quant::Pow2Config& config, tensor::Tensor bias)
-    : decomposition_(core::decompose_to_lightnn1(quantized_weights, k_max, config)),
-      config_(config),
-      bias_(std::move(bias)) {
-  const auto& s = quantized_weights.shape();
-  FLIGHTNN_CHECK(s.rank() == 2, "ShiftLinear: [out, in] weights required, got ",
-                 s.to_string());
-  out_features_ = s[0];
-  in_features_ = s[1];
-  FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_features_,
-                 "ShiftLinear: bias size ", bias_.numel(),
-                 " does not match out features ", out_features_);
-  validate_decomposition(decomposition_, out_features_, in_features_, config_,
-                         "ShiftLinear");
-  plan_ = ShiftPlan::compile_linear(decomposition_, config_);
-  index_terms_by_filter(decomposition_, config_, out_features_, filter_terms_,
-                        filter_gain_);
-  term_count_ = decomposition_.term_count();
-  has_reference_ = true;
-}
+    : ShiftLinear(lower_linear(quantized_weights, k_max, config,
+                               std::move(bias))) {}
 
 ShiftLinear::ShiftLinear(ShiftPlan plan, const ShiftLinearSpec& spec,
                          const quant::Pow2Config& config, tensor::Tensor bias)
@@ -822,8 +705,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
       narrow_bound_ok(plan_max_gain(plan_), input.abs_max());
 
   // Parallel across output features; each feature's accumulator is private
-  // to one chunk and the entry walk regroups the reference path's exact
-  // integer addends, so the result is bit-identical to run_reference at any
+  // to one chunk and the entry walk regroups the term walk's exact integer
+  // addends, so the result is bit-identical to the term walk at any
   // thread count. Linear layers are small (one accumulate per plan entry);
   // the cost hint keeps them serial until the work amortizes pool dispatch.
   const runtime::CostHint feature_cost{static_cast<double>(plan_.entries()) /
@@ -844,63 +727,9 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
   });
 
   if (counts != nullptr) {
-    // One accumulate per plan entry; matches run_reference's counting.
+    // One accumulate per plan entry; matches the term walk's counting.
     counts->shifts += plan_.entries();
     counts->adds += plan_.entries();
-  }
-  return output;
-}
-
-tensor::Tensor ShiftLinear::run_reference(const QuantizedActivations& input,
-                                          OpCounts* counts) const {
-  FLIGHTNN_CHECK(has_reference_,
-                 "ShiftLinear::run_reference: engine was adopted from a "
-                 "compiled plan; only run() is available");
-  FLIGHTNN_CHECK(input.shape.numel() == in_features_,
-                 "ShiftLinear::run: input numel ", input.shape.numel(),
-                 " does not match in features ", in_features_);
-  FLIGHTNN_CHECK(static_cast<std::int64_t>(input.values.size()) ==
-                     input.shape.numel(),
-                 "ShiftLinear::run: ", input.values.size(),
-                 " values do not fill shape ", input.shape.to_string());
-  dcheck_no_overflow(input, filter_gain_, "ShiftLinear::run_reference");
-
-  const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
-  tensor::Tensor output(tensor::Shape{out_features_});
-  std::atomic<std::int64_t> total_shifts{0};
-  std::atomic<std::int64_t> total_adds{0};
-
-  runtime::parallel_for(0, out_features_, 1, [&](std::int64_t f_begin,
-                                                 std::int64_t f_end) {
-    OpCounts local{};
-    for (std::int64_t f = f_begin; f < f_end; ++f) {
-      std::int64_t filter_acc = 0;
-      for (const std::size_t t : filter_terms_[static_cast<std::size_t>(f)]) {
-        const auto& term = decomposition_.terms[t];
-        std::int64_t acc = 0;
-        for (std::int64_t e = 0; e < in_features_; ++e) {
-          const quant::Pow2Term w = term.elements[static_cast<std::size_t>(e)];
-          if (w.sign == 0) continue;
-          const int shift = static_cast<int>(w.exponent) - config_.e_min;
-          FLIGHTNN_DCHECK(shift >= 0 && shift < 62, "ShiftLinear::run: shift ",
-                          shift, " outside the barrel shifter's range");
-          const std::int64_t q = input.values[static_cast<std::size_t>(e)];
-          acc += (w.sign > 0 ? q : -q) << shift;
-          ++local.shifts;
-          ++local.adds;
-        }
-        filter_acc += acc;
-      }
-      const float b = bias_.empty() ? 0.0F : bias_[f];
-      output[f] = static_cast<float>(filter_acc) * scale + b;
-    }
-    total_shifts.fetch_add(local.shifts, std::memory_order_relaxed);
-    total_adds.fetch_add(local.adds, std::memory_order_relaxed);
-  });
-
-  if (counts != nullptr) {
-    counts->shifts += total_shifts.load(std::memory_order_relaxed);
-    counts->adds += total_adds.load(std::memory_order_relaxed);
   }
   return output;
 }

@@ -8,13 +8,14 @@
 // summation. The engine is bit-exact: its dequantized output equals the
 // real-arithmetic convolution of the quantized operands.
 //
-// Execution is plan-compiled (inference/shift_plan.hpp): construction lowers
-// the decomposition into a sparsity-elided SoA entry stream, and run() walks
-// only nonzero weight elements, splitting each output plane into a
-// padding-free interior and guarded border rows. The pre-plan term-walk
-// survives as run_reference() -- the differential oracle the property tests
-// compare against and the seed engine the benchmarks measure speedups over.
-// Both paths produce bit-identical output: every accumulator receives the
+// Execution is plan-compiled (inference/shift_plan.hpp): an engine holds only
+// its ShiftPlan -- a sparsity-elided SoA entry stream -- and run() walks only
+// nonzero weight elements, splitting each output plane into a padding-free
+// interior and guarded border rows. Both constructors end in the same place:
+// the weights constructor decomposes and lowers once, then adopts the plan
+// exactly as the artifact load path does. The pre-plan term walk lives in
+// tests/ as the bit-exact oracle the property suites compare against; the
+// plan produces identical output because every accumulator receives the
 // same multiset of integer addends, and int64 addition is associative and
 // commutative (DESIGN.md §9).
 //
@@ -25,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/decompose.hpp"
 #include "inference/shift_plan.hpp"
 #include "quant/pow2.hpp"
 #include "tensor/ops.hpp"
@@ -60,7 +60,7 @@ QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits = 8);
 
 // Allocation-reusing variants: quantize into `out`, reusing its value buffer
 // (no heap traffic once the buffer has reached its high-water size). These
-// are what the compiled network's steps call in steady state.
+// are what the compiled network's shift ops call in steady state.
 void quantize_image_into(const tensor::Tensor& image, int bits,
                          QuantizedActivations& out);
 void quantize_tensor_into(const tensor::Tensor& x, int bits,
@@ -72,7 +72,7 @@ tensor::Tensor dequantize(const QuantizedActivations& activations);
 // dequantize(quantize_tensor(x, bits)) fused into one float pass: snaps every
 // element to the `bits`-bit pow2-scaled grid without materializing the
 // integer codes. Element-wise identical to the two-step form; used by the
-// compiled network's activation-quantization steps.
+// compiled network's activation-quantization ops.
 tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits);
 
 // Operation census of one engine run.
@@ -81,8 +81,8 @@ struct OpCounts {
   std::int64_t adds = 0;    // accumulator additions
 };
 
-// Geometry bundle for engines rebuilt from an already-compiled plan (the
-// deployment-artifact load path, where the original weight tensor is gone).
+// Geometry bundle for engines that adopt an already-compiled plan (every
+// engine a QuantizedNetwork holds: the program carries plans, not weights).
 struct ShiftConvSpec {
   std::int64_t out_channels = 0;
   std::int64_t in_channels = 0;
@@ -105,17 +105,17 @@ class ShiftConv2d {
  public:
   // `quantized_weights` is an OIHW tensor whose elements are sums of at most
   // `k_max` powers of two (output of LightNN-k / FLightNN quantization).
-  // `bias` may be empty.
+  // `bias` may be empty. Decomposes and lowers the weights once, then adopts
+  // the plan; the weights are not retained.
   ShiftConv2d(const tensor::Tensor& quantized_weights, int k_max,
               const quant::Pow2Config& config, std::int64_t stride,
               std::int64_t padding, tensor::Tensor bias = {});
 
-  // Adopt an already-compiled plan (deployment-artifact load path: the plan's
-  // streams may be zero-copy views into a mapped blob). The caller vouches
-  // for the plan's per-entry validity (the artifact loader validates every
-  // stream before construction); this constructor re-checks the cheap
-  // structural invariants. run_reference()/filter_k() are unavailable -- no
-  // decomposition exists.
+  // Adopt an already-compiled plan (the program and artifact load paths: the
+  // plan's streams may be zero-copy views into a mapped blob). The caller
+  // vouches for the plan's per-entry validity (the artifact loader validates
+  // every stream before construction); this constructor re-checks the cheap
+  // structural invariants.
   ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
@@ -131,18 +131,8 @@ class ShiftConv2d {
       const QuantizedActivations& input, OpCounts* counts = nullptr,
       const runtime::PlanContext* ctx = nullptr) const;
 
-  // The pre-plan engine: walks the decomposition's term vectors directly,
-  // zero elements and all. Kept as the differential oracle / seed baseline;
-  // output and op counts are bit-identical to run(). Requires a
-  // weights-built engine (has_reference()); plan-adopting engines throw.
-  [[nodiscard]] tensor::Tensor run_reference(const QuantizedActivations& input,
-                                             OpCounts* counts = nullptr) const;
-
   // Number of single-shift filter terms (the LightNN-1 engine's workload).
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
-  // Whether the decomposition (run_reference / filter_k) is available.
-  [[nodiscard]] bool has_reference() const { return has_reference_; }
-  [[nodiscard]] const std::vector<int>& filter_k() const;
   [[nodiscard]] std::int64_t out_channels() const { return out_channels_; }
   [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
   // Name of the kernel tier run() dispatches to for activations quantized
@@ -152,23 +142,14 @@ class ShiftConv2d {
   [[nodiscard]] const char* kernel_tier(int act_bits) const;
 
  private:
-  core::Decomposition decomposition_;  // empty for plan-adopting engines
   quant::Pow2Config config_;
   std::int64_t out_channels_, in_channels_, kernel_, stride_, padding_;
   std::int64_t term_count_ = 0;
-  bool has_reference_ = false;
   tensor::Tensor bias_;  // float; folded in after dequantization
-  // Compiled SoA execution plan (run()'s workload).
+  // Compiled SoA execution plan (run()'s workload). Its per-filter gains
+  // bound |accumulator| <= max|q| * filter_gain[f], so run() checks for
+  // overflow once per filter instead of per element.
   ShiftPlan plan_;
-  // Term indices grouped by output filter, preserving decomposition order;
-  // run_reference()'s workload. Both paths parallelize across filter blocks,
-  // so each filter's accumulator plane is written by exactly one thread and
-  // parallel results are bit-identical to serial execution.
-  std::vector<std::vector<std::size_t>> filter_terms_;
-  // Per-filter sum of 2^shift over nonzero weight elements, saturated at the
-  // accumulator guard: |accumulator| <= max|q| * filter_gain_[f], which lets
-  // both run paths check for overflow once per filter instead of per element.
-  std::vector<std::int64_t> filter_gain_;
 };
 
 // A fully-connected layer compiled to the single-shift datapath: weights
@@ -176,6 +157,7 @@ class ShiftConv2d {
 // vector, accumulation in int64.
 class ShiftLinear {
  public:
+  // Decomposes and lowers once, then adopts (see the ShiftConv2d overload).
   ShiftLinear(const tensor::Tensor& quantized_weights, int k_max,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
@@ -188,13 +170,7 @@ class ShiftLinear {
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
                                    OpCounts* counts = nullptr) const;
 
-  // Pre-plan term walk (differential oracle / seed baseline); requires a
-  // weights-built engine (has_reference()).
-  [[nodiscard]] tensor::Tensor run_reference(const QuantizedActivations& input,
-                                             OpCounts* counts = nullptr) const;
-
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
-  [[nodiscard]] bool has_reference() const { return has_reference_; }
   [[nodiscard]] std::int64_t out_features() const { return out_features_; }
   [[nodiscard]] std::int64_t in_features() const { return in_features_; }
   [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
@@ -202,17 +178,11 @@ class ShiftLinear {
   [[nodiscard]] const char* kernel_tier(int act_bits) const;
 
  private:
-  core::Decomposition decomposition_;  // empty for plan-adopting engines
   quant::Pow2Config config_;
   std::int64_t out_features_, in_features_;
   std::int64_t term_count_ = 0;
-  bool has_reference_ = false;
   tensor::Tensor bias_;
   ShiftPlan plan_;
-  // Same per-filter term grouping / overflow-gain precomputation as
-  // ShiftConv2d (see there); run_reference()'s workload.
-  std::vector<std::vector<std::size_t>> filter_terms_;
-  std::vector<std::int64_t> filter_gain_;
 };
 
 // Whether ShiftConv2d::run takes the int32 narrow-accumulator path for ANY

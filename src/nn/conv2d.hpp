@@ -23,8 +23,7 @@ class Conv2d final : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
 
   // The original naive nested-loop kernels, kept as differential oracles for
-  // the GEMM fast path (same pattern as ShiftPlan::run_reference). These run
-  // regardless of the global train-kernel path.
+  // the GEMM fast path. These run regardless of the global train-kernel path.
   tensor::Tensor forward_reference(const tensor::Tensor& input, bool training);
   tensor::Tensor backward_reference(const tensor::Tensor& grad_output);
 

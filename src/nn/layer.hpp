@@ -20,7 +20,7 @@ namespace flightnn::nn {
 // Which implementation the training-path kernels (Conv2d/Linear forward and
 // backward) run on. kGemm is the blocked, thread-parallel fast path built on
 // core/gemm; kReference is the original naive nested-loop code, kept alive
-// as the differential oracle (same pattern as ShiftPlan::run_reference).
+// as the differential oracle.
 // Process-wide because the trainer and benches flip whole networks at once.
 enum class TrainKernelPath { kGemm, kReference };
 

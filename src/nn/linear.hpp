@@ -19,7 +19,7 @@ class Linear final : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
 
   // The original naive kernels, kept as differential oracles for the GEMM
-  // fast path (same pattern as ShiftPlan::run_reference).
+  // fast path.
   tensor::Tensor forward_reference(const tensor::Tensor& input, bool training);
   tensor::Tensor backward_reference(const tensor::Tensor& grad_output);
 

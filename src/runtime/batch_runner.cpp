@@ -173,45 +173,4 @@ FLIGHTNN_API_ENTRY double BatchRunner::evaluate(
   return static_cast<double>(hits) / static_cast<double>(n);
 }
 
-// --- Deprecated shims --------------------------------------------------------
-// Implemented over the non-deprecated core so the shim bodies themselves
-// compile -Wdeprecated-declarations-clean.
-
-void BatchRunner::run_legacy(const std::vector<tensor::Tensor>& images,
-                             BatchResult& result) const {
-  auto& counts = counts_scratch();
-  run_images(images.data(), images.size(), result.logits, counts);
-  result.counts = {};
-  for (const auto& c : counts) merge_counts(result.counts, c);
-}
-
-void BatchRunner::run(const std::vector<tensor::Tensor>& images,
-                      BatchResult& result) const {
-  run_legacy(images, result);
-}
-
-BatchResult BatchRunner::run(const std::vector<tensor::Tensor>& images) const {
-  BatchResult result;
-  run_legacy(images, result);
-  return result;
-}
-
-void BatchRunner::run(const tensor::Tensor& batch, BatchResult& result) const {
-  // Per-image views are calling-thread scratch; the tensors inside recycle
-  // their buffers through the per-thread pool across batches.
-  thread_local std::vector<tensor::Tensor> images_tls;
-  auto& images = images_tls;
-  split_nchw(batch, images);
-  run_legacy(images, result);
-}
-
-BatchResult BatchRunner::run(const tensor::Tensor& batch) const {
-  BatchResult result;
-  thread_local std::vector<tensor::Tensor> images_tls;
-  auto& images = images_tls;
-  split_nchw(batch, images);
-  run_legacy(images, result);
-  return result;
-}
-
 }  // namespace flightnn::runtime

@@ -12,8 +12,7 @@
 // (`run(request)`) or into preallocated storage (`run(request, result)`,
 // the zero-allocation steady state of DESIGN.md §9). Dataset evaluation
 // (`evaluate`) and the serving layer (serving::Server) both sit on this one
-// path. The pre-request-API overloads survive as deprecated forwarding
-// shims for one release.
+// path.
 //
 // Determinism: per-image results are bit-identical to serial execution at
 // any thread count, and the aggregate op counts are sums of per-image
@@ -28,12 +27,6 @@
 #include "tensor/tensor.hpp"
 
 namespace flightnn::runtime {
-
-// Pre-request-API result type, kept alive for the deprecated shims below.
-struct BatchResult {
-  std::vector<tensor::Tensor> logits;  // one logits tensor per image, in order
-  inference::NetworkOpCounts counts;
-};
 
 class BatchRunner {
  public:
@@ -75,35 +68,13 @@ class BatchRunner {
   [[nodiscard]] double evaluate(const data::Dataset& dataset, int top_k = 1,
                                 inference::NetworkOpCounts* counts = nullptr) const;
 
-  // --- Deprecated pre-request-API shims (one release; DESIGN.md §11) ------
-
-  [[deprecated("use run(InferenceRequest) instead")]] [[nodiscard]]
-  BatchResult run(const std::vector<tensor::Tensor>& images) const;
-
-  [[deprecated("use run(InferenceRequest::from_nchw(batch)) instead")]]
-  [[nodiscard]]
-  BatchResult run(const tensor::Tensor& batch) const;
-
-  [[deprecated(
-      "use run(InferenceRequest, InferenceResult&) instead")]]
-  void run(const std::vector<tensor::Tensor>& images,
-           BatchResult& result) const;
-
-  [[deprecated(
-      "use run(InferenceRequest::from_nchw(batch), InferenceResult&) "
-      "instead")]]
-  void run(const tensor::Tensor& batch, BatchResult& result) const;
-
  private:
-  // The one forward-pass core every public entry point funnels into: run
-  // `n` images through the network in parallel, producing per-image logits
-  // and op counts. `logits` and `counts` are resized to `n`.
+  // The forward-pass core of run(): run `n` images through the network in
+  // parallel, producing per-image logits and op counts. `logits` and
+  // `counts` are resized to `n`.
   void run_images(const tensor::Tensor* images, std::size_t n,
                   std::vector<tensor::Tensor>& logits,
                   std::vector<inference::NetworkOpCounts>& counts) const;
-  // Non-deprecated core of the legacy shims.
-  void run_legacy(const std::vector<tensor::Tensor>& images,
-                  BatchResult& result) const;
 
   const inference::QuantizedNetwork* network_;
   // First-run lazy-warm latch (see warm()). Relaxed: a racing duplicate

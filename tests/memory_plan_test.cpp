@@ -291,17 +291,8 @@ TEST(MemoryPlanTest, ArtifactRoundTripKeepsPlanAndLogits) {
   std::remove(path.c_str());
 }
 
-TEST(MemoryPlanTest, ReferenceEnginesAndEnvStayDynamic) {
+TEST(MemoryPlanTest, PlanningOverrideWins) {
   const PlanningOverrideGuard guard;
-  auto model = make_model(1, 0.125F, 5);
-  inference::CompileOptions reference;
-  reference.use_reference_engine = true;
-  const auto network = inference::QuantizedNetwork::compile(
-      *model, Shape{1, 3, 16, 16}, reference);
-  // Reference engines bypass the arena-backed kernels; planning them would
-  // claim bytes nobody fetches.
-  EXPECT_EQ(network.memory_plan(), nullptr);
-
   inference::set_memory_planning_override(0);
   EXPECT_FALSE(inference::memory_planning_enabled());
   inference::set_memory_planning_override(1);

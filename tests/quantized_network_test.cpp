@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/quantize_model.hpp"
 #include "core/trainer.hpp"
 #include "models/networks.hpp"
+#include "runtime/batch_runner.hpp"
+#include "runtime/inference_request.hpp"
 
 namespace flightnn::inference {
 namespace {
@@ -187,6 +193,171 @@ TEST(QuantizedNetworkTest, ShiftLinearMatchesFloatLinear) {
     for (std::int64_t e = 0; e < 12; ++e) acc += static_cast<double>(wq[o * 12 + e]) * deq[e];
     EXPECT_NEAR(out[o], static_cast<float>(acc), 1e-5F);
   }
+}
+
+// An untrained LightNN-2 model: compiling it is cheap and the contracts
+// below do not depend on the weights.
+std::unique_ptr<nn::Sequential> untrained_model(int network_id) {
+  models::BuildOptions build;
+  build.classes = 4;
+  build.width_scale = 0.25F;
+  build.seed = 11;
+  auto model = models::build_network(models::table1_network(network_id), build);
+  core::install_lightnn(*model, 2);
+  return model;
+}
+
+// A non-finite pixel makes the activation quantizer's abs-max NaN or Inf,
+// and casting ceil(log2(abs-max)) to int would be UB: the request must fail
+// with a typed error instead.
+TEST(QuantizedNetworkTest, NonFiniteImagesAreRejected) {
+  auto model = untrained_model(4);
+  const auto network = QuantizedNetwork::compile(*model, Shape{1, 3, 16, 16});
+  const runtime::BatchRunner runner(network);
+  support::Rng rng(21);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    Tensor image = Tensor::randn(Shape{3, 16, 16}, rng);
+    image[37] = bad;
+    EXPECT_THROW((void)network.run(image), std::invalid_argument) << bad;
+    runtime::InferenceRequest request;
+    request.images.push_back(image);
+    runtime::InferenceResult result;
+    EXPECT_THROW(runner.run(request, result), std::invalid_argument) << bad;
+  }
+}
+
+// The network holds its program's input geometry and checks images against
+// it at entry, so an image of another side never reaches the convolutions.
+TEST(QuantizedNetworkTest, RejectsImagesOfAnotherGeometry) {
+  auto model = untrained_model(4);
+  const auto network = QuantizedNetwork::compile(*model, Shape{1, 3, 32, 32});
+  support::Rng rng(22);
+  for (const std::int64_t side : {16, 48}) {
+    const Tensor image = Tensor::randn(Shape{3, side, side}, rng);
+    EXPECT_THROW((void)network.run(image), std::invalid_argument) << side;
+    EXPECT_THROW((void)network.profile(image, 1), std::invalid_argument)
+        << side;
+  }
+  const Tensor image = Tensor::randn(Shape{3, 32, 32}, rng);
+  const Tensor batched = image.reshaped(Shape{1, 3, 32, 32});
+  const Tensor logits = network.run(image);
+  const Tensor batched_logits = network.run(batched);
+  ASSERT_EQ(logits.shape(), batched_logits.shape());
+  for (std::int64_t c = 0; c < logits.numel(); ++c) {
+    EXPECT_EQ(logits[c], batched_logits[c]);
+  }
+}
+
+// --- from_program's structural gate ------------------------------------------
+// Hand-built programs: the artifact loader's own audit rejects these before
+// from_program sees them, so only these tests reach the checks.
+
+ProgramOp leaky_op() {
+  ProgramOp op;
+  op.kind = ProgramOpKind::kLeakyRelu;
+  op.slope = 0.1F;
+  return op;
+}
+
+ProgramOp residual_op(std::int64_t main_ops, std::int64_t shortcut_ops,
+                      std::int64_t post_ops, bool has_shortcut) {
+  ProgramOp op;
+  op.kind = ProgramOpKind::kResidual;
+  op.main_ops = main_ops;
+  op.shortcut_ops = shortcut_ops;
+  op.post_ops = post_ops;
+  op.has_shortcut = has_shortcut;
+  return op;
+}
+
+NetworkProgram hand_program(std::vector<ProgramOp> ops) {
+  NetworkProgram program;
+  program.ops = std::move(ops);
+  program.input_c = 2;
+  program.input_h = 4;
+  program.input_w = 4;
+  return program;
+}
+
+TEST(QuantizedNetworkTest, FromProgramRejectsMalformedPrograms) {
+  // A well-formed block runs: leaky main, empty shortcut, leaky post.
+  EXPECT_NO_THROW((void)QuantizedNetwork::from_program(
+      hand_program({residual_op(1, 0, 1, false), leaky_op(), leaky_op()})));
+
+  // Residual segment overrunning the op list.
+  EXPECT_THROW((void)QuantizedNetwork::from_program(
+                   hand_program({residual_op(3, 0, 0, false), leaky_op()})),
+               std::invalid_argument);
+  // Shortcut ops on a block without a shortcut.
+  EXPECT_THROW(
+      (void)QuantizedNetwork::from_program(hand_program(
+          {residual_op(1, 1, 0, false), leaky_op(), leaky_op()})),
+      std::invalid_argument);
+  // Inner residual overrunning its outer main segment: the outer counts add
+  // up at the top level, the inner block claims past [1, 3).
+  EXPECT_THROW((void)QuantizedNetwork::from_program(hand_program(
+                   {residual_op(2, 0, 1, false), residual_op(2, 0, 0, false),
+                    leaky_op(), leaky_op()})),
+               std::invalid_argument);
+  // Quantizer width outside [2, 16].
+  ProgramOp quant;
+  quant.kind = ProgramOpKind::kQuantAct;
+  quant.bits = 17;
+  EXPECT_THROW((void)QuantizedNetwork::from_program(hand_program({quant})),
+               std::invalid_argument);
+  // Unknown op kind.
+  ProgramOp unknown = leaky_op();
+  unknown.kind = static_cast<ProgramOpKind>(99);
+  EXPECT_THROW((void)QuantizedNetwork::from_program(hand_program({unknown})),
+               std::invalid_argument);
+}
+
+// profile() walks the same top-level ranges as run(): one row per top-level
+// op, a residual block as one "residual" row, names equal to describe()'s
+// tokens, and the rows' census summing to run()'s.
+TEST(QuantizedNetworkTest, ProfileRowsMirrorTopLevelOps) {
+  auto model = untrained_model(8);  // ResNet-10
+  const NetworkProgram program = compile_program(*model, Shape{1, 3, 16, 16});
+  std::vector<ProgramOpKind> top_level;
+  for (std::size_t i = 0; i < program.ops.size();) {
+    const ProgramOp& op = program.ops[i];
+    top_level.push_back(op.kind);
+    i += 1;
+    if (op.kind == ProgramOpKind::kResidual) {
+      i += static_cast<std::size_t>(op.main_ops + op.shortcut_ops +
+                                    op.post_ops);
+    }
+  }
+  const auto network = QuantizedNetwork::from_program(program);
+  support::Rng rng(23);
+  const Tensor image = Tensor::randn(Shape{3, 16, 16}, rng);
+  const std::vector<StepProfile> rows = network.profile(image, 1);
+
+  ASSERT_EQ(rows.size(), top_level.size());
+  EXPECT_EQ(network.step_count(), rows.size());
+  std::string tokens;
+  NetworkOpCounts summed{};
+  int residual_rows = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const bool residual = top_level[r] == ProgramOpKind::kResidual;
+    EXPECT_EQ(rows[r].name == "residual", residual) << "row " << r;
+    residual_rows += residual ? 1 : 0;
+    if (!tokens.empty()) tokens += " -> ";
+    tokens += rows[r].name;
+    summed.shifts += rows[r].shifts;
+    summed.adds += rows[r].adds;
+    summed.float_macs += rows[r].float_macs;
+  }
+  EXPECT_GT(residual_rows, 0);
+  EXPECT_EQ(tokens, network.describe());
+
+  NetworkOpCounts counts{};
+  (void)network.run(image, &counts);
+  EXPECT_GT(counts.shifts, 0);
+  EXPECT_EQ(summed.shifts, counts.shifts);
+  EXPECT_EQ(summed.adds, counts.adds);
+  EXPECT_EQ(summed.float_macs, counts.float_macs);
 }
 
 }  // namespace

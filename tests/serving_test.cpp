@@ -385,52 +385,5 @@ TEST(ServingTest, ServerPathBitIdenticalToDirectBatchRunner) {
   }
 }
 
-// The deprecated pre-request-API shims must keep forwarding faithfully for
-// the one release they survive (DESIGN.md §11). This test opts out of the
-// repo-wide -Werror=deprecated-declarations gate on purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ServingTest, DeprecatedShimsForwardToRequestPath) {
-  runtime::set_num_threads(1);
-  const auto network = make_network(kBaseSeed + 2);
-  const runtime::BatchRunner runner(network);
-
-  const auto request = make_request(7, 3, kBaseSeed + 90);
-  const runtime::InferenceResult via_request = runner.run(request);
-
-  // Owning vector shim.
-  const runtime::BatchResult via_vector = runner.run(request.images);
-  ASSERT_EQ(via_vector.logits.size(), via_request.logits.size());
-  for (std::size_t i = 0; i < via_vector.logits.size(); ++i) {
-    expect_bitwise_equal(via_request.logits[i], via_vector.logits[i],
-                         "vector shim");
-  }
-  EXPECT_EQ(via_vector.counts.images, via_request.counts.images);
-  EXPECT_EQ(via_vector.counts.shifts, via_request.counts.shifts);
-
-  // NCHW shim vs InferenceRequest::from_nchw.
-  support::Rng rng(kBaseSeed + 91);
-  const Tensor batch = Tensor::randn(Shape{2, 3, 12, 12}, rng);
-  const runtime::BatchResult via_nchw = runner.run(batch);
-  const runtime::InferenceResult via_from_nchw =
-      runner.run(runtime::InferenceRequest::from_nchw(batch));
-  ASSERT_EQ(via_nchw.logits.size(), via_from_nchw.logits.size());
-  for (std::size_t i = 0; i < via_nchw.logits.size(); ++i) {
-    expect_bitwise_equal(via_from_nchw.logits[i], via_nchw.logits[i],
-                         "nchw shim");
-  }
-
-  // Preallocated shim.
-  runtime::BatchResult reused;
-  runner.run(request.images, reused);
-  runner.run(request.images, reused);
-  ASSERT_EQ(reused.logits.size(), via_request.logits.size());
-  for (std::size_t i = 0; i < reused.logits.size(); ++i) {
-    expect_bitwise_equal(via_request.logits[i], reused.logits[i],
-                         "preallocated shim");
-  }
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace flightnn

@@ -139,7 +139,6 @@ TEST(ShiftConvTest, TermCountMatchesDecomposition) {
   ShiftConv2d engine(wq, 2, config, 1, 1);
   const auto d = core::decompose_to_lightnn1(wq, 2, config);
   EXPECT_EQ(engine.term_count(), d.term_count());
-  EXPECT_EQ(engine.filter_k(), d.filter_k);
 }
 
 TEST(ShiftConvTest, InputValidation) {

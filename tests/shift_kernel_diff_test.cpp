@@ -1,6 +1,6 @@
 // Differential property suite for the vectorized shift-stream kernels: the
 // AVX2 tier must be byte-identical to the scalar tier and to the pre-plan
-// reference term walk under every geometry the plan compiler can produce --
+// term walk (term_walk_oracle.hpp) under every geometry the plan compiler can produce --
 // odd interior widths (16-wide / 8-wide / masked-tail paths), strides,
 // paddings, k_max, pruning, thread counts, and artifact-adopted plans whose
 // streams are zero-copy views into an mmap. The direct kernel tests run the
@@ -30,6 +30,7 @@
 #include "serialize/artifact.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
+#include "term_walk_oracle.hpp"
 
 namespace flightnn::inference {
 namespace {
@@ -93,7 +94,9 @@ TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
             set_kernel_tier_override(1);
             const Tensor vector_out = engine.run(qimg);
             set_kernel_tier_override(-1);
-            const Tensor reference_out = engine.run_reference(qimg);
+            const Tensor reference_out =
+                oracle::TermWalkConv2d(wq, k_max, config, stride, padding)
+                    .run(qimg);
             EXPECT_TRUE(bytes_equal(scalar_out, vector_out))
                 << "k=" << kernel << " s=" << stride << " p=" << padding
                 << " k_max=" << k_max << " prune=" << prune;
@@ -130,7 +133,8 @@ TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
           set_kernel_tier_override(1);
           const Tensor vector_out = engine.run(qx);
           set_kernel_tier_override(-1);
-          const Tensor reference_out = engine.run_reference(qx);
+          const Tensor reference_out =
+              oracle::TermWalkLinear(wq, k_max, config).run(qx);
           EXPECT_TRUE(bytes_equal(scalar_out, vector_out))
               << "in=" << in_features << " out=" << out_features
               << " k_max=" << k_max << " prune=" << prune;

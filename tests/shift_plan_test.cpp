@@ -1,7 +1,8 @@
 // Property tests for the compiled shift-plan engine: over randomized layer
 // geometries, k_max values and pruning fractions (including all-pruned and
 // fully-dense extremes), the compiled plan path must produce BIT-IDENTICAL
-// outputs and identical op counts to the pre-plan reference term-walk, and
+// outputs and identical op counts to the pre-plan term walk (the oracle in
+// term_walk_oracle.hpp), and
 // the plan itself must satisfy its structural invariants (sorted filter
 // prefix, no zero-sign entries, shifts inside the barrel range, pruned
 // filters with empty entry ranges).
@@ -18,6 +19,7 @@
 #include "runtime/thread_pool.hpp"
 #include "support/rng.hpp"
 #include "tensor/tensor.hpp"
+#include "term_walk_oracle.hpp"
 
 namespace flightnn {
 namespace {
@@ -32,7 +34,7 @@ void expect_bitwise_equal(const Tensor& expected, const Tensor& actual,
                         static_cast<std::size_t>(expected.numel()) *
                             sizeof(float)),
             0)
-      << what << ": plan output differs from reference term-walk";
+      << what << ": plan output differs from the term walk";
 }
 
 // Zero out a fraction of whole filters (the paper's filter pruning). The
@@ -141,7 +143,10 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
           inference::OpCounts plan_counts{};
           inference::OpCounts ref_counts{};
           const Tensor got = engine.run(q, &plan_counts);
-          const Tensor want = engine.run_reference(q, &ref_counts);
+          const Tensor want =
+              inference::oracle::TermWalkConv2d(wq, k_max, config, stride,
+                                                padding)
+                  .run(q, &ref_counts);
           expect_bitwise_equal(want, got, "conv");
           EXPECT_EQ(plan_counts.shifts, ref_counts.shifts)
               << "k=" << k_max << " kernel=" << kernel << " stride=" << stride
@@ -167,7 +172,8 @@ TEST(ShiftPlanPropertyTest, ConvPlanThreadCountInvariant) {
   const auto q = inference::quantize_image(image, 8);
 
   runtime::set_num_threads(1);
-  const Tensor reference = engine.run_reference(q);
+  const Tensor reference =
+      inference::oracle::TermWalkConv2d(wq, 2, config, 1, 1).run(q);
   for (const int threads : {1, 2, 4, 7}) {
     runtime::set_num_threads(threads);
     expect_bitwise_equal(reference, engine.run(q), "conv@threads");
@@ -199,7 +205,9 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
       inference::OpCounts plan_counts{};
       inference::OpCounts ref_counts{};
       const Tensor got = engine.run(q, &plan_counts);
-      const Tensor want = engine.run_reference(q, &ref_counts);
+      const Tensor want =
+          inference::oracle::TermWalkLinear(wq, k_max, config)
+              .run(q, &ref_counts);
       expect_bitwise_equal(want, got, "linear");
       EXPECT_EQ(plan_counts.shifts, ref_counts.shifts)
           << "k=" << k_max << " prune=" << fraction;
@@ -228,7 +236,7 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   EXPECT_EQ(plan.filter_gain[1], 0);
 }
 
-// Bias handling must be identical on both paths (bias folds in after
+// Bias handling must match the oracle's (bias folds in after
 // dequantization, independent of the entry walk).
 TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const quant::Pow2Config config;
@@ -239,7 +247,9 @@ TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const inference::ShiftConv2d engine(wq, 2, config, 2, 1, bias);
   const Tensor image = Tensor::randn(Shape{2, 9, 9}, rng);
   const auto q = inference::quantize_image(image, 8);
-  expect_bitwise_equal(engine.run_reference(q), engine.run(q), "conv+bias");
+  expect_bitwise_equal(
+      inference::oracle::TermWalkConv2d(wq, 2, config, 2, 1, bias).run(q),
+      engine.run(q), "conv+bias");
 
   Tensor wl = Tensor::randn(Shape{5, 12}, rng);
   Tensor wlq = quant::quantize_lightnn(wl, 2, config);
@@ -247,7 +257,9 @@ TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const inference::ShiftLinear lin(wlq, 2, config, bl);
   const Tensor x = Tensor::randn(Shape{12}, rng);
   const auto qx = inference::quantize_tensor(x, 8);
-  expect_bitwise_equal(lin.run_reference(qx), lin.run(qx), "linear+bias");
+  expect_bitwise_equal(
+      inference::oracle::TermWalkLinear(wlq, 2, config, bl).run(qx),
+      lin.run(qx), "linear+bias");
 }
 
 }  // namespace
