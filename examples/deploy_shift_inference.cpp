@@ -338,8 +338,8 @@ int main(int argc, char** argv) {
       tensor::Shape{target->in_channels(), side, side}, rng);
   const auto qact = inference::quantize_image(act, 8);
 
-  inference::OpCounts counts{};
-  tensor::Tensor engine_out = engine.run(qact, &counts);
+  const inference::OpCounts counts = engine.census(side, side);
+  tensor::Tensor engine_out = engine.run(qact);
   tensor::Tensor reference = inference::reference_conv(
       wq, inference::dequantize(qact), target->stride(), target->padding());
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -61,6 +62,9 @@ void validate_ops(const std::vector<ProgramOp>& ops, std::size_t begin,
       case ProgramOpKind::kFloatConv:
         FLIGHTNN_CHECK(op.weights.shape().rank() == 4,
                        "from_program: float conv weights must be OIHW");
+        FLIGHTNN_CHECK(op.stride > 0 && op.padding >= 0,
+                       "from_program: float conv stride ", op.stride,
+                       " / padding ", op.padding, " out of range");
         break;
       case ProgramOpKind::kAffine:
         FLIGHTNN_CHECK(op.scale.size() == op.affine_bias.size(),
@@ -196,13 +200,11 @@ FLIGHTNN_HOT tensor::Tensor global_avg_pool(const tensor::Tensor& input) {
 // Dense fallback over the op's (quantized) float weights; the input is read
 // as a flat vector whatever its shape.
 FLIGHTNN_HOT tensor::Tensor float_linear(const ProgramOp& op,
-                                         const tensor::Tensor& input,
-                                         NetworkOpCounts* counts) {
+                                         const tensor::Tensor& input) {
   const std::int64_t out_features = op.weights.shape()[0];
   const std::int64_t in_features = op.weights.shape()[1];
   FLIGHTNN_CHECK(input.numel() == in_features, "float linear: input numel ",
                  input.numel(), " does not match in features ", in_features);
-  if (counts != nullptr) counts->float_macs += out_features * in_features;
   tensor::Tensor out(tensor::Shape{out_features});
   const float* x = input.data();
   for (std::int64_t o = 0; o < out_features; ++o) {
@@ -216,18 +218,8 @@ FLIGHTNN_HOT tensor::Tensor float_linear(const ProgramOp& op,
   return out;
 }
 
-void add_shift_counts(const OpCounts& ops, NetworkOpCounts* counts) {
-  if (counts == nullptr) return;
-  counts->shifts += ops.shifts;
-  counts->adds += ops.adds;
-}
-
-// Whether `s` is the program's input geometry, as [C, H, W] or [1, C, H, W].
-bool is_input_shape(const tensor::Shape& s, const NetworkProgram& program) {
-  const std::size_t lead = s.rank() == 4 ? 1 : 0;
-  return (s.rank() == 3 || (s.rank() == 4 && s[0] == 1)) &&
-         s[lead] == program.input_c && s[lead + 1] == program.input_h &&
-         s[lead + 2] == program.input_w;
+NetworkOpCounts shift_counts(const OpCounts& ops) {
+  return {ops.shifts, ops.adds, 0, 0};
 }
 
 // describe() token of one op ("quant(8b)", "shift_conv[16f/25t]", ...).
@@ -357,37 +349,150 @@ QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
     }
   }
   network.program_ = std::move(program);
+  const NetworkProgram& p = network.program_;
+  network.op_census_.resize(p.ops.size());
+  network.census_ops(0, p.ops.size(),
+                     tensor::Shape{p.input_c, p.input_h, p.input_w},
+                     network.census_);
+  network.census_.images = 1;
   return network;
+}
+
+// The shape flow run() takes for every image, op by op, checked where run()
+// checks it. Residual segment bounds were validated by validate_ops.
+tensor::Shape QuantizedNetwork::census_ops(  // NOLINT(misc-no-recursion)
+    std::size_t begin, std::size_t end, tensor::Shape in,
+    NetworkOpCounts& total) {
+  for (std::size_t i = begin; i < end; i = subtree_end(program_.ops, i)) {
+    const ProgramOp& op = program_.ops[i];
+    NetworkOpCounts counts{};
+    tensor::Shape out = in;
+    switch (op.kind) {
+      case ProgramOpKind::kQuantAct:
+      case ProgramOpKind::kLeakyRelu:
+        break;
+      case ProgramOpKind::kShiftConv: {
+        FLIGHTNN_CHECK(in.rank() == 3 && in[0] == op.in_channels,
+                       "from_program: shift conv at op ", i, " expects [",
+                       op.in_channels, ", H, W] input, gets ", in.to_string());
+        counts = shift_counts(std::get<ShiftConv2d>(engines_[i]).census(
+            in[1], in[2]));
+        const tensor::ConvGeometry geom{in[0],     in[1],     in[2],
+                                        op.kernel, op.stride, op.padding};
+        out = tensor::Shape{op.out_channels, geom.out_h(), geom.out_w()};
+        break;
+      }
+      case ProgramOpKind::kFloatConv: {
+        const auto& ws = op.weights.shape();
+        FLIGHTNN_CHECK(in.rank() == 3 && in[0] == ws[1] && ws[2] == ws[3],
+                       "from_program: float conv at op ", i, " with weights ",
+                       ws.to_string(), " cannot take ", in.to_string());
+        const tensor::ConvGeometry geom{in[0], in[1],     in[2],
+                                        ws[2], op.stride, op.padding};
+        out = tensor::Shape{ws[0], geom.out_h(), geom.out_w()};
+        counts.float_macs = ws.numel() * out[1] * out[2];
+        break;
+      }
+      case ProgramOpKind::kAffine:
+        FLIGHTNN_CHECK(
+            in.rank() == 3 &&
+                in[0] == static_cast<std::int64_t>(op.scale.size()),
+            "from_program: affine at op ", i, " expects [", op.scale.size(),
+            ", H, W] input, gets ", in.to_string());
+        break;
+      case ProgramOpKind::kMaxPool:
+        FLIGHTNN_CHECK(in.rank() == 3 && in[1] >= op.window &&
+                           in[2] >= op.window,
+                       "from_program: max pool window ", op.window, " at op ",
+                       i, " does not fit ", in.to_string());
+        out = tensor::Shape{in[0], (in[1] - op.window) / op.stride + 1,
+                            (in[2] - op.window) / op.stride + 1};
+        break;
+      case ProgramOpKind::kGap:
+        FLIGHTNN_CHECK(in.rank() == 3, "from_program: gap at op ", i,
+                       " expects CHW input, gets ", in.to_string());
+        out = tensor::Shape{in[0]};
+        break;
+      case ProgramOpKind::kFlatten:
+        out = tensor::Shape{in.numel()};
+        break;
+      case ProgramOpKind::kShiftLinear:
+        FLIGHTNN_CHECK(in.numel() == op.in_channels,
+                       "from_program: shift linear at op ", i, " expects ",
+                       op.in_channels, " features, gets ", in.to_string());
+        counts = shift_counts(std::get<ShiftLinear>(engines_[i]).census());
+        out = tensor::Shape{op.out_channels};
+        break;
+      case ProgramOpKind::kFloatLinear: {
+        const auto& ws = op.weights.shape();
+        FLIGHTNN_CHECK(in.numel() == ws[1], "from_program: float linear at op ",
+                       i, " expects ", ws[1], " features, gets ",
+                       in.to_string());
+        counts.float_macs = ws.numel();
+        out = tensor::Shape{ws[0]};
+        break;
+      }
+      case ProgramOpKind::kResidual: {
+        const std::size_t shortcut =
+            i + 1 + static_cast<std::size_t>(op.main_ops);
+        const std::size_t post =
+            shortcut + static_cast<std::size_t>(op.shortcut_ops);
+        const tensor::Shape main_out = census_ops(i + 1, shortcut, in, counts);
+        const tensor::Shape skip_out = census_ops(shortcut, post, in, counts);
+        FLIGHTNN_CHECK(main_out == skip_out, "from_program: residual at op ", i,
+                       " adds a ", main_out.to_string(), " main output to a ",
+                       skip_out.to_string(), " shortcut");
+        out = census_ops(post, subtree_end(program_.ops, i), main_out, counts);
+        break;
+      }
+    }
+    op_census_[i] = counts;
+    total += counts;
+    in = std::move(out);
+  }
+  return in;
+}
+
+const char* QuantizedNetwork::image_defect(const tensor::Tensor& image) const {
+  const auto& s = image.shape();
+  const std::size_t lead = s.rank() == 4 ? 1 : 0;
+  if (!(s.rank() == 3 || (s.rank() == 4 && s[0] == 1)) ||
+      s[lead] != program_.input_c || s[lead + 1] != program_.input_h ||
+      s[lead + 2] != program_.input_w) {
+    return "not the program's input geometry";
+  }
+  // Tensor::abs_max is NaN or Inf exactly when a pixel is.
+  if (!std::isfinite(image.abs_max())) return "a non-finite pixel";
+  return nullptr;
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor QuantizedNetwork::run(
     const tensor::Tensor& image, NetworkOpCounts* counts) const {
+  const char* defect = image_defect(image);
   const auto& s = image.shape();
-  FLIGHTNN_CHECK(is_input_shape(s, program_),
-                 "QuantizedNetwork::run: expected a [", program_.input_c, ", ",
+  FLIGHTNN_CHECK(defect == nullptr, "QuantizedNetwork::run: ", defect,
+                 ": expected a finite [", program_.input_c, ", ",
                  program_.input_h, ", ", program_.input_w,
                  "] image (or [1, C, H, W]), got ", s.to_string());
   // The chain starts on a copy of the image (run_ops owns its activation).
   tensor::Tensor logits = run_ops(
       0, program_.ops.size(),
-      s.rank() == 3 ? image : image.reshaped(tensor::Shape{s[1], s[2], s[3]}),
-      counts);
-  if (counts != nullptr) ++counts->images;
+      s.rank() == 3 ? image : image.reshaped(tensor::Shape{s[1], s[2], s[3]}));
+  if (counts != nullptr) *counts += census_;
   return logits;
 }
 
-FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_ops(
-    std::size_t begin, std::size_t end, tensor::Tensor x,
-    NetworkOpCounts* counts) const {
+FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_ops(std::size_t begin,
+                                                      std::size_t end,
+                                                      tensor::Tensor x) const {
   for (std::size_t i = begin; i < end; i = subtree_end(program_.ops, i)) {
-    x = run_op(i, x, counts);
+    x = run_op(i, x);
   }
   return x;
 }
 
 FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(
-    std::size_t i, const tensor::Tensor& input,
-    NetworkOpCounts* counts) const {
+    std::size_t i, const tensor::Tensor& input) const {
   const ProgramOp& op = program_.ops[i];
   switch (op.kind) {
     case ProgramOpKind::kQuantAct:
@@ -401,23 +506,11 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(
       const runtime::PlanContext ctx{
           memory_plan_ != nullptr ? &memory_plan_->layout() : nullptr,
           static_cast<std::uint32_t>(i)};
-      OpCounts ops{};
-      tensor::Tensor out = std::get<ShiftConv2d>(engines_[i]).run(
-          q, counts != nullptr ? &ops : nullptr,
-          ctx.layout != nullptr ? &ctx : nullptr);
-      add_shift_counts(ops, counts);
-      return out;
+      return std::get<ShiftConv2d>(engines_[i]).run(
+          q, ctx.layout != nullptr ? &ctx : nullptr);
     }
-    case ProgramOpKind::kFloatConv: {
-      tensor::Tensor out =
-          reference_conv(op.weights, input, op.stride, op.padding, op.bias);
-      if (counts != nullptr) {
-        const auto& ws = op.weights.shape();
-        counts->float_macs += ws[0] * ws[1] * ws[2] * ws[3] *
-                              out.shape()[1] * out.shape()[2];
-      }
-      return out;
-    }
+    case ProgramOpKind::kFloatConv:
+      return reference_conv(op.weights, input, op.stride, op.padding, op.bias);
     case ProgramOpKind::kAffine:
       return affine_channels(op, input);
     case ProgramOpKind::kLeakyRelu:
@@ -434,24 +527,19 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(
       QuantizedActivations& q = quant_scratch();
       quantize_tensor_into(input, op.act_bits, q);
       q.shape = tensor::Shape{input.numel()};
-      OpCounts ops{};
-      tensor::Tensor out = std::get<ShiftLinear>(engines_[i]).run(
-          q, counts != nullptr ? &ops : nullptr);
-      add_shift_counts(ops, counts);
-      return out;
+      return std::get<ShiftLinear>(engines_[i]).run(q);
     }
     case ProgramOpKind::kFloatLinear:
-      return float_linear(op, input, counts);
+      return float_linear(op, input);
     case ProgramOpKind::kResidual: {
       // Main and shortcut chains each start on a copy of the block input (an
       // empty shortcut is the identity); the post chain runs on the sum.
       const std::size_t shortcut = i + 1 + static_cast<std::size_t>(op.main_ops);
       const std::size_t post =
           shortcut + static_cast<std::size_t>(op.shortcut_ops);
-      tensor::Tensor sum = run_ops(i + 1, shortcut, input, counts);
-      sum += run_ops(shortcut, post, input, counts);
-      return run_ops(post, subtree_end(program_.ops, i), std::move(sum),
-                     counts);
+      tensor::Tensor sum = run_ops(i + 1, shortcut, input);
+      sum += run_ops(shortcut, post, input);
+      return run_ops(post, subtree_end(program_.ops, i), std::move(sum));
     }
   }
   FLIGHTNN_UNREACHABLE("op kind ", static_cast<std::uint32_t>(op.kind),
@@ -462,10 +550,11 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
                                                    int repeats) const {
   FLIGHTNN_CHECK(repeats >= 1, "QuantizedNetwork::profile: repeats ", repeats,
                  " must be >= 1");
+  const char* defect = image_defect(image);
   const auto& s = image.shape();
-  FLIGHTNN_CHECK(is_input_shape(s, program_),
-                 "QuantizedNetwork::profile: expected a [", program_.input_c,
-                 ", ", program_.input_h, ", ", program_.input_w,
+  FLIGHTNN_CHECK(defect == nullptr, "QuantizedNetwork::profile: ", defect,
+                 ": expected a finite [", program_.input_c, ", ",
+                 program_.input_h, ", ", program_.input_w,
                  "] image (or [1, C, H, W]), got ", s.to_string());
   tensor::Tensor current =
       s.rank() == 3 ? image : image.reshaped(tensor::Shape{s[1], s[2], s[3]});
@@ -488,17 +577,14 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
           *memory_plan_, static_cast<std::uint32_t>(i),
           static_cast<std::uint32_t>(subtree_end(program_.ops, i)), p);
     }
-    NetworkOpCounts ops{};
     tensor::Tensor out;
     const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < repeats; ++r) {
-      out = run_op(i, current, r == 0 ? &ops : nullptr);
-    }
+    for (int r = 0; r < repeats; ++r) out = run_op(i, current);
     const auto t1 = std::chrono::steady_clock::now();
     p.seconds = std::chrono::duration<double>(t1 - t0).count() / repeats;
-    p.shifts = ops.shifts;
-    p.adds = ops.adds;
-    p.float_macs = ops.float_macs;
+    p.shifts = op_census_[i].shifts;
+    p.adds = op_census_[i].adds;
+    p.float_macs = op_census_[i].float_macs;
     profiles.push_back(std::move(p));
     current = std::move(out);
   }

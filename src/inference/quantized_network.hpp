@@ -28,6 +28,10 @@
 // engine per shift op looked up by flat op index -- the fixed per-layer
 // stage pipeline of the paper's accelerator mapping (Fig. 3, Sec. 5.2).
 // profile(), describe() and step_count() walk the same top-level ranges.
+//
+// Op census: the shift/add/float-MAC counts of one forward pass depend only
+// on the weights and the input geometry, and run() fixes the geometry, so
+// from_program counts them once (census()) and run() adds that constant.
 
 #include <memory>
 #include <string>
@@ -49,6 +53,19 @@ struct NetworkOpCounts {
   // MAC-equivalents executed in float fallback (non-shift layers).
   std::int64_t float_macs = 0;
   std::int64_t images = 0;
+
+  NetworkOpCounts& operator+=(const NetworkOpCounts& other) {
+    shifts += other.shifts;
+    adds += other.adds;
+    float_macs += other.float_macs;
+    images += other.images;
+    return *this;
+  }
+  // This census repeated `n` times (every field scaled): a per-image census
+  // times n is the census of n images.
+  [[nodiscard]] NetworkOpCounts times(std::int64_t n) const {
+    return {shifts * n, adds * n, float_macs * n, images * n};
+  }
 };
 
 // Per-op observability record produced by QuantizedNetwork::profile(): one
@@ -86,12 +103,25 @@ class QuantizedNetwork {
   // bit widths, per-kind fields, input geometry -- and throws CheckFailure
   // on a malformed one; then keeps the op list and adopts each shift op's
   // plan into its engine. Both load paths build the same kind of network.
+  // Last, it walks the ops once over the input geometry to take the op
+  // census, which also rejects a program whose ops cannot take the shape
+  // the previous op produces (run() would fail on every image).
   static QuantizedNetwork from_program(NetworkProgram program);
 
-  // Run one image [C, H, W] (or [1, C, H, W]) to logits. The geometry must
-  // be the program's input geometry.
+  // Run one image [C, H, W] (or [1, C, H, W]) to logits. The image must pass
+  // image_defect(). Adds census() to `counts` once the pass has succeeded.
   [[nodiscard]] tensor::Tensor run(const tensor::Tensor& image,
                                    NetworkOpCounts* counts = nullptr) const;
+
+  // Why `image` cannot run on this network, or nullptr when it can: it must
+  // have the program's input geometry ([C, H, W] or [1, C, H, W]) and only
+  // finite pixels. run() and profile() check it at entry;
+  // serving::Server::submit checks it at admission.
+  [[nodiscard]] const char* image_defect(const tensor::Tensor& image) const;
+
+  // Op census of one image (images = 1), taken at from_program time: what
+  // run() adds to its `counts` per image.
+  [[nodiscard]] const NetworkOpCounts& census() const { return census_; }
 
   // Top-k classification accuracy over a dataset.
   [[nodiscard]] double evaluate(const data::Dataset& dataset, int top_k = 1,
@@ -99,8 +129,8 @@ class QuantizedNetwork {
 
   // Per-op wall time and op census: runs the image through the network one
   // top-level op at a time (a residual block is one row), timing each op
-  // over `repeats` runs (the first run of each also collects its op
-  // counts). Observability only -- outputs are discarded.
+  // over `repeats` runs; the counts are the op's share of census().
+  // Observability only -- outputs are discarded.
   [[nodiscard]] std::vector<StepProfile> profile(const tensor::Tensor& image,
                                                  int repeats = 10) const;
 
@@ -121,17 +151,24 @@ class QuantizedNetwork {
  private:
   // Runs top-level op `i` (a residual runs its whole block) on `input`.
   [[nodiscard]] tensor::Tensor run_op(std::size_t i,
-                                      const tensor::Tensor& input,
-                                      NetworkOpCounts* counts) const;
+                                      const tensor::Tensor& input) const;
   // Runs the chain of top-level ops in [begin, end), starting from `x`.
   [[nodiscard]] tensor::Tensor run_ops(std::size_t begin, std::size_t end,
-                                       tensor::Tensor x,
-                                       NetworkOpCounts* counts) const;
+                                       tensor::Tensor x) const;
+  // from_program's census walk over the chain [begin, end) from an input of
+  // shape `in`: fills op_census_ for every op in it, adds the chain's counts
+  // to `total` and returns the chain's output shape.
+  tensor::Shape census_ops(std::size_t begin, std::size_t end,
+                           tensor::Shape in, NetworkOpCounts& total);
 
   NetworkProgram program_;  // validated flat op list + input geometry
   // Parallel to program_.ops: the engine of each shift op, monostate for
   // the rest. The engines own the plans; the ops keep everything else.
   std::vector<std::variant<std::monostate, ShiftConv2d, ShiftLinear>> engines_;
+  // Parallel to program_.ops: each op's per-image counts (a residual's
+  // covers its whole block); census_ sums the top-level ops.
+  std::vector<NetworkOpCounts> op_census_;
+  NetworkOpCounts census_;
   std::shared_ptr<const MemoryPlan> memory_plan_;
 };
 

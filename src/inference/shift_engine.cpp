@@ -497,8 +497,7 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
-    const QuantizedActivations& input, OpCounts* counts,
-    const runtime::PlanContext* ctx) const {
+    const QuantizedActivations& input, const runtime::PlanContext* ctx) const {
   FLIGHTNN_CHECK(input.shape.rank() == 3 && input.shape[0] == in_channels_,
                  "ShiftConv2d::run: expected [", in_channels_,
                  ", H, W] input, got ", input.shape.to_string());
@@ -636,21 +635,33 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
       filter_block(acc_buf, f_begin, f_end);
     });
   }
-
-  if (counts != nullptr) {
-    // Analytic census: each entry accumulates once per output position whose
-    // tap is in-bounds, which is vy(ky) * vx(kx). Matches the per-accumulate
-    // counting of the term walk exactly.
-    std::int64_t total = 0;
-    for (std::int64_t e = 0; e < n_entries; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      total += valid_positions(plan_.ky[ei], out_h, in_h, stride_, padding_) *
-               valid_positions(plan_.kx[ei], out_w, in_w, stride_, padding_);
-    }
-    counts->shifts += total;
-    counts->adds += total;
-  }
   return output;
+}
+
+OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
+  const tensor::ConvGeometry geom{in_channels_, in_h, in_w, kernel_, stride_,
+                                  padding_};
+  const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
+  // An entry at tap (ky, kx) accumulates vy[ky] * vx[kx] times: the valid
+  // output rows of its tap row times the valid columns of its tap column.
+  // Tabulated per tap so that each entry costs two lookups: this runs in
+  // every network load, over every plan entry.
+  const auto k = static_cast<std::size_t>(kernel_);
+  std::vector<std::int64_t> vy(k), vx(k);
+  for (std::size_t t = 0; t < k; ++t) {
+    const auto tap = static_cast<std::int64_t>(t);
+    vy[t] = valid_positions(tap, out_h, in_h, stride_, padding_);
+    vx[t] = valid_positions(tap, out_w, in_w, stride_, padding_);
+  }
+  std::int64_t total = 0;
+  for (std::size_t e = 0; e < plan_.ky.size(); ++e) {
+    const std::int64_t ky = plan_.ky[e], kx = plan_.kx[e];
+    FLIGHTNN_CHECK(ky >= 0 && ky < kernel_ && kx >= 0 && kx < kernel_,
+                   "ShiftConv2d::census: entry ", e, " tap (", ky, ", ", kx,
+                   ") outside the ", kernel_, "x", kernel_, " kernel");
+    total += vy[static_cast<std::size_t>(ky)] * vx[static_cast<std::size_t>(kx)];
+  }
+  return {total, total};
 }
 
 ShiftLinear::ShiftLinear(const tensor::Tensor& quantized_weights, int k_max,
@@ -679,7 +690,7 @@ ShiftLinear::ShiftLinear(ShiftPlan plan, const ShiftLinearSpec& spec,
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
-    const QuantizedActivations& input, OpCounts* counts) const {
+    const QuantizedActivations& input) const {
   FLIGHTNN_CHECK(input.shape.numel() == in_features_,
                  "ShiftLinear::run: input numel ", input.shape.numel(),
                  " does not match in features ", in_features_);
@@ -725,13 +736,12 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
       output[f] = static_cast<float>(acc) * scale + b;
     }
   });
-
-  if (counts != nullptr) {
-    // One accumulate per plan entry; matches the term walk's counting.
-    counts->shifts += plan_.entries();
-    counts->adds += plan_.entries();
-  }
   return output;
+}
+
+OpCounts ShiftLinear::census() const {
+  // One accumulate per plan entry; matches the term walk's counting.
+  return {plan_.entries(), plan_.entries()};
 }
 
 const char* ShiftConv2d::kernel_tier(int act_bits) const {

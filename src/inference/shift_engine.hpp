@@ -75,7 +75,8 @@ tensor::Tensor dequantize(const QuantizedActivations& activations);
 // compiled network's activation-quantization ops.
 tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits);
 
-// Operation census of one engine run.
+// Operation census of one engine run (ShiftConv2d::census /
+// ShiftLinear::census).
 struct OpCounts {
   std::int64_t shifts = 0;  // one per nonzero weight term element per output
   std::int64_t adds = 0;    // accumulator additions
@@ -120,16 +121,22 @@ class ShiftConv2d {
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
   // Run on one quantized image; returns the dequantized float output
-  // [out_channels, out_h, out_w]. Accumulates op counts into `counts` if
-  // non-null. Executes the compiled plan: zero elements and pruned filters
-  // cost nothing, interior pixels run without padding bounds checks, and
-  // scratch comes from the per-thread arena (zero steady-state allocation
-  // beyond the pooled output tensor). With a non-null `ctx` the scratch is
-  // served from the planned arena at offsets the memory planner assigned
-  // offline (DESIGN.md §15); null keeps the dynamic grow-once route.
+  // [out_channels, out_h, out_w]. Executes the compiled plan: zero elements
+  // and pruned filters cost nothing, interior pixels run without padding
+  // bounds checks, and scratch comes from the per-thread arena (zero
+  // steady-state allocation beyond the pooled output tensor). With a
+  // non-null `ctx` the scratch is served from the planned arena at offsets
+  // the memory planner assigned offline (DESIGN.md §15); null keeps the
+  // dynamic grow-once route.
   [[nodiscard]] tensor::Tensor run(
-      const QuantizedActivations& input, OpCounts* counts = nullptr,
+      const QuantizedActivations& input,
       const runtime::PlanContext* ctx = nullptr) const;
+
+  // Op census of one run() on an [in_channels, in_h, in_w] input: each plan
+  // entry accumulates once per output position whose tap lands in-bounds,
+  // the term walk's per-accumulate count exactly. A function of the plan
+  // and the geometry alone, so QuantizedNetwork takes it once at load time.
+  [[nodiscard]] OpCounts census(std::int64_t in_h, std::int64_t in_w) const;
 
   // Number of single-shift filter terms (the LightNN-1 engine's workload).
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
@@ -167,8 +174,10 @@ class ShiftLinear {
 
   // `input.shape` must be rank-1 [in_features]. Returns the dequantized
   // float output [out_features]. Plan-compiled, like ShiftConv2d::run.
-  [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
-                                   OpCounts* counts = nullptr) const;
+  [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
+
+  // Op census of one run(): one accumulate per plan entry.
+  [[nodiscard]] OpCounts census() const;
 
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
   [[nodiscard]] std::int64_t out_features() const { return out_features_; }

@@ -14,8 +14,8 @@ namespace {
 // Shared lowering: group terms by filter, stream out only nonzero elements.
 // `spatial` toggles the conv-only channel/ky/kx streams.
 ShiftPlan compile_impl(const core::Decomposition& decomposition,
-                       const quant::Pow2Config& config, std::int64_t in_channels,
-                       std::int64_t kernel, bool spatial) {
+                       const quant::Pow2Config& config, std::int64_t kernel,
+                       bool spatial) {
   const auto filters = static_cast<std::int64_t>(decomposition.filter_k.size());
 
   ShiftPlan plan;
@@ -151,8 +151,7 @@ FLIGHTNN_API_ENTRY ShiftPlan ShiftPlan::compile_conv(
   FLIGHTNN_CHECK(in_channels > 0 && kernel > 0,
                  "ShiftPlan::compile_conv: bad conv geometry ", in_channels,
                  "x", kernel);
-  return compile_impl(decomposition, config, in_channels, kernel,
-                      /*spatial=*/true);
+  return compile_impl(decomposition, config, kernel, /*spatial=*/true);
 }
 
 FLIGHTNN_API_ENTRY ShiftPlan ShiftPlan::compile_linear(
@@ -160,7 +159,7 @@ FLIGHTNN_API_ENTRY ShiftPlan ShiftPlan::compile_linear(
   FLIGHTNN_CHECK(decomposition.elements_per_filter >= 0,
                  "ShiftPlan::compile_linear: negative elements per filter ",
                  decomposition.elements_per_filter);
-  return compile_impl(decomposition, config, 0, 0, /*spatial=*/false);
+  return compile_impl(decomposition, config, 0, /*spatial=*/false);
 }
 
 }  // namespace flightnn::inference

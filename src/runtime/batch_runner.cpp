@@ -14,14 +14,6 @@ namespace flightnn::runtime {
 
 namespace {
 
-void merge_counts(inference::NetworkOpCounts& into,
-                  const inference::NetworkOpCounts& from) {
-  into.shifts += from.shifts;
-  into.adds += from.adds;
-  into.float_macs += from.float_macs;
-  into.images += from.images;
-}
-
 // Index of the (first) maximum logit; deterministic tie-break by index.
 int argmax_of(const tensor::Tensor& logits) {
   const std::int64_t n = logits.numel();
@@ -36,17 +28,9 @@ int argmax_of(const tensor::Tensor& logits) {
   return best;
 }
 
-// Calling-thread per-image counter scratch, reused across batches. A named
-// accessor (not a function-local in run) so warm() can pre-reserve it.
-std::vector<inference::NetworkOpCounts>& counts_scratch() {
-  thread_local std::vector<inference::NetworkOpCounts> counts;
-  return counts;
-}
-
 }  // namespace
 
-FLIGHTNN_COLD_ALLOC void BatchRunner::warm(std::size_t max_batch) const {
-  counts_scratch().reserve(max_batch);
+FLIGHTNN_COLD_ALLOC void BatchRunner::warm(std::size_t /*max_batch*/) const {
   const inference::MemoryPlan* plan = network_->memory_plan();
   if (plan != nullptr) {
     // Every thread that can execute a forward pass gets the planned arena
@@ -61,15 +45,12 @@ FLIGHTNN_COLD_ALLOC void BatchRunner::warm(std::size_t max_batch) const {
 
 FLIGHTNN_HOT void BatchRunner::run_images(
     const tensor::Tensor* images, std::size_t n,
-    std::vector<tensor::Tensor>& logits,
-    std::vector<inference::NetworkOpCounts>& counts) const {
-  // Both containers recycle their storage across batches: once sized to the
-  // steady-state batch shape they never reallocate (the operator-new hook in
+    std::vector<tensor::Tensor>& logits) const {
+  // The container recycles its storage across batches: once sized to the
+  // steady-state batch shape it never reallocates (the operator-new hook in
   // tests/arena_allocation_test holds this to zero).
   // FLIGHTNN_LINT_SUPPRESS(hot-no-alloc): grow-once; recycles logits tensors in place
   logits.resize(n);
-  // FLIGHTNN_LINT_SUPPRESS(hot-no-alloc): grow-once; per-image slots keep aggregation deterministic
-  counts.assign(n, {});
   parallel_for(0, static_cast<std::int64_t>(n), 1,
                [&](std::int64_t lo, std::int64_t hi) {
                  for (std::int64_t i = lo; i < hi; ++i) {
@@ -81,14 +62,13 @@ FLIGHTNN_HOT void BatchRunner::run_images(
                    // balanced instead of needing a spare buffer per thread
                    // that happened to own the index last time.
                    logits[idx] = tensor::Tensor();
-                   logits[idx] = network_->run(images[idx], &counts[idx]);
+                   logits[idx] = network_->run(images[idx]);
                  }
                });
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY void BatchRunner::run(
-    const InferenceRequest& request, InferenceResult& result,
-    std::vector<inference::NetworkOpCounts>* per_image_counts) const {
+    const InferenceRequest& request, InferenceResult& result) const {
   // Boundary contract: every image must be a [C, H, W] or [1, C, H, W]
   // tensor. The network re-checks shapes layer by layer; checking rank here
   // makes a malformed request fail at the API boundary, named after it.
@@ -103,16 +83,9 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY void BatchRunner::run(
   if (!warmed_.load(std::memory_order_relaxed)) {
     warm(request.images.size());
   }
-  // Calling-thread scratch, reused across batches. The local reference is
-  // load-bearing: a thread_local resolved inside a worker lambda would
-  // name each worker's own (empty) instance.
-  auto& counts =
-      per_image_counts != nullptr ? *per_image_counts : counts_scratch();
-
   result.id = request.id;
   const auto start = std::chrono::steady_clock::now();
-  run_images(request.images.data(), request.images.size(), result.logits,
-             counts);
+  run_images(request.images.data(), request.images.size(), result.logits);
   const auto stop = std::chrono::steady_clock::now();
 
   // FLIGHTNN_LINT_SUPPRESS(hot-no-alloc): grow-once; callers reuse the result struct, so steady-state resizes never reallocate
@@ -120,8 +93,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY void BatchRunner::run(
   for (std::size_t i = 0; i < result.logits.size(); ++i) {
     result.argmax[i] = argmax_of(result.logits[i]);
   }
-  result.counts = {};
-  for (const auto& c : counts) merge_counts(result.counts, c);
+  result.counts = network_->census().times(
+      static_cast<std::int64_t>(request.images.size()));
   result.timing.queue_seconds = 0.0;
   result.timing.compute_seconds =
       std::chrono::duration<double>(stop - start).count();
@@ -168,7 +141,7 @@ FLIGHTNN_API_ENTRY double BatchRunner::evaluate(
         ++hits;
       }
     }
-    if (counts != nullptr) merge_counts(*counts, result.counts);
+    if (counts != nullptr) *counts += result.counts;
   }
   return static_cast<double>(hits) / static_cast<double>(n);
 }

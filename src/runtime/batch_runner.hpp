@@ -15,8 +15,8 @@
 // path.
 //
 // Determinism: per-image results are bit-identical to serial execution at
-// any thread count, and the aggregate op counts are sums of per-image
-// integers, so they are thread-count-invariant too.
+// any thread count. The op counts are the network's load-time per-image
+// census times the image count, so they do not depend on threads either.
 
 #include <atomic>
 #include <vector>
@@ -40,26 +40,25 @@ class BatchRunner {
   [[nodiscard]] InferenceResult run(const InferenceRequest& request) const;
 
   // Preallocated entry point: write into `result`, recycling its logits
-  // tensors, argmax storage and counter scratch. Feeding the same `result`
-  // back across batches is the zero-allocation steady state of DESIGN.md §9
-  // (asserted by tests/arena_allocation_test). When `per_image_counts` is
-  // non-null it receives one NetworkOpCounts per request image -- the
-  // serving batcher uses this to attribute a fused batch's census back to
-  // the individual requests that rode in it.
-  void run(const InferenceRequest& request, InferenceResult& result,
-           std::vector<inference::NetworkOpCounts>* per_image_counts =
-               nullptr) const;
+  // tensors and argmax storage. Feeding the same `result` back across
+  // batches is the zero-allocation steady state of DESIGN.md §9 (asserted
+  // by tests/arena_allocation_test).
+  void run(const InferenceRequest& request, InferenceResult& result) const;
 
   // Pre-size every thread's planned arena and scratch pools to the
   // network's memory plan so the FIRST batch already runs allocation-free
   // (no grow-once warmup): adopts the plan's arena layout and prewarms the
-  // tensor pool on the calling thread and on every pool worker, and
-  // reserves the caller's per-image counter scratch for `max_batch` images.
-  // No-op beyond the counter reserve when the network has no plan (dynamic
-  // arena route). Must be called from outside the pool (any non-worker
-  // thread); idempotent and cheap to repeat. run() warms lazily on first
-  // use, so calling this is an optimization, not a requirement.
+  // tensor pool on the calling thread and on every pool worker. No-op when
+  // the network has no plan (dynamic arena route). Must be called from
+  // outside the pool (any non-worker thread); idempotent and cheap to
+  // repeat. run() warms lazily on first use, so calling this is an
+  // optimization, not a requirement. The warm state does not depend on the
+  // batch size; `max_batch` is accepted for the callers that pass one.
   void warm(std::size_t max_batch = 64) const;
+
+  [[nodiscard]] const inference::QuantizedNetwork& network() const {
+    return *network_;
+  }
 
   // Top-k classification accuracy over a dataset. A thin wrapper over the
   // request path: the dataset is evaluated as a sequence of fixed-size
@@ -70,11 +69,9 @@ class BatchRunner {
 
  private:
   // The forward-pass core of run(): run `n` images through the network in
-  // parallel, producing per-image logits and op counts. `logits` and
-  // `counts` are resized to `n`.
+  // parallel, producing per-image logits. `logits` is resized to `n`.
   void run_images(const tensor::Tensor* images, std::size_t n,
-                  std::vector<tensor::Tensor>& logits,
-                  std::vector<inference::NetworkOpCounts>& counts) const;
+                  std::vector<tensor::Tensor>& logits) const;
 
   const inference::QuantizedNetwork* network_;
   // First-run lazy-warm latch (see warm()). Relaxed: a racing duplicate

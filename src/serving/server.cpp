@@ -13,6 +13,7 @@ const char* to_string(SubmitStatus status) {
     case SubmitStatus::Ok: return "ok";
     case SubmitStatus::Overloaded: return "overloaded";
     case SubmitStatus::ShuttingDown: return "shutting_down";
+    case SubmitStatus::InvalidRequest: return "invalid_request";
   }
   FLIGHTNN_UNREACHABLE("invalid SubmitStatus");
 }
@@ -56,7 +57,17 @@ FLIGHTNN_API_ENTRY Server::Submission Server::submit(
   FLIGHTNN_CHECK(!request.images.empty(),
                  "serving::Server::submit: request must carry >= 1 image");
   const auto images = static_cast<std::int64_t>(request.images.size());
+  const inference::QuantizedNetwork& network = runner_->network();
+  const bool valid = std::all_of(
+      request.images.begin(), request.images.end(),
+      [&](const tensor::Tensor& image) {
+        return network.image_defect(image) == nullptr;
+      });
   const support::MutexLock lock(mutex_);
+  if (!valid) {
+    ++stats_.invalid;
+    return {SubmitStatus::InvalidRequest, {}};
+  }
   for (;;) {
     if (stopping_) return {SubmitStatus::ShuttingDown, {}};
     // An oversized request (> max_queue_images by itself) is admitted into
@@ -150,7 +161,7 @@ FLIGHTNN_HOT void Server::execute_batch(std::vector<Pending>& batch) {
   const auto fused_images = static_cast<std::int64_t>(fused_.images.size());
 
   try {
-    runner_->run(fused_, fused_result_, &per_image_counts_);
+    runner_->run(fused_, fused_result_);
   } catch (...) {
     const auto error = std::current_exception();
     for (auto& pending : batch) pending.promise.set_exception(error);
@@ -160,6 +171,7 @@ FLIGHTNN_HOT void Server::execute_batch(std::vector<Pending>& batch) {
   // Hand each request its slice of the fused results. queue_seconds is the
   // measured admission-to-dispatch wait; compute_seconds and batch_size
   // describe the fused forward pass the request rode in.
+  const inference::NetworkOpCounts& census = runner_->network().census();
   std::size_t offset = 0;
   for (auto& pending : batch) {
     const std::size_t count = pending.request.images.size();
@@ -178,11 +190,8 @@ FLIGHTNN_HOT void Server::execute_batch(std::vector<Pending>& batch) {
       result.logits.push_back(std::move(fused_result_.logits[offset + i]));
       // FLIGHTNN_LINT_SUPPRESS(hot-no-alloc): within the reserve above; never reallocates
       result.argmax.push_back(fused_result_.argmax[offset + i]);
-      result.counts.shifts += per_image_counts_[offset + i].shifts;
-      result.counts.adds += per_image_counts_[offset + i].adds;
-      result.counts.float_macs += per_image_counts_[offset + i].float_macs;
-      result.counts.images += per_image_counts_[offset + i].images;
     }
+    result.counts = census.times(static_cast<std::int64_t>(count));
     result.timing.queue_seconds =
         std::chrono::duration<double>(dispatched - pending.enqueued).count();
     result.timing.compute_seconds = fused_result_.timing.compute_seconds;

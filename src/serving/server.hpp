@@ -17,6 +17,11 @@
 //     Requests are never split: a flush takes whole requests while the
 //     fused batch stays within max_batch (always at least one request, so
 //     a request larger than max_batch still runs, alone).
+//   - Admission checks: before taking the lock, submit() checks every image
+//     against the network (QuantizedNetwork::image_defect: input geometry,
+//     finite pixels) and refuses a request with a bad one with
+//     SubmitStatus::InvalidRequest, so it never joins -- and fails -- a
+//     fused batch of good requests.
 //   - Admission control: when the queue already holds `max_queue_images`
 //     images, submit() either rejects with SubmitStatus::Overloaded
 //     (default; the caller sheds load) or, with `block_on_full`, blocks
@@ -44,9 +49,10 @@
 namespace flightnn::serving {
 
 enum class SubmitStatus {
-  Ok,            // accepted; the Submission carries a valid future
-  Overloaded,    // bounded queue full and block_on_full is off
-  ShuttingDown,  // shutdown() already initiated; request not accepted
+  Ok,              // accepted; the Submission carries a valid future
+  Overloaded,      // bounded queue full and block_on_full is off
+  ShuttingDown,    // shutdown() already initiated; request not accepted
+  InvalidRequest,  // an image the network cannot run (geometry, non-finite)
 };
 
 [[nodiscard]] const char* to_string(SubmitStatus status);
@@ -68,6 +74,7 @@ struct ServerConfig {
 struct ServerStats {
   std::int64_t accepted = 0;   // requests admitted
   std::int64_t rejected = 0;   // requests refused with Overloaded
+  std::int64_t invalid = 0;    // requests refused with InvalidRequest
   std::int64_t completed = 0;  // requests whose future was fulfilled
   std::int64_t batches = 0;    // dynamic batches executed
   // batch_size_histogram[k] = number of executed batches fusing exactly k
@@ -91,7 +98,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // Thread-safe; callable from any number of client threads concurrently.
-  // The request must carry at least one image.
+  // The request must carry at least one image; a request holding an image
+  // the network cannot run gets InvalidRequest.
   [[nodiscard]] Submission submit(runtime::InferenceRequest request)
       FLIGHTNN_EXCLUDES(mutex_);
 
@@ -129,7 +137,6 @@ class Server {
   // Batcher-thread scratch, reused across flushes (see DESIGN.md §9).
   runtime::InferenceRequest fused_;
   runtime::InferenceResult fused_result_;
-  std::vector<inference::NetworkOpCounts> per_image_counts_;
 
   std::once_flag shutdown_once_;
   std::thread batcher_;  // last member: starts after everything above exists

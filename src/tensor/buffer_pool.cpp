@@ -56,12 +56,15 @@ void release(std::vector<float>&& buffer) noexcept {
   try {
     ThreadPool& p = tls();
     ++p.counters.releases;
-    if (p.counters.cached_bytes + bytes > kMaxPooledBytes) {
-      std::vector<float> drop = std::move(buffer);
-      return;
+    if (p.counters.cached_bytes + bytes <= kMaxPooledBytes) {
+      auto& list = p.free_lists[buffer.size()];
+      if (list.size() < kMaxPooledPerSize) {
+        list.push_back(std::move(buffer));
+        p.counters.cached_bytes += bytes;
+        return;
+      }
     }
-    p.free_lists[buffer.size()].push_back(std::move(buffer));
-    p.counters.cached_bytes += bytes;
+    std::vector<float> drop = std::move(buffer);  // past a cap: free it
   } catch (...) {
     // Map rehash or push_back failed under memory pressure: the buffer (if
     // not yet moved) is freed by its own destructor. release() stays noexcept.
@@ -73,7 +76,7 @@ void prewarm(std::size_t n, std::size_t count) {
   ThreadPool& p = tls();
   auto& list = p.free_lists[n];
   const std::size_t bytes = n * sizeof(float);
-  while (list.size() < count &&
+  while (list.size() < count && list.size() < kMaxPooledPerSize &&
          p.counters.cached_bytes + bytes <= kMaxPooledBytes) {
     std::vector<float> buffer;
     buffer.resize(n);

@@ -125,28 +125,6 @@ TEST(ParallelConsistencyTest, ShiftLinearBitIdentical) {
   check_thread_invariance("shift_linear", [&] { return engine.run(q); });
 }
 
-TEST(ParallelConsistencyTest, ShiftEngineOpCountsThreadInvariant) {
-  support::Rng rng(23);
-  const quant::Pow2Config config;
-  Tensor w = Tensor::randn(Shape{12, 4, 3, 3}, rng, 0.0F, 0.3F);
-  Tensor wq = quant::quantize_lightnn(w, 2, config);
-  inference::ShiftConv2d engine(wq, 2, config, 1, 1);
-  Tensor img = Tensor::randn(Shape{4, 9, 9}, rng);
-  const auto q = inference::quantize_image(img, 8);
-
-  runtime::set_num_threads(1);
-  inference::OpCounts serial{};
-  (void)engine.run(q, &serial);
-  for (const int threads : kThreadCounts) {
-    runtime::set_num_threads(threads);
-    inference::OpCounts parallel{};
-    (void)engine.run(q, &parallel);
-    EXPECT_EQ(parallel.shifts, serial.shifts) << threads << " threads";
-    EXPECT_EQ(parallel.adds, serial.adds) << threads << " threads";
-  }
-  runtime::set_num_threads(1);
-}
-
 // Full Table-1-style network through the compiled integer plan, run via
 // BatchRunner at every thread count, for odd batch sizes including
 // batch < thread count.

@@ -249,6 +249,78 @@ TEST(QuantizedNetworkTest, RejectsImagesOfAnotherGeometry) {
   }
 }
 
+// The op census is a constant of the compiled program: run() adds the same
+// per-image counts whatever the pixels, in either accepted layout, and only
+// once the forward pass has succeeded -- a rejected image leaves `counts`
+// as it was.
+TEST(QuantizedNetworkTest, CensusIsAConstantOfTheProgram) {
+  auto model = untrained_model(4);
+  const auto network = QuantizedNetwork::compile(*model, Shape{1, 3, 16, 16});
+  const NetworkOpCounts& census = network.census();
+  EXPECT_GT(census.shifts, 0);
+  EXPECT_EQ(census.images, 1);
+
+  support::Rng rng(24);
+  NetworkOpCounts counts{};
+  const Tensor noise = Tensor::randn(Shape{3, 16, 16}, rng);
+  (void)network.run(noise, &counts);
+  (void)network.run(Tensor(Shape{3, 16, 16}), &counts);  // all zeros
+  (void)network.run(noise.reshaped(Shape{1, 3, 16, 16}), &counts);
+  EXPECT_EQ(counts.shifts, 3 * census.shifts);
+  EXPECT_EQ(counts.adds, 3 * census.adds);
+  EXPECT_EQ(counts.float_macs, 3 * census.float_macs);
+  EXPECT_EQ(counts.images, 3);
+
+  Tensor nan_image = noise;
+  nan_image[5] = std::numeric_limits<float>::quiet_NaN();
+  const NetworkOpCounts before = counts;
+  for (const Tensor& bad : {nan_image, Tensor(Shape{3, 16, 8})}) {
+    EXPECT_THROW((void)network.run(bad, &counts), std::invalid_argument);
+    EXPECT_NE(network.image_defect(bad), nullptr);
+  }
+  EXPECT_EQ(counts.shifts, before.shifts);
+  EXPECT_EQ(counts.adds, before.adds);
+  EXPECT_EQ(counts.float_macs, before.float_macs);
+  EXPECT_EQ(counts.images, before.images);
+  EXPECT_EQ(network.image_defect(noise), nullptr);
+}
+
+// A fixed-point model runs every layer in float, so its census is all float
+// MACs: out * in * K * K per output pixel of each conv, out * in per linear
+// layer, with each conv's output side tracked through the program.
+TEST(QuantizedNetworkTest, FixedPointFloatMacsMatchClosedForm) {
+  models::BuildOptions build;
+  build.classes = 4;
+  build.width_scale = 0.25F;
+  build.seed = 11;
+  auto model = models::build_network(models::table1_network(4), build);
+  core::install_fixed_point(*model, 4);
+  const NetworkProgram program = compile_program(*model, Shape{1, 3, 16, 16});
+  std::int64_t side = 16;
+  std::int64_t expected = 0;
+  for (const ProgramOp& op : program.ops) {
+    ASSERT_NE(op.kind, ProgramOpKind::kShiftConv);
+    ASSERT_NE(op.kind, ProgramOpKind::kShiftLinear);
+    if (op.kind == ProgramOpKind::kFloatConv) {
+      const auto& ws = op.weights.shape();
+      side = (side + 2 * op.padding - ws[2]) / op.stride + 1;
+      expected += ws[0] * ws[1] * ws[2] * ws[3] * side * side;
+    } else if (op.kind == ProgramOpKind::kMaxPool) {
+      side = (side - op.window) / op.stride + 1;
+    } else if (op.kind == ProgramOpKind::kFloatLinear) {
+      expected += op.weights.shape()[0] * op.weights.shape()[1];
+    }
+  }
+  const auto network = QuantizedNetwork::from_program(program);
+  EXPECT_GT(expected, 0);
+  EXPECT_EQ(network.census().float_macs, expected);
+  EXPECT_EQ(network.census().shifts, 0);
+  NetworkOpCounts counts{};
+  support::Rng rng(25);
+  (void)network.run(Tensor::randn(Shape{3, 16, 16}, rng), &counts);
+  EXPECT_EQ(counts.float_macs, expected);
+}
+
 // --- from_program's structural gate ------------------------------------------
 // Hand-built programs: the artifact loader's own audit rejects these before
 // from_program sees them, so only these tests reach the checks.
@@ -310,6 +382,31 @@ TEST(QuantizedNetworkTest, FromProgramRejectsMalformedPrograms) {
   ProgramOp unknown = leaky_op();
   unknown.kind = static_cast<ProgramOpKind>(99);
   EXPECT_THROW((void)QuantizedNetwork::from_program(hand_program({unknown})),
+               std::invalid_argument);
+}
+
+// The census walk follows the [2, 4, 4] input through the ops, so a program
+// whose op cannot take the shape before it -- which run() would reject for
+// every image -- is rejected at load.
+TEST(QuantizedNetworkTest, FromProgramRejectsShapesThatDoNotFlow) {
+  ProgramOp pool;
+  pool.kind = ProgramOpKind::kMaxPool;
+  pool.window = 2;
+  pool.stride = 2;
+  EXPECT_NO_THROW((void)QuantizedNetwork::from_program(hand_program({pool})));
+  pool.window = 5;  // wider than the 4x4 plane
+  EXPECT_THROW((void)QuantizedNetwork::from_program(hand_program({pool})),
+               std::invalid_argument);
+  ProgramOp affine;
+  affine.kind = ProgramOpKind::kAffine;
+  affine.scale.assign(3, 1.0F);  // three channels on a two-channel input
+  affine.affine_bias.assign(3, 0.0F);
+  EXPECT_THROW((void)QuantizedNetwork::from_program(hand_program({affine})),
+               std::invalid_argument);
+  // A residual whose main chain pools while the identity shortcut does not.
+  pool.window = 2;
+  EXPECT_THROW((void)QuantizedNetwork::from_program(
+                   hand_program({residual_op(1, 0, 0, false), pool})),
                std::invalid_argument);
 }
 

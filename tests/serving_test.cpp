@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -383,6 +384,64 @@ TEST(ServingTest, ServerPathBitIdenticalToDirectBatchRunner) {
       EXPECT_EQ(expected.counts.images, actual.counts.images);
     }
   }
+}
+
+// Admission checks: a request holding an image the network cannot run
+// (wrong channels, wrong H x W, a NaN pixel) is refused at submit() with
+// InvalidRequest and never enters a batch, so the good requests of the same
+// burst fuse, run and match direct runs byte for byte.
+TEST(ServingTest, BadRequestsAreRefusedAtAdmission) {
+  runtime::set_num_threads(1);
+  const auto network = make_network(kBaseSeed + 2);
+  const runtime::BatchRunner runner(network);
+  serving::ServerConfig config;
+  config.max_batch = 6;
+  config.max_queue_delay_s = 0.005;
+  serving::Server server(runner, config);
+
+  support::Rng rng(kBaseSeed + 90);
+  runtime::InferenceRequest wrong_channels;
+  wrong_channels.images.push_back(Tensor::randn(Shape{1, 12, 12}, rng));
+  runtime::InferenceRequest wrong_side;
+  wrong_side.images.push_back(Tensor::randn(Shape{3, 12, 12}, rng));
+  wrong_side.images.push_back(Tensor::randn(Shape{3, 10, 12}, rng));
+  runtime::InferenceRequest nan_pixel = make_request(3, 2, kBaseSeed + 91);
+  nan_pixel.images[1][7] = std::numeric_limits<float>::quiet_NaN();
+
+  std::vector<runtime::InferenceRequest> good;
+  for (std::uint64_t r = 0; r < 3; ++r) {
+    good.push_back(make_request(10 + r, 2, kBaseSeed + 92 + r));
+  }
+  std::vector<serving::Server::Submission> accepted;
+  for (std::size_t r = 0; r < good.size(); ++r) {
+    auto submission = server.submit(good[r]);
+    ASSERT_EQ(submission.status, serving::SubmitStatus::Ok);
+    accepted.push_back(std::move(submission));
+    if (r == 0) {
+      for (auto* bad : {&wrong_channels, &wrong_side, &nan_pixel}) {
+        EXPECT_EQ(server.submit(*bad).status,
+                  serving::SubmitStatus::InvalidRequest);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < good.size(); ++r) {
+    const runtime::InferenceResult served = accepted[r].result.get();
+    const runtime::InferenceResult direct = runner.run(good[r]);
+    ASSERT_EQ(served.logits.size(), direct.logits.size());
+    for (std::size_t i = 0; i < direct.logits.size(); ++i) {
+      expect_bitwise_equal(direct.logits[i], served.logits[i],
+                           "logits beside refused requests");
+    }
+    EXPECT_EQ(served.counts.shifts, direct.counts.shifts);
+    EXPECT_EQ(served.counts.images, 2);
+  }
+  server.shutdown();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.invalid, 3);
+  EXPECT_EQ(stats.accepted, 3);
+  EXPECT_EQ(stats.completed, 3);
+  EXPECT_STREQ(serving::to_string(serving::SubmitStatus::InvalidRequest),
+               "invalid_request");
 }
 
 }  // namespace

@@ -101,16 +101,12 @@ TEST(ShiftConvTest, OpCountsScaleWithK) {
   support::Rng rng(6);
   const quant::Pow2Config config;
   Tensor w = Tensor::randn(Shape{4, 2, 3, 3}, rng, 0.0F, 0.3F);
-  Tensor img = Tensor::randn(Shape{2, 8, 8}, rng);
-  const auto qimg = quantize_image(img, 8);
-
-  OpCounts counts1{}, counts2{};
   Tensor wq1 = quant::quantize_lightnn(w, 1, config);
   Tensor wq2 = quant::quantize_lightnn(w, 2, config);
   ShiftConv2d e1(wq1, 1, config, 1, 1);
   ShiftConv2d e2(wq2, 2, config, 1, 1);
-  (void)e1.run(qimg, &counts1);
-  (void)e2.run(qimg, &counts2);
+  const OpCounts counts1 = e1.census(8, 8);
+  const OpCounts counts2 = e2.census(8, 8);
   EXPECT_GT(counts2.shifts, counts1.shifts);
   // k=2 at most doubles the single-shift workload.
   EXPECT_LE(counts2.shifts, 2 * counts1.shifts);
@@ -124,8 +120,8 @@ TEST(ShiftConvTest, PrunedFiltersCostNothing) {
   Tensor img(Shape{1, 4, 4}, 1.0F);
   const auto qimg = quantize_image(img, 8);
   ShiftConv2d engine(wq, 2, config, 1, 0);
-  OpCounts counts{};
-  Tensor out = engine.run(qimg, &counts);
+  const OpCounts counts = engine.census(4, 4);
+  Tensor out = engine.run(qimg);
   // Filter 1 contributes no ops and produces zeros.
   EXPECT_EQ(counts.shifts, 9);  // 3x3 output positions x 1 element
   for (std::int64_t i = 9; i < 18; ++i) EXPECT_FLOAT_EQ(out[i], 0.0F);

@@ -1,11 +1,11 @@
 // Property tests for the compiled shift-plan engine: over randomized layer
 // geometries, k_max values and pruning fractions (including all-pruned and
 // fully-dense extremes), the compiled plan path must produce BIT-IDENTICAL
-// outputs and identical op counts to the pre-plan term walk (the oracle in
-// term_walk_oracle.hpp), and
-// the plan itself must satisfy its structural invariants (sorted filter
-// prefix, no zero-sign entries, shifts inside the barrel range, pruned
-// filters with empty entry ranges).
+// outputs to the pre-plan term walk (the oracle in term_walk_oracle.hpp),
+// the engine's analytic census must equal the op counts the term walk
+// tallies accumulate by accumulate, and the plan itself must satisfy its
+// structural invariants (sorted filter prefix, no zero-sign entries, shifts
+// inside the barrel range, pruned filters with empty entry ranges).
 
 #include <gtest/gtest.h>
 
@@ -140,14 +140,14 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
           const Tensor image = Tensor::randn(Shape{in_ch, in_h, in_w}, rng);
           const auto q = inference::quantize_image(image, 8);
 
-          inference::OpCounts plan_counts{};
           inference::OpCounts ref_counts{};
-          const Tensor got = engine.run(q, &plan_counts);
+          const Tensor got = engine.run(q);
           const Tensor want =
               inference::oracle::TermWalkConv2d(wq, k_max, config, stride,
                                                 padding)
                   .run(q, &ref_counts);
           expect_bitwise_equal(want, got, "conv");
+          const inference::OpCounts plan_counts = engine.census(in_h, in_w);
           EXPECT_EQ(plan_counts.shifts, ref_counts.shifts)
               << "k=" << k_max << " kernel=" << kernel << " stride=" << stride
               << " pad=" << padding << " prune=" << fraction;
@@ -202,13 +202,13 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
       const Tensor x = Tensor::randn(Shape{in_features}, rng);
       const auto q = inference::quantize_tensor(x, 8);
 
-      inference::OpCounts plan_counts{};
       inference::OpCounts ref_counts{};
-      const Tensor got = engine.run(q, &plan_counts);
+      const Tensor got = engine.run(q);
       const Tensor want =
           inference::oracle::TermWalkLinear(wq, k_max, config)
               .run(q, &ref_counts);
       expect_bitwise_equal(want, got, "linear");
+      const inference::OpCounts plan_counts = engine.census();
       EXPECT_EQ(plan_counts.shifts, ref_counts.shifts)
           << "k=" << k_max << " prune=" << fraction;
       EXPECT_EQ(plan_counts.adds, ref_counts.adds);

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "tensor/buffer_pool.hpp"
 
 namespace flightnn::tensor {
 namespace {
@@ -131,6 +136,30 @@ TEST(TensorTest, CopyIsDeep) {
   Tensor b = a;
   b[0] = 99.0F;
   EXPECT_EQ(a[0], 1.0F);
+}
+
+// One-way traffic between threads: every buffer acquired on one thread is
+// released on another (a serving client freeing logits the batcher made).
+// The releasing thread's pool keeps kMaxPooledPerSize of them and frees the
+// rest, however small they are.
+TEST(BufferPoolTest, CrossThreadReleasesPastTheCountCapAreFreed) {
+  constexpr std::size_t kNumel = 10;
+  constexpr std::size_t kExtra = 44;
+  std::vector<std::vector<float>> buffers;
+  for (std::size_t i = 0; i < pool::kMaxPooledPerSize + kExtra; ++i) {
+    buffers.push_back(pool::acquire(kNumel));
+  }
+  pool::Stats released;
+  std::thread releaser([&] {
+    // A thread's pool comes up on first use; releases before that are freed.
+    pool::trim();
+    for (auto& buffer : buffers) pool::release(std::move(buffer));
+    released = pool::stats();
+  });
+  releaser.join();
+  EXPECT_EQ(released.releases, pool::kMaxPooledPerSize + kExtra);
+  EXPECT_EQ(released.cached_bytes,
+            pool::kMaxPooledPerSize * kNumel * sizeof(float));
 }
 
 }  // namespace
