@@ -22,12 +22,12 @@
 // bit-identical at every thread count. --max-batch / --queue-delay-ms are
 // the dynamic batcher's flush knobs (DESIGN.md §11). --profile additionally
 // prints per-layer wall time, shift-term counts, the kernel tier (scalar
-// vs avx2) each layer dispatched to, and the planned-arena scratch each
-// layer fetches (QuantizedNetwork::profile) -- the deployment check that a
-// host is actually on the vector fast path.
+// vs avx2) each layer dispatched to, and the arena scratch each layer
+// fetches (QuantizedNetwork::profile) -- the deployment check that a host
+// is actually on the vector fast path.
 //
 // --mem-budget caps the deployment's inference memory (MiB, 0 = unlimited):
-// the memory plan's per-thread peak (planned arena + quantization scratch +
+// the memory plan's per-thread peak (arena scratch + quantization scratch +
 // activation working set) is reported against the budget, and when the
 // requested batch would overshoot, the dynamic batcher's flush size is
 // capped so the in-flight input set fits (DESIGN.md §15). The plan itself
@@ -68,13 +68,6 @@ int apply_mem_budget(const flightnn::inference::QuantizedNetwork& network,
                      std::int64_t width, int budget_mib, int max_batch) {
   using namespace flightnn;
   const inference::MemoryPlan* plan = network.memory_plan();
-  if (plan == nullptr) {
-    std::printf("\nmemory plan: none (dynamic arena route)%s\n",
-                budget_mib > 0 ? "; --mem-budget has no planned peak to "
-                                 "enforce, batch unchanged"
-                               : "");
-    return max_batch;
-  }
   const auto threads = static_cast<std::size_t>(runtime::num_threads());
   const std::size_t per_thread =
       plan->planned_per_thread_bytes() + plan->activation_peak_bytes();
@@ -198,7 +191,7 @@ void print_profile(const flightnn::inference::QuantizedNetwork& network,
   const auto steps = network.profile(image, /*repeats=*/20);
   double total_us = 0.0;
   for (const auto& step : steps) total_us += step.seconds * 1e6;
-  support::Table table({"step", "kernel", "scratch", "layout", "time (us)",
+  support::Table table({"step", "kernel", "scratch", "time (us)",
                         "% of total", "terms", "shifts", "adds",
                         "float MACs"});
   for (const auto& step : steps) {
@@ -207,7 +200,7 @@ void print_profile(const flightnn::inference::QuantizedNetwork& network,
                    step.planned_scratch_bytes > 0
                        ? std::to_string(step.planned_scratch_bytes) + "B"
                        : "-",
-                   step.planned_layout, support::format_fixed(us, 1),
+                   support::format_fixed(us, 1),
                    support::format_fixed(100.0 * us / total_us, 1),
                    std::to_string(step.terms), std::to_string(step.shifts),
                    std::to_string(step.adds),

@@ -265,10 +265,10 @@ FLIGHTNN_HOT void gemm_strided(const float* a, std::int64_t a_rs,
             const std::int64_t a_panels = (mc + mr_tile - 1) / mr_tile;
             const std::int64_t b_panel0 = c0 / nr_tile;
             const std::int64_t b_panels = (nc + nr_tile - 1) / nr_tile;
-            std::vector<float>& ap = runtime::ScratchArena::current().f32(
+            float* ap = runtime::ScratchArena::current().fetch<float>(
                 runtime::Scratch::kGemmPackA,
                 static_cast<std::size_t>(a_panels * mr_tile * kc));
-            pack_a(a, a_rs, a_cs, m0, mc, p0, kc, ap.data(), mr_tile);
+            pack_a(a, a_rs, a_cs, m0, mc, p0, kc, ap, mr_tile);
             if (zero_c) {
               for (std::int64_t r = 0; r < mc; ++r) {
                 std::memset(c + (m0 + r) * n + c0, 0,
@@ -284,7 +284,7 @@ FLIGHTNN_HOT void gemm_strided(const float* a, std::int64_t a_rs,
               for (std::int64_t jp = 0; jp < b_panels; ++jp) {
                 const std::int64_t col0 = (b_panel0 + jp) * nr_tile;
                 const std::int64_t nr = std::min(nr_tile, c0 + nc - col0);
-                kern.run(ap.data() + ip * kc * mr_tile,
+                kern.run(ap + ip * kc * mr_tile,
                          bp.data() + (b_panel0 + jp) * kc * nr_tile, kc,
                          c + row0 * n + col0, n, mr, nr);
               }

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "support/annotations.hpp"
 #include "support/check.hpp"
 
-#include "inference/memory_plan.hpp"
 #include "nn/loss.hpp"
 
 namespace flightnn::inference {
@@ -253,119 +251,87 @@ std::string op_token(const ProgramOp& op) {
                        " passed from_program's validation");
 }
 
-// Compact byte count for the profile table ("832B", "4.5K", "1.2M").
-std::string format_bytes(std::size_t bytes) {
-  char buffer[32];
-  if (bytes < 1024) {
-    std::snprintf(buffer, sizeof(buffer), "%zuB", bytes);
-  } else if (bytes < (std::size_t{1} << 20)) {
-    std::snprintf(buffer, sizeof(buffer), "%.1fK",
-                  static_cast<double>(bytes) / 1024.0);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "%.1fM",
-                  static_cast<double>(bytes) / (1024.0 * 1024.0));
-  }
-  return buffer;
-}
+// --- Load-time walk -----------------------------------------------------------
 
-// Fill a profile row's planned-scratch column from the memory plan: the flat
-// ops [begin, end) the row covers (a single op for plain ops, the whole
-// subtree for residuals). Single-buffer rows show the exact placement;
-// aggregates summarize.
-void fill_planned_scratch(const MemoryPlan& plan, std::uint32_t begin,
-                          std::uint32_t end, StepProfile& out) {
-  std::size_t total = 0;
-  std::size_t buffers = 0;
-  std::string detail;
-  for (std::uint32_t op = begin; op < end && op < plan.per_op().size(); ++op) {
-    const OpMemory& mem = plan.per_op()[op];
-    if (mem.scratch_bytes == 0) continue;
-    total += mem.scratch_bytes;
-    if (mem.offsets_bytes > 0) ++buffers;
-    if (mem.accumulator_bytes > 0) ++buffers;
-    if (detail.empty()) {
-      const auto off = plan.layout().find(op, runtime::Scratch::kConvOffsets);
-      const auto acc =
-          plan.layout().find(op, runtime::Scratch::kConvAccumulator);
-      if (off.offset != runtime::kUnassignedOffset) {
-        detail += "off@" + std::to_string(off.offset) + "+" +
-                  format_bytes(off.bytes);
-      }
-      if (acc.offset != runtime::kUnassignedOffset) {
-        if (!detail.empty()) detail += " ";
-        detail += "acc@" + std::to_string(acc.offset) + "+" +
-                  format_bytes(acc.bytes);
-      }
+using Engine = std::variant<std::monostate, ShiftConv2d, ShiftLinear>;
+
+// One activation run() holds: its shape and the index of its live interval.
+struct Activation {
+  tensor::Shape shape;
+  std::size_t interval = 0;
+};
+
+// from_program's one walk over the validated program: the shape flow run()
+// takes for every image, op by op, checked where run() checks it. Along the
+// way it records what run() costs and allocates: each op's counts, its
+// memory row (scratch sizes read from the adopted engines' plans) and the
+// live interval of every activation run() creates. Flat pre-order op
+// indices are the time axis (main -> shortcut -> post segment order equals
+// execution order). Residual segment bounds were validated by validate_ops.
+struct LoadWalk {
+  const std::vector<ProgramOp>& ops;
+  const std::vector<Engine>& engines;
+  std::vector<NetworkOpCounts> op_census;
+  std::vector<OpMemory> per_op;
+  std::vector<ActivationInterval> intervals;
+
+  LoadWalk(const std::vector<ProgramOp>& program_ops,
+           const std::vector<Engine>& program_engines)
+      : ops(program_ops),
+        engines(program_engines),
+        op_census(program_ops.size()),
+        per_op(program_ops.size()) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      per_op[i].op = static_cast<std::uint32_t>(i);
+      per_op[i].kind = ops[i].kind;
     }
   }
-  out.planned_scratch_bytes = total;
-  if (total == 0) {
-    out.planned_layout = "-";
-  } else if (buffers <= 2) {
-    out.planned_layout = detail;
-  } else {
-    out.planned_layout =
-        std::to_string(buffers) + " bufs " + format_bytes(total);
+
+  // A fresh tensor made at op `t`: its live interval starts there, and its
+  // bytes are op `t`'s activation row.
+  Activation define(std::size_t t, tensor::Shape shape) {
+    const auto numel = static_cast<std::size_t>(shape.numel());
+    const auto at = static_cast<std::uint32_t>(t);
+    intervals.push_back(ActivationInterval{numel, at, at});
+    per_op[t].activation_bytes = numel * sizeof(float);
+    return {std::move(shape), intervals.size() - 1};
   }
-}
 
-}  // namespace
-
-void reserve_quant_scratch(std::size_t values) {
-  quant_scratch().values.reserve(values);
-}
-
-QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
-                                           const tensor::Shape& input_shape,
-                                           const CompileOptions& options) {
-  return from_program(compile_program(model, input_shape, options));
-}
-
-QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
-  FLIGHTNN_CHECK(
-      program.input_c > 0 && program.input_h > 0 && program.input_w > 0,
-      "from_program: bad input geometry [", program.input_c, ", ",
-      program.input_h, ", ", program.input_w, "]");
-  validate_ops(program.ops, 0, program.ops.size());
-  QuantizedNetwork network;
-  // Plan before the engines adopt (and so empty) the ops' plan streams; on
-  // the artifact load path this is the in-loader rebuild (format stays v1).
-  if (memory_planning_enabled()) {
-    network.memory_plan_ = MemoryPlan::try_build(program);
+  void use(const Activation& x, std::size_t t) {
+    std::uint32_t& last = intervals[x.interval].last_use_op;
+    last = std::max(last, static_cast<std::uint32_t>(t));
   }
-  network.engines_.resize(program.ops.size());
-  for (std::size_t i = 0; i < program.ops.size(); ++i) {
-    ProgramOp& op = program.ops[i];
-    if (op.kind == ProgramOpKind::kShiftConv) {
-      const ShiftConvSpec spec{op.out_channels, op.in_channels, op.kernel,
-                               op.stride,       op.padding,     op.term_count};
-      network.engines_[i].emplace<ShiftConv2d>(std::move(op.plan), spec,
-                                               op.pow2, std::move(op.bias));
-    } else if (op.kind == ProgramOpKind::kShiftLinear) {
-      const ShiftLinearSpec spec{op.out_channels, op.in_channels,
-                                 op.term_count};
-      network.engines_[i].emplace<ShiftLinear>(std::move(op.plan), spec,
-                                               op.pow2, std::move(op.bias));
+
+  // The copy of `x` run_ops starts the chain [begin, end) on: made at the
+  // chain's first op, or for an empty chain at the op executed before it.
+  Activation chain_entry(const Activation& x, std::size_t begin,
+                         std::size_t end) {
+    const std::size_t t = begin < end ? begin : begin - 1;
+    use(x, t);
+    return define(t, x.shape);
+  }
+
+  // The chain of top-level ops [begin, end) on `x`: fills op_census for
+  // every op in it, adds the chain's counts to `total` and returns the
+  // chain's output.
+  Activation walk_ops(  // NOLINT(misc-no-recursion)
+      std::size_t begin, std::size_t end, Activation x,
+      NetworkOpCounts& total) {
+    for (std::size_t i = begin; i < end; i = subtree_end(ops, i)) {
+      NetworkOpCounts counts{};
+      x = walk_op(i, x, counts);
+      op_census[i] = counts;
+      total += counts;
     }
+    return x;
   }
-  network.program_ = std::move(program);
-  const NetworkProgram& p = network.program_;
-  network.op_census_.resize(p.ops.size());
-  network.census_ops(0, p.ops.size(),
-                     tensor::Shape{p.input_c, p.input_h, p.input_w},
-                     network.census_);
-  network.census_.images = 1;
-  return network;
-}
 
-// The shape flow run() takes for every image, op by op, checked where run()
-// checks it. Residual segment bounds were validated by validate_ops.
-tensor::Shape QuantizedNetwork::census_ops(  // NOLINT(misc-no-recursion)
-    std::size_t begin, std::size_t end, tensor::Shape in,
-    NetworkOpCounts& total) {
-  for (std::size_t i = begin; i < end; i = subtree_end(program_.ops, i)) {
-    const ProgramOp& op = program_.ops[i];
-    NetworkOpCounts counts{};
+  // Top-level op `i` on `x` (a residual walks its whole block).
+  Activation walk_op(  // NOLINT(misc-no-recursion)
+      std::size_t i, const Activation& x, NetworkOpCounts& counts) {
+    const ProgramOp& op = ops[i];
+    const tensor::Shape& in = x.shape;
+    OpMemory& mem = per_op[i];
     tensor::Shape out = in;
     switch (op.kind) {
       case ProgramOpKind::kQuantAct:
@@ -375,11 +341,24 @@ tensor::Shape QuantizedNetwork::census_ops(  // NOLINT(misc-no-recursion)
         FLIGHTNN_CHECK(in.rank() == 3 && in[0] == op.in_channels,
                        "from_program: shift conv at op ", i, " expects [",
                        op.in_channels, ", H, W] input, gets ", in.to_string());
-        counts = shift_counts(std::get<ShiftConv2d>(engines_[i]).census(
-            in[1], in[2]));
+        const ShiftConv2d& conv = std::get<ShiftConv2d>(engines[i]);
+        counts = shift_counts(conv.census(in[1], in[2]));
         const tensor::ConvGeometry geom{in[0],     in[1],     in[2],
                                         op.kernel, op.stride, op.padding};
+        FLIGHTNN_CHECK(geom.out_h() > 0 && geom.out_w() > 0,
+                       "from_program: shift conv at op ", i,
+                       " produces an empty output from ", in.to_string());
         out = tensor::Shape{op.out_channels, geom.out_h(), geom.out_w()};
+        mem.quant_bytes =
+            static_cast<std::size_t>(in.numel()) * sizeof(std::int32_t);
+        mem.offsets_bytes = static_cast<std::size_t>(conv.plan().entries()) *
+                            sizeof(std::int64_t);
+        mem.accumulator_bytes =
+            static_cast<std::size_t>(out[1] * out[2]) *
+            (plan_narrow_accumulator(conv.plan(), op.act_bits)
+                 ? sizeof(std::int32_t)
+                 : sizeof(std::int64_t));
+        mem.scratch_bytes = mem.offsets_bytes + mem.accumulator_bytes;
         break;
       }
       case ProgramOpKind::kFloatConv: {
@@ -389,6 +368,9 @@ tensor::Shape QuantizedNetwork::census_ops(  // NOLINT(misc-no-recursion)
                        ws.to_string(), " cannot take ", in.to_string());
         const tensor::ConvGeometry geom{in[0], in[1],     in[2],
                                         ws[2], op.stride, op.padding};
+        FLIGHTNN_CHECK(geom.out_h() > 0 && geom.out_w() > 0,
+                       "from_program: float conv at op ", i,
+                       " produces an empty output from ", in.to_string());
         out = tensor::Shape{ws[0], geom.out_h(), geom.out_w()};
         counts.float_macs = ws.numel() * out[1] * out[2];
         break;
@@ -420,7 +402,9 @@ tensor::Shape QuantizedNetwork::census_ops(  // NOLINT(misc-no-recursion)
         FLIGHTNN_CHECK(in.numel() == op.in_channels,
                        "from_program: shift linear at op ", i, " expects ",
                        op.in_channels, " features, gets ", in.to_string());
-        counts = shift_counts(std::get<ShiftLinear>(engines_[i]).census());
+        counts = shift_counts(std::get<ShiftLinear>(engines[i]).census());
+        mem.quant_bytes =
+            static_cast<std::size_t>(in.numel()) * sizeof(std::int32_t);
         out = tensor::Shape{op.out_channels};
         break;
       case ProgramOpKind::kFloatLinear: {
@@ -433,24 +417,81 @@ tensor::Shape QuantizedNetwork::census_ops(  // NOLINT(misc-no-recursion)
         break;
       }
       case ProgramOpKind::kResidual: {
+        // run_op's residual: the main and the shortcut chain each start on a
+        // copy of the block input, `main_out += skip_out` happens after both
+        // (at the last op before the post chain), then the post chain runs
+        // on main_out's buffer.
         const std::size_t shortcut =
             i + 1 + static_cast<std::size_t>(op.main_ops);
         const std::size_t post =
             shortcut + static_cast<std::size_t>(op.shortcut_ops);
-        const tensor::Shape main_out = census_ops(i + 1, shortcut, in, counts);
-        const tensor::Shape skip_out = census_ops(shortcut, post, in, counts);
-        FLIGHTNN_CHECK(main_out == skip_out, "from_program: residual at op ", i,
-                       " adds a ", main_out.to_string(), " main output to a ",
-                       skip_out.to_string(), " shortcut");
-        out = census_ops(post, subtree_end(program_.ops, i), main_out, counts);
-        break;
+        const Activation main_out =
+            walk_ops(i + 1, shortcut, chain_entry(x, i + 1, shortcut), counts);
+        const Activation skip_out =
+            walk_ops(shortcut, post, chain_entry(x, shortcut, post), counts);
+        FLIGHTNN_CHECK(main_out.shape == skip_out.shape,
+                       "from_program: residual at op ", i, " adds a ",
+                       main_out.shape.to_string(), " main output to a ",
+                       skip_out.shape.to_string(), " shortcut");
+        use(main_out, post - 1);
+        use(skip_out, post - 1);
+        return walk_ops(post, subtree_end(ops, i), main_out, counts);
       }
     }
-    op_census_[i] = counts;
-    total += counts;
-    in = std::move(out);
+    use(x, i);
+    return define(i, std::move(out));
   }
-  return in;
+};
+
+}  // namespace
+
+void reserve_quant_scratch(std::size_t values) {
+  quant_scratch().values.reserve(values);
+}
+
+QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
+                                           const tensor::Shape& input_shape,
+                                           const CompileOptions& options) {
+  return from_program(compile_program(model, input_shape, options));
+}
+
+QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
+  FLIGHTNN_CHECK(
+      program.input_c > 0 && program.input_h > 0 && program.input_w > 0,
+      "from_program: bad input geometry [", program.input_c, ", ",
+      program.input_h, ", ", program.input_w, "]");
+  validate_ops(program.ops, 0, program.ops.size());
+  QuantizedNetwork network;
+  network.engines_.resize(program.ops.size());
+  for (std::size_t i = 0; i < program.ops.size(); ++i) {
+    ProgramOp& op = program.ops[i];
+    if (op.kind == ProgramOpKind::kShiftConv) {
+      const ShiftConvSpec spec{op.out_channels, op.in_channels, op.kernel,
+                               op.stride,       op.padding,     op.term_count};
+      network.engines_[i].emplace<ShiftConv2d>(std::move(op.plan), spec,
+                                               op.pow2, std::move(op.bias));
+    } else if (op.kind == ProgramOpKind::kShiftLinear) {
+      const ShiftLinearSpec spec{op.out_channels, op.in_channels,
+                                 op.term_count};
+      network.engines_[i].emplace<ShiftLinear>(std::move(op.plan), spec,
+                                               op.pow2, std::move(op.bias));
+    }
+  }
+  network.program_ = std::move(program);
+  const NetworkProgram& p = network.program_;
+  LoadWalk walk(p.ops, network.engines_);
+  if (!p.ops.empty()) {
+    // run() starts on a copy of the image and hands the last op's output
+    // to the caller, so that one lives through the last op.
+    const Activation image =
+        walk.define(0, tensor::Shape{p.input_c, p.input_h, p.input_w});
+    walk.use(walk.walk_ops(0, p.ops.size(), image, network.census_),
+             p.ops.size() - 1);
+  }
+  network.census_.images = 1;
+  network.op_census_ = std::move(walk.op_census);
+  network.memory_plan_ = MemoryPlan(std::move(walk.per_op), walk.intervals);
+  return network;
 }
 
 const char* QuantizedNetwork::image_defect(const tensor::Tensor& image) const {
@@ -500,14 +541,10 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(
     case ProgramOpKind::kShiftConv: {
       // Inputs arriving here are already on the activation-quantizer grid,
       // so this re-quantization is lossless (same abs-max-driven pow2
-      // scale). The planner keyed this op's arena extents by its index.
+      // scale).
       QuantizedActivations& q = quant_scratch();
       quantize_image_into(input, op.act_bits, q);
-      const runtime::PlanContext ctx{
-          memory_plan_ != nullptr ? &memory_plan_->layout() : nullptr,
-          static_cast<std::uint32_t>(i)};
-      return std::get<ShiftConv2d>(engines_[i]).run(
-          q, ctx.layout != nullptr ? &ctx : nullptr);
+      return std::get<ShiftConv2d>(engines_[i]).run(q);
     }
     case ProgramOpKind::kFloatConv:
       return reference_conv(op.weights, input, op.stride, op.padding, op.bias);
@@ -572,10 +609,8 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
       p.terms = linear->term_count();
       p.kernel_tier = linear->kernel_tier(op.act_bits);
     }
-    if (memory_plan_ != nullptr) {
-      fill_planned_scratch(
-          *memory_plan_, static_cast<std::uint32_t>(i),
-          static_cast<std::uint32_t>(subtree_end(program_.ops, i)), p);
+    for (std::size_t op_i = i; op_i < subtree_end(program_.ops, i); ++op_i) {
+      p.planned_scratch_bytes += memory_plan_.per_op()[op_i].scratch_bytes;
     }
     tensor::Tensor out;
     const auto t0 = std::chrono::steady_clock::now();

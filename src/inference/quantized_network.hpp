@@ -29,23 +29,22 @@
 // stage pipeline of the paper's accelerator mapping (Fig. 3, Sec. 5.2).
 // profile(), describe() and step_count() walk the same top-level ranges.
 //
-// Op census: the shift/add/float-MAC counts of one forward pass depend only
-// on the weights and the input geometry, and run() fixes the geometry, so
-// from_program counts them once (census()) and run() adds that constant.
+// Op census and memory plan: the shift/add/float-MAC counts of one forward
+// pass, and the buffers it touches, depend only on the weights and the input
+// geometry, and run() fixes the geometry, so from_program takes both once
+// (census(), memory_plan()) and run() adds the census as a constant.
 
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "data/dataset.hpp"
+#include "inference/memory_plan.hpp"
 #include "inference/network_program.hpp"
 #include "inference/shift_engine.hpp"
 #include "nn/sequential.hpp"
 
 namespace flightnn::inference {
-
-class MemoryPlan;  // inference/memory_plan.hpp
 
 struct NetworkOpCounts {
   std::int64_t shifts = 0;
@@ -80,12 +79,9 @@ struct StepProfile {
   // Kernel tier the op dispatches to ("scalar" / "avx2"; "-" for ops that
   // do not run on the shift engine).
   std::string kernel_tier = "-";
-  // Planned arena scratch this op's kernels fetch (0 when the network runs
-  // on the dynamic arena or the op uses no arena scratch).
+  // Arena scratch this op's kernels fetch, from the memory plan's per-op
+  // rows (0 when the op uses none).
   std::size_t planned_scratch_bytes = 0;
-  // Planned placement, "slot@offset+bytes" per extent ("-" when none), e.g.
-  // "off@0+1.1KiB acc@1.2K+4.0KiB".
-  std::string planned_layout = "-";
 };
 
 class QuantizedNetwork {
@@ -104,8 +100,9 @@ class QuantizedNetwork {
   // on a malformed one; then keeps the op list and adopts each shift op's
   // plan into its engine. Both load paths build the same kind of network.
   // Last, it walks the ops once over the input geometry to take the op
-  // census, which also rejects a program whose ops cannot take the shape
-  // the previous op produces (run() would fail on every image).
+  // census and the memory plan, which also rejects a program whose ops
+  // cannot take the shape the previous op produces (run() would fail on
+  // every image).
   static QuantizedNetwork from_program(NetworkProgram program);
 
   // Run one image [C, H, W] (or [1, C, H, W]) to logits. The image must pass
@@ -137,13 +134,9 @@ class QuantizedNetwork {
   // Number of top-level ops (profile() rows, describe() tokens).
   [[nodiscard]] std::size_t step_count() const;
 
-  // The memory plan attached at from_program time, or nullptr when the
-  // network runs on the dynamic arena (FLIGHTNN_FORCE_DYNAMIC_ARENA, or the
-  // planning override). Valid for the network's lifetime; BatchRunner's
-  // warm path adopts it per worker.
-  [[nodiscard]] const MemoryPlan* memory_plan() const {
-    return memory_plan_.get();
-  }
+  // The memory plan taken at from_program time; never null. Valid for the
+  // network's lifetime; BatchRunner's warm path applies it per worker.
+  [[nodiscard]] const MemoryPlan* memory_plan() const { return &memory_plan_; }
 
   // Human-readable plan ("quant(8b) -> shift_conv[16f/25t] -> affine ...").
   [[nodiscard]] std::string describe() const;
@@ -155,12 +148,6 @@ class QuantizedNetwork {
   // Runs the chain of top-level ops in [begin, end), starting from `x`.
   [[nodiscard]] tensor::Tensor run_ops(std::size_t begin, std::size_t end,
                                        tensor::Tensor x) const;
-  // from_program's census walk over the chain [begin, end) from an input of
-  // shape `in`: fills op_census_ for every op in it, adds the chain's counts
-  // to `total` and returns the chain's output shape.
-  tensor::Shape census_ops(std::size_t begin, std::size_t end,
-                           tensor::Shape in, NetworkOpCounts& total);
-
   NetworkProgram program_;  // validated flat op list + input geometry
   // Parallel to program_.ops: the engine of each shift op, monostate for
   // the rest. The engines own the plans; the ops keep everything else.
@@ -169,7 +156,7 @@ class QuantizedNetwork {
   // covers its whole block); census_ sums the top-level ops.
   std::vector<NetworkOpCounts> op_census_;
   NetworkOpCounts census_;
-  std::shared_ptr<const MemoryPlan> memory_plan_;
+  MemoryPlan memory_plan_;
 };
 
 // Pre-reserve the calling thread's shared quantization scratch for `values`

@@ -497,7 +497,7 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
-    const QuantizedActivations& input, const runtime::PlanContext* ctx) const {
+    const QuantizedActivations& input) const {
   FLIGHTNN_CHECK(input.shape.rank() == 3 && input.shape[0] == in_channels_,
                  "ShiftConv2d::run: expected [", in_channels_,
                  ", H, W] input, got ", input.shape.to_string());
@@ -532,8 +532,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   // read it through a raw pointer; it stays valid because the caller blocks
   // inside parallel_for and slots are never shared between live kernels.
   const std::int64_t n_entries = plan_.entries();
-  std::int64_t* offsets = runtime::ScratchArena::current().i64p(
-      ctx, runtime::Scratch::kConvOffsets, static_cast<std::size_t>(n_entries));
+  std::int64_t* offsets = runtime::ScratchArena::current().fetch<std::int64_t>(
+      runtime::Scratch::kConvOffsets, static_cast<std::size_t>(n_entries));
   for (std::int64_t e = 0; e < n_entries; ++e) {
     const auto ei = static_cast<std::size_t>(e);
     offsets[static_cast<std::size_t>(e)] =
@@ -614,12 +614,11 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   if (narrow) {
     runtime::parallel_for(0, out_channels_, 1, filter_cost,
                           [&](std::int64_t f_begin, std::int64_t f_end) {
-      // Each helper thread fetches from its own thread-local arena; with a
-      // plan context every replica serves the same planned extent from its
-      // own adopted block.
-      std::int32_t* acc_buf = runtime::ScratchArena::current().i32p(
-          ctx, runtime::Scratch::kConvAccumulator,
-          static_cast<std::size_t>(out_hw));
+      // Each helper thread fetches from its own thread-local arena.
+      std::int32_t* acc_buf =
+          runtime::ScratchArena::current().fetch<std::int32_t>(
+              runtime::Scratch::kConvAccumulator,
+              static_cast<std::size_t>(out_hw));
       if (use_vector) {
         filter_block_vector(acc_buf, f_begin, f_end);
       } else {
@@ -629,9 +628,10 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   } else {
     runtime::parallel_for(0, out_channels_, 1, filter_cost,
                           [&](std::int64_t f_begin, std::int64_t f_end) {
-      std::int64_t* acc_buf = runtime::ScratchArena::current().i64p(
-          ctx, runtime::Scratch::kConvAccumulator,
-          static_cast<std::size_t>(out_hw));
+      std::int64_t* acc_buf =
+          runtime::ScratchArena::current().fetch<std::int64_t>(
+              runtime::Scratch::kConvAccumulator,
+              static_cast<std::size_t>(out_hw));
       filter_block(acc_buf, f_begin, f_end);
     });
   }

@@ -31,10 +31,6 @@
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
-namespace flightnn::runtime {
-struct PlanContext;  // runtime/memory_plan.hpp
-}  // namespace flightnn::runtime
-
 namespace flightnn::inference {
 
 // Activations quantized to signed integers with scale 2^scale_exp.
@@ -123,14 +119,9 @@ class ShiftConv2d {
   // Run on one quantized image; returns the dequantized float output
   // [out_channels, out_h, out_w]. Executes the compiled plan: zero elements
   // and pruned filters cost nothing, interior pixels run without padding
-  // bounds checks, and scratch comes from the per-thread arena (zero
-  // steady-state allocation beyond the pooled output tensor). With a
-  // non-null `ctx` the scratch is served from the planned arena at offsets
-  // the memory planner assigned offline (DESIGN.md §15); null keeps the
-  // dynamic grow-once route.
-  [[nodiscard]] tensor::Tensor run(
-      const QuantizedActivations& input,
-      const runtime::PlanContext* ctx = nullptr) const;
+  // bounds checks, and scratch comes from the per-thread arena's grow-once
+  // slots (zero steady-state allocation beyond the pooled output tensor).
+  [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
 
   // Op census of one run() on an [in_channels, in_h, in_w] input: each plan
   // entry accumulates once per output position whose tap lands in-bounds,
@@ -197,10 +188,10 @@ class ShiftLinear {
 // Whether ShiftConv2d::run takes the int32 narrow-accumulator path for ANY
 // properly quantized `act_bits` input executing `plan` -- the static form of
 // run()'s dynamic gate, using |q| <= 2^(act_bits-1) - 1 (same predicate as
-// kernel_tier). The memory planner sizes conv accumulator extents with this:
+// kernel_tier). The memory plan sizes conv accumulator planes with this:
 // 4 bytes/element when the bound holds for every batch, 8 otherwise. A
 // planned-narrow layer can never see a wider request from a properly
-// quantized input, and a planned-wide layer's extent covers both widths.
+// quantized input, and a planned-wide layer's plane covers both widths.
 [[nodiscard]] bool plan_narrow_accumulator(const ShiftPlan& plan, int act_bits);
 
 // Reference float convolution of one image (for bit-exactness tests):

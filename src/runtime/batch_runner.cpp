@@ -31,15 +31,13 @@ int argmax_of(const tensor::Tensor& logits) {
 }  // namespace
 
 FLIGHTNN_COLD_ALLOC void BatchRunner::warm(std::size_t /*max_batch*/) const {
+  // Every thread that can execute a forward pass gets its arena slots
+  // reserved and a pool prewarmed to the network's activation working set:
+  // the caller (which participates in its own parallel_for) and each pool
+  // worker (for_each_worker's rendezvous guarantees all of them run it).
   const inference::MemoryPlan* plan = network_->memory_plan();
-  if (plan != nullptr) {
-    // Every thread that can execute a forward pass gets the planned arena
-    // and a pool prewarmed to the network's activation working set: the
-    // caller (which participates in its own parallel_for) and each pool
-    // worker (for_each_worker's rendezvous guarantees all of them run it).
-    plan->warm_thread();
-    global_pool().for_each_worker([plan] { plan->warm_thread(); });
-  }
+  plan->warm_thread();
+  global_pool().for_each_worker([plan] { plan->warm_thread(); });
   warmed_.store(true, std::memory_order_relaxed);
 }
 
@@ -78,7 +76,7 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY void BatchRunner::run(
                    "BatchRunner::run: images must be [C,H,W] or [1,C,H,W], "
                    "got ", image.shape().to_string());
   }
-  // First call pays the warmup (arena adoption + pool prewarm on every
+  // First call pays the warmup (arena reserve + pool prewarm on every
   // thread); after that the latch short-circuits.
   if (!warmed_.load(std::memory_order_relaxed)) {
     warm(request.images.size());

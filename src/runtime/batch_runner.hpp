@@ -45,13 +45,11 @@ class BatchRunner {
   // by tests/arena_allocation_test).
   void run(const InferenceRequest& request, InferenceResult& result) const;
 
-  // Pre-size every thread's planned arena and scratch pools to the
-  // network's memory plan so the FIRST batch already runs allocation-free
-  // (no grow-once warmup): adopts the plan's arena layout and prewarms the
-  // tensor pool on the calling thread and on every pool worker. No-op when
-  // the network has no plan (dynamic arena route). Must be called from
-  // outside the pool (any non-worker thread); idempotent and cheap to
-  // repeat. run() warms lazily on first use, so calling this is an
+  // Pre-size every thread's scratch arena and pools to the network's memory
+  // plan so the FIRST batch already runs allocation-free (no grow-once
+  // warmup): MemoryPlan::warm_thread on the calling thread and on every
+  // pool worker. Must be called from outside the pool (any non-worker
+  // thread); idempotent and cheap to repeat. run() warms lazily on first use, so calling this is an
   // optimization, not a requirement. The warm state does not depend on the
   // batch size; `max_batch` is accepted for the callers that pass one.
   void warm(std::size_t max_batch = 64) const;

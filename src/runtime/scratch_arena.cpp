@@ -1,111 +1,43 @@
 #include "runtime/scratch_arena.hpp"
 
+#include <new>
+
 namespace flightnn::runtime {
-
-namespace {
-
-template <typename T>
-std::vector<T>& resized(std::vector<T>& buffer, std::size_t n) {
-  if (buffer.capacity() < n) buffer.reserve(n);
-  buffer.resize(n);
-  return buffer;
-}
-
-}  // namespace
 
 ScratchArena& ScratchArena::current() {
   thread_local ScratchArena arena;
   return arena;
 }
 
-std::vector<std::int64_t>& ScratchArena::i64(Scratch slot, std::size_t n) {
-  return resized(i64_[static_cast<std::size_t>(slot)], n);
+void ScratchArena::AlignedDelete::operator()(std::byte* p) const {
+  ::operator delete(p, std::align_val_t{kArenaAlignment});
 }
 
-std::vector<std::int32_t>& ScratchArena::i32(Scratch slot, std::size_t n) {
-  return resized(i32_[static_cast<std::size_t>(slot)], n);
-}
-
-std::vector<float>& ScratchArena::f32(Scratch slot, std::size_t n) {
-  return resized(f32_[static_cast<std::size_t>(slot)], n);
-}
-
-void ScratchArena::adopt_layout(const ArenaLayout& layout) {
-  const std::size_t capacity = layout.capacity_bytes();
-  if (capacity > block_bytes_) {
-    block_ = std::make_unique<std::byte[]>(capacity + kArenaAlignment);
-    const auto addr = reinterpret_cast<std::uintptr_t>(block_.get());
-    const std::uintptr_t aligned =
-        (addr + (kArenaAlignment - 1)) &
-        ~static_cast<std::uintptr_t>(kArenaAlignment - 1);
-    base_ = block_.get() + (aligned - addr);
-    block_bytes_ = capacity;
+void* ScratchArena::reserve(Scratch slot, std::size_t bytes) {
+  Slot& s = slots_[static_cast<std::size_t>(slot)];
+  if (bytes > s.bytes) {
+    // Release first: the old contents are not kept, so the peak is one
+    // buffer, not two.
+    s.data.reset();
+    s.bytes = 0;
+    s.data.reset(static_cast<std::byte*>(
+        ::operator new(bytes, std::align_val_t{kArenaAlignment})));
+    s.bytes = bytes;
   }
-  layout_id_ = layout.id();
-  planned_capacity_ = capacity;
-}
-
-void* ScratchArena::planned_fetch(const PlanContext* ctx, Scratch slot,
-                                  std::size_t bytes) {
-  if (ctx == nullptr || ctx->layout == nullptr) return nullptr;
-  const ArenaLayout& layout = *ctx->layout;
-  if (layout_id_ != layout.id()) adopt_layout(layout);
-  const ArenaLayout::Extent extent = layout.find(ctx->op, slot);
-  if (extent.offset == kUnassignedOffset || extent.bytes < bytes ||
-      extent.offset + align_up(extent.bytes) > planned_capacity_) {
-    ++plan_misses_;
-    return nullptr;
-  }
-  ++planned_hits_;
-  return base_ + extent.offset;
-}
-
-std::int64_t* ScratchArena::i64p(const PlanContext* ctx, Scratch slot,
-                                 std::size_t n) {
-  if (void* p = planned_fetch(ctx, slot, n * sizeof(std::int64_t))) {
-    return static_cast<std::int64_t*>(p);
-  }
-  return i64(slot, n).data();
-}
-
-std::int32_t* ScratchArena::i32p(const PlanContext* ctx, Scratch slot,
-                                 std::size_t n) {
-  if (void* p = planned_fetch(ctx, slot, n * sizeof(std::int32_t))) {
-    return static_cast<std::int32_t*>(p);
-  }
-  return i32(slot, n).data();
-}
-
-float* ScratchArena::f32p(const PlanContext* ctx, Scratch slot,
-                          std::size_t n) {
-  if (void* p = planned_fetch(ctx, slot, n * sizeof(float))) {
-    return static_cast<float*>(p);
-  }
-  return f32(slot, n).data();
+  return s.data.get();
 }
 
 std::size_t ScratchArena::footprint_bytes() const {
   std::size_t bytes = 0;
-  for (std::size_t s = 0; s < kSlots; ++s) {
-    bytes += i64_[s].capacity() * sizeof(std::int64_t);
-    bytes += i32_[s].capacity() * sizeof(std::int32_t);
-    bytes += f32_[s].capacity() * sizeof(float);
-  }
-  if (block_) bytes += block_bytes_ + kArenaAlignment;
+  for (const Slot& s : slots_) bytes += s.bytes;
   return bytes;
 }
 
 void ScratchArena::trim() {
-  for (std::size_t s = 0; s < kSlots; ++s) {
-    std::vector<std::int64_t>().swap(i64_[s]);
-    std::vector<std::int32_t>().swap(i32_[s]);
-    std::vector<float>().swap(f32_[s]);
+  for (Slot& s : slots_) {
+    s.data.reset();
+    s.bytes = 0;
   }
-  block_.reset();
-  block_bytes_ = 0;
-  base_ = nullptr;
-  layout_id_ = 0;
-  planned_capacity_ = 0;
 }
 
 }  // namespace flightnn::runtime

@@ -60,7 +60,7 @@ class ThreadPool {
 
   // Run `fn` exactly once on each of the size()-1 worker threads (not on the
   // caller), rendezvousing so no worker runs it twice. Warm paths use this
-  // to initialize thread_local state (planned arenas, buffer-pool prewarm)
+  // to initialize thread_local state (arena slots, buffer-pool prewarm)
   // on every thread before the first batch, upholding the zero-allocation
   // contract from the very first inference. Must be called from outside the
   // pool (a worker calling it would deadlock the rendezvous). Exceptions

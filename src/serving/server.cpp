@@ -31,7 +31,7 @@ Server::Server(const runtime::BatchRunner& runner, ServerConfig config)
                  config_.max_queue_images);
   max_delay_ = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(config_.max_queue_delay_s));
-  // Pay the memory-plan warmup (planned arenas + pool prewarm on every
+  // Pay the memory-plan warmup (arena reserve + pool prewarm on every
   // inference thread) at construction so the first request's latency is
   // steady-state, not cold-start.
   runner_->warm(static_cast<std::size_t>(config_.max_batch));

@@ -25,12 +25,10 @@
 #include <vector>
 
 #include "core/quantize_model.hpp"
-#include "inference/memory_plan.hpp"
 #include "inference/network_program.hpp"
 #include "inference/quantized_network.hpp"
 #include "models/networks.hpp"
 #include "runtime/batch_runner.hpp"
-#include "runtime/scratch_arena.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serialize/artifact.hpp"
 #include "serving/server.hpp"
@@ -98,14 +96,20 @@ namespace {
 using tensor::Shape;
 using tensor::Tensor;
 
-inference::QuantizedNetwork make_network() {
+// Table-1 network `network_id` (1 = VGG-7, 2 = ResNet-18) at width 0.125,
+// LightNN-2, lowered for 16x16 inputs.
+inference::NetworkProgram make_program(int network_id = 1) {
   models::BuildOptions build;
   build.classes = 10;
   build.width_scale = 0.125F;
   build.seed = 17;
-  auto model = models::build_network(models::table1_network(1), build);
+  auto model = models::build_network(models::table1_network(network_id), build);
   core::install_lightnn(*model, 2);
-  return inference::QuantizedNetwork::compile(*model, Shape{1, 3, 16, 16});
+  return inference::compile_program(*model, Shape{1, 3, 16, 16});
+}
+
+inference::QuantizedNetwork make_network(int network_id = 1) {
+  return inference::QuantizedNetwork::from_program(make_program(network_id));
 }
 
 runtime::InferenceRequest make_request(std::int64_t n, std::uint64_t seed) {
@@ -158,15 +162,7 @@ TEST(ArenaAllocationTest, SingleThreadSteadyStateAllocatesNothing) {
 // materializing per-batch copies of the mapped plan data.
 TEST(ArenaAllocationTest, ArtifactMmapLoadedSteadyStateAllocatesNothing) {
   runtime::set_num_threads(1);
-
-  models::BuildOptions build;
-  build.classes = 10;
-  build.width_scale = 0.125F;
-  build.seed = 17;
-  auto model = models::build_network(models::table1_network(1), build);
-  core::install_lightnn(*model, 2);
-  const inference::NetworkProgram program =
-      inference::compile_program(*model, Shape{1, 3, 16, 16});
+  const inference::NetworkProgram program = make_program();
 
 #ifdef FLIGHTNN_ARENA_TEST_HAS_PID
   const std::string pid = std::to_string(static_cast<long>(::getpid()));
@@ -199,36 +195,36 @@ TEST(ArenaAllocationTest, ArtifactMmapLoadedSteadyStateAllocatesNothing) {
   std::remove(path.c_str());
 }
 
-// Memory-planned route (DESIGN.md §15): after BatchRunner::warm() the very
-// FIRST batch must already be allocation-free -- the plan pre-sizes the
-// arena, the pooled activation working set, the quantization scratch and
-// the counter vectors offline, so there is no grow-once warmup left to pay.
-// The client-owned result storage is reserved by the client (that is its
-// cost, like the request tensors above).
+// Memory plan (DESIGN.md §15): after BatchRunner::warm() the very FIRST
+// batch must already be allocation-free -- the plan taken at load time
+// pre-sizes the arena slots, the pooled activation working set (residual
+// chain copies included), the quantization scratch and the counter vectors,
+// so there is no grow-once warmup left to pay. The client-owned result
+// storage is reserved by the client (that is its cost, like the request
+// tensors above).
 TEST(ArenaAllocationTest, PlannedWarmMakesFirstBatchAllocationFree) {
   runtime::set_num_threads(1);
-  const auto network = make_network();
-  ASSERT_NE(network.memory_plan(), nullptr)
-      << "network compiled without a memory plan";
-  const runtime::BatchRunner runner(network);
-  const auto request = make_request(1, 7007);
+  for (const int id : {1, 2}) {  // VGG-7 and ResNet-18 (residual chains)
+    const auto network = make_network(id);
+    const runtime::BatchRunner runner(network);
+    const auto request = make_request(1, 7007);
 
-  runtime::InferenceResult result;
-  result.logits.reserve(1);
-  result.argmax.reserve(1);
-  runner.warm(1);
+    runtime::InferenceResult result;
+    result.logits.reserve(1);
+    result.argmax.reserve(1);
+    runner.warm(1);
 
-  runtime::ScratchArena::current().reset_plan_counters();
-  const long long allocs = count_allocs_in_batch(runner, request, result);
-  EXPECT_EQ(allocs, 0) << "first planned batch hit the heap " << allocs
-                       << " times";
-  EXPECT_EQ(runtime::ScratchArena::current().plan_misses(), 0U);
-  EXPECT_GT(runtime::ScratchArena::current().planned_hits(), 0U);
-  EXPECT_EQ(result.logits.size(), 1U);
+    const long long allocs = count_allocs_in_batch(runner, request, result);
+    EXPECT_EQ(allocs, 0) << "network " << id
+                         << ": first planned batch hit the heap " << allocs
+                         << " times";
+    EXPECT_EQ(result.logits.size(), 1U);
 
-  // And it stays free, of course.
-  for (int batch = 0; batch < 3; ++batch) {
-    EXPECT_EQ(count_allocs_in_batch(runner, request, result), 0);
+    // And it stays free, of course.
+    for (int batch = 0; batch < 3; ++batch) {
+      EXPECT_EQ(count_allocs_in_batch(runner, request, result), 0)
+          << "network " << id;
+    }
   }
 }
 
@@ -238,45 +234,38 @@ TEST(ArenaAllocationTest, PlannedWarmMakesFirstBatchAllocationFree) {
 TEST(ArenaAllocationTest, PlannedWarmFirstBatchAllocationFreeFromArtifact) {
   runtime::set_num_threads(1);
 
-  models::BuildOptions build;
-  build.classes = 10;
-  build.width_scale = 0.125F;
-  build.seed = 17;
-  auto model = models::build_network(models::table1_network(1), build);
-  core::install_lightnn(*model, 2);
-  const inference::NetworkProgram program =
-      inference::compile_program(*model, Shape{1, 3, 16, 16});
-
 #ifdef FLIGHTNN_ARENA_TEST_HAS_PID
   const std::string pid = std::to_string(static_cast<long>(::getpid()));
 #else
   const std::string pid = "0";
 #endif
-  const std::string path =
-      ::testing::TempDir() + "/arena_planned_artifact_" + pid + ".flnart";
-  serialize::save_artifact(program, path);
+  for (const int id : {1, 2}) {  // VGG-7 and ResNet-18 (residual chains)
+    const std::string path = ::testing::TempDir() + "/arena_planned_artifact_" +
+                             pid + "_" + std::to_string(id) + ".flnart";
+    serialize::save_artifact(make_program(id), path);
+    {
+      const serialize::ArtifactModel artifact =
+          serialize::ArtifactModel::load(path);
+      const runtime::BatchRunner runner(artifact.network());
+      const auto request = make_request(1, 8008);
 
-  {
-    const serialize::ArtifactModel artifact =
-        serialize::ArtifactModel::load(path);
-    ASSERT_NE(artifact.network().memory_plan(), nullptr)
-        << "artifact loader did not rebuild the memory plan";
-    const runtime::BatchRunner runner(artifact.network());
-    const auto request = make_request(1, 8008);
+      runtime::InferenceResult result;
+      result.logits.reserve(1);
+      result.argmax.reserve(1);
+      runner.warm(1);
 
-    runtime::InferenceResult result;
-    result.logits.reserve(1);
-    result.argmax.reserve(1);
-    runner.warm(1);
-
-    const long long allocs = count_allocs_in_batch(runner, request, result);
-    EXPECT_EQ(allocs, 0) << "first artifact-backed planned batch hit the heap "
-                         << allocs << " times";
-    for (int batch = 0; batch < 3; ++batch) {
-      EXPECT_EQ(count_allocs_in_batch(runner, request, result), 0);
+      const long long allocs = count_allocs_in_batch(runner, request, result);
+      EXPECT_EQ(allocs, 0) << "network " << id
+                           << ": first artifact-backed planned batch hit the "
+                              "heap "
+                           << allocs << " times";
+      for (int batch = 0; batch < 3; ++batch) {
+        EXPECT_EQ(count_allocs_in_batch(runner, request, result), 0)
+            << "network " << id;
+      }
     }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(ArenaAllocationTest, MultiThreadSteadyStateConverges) {

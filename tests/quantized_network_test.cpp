@@ -408,6 +408,17 @@ TEST(QuantizedNetworkTest, FromProgramRejectsShapesThatDoNotFlow) {
   EXPECT_THROW((void)QuantizedNetwork::from_program(
                    hand_program({residual_op(1, 0, 0, false), pool})),
                std::invalid_argument);
+  // A 5x5 conv fits the 4x4 plane only when padded; unpadded, its output
+  // (and so its memory row) would be empty.
+  ProgramOp conv;
+  conv.kind = ProgramOpKind::kFloatConv;
+  conv.weights = Tensor(Shape{1, 2, 5, 5});
+  conv.stride = 1;
+  conv.padding = 1;
+  EXPECT_NO_THROW((void)QuantizedNetwork::from_program(hand_program({conv})));
+  conv.padding = 0;
+  EXPECT_THROW((void)QuantizedNetwork::from_program(hand_program({conv})),
+               std::invalid_argument);
 }
 
 // profile() walks the same top-level ranges as run(): one row per top-level
