@@ -231,7 +231,8 @@ BENCHMARK(BM_Im2ColGemmConv);
 // Scalar-vs-vector per-kernel rows (ns/term), spliced into the
 // BENCH_shift_engine.json that throughput_scaling writes so the kernel
 // numbers live next to the whole-network numbers instead of stdout-only.
-// Measures one conv layer (conv_interior kernel + scalar border) and one
+// Measures one conv layer (the dispatched kernel over every output pixel,
+// plus the padded-plane copy and dequantize tail both tiers share) and one
 // linear layer (shift_dot kernel) under both tiers, asserting byte-identical
 // output; falls back to a standalone file when the target does not exist.
 int emit_kernel_tier_rows(const std::string& path, bool smoke) {

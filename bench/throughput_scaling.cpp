@@ -223,8 +223,8 @@ int main(int argc, char** argv) {
 
   // --- Scalar vs vectorized plan path -------------------------------------
   // Same compiled plan, only the dispatch tier changes (test override pins
-  // it per sample, interleaved, then clears). The ratio is the interior-conv
-  // kernel speedup the vector tier buys on this host -- ~1.0x on machines
+  // it per sample, interleaved, then clears). The ratio is the whole-layer
+  // conv speedup the vector tier buys on this host -- ~1.0x on machines
   // without AVX2 (tier 1 falls back to the scalar table) or under
   // FLIGHTNN_FORCE_SCALAR. Pruning must not change the tier a layer
   // dispatches to: a pruned plan has fewer entries, not a different layout.
@@ -254,31 +254,40 @@ int main(int argc, char** argv) {
   const double ns_per_term =
       dense_s * 1e9 / static_cast<double>(dense.term_count());
 
-  // --- Interior kernel proper, both tier tables over the same plan --------
-  // The whole-layer A/B above includes the guarded border walk and the float
-  // dequantize tail, which run identical code on both tiers (~12% of a 32x32
-  // output plane plus one float pass) and dilute the ratio. The acceptance
-  // number times the dispatched interior kernel alone: the layer's compiled
-  // streams, the same derived per-entry offsets the engine builds
-  // (channel plane + kernel tap), per-filter zeroed planes, interleaved
-  // sampling as above. On hosts without AVX2 the kAvx2 table falls back to
-  // scalar and the ratio reads ~1.0x.
+  // --- Conv kernel proper, both tier tables over the same plan ------------
+  // The whole-layer A/B above also times the per-call padded-plane copy,
+  // the offset table and the float dequantize tail, which run identical code
+  // on both tiers and dilute the ratio. The acceptance number times the
+  // dispatched kernel alone: the layer's compiled streams over the padded
+  // plane the engine builds (padding 1, stride 1: 34x34 per channel, pad
+  // cells zero), the same per-entry offsets (channel plane + kernel tap),
+  // per-filter zeroed planes, interleaved sampling as above. On hosts
+  // without AVX2 the kAvx2 table falls back to scalar and the ratio reads
+  // ~1.0x.
   const inference::ShiftPlan& dense_plan = dense.plan();
   const std::int64_t lw = 32;
   const std::int64_t lhw = lw * lw;
-  std::vector<std::int64_t> entry_off(
+  const std::int64_t pw = lw + 2;
+  std::vector<std::int32_t> padded(static_cast<std::size_t>(32 * pw * pw), 0);
+  for (std::int64_t c = 0; c < 32; ++c) {
+    for (std::int64_t y = 0; y < lw; ++y) {
+      std::copy_n(qimg.values.data() + (c * lw + y) * lw, lw,
+                  padded.data() + (c * pw + y + 1) * pw + 1);
+    }
+  }
+  std::vector<std::int32_t> entry_off(
       static_cast<std::size_t>(dense_plan.entries()));
   for (std::size_t e = 0; e < entry_off.size(); ++e) {
-    entry_off[e] = static_cast<std::int64_t>(dense_plan.channel[e]) * lhw +
-                   static_cast<std::int64_t>(dense_plan.ky[e]) * lw +
-                   dense_plan.kx[e];
+    entry_off[e] = static_cast<std::int32_t>(
+        dense_plan.channel[e] * pw * pw + dense_plan.ky[e] * pw +
+        dense_plan.kx[e]);
   }
-  const inference::ConvInteriorGeom interior{lw, lw, 1, 1, lw - 1, 1, lw - 1};
+  const inference::ConvInteriorGeom interior{pw, lw, lw};
   const auto run_interior = [&](inference::ConvInteriorFn fn,
                                 std::int32_t* acc) {
     for (std::int64_t f = 0; f < 32; ++f) {
       std::fill(acc, acc + lhw, std::int32_t{0});
-      fn(qimg.values.data(), entry_off.data(), dense_plan.mult.data(),
+      fn(padded.data(), entry_off.data(), dense_plan.mult.data(),
          dense_plan.filter_begin[static_cast<std::size_t>(f)],
          dense_plan.filter_begin[static_cast<std::size_t>(f) + 1], interior,
          acc);

@@ -7,13 +7,13 @@
 // it too and the format stays v1. The walk reads plan sizes from the shift
 // engines and records, per op, exactly which buffers run() touches:
 //
-//   - Arena scratch (conv im2row offset tables and accumulator planes): the
-//     grow-once slots of runtime::ScratchArena. Every buffer is live for
-//     one op only, so a slot's high-water mark is the largest request any
-//     op makes, and warm_thread reserves each slot to it. Accumulator
-//     planes are sized with the *static* narrow gate
-//     (plan_narrow_accumulator), so a plan that always runs int32 takes 4
-//     bytes/element, not the worst-case 8.
+//   - Arena scratch (conv offset tables, accumulator planes and padded
+//     input planes, sized by ShiftConv2d::scratch_bytes): the grow-once
+//     slots of runtime::ScratchArena. Every buffer is live for one op
+//     only, so a slot's high-water mark is the largest request any op
+//     makes, and warm_thread reserves each slot to it. Accumulator planes
+//     are sized with the *static* narrow gate, so a plan that always runs
+//     int32 takes 4 bytes/element, not the worst-case 8.
 //   - Activations (op outputs, run()'s entry copy of the image and the
 //     residual chain-entry copies): value-semantic pooled tensors, so they
 //     stay in tensor::pool; the walk records their live intervals and
@@ -40,7 +40,8 @@ struct OpMemory {
   // Arena scratch this op's kernel fetches.
   std::size_t offsets_bytes = 0;
   std::size_t accumulator_bytes = 0;
-  std::size_t scratch_bytes = 0;  // offsets + accumulator
+  std::size_t input_bytes = 0;    // padded input plane (0 when read in place)
+  std::size_t scratch_bytes = 0;  // offsets + accumulator + input
   std::size_t activation_bytes = 0;  // output tensor bytes (pool-backed)
   std::size_t quant_bytes = 0;       // quant-scratch bytes while running
 };
@@ -63,9 +64,9 @@ class MemoryPlan {
              const std::vector<ActivationInterval>& activations);
 
   // Arena scratch one thread holds after warm_thread: the largest offset
-  // table plus the largest accumulator plane.
+  // table, the largest accumulator plane and the largest padded input plane.
   [[nodiscard]] std::size_t arena_capacity_bytes() const {
-    return offsets_peak_bytes_ + accumulator_peak_bytes_;
+    return offsets_peak_bytes_ + accumulator_peak_bytes_ + input_peak_bytes_;
   }
   // Peak of the summed live activation bytes over the program (pool-backed
   // working set of the thread driving run()).
@@ -104,6 +105,7 @@ class MemoryPlan {
   std::vector<std::pair<std::size_t, std::size_t>> working_set_;
   std::size_t offsets_peak_bytes_ = 0;
   std::size_t accumulator_peak_bytes_ = 0;
+  std::size_t input_peak_bytes_ = 0;
   std::size_t activation_peak_bytes_ = 0;
   std::size_t quant_peak_values_ = 0;
 };

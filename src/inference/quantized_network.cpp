@@ -351,14 +351,13 @@ struct LoadWalk {
         out = tensor::Shape{op.out_channels, geom.out_h(), geom.out_w()};
         mem.quant_bytes =
             static_cast<std::size_t>(in.numel()) * sizeof(std::int32_t);
-        mem.offsets_bytes = static_cast<std::size_t>(conv.plan().entries()) *
-                            sizeof(std::int64_t);
-        mem.accumulator_bytes =
-            static_cast<std::size_t>(out[1] * out[2]) *
-            (plan_narrow_accumulator(conv.plan(), op.act_bits)
-                 ? sizeof(std::int32_t)
-                 : sizeof(std::int64_t));
-        mem.scratch_bytes = mem.offsets_bytes + mem.accumulator_bytes;
+        const ConvScratchBytes scratch =
+            conv.scratch_bytes(in[1], in[2], op.act_bits);
+        mem.offsets_bytes = scratch.offsets;
+        mem.accumulator_bytes = scratch.accumulator;
+        mem.input_bytes = scratch.input;
+        mem.scratch_bytes =
+            mem.offsets_bytes + mem.accumulator_bytes + mem.input_bytes;
         break;
       }
       case ProgramOpKind::kFloatConv: {

@@ -116,8 +116,8 @@ void check_adopted_plan(const ShiftPlan& plan, std::int64_t filters,
   }
 }
 
-// Integer division helpers for the interior/valid-range arithmetic; both
-// require b > 0 and round the true quotient toward -inf / +inf.
+// Integer division helpers for the valid-range and padded-plane arithmetic;
+// both require b > 0 and round the true quotient toward -inf / +inf.
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   return a >= 0 ? a / b : -((-a + b - 1) / b);
 }
@@ -126,9 +126,10 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 }
 
 // Number of output positions o in [0, out_n) whose input index
-// o*stride + k - padding lands inside [0, in_n). This is the closed form of
-// the guarded path's per-position bounds check, used for the analytic op
-// census (one accumulate per valid position per entry).
+// o*stride + k - padding lands inside [0, in_n): the accumulates of one
+// entry along one axis that read a real input element rather than a pad
+// cell. The analytic op census counts one shift-add per such position per
+// entry, as the term walk does.
 std::int64_t valid_positions(std::int64_t k, std::int64_t out_n,
                              std::int64_t in_n, std::int64_t stride,
                              std::int64_t padding) {
@@ -138,109 +139,93 @@ std::int64_t valid_positions(std::int64_t k, std::int64_t out_n,
   return hi >= lo ? hi - lo + 1 : 0;
 }
 
-// Geometry bundle for the conv integer kernel: everything the inner loops
-// need, precomputed by the caller so the kernel itself stays integer-only.
-struct ConvKernelGeom {
-  std::int64_t in_h = 0, in_w = 0, in_hw = 0;
-  std::int64_t out_h = 0, out_w = 0, out_hw = 0;
-  std::int64_t stride = 1, padding = 0;
-  // Interior rectangle: rows [oy_lo, oy_hi) x cols [ox_lo, ox_hi) read
-  // in-bounds for every kernel tap; everything outside takes the guarded
-  // border path.
-  std::int64_t oy_lo = 0, oy_hi = 0, ox_lo = 0, ox_hi = 0;
+// Layout of the input plane run() reads (DESIGN.md §9): the input with its
+// zero padding materialized and each padded row split into `stride` column
+// phases (padded column px at phase px % s, column px / s). Tap (ky, kx) of
+// output (oy, ox) then reads phase kx % s, column ox + kx / s of padded row
+// oy*s + ky: out_w contiguous elements per output row, in bounds at every
+// stride. Only the rows and columns some output reads are kept, so a
+// stride-1, padding-0 conv reads its input in place.
+struct PaddedPlane {
+  std::int64_t rows, phase_w, row_w, channel;
+  std::int64_t copied;  // elements run() copies into kConvInput (0 in place)
+
+  explicit PaddedPlane(const tensor::ConvGeometry& g)
+      : rows((g.out_h() - 1) * g.stride + g.kernel),
+        phase_w(g.out_w() + (g.kernel - 1) / g.stride),
+        row_w(g.stride * phase_w),
+        channel(rows * row_w),
+        copied(g.stride == 1 && g.padding == 0 ? 0 : g.in_channels * channel) {}
 };
 
-// Border half of the conv kernel: guarded accumulation of every output
-// position outside the interior rectangle, for all of filter f's entries.
-// Shared by the scalar path (via conv_accumulate_filter) and the vector
-// path (which handles only the interior); keeping one copy of the guard
-// logic keeps the two paths trivially in agreement. Accumulates on top of
-// whatever is already in `acc` -- interior-then-border versus the old
-// per-entry interleaving is a pure regrouping of exact integer adds, hence
-// bit-identical (DESIGN.md §9).
-template <typename AccT>
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_border_filter(
-    const ShiftPlan& plan, std::int64_t f, const ConvKernelGeom& g,
-    const std::int32_t* in_data, AccT* acc) {
-  const std::int64_t fb = plan.filter_begin[static_cast<std::size_t>(f)];
-  const std::int64_t fe = plan.filter_begin[static_cast<std::size_t>(f) + 1];
-  for (std::int64_t e = fb; e < fe; ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    const AccT m =
-        static_cast<AccT>(plan.sign[ei]) * (AccT{1} << plan.shift[ei]);
-    const std::int64_t kyv = plan.ky[ei], kxv = plan.kx[ei];
-    const std::int64_t plane =
-        static_cast<std::int64_t>(plan.channel[ei]) * g.in_hw;
-    const auto border_span = [&](std::int64_t oy, std::int64_t x0,
-                                 std::int64_t x1) {
-      const std::int64_t iy = oy * g.stride + kyv - g.padding;
-      if (iy < 0 || iy >= g.in_h) return;
-      const std::int64_t row = plane + iy * g.in_w;
-      AccT* arow = acc + oy * g.out_w;
-      for (std::int64_t ox = x0; ox < x1; ++ox) {
-        const std::int64_t ix = ox * g.stride + kxv - g.padding;
-        if (ix < 0 || ix >= g.in_w) continue;
-        arow[ox] += static_cast<AccT>(in_data[row + ix]) * m;
+// Copy the [C, H, W] input `src` into the plane `dst`, writing every
+// element: pad cells get q = 0, which adds nothing to any accumulator.
+FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void fill_padded_plane(
+    const std::int32_t* src, const tensor::ConvGeometry& g,
+    const PaddedPlane& plane, std::int32_t* dst) {
+  const std::int64_t s = g.stride, p = g.padding;
+  for (std::int64_t c = 0; c < g.in_channels; ++c) {
+    const std::int32_t* src_c = src + c * g.in_h * g.in_w;
+    std::int32_t* dst_c = dst + c * plane.channel;
+    for (std::int64_t py = 0; py < plane.rows; ++py) {
+      std::int32_t* row = dst_c + py * plane.row_w;
+      const std::int64_t iy = py - p;
+      if (iy < 0 || iy >= g.in_h) {
+        std::fill(row, row + plane.row_w, std::int32_t{0});
+        continue;
       }
-    };
-    for (std::int64_t oy = 0; oy < g.oy_lo; ++oy) border_span(oy, 0, g.out_w);
-    for (std::int64_t oy = g.oy_hi; oy < g.out_h; ++oy) {
-      border_span(oy, 0, g.out_w);
-    }
-    for (std::int64_t oy = g.oy_lo; oy < g.oy_hi; ++oy) {
-      border_span(oy, 0, g.ox_lo);
-      border_span(oy, g.ox_hi, g.out_w);
+      const std::int32_t* src_row = src_c + iy * g.in_w;
+      for (std::int64_t phase = 0; phase < s; ++phase) {
+        std::int32_t* dst_phase = row + phase * plane.phase_w;
+        // Phase column j holds input column j*s + phase - p; [lo, hi) are
+        // the j that land inside the input.
+        const std::int64_t lo =
+            std::clamp<std::int64_t>(ceil_div(p - phase, s), 0, plane.phase_w);
+        const std::int64_t hi = std::clamp<std::int64_t>(
+            ceil_div(g.in_w + p - phase, s), lo, plane.phase_w);
+        std::fill(dst_phase, dst_phase + lo, std::int32_t{0});
+        const std::int32_t* from = src_row + lo * s + phase - p;
+        if (s == 1) {
+          std::copy(from, from + (hi - lo), dst_phase + lo);
+        } else {
+          for (std::int64_t j = lo; j < hi; ++j) {
+            dst_phase[j] = from[(j - lo) * s];
+          }
+        }
+        std::fill(dst_phase + hi, dst_phase + plane.phase_w, std::int32_t{0});
+      }
     }
   }
 }
 
-// Integer-only accumulation of one conv output plane (scalar tier). Each
-// filter's accumulator plane is owned by exactly one caller chunk. The entry
-// walk adds the same multiset of integer addends the reference term-walk
-// adds (the multiplier q * sign*2^shift equals the shift-and-signed-add
-// exactly -- no overflow by the gain bound), and integer addition without
-// overflow is associative and commutative, so the integer plane is
-// bit-identical to the term walk at any accumulator width and thread count.
-// Dequantization (the only float arithmetic) stays in the caller, after
-// this returns.
-template <typename AccT>
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_accumulate_filter(
-    const ShiftPlan& plan, std::int64_t f, const ConvKernelGeom& g,
-    const std::int32_t* in_data, const std::int64_t* off, AccT* acc) {
+// Int64 accumulation of one filter's output plane, for plans that fail the
+// narrow bound: the tier table's scalar walk with the barrel shifter's full
+// int64 budget. Each plane is owned by one caller chunk. The walk adds the
+// term walk's integer addends (q * sign*2^shift equals the shift-and-signed-
+// add exactly; no overflow by the gain bound) plus zeros from pad cells, and
+// exact integer addition is associative and commutative, so every tier,
+// width and thread count is bit-identical to the term walk.
+FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_accumulate_wide(
+    const ShiftPlan& plan, std::int64_t f, const ConvInteriorGeom& g,
+    const std::int32_t* in, const std::int32_t* off, std::int64_t* acc) {
   // Integer accumulators at scale 2^(input.scale_exp + e_min): each weight
   // term sign * 2^e contributes sign * (q << (e - e_min)), a non-negative
   // left shift since e >= e_min.
-  std::fill(acc, acc + g.out_hw, AccT{0});
+  std::fill(acc, acc + g.out_h * g.out_w, std::int64_t{0});
   const std::int64_t fb = plan.filter_begin[static_cast<std::size_t>(f)];
   const std::int64_t fe = plan.filter_begin[static_cast<std::size_t>(f) + 1];
   for (std::int64_t e = fb; e < fe; ++e) {
     const auto ei = static_cast<std::size_t>(e);
-    const AccT m =
-        static_cast<AccT>(plan.sign[ei]) * (AccT{1} << plan.shift[ei]);
-    // Interior: every (oy, ox) in the rectangle reads in-bounds, so the
-    // inner loop is a straight multiply-accumulate; the stride-1 form is
-    // contiguous and vectorizes.
-    for (std::int64_t oy = g.oy_lo; oy < g.oy_hi; ++oy) {
-      const std::int64_t rbase =
-          off[e] + (oy * g.stride - g.padding) * g.in_w - g.padding;
-      AccT* arow = acc + oy * g.out_w;
-      if (g.stride == 1) {
-        const std::int32_t* irow = in_data + rbase + g.ox_lo;
-        AccT* a = arow + g.ox_lo;
-        const std::int64_t n = g.ox_hi - g.ox_lo;
-        for (std::int64_t i = 0; i < n; ++i) {
-          a[i] += static_cast<AccT>(irow[i]) * m;
-        }
-      } else {
-        for (std::int64_t ox = g.ox_lo; ox < g.ox_hi; ++ox) {
-          arow[ox] += static_cast<AccT>(in_data[rbase + ox * g.stride]) * m;
-        }
+    const std::int64_t m = static_cast<std::int64_t>(plan.sign[ei]) *
+                           (std::int64_t{1} << plan.shift[ei]);
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+      const std::int32_t* irow = in + off[e] + oy * g.row_step;
+      std::int64_t* arow = acc + oy * g.out_w;
+      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+        arow[ox] += static_cast<std::int64_t>(irow[ox]) * m;
       }
     }
   }
-  // Border: guarded path for rows/columns whose kernel tap may fall outside
-  // the input.
-  conv_border_filter(plan, f, g, in_data, acc);
 }
 
 // Integer-only dot product of one linear output feature against the plan's
@@ -280,6 +265,14 @@ constexpr std::int64_t kNarrowMax = 0x7fffffff;
 bool narrow_bound_ok(std::int64_t max_gain, std::int64_t amax) {
   return max_gain <= kNarrowMax &&
          (max_gain == 0 || amax <= kNarrowMax / max_gain);
+}
+
+// Static form of the gate: |q| <= 2^(bits-1) - 1 for any properly quantized
+// `act_bits` input, so when this holds every batch runs narrow. (A batch
+// with a smaller abs-max may run narrow even when it does not.)
+bool narrow_at_bits(const ShiftPlan& plan, int act_bits) {
+  return narrow_bound_ok(plan_max_gain(plan),
+                         (std::int64_t{1} << (act_bits - 1)) - 1);
 }
 
 // Shared core of the quantize functions: pow2 scale from the abs-max, values
@@ -505,68 +498,59 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
                      input.shape.numel(),
                  "ShiftConv2d::run: ", input.values.size(),
                  " values do not fill shape ", input.shape.to_string());
-  const std::int64_t in_h = input.shape[1], in_w = input.shape[2];
-  const tensor::ConvGeometry geom{in_channels_, in_h, in_w, kernel_, stride_,
-                                  padding_};
+  const tensor::ConvGeometry geom{in_channels_, input.shape[1], input.shape[2],
+                                  kernel_,      stride_,        padding_};
   const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
+  FLIGHTNN_CHECK(out_h > 0 && out_w > 0, "ShiftConv2d::run: ",
+                 input.shape.to_string(), " input gives an empty output");
   const std::int64_t out_hw = out_h * out_w;
-  const std::int64_t in_hw = in_h * in_w;
+  const PaddedPlane plane(geom);
+  // The offsets below are int32, so every plane index must be.
+  FLIGHTNN_CHECK(in_channels_ * plane.channel <= kNarrowMax,
+                 "ShiftConv2d::run: padded input of ",
+                 in_channels_ * plane.channel,
+                 " elements exceeds the int32 offset range");
 
   dcheck_no_overflow(input, plan_.filter_gain, "ShiftConv2d::run");
 
-  // Interior region: output rows/cols whose full kernel support lands inside
-  // the input for every (ky, kx), so the hot loop needs no bounds checks.
-  // Rows below oy_lo or at/above oy_hi (and the column fringes of interior
-  // rows) take the guarded border path.
-  const std::int64_t oy_lo = std::min(out_h, ceil_div(padding_, stride_));
-  const std::int64_t ty = in_h + padding_ - kernel_;
-  const std::int64_t oy_hi =
-      ty < 0 ? oy_lo : std::max(oy_lo, std::min(out_h, ty / stride_ + 1));
-  const std::int64_t ox_lo = std::min(out_w, ceil_div(padding_, stride_));
-  const std::int64_t tx = in_w + padding_ - kernel_;
-  const std::int64_t ox_hi =
-      tx < 0 ? ox_lo : std::max(ox_lo, std::min(out_w, tx / stride_ + 1));
-
-  // Per-entry input offsets for this geometry (channel plane + kernel tap),
-  // built once into the caller's arena. Workers helping the parallel region
-  // read it through a raw pointer; it stays valid because the caller blocks
-  // inside parallel_for and slots are never shared between live kernels.
+  // The plane and the per-entry offsets into it (channel + tap row + tap
+  // column, the last from a `kernel`-entry table after the entries: no
+  // per-entry division), built once per call in the caller's arena. Workers
+  // helping the parallel region read both through raw pointers; they stay
+  // valid because the caller blocks inside parallel_for and slots are never
+  // shared between live kernels.
+  runtime::ScratchArena& arena = runtime::ScratchArena::current();
+  const std::int32_t* in_data = input.values.data();
+  if (plane.copied > 0) {
+    std::int32_t* padded = arena.fetch<std::int32_t>(
+        runtime::Scratch::kConvInput, static_cast<std::size_t>(plane.copied));
+    fill_padded_plane(in_data, geom, plane, padded);
+    in_data = padded;
+  }
   const std::int64_t n_entries = plan_.entries();
-  std::int64_t* offsets = runtime::ScratchArena::current().fetch<std::int64_t>(
-      runtime::Scratch::kConvOffsets, static_cast<std::size_t>(n_entries));
+  std::int32_t* off = arena.fetch<std::int32_t>(
+      runtime::Scratch::kConvOffsets,
+      static_cast<std::size_t>(n_entries + kernel_));
+  std::int32_t* tap_col = off + n_entries;
+  for (std::int64_t kx = 0; kx < kernel_; ++kx) {
+    tap_col[kx] = static_cast<std::int32_t>((kx % stride_) * plane.phase_w +
+                                            kx / stride_);
+  }
   for (std::int64_t e = 0; e < n_entries; ++e) {
     const auto ei = static_cast<std::size_t>(e);
-    offsets[static_cast<std::size_t>(e)] =
-        static_cast<std::int64_t>(plan_.channel[ei]) * in_hw +
-        static_cast<std::int64_t>(plan_.ky[ei]) * in_w + plan_.kx[ei];
+    off[e] = static_cast<std::int32_t>(
+        static_cast<std::int64_t>(plan_.channel[ei]) * plane.channel +
+        static_cast<std::int64_t>(plan_.ky[ei]) * plane.row_w +
+        tap_col[plan_.kx[ei]]);
   }
-  const std::int64_t* off = offsets;
-  const std::int32_t* in_data = input.values.data();
   const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
   tensor::Tensor output(tensor::Shape{out_channels_, out_h, out_w});
 
   // Accumulator width selection (narrow_bound_ok above). With 8-bit
   // activations and the default exponent range the int32 path is taken for
   // any realistic layer.
-  const std::int64_t max_gain = plan_max_gain(plan_);
-  const std::int64_t amax = input.abs_max();
-  const bool narrow = narrow_bound_ok(max_gain, amax);
-
-  const ConvKernelGeom geom_k{in_h,  in_w,  in_hw, out_h, out_w, out_hw,
-                              stride_, padding_, oy_lo, oy_hi, ox_lo, ox_hi};
-
-  // Kernel-tier dispatch (shift_kernels.hpp): the vector tier covers the
-  // stride-1 interior through the plan's derived mult stream and leaves the
-  // guarded border to the shared scalar conv_border_filter. It requires the
-  // narrow bound (int32 lanes) and stride 1 (contiguous output rows);
-  // everything else keeps the scalar plan path. Both tiers are bit-identical
-  // by the regrouping argument on conv_accumulate_filter.
-  const ShiftKernels& kern = active_shift_kernels();
-  const bool use_vector = narrow && stride_ == 1 &&
-                          kern.tier != KernelTier::kScalar &&
-                          plan_.vector_streams_built;
-  const ConvInteriorGeom interior{in_w, out_w, padding_,
-                                  oy_lo, oy_hi, ox_lo, ox_hi};
+  const bool narrow = narrow_bound_ok(plan_max_gain(plan_), input.abs_max());
+  const ConvInteriorGeom geom_k{stride_ * plane.row_w, out_h, out_w};
 
   // Dequantize one accumulator plane and fold in the float bias.
   const auto dequant_plane = [&](const auto* acc, std::int64_t f) {
@@ -574,33 +558,6 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
     float* out_plane = output.data() + f * out_hw;
     for (std::int64_t i = 0; i < out_hw; ++i) {
       out_plane[i] = static_cast<float>(acc[i]) * scale + b;
-    }
-  };
-
-  // One filter block, templated on the accumulator type: the integer kernel
-  // (conv_accumulate_filter, bit-identical to the term walk by the
-  // regrouping argument on its definition) followed by the float
-  // dequantize-and-bias tail.
-  const auto filter_block = [&](auto* acc, std::int64_t f_begin,
-                                std::int64_t f_end) {
-    for (std::int64_t f = f_begin; f < f_end; ++f) {
-      conv_accumulate_filter(plan_, f, geom_k, in_data, off, acc);
-      dequant_plane(acc, f);
-    }
-  };
-
-  // Vector-tier filter block: zero the plane, run the dispatched interior
-  // kernel over the derived mult stream, then the shared scalar border.
-  const auto filter_block_vector = [&](std::int32_t* acc, std::int64_t f_begin,
-                                       std::int64_t f_end) {
-    for (std::int64_t f = f_begin; f < f_end; ++f) {
-      std::fill(acc, acc + out_hw, std::int32_t{0});
-      kern.conv_interior_i32(
-          in_data, off, plan_.mult.data(),
-          plan_.filter_begin[static_cast<std::size_t>(f)],
-          plan_.filter_begin[static_cast<std::size_t>(f) + 1], interior, acc);
-      conv_border_filter(plan_, f, geom_k, in_data, acc);
-      dequant_plane(acc, f);
     }
   };
 
@@ -612,30 +569,53 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
       static_cast<double>(n_entries) * static_cast<double>(out_hw) /
       static_cast<double>(out_channels_)};
   if (narrow) {
+    // Kernel-tier dispatch (shift_kernels.hpp) over the plan's derived mult
+    // stream: both tiers walk the whole plane and are bit-identical by the
+    // regrouping argument on conv_accumulate_wide.
+    const ShiftKernels& kern = active_shift_kernels();
     runtime::parallel_for(0, out_channels_, 1, filter_cost,
                           [&](std::int64_t f_begin, std::int64_t f_end) {
       // Each helper thread fetches from its own thread-local arena.
-      std::int32_t* acc_buf =
-          runtime::ScratchArena::current().fetch<std::int32_t>(
-              runtime::Scratch::kConvAccumulator,
-              static_cast<std::size_t>(out_hw));
-      if (use_vector) {
-        filter_block_vector(acc_buf, f_begin, f_end);
-      } else {
-        filter_block(acc_buf, f_begin, f_end);
+      std::int32_t* acc = runtime::ScratchArena::current().fetch<std::int32_t>(
+          runtime::Scratch::kConvAccumulator, static_cast<std::size_t>(out_hw));
+      for (std::int64_t f = f_begin; f < f_end; ++f) {
+        std::fill(acc, acc + out_hw, std::int32_t{0});
+        kern.conv_interior_i32(
+            in_data, off, plan_.mult.data(),
+            plan_.filter_begin[static_cast<std::size_t>(f)],
+            plan_.filter_begin[static_cast<std::size_t>(f) + 1], geom_k, acc);
+        dequant_plane(acc, f);
       }
     });
   } else {
     runtime::parallel_for(0, out_channels_, 1, filter_cost,
                           [&](std::int64_t f_begin, std::int64_t f_end) {
-      std::int64_t* acc_buf =
-          runtime::ScratchArena::current().fetch<std::int64_t>(
-              runtime::Scratch::kConvAccumulator,
-              static_cast<std::size_t>(out_hw));
-      filter_block(acc_buf, f_begin, f_end);
+      std::int64_t* acc = runtime::ScratchArena::current().fetch<std::int64_t>(
+          runtime::Scratch::kConvAccumulator, static_cast<std::size_t>(out_hw));
+      for (std::int64_t f = f_begin; f < f_end; ++f) {
+        conv_accumulate_wide(plan_, f, geom_k, in_data, off, acc);
+        dequant_plane(acc, f);
+      }
     });
   }
   return output;
+}
+
+ConvScratchBytes ShiftConv2d::scratch_bytes(std::int64_t in_h,
+                                            std::int64_t in_w,
+                                            int act_bits) const {
+  const tensor::ConvGeometry geom{in_channels_, in_h,    in_w,
+                                  kernel_,      stride_, padding_};
+  const auto out_hw = static_cast<std::size_t>(geom.out_h() * geom.out_w());
+  ConvScratchBytes bytes;
+  bytes.offsets =
+      static_cast<std::size_t>(plan_.entries() + kernel_) * sizeof(std::int32_t);
+  bytes.accumulator = out_hw * (narrow_at_bits(plan_, act_bits)
+                                    ? sizeof(std::int32_t)
+                                    : sizeof(std::int64_t));
+  bytes.input = static_cast<std::size_t>(PaddedPlane(geom).copied) *
+                sizeof(std::int32_t);
+  return bytes;
 }
 
 OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
@@ -746,31 +726,17 @@ OpCounts ShiftLinear::census() const {
 
 const char* ShiftConv2d::kernel_tier(int act_bits) const {
   const ShiftKernels& kern = active_shift_kernels();
-  // Static eligibility: |q| <= 2^(bits-1) - 1 for any properly quantized
-  // activation, so if the narrow bound holds at that ceiling it holds for
-  // every batch and run() will dispatch the vector tier. (An individual
-  // batch with smaller abs-max may vectorize even when this reports
-  // scalar; the report is the conservative steady-state answer.)
-  const std::int64_t q_max = (std::int64_t{1} << (act_bits - 1)) - 1;
-  const bool vector = kern.tier != KernelTier::kScalar && stride_ == 1 &&
-                      plan_.vector_streams_built &&
-                      narrow_bound_ok(plan_max_gain(plan_), q_max);
+  const bool vector =
+      kern.tier != KernelTier::kScalar && narrow_at_bits(plan_, act_bits);
   return kernel_tier_name(vector ? kern.tier : KernelTier::kScalar);
 }
 
 const char* ShiftLinear::kernel_tier(int act_bits) const {
   const ShiftKernels& kern = active_shift_kernels();
-  const std::int64_t q_max = (std::int64_t{1} << (act_bits - 1)) - 1;
   const bool vector = kern.tier != KernelTier::kScalar &&
                       plan_.vector_streams_built &&
-                      !plan_.pad_begin.empty() &&
-                      narrow_bound_ok(plan_max_gain(plan_), q_max);
+                      !plan_.pad_begin.empty() && narrow_at_bits(plan_, act_bits);
   return kernel_tier_name(vector ? kern.tier : KernelTier::kScalar);
-}
-
-bool plan_narrow_accumulator(const ShiftPlan& plan, int act_bits) {
-  const std::int64_t q_max = (std::int64_t{1} << (act_bits - 1)) - 1;
-  return narrow_bound_ok(plan_max_gain(plan), q_max);
 }
 
 tensor::Tensor reference_conv(const tensor::Tensor& weights,

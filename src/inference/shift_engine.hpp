@@ -10,8 +10,10 @@
 //
 // Execution is plan-compiled (inference/shift_plan.hpp): an engine holds only
 // its ShiftPlan -- a sparsity-elided SoA entry stream -- and run() walks only
-// nonzero weight elements, splitting each output plane into a padding-free
-// interior and guarded border rows. Both constructors end in the same place:
+// nonzero weight elements. It copies the input once into a zero-padded plane
+// whose rows are split into `stride` column phases, so one dispatched kernel
+// covers every output pixel at every stride with no bounds checks; pad cells
+// hold q = 0 and add nothing. Both constructors end in the same place:
 // the weights constructor decomposes and lowers once, then adopts the plan
 // exactly as the artifact load path does. The pre-plan term walk lives in
 // tests/ as the bit-exact oracle the property suites compare against; the
@@ -23,6 +25,7 @@
 // granularity -- convolutions dominate >90% of CNN compute, so the largest
 // conv layer is the implementation target.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -78,6 +81,14 @@ struct OpCounts {
   std::int64_t adds = 0;    // accumulator additions
 };
 
+// Arena bytes one ShiftConv2d::run fetches per conv scratch slot; the
+// load-time walk sizes the slots with it (DESIGN.md §15).
+struct ConvScratchBytes {
+  std::size_t offsets = 0;      // int32 entry offsets + tap-column table
+  std::size_t accumulator = 0;  // one filter's accumulator plane, per worker
+  std::size_t input = 0;        // padded plane; 0 when read in place
+};
+
 // Geometry bundle for engines that adopt an already-compiled plan (every
 // engine a QuantizedNetwork holds: the program carries plans, not weights).
 struct ShiftConvSpec {
@@ -118,15 +129,24 @@ class ShiftConv2d {
 
   // Run on one quantized image; returns the dequantized float output
   // [out_channels, out_h, out_w]. Executes the compiled plan: zero elements
-  // and pruned filters cost nothing, interior pixels run without padding
-  // bounds checks, and scratch comes from the per-thread arena's grow-once
-  // slots (zero steady-state allocation beyond the pooled output tensor).
+  // and pruned filters cost nothing, every output pixel runs without bounds
+  // checks on the padded, stride-phased input plane, and scratch comes from
+  // the per-thread arena's grow-once slots (zero steady-state allocation
+  // beyond the pooled output tensor). The whole plane must fit int32 offsets.
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
 
+  // Scratch one run() on an [in_channels, in_h, in_w] input fetches, the
+  // accumulator at 4 bytes per element when every properly quantized
+  // `act_bits` input runs int32, else 8 (which covers both widths).
+  [[nodiscard]] ConvScratchBytes scratch_bytes(std::int64_t in_h,
+                                               std::int64_t in_w,
+                                               int act_bits) const;
+
   // Op census of one run() on an [in_channels, in_h, in_w] input: each plan
-  // entry accumulates once per output position whose tap lands in-bounds,
-  // the term walk's per-accumulate count exactly. A function of the plan
-  // and the geometry alone, so QuantizedNetwork takes it once at load time.
+  // entry counts once per output position whose tap reads a real input
+  // element (not a pad cell), the term walk's per-accumulate count exactly.
+  // A function of the plan and the geometry alone, so QuantizedNetwork takes
+  // it once at load time.
   [[nodiscard]] OpCounts census(std::int64_t in_h, std::int64_t in_w) const;
 
   // Number of single-shift filter terms (the LightNN-1 engine's workload).
@@ -184,15 +204,6 @@ class ShiftLinear {
   tensor::Tensor bias_;
   ShiftPlan plan_;
 };
-
-// Whether ShiftConv2d::run takes the int32 narrow-accumulator path for ANY
-// properly quantized `act_bits` input executing `plan` -- the static form of
-// run()'s dynamic gate, using |q| <= 2^(act_bits-1) - 1 (same predicate as
-// kernel_tier). The memory plan sizes conv accumulator planes with this:
-// 4 bytes/element when the bound holds for every batch, 8 otherwise. A
-// planned-narrow layer can never see a wider request from a properly
-// quantized input, and a planned-wide layer's plane covers both widths.
-[[nodiscard]] bool plan_narrow_accumulator(const ShiftPlan& plan, int act_bits);
 
 // Reference float convolution of one image (for bit-exactness tests):
 // weights [O, I, K, K], image [C, H, W] -> [O, OH, OW]. Accumulates in

@@ -14,21 +14,19 @@ namespace flightnn::inference {
 
 namespace {
 
-// Portable scalar tier: entry-outer over the interior rectangle, exactly the
-// stride-1 interior loop of conv_accumulate_filter. It is both the fallback
-// on non-AVX2 hosts and the oracle the differential tests pin the vector
-// tier against.
+// Portable scalar tier: entry-outer over the whole output plane. It is both
+// the fallback on non-AVX2 hosts and the oracle the differential tests pin
+// the vector tier against.
 FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_interior_i32_scalar(
-    const std::int32_t* in, const std::int64_t* off, const std::int32_t* mult,
+    const std::int32_t* in, const std::int32_t* off, const std::int32_t* mult,
     std::int64_t fb, std::int64_t fe, const ConvInteriorGeom& geom,
     std::int32_t* acc) {
-  const std::int64_t n = geom.ox_hi - geom.ox_lo;
+  const std::int64_t n = geom.out_w;
   for (std::int64_t e = fb; e < fe; ++e) {
     const std::int32_t m = mult[e];
-    for (std::int64_t oy = geom.oy_lo; oy < geom.oy_hi; ++oy) {
-      const std::int32_t* irow = in + off[e] + (oy - geom.padding) * geom.in_w -
-                                 geom.padding + geom.ox_lo;
-      std::int32_t* a = acc + oy * geom.out_w + geom.ox_lo;
+    for (std::int64_t oy = 0; oy < geom.out_h; ++oy) {
+      const std::int32_t* irow = in + off[e] + oy * geom.row_step;
+      std::int32_t* a = acc + oy * n;
       for (std::int64_t i = 0; i < n; ++i) a[i] += irow[i] * m;
     }
   }
@@ -46,8 +44,8 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL std::int64_t shift_dot_i32_scalar(
 
 #if FLIGHTNN_X86_DISPATCH
 
-// AVX2 interior conv: output-stationary register blocking. Accumulators for
-// a 2-row x 16-column macro-block (four ymm) stay in registers across the
+// AVX2 conv: output-stationary register blocking. Accumulators for a
+// 2-row x 16-column macro-block (four ymm) stay in registers across the
 // whole entry walk -- the scalar path streams the accumulator plane through
 // L1 once per entry, so besides the 8-wide multiply-add this removes
 // (entries - 1) round trips of accumulator traffic per block and walks the
@@ -59,23 +57,22 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL std::int64_t shift_dot_i32_scalar(
 // (overflow excluded by the caller's narrow bound; see the header).
 FLIGHTNN_HOT FLIGHTNN_INT_KERNEL
 __attribute__((target("avx2"))) void conv_interior_i32_avx2(
-    const std::int32_t* in, const std::int64_t* off, const std::int32_t* mult,
+    const std::int32_t* in, const std::int32_t* off, const std::int32_t* mult,
     std::int64_t fb, std::int64_t fe, const ConvInteriorGeom& geom,
     std::int32_t* acc) {
-  const std::int64_t n = geom.ox_hi - geom.ox_lo;
-  const std::int64_t in_w = geom.in_w;
+  const std::int64_t n = geom.out_w;
+  const std::int64_t step = geom.row_step;
   // Lanes [0..w) enabled; the tail mask for n % 8 columns.
   const __m256i tail_mask =
       n % 8 == 0
           ? _mm256_setzero_si256()
           : _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n % 8)),
                                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  std::int64_t oy = geom.oy_lo;
-  for (; oy + 2 <= geom.oy_hi; oy += 2) {
-    const std::int32_t* base =
-        in + (oy - geom.padding) * in_w - geom.padding + geom.ox_lo;
-    std::int32_t* a0 = acc + oy * geom.out_w + geom.ox_lo;
-    std::int32_t* a1 = a0 + geom.out_w;
+  std::int64_t oy = 0;
+  for (; oy + 2 <= geom.out_h; oy += 2) {
+    const std::int32_t* base = in + oy * step;
+    std::int32_t* a0 = acc + oy * n;
+    std::int32_t* a1 = a0 + n;
     std::int64_t x = 0;
     for (; x + 16 <= n; x += 16) {
       __m256i v00 =
@@ -101,12 +98,12 @@ __attribute__((target("avx2"))) void conv_interior_i32_avx2(
         v10 = _mm256_add_epi32(
             v10,
             _mm256_mullo_epi32(_mm256_loadu_si256(
-                                   reinterpret_cast<const __m256i*>(p + in_w)),
+                                   reinterpret_cast<const __m256i*>(p + step)),
                                m));
         v11 = _mm256_add_epi32(
             v11, _mm256_mullo_epi32(
                      _mm256_loadu_si256(
-                         reinterpret_cast<const __m256i*>(p + in_w + 8)),
+                         reinterpret_cast<const __m256i*>(p + step + 8)),
                      m));
       }
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(a0 + x), v00);
@@ -129,7 +126,7 @@ __attribute__((target("avx2"))) void conv_interior_i32_avx2(
         v1 = _mm256_add_epi32(
             v1,
             _mm256_mullo_epi32(_mm256_loadu_si256(
-                                   reinterpret_cast<const __m256i*>(p + in_w)),
+                                   reinterpret_cast<const __m256i*>(p + step)),
                                m));
       }
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(a0 + x), v0);
@@ -145,17 +142,16 @@ __attribute__((target("avx2"))) void conv_interior_i32_avx2(
         v0 = _mm256_add_epi32(
             v0, _mm256_mullo_epi32(_mm256_maskload_epi32(p, tail_mask), m));
         v1 = _mm256_add_epi32(
-            v1, _mm256_mullo_epi32(_mm256_maskload_epi32(p + in_w, tail_mask),
+            v1, _mm256_mullo_epi32(_mm256_maskload_epi32(p + step, tail_mask),
                                    m));
       }
       _mm256_maskstore_epi32(a0 + x, tail_mask, v0);
       _mm256_maskstore_epi32(a1 + x, tail_mask, v1);
     }
   }
-  if (oy < geom.oy_hi) {
-    const std::int32_t* base =
-        in + (oy - geom.padding) * in_w - geom.padding + geom.ox_lo;
-    std::int32_t* a = acc + oy * geom.out_w + geom.ox_lo;
+  if (oy < geom.out_h) {
+    const std::int32_t* base = in + oy * step;
+    std::int32_t* a = acc + oy * n;
     std::int64_t x = 0;
     for (; x + 8 <= n; x += 8) {
       __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + x));

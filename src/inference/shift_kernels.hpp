@@ -4,9 +4,11 @@
 // Fig. 3 argument -- a k_i=2 filter is two k=1 filters whose feature maps
 // add -- means every compiled ShiftPlan is already a uniform stream of
 // (input index, signed power-of-two multiplier) entries. These kernels
-// execute that stream in 8-wide int32 lanes: the conv interior as
-// output-stationary register-blocked multiply-accumulate over contiguous
-// rows, the linear dot as a gather over the plan's padded element stream.
+// execute that stream in 8-wide int32 lanes: the conv as output-stationary
+// register-blocked multiply-accumulate over contiguous rows of the engine's
+// zero-padded, stride-phased input plane (every output pixel reads in
+// bounds, at every stride), the linear dot as a gather over the plan's
+// padded element stream.
 //
 // Tiers. kScalar is the portable fallback and the bit-exact oracle; kAvx2
 // is compiled with a per-function target attribute (the portable build
@@ -45,22 +47,20 @@ enum class KernelTier : int { kScalar = 0, kAvx2 = 1 };
 // Stable lowercase name for bench JSON / --profile output.
 const char* kernel_tier_name(KernelTier tier);
 
-// Geometry the interior-conv stream kernels need. Contract: stride 1 (the
-// engine routes strided layers to the scalar plan path), interior rectangle
-// rows [oy_lo, oy_hi) x cols [ox_lo, ox_hi) in-bounds for every entry
-// offset in `off` (the engine's interior computation guarantees this).
+// Geometry of the conv kernels. The engine's zero-padded, stride-phased
+// input plane (ShiftConv2d::run) puts tap e of output (oy, ox) at
+// off[e] + oy*row_step + ox, in bounds for every output pixel at any stride.
 struct ConvInteriorGeom {
-  std::int64_t in_w = 0;
+  std::int64_t row_step = 0;  // input elements from output row oy to oy + 1
+  std::int64_t out_h = 0;
   std::int64_t out_w = 0;
-  std::int64_t padding = 0;
-  std::int64_t oy_lo = 0, oy_hi = 0, ox_lo = 0, ox_hi = 0;
 };
 
-// Accumulate filter entries [fb, fe) of a plan's interior region into the
-// int32 plane `acc` (caller zeroes it): for each interior output (oy, ox),
-// acc[oy*out_w+ox] += in[off[e] + (oy-padding)*in_w - padding + ox] * mult[e].
+// Accumulate filter entries [fb, fe) into the int32 plane `acc` (caller
+// zeroes it): for every output (oy, ox),
+// acc[oy*out_w+ox] += in[off[e] + oy*row_step + ox] * mult[e].
 // `mult` is the plan's derived sign*2^shift stream.
-using ConvInteriorFn = void (*)(const std::int32_t* in, const std::int64_t* off,
+using ConvInteriorFn = void (*)(const std::int32_t* in, const std::int32_t* off,
                                 const std::int32_t* mult, std::int64_t fb,
                                 std::int64_t fe, const ConvInteriorGeom& geom,
                                 std::int32_t* acc);

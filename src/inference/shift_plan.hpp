@@ -134,9 +134,10 @@ struct ShiftPlan {
   // Flat weight-element index of the entry: for conv, c*K*K + ky*K + kx into
   // the OIHW filter; for linear, the input-feature index.
   PlanArray<std::int32_t> element;
-  // Conv-only spatial split of `element` (ky/kx drive the border path and
-  // the analytic op counts; channel the input-plane offset). Empty for
-  // linear plans.
+  // Conv-only spatial split of `element`: channel, ky and kx give each
+  // entry's offset into the engine's padded, stride-phased input plane
+  // (rebuilt per call, since it depends on the input size), and ky/kx the
+  // analytic op counts. Empty for linear plans.
   PlanArray<std::int32_t> channel;
   PlanArray<std::int16_t> ky;
   PlanArray<std::int16_t> kx;
@@ -163,9 +164,9 @@ struct ShiftPlan {
   // streams at load time -- the `.flnart` format stays at v1.
   //
   // mult[e] = sign[e] * 2^shift[e] as int32: the exact per-entry multiplier
-  // the narrow (int32) kernel tier uses. Entries with shift > 30 store 0;
+  // both narrow (int32) kernel tiers use. Entries with shift > 30 store 0;
   // they are unreachable, because such a filter's gain already exceeds the
-  // int32 bound and the engine takes the int64 scalar path before reading
+  // int32 bound and the engine takes the int64 scalar loop before reading
   // mult.
   PlanArray<std::int32_t> mult;
   // Linear-only gather streams, zero-padded per filter to a multiple of

@@ -35,7 +35,8 @@ namespace flightnn::runtime {
 // lifetime rules above).
 enum class Scratch : std::size_t {
   kConvAccumulator = 0,  // int32/int64 accumulator plane for ShiftConv2d
-  kConvOffsets,          // int64 im2row input-offset table for ShiftConv2d
+  kConvOffsets,          // int32 per-entry input-offset table for ShiftConv2d
+  kConvInput,            // int32 padded, stride-phased input for ShiftConv2d
   kGemmPackA,            // f32 packed A micro-panels (core/gemm)
   kSlotCount,
 };
@@ -51,6 +52,8 @@ class ScratchArena {
 
   // `n` elements of T from `slot`. Contents are unspecified: nothing is
   // initialized, so the caller writes every element before reading it.
+  // Under AddressSanitizer the slot's capacity past these n elements is
+  // poisoned until the next fetch, so reading past them fails at once.
   template <typename T>
   FLIGHTNN_COLD_ALLOC T* fetch(Scratch slot, std::size_t n) {
     return static_cast<T*>(reserve(slot, n * sizeof(T)));

@@ -29,10 +29,12 @@
 #include "inference/quantized_network.hpp"
 #include "models/networks.hpp"
 #include "runtime/batch_runner.hpp"
+#include "runtime/scratch_arena.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serialize/artifact.hpp"
 #include "serving/server.hpp"
 #include "support/rng.hpp"
+#include "tensor/buffer_pool.hpp"
 #include "tensor/tensor.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -212,6 +214,10 @@ TEST(ArenaAllocationTest, PlannedWarmMakesFirstBatchAllocationFree) {
     runtime::InferenceResult result;
     result.logits.reserve(1);
     result.argmax.reserve(1);
+    // Start from empty slots and pools, so only warm can have sized them
+    // (earlier tests in this process grew them too).
+    runtime::ScratchArena::current().trim();
+    tensor::pool::trim();
     runner.warm(1);
 
     const long long allocs = count_allocs_in_batch(runner, request, result);
@@ -252,6 +258,8 @@ TEST(ArenaAllocationTest, PlannedWarmFirstBatchAllocationFreeFromArtifact) {
       runtime::InferenceResult result;
       result.logits.reserve(1);
       result.argmax.reserve(1);
+      runtime::ScratchArena::current().trim();
+      tensor::pool::trim();
       runner.warm(1);
 
       const long long allocs = count_allocs_in_batch(runner, request, result);

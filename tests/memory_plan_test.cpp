@@ -97,7 +97,8 @@ TEST(MemoryPlanTest, Table1NetworkLayoutsAreSound) {
     for (std::size_t i = 0; i < plan->per_op().size(); ++i) {
       const auto& mem = plan->per_op()[i];
       EXPECT_EQ(mem.op, i);
-      EXPECT_EQ(mem.scratch_bytes, mem.offsets_bytes + mem.accumulator_bytes);
+      EXPECT_EQ(mem.scratch_bytes,
+                mem.offsets_bytes + mem.accumulator_bytes + mem.input_bytes);
       if (mem.kind == inference::ProgramOpKind::kShiftConv) {
         EXPECT_GT(mem.offsets_bytes, 0U);
         EXPECT_GT(mem.accumulator_bytes, 0U);

@@ -1,7 +1,7 @@
 // Differential property suite for the vectorized shift-stream kernels: the
 // AVX2 tier must be byte-identical to the scalar tier and to the pre-plan
 // term walk (term_walk_oracle.hpp) under every geometry the plan compiler can produce --
-// odd interior widths (16-wide / 8-wide / masked-tail paths), strides,
+// odd output widths (16-wide / 8-wide / masked-tail paths), strides,
 // paddings, k_max, pruning, thread counts, and artifact-adopted plans whose
 // streams are zero-copy views into an mmap. The direct kernel tests run the
 // dispatch-table function pointers on exactly-sized buffers, so the ASan CI
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -68,44 +69,92 @@ void prune_filters(Tensor& wq, std::int64_t filters) {
 
 // --- Engine-level sweeps ---------------------------------------------------
 
+// Scalar tier, vector tier and the term walk on one conv layer.
+void expect_conv_tiers_match_reference(const Tensor& wq, int k_max,
+                                       std::int64_t stride,
+                                       std::int64_t padding,
+                                       const QuantizedActivations& qimg,
+                                       const std::string& what) {
+  const quant::Pow2Config config;
+  const ShiftConv2d engine(wq, k_max, config, stride, padding);
+  set_kernel_tier_override(0);
+  const Tensor scalar_out = engine.run(qimg);
+  set_kernel_tier_override(1);
+  const Tensor vector_out = engine.run(qimg);
+  set_kernel_tier_override(-1);
+  const Tensor reference_out =
+      oracle::TermWalkConv2d(wq, k_max, config, stride, padding).run(qimg);
+  EXPECT_TRUE(bytes_equal(scalar_out, vector_out)) << what;
+  EXPECT_TRUE(bytes_equal(vector_out, reference_out)) << what;
+}
+
 TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
   if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
   TierGuard guard;
   const quant::Pow2Config config;
   support::Rng rng(101);
-  // Odd input sides so interior widths hit the 16-wide, 8-wide and masked
-  // tail paths; kernel 5 with padding 2 keeps borders wide.
+  // Odd input sides so output widths hit the 16-wide, 8-wide and masked
+  // tail paths at every stride; padding up to and past the kernel's reach
+  // puts whole output rows and columns on pad cells.
   const Shape img_shape{3, 19, 17};
   Tensor img = Tensor::randn(img_shape, rng);
   const auto qimg = quantize_image(img, 8);
   for (const std::int64_t kernel : {1, 3, 5}) {
-    for (const std::int64_t stride : {1, 2}) {
+    for (const std::int64_t stride : {1, 2, 3}) {
       for (const std::int64_t padding : {0, 1, 2}) {
-        if (padding >= kernel) continue;  // degenerate: all-padding taps
         for (const int k_max : {1, 2, 3}) {
           for (const bool prune : {false, true}) {
             Tensor w = Tensor::randn(Shape{6, 3, kernel, kernel}, rng, 0.0F,
                                      0.3F);
             Tensor wq = quant::quantize_lightnn(w, k_max, config);
             if (prune) prune_filters(wq, 3);
-            const ShiftConv2d engine(wq, k_max, config, stride, padding);
-            set_kernel_tier_override(0);
-            const Tensor scalar_out = engine.run(qimg);
-            set_kernel_tier_override(1);
-            const Tensor vector_out = engine.run(qimg);
-            set_kernel_tier_override(-1);
-            const Tensor reference_out =
-                oracle::TermWalkConv2d(wq, k_max, config, stride, padding)
-                    .run(qimg);
-            EXPECT_TRUE(bytes_equal(scalar_out, vector_out))
-                << "k=" << kernel << " s=" << stride << " p=" << padding
-                << " k_max=" << k_max << " prune=" << prune;
-            EXPECT_TRUE(bytes_equal(vector_out, reference_out))
-                << "k=" << kernel << " s=" << stride << " p=" << padding
-                << " k_max=" << k_max << " prune=" << prune;
+            expect_conv_tiers_match_reference(
+                wq, k_max, stride, padding, qimg,
+                "k=" + std::to_string(kernel) + " s=" +
+                    std::to_string(stride) + " p=" + std::to_string(padding) +
+                    " k_max=" + std::to_string(k_max) +
+                    " prune=" + std::to_string(prune));
           }
         }
       }
+    }
+  }
+  // A ResNet downsampling shortcut: 1x1, stride 2, padding 0 on an even
+  // plane, so only the even rows and the first column phase are read.
+  const auto qblock = quantize_image(Tensor::randn(Shape{8, 16, 16}, rng), 8);
+  for (const int k_max : {1, 2}) {
+    Tensor w = Tensor::randn(Shape{16, 8, 1, 1}, rng, 0.0F, 0.3F);
+    expect_conv_tiers_match_reference(quant::quantize_lightnn(w, k_max, config),
+                                      k_max, 2, 0, qblock,
+                                      "shortcut k_max=" + std::to_string(k_max));
+  }
+}
+
+// Activations too large for the int32 bound send every tier to the one
+// int64 scalar loop, which walks the same padded, stride-phased plane.
+TEST(ShiftKernelDiffTest, WideAccumulatorPathMatchesReference) {
+  TierGuard guard;
+  const quant::Pow2Config config;
+  support::Rng rng(108);
+  QuantizedActivations wide;
+  wide.shape = Shape{3, 11, 9};
+  for (std::int64_t i = 0; i < wide.shape.numel(); ++i) {
+    wide.values.push_back(
+        static_cast<std::int32_t>(rng.uniform_index(1U << 27)) - (1 << 26));
+  }
+  for (const std::int64_t stride : {1, 2}) {
+    for (const std::int64_t padding : {0, 1}) {
+      Tensor w = Tensor::randn(Shape{4, 3, 3, 3}, rng, 0.0F, 0.3F);
+      Tensor wq = quant::quantize_lightnn(w, 2, config);
+      const ShiftConv2d engine(wq, 2, config, stride, padding);
+      const ShiftPlan& plan = engine.plan();
+      ASSERT_GT(*std::max_element(plan.filter_gain.begin(),
+                                  plan.filter_gain.end()),
+                std::int64_t{0x7fffffff} / wide.abs_max())
+          << "these activations must fail the narrow bound";
+      expect_conv_tiers_match_reference(
+          wq, 2, stride, padding, wide,
+          "wide s=" + std::to_string(stride) + " p=" + std::to_string(padding));
     }
   }
 }
@@ -147,8 +196,8 @@ TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
   }
 }
 
-// Pruning removes entries; it must not change which tier a layer dispatches
-// to. Strided convs have no vector interior path and stay scalar.
+// Pruning removes entries, and a stride changes only the padded plane's
+// layout; neither may change which tier a layer dispatches to.
 TEST(ShiftKernelDiffTest, KernelTierReporting) {
   TierGuard guard;
   const quant::Pow2Config config;
@@ -161,12 +210,14 @@ TEST(ShiftKernelDiffTest, KernelTierReporting) {
   const ShiftConv2d pruned(wq_pruned, 2, config, 1, 1);
   const ShiftConv2d strided(wq, 2, config, 2, 1);
   EXPECT_STREQ(dense.kernel_tier(8), pruned.kernel_tier(8));
-  EXPECT_STREQ(strided.kernel_tier(8), "scalar");
+  EXPECT_STREQ(strided.kernel_tier(8), dense.kernel_tier(8));
   set_kernel_tier_override(0);
   EXPECT_STREQ(dense.kernel_tier(8), "scalar");
+  EXPECT_STREQ(strided.kernel_tier(8), "scalar");
   set_kernel_tier_override(1);
   if (host_has_vector_tier()) {
     EXPECT_STREQ(dense.kernel_tier(8), "avx2");
+    EXPECT_STREQ(strided.kernel_tier(8), "avx2");
   }
 }
 
@@ -183,48 +234,54 @@ TEST(ShiftKernelDiffTest, ConvInteriorKernelDirect) {
   support::Rng rng(104);
   const std::int64_t channels = 2;
   const std::int64_t kernel = 3;
-  const std::int64_t padding = 1;
-  // Input widths chosen so interior widths n = in_w - 2 sweep the kernel's
-  // block decomposition: masked-only (n<8), 8+masked, 16+masked, 16+8+masked
-  // and exact multiples; odd heights exercise the trailing single row.
-  for (const std::int64_t in_w : {5, 9, 11, 16, 18, 23, 26, 34}) {
-    for (const std::int64_t in_h : {4, 5, 9}) {
-      const std::int64_t out_w = in_w;
-      const std::int64_t out_h = in_h;
-      std::vector<std::int32_t> in(
-          static_cast<std::size_t>(channels * in_h * in_w));
-      for (auto& v : in) {
-        v = static_cast<std::int32_t>(rng.uniform_index(255)) - 127;
-      }
-      // Entry streams in plan layout: offsets into the input plane plus a
-      // per-entry int32 multiplier. Entry counts 1/7/9/all exercise short
-      // filters whose streams end mid-vector.
-      std::vector<std::int64_t> off;
-      std::vector<std::int32_t> mult;
-      for (std::int64_t c = 0; c < channels; ++c) {
-        for (std::int64_t ky = 0; ky < kernel; ++ky) {
-          for (std::int64_t kx = 0; kx < kernel; ++kx) {
-            off.push_back(c * in_h * in_w + ky * in_w + kx);
-            mult.push_back(static_cast<std::int32_t>(rng.uniform_index(129)) -
-                           64);
+  // Output widths sweep the kernel's block decomposition: masked-only
+  // (n<8), 8+masked, 16, 16+masked, 16+8+masked and 2x16+masked; odd
+  // heights exercise the trailing single row.
+  for (const std::int64_t stride : {1, 2}) {
+    for (const std::int64_t out_w : {5, 9, 11, 16, 18, 23, 26, 34}) {
+      for (const std::int64_t out_h : {4, 5, 9}) {
+        // The engine's padded, stride-phased plane (ShiftConv2d::run): the
+        // rows and phase columns some output reads, `stride` phases per
+        // row. Its contents are arbitrary here; the kernel cannot tell a
+        // pad cell from an input element.
+        const std::int64_t phase_w = out_w + (kernel - 1) / stride;
+        const std::int64_t row_w = stride * phase_w;
+        const std::int64_t plane = ((out_h - 1) * stride + kernel) * row_w;
+        std::vector<std::int32_t> in(static_cast<std::size_t>(channels * plane));
+        for (auto& v : in) {
+          v = static_cast<std::int32_t>(rng.uniform_index(255)) - 127;
+        }
+        // Entry streams in plan layout: offsets into the plane plus a
+        // per-entry int32 multiplier. Entry counts 1/7/9/all exercise short
+        // filters whose streams end mid-vector.
+        std::vector<std::int32_t> off;
+        std::vector<std::int32_t> mult;
+        for (std::int64_t c = 0; c < channels; ++c) {
+          for (std::int64_t ky = 0; ky < kernel; ++ky) {
+            for (std::int64_t kx = 0; kx < kernel; ++kx) {
+              off.push_back(static_cast<std::int32_t>(
+                  c * plane + ky * row_w + (kx % stride) * phase_w +
+                  kx / stride));
+              mult.push_back(
+                  static_cast<std::int32_t>(rng.uniform_index(129)) - 64);
+            }
           }
         }
-      }
-      const ConvInteriorGeom geom{in_w, out_w,     padding,
-                                  1,    out_h - 1, 1,
-                                  out_w - 1};
-      for (const std::int64_t entries :
-           {std::int64_t{1}, std::int64_t{7}, std::int64_t{9},
-            static_cast<std::int64_t>(off.size())}) {
-        std::vector<std::int32_t> acc_scalar(
-            static_cast<std::size_t>(out_h * out_w), 0);
-        std::vector<std::int32_t> acc_vector(acc_scalar);
-        scalar_fn(in.data(), off.data(), mult.data(), 0, entries, geom,
-                  acc_scalar.data());
-        vector_fn(in.data(), off.data(), mult.data(), 0, entries, geom,
-                  acc_vector.data());
-        EXPECT_EQ(acc_scalar, acc_vector)
-            << "in_w=" << in_w << " in_h=" << in_h << " entries=" << entries;
+        const ConvInteriorGeom geom{stride * row_w, out_h, out_w};
+        for (const std::int64_t entries :
+             {std::int64_t{1}, std::int64_t{7}, std::int64_t{9},
+              static_cast<std::int64_t>(off.size())}) {
+          std::vector<std::int32_t> acc_scalar(
+              static_cast<std::size_t>(out_h * out_w), 0);
+          std::vector<std::int32_t> acc_vector(acc_scalar);
+          scalar_fn(in.data(), off.data(), mult.data(), 0, entries, geom,
+                    acc_scalar.data());
+          vector_fn(in.data(), off.data(), mult.data(), 0, entries, geom,
+                    acc_vector.data());
+          EXPECT_EQ(acc_scalar, acc_vector)
+              << "stride=" << stride << " out_w=" << out_w
+              << " out_h=" << out_h << " entries=" << entries;
+        }
       }
     }
   }
