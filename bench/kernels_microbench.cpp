@@ -232,9 +232,9 @@ BENCHMARK(BM_Im2ColGemmConv);
 // BENCH_shift_engine.json that throughput_scaling writes so the kernel
 // numbers live next to the whole-network numbers instead of stdout-only.
 // Measures one conv layer (the dispatched kernel over every output pixel,
-// plus the padded-plane copy and dequantize tail both tiers share) and one
-// linear layer (shift_dot kernel) under both tiers, asserting byte-identical
-// output; falls back to a standalone file when the target does not exist.
+// plus the padded-plane copy and dequantize tail both tiers share) under
+// both tiers, asserting byte-identical output; falls back to a standalone
+// file when the target does not exist.
 int emit_kernel_tier_rows(const std::string& path, bool smoke) {
   runtime::set_num_threads(1);
   const int repeats = smoke ? 5 : 25;
@@ -247,18 +247,11 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
   tensor::Tensor img = tensor::Tensor::randn(tensor::Shape{32, 32, 32}, rng);
   const auto qimg = inference::quantize_image(img, 8);
 
-  tensor::Tensor wl =
-      tensor::Tensor::randn(tensor::Shape{256, 512}, rng, 0.0F, 0.3F);
-  tensor::Tensor wlq = quant::quantize_lightnn(wl, 2, config);
-  const inference::ShiftLinear linear(wlq, 2, config);
-  tensor::Tensor vec = tensor::Tensor::randn(tensor::Shape{512}, rng);
-  const auto qvec = inference::quantize_tensor(vec, 8);
-
   // Interleaved scalar/vector sampling: alternating single runs so slow
   // clock drift (turbo ramp-up, VM steal time) hits both tiers equally --
   // block-wise timing systematically favors whichever tier runs later.
-  std::vector<double> cs, cv, ls, lv;
-  for (std::vector<double>* v : {&cs, &cv, &ls, &lv}) {
+  std::vector<double> cs, cv;
+  for (std::vector<double>* v : {&cs, &cv}) {
     v->reserve(static_cast<std::size_t>(repeats));
   }
   const auto sample = [](int tier, const auto& fn) {
@@ -273,8 +266,6 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
   for (int r = 0; r < repeats; ++r) {
     cs.push_back(sample(0, [&] { (void)conv.run(qimg); }));
     cv.push_back(sample(1, [&] { (void)conv.run(qimg); }));
-    ls.push_back(sample(0, [&] { (void)linear.run(qvec); }));
-    lv.push_back(sample(1, [&] { (void)linear.run(qvec); }));
   }
   const auto median = [](std::vector<double>& v) {
     std::sort(v.begin(), v.end());
@@ -282,29 +273,21 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
   };
   const double conv_scalar_s = median(cs);
   const double conv_vec_s = median(cv);
-  const double lin_scalar_s = median(ls);
-  const double lin_vec_s = median(lv);
   inference::set_kernel_tier_override(0);
   const tensor::Tensor conv_scalar_out = conv.run(qimg);
-  const tensor::Tensor lin_scalar_out = linear.run(qvec);
   inference::set_kernel_tier_override(1);
   const tensor::Tensor conv_vec_out = conv.run(qimg);
-  const tensor::Tensor lin_vec_out = linear.run(qvec);
   inference::set_kernel_tier_override(-1);
   if (std::memcmp(conv_scalar_out.data(), conv_vec_out.data(),
                   static_cast<std::size_t>(conv_scalar_out.numel()) *
-                      sizeof(float)) != 0 ||
-      std::memcmp(lin_scalar_out.data(), lin_vec_out.data(),
-                  static_cast<std::size_t>(lin_scalar_out.numel()) *
                       sizeof(float)) != 0) {
     std::fprintf(stderr, "FATAL: scalar and vector kernel outputs differ\n");
     return 1;
   }
 
   const double conv_terms = static_cast<double>(conv.term_count());
-  const double lin_terms = static_cast<double>(linear.term_count());
-  // ns per single-shift term per output pixel for the conv layer (the plan
-  // visits every term once per output position), plain ns/term for linear.
+  // ns per single-shift term per output pixel (the plan visits every term
+  // once per output position).
   const double conv_positions = 32.0 * 32.0;
   bench::JsonObject rows;
   rows.add_string(
@@ -317,10 +300,6 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
   rows.add_number("conv_interior_vector_ns_per_term",
                   conv_vec_s * 1e9 / (conv_terms * conv_positions));
   rows.add_number("conv_interior_vector_speedup", conv_scalar_s / conv_vec_s);
-  rows.add_number("shift_dot_scalar_ns_per_term",
-                  lin_scalar_s * 1e9 / lin_terms);
-  rows.add_number("shift_dot_vector_ns_per_term", lin_vec_s * 1e9 / lin_terms);
-  rows.add_number("shift_dot_vector_speedup", lin_scalar_s / lin_vec_s);
   rows.add_bool("tiers_bit_identical", true);
 
   if (bench::merge_into_json_file(path, "kernels_microbench", rows)) {
@@ -340,10 +319,8 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
     std::printf("%s not found; wrote kernel tier rows to %s\n", path.c_str(),
                 fallback.c_str());
   }
-  std::printf(
-      "conv interior: %.2fx vector speedup; shift_dot: %.2fx vector "
-      "speedup (bit-identical)\n",
-      conv_scalar_s / conv_vec_s, lin_scalar_s / lin_vec_s);
+  std::printf("conv interior: %.2fx vector speedup (bit-identical)\n",
+              conv_scalar_s / conv_vec_s);
   return 0;
 }
 

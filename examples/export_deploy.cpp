@@ -1,11 +1,12 @@
-// Train -> checkpoint -> pack -> verify: the full deployment round trip.
-// Saves a training checkpoint, exports the nibble-packed shift-term model
-// (the artifact an accelerator would flash), reloads both, and verifies the
-// packed weights drive the integer engine to the same predictions.
+// Train -> checkpoint -> artifact -> verify: the full deployment round trip.
+// Saves a training checkpoint, restores it, compiles the restored model into
+// the deployment artifact, loads that back, and verifies the loaded network
+// produces the compiled network's logits byte for byte.
 //
 //   $ ./examples/export_deploy
 
 #include <cstdio>
+#include <cstring>
 
 #include "core/quantize_model.hpp"
 #include "core/trainer.hpp"
@@ -13,6 +14,7 @@
 #include "eval/storage.hpp"
 #include "inference/quantized_network.hpp"
 #include "models/networks.hpp"
+#include "serialize/artifact.hpp"
 #include "serialize/model_io.hpp"
 
 int main() {
@@ -50,39 +52,45 @@ int main() {
                   ? "yes"
                   : "NO");
 
-  // 2. Deployment pack: the bits an accelerator's weight memory holds.
-  const auto packed = serialize::pack_quantized(*model);
-  const auto pack_bytes = serialize::serialize_packed(packed);
-  std::printf("packed shift-term model: %.0f payload bytes (%zu on the wire)\n",
-              packed.total_bytes(), pack_bytes.size());
+  // 2. Deployment artifact: the compiled shift plans, laid out for mmap.
+  const tensor::Shape input{1, spec.channels, spec.height, spec.width};
+  inference::NetworkProgram program =
+      inference::compile_program(*restored, input);
+  const std::vector<std::uint8_t> blob = serialize::build_artifact(program);
+  std::printf("artifact: %zu bytes; paper storage (4 bits per shift term, "
+              "2-bit filter k tags): %.0f bytes\n",
+              blob.size(), eval::model_storage_bytes(*model));
   std::printf("  float32 weights would be: %.0f bytes\n",
               static_cast<double>(models::parameter_count(*model)) * 4);
 
-  // 3. Verify the pack: parse it back, rebuild each layer's quantized
-  //    weights, and check they equal the live model's quantized weights.
-  const auto parsed = serialize::parse_packed(pack_bytes);
-  const auto layers = core::quantizable_layers(*model);
-  float max_diff = 0.0F;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const tensor::Tensor wq =
-        layers[i].transform->forward(layers[i].weight->value);
-    const tensor::Tensor rebuilt =
-        serialize::unpack_layer(parsed.layers[i], parsed.pow2, wq.shape());
-    max_diff = std::max(max_diff, tensor::max_abs_diff(wq, rebuilt));
+  // 3. Verify the artifact: the loaded network's logits must equal the
+  //    compiled network's, byte for byte, on every test image.
+  const auto loaded = serialize::ArtifactModel::load_buffer(blob.data(),
+                                                            blob.size());
+  const auto compiled =
+      inference::QuantizedNetwork::from_program(std::move(program));
+  std::int64_t mismatches = 0;
+  for (std::int64_t n = 0; n < split.test.size(); ++n) {
+    const tensor::Tensor a = compiled.run(split.test.image(n));
+    const tensor::Tensor b = loaded.network().run(split.test.image(n));
+    if (std::memcmp(a.data(), b.data(),
+                    static_cast<std::size_t>(a.numel()) * sizeof(float)) != 0) {
+      ++mismatches;
+    }
   }
-  std::printf("pack round trip: max weight diff %.2e %s\n", max_diff,
-              max_diff == 0.0F ? "(exact)" : "");
+  std::printf("artifact round trip: %lld of %lld images differ %s\n",
+              static_cast<long long>(mismatches),
+              static_cast<long long>(split.test.size()),
+              mismatches == 0 ? "(byte-identical logits)" : "");
 
-  // 4. Run the integer engine on the restored model and compare accuracy.
-  auto engine = inference::QuantizedNetwork::compile(
-      *restored, tensor::Shape{1, spec.channels, spec.height, spec.width});
+  // 4. Accuracy of the deployed integer engine.
   inference::NetworkOpCounts counts{};
-  const double engine_acc = engine.evaluate(split.test, 1, &counts);
+  const double engine_acc = loaded.network().evaluate(split.test, 1, &counts);
   std::printf("integer engine accuracy: %.2f%% (float path: %.2f%%)\n",
               engine_acc * 100.0, fit.test_accuracy * 100.0);
   std::printf("integer ops per image: %lld shifts, %lld adds, %lld float MACs\n",
               static_cast<long long>(counts.shifts / counts.images),
               static_cast<long long>(counts.adds / counts.images),
               static_cast<long long>(counts.float_macs / counts.images));
-  return max_diff == 0.0F ? 0 : 1;
+  return mismatches == 0 ? 0 : 1;
 }

@@ -1,20 +1,13 @@
-// Fuzz harness for the model deserialization boundary (serialize/model_io).
-// Both on-disk formats are parsed from fully hostile bytes:
-//
-//   - parse_packed: the deployment-pack format. On success the pack is
-//     unpacked layer by layer (exercising the nibble walk against the
-//     parser's consistency checks) and re-serialized, asserting the
-//     parse -> serialize round trip is byte-identical -- a lossless-parser
-//     invariant that catches fields the parser accepts but ignores.
-//   - load_state: the training-checkpoint format, replayed against a small
-//     real model so parameter/batch-norm/threshold counts are all exercised.
+// Fuzz harness for the model deserialization boundary (serialize/model_io):
+// load_state parses the training-checkpoint format from fully hostile bytes,
+// replayed against a small real model so parameter/batch-norm/threshold
+// counts are all exercised. (The deployment artifact has its own harness,
+// fuzz_artifact.)
 //
 // Typed rejections (std::runtime_error from the parsers, CheckFailure from
 // deeper contract checks) are the *expected* outcome for malformed input;
 // only sanitizer findings and uncaught exception types count as crashes.
 
-#include <cstring>
-#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -29,8 +22,6 @@
 
 namespace {
 
-using flightnn::serialize::PackedModel;
-
 // The checkpoint target: a tiny real network, built once. load_state only
 // mutates tensor contents (never shapes), so reusing it across inputs is
 // safe and keeps per-input cost flat.
@@ -44,39 +35,6 @@ flightnn::nn::Sequential& checkpoint_model() {
                                            build);
   }();
   return *model;
-}
-
-void fuzz_parse_packed(const std::vector<std::uint8_t>& buffer) {
-  PackedModel model;
-  try {
-    model = flightnn::serialize::parse_packed(buffer);
-  } catch (const std::runtime_error&) {
-    return;  // clean rejection
-  }
-  // Accepted packs must satisfy the unpack preconditions the parser
-  // guarantees: consistent nibble streams and bounded filter_k. Walk every
-  // layer to prove it (ASan patrols the nibble reads). Out-of-budget
-  // exponent codes are data-level rejections (invalid_argument, which also
-  // covers CheckFailure), not crashes.
-  for (const auto& layer : model.layers) {
-    if (layer.filters <= 0 || layer.elements_per_filter <= 0) continue;
-    if (layer.filters * layer.elements_per_filter > 1 << 20) continue;
-    const flightnn::tensor::Shape shape{layer.filters,
-                                        layer.elements_per_filter};
-    try {
-      (void)flightnn::serialize::unpack_layer(layer, model.pow2, shape);
-    } catch (const std::invalid_argument&) {
-    }
-  }
-  // Lossless-parser invariant: what the parser accepted re-serializes to
-  // the exact input bytes.
-  const std::vector<std::uint8_t> again =
-      flightnn::serialize::serialize_packed(model);
-  if (again.size() != buffer.size() ||
-      (!buffer.empty() &&
-       std::memcmp(again.data(), buffer.data(), buffer.size()) != 0)) {
-    std::terminate();  // surfaced as a crash artifact
-  }
 }
 
 void fuzz_load_state(const std::vector<std::uint8_t>& buffer) {
@@ -96,7 +54,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Expected rejections must throw, not abort, regardless of environment.
   flightnn::support::set_check_policy(flightnn::support::CheckPolicy::kThrow);
   const std::vector<std::uint8_t> buffer(data, data + size);
-  fuzz_parse_packed(buffer);
   fuzz_load_state(buffer);
   return 0;
 }

@@ -1,17 +1,18 @@
 // Fuzz harness for ShiftPlan compilation (inference/shift_plan).
 //
 // The input bytes are decoded as a little program that builds a bounded
-// core::Decomposition -- the same structure parse_packed hands to the
-// compiler when a deployment pack is loaded -- with *no* validity
-// filtering: filters may be addressed out of range, signs may be arbitrary
-// bytes, exponents may fall outside the config window. compile_conv /
-// compile_linear must either accept the decomposition or reject it with a
-// typed CheckFailure; anything else (sanitizer finding, uncaught exception)
-// is a crash.
+// core::Decomposition with *no* validity filtering: filters may be
+// addressed out of range, signs may be arbitrary bytes, exponents may fall
+// outside the config window. compile_conv must either accept the
+// decomposition or reject it with a typed CheckFailure; anything else
+// (sanitizer finding, uncaught exception) is a crash. Kernel 1 is in the
+// fuzzed range, so this covers linear layers (1x1 convs) too.
 //
 // On success the compiled plan's structural invariants are asserted:
-// filter_begin is a monotone prefix-sum table ending at entries(), and all
-// per-entry streams have equal length.
+// filter_begin is a monotone prefix-sum table ending at entries(), all
+// per-entry streams have equal length, and derive_streams (what an engine
+// runs on adoption) yields one gain per filter and one multiplier per
+// entry.
 
 #include <cstdint>
 #include <exception>
@@ -54,21 +55,21 @@ constexpr int kMaxFilters = 16;
 constexpr int kMaxTerms = 32;
 constexpr int kMaxElements = 64;
 
-void check_plan_invariants(const ShiftPlan& plan, bool spatial) {
+void check_plan_invariants(ShiftPlan& plan) {
   const auto filters = static_cast<std::size_t>(plan.filters);
   if (plan.filter_begin.size() != filters + 1) std::terminate();
-  if (plan.filter_gain.size() != filters) std::terminate();
   if (plan.filter_begin.front() != 0) std::terminate();
   for (std::size_t f = 0; f < filters; ++f) {
     if (plan.filter_begin[f] > plan.filter_begin[f + 1]) std::terminate();
   }
   const auto entries = static_cast<std::size_t>(plan.entries());
   if (plan.filter_begin.back() != plan.entries()) std::terminate();
-  if (plan.shift.size() != entries || plan.sign.size() != entries) {
+  if (plan.sign.size() != entries || plan.channel.size() != entries ||
+      plan.ky.size() != entries || plan.kx.size() != entries) {
     std::terminate();
   }
-  if (spatial && (plan.channel.size() != entries ||
-                  plan.ky.size() != entries || plan.kx.size() != entries)) {
+  plan.derive_streams();
+  if (plan.filter_gain.size() != filters || plan.mult.size() != entries) {
     std::terminate();
   }
 }
@@ -112,16 +113,11 @@ void fuzz_compile(const std::uint8_t* data, std::size_t size) {
   }
 
   try {
-    const ShiftPlan plan =
+    ShiftPlan plan =
         ShiftPlan::compile_conv(decomposition, config, in_channels, kernel);
-    check_plan_invariants(plan, /*spatial=*/true);
+    check_plan_invariants(plan);
   } catch (const flightnn::support::CheckFailure&) {
     // typed rejection: bad geometry, out-of-range filter/sign/shift
-  }
-  try {
-    const ShiftPlan plan = ShiftPlan::compile_linear(decomposition, config);
-    check_plan_invariants(plan, /*spatial=*/false);
-  } catch (const flightnn::support::CheckFailure&) {
   }
 }
 

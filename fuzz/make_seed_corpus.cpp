@@ -8,8 +8,7 @@
 //     start from deep inside the accepted grammar instead of spending their
 //     budget rediscovering the magic header;
 //   - one regression seed per parser hardening check (bad magic, truncation,
-//     out-of-range exponent window, hostile layer count, k above k_max,
-//     inconsistent nibble stream, exponent code above e_max, ...). Replaying
+//     bad section ranges, entry taps outside the filter, ...). Replaying
 //     these in tier-1 ctest keeps every past finding fixed.
 //
 // Every seed is deterministic: rerunning this tool reproduces the corpus
@@ -48,15 +47,6 @@ void write_seed(const fs::path& dir, const std::string& name,
   std::printf("  %-28s %5zu bytes\n", name.c_str(), data.size());
 }
 
-// Little-endian u32 patch at a fixed offset (the pack header is
-// magic[10] e_min@10 e_max@14 flush@18 k_max@22 layer_count@26).
-void patch_u32(Bytes& data, std::size_t offset, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    data[offset + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
 // Deterministic filler for the unstructured seeds (xorshift32).
 Bytes pseudo_random(std::size_t count, std::uint32_t state) {
   Bytes data(count);
@@ -81,93 +71,16 @@ std::unique_ptr<flightnn::nn::Sequential> harness_model() {
 }
 
 void emit_model_io(const fs::path& dir) {
-  using flightnn::serialize::PackedLayer;
-  using flightnn::serialize::PackedModel;
-
   auto model = harness_model();
-  write_seed(dir, "ckpt_valid", flightnn::serialize::save_state(*model));
-
-  flightnn::core::install_lightnn(*model, 2);
-  const PackedModel packed = flightnn::serialize::pack_quantized(*model);
-  const Bytes pack_valid = flightnn::serialize::serialize_packed(packed);
-  write_seed(dir, "pack_valid", pack_valid);
-
+  const Bytes ckpt_valid = flightnn::serialize::save_state(*model);
+  write_seed(dir, "ckpt_valid", ckpt_valid);
   {
-    Bytes ckpt = flightnn::serialize::save_state(*model);
+    Bytes ckpt = ckpt_valid;
     ckpt[0] ^= 0xFF;
     write_seed(dir, "ckpt_bad_magic", ckpt);
     ckpt[0] ^= 0xFF;
     ckpt.resize(ckpt.size() / 2);
     write_seed(dir, "ckpt_truncated", ckpt);
-  }
-
-  {
-    Bytes mutated = pack_valid;
-    mutated[0] ^= 0xFF;
-    write_seed(dir, "pack_bad_magic", mutated);
-  }
-  {
-    Bytes mutated = pack_valid;
-    mutated.resize(mutated.size() * 2 / 3);
-    write_seed(dir, "pack_truncated", mutated);
-  }
-  {
-    Bytes mutated = pack_valid;
-    patch_u32(mutated, 18, 2);  // flush_to_zero must be exactly 0 or 1
-    write_seed(dir, "pack_flush_flag_2", mutated);
-  }
-  {
-    Bytes mutated = pack_valid;
-    patch_u32(mutated, 10, 0);  // e_min = -128, below exp2_int's range
-    write_seed(dir, "pack_emin_oob", mutated);
-  }
-  {
-    Bytes mutated = pack_valid;
-    patch_u32(mutated, 26, 0xFFFFFFFFU);  // hostile up-front allocation
-    write_seed(dir, "pack_huge_layer_count", mutated);
-  }
-
-  {
-    // filter_k entry above the model-wide k_max.
-    PackedModel hostile;
-    hostile.k_max = 1;
-    PackedLayer layer;
-    layer.filters = 1;
-    layer.elements_per_filter = 1;
-    layer.filter_k = {3};
-    layer.nibbles = {0x11};  // matches term_count so only the k check fires
-    hostile.layers.push_back(layer);
-    write_seed(dir, "pack_k_over_kmax",
-               flightnn::serialize::serialize_packed(hostile));
-  }
-  {
-    // Nibble stream longer than filter_k implies (smuggled payload).
-    PackedModel hostile;
-    hostile.k_max = 2;
-    PackedLayer layer;
-    layer.filters = 1;
-    layer.elements_per_filter = 2;
-    layer.filter_k = {1};        // 2 terms -> 1 nibble byte expected
-    layer.nibbles = {0x11, 0x11};
-    hostile.layers.push_back(layer);
-    write_seed(dir, "pack_bad_nibble_len",
-               flightnn::serialize::serialize_packed(hostile));
-  }
-  {
-    // Parses cleanly, but the single nibble code names exponent e_min + 6,
-    // above the pack's own e_max: unpack_layer must reject it.
-    PackedModel hostile;
-    hostile.pow2.e_min = -6;
-    hostile.pow2.e_max = -4;
-    hostile.k_max = 1;
-    PackedLayer layer;
-    layer.filters = 1;
-    layer.elements_per_filter = 1;
-    layer.filter_k = {1};
-    layer.nibbles = {0x07};  // +2^(e_min + 6)
-    hostile.layers.push_back(layer);
-    write_seed(dir, "pack_exp_above_emax",
-               flightnn::serialize::serialize_packed(hostile));
   }
 
   write_seed(dir, "empty", {});
@@ -247,16 +160,25 @@ void emit_artifact(const fs::path& dir) {
                            index * sizeof(SectionDesc), sizeof(desc));
     return desc;
   };
-  // Find a section by kind; exits if the fixture lacks it.
-  const auto find_kind = [&](const Bytes& blob, SectionKind kind) {
+  // The first (or last) section of a kind; exits if the fixture lacks it.
+  const auto find_kind = [&](const Bytes& blob, SectionKind kind,
+                             bool last = false) {
     const ArtifactHeader header = header_of(blob);
+    bool found = false;
+    SectionDesc match;
     for (std::uint32_t i = 0; i < header.section_count; ++i) {
       const SectionDesc desc = section_at(blob, i);
-      if (desc.kind == static_cast<std::uint32_t>(kind)) return desc;
+      if (desc.kind != static_cast<std::uint32_t>(kind)) continue;
+      match = desc;
+      found = true;
+      if (!last) break;
     }
-    std::fprintf(stderr, "artifact fixture lacks section kind %u\n",
-                 static_cast<unsigned>(kind));
-    std::exit(1);
+    if (!found) {
+      std::fprintf(stderr, "artifact fixture lacks section kind %u\n",
+                   static_cast<unsigned>(kind));
+      std::exit(1);
+    }
+    return match;
   };
   const auto resealed = [](Bytes blob) {
     ser::rewrite_artifact_checksum(blob);
@@ -330,13 +252,26 @@ void emit_artifact(const fs::path& dir) {
     write_seed(dir, "artifact_bad_filter_begin", resealed(mutated));
   }
   {
-    Bytes mutated = vgg;  // overflow gain disagreeing with the entries
-    const SectionDesc gain = find_kind(mutated, SectionKind::kPlanFilterGain);
-    std::int64_t value = 0;
-    std::memcpy(&value, mutated.data() + gain.offset, sizeof(value));
-    value += 1;
-    std::memcpy(mutated.data() + gain.offset, &value, sizeof(value));
-    write_seed(dir, "artifact_bad_gain", resealed(mutated));
+    Bytes mutated = vgg;  // first conv entry's channel past in_channels
+    const SectionDesc channel = find_kind(mutated, SectionKind::kPlanChannel);
+    const std::int32_t hostile = 0x7FFFFFFF;
+    std::memcpy(mutated.data() + channel.offset, &hostile, sizeof(hostile));
+    write_seed(dir, "artifact_bad_channel", resealed(mutated));
+  }
+  {
+    Bytes mutated = vgg;  // the classifier (a 1x1 conv) with kx = 1
+    const SectionDesc kx = find_kind(mutated, SectionKind::kPlanKx, true);
+    const std::int16_t hostile = 1;
+    std::memcpy(mutated.data() + kx.offset, &hostile, sizeof(hostile));
+    write_seed(dir, "artifact_bad_kx", resealed(mutated));
+  }
+  {
+    Bytes mutated = vgg;  // a section of v1's retired element kind
+    SectionDesc desc = section_at(mutated, 1);
+    desc.kind = 2;
+    std::memcpy(mutated.data() + sizeof(ArtifactHeader) + sizeof(SectionDesc),
+                &desc, sizeof(desc));
+    write_seed(dir, "artifact_retired_kind", resealed(mutated));
   }
 
   write_seed(dir, "empty", {});

@@ -4,11 +4,12 @@
 // (DESIGN.md §15). QuantizedNetwork::from_program records it in its
 // load-time walk -- the one walk that follows the program's shapes op by
 // op, checks them and takes the op census -- so the artifact load path gets
-// it too and the format stays v1. The walk reads plan sizes from the shift
-// engines and records, per op, exactly which buffers run() touches:
+// it too and the artifact stores none of it. The walk reads plan sizes from
+// the shift engines and records, per op, exactly which buffers run() touches:
 //
 //   - Arena scratch (conv offset tables, accumulator planes and padded
-//     input planes, sized by ShiftConv2d::scratch_bytes): the grow-once
+//     input planes, sized by ShiftConv2d::scratch_bytes; a linear op is a
+//     1x1 conv and fetches the same slots): the grow-once
 //     slots of runtime::ScratchArena. Every buffer is live for one op
 //     only, so a slot's high-water mark is the largest request any op
 //     makes, and warm_thread reserves each slot to it. Accumulator planes

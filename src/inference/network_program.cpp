@@ -147,14 +147,17 @@ void program_layer(nn::Layer& layer, ProgramState& state,
     op.in_channels = wq.shape()[1];
     op.bias = linear->bias().value;
     if (coding.k_max > 0) {
+      // A 1x1 conv over the [in_features, 1, 1] plane.
       op.kind = ProgramOpKind::kShiftLinear;
+      op.kernel = 1;
       op.act_bits = state.current_act_bits;
       op.k_max = coding.k_max;
       op.pow2 = coding.pow2;
       const core::Decomposition decomposition =
           core::decompose_to_lightnn1(wq, coding.k_max, coding.pow2);
       op.term_count = decomposition.term_count();
-      op.plan = ShiftPlan::compile_linear(decomposition, coding.pow2);
+      op.plan = ShiftPlan::compile_conv(decomposition, coding.pow2,
+                                        op.in_channels, 1);
     } else {
       op.kind = ProgramOpKind::kFloatLinear;
       op.weights = std::move(wq);

@@ -38,8 +38,8 @@ struct CompileOptions {
   quant::Pow2Config pow2;
 };
 
-// Serialization-stable op kinds (artifact format v1 records these values;
-// append only, never renumber).
+// Serialization-stable op kinds (the artifact records these values; append
+// only, never renumber).
 enum class ProgramOpKind : std::uint32_t {
   kQuantAct = 1,
   kShiftConv = 2,
@@ -64,8 +64,8 @@ struct ProgramOp {
   float slope = 0.0F;  // kLeakyRelu
 
   // Geometry. Conv: out_channels/in_channels/kernel/stride/padding.
-  // Linear: out_channels = out features, in_channels = in features.
-  // MaxPool: window/stride.
+  // Linear: out_channels = out features, in_channels = in features; a shift
+  // linear op is a 1x1 conv and records kernel = 1. MaxPool: window/stride.
   std::int64_t out_channels = 0;
   std::int64_t in_channels = 0;
   std::int64_t kernel = 0;

@@ -82,6 +82,10 @@ void validate_ops(const std::vector<ProgramOp>& ops, std::size_t begin,
         FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
                        "from_program: shift linear act bits ", op.act_bits,
                        " outside [2, 16]");
+        FLIGHTNN_CHECK(op.kernel == 1 && op.stride == 1 && op.padding == 0,
+                       "from_program: shift linear op is not a 1x1, stride-1, "
+                       "padding-0 conv (kernel ", op.kernel, ", stride ",
+                       op.stride, ", padding ", op.padding, ")");
         break;
       case ProgramOpKind::kFloatLinear:
         FLIGHTNN_CHECK(op.weights.shape().rank() == 2,
@@ -253,7 +257,7 @@ std::string op_token(const ProgramOp& op) {
 
 // --- Load-time walk -----------------------------------------------------------
 
-using Engine = std::variant<std::monostate, ShiftConv2d, ShiftLinear>;
+using Engine = std::optional<ShiftConv2d>;
 
 // One activation run() holds: its shape and the index of its live interval.
 struct Activation {
@@ -297,6 +301,22 @@ struct LoadWalk {
     return {std::move(shape), intervals.size() - 1};
   }
 
+  // Op `t`'s memory row: the quantized `in` and the scratch the engine
+  // fetches for it.
+  void record_shift_scratch(std::size_t t, const ShiftConv2d& conv,
+                            const tensor::Shape& in, int act_bits) {
+    OpMemory& mem = per_op[t];
+    mem.quant_bytes =
+        static_cast<std::size_t>(in.numel()) * sizeof(std::int32_t);
+    const ConvScratchBytes scratch =
+        conv.scratch_bytes(in[1], in[2], act_bits);
+    mem.offsets_bytes = scratch.offsets;
+    mem.accumulator_bytes = scratch.accumulator;
+    mem.input_bytes = scratch.input;
+    mem.scratch_bytes =
+        mem.offsets_bytes + mem.accumulator_bytes + mem.input_bytes;
+  }
+
   void use(const Activation& x, std::size_t t) {
     std::uint32_t& last = intervals[x.interval].last_use_op;
     last = std::max(last, static_cast<std::uint32_t>(t));
@@ -331,7 +351,6 @@ struct LoadWalk {
       std::size_t i, const Activation& x, NetworkOpCounts& counts) {
     const ProgramOp& op = ops[i];
     const tensor::Shape& in = x.shape;
-    OpMemory& mem = per_op[i];
     tensor::Shape out = in;
     switch (op.kind) {
       case ProgramOpKind::kQuantAct:
@@ -341,7 +360,7 @@ struct LoadWalk {
         FLIGHTNN_CHECK(in.rank() == 3 && in[0] == op.in_channels,
                        "from_program: shift conv at op ", i, " expects [",
                        op.in_channels, ", H, W] input, gets ", in.to_string());
-        const ShiftConv2d& conv = std::get<ShiftConv2d>(engines[i]);
+        const ShiftConv2d& conv = *engines[i];
         counts = shift_counts(conv.census(in[1], in[2]));
         const tensor::ConvGeometry geom{in[0],     in[1],     in[2],
                                         op.kernel, op.stride, op.padding};
@@ -349,15 +368,7 @@ struct LoadWalk {
                        "from_program: shift conv at op ", i,
                        " produces an empty output from ", in.to_string());
         out = tensor::Shape{op.out_channels, geom.out_h(), geom.out_w()};
-        mem.quant_bytes =
-            static_cast<std::size_t>(in.numel()) * sizeof(std::int32_t);
-        const ConvScratchBytes scratch =
-            conv.scratch_bytes(in[1], in[2], op.act_bits);
-        mem.offsets_bytes = scratch.offsets;
-        mem.accumulator_bytes = scratch.accumulator;
-        mem.input_bytes = scratch.input;
-        mem.scratch_bytes =
-            mem.offsets_bytes + mem.accumulator_bytes + mem.input_bytes;
+        record_shift_scratch(i, conv, in, op.act_bits);
         break;
       }
       case ProgramOpKind::kFloatConv: {
@@ -397,15 +408,18 @@ struct LoadWalk {
       case ProgramOpKind::kFlatten:
         out = tensor::Shape{in.numel()};
         break;
-      case ProgramOpKind::kShiftLinear:
+      case ProgramOpKind::kShiftLinear: {
         FLIGHTNN_CHECK(in.numel() == op.in_channels,
                        "from_program: shift linear at op ", i, " expects ",
                        op.in_channels, " features, gets ", in.to_string());
-        counts = shift_counts(std::get<ShiftLinear>(engines[i]).census());
-        mem.quant_bytes =
-            static_cast<std::size_t>(in.numel()) * sizeof(std::int32_t);
+        // The 1x1 conv run_op runs on the [in_features, 1, 1] plane.
+        const ShiftConv2d& conv = *engines[i];
+        counts = shift_counts(conv.census(1, 1));
+        record_shift_scratch(i, conv, tensor::Shape{in.numel(), 1, 1},
+                             op.act_bits);
         out = tensor::Shape{op.out_channels};
         break;
+      }
       case ProgramOpKind::kFloatLinear: {
         const auto& ws = op.weights.shape();
         FLIGHTNN_CHECK(in.numel() == ws[1], "from_program: float linear at op ",
@@ -464,16 +478,12 @@ QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
   network.engines_.resize(program.ops.size());
   for (std::size_t i = 0; i < program.ops.size(); ++i) {
     ProgramOp& op = program.ops[i];
-    if (op.kind == ProgramOpKind::kShiftConv) {
+    if (op.kind == ProgramOpKind::kShiftConv ||
+        op.kind == ProgramOpKind::kShiftLinear) {
       const ShiftConvSpec spec{op.out_channels, op.in_channels, op.kernel,
                                op.stride,       op.padding,     op.term_count};
-      network.engines_[i].emplace<ShiftConv2d>(std::move(op.plan), spec,
-                                               op.pow2, std::move(op.bias));
-    } else if (op.kind == ProgramOpKind::kShiftLinear) {
-      const ShiftLinearSpec spec{op.out_channels, op.in_channels,
-                                 op.term_count};
-      network.engines_[i].emplace<ShiftLinear>(std::move(op.plan), spec,
-                                               op.pow2, std::move(op.bias));
+      network.engines_[i].emplace(std::move(op.plan), spec, op.pow2,
+                                  std::move(op.bias));
     }
   }
   network.program_ = std::move(program);
@@ -543,7 +553,7 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(
       // scale).
       QuantizedActivations& q = quant_scratch();
       quantize_image_into(input, op.act_bits, q);
-      return std::get<ShiftConv2d>(engines_[i]).run(q);
+      return engines_[i]->run(q);
     }
     case ProgramOpKind::kFloatConv:
       return reference_conv(op.weights, input, op.stride, op.padding, op.bias);
@@ -558,12 +568,15 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(
     case ProgramOpKind::kFlatten:
       return input.reshaped(tensor::Shape{input.numel()});
     case ProgramOpKind::kShiftLinear: {
-      // No explicit flatten: quantization is shape-oblivious and the engine
-      // validates numel, so the values stream straight through.
+      // The 1x1 conv over the input viewed as an [in_features, 1, 1] plane:
+      // quantization is shape-oblivious, so the values stream straight
+      // through, and the [out, 1, 1] result becomes [out] in place.
       QuantizedActivations& q = quant_scratch();
       quantize_tensor_into(input, op.act_bits, q);
-      q.shape = tensor::Shape{input.numel()};
-      return std::get<ShiftLinear>(engines_[i]).run(q);
+      q.shape = tensor::Shape{input.numel(), 1, 1};
+      tensor::Tensor out = engines_[i]->run(q);
+      out.reshape(tensor::Shape{op.out_channels});
+      return out;
     }
     case ProgramOpKind::kFloatLinear:
       return float_linear(op, input);
@@ -601,12 +614,9 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
     const ProgramOp& op = program_.ops[i];
     StepProfile p;
     p.name = op_token(op);
-    if (const auto* conv = std::get_if<ShiftConv2d>(&engines_[i])) {
-      p.terms = conv->term_count();
-      p.kernel_tier = conv->kernel_tier(op.act_bits);
-    } else if (const auto* linear = std::get_if<ShiftLinear>(&engines_[i])) {
-      p.terms = linear->term_count();
-      p.kernel_tier = linear->kernel_tier(op.act_bits);
+    if (engines_[i]) {
+      p.terms = engines_[i]->term_count();
+      p.kernel_tier = engines_[i]->kernel_tier(op.act_bits);
     }
     for (std::size_t op_i = i; op_i < subtree_end(program_.ops, i); ++op_i) {
       p.planned_scratch_bytes += memory_plan_.per_op()[op_i].scratch_bytes;

@@ -27,6 +27,8 @@
 // residual op's main/shortcut/post ranges, with one plan-adopting shift
 // engine per shift op looked up by flat op index -- the fixed per-layer
 // stage pipeline of the paper's accelerator mapping (Fig. 3, Sec. 5.2).
+// There is one engine kind: a fully-connected shift layer runs as a 1x1
+// ShiftConv2d on its input viewed as an [in_features, 1, 1] plane.
 // profile(), describe() and step_count() walk the same top-level ranges.
 //
 // Op census and memory plan: the shift/add/float-MAC counts of one forward
@@ -34,8 +36,8 @@
 // geometry, and run() fixes the geometry, so from_program takes both once
 // (census(), memory_plan()) and run() adds the census as a constant.
 
+#include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -149,9 +151,10 @@ class QuantizedNetwork {
   [[nodiscard]] tensor::Tensor run_ops(std::size_t begin, std::size_t end,
                                        tensor::Tensor x) const;
   NetworkProgram program_;  // validated flat op list + input geometry
-  // Parallel to program_.ops: the engine of each shift op, monostate for
-  // the rest. The engines own the plans; the ops keep everything else.
-  std::vector<std::variant<std::monostate, ShiftConv2d, ShiftLinear>> engines_;
+  // Parallel to program_.ops: the engine of each shift op (a linear op's is
+  // a 1x1 conv), empty for the rest. The engines own the plans; the ops keep
+  // everything else.
+  std::vector<std::optional<ShiftConv2d>> engines_;
   // Parallel to program_.ops: each op's per-image counts (a residual's
   // covers its whole block); census_ sums the top-level ops.
   std::vector<NetworkOpCounts> op_census_;

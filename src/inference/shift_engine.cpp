@@ -22,26 +22,27 @@ namespace {
 // and the engine disagree about the datapath.
 void validate_decomposition(const core::Decomposition& decomposition,
                             std::int64_t filters, std::int64_t elements,
-                            const quant::Pow2Config& config, const char* what) {
+                            const quant::Pow2Config& config) {
   FLIGHTNN_CHECK(
-      static_cast<std::int64_t>(decomposition.filter_k.size()) == filters, what,
-      ": decomposition covers ", decomposition.filter_k.size(),
+      static_cast<std::int64_t>(decomposition.filter_k.size()) == filters,
+      "ShiftConv2d: decomposition covers ", decomposition.filter_k.size(),
       " filters, weights have ", filters);
-  FLIGHTNN_CHECK(decomposition.elements_per_filter == elements, what,
-                 ": decomposition elements per filter ",
+  FLIGHTNN_CHECK(decomposition.elements_per_filter == elements,
+                 "ShiftConv2d: decomposition elements per filter ",
                  decomposition.elements_per_filter, ", weights have ", elements);
   for (const auto& term : decomposition.terms) {
-    FLIGHTNN_CHECK(term.filter >= 0 && term.filter < filters, what,
-                   ": term filter index ", term.filter, " outside [0, ",
-                   filters, ")");
+    FLIGHTNN_CHECK(term.filter >= 0 && term.filter < filters,
+                   "ShiftConv2d: term filter index ", term.filter,
+                   " outside [0, ", filters, ")");
     FLIGHTNN_CHECK(
-        static_cast<std::int64_t>(term.elements.size()) == elements, what,
-        ": term has ", term.elements.size(), " elements, expected ", elements);
+        static_cast<std::int64_t>(term.elements.size()) == elements,
+        "ShiftConv2d: term has ", term.elements.size(), " elements, expected ",
+        elements);
     for (const auto& element : term.elements) {
       if (element.sign == 0) continue;
       FLIGHTNN_CHECK(element.exponent >= config.e_min &&
                          element.exponent <= config.e_max,
-                     what, ": term exponent ",
+                     "ShiftConv2d: term exponent ",
                      static_cast<int>(element.exponent), " outside [",
                      config.e_min, ", ", config.e_max, "]");
     }
@@ -59,7 +60,7 @@ std::int64_t max_abs_value(const std::vector<std::int32_t>& values) {
   return max_abs;
 }
 
-// Hoisted overflow contract shared by both engines: |accumulator| <=
+// Hoisted overflow contract: |accumulator| <=
 // max|q| * filter_gain, so one check per filter replaces the per-element
 // DCHECK the inner loop would otherwise carry. (The bound sums absolute
 // contributions, so it also covers every intermediate partial sum.)
@@ -83,37 +84,26 @@ void dcheck_no_overflow(const QuantizedActivations&,
                         const PlanArray<std::int64_t>&, const char*) {}
 #endif
 
-// Structural invariants shared by the plan-adopting constructors: stream
-// sizes consistent, filter_begin a monotone prefix over `filters`. The
-// artifact loader has already validated every entry in depth (bounds, sign,
-// shift range, recomputed gains); this re-checks only what is cheap, so a
-// corrupted adoption still fails fast instead of indexing wild.
-void check_adopted_plan(const ShiftPlan& plan, std::int64_t filters,
-                        bool conv, const char* what) {
-  FLIGHTNN_CHECK(plan.filters == filters, what, ": plan covers ", plan.filters,
-                 " filters, spec says ", filters);
+// Structural invariants of an adopted plan: stream sizes consistent,
+// filter_begin spanning the entry stream over `filters`. The artifact loader
+// has already validated every entry in depth (tap bounds, sign, shift range,
+// monotone prefix); this re-checks only what is cheap, so a corrupted
+// adoption still fails fast instead of indexing wild.
+void check_adopted_plan(const ShiftPlan& plan, std::int64_t filters) {
+  FLIGHTNN_CHECK(plan.filters == filters, "ShiftConv2d: plan covers ",
+                 plan.filters, " filters, spec says ", filters);
   FLIGHTNN_CHECK(static_cast<std::int64_t>(plan.filter_begin.size()) ==
                      filters + 1,
-                 what, ": filter_begin has ", plan.filter_begin.size(),
+                 "ShiftConv2d: filter_begin has ", plan.filter_begin.size(),
                  " entries, expected ", filters + 1);
   FLIGHTNN_CHECK(plan.filter_begin.front() == 0 &&
                      plan.filter_begin.back() == plan.entries(),
-                 what, ": filter_begin does not span the entry stream");
-  FLIGHTNN_CHECK(static_cast<std::int64_t>(plan.filter_gain.size()) == filters,
-                 what, ": filter_gain has ", plan.filter_gain.size(),
-                 " entries, expected ", filters);
+                 "ShiftConv2d: filter_begin does not span the entry stream");
   const auto entries = static_cast<std::size_t>(plan.entries());
-  FLIGHTNN_CHECK(plan.shift.size() == entries && plan.sign.size() == entries,
-                 what, ": shift/sign streams do not match the entry count");
-  if (conv) {
-    FLIGHTNN_CHECK(plan.channel.size() == entries &&
-                       plan.ky.size() == entries && plan.kx.size() == entries,
-                   what, ": conv plan needs channel/ky/kx streams of ",
-                   entries, " entries");
-  } else {
-    FLIGHTNN_CHECK(plan.channel.empty() && plan.ky.empty() && plan.kx.empty(),
-                   what, ": linear plan must not carry spatial streams");
-  }
+  FLIGHTNN_CHECK(plan.sign.size() == entries && plan.channel.size() == entries &&
+                     plan.ky.size() == entries && plan.kx.size() == entries,
+                 "ShiftConv2d: plan streams do not match the entry count ",
+                 entries);
 }
 
 // Integer division helpers for the valid-range and padded-plane arithmetic;
@@ -226,25 +216,6 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_accumulate_wide(
       }
     }
   }
-}
-
-// Integer-only dot product of one linear output feature against the plan's
-// entry stream. Same regrouping argument as the conv kernel: bit-identical
-// to the reference term-walk; dequantization stays in the caller.
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL std::int64_t shift_dot(
-    const ShiftPlan& plan, std::int64_t f, const std::int32_t* in_data) {
-  const std::int64_t fb = plan.filter_begin[static_cast<std::size_t>(f)];
-  const std::int64_t fe = plan.filter_begin[static_cast<std::size_t>(f) + 1];
-  std::int64_t acc = 0;
-  for (std::int64_t e = fb; e < fe; ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    // q * sign*2^shift equals the shift-and-signed-add exactly (no overflow
-    // by the gain bound) and keeps the loop branch-free.
-    const std::int64_t m = static_cast<std::int64_t>(plan.sign[ei]) *
-                           (std::int64_t{1} << plan.shift[ei]);
-    acc += static_cast<std::int64_t>(in_data[plan.element[ei]]) * m;
-  }
-  return acc;
 }
 
 // Largest per-filter accumulator gain of a plan (0 for an empty plan).
@@ -434,25 +405,11 @@ ShiftConv2d lower_conv(const tensor::Tensor& quantized_weights, int k_max,
                  s.to_string());
   const core::Decomposition decomposition =
       core::decompose_to_lightnn1(quantized_weights, k_max, config);
-  validate_decomposition(decomposition, s[0], s[1] * s[2] * s[3], config,
-                         "ShiftConv2d");
+  validate_decomposition(decomposition, s[0], s[1] * s[2] * s[3], config);
   const ShiftConvSpec spec{s[0],   s[1],    s[2],
                            stride, padding, decomposition.term_count()};
   return {ShiftPlan::compile_conv(decomposition, config, s[1], s[2]), spec,
           config, std::move(bias)};
-}
-
-ShiftLinear lower_linear(const tensor::Tensor& quantized_weights, int k_max,
-                         const quant::Pow2Config& config, tensor::Tensor bias) {
-  const auto& s = quantized_weights.shape();
-  FLIGHTNN_CHECK(s.rank() == 2, "ShiftLinear: [out, in] weights required, got ",
-                 s.to_string());
-  const core::Decomposition decomposition =
-      core::decompose_to_lightnn1(quantized_weights, k_max, config);
-  validate_decomposition(decomposition, s[0], s[1], config, "ShiftLinear");
-  const ShiftLinearSpec spec{s[0], s[1], decomposition.term_count()};
-  return {ShiftPlan::compile_linear(decomposition, config), spec, config,
-          std::move(bias)};
 }
 
 }  // namespace
@@ -482,11 +439,11 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
   FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_channels_,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
-  check_adopted_plan(plan_, out_channels_, /*conv=*/true, "ShiftConv2d");
-  // In-loader repack for the vector tier: the adopted core streams stay
-  // zero-copy views into the artifact mapping; only the derived mult stream
-  // is materialized here (idempotent if the plan already carries it).
-  plan_.build_vector_streams();
+  check_adopted_plan(plan_, out_channels_);
+  // The one place gains and multipliers come from, compiled or loaded: the
+  // adopted core streams stay zero-copy views into an artifact mapping, and
+  // only the derived streams are materialized here.
+  plan_.derive_streams();
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
@@ -644,98 +601,10 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
   return {total, total};
 }
 
-ShiftLinear::ShiftLinear(const tensor::Tensor& quantized_weights, int k_max,
-                         const quant::Pow2Config& config, tensor::Tensor bias)
-    : ShiftLinear(lower_linear(quantized_weights, k_max, config,
-                               std::move(bias))) {}
-
-ShiftLinear::ShiftLinear(ShiftPlan plan, const ShiftLinearSpec& spec,
-                         const quant::Pow2Config& config, tensor::Tensor bias)
-    : config_(config),
-      out_features_(spec.out_features),
-      in_features_(spec.in_features),
-      term_count_(spec.term_count),
-      bias_(std::move(bias)),
-      plan_(std::move(plan)) {
-  FLIGHTNN_CHECK(out_features_ > 0 && in_features_ > 0,
-                 "ShiftLinear: bad adopted geometry [", out_features_, ", ",
-                 in_features_, "]");
-  FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_features_,
-                 "ShiftLinear: bias size ", bias_.numel(),
-                 " does not match out features ", out_features_);
-  check_adopted_plan(plan_, out_features_, /*conv=*/false, "ShiftLinear");
-  // In-loader repack for the vector tier (see the ShiftConv2d overload);
-  // linear plans additionally get the lane-padded gather streams.
-  plan_.build_vector_streams();
-}
-
-FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
-    const QuantizedActivations& input) const {
-  FLIGHTNN_CHECK(input.shape.numel() == in_features_,
-                 "ShiftLinear::run: input numel ", input.shape.numel(),
-                 " does not match in features ", in_features_);
-  FLIGHTNN_CHECK(static_cast<std::int64_t>(input.values.size()) ==
-                     input.shape.numel(),
-                 "ShiftLinear::run: ", input.values.size(),
-                 " values do not fill shape ", input.shape.to_string());
-  dcheck_no_overflow(input, plan_.filter_gain, "ShiftLinear::run");
-
-  const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
-  tensor::Tensor output(tensor::Shape{out_features_});
-  const std::int32_t* in_data = input.values.data();
-
-  // Kernel-tier dispatch: the 8-wide gather kernel runs over the plan's
-  // lane-padded element/mult streams when the narrow bound admits int32
-  // lane partials (see shift_kernels.hpp for the overflow argument); the
-  // scalar int64 shift_dot remains the fallback and oracle. Bit-identical
-  // either way -- same addend multiset, no overflow, exact regrouping.
-  const ShiftKernels& kern = active_shift_kernels();
-  const bool use_vector =
-      kern.tier != KernelTier::kScalar && plan_.vector_streams_built &&
-      !plan_.pad_begin.empty() &&
-      narrow_bound_ok(plan_max_gain(plan_), input.abs_max());
-
-  // Parallel across output features; each feature's accumulator is private
-  // to one chunk and the entry walk regroups the term walk's exact integer
-  // addends, so the result is bit-identical to the term walk at any
-  // thread count. Linear layers are small (one accumulate per plan entry);
-  // the cost hint keeps them serial until the work amortizes pool dispatch.
-  const runtime::CostHint feature_cost{static_cast<double>(plan_.entries()) /
-                                       static_cast<double>(out_features_)};
-  runtime::parallel_for(0, out_features_, 1, feature_cost,
-                        [&](std::int64_t f_begin, std::int64_t f_end) {
-    for (std::int64_t f = f_begin; f < f_end; ++f) {
-      const std::int64_t acc =
-          use_vector
-              ? kern.shift_dot_i32(
-                    in_data, plan_.pad_element.data(), plan_.pad_mult.data(),
-                    plan_.pad_begin[static_cast<std::size_t>(f)],
-                    plan_.pad_begin[static_cast<std::size_t>(f) + 1])
-              : shift_dot(plan_, f, in_data);
-      const float b = bias_.empty() ? 0.0F : bias_[f];
-      output[f] = static_cast<float>(acc) * scale + b;
-    }
-  });
-  return output;
-}
-
-OpCounts ShiftLinear::census() const {
-  // One accumulate per plan entry; matches the term walk's counting.
-  return {plan_.entries(), plan_.entries()};
-}
-
 const char* ShiftConv2d::kernel_tier(int act_bits) const {
   const ShiftKernels& kern = active_shift_kernels();
   const bool vector =
       kern.tier != KernelTier::kScalar && narrow_at_bits(plan_, act_bits);
-  return kernel_tier_name(vector ? kern.tier : KernelTier::kScalar);
-}
-
-const char* ShiftLinear::kernel_tier(int act_bits) const {
-  const ShiftKernels& kern = active_shift_kernels();
-  const bool vector = kern.tier != KernelTier::kScalar &&
-                      plan_.vector_streams_built &&
-                      !plan_.pad_begin.empty() && narrow_at_bits(plan_, act_bits);
   return kernel_tier_name(vector ? kern.tier : KernelTier::kScalar);
 }
 

@@ -74,8 +74,7 @@ tensor::Tensor dequantize(const QuantizedActivations& activations);
 // compiled network's activation-quantization ops.
 tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits);
 
-// Operation census of one engine run (ShiftConv2d::census /
-// ShiftLinear::census).
+// Operation census of one engine run (ShiftConv2d::census).
 struct OpCounts {
   std::int64_t shifts = 0;  // one per nonzero weight term element per output
   std::int64_t adds = 0;    // accumulator additions
@@ -102,13 +101,11 @@ struct ShiftConvSpec {
   std::int64_t term_count = 0;
 };
 
-struct ShiftLinearSpec {
-  std::int64_t out_features = 0;
-  std::int64_t in_features = 0;
-  std::int64_t term_count = 0;
-};
-
-// A convolution compiled to the single-shift datapath.
+// A convolution compiled to the single-shift datapath. It is the one shift
+// engine: a fully-connected layer [out, in] runs on it as a 1x1 conv
+// (in_channels = in, kernel 1, stride 1, padding 0) over its input viewed
+// as an [in, 1, 1] plane, which adds the same integers per output as the
+// dot product (Fig. 3's single LightNN-1 engine).
 class ShiftConv2d {
  public:
   // `quantized_weights` is an OIHW tensor whose elements are sums of at most
@@ -120,10 +117,11 @@ class ShiftConv2d {
               std::int64_t padding, tensor::Tensor bias = {});
 
   // Adopt an already-compiled plan (the program and artifact load paths: the
-  // plan's streams may be zero-copy views into a mapped blob). The caller
-  // vouches for the plan's per-entry validity (the artifact loader validates
-  // every stream before construction); this constructor re-checks the cheap
-  // structural invariants.
+  // plan's core streams may be zero-copy views into a mapped blob). The
+  // caller vouches for the plan's per-entry validity (the artifact loader
+  // validates every stream before construction); this constructor re-checks
+  // the cheap structural invariants and derives the plan's gains and
+  // multipliers (ShiftPlan::derive_streams).
   ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
@@ -167,41 +165,6 @@ class ShiftConv2d {
   // Compiled SoA execution plan (run()'s workload). Its per-filter gains
   // bound |accumulator| <= max|q| * filter_gain[f], so run() checks for
   // overflow once per filter instead of per element.
-  ShiftPlan plan_;
-};
-
-// A fully-connected layer compiled to the single-shift datapath: weights
-// [out, in] decomposed into power-of-two terms, input a quantized flat
-// vector, accumulation in int64.
-class ShiftLinear {
- public:
-  // Decomposes and lowers once, then adopts (see the ShiftConv2d overload).
-  ShiftLinear(const tensor::Tensor& quantized_weights, int k_max,
-              const quant::Pow2Config& config, tensor::Tensor bias = {});
-
-  // Adopt an already-compiled plan (see the ShiftConv2d overload).
-  ShiftLinear(ShiftPlan plan, const ShiftLinearSpec& spec,
-              const quant::Pow2Config& config, tensor::Tensor bias = {});
-
-  // `input.shape` must be rank-1 [in_features]. Returns the dequantized
-  // float output [out_features]. Plan-compiled, like ShiftConv2d::run.
-  [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
-
-  // Op census of one run(): one accumulate per plan entry.
-  [[nodiscard]] OpCounts census() const;
-
-  [[nodiscard]] std::int64_t term_count() const { return term_count_; }
-  [[nodiscard]] std::int64_t out_features() const { return out_features_; }
-  [[nodiscard]] std::int64_t in_features() const { return in_features_; }
-  [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
-  // Kernel-tier name for `act_bits` activations (see ShiftConv2d).
-  [[nodiscard]] const char* kernel_tier(int act_bits) const;
-
- private:
-  quant::Pow2Config config_;
-  std::int64_t out_features_, in_features_;
-  std::int64_t term_count_ = 0;
-  tensor::Tensor bias_;
   ShiftPlan plan_;
 };
 

@@ -32,16 +32,6 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_interior_i32_scalar(
   }
 }
 
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL std::int64_t shift_dot_i32_scalar(
-    const std::int32_t* in, const std::int32_t* element,
-    const std::int32_t* mult, std::int64_t pb, std::int64_t pe) {
-  std::int64_t acc = 0;
-  for (std::int64_t e = pb; e < pe; ++e) {
-    acc += static_cast<std::int64_t>(in[element[e]]) * mult[e];
-  }
-  return acc;
-}
-
 #if FLIGHTNN_X86_DISPATCH
 
 // AVX2 conv: output-stationary register blocking. Accumulators for a
@@ -177,41 +167,12 @@ __attribute__((target("avx2"))) void conv_interior_i32_avx2(
   }
 }
 
-// AVX2 linear dot: 8-wide gather over the plan's padded element stream. The
-// eight int32 lane partials are each bounded by the filter's absolute-sum
-// gain times max|q| (a subset of the terms the narrow bound covers), so
-// int32 lanes cannot wrap; the final cross-lane reduction widens each lane
-// to int64 -- the saturation-safe widening step for whole-filter sums
-// beyond int32. Pad entries are (element 0, mult 0) no-ops, so running to
-// the padded end is exact and never reads past any stream.
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL
-__attribute__((target("avx2"))) std::int64_t shift_dot_i32_avx2(
-    const std::int32_t* in, const std::int32_t* element,
-    const std::int32_t* mult, std::int64_t pb, std::int64_t pe) {
-  __m256i acc = _mm256_setzero_si256();
-  for (std::int64_t e = pb; e < pe; e += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(element + e));
-    const __m256i q = _mm256_i32gather_epi32(in, idx, 4);
-    const __m256i m =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mult + e));
-    acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(q, m));
-  }
-  alignas(32) std::int32_t lane[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane), acc);
-  std::int64_t total = 0;
-  for (int i = 0; i < 8; ++i) total += lane[i];
-  return total;
-}
-
 #endif  // FLIGHTNN_X86_DISPATCH
 
 constexpr ShiftKernels kScalarKernels{KernelTier::kScalar,
-                                      &conv_interior_i32_scalar,
-                                      &shift_dot_i32_scalar};
+                                      &conv_interior_i32_scalar};
 #if FLIGHTNN_X86_DISPATCH
-constexpr ShiftKernels kAvx2Kernels{KernelTier::kAvx2, &conv_interior_i32_avx2,
-                                    &shift_dot_i32_avx2};
+constexpr ShiftKernels kAvx2Kernels{KernelTier::kAvx2, &conv_interior_i32_avx2};
 #endif
 
 // -1 = no override; otherwise a KernelTier value forced by tests.

@@ -4,11 +4,11 @@
 // Fig. 3 argument -- a k_i=2 filter is two k=1 filters whose feature maps
 // add -- means every compiled ShiftPlan is already a uniform stream of
 // (input index, signed power-of-two multiplier) entries. These kernels
-// execute that stream in 8-wide int32 lanes: the conv as output-stationary
+// execute that stream in 8-wide int32 lanes, as output-stationary
 // register-blocked multiply-accumulate over contiguous rows of the engine's
 // zero-padded, stride-phased input plane (every output pixel reads in
-// bounds, at every stride), the linear dot as a gather over the plan's
-// padded element stream.
+// bounds, at every stride). There is one kernel: a linear layer runs as a
+// 1x1 conv on a 1x1 plane.
 //
 // Tiers. kScalar is the portable fallback and the bit-exact oracle; kAvx2
 // is compiled with a per-function target attribute (the portable build
@@ -23,10 +23,7 @@
 // narrow bound holds: max|q| * max_f filter_gain[f] <= INT32_MAX. That
 // bound sums absolute contributions, so it covers every int32 lane partial
 // sum, every scalar partial sum, and the per-entry multiplier
-// sign * 2^shift itself (shift <= 30 follows from the bound). The linear
-// kernel widens its eight lane partials into one int64 at the end -- the
-// saturation-safe widening step; the whole-filter sum may exceed int32 but
-// never int64 (gain is saturated far below the int64 guard).
+// sign * 2^shift itself (shift <= 30 follows from the bound).
 //
 // Dispatch. active_shift_kernels() resolves once from the CPU, the
 // FLIGHTNN_FORCE_SCALAR environment knob, and an optional per-process test
@@ -36,11 +33,6 @@
 #include <cstdint>
 
 namespace flightnn::inference {
-
-// Lane width of the vector tier. ShiftPlan::build_vector_streams pads the
-// linear gather streams to a multiple of this so the 8-wide kernel can run
-// to the padded end without tail masking or overread.
-inline constexpr std::int64_t kShiftVectorLane = 8;
 
 enum class KernelTier : int { kScalar = 0, kAvx2 = 1 };
 
@@ -65,19 +57,9 @@ using ConvInteriorFn = void (*)(const std::int32_t* in, const std::int32_t* off,
                                 std::int64_t fe, const ConvInteriorGeom& geom,
                                 std::int32_t* acc);
 
-// Dot of one linear filter over the plan's padded gather streams:
-// sum over e in [pb, pe) of in[element[e]] * mult[e], returned widened to
-// int64. pe - pb must be a multiple of kShiftVectorLane (pad entries are
-// (element 0, mult 0) no-ops).
-using ShiftDotFn = std::int64_t (*)(const std::int32_t* in,
-                                    const std::int32_t* element,
-                                    const std::int32_t* mult, std::int64_t pb,
-                                    std::int64_t pe);
-
 struct ShiftKernels {
   KernelTier tier = KernelTier::kScalar;
   ConvInteriorFn conv_interior_i32 = nullptr;
-  ShiftDotFn shift_dot_i32 = nullptr;
 };
 
 // Kernel table for a tier. Requesting kAvx2 on a CPU without AVX2 returns

@@ -8,9 +8,9 @@
 // the cost the paper's per-filter k_i is supposed to eliminate (Fig. 3).
 //
 // `ShiftPlan` lowers the decomposition once, at engine construction, into a
-// flat structure-of-arrays: one contiguous stream of (element, shift, sign)
-// entries per filter, with every zero element and every pruned filter elided.
-// Steady-state kernel work is then exactly proportional to
+// flat structure-of-arrays: one contiguous stream of (channel, ky, kx, shift,
+// sign) entries per filter, with every zero element and every pruned filter
+// elided. Steady-state kernel work is then exactly proportional to
 // Σ_i k_i · nnz_i -- the paper's energy-proportionality, realized in
 // software.
 //
@@ -32,10 +32,10 @@
 
 namespace flightnn::inference {
 
-// Own-or-view array for the plan's SoA streams. A plan built by
-// compile_conv/compile_linear owns its storage (push_back during lowering);
-// a plan fixed up from a mapped deployment artifact *views* the blob's
-// sections directly -- zero copies, the mapping is the storage. The read API
+// Own-or-view array for the plan's SoA streams. A plan built by compile_conv
+// owns its storage (push_back during lowering); a plan fixed up from a
+// mapped deployment artifact *views* the blob's sections directly -- zero
+// copies, the mapping is the storage. The read API
 // (data/size/operator[]/iteration) is identical in both modes, so the
 // kernels never know the difference; mutation is owning-mode only.
 template <typename T>
@@ -130,14 +130,13 @@ class PlanArray {
 };
 
 struct ShiftPlan {
-  // --- SoA entry streams, indexed [filter_begin[f], filter_begin[f+1]) ------
-  // Flat weight-element index of the entry: for conv, c*K*K + ky*K + kx into
-  // the OIHW filter; for linear, the input-feature index.
-  PlanArray<std::int32_t> element;
-  // Conv-only spatial split of `element`: channel, ky and kx give each
-  // entry's offset into the engine's padded, stride-phased input plane
-  // (rebuilt per call, since it depends on the input size), and ky/kx the
-  // analytic op counts. Empty for linear plans.
+  // --- Core SoA entry streams, indexed [filter_begin[f], filter_begin[f+1]) -
+  // The stored form of the weights (the artifact holds exactly these). Each
+  // entry's tap into the OIHW filter: input channel, kernel row and kernel
+  // column. They give the entry's offset into the engine's padded,
+  // stride-phased input plane (rebuilt per call, since it depends on the
+  // input size), and ky/kx the analytic op counts. A linear layer is a 1x1
+  // conv, so its entries carry the input feature as `channel` and ky = kx = 0.
   PlanArray<std::int32_t> channel;
   PlanArray<std::int16_t> ky;
   PlanArray<std::int16_t> kx;
@@ -151,59 +150,44 @@ struct ShiftPlan {
   // has an empty range and costs nothing at run time.
   PlanArray<std::int64_t> filter_begin;
 
+  // --- Derived streams (DESIGN.md §9, §14) --------------------------------
+  // Built by derive_streams() from the core streams when an engine adopts
+  // the plan; always owned, never serialized. An artifact-adopted plan keeps
+  // its core streams as zero-copy views into the mapping.
+  //
   // Per-filter worst-case accumulator gain: sum of 2^shift over the filter's
   // entries, saturated at the accumulator guard. |accumulator| <= max|q| *
   // filter_gain[f] bounds every intermediate partial sum, enabling one
   // overflow check per filter instead of per accumulate.
   PlanArray<std::int64_t> filter_gain;
-
-  // --- Derived uniform vector streams (Fig. 3 lowering; DESIGN.md §14) -----
-  // Built by build_vector_streams() once the core streams exist; always
-  // owned, never serialized. An artifact-adopted plan keeps its core streams
-  // as zero-copy views into the mapping and repacks only these derived
-  // streams at load time -- the `.flnart` format stays at v1.
-  //
   // mult[e] = sign[e] * 2^shift[e] as int32: the exact per-entry multiplier
   // both narrow (int32) kernel tiers use. Entries with shift > 30 store 0;
   // they are unreachable, because such a filter's gain already exceeds the
   // int32 bound and the engine takes the int64 scalar loop before reading
   // mult.
   PlanArray<std::int32_t> mult;
-  // Linear-only gather streams, zero-padded per filter to a multiple of
-  // kShiftVectorLane (shift_kernels.hpp): filter f's padded entries are
-  // [pad_begin[f], pad_begin[f+1]), both ends lane-aligned. Pad entries are
-  // (element 0, mult 0) no-ops -- in-bounds for any layer (in_features >= 1)
-  // and contributing nothing -- so the 8-wide gather kernel runs to the
-  // padded end without tail masking or overreading any stream. Empty for
-  // conv plans (the conv kernels iterate output positions, not entries).
-  PlanArray<std::int32_t> pad_element;
-  PlanArray<std::int32_t> pad_mult;
-  PlanArray<std::int64_t> pad_begin;
-  // True once build_vector_streams() has run (it is idempotent).
-  bool vector_streams_built = false;
 
   std::int64_t filters = 0;
 
-  // Derive the vector streams above from the core streams. Called by the
-  // compilers and by the plan-adopting engine constructors (the in-loader
-  // repack for artifact plans); safe on any structurally-valid plan --
-  // out-of-range shifts map to mult 0 and negative filter spans pad to
-  // empty, so even a hostile hand-built plan cannot make this index wild.
-  void build_vector_streams();
+  // Derive filter_gain and mult from the core streams. The plan-adopting
+  // engine constructor calls it, for compiled and loaded plans alike. Total
+  // on any plan whose filter_begin has filters + 1 entries: spans outside
+  // the entry stream count as empty, and a shift outside the barrel range
+  // saturates its filter's gain (so the narrow gate refuses the filter) and
+  // stores mult 0, so even a hostile hand-built plan cannot make it index
+  // wild.
+  void derive_streams();
 
   [[nodiscard]] std::int64_t entries() const {
-    return static_cast<std::int64_t>(element.size());
+    return static_cast<std::int64_t>(shift.size());
   }
-  [[nodiscard]] bool is_conv() const { return !channel.empty() || element.empty(); }
 
   // Lower a conv decomposition (OIHW weights [filters, in_channels, K, K]).
+  // A linear layer [filters, in_features] lowers as in_channels =
+  // in_features, kernel = 1.
   static ShiftPlan compile_conv(const core::Decomposition& decomposition,
                                 const quant::Pow2Config& config,
                                 std::int64_t in_channels, std::int64_t kernel);
-
-  // Lower a linear decomposition (weights [filters, in_features]).
-  static ShiftPlan compile_linear(const core::Decomposition& decomposition,
-                                  const quant::Pow2Config& config);
 };
 
 // Saturation ceiling shared with the engine's overflow contract.

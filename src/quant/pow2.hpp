@@ -18,8 +18,7 @@ namespace flightnn::quant {
 // Exponent budget for a power-of-two coded weight term. A 4-bit term
 // (1 sign bit + 3 magnitude bits) encodes exact zero plus sign * 2^e for
 // 7 exponent values -- matching the paper's "L-1 4W" / "L-2 8W" encodings
-// and the nibble packing in serialize/ (code 0 = zero, 15 signed
-// exponents).
+// that eval::model_storage_bytes counts.
 struct Pow2Config {
   int e_min = -6;
   int e_max = 0;

@@ -38,6 +38,9 @@ constexpr std::int64_t kEntryCap = std::int64_t{1} << 31;  // plan entries
 constexpr std::int64_t kTermCap = std::int64_t{1} << 40;   // term census
 constexpr int kMaxResidualDepth = 64;  // caps validation/build recursion
 constexpr int kMaxShift = 61;  // barrel budget: 1 << shift stays in int64
+// Section kinds v1 wrote and v2 retired (SectionKind keeps the gaps).
+constexpr std::uint32_t kRetiredElementKind = 2;
+constexpr std::uint32_t kRetiredGainKind = 9;
 
 [[noreturn]] void fail(ArtifactErrorCode code, const std::string& message) {
   throw ArtifactError(code, message);
@@ -55,36 +58,6 @@ struct PendingSection {
   const void* data;
   std::size_t bytes;
 };
-
-// Register `op`'s payload arrays as sections and point its record at them.
-// Role order here IS the serialized section order per op -- part of the
-// format's determinism contract.
-void plan_sections(const ProgramOp& op, std::uint32_t op_index, bool conv,
-                   OpRecord& record, std::vector<PendingSection>& sections) {
-  const auto add = [&](int role, SectionKind kind, const void* data,
-                       std::size_t bytes) {
-    record.sec[role] = static_cast<std::uint32_t>(sections.size());
-    sections.push_back(PendingSection{kind, op_index, data, bytes});
-  };
-  const ShiftPlan& plan = op.plan;
-  const auto n = static_cast<std::size_t>(plan.entries());
-  add(kRoleElement, SectionKind::kPlanElement, plan.element.data(),
-      n * sizeof(std::int32_t));
-  if (conv) {
-    add(kRoleChannel, SectionKind::kPlanChannel, plan.channel.data(),
-        n * sizeof(std::int32_t));
-    add(kRoleKy, SectionKind::kPlanKy, plan.ky.data(),
-        n * sizeof(std::int16_t));
-    add(kRoleKx, SectionKind::kPlanKx, plan.kx.data(),
-        n * sizeof(std::int16_t));
-  }
-  add(kRoleShift, SectionKind::kPlanShift, plan.shift.data(), n);
-  add(kRoleSign, SectionKind::kPlanSign, plan.sign.data(), n);
-  add(kRoleFilterBegin, SectionKind::kPlanFilterBegin, plan.filter_begin.data(),
-      plan.filter_begin.size() * sizeof(std::int64_t));
-  add(kRoleFilterGain, SectionKind::kPlanFilterGain, plan.filter_gain.data(),
-      plan.filter_gain.size() * sizeof(std::int64_t));
-}
 
 OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
                    std::vector<PendingSection>& sections) {
@@ -120,8 +93,20 @@ OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
   const bool float_op = op.kind == ProgramOpKind::kFloatConv ||
                         op.kind == ProgramOpKind::kFloatLinear;
   if (shift_op) {
-    plan_sections(op, op_index, op.kind == ProgramOpKind::kShiftConv, record,
-                  sections);
+    // The plan's core streams, the only stored form of shift weights. Role
+    // order here IS the serialized section order per op -- part of the
+    // format's determinism contract.
+    const ShiftPlan& plan = op.plan;
+    const auto n = static_cast<std::size_t>(plan.entries());
+    add(kRoleChannel, SectionKind::kPlanChannel, plan.channel.data(),
+        n * sizeof(std::int32_t));
+    add(kRoleKy, SectionKind::kPlanKy, plan.ky.data(), n * sizeof(std::int16_t));
+    add(kRoleKx, SectionKind::kPlanKx, plan.kx.data(), n * sizeof(std::int16_t));
+    add(kRoleShift, SectionKind::kPlanShift, plan.shift.data(), n);
+    add(kRoleSign, SectionKind::kPlanSign, plan.sign.data(), n);
+    add(kRoleFilterBegin, SectionKind::kPlanFilterBegin,
+        plan.filter_begin.data(),
+        plan.filter_begin.size() * sizeof(std::int64_t));
   }
   if (float_op) {
     const auto& shape = op.weights.shape();
@@ -205,24 +190,22 @@ void check_geom(std::int64_t value, std::int64_t lo, std::uint32_t op_index,
 }
 
 // Deep per-entry plan validation. The hot kernels index these streams
-// unchecked, so everything they trust is proven here: entry bounds, sign
-// and shift domains, the filter prefix, and the overflow gains (recomputed
-// with the same guard saturation the compiler uses). Only the core streams
-// live in the artifact (format v1, unchanged): the derived vector streams
-// (mult, 8-lane-padded linear streams; DESIGN.md §14) are rebuilt from
-// these validated views by the plan-adopting engine constructors -- an
-// in-loader repack, so mapped plans stay zero-copy and still reach the
-// vectorized kernel tier.
+// unchecked, so everything they trust is proven here: each entry's tap
+// inside the layer (channel < in_channels, ky and kx below the kernel; a
+// linear op's kernel is 1), the sign and shift domains, and the filter
+// prefix. The derived streams (gains and multipliers; DESIGN.md §9, §14)
+// are not stored: the plan-adopting engine derives them from these
+// validated views, so mapped plans stay zero-copy.
 ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
                         std::uint32_t section_count, const OpRecord& record,
-                        std::uint32_t op_index, bool conv) {
+                        std::uint32_t op_index) {
   const auto resolve = [&](int role, SectionKind kind) {
     return resolve_section(base, sections, section_count, record, op_index,
                            role, kind, /*required=*/true);
   };
-  const SectionView element_view = resolve(kRoleElement, SectionKind::kPlanElement);
+  const SectionView channel_view = resolve(kRoleChannel, SectionKind::kPlanChannel);
   const std::size_t entries =
-      section_count_of(element_view, sizeof(std::int32_t), op_index, "element");
+      section_count_of(channel_view, sizeof(std::int32_t), op_index, "channel");
   if (static_cast<std::int64_t>(entries) > kEntryCap) {
     fail(ArtifactErrorCode::kBadProgram,
          "op " + std::to_string(op_index) + " plan entry count " +
@@ -236,33 +219,33 @@ ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
                " stream does not match the entry count");
     }
   };
+  const SectionView ky_view = resolve(kRoleKy, SectionKind::kPlanKy);
+  const SectionView kx_view = resolve(kRoleKx, SectionKind::kPlanKx);
   const SectionView shift_view = resolve(kRoleShift, SectionKind::kPlanShift);
   const SectionView sign_view = resolve(kRoleSign, SectionKind::kPlanSign);
+  expect_entries(ky_view, sizeof(std::int16_t), "ky");
+  expect_entries(kx_view, sizeof(std::int16_t), "kx");
   expect_entries(shift_view, 1, "shift");
   expect_entries(sign_view, 1, "sign");
 
   const std::int64_t filters = record.out_channels;
   const SectionView begin_view =
       resolve(kRoleFilterBegin, SectionKind::kPlanFilterBegin);
-  const SectionView gain_view =
-      resolve(kRoleFilterGain, SectionKind::kPlanFilterGain);
   if (section_count_of(begin_view, sizeof(std::int64_t), op_index,
                        "filter_begin") != static_cast<std::size_t>(filters) + 1) {
     fail(ArtifactErrorCode::kBadProgram,
          "op " + std::to_string(op_index) + " filter_begin does not cover " +
              std::to_string(filters) + " filters");
   }
-  if (section_count_of(gain_view, sizeof(std::int64_t), op_index,
-                       "filter_gain") != static_cast<std::size_t>(filters)) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) + " filter_gain does not cover " +
-             std::to_string(filters) + " filters");
-  }
 
   ShiftPlan plan;
   plan.filters = filters;
-  plan.element = PlanArray<std::int32_t>::view(
-      reinterpret_cast<const std::int32_t*>(element_view.data), entries);
+  plan.channel = PlanArray<std::int32_t>::view(
+      reinterpret_cast<const std::int32_t*>(channel_view.data), entries);
+  plan.ky = PlanArray<std::int16_t>::view(
+      reinterpret_cast<const std::int16_t*>(ky_view.data), entries);
+  plan.kx = PlanArray<std::int16_t>::view(
+      reinterpret_cast<const std::int16_t*>(kx_view.data), entries);
   plan.shift = PlanArray<std::int8_t>::view(
       reinterpret_cast<const std::int8_t*>(shift_view.data), entries);
   plan.sign = PlanArray<std::int8_t>::view(
@@ -270,24 +253,6 @@ ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
   plan.filter_begin = PlanArray<std::int64_t>::view(
       reinterpret_cast<const std::int64_t*>(begin_view.data),
       static_cast<std::size_t>(filters) + 1);
-  plan.filter_gain = PlanArray<std::int64_t>::view(
-      reinterpret_cast<const std::int64_t*>(gain_view.data),
-      static_cast<std::size_t>(filters));
-  if (conv) {
-    const SectionView channel_view =
-        resolve(kRoleChannel, SectionKind::kPlanChannel);
-    const SectionView ky_view = resolve(kRoleKy, SectionKind::kPlanKy);
-    const SectionView kx_view = resolve(kRoleKx, SectionKind::kPlanKx);
-    expect_entries(channel_view, sizeof(std::int32_t), "channel");
-    expect_entries(ky_view, sizeof(std::int16_t), "ky");
-    expect_entries(kx_view, sizeof(std::int16_t), "kx");
-    plan.channel = PlanArray<std::int32_t>::view(
-        reinterpret_cast<const std::int32_t*>(channel_view.data), entries);
-    plan.ky = PlanArray<std::int16_t>::view(
-        reinterpret_cast<const std::int16_t*>(ky_view.data), entries);
-    plan.kx = PlanArray<std::int16_t>::view(
-        reinterpret_cast<const std::int16_t*>(kx_view.data), entries);
-  }
 
   // Shift budget: exponents live in [e_min, e_max], so shifts live in
   // [0, e_max - e_min]; the whole range must fit the barrel budget.
@@ -315,57 +280,34 @@ ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
                std::to_string(f));
     }
   }
-  // Per-entry domains + recomputed per-filter gains.
+  // Per-entry domains.
   const std::int64_t kernel = record.kernel;
-  const std::int64_t in_span = conv ? record.in_channels * kernel * kernel
-                                    : record.in_channels;
-  for (std::int64_t f = 0; f < filters; ++f) {
-    const std::int64_t fb = streams.filter_begin[static_cast<std::size_t>(f)];
-    const std::int64_t fe = streams.filter_begin[static_cast<std::size_t>(f) + 1];
-    std::int64_t gain = 0;
-    for (std::int64_t e = fb; e < fe; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      const int sign = streams.sign[ei];
-      const int shift = streams.shift[ei];
-      if (sign != 1 && sign != -1) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
-                 " sign " + std::to_string(sign) + " not in {-1, +1}");
-      }
-      if (shift < 0 || shift > shift_levels) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
-                 " shift " + std::to_string(shift) + " outside [0, " +
-                 std::to_string(shift_levels) + "]");
-      }
-      const std::int64_t element = streams.element[ei];
-      if (element < 0 || element >= in_span) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
-                 " element " + std::to_string(element) + " outside [0, " +
-                 std::to_string(in_span) + ")");
-      }
-      if (conv) {
-        const std::int64_t channel = streams.channel[ei];
-        const std::int64_t ky = streams.ky[ei];
-        const std::int64_t kx = streams.kx[ei];
-        if (channel < 0 || channel >= record.in_channels || ky < 0 ||
-            ky >= kernel || kx < 0 || kx >= kernel ||
-            element != (channel * kernel + ky) * kernel + kx) {
-          fail(ArtifactErrorCode::kBadProgram,
-               "op " + std::to_string(op_index) + " entry " +
-                   std::to_string(e) + " spatial split disagrees with element");
-        }
-      }
-      const std::int64_t step = std::int64_t{1} << shift;
-      gain = gain > inference::kShiftAccumulatorGuard - step
-                 ? inference::kShiftAccumulatorGuard
-                 : gain + step;
-    }
-    if (streams.filter_gain[static_cast<std::size_t>(f)] != gain) {
+  for (std::size_t e = 0; e < entries; ++e) {
+    const int sign = streams.sign[e];
+    const int shift = streams.shift[e];
+    if (sign != 1 && sign != -1) {
       fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " filter " + std::to_string(f) +
-               " gain does not match its entries");
+           "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
+               " sign " + std::to_string(sign) + " not in {-1, +1}");
+    }
+    if (shift < 0 || shift > shift_levels) {
+      fail(ArtifactErrorCode::kBadProgram,
+           "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
+               " shift " + std::to_string(shift) + " outside [0, " +
+               std::to_string(shift_levels) + "]");
+    }
+    const std::int64_t channel = streams.channel[e];
+    const std::int64_t ky = streams.ky[e];
+    const std::int64_t kx = streams.kx[e];
+    if (channel < 0 || channel >= record.in_channels || ky < 0 ||
+        ky >= kernel || kx < 0 || kx >= kernel) {
+      fail(ArtifactErrorCode::kBadProgram,
+           "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
+               " tap (" + std::to_string(channel) + ", " + std::to_string(ky) +
+               ", " + std::to_string(kx) + ") outside the [" +
+               std::to_string(record.in_channels) + ", " +
+               std::to_string(kernel) + ", " + std::to_string(kernel) +
+               "] filter");
     }
   }
   return plan;
@@ -474,18 +416,21 @@ ProgramOp decode_op(const std::uint8_t* base, const SectionDesc* sections,
       }
       check_geom(record.out_channels, 1, op_index, "out channels");
       check_geom(record.in_channels, 1, op_index, "in channels");
-      if (conv) {
-        check_geom(record.kernel, 1, op_index, "kernel");
-        check_geom(record.stride, 1, op_index, "stride");
-        check_geom(record.padding, 0, op_index, "padding");
+      check_geom(record.kernel, 1, op_index, "kernel");
+      check_geom(record.stride, 1, op_index, "stride");
+      check_geom(record.padding, 0, op_index, "padding");
+      if (!conv && (record.kernel != 1 || record.stride != 1 ||
+                    record.padding != 0)) {
+        fail(ArtifactErrorCode::kBadProgram,
+             "op " + std::to_string(op_index) +
+                 " linear op is not a 1x1, stride-1, padding-0 conv");
       }
       if (record.term_count < 0 || record.term_count > kTermCap) {
         fail(ArtifactErrorCode::kBadProgram,
              "op " + std::to_string(op_index) + " term count " +
                  std::to_string(record.term_count) + " out of range");
       }
-      op.plan = validate_plan(base, sections, section_count, record, op_index,
-                              conv);
+      op.plan = validate_plan(base, sections, section_count, record, op_index);
       op.bias = optional_floats(kRoleBias, SectionKind::kBias,
                                 record.out_channels, "bias");
       break;
@@ -783,6 +728,11 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
         desc.kind > static_cast<std::uint32_t>(SectionKind::kAffineBias)) {
       fail(ArtifactErrorCode::kBadSection,
            "section " + std::to_string(i) + " has unknown kind " +
+               std::to_string(desc.kind));
+    }
+    if (desc.kind == kRetiredElementKind || desc.kind == kRetiredGainKind) {
+      fail(ArtifactErrorCode::kBadSection,
+           "section " + std::to_string(i) + " has retired kind " +
                std::to_string(desc.kind));
     }
     if (desc.offset % kArtifactAlignment != 0) {

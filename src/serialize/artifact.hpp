@@ -8,7 +8,7 @@
 // binds PlanArray views straight into the mapping. N serving replicas that
 // map the same file share one physical copy of every plan stream.
 //
-// Format v1 (DESIGN.md §13 is the normative spec):
+// Format v2 (DESIGN.md §13 is the normative spec):
 //
 //   [ArtifactHeader: 128 bytes]
 //   [section table: section_count x SectionDesc (24 bytes each)]
@@ -24,11 +24,14 @@
 //
 // Versioning: `version` is bumped on any layout change; loaders reject
 // versions they do not know (no silent forward compat). New op kinds or
-// section kinds append enum values, never renumber.
+// section kinds append enum values, never renumber; retired kinds keep
+// their numbers and are rejected. v2 stores each plan entry once, as its
+// channel/ky/kx tap plus shift and sign (a linear plan is a 1x1 conv's);
+// gains and multipliers are derived when the engine adopts the plan.
 //
 // The loader treats the file as untrusted input: every structural field is
 // range-checked before use, every plan stream is validated entry by entry
-// (bounds, sign, shift range, recomputed overflow gains), and residual
+// (tap bounds, sign, shift range, monotone filter prefix), and residual
 // segment counts are proven consistent by the exact-consumption program
 // builder. Any violation throws ArtifactError with a typed code -- never
 // UB, never an unchecked allocation driven by a hostile length.
@@ -75,7 +78,7 @@ class ArtifactError : public std::runtime_error {
 
 inline constexpr char kArtifactMagic[8] = {'F', 'L', 'N', 'A',
                                            'R', 'T', '0', '1'};
-inline constexpr std::uint32_t kArtifactVersion = 1;
+inline constexpr std::uint32_t kArtifactVersion = 2;
 inline constexpr std::size_t kArtifactAlignment = 64;
 
 struct ArtifactHeader {
@@ -96,17 +99,17 @@ struct ArtifactHeader {
 };
 static_assert(sizeof(ArtifactHeader) == 128, "artifact header layout drift");
 
-// Serialization-stable section kinds (append only, never renumber).
+// Serialization-stable section kinds (append only, never renumber). Kinds 2
+// and 9 held v1's per-entry flat element index and per-filter gain; they
+// are retired and the loader rejects them.
 enum class SectionKind : std::uint32_t {
   kProgram = 1,  // op_count x OpRecord
-  kPlanElement = 2,
   kPlanChannel = 3,
   kPlanKy = 4,
   kPlanKx = 5,
   kPlanShift = 6,
   kPlanSign = 7,
   kPlanFilterBegin = 8,
-  kPlanFilterGain = 9,
   kBias = 10,         // float[out_channels]
   kWeights = 11,      // float fallback layers, row-major
   kAffineScale = 12,  // float[channels]
@@ -126,14 +129,12 @@ inline constexpr std::uint32_t kAbsentSection = 0xffffffffU;
 
 // Section-reference roles inside OpRecord::sec, in serialization order.
 enum OpSectionRole : int {
-  kRoleElement = 0,
-  kRoleChannel,
+  kRoleChannel = 0,
   kRoleKy,
   kRoleKx,
   kRoleShift,
   kRoleSign,
   kRoleFilterBegin,
-  kRoleFilterGain,
   kRoleBias,
   kRoleWeights,
   kRoleAffineScale,
@@ -164,7 +165,7 @@ struct OpRecord {
   std::uint32_t weight_rank = 0;
   std::int64_t weight_dims[4] = {};
   std::uint32_t sec[kOpSectionRoles] = {};  // section indices per role
-  std::uint8_t reserved[24] = {};
+  std::uint8_t reserved[32] = {};
 };
 static_assert(sizeof(OpRecord) == 224, "op record layout drift");
 

@@ -2,14 +2,10 @@
 
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 
-#include "core/decompose.hpp"
 #include "core/flightnn_transform.hpp"
-#include "core/quantize_model.hpp"
 #include "nn/batchnorm.hpp"
-#include "quant/lightnn.hpp"
 #include "serialize/wire.hpp"
 
 namespace flightnn::serialize {
@@ -17,7 +13,6 @@ namespace flightnn::serialize {
 namespace {
 
 constexpr char kCheckpointMagic[] = "FLNNCKPT1";
-constexpr char kPackMagic[] = "FLNNPACK1";
 
 // Hardened byte-stream helpers shared with the artifact format (wire.hpp).
 using Writer = ByteWriter;
@@ -155,234 +150,6 @@ void load_state(nn::Sequential& model, const std::string& path) {
   std::vector<std::uint8_t> buffer(
       (std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
   load_state(model, buffer);
-}
-
-// --- Deployment packs -------------------------------------------------------------
-
-namespace {
-
-// Nibble code: 0 = zero term; otherwise bit3 = sign (1 = negative) and
-// bits 0..2 = (exponent - e_min + 1) in [1, 7].
-std::uint8_t encode_term(const quant::Pow2Term& term, const quant::Pow2Config& pow2) {
-  if (term.sign == 0) return 0;
-  const int offset = term.exponent - pow2.e_min + 1;
-  if (offset < 1 || offset > 7) {
-    throw std::invalid_argument("pack: exponent out of the 3-bit range");
-  }
-  return static_cast<std::uint8_t>(((term.sign < 0 ? 1 : 0) << 3) | offset);
-}
-
-quant::Pow2Term decode_term(std::uint8_t code, const quant::Pow2Config& pow2) {
-  quant::Pow2Term term;
-  if (code == 0) return term;
-  term.sign = (code & 0x8) != 0 ? -1 : 1;
-  const int exponent = pow2.e_min + (code & 0x7) - 1;
-  // The 3-bit offset can name exponents up to e_min + 6, which a hostile
-  // pack can push past the config's own e_max (encode_term never emits
-  // those); reject instead of materializing an out-of-budget weight.
-  if (exponent > pow2.e_max) {
-    throw std::invalid_argument("unpack_layer: exponent code above e_max");
-  }
-  term.exponent = static_cast<std::int8_t>(exponent);
-  return term;
-}
-
-}  // namespace
-
-std::int64_t PackedLayer::term_count() const {
-  std::int64_t count = 0;
-  for (std::uint8_t k : filter_k) count += k;
-  return count * elements_per_filter;
-}
-
-std::int64_t PackedLayer::packed_bits() const {
-  return term_count() * 4 + static_cast<std::int64_t>(filter_k.size()) * 2;
-}
-
-double PackedModel::total_bytes() const {
-  std::int64_t bits = 0;
-  for (const auto& layer : layers) bits += layer.packed_bits();
-  return static_cast<double>(bits) / 8.0;
-}
-
-PackedModel pack_quantized(nn::Sequential& model) {
-  PackedModel packed;
-  bool config_set = false;
-  for (const auto& entry : core::quantizable_layers(model)) {
-    int k_max = 0;
-    quant::Pow2Config pow2;
-    if (auto* lightnn = dynamic_cast<quant::LightNNTransform*>(entry.transform)) {
-      k_max = lightnn->k();
-      pow2 = lightnn->config();
-    } else if (auto* fl =
-                   dynamic_cast<core::FLightNNTransform*>(entry.transform)) {
-      k_max = fl->config().k_max;
-      pow2 = fl->config().pow2;
-    } else {
-      throw std::invalid_argument(
-          "pack_quantized: layer has no shift-coded transform");
-    }
-    if (!config_set) {
-      packed.pow2 = pow2;
-      packed.k_max = k_max;
-      config_set = true;
-    }
-    packed.k_max = std::max(packed.k_max, k_max);
-
-    const tensor::Tensor wq = entry.transform->forward(entry.weight->value);
-    const auto decomposition = core::decompose_to_lightnn1(wq, k_max, pow2);
-
-    PackedLayer layer;
-    layer.filters = wq.shape()[0];
-    layer.elements_per_filter = decomposition.elements_per_filter;
-    layer.filter_k.assign(decomposition.filter_k.begin(),
-                          decomposition.filter_k.end());
-
-    std::vector<std::uint8_t> codes;
-    codes.reserve(static_cast<std::size_t>(decomposition.term_count() *
-                                           layer.elements_per_filter));
-    for (const auto& term : decomposition.terms) {
-      for (const auto& element : term.elements) {
-        codes.push_back(encode_term(element, pow2));
-      }
-    }
-    layer.nibbles.resize((codes.size() + 1) / 2, 0);
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      layer.nibbles[i / 2] |= static_cast<std::uint8_t>(
-          codes[i] << ((i % 2) * 4));
-    }
-    packed.layers.push_back(std::move(layer));
-  }
-  return packed;
-}
-
-tensor::Tensor unpack_layer(const PackedLayer& layer, const quant::Pow2Config& pow2,
-                            const tensor::Shape& shape) {
-  if (shape.numel() != layer.filters * layer.elements_per_filter) {
-    throw std::invalid_argument("unpack_layer: shape mismatch");
-  }
-  tensor::Tensor out(shape);
-  std::size_t code_index = 0;
-  auto next_code = [&]() {
-    const std::uint8_t byte = layer.nibbles[code_index / 2];
-    const std::uint8_t code =
-        static_cast<std::uint8_t>((byte >> ((code_index % 2) * 4)) & 0xF);
-    ++code_index;
-    return code;
-  };
-  for (std::int64_t filter = 0; filter < layer.filters; ++filter) {
-    const int k = layer.filter_k[static_cast<std::size_t>(filter)];
-    float* base = out.data() + filter * layer.elements_per_filter;
-    for (int level = 0; level < k; ++level) {
-      for (std::int64_t e = 0; e < layer.elements_per_filter; ++e) {
-        base[e] += decode_term(next_code(), pow2).value();
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> serialize_packed(const PackedModel& model) {
-  Writer writer;
-  writer.bytes(kPackMagic, sizeof(kPackMagic));
-  writer.u32(static_cast<std::uint32_t>(model.pow2.e_min + 128));
-  writer.u32(static_cast<std::uint32_t>(model.pow2.e_max + 128));
-  writer.u32(model.pow2.flush_to_zero ? 1 : 0);
-  writer.u32(static_cast<std::uint32_t>(model.k_max));
-  writer.u32(static_cast<std::uint32_t>(model.layers.size()));
-  for (const auto& layer : model.layers) {
-    writer.i64(layer.filters);
-    writer.i64(layer.elements_per_filter);
-    writer.bytes(layer.filter_k.data(), layer.filter_k.size());
-    writer.i64(static_cast<std::int64_t>(layer.nibbles.size()));
-    writer.bytes(layer.nibbles.data(), layer.nibbles.size());
-  }
-  return writer.take();
-}
-
-PackedModel parse_packed(const std::vector<std::uint8_t>& buffer) {
-  Reader reader(buffer);
-  char magic[sizeof(kPackMagic)] = {};
-  reader.bytes(magic, sizeof(magic));
-  if (std::memcmp(magic, kPackMagic, sizeof(magic)) != 0) {
-    throw std::runtime_error("parse_packed: bad magic");
-  }
-  PackedModel model;
-  model.pow2.e_min = static_cast<int>(reader.u32()) - 128;
-  model.pow2.e_max = static_cast<int>(reader.u32()) - 128;
-  const std::uint32_t flush = reader.u32();
-  // Strict parse (0 or 1 only) keeps parse -> serialize byte-lossless, the
-  // invariant the fuzz harness asserts on every accepted input.
-  if (flush > 1) {
-    throw std::runtime_error("parse_packed: invalid flush_to_zero flag");
-  }
-  model.pow2.flush_to_zero = flush == 1;
-  model.k_max = static_cast<int>(reader.u32());
-  // Decoded exponents must stay inside the normal float range exp2_int
-  // realizes ([-126, 127]), and an inverted range cannot have been produced
-  // by serialize_packed.
-  if (model.pow2.e_min < -126 || model.pow2.e_max > 127 ||
-      model.pow2.e_min > model.pow2.e_max) {
-    throw std::runtime_error("parse_packed: invalid exponent range");
-  }
-  if (model.k_max < 0 || model.k_max > 255) {
-    throw std::runtime_error("parse_packed: invalid k_max");
-  }
-  const std::uint32_t layer_count = reader.u32();
-  // A layer's header alone is filters + elements + nibble count = 24 bytes;
-  // bounding the count by the remaining payload keeps a hostile header from
-  // forcing a huge up-front vector allocation.
-  if (layer_count > reader.remaining() / 24) {
-    throw std::runtime_error("parse_packed: layer count exceeds buffer");
-  }
-  model.layers.resize(layer_count);
-  for (auto& layer : model.layers) {
-    layer.filters = reader.i64();
-    layer.elements_per_filter = reader.i64();
-    if (layer.filters < 0 || layer.elements_per_filter < 0) {
-      throw std::runtime_error("parse_packed: negative dimensions");
-    }
-    // One byte of filter_k payload per filter must still be in the buffer.
-    if (static_cast<std::uint64_t>(layer.filters) > reader.remaining()) {
-      throw std::runtime_error("parse_packed: filter count exceeds buffer");
-    }
-    layer.filter_k.resize(static_cast<std::size_t>(layer.filters));
-    reader.bytes(layer.filter_k.data(), layer.filter_k.size());
-    // Every per-filter term count must respect the model's k_max; a larger
-    // value would make unpack_layer walk more nibbles than the pack holds.
-    for (std::uint8_t k : layer.filter_k) {
-      if (k > model.k_max) {
-        throw std::runtime_error("parse_packed: filter k exceeds k_max");
-      }
-    }
-    const std::int64_t nibble_bytes = reader.i64();
-    if (nibble_bytes < 0 ||
-        static_cast<std::uint64_t>(nibble_bytes) > reader.remaining()) {
-      throw std::runtime_error("parse_packed: nibble count exceeds buffer");
-    }
-    // The nibble stream length is fully determined by filter_k and the
-    // element count (4 bits per term element, rounded up to a byte); an
-    // inconsistent length means either truncated codes (unpack_layer would
-    // read out of bounds) or smuggled trailing payload. term_count() cannot
-    // overflow here: sum(filter_k) <= 255 * filters <= 255 * remaining()
-    // and elements_per_filter is about to be bounded by the same product.
-    std::int64_t term_sum = 0;
-    for (std::uint8_t k : layer.filter_k) term_sum += k;
-    if (layer.elements_per_filter > 0 &&
-        term_sum > (std::numeric_limits<std::int64_t>::max)() /
-                       layer.elements_per_filter) {
-      throw std::runtime_error("parse_packed: term count overflows");
-    }
-    const std::int64_t terms = term_sum * layer.elements_per_filter;
-    if (nibble_bytes != (terms + 1) / 2) {
-      throw std::runtime_error(
-          "parse_packed: nibble stream does not match filter_k");
-    }
-    layer.nibbles.resize(static_cast<std::size_t>(nibble_bytes));
-    reader.bytes(layer.nibbles.data(), layer.nibbles.size());
-  }
-  if (!reader.exhausted()) throw std::runtime_error("parse_packed: trailing bytes");
-  return model;
 }
 
 }  // namespace flightnn::serialize

@@ -1,26 +1,19 @@
 #pragma once
 
-// Model persistence, two formats:
-//
-//  1. Checkpoints (`save_state` / `load_state`): every trainable parameter,
-//     batch-norm running statistics, and FLightNN thresholds, written in
-//     layer-traversal order. The architecture itself is code (the builders
-//     in models/), so a checkpoint restores state into a freshly built
-//     model of the same shape -- mismatches are detected and rejected.
-//
-//  2. Deployment packs (`pack_quantized` / `unpack_quantized`): the
-//     quantized weights of every quantizable layer decomposed into shift
-//     terms and nibble-packed at 4 bits per term (1 sign + 3 exponent bits)
-//     with a 2-bit k tag per filter -- the bit-for-bit realization of the
-//     storage numbers in the paper's tables. Unpacking reconstructs the
-//     quantized weight tensors exactly.
+// Model persistence: checkpoints (`save_state` / `load_state`) hold every
+// trainable parameter, batch-norm running statistics, and FLightNN
+// thresholds, written in layer-traversal order. The architecture itself is
+// code (the builders in models/), so a checkpoint restores state into a
+// freshly built model of the same shape -- mismatches are detected and
+// rejected. The deployment format is the compiled artifact
+// (serialize/artifact.hpp), whose shift plans are the only stored form of
+// shift weights.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "nn/sequential.hpp"
-#include "quant/pow2.hpp"
 
 namespace flightnn::serialize {
 
@@ -35,43 +28,5 @@ void save_state(nn::Sequential& model, const std::string& path);
 // Throws std::runtime_error on magic/shape mismatch.
 void load_state(nn::Sequential& model, const std::vector<std::uint8_t>& buffer);
 void load_state(nn::Sequential& model, const std::string& path);
-
-// --- Deployment packs ----------------------------------------------------------
-
-// One quantizable layer's packed shift-term representation.
-struct PackedLayer {
-  std::int64_t filters = 0;
-  std::int64_t elements_per_filter = 0;
-  std::vector<std::uint8_t> filter_k;  // 2 bits would do; stored as bytes here,
-                                       // counted as 2 bits in packed_bits()
-  // Nibble stream: for each filter, k_i levels x elements_per_filter terms,
-  // each 4 bits (sign bit + 3-bit exponent offset from e_min; 0xF = zero).
-  std::vector<std::uint8_t> nibbles;   // two terms per byte
-
-  [[nodiscard]] std::int64_t term_count() const;
-  // Exact deployment size in bits (4 bits/term + 2-bit k tags).
-  [[nodiscard]] std::int64_t packed_bits() const;
-};
-
-struct PackedModel {
-  quant::Pow2Config pow2;
-  int k_max = 2;
-  std::vector<PackedLayer> layers;
-
-  [[nodiscard]] double total_bytes() const;
-};
-
-// Pack every quantizable layer's *quantized* weights (through the installed
-// transforms). Throws if a layer's quantized weights are not sums of at
-// most k_max powers of two under its transform's encoding.
-PackedModel pack_quantized(nn::Sequential& model);
-
-// Reconstruct the quantized weight tensor of one packed layer.
-tensor::Tensor unpack_layer(const PackedLayer& layer, const quant::Pow2Config& pow2,
-                            const tensor::Shape& shape);
-
-// Serialize / parse a PackedModel (for writing deployment artifacts).
-std::vector<std::uint8_t> serialize_packed(const PackedModel& model);
-PackedModel parse_packed(const std::vector<std::uint8_t>& buffer);
 
 }  // namespace flightnn::serialize

@@ -1,12 +1,12 @@
 #pragma once
 
 // Shared little-endian byte-stream helpers for the serialization formats
-// (checkpoints, deployment packs, deployment artifacts). One hardened
-// reader/writer pair instead of per-format copies: the reader's bounds
-// arithmetic is overflow-proof (a hostile length near SIZE_MAX cannot wrap
-// past the end), and every format's length fields are clamped against
-// remaining() before any allocation, so a kilobyte file can never request a
-// multi-gigabyte vector.
+// (checkpoints and deployment artifacts). One hardened reader/writer pair
+// instead of per-format copies: the reader's bounds arithmetic is
+// overflow-proof (a hostile length near SIZE_MAX cannot wrap past the end),
+// and every format's length fields are clamped against remaining() before
+// any allocation, so a kilobyte file can never request a multi-gigabyte
+// vector.
 
 #include <cstdint>
 #include <cstring>

@@ -16,8 +16,25 @@
 // where that tolerance is acceptable. Reductions that must be bit-stable
 // across machines (e.g. the regularizer's double accumulations) must NOT
 // be cloned.
+//
+// Under ThreadSanitizer the clones are dropped (baseline code only): the
+// ifunc resolvers run during relocation, before the TSan runtime is up, and
+// an instrumented resolver crashes the binary at startup. The explicit
+// dispatch tables (FLIGHTNN_X86_DISPATCH) resolve at run time and stay.
+#if defined(__SANITIZE_THREAD__)
+#define FLIGHTNN_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define FLIGHTNN_TSAN_BUILD 1
+#endif
+#endif
+
 #if defined(__x86_64__) && defined(__GNUC__)
+#if defined(FLIGHTNN_TSAN_BUILD)
+#define FLIGHTNN_SIMD_CLONES
+#else
 #define FLIGHTNN_SIMD_CLONES __attribute__((target_clones("default", "avx2")))
+#endif
 #define FLIGHTNN_X86_DISPATCH 1
 #else
 #define FLIGHTNN_SIMD_CLONES

@@ -80,12 +80,16 @@ Tensor Tensor::rand_uniform(Shape shape, support::Rng& rng, float lo, float hi) 
 }
 
 Tensor Tensor::reshaped(Shape new_shape) const {
-  FLIGHTNN_CHECK(new_shape.numel() == shape_.numel(),
-                 "Tensor::reshaped: numel mismatch ", shape_.to_string(),
-                 " -> ", new_shape.to_string());
   Tensor t(*this);  // pooled deep copy
-  t.shape_ = std::move(new_shape);
+  t.reshape(std::move(new_shape));
   return t;
+}
+
+void Tensor::reshape(Shape new_shape) {
+  FLIGHTNN_CHECK(new_shape.numel() == shape_.numel(),
+                 "Tensor::reshape: numel mismatch ", shape_.to_string(), " -> ",
+                 new_shape.to_string());
+  shape_ = std::move(new_shape);
 }
 
 void Tensor::fill(float value) {

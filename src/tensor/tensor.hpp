@@ -69,8 +69,10 @@ class Tensor {
     return data_[static_cast<std::size_t>(shape_.offset(index))];
   }
 
-  // Reinterpret with a new shape of equal numel (no data movement).
+  // A copy with a new shape of equal numel (a pooled deep copy).
   [[nodiscard]] Tensor reshaped(Shape new_shape) const;
+  // Give this tensor a new shape of equal numel, in place (no data movement).
+  void reshape(Shape new_shape);
 
   void fill(float value);
 

@@ -222,24 +222,44 @@ TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
            p < static_cast<const void*>(end);
   };
   int shift_ops = 0;
+  int linear_ops = 0;
   for (const auto& op : parsed.ops) {
     if (op.kind != ProgramOpKind::kShiftConv &&
         op.kind != ProgramOpKind::kShiftLinear) {
       continue;
     }
     ++shift_ops;
-    EXPECT_TRUE(in_blob(op.plan.element.data()));
+    const bool conv = op.kind == ProgramOpKind::kShiftConv;
+    linear_ops += conv ? 0 : 1;
+    ASSERT_GT(op.plan.entries(), 0);
+    EXPECT_TRUE(in_blob(op.plan.channel.data()));
+    EXPECT_TRUE(in_blob(op.plan.ky.data()));
+    EXPECT_TRUE(in_blob(op.plan.kx.data()));
     EXPECT_TRUE(in_blob(op.plan.shift.data()));
     EXPECT_TRUE(in_blob(op.plan.sign.data()));
     EXPECT_TRUE(in_blob(op.plan.filter_begin.data()));
-    EXPECT_TRUE(in_blob(op.plan.filter_gain.data()));
     // Streams of 8-byte elements must be naturally aligned in the mapping.
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(op.plan.filter_begin.data()) % 8,
               0U);
     // The artifact path carries plans, never the float weights.
     EXPECT_TRUE(op.weights.empty());
+    // Adoption keeps the core streams as views and derives the gains and
+    // multipliers into owned storage (a linear op adopts as a 1x1 conv).
+    const inference::ShiftConvSpec spec{op.out_channels, op.in_channels,
+                                        op.kernel,       op.stride,
+                                        op.padding,      op.term_count};
+    const inference::ShiftConv2d engine(op.plan, spec, op.pow2, op.bias);
+    const inference::ShiftPlan& adopted = engine.plan();
+    EXPECT_EQ(adopted.channel.data(), op.plan.channel.data());
+    EXPECT_EQ(adopted.kx.data(), op.plan.kx.data());
+    ASSERT_EQ(adopted.filter_gain.size(),
+              static_cast<std::size_t>(op.out_channels));
+    ASSERT_EQ(adopted.mult.size(), static_cast<std::size_t>(op.plan.entries()));
+    EXPECT_FALSE(in_blob(adopted.filter_gain.data()));
+    EXPECT_FALSE(in_blob(adopted.mult.data()));
   }
   EXPECT_GT(shift_ops, 10) << "ResNet-18 should lower many shift layers";
+  EXPECT_EQ(linear_ops, 1) << "the classifier is a shift linear op";
 }
 
 // --- Corruption matrix ----------------------------------------------------
@@ -273,6 +293,47 @@ void write_section(std::vector<std::uint8_t>& blob, std::size_t index,
                    const SectionDesc& desc) {
   std::memcpy(blob.data() + sizeof(ArtifactHeader) + index * sizeof(SectionDesc),
               &desc, sizeof(desc));
+}
+
+OpRecord read_op(const std::vector<std::uint8_t>& blob, std::uint32_t index) {
+  const auto sections = read_sections(blob);
+  OpRecord record;
+  std::memcpy(&record, blob.data() + sections[0].offset + index * sizeof(record),
+              sizeof(record));
+  return record;
+}
+
+// The first section of `kind` owned by an op of `op_kind`; aborts the test
+// if absent.
+SectionDesc find_op_section(const std::vector<std::uint8_t>& blob,
+                            SectionKind kind, ProgramOpKind op_kind) {
+  for (const SectionDesc& desc : read_sections(blob)) {
+    if (desc.kind == static_cast<std::uint32_t>(kind) &&
+        read_op(blob, desc.op_index).kind ==
+            static_cast<std::uint32_t>(op_kind)) {
+      return desc;
+    }
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<int>(kind)
+                << " on an op of kind " << static_cast<int>(op_kind);
+  return {};
+}
+
+// Overwrite the first entry of a conv plan's ky or kx stream with the
+// kernel size, one past its last valid tap.
+void set_first_tap_to_kernel(std::vector<std::uint8_t>& blob,
+                             SectionKind kind) {
+  const SectionDesc tap =
+      find_op_section(blob, kind, ProgramOpKind::kShiftConv);
+  const auto hostile =
+      static_cast<std::int16_t>(read_op(blob, tap.op_index).kernel);
+  std::memcpy(blob.data() + tap.offset, &hostile, sizeof(hostile));
+}
+
+void set_section_1_kind(std::vector<std::uint8_t>& blob, std::uint32_t kind) {
+  auto sections = read_sections(blob);
+  sections[1].kind = kind;
+  write_section(blob, 1, sections[1]);
 }
 
 // First section of `kind`; aborts the test if absent.
@@ -340,11 +401,7 @@ const CorruptionCase kCorruptionMatrix[] = {
        write_section(blob, 1, sections[1]);
      }},
     {"unknown section kind", ArtifactErrorCode::kBadSection, true,
-     [](std::vector<std::uint8_t>& blob) {
-       auto sections = read_sections(blob);
-       sections[1].kind = 0xDEAD;
-       write_section(blob, 1, sections[1]);
-     }},
+     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 0xDEAD); }},
     {"program section replaced", ArtifactErrorCode::kBadSection, true,
      [](std::vector<std::uint8_t>& blob) {
        auto sections = read_sections(blob);
@@ -396,12 +453,33 @@ const CorruptionCase kCorruptionMatrix[] = {
        const SectionDesc shift = find_section(blob, SectionKind::kPlanShift);
        blob[shift.offset] = 63;
      }},
-    {"plan element out of bounds", ArtifactErrorCode::kBadProgram, true,
+    {"conv plan channel at in_channels", ArtifactErrorCode::kBadProgram, true,
      [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc element = find_section(blob, SectionKind::kPlanElement);
-       const std::int32_t hostile = 0x7FFFFFFF;
-       std::memcpy(blob.data() + element.offset, &hostile, sizeof(hostile));
+       const SectionDesc channel = find_op_section(
+           blob, SectionKind::kPlanChannel, ProgramOpKind::kShiftConv);
+       const auto hostile =
+           static_cast<std::int32_t>(read_op(blob, channel.op_index).in_channels);
+       std::memcpy(blob.data() + channel.offset, &hostile, sizeof(hostile));
      }},
+    {"conv plan ky at the kernel size", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       set_first_tap_to_kernel(blob, SectionKind::kPlanKy);
+     }},
+    {"conv plan kx at the kernel size", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       set_first_tap_to_kernel(blob, SectionKind::kPlanKx);
+     }},
+    {"linear plan kx not 0", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       const SectionDesc kx = find_op_section(blob, SectionKind::kPlanKx,
+                                              ProgramOpKind::kShiftLinear);
+       const std::int16_t hostile = 1;
+       std::memcpy(blob.data() + kx.offset, &hostile, sizeof(hostile));
+     }},
+    {"section of the retired element kind", ArtifactErrorCode::kBadSection,
+     true, [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 2); }},
+    {"section of the retired gain kind", ArtifactErrorCode::kBadSection, true,
+     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 9); }},
     {"non-monotone filter_begin", ArtifactErrorCode::kBadProgram, true,
      [](std::vector<std::uint8_t>& blob) {
        const SectionDesc begin = find_section(blob,
@@ -410,15 +488,6 @@ const CorruptionCase kCorruptionMatrix[] = {
        std::memcpy(&first, blob.data() + begin.offset + 8, sizeof(first));
        first = -first - 1;
        std::memcpy(blob.data() + begin.offset + 8, &first, sizeof(first));
-     }},
-    {"filter gain disagreeing with its entries",
-     ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc gain = find_section(blob, SectionKind::kPlanFilterGain);
-       std::int64_t value = 0;
-       std::memcpy(&value, blob.data() + gain.offset, sizeof(value));
-       value += 1;
-       std::memcpy(blob.data() + gain.offset, &value, sizeof(value));
      }},
 };
 

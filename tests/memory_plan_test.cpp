@@ -92,14 +92,16 @@ TEST(MemoryPlanTest, Table1NetworkLayoutsAreSound) {
     const auto network =
         inference::QuantizedNetwork::from_program(std::move(program));
     const inference::MemoryPlan* plan = network.memory_plan();
-    // Every conv op must have arena scratch; the census must be coherent.
+    // Every shift op (a linear one is a 1x1 conv) must have arena scratch;
+    // the census must be coherent.
     EXPECT_EQ(plan->per_op().size(), op_count);
     for (std::size_t i = 0; i < plan->per_op().size(); ++i) {
       const auto& mem = plan->per_op()[i];
       EXPECT_EQ(mem.op, i);
       EXPECT_EQ(mem.scratch_bytes,
                 mem.offsets_bytes + mem.accumulator_bytes + mem.input_bytes);
-      if (mem.kind == inference::ProgramOpKind::kShiftConv) {
+      if (mem.kind == inference::ProgramOpKind::kShiftConv ||
+          mem.kind == inference::ProgramOpKind::kShiftLinear) {
         EXPECT_GT(mem.offsets_bytes, 0U);
         EXPECT_GT(mem.accumulator_bytes, 0U);
       } else {
@@ -163,8 +165,8 @@ TEST(MemoryPlanTest, ArtifactRoundTripKeepsPlanAndLogits) {
   {
     const serialize::ArtifactModel artifact =
         serialize::ArtifactModel::load(path);
-    // The plan is taken in-loader (format stays v1) and sizes the arena
-    // exactly as the in-process one does.
+    // The plan is taken in-loader (the artifact stores none of it) and
+    // sizes the arena exactly as the in-process one does.
     EXPECT_EQ(artifact.network().memory_plan()->arena_capacity_bytes(),
               compiled.memory_plan()->arena_capacity_bytes());
 

@@ -22,6 +22,7 @@
 #include "runtime/inference_request.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/rng.hpp"
+#include "term_walk_oracle.hpp"
 
 namespace flightnn {
 namespace {
@@ -113,16 +114,20 @@ TEST(ParallelConsistencyTest, ShiftConv2dBitIdentical) {
   check_thread_invariance("shift_conv", [&] { return engine.run(q); });
 }
 
-TEST(ParallelConsistencyTest, ShiftLinearBitIdentical) {
+TEST(ParallelConsistencyTest, LinearAsOneByOneConvBitIdentical) {
   support::Rng rng(22);
   const quant::Pow2Config config;
   Tensor w = Tensor::randn(Shape{10, 48}, rng, 0.0F, 0.3F);
   Tensor wq = quant::quantize_lightnn(w, 2, config);
   Tensor bias = Tensor::randn(Shape{10}, rng);
-  inference::ShiftLinear engine(wq, 2, config, bias);
+  // A linear layer runs as a 1x1 conv over the [48, 1, 1] plane.
+  const inference::ShiftConv2d engine =
+      inference::oracle::linear_engine(wq, 2, config, bias);
   Tensor x = Tensor::randn(Shape{48}, rng);
   const auto q = inference::quantize_tensor(x, 8);
-  check_thread_invariance("shift_linear", [&] { return engine.run(q); });
+  check_thread_invariance("shift_linear", [&] {
+    return inference::oracle::run_linear(engine, q);
+  });
 }
 
 // Full Table-1-style network through the compiled integer plan, run via

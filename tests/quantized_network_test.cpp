@@ -16,6 +16,7 @@
 #include "models/networks.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/inference_request.hpp"
+#include "term_walk_oracle.hpp"
 
 namespace flightnn::inference {
 namespace {
@@ -175,7 +176,7 @@ TEST(QuantizedNetworkTest, RejectsBadInputs) {
                std::invalid_argument);
 }
 
-TEST(QuantizedNetworkTest, ShiftLinearMatchesFloatLinear) {
+TEST(QuantizedNetworkTest, LinearAsOneByOneConvMatchesFloatLinear) {
   support::Rng rng(9);
   const quant::Pow2Config config;
   Tensor w = Tensor::randn(Shape{5, 12}, rng, 0.0F, 0.3F);
@@ -184,8 +185,9 @@ TEST(QuantizedNetworkTest, ShiftLinearMatchesFloatLinear) {
   Tensor x = Tensor::randn(Shape{12}, rng);
   const auto qx = quantize_tensor(x, 8);
 
-  ShiftLinear engine(wq, 2, config, bias);
-  Tensor out = engine.run(qx);
+  // A linear layer runs as a 1x1 conv over the [12, 1, 1] plane.
+  const ShiftConv2d engine = oracle::linear_engine(wq, 2, config, bias);
+  Tensor out = oracle::run_linear(engine, qx);
   // Reference: float dot products on the dequantized operands.
   Tensor deq = dequantize(qx);
   for (std::int64_t o = 0; o < 5; ++o) {

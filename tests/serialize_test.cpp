@@ -1,7 +1,7 @@
-// Tests for checkpoints (state round-trip through memory and disk) and
-// deployment packs (nibble-packed shift terms that reconstruct the
-// quantized weights exactly and realize the paper's bits-per-weight
-// accounting).
+// Tests for checkpoints: state round-trip through memory and disk, and
+// rejection of structurally mismatched or truncated buffers. (The
+// deployment artifact has its own battery, artifact_test; eval_test covers
+// the paper's storage accounting.)
 
 #include "serialize/model_io.hpp"
 
@@ -17,9 +17,7 @@
 
 #include "core/quantize_model.hpp"
 #include "core/trainer.hpp"
-#include "eval/storage.hpp"
 #include "models/networks.hpp"
-#include "quant/lightnn.hpp"
 
 namespace flightnn::serialize {
 namespace {
@@ -141,84 +139,6 @@ TEST(CheckpointTest, RejectsStructuralMismatch) {
   auto truncated = buffer;
   truncated.resize(truncated.size() / 2);
   EXPECT_THROW(load_state(*model, truncated), std::runtime_error);
-}
-
-TEST(PackTest, RoundTripReconstructsQuantizedWeights) {
-  auto model = make_model();
-  core::install_lightnn(*model, 2);
-
-  const PackedModel packed = pack_quantized(*model);
-  const auto layers = core::quantizable_layers(*model);
-  ASSERT_EQ(packed.layers.size(), layers.size());
-
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const Tensor wq = layers[i].transform->forward(layers[i].weight->value);
-    const Tensor rebuilt =
-        unpack_layer(packed.layers[i], packed.pow2, wq.shape());
-    EXPECT_LT(tensor::max_abs_diff(wq, rebuilt), 1e-9F) << "layer " << i;
-  }
-}
-
-TEST(PackTest, FLightNNPackHonorsPerFilterK) {
-  auto model = make_model();
-  const auto transforms = core::install_flightnn(*model, core::FLightNNConfig{});
-  // Push half the filters to k=1 via thresholds.
-  for (auto* transform : transforms) transform->set_thresholds({0.0F, 0.15F});
-
-  const PackedModel packed = pack_quantized(*model);
-  const auto layers = core::quantizable_layers(*model);
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const Tensor wq = layers[i].transform->forward(layers[i].weight->value);
-    const Tensor rebuilt =
-        unpack_layer(packed.layers[i], packed.pow2, wq.shape());
-    EXPECT_LT(tensor::max_abs_diff(wq, rebuilt), 1e-9F) << "layer " << i;
-  }
-}
-
-TEST(PackTest, PackedSizeTracksStorageAccounting) {
-  auto model = make_model();
-  core::install_lightnn(*model, 1);
-  const PackedModel packed = pack_quantized(*model);
-  // 4 bits per weight + 2-bit filter tags; eval::model_storage_bytes counts
-  // 4 bits per weight for L-1 plus 32-bit non-weight params. The packed
-  // stream covers only the quantized weights, so it must be <= and close to
-  // the weight share of the accounting.
-  std::int64_t weight_count = 0;
-  for (const auto& layer : core::quantizable_layers(*model)) {
-    weight_count += layer.weight->value.numel();
-  }
-  const double expected_bytes = static_cast<double>(weight_count) * 4 / 8.0;
-  // Zero-valued terms do not shrink the stream: size is exactly 4 bits per
-  // weight per used level, plus tags.
-  EXPECT_GE(packed.total_bytes(), expected_bytes * 0.5);
-  EXPECT_LE(packed.total_bytes(), expected_bytes * 1.2);
-}
-
-TEST(PackTest, SerializeParseRoundTrip) {
-  auto model = make_model();
-  core::install_lightnn(*model, 2);
-  const PackedModel packed = pack_quantized(*model);
-  const auto bytes = serialize_packed(packed);
-  const PackedModel parsed = parse_packed(bytes);
-
-  ASSERT_EQ(parsed.layers.size(), packed.layers.size());
-  EXPECT_EQ(parsed.k_max, packed.k_max);
-  EXPECT_EQ(parsed.pow2.e_min, packed.pow2.e_min);
-  for (std::size_t i = 0; i < packed.layers.size(); ++i) {
-    EXPECT_EQ(parsed.layers[i].filter_k, packed.layers[i].filter_k);
-    EXPECT_EQ(parsed.layers[i].nibbles, packed.layers[i].nibbles);
-  }
-
-  auto corrupted = bytes;
-  corrupted[2] ^= 0x55;
-  EXPECT_THROW((void)parse_packed(corrupted), std::runtime_error);
-}
-
-TEST(PackTest, RejectsUnquantizedModels) {
-  auto model = make_model();  // no transforms installed
-  EXPECT_THROW((void)pack_quantized(*model), std::invalid_argument);
-  core::install_fixed_point(*model, 4);
-  EXPECT_THROW((void)pack_quantized(*model), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,13 +2,14 @@
 // AVX2 tier must be byte-identical to the scalar tier and to the pre-plan
 // term walk (term_walk_oracle.hpp) under every geometry the plan compiler can produce --
 // odd output widths (16-wide / 8-wide / masked-tail paths), strides,
-// paddings, k_max, pruning, thread counts, and artifact-adopted plans whose
-// streams are zero-copy views into an mmap. The direct kernel tests run the
-// dispatch-table function pointers on exactly-sized buffers, so the ASan CI
-// preset turns any padded-stream or masked-lane overread into a hard
-// failure (the vector kernels must touch no byte the scalar tier would
-// not). Tier comparisons skip on hosts without AVX2, where tier 1 resolves
-// to the scalar table and the comparison would be vacuous.
+// paddings, k_max, pruning, linear layers (1x1 convs on a 1x1 plane), thread
+// counts, and artifact-adopted plans whose streams are zero-copy views into
+// an mmap. The direct kernel test runs the dispatch-table function pointers
+// on exactly-sized buffers, so the ASan CI preset turns any masked-lane
+// overread into a hard failure (the vector kernel must touch no byte the
+// scalar tier would not). Tier comparisons skip on hosts without AVX2,
+// where tier 1 resolves to the scalar table and the comparison would be
+// vacuous.
 
 #include "inference/shift_kernels.hpp"
 
@@ -130,18 +131,24 @@ TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
   }
 }
 
+// Activations with |q| up to 2^26: too large for the int32 bound.
+QuantizedActivations wide_activations(const Shape& shape, support::Rng& rng) {
+  QuantizedActivations wide;
+  wide.shape = shape;
+  for (std::int64_t i = 0; i < shape.numel(); ++i) {
+    wide.values.push_back(
+        static_cast<std::int32_t>(rng.uniform_index(1U << 27)) - (1 << 26));
+  }
+  return wide;
+}
+
 // Activations too large for the int32 bound send every tier to the one
 // int64 scalar loop, which walks the same padded, stride-phased plane.
 TEST(ShiftKernelDiffTest, WideAccumulatorPathMatchesReference) {
   TierGuard guard;
   const quant::Pow2Config config;
   support::Rng rng(108);
-  QuantizedActivations wide;
-  wide.shape = Shape{3, 11, 9};
-  for (std::int64_t i = 0; i < wide.shape.numel(); ++i) {
-    wide.values.push_back(
-        static_cast<std::int32_t>(rng.uniform_index(1U << 27)) - (1 << 26));
-  }
+  const QuantizedActivations wide = wide_activations(Shape{3, 11, 9}, rng);
   for (const std::int64_t stride : {1, 2}) {
     for (const std::int64_t padding : {0, 1}) {
       Tensor w = Tensor::randn(Shape{4, 3, 3, 3}, rng, 0.0F, 0.3F);
@@ -157,6 +164,24 @@ TEST(ShiftKernelDiffTest, WideAccumulatorPathMatchesReference) {
           "wide s=" + std::to_string(stride) + " p=" + std::to_string(padding));
     }
   }
+  // A linear layer: the 1x1 conv on a 1x1 plane takes the same int64 loop.
+  const QuantizedActivations wide_vec = wide_activations(Shape{40}, rng);
+  Tensor w = Tensor::randn(Shape{6, 40}, rng, 0.0F, 0.3F);
+  Tensor wq = quant::quantize_lightnn(w, 2, config);
+  const ShiftConv2d linear = oracle::linear_engine(wq, 2, config);
+  const ShiftPlan& plan = linear.plan();
+  ASSERT_GT(*std::max_element(plan.filter_gain.begin(), plan.filter_gain.end()),
+            std::int64_t{0x7fffffff} / wide_vec.abs_max())
+      << "these activations must fail the narrow bound";
+  set_kernel_tier_override(0);
+  const Tensor scalar_out = oracle::run_linear(linear, wide_vec);
+  set_kernel_tier_override(1);
+  const Tensor vector_out = oracle::run_linear(linear, wide_vec);
+  set_kernel_tier_override(-1);
+  const Tensor reference_out =
+      oracle::TermWalkLinear(wq, 2, config).run(wide_vec);
+  EXPECT_TRUE(bytes_equal(scalar_out, vector_out)) << "wide linear";
+  EXPECT_TRUE(bytes_equal(vector_out, reference_out)) << "wide linear";
 }
 
 TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
@@ -164,8 +189,8 @@ TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
   TierGuard guard;
   const quant::Pow2Config config;
   support::Rng rng(102);
-  // Feature counts straddling the 8-lane padding boundary, including rows
-  // whose entry counts land on 1/7/8/9 after pruning.
+  // Feature counts straddling the 8-lane vector width, including rows whose
+  // entry counts land on 1/7/8/9 after pruning.
   for (const std::int64_t in_features : {1, 7, 8, 9, 31, 64}) {
     for (const std::int64_t out_features : {1, 5, 10}) {
       for (const int k_max : {1, 2}) {
@@ -176,11 +201,11 @@ TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
           if (prune) prune_filters(wq, out_features / 2);
           Tensor x = Tensor::randn(Shape{in_features}, rng);
           const auto qx = quantize_tensor(x, 8);
-          const ShiftLinear engine(wq, k_max, config);
+          const ShiftConv2d engine = oracle::linear_engine(wq, k_max, config);
           set_kernel_tier_override(0);
-          const Tensor scalar_out = engine.run(qx);
+          const Tensor scalar_out = oracle::run_linear(engine, qx);
           set_kernel_tier_override(1);
-          const Tensor vector_out = engine.run(qx);
+          const Tensor vector_out = oracle::run_linear(engine, qx);
           set_kernel_tier_override(-1);
           const Tensor reference_out =
               oracle::TermWalkLinear(wq, k_max, config).run(qx);
@@ -221,9 +246,9 @@ TEST(ShiftKernelDiffTest, KernelTierReporting) {
   }
 }
 
-// --- Direct kernel-table differentials ------------------------------------
+// --- Direct kernel-table differential -------------------------------------
 // Exactly-sized buffers: under ASan any read or write outside what the
-// scalar tier touches (masked tail lanes, padded stream ends) aborts.
+// scalar tier touches (masked tail lanes) aborts.
 
 TEST(ShiftKernelDiffTest, ConvInteriorKernelDirect) {
   if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
@@ -284,40 +309,6 @@ TEST(ShiftKernelDiffTest, ConvInteriorKernelDirect) {
         }
       }
     }
-  }
-}
-
-TEST(ShiftKernelDiffTest, ShiftDotKernelDirectWithPadding) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
-  const ShiftDotFn scalar_fn =
-      shift_kernels_for(KernelTier::kScalar).shift_dot_i32;
-  const ShiftDotFn vector_fn =
-      shift_kernels_for(KernelTier::kAvx2).shift_dot_i32;
-  support::Rng rng(105);
-  std::vector<std::int32_t> in(37);
-  for (auto& v : in) {
-    v = static_cast<std::int32_t>(rng.uniform_index(255)) - 127;
-  }
-  for (std::int64_t len = 1; len <= 17; ++len) {
-    // The plan pads each filter's stream to a lane multiple with
-    // (element 0, mult 0) no-ops; the vector kernel runs to the padded end,
-    // the scalar oracle over the unpadded entries. Buffers are exactly the
-    // padded size -- one element further and ASan fires.
-    const std::int64_t padded =
-        (len + kShiftVectorLane - 1) / kShiftVectorLane * kShiftVectorLane;
-    std::vector<std::int32_t> element(static_cast<std::size_t>(padded), 0);
-    std::vector<std::int32_t> mult(static_cast<std::size_t>(padded), 0);
-    for (std::int64_t e = 0; e < len; ++e) {
-      element[static_cast<std::size_t>(e)] =
-          static_cast<std::int32_t>(rng.uniform_index(in.size()));
-      mult[static_cast<std::size_t>(e)] =
-          static_cast<std::int32_t>(rng.uniform_index(129)) - 64;
-    }
-    const std::int64_t scalar_acc =
-        scalar_fn(in.data(), element.data(), mult.data(), 0, len);
-    const std::int64_t vector_acc =
-        vector_fn(in.data(), element.data(), mult.data(), 0, padded);
-    EXPECT_EQ(scalar_acc, vector_acc) << "len=" << len;
   }
 }
 
@@ -393,9 +384,9 @@ TEST(ShiftKernelDiffTest, ArtifactPlansRunBothTiersBitIdentical) {
   serialize::save_artifact(program, path);
   {
     // mmap-backed load: the adopted plans' core streams are views into the
-    // mapping; the derived vector streams are rebuilt (and owned) by the
-    // adopting constructors. Both tiers must match the weights-built
-    // network byte for byte.
+    // mapping; the derived streams are built (and owned) by the adopting
+    // constructor. Both tiers must match the weights-built network byte for
+    // byte.
     const serialize::ArtifactModel mapped = serialize::ArtifactModel::load(path);
     support::Rng rng(107);
     Tensor image = Tensor::randn(Shape{3, 16, 16}, rng);

@@ -51,8 +51,10 @@ void prune_filters(Tensor& weights, double fraction) {
   }
 }
 
+// `plan` is an adopted one (engine.plan()), so its derived gains exist.
 void check_plan_invariants(const inference::ShiftPlan& plan,
-                           const quant::Pow2Config& config, bool conv) {
+                           const quant::Pow2Config& config,
+                           std::int64_t in_channels, std::int64_t kernel) {
   ASSERT_EQ(plan.filter_begin.size(),
             static_cast<std::size_t>(plan.filters) + 1);
   EXPECT_EQ(plan.filter_begin.front(), 0);
@@ -61,22 +63,25 @@ void check_plan_invariants(const inference::ShiftPlan& plan,
     EXPECT_LE(plan.filter_begin[f - 1], plan.filter_begin[f]);
   }
   const auto n = static_cast<std::size_t>(plan.entries());
-  ASSERT_EQ(plan.element.size(), n);
+  ASSERT_EQ(plan.channel.size(), n);
+  ASSERT_EQ(plan.ky.size(), n);
+  ASSERT_EQ(plan.kx.size(), n);
   ASSERT_EQ(plan.shift.size(), n);
   ASSERT_EQ(plan.sign.size(), n);
-  if (conv) {
-    ASSERT_EQ(plan.channel.size(), n);
-    ASSERT_EQ(plan.ky.size(), n);
-    ASSERT_EQ(plan.kx.size(), n);
-  } else {
-    EXPECT_TRUE(plan.channel.empty());
-  }
+  ASSERT_EQ(plan.mult.size(), n);
   const int shift_levels = config.exponent_levels();
   for (std::size_t e = 0; e < n; ++e) {
     EXPECT_TRUE(plan.sign[e] == 1 || plan.sign[e] == -1)
         << "zero-sign entry survived compilation at " << e;
     EXPECT_GE(plan.shift[e], 0);
     EXPECT_LT(plan.shift[e], shift_levels);
+    EXPECT_GE(plan.channel[e], 0);
+    EXPECT_LT(plan.channel[e], in_channels);
+    EXPECT_GE(plan.ky[e], 0);
+    EXPECT_LT(plan.ky[e], kernel);
+    EXPECT_GE(plan.kx[e], 0);
+    EXPECT_LT(plan.kx[e], kernel);
+    EXPECT_EQ(plan.mult[e], plan.sign[e] * (1 << plan.shift[e]));
   }
   ASSERT_EQ(plan.filter_gain.size(), static_cast<std::size_t>(plan.filters));
   for (std::int64_t f = 0; f < plan.filters; ++f) {
@@ -132,7 +137,7 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
 
           const inference::ShiftConv2d engine(wq, k_max, config, stride,
                                               padding);
-          check_plan_invariants(engine.plan(), config, /*conv=*/true);
+          check_plan_invariants(engine.plan(), config, in_ch, kernel);
           EXPECT_EQ(engine.plan().entries(),
                     expected_entries(wq, k_max, config))
               << "plan did not elide exactly the zero elements";
@@ -195,20 +200,21 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
       Tensor wq = quant::quantize_lightnn(w, k_max, config);
       prune_filters(wq, fraction);
 
-      const inference::ShiftLinear engine(wq, k_max, config);
-      check_plan_invariants(engine.plan(), config, /*conv=*/false);
+      const inference::ShiftConv2d engine =
+          inference::oracle::linear_engine(wq, k_max, config);
+      check_plan_invariants(engine.plan(), config, in_features, 1);
       EXPECT_EQ(engine.plan().entries(), expected_entries(wq, k_max, config));
 
       const Tensor x = Tensor::randn(Shape{in_features}, rng);
       const auto q = inference::quantize_tensor(x, 8);
 
       inference::OpCounts ref_counts{};
-      const Tensor got = engine.run(q);
+      const Tensor got = inference::oracle::run_linear(engine, q);
       const Tensor want =
           inference::oracle::TermWalkLinear(wq, k_max, config)
               .run(q, &ref_counts);
       expect_bitwise_equal(want, got, "linear");
-      const inference::OpCounts plan_counts = engine.census();
+      const inference::OpCounts plan_counts = engine.census(1, 1);
       EXPECT_EQ(plan_counts.shifts, ref_counts.shifts)
           << "k=" << k_max << " prune=" << fraction;
       EXPECT_EQ(plan_counts.adds, ref_counts.adds);
@@ -225,7 +231,6 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   const inference::ShiftConv2d engine(wq, 1, config, 1, 1);
   const auto& plan = engine.plan();
   ASSERT_EQ(plan.entries(), 1);
-  EXPECT_EQ(plan.element[0], 0);
   EXPECT_EQ(plan.channel[0], 0);
   EXPECT_EQ(plan.ky[0], 0);
   EXPECT_EQ(plan.kx[0], 0);
@@ -234,6 +239,29 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   EXPECT_EQ(plan.filter_begin[1], 1);
   EXPECT_EQ(plan.filter_begin[2], 1) << "pruned filter must have empty range";
   EXPECT_EQ(plan.filter_gain[1], 0);
+}
+
+// derive_streams runs on every adopted plan, including hand-built ones the
+// artifact loader never saw: it must stay inside the streams whatever the
+// prefix and shifts say, and saturate the gain of a filter it cannot bound.
+TEST(ShiftPlanPropertyTest, DeriveStreamsIsTotalOnHostilePlans) {
+  inference::ShiftPlan plan;
+  plan.filters = 3;
+  for (const std::int8_t shift : {3, -1, 70, 0}) plan.shift.push_back(shift);
+  for (const std::int8_t sign : {1, -1, 1, -1}) plan.sign.push_back(sign);
+  // Filter 1's span runs backwards and filter 2's past the stream.
+  for (const std::int64_t begin : {0, 2, 1, 9}) plan.filter_begin.push_back(begin);
+  plan.derive_streams();
+  ASSERT_EQ(plan.filter_gain.size(), 3U);
+  EXPECT_EQ(plan.filter_gain[0], inference::kShiftAccumulatorGuard)
+      << "a negative shift must saturate its filter's gain";
+  EXPECT_EQ(plan.filter_gain[1], 0);
+  EXPECT_EQ(plan.filter_gain[2], 0);
+  ASSERT_EQ(plan.mult.size(), 4U);
+  EXPECT_EQ(plan.mult[0], 8);
+  EXPECT_EQ(plan.mult[1], 0);
+  EXPECT_EQ(plan.mult[2], 0);
+  EXPECT_EQ(plan.mult[3], -1);
 }
 
 // Bias handling must match the oracle's (bias folds in after
@@ -254,12 +282,13 @@ TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   Tensor wl = Tensor::randn(Shape{5, 12}, rng);
   Tensor wlq = quant::quantize_lightnn(wl, 2, config);
   Tensor bl = Tensor::randn(Shape{5}, rng);
-  const inference::ShiftLinear lin(wlq, 2, config, bl);
+  const inference::ShiftConv2d lin =
+      inference::oracle::linear_engine(wlq, 2, config, bl);
   const Tensor x = Tensor::randn(Shape{12}, rng);
   const auto qx = inference::quantize_tensor(x, 8);
   expect_bitwise_equal(
       inference::oracle::TermWalkLinear(wlq, 2, config, bl).run(qx),
-      lin.run(qx), "linear+bias");
+      inference::oracle::run_linear(lin, qx), "linear+bias");
 }
 
 }  // namespace

@@ -5,9 +5,10 @@
 // groups the terms by output filter in decomposition order, and walks every
 // term's full element vector -- zero elements and all -- accumulating each
 // in-bounds tap as a shift-and-signed-add. The compiled ShiftPlan regroups
-// exactly these integer addends, so ShiftConv2d::run / ShiftLinear::run must
-// match this walk bit for bit, op counts included (DESIGN.md §9). It is slow
-// by design and exists only here, for the property suites.
+// exactly these integer addends, so ShiftConv2d::run -- for a linear layer,
+// the 1x1 conv run_linear drives -- must match this walk bit for bit, op
+// counts included (DESIGN.md §9). It is slow by design and exists only here,
+// for the property suites.
 
 #include <algorithm>
 #include <atomic>
@@ -136,7 +137,27 @@ class TermWalkConv2d {
   std::vector<std::vector<std::size_t>> filter_terms_;
 };
 
-// Term-walk fully-connected layer over the weights a ShiftLinear was built
+// The engine a fully-connected layer runs on, as QuantizedNetwork builds it:
+// a 1x1 conv over the [in_features, 1, 1] plane, from [out, in] weights.
+inline ShiftConv2d linear_engine(const tensor::Tensor& quantized_weights,
+                                 int k_max, const quant::Pow2Config& config,
+                                 tensor::Tensor bias = {}) {
+  const tensor::Shape& s = quantized_weights.shape();
+  return {quantized_weights.reshaped(tensor::Shape{s[0], s[1], 1, 1}), k_max,
+          config, 1, 0, std::move(bias)};
+}
+
+// Runs `engine` (a linear_engine) on the flat feature vector `input` the
+// way QuantizedNetwork's kShiftLinear op does; returns [out_features].
+inline tensor::Tensor run_linear(const ShiftConv2d& engine,
+                                 QuantizedActivations input) {
+  input.shape = tensor::Shape{input.shape.numel(), 1, 1};
+  tensor::Tensor out = engine.run(input);
+  out.reshape(tensor::Shape{engine.out_channels()});
+  return out;
+}
+
+// Term-walk fully-connected layer over the weights a linear_engine was built
 // from.
 class TermWalkLinear {
  public:

@@ -6,7 +6,7 @@
 //   flightnn eval    --network 1 --dataset cifar10 --quantizer flightnn
 //                    --checkpoint out.ckpt [--top-k 1] [--engine integer|float]
 //   flightnn export  --network 1 --dataset cifar10 --quantizer lightnn2
-//                    --checkpoint out.ckpt --pack out.flnn
+//                    --checkpoint out.ckpt --artifact out.flnart
 //   flightnn predict --network 1 --dataset cifar10 --quantizer flightnn
 //                    --checkpoint out.ckpt [--index 0]
 //
@@ -24,6 +24,7 @@
 #include "eval/storage.hpp"
 #include "inference/quantized_network.hpp"
 #include "models/networks.hpp"
+#include "serialize/artifact.hpp"
 #include "serialize/model_io.hpp"
 #include "support/argparse.hpp"
 
@@ -175,10 +176,11 @@ int cmd_eval(const std::vector<std::string>& argv) {
 }
 
 int cmd_export(const std::vector<std::string>& argv) {
-  support::ArgParser args("flightnn export", "pack a checkpoint for deployment");
+  support::ArgParser args("flightnn export",
+                          "compile a checkpoint into a deployment artifact");
   add_common_flags(args);
   args.add_flag("--checkpoint", "checkpoint to load", std::nullopt);
-  args.add_flag("--pack", "write packed model here", std::nullopt);
+  args.add_flag("--artifact", "write the .flnart artifact here", std::nullopt);
   if (!args.parse(argv)) {
     std::fprintf(stderr, "%s\n%s", args.error().c_str(), args.usage().c_str());
     return 2;
@@ -189,18 +191,13 @@ int cmd_export(const std::vector<std::string>& argv) {
   auto model = build(args, spec);
   serialize::load_state(*model, args.get("--checkpoint"));
 
-  const auto packed = serialize::pack_quantized(*model);
-  const auto bytes = serialize::serialize_packed(packed);
-  std::FILE* file = std::fopen(args.get("--pack").c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", args.get("--pack").c_str());
-    return 1;
-  }
-  std::fwrite(bytes.data(), 1, bytes.size(), file);
-  std::fclose(file);
-  std::printf("packed %zu layers, %.0f payload bytes -> %s\n",
-              packed.layers.size(), packed.total_bytes(),
-              args.get("--pack").c_str());
+  const inference::NetworkProgram program = inference::compile_program(
+      *model, tensor::Shape{1, spec.channels, spec.height, spec.width});
+  const std::string path = args.get("--artifact");
+  serialize::save_artifact(program, path);
+  std::printf("artifact: %zu ops -> %s (paper storage %.0f bytes)\n",
+              program.ops.size(), path.c_str(),
+              eval::model_storage_bytes(*model));
   return 0;
 }
 
@@ -239,7 +236,7 @@ void print_global_usage() {
       "commands:\n"
       "  train    train a quantized model on a synthetic dataset\n"
       "  eval     evaluate a checkpoint (float or integer engine)\n"
-      "  export   pack a checkpoint's shift terms for deployment\n"
+      "  export   compile a checkpoint into a .flnart deployment artifact\n"
       "  predict  classify one test image with the integer engine\n"
       "run `flightnn <command> --help-placeholder x` to list flags.\n");
 }
