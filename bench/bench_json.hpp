@@ -151,6 +151,7 @@ inline void add_host_info(JsonObject& object, const std::string& dispatch_tier) 
   host.add_int("hardware_concurrency",
                static_cast<long long>(std::thread::hardware_concurrency()));
   host.add_bool("avx2", support::cpu_has_avx2());
+  host.add_bool("avx512_vnni", support::cpu_has_avx512_vnni());
   host.add_bool("fma", support::cpu_has_fma());
   host.add_string("dispatch_tier", dispatch_tier);
   host.add_int("peak_rss_kib", peak_rss_kib());

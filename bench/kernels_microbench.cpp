@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks for the compute kernels: quantizers,
-// the shift-add inference engine vs the float reference convolution, and
-// the Fig. 3 decomposition. These quantify the CPU-side costs; the
-// hardware win of shifts is modeled in hw/ (a CPU has a multiplier either
-// way, so shift-vs-multiply parity here is expected -- the interesting
-// numbers are quantization and decomposition overheads).
+// the shift-add inference engine vs the float reference and im2col+GEMM
+// convolutions, and the Fig. 3 decomposition. These quantify the CPU-side
+// costs; the hardware win of shifts is modeled in hw/. On a CPU the engine
+// runs LightNN weights as exact int8 dot products (the dense tiers), so a
+// live filter costs the same for k_i = 1 or 2 and only pruning (k_i = 0)
+// saves work; the census the hardware models read still counts k_i.
 
 #include <benchmark/benchmark.h>
 
@@ -99,9 +100,9 @@ void BM_ShiftEngineConv(benchmark::State& state) {
 }
 BENCHMARK(BM_ShiftEngineConv)->Arg(1)->Arg(2);
 
-// Sparsity elision payoff: the same layer with a fraction of its filters
-// pruned to zero. Arg is the pruned percentage; plan work is proportional
-// to surviving entries, so 50 should run ~2x faster than 0.
+// Pruning payoff: the same layer with a fraction of its filters pruned to
+// zero. Arg is the pruned percentage; the dense kernels skip pruned filters
+// (FLightNN's k_i = 0), so 50 should run ~2x faster than 0.
 void BM_ShiftEngineConvSparse(benchmark::State& state) {
   const auto pruned_percent = static_cast<std::int64_t>(state.range(0));
   support::Rng rng(6);
@@ -139,10 +140,10 @@ void BM_PlanCompile(benchmark::State& state) {
 BENCHMARK(BM_PlanCompile);
 
 // The same plan executed under a pinned kernel tier (Arg: 0 = scalar,
-// 1 = AVX2; on a host without AVX2 the dispatcher falls back and both args
-// measure the scalar kernels). The ratio Arg(0)/Arg(1) is the per-layer
-// vectorization speedup; the machine-readable ns/term rows land in
-// BENCH_shift_engine.json (see emit_kernel_tier_rows below).
+// 1 = AVX2, 2 = AVX-512 VNNI; a tier the host lacks falls back to scalar).
+// The ratio Arg(0)/Arg(n) is the per-layer vectorization speedup; the
+// machine-readable per-tier rows land in BENCH_shift_engine.json (see
+// emit_kernel_tier_rows below).
 void BM_ShiftEngineConvTier(benchmark::State& state) {
   const int tier = static_cast<int>(state.range(0));
   support::Rng rng(6);
@@ -159,7 +160,7 @@ void BM_ShiftEngineConvTier(benchmark::State& state) {
   inference::set_kernel_tier_override(-1);
   state.SetItemsProcessed(state.iterations() * 32 * 32 * 16 * 16 * 9);
 }
-BENCHMARK(BM_ShiftEngineConvTier)->Arg(0)->Arg(1);
+BENCHMARK(BM_ShiftEngineConvTier)->Arg(0)->Arg(1)->Arg(2);
 
 // Same shift-add convolution with the output-filter blocks fanned out over
 // the runtime pool. Arg is the thread count; Arg(1) should match
@@ -228,13 +229,13 @@ void BM_Im2ColGemmConv(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2ColGemmConv);
 
-// Scalar-vs-vector per-kernel rows (ns/term), spliced into the
-// BENCH_shift_engine.json that throughput_scaling writes so the kernel
-// numbers live next to the whole-network numbers instead of stdout-only.
-// Measures one conv layer (the dispatched kernel over every output pixel,
-// plus the padded-plane copy and dequantize tail both tiers share) under
-// both tiers, asserting byte-identical output; falls back to a standalone
-// file when the target does not exist.
+// Per-tier rows, spliced into the BENCH_shift_engine.json that
+// throughput_scaling writes so the kernel numbers live next to the
+// whole-network numbers instead of stdout-only. Measures one conv layer
+// (the dispatched dense kernel over every output pixel, plus the code-plane
+// fill and dequantize every tier shares) under every tier the host has,
+// asserting byte-identical output; falls back to a standalone file when the
+// target does not exist.
 int emit_kernel_tier_rows(const std::string& path, bool smoke) {
   runtime::set_num_threads(1);
   const int repeats = smoke ? 5 : 25;
@@ -247,59 +248,59 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
   tensor::Tensor img = tensor::Tensor::randn(tensor::Shape{32, 32, 32}, rng);
   const auto qimg = inference::quantize_image(img, 8);
 
-  // Interleaved scalar/vector sampling: alternating single runs so slow
-  // clock drift (turbo ramp-up, VM steal time) hits both tiers equally --
-  // block-wise timing systematically favors whichever tier runs later.
-  std::vector<double> cs, cv;
-  for (std::vector<double>* v : {&cs, &cv}) {
-    v->reserve(static_cast<std::size_t>(repeats));
+  std::vector<inference::KernelTier> tiers{inference::KernelTier::kScalar};
+  for (const auto tier :
+       {inference::KernelTier::kAvx2, inference::KernelTier::kVnni}) {
+    if (inference::shift_kernels_for(tier).tier == tier) tiers.push_back(tier);
   }
-  const auto sample = [](int tier, const auto& fn) {
-    inference::set_kernel_tier_override(tier);
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto stop = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(stop - start).count();
-  };
-  sample(0, [&] { (void)conv.run(qimg); });  // warm-up both tiers
-  sample(1, [&] { (void)conv.run(qimg); });
+  inference::set_kernel_tier_override(0);
+  const tensor::Tensor scalar_out = conv.run(qimg);
+  for (const inference::KernelTier tier : tiers) {
+    inference::set_kernel_tier_override(static_cast<int>(tier));
+    const tensor::Tensor out = conv.run(qimg);
+    if (std::memcmp(out.data(), scalar_out.data(),
+                    static_cast<std::size_t>(out.numel()) * sizeof(float)) !=
+        0) {
+      std::fprintf(stderr, "FATAL: the %s tier's output differs from scalar\n",
+                   inference::kernel_tier_name(tier));
+      return 1;
+    }
+  }
+
+  // Round-robin sampling: one run per tier, repeated, so slow clock drift
+  // (turbo ramp-up, VM steal time) hits every tier equally -- block-wise
+  // timing systematically favors whichever tier runs later.
+  std::vector<std::vector<double>> samples(tiers.size());
   for (int r = 0; r < repeats; ++r) {
-    cs.push_back(sample(0, [&] { (void)conv.run(qimg); }));
-    cv.push_back(sample(1, [&] { (void)conv.run(qimg); }));
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      inference::set_kernel_tier_override(static_cast<int>(tiers[i]));
+      const auto start = std::chrono::steady_clock::now();
+      (void)conv.run(qimg);
+      const auto stop = std::chrono::steady_clock::now();
+      samples[i].push_back(std::chrono::duration<double>(stop - start).count());
+    }
   }
+  inference::set_kernel_tier_override(-1);
   const auto median = [](std::vector<double>& v) {
     std::sort(v.begin(), v.end());
     return v[v.size() / 2];
   };
-  const double conv_scalar_s = median(cs);
-  const double conv_vec_s = median(cv);
-  inference::set_kernel_tier_override(0);
-  const tensor::Tensor conv_scalar_out = conv.run(qimg);
-  inference::set_kernel_tier_override(1);
-  const tensor::Tensor conv_vec_out = conv.run(qimg);
-  inference::set_kernel_tier_override(-1);
-  if (std::memcmp(conv_scalar_out.data(), conv_vec_out.data(),
-                  static_cast<std::size_t>(conv_scalar_out.numel()) *
-                      sizeof(float)) != 0) {
-    std::fprintf(stderr, "FATAL: scalar and vector kernel outputs differ\n");
-    return 1;
+  const double scalar_s = median(samples[0]);
+  std::vector<std::string> tier_rows;
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    const double tier_s = median(samples[i]);
+    bench::JsonObject row;
+    row.add_string("tier", inference::kernel_tier_name(tiers[i]));
+    row.add_number("conv_layer_ms", tier_s * 1e3);
+    row.add_number("speedup_vs_scalar", scalar_s / tier_s);
+    tier_rows.push_back(row.to_string(2));
+    std::printf("%s conv layer: %.3f ms (%.2fx scalar, bit-identical)\n",
+                inference::kernel_tier_name(tiers[i]), tier_s * 1e3,
+                scalar_s / tier_s);
   }
-
-  const double conv_terms = static_cast<double>(conv.term_count());
-  // ns per single-shift term per output pixel (the plan visits every term
-  // once per output position).
-  const double conv_positions = 32.0 * 32.0;
   bench::JsonObject rows;
-  rows.add_string(
-      "vector_tier",
-      inference::kernel_tier_name(
-          inference::shift_kernels_for(inference::KernelTier::kAvx2).tier));
   rows.add_int("repeats", repeats);
-  rows.add_number("conv_interior_scalar_ns_per_term",
-                  conv_scalar_s * 1e9 / (conv_terms * conv_positions));
-  rows.add_number("conv_interior_vector_ns_per_term",
-                  conv_vec_s * 1e9 / (conv_terms * conv_positions));
-  rows.add_number("conv_interior_vector_speedup", conv_scalar_s / conv_vec_s);
+  rows.add("tiers", bench::json_array(tier_rows));
   rows.add_bool("tiers_bit_identical", true);
 
   if (bench::merge_into_json_file(path, "kernels_microbench", rows)) {
@@ -319,8 +320,6 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
     std::printf("%s not found; wrote kernel tier rows to %s\n", path.c_str(),
                 fallback.c_str());
   }
-  std::printf("conv interior: %.2fx vector speedup (bit-identical)\n",
-              conv_scalar_s / conv_vec_s);
   return 0;
 }
 

@@ -1,17 +1,18 @@
 // Throughput of the compiled shift-plan runtime: images/second of a Table-1
 // CIFAR-10 network (id 1, VGG-7/64) swept over thread counts, the
-// whole-network scalar-vs-vector tier comparison, per-term kernel cost, and
-// the sparsity payoff of a 50%-pruned layer vs its dense twin. The
-// parallelism is across batch elements (BatchRunner) composed with
-// output-filter blocks inside each kernel, all drawing from one shared pool
-// -- so scaling reflects the whole runtime, not a single kernel.
+// whole-network scalar-vs-active tier comparison, one dense conv layer and
+// its kernel under every tier the host has, and the pruning payoff of a
+// 50%-pruned layer vs its dense twin. The parallelism is across batch
+// elements (BatchRunner) composed with output-filter blocks inside each
+// kernel, all drawing from one shared pool -- so scaling reflects the whole
+// runtime, not a single kernel.
 //
 //   $ ./bench/throughput_scaling [--batch N] [--repeats R] [--width-scale S]
 //                                [--json PATH] [--smoke]
 //
-// Results are bit-identical across thread counts (asserted per sweep), so
-// the img/s column is the only thing that changes. Measurements land in a
-// BENCH_shift_engine.json file stamped with the git revision.
+// Results are bit-identical across thread counts and tiers (asserted, FATAL
+// otherwise), so the timings are the only thing that changes. Measurements
+// land in a BENCH_shift_engine.json file stamped with the git revision.
 
 #include <algorithm>
 #include <chrono>
@@ -87,33 +88,6 @@ double time_layer(int repeats, const Fn& fn) {
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
-}
-
-// Interleaved A/B medians: one sample of `a`, one of `b`, repeated. Slow
-// clock drift (turbo ramp-up, VM steal time) then hits both sides equally,
-// which block-wise timing does not guarantee -- and the A/B ratio is the
-// number this bench is accepted on.
-template <typename FnA, typename FnB>
-std::pair<double, double> time_layer_ab(int repeats, const FnA& a,
-                                        const FnB& b) {
-  a();
-  b();  // warm-up
-  std::vector<double> sa, sb;
-  sa.reserve(static_cast<std::size_t>(repeats));
-  sb.reserve(static_cast<std::size_t>(repeats));
-  for (int r = 0; r < repeats; ++r) {
-    auto start = std::chrono::steady_clock::now();
-    a();
-    auto stop = std::chrono::steady_clock::now();
-    sa.push_back(std::chrono::duration<double>(stop - start).count());
-    start = std::chrono::steady_clock::now();
-    b();
-    stop = std::chrono::steady_clock::now();
-    sb.push_back(std::chrono::duration<double>(stop - start).count());
-  }
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  return {sa[sa.size() / 2], sb[sb.size() / 2]};
 }
 
 }  // namespace
@@ -200,10 +174,10 @@ int main(int argc, char** argv) {
   runtime::set_num_threads(1);
   const double plan_img_s = run_once(runner, request, repeats, nullptr);
 
-  // --- Per-term kernel cost + sparsity payoff on one conv layer -----------
+  // --- Sparsity payoff on one conv layer -----------------------------------
   // Dense 32x32x3x3 layer vs the same layer with half its filters pruned:
-  // plan work is proportional to surviving entries, so the pruned layer
-  // should run close to 2x faster.
+  // the dense kernels skip a pruned filter (k_i = 0) outright, so the pruned
+  // layer should run close to 2x faster.
   const quant::Pow2Config pow2;
   support::Rng layer_rng(3);
   tensor::Tensor w = tensor::Tensor::randn(tensor::Shape{32, 32, 3, 3},
@@ -220,110 +194,147 @@ int main(int argc, char** argv) {
   tensor::Tensor layer_img =
       tensor::Tensor::randn(tensor::Shape{32, 32, 32}, layer_rng);
   const auto qimg = inference::quantize_image(layer_img, 8);
-
-  // --- Scalar vs vectorized plan path -------------------------------------
-  // Same compiled plan, only the dispatch tier changes (test override pins
-  // it per sample, interleaved, then clears). The ratio is the whole-layer
-  // conv speedup the vector tier buys on this host -- ~1.0x on machines
-  // without AVX2 (tier 1 falls back to the scalar table) or under
-  // FLIGHTNN_FORCE_SCALAR. Pruning must not change the tier a layer
-  // dispatches to: a pruned plan has fewer entries, not a different layout.
-  const inference::KernelTier active = inference::active_shift_kernels().tier;
-  const char* active_tier = inference::kernel_tier_name(active);
+  const inference::DensePack* pack = dense.dense();
+  if (pack == nullptr) {
+    std::fprintf(stderr, "FATAL: the LightNN-2 layer has no dense form\n");
+    return 1;
+  }
+  // Pruning must not change the path a layer takes: a pruned plan has fewer
+  // live filters, not a different layout.
+  const char* active_tier =
+      inference::kernel_tier_name(inference::active_shift_kernels().tier);
   if (std::string(dense.kernel_tier(8)) != pruned.kernel_tier(8)) {
     std::fprintf(stderr, "FATAL: pruning changed kernel tier (%s vs %s)\n",
                  dense.kernel_tier(8), pruned.kernel_tier(8));
     return 1;
   }
-  const auto [dense_vector_s, dense_scalar_s] = time_layer_ab(
-      layer_repeats,
-      [&] {
-        inference::set_kernel_tier_override(1);
-        (void)dense.run(qimg);
-      },
-      [&] {
-        inference::set_kernel_tier_override(0);
-        (void)dense.run(qimg);
-      });
-  inference::set_kernel_tier_override(-1);
-  const double dense_s =
-      active == inference::KernelTier::kAvx2 ? dense_vector_s : dense_scalar_s;
+  const double dense_s = time_layer(layer_repeats, [&] { (void)dense.run(qimg); });
   const double pruned_s =
       time_layer(layer_repeats, [&] { (void)pruned.run(qimg); });
   const double sparse_speedup = dense_s / pruned_s;
-  const double ns_per_term =
-      dense_s * 1e9 / static_cast<double>(dense.term_count());
 
-  // --- Conv kernel proper, both tier tables over the same plan ------------
-  // The whole-layer A/B above also times the per-call padded-plane copy,
-  // the offset table and the float dequantize tail, which run identical code
-  // on both tiers and dilute the ratio. The acceptance number times the
-  // dispatched kernel alone: the layer's compiled streams over the padded
-  // plane the engine builds (padding 1, stride 1: 34x34 per channel, pad
-  // cells zero), the same per-entry offsets (channel plane + kernel tap),
-  // per-filter zeroed planes, interleaved sampling as above. On hosts
-  // without AVX2 the kAvx2 table falls back to scalar and the ratio reads
-  // ~1.0x.
-  const inference::ShiftPlan& dense_plan = dense.plan();
+  // --- The layer and its kernel under every tier the host has --------------
+  // Same engine and pack, only the dispatch tier changes (the test override
+  // pins it per sample, round-robin over the tiers, then clears). The layer
+  // time includes the code-plane fill, the tap table and the dequantize,
+  // which run identical code on every tier; the kernel time is the
+  // dispatched kernel alone over the same code plane (padding 1, stride 1:
+  // 34x34 words per four-channel group, pad cells q = 0), four filters per
+  // call as run() makes them. Every tier must match the scalar tier byte
+  // for byte.
+  std::vector<inference::KernelTier> tiers{inference::KernelTier::kScalar};
+  for (const auto tier :
+       {inference::KernelTier::kAvx2, inference::KernelTier::kVnni}) {
+    if (inference::shift_kernels_for(tier).tier == tier) tiers.push_back(tier);
+  }
   const std::int64_t lw = 32;
   const std::int64_t lhw = lw * lw;
   const std::int64_t pw = lw + 2;
-  std::vector<std::int32_t> padded(static_cast<std::size_t>(32 * pw * pw), 0);
+  const std::int64_t groups = 32 / 4;
+  std::vector<std::uint32_t> codes(static_cast<std::size_t>(groups * pw * pw),
+                                   0x80808080U);
   for (std::int64_t c = 0; c < 32; ++c) {
     for (std::int64_t y = 0; y < lw; ++y) {
-      std::copy_n(qimg.values.data() + (c * lw + y) * lw, lw,
-                  padded.data() + (c * pw + y + 1) * pw + 1);
+      for (std::int64_t x = 0; x < lw; ++x) {
+        const std::int32_t q = qimg.values[static_cast<std::size_t>((c * lw + y) * lw + x)];
+        std::uint32_t& word = codes[static_cast<std::size_t>(
+            ((c / 4) * pw + y + 1) * pw + x + 1)];
+        const auto bit = static_cast<unsigned>(8 * (c % 4));
+        word = (word & ~(0xFFU << bit)) |
+               (static_cast<std::uint32_t>(q + 128) & 0xFFU) << bit;
+      }
     }
   }
-  std::vector<std::int32_t> entry_off(
-      static_cast<std::size_t>(dense_plan.entries()));
-  for (std::size_t e = 0; e < entry_off.size(); ++e) {
-    entry_off[e] = static_cast<std::int32_t>(
-        dense_plan.channel[e] * pw * pw + dense_plan.ky[e] * pw +
-        dense_plan.kx[e]);
+  std::vector<std::int32_t> tap_off;
+  for (std::int64_t g = 0; g < groups; ++g) {
+    for (std::int64_t ky = 0; ky < 3; ++ky) {
+      for (std::int64_t kx = 0; kx < 3; ++kx) {
+        tap_off.push_back(static_cast<std::int32_t>(g * pw * pw + ky * pw + kx));
+      }
+    }
   }
-  const inference::ConvInteriorGeom interior{pw, lw, lw};
-  const auto run_interior = [&](inference::ConvInteriorFn fn,
-                                std::int32_t* acc) {
-    for (std::int64_t f = 0; f < 32; ++f) {
-      std::fill(acc, acc + lhw, std::int32_t{0});
-      fn(padded.data(), entry_off.data(), dense_plan.mult.data(),
-         dense_plan.filter_begin[static_cast<std::size_t>(f)],
-         dense_plan.filter_begin[static_cast<std::size_t>(f) + 1], interior,
-         acc);
+  const inference::DenseConvGeom kernel_geom{pw, lw, lw, pack->taps};
+  const auto live = static_cast<std::int64_t>(pack->filters.size());
+  const auto run_kernel = [&](inference::DenseConvFn fn,
+                              std::vector<std::int32_t>& out) {
+    for (std::int64_t first = 0; first < live;
+         first += inference::kDenseFilterBlock) {
+      const auto n = static_cast<int>(
+          std::min<std::int64_t>(inference::kDenseFilterBlock, live - first));
+      std::int32_t* planes[inference::kDenseFilterBlock] = {};
+      for (int j = 0; j < n; ++j) planes[j] = out.data() + (first + j) * lhw;
+      fn(codes.data(), tap_off.data(), pack->words.data() + first * pack->taps,
+         pack->correction.data() + first, n, kernel_geom, planes);
     }
   };
-  const inference::ConvInteriorFn scalar_fn =
-      inference::shift_kernels_for(inference::KernelTier::kScalar)
-          .conv_interior_i32;
-  const inference::ConvInteriorFn vector_fn =
-      inference::shift_kernels_for(inference::KernelTier::kAvx2)
-          .conv_interior_i32;
-  std::vector<std::int32_t> acc_scalar(static_cast<std::size_t>(lhw), 0);
-  std::vector<std::int32_t> acc_vector(static_cast<std::size_t>(lhw), 0);
-  run_interior(scalar_fn, acc_scalar.data());
-  run_interior(vector_fn, acc_vector.data());
-  if (std::memcmp(acc_scalar.data(), acc_vector.data(),
-                  acc_scalar.size() * sizeof(std::int32_t)) != 0) {
-    std::fprintf(stderr,
-                 "FATAL: interior kernel tiers disagree on the last filter "
-                 "plane\n");
-    return 1;
+  inference::set_kernel_tier_override(0);
+  const tensor::Tensor scalar_layer_out = dense.run(qimg);
+  std::vector<std::int32_t> scalar_kernel_out(static_cast<std::size_t>(live * lhw));
+  run_kernel(inference::shift_kernels_for(inference::KernelTier::kScalar).dense_conv,
+             scalar_kernel_out);
+  std::vector<std::vector<std::int32_t>> kernel_out(
+      tiers.size(), std::vector<std::int32_t>(scalar_kernel_out.size()));
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    inference::set_kernel_tier_override(static_cast<int>(tiers[i]));
+    const tensor::Tensor out = dense.run(qimg);
+    run_kernel(inference::shift_kernels_for(tiers[i]).dense_conv, kernel_out[i]);
+    if (std::memcmp(out.data(), scalar_layer_out.data(),
+                    static_cast<std::size_t>(out.numel()) * sizeof(float)) != 0 ||
+        kernel_out[i] != scalar_kernel_out) {
+      std::fprintf(stderr, "FATAL: the %s tier disagrees with the scalar tier\n",
+                   inference::kernel_tier_name(tiers[i]));
+      return 1;
+    }
   }
-  const auto [interior_vector_s, interior_scalar_s] = time_layer_ab(
-      layer_repeats, [&] { run_interior(vector_fn, acc_vector.data()); },
-      [&] { run_interior(scalar_fn, acc_scalar.data()); });
-  const double interior_conv_vector_speedup =
-      interior_scalar_s / interior_vector_s;
+  std::vector<std::vector<double>> layer_samples(tiers.size());
+  std::vector<std::vector<double>> kernel_samples(tiers.size());
+  const auto seconds_of = [](const auto& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  for (int r = 0; r < layer_repeats; ++r) {
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      inference::set_kernel_tier_override(static_cast<int>(tiers[i]));
+      layer_samples[i].push_back(seconds_of([&] { (void)dense.run(qimg); }));
+      const inference::DenseConvFn fn =
+          inference::shift_kernels_for(tiers[i]).dense_conv;
+      kernel_samples[i].push_back(
+          seconds_of([&] { run_kernel(fn, kernel_out[i]); }));
+    }
+  }
+  inference::set_kernel_tier_override(-1);
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  support::Table tier_table(
+      {"tier", "layer ms", "kernel ms", "kernel speedup vs scalar"});
+  std::vector<std::string> tier_json;
+  const double scalar_kernel_s = median(kernel_samples[0]);
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    const double layer_s = median(layer_samples[i]);
+    const double kernel_s = median(kernel_samples[i]);
+    tier_table.add_row({inference::kernel_tier_name(tiers[i]),
+                        support::format_fixed(layer_s * 1e3, 3),
+                        support::format_fixed(kernel_s * 1e3, 3),
+                        support::format_fixed(scalar_kernel_s / kernel_s, 2)});
+    bench::JsonObject row;
+    row.add_string("tier", inference::kernel_tier_name(tiers[i]));
+    row.add_number("dense_layer_ms", layer_s * 1e3);
+    row.add_number("dense_kernel_ms", kernel_s * 1e3);
+    row.add_number("kernel_speedup_vs_scalar", scalar_kernel_s / kernel_s);
+    tier_json.push_back(row.to_string(2));
+  }
 
   inference::set_kernel_tier_override(0);
   std::vector<tensor::Tensor> scalar_logits;
   const double scalar_img_s =
       run_once(runner, request, repeats, &scalar_logits);
   inference::set_kernel_tier_override(-1);
-  // The vectorized plan (thread-sweep baseline `reference`) and the scalar
-  // plan must produce byte-identical logits: the tiers regroup the same
-  // integer addends.
+  // The active tier (thread-sweep baseline `reference`) and the scalar tier
+  // must produce byte-identical logits: every tier adds the same integers.
   if (!bitwise_equal(reference, scalar_logits)) {
     std::fprintf(stderr,
                  "FATAL: kernel tiers disagree (vector vs scalar logits)\n");
@@ -333,20 +344,14 @@ int main(int argc, char** argv) {
   std::printf("\nbatch=%lld repeats=%d hardware_concurrency-default=%d%s\n\n%s",
               static_cast<long long>(batch), repeats, hw,
               smoke ? " (smoke)" : "", table.to_string().c_str());
-  std::printf("\ndense conv layer: %.3f ms (%lld terms, %.1f ns/term, %s tier)\n",
-              dense_s * 1e3, static_cast<long long>(dense.term_count()),
-              ns_per_term, active_tier);
+  std::printf("\ndense conv layer: %.3f ms (%s tier)\n", dense_s * 1e3,
+              active_tier);
   std::printf("50%%-pruned layer: %.3f ms (%.2fx faster than dense)\n",
               pruned_s * 1e3, sparse_speedup);
-  std::printf("scalar-tier dense conv layer: %.3f ms\n", dense_scalar_s * 1e3);
-  std::printf(
-      "interior conv kernel: %.3f ms scalar vs %.3f ms vector -> "
-      "%.2fx vector speedup\n",
-      interior_scalar_s * 1e3, interior_vector_s * 1e3,
-      interior_conv_vector_speedup);
+  std::printf("\n%s", tier_table.to_string().c_str());
   std::printf(
       "scalar-tier whole network (1 thread): %.1f img/s (vs %.1f img/s %s "
-      "tier); vector/scalar logits bit-identical\n",
+      "tier); logits bit-identical\n",
       scalar_img_s, plan_img_s, active_tier);
 
   // --- Result file --------------------------------------------------------
@@ -362,13 +367,8 @@ int main(int argc, char** argv) {
   out.add_number("dense_layer_ms", dense_s * 1e3);
   out.add_number("pruned50_layer_ms", pruned_s * 1e3);
   out.add_number("pruned50_speedup_vs_dense", sparse_speedup);
-  out.add_number("ns_per_term_dense_conv", ns_per_term);
   out.add_string("dispatch_tier", active_tier);
-  out.add_number("dense_layer_vector_ms", dense_vector_s * 1e3);
-  out.add_number("dense_layer_scalar_ms", dense_scalar_s * 1e3);
-  out.add_number("interior_kernel_vector_ms", interior_vector_s * 1e3);
-  out.add_number("interior_kernel_scalar_ms", interior_scalar_s * 1e3);
-  out.add_number("interior_conv_vector_speedup", interior_conv_vector_speedup);
+  out.add("tiers", bench::json_array(tier_json));
   out.add_number("scalar_img_per_s_1thread", scalar_img_s);
   out.add_bool("tiers_bit_identical", true);
   bench::add_host_info(out, active_tier);

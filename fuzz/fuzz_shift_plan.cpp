@@ -10,9 +10,13 @@
 //
 // On success the compiled plan's structural invariants are asserted:
 // filter_begin is a monotone prefix-sum table ending at entries(), all
-// per-entry streams have equal length, and derive_streams (what an engine
-// runs on adoption) yields one gain per filter and one multiplier per
-// entry.
+// per-entry streams have equal length, derive_streams (what an engine runs
+// on adoption) yields one gain per filter, and pack_dense (the engine's
+// other adoption step) either refuses the plan or returns one block of
+// words, one correction and one sign per live filter, within its words per
+// entry bound. An entry whose channel lands
+// past in_channels (elements beyond the filter) must be refused, never
+// indexed.
 
 #include <cstdint>
 #include <exception>
@@ -55,7 +59,8 @@ constexpr int kMaxFilters = 16;
 constexpr int kMaxTerms = 32;
 constexpr int kMaxElements = 64;
 
-void check_plan_invariants(ShiftPlan& plan) {
+void check_plan_invariants(ShiftPlan& plan, std::int64_t in_channels,
+                           std::int64_t kernel) {
   const auto filters = static_cast<std::size_t>(plan.filters);
   if (plan.filter_begin.size() != filters + 1) std::terminate();
   if (plan.filter_begin.front() != 0) std::terminate();
@@ -69,8 +74,17 @@ void check_plan_invariants(ShiftPlan& plan) {
     std::terminate();
   }
   plan.derive_streams();
-  if (plan.filter_gain.size() != filters || plan.mult.size() != entries) {
-    std::terminate();
+  if (plan.filter_gain.size() != filters) std::terminate();
+  const auto dense = flightnn::inference::pack_dense(plan, in_channels, kernel);
+  if (dense) {
+    const std::size_t live = dense->filters.size();
+    if (dense->taps != (in_channels + 3) / 4 * kernel * kernel ||
+        dense->correction.size() != live || dense->negated.size() != live ||
+        dense->words.size() != live * static_cast<std::size_t>(dense->taps) ||
+        static_cast<std::int64_t>(dense->words.size()) >
+            flightnn::inference::kMaxDenseWordsPerEntry * plan.entries()) {
+      std::terminate();
+    }
   }
 }
 
@@ -115,7 +129,7 @@ void fuzz_compile(const std::uint8_t* data, std::size_t size) {
   try {
     ShiftPlan plan =
         ShiftPlan::compile_conv(decomposition, config, in_channels, kernel);
-    check_plan_invariants(plan);
+    check_plan_invariants(plan, in_channels, kernel);
   } catch (const flightnn::support::CheckFailure&) {
     // typed rejection: bad geometry, out-of-range filter/sign/shift
   }

@@ -7,14 +7,17 @@
 // it too and the artifact stores none of it. The walk reads plan sizes from
 // the shift engines and records, per op, exactly which buffers run() touches:
 //
-//   - Arena scratch (conv offset tables, accumulator planes and padded
-//     input planes, sized by ShiftConv2d::scratch_bytes; a linear op is a
-//     1x1 conv and fetches the same slots): the grow-once
-//     slots of runtime::ScratchArena. Every buffer is live for one op
-//     only, so a slot's high-water mark is the largest request any op
-//     makes, and warm_thread reserves each slot to it. Accumulator planes
-//     are sized with the *static* narrow gate, so a plan that always runs
-//     int32 takes 4 bytes/element, not the worst-case 8.
+//   - Arena scratch (conv offset tables, the shift walk's accumulator
+//     planes and the conv input planes, sized by ShiftConv2d::scratch_bytes
+//     for the path its static gate picks: a dense op fetches per-tap
+//     offsets and the u8 code plane, a shift-walk op per-entry offsets, an
+//     int64 accumulator and the int32 padded plane, and a walk op with a
+//     dense form each slot's larger row of the two, since a batch of small
+//     codes still runs dense; a linear op is a 1x1 conv and fetches the
+//     same slots): the grow-once slots of
+//     runtime::ScratchArena. Every buffer is live for one op only, so a
+//     slot's high-water mark is the largest request any op makes, and
+//     warm_thread reserves each slot to it.
 //   - Activations (op outputs, run()'s entry copy of the image and the
 //     residual chain-entry copies): value-semantic pooled tensors, so they
 //     stay in tensor::pool; the walk records their live intervals and
@@ -40,8 +43,8 @@ struct OpMemory {
   ProgramOpKind kind = ProgramOpKind::kQuantAct;
   // Arena scratch this op's kernel fetches.
   std::size_t offsets_bytes = 0;
-  std::size_t accumulator_bytes = 0;
-  std::size_t input_bytes = 0;    // padded input plane (0 when read in place)
+  std::size_t accumulator_bytes = 0;  // 0 on the dense path
+  std::size_t input_bytes = 0;  // code or padded plane (0 when read in place)
   std::size_t scratch_bytes = 0;  // offsets + accumulator + input
   std::size_t activation_bytes = 0;  // output tensor bytes (pool-backed)
   std::size_t quant_bytes = 0;       // quant-scratch bytes while running
@@ -65,7 +68,7 @@ class MemoryPlan {
              const std::vector<ActivationInterval>& activations);
 
   // Arena scratch one thread holds after warm_thread: the largest offset
-  // table, the largest accumulator plane and the largest padded input plane.
+  // table, the largest accumulator plane and the largest input plane.
   [[nodiscard]] std::size_t arena_capacity_bytes() const {
     return offsets_peak_bytes_ + accumulator_peak_bytes_ + input_peak_bytes_;
   }

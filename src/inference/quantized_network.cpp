@@ -361,12 +361,13 @@ struct LoadWalk {
                        "from_program: shift conv at op ", i, " expects [",
                        op.in_channels, ", H, W] input, gets ", in.to_string());
         const ShiftConv2d& conv = *engines[i];
-        counts = shift_counts(conv.census(in[1], in[2]));
         const tensor::ConvGeometry geom{in[0],     in[1],     in[2],
                                         op.kernel, op.stride, op.padding};
         FLIGHTNN_CHECK(geom.out_h() > 0 && geom.out_w() > 0,
                        "from_program: shift conv at op ", i,
                        " produces an empty output from ", in.to_string());
+        // After the shape check: the census tabulates `kernel` values.
+        counts = shift_counts(conv.census(in[1], in[2]));
         out = tensor::Shape{op.out_channels, geom.out_h(), geom.out_w()};
         record_shift_scratch(i, conv, in, op.act_bits);
         break;

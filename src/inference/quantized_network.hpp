@@ -78,8 +78,9 @@ struct StepProfile {
   std::int64_t adds = 0;
   std::int64_t float_macs = 0;
   std::int64_t terms = 0;  // single-shift filter terms (0 for non-shift ops)
-  // Kernel tier the op dispatches to ("scalar" / "avx2"; "-" for ops that
-  // do not run on the shift engine).
+  // Path the op takes (ShiftConv2d::kernel_tier): a dense kernel tier
+  // ("scalar" / "avx2" / "vnni"), "shift" for the shift walk, "-" for ops
+  // that do not run on the shift engine.
   std::string kernel_tier = "-";
   // Arena scratch this op's kernels fetch, from the memory plan's per-op
   // rows (0 when the op uses none).

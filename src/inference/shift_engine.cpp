@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "core/decompose.hpp"
 #include "inference/shift_kernels.hpp"
@@ -129,27 +131,44 @@ std::int64_t valid_positions(std::int64_t k, std::int64_t out_n,
   return hi >= lo ? hi - lo + 1 : 0;
 }
 
-// Layout of the input plane run() reads (DESIGN.md §9): the input with its
+// Layout of the input planes run() reads (DESIGN.md §9): the input with its
 // zero padding materialized and each padded row split into `stride` column
 // phases (padded column px at phase px % s, column px / s). Tap (ky, kx) of
 // output (oy, ox) then reads phase kx % s, column ox + kx / s of padded row
-// oy*s + ky: out_w contiguous elements per output row, in bounds at every
-// stride. Only the rows and columns some output reads are kept, so a
-// stride-1, padding-0 conv reads its input in place.
+// oy*s + ky: out_w contiguous cells per output row, in bounds at every
+// stride. Only the rows and columns some output reads are kept. The dense
+// path's code plane has this geometry per group of four channels; the
+// shift walk's int32 plane has it per channel, and a stride-1, padding-0
+// walk reads its input in place.
 struct PaddedPlane {
   std::int64_t rows, phase_w, row_w, channel;
-  std::int64_t copied;  // elements run() copies into kConvInput (0 in place)
+  std::int64_t copied;  // int32 cells the walk copies into kConvInput (0 in place)
+  std::int64_t groups;  // four-channel groups of the code plane
 
   explicit PaddedPlane(const tensor::ConvGeometry& g)
       : rows((g.out_h() - 1) * g.stride + g.kernel),
         phase_w(g.out_w() + (g.kernel - 1) / g.stride),
         row_w(g.stride * phase_w),
         channel(rows * row_w),
-        copied(g.stride == 1 && g.padding == 0 ? 0 : g.in_channels * channel) {}
+        copied(g.stride == 1 && g.padding == 0 ? 0 : g.in_channels * channel),
+        groups((g.in_channels + 3) / 4) {}
+
+  // Phase column j of `phase` holds input column j*s + phase - p; [lo, hi)
+  // are the j that land inside the input.
+  [[nodiscard]] std::pair<std::int64_t, std::int64_t> inside(
+      const tensor::ConvGeometry& g, std::int64_t phase) const {
+    const std::int64_t s = g.stride, p = g.padding;
+    const std::int64_t lo =
+        std::clamp<std::int64_t>(ceil_div(p - phase, s), 0, phase_w);
+    const std::int64_t hi =
+        std::clamp<std::int64_t>(ceil_div(g.in_w + p - phase, s), lo, phase_w);
+    return {lo, hi};
+  }
 };
 
-// Copy the [C, H, W] input `src` into the plane `dst`, writing every
-// element: pad cells get q = 0, which adds nothing to any accumulator.
+// Copy the [C, H, W] input `src` into the shift walk's int32 plane `dst`,
+// writing every element: pad cells get q = 0, which adds nothing to any
+// accumulator.
 FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void fill_padded_plane(
     const std::int32_t* src, const tensor::ConvGeometry& g,
     const PaddedPlane& plane, std::int32_t* dst) {
@@ -167,12 +186,7 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void fill_padded_plane(
       const std::int32_t* src_row = src_c + iy * g.in_w;
       for (std::int64_t phase = 0; phase < s; ++phase) {
         std::int32_t* dst_phase = row + phase * plane.phase_w;
-        // Phase column j holds input column j*s + phase - p; [lo, hi) are
-        // the j that land inside the input.
-        const std::int64_t lo =
-            std::clamp<std::int64_t>(ceil_div(p - phase, s), 0, plane.phase_w);
-        const std::int64_t hi = std::clamp<std::int64_t>(
-            ceil_div(g.in_w + p - phase, s), lo, plane.phase_w);
+        const auto [lo, hi] = plane.inside(g, phase);
         std::fill(dst_phase, dst_phase + lo, std::int32_t{0});
         const std::int32_t* from = src_row + lo * s + phase - p;
         if (s == 1) {
@@ -188,15 +202,95 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void fill_padded_plane(
   }
 }
 
-// Int64 accumulation of one filter's output plane, for plans that fail the
-// narrow bound: the tier table's scalar walk with the barrel shifter's full
-// int64 budget. Each plane is owned by one caller chunk. The walk adds the
-// term walk's integer addends (q * sign*2^shift equals the shift-and-signed-
-// add exactly; no overflow by the gain bound) plus zeros from pad cells, and
-// exact integer addition is associative and commutative, so every tier,
-// width and thread count is bit-identical to the term walk.
+// Four q = 0 codes: every pad cell, and the bytes of channels past
+// in_channels.
+constexpr std::uint32_t kZeroCodes = 0x80808080U;
+
+// The code u = q + 128 of |q| <= 127, as a word's byte.
+inline std::uint32_t code_of(std::int32_t q) {
+  return static_cast<std::uint32_t>(q + 128) & 0xFFU;
+}
+
+// One code word: channels i < kLive at x[i * hw], 128 in the bytes above.
+template <int kLive>
+inline std::uint32_t code_word(const std::int32_t* x, std::int64_t hw) {
+  std::uint32_t word = kLive == 4 ? 0U : kZeroCodes << (8 * (kLive % 4));
+  for (int i = 0; i < kLive; ++i) word |= code_of(x[i * hw]) << (8 * i);
+  return word;
+}
+
+// `n` code words from input columns from[0], from[s], ...; the unit-stride
+// loop is the one the compiler vectorizes.
+template <int kLive>
+FLIGHTNN_INT_KERNEL void code_words(const std::int32_t* from, std::int64_t hw,
+                                    std::int64_t s, std::int64_t n,
+                                    std::uint32_t* to) {
+  if (s == 1) {
+    for (std::int64_t j = 0; j < n; ++j) to[j] = code_word<kLive>(from + j, hw);
+  } else {
+    for (std::int64_t j = 0; j < n; ++j) {
+      to[j] = code_word<kLive>(from + j * s, hw);
+    }
+  }
+}
+
+// Fill the dense path's code plane: per four-channel group, the padded,
+// stride-phased geometry above over 32-bit words whose byte i is channel
+// 4g + i. The bounds are hoisted per row and per phase, so the inner loops
+// carry no division, modulo or bounds check. A kernel narrower than its
+// stride reads only rows py with py % s < kernel and phases below kernel
+// (a 1x1 stride-2 shortcut: every other row, one phase); the others are
+// left unwritten, since no tap reads them.
+FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void fill_code_plane(
+    const std::int32_t* src, const tensor::ConvGeometry& g,
+    const PaddedPlane& plane, std::uint32_t* dst) {
+  const std::int64_t s = g.stride, p = g.padding;
+  const std::int64_t hw = g.in_h * g.in_w;
+  const std::int64_t phases = std::min(s, g.kernel);
+  for (std::int64_t group = 0; group < plane.groups; ++group) {
+    const std::int64_t live = std::min<std::int64_t>(4, g.in_channels - 4 * group);
+    const std::int32_t* src_g = src + 4 * group * hw;
+    std::uint32_t* dst_g = dst + group * plane.channel;
+    for (std::int64_t py = 0, row_phase = 0; py < plane.rows;
+         ++py, row_phase = row_phase + 1 == s ? 0 : row_phase + 1) {
+      if (row_phase >= g.kernel) continue;
+      std::uint32_t* row = dst_g + py * plane.row_w;
+      const std::int64_t iy = py - p;
+      if (iy < 0 || iy >= g.in_h) {
+        std::fill(row, row + phases * plane.phase_w, kZeroCodes);
+        continue;
+      }
+      for (std::int64_t phase = 0; phase < phases; ++phase) {
+        std::uint32_t* dst_phase = row + phase * plane.phase_w;
+        const auto [lo, hi] = plane.inside(g, phase);
+        std::fill(dst_phase, dst_phase + lo, kZeroCodes);
+        std::fill(dst_phase + hi, dst_phase + plane.phase_w, kZeroCodes);
+        const std::int32_t* from = src_g + iy * g.in_w + lo * s + phase - p;
+        switch (live) {
+          case 1: code_words<1>(from, hw, s, hi - lo, dst_phase + lo); break;
+          case 2: code_words<2>(from, hw, s, hi - lo, dst_phase + lo); break;
+          case 3: code_words<3>(from, hw, s, hi - lo, dst_phase + lo); break;
+          default: code_words<4>(from, hw, s, hi - lo, dst_phase + lo); break;
+        }
+      }
+    }
+  }
+}
+
+// The shift walk: int64 accumulation of one filter's output plane, the
+// barrel shifter's full budget over the int32 padded plane. It runs every
+// op the dense gate refuses. Each plane is owned by one caller chunk. The
+// walk adds the term walk's integer addends (q * sign*2^shift equals the
+// shift-and-signed-add exactly; no overflow by the gain bound) plus zeros
+// from pad cells, and exact integer addition is associative and
+// commutative, so every thread count is bit-identical to the term walk.
+struct WalkGeom {
+  std::int64_t row_step;  // input elements from output row oy to oy + 1
+  std::int64_t out_h, out_w;
+};
+
 FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_accumulate_wide(
-    const ShiftPlan& plan, std::int64_t f, const ConvInteriorGeom& g,
+    const ShiftPlan& plan, std::int64_t f, const WalkGeom& g,
     const std::int32_t* in, const std::int32_t* off, std::int64_t* acc) {
   // Integer accumulators at scale 2^(input.scale_exp + e_min): each weight
   // term sign * 2^e contributes sign * (q << (e - e_min)), a non-negative
@@ -218,32 +312,29 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_accumulate_wide(
   }
 }
 
-// Largest per-filter accumulator gain of a plan (0 for an empty plan).
-std::int64_t plan_max_gain(const ShiftPlan& plan) {
-  std::int64_t max_gain = 0;
-  for (const std::int64_t g : plan.filter_gain) {
-    max_gain = std::max(max_gain, g);
-  }
-  return max_gain;
-}
-
-// Narrow (int32) accumulation bound: |any partial sum| <= max|q| * gain (the
-// gain sums absolute contributions), so when the product fits int32 the
-// whole accumulation can run in 32-bit lanes -- scalar or SIMD -- without
-// any value differing from the int64 computation. The per-entry multiplier
-// sign * 2^shift also fits (it is one of the gain's addends).
+// Narrow (int32) bound: |any partial sum| <= max|q| * gain (the gain sums
+// absolute contributions, and gain >= sum |w| for every rebuilt weight w),
+// so when the product fits int32 the dense kernels' wrapping 32-bit sum is
+// the exact sum the walk adds.
 constexpr std::int64_t kNarrowMax = 0x7fffffff;
 bool narrow_bound_ok(std::int64_t max_gain, std::int64_t amax) {
   return max_gain <= kNarrowMax &&
          (max_gain == 0 || amax <= kNarrowMax / max_gain);
 }
 
-// Static form of the gate: |q| <= 2^(bits-1) - 1 for any properly quantized
-// `act_bits` input, so when this holds every batch runs narrow. (A batch
-// with a smaller abs-max may run narrow even when it does not.)
-bool narrow_at_bits(const ShiftPlan& plan, int act_bits) {
-  return narrow_bound_ok(plan_max_gain(plan),
-                         (std::int64_t{1} << (act_bits - 1)) - 1);
+// Largest |q| whose code q + 128 fits a u8 lane symmetrically: every
+// `act_bits` <= 8 input.
+constexpr std::int64_t kMaxDenseCode = 127;
+
+// Parallel cost hints of run()'s two paths, in ns (measurements at their
+// use): per (tap word x output value) on the dense path, per (plan entry x
+// output pixel) on the shift walk.
+constexpr double kDenseNsPerTapOutput = 0.05;
+constexpr double kWalkNsPerEntryPixel = 0.3;
+
+// Largest |q| of any properly quantized `act_bits` input: 2^(bits-1) - 1.
+std::int64_t max_code_at_bits(int act_bits) {
+  return (std::int64_t{1} << (act_bits - 1)) - 1;
 }
 
 // Shared core of the quantize functions: pow2 scale from the abs-max, values
@@ -440,10 +531,19 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
   check_adopted_plan(plan_, out_channels_);
-  // The one place gains and multipliers come from, compiled or loaded: the
-  // adopted core streams stay zero-copy views into an artifact mapping, and
-  // only the derived streams are materialized here.
+  // The one place gains and the dense form come from, compiled or loaded:
+  // the adopted core streams stay zero-copy views into an artifact mapping,
+  // and only the derived gains and the dense pack are materialized here.
   plan_.derive_streams();
+  for (const std::int64_t gain : plan_.filter_gain) {
+    max_gain_ = std::max(max_gain_, gain);
+  }
+  dense_ = pack_dense(plan_, in_channels_, kernel_);
+}
+
+bool ShiftConv2d::takes_dense(std::int64_t max_abs_q) const {
+  return dense_.has_value() && max_abs_q <= kMaxDenseCode &&
+         narrow_bound_ok(max_gain_, max_abs_q);
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
@@ -462,7 +562,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
                  input.shape.to_string(), " input gives an empty output");
   const std::int64_t out_hw = out_h * out_w;
   const PaddedPlane plane(geom);
-  // The offsets below are int32, so every plane index must be.
+  // The offsets below are int32, so every plane index must be (the code
+  // plane has at most as many groups as the int32 plane has channels).
   FLIGHTNN_CHECK(in_channels_ * plane.channel <= kNarrowMax,
                  "ShiftConv2d::run: padded input of ",
                  in_channels_ * plane.channel,
@@ -470,13 +571,104 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
 
   dcheck_no_overflow(input, plan_.filter_gain, "ShiftConv2d::run");
 
-  // The plane and the per-entry offsets into it (channel + tap row + tap
-  // column, the last from a `kernel`-entry table after the entries: no
-  // per-entry division), built once per call in the caller's arena. Workers
-  // helping the parallel region read both through raw pointers; they stay
-  // valid because the caller blocks inside parallel_for and slots are never
+  // Scratch is built once per call in the caller's arena. Workers helping
+  // the parallel region read it through raw pointers; it stays valid
+  // because the caller blocks inside parallel_for and slots are never
   // shared between live kernels.
   runtime::ScratchArena& arena = runtime::ScratchArena::current();
+  const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
+  tensor::Tensor output(tensor::Shape{out_channels_, out_h, out_w});
+  const auto bias_at = [&](std::int64_t f) {
+    return bias_.empty() ? 0.0F : bias_[f];
+  };
+
+  if (takes_dense(input.abs_max())) {
+    // The dense path (shift_kernels.hpp): the code plane and one offset per
+    // (channel group, ky, kx) tap, in the pack's word order.
+    const DensePack& dense = *dense_;
+    std::uint32_t* codes = arena.fetch<std::uint32_t>(
+        runtime::Scratch::kConvInput,
+        static_cast<std::size_t>(plane.groups * plane.channel));
+    fill_code_plane(input.values.data(), geom, plane, codes);
+    std::int32_t* tap_off = arena.fetch<std::int32_t>(
+        runtime::Scratch::kConvOffsets, static_cast<std::size_t>(dense.taps));
+    for (std::int64_t g = 0, t = 0; g < plane.groups; ++g) {
+      for (std::int64_t ky = 0; ky < kernel_; ++ky) {
+        for (std::int64_t kx = 0; kx < kernel_; ++kx, ++t) {
+          tap_off[t] = static_cast<std::int32_t>(
+              g * plane.channel + ky * plane.row_w +
+              (kx % stride_) * plane.phase_w + kx / stride_);
+        }
+      }
+    }
+    // A pruned filter's plane is its bias: what dequantizing its zero
+    // accumulator gives.
+    const auto live = static_cast<std::int64_t>(dense.filters.size());
+    for (std::int64_t f = 0, next = 0; f < out_channels_; ++f) {
+      if (next < live && dense.filters[static_cast<std::size_t>(next)] == f) {
+        ++next;
+        continue;
+      }
+      float* out_plane = output.data() + f * out_hw;
+      std::fill(out_plane, out_plane + out_hw,
+                static_cast<float>(std::int32_t{0}) * scale + bias_at(f));
+    }
+    // The kernel leaves each live filter's int32 sums in its output plane;
+    // dequantize them in place (a separate multiply and add, as on the walk).
+    // A negated filter's sum is -S with |S| <= INT32_MAX, and
+    // float(-S) * -scale is float(S) * scale exactly.
+    const auto dequant_in_place = [&](std::int64_t i_live) {
+      const auto at = static_cast<std::size_t>(i_live);
+      const std::int64_t f = dense.filters[at];
+      const float s = dense.negated[at] != 0 ? -scale : scale;
+      const float b = bias_at(f);
+      float* out_plane = output.data() + f * out_hw;
+      for (std::int64_t i = 0; i < out_hw; ++i) {
+        std::int32_t acc = 0;
+        std::memcpy(&acc, out_plane + i, sizeof acc);
+        out_plane[i] = static_cast<float>(acc) * s + b;
+      }
+    };
+    // Parallel across blocks of kDenseFilterBlock live filters. Cost hint:
+    // traced ShiftConv2d::run spans of the VNNI tier (perf ledger, VGG-7
+    // w1.0, one CPU of a 4-core AVX-512 host) read 0.032-0.095 ns per
+    // (tap word x output value), 0.05 in the median, over its seven convs;
+    // the 4x4 64->64 layer, which fills 4 of 16 lanes, is the slowest. At
+    // that rate a ledger conv stays under the pool's dispatch threshold
+    // unless it takes tens of microseconds.
+    const runtime::CostHint block_cost{
+        kDenseNsPerTapOutput * static_cast<double>(dense.taps) *
+        static_cast<double>(out_hw) * kDenseFilterBlock};
+    const DenseConvGeom dense_geom{stride_ * plane.row_w, out_h, out_w,
+                                   dense.taps};
+    const ShiftKernels& kern = active_shift_kernels();
+    runtime::parallel_for(
+        0, (live + kDenseFilterBlock - 1) / kDenseFilterBlock, 1, block_cost,
+        [&](std::int64_t b_begin, std::int64_t b_end) {
+          for (std::int64_t b = b_begin; b < b_end; ++b) {
+            const std::int64_t first = b * kDenseFilterBlock;
+            const auto n = static_cast<int>(
+                std::min<std::int64_t>(kDenseFilterBlock, live - first));
+            std::int32_t* planes[kDenseFilterBlock] = {};
+            for (int j = 0; j < n; ++j) {
+              planes[j] = reinterpret_cast<std::int32_t*>(
+                  output.data() +
+                  dense.filters[static_cast<std::size_t>(first + j)] * out_hw);
+            }
+            kern.dense_conv(codes, tap_off,
+                            dense.words.data() + first * dense.taps,
+                            dense.correction.data() + first, n, dense_geom,
+                            planes);
+            for (int j = 0; j < n; ++j) dequant_in_place(first + j);
+          }
+        });
+    return output;
+  }
+
+  // The shift walk: the int32 padded plane (read in place at stride 1,
+  // padding 0) and the per-entry offsets into it (channel + tap row + tap
+  // column, the last from a `kernel`-entry table after the entries: no
+  // per-entry division).
   const std::int32_t* in_data = input.values.data();
   if (plane.copied > 0) {
     std::int32_t* padded = arena.fetch<std::int32_t>(
@@ -500,61 +692,27 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
         static_cast<std::int64_t>(plan_.ky[ei]) * plane.row_w +
         tap_col[plan_.kx[ei]]);
   }
-  const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
-  tensor::Tensor output(tensor::Shape{out_channels_, out_h, out_w});
-
-  // Accumulator width selection (narrow_bound_ok above). With 8-bit
-  // activations and the default exponent range the int32 path is taken for
-  // any realistic layer.
-  const bool narrow = narrow_bound_ok(plan_max_gain(plan_), input.abs_max());
-  const ConvInteriorGeom geom_k{stride_ * plane.row_w, out_h, out_w};
-
-  // Dequantize one accumulator plane and fold in the float bias.
-  const auto dequant_plane = [&](const auto* acc, std::int64_t f) {
-    const float b = bias_.empty() ? 0.0F : bias_[f];
-    float* out_plane = output.data() + f * out_hw;
-    for (std::int64_t i = 0; i < out_hw; ++i) {
-      out_plane[i] = static_cast<float>(acc[i]) * scale + b;
-    }
-  };
-
-  // Parallel across output-filter blocks, on the width the bound allows. The
-  // cost hint (~1 ns per accumulate, averaged over filters) routes the tiny
-  // smoke-scale layers through the serial path: BENCH_shift_engine had
-  // threads=4 at 0.94x of serial there before the gate.
+  const WalkGeom walk{stride_ * plane.row_w, out_h, out_w};
+  // Parallel across output filters. Cost hint: 0.3 ns per entry-pixel, the
+  // walk's rate on a 4-core AVX-512 host (a 32->32 3x3 LightNN-2 layer at
+  // 8x8 to 32x32, forced onto the walk by 9-bit activations: 0.29-0.33 ns).
   const runtime::CostHint filter_cost{
-      static_cast<double>(n_entries) * static_cast<double>(out_hw) /
-      static_cast<double>(out_channels_)};
-  if (narrow) {
-    // Kernel-tier dispatch (shift_kernels.hpp) over the plan's derived mult
-    // stream: both tiers walk the whole plane and are bit-identical by the
-    // regrouping argument on conv_accumulate_wide.
-    const ShiftKernels& kern = active_shift_kernels();
-    runtime::parallel_for(0, out_channels_, 1, filter_cost,
-                          [&](std::int64_t f_begin, std::int64_t f_end) {
-      // Each helper thread fetches from its own thread-local arena.
-      std::int32_t* acc = runtime::ScratchArena::current().fetch<std::int32_t>(
-          runtime::Scratch::kConvAccumulator, static_cast<std::size_t>(out_hw));
-      for (std::int64_t f = f_begin; f < f_end; ++f) {
-        std::fill(acc, acc + out_hw, std::int32_t{0});
-        kern.conv_interior_i32(
-            in_data, off, plan_.mult.data(),
-            plan_.filter_begin[static_cast<std::size_t>(f)],
-            plan_.filter_begin[static_cast<std::size_t>(f) + 1], geom_k, acc);
-        dequant_plane(acc, f);
+      kWalkNsPerEntryPixel * static_cast<double>(n_entries) *
+      static_cast<double>(out_hw) / static_cast<double>(out_channels_)};
+  runtime::parallel_for(0, out_channels_, 1, filter_cost,
+                        [&](std::int64_t f_begin, std::int64_t f_end) {
+    // Each helper thread fetches from its own thread-local arena.
+    std::int64_t* acc = runtime::ScratchArena::current().fetch<std::int64_t>(
+        runtime::Scratch::kConvAccumulator, static_cast<std::size_t>(out_hw));
+    for (std::int64_t f = f_begin; f < f_end; ++f) {
+      conv_accumulate_wide(plan_, f, walk, in_data, off, acc);
+      const float b = bias_at(f);
+      float* out_plane = output.data() + f * out_hw;
+      for (std::int64_t i = 0; i < out_hw; ++i) {
+        out_plane[i] = static_cast<float>(acc[i]) * scale + b;
       }
-    });
-  } else {
-    runtime::parallel_for(0, out_channels_, 1, filter_cost,
-                          [&](std::int64_t f_begin, std::int64_t f_end) {
-      std::int64_t* acc = runtime::ScratchArena::current().fetch<std::int64_t>(
-          runtime::Scratch::kConvAccumulator, static_cast<std::size_t>(out_hw));
-      for (std::int64_t f = f_begin; f < f_end; ++f) {
-        conv_accumulate_wide(plan_, f, geom_k, in_data, off, acc);
-        dequant_plane(acc, f);
-      }
-    });
-  }
+    }
+  });
   return output;
 }
 
@@ -563,16 +721,24 @@ ConvScratchBytes ShiftConv2d::scratch_bytes(std::int64_t in_h,
                                             int act_bits) const {
   const tensor::ConvGeometry geom{in_channels_, in_h,    in_w,
                                   kernel_,      stride_, padding_};
-  const auto out_hw = static_cast<std::size_t>(geom.out_h() * geom.out_w());
-  ConvScratchBytes bytes;
-  bytes.offsets =
+  const PaddedPlane plane(geom);
+  ConvScratchBytes walk;
+  walk.offsets =
       static_cast<std::size_t>(plan_.entries() + kernel_) * sizeof(std::int32_t);
-  bytes.accumulator = out_hw * (narrow_at_bits(plan_, act_bits)
-                                    ? sizeof(std::int32_t)
-                                    : sizeof(std::int64_t));
-  bytes.input = static_cast<std::size_t>(PaddedPlane(geom).copied) *
-                sizeof(std::int32_t);
-  return bytes;
+  walk.accumulator = static_cast<std::size_t>(geom.out_h() * geom.out_w()) *
+                     sizeof(std::int64_t);
+  walk.input = static_cast<std::size_t>(plane.copied) * sizeof(std::int32_t);
+  if (!dense_) return walk;
+  ConvScratchBytes dense;
+  dense.offsets = static_cast<std::size_t>(dense_->taps) * sizeof(std::int32_t);
+  dense.input = static_cast<std::size_t>(plane.groups * plane.channel) *
+                sizeof(std::uint32_t);
+  if (takes_dense(max_code_at_bits(act_bits))) return dense;
+  // run() gates on the batch's own max|q|, so an op the static gate sends
+  // down the walk still runs dense on a batch of small codes: cover both.
+  return {std::max(walk.offsets, dense.offsets),
+          std::max(walk.accumulator, dense.accumulator),
+          std::max(walk.input, dense.input)};
 }
 
 OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
@@ -602,10 +768,9 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
 }
 
 const char* ShiftConv2d::kernel_tier(int act_bits) const {
-  const ShiftKernels& kern = active_shift_kernels();
-  const bool vector =
-      kern.tier != KernelTier::kScalar && narrow_at_bits(plan_, act_bits);
-  return kernel_tier_name(vector ? kern.tier : KernelTier::kScalar);
+  return takes_dense(max_code_at_bits(act_bits))
+             ? kernel_tier_name(active_shift_kernels().tier)
+             : "shift";
 }
 
 tensor::Tensor reference_conv(const tensor::Tensor& weights,

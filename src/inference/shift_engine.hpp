@@ -3,23 +3,28 @@
 // Integer shift-add inference engine: the CPU realization of the hardware
 // the paper maps (F)LightNNs onto. Activations are 8-bit fixed point with a
 // power-of-two scale; weights are decomposed into single power-of-two terms
-// (Fig. 3), so every multiply is a barrel shift and the accumulation is
-// integer adds -- exactly the LightNN-1 datapath plus per-layer feature-map
-// summation. The engine is bit-exact: its dequantized output equals the
-// real-arithmetic convolution of the quantized operands.
+// (Fig. 3), so in the paper's datapath every multiply is a barrel shift and
+// the accumulation is integer adds -- the LightNN-1 engine plus per-layer
+// feature-map summation. The engine is bit-exact: its dequantized output
+// equals the real-arithmetic convolution of the quantized operands.
 //
-// Execution is plan-compiled (inference/shift_plan.hpp): an engine holds only
-// its ShiftPlan -- a sparsity-elided SoA entry stream -- and run() walks only
-// nonzero weight elements. It copies the input once into a zero-padded plane
-// whose rows are split into `stride` column phases, so one dispatched kernel
-// covers every output pixel at every stride with no bounds checks; pad cells
-// hold q = 0 and add nothing. Both constructors end in the same place:
-// the weights constructor decomposes and lowers once, then adopts the plan
-// exactly as the artifact load path does. The pre-plan term walk lives in
-// tests/ as the bit-exact oracle the property suites compare against; the
-// plan produces identical output because every accumulator receives the
-// same multiset of integer addends, and int64 addition is associative and
-// commutative (DESIGN.md §9).
+// Execution is plan-compiled (inference/shift_plan.hpp): an engine holds its
+// ShiftPlan -- a sparsity-elided SoA entry stream, the one stored form of
+// the weights -- and, built from it at adoption, the plan's dense int8 form
+// (pack_dense). A CPU has fast int8 dot products where the paper's hardware
+// has shifts, so run() executes the dense form whenever it exists, 8-bit
+// activations fit its u8 codes and the int32 bound holds: it copies the
+// input once into a u8 code plane (four channels per word, zero-padded and
+// split into `stride` column phases, so one dispatched kernel covers every
+// output pixel at every stride with no bounds checks) and runs the tier's
+// dot-product kernel (shift_kernels.hpp). Every other op runs the shift
+// walk: the int64 barrel-shift loop over the plan's entries on a padded
+// int32 plane, the hardware-faithful reference. Both paths add the term
+// walk's integers exactly (DESIGN.md §9). Both constructors end in the same
+// place: the weights constructor decomposes and lowers once, then adopts
+// the plan exactly as the artifact load path does. The pre-plan term walk
+// lives in tests/ as the bit-exact oracle the property suites compare
+// against.
 //
 // Like the paper's FPGA evaluation (Sec. 5.2), the engine operates at layer
 // granularity -- convolutions dominate >90% of CNN compute, so the largest
@@ -27,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "inference/shift_plan.hpp"
@@ -81,11 +87,14 @@ struct OpCounts {
 };
 
 // Arena bytes one ShiftConv2d::run fetches per conv scratch slot; the
-// load-time walk sizes the slots with it (DESIGN.md §15).
+// load-time walk sizes the slots with it (DESIGN.md §15). A dense op fetches
+// its per-tap offsets and the u8 code plane and no accumulator; a shift-walk
+// op its per-entry offsets, an int64 accumulator plane per worker and the
+// int32 padded plane.
 struct ConvScratchBytes {
-  std::size_t offsets = 0;      // int32 entry offsets + tap-column table
-  std::size_t accumulator = 0;  // one filter's accumulator plane, per worker
-  std::size_t input = 0;        // padded plane; 0 when read in place
+  std::size_t offsets = 0;      // int32 tap or entry offsets
+  std::size_t accumulator = 0;  // one filter's int64 plane, per worker
+  std::size_t input = 0;        // code or padded plane; 0 when read in place
 };
 
 // Geometry bundle for engines that adopt an already-compiled plan (every
@@ -120,22 +129,26 @@ class ShiftConv2d {
   // plan's core streams may be zero-copy views into a mapped blob). The
   // caller vouches for the plan's per-entry validity (the artifact loader
   // validates every stream before construction); this constructor re-checks
-  // the cheap structural invariants and derives the plan's gains and
-  // multipliers (ShiftPlan::derive_streams).
+  // the cheap structural invariants, derives the plan's gains
+  // (ShiftPlan::derive_streams) and builds its dense form (pack_dense).
   ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
   // Run on one quantized image; returns the dequantized float output
-  // [out_channels, out_h, out_w]. Executes the compiled plan: zero elements
-  // and pruned filters cost nothing, every output pixel runs without bounds
-  // checks on the padded, stride-phased input plane, and scratch comes from
-  // the per-thread arena's grow-once slots (zero steady-state allocation
-  // beyond the pooled output tensor). The whole plane must fit int32 offsets.
+  // [out_channels, out_h, out_w]. Takes the dense path when the plan has a
+  // dense form, max|q| <= 127 and max|q| * max filter_gain <= INT32_MAX,
+  // else the shift walk. Pruned filters cost nothing but their bias on
+  // either path, every output pixel runs without bounds checks on the
+  // padded, stride-phased plane, and scratch comes from the per-thread
+  // arena's grow-once slots (zero steady-state allocation beyond the pooled
+  // output tensor). The whole plane must fit int32 offsets.
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
 
-  // Scratch one run() on an [in_channels, in_h, in_w] input fetches, the
-  // accumulator at 4 bytes per element when every properly quantized
-  // `act_bits` input runs int32, else 8 (which covers both widths).
+  // Scratch one run() on an [in_channels, in_h, in_w] input fetches, for
+  // every properly quantized `act_bits` input (|q| <= 2^(bits-1) - 1): the
+  // dense path's rows when its gate holds at the largest such |q|, else
+  // each slot's larger row of the walk and (when the plan has a dense form,
+  // which a batch of smaller codes takes) the dense path.
   [[nodiscard]] ConvScratchBytes scratch_bytes(std::int64_t in_h,
                                                std::int64_t in_w,
                                                int act_bits) const;
@@ -151,10 +164,15 @@ class ShiftConv2d {
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
   [[nodiscard]] std::int64_t out_channels() const { return out_channels_; }
   [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
-  // Name of the kernel tier run() dispatches to for activations quantized
-  // at `act_bits` ("scalar" / "avx2"): the static form of run()'s dynamic
-  // gate, using |q| <= 2^(bits-1)-1. Reflects the currently active dispatch
-  // (CPU, FLIGHTNN_FORCE_SCALAR, test override).
+  // The plan's dense form, or nullptr when pack_dense refused it.
+  [[nodiscard]] const DensePack* dense() const {
+    return dense_ ? &*dense_ : nullptr;
+  }
+  // Name of the path run() takes for activations quantized at `act_bits`:
+  // the dense kernel tier ("scalar" / "avx2" / "vnni"), or "shift" for the
+  // shift walk. The static form of run()'s gate, using
+  // |q| <= 2^(bits-1)-1; reflects the currently active dispatch (CPU,
+  // FLIGHTNN_FORCE_SCALAR, test override).
   [[nodiscard]] const char* kernel_tier(int act_bits) const;
 
  private:
@@ -162,10 +180,16 @@ class ShiftConv2d {
   std::int64_t out_channels_, in_channels_, kernel_, stride_, padding_;
   std::int64_t term_count_ = 0;
   tensor::Tensor bias_;  // float; folded in after dequantization
-  // Compiled SoA execution plan (run()'s workload). Its per-filter gains
-  // bound |accumulator| <= max|q| * filter_gain[f], so run() checks for
-  // overflow once per filter instead of per element.
+  // Compiled SoA execution plan. Its per-filter gains bound
+  // |accumulator| <= max|q| * filter_gain[f], so run() checks for overflow
+  // once per filter instead of per element.
   ShiftPlan plan_;
+  std::int64_t max_gain_ = 0;       // largest filter_gain
+  std::optional<DensePack> dense_;  // pack_dense(plan_), when it exists
+
+  // run()'s gate for inputs with max|q| = `max_abs_q`: the dense path, or
+  // the shift walk.
+  [[nodiscard]] bool takes_dense(std::int64_t max_abs_q) const;
 };
 
 // Reference float convolution of one image (for bit-exactness tests):

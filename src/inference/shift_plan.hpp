@@ -10,9 +10,15 @@
 // `ShiftPlan` lowers the decomposition once, at engine construction, into a
 // flat structure-of-arrays: one contiguous stream of (channel, ky, kx, shift,
 // sign) entries per filter, with every zero element and every pruned filter
-// elided. Steady-state kernel work is then exactly proportional to
+// elided. The shift walk's work is then exactly proportional to
 // Σ_i k_i · nnz_i -- the paper's energy-proportionality, realized in
-// software.
+// software -- and the analytic op census counts it that way.
+//
+// The plan is also the one stored form of the weights. An engine that
+// adopts it rebuilds each filter's int8 weights from the entries
+// (pack_dense below) and runs that dense form whenever it exists; there a
+// live filter costs the same for every k_i in {1, 2}, and a pruned one
+// (k_i = 0) costs nothing.
 //
 // Entry order is: filters ascending; within a filter, terms in decomposition
 // order; within a term, elements in index order. The order is stable and
@@ -23,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -133,10 +140,11 @@ struct ShiftPlan {
   // --- Core SoA entry streams, indexed [filter_begin[f], filter_begin[f+1]) -
   // The stored form of the weights (the artifact holds exactly these). Each
   // entry's tap into the OIHW filter: input channel, kernel row and kernel
-  // column. They give the entry's offset into the engine's padded,
-  // stride-phased input plane (rebuilt per call, since it depends on the
-  // input size), and ky/kx the analytic op counts. A linear layer is a 1x1
-  // conv, so its entries carry the input feature as `channel` and ky = kx = 0.
+  // column. They give the entry's word in the dense pack, its offset into
+  // the shift walk's padded, stride-phased input plane (rebuilt per call,
+  // since it depends on the input size), and ky/kx the analytic op counts.
+  // A linear layer is a 1x1 conv, so its entries carry the input feature as
+  // `channel` and ky = kx = 0.
   PlanArray<std::int32_t> channel;
   PlanArray<std::int16_t> ky;
   PlanArray<std::int16_t> kx;
@@ -150,7 +158,7 @@ struct ShiftPlan {
   // has an empty range and costs nothing at run time.
   PlanArray<std::int64_t> filter_begin;
 
-  // --- Derived streams (DESIGN.md §9, §14) --------------------------------
+  // --- Derived stream (DESIGN.md §9) ---------------------------------------
   // Built by derive_streams() from the core streams when an engine adopts
   // the plan; always owned, never serialized. An artifact-adopted plan keeps
   // its core streams as zero-copy views into the mapping.
@@ -160,22 +168,15 @@ struct ShiftPlan {
   // filter_gain[f] bounds every intermediate partial sum, enabling one
   // overflow check per filter instead of per accumulate.
   PlanArray<std::int64_t> filter_gain;
-  // mult[e] = sign[e] * 2^shift[e] as int32: the exact per-entry multiplier
-  // both narrow (int32) kernel tiers use. Entries with shift > 30 store 0;
-  // they are unreachable, because such a filter's gain already exceeds the
-  // int32 bound and the engine takes the int64 scalar loop before reading
-  // mult.
-  PlanArray<std::int32_t> mult;
 
   std::int64_t filters = 0;
 
-  // Derive filter_gain and mult from the core streams. The plan-adopting
-  // engine constructor calls it, for compiled and loaded plans alike. Total
-  // on any plan whose filter_begin has filters + 1 entries: spans outside
-  // the entry stream count as empty, and a shift outside the barrel range
-  // saturates its filter's gain (so the narrow gate refuses the filter) and
-  // stores mult 0, so even a hostile hand-built plan cannot make it index
-  // wild.
+  // Derive filter_gain from the core streams. The plan-adopting engine
+  // constructor calls it, for compiled and loaded plans alike. Total on any
+  // plan whose filter_begin has filters + 1 entries: spans outside the entry
+  // stream count as empty, and a shift outside the barrel range saturates
+  // its filter's gain (so the narrow gate refuses the filter), so even a
+  // hostile hand-built plan cannot make it index wild.
   void derive_streams();
 
   [[nodiscard]] std::int64_t entries() const {
@@ -189,6 +190,44 @@ struct ShiftPlan {
                                 const quant::Pow2Config& config,
                                 std::int64_t in_channels, std::int64_t kernel);
 };
+
+// Dense int8 form of a conv plan (DESIGN.md §9): each weight rebuilt as
+// w = sum of sign * 2^shift over its entries, in units of 2^e_min, four
+// input channels per int32 word. The engine builds it when it adopts a plan
+// and runs its convolution as u8 x s8 dot products (shift_kernels.hpp).
+struct DensePack {
+  // Words per filter: channel groups (ceil(in_channels / 4)) x kernel x
+  // kernel.
+  std::int64_t taps = 0;
+  // Filters with a non-empty entry range, ascending. A pruned filter
+  // (FLightNN's k_i = 0) has no words and costs nothing but its bias.
+  std::vector<std::int32_t> filters;
+  // [live filter][channel group][ky][kx]: byte i of a word is the int8
+  // weight of input channel 4 * group + i (0 past in_channels).
+  std::vector<std::int32_t> words;
+  // Per live filter: 128 * (sum of its packed weights) mod 2^32, the sum the
+  // code offset u = q + 128 adds to its accumulator.
+  std::vector<std::int32_t> correction;
+  // Per live filter: 1 when its words hold -w (a filter whose weights reach
+  // +128 but not -128), so its int32 sum is the negated dot product.
+  std::vector<std::uint8_t> negated;
+};
+
+// pack_dense refuses a pack of more words than this per plan entry, so
+// adoption allocates in proportion to the plan, not to the geometry it
+// claims.
+inline constexpr std::int64_t kMaxDenseWordsPerEntry = 4;
+
+// The dense form of `plan` over [in_channels, kernel, kernel] filters, or
+// nullopt when some filter's weights fit int8 neither as they are nor
+// negated, or when the pack would exceed kMaxDenseWordsPerEntry words per
+// plan entry. Total on any plan: a stream-size mismatch, a filter span
+// outside the entry stream, a geometry whose word count overflows, or an
+// entry whose channel, tap, sign or shift is out of range refuses the dense
+// form before anything is allocated past O(entries + filters) or indexed.
+std::optional<DensePack> pack_dense(const ShiftPlan& plan,
+                                    std::int64_t in_channels,
+                                    std::int64_t kernel);
 
 // Saturation ceiling shared with the engine's overflow contract.
 inline constexpr std::int64_t kShiftAccumulatorGuard = std::int64_t{1} << 62;

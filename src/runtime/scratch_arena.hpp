@@ -34,9 +34,11 @@ namespace flightnn::runtime {
 // Slot ids for per-thread scratch, one per independent scratch use (see the
 // lifetime rules above).
 enum class Scratch : std::size_t {
-  kConvAccumulator = 0,  // int32/int64 accumulator plane for ShiftConv2d
-  kConvOffsets,          // int32 per-entry input-offset table for ShiftConv2d
-  kConvInput,            // int32 padded, stride-phased input for ShiftConv2d
+  kConvAccumulator = 0,  // ShiftConv2d's shift walk: int64 accumulator plane
+  kConvOffsets,          // ShiftConv2d: int32 per-tap (dense) or per-entry
+                         // (shift walk) input offsets
+  kConvInput,            // ShiftConv2d: u8 code plane (dense) or int32
+                         // padded plane (shift walk), stride-phased
   kGemmPackA,            // f32 packed A micro-panels (core/gemm)
   kSlotCount,
 };

@@ -56,6 +56,16 @@ inline bool cpu_has_avx2() {
 #endif
 }
 
+// AVX-512 VNNI (vpdpbusd on zmm): the dense conv kernels' widest tier.
+// libgcc sets the bit only when the OS also saves the AVX-512 state.
+inline bool cpu_has_avx512_vnni() {
+#if FLIGHTNN_X86_DISPATCH
+  return __builtin_cpu_supports("avx512vnni") != 0;
+#else
+  return false;
+#endif
+}
+
 inline bool cpu_has_fma() {
 #if FLIGHTNN_X86_DISPATCH
   return __builtin_cpu_supports("fma") != 0;

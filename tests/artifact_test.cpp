@@ -244,7 +244,7 @@ TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
     // The artifact path carries plans, never the float weights.
     EXPECT_TRUE(op.weights.empty());
     // Adoption keeps the core streams as views and derives the gains and
-    // multipliers into owned storage (a linear op adopts as a 1x1 conv).
+    // the dense pack into owned storage (a linear op adopts as a 1x1 conv).
     const inference::ShiftConvSpec spec{op.out_channels, op.in_channels,
                                         op.kernel,       op.stride,
                                         op.padding,      op.term_count};
@@ -254,9 +254,9 @@ TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
     EXPECT_EQ(adopted.kx.data(), op.plan.kx.data());
     ASSERT_EQ(adopted.filter_gain.size(),
               static_cast<std::size_t>(op.out_channels));
-    ASSERT_EQ(adopted.mult.size(), static_cast<std::size_t>(op.plan.entries()));
     EXPECT_FALSE(in_blob(adopted.filter_gain.data()));
-    EXPECT_FALSE(in_blob(adopted.mult.data()));
+    ASSERT_NE(engine.dense(), nullptr);
+    EXPECT_FALSE(in_blob(engine.dense()->words.data()));
   }
   EXPECT_GT(shift_ops, 10) << "ResNet-18 should lower many shift layers";
   EXPECT_EQ(linear_ops, 1) << "the classifier is a shift linear op";
@@ -475,6 +475,28 @@ const CorruptionCase kCorruptionMatrix[] = {
                                               ProgramOpKind::kShiftLinear);
        const std::int16_t hostile = 1;
        std::memcpy(blob.data() + kx.offset, &hostile, sizeof(hostile));
+     }},
+    // Adoption builds each engine's dense form before the load walk checks
+    // any shape: a 2^24 x 2^24 kernel over a few entries must be refused
+    // there without allocating (or overflowing), then rejected by the walk.
+    {"conv kernel of 2^24 over a few entries", ArtifactErrorCode::kBadProgram,
+     true,
+     [](std::vector<std::uint8_t>& blob) {
+       const SectionDesc program = find_section(blob, SectionKind::kProgram);
+       const ArtifactHeader header = read_header(blob);
+       for (std::uint32_t i = 0; i < header.op_count; ++i) {
+         OpRecord record;
+         std::memcpy(&record, blob.data() + program.offset + i * sizeof(record),
+                     sizeof(record));
+         if (record.kind ==
+             static_cast<std::uint32_t>(ProgramOpKind::kShiftConv)) {
+           record.kernel = std::int64_t{1} << 24;
+           std::memcpy(blob.data() + program.offset + i * sizeof(record),
+                       &record, sizeof(record));
+           return;
+         }
+       }
+       ADD_FAILURE() << "no shift conv op in the fixture network";
      }},
     {"section of the retired element kind", ArtifactErrorCode::kBadSection,
      true, [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 2); }},

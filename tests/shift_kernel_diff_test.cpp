@@ -1,15 +1,17 @@
-// Differential property suite for the vectorized shift-stream kernels: the
-// AVX2 tier must be byte-identical to the scalar tier and to the pre-plan
-// term walk (term_walk_oracle.hpp) under every geometry the plan compiler can produce --
-// odd output widths (16-wide / 8-wide / masked-tail paths), strides,
-// paddings, k_max, pruning, linear layers (1x1 convs on a 1x1 plane), thread
-// counts, and artifact-adopted plans whose streams are zero-copy views into
-// an mmap. The direct kernel test runs the dispatch-table function pointers
-// on exactly-sized buffers, so the ASan CI preset turns any masked-lane
-// overread into a hard failure (the vector kernel must touch no byte the
-// scalar tier would not). Tier comparisons skip on hosts without AVX2,
-// where tier 1 resolves to the scalar table and the comparison would be
-// vacuous.
+// Differential property suite for the dense conv kernels: every dense tier
+// the host has (AVX2, AVX-512 VNNI) must be byte-identical to the scalar
+// tier and to the pre-plan term walk (term_walk_oracle.hpp) under every
+// geometry the plan compiler can produce -- output widths that hit the
+// 16-lane and 8-lane tails, strides, paddings, channel counts that are not a
+// multiple of four, pruning, linear layers (1x1 convs on a 1x1 plane),
+// thread counts, and artifact-adopted plans whose streams are zero-copy
+// views into an mmap. The gate cases (a weight outside int8, codes outside
+// u8, activations past the int32 bound) must take the shift walk and match
+// the term walk too. The direct kernel test runs the dispatch-table
+// function pointers on exactly-sized buffers, so the ASan CI preset turns
+// any overread past a plane into a hard failure. Tier comparisons cover
+// only the tiers the host has; on a host without AVX2 only the scalar tier
+// and the term walk are compared.
 
 #include "inference/shift_kernels.hpp"
 
@@ -21,6 +23,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/quantize_model.hpp"
@@ -31,7 +34,6 @@
 #include "runtime/thread_pool.hpp"
 #include "serialize/artifact.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "term_walk_oracle.hpp"
 
 namespace flightnn::inference {
@@ -49,8 +51,15 @@ struct TierGuard {
   ~TierGuard() { set_kernel_tier_override(-1); }
 };
 
-bool host_has_vector_tier() {
-  return shift_kernels_for(KernelTier::kAvx2).tier == KernelTier::kAvx2;
+bool host_has(KernelTier tier) { return shift_kernels_for(tier).tier == tier; }
+
+// Every tier this host can run, scalar first.
+std::vector<KernelTier> host_tiers() {
+  std::vector<KernelTier> tiers{KernelTier::kScalar};
+  for (const KernelTier tier : {KernelTier::kAvx2, KernelTier::kVnni}) {
+    if (host_has(tier)) tiers.push_back(tier);
+  }
+  return tiers;
 }
 
 bool bytes_equal(const Tensor& a, const Tensor& b) {
@@ -59,18 +68,43 @@ bool bytes_equal(const Tensor& a, const Tensor& b) {
                      static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
-// Zero the first `filters` filter rows of an OIHW (or [out, in]) tensor.
-void prune_filters(Tensor& wq, std::int64_t filters) {
-  const std::int64_t row = wq.numel() / wq.shape()[0];
+// Zero filter rows of an OIHW (or [out, in]) tensor: the first half, or
+// every odd one (live filters that are not contiguous in the output).
+enum class Prune { kNone, kFirstHalf, kOdd };
+
+void prune_filters(Tensor& wq, Prune prune) {
+  const std::int64_t filters = wq.shape()[0];
+  const std::int64_t row = wq.numel() / filters;
   for (std::int64_t f = 0; f < filters; ++f) {
-    float* data = wq.data() + f * row;
-    std::fill(data, data + row, 0.0F);
+    const bool zero = (prune == Prune::kFirstHalf && f < filters / 2) ||
+                      (prune == Prune::kOdd && f % 2 == 1);
+    if (zero) std::fill(wq.data() + f * row, wq.data() + (f + 1) * row, 0.0F);
   }
 }
 
 // --- Engine-level sweeps ---------------------------------------------------
 
-// Scalar tier, vector tier and the term walk on one conv layer.
+// Every host tier and the term walk on one engine; `path` is the
+// kernel_tier() the engine must report for 8-bit activations under a
+// dense tier ("dense" for the pinned tier's name, or "shift").
+void expect_tiers_match(const ShiftConv2d& engine, const Tensor& reference,
+                        const QuantizedActivations& input, int act_bits,
+                        const std::string& path, const std::string& what) {
+  for (const KernelTier tier : host_tiers()) {
+    set_kernel_tier_override(static_cast<int>(tier));
+    const std::string expected =
+        path == "dense" ? kernel_tier_name(tier) : path;
+    EXPECT_EQ(engine.kernel_tier(act_bits), expected)
+        << what << " tier=" << kernel_tier_name(tier);
+    const Tensor out = input.shape.rank() == 1
+                           ? oracle::run_linear(engine, input)
+                           : engine.run(input);
+    EXPECT_TRUE(bytes_equal(out, reference))
+        << what << " tier=" << kernel_tier_name(tier);
+  }
+  set_kernel_tier_override(-1);
+}
+
 void expect_conv_tiers_match_reference(const Tensor& wq, int k_max,
                                        std::int64_t stride,
                                        std::int64_t padding,
@@ -78,43 +112,46 @@ void expect_conv_tiers_match_reference(const Tensor& wq, int k_max,
                                        const std::string& what) {
   const quant::Pow2Config config;
   const ShiftConv2d engine(wq, k_max, config, stride, padding);
-  set_kernel_tier_override(0);
-  const Tensor scalar_out = engine.run(qimg);
-  set_kernel_tier_override(1);
-  const Tensor vector_out = engine.run(qimg);
-  set_kernel_tier_override(-1);
-  const Tensor reference_out =
+  const Tensor reference =
       oracle::TermWalkConv2d(wq, k_max, config, stride, padding).run(qimg);
-  EXPECT_TRUE(bytes_equal(scalar_out, vector_out)) << what;
-  EXPECT_TRUE(bytes_equal(vector_out, reference_out)) << what;
+  expect_tiers_match(engine, reference, qimg, 8,
+                     engine.dense() != nullptr ? "dense" : "shift", what);
 }
 
 TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
   TierGuard guard;
   const quant::Pow2Config config;
   support::Rng rng(101);
-  // Odd input sides so output widths hit the 16-wide, 8-wide and masked
-  // tail paths at every stride; padding up to and past the kernel's reach
-  // puts whole output rows and columns on pad cells.
-  const Shape img_shape{3, 19, 17};
-  Tensor img = Tensor::randn(img_shape, rng);
-  const auto qimg = quantize_image(img, 8);
-  for (const std::int64_t kernel : {1, 3, 5}) {
-    for (const std::int64_t stride : {1, 2, 3}) {
-      for (const std::int64_t padding : {0, 1, 2}) {
-        for (const int k_max : {1, 2, 3}) {
-          for (const bool prune : {false, true}) {
-            Tensor w = Tensor::randn(Shape{6, 3, kernel, kernel}, rng, 0.0F,
-                                     0.3F);
-            Tensor wq = quant::quantize_lightnn(w, k_max, config);
-            if (prune) prune_filters(wq, 3);
-            expect_conv_tiers_match_reference(
-                wq, k_max, stride, padding, qimg,
-                "k=" + std::to_string(kernel) + " s=" +
-                    std::to_string(stride) + " p=" + std::to_string(padding) +
-                    " k_max=" + std::to_string(k_max) +
-                    " prune=" + std::to_string(prune));
+  // Input widths 17 and 37 give output widths 17, 9, 6 and 37, 19, 13 (one
+  // less at some paddings) across the strides: full 16- and 8-lane tiles
+  // plus every kind of masked tail. Odd heights leave a trailing single
+  // row. Padding up to and past the kernel's reach puts whole output rows
+  // and columns on pad cells.
+  for (const std::int64_t in_ch : {1, 3, 4, 5, 8}) {
+    for (const std::int64_t in_w : {17, 37}) {
+      const auto qimg = quantize_image(
+          Tensor::randn(Shape{in_ch, in_w == 17 ? 19 : 7, in_w}, rng), 8);
+      for (const std::int64_t kernel : {1, 3, 5}) {
+        for (const std::int64_t stride : {1, 2, 3}) {
+          for (const std::int64_t padding : {0, 1, 2}) {
+            for (const int k_max : {1, 2}) {
+              for (const Prune prune :
+                   {Prune::kNone, Prune::kFirstHalf, Prune::kOdd}) {
+                Tensor w = Tensor::randn(Shape{6, in_ch, kernel, kernel}, rng,
+                                         0.0F, 0.3F);
+                Tensor wq = quant::quantize_lightnn(w, k_max, config);
+                prune_filters(wq, prune);
+                expect_conv_tiers_match_reference(
+                    wq, k_max, stride, padding, qimg,
+                    "c=" + std::to_string(in_ch) +
+                        " w=" + std::to_string(in_w) +
+                        " k=" + std::to_string(kernel) +
+                        " s=" + std::to_string(stride) +
+                        " p=" + std::to_string(padding) +
+                        " k_max=" + std::to_string(k_max) +
+                        " prune=" + std::to_string(static_cast<int>(prune)));
+              }
+            }
           }
         }
       }
@@ -131,6 +168,36 @@ TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
   }
 }
 
+TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
+  TierGuard guard;
+  const quant::Pow2Config config;
+  support::Rng rng(102);
+  // Feature counts around the four-channel word (1, 3, 4, 5) and across
+  // many groups; filter counts around the four-filter block.
+  for (const std::int64_t in_features : {1, 3, 4, 5, 7, 8, 9, 31, 64}) {
+    for (const std::int64_t out_features : {1, 5, 10}) {
+      for (const int k_max : {1, 2}) {
+        for (const Prune prune : {Prune::kNone, Prune::kFirstHalf}) {
+          Tensor w = Tensor::randn(Shape{out_features, in_features}, rng,
+                                   0.0F, 0.3F);
+          Tensor wq = quant::quantize_lightnn(w, k_max, config);
+          prune_filters(wq, prune);
+          const auto qx = quantize_tensor(Tensor::randn(Shape{in_features}, rng), 8);
+          const ShiftConv2d engine = oracle::linear_engine(wq, k_max, config);
+          ASSERT_NE(engine.dense(), nullptr);
+          expect_tiers_match(
+              engine, oracle::TermWalkLinear(wq, k_max, config).run(qx), qx, 8,
+              "dense",
+              "in=" + std::to_string(in_features) +
+                  " out=" + std::to_string(out_features) +
+                  " k_max=" + std::to_string(k_max) +
+                  " prune=" + std::to_string(static_cast<int>(prune)));
+        }
+      }
+    }
+  }
+}
+
 // Activations with |q| up to 2^26: too large for the int32 bound.
 QuantizedActivations wide_activations(const Shape& shape, support::Rng& rng) {
   QuantizedActivations wide;
@@ -142,8 +209,8 @@ QuantizedActivations wide_activations(const Shape& shape, support::Rng& rng) {
   return wide;
 }
 
-// Activations too large for the int32 bound send every tier to the one
-// int64 scalar loop, which walks the same padded, stride-phased plane.
+// Activations too large for the int32 bound send every tier to the shift
+// walk: the int64 loop over the padded, stride-phased int32 plane.
 TEST(ShiftKernelDiffTest, WideAccumulatorPathMatchesReference) {
   TierGuard guard;
   const quant::Pow2Config config;
@@ -159,9 +226,16 @@ TEST(ShiftKernelDiffTest, WideAccumulatorPathMatchesReference) {
                                   plan.filter_gain.end()),
                 std::int64_t{0x7fffffff} / wide.abs_max())
           << "these activations must fail the narrow bound";
-      expect_conv_tiers_match_reference(
-          wq, 2, stride, padding, wide,
-          "wide s=" + std::to_string(stride) + " p=" + std::to_string(padding));
+      ASSERT_NE(engine.dense(), nullptr) << "the weights do fit int8";
+      for (const KernelTier tier : host_tiers()) {
+        set_kernel_tier_override(static_cast<int>(tier));
+        EXPECT_TRUE(bytes_equal(
+            engine.run(wide),
+            oracle::TermWalkConv2d(wq, 2, config, stride, padding).run(wide)))
+            << "wide s=" << stride << " p=" << padding
+            << " tier=" << kernel_tier_name(tier);
+      }
+      set_kernel_tier_override(-1);
     }
   }
   // A linear layer: the 1x1 conv on a 1x1 plane takes the same int64 loop.
@@ -173,56 +247,66 @@ TEST(ShiftKernelDiffTest, WideAccumulatorPathMatchesReference) {
   ASSERT_GT(*std::max_element(plan.filter_gain.begin(), plan.filter_gain.end()),
             std::int64_t{0x7fffffff} / wide_vec.abs_max())
       << "these activations must fail the narrow bound";
-  set_kernel_tier_override(0);
-  const Tensor scalar_out = oracle::run_linear(linear, wide_vec);
-  set_kernel_tier_override(1);
-  const Tensor vector_out = oracle::run_linear(linear, wide_vec);
-  set_kernel_tier_override(-1);
-  const Tensor reference_out =
-      oracle::TermWalkLinear(wq, 2, config).run(wide_vec);
-  EXPECT_TRUE(bytes_equal(scalar_out, vector_out)) << "wide linear";
-  EXPECT_TRUE(bytes_equal(vector_out, reference_out)) << "wide linear";
-}
-
-TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
-  TierGuard guard;
-  const quant::Pow2Config config;
-  support::Rng rng(102);
-  // Feature counts straddling the 8-lane vector width, including rows whose
-  // entry counts land on 1/7/8/9 after pruning.
-  for (const std::int64_t in_features : {1, 7, 8, 9, 31, 64}) {
-    for (const std::int64_t out_features : {1, 5, 10}) {
-      for (const int k_max : {1, 2}) {
-        for (const bool prune : {false, true}) {
-          Tensor w = Tensor::randn(Shape{out_features, in_features}, rng,
-                                   0.0F, 0.3F);
-          Tensor wq = quant::quantize_lightnn(w, k_max, config);
-          if (prune) prune_filters(wq, out_features / 2);
-          Tensor x = Tensor::randn(Shape{in_features}, rng);
-          const auto qx = quantize_tensor(x, 8);
-          const ShiftConv2d engine = oracle::linear_engine(wq, k_max, config);
-          set_kernel_tier_override(0);
-          const Tensor scalar_out = oracle::run_linear(engine, qx);
-          set_kernel_tier_override(1);
-          const Tensor vector_out = oracle::run_linear(engine, qx);
-          set_kernel_tier_override(-1);
-          const Tensor reference_out =
-              oracle::TermWalkLinear(wq, k_max, config).run(qx);
-          EXPECT_TRUE(bytes_equal(scalar_out, vector_out))
-              << "in=" << in_features << " out=" << out_features
-              << " k_max=" << k_max << " prune=" << prune;
-          EXPECT_TRUE(bytes_equal(vector_out, reference_out))
-              << "in=" << in_features << " out=" << out_features
-              << " k_max=" << k_max << " prune=" << prune;
-        }
-      }
-    }
+  const Tensor reference = oracle::TermWalkLinear(wq, 2, config).run(wide_vec);
+  for (const KernelTier tier : host_tiers()) {
+    set_kernel_tier_override(static_cast<int>(tier));
+    EXPECT_TRUE(bytes_equal(oracle::run_linear(linear, wide_vec), reference))
+        << "wide linear tier=" << kernel_tier_name(tier);
   }
 }
 
-// Pruning removes entries, and a stride changes only the padded plane's
-// layout; neither may change which tier a layer dispatches to.
+// The dense gate's cases, at stride 1 and 2. A filter reaching +128 (two
+// 2^0 terms at LightNN-2) packs negated and stays on the dense path; the
+// refusals take the shift walk under every tier: +128 beside -128 in one
+// filter, a LightNN-3 weight past int8 (1 + 1 + 1 = 192 units), and 9-bit
+// activations whose codes do not fit u8. Every case matches the term walk.
+TEST(ShiftKernelDiffTest, GateCasesTakeShiftWalk) {
+  TierGuard guard;
+  const quant::Pow2Config config;
+  support::Rng rng(109);
+  const auto qimg = quantize_image(Tensor::randn(Shape{5, 9, 11}, rng), 8);
+  const auto q9 = quantize_image(Tensor::randn(Shape{5, 9, 11}, rng), 9);
+  ASSERT_GT(q9.abs_max(), 127) << "9-bit codes must overflow a u8 lane";
+  for (const std::int64_t stride : {1, 2}) {
+    const std::string at = " stride=" + std::to_string(stride);
+    Tensor plus = quant::quantize_lightnn(
+        Tensor::randn(Shape{6, 5, 3, 3}, rng, 0.0F, 0.3F), 2, config);
+    plus.data()[7] = 2.0F;
+    const ShiftConv2d negated(plus, 2, config, stride, 1);
+    ASSERT_NE(negated.dense(), nullptr) << at;
+    EXPECT_EQ(negated.dense()->negated[0], 1) << at;
+    expect_tiers_match(
+        negated, oracle::TermWalkConv2d(plus, 2, config, stride, 1).run(qimg),
+        qimg, 8, "dense", "+128 weight" + at);
+
+    Tensor both(plus);
+    both.data()[8] = -2.0F;
+    Tensor wide = quant::quantize_lightnn(
+        Tensor::randn(Shape{6, 5, 3, 3}, rng, 0.0F, 0.3F), 3, config);
+    wide.data()[7] = 3.0F;
+    for (const auto& [wq, k_max, what] :
+         {std::tuple<const Tensor&, int, const char*>{both, 2, "+128 and -128"},
+          std::tuple<const Tensor&, int, const char*>{wide, 3, "192 at k_max 3"}}) {
+      const ShiftConv2d engine(wq, k_max, config, stride, 1);
+      ASSERT_EQ(engine.dense(), nullptr) << what << at;
+      expect_tiers_match(
+          engine, oracle::TermWalkConv2d(wq, k_max, config, stride, 1).run(qimg),
+          qimg, 8, "shift", what + at);
+    }
+
+    Tensor wq = quant::quantize_lightnn(
+        Tensor::randn(Shape{6, 5, 3, 3}, rng, 0.0F, 0.3F), 2, config);
+    const ShiftConv2d engine(wq, 2, config, stride, 1);
+    ASSERT_NE(engine.dense(), nullptr) << at;
+    expect_tiers_match(engine,
+                       oracle::TermWalkConv2d(wq, 2, config, stride, 1).run(q9),
+                       q9, 9, "shift", "act_bits 9" + at);
+  }
+}
+
+// Pruning removes filters, and a stride changes only the plane's layout;
+// neither may change which path a layer takes. A filter that int8 holds
+// neither as it is nor negated always reports the shift walk.
 TEST(ShiftKernelDiffTest, KernelTierReporting) {
   TierGuard guard;
   const quant::Pow2Config config;
@@ -230,82 +314,101 @@ TEST(ShiftKernelDiffTest, KernelTierReporting) {
   Tensor w = Tensor::randn(Shape{8, 4, 3, 3}, rng, 0.0F, 0.3F);
   Tensor wq = quant::quantize_lightnn(w, 2, config);
   Tensor wq_pruned(wq);
-  prune_filters(wq_pruned, 4);
+  prune_filters(wq_pruned, Prune::kFirstHalf);
+  Tensor wq_wide(wq);
+  wq_wide.data()[0] = 2.0F;
+  wq_wide.data()[1] = -2.0F;
   const ShiftConv2d dense(wq, 2, config, 1, 1);
   const ShiftConv2d pruned(wq_pruned, 2, config, 1, 1);
   const ShiftConv2d strided(wq, 2, config, 2, 1);
+  const ShiftConv2d walk(wq_wide, 2, config, 1, 1);
   EXPECT_STREQ(dense.kernel_tier(8), pruned.kernel_tier(8));
   EXPECT_STREQ(strided.kernel_tier(8), dense.kernel_tier(8));
-  set_kernel_tier_override(0);
-  EXPECT_STREQ(dense.kernel_tier(8), "scalar");
-  EXPECT_STREQ(strided.kernel_tier(8), "scalar");
-  set_kernel_tier_override(1);
-  if (host_has_vector_tier()) {
-    EXPECT_STREQ(dense.kernel_tier(8), "avx2");
-    EXPECT_STREQ(strided.kernel_tier(8), "avx2");
+  EXPECT_STREQ(dense.kernel_tier(8),
+               kernel_tier_name(active_shift_kernels().tier));
+  for (const KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kVnni}) {
+    set_kernel_tier_override(static_cast<int>(tier));
+    const char* name = host_has(tier) ? kernel_tier_name(tier) : "scalar";
+    EXPECT_STREQ(dense.kernel_tier(8), name);
+    EXPECT_STREQ(pruned.kernel_tier(8), name);
+    EXPECT_STREQ(strided.kernel_tier(8), name);
+    EXPECT_STREQ(walk.kernel_tier(8), "shift");
+    EXPECT_STREQ(dense.kernel_tier(9), "shift");
   }
+  EXPECT_STREQ(kernel_tier_name(KernelTier::kVnni), "vnni");
 }
 
 // --- Direct kernel-table differential -------------------------------------
-// Exactly-sized buffers: under ASan any read or write outside what the
-// scalar tier touches (masked tail lanes) aborts.
+// Exactly-sized code and output planes: under ASan any full-width access
+// past what the scalar tier touches aborts, and the masked tails must stay
+// inside both planes.
 
-TEST(ShiftKernelDiffTest, ConvInteriorKernelDirect) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
-  const ConvInteriorFn scalar_fn =
-      shift_kernels_for(KernelTier::kScalar).conv_interior_i32;
-  const ConvInteriorFn vector_fn =
-      shift_kernels_for(KernelTier::kAvx2).conv_interior_i32;
+TEST(ShiftKernelDiffTest, DenseKernelDirect) {
+  const ShiftKernels& scalar = shift_kernels_for(KernelTier::kScalar);
   support::Rng rng(104);
-  const std::int64_t channels = 2;
   const std::int64_t kernel = 3;
-  // Output widths sweep the kernel's block decomposition: masked-only
-  // (n<8), 8+masked, 16, 16+masked, 16+8+masked and 2x16+masked; odd
-  // heights exercise the trailing single row.
-  for (const std::int64_t stride : {1, 2}) {
-    for (const std::int64_t out_w : {5, 9, 11, 16, 18, 23, 26, 34}) {
-      for (const std::int64_t out_h : {4, 5, 9}) {
-        // The engine's padded, stride-phased plane (ShiftConv2d::run): the
-        // rows and phase columns some output reads, `stride` phases per
-        // row. Its contents are arbitrary here; the kernel cannot tell a
-        // pad cell from an input element.
-        const std::int64_t phase_w = out_w + (kernel - 1) / stride;
-        const std::int64_t row_w = stride * phase_w;
-        const std::int64_t plane = ((out_h - 1) * stride + kernel) * row_w;
-        std::vector<std::int32_t> in(static_cast<std::size_t>(channels * plane));
-        for (auto& v : in) {
-          v = static_cast<std::int32_t>(rng.uniform_index(255)) - 127;
-        }
-        // Entry streams in plan layout: offsets into the plane plus a
-        // per-entry int32 multiplier. Entry counts 1/7/9/all exercise short
-        // filters whose streams end mid-vector.
-        std::vector<std::int32_t> off;
-        std::vector<std::int32_t> mult;
-        for (std::int64_t c = 0; c < channels; ++c) {
-          for (std::int64_t ky = 0; ky < kernel; ++ky) {
-            for (std::int64_t kx = 0; kx < kernel; ++kx) {
-              off.push_back(static_cast<std::int32_t>(
-                  c * plane + ky * row_w + (kx % stride) * phase_w +
-                  kx / stride));
-              mult.push_back(
-                  static_cast<std::int32_t>(rng.uniform_index(129)) - 64);
+  const auto random_word = [&] {
+    return static_cast<std::uint32_t>(rng.uniform_index(1U << 16)) << 16 |
+           static_cast<std::uint32_t>(rng.uniform_index(1U << 16));
+  };
+  for (const KernelTier tier : host_tiers()) {
+    if (tier == KernelTier::kScalar) continue;
+    const ShiftKernels& vector = shift_kernels_for(tier);
+    // Output widths around both lane counts; heights with and without a
+    // trailing single row; one and two channel groups; 1-4 filters.
+    for (const std::int64_t stride : {1, 2}) {
+      for (const std::int64_t out_w : {1, 5, 8, 9, 15, 16, 17, 23, 32, 33}) {
+        for (const std::int64_t out_h : {1, 2, 5}) {
+          for (const std::int64_t groups : {1, 2}) {
+            // The engine's code plane (ShiftConv2d::run): the rows and
+            // phase columns some output reads, `stride` phases per row.
+            // Any word values are legal; the kernels compute mod 2^32.
+            const std::int64_t phase_w = out_w + (kernel - 1) / stride;
+            const std::int64_t row_w = stride * phase_w;
+            const std::int64_t channel = ((out_h - 1) * stride + kernel) * row_w;
+            std::vector<std::uint32_t> codes(
+                static_cast<std::size_t>(groups * channel));
+            for (auto& word : codes) word = random_word();
+            std::vector<std::int32_t> tap_off;
+            for (std::int64_t g = 0; g < groups; ++g) {
+              for (std::int64_t ky = 0; ky < kernel; ++ky) {
+                for (std::int64_t kx = 0; kx < kernel; ++kx) {
+                  tap_off.push_back(static_cast<std::int32_t>(
+                      g * channel + ky * row_w + (kx % stride) * phase_w +
+                      kx / stride));
+                }
+              }
+            }
+            const auto taps = static_cast<std::int64_t>(tap_off.size());
+            std::vector<std::int32_t> weights(
+                static_cast<std::size_t>(kDenseFilterBlock * taps));
+            for (auto& w : weights) w = static_cast<std::int32_t>(random_word());
+            std::vector<std::int32_t> correction(kDenseFilterBlock);
+            for (auto& c : correction) c = static_cast<std::int32_t>(random_word());
+            const DenseConvGeom geom{stride * row_w, out_h, out_w, taps};
+            for (int filters = 1; filters <= kDenseFilterBlock; ++filters) {
+              const auto plane = static_cast<std::size_t>(out_h * out_w);
+              std::vector<std::vector<std::int32_t>> want(
+                  static_cast<std::size_t>(filters),
+                  std::vector<std::int32_t>(plane));
+              std::vector<std::vector<std::int32_t>> got(want);
+              std::int32_t* want_at[kDenseFilterBlock] = {};
+              std::int32_t* got_at[kDenseFilterBlock] = {};
+              for (int j = 0; j < filters; ++j) {
+                want_at[j] = want[static_cast<std::size_t>(j)].data();
+                got_at[j] = got[static_cast<std::size_t>(j)].data();
+              }
+              scalar.dense_conv(codes.data(), tap_off.data(), weights.data(),
+                                correction.data(), filters, geom, want_at);
+              vector.dense_conv(codes.data(), tap_off.data(), weights.data(),
+                                correction.data(), filters, geom, got_at);
+              EXPECT_EQ(want, got)
+                  << kernel_tier_name(tier) << " stride=" << stride
+                  << " out_w=" << out_w << " out_h=" << out_h
+                  << " groups=" << groups << " filters=" << filters;
             }
           }
-        }
-        const ConvInteriorGeom geom{stride * row_w, out_h, out_w};
-        for (const std::int64_t entries :
-             {std::int64_t{1}, std::int64_t{7}, std::int64_t{9},
-              static_cast<std::int64_t>(off.size())}) {
-          std::vector<std::int32_t> acc_scalar(
-              static_cast<std::size_t>(out_h * out_w), 0);
-          std::vector<std::int32_t> acc_vector(acc_scalar);
-          scalar_fn(in.data(), off.data(), mult.data(), 0, entries, geom,
-                    acc_scalar.data());
-          vector_fn(in.data(), off.data(), mult.data(), 0, entries, geom,
-                    acc_vector.data());
-          EXPECT_EQ(acc_scalar, acc_vector)
-              << "stride=" << stride << " out_w=" << out_w
-              << " out_h=" << out_h << " entries=" << entries;
         }
       }
     }
@@ -345,7 +448,6 @@ std::unique_ptr<nn::Sequential> small_model() {
 }
 
 TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
   TierGuard guard;
   auto model = small_model();
   const auto network =
@@ -357,11 +459,11 @@ TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
   const Tensor baseline = network.run(image);
   for (const int threads : {1, 2, 4, 7}) {
     runtime::set_num_threads(threads);
-    for (const int tier : {0, 1}) {
-      set_kernel_tier_override(tier);
+    for (const KernelTier tier : host_tiers()) {
+      set_kernel_tier_override(static_cast<int>(tier));
       const Tensor logits = network.run(image);
       EXPECT_TRUE(bytes_equal(baseline, logits))
-          << "threads=" << threads << " tier=" << tier;
+          << "threads=" << threads << " tier=" << kernel_tier_name(tier);
     }
   }
   runtime::set_num_threads(1);
@@ -369,8 +471,7 @@ TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
 
 // --- Artifact-adopted plans (zero-copy mmap views) -------------------------
 
-TEST(ShiftKernelDiffTest, ArtifactPlansRunBothTiersBitIdentical) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
+TEST(ShiftKernelDiffTest, ArtifactPlansRunEveryTierBitIdentical) {
   TierGuard guard;
   runtime::set_num_threads(1);
   auto model = small_model();
@@ -384,21 +485,21 @@ TEST(ShiftKernelDiffTest, ArtifactPlansRunBothTiersBitIdentical) {
   serialize::save_artifact(program, path);
   {
     // mmap-backed load: the adopted plans' core streams are views into the
-    // mapping; the derived streams are built (and owned) by the adopting
-    // constructor. Both tiers must match the weights-built network byte for
-    // byte.
+    // mapping; the gains and the dense pack are built (and owned) by the
+    // adopting constructor. Every tier must match the weights-built
+    // network's scalar tier byte for byte.
     const serialize::ArtifactModel mapped = serialize::ArtifactModel::load(path);
     support::Rng rng(107);
     Tensor image = Tensor::randn(Shape{3, 16, 16}, rng);
     set_kernel_tier_override(0);
     const Tensor direct_scalar = direct.run(image);
-    const Tensor mapped_scalar = mapped.network().run(image);
-    set_kernel_tier_override(1);
-    const Tensor direct_vector = direct.run(image);
-    const Tensor mapped_vector = mapped.network().run(image);
-    EXPECT_TRUE(bytes_equal(direct_scalar, mapped_scalar));
-    EXPECT_TRUE(bytes_equal(direct_scalar, direct_vector));
-    EXPECT_TRUE(bytes_equal(direct_scalar, mapped_vector));
+    for (const KernelTier tier : host_tiers()) {
+      set_kernel_tier_override(static_cast<int>(tier));
+      EXPECT_TRUE(bytes_equal(direct_scalar, direct.run(image)))
+          << kernel_tier_name(tier);
+      EXPECT_TRUE(bytes_equal(direct_scalar, mapped.network().run(image)))
+          << kernel_tier_name(tier);
+    }
   }
   std::remove(path.c_str());
 }

@@ -68,7 +68,6 @@ void check_plan_invariants(const inference::ShiftPlan& plan,
   ASSERT_EQ(plan.kx.size(), n);
   ASSERT_EQ(plan.shift.size(), n);
   ASSERT_EQ(plan.sign.size(), n);
-  ASSERT_EQ(plan.mult.size(), n);
   const int shift_levels = config.exponent_levels();
   for (std::size_t e = 0; e < n; ++e) {
     EXPECT_TRUE(plan.sign[e] == 1 || plan.sign[e] == -1)
@@ -81,7 +80,6 @@ void check_plan_invariants(const inference::ShiftPlan& plan,
     EXPECT_LT(plan.ky[e], kernel);
     EXPECT_GE(plan.kx[e], 0);
     EXPECT_LT(plan.kx[e], kernel);
-    EXPECT_EQ(plan.mult[e], plan.sign[e] * (1 << plan.shift[e]));
   }
   ASSERT_EQ(plan.filter_gain.size(), static_cast<std::size_t>(plan.filters));
   for (std::int64_t f = 0; f < plan.filters; ++f) {
@@ -257,11 +255,182 @@ TEST(ShiftPlanPropertyTest, DeriveStreamsIsTotalOnHostilePlans) {
       << "a negative shift must saturate its filter's gain";
   EXPECT_EQ(plan.filter_gain[1], 0);
   EXPECT_EQ(plan.filter_gain[2], 0);
-  ASSERT_EQ(plan.mult.size(), 4U);
-  EXPECT_EQ(plan.mult[0], 8);
-  EXPECT_EQ(plan.mult[1], 0);
-  EXPECT_EQ(plan.mult[2], 0);
-  EXPECT_EQ(plan.mult[3], -1);
+}
+
+// A well-formed hand-built plan: 2 filters over [5, 3, 3] (two channel
+// groups, the second holding one live channel), filter 1 pruned.
+inference::ShiftPlan dense_test_plan() {
+  inference::ShiftPlan plan;
+  plan.filters = 2;
+  // (channel, ky, kx, shift, sign): 2^6 - 2^0 = 63 at channel 4's tap
+  // (1, 2); -2^6 - 2^6 = -128 at channel 1's tap (0, 0); 2^3 = 8 at
+  // channel 3's tap (2, 1).
+  const int entries[][5] = {
+      {4, 1, 2, 6, 1}, {1, 0, 0, 6, -1}, {4, 1, 2, 0, -1},
+      {1, 0, 0, 6, -1}, {3, 2, 1, 3, 1}};
+  for (const auto& e : entries) {
+    plan.channel.push_back(e[0]);
+    plan.ky.push_back(static_cast<std::int16_t>(e[1]));
+    plan.kx.push_back(static_cast<std::int16_t>(e[2]));
+    plan.shift.push_back(static_cast<std::int8_t>(e[3]));
+    plan.sign.push_back(static_cast<std::int8_t>(e[4]));
+  }
+  for (const std::int64_t begin : {0, 5, 5}) plan.filter_begin.push_back(begin);
+  return plan;
+}
+
+// The dense form rebuilds each weight as the sum of its entries, four
+// channels per word in [filter][group][ky][kx] order, skips the pruned
+// filter and keeps 128 * (sum of the weights) per live filter.
+TEST(ShiftPlanPropertyTest, DensePackRebuildsWeights) {
+  const auto pack = inference::pack_dense(dense_test_plan(), 5, 3);
+  ASSERT_TRUE(pack.has_value());
+  EXPECT_EQ(pack->taps, 2 * 9);
+  ASSERT_EQ(pack->filters, std::vector<std::int32_t>{0});
+  ASSERT_EQ(pack->words.size(), 18U);
+  const auto byte_at = [&](std::int64_t channel, std::int64_t ky,
+                           std::int64_t kx) {
+    const auto word = static_cast<std::uint32_t>(
+        pack->words[static_cast<std::size_t>((channel / 4) * 9 + ky * 3 + kx)]);
+    return static_cast<std::int8_t>(word >> (8 * (channel % 4)));
+  };
+  EXPECT_EQ(byte_at(4, 1, 2), 63);
+  EXPECT_EQ(byte_at(1, 0, 0), -128);
+  EXPECT_EQ(byte_at(3, 2, 1), 8);
+  int nonzero = 0;
+  for (const std::int32_t word : pack->words) {
+    for (int i = 0; i < 4; ++i) {
+      nonzero += (static_cast<std::uint32_t>(word) >> (8 * i)) & 0xFFU ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(nonzero, 3);
+  ASSERT_EQ(pack->correction.size(), 1U);
+  EXPECT_EQ(pack->correction[0], 128 * (63 - 128 + 8));
+  EXPECT_EQ(pack->negated, std::vector<std::uint8_t>{0});
+
+  // A filter reaching +128 (and not -128) packs negated.
+  inference::ShiftPlan plus = dense_test_plan();
+  plus.sign[1] = 1;
+  plus.sign[3] = 1;
+  const auto negated = inference::pack_dense(plus, 5, 3);
+  ASSERT_TRUE(negated.has_value());
+  EXPECT_EQ(negated->negated, std::vector<std::uint8_t>{1});
+  const auto negated_byte = [&](std::int64_t channel, std::int64_t ky,
+                                std::int64_t kx) {
+    const auto word = static_cast<std::uint32_t>(negated->words[static_cast<
+        std::size_t>((channel / 4) * 9 + ky * 3 + kx)]);
+    return static_cast<std::int8_t>(word >> (8 * (channel % 4)));
+  };
+  EXPECT_EQ(negated_byte(4, 1, 2), -63);
+  EXPECT_EQ(negated_byte(1, 0, 0), -128);
+  EXPECT_EQ(negated_byte(3, 2, 1), -8);
+  EXPECT_EQ(negated->correction[0], -128 * (63 + 128 + 8));
+}
+
+// pack_dense runs on every adopted plan too. Each hostile plan below must
+// refuse the dense form without indexing past its streams or its scratch
+// row (the sanitizer legs run this case).
+TEST(ShiftPlanPropertyTest, PackDenseIsTotalOnHostilePlans) {
+  ASSERT_TRUE(inference::pack_dense(dense_test_plan(), 5, 3).has_value());
+  const auto refuses = [](const inference::ShiftPlan& plan,
+                          std::int64_t in_channels, std::int64_t kernel) {
+    return !inference::pack_dense(plan, in_channels, kernel).has_value();
+  };
+  {
+    inference::ShiftPlan plan = dense_test_plan();
+    EXPECT_TRUE(refuses(plan, 4, 3)) << "channel 4 >= in_channels 4";
+    EXPECT_TRUE(refuses(plan, 5, 2)) << "kx 2 >= kernel 2";
+    EXPECT_TRUE(refuses(plan, 0, 3)) << "no input channels";
+  }
+  {
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.shift[4] = 61;
+    EXPECT_TRUE(refuses(plan, 5, 3)) << "a shift of 61";
+  }
+  {
+    // +128 at channel 1 beside -128 at channel 2: int8 holds the filter
+    // neither as it is nor negated.
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.sign[1] = 1;
+    plan.sign[3] = 1;
+    for (int e = 0; e < 2; ++e) {
+      plan.channel.push_back(2);
+      plan.ky.push_back(0);
+      plan.kx.push_back(0);
+      plan.shift.push_back(6);
+      plan.sign.push_back(-1);
+    }
+    plan.filter_begin = {};
+    for (const std::int64_t begin : {0, 7, 7}) plan.filter_begin.push_back(begin);
+    EXPECT_TRUE(refuses(plan, 5, 3)) << "a +128 weight beside a -128 weight";
+  }
+  {
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.sign[1] = 1;
+    plan.sign[3] = 1;
+    plan.channel[4] = 1;
+    plan.ky[4] = 0;
+    plan.kx[4] = 0;
+    plan.shift[4] = 0;
+    EXPECT_TRUE(refuses(plan, 5, 3)) << "a +129 weight";
+  }
+  {
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.sign[4] = 0;
+    EXPECT_TRUE(refuses(plan, 5, 3)) << "a zero sign";
+  }
+  for (const auto& spans : {std::vector<std::int64_t>{0, 9, 9},
+                            std::vector<std::int64_t>{0, 3, 2},
+                            std::vector<std::int64_t>{-1, 5, 5},
+                            std::vector<std::int64_t>{0, 5}}) {
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.filter_begin = {};
+    for (const std::int64_t begin : spans) plan.filter_begin.push_back(begin);
+    EXPECT_TRUE(refuses(plan, 5, 3)) << "a span outside the stream";
+  }
+  {
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.kx.push_back(0);
+    EXPECT_TRUE(refuses(plan, 5, 3)) << "streams of unequal length";
+  }
+  // Many shift-61 entries on one tap: the sum must refuse before it can
+  // overflow int64.
+  inference::ShiftPlan big;
+  big.filters = 1;
+  for (int e = 0; e < 8; ++e) {
+    big.channel.push_back(0);
+    big.ky.push_back(0);
+    big.kx.push_back(0);
+    big.shift.push_back(61);
+    big.sign.push_back(1);
+  }
+  for (const std::int64_t begin : {0, 8}) big.filter_begin.push_back(begin);
+  EXPECT_TRUE(refuses(big, 1, 1));
+
+  // Geometry the entries cannot pay for. With every filter pruned the word
+  // count overflows int64 (2^22 groups x 2^48 taps); with one entry a
+  // 2^15 x 2^15 kernel asks for 2^30 words. Both refuse before allocating.
+  inference::ShiftPlan pruned;
+  pruned.filters = 2;
+  for (const std::int64_t begin : {0, 0, 0}) pruned.filter_begin.push_back(begin);
+  const std::int64_t huge = std::int64_t{1} << 24;
+  EXPECT_TRUE(refuses(pruned, huge, huge)) << "a word count past int64";
+  const auto empty = inference::pack_dense(pruned, 5, 3);
+  ASSERT_TRUE(empty.has_value()) << "an all-pruned plan of sane geometry";
+  EXPECT_TRUE(empty->filters.empty());
+  EXPECT_TRUE(empty->words.empty());
+  inference::ShiftPlan one;
+  one.filters = 1;
+  one.channel.push_back(0);
+  one.ky.push_back(0);
+  one.kx.push_back(0);
+  one.shift.push_back(0);
+  one.sign.push_back(1);
+  for (const std::int64_t begin : {0, 1}) one.filter_begin.push_back(begin);
+  EXPECT_FALSE(refuses(one, 4, 1)) << "one word for one entry";
+  EXPECT_TRUE(refuses(one, 1, std::int64_t{1} << 15))
+      << "2^30 words for one entry";
+  EXPECT_TRUE(refuses(one, 17, 1)) << "5 words for one entry";
 }
 
 // Bias handling must match the oracle's (bias folds in after
