@@ -1,4 +1,5 @@
-// Fuzz harness for ShiftPlan compilation (inference/shift_plan).
+// Fuzz harness for ShiftPlan compilation and adoption
+// (inference/shift_plan, inference/shift_engine).
 //
 // The input bytes are decoded as a little program that builds a bounded
 // core::Decomposition with *no* validity filtering: filters may be
@@ -8,21 +9,25 @@
 // (sanitizer finding, uncaught exception) is a crash. Kernel 1 is in the
 // fuzzed range, so this covers linear layers (1x1 convs) too.
 //
-// On success the compiled plan's structural invariants are asserted:
-// filter_begin is a monotone prefix-sum table ending at entries(), all
-// per-entry streams have equal length, derive_streams (what an engine runs
-// on adoption) yields one gain per filter, and pack_dense (the engine's
-// other adoption step) either refuses the plan or returns one block of
+// On success the compiled plan's structural invariants are asserted
+// (filter_begin a monotone prefix-sum table ending at entries(), all
+// per-entry streams of equal length), and the plan is adopted through the
+// ShiftConv2d constructor, the one path every plan takes. Adoption must
+// either reject it with CheckFailure (check_plan: an entry whose channel
+// lands past in_channels, a window wider than the barrel's budget) or
+// yield one gain per filter and a dense form, if any, of one block of
 // words, one correction and one sign per live filter, within its words per
-// entry bound. An entry whose channel lands
-// past in_channels (elements beyond the filter) must be refused, never
-// indexed.
+// entry bound. An adopted engine then runs one small input, so every plan
+// check_plan accepts is also proven safe to index.
 
 #include <cstdint>
 #include <exception>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/decompose.hpp"
+#include "inference/shift_engine.hpp"
 #include "inference/shift_plan.hpp"
 #include "quant/pow2.hpp"
 #include "support/check.hpp"
@@ -33,6 +38,9 @@ namespace {
 
 using flightnn::core::Decomposition;
 using flightnn::core::Pow2FilterTerm;
+using flightnn::inference::DensePack;
+using flightnn::inference::QuantizedActivations;
+using flightnn::inference::ShiftConv2d;
 using flightnn::inference::ShiftPlan;
 using flightnn::quant::Pow2Config;
 using flightnn::quant::Pow2Term;
@@ -59,8 +67,8 @@ constexpr int kMaxFilters = 16;
 constexpr int kMaxTerms = 32;
 constexpr int kMaxElements = 64;
 
-void check_plan_invariants(ShiftPlan& plan, std::int64_t in_channels,
-                           std::int64_t kernel) {
+void check_plan_invariants(ShiftPlan plan, const Pow2Config& config,
+                           std::int64_t in_channels, std::int64_t kernel) {
   const auto filters = static_cast<std::size_t>(plan.filters);
   if (plan.filter_begin.size() != filters + 1) std::terminate();
   if (plan.filter_begin.front() != 0) std::terminate();
@@ -73,18 +81,34 @@ void check_plan_invariants(ShiftPlan& plan, std::int64_t in_channels,
       plan.ky.size() != entries || plan.kx.size() != entries) {
     std::terminate();
   }
-  plan.derive_streams();
-  if (plan.filter_gain.size() != filters) std::terminate();
-  const auto dense = flightnn::inference::pack_dense(plan, in_channels, kernel);
-  if (dense) {
+  const flightnn::inference::ShiftConvSpec spec{plan.filters, in_channels,
+                                                kernel,       1,
+                                                kernel / 2,   0};
+  std::optional<ShiftConv2d> engine;
+  try {
+    engine.emplace(std::move(plan), spec, config);
+  } catch (const flightnn::support::CheckFailure&) {
+    return;  // typed rejection by check_plan or the geometry check
+  }
+  if (engine->plan().filter_gain.size() != filters) std::terminate();
+  if (const DensePack* dense = engine->dense()) {
     const std::size_t live = dense->filters.size();
     if (dense->taps != (in_channels + 3) / 4 * kernel * kernel ||
         dense->correction.size() != live || dense->negated.size() != live ||
         dense->words.size() != live * static_cast<std::size_t>(dense->taps) ||
         static_cast<std::int64_t>(dense->words.size()) >
-            flightnn::inference::kMaxDenseWordsPerEntry * plan.entries()) {
+            flightnn::inference::kMaxDenseWordsPerEntry *
+                engine->plan().entries()) {
       std::terminate();
     }
+  }
+  QuantizedActivations input;
+  input.shape = flightnn::tensor::Shape{in_channels, kernel, kernel};
+  input.values.assign(static_cast<std::size_t>(input.shape.numel()), 1);
+  try {
+    (void)engine->run(input);
+  } catch (const flightnn::support::CheckFailure&) {
+    // the walk's int64 bound refused a plan whose gain is past its reach
   }
 }
 
@@ -129,7 +153,7 @@ void fuzz_compile(const std::uint8_t* data, std::size_t size) {
   try {
     ShiftPlan plan =
         ShiftPlan::compile_conv(decomposition, config, in_channels, kernel);
-    check_plan_invariants(plan, in_channels, kernel);
+    check_plan_invariants(std::move(plan), config, in_channels, kernel);
   } catch (const flightnn::support::CheckFailure&) {
     // typed rejection: bad geometry, out-of-range filter/sign/shift
   }

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -118,7 +119,7 @@ void emit_shift_plan(const fs::path& dir) {
 
 // One deterministic seed per corruption class of the artifact loader's
 // validation ladder (header, checksum, section table, op records, plan
-// streams), plus two valid artifacts -- a tiny VGG and a tiny ResNet (for
+// streams, the load walk, run()'s overflow bound), plus two valid artifacts -- a tiny VGG and a tiny ResNet (for
 // residual-segment coverage) -- built by the repo's own compiler.
 void emit_artifact(const fs::path& dir) {
   namespace ser = flightnn::serialize;
@@ -265,6 +266,47 @@ void emit_artifact(const fs::path& dir) {
     std::memcpy(mutated.data() + kx.offset, &hostile, sizeof(hostile));
     write_seed(dir, "artifact_bad_kx", resealed(mutated));
   }
+  // The first shift conv's record, patched by `mutate(record, blob)`.
+  const auto patch_first_shift_conv = [&](Bytes blob, auto mutate) {
+    const SectionDesc program = find_kind(blob, SectionKind::kProgram);
+    for (std::uint32_t i = 0; i < header_of(blob).op_count; ++i) {
+      OpRecord record;
+      std::uint8_t* at = blob.data() + program.offset + i * sizeof(record);
+      std::memcpy(&record, at, sizeof(record));
+      if (record.kind != static_cast<std::uint32_t>(
+                             flightnn::inference::ProgramOpKind::kShiftConv)) {
+        continue;
+      }
+      mutate(record, blob);
+      std::memcpy(at, &record, sizeof(record));
+      return resealed(blob);
+    }
+    std::fprintf(stderr, "artifact fixture lacks a shift conv\n");
+    std::exit(1);
+  };
+  // A 61-shift window with one shift-61 entry: a valid artifact whose walk
+  // would overflow int64 on a nonzero image (run() must throw instead).
+  write_seed(dir, "artifact_walk_overflow",
+             patch_first_shift_conv(vgg, [&](OpRecord& record, Bytes& blob) {
+               record.e_min = record.e_max - 61;
+               const SectionDesc shift =
+                   section_at(blob, record.sec[ser::kRoleShift]);
+               blob[shift.offset] = 61;
+             }));
+  // An exponent window near INT_MIN: run()'s scale exponent would overflow.
+  write_seed(dir, "artifact_e_min_near_int_min",
+             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
+               const int levels = record.e_max - record.e_min;
+               record.e_min = std::numeric_limits<std::int32_t>::min() + 2;
+               record.e_max = record.e_min + levels;
+             }));
+  // Kernel and padding of 2^24: a non-empty output whose plane run() would
+  // refuse, which the load walk must refuse before it allocates.
+  write_seed(dir, "artifact_huge_kernel_padding",
+             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
+               record.kernel = std::int64_t{1} << 24;
+               record.padding = std::int64_t{1} << 24;
+             }));
   {
     Bytes mutated = vgg;  // a section of v1's retired element kind
     SectionDesc desc = section_at(mutated, 1);

@@ -16,6 +16,8 @@
 // validated op list and runs it directly, adopting each shift op's plan into
 // an engine. The in-memory compile path and the artifact load path hand it
 // the same plans, so both produce one kind of network with identical logits.
+// from_program checks every op field (the caps below) and the adopting
+// engine every plan stream (check_plan), whoever built the program.
 
 #include <cstdint>
 #include <vector>
@@ -98,6 +100,23 @@ struct ProgramOp {
   std::int64_t post_ops = 0;
   bool has_shortcut = false;
 };
+
+// Caps QuantizedNetwork::from_program enforces on every program, whatever
+// built it. A valid network never gets near them; a hostile one (an
+// artifact's 224-byte op record) cannot use them to demand unbounded work.
+// Every geometry field an op reads (channels, kernel, stride, padding,
+// window, float weight dims, the input geometry) lies in [0 or 1, 2^24].
+inline constexpr std::int64_t kMaxOpDim = std::int64_t{1} << 24;
+// A shift op's term census (metadata) lies in [0, 2^40].
+inline constexpr std::int64_t kMaxTermCount = std::int64_t{1} << 40;
+// Residual blocks nest at most this deep, which bounds the recursion of
+// the validation, the load walk and run().
+inline constexpr int kMaxResidualDepth = 64;
+// Every activation run() creates holds at most this many elements (a shift
+// conv's int32 offset bound), which from_program's load walk checks as it
+// follows the shapes: a padding within the caps cannot grow activations,
+// the memory plan or the census past what int64 and a host can hold.
+inline constexpr std::int64_t kMaxActivationElements = 0x7fffffff;
 
 // A compiled network: pre-order flat op list plus the input geometry the
 // program was compiled for.

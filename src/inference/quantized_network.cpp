@@ -35,63 +35,96 @@ std::size_t subtree_end(const std::vector<ProgramOp>& ops, std::size_t i) {
 
 // --- Validation ---------------------------------------------------------------
 //
-// from_program's structural gate over ops [begin, end). Residual segments
-// are length-delimited (op.main_ops etc. are total counts), so exact
-// consumption is checked at every nesting level: a program whose counts lie
-// -- truncated, overlapping, or out of range -- fails with a typed
-// CheckFailure instead of misassembling a network. The artifact loader
-// leans on this as its final structural gate.
-void validate_ops(const std::vector<ProgramOp>& ops, std::size_t begin,
-                  std::size_t end) {
+// from_program's check of every op field, whoever built the program (the
+// compiler, an artifact or hand-written code); the adopting engines check
+// the plans (check_plan). Residual segments are length-delimited
+// (op.main_ops etc. are total counts), so exact consumption is checked at
+// every nesting level: a program whose counts lie -- truncated,
+// overlapping, or out of range -- fails with a typed CheckFailure instead
+// of misassembling a network.
+
+// A geometry field an op reads: in [lo, kMaxOpDim].
+void check_dim(std::int64_t value, std::int64_t lo, const char* what) {
+  FLIGHTNN_CHECK(value >= lo && value <= kMaxOpDim, "from_program: ", what, " ",
+                 value, " outside [", lo, ", 2^24]");
+}
+
+void check_bits(int bits, const char* what) {
+  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "from_program: ", what, " ", bits,
+                 " outside [2, 16]");
+}
+
+void validate_ops(  // NOLINT(misc-no-recursion)
+    const std::vector<ProgramOp>& ops, std::size_t begin, std::size_t end,
+    int depth) {
   std::size_t cursor = begin;
   while (cursor < end) {
     const ProgramOp& op = ops[cursor];
     ++cursor;
     switch (op.kind) {
       case ProgramOpKind::kQuantAct:
-        FLIGHTNN_CHECK(op.bits >= 2 && op.bits <= 16, "from_program: quant op ",
-                       op.bits, " bits outside [2, 16]");
+        check_bits(op.bits, "quant op bits");
         break;
       case ProgramOpKind::kShiftConv:
-        FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
-                       "from_program: shift conv act bits ", op.act_bits,
-                       " outside [2, 16]");
+      case ProgramOpKind::kShiftLinear:
+        check_bits(op.act_bits, "shift op act bits");
+        check_dim(op.out_channels, 1, "shift op out channels");
+        check_dim(op.in_channels, 1, "shift op in channels");
+        check_dim(op.kernel, 1, "shift op kernel");
+        check_dim(op.stride, 1, "shift op stride");
+        check_dim(op.padding, 0, "shift op padding");
+        FLIGHTNN_CHECK(op.kind == ProgramOpKind::kShiftConv ||
+                           (op.kernel == 1 && op.stride == 1 &&
+                            op.padding == 0),
+                       "from_program: shift linear op is not a 1x1, "
+                       "stride-1, padding-0 conv (kernel ",
+                       op.kernel, ", stride ", op.stride, ", padding ",
+                       op.padding, ")");
+        FLIGHTNN_CHECK(op.term_count >= 0 && op.term_count <= kMaxTermCount,
+                       "from_program: term count ", op.term_count,
+                       " outside [0, 2^40]");
         break;
       case ProgramOpKind::kFloatConv:
-        FLIGHTNN_CHECK(op.weights.shape().rank() == 4,
-                       "from_program: float conv weights must be OIHW");
-        FLIGHTNN_CHECK(op.stride > 0 && op.padding >= 0,
-                       "from_program: float conv stride ", op.stride,
-                       " / padding ", op.padding, " out of range");
+      case ProgramOpKind::kFloatLinear: {
+        const bool conv = op.kind == ProgramOpKind::kFloatConv;
+        const auto& ws = op.weights.shape();
+        FLIGHTNN_CHECK(ws.rank() == (conv ? 4U : 2U), "from_program: float ",
+                       conv ? "conv weights must be OIHW, got "
+                            : "linear weights must be [out, in], got ",
+                       ws.to_string());
+        for (std::size_t axis = 0; axis < ws.rank(); ++axis) {
+          check_dim(ws[axis], 1, "float weight dim");
+        }
+        if (conv) {
+          check_dim(op.stride, 1, "float conv stride");
+          check_dim(op.padding, 0, "float conv padding");
+        }
+        FLIGHTNN_CHECK(op.bias.empty() || op.bias.numel() == ws[0],
+                       "from_program: float op bias holds ", op.bias.numel(),
+                       " values for ", ws[0], " outputs");
         break;
+      }
       case ProgramOpKind::kAffine:
         FLIGHTNN_CHECK(op.scale.size() == op.affine_bias.size(),
                        "from_program: affine scale/bias size mismatch (",
                        op.scale.size(), " vs ", op.affine_bias.size(), ")");
         break;
       case ProgramOpKind::kLeakyRelu:
+        FLIGHTNN_CHECK(std::isfinite(op.slope),
+                       "from_program: leaky-relu slope ", op.slope,
+                       " is not finite");
+        break;
       case ProgramOpKind::kGap:
       case ProgramOpKind::kFlatten:
         break;
       case ProgramOpKind::kMaxPool:
-        FLIGHTNN_CHECK(op.window > 0 && op.stride > 0,
-                       "from_program: max pool window ", op.window,
-                       " / stride ", op.stride, " must be positive");
-        break;
-      case ProgramOpKind::kShiftLinear:
-        FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
-                       "from_program: shift linear act bits ", op.act_bits,
-                       " outside [2, 16]");
-        FLIGHTNN_CHECK(op.kernel == 1 && op.stride == 1 && op.padding == 0,
-                       "from_program: shift linear op is not a 1x1, stride-1, "
-                       "padding-0 conv (kernel ", op.kernel, ", stride ",
-                       op.stride, ", padding ", op.padding, ")");
-        break;
-      case ProgramOpKind::kFloatLinear:
-        FLIGHTNN_CHECK(op.weights.shape().rank() == 2,
-                       "from_program: float linear weights must be [out, in]");
+        check_dim(op.window, 1, "max pool window");
+        check_dim(op.stride, 1, "max pool stride");
         break;
       case ProgramOpKind::kResidual: {
+        FLIGHTNN_CHECK(depth < kMaxResidualDepth,
+                       "from_program: residual blocks nest deeper than ",
+                       kMaxResidualDepth);
         FLIGHTNN_CHECK(op.has_shortcut || op.shortcut_ops == 0,
                        "from_program: residual without shortcut claims ",
                        op.shortcut_ops, " shortcut ops");
@@ -106,7 +139,7 @@ void validate_ops(const std::vector<ProgramOp>& ops, std::size_t begin,
               " ops but only ", end - cursor, " remain");
           const std::size_t segment_end =
               cursor + static_cast<std::size_t>(count);
-          validate_ops(ops, cursor, segment_end);
+          validate_ops(ops, cursor, segment_end, depth + 1);
           cursor = segment_end;
         }
         break;
@@ -294,7 +327,14 @@ struct LoadWalk {
   // A fresh tensor made at op `t`: its live interval starts there, and its
   // bytes are op `t`'s activation row.
   Activation define(std::size_t t, tensor::Shape shape) {
-    const auto numel = static_cast<std::size_t>(shape.numel());
+    std::int64_t elements = 1;
+    for (std::size_t axis = 0; axis < shape.rank(); ++axis) {
+      FLIGHTNN_CHECK(!__builtin_mul_overflow(elements, shape[axis], &elements) &&
+                         elements <= kMaxActivationElements,
+                     "from_program: op ", t, " makes a ", shape.to_string(),
+                     " activation, past 2^31 - 1 elements");
+    }
+    const auto numel = static_cast<std::size_t>(elements);
     const auto at = static_cast<std::uint32_t>(t);
     intervals.push_back(ActivationInterval{numel, at, at});
     per_op[t].activation_bytes = numel * sizeof(float);
@@ -382,9 +422,12 @@ struct LoadWalk {
         FLIGHTNN_CHECK(geom.out_h() > 0 && geom.out_w() > 0,
                        "from_program: float conv at op ", i,
                        " produces an empty output from ", in.to_string());
-        out = tensor::Shape{ws[0], geom.out_h(), geom.out_w()};
-        counts.float_macs = ws.numel() * out[1] * out[2];
-        break;
+        // Defined here, so its size is checked before the MACs count it.
+        use(x, i);
+        Activation y =
+            define(i, tensor::Shape{ws[0], geom.out_h(), geom.out_w()});
+        counts.float_macs = ws.numel() * y.shape[1] * y.shape[2];
+        return y;
       }
       case ProgramOpKind::kAffine:
         FLIGHTNN_CHECK(
@@ -470,11 +513,10 @@ QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
 }
 
 QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
-  FLIGHTNN_CHECK(
-      program.input_c > 0 && program.input_h > 0 && program.input_w > 0,
-      "from_program: bad input geometry [", program.input_c, ", ",
-      program.input_h, ", ", program.input_w, "]");
-  validate_ops(program.ops, 0, program.ops.size());
+  check_dim(program.input_c, 1, "input channels");
+  check_dim(program.input_h, 1, "input height");
+  check_dim(program.input_w, 1, "input width");
+  validate_ops(program.ops, 0, program.ops.size(), 0);
   QuantizedNetwork network;
   network.engines_.resize(program.ops.size());
   for (std::size_t i = 0; i < program.ops.size(); ++i) {

@@ -62,52 +62,6 @@ std::int64_t max_abs_value(const std::vector<std::int32_t>& values) {
   return max_abs;
 }
 
-// Hoisted overflow contract: |accumulator| <=
-// max|q| * filter_gain, so one check per filter replaces the per-element
-// DCHECK the inner loop would otherwise carry. (The bound sums absolute
-// contributions, so it also covers every intermediate partial sum.)
-// Accumulators hold values scaled by 2^(scale_exp + e_min); anything nearing
-// the int64 guard means a shift went wrong, not a big activation.
-#if FLIGHTNN_DCHECKS_ENABLED
-void dcheck_no_overflow(const QuantizedActivations& input,
-                        const PlanArray<std::int64_t>& filter_gain,
-                        const char* what) {
-  constexpr std::int64_t kGuard = kShiftAccumulatorGuard;
-  const std::int64_t max_q = input.abs_max();
-  for (std::size_t o = 0; o < filter_gain.size(); ++o) {
-    const std::int64_t gain = filter_gain[o];
-    FLIGHTNN_DCHECK(gain == 0 || (gain < kGuard && max_q <= (kGuard - 1) / gain),
-                    what, ": accumulator could overflow at filter ", o,
-                    " (gain ", gain, ", max |q| ", max_q, ")");
-  }
-}
-#else
-void dcheck_no_overflow(const QuantizedActivations&,
-                        const PlanArray<std::int64_t>&, const char*) {}
-#endif
-
-// Structural invariants of an adopted plan: stream sizes consistent,
-// filter_begin spanning the entry stream over `filters`. The artifact loader
-// has already validated every entry in depth (tap bounds, sign, shift range,
-// monotone prefix); this re-checks only what is cheap, so a corrupted
-// adoption still fails fast instead of indexing wild.
-void check_adopted_plan(const ShiftPlan& plan, std::int64_t filters) {
-  FLIGHTNN_CHECK(plan.filters == filters, "ShiftConv2d: plan covers ",
-                 plan.filters, " filters, spec says ", filters);
-  FLIGHTNN_CHECK(static_cast<std::int64_t>(plan.filter_begin.size()) ==
-                     filters + 1,
-                 "ShiftConv2d: filter_begin has ", plan.filter_begin.size(),
-                 " entries, expected ", filters + 1);
-  FLIGHTNN_CHECK(plan.filter_begin.front() == 0 &&
-                     plan.filter_begin.back() == plan.entries(),
-                 "ShiftConv2d: filter_begin does not span the entry stream");
-  const auto entries = static_cast<std::size_t>(plan.entries());
-  FLIGHTNN_CHECK(plan.sign.size() == entries && plan.channel.size() == entries &&
-                     plan.ky.size() == entries && plan.kx.size() == entries,
-                 "ShiftConv2d: plan streams do not match the entry count ",
-                 entries);
-}
-
 // Integer division helpers for the valid-range and padded-plane arithmetic;
 // both require b > 0 and round the true quotient toward -inf / +inf.
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
@@ -322,6 +276,16 @@ bool narrow_bound_ok(std::int64_t max_gain, std::int64_t amax) {
          (max_gain == 0 || amax <= kNarrowMax / max_gain);
 }
 
+// run()'s offsets are int32, so every cell of the padded plane must be (the
+// code plane has at most as many groups as the int32 plane has channels).
+// The product overflows int64 at capped geometry: 2^24 channels times a
+// plane of about 2^52 cells.
+bool plane_fits_int32(std::int64_t in_channels, const PaddedPlane& plane) {
+  std::int64_t cells = 0;
+  return !__builtin_mul_overflow(in_channels, plane.channel, &cells) &&
+         cells <= kNarrowMax;
+}
+
 // Largest |q| whose code q + 128 fits a u8 lane symmetrically: every
 // `act_bits` <= 8 input.
 constexpr std::int64_t kMaxDenseCode = 127;
@@ -530,7 +494,7 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
   FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_channels_,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
-  check_adopted_plan(plan_, out_channels_);
+  check_plan(plan_, out_channels_, in_channels_, kernel_, config_);
   // The one place gains and the dense form come from, compiled or loaded:
   // the adopted core streams stay zero-copy views into an artifact mapping,
   // and only the derived gains and the dense pack are materialized here.
@@ -562,14 +526,9 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
                  input.shape.to_string(), " input gives an empty output");
   const std::int64_t out_hw = out_h * out_w;
   const PaddedPlane plane(geom);
-  // The offsets below are int32, so every plane index must be (the code
-  // plane has at most as many groups as the int32 plane has channels).
-  FLIGHTNN_CHECK(in_channels_ * plane.channel <= kNarrowMax,
-                 "ShiftConv2d::run: padded input of ",
-                 in_channels_ * plane.channel,
-                 " elements exceeds the int32 offset range");
-
-  dcheck_no_overflow(input, plan_.filter_gain, "ShiftConv2d::run");
+  FLIGHTNN_CHECK(plane_fits_int32(in_channels_, plane),
+                 "ShiftConv2d::run: padded input of ", in_channels_, " x ",
+                 plane.channel, " cells exceeds the int32 offset range");
 
   // Scratch is built once per call in the caller's arena. Workers helping
   // the parallel region read it through raw pointers; it stays valid
@@ -582,7 +541,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
     return bias_.empty() ? 0.0F : bias_[f];
   };
 
-  if (takes_dense(input.abs_max())) {
+  const std::int64_t max_q = input.abs_max();
+  if (takes_dense(max_q)) {
     // The dense path (shift_kernels.hpp): the code plane and one offset per
     // (channel group, ky, kx) tap, in the pack's word order.
     const DensePack& dense = *dense_;
@@ -665,6 +625,14 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
     return output;
   }
 
+  // The walk's overflow contract: |accumulator| <= max|q| * filter_gain[f]
+  // <= max|q| * max_gain_ (the gain sums absolute contributions, so this
+  // covers every partial sum too), which must stay inside int64. The dense
+  // gate's narrow bound implies it; here it is one always-on compare.
+  FLIGHTNN_CHECK(max_gain_ == 0 ||
+                     max_q <= (kShiftAccumulatorGuard - 1) / max_gain_,
+                 "ShiftConv2d::run: max |q| ", max_q, " times the plan's gain ",
+                 max_gain_, " could overflow the int64 accumulator");
   // The shift walk: the int32 padded plane (read in place at stride 1,
   // padding 0) and the per-entry offsets into it (channel + tap row + tap
   // column, the last from a `kernel`-entry table after the entries: no
@@ -745,6 +713,12 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
   const tensor::ConvGeometry geom{in_channels_, in_h, in_w, kernel_, stride_,
                                   padding_};
   const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
+  // run() refuses a plane past its int32 bound, so the census does too,
+  // before its tables: the kernel fits inside the padded plane, so kernel^2
+  // <= 2^31 and the two tables stay under 1 MB whatever the geometry claims.
+  FLIGHTNN_CHECK(plane_fits_int32(in_channels_, PaddedPlane(geom)),
+                 "ShiftConv2d::census: a [", in_channels_, ", ", in_h, ", ",
+                 in_w, "] input pads past the int32 offset range");
   // An entry at tap (ky, kx) accumulates vy[ky] * vx[kx] times: the valid
   // output rows of its tap row times the valid columns of its tap column.
   // Tabulated per tap so that each entry costs two lookups: this runs in
@@ -758,11 +732,8 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
   }
   std::int64_t total = 0;
   for (std::size_t e = 0; e < plan_.ky.size(); ++e) {
-    const std::int64_t ky = plan_.ky[e], kx = plan_.kx[e];
-    FLIGHTNN_CHECK(ky >= 0 && ky < kernel_ && kx >= 0 && kx < kernel_,
-                   "ShiftConv2d::census: entry ", e, " tap (", ky, ", ", kx,
-                   ") outside the ", kernel_, "x", kernel_, " kernel");
-    total += vy[static_cast<std::size_t>(ky)] * vx[static_cast<std::size_t>(kx)];
+    total += vy[static_cast<std::size_t>(plan_.ky[e])] *
+             vx[static_cast<std::size_t>(plan_.kx[e])];
   }
   return {total, total};
 }

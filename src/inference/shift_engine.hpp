@@ -126,11 +126,11 @@ class ShiftConv2d {
               std::int64_t padding, tensor::Tensor bias = {});
 
   // Adopt an already-compiled plan (the program and artifact load paths: the
-  // plan's core streams may be zero-copy views into a mapped blob). The
-  // caller vouches for the plan's per-entry validity (the artifact loader
-  // validates every stream before construction); this constructor re-checks
-  // the cheap structural invariants, derives the plan's gains
-  // (ShiftPlan::derive_streams) and builds its dense form (pack_dense).
+  // plan's core streams may be zero-copy views into a mapped blob). Checks
+  // the geometry and the bias, then every plan stream and entry
+  // (check_plan, which throws CheckFailure whoever built the plan), derives
+  // the plan's gains (ShiftPlan::derive_streams) and builds its dense form
+  // (pack_dense).
   ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
@@ -141,7 +141,9 @@ class ShiftConv2d {
   // either path, every output pixel runs without bounds checks on the
   // padded, stride-phased plane, and scratch comes from the per-thread
   // arena's grow-once slots (zero steady-state allocation beyond the pooled
-  // output tensor). The whole plane must fit int32 offsets.
+  // output tensor). The whole plane must fit int32 offsets, and on the walk
+  // max|q| * max filter_gain must stay inside int64 (both throw
+  // CheckFailure otherwise).
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
 
   // Scratch one run() on an [in_channels, in_h, in_w] input fetches, for
@@ -157,7 +159,8 @@ class ShiftConv2d {
   // entry counts once per output position whose tap reads a real input
   // element (not a pad cell), the term walk's per-accumulate count exactly.
   // A function of the plan and the geometry alone, so QuantizedNetwork takes
-  // it once at load time.
+  // it once at load time. Throws CheckFailure for an input run() refuses
+  // for its int32 plane bound, before it allocates anything.
   [[nodiscard]] OpCounts census(std::int64_t in_h, std::int64_t in_w) const;
 
   // Number of single-shift filter terms (the LightNN-1 engine's workload).

@@ -8,29 +8,70 @@
 
 namespace flightnn::inference {
 
+namespace {
+
+// Plan entries check_plan accepts at most.
+constexpr std::int64_t kMaxPlanEntries = std::int64_t{1} << 31;
+
+}  // namespace
+
+void check_plan(const ShiftPlan& plan, std::int64_t filters,
+                std::int64_t in_channels, std::int64_t kernel,
+                const quant::Pow2Config& config) {
+  // In int64: e_max - e_min of two hostile ints overflows int.
+  const std::int64_t window = std::int64_t{config.e_max} - config.e_min;
+  FLIGHTNN_CHECK(config.e_min >= -126 && config.e_max <= 127 && window >= 0 &&
+                     window <= kMaxShift,
+                 "ShiftPlan: exponent window [", config.e_min, ", ",
+                 config.e_max, "] outside [-126, 127] or wider than ",
+                 kMaxShift, " shifts");
+  const std::int64_t n = plan.entries();
+  FLIGHTNN_CHECK(filters >= 0 && plan.filters == filters,
+                 "ShiftPlan: plan covers ", plan.filters, " filters, the layer ",
+                 filters);
+  FLIGHTNN_CHECK(n <= kMaxPlanEntries, "ShiftPlan: ", n,
+                 " entries exceed the 2^31 cap");
+  const auto entries = static_cast<std::size_t>(n);
+  FLIGHTNN_CHECK(plan.sign.size() == entries && plan.channel.size() == entries &&
+                     plan.ky.size() == entries && plan.kx.size() == entries,
+                 "ShiftPlan: streams do not match the entry count ", n);
+  const PlanArray<std::int64_t>& begin = plan.filter_begin;
+  FLIGHTNN_CHECK(static_cast<std::int64_t>(begin.size()) == filters + 1 &&
+                     begin.front() == 0 && begin.back() == n,
+                 "ShiftPlan: filter_begin does not span the ", n,
+                 " entries over ", filters, " filters");
+  for (std::size_t f = 1; f < begin.size(); ++f) {
+    FLIGHTNN_CHECK(begin[f - 1] <= begin[f],
+                   "ShiftPlan: filter_begin decreases at ", f);
+  }
+  for (std::size_t e = 0; e < entries; ++e) {
+    const std::int64_t sign = plan.sign[e], shift = plan.shift[e],
+                       channel = plan.channel[e], ky = plan.ky[e],
+                       kx = plan.kx[e];
+    FLIGHTNN_CHECK((sign == 1 || sign == -1) && shift >= 0 &&
+                       shift <= window && channel >= 0 &&
+                       channel < in_channels && ky >= 0 && ky < kernel &&
+                       kx >= 0 && kx < kernel,
+                   "ShiftPlan: entry ", e, " (sign ", sign, ", shift ", shift,
+                   ", tap ", channel, "/", ky, "/", kx,
+                   ") outside the window [0, ", window, "] or the [",
+                   in_channels, ", ", kernel, ", ", kernel, "] filter");
+  }
+}
+
 // Grow-once lowering of the derived stream; runs at adopt time (never on
 // the inference hot path), hence the allocation boundary marker.
 FLIGHTNN_COLD_ALLOC void ShiftPlan::derive_streams() {
-  const std::size_t n = shift.size();
   // Read the core streams through const pointers: on an adopted plan they
   // are views, whose mutating operator[] must never be touched.
   const std::int8_t* shift_in = shift.data();
   const std::int64_t* begin_in = filter_begin.data();
-
-  // Per-filter gain, saturated at the guard. A span outside the stream is
-  // empty; a shift outside [0, 62) counts as the guard itself.
-  const bool prefix_ok =
-      filters >= 0 &&
-      static_cast<std::int64_t>(filter_begin.size()) == filters + 1;
-  filter_gain.assign(prefix_ok ? static_cast<std::size_t>(filters) : 0, 0);
-  for (std::int64_t f = 0; prefix_ok && f < filters; ++f) {
-    const std::int64_t lo = begin_in[f], hi = begin_in[f + 1];
-    if (lo < 0 || hi > static_cast<std::int64_t>(n) || hi < lo) continue;
+  // Per-filter gain, saturated at the guard.
+  filter_gain.assign(static_cast<std::size_t>(filters), 0);
+  for (std::int64_t f = 0; f < filters; ++f) {
     std::int64_t gain = 0;
-    for (std::int64_t e = lo; e < hi; ++e) {
-      const int s = shift_in[e];
-      const std::int64_t step = s >= 0 && s < 62 ? std::int64_t{1} << s
-                                                 : kShiftAccumulatorGuard;
+    for (std::int64_t e = begin_in[f]; e < begin_in[f + 1]; ++e) {
+      const std::int64_t step = std::int64_t{1} << shift_in[e];
       gain = gain > kShiftAccumulatorGuard - step ? kShiftAccumulatorGuard
                                                   : gain + step;
     }
@@ -39,32 +80,18 @@ FLIGHTNN_COLD_ALLOC void ShiftPlan::derive_streams() {
 }
 
 // One pass over the entries: each filter's weights are summed into a
-// scratch row in int64, checked, and packed. Any value the kernels would
-// index by is bounds-checked first, so a hostile plan is refused, not
-// followed. The pack is also refused when it would outgrow the plan it
-// comes from (more than kMaxDenseWordsPerEntry words per entry): adoption
-// then allocates O(entries + filters) whatever the geometry claims, and a
-// plan that sparse does less work on the shift walk anyway (the cost hints
-// in shift_engine.cpp break even near 6 words per entry).
+// scratch row in int64, checked, and packed. The pack is refused when it
+// would outgrow the plan it comes from (more than kMaxDenseWordsPerEntry
+// words per entry): adoption then allocates O(entries + filters) whatever
+// the geometry claims, and a plan that sparse does less work on the shift
+// walk anyway (the cost hints in shift_engine.cpp break even near 6 words
+// per entry).
 FLIGHTNN_COLD_ALLOC std::optional<DensePack> pack_dense(
     const ShiftPlan& plan, std::int64_t in_channels, std::int64_t kernel) {
-  const auto n = static_cast<std::int64_t>(plan.shift.size());
-  const auto stream_ok = [&](std::size_t size) {
-    return static_cast<std::int64_t>(size) == n;
-  };
-  if (in_channels <= 0 || kernel <= 0 || plan.filters < 0 ||
-      static_cast<std::int64_t>(plan.filter_begin.size()) !=
-          plan.filters + 1 ||
-      !stream_ok(plan.sign.size()) || !stream_ok(plan.channel.size()) ||
-      !stream_ok(plan.ky.size()) || !stream_ok(plan.kx.size())) {
-    return std::nullopt;
-  }
   std::int64_t live = 0;
   for (std::int64_t f = 0; f < plan.filters; ++f) {
-    const std::int64_t lo = plan.filter_begin[static_cast<std::size_t>(f)];
-    const std::int64_t hi = plan.filter_begin[static_cast<std::size_t>(f) + 1];
-    if (lo < 0 || hi < lo || hi > n) return std::nullopt;
-    live += hi > lo ? 1 : 0;
+    const auto fi = static_cast<std::size_t>(f);
+    live += plan.filter_begin[fi + 1] > plan.filter_begin[fi] ? 1 : 0;
   }
   const std::int64_t groups = in_channels / 4 + (in_channels % 4 != 0 ? 1 : 0);
   std::int64_t kk = 0;
@@ -73,7 +100,7 @@ FLIGHTNN_COLD_ALLOC std::optional<DensePack> pack_dense(
   if (__builtin_mul_overflow(kernel, kernel, &kk) ||
       __builtin_mul_overflow(groups, kk, &taps) ||
       __builtin_mul_overflow(live, taps, &words) ||
-      words > kMaxDenseWordsPerEntry * n) {
+      words > kMaxDenseWordsPerEntry * plan.entries()) {
     return std::nullopt;
   }
   DensePack pack;
@@ -85,8 +112,9 @@ FLIGHTNN_COLD_ALLOC std::optional<DensePack> pack_dense(
   pack.negated.reserve(live_n);
   pack.words.reserve(static_cast<std::size_t>(words));
   // Byte (word t, lane i) of a filter: channel 4g + i at tap t = g*kk + ky*k
-  // + kx. |w| stays below 2^61 while summing, so no add can overflow.
-  constexpr std::int64_t kSumLimit = std::int64_t{1} << 61;
+  // + kx. Each term is at most 2^kMaxShift and |w| stays below it while
+  // summing, so no add can overflow.
+  constexpr std::int64_t kSumLimit = std::int64_t{1} << kMaxShift;
   std::vector<std::int64_t> w(static_cast<std::size_t>(taps * 4));
   for (std::int64_t f = 0; f < plan.filters; ++f) {
     const std::int64_t lo = plan.filter_begin[static_cast<std::size_t>(f)];
@@ -95,18 +123,11 @@ FLIGHTNN_COLD_ALLOC std::optional<DensePack> pack_dense(
     std::fill(w.begin(), w.end(), std::int64_t{0});
     for (std::int64_t e = lo; e < hi; ++e) {
       const auto ei = static_cast<std::size_t>(e);
-      const std::int64_t c = plan.channel[ei], ky = plan.ky[ei],
-                         kx = plan.kx[ei], sign = plan.sign[ei],
-                         shift = plan.shift[ei];
-      if (c < 0 || c >= in_channels || ky < 0 || ky >= kernel || kx < 0 ||
-          kx >= kernel || (sign != 1 && sign != -1) || shift < 0 ||
-          shift >= 62) {
-        return std::nullopt;
-      }
+      const std::int64_t c = plan.channel[ei];
       std::int64_t& weight =
-          w[static_cast<std::size_t>(((c / 4) * kk + ky * kernel + kx) * 4 +
-                                     c % 4)];
-      weight += sign * (std::int64_t{1} << shift);
+          w[static_cast<std::size_t>(
+              ((c / 4) * kk + plan.ky[ei] * kernel + plan.kx[ei]) * 4 + c % 4)];
+      weight += plan.sign[ei] * (std::int64_t{1} << plan.shift[ei]);
       if (weight > kSumLimit || weight < -kSumLimit) return std::nullopt;
     }
     // int8 holds [-128, 127]. A filter that reaches +128 but not -128 (a
@@ -180,7 +201,7 @@ FLIGHTNN_API_ENTRY ShiftPlan ShiftPlan::compile_conv(
         FLIGHTNN_CHECK(w.sign == 1 || w.sign == -1, "ShiftPlan: term sign ",
                        static_cast<int>(w.sign), " must be -1, 0 or +1");
         const int shift = static_cast<int>(w.exponent) - config.e_min;
-        FLIGHTNN_CHECK(shift >= 0 && shift < 62,
+        FLIGHTNN_CHECK(shift >= 0 && shift <= kMaxShift,
                        "ShiftPlan: shift ", shift,
                        " outside the barrel shifter's range");
         const auto ei = static_cast<std::int64_t>(e);

@@ -148,8 +148,8 @@ struct ShiftPlan {
   PlanArray<std::int32_t> channel;
   PlanArray<std::int16_t> ky;
   PlanArray<std::int16_t> kx;
-  // Barrel-shifter amount (exponent - e_min, always >= 0) and sign (+1/-1;
-  // zero-sign elements never make it into a plan).
+  // Barrel-shifter amount (exponent - e_min, in [0, kMaxShift]) and sign
+  // (+1/-1; zero-sign elements never make it into a plan).
   PlanArray<std::int8_t> shift;
   PlanArray<std::int8_t> sign;
 
@@ -172,11 +172,8 @@ struct ShiftPlan {
   std::int64_t filters = 0;
 
   // Derive filter_gain from the core streams. The plan-adopting engine
-  // constructor calls it, for compiled and loaded plans alike. Total on any
-  // plan whose filter_begin has filters + 1 entries: spans outside the entry
-  // stream count as empty, and a shift outside the barrel range saturates
-  // its filter's gain (so the narrow gate refuses the filter), so even a
-  // hostile hand-built plan cannot make it index wild.
+  // constructor calls it, for compiled and loaded plans alike, after
+  // check_plan has accepted the plan.
   void derive_streams();
 
   [[nodiscard]] std::int64_t entries() const {
@@ -218,18 +215,37 @@ struct DensePack {
 // claims.
 inline constexpr std::int64_t kMaxDenseWordsPerEntry = 4;
 
-// The dense form of `plan` over [in_channels, kernel, kernel] filters, or
-// nullopt when some filter's weights fit int8 neither as they are nor
-// negated, or when the pack would exceed kMaxDenseWordsPerEntry words per
-// plan entry. Total on any plan: a stream-size mismatch, a filter span
-// outside the entry stream, a geometry whose word count overflows, or an
-// entry whose channel, tap, sign or shift is out of range refuses the dense
-// form before anything is allocated past O(entries + filters) or indexed.
+// The dense form of a plan check_plan accepted over [in_channels, kernel,
+// kernel] filters, or nullopt when some filter's weights fit int8 neither
+// as they are nor negated, or when the pack's word count overflows or
+// exceeds kMaxDenseWordsPerEntry words per plan entry. A refused pack
+// allocates nothing past O(entries + filters).
 std::optional<DensePack> pack_dense(const ShiftPlan& plan,
                                     std::int64_t in_channels,
                                     std::int64_t kernel);
 
+// The barrel shifter's budget: a shift, and so the exponent window e_max -
+// e_min, is at most 61, which keeps 1 << shift and a sum of two such terms
+// inside int64.
+inline constexpr int kMaxShift = 61;
+
 // Saturation ceiling shared with the engine's overflow contract.
 inline constexpr std::int64_t kShiftAccumulatorGuard = std::int64_t{1} << 62;
+
+// The one check of a plan's contents, which the plan-adopting ShiftConv2d
+// constructor makes before anything reads the streams: whoever built the
+// plan (compile_conv, an artifact, a test), derive_streams, pack_dense,
+// the census and the shift walk then index it unchecked. Throws
+// CheckFailure unless
+//  - the exponent window lies in [-126, 127] and spans at most kMaxShift;
+//  - the plan covers `filters` filters with at most 2^31 entries, every
+//    stream as long as the entry stream;
+//  - filter_begin holds filters + 1 values, from 0 to entries(), never
+//    decreasing;
+//  - every entry has sign +1 or -1, a shift inside the window, channel <
+//    in_channels and ky, kx < kernel.
+void check_plan(const ShiftPlan& plan, std::int64_t filters,
+                std::int64_t in_channels, std::int64_t kernel,
+                const quant::Pow2Config& config);
 
 }  // namespace flightnn::inference

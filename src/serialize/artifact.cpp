@@ -1,6 +1,5 @@
 #include "serialize/artifact.hpp"
 
-#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
@@ -31,13 +30,6 @@ using inference::ProgramOp;
 using inference::ProgramOpKind;
 using inference::ShiftPlan;
 
-// Structural sanity caps. A valid artifact never gets near them; a hostile
-// one cannot use a 24-byte section descriptor to demand gigabytes of work.
-constexpr std::int64_t kGeomCap = std::int64_t{1} << 24;   // any single dim
-constexpr std::int64_t kEntryCap = std::int64_t{1} << 31;  // plan entries
-constexpr std::int64_t kTermCap = std::int64_t{1} << 40;   // term census
-constexpr int kMaxResidualDepth = 64;  // caps validation/build recursion
-constexpr int kMaxShift = 61;  // barrel budget: 1 << shift stays in int64
 // Section kinds v1 wrote and v2 retired (SectionKind keeps the gaps).
 constexpr std::uint32_t kRetiredElementKind = 2;
 constexpr std::uint32_t kRetiredGainKind = 9;
@@ -131,6 +123,12 @@ OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
 }
 
 // --- Parse helpers --------------------------------------------------------
+//
+// The parser checks only the container: the header, the checksum, the
+// section table and, per op record, its kind and each role's section. The
+// op fields and plan streams it hands on are checked where every program
+// is, whoever built it: QuantizedNetwork::from_program (every op field) and
+// the plan-adopting engine (check_plan).
 
 // Validated view of one section's payload.
 struct SectionView {
@@ -180,175 +178,19 @@ std::size_t section_count_of(const SectionView& view, std::size_t elem_bytes,
   return view.bytes / elem_bytes;
 }
 
-void check_geom(std::int64_t value, std::int64_t lo, std::uint32_t op_index,
-                const char* what) {
-  if (value < lo || value > kGeomCap) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) + " " + what + " " +
-             std::to_string(value) + " outside [" + std::to_string(lo) + ", 2^24]");
-  }
+// A plan stream as a zero-copy view of its whole section.
+template <typename T>
+PlanArray<T> plan_stream(const SectionView& view, std::uint32_t op_index,
+                         const char* what) {
+  return PlanArray<T>::view(reinterpret_cast<const T*>(view.data),
+                            section_count_of(view, sizeof(T), op_index, what));
 }
 
-// Deep per-entry plan validation. The hot kernels index these streams
-// unchecked, so everything they trust is proven here: each entry's tap
-// inside the layer (channel < in_channels, ky and kx below the kernel; a
-// linear op's kernel is 1), the sign and shift domains, and the filter
-// prefix. The derived streams (gains and multipliers; DESIGN.md §9, §14)
-// are not stored: the plan-adopting engine derives them from these
-// validated views, so mapped plans stay zero-copy.
-ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
-                        std::uint32_t section_count, const OpRecord& record,
-                        std::uint32_t op_index) {
-  const auto resolve = [&](int role, SectionKind kind) {
-    return resolve_section(base, sections, section_count, record, op_index,
-                           role, kind, /*required=*/true);
-  };
-  const SectionView channel_view = resolve(kRoleChannel, SectionKind::kPlanChannel);
-  const std::size_t entries =
-      section_count_of(channel_view, sizeof(std::int32_t), op_index, "channel");
-  if (static_cast<std::int64_t>(entries) > kEntryCap) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) + " plan entry count " +
-             std::to_string(entries) + " exceeds the 2^31 cap");
-  }
-  const auto expect_entries = [&](const SectionView& view,
-                                  std::size_t elem_bytes, const char* what) {
-    if (section_count_of(view, elem_bytes, op_index, what) != entries) {
-      fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " " + what +
-               " stream does not match the entry count");
-    }
-  };
-  const SectionView ky_view = resolve(kRoleKy, SectionKind::kPlanKy);
-  const SectionView kx_view = resolve(kRoleKx, SectionKind::kPlanKx);
-  const SectionView shift_view = resolve(kRoleShift, SectionKind::kPlanShift);
-  const SectionView sign_view = resolve(kRoleSign, SectionKind::kPlanSign);
-  expect_entries(ky_view, sizeof(std::int16_t), "ky");
-  expect_entries(kx_view, sizeof(std::int16_t), "kx");
-  expect_entries(shift_view, 1, "shift");
-  expect_entries(sign_view, 1, "sign");
-
-  const std::int64_t filters = record.out_channels;
-  const SectionView begin_view =
-      resolve(kRoleFilterBegin, SectionKind::kPlanFilterBegin);
-  if (section_count_of(begin_view, sizeof(std::int64_t), op_index,
-                       "filter_begin") != static_cast<std::size_t>(filters) + 1) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) + " filter_begin does not cover " +
-             std::to_string(filters) + " filters");
-  }
-
-  ShiftPlan plan;
-  plan.filters = filters;
-  plan.channel = PlanArray<std::int32_t>::view(
-      reinterpret_cast<const std::int32_t*>(channel_view.data), entries);
-  plan.ky = PlanArray<std::int16_t>::view(
-      reinterpret_cast<const std::int16_t*>(ky_view.data), entries);
-  plan.kx = PlanArray<std::int16_t>::view(
-      reinterpret_cast<const std::int16_t*>(kx_view.data), entries);
-  plan.shift = PlanArray<std::int8_t>::view(
-      reinterpret_cast<const std::int8_t*>(shift_view.data), entries);
-  plan.sign = PlanArray<std::int8_t>::view(
-      reinterpret_cast<const std::int8_t*>(sign_view.data), entries);
-  plan.filter_begin = PlanArray<std::int64_t>::view(
-      reinterpret_cast<const std::int64_t*>(begin_view.data),
-      static_cast<std::size_t>(filters) + 1);
-
-  // Shift budget: exponents live in [e_min, e_max], so shifts live in
-  // [0, e_max - e_min]; the whole range must fit the barrel budget.
-  const int shift_levels = record.e_max - record.e_min;
-  if (shift_levels < 0 || shift_levels > kMaxShift) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) + " exponent range [" +
-             std::to_string(record.e_min) + ", " + std::to_string(record.e_max) +
-             "] outside the barrel shifter budget");
-  }
-  // Read the streams through a const alias: the plan's arrays are views,
-  // and only PlanArray's const accessors read through a view.
-  const ShiftPlan& streams = plan;
-  // filter_begin: a monotone prefix spanning exactly the entry stream.
-  if (streams.filter_begin.front() != 0 ||
-      streams.filter_begin.back() != static_cast<std::int64_t>(entries)) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) +
-             " filter_begin does not span the entry stream");
-  }
-  for (std::size_t f = 1; f < plan.filter_begin.size(); ++f) {
-    if (streams.filter_begin[f - 1] > streams.filter_begin[f]) {
-      fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " filter_begin not monotone at " +
-               std::to_string(f));
-    }
-  }
-  // Per-entry domains.
-  const std::int64_t kernel = record.kernel;
-  for (std::size_t e = 0; e < entries; ++e) {
-    const int sign = streams.sign[e];
-    const int shift = streams.shift[e];
-    if (sign != 1 && sign != -1) {
-      fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
-               " sign " + std::to_string(sign) + " not in {-1, +1}");
-    }
-    if (shift < 0 || shift > shift_levels) {
-      fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
-               " shift " + std::to_string(shift) + " outside [0, " +
-               std::to_string(shift_levels) + "]");
-    }
-    const std::int64_t channel = streams.channel[e];
-    const std::int64_t ky = streams.ky[e];
-    const std::int64_t kx = streams.kx[e];
-    if (channel < 0 || channel >= record.in_channels || ky < 0 ||
-        ky >= kernel || kx < 0 || kx >= kernel) {
-      fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
-               " tap (" + std::to_string(channel) + ", " + std::to_string(ky) +
-               ", " + std::to_string(kx) + ") outside the [" +
-               std::to_string(record.in_channels) + ", " +
-               std::to_string(kernel) + ", " + std::to_string(kernel) +
-               "] filter");
-    }
-  }
-  return plan;
-}
-
+// A float section copied out whole, as a tensor of `shape`.
 tensor::Tensor copy_floats(const SectionView& view, const tensor::Shape& shape) {
   tensor::Tensor out(shape);
   std::memcpy(out.data(), view.data, view.bytes);
   return out;
-}
-
-// Residual segment-count audit over the raw records: every segment must
-// consume exactly its claimed ops, with bounded nesting so a hostile
-// artifact cannot drive the recursive builders into stack exhaustion.
-void consume_op(const OpRecord* records, std::size_t& cursor, std::size_t end,
-                int depth);
-
-void consume_segment(const OpRecord* records, std::size_t& cursor,
-                     std::int64_t count, std::size_t end, int depth) {
-  if (count < 0 || static_cast<std::size_t>(count) > end - cursor) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "residual segment claims " + std::to_string(count) + " ops but " +
-             std::to_string(end - cursor) + " remain");
-  }
-  const std::size_t segment_end = cursor + static_cast<std::size_t>(count);
-  while (cursor < segment_end) consume_op(records, cursor, segment_end, depth);
-}
-
-void consume_op(const OpRecord* records, std::size_t& cursor, std::size_t end,
-                int depth) {
-  const OpRecord& record = records[cursor];
-  ++cursor;
-  if (record.kind != static_cast<std::uint32_t>(ProgramOpKind::kResidual)) {
-    return;
-  }
-  if (depth >= kMaxResidualDepth) {
-    fail(ArtifactErrorCode::kBadProgram, "residual nesting exceeds depth cap");
-  }
-  consume_segment(records, cursor, record.main_ops, end, depth + 1);
-  consume_segment(records, cursor, record.shortcut_ops, end, depth + 1);
-  consume_segment(records, cursor, record.post_ops, end, depth + 1);
 }
 
 ProgramOp decode_op(const std::uint8_t* base, const SectionDesc* sections,
@@ -382,150 +224,93 @@ ProgramOp decode_op(const std::uint8_t* base, const SectionDesc* sections,
   op.post_ops = record.post_ops;
   op.has_shortcut = record.has_shortcut != 0;
 
-  const auto optional_floats = [&](int role, SectionKind kind,
-                                   std::int64_t expect_count,
-                                   const char* what) -> tensor::Tensor {
-    const SectionView view = resolve_section(base, sections, section_count,
-                                             record, op_index, role, kind,
-                                             /*required=*/false);
+  const auto resolve = [&](int role, SectionKind kind, bool required) {
+    return resolve_section(base, sections, section_count, record, op_index,
+                           role, kind, required);
+  };
+  // Element count of a section of whole floats.
+  const auto float_count = [&](const SectionView& view, const char* what) {
+    return static_cast<std::int64_t>(
+        section_count_of(view, sizeof(float), op_index, what));
+  };
+  const auto optional_bias = [&]() -> tensor::Tensor {
+    const SectionView view = resolve(kRoleBias, SectionKind::kBias, false);
     if (view.data == nullptr) return {};
-    if (view.bytes != static_cast<std::size_t>(expect_count) * sizeof(float)) {
-      fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " " + what + " section holds " +
-               std::to_string(view.bytes / sizeof(float)) + " floats, expected " +
-               std::to_string(expect_count));
-    }
-    return copy_floats(view, tensor::Shape{expect_count});
+    return copy_floats(view, tensor::Shape{float_count(view, "bias")});
   };
 
   switch (op.kind) {
-    case ProgramOpKind::kQuantAct:
-      if (record.bits < 2 || record.bits > 16) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " quant bits " +
-                 std::to_string(record.bits) + " outside [2, 16]");
-      }
-      break;
     case ProgramOpKind::kShiftConv:
     case ProgramOpKind::kShiftLinear: {
-      const bool conv = op.kind == ProgramOpKind::kShiftConv;
-      if (record.act_bits < 2 || record.act_bits > 16) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " act bits " +
-                 std::to_string(record.act_bits) + " outside [2, 16]");
-      }
-      check_geom(record.out_channels, 1, op_index, "out channels");
-      check_geom(record.in_channels, 1, op_index, "in channels");
-      check_geom(record.kernel, 1, op_index, "kernel");
-      check_geom(record.stride, 1, op_index, "stride");
-      check_geom(record.padding, 0, op_index, "padding");
-      if (!conv && (record.kernel != 1 || record.stride != 1 ||
-                    record.padding != 0)) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) +
-                 " linear op is not a 1x1, stride-1, padding-0 conv");
-      }
-      if (record.term_count < 0 || record.term_count > kTermCap) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " term count " +
-                 std::to_string(record.term_count) + " out of range");
-      }
-      op.plan = validate_plan(base, sections, section_count, record, op_index);
-      op.bias = optional_floats(kRoleBias, SectionKind::kBias,
-                                record.out_channels, "bias");
+      // The core streams, viewed zero-copy: the adopting engine checks them
+      // and derives the gains and the dense form (DESIGN.md §9).
+      ShiftPlan& plan = op.plan;
+      plan.filters = record.out_channels;
+      plan.channel = plan_stream<std::int32_t>(
+          resolve(kRoleChannel, SectionKind::kPlanChannel, true), op_index,
+          "channel");
+      plan.ky = plan_stream<std::int16_t>(
+          resolve(kRoleKy, SectionKind::kPlanKy, true), op_index, "ky");
+      plan.kx = plan_stream<std::int16_t>(
+          resolve(kRoleKx, SectionKind::kPlanKx, true), op_index, "kx");
+      plan.shift = plan_stream<std::int8_t>(
+          resolve(kRoleShift, SectionKind::kPlanShift, true), op_index,
+          "shift");
+      plan.sign = plan_stream<std::int8_t>(
+          resolve(kRoleSign, SectionKind::kPlanSign, true), op_index, "sign");
+      plan.filter_begin = plan_stream<std::int64_t>(
+          resolve(kRoleFilterBegin, SectionKind::kPlanFilterBegin, true),
+          op_index, "filter_begin");
+      op.bias = optional_bias();
       break;
     }
     case ProgramOpKind::kFloatConv:
     case ProgramOpKind::kFloatLinear: {
-      const bool conv = op.kind == ProgramOpKind::kFloatConv;
-      const std::uint32_t expect_rank = conv ? 4 : 2;
-      if (record.weight_rank != expect_rank) {
+      if (record.weight_rank > 4) {
         fail(ArtifactErrorCode::kBadProgram,
              "op " + std::to_string(op_index) + " float weights rank " +
-                 std::to_string(record.weight_rank) + ", expected " +
-                 std::to_string(expect_rank));
+                 std::to_string(record.weight_rank) + " exceeds 4");
       }
-      std::vector<std::int64_t> dims(expect_rank);
-      std::int64_t numel = 1;
-      for (std::uint32_t axis = 0; axis < expect_rank; ++axis) {
-        const std::int64_t d = record.weight_dims[axis];
-        check_geom(d, 1, op_index, "weight dim");
-        dims[axis] = d;
-        numel *= d;  // bounded: kGeomCap^4 < 2^63 does not hold; cap below
-        if (numel > (std::int64_t{1} << 40)) {
-          fail(ArtifactErrorCode::kBadProgram,
-               "op " + std::to_string(op_index) + " float weights too large");
+      const std::vector<std::int64_t> dims(
+          record.weight_dims, record.weight_dims + record.weight_rank);
+      const SectionView weights_view =
+          resolve(kRoleWeights, SectionKind::kWeights, true);
+      // dims x 4 = the section's bytes, multiplied without overflow.
+      std::uint64_t bytes = sizeof(float);
+      for (const std::int64_t d : dims) {
+        if (d < 0 ||
+            __builtin_mul_overflow(bytes, static_cast<std::uint64_t>(d),
+                                   &bytes)) {
+          bytes = ~std::uint64_t{0};
+          break;
         }
       }
-      if (dims[0] != record.out_channels || dims[1] != record.in_channels ||
-          (conv && (dims[2] != record.kernel || dims[3] != record.kernel))) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) +
-                 " weight dims disagree with the op geometry");
-      }
-      if (conv) {
-        check_geom(record.stride, 1, op_index, "stride");
-        check_geom(record.padding, 0, op_index, "padding");
-      }
-      const SectionView weights_view = resolve_section(
-          base, sections, section_count, record, op_index, kRoleWeights,
-          SectionKind::kWeights, /*required=*/true);
-      if (weights_view.bytes !=
-          static_cast<std::size_t>(numel) * sizeof(float)) {
+      if (bytes != weights_view.bytes) {
         fail(ArtifactErrorCode::kBadProgram,
              "op " + std::to_string(op_index) +
                  " weights section does not match its dims");
       }
       op.weights = copy_floats(weights_view, tensor::Shape(dims));
-      op.bias = optional_floats(kRoleBias, SectionKind::kBias,
-                                record.out_channels, "bias");
+      op.bias = optional_bias();
       break;
     }
     case ProgramOpKind::kAffine: {
-      const SectionView scale_view = resolve_section(
-          base, sections, section_count, record, op_index, kRoleAffineScale,
-          SectionKind::kAffineScale, /*required=*/true);
-      const SectionView bias_view = resolve_section(
-          base, sections, section_count, record, op_index, kRoleAffineBias,
-          SectionKind::kAffineBias, /*required=*/true);
-      const std::size_t channels =
-          section_count_of(scale_view, sizeof(float), op_index, "scale");
-      if (static_cast<std::int64_t>(channels) > kGeomCap || channels == 0) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " affine channel count " +
-                 std::to_string(channels) + " out of range");
-      }
-      if (section_count_of(bias_view, sizeof(float), op_index, "bias") !=
-          channels) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " affine scale/bias disagree");
-      }
+      const SectionView scale_view =
+          resolve(kRoleAffineScale, SectionKind::kAffineScale, true);
+      const SectionView bias_view =
+          resolve(kRoleAffineBias, SectionKind::kAffineBias, true);
       const auto* scale = reinterpret_cast<const float*>(scale_view.data);
       const auto* bias = reinterpret_cast<const float*>(bias_view.data);
-      op.scale.assign(scale, scale + channels);
-      op.affine_bias.assign(bias, bias + channels);
+      op.scale.assign(scale, scale + float_count(scale_view, "scale"));
+      op.affine_bias.assign(bias, bias + float_count(bias_view, "bias"));
       break;
     }
+    case ProgramOpKind::kQuantAct:
     case ProgramOpKind::kLeakyRelu:
-      if (!std::isfinite(record.slope)) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " leaky-relu slope not finite");
-      }
-      break;
     case ProgramOpKind::kMaxPool:
-      check_geom(record.window, 1, op_index, "window");
-      check_geom(record.stride, 1, op_index, "stride");
-      break;
     case ProgramOpKind::kGap:
     case ProgramOpKind::kFlatten:
-      break;
     case ProgramOpKind::kResidual:
-      if (record.main_ops < 0 || record.shortcut_ops < 0 ||
-          record.post_ops < 0 ||
-          (record.has_shortcut == 0 && record.shortcut_ops != 0)) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " residual counts invalid");
-      }
       break;
   }
   return op;
@@ -699,9 +484,11 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
     fail(ArtifactErrorCode::kBadHeader,
          "trailing bytes beyond the declared file size");
   }
-  if (header.input_c < 1 || header.input_c > kGeomCap || header.input_h < 1 ||
-      header.input_h > kGeomCap || header.input_w < 1 ||
-      header.input_w > kGeomCap) {
+  const auto dim_ok = [](std::int64_t d) {
+    return d >= 1 && d <= inference::kMaxOpDim;
+  };
+  if (!dim_ok(header.input_c) || !dim_ok(header.input_h) ||
+      !dim_ok(header.input_w)) {
     fail(ArtifactErrorCode::kBadHeader, "input geometry out of range");
   }
   // --- checksum (everything after the header) ---
@@ -770,10 +557,7 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
   }
   const auto* records =
       reinterpret_cast<const OpRecord*>(data + sections[0].offset);
-  // --- residual segment audit before any decode ---
-  std::size_t cursor = 0;
-  consume_segment(records, cursor, header.op_count, header.op_count, 0);
-  // --- per-op decode + deep plan validation ---
+  // --- per-op decode: kind and sections ---
   NetworkProgram program;
   program.input_c = header.input_c;
   program.input_h = header.input_h;
@@ -809,8 +593,9 @@ ArtifactModel::ArtifactModel(std::unique_ptr<Mapping> mapping,
   try {
     network_ = inference::QuantizedNetwork::from_program(std::move(program));
   } catch (const support::CheckFailure& failure) {
-    // A program that passed the format validators but still trips an engine
-    // contract is a malformed artifact, not a caller bug.
+    // parse_artifact checked only the container: from_program and the
+    // adopting engines check the contents, and a program they reject is a
+    // malformed artifact, not a caller bug.
     fail(ArtifactErrorCode::kBadProgram, failure.what());
   }
 }

@@ -29,12 +29,17 @@
 // channel/ky/kx tap plus shift and sign (a linear plan is a 1x1 conv's);
 // gains and multipliers are derived when the engine adopts the plan.
 //
-// The loader treats the file as untrusted input: every structural field is
-// range-checked before use, every plan stream is validated entry by entry
-// (tap bounds, sign, shift range, monotone filter prefix), and residual
-// segment counts are proven consistent by the exact-consumption program
-// builder. Any violation throws ArtifactError with a typed code -- never
-// UB, never an unchecked allocation driven by a hostile length.
+// The loader treats the file as untrusted input, in two steps. The parser
+// checks the container: header (input geometry included), checksum,
+// section table, each op record's kind and each role's section (present,
+// of its kind and owner, a whole number of elements, float weights as
+// large as their dims say). The contents are checked where every program's
+// are, whoever built it: QuantizedNetwork::from_program checks every op
+// field (inference/network_program.hpp lists its caps) and the adopting
+// engine every plan stream and entry (check_plan). ArtifactModel maps their
+// CheckFailure to kBadProgram, so any violation throws ArtifactError with a
+// typed code -- never UB, never an unchecked allocation driven by a hostile
+// length.
 
 #include <cstdint>
 #include <memory>
@@ -196,11 +201,14 @@ std::uint64_t artifact_checksum64(const std::uint8_t* data, std::size_t size);
 
 // --- Loader ---------------------------------------------------------------
 
-// Validate `data` as an artifact and reconstitute its NetworkProgram. Plan
+// Check `data`'s container and reconstitute its NetworkProgram. Plan
 // streams become PlanArray *views* into `data` -- zero copies; the caller
 // guarantees `data` outlives the returned program (ArtifactModel does).
 // Bias/affine/weight tensors are small and are copied out. Throws
-// ArtifactError on any malformation.
+// ArtifactError on a malformed container. The program's contents are
+// unchecked: hand it to QuantizedNetwork::from_program (as ArtifactModel
+// does) or each shift op's plan to the adopting ShiftConv2d constructor
+// before anything reads it.
 inference::NetworkProgram parse_artifact(const std::uint8_t* data,
                                          std::size_t size);
 

@@ -9,7 +9,9 @@
 //   3. Corruption matrix: every structural violation (truncation, bad
 //      magic/version/checksum, misaligned or escaping sections, invalid
 //      op records and plan streams) throws the matching typed
-//      ArtifactError -- never UB, never a wild allocation.
+//      ArtifactError -- never UB, never a wild allocation. The parser
+//      rejects the container's violations; from_program and the adopting
+//      engines the contents', which ArtifactModel maps to kBadProgram.
 //   4. Shared mapping: two processes mapping one artifact file produce
 //      identical logits (fork-based, POSIX only).
 
@@ -30,6 +32,7 @@
 #include "inference/quantized_network.hpp"
 #include "models/networks.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/check.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -350,6 +353,24 @@ SectionDesc find_section(const std::vector<std::uint8_t>& blob,
   return {};
 }
 
+// Apply `mutate` to the record of the first shift conv op.
+template <typename Mutate>
+void patch_first_shift_conv(std::vector<std::uint8_t>& blob, Mutate mutate) {
+  const SectionDesc program = find_section(blob, SectionKind::kProgram);
+  const ArtifactHeader header = read_header(blob);
+  for (std::uint32_t i = 0; i < header.op_count; ++i) {
+    OpRecord record;
+    std::uint8_t* at = blob.data() + program.offset + i * sizeof(record);
+    std::memcpy(&record, at, sizeof(record));
+    if (record.kind == static_cast<std::uint32_t>(ProgramOpKind::kShiftConv)) {
+      mutate(record);
+      std::memcpy(at, &record, sizeof(record));
+      return;
+    }
+  }
+  ADD_FAILURE() << "no shift conv op in the fixture network";
+}
+
 const CorruptionCase kCorruptionMatrix[] = {
     {"empty file", ArtifactErrorCode::kTruncated, false,
      [](std::vector<std::uint8_t>& blob) { blob.clear(); }},
@@ -482,21 +503,19 @@ const CorruptionCase kCorruptionMatrix[] = {
     {"conv kernel of 2^24 over a few entries", ArtifactErrorCode::kBadProgram,
      true,
      [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc program = find_section(blob, SectionKind::kProgram);
-       const ArtifactHeader header = read_header(blob);
-       for (std::uint32_t i = 0; i < header.op_count; ++i) {
-         OpRecord record;
-         std::memcpy(&record, blob.data() + program.offset + i * sizeof(record),
-                     sizeof(record));
-         if (record.kind ==
-             static_cast<std::uint32_t>(ProgramOpKind::kShiftConv)) {
-           record.kernel = std::int64_t{1} << 24;
-           std::memcpy(blob.data() + program.offset + i * sizeof(record),
-                       &record, sizeof(record));
-           return;
-         }
-       }
-       ADD_FAILURE() << "no shift conv op in the fixture network";
+       patch_first_shift_conv(blob, [](OpRecord& record) {
+         record.kernel = std::int64_t{1} << 24;
+       });
+     }},
+    // A padding as large as the kernel gives a non-empty output: the load
+    // walk must refuse the plane run() would refuse before its census
+    // tabulates 2^24 taps per axis.
+    {"conv kernel and padding of 2^24", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       patch_first_shift_conv(blob, [](OpRecord& record) {
+         record.kernel = std::int64_t{1} << 24;
+         record.padding = std::int64_t{1} << 24;
+       });
      }},
     {"section of the retired element kind", ArtifactErrorCode::kBadSection,
      true, [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 2); }},
@@ -533,6 +552,25 @@ TEST(ArtifactCorruption, EveryCorruptionClassYieldsItsTypedError) {
       ADD_FAILURE() << test_case.name << ": untyped exception " << error.what();
     }
   }
+}
+
+// A plan may use the barrel's whole budget: a 61-shift window with one
+// shift-61 entry is a valid artifact. The walk it runs on (int8 cannot hold
+// 2^61) would overflow int64 on any nonzero input, so run() must throw in
+// every build, not only where DCHECKs are compiled in.
+TEST(ArtifactCorruption, WalkPastInt64ThrowsAtRun) {
+  NetworkProgram program = deterministic_program();
+  for (inference::ProgramOp& op : program.ops) {
+    if (op.kind != ProgramOpKind::kShiftConv) continue;
+    op.pow2.e_min = op.pow2.e_max - inference::kMaxShift;
+    op.plan.shift[0] = static_cast<std::int8_t>(inference::kMaxShift);
+    break;
+  }
+  const std::vector<std::uint8_t> blob = build_artifact(program);
+  const ArtifactModel model = ArtifactModel::load_buffer(blob.data(),
+                                                         blob.size());
+  EXPECT_THROW((void)model.network().run(deterministic_image(0)),
+               support::CheckFailure);
 }
 
 TEST(ArtifactCorruption, MmapLoadRejectsCorruptFileToo) {

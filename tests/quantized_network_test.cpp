@@ -13,6 +13,7 @@
 
 #include "core/quantize_model.hpp"
 #include "core/trainer.hpp"
+#include "inference/shift_kernels.hpp"
 #include "models/networks.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/inference_request.hpp"
@@ -323,9 +324,10 @@ TEST(QuantizedNetworkTest, FixedPointFloatMacsMatchClosedForm) {
   EXPECT_EQ(counts.float_macs, expected);
 }
 
-// --- from_program's structural gate ------------------------------------------
-// Hand-built programs: the artifact loader's own audit rejects these before
-// from_program sees them, so only these tests reach the checks.
+// --- from_program's checks -----------------------------------------------------
+// Hand-built programs. from_program and the adopting engines are the one
+// check of a program's contents whoever built it: the artifact loader hands
+// them its programs unchecked past the container.
 
 ProgramOp leaky_op() {
   ProgramOp op;
@@ -385,6 +387,118 @@ TEST(QuantizedNetworkTest, FromProgramRejectsMalformedPrograms) {
   unknown.kind = static_cast<ProgramOpKind>(99);
   EXPECT_THROW((void)QuantizedNetwork::from_program(hand_program({unknown})),
                std::invalid_argument);
+}
+
+// A shift conv over the [2, 4, 4] input: 2 filters of [2, 3, 3], padding 1,
+// the default window (e_max - e_min = 6), filter 0 with three entries and
+// filter 1 with two (dense enough for the dense path's 4 words per entry).
+ProgramOp shift_conv_op() {
+  ProgramOp op;
+  op.kind = ProgramOpKind::kShiftConv;
+  op.out_channels = 2;
+  op.in_channels = 2;
+  op.kernel = 3;
+  op.stride = 1;
+  op.padding = 1;
+  // (channel, ky, kx, shift, sign)
+  const int entries[][5] = {{0, 0, 0, 6, 1},  {1, 2, 1, 3, -1},
+                            {1, 1, 1, 0, 1},  {0, 1, 1, 2, 1},
+                            {1, 0, 2, 1, -1}};
+  for (const auto& e : entries) {
+    op.plan.channel.push_back(e[0]);
+    op.plan.ky.push_back(static_cast<std::int16_t>(e[1]));
+    op.plan.kx.push_back(static_cast<std::int16_t>(e[2]));
+    op.plan.shift.push_back(static_cast<std::int8_t>(e[3]));
+    op.plan.sign.push_back(static_cast<std::int8_t>(e[4]));
+  }
+  op.plan.filters = 2;
+  for (const std::int64_t begin : {0, 3, 5}) op.plan.filter_begin.push_back(begin);
+  return op;
+}
+
+// Each program below is malformed in one field. from_program must throw
+// CheckFailure for every one (the sanitizer legs run this case, so none may
+// reach run()). Unchecked, run() would overflow a heap buffer (channel,
+// bias), give -inf (e_min) or NaN (slope) logits, or shift past int64
+// (shift 70).
+TEST(QuantizedNetworkTest, FromProgramChecksEveryField) {
+  const Tensor image = Tensor::zeros(Shape{2, 4, 4});
+  {
+    const auto network =
+        QuantizedNetwork::from_program(hand_program({shift_conv_op()}));
+    EXPECT_EQ(network.profile(image, 1)[0].kernel_tier,
+              kernel_tier_name(active_shift_kernels().tier))
+        << "the valid program runs dense";
+    EXPECT_EQ(network.run(image).numel(), 2 * 4 * 4);
+  }
+  const auto rejects = [](const char* what, NetworkProgram program) {
+    EXPECT_THROW((void)QuantizedNetwork::from_program(std::move(program)),
+                 support::CheckFailure)
+        << what;
+  };
+  const auto with_conv = [](auto mutate) {
+    ProgramOp op = shift_conv_op();
+    mutate(op);
+    return hand_program({op});
+  };
+  rejects("plan channel = in_channels",
+          with_conv([](ProgramOp& op) { op.plan.channel[1] = 2; }));
+  rejects("sign 100", with_conv([](ProgramOp& op) { op.plan.sign[1] = 100; }));
+  rejects("shift 70", with_conv([](ProgramOp& op) { op.plan.shift[1] = 70; }));
+  rejects("shift 10 under a 6-shift window",
+          with_conv([](ProgramOp& op) { op.plan.shift[1] = 10; }));
+  rejects("a filter_begin that decreases", with_conv([](ProgramOp& op) {
+            op.plan.filter_begin = {};
+            for (const std::int64_t begin : {0, 6, 5}) {
+              op.plan.filter_begin.push_back(begin);
+            }
+          }));
+  rejects("a sign stream one entry short", with_conv([](ProgramOp& op) {
+            op.plan.sign = {};
+            for (const std::int8_t sign : {1, -1, 1, 1}) {
+              op.plan.sign.push_back(sign);
+            }
+          }));
+  rejects("e_min = -2^31 + 2", with_conv([](ProgramOp& op) {
+            op.pow2.e_min = std::numeric_limits<int>::min() + 2;
+            op.pow2.e_max = op.pow2.e_min + 6;
+          }));
+  {
+    ProgramOp conv;
+    conv.kind = ProgramOpKind::kFloatConv;
+    conv.weights = Tensor(Shape{64, 2, 3, 3});
+    conv.bias = Tensor(Shape{63});
+    conv.stride = 1;
+    conv.padding = 1;
+    rejects("a float conv bias shorter than its filters", hand_program({conv}));
+  }
+  {
+    // Within the caps, but its [1, 2^25 + 4, 2^25 + 4] output is not an
+    // activation run() could hold (unchecked: a petabyte memory plan, and a
+    // chain of 63 such convs overflows the census).
+    ProgramOp conv;
+    conv.kind = ProgramOpKind::kFloatConv;
+    conv.weights = Tensor(Shape{1, 2, 1, 1});
+    conv.stride = 1;
+    conv.padding = kMaxOpDim;
+    rejects("a float conv padded by 2^24", hand_program({conv}));
+  }
+  {
+    ProgramOp leaky = leaky_op();
+    leaky.slope = std::numeric_limits<float>::quiet_NaN();
+    rejects("a NaN leaky slope", hand_program({leaky}));
+  }
+  // Residual blocks nested `depth` deep around one leaky op.
+  const auto nested = [](std::int64_t depth) {
+    std::vector<ProgramOp> ops;
+    for (std::int64_t d = 0; d < depth; ++d) {
+      ops.push_back(residual_op(depth - d, 0, 0, false));
+    }
+    ops.push_back(leaky_op());
+    return hand_program(std::move(ops));
+  };
+  EXPECT_NO_THROW((void)QuantizedNetwork::from_program(nested(64)));
+  rejects("residual nesting 65 deep", nested(65));
 }
 
 // The census walk follows the [2, 4, 4] input through the ops, so a program

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/decompose.hpp"
@@ -17,6 +18,7 @@
 #include "inference/shift_plan.hpp"
 #include "quant/lightnn.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "tensor/tensor.hpp"
 #include "term_walk_oracle.hpp"
@@ -239,24 +241,6 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   EXPECT_EQ(plan.filter_gain[1], 0);
 }
 
-// derive_streams runs on every adopted plan, including hand-built ones the
-// artifact loader never saw: it must stay inside the streams whatever the
-// prefix and shifts say, and saturate the gain of a filter it cannot bound.
-TEST(ShiftPlanPropertyTest, DeriveStreamsIsTotalOnHostilePlans) {
-  inference::ShiftPlan plan;
-  plan.filters = 3;
-  for (const std::int8_t shift : {3, -1, 70, 0}) plan.shift.push_back(shift);
-  for (const std::int8_t sign : {1, -1, 1, -1}) plan.sign.push_back(sign);
-  // Filter 1's span runs backwards and filter 2's past the stream.
-  for (const std::int64_t begin : {0, 2, 1, 9}) plan.filter_begin.push_back(begin);
-  plan.derive_streams();
-  ASSERT_EQ(plan.filter_gain.size(), 3U);
-  EXPECT_EQ(plan.filter_gain[0], inference::kShiftAccumulatorGuard)
-      << "a negative shift must saturate its filter's gain";
-  EXPECT_EQ(plan.filter_gain[1], 0);
-  EXPECT_EQ(plan.filter_gain[2], 0);
-}
-
 // A well-formed hand-built plan: 2 filters over [5, 3, 3] (two channel
 // groups, the second holding one live channel), filter 1 pruned.
 inference::ShiftPlan dense_test_plan() {
@@ -327,26 +311,90 @@ TEST(ShiftPlanPropertyTest, DensePackRebuildsWeights) {
   EXPECT_EQ(negated->correction[0], -128 * (63 + 128 + 8));
 }
 
-// pack_dense runs on every adopted plan too. Each hostile plan below must
-// refuse the dense form without indexing past its streams or its scratch
-// row (the sanitizer legs run this case).
-TEST(ShiftPlanPropertyTest, PackDenseIsTotalOnHostilePlans) {
+// The adopting constructor checks every plan (check_plan) before anything
+// indexes it, whoever built it. Each hostile plan below must throw
+// CheckFailure there (the sanitizer legs run this case): derive_streams,
+// pack_dense, the census and the walk never see it.
+TEST(ShiftPlanPropertyTest, AdoptionRejectsHostilePlans) {
+  // The default config's window is e_max - e_min = 6 shifts.
+  const auto adopt = [](const inference::ShiftPlan& plan,
+                        std::int64_t in_channels, std::int64_t kernel,
+                        const quant::Pow2Config& config = {}) {
+    const inference::ShiftConvSpec spec{plan.filters, in_channels, kernel, 1,
+                                        1, 0};
+    return inference::ShiftConv2d(plan, spec, config);
+  };
+  ASSERT_NO_THROW((void)adopt(dense_test_plan(), 5, 3));
+  const auto rejects = [&](const inference::ShiftPlan& plan,
+                           std::int64_t in_channels, std::int64_t kernel,
+                           const quant::Pow2Config& config = {}) {
+    try {
+      (void)adopt(plan, in_channels, kernel, config);
+    } catch (const support::CheckFailure&) {
+      return true;
+    }
+    return false;
+  };
+  {
+    const inference::ShiftPlan plan = dense_test_plan();
+    EXPECT_TRUE(rejects(plan, 4, 3)) << "channel 4 >= in_channels 4";
+    EXPECT_TRUE(rejects(plan, 5, 2)) << "kx 2 >= kernel 2";
+    EXPECT_TRUE(rejects(plan, 0, 3)) << "no input channels";
+  }
+  for (const std::int8_t shift : {7, 61, -1}) {
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.shift[4] = shift;
+    EXPECT_TRUE(rejects(plan, 5, 3))
+        << "shift " << int{shift} << " outside the window [0, 6]";
+  }
+  for (const std::int8_t sign : {0, 2, -100}) {
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.sign[4] = sign;
+    EXPECT_TRUE(rejects(plan, 5, 3)) << "sign " << int{sign};
+  }
+  for (const auto& spans : {std::vector<std::int64_t>{0, 9, 9},
+                            std::vector<std::int64_t>{0, 3, 2},
+                            std::vector<std::int64_t>{0, 6, 5},
+                            std::vector<std::int64_t>{-1, 5, 5},
+                            std::vector<std::int64_t>{0, 5}}) {
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.filter_begin = {};
+    for (const std::int64_t begin : spans) plan.filter_begin.push_back(begin);
+    EXPECT_TRUE(rejects(plan, 5, 3)) << "a prefix that is no span of the stream";
+  }
+  {
+    inference::ShiftPlan plan = dense_test_plan();
+    plan.kx.push_back(0);
+    EXPECT_TRUE(rejects(plan, 5, 3)) << "streams of unequal length";
+  }
+  // The exponent window is checked in int64, and its ends bound the scale
+  // exponent run() forms from it.
+  const auto window = [](int e_min, int e_max) {
+    quant::Pow2Config config;
+    config.e_min = e_min;
+    config.e_max = e_max;
+    return config;
+  };
+  EXPECT_TRUE(rejects(dense_test_plan(), 5, 3, window(-62, 0)))
+      << "a window of 62 shifts";
+  EXPECT_TRUE(rejects(dense_test_plan(), 5, 3, window(194, 200)))
+      << "e_max past 127";
+  EXPECT_TRUE(rejects(dense_test_plan(), 5, 3,
+                      window(std::numeric_limits<int>::min(),
+                             std::numeric_limits<int>::max())))
+      << "a window whose width overflows int";
+}
+
+// pack_dense's own refusals, on plans check_plan accepts: weights int8
+// holds neither as they are nor negated, and a pack that would outgrow the
+// plan. Each refuses the dense form without allocating past O(entries +
+// filters).
+TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
   ASSERT_TRUE(inference::pack_dense(dense_test_plan(), 5, 3).has_value());
   const auto refuses = [](const inference::ShiftPlan& plan,
                           std::int64_t in_channels, std::int64_t kernel) {
     return !inference::pack_dense(plan, in_channels, kernel).has_value();
   };
-  {
-    inference::ShiftPlan plan = dense_test_plan();
-    EXPECT_TRUE(refuses(plan, 4, 3)) << "channel 4 >= in_channels 4";
-    EXPECT_TRUE(refuses(plan, 5, 2)) << "kx 2 >= kernel 2";
-    EXPECT_TRUE(refuses(plan, 0, 3)) << "no input channels";
-  }
-  {
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.shift[4] = 61;
-    EXPECT_TRUE(refuses(plan, 5, 3)) << "a shift of 61";
-  }
   {
     // +128 at channel 1 beside -128 at channel 2: int8 holds the filter
     // neither as it is nor negated.
@@ -374,27 +422,9 @@ TEST(ShiftPlanPropertyTest, PackDenseIsTotalOnHostilePlans) {
     plan.shift[4] = 0;
     EXPECT_TRUE(refuses(plan, 5, 3)) << "a +129 weight";
   }
-  {
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.sign[4] = 0;
-    EXPECT_TRUE(refuses(plan, 5, 3)) << "a zero sign";
-  }
-  for (const auto& spans : {std::vector<std::int64_t>{0, 9, 9},
-                            std::vector<std::int64_t>{0, 3, 2},
-                            std::vector<std::int64_t>{-1, 5, 5},
-                            std::vector<std::int64_t>{0, 5}}) {
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.filter_begin = {};
-    for (const std::int64_t begin : spans) plan.filter_begin.push_back(begin);
-    EXPECT_TRUE(refuses(plan, 5, 3)) << "a span outside the stream";
-  }
-  {
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.kx.push_back(0);
-    EXPECT_TRUE(refuses(plan, 5, 3)) << "streams of unequal length";
-  }
-  // Many shift-61 entries on one tap: the sum must refuse before it can
-  // overflow int64.
+  // Many shift-61 entries on one tap, valid under a 61-shift window: the
+  // sum must refuse before it can overflow int64, and the engine then runs
+  // the walk.
   inference::ShiftPlan big;
   big.filters = 1;
   for (int e = 0; e < 8; ++e) {
@@ -406,6 +436,11 @@ TEST(ShiftPlanPropertyTest, PackDenseIsTotalOnHostilePlans) {
   }
   for (const std::int64_t begin : {0, 8}) big.filter_begin.push_back(begin);
   EXPECT_TRUE(refuses(big, 1, 1));
+  quant::Pow2Config wide;
+  wide.e_min = -61;
+  wide.e_max = 0;
+  const inference::ShiftConv2d walk(big, {1, 1, 1, 1, 0, 0}, wide);
+  EXPECT_EQ(walk.dense(), nullptr);
 
   // Geometry the entries cannot pay for. With every filter pruned the word
   // count overflows int64 (2^22 groups x 2^48 taps); with one entry a
