@@ -1,12 +1,14 @@
 // Memory footprint of the inference runtime (DESIGN.md §15): the memory
-// plan's claimed per-thread scratch vs what execution actually holds. A
+// plan's claimed per-thread memory vs what execution actually holds. A
 // Table-1 CIFAR-10 network is warmed and run over a batch, and the bench
 // records:
 //
 //   - the plan's arena capacity (largest offset table + largest accumulator
 //     plane, from the load-time walk) vs the arena slots measured after
 //     warm + run (must agree within alignment slack),
-//   - the plan's activation working set and quantization scratch,
+//   - the plan's activation pool bytes vs what a fresh thread's tensor pool
+//     holds after warm + one forward pass (must agree exactly),
+//   - the plan's quantization scratch,
 //   - process peak RSS at cold start, after compile, and at steady state
 //     (getrusage; the whole-process view the OS bills).
 //
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -33,6 +36,7 @@
 #include "support/argparse.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
+#include "tensor/buffer_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace flightnn;
@@ -107,6 +111,26 @@ int main(int argc, char** argv) {
   for (int r = 0; r < repeats; ++r) runner.run(request, result);
   const long long rss_steady_kib = bench::peak_rss_kib();
 
+  // --- Activation pool, measured ---------------------------------------------
+  // A fresh thread's pool holds nothing until warm parks the plan's working
+  // set there; one forward pass must then take every buffer from it and give
+  // each back, leaving exactly the planned bytes.
+  std::size_t pool_measured = 0;
+  std::thread fresh([&] {
+    plan.warm_thread();
+    { const tensor::Tensor logits = network.run(request.images[0]); }
+    pool_measured = tensor::pool::stats().cached_bytes;
+  });
+  fresh.join();
+  const std::size_t pool_planned = plan.activation_pool_bytes();
+  if (pool_measured != pool_planned) {
+    std::fprintf(stderr,
+                 "FATAL: a fresh thread's tensor pool holds %zu bytes after "
+                 "warm + run, plan claimed %zu\n",
+                 pool_measured, pool_planned);
+    return 1;
+  }
+
   // --- Report --------------------------------------------------------------
   const auto kib = [](std::size_t bytes) {
     return static_cast<double>(bytes) / 1024.0;
@@ -116,9 +140,11 @@ int main(int argc, char** argv) {
                  support::format_fixed(kib(capacity), 1)});
   table.add_row({"arena measured after warm + run", std::to_string(measured),
                  support::format_fixed(kib(measured), 1)});
-  table.add_row({"activation peak",
-                 std::to_string(plan.activation_peak_bytes()),
-                 support::format_fixed(kib(plan.activation_peak_bytes()), 1)});
+  table.add_row({"planned activation pool", std::to_string(pool_planned),
+                 support::format_fixed(kib(pool_planned), 1)});
+  table.add_row({"pool measured after warm + run",
+                 std::to_string(pool_measured),
+                 support::format_fixed(kib(pool_measured), 1)});
   table.add_row({"quant scratch peak", std::to_string(plan.quant_peak_bytes()),
                  support::format_fixed(kib(plan.quant_peak_bytes()), 1)});
   table.add_row({"planned per-thread total",
@@ -151,8 +177,10 @@ int main(int argc, char** argv) {
   out.add_int("planned_arena_measured_bytes",
               static_cast<long long>(measured));
   out.add_number("measured_over_planned_ratio", measured_over_planned);
-  out.add_int("activation_peak_bytes",
-              static_cast<long long>(plan.activation_peak_bytes()));
+  out.add_int("planned_activation_pool_bytes",
+              static_cast<long long>(pool_planned));
+  out.add_int("activation_pool_measured_bytes",
+              static_cast<long long>(pool_measured));
   out.add_int("quant_peak_bytes",
               static_cast<long long>(plan.quant_peak_bytes()));
   out.add_int("planned_per_thread_bytes",

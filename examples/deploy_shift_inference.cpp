@@ -69,18 +69,17 @@ int apply_mem_budget(const flightnn::inference::QuantizedNetwork& network,
   using namespace flightnn;
   const inference::MemoryPlan* plan = network.memory_plan();
   const auto threads = static_cast<std::size_t>(runtime::num_threads());
-  const std::size_t per_thread =
-      plan->planned_per_thread_bytes() + plan->activation_peak_bytes();
+  const std::size_t per_thread = plan->planned_per_thread_bytes();
   const std::size_t fixed = threads * per_thread;
   const std::size_t per_image =
       static_cast<std::size_t>(channels * height * width) * sizeof(float);
   const double mib = 1024.0 * 1024.0;
   std::printf(
-      "\nmemory plan: arena %.1f KiB + quant %.1f KiB + activations %.1f KiB "
-      "= %.2f MiB/thread x %zu threads = %.2f MiB planned peak\n",
+      "\nmemory plan: arena %.1f KiB + quant %.1f KiB + activation pool %.1f "
+      "KiB = %.2f MiB/thread x %zu threads = %.2f MiB planned peak\n",
       static_cast<double>(plan->arena_capacity_bytes()) / 1024.0,
       static_cast<double>(plan->quant_peak_bytes()) / 1024.0,
-      static_cast<double>(plan->activation_peak_bytes()) / 1024.0,
+      static_cast<double>(plan->activation_pool_bytes()) / 1024.0,
       static_cast<double>(per_thread) / mib, threads,
       static_cast<double>(fixed) / mib);
   if (budget_mib <= 0) return max_batch;

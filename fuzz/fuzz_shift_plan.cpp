@@ -15,10 +15,10 @@
 // ShiftConv2d constructor, the one path every plan takes. Adoption must
 // either reject it with CheckFailure (check_plan: an entry whose channel
 // lands past in_channels, a window wider than the barrel's budget) or
-// yield one gain per filter and a dense form, if any, of one block of
-// words, one correction and one sign per live filter, within its words per
-// entry bound. An adopted engine then runs one small input, so every plan
-// check_plan accepts is also proven safe to index.
+// yield a dense form, if any, of one block of words, one correction and one
+// sign per live filter, within its words per entry bound. An adopted
+// engine then runs one small input, so every plan check_plan accepts is
+// also proven safe to index.
 
 #include <cstdint>
 #include <exception>
@@ -90,7 +90,6 @@ void check_plan_invariants(ShiftPlan plan, const Pow2Config& config,
   } catch (const flightnn::support::CheckFailure&) {
     return;  // typed rejection by check_plan or the geometry check
   }
-  if (engine->plan().filter_gain.size() != filters) std::terminate();
   if (const DensePack* dense = engine->dense()) {
     const std::size_t live = dense->filters.size();
     if (dense->taps != (in_channels + 3) / 4 * kernel * kernel ||

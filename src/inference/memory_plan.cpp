@@ -20,27 +20,25 @@ MemoryPlan::MemoryPlan(std::vector<OpMemory> per_op,
     quant_peak_values_ =
         std::max(quant_peak_values_, mem.quant_bytes / sizeof(std::int32_t));
   }
-  // Activation peak and per-numel working set: sweep every op time and count
-  // the live intervals. O(ops * activations) -- trivially fast at network
-  // sizes and only run at load time.
+  // Per-numel working set: sweep every op time and count the live
+  // intervals. O(ops * activations) -- trivially fast at network sizes and
+  // only run at load time.
   std::map<std::size_t, std::size_t> peak_by_numel;
   std::map<std::size_t, std::size_t> live_by_numel;
   for (std::uint32_t t = 0; t < per_op_.size(); ++t) {
-    std::size_t live_bytes = 0;
     live_by_numel.clear();
     for (const ActivationInterval& act : activations) {
-      if (act.def_op <= t && t <= act.last_use_op) {
-        live_bytes += act.numel * sizeof(float);
-        ++live_by_numel[act.numel];
-      }
+      if (act.def_op <= t && t <= act.last_use_op) ++live_by_numel[act.numel];
     }
-    activation_peak_bytes_ = std::max(activation_peak_bytes_, live_bytes);
     for (const auto& [numel, count] : live_by_numel) {
       std::size_t& best = peak_by_numel[numel];
       best = std::max(best, count);
     }
   }
   working_set_.assign(peak_by_numel.begin(), peak_by_numel.end());
+  for (const auto& [numel, count] : working_set_) {
+    activation_pool_bytes_ += numel * count * sizeof(float);
+  }
 }
 
 void MemoryPlan::warm_thread() const {

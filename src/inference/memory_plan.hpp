@@ -18,9 +18,11 @@
 //     runtime::ScratchArena. Every buffer is live for one op only, so a
 //     slot's high-water mark is the largest request any op makes, and
 //     warm_thread reserves each slot to it.
-//   - Activations (op outputs, run()'s entry copy of the image and the
-//     residual chain-entry copies): value-semantic pooled tensors, so they
-//     stay in tensor::pool; the walk records their live intervals and
+//   - Activations: value-semantic pooled tensors, so they stay in
+//     tensor::pool. run() allocates one for its copy of the image, one per
+//     op that changes the shape (an op that keeps it rewrites its input in
+//     place) and one per residual block, whose main chain starts on a copy
+//     of the block input. The walk records their live intervals, and
 //     warm_thread prewarms the pool with the exact working set (per-numel
 //     max simultaneous live count), which removes the first-batch warmup
 //     allocations on that route too.
@@ -46,8 +48,7 @@ struct OpMemory {
   std::size_t accumulator_bytes = 0;  // 0 on the dense path
   std::size_t input_bytes = 0;  // code or padded plane (0 when read in place)
   std::size_t scratch_bytes = 0;  // offsets + accumulator + input
-  std::size_t activation_bytes = 0;  // output tensor bytes (pool-backed)
-  std::size_t quant_bytes = 0;       // quant-scratch bytes while running
+  std::size_t quant_bytes = 0;    // quant-scratch bytes while running
 };
 
 // One activation run() holds, live over the inclusive flat-op interval
@@ -63,7 +64,7 @@ class MemoryPlan {
   MemoryPlan() = default;
 
   // Derives the peaks and the pool working set from the walk's per-op rows
-  // and the live intervals of the activations run() creates.
+  // and the live intervals of the activations run() allocates.
   MemoryPlan(std::vector<OpMemory> per_op,
              const std::vector<ActivationInterval>& activations);
 
@@ -72,10 +73,13 @@ class MemoryPlan {
   [[nodiscard]] std::size_t arena_capacity_bytes() const {
     return offsets_peak_bytes_ + accumulator_peak_bytes_ + input_peak_bytes_;
   }
-  // Peak of the summed live activation bytes over the program (pool-backed
-  // working set of the thread driving run()).
-  [[nodiscard]] std::size_t activation_peak_bytes() const {
-    return activation_peak_bytes_;
+  // Bytes warm_thread parks in the thread's tensor pool: the activation
+  // working set, sum of numel x count x sizeof(float). The pool keys
+  // buffers by element count and cannot lend one size's buffer to another,
+  // so this is what it holds for run(), more than the peak of the live
+  // activation bytes.
+  [[nodiscard]] std::size_t activation_pool_bytes() const {
+    return activation_pool_bytes_;
   }
   [[nodiscard]] std::size_t quant_peak_values() const {
     return quant_peak_values_;
@@ -83,20 +87,15 @@ class MemoryPlan {
   [[nodiscard]] std::size_t quant_peak_bytes() const {
     return quant_peak_values_ * sizeof(std::int32_t);
   }
-  // Bytes one worker thread holds in steady state: the arena scratch plus
-  // its quantization scratch. (The thread running the op loop additionally
-  // carries the activation working set.)
+  // Bytes one thread holds after warm_thread, and still after any run():
+  // the arena scratch, the quantization scratch and the pooled activation
+  // working set. What --mem-budget multiplies by the thread count.
   [[nodiscard]] std::size_t planned_per_thread_bytes() const {
-    return arena_capacity_bytes() + quant_peak_bytes();
+    return arena_capacity_bytes() + quant_peak_bytes() +
+           activation_pool_bytes();
   }
   // One row per flat program op.
   [[nodiscard]] const std::vector<OpMemory>& per_op() const { return per_op_; }
-  // Exact pool prewarm recipe: (numel, max simultaneous live tensors of
-  // that numel) over the whole program.
-  [[nodiscard]] const std::vector<std::pair<std::size_t, std::size_t>>&
-  activation_working_set() const {
-    return working_set_;
-  }
 
   // Prepare the calling thread for allocation-free execution from the
   // first batch: reserve the arena's conv slots to their peaks, prewarm the
@@ -106,11 +105,13 @@ class MemoryPlan {
 
  private:
   std::vector<OpMemory> per_op_;
+  // Exact pool prewarm recipe: (numel, max simultaneous live tensors of
+  // that numel) over the whole program.
   std::vector<std::pair<std::size_t, std::size_t>> working_set_;
   std::size_t offsets_peak_bytes_ = 0;
   std::size_t accumulator_peak_bytes_ = 0;
   std::size_t input_peak_bytes_ = 0;
-  std::size_t activation_peak_bytes_ = 0;
+  std::size_t activation_pool_bytes_ = 0;
   std::size_t quant_peak_values_ = 0;
 };
 

@@ -153,51 +153,40 @@ void validate_ops(  // NOLINT(misc-no-recursion)
 
 // --- Float glue -----------------------------------------------------------------
 //
-// The ops that do not run on the shift engine. Each returns a fresh pooled
-// tensor.
+// The ops that do not run on the shift engine. One that keeps its input's
+// shape rewrites it in place; one that changes it fills every element of a
+// Tensor::uninitialized output. None checks its input's shape: run() takes
+// only the program's input geometry, and from_program's walk checked every
+// op's input shape along it.
 
-// Per-channel y = scale[c] * x + bias[c] (folded batch norm).
-FLIGHTNN_HOT tensor::Tensor affine_channels(const ProgramOp& op,
-                                            const tensor::Tensor& input) {
-  const auto& s = input.shape();
-  FLIGHTNN_CHECK(
-      s.rank() == 3 && s[0] == static_cast<std::int64_t>(op.scale.size()),
-      "affine: expected [", op.scale.size(), ", H, W] input, got ",
-      s.to_string());
-  tensor::Tensor out(s);
-  const std::int64_t hw = s[1] * s[2];
+// Per-channel x = scale[c] * x + bias[c] (folded batch norm), in place.
+FLIGHTNN_HOT void affine_channels(const ProgramOp& op, tensor::Tensor& x) {
+  const std::int64_t hw = x.shape()[1] * x.shape()[2];
   for (std::size_t c = 0; c < op.scale.size(); ++c) {
-    const float* in_plane = input.data() + static_cast<std::int64_t>(c) * hw;
-    float* out_plane = out.data() + static_cast<std::int64_t>(c) * hw;
+    float* plane = x.data() + static_cast<std::int64_t>(c) * hw;
     for (std::int64_t i = 0; i < hw; ++i) {
-      out_plane[i] = op.scale[c] * in_plane[i] + op.affine_bias[c];
+      plane[i] = op.scale[c] * plane[i] + op.affine_bias[c];
     }
   }
-  return out;
 }
 
-FLIGHTNN_HOT tensor::Tensor leaky_relu_values(const tensor::Tensor& input,
-                                              float slope) {
-  tensor::Tensor out(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    const float v = input[i];
-    out[i] = v > 0.0F ? v : slope * v;
+FLIGHTNN_HOT void leaky_relu_values(tensor::Tensor& x, float slope) {
+  float* values = x.data();
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const float v = values[i];
+    values[i] = v > 0.0F ? v : slope * v;
   }
-  return out;
 }
 
 FLIGHTNN_HOT tensor::Tensor max_pool_planes(const tensor::Tensor& input,
                                             std::int64_t window,
                                             std::int64_t stride) {
   const auto& s = input.shape();
-  FLIGHTNN_CHECK(s.rank() == 3, "maxpool: CHW input expected, got ",
-                 s.to_string());
   const std::int64_t channels = s[0], in_h = s[1], in_w = s[2];
-  FLIGHTNN_CHECK(in_h >= window && in_w >= window, "maxpool: window ", window,
-                 " larger than input ", s.to_string());
   const std::int64_t out_h = (in_h - window) / stride + 1;
   const std::int64_t out_w = (in_w - window) / stride + 1;
-  tensor::Tensor out(tensor::Shape{channels, out_h, out_w});
+  tensor::Tensor out =
+      tensor::Tensor::uninitialized(tensor::Shape{channels, out_h, out_w});
   for (std::int64_t c = 0; c < channels; ++c) {
     const float* plane = input.data() + c * in_h * in_w;
     float* out_plane = out.data() + c * out_h * out_w;
@@ -219,10 +208,8 @@ FLIGHTNN_HOT tensor::Tensor max_pool_planes(const tensor::Tensor& input,
 
 FLIGHTNN_HOT tensor::Tensor global_avg_pool(const tensor::Tensor& input) {
   const auto& s = input.shape();
-  FLIGHTNN_CHECK(s.rank() == 3, "gap: CHW input expected, got ",
-                 s.to_string());
   const std::int64_t channels = s[0], hw = s[1] * s[2];
-  tensor::Tensor out(tensor::Shape{channels});
+  tensor::Tensor out = tensor::Tensor::uninitialized(tensor::Shape{channels});
   for (std::int64_t c = 0; c < channels; ++c) {
     const float* plane = input.data() + c * hw;
     double acc = 0.0;
@@ -238,9 +225,8 @@ FLIGHTNN_HOT tensor::Tensor float_linear(const ProgramOp& op,
                                          const tensor::Tensor& input) {
   const std::int64_t out_features = op.weights.shape()[0];
   const std::int64_t in_features = op.weights.shape()[1];
-  FLIGHTNN_CHECK(input.numel() == in_features, "float linear: input numel ",
-                 input.numel(), " does not match in features ", in_features);
-  tensor::Tensor out(tensor::Shape{out_features});
+  tensor::Tensor out =
+      tensor::Tensor::uninitialized(tensor::Shape{out_features});
   const float* x = input.data();
   for (std::int64_t o = 0; o < out_features; ++o) {
     double acc = op.bias.empty() ? 0.0 : op.bias[o];
@@ -292,18 +278,22 @@ std::string op_token(const ProgramOp& op) {
 
 using Engine = std::optional<ShiftConv2d>;
 
-// One activation run() holds: its shape and the index of its live interval.
+// One activation run() holds: its shape and the index of its live interval
+// (the pooled buffer behind it).
 struct Activation {
   tensor::Shape shape;
   std::size_t interval = 0;
 };
 
 // from_program's one walk over the validated program: the shape flow run()
-// takes for every image, op by op, checked where run() checks it. Along the
-// way it records what run() costs and allocates: each op's counts, its
-// memory row (scratch sizes read from the adopted engines' plans) and the
-// live interval of every activation run() creates. Flat pre-order op
-// indices are the time axis (main -> shortcut -> post segment order equals
+// takes for every image, op by op, and the only check of each op's input
+// shape (run_op checks none). Along the way it records what run() costs and
+// allocates: each op's counts, its memory row (scratch sizes read from the
+// adopted engines' plans) and the live interval of every activation run()
+// allocates -- the image copy, each shape-changing op's output and each
+// residual main chain's copy of its input; an op that keeps the shape
+// rewrites its input, whose interval it extends. Flat pre-order op indices
+// are the time axis (main -> shortcut -> post segment order equals
 // execution order). Residual segment bounds were validated by validate_ops.
 struct LoadWalk {
   const std::vector<ProgramOp>& ops;
@@ -324,8 +314,7 @@ struct LoadWalk {
     }
   }
 
-  // A fresh tensor made at op `t`: its live interval starts there, and its
-  // bytes are op `t`'s activation row.
+  // A fresh tensor made at op `t`: its live interval starts there.
   Activation define(std::size_t t, tensor::Shape shape) {
     std::int64_t elements = 1;
     for (std::size_t axis = 0; axis < shape.rank(); ++axis) {
@@ -337,7 +326,6 @@ struct LoadWalk {
     const auto numel = static_cast<std::size_t>(elements);
     const auto at = static_cast<std::uint32_t>(t);
     intervals.push_back(ActivationInterval{numel, at, at});
-    per_op[t].activation_bytes = numel * sizeof(float);
     return {std::move(shape), intervals.size() - 1};
   }
 
@@ -362,8 +350,15 @@ struct LoadWalk {
     last = std::max(last, static_cast<std::uint32_t>(t));
   }
 
-  // The copy of `x` run_ops starts the chain [begin, end) on: made at the
-  // chain's first op, or for an empty chain at the op executed before it.
+  // Op `t` rewrites `x` in place, leaving it `shape` (same element count).
+  Activation in_place(const Activation& x, std::size_t t, tensor::Shape shape) {
+    use(x, t);
+    return {std::move(shape), x.interval};
+  }
+
+  // The copy of the block input `x` a residual's main chain [begin, end)
+  // starts on: made at the chain's first op, or for an empty chain at the
+  // residual op itself.
   Activation chain_entry(const Activation& x, std::size_t begin,
                          std::size_t end) {
     const std::size_t t = begin < end ? begin : begin - 1;
@@ -391,11 +386,11 @@ struct LoadWalk {
       std::size_t i, const Activation& x, NetworkOpCounts& counts) {
     const ProgramOp& op = ops[i];
     const tensor::Shape& in = x.shape;
-    tensor::Shape out = in;
+    tensor::Shape out;
     switch (op.kind) {
       case ProgramOpKind::kQuantAct:
       case ProgramOpKind::kLeakyRelu:
-        break;
+        return in_place(x, i, in);
       case ProgramOpKind::kShiftConv: {
         FLIGHTNN_CHECK(in.rank() == 3 && in[0] == op.in_channels,
                        "from_program: shift conv at op ", i, " expects [",
@@ -435,7 +430,7 @@ struct LoadWalk {
                 in[0] == static_cast<std::int64_t>(op.scale.size()),
             "from_program: affine at op ", i, " expects [", op.scale.size(),
             ", H, W] input, gets ", in.to_string());
-        break;
+        return in_place(x, i, in);
       case ProgramOpKind::kMaxPool:
         FLIGHTNN_CHECK(in.rank() == 3 && in[1] >= op.window &&
                            in[2] >= op.window,
@@ -450,8 +445,7 @@ struct LoadWalk {
         out = tensor::Shape{in[0]};
         break;
       case ProgramOpKind::kFlatten:
-        out = tensor::Shape{in.numel()};
-        break;
+        return in_place(x, i, tensor::Shape{in.numel()});
       case ProgramOpKind::kShiftLinear: {
         FLIGHTNN_CHECK(in.numel() == op.in_channels,
                        "from_program: shift linear at op ", i, " expects ",
@@ -474,18 +468,17 @@ struct LoadWalk {
         break;
       }
       case ProgramOpKind::kResidual: {
-        // run_op's residual: the main and the shortcut chain each start on a
-        // copy of the block input, `main_out += skip_out` happens after both
-        // (at the last op before the post chain), then the post chain runs
-        // on main_out's buffer.
+        // run_op's residual: the main chain starts on a copy of the block
+        // input and the shortcut chain on the input itself, `main_out +=
+        // skip_out` happens after both (at the last op before the post
+        // chain), then the post chain runs on main_out's buffer.
         const std::size_t shortcut =
             i + 1 + static_cast<std::size_t>(op.main_ops);
         const std::size_t post =
             shortcut + static_cast<std::size_t>(op.shortcut_ops);
         const Activation main_out =
             walk_ops(i + 1, shortcut, chain_entry(x, i + 1, shortcut), counts);
-        const Activation skip_out =
-            walk_ops(shortcut, post, chain_entry(x, shortcut, post), counts);
+        const Activation skip_out = walk_ops(shortcut, post, x, counts);
         FLIGHTNN_CHECK(main_out.shape == skip_out.shape,
                        "from_program: residual at op ", i, " adds a ",
                        main_out.shape.to_string(), " main output to a ",
@@ -567,7 +560,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor QuantizedNetwork::run(
                  ": expected a finite [", program_.input_c, ", ",
                  program_.input_h, ", ", program_.input_w,
                  "] image (or [1, C, H, W]), got ", s.to_string());
-  // The chain starts on a copy of the image (run_ops owns its activation).
+  // The chain starts on run()'s one copy of the image, which the first op
+  // rewrites or replaces.
   tensor::Tensor logits = run_ops(
       0, program_.ops.size(),
       s.rank() == 3 ? image : image.reshaped(tensor::Shape{s[1], s[2], s[3]}));
@@ -579,58 +573,62 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_ops(std::size_t begin,
                                                       std::size_t end,
                                                       tensor::Tensor x) const {
   for (std::size_t i = begin; i < end; i = subtree_end(program_.ops, i)) {
-    x = run_op(i, x);
+    x = run_op(i, std::move(x));
   }
   return x;
 }
 
-FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(
-    std::size_t i, const tensor::Tensor& input) const {
+FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(std::size_t i,
+                                                     tensor::Tensor x) const {
   const ProgramOp& op = program_.ops[i];
   switch (op.kind) {
     case ProgramOpKind::kQuantAct:
-      return fake_quantize(input, op.bits);
+      fake_quantize(x, op.bits);
+      return x;
     case ProgramOpKind::kShiftConv: {
       // Inputs arriving here are already on the activation-quantizer grid,
       // so this re-quantization is lossless (same abs-max-driven pow2
       // scale).
       QuantizedActivations& q = quant_scratch();
-      quantize_image_into(input, op.act_bits, q);
+      quantize_image_into(x, op.act_bits, q);
       return engines_[i]->run(q);
     }
     case ProgramOpKind::kFloatConv:
-      return reference_conv(op.weights, input, op.stride, op.padding, op.bias);
+      return reference_conv(op.weights, x, op.stride, op.padding, op.bias);
     case ProgramOpKind::kAffine:
-      return affine_channels(op, input);
+      affine_channels(op, x);
+      return x;
     case ProgramOpKind::kLeakyRelu:
-      return leaky_relu_values(input, op.slope);
+      leaky_relu_values(x, op.slope);
+      return x;
     case ProgramOpKind::kMaxPool:
-      return max_pool_planes(input, op.window, op.stride);
+      return max_pool_planes(x, op.window, op.stride);
     case ProgramOpKind::kGap:
-      return global_avg_pool(input);
+      return global_avg_pool(x);
     case ProgramOpKind::kFlatten:
-      return input.reshaped(tensor::Shape{input.numel()});
+      x.reshape(tensor::Shape{x.numel()});
+      return x;
     case ProgramOpKind::kShiftLinear: {
-      // The 1x1 conv over the input viewed as an [in_features, 1, 1] plane:
-      // quantization is shape-oblivious, so the values stream straight
-      // through, and the [out, 1, 1] result becomes [out] in place.
+      // The 1x1 conv over the input viewed as an [in_features, 1, 1] plane;
+      // the [out, 1, 1] result becomes [out] in place.
+      x.reshape(tensor::Shape{x.numel(), 1, 1});
       QuantizedActivations& q = quant_scratch();
-      quantize_tensor_into(input, op.act_bits, q);
-      q.shape = tensor::Shape{input.numel(), 1, 1};
+      quantize_image_into(x, op.act_bits, q);
       tensor::Tensor out = engines_[i]->run(q);
       out.reshape(tensor::Shape{op.out_channels});
       return out;
     }
     case ProgramOpKind::kFloatLinear:
-      return float_linear(op, input);
+      return float_linear(op, x);
     case ProgramOpKind::kResidual: {
-      // Main and shortcut chains each start on a copy of the block input (an
-      // empty shortcut is the identity); the post chain runs on the sum.
+      // The main chain runs on a copy of the block input, then the shortcut
+      // chain on the input itself (an empty shortcut is the identity); the
+      // post chain runs on the sum.
       const std::size_t shortcut = i + 1 + static_cast<std::size_t>(op.main_ops);
       const std::size_t post =
           shortcut + static_cast<std::size_t>(op.shortcut_ops);
-      tensor::Tensor sum = run_ops(i + 1, shortcut, input);
-      sum += run_ops(shortcut, post, input);
+      tensor::Tensor sum = run_ops(i + 1, shortcut, x);
+      sum += run_ops(shortcut, post, std::move(x));
       return run_ops(post, subtree_end(program_.ops, i), std::move(sum));
     }
   }
@@ -664,11 +662,16 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
     for (std::size_t op_i = i; op_i < subtree_end(program_.ops, i); ++op_i) {
       p.planned_scratch_bytes += memory_plan_.per_op()[op_i].scratch_bytes;
     }
+    // run_op consumes its input, so each repeat times it on an untimed copy.
     tensor::Tensor out;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < repeats; ++r) out = run_op(i, current);
-    const auto t1 = std::chrono::steady_clock::now();
-    p.seconds = std::chrono::duration<double>(t1 - t0).count() / repeats;
+    std::chrono::steady_clock::duration elapsed{};
+    for (int r = 0; r < repeats; ++r) {
+      tensor::Tensor input = current;
+      const auto t0 = std::chrono::steady_clock::now();
+      out = run_op(i, std::move(input));
+      elapsed += std::chrono::steady_clock::now() - t0;
+    }
+    p.seconds = std::chrono::duration<double>(elapsed).count() / repeats;
     p.shifts = op_census_[i].shifts;
     p.adds = op_census_[i].adds;
     p.float_macs = op_census_[i].float_macs;
@@ -683,9 +686,9 @@ double QuantizedNetwork::evaluate(const data::Dataset& dataset, int top_k,
   std::int64_t hits = 0;
   for (std::int64_t n = 0; n < dataset.size(); ++n) {
     tensor::Tensor logits = run(dataset.image(n), counts);
-    const tensor::Tensor row =
-        logits.reshaped(tensor::Shape{1, logits.numel()});
-    hits += nn::top_k_accuracy(row, {dataset.labels[static_cast<std::size_t>(n)]},
+    logits.reshape(tensor::Shape{1, logits.numel()});
+    hits += nn::top_k_accuracy(logits,
+                               {dataset.labels[static_cast<std::size_t>(n)]},
                                top_k) > 0.5
                 ? 1
                 : 0;

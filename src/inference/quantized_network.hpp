@@ -28,7 +28,10 @@
 // engine per shift op looked up by flat op index -- the fixed per-layer
 // stage pipeline of the paper's accelerator mapping (Fig. 3, Sec. 5.2).
 // There is one engine kind: a fully-connected shift layer runs as a 1x1
-// ShiftConv2d on its input viewed as an [in_features, 1, 1] plane.
+// ShiftConv2d on its input viewed as an [in_features, 1, 1] plane. Each op
+// owns the activation it is handed (run_op): one that keeps the shape
+// rewrites it in place, so run() allocates only its copy of the image, the
+// output of each op that changes the shape and one copy per residual block.
 // profile(), describe() and step_count() walk the same top-level ranges.
 //
 // Op census and memory plan: the shift/add/float-MAC counts of one forward
@@ -103,9 +106,9 @@ class QuantizedNetwork {
   // on a malformed one; then keeps the op list and adopts each shift op's
   // plan into its engine. Both load paths build the same kind of network.
   // Last, it walks the ops once over the input geometry to take the op
-  // census and the memory plan, which also rejects a program whose ops
-  // cannot take the shape the previous op produces (run() would fail on
-  // every image).
+  // census and the memory plan. That walk is the only check of each op's
+  // input shape: it rejects a program whose ops cannot take the shape the
+  // previous op produces, and run() then checks no shape past its image.
   static QuantizedNetwork from_program(NetworkProgram program);
 
   // Run one image [C, H, W] (or [1, C, H, W]) to logits. The image must pass
@@ -129,8 +132,9 @@ class QuantizedNetwork {
 
   // Per-op wall time and op census: runs the image through the network one
   // top-level op at a time (a residual block is one row), timing each op
-  // over `repeats` runs; the counts are the op's share of census().
-  // Observability only -- outputs are discarded.
+  // over `repeats` runs, each on an untimed copy of the op's input (run_op
+  // consumes it); the counts are the op's share of census(). Observability
+  // only -- outputs are discarded.
   [[nodiscard]] std::vector<StepProfile> profile(const tensor::Tensor& image,
                                                  int repeats = 10) const;
 
@@ -145,10 +149,16 @@ class QuantizedNetwork {
   [[nodiscard]] std::string describe() const;
 
  private:
-  // Runs top-level op `i` (a residual runs its whole block) on `input`.
-  [[nodiscard]] tensor::Tensor run_op(std::size_t i,
-                                      const tensor::Tensor& input) const;
-  // Runs the chain of top-level ops in [begin, end), starting from `x`.
+  // Runs top-level op `i` (a residual runs its whole block) on `x`, which it
+  // consumes: an op that keeps the shape rewrites `x` in place and returns
+  // it; any other reads it and returns a Tensor::uninitialized output it
+  // fills completely. A residual gives its main chain one copy of `x` and
+  // its shortcut chain `x` itself. No op checks its input's shape:
+  // from_program's walk checked each one along the only geometry run()
+  // accepts.
+  [[nodiscard]] tensor::Tensor run_op(std::size_t i, tensor::Tensor x) const;
+  // Runs the chain of top-level ops in [begin, end) on `x`, handing each
+  // op's result to the next.
   [[nodiscard]] tensor::Tensor run_ops(std::size_t begin, std::size_t end,
                                        tensor::Tensor x) const;
   NetworkProgram program_;  // validated flat op list + input geometry

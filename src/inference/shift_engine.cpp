@@ -18,39 +18,6 @@ namespace flightnn::inference {
 
 namespace {
 
-// Weights-constructor invariants: the decomposition's terms must
-// address real filters, carry full-size element vectors, and hold exponents
-// inside the barrel shifter's budget. A violation here means the quantizer
-// and the engine disagree about the datapath.
-void validate_decomposition(const core::Decomposition& decomposition,
-                            std::int64_t filters, std::int64_t elements,
-                            const quant::Pow2Config& config) {
-  FLIGHTNN_CHECK(
-      static_cast<std::int64_t>(decomposition.filter_k.size()) == filters,
-      "ShiftConv2d: decomposition covers ", decomposition.filter_k.size(),
-      " filters, weights have ", filters);
-  FLIGHTNN_CHECK(decomposition.elements_per_filter == elements,
-                 "ShiftConv2d: decomposition elements per filter ",
-                 decomposition.elements_per_filter, ", weights have ", elements);
-  for (const auto& term : decomposition.terms) {
-    FLIGHTNN_CHECK(term.filter >= 0 && term.filter < filters,
-                   "ShiftConv2d: term filter index ", term.filter,
-                   " outside [0, ", filters, ")");
-    FLIGHTNN_CHECK(
-        static_cast<std::int64_t>(term.elements.size()) == elements,
-        "ShiftConv2d: term has ", term.elements.size(), " elements, expected ",
-        elements);
-    for (const auto& element : term.elements) {
-      if (element.sign == 0) continue;
-      FLIGHTNN_CHECK(element.exponent >= config.e_min &&
-                         element.exponent <= config.e_max,
-                     "ShiftConv2d: term exponent ",
-                     static_cast<int>(element.exponent), " outside [",
-                     config.e_min, ", ", config.e_max, "]");
-    }
-  }
-}
-
 // Largest input magnitude (fallback when QuantizedActivations::max_abs was
 // not populated at quantize time).
 std::int64_t max_abs_value(const std::vector<std::int32_t>& values) {
@@ -373,15 +340,7 @@ void quantize_image_into(const tensor::Tensor& image, int bits,
   quantize_values_into(image.data(), image.numel(), bits, image.abs_max(), out);
 }
 
-void quantize_tensor_into(const tensor::Tensor& x, int bits,
-                          QuantizedActivations& out) {
-  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "quantize_tensor: bits ", bits,
-                 " outside [2, 16]");
-  out.shape = x.shape();
-  quantize_values_into(x.data(), x.numel(), bits, x.abs_max(), out);
-}
-
-tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits) {
+void fake_quantize(tensor::Tensor& x, int bits) {
   FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "fake_quantize: bits ", bits,
                  " outside [2, 16]");
   const std::int64_t q_max = (1LL << (bits - 1)) - 1;
@@ -394,31 +353,31 @@ tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits) {
     scale_exp = static_cast<int>(
         std::ceil(std::log2(abs_max / static_cast<float>(q_max))));
   }
+  float* values = x.data();
+  const std::int64_t n = x.numel();
+  const float scale = std::ldexp(1.0F, scale_exp);
   if (scale_exp < -126) {
     // Pathologically tiny abs-max; take the exact two-step path.
     QuantizedActivations q;
-    quantize_values_into(x.data(), x.numel(), bits, abs_max, q);
-    q.shape = x.shape();
-    return dequantize(q);
+    quantize_values_into(values, n, bits, abs_max, q);
+    for (std::int64_t i = 0; i < n; ++i) {
+      values[i] = static_cast<float>(q.values[static_cast<std::size_t>(i)]) *
+                  scale;
+    }
+    return;
   }
   const float inv_scale = std::ldexp(1.0F, -scale_exp);
-  const float scale = std::ldexp(1.0F, scale_exp);
   constexpr float kRound = 12582912.0F;  // 1.5 * 2^23, round-to-nearest-even
   const auto lim = static_cast<float>(q_max);
-  tensor::Tensor out(x.shape());
-  const float* in = x.data();
-  float* o = out.data();
-  const std::int64_t n = x.numel();
   // The rounded value is integral and |q| <= q_max < 2^15, so the float
   // clamp and the rescale q * 2^scale_exp are both exact -- element-wise
   // identical to quantize-then-dequantize.
   for (std::int64_t i = 0; i < n; ++i) {
-    const float v = in[i] * inv_scale;
+    const float v = values[i] * inv_scale;
     float r = (v + kRound) - kRound;
     r = std::min(lim, std::max(-lim, r));
-    o[i] = r * scale;
+    values[i] = r * scale;
   }
-  return out;
 }
 
 QuantizedActivations quantize_image(const tensor::Tensor& image, int bits) {
@@ -428,8 +387,11 @@ QuantizedActivations quantize_image(const tensor::Tensor& image, int bits) {
 }
 
 QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits) {
+  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "quantize_tensor: bits ", bits,
+                 " outside [2, 16]");
   QuantizedActivations out;
-  quantize_tensor_into(x, bits, out);
+  out.shape = x.shape();
+  quantize_values_into(x.data(), x.numel(), bits, x.abs_max(), out);
   return out;
 }
 
@@ -460,7 +422,6 @@ ShiftConv2d lower_conv(const tensor::Tensor& quantized_weights, int k_max,
                  s.to_string());
   const core::Decomposition decomposition =
       core::decompose_to_lightnn1(quantized_weights, k_max, config);
-  validate_decomposition(decomposition, s[0], s[1] * s[2] * s[3], config);
   const ShiftConvSpec spec{s[0],   s[1],    s[2],
                            stride, padding, decomposition.term_count()};
   return {ShiftPlan::compile_conv(decomposition, config, s[1], s[2]), spec,
@@ -495,14 +456,23 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
   check_plan(plan_, out_channels_, in_channels_, kernel_, config_);
-  // The one place gains and the dense form come from, compiled or loaded:
-  // the adopted core streams stay zero-copy views into an artifact mapping,
-  // and only the derived gains and the dense pack are materialized here.
-  plan_.derive_streams();
-  for (const std::int64_t gain : plan_.filter_gain) {
+  // The one place the gain and the dense form come from, compiled or
+  // loaded. The plan is read through a const reference: an adopted plan's
+  // streams are zero-copy views into an artifact mapping.
+  const ShiftPlan& adopted = plan_;
+  for (std::int64_t f = 0; f < adopted.filters; ++f) {
+    const auto fi = static_cast<std::size_t>(f);
+    std::int64_t gain = 0;
+    for (std::int64_t e = adopted.filter_begin[fi];
+         e < adopted.filter_begin[fi + 1]; ++e) {
+      const std::int64_t step = std::int64_t{1}
+                                << adopted.shift[static_cast<std::size_t>(e)];
+      gain = gain > kShiftAccumulatorGuard - step ? kShiftAccumulatorGuard
+                                                  : gain + step;
+    }
     max_gain_ = std::max(max_gain_, gain);
   }
-  dense_ = pack_dense(plan_, in_channels_, kernel_);
+  dense_ = pack_dense(adopted, in_channels_, kernel_);
 }
 
 bool ShiftConv2d::takes_dense(std::int64_t max_abs_q) const {
@@ -536,7 +506,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   // shared between live kernels.
   runtime::ScratchArena& arena = runtime::ScratchArena::current();
   const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
-  tensor::Tensor output(tensor::Shape{out_channels_, out_h, out_w});
+  tensor::Tensor output =
+      tensor::Tensor::uninitialized(tensor::Shape{out_channels_, out_h, out_w});
   const auto bias_at = [&](std::int64_t f) {
     return bias_.empty() ? 0.0F : bias_[f];
   };
@@ -625,10 +596,10 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
     return output;
   }
 
-  // The walk's overflow contract: |accumulator| <= max|q| * filter_gain[f]
-  // <= max|q| * max_gain_ (the gain sums absolute contributions, so this
-  // covers every partial sum too), which must stay inside int64. The dense
-  // gate's narrow bound implies it; here it is one always-on compare.
+  // The walk's overflow contract: |accumulator| <= max|q| * (filter f's
+  // gain) <= max|q| * max_gain_ (the gain sums absolute contributions, so
+  // this covers every partial sum too), which must stay inside int64. The
+  // dense gate's narrow bound implies it; here it is one always-on compare.
   FLIGHTNN_CHECK(max_gain_ == 0 ||
                      max_q <= (kShiftAccumulatorGuard - 1) / max_gain_,
                  "ShiftConv2d::run: max |q| ", max_q, " times the plan's gain ",
@@ -758,7 +729,8 @@ tensor::Tensor reference_conv(const tensor::Tensor& weights,
   const tensor::ConvGeometry geom{in_ch, in_h, in_w, kernel, stride, padding};
   const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
 
-  tensor::Tensor output(tensor::Shape{out_ch, out_h, out_w});
+  tensor::Tensor output =
+      tensor::Tensor::uninitialized(tensor::Shape{out_ch, out_h, out_w});
   for (std::int64_t o = 0; o < out_ch; ++o) {
     const float b = bias.empty() ? 0.0F : bias[o];
     for (std::int64_t oy = 0; oy < out_h; ++oy) {

@@ -59,26 +59,27 @@ struct QuantizedActivations {
 // abs-max. `image` must be [C, H, W] or [1, C, H, W].
 QuantizedActivations quantize_image(const tensor::Tensor& image, int bits = 8);
 
-// Same quantization for a tensor of any shape (rank preserved); used for
-// the flat feature vectors feeding linear layers.
+// Same quantization for a tensor of any shape (rank preserved), e.g. a flat
+// feature vector to check a 1x1 engine against.
 QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits = 8);
 
-// Allocation-reusing variants: quantize into `out`, reusing its value buffer
-// (no heap traffic once the buffer has reached its high-water size). These
-// are what the compiled network's shift ops call in steady state.
+// quantize_image into `out`, reusing its value buffer (no heap traffic once
+// the buffer has reached its high-water size): what the compiled network's
+// shift ops call in steady state, a linear op on its input viewed as an
+// [in_features, 1, 1] plane. Checks the image's rank and `bits`, as it is
+// a public entry point.
 void quantize_image_into(const tensor::Tensor& image, int bits,
                          QuantizedActivations& out);
-void quantize_tensor_into(const tensor::Tensor& x, int bits,
-                          QuantizedActivations& out);
 
 // Dequantize back to float (for comparisons).
 tensor::Tensor dequantize(const QuantizedActivations& activations);
 
-// dequantize(quantize_tensor(x, bits)) fused into one float pass: snaps every
-// element to the `bits`-bit pow2-scaled grid without materializing the
-// integer codes. Element-wise identical to the two-step form; used by the
-// compiled network's activation-quantization ops.
-tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits);
+// dequantize(quantize_tensor(x, bits)) fused into one float pass over `x`,
+// in place: snaps every element to the `bits`-bit pow2-scaled grid without
+// materializing the integer codes. Element-wise identical to the two-step
+// form; the compiled network's activation-quantization ops rewrite their
+// activation with it.
+void fake_quantize(tensor::Tensor& x, int bits);
 
 // Operation census of one engine run (ShiftConv2d::census).
 struct OpCounts {
@@ -126,23 +127,24 @@ class ShiftConv2d {
               std::int64_t padding, tensor::Tensor bias = {});
 
   // Adopt an already-compiled plan (the program and artifact load paths: the
-  // plan's core streams may be zero-copy views into a mapped blob). Checks
-  // the geometry and the bias, then every plan stream and entry
-  // (check_plan, which throws CheckFailure whoever built the plan), derives
-  // the plan's gains (ShiftPlan::derive_streams) and builds its dense form
-  // (pack_dense).
+  // plan's streams may be zero-copy views into a mapped blob). Checks the
+  // geometry and the bias, then every plan stream and entry (check_plan,
+  // which throws CheckFailure whoever built the plan), takes the plan's
+  // largest filter gain in one pass over the entries and builds its dense
+  // form (pack_dense).
   ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
   // Run on one quantized image; returns the dequantized float output
-  // [out_channels, out_h, out_w]. Takes the dense path when the plan has a
-  // dense form, max|q| <= 127 and max|q| * max filter_gain <= INT32_MAX,
-  // else the shift walk. Pruned filters cost nothing but their bias on
-  // either path, every output pixel runs without bounds checks on the
-  // padded, stride-phased plane, and scratch comes from the per-thread
-  // arena's grow-once slots (zero steady-state allocation beyond the pooled
-  // output tensor). The whole plane must fit int32 offsets, and on the walk
-  // max|q| * max filter_gain must stay inside int64 (both throw
+  // [out_channels, out_h, out_w], a Tensor::uninitialized tensor whose every
+  // element it writes. Takes the dense path when the plan has a dense form,
+  // max|q| <= 127 and max|q| * the largest filter gain <= INT32_MAX, else
+  // the shift walk. Pruned filters cost nothing but their bias on either
+  // path, every output pixel runs without bounds checks on the padded,
+  // stride-phased plane, and scratch comes from the per-thread arena's
+  // grow-once slots (zero steady-state allocation beyond the pooled output
+  // tensor). The whole plane must fit int32 offsets, and on the walk max|q|
+  // * the largest filter gain must stay inside int64 (both throw
   // CheckFailure otherwise).
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
 
@@ -183,11 +185,13 @@ class ShiftConv2d {
   std::int64_t out_channels_, in_channels_, kernel_, stride_, padding_;
   std::int64_t term_count_ = 0;
   tensor::Tensor bias_;  // float; folded in after dequantization
-  // Compiled SoA execution plan. Its per-filter gains bound
-  // |accumulator| <= max|q| * filter_gain[f], so run() checks for overflow
-  // once per filter instead of per element.
+  // Compiled SoA execution plan.
   ShiftPlan plan_;
-  std::int64_t max_gain_ = 0;       // largest filter_gain
+  // Largest filter gain: a filter's gain is the sum of 2^shift over its
+  // entries, saturated at kShiftAccumulatorGuard, so |accumulator| <=
+  // max|q| * max_gain_ bounds every partial sum and run() checks for
+  // overflow once per call instead of per element.
+  std::int64_t max_gain_ = 0;
   std::optional<DensePack> dense_;  // pack_dense(plan_), when it exists
 
   // run()'s gate for inputs with max|q| = `max_abs_q`: the dense path, or

@@ -18,11 +18,12 @@
 //
 // Exactness. Every tier computes, in wrapping 32-bit arithmetic,
 // sum_t dot4(u, w) - 128 * sum(w) = sum_t dot4(q, w) (mod 2^32). The engine
-// calls a kernel only when max|q| * filter_gain <= INT32_MAX, with
-// filter_gain >= sum |w|, so that residue is the exact sum the shift walk
-// adds. No tier saturates: VNNI's vpdpbusd wraps, and the AVX2 tier builds
-// the same products with vpmaddwd on zero-extended code bytes and
-// sign-extended weight bytes (vpmaddubsw, which saturates, is never used).
+// calls a kernel only when max|q| * gain <= INT32_MAX, where a filter's
+// gain (the sum of 2^shift over its plan entries) is >= sum |w|, so that
+// residue is the exact sum the shift walk adds. No tier saturates: VNNI's
+// vpdpbusd wraps, and the AVX2 tier builds the same products with vpmaddwd
+// on zero-extended code bytes and sign-extended weight bytes (vpmaddubsw,
+// which saturates, is never used).
 //
 // Tiers. kScalar is the portable fallback and the oracle the vector tiers
 // are diffed against; it walks taps outer and columns inner, like them, so

@@ -59,26 +59,6 @@ void check_plan(const ShiftPlan& plan, std::int64_t filters,
   }
 }
 
-// Grow-once lowering of the derived stream; runs at adopt time (never on
-// the inference hot path), hence the allocation boundary marker.
-FLIGHTNN_COLD_ALLOC void ShiftPlan::derive_streams() {
-  // Read the core streams through const pointers: on an adopted plan they
-  // are views, whose mutating operator[] must never be touched.
-  const std::int8_t* shift_in = shift.data();
-  const std::int64_t* begin_in = filter_begin.data();
-  // Per-filter gain, saturated at the guard.
-  filter_gain.assign(static_cast<std::size_t>(filters), 0);
-  for (std::int64_t f = 0; f < filters; ++f) {
-    std::int64_t gain = 0;
-    for (std::int64_t e = begin_in[f]; e < begin_in[f + 1]; ++e) {
-      const std::int64_t step = std::int64_t{1} << shift_in[e];
-      gain = gain > kShiftAccumulatorGuard - step ? kShiftAccumulatorGuard
-                                                  : gain + step;
-    }
-    filter_gain[static_cast<std::size_t>(f)] = gain;
-  }
-}
-
 // One pass over the entries: each filter's weights are summed into a
 // scratch row in int64, checked, and packed. The pack is refused when it
 // would outgrow the plan it comes from (more than kMaxDenseWordsPerEntry

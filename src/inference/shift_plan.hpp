@@ -14,11 +14,12 @@
 // Σ_i k_i · nnz_i -- the paper's energy-proportionality, realized in
 // software -- and the analytic op census counts it that way.
 //
-// The plan is also the one stored form of the weights. An engine that
-// adopts it rebuilds each filter's int8 weights from the entries
-// (pack_dense below) and runs that dense form whenever it exists; there a
-// live filter costs the same for every k_i in {1, 2}, and a pruned one
-// (k_i = 0) costs nothing.
+// The plan is also the one stored form of the weights, and nothing derived
+// is kept in it. An engine that adopts it takes the largest filter gain
+// (its overflow bound) from the entries, rebuilds each filter's int8
+// weights from them (pack_dense below) and runs that dense form whenever it
+// exists; there a live filter costs the same for every k_i in {1, 2}, and a
+// pruned one (k_i = 0) costs nothing.
 //
 // Entry order is: filters ascending; within a filter, terms in decomposition
 // order; within a term, elements in index order. The order is stable and
@@ -104,9 +105,11 @@ class PlanArray {
   [[nodiscard]] const T* begin() const { return data_; }
   [[nodiscard]] const T* end() const { return data_ + size_; }
 
-  // --- owning-mode mutation (compile-time lowering only) -------------------
+  // --- owning-mode mutation (compile-time lowering and tests) -------------
+  // On a view own_ is empty, so this guard is always on: read an adopted
+  // plan through a const reference.
   T& operator[](std::size_t i) {
-    FLIGHTNN_DCHECK(!viewing_, "PlanArray: mutation of a view");
+    FLIGHTNN_CHECK(!viewing_, "PlanArray: mutation of a view");
     return own_[i];
   }
   void push_back(T value) {
@@ -117,11 +120,6 @@ class PlanArray {
   void reserve(std::size_t count) {
     FLIGHTNN_DCHECK(!viewing_, "PlanArray: mutation of a view");
     own_.reserve(count);
-  }
-  void assign(std::size_t count, T value) {
-    FLIGHTNN_DCHECK(!viewing_, "PlanArray: mutation of a view");
-    own_.assign(count, value);
-    rebind();
   }
 
  private:
@@ -137,7 +135,7 @@ class PlanArray {
 };
 
 struct ShiftPlan {
-  // --- Core SoA entry streams, indexed [filter_begin[f], filter_begin[f+1]) -
+  // --- SoA entry streams, indexed [filter_begin[f], filter_begin[f+1]) ----
   // The stored form of the weights (the artifact holds exactly these). Each
   // entry's tap into the OIHW filter: input channel, kernel row and kernel
   // column. They give the entry's word in the dense pack, its offset into
@@ -158,23 +156,7 @@ struct ShiftPlan {
   // has an empty range and costs nothing at run time.
   PlanArray<std::int64_t> filter_begin;
 
-  // --- Derived stream (DESIGN.md §9) ---------------------------------------
-  // Built by derive_streams() from the core streams when an engine adopts
-  // the plan; always owned, never serialized. An artifact-adopted plan keeps
-  // its core streams as zero-copy views into the mapping.
-  //
-  // Per-filter worst-case accumulator gain: sum of 2^shift over the filter's
-  // entries, saturated at the accumulator guard. |accumulator| <= max|q| *
-  // filter_gain[f] bounds every intermediate partial sum, enabling one
-  // overflow check per filter instead of per accumulate.
-  PlanArray<std::int64_t> filter_gain;
-
   std::int64_t filters = 0;
-
-  // Derive filter_gain from the core streams. The plan-adopting engine
-  // constructor calls it, for compiled and loaded plans alike, after
-  // check_plan has accepted the plan.
-  void derive_streams();
 
   [[nodiscard]] std::int64_t entries() const {
     return static_cast<std::int64_t>(shift.size());
@@ -234,8 +216,8 @@ inline constexpr std::int64_t kShiftAccumulatorGuard = std::int64_t{1} << 62;
 
 // The one check of a plan's contents, which the plan-adopting ShiftConv2d
 // constructor makes before anything reads the streams: whoever built the
-// plan (compile_conv, an artifact, a test), derive_streams, pack_dense,
-// the census and the shift walk then index it unchecked. Throws
+// plan (compile_conv, an artifact, a test), the adoption's gain pass,
+// pack_dense, the census and the shift walk then index it unchecked. Throws
 // CheckFailure unless
 //  - the exponent window lies in [-126, 127] and spans at most kMaxShift;
 //  - the plan covers `filters` filters with at most 2^31 entries, every

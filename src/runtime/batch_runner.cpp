@@ -1,11 +1,8 @@
 #include "runtime/batch_runner.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "inference/memory_plan.hpp"
-#include "nn/loss.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/annotations.hpp"
 #include "support/check.hpp"
@@ -68,8 +65,8 @@ FLIGHTNN_HOT void BatchRunner::run_images(
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY void BatchRunner::run(
     const InferenceRequest& request, InferenceResult& result) const {
   // Boundary contract: every image must be a [C, H, W] or [1, C, H, W]
-  // tensor. The network re-checks shapes layer by layer; checking rank here
-  // makes a malformed request fail at the API boundary, named after it.
+  // tensor. run() checks each image's whole geometry again; checking rank
+  // here makes a malformed request fail at the API boundary, named after it.
   for (const auto& image : request.images) {
     const auto rank = image.shape().rank();
     FLIGHTNN_CHECK(rank == 3 || (rank == 4 && image.shape()[0] == 1),
@@ -104,44 +101,6 @@ InferenceResult BatchRunner::run(const InferenceRequest& request) const {
   InferenceResult result;
   run(request, result);
   return result;
-}
-
-FLIGHTNN_API_ENTRY double BatchRunner::evaluate(
-    const data::Dataset& dataset, int top_k,
-    inference::NetworkOpCounts* counts) const {
-  FLIGHTNN_CHECK(top_k >= 1, "BatchRunner::evaluate: top_k must be >= 1, got ",
-                 top_k);
-  const std::int64_t n = dataset.size();
-  if (n == 0) return 0.0;
-  // The dataset is fed through the unified request path in fixed-size
-  // chunks: large enough to saturate the pool across images, small enough
-  // to bound the per-chunk working set. Calling-thread scratch; the local
-  // references matter (see run above).
-  constexpr std::int64_t kChunk = 64;
-  thread_local InferenceRequest request_tls;
-  thread_local InferenceResult result_tls;
-  auto& request = request_tls;
-  auto& result = result_tls;
-  std::int64_t hits = 0;
-  for (std::int64_t lo = 0; lo < n; lo += kChunk) {
-    const std::int64_t hi = std::min(n, lo + kChunk);
-    request.images.resize(static_cast<std::size_t>(hi - lo));
-    for (std::int64_t i = lo; i < hi; ++i) {
-      request.images[static_cast<std::size_t>(i - lo)] = dataset.image(i);
-    }
-    run(request, result);
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const auto& logits = result.logits[static_cast<std::size_t>(i - lo)];
-      const tensor::Tensor row =
-          logits.reshaped(tensor::Shape{1, logits.numel()});
-      if (nn::top_k_accuracy(row, {dataset.labels[static_cast<std::size_t>(i)]},
-                             top_k) > 0.5) {
-        ++hits;
-      }
-    }
-    if (counts != nullptr) *counts += result.counts;
-  }
-  return static_cast<double>(hits) / static_cast<double>(n);
 }
 
 }  // namespace flightnn::runtime

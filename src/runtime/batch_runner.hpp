@@ -10,9 +10,9 @@
 // Public API (the single entry point, DESIGN.md §11): callers build an
 // InferenceRequest and get an InferenceResult back, either owning
 // (`run(request)`) or into preallocated storage (`run(request, result)`,
-// the zero-allocation steady state of DESIGN.md §9). Dataset evaluation
-// (`evaluate`) and the serving layer (serving::Server) both sit on this one
-// path.
+// the zero-allocation steady state of DESIGN.md §9). The serving layer
+// (serving::Server) sits on this path; dataset accuracy is
+// QuantizedNetwork::evaluate, one image at a time.
 //
 // Determinism: per-image results are bit-identical to serial execution at
 // any thread count. The op counts are the network's load-time per-image
@@ -21,7 +21,6 @@
 #include <atomic>
 #include <vector>
 
-#include "data/dataset.hpp"
 #include "inference/quantized_network.hpp"
 #include "runtime/inference_request.hpp"
 #include "tensor/tensor.hpp"
@@ -57,13 +56,6 @@ class BatchRunner {
   [[nodiscard]] const inference::QuantizedNetwork& network() const {
     return *network_;
   }
-
-  // Top-k classification accuracy over a dataset. A thin wrapper over the
-  // request path: the dataset is evaluated as a sequence of fixed-size
-  // InferenceRequests, so serving and dataset evaluation exercise the same
-  // code path. Matches QuantizedNetwork::evaluate exactly.
-  [[nodiscard]] double evaluate(const data::Dataset& dataset, int top_k = 1,
-                                inference::NetworkOpCounts* counts = nullptr) const;
 
  private:
   // The forward-pass core of run(): run `n` images through the network in

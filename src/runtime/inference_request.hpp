@@ -60,8 +60,8 @@ struct InferenceResult {
 
 // Split an NCHW batch into per-image [C, H, W] tensors, recycling the
 // tensors already in `images` when shapes match (zero-allocation steady
-// state). Shared by InferenceRequest::from_nchw and the deprecated
-// BatchRunner NCHW shims.
+// state). InferenceRequest::from_nchw splits into a fresh vector; a caller
+// that refills one request's `images` batch after batch reuses its tensors.
 void split_nchw(const tensor::Tensor& batch,
                 std::vector<tensor::Tensor>& images);
 

@@ -242,8 +242,8 @@ ProgramOp decode_op(const std::uint8_t* base, const SectionDesc* sections,
   switch (op.kind) {
     case ProgramOpKind::kShiftConv:
     case ProgramOpKind::kShiftLinear: {
-      // The core streams, viewed zero-copy: the adopting engine checks them
-      // and derives the gains and the dense form (DESIGN.md §9).
+      // The plan streams, viewed zero-copy: the adopting engine checks them,
+      // takes the filter gain and builds the dense form (DESIGN.md §9).
       ShiftPlan& plan = op.plan;
       plan.filters = record.out_channels;
       plan.channel = plan_stream<std::int32_t>(

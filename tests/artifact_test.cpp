@@ -246,8 +246,8 @@ TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
               0U);
     // The artifact path carries plans, never the float weights.
     EXPECT_TRUE(op.weights.empty());
-    // Adoption keeps the core streams as views and derives the gains and
-    // the dense pack into owned storage (a linear op adopts as a 1x1 conv).
+    // Adoption keeps the streams as views and builds the dense pack into
+    // owned storage (a linear op adopts as a 1x1 conv).
     const inference::ShiftConvSpec spec{op.out_channels, op.in_channels,
                                         op.kernel,       op.stride,
                                         op.padding,      op.term_count};
@@ -255,9 +255,6 @@ TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
     const inference::ShiftPlan& adopted = engine.plan();
     EXPECT_EQ(adopted.channel.data(), op.plan.channel.data());
     EXPECT_EQ(adopted.kx.data(), op.plan.kx.data());
-    ASSERT_EQ(adopted.filter_gain.size(),
-              static_cast<std::size_t>(op.out_channels));
-    EXPECT_FALSE(in_blob(adopted.filter_gain.data()));
     ASSERT_NE(engine.dense(), nullptr);
     EXPECT_FALSE(in_blob(engine.dense()->words.data()));
   }

@@ -7,7 +7,9 @@
 //   2. Plan adequacy: after BatchRunner::warm, a run grows no arena slot,
 //      across a sweep of network geometries -- the walk's model of the
 //      kernels' scratch requests matches what the kernels actually ask for
-//      -- and at act_bits 9 an op's rows cover both of run()'s paths.
+//      -- and at act_bits 9 an op's rows cover both of run()'s paths. On
+//      the pool side, warm parks exactly the planned activation bytes, and
+//      a run takes one buffer per activation it makes, each a pool hit.
 //   3. Artifact round trip: the plan taken on the artifact load path equals
 //      the in-process one, and both networks produce byte-identical logits
 //      at every thread count.
@@ -17,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,6 +37,7 @@
 #include "runtime/thread_pool.hpp"
 #include "serialize/artifact.hpp"
 #include "support/rng.hpp"
+#include "tensor/buffer_pool.hpp"
 #include "tensor/tensor.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -115,8 +120,91 @@ TEST(MemoryPlanTest, Table1NetworkLayoutsAreSound) {
       }
     }
     EXPECT_GT(plan->arena_capacity_bytes(), 0U);
-    EXPECT_GT(plan->activation_peak_bytes(), 0U);
+    EXPECT_GT(plan->activation_pool_bytes(), 0U);
     EXPECT_GT(plan->quant_peak_values(), 0U);
+    EXPECT_EQ(plan->planned_per_thread_bytes(),
+              plan->arena_capacity_bytes() + plan->quant_peak_bytes() +
+                  plan->activation_pool_bytes());
+  }
+}
+
+// The perf ledger's two plain LightNN-2 networks at 32x32: VGG-7 w1.0 and
+// ResNet-18 w0.5.
+struct LedgerNetwork {
+  int id;
+  float width;
+};
+constexpr LedgerNetwork kLedgerNetworks[] = {{1, 1.0F}, {2, 0.5F}};
+
+// run() takes one pooled buffer for its copy of the image, one per op that
+// changes the shape and one per residual block (its main chain's copy of
+// the block input): every other op rewrites its activation in place. After
+// warm, each one is a pool hit.
+TEST(MemoryPlanTest, RunAcquiresOneBufferPerActivationItMakes) {
+  const ThreadCountGuard guard;
+  runtime::set_num_threads(1);
+  support::Rng rng(5);
+  const std::uint64_t expected[] = {13, 31};
+  for (std::size_t n = 0; n < std::size(kLedgerNetworks); ++n) {
+    const LedgerNetwork& net = kLedgerNetworks[n];
+    auto model = make_model(net.id, net.width, 1);
+    auto program = inference::compile_program(*model, Shape{1, 3, 32, 32});
+    std::uint64_t buffers = 1;  // the image copy
+    for (const inference::ProgramOp& op : program.ops) {
+      switch (op.kind) {
+        case inference::ProgramOpKind::kQuantAct:
+        case inference::ProgramOpKind::kAffine:
+        case inference::ProgramOpKind::kLeakyRelu:
+        case inference::ProgramOpKind::kFlatten:
+          break;
+        default:
+          ++buffers;
+      }
+    }
+    EXPECT_EQ(buffers, expected[n]) << "network " << net.id;
+    const auto network =
+        inference::QuantizedNetwork::from_program(std::move(program));
+    const Tensor image = Tensor::randn(Shape{3, 32, 32}, rng);
+    // The pool then holds the working set alone, which no cap truncates.
+    tensor::pool::trim();
+    network.memory_plan()->warm_thread();
+    const tensor::pool::Stats before = tensor::pool::stats();
+    { const Tensor logits = network.run(image); }
+    const tensor::pool::Stats after = tensor::pool::stats();
+    EXPECT_EQ(after.acquires - before.acquires, expected[n])
+        << "network " << net.id;
+    EXPECT_EQ(after.hits - before.hits, expected[n]) << "network " << net.id;
+  }
+}
+
+// warm_thread parks exactly activation_pool_bytes() in a fresh thread's
+// pool, and a run() on that thread takes every buffer it needs from there
+// and gives each one back: the pool holds the plan's number before and
+// after, which is what --mem-budget counts per thread.
+TEST(MemoryPlanTest, WarmParksThePlannedPoolBytes) {
+  const ThreadCountGuard guard;
+  runtime::set_num_threads(1);
+  support::Rng rng(9);
+  for (const LedgerNetwork& net : kLedgerNetworks) {
+    auto model = make_model(net.id, net.width, 1);
+    const auto network = inference::QuantizedNetwork::compile(
+        *model, Shape{1, 3, 32, 32});
+    const inference::MemoryPlan& plan = *network.memory_plan();
+    const Tensor image = Tensor::randn(Shape{3, 32, 32}, rng);
+    std::thread fresh([&] {
+      plan.warm_thread();
+      const tensor::pool::Stats warmed = tensor::pool::stats();
+      EXPECT_EQ(warmed.cached_bytes, plan.activation_pool_bytes())
+          << "network " << net.id;
+      { const Tensor logits = network.run(image); }
+      const tensor::pool::Stats after = tensor::pool::stats();
+      EXPECT_EQ(after.cached_bytes, warmed.cached_bytes)
+          << "network " << net.id;
+      EXPECT_GT(after.acquires, warmed.acquires);
+      EXPECT_EQ(after.hits - warmed.hits, after.acquires - warmed.acquires)
+          << "network " << net.id << ": a run() acquire missed the pool";
+    });
+    fresh.join();
   }
 }
 

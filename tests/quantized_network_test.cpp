@@ -537,6 +537,40 @@ TEST(QuantizedNetworkTest, FromProgramRejectsShapesThatDoNotFlow) {
                std::invalid_argument);
 }
 
+// run_op consumes its activation and the affine and leaky-ReLU ops rewrite
+// it in place, so a residual block must give its main chain a copy of the
+// block input and its shortcut the input itself. A main chain that wrote
+// into the block input would give 4x + 2 below, and the shortcut would
+// read the main chain's output.
+TEST(QuantizedNetworkTest, ResidualMainChainDoesNotWriteTheBlockInput) {
+  ProgramOp affine;
+  affine.kind = ProgramOpKind::kAffine;
+  affine.scale.assign(2, 2.0F);
+  affine.affine_bias.assign(2, 1.0F);
+  support::Rng rng(31);
+  const Tensor x = Tensor::randn(Shape{2, 4, 4}, rng);
+
+  // Empty shortcut, the identity: affine(x) + x = 3x + 1.
+  const auto identity = QuantizedNetwork::from_program(
+      hand_program({residual_op(1, 0, 0, false), affine}));
+  const Tensor y = identity.run(x);
+  ASSERT_EQ(y.shape(), x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    EXPECT_NEAR(y[i], 3.0F * x[i] + 1.0F, 1e-5F) << "element " << i;
+  }
+
+  // A leaky-ReLU shortcut: affine(x) + leaky(x).
+  const auto leaky = QuantizedNetwork::from_program(
+      hand_program({residual_op(1, 1, 0, true), affine, leaky_op()}));
+  const Tensor z = leaky.run(x);
+  ASSERT_EQ(z.shape(), x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const float shortcut = x[i] > 0.0F ? x[i] : 0.1F * x[i];
+    EXPECT_NEAR(z[i], 2.0F * x[i] + 1.0F + shortcut, 1e-5F)
+        << "element " << i;
+  }
+}
+
 // profile() walks the same top-level ranges as run(): one row per top-level
 // op, a residual block as one "residual" row, names equal to describe()'s
 // tokens, and the rows' census summing to run()'s.

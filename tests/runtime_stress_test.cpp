@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/quantize_model.hpp"
+#include "data/dataset.hpp"
 #include "inference/quantized_network.hpp"
 #include "models/networks.hpp"
 #include "runtime/batch_runner.hpp"
@@ -136,22 +137,30 @@ TEST(RuntimeStressTest, ConcurrentEvaluateIsDeterministic) {
   const auto network =
       inference::QuantizedNetwork::compile(*model, Shape{1, 3, 12, 12});
   const runtime::BatchRunner runner(network);
-  inference::NetworkOpCounts serial_counts{};
-  const double serial = runner.evaluate(split.test, 1, &serial_counts);
-  EXPECT_EQ(serial_counts.images, split.test.size());
-  // The parallel evaluate must agree with the serial one and with the
-  // QuantizedNetwork's own (always serial) evaluate.
-  EXPECT_DOUBLE_EQ(serial, network.evaluate(split.test, 1));
-
+  runtime::InferenceRequest request;
+  for (std::int64_t n = 0; n < split.test.size(); ++n) {
+    request.images.push_back(split.test.image(n));
+  }
+  // The whole test split as one request, at 1 and at 7 threads: the same
+  // argmax per image and the same counts.
+  runtime::InferenceResult serial, parallel;
+  runner.run(request, serial);
   runtime::set_num_threads(7);
-  inference::NetworkOpCounts parallel_counts{};
-  const double parallel = runner.evaluate(split.test, 1, &parallel_counts);
+  runner.run(request, parallel);
   runtime::set_num_threads(1);
-  EXPECT_DOUBLE_EQ(serial, parallel);
-  EXPECT_EQ(serial_counts.shifts, parallel_counts.shifts);
-  EXPECT_EQ(serial_counts.adds, parallel_counts.adds);
-  EXPECT_EQ(serial_counts.float_macs, parallel_counts.float_macs);
-  EXPECT_EQ(serial_counts.images, parallel_counts.images);
+  EXPECT_EQ(serial.argmax, parallel.argmax);
+  const inference::NetworkOpCounts* const both[] = {&serial.counts,
+                                                    &parallel.counts};
+  // Both agree with QuantizedNetwork::evaluate's counts over the split.
+  inference::NetworkOpCounts evaluated{};
+  (void)network.evaluate(split.test, 1, &evaluated);
+  EXPECT_EQ(evaluated.images, split.test.size());
+  for (const inference::NetworkOpCounts* counts : both) {
+    EXPECT_EQ(counts->shifts, evaluated.shifts);
+    EXPECT_EQ(counts->adds, evaluated.adds);
+    EXPECT_EQ(counts->float_macs, evaluated.float_macs);
+    EXPECT_EQ(counts->images, evaluated.images);
+  }
 }
 
 }  // namespace

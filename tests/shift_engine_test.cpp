@@ -46,6 +46,25 @@ TEST(QuantizeImageTest, ValuesFitBitWidth) {
   }
 }
 
+// fake_quantize rewrites its tensor in place with exactly the values of the
+// two-step dequantize(quantize_tensor(x)), on the fused pass and on the
+// exact path a pathologically tiny abs-max (scale below 2^-126) takes.
+TEST(QuantizeImageTest, FakeQuantizeInPlaceMatchesTwoStep) {
+  support::Rng rng(5);
+  for (const float magnitude : {3.0F, 1e-38F}) {
+    for (const int bits : {4, 8}) {
+      Tensor x = Tensor::randn(Shape{2, 5, 5}, rng) * magnitude;
+      const Tensor expected = dequantize(quantize_tensor(x, bits));
+      fake_quantize(x, bits);
+      ASSERT_EQ(x.shape(), expected.shape());
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        EXPECT_EQ(x[i], expected[i])
+            << "magnitude " << magnitude << " bits " << bits << " at " << i;
+      }
+    }
+  }
+}
+
 // The central claim: the shift-add integer engine is bit-exact against real
 // arithmetic on the quantized operands.
 TEST(ShiftConvTest, BitExactAgainstReferenceConv) {

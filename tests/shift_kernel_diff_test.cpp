@@ -198,6 +198,22 @@ TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
   }
 }
 
+// The plan's largest filter gain, the sum of 2^shift over a filter's
+// entries: the dense gate refuses an input whose max|q| times it passes
+// INT32_MAX.
+std::int64_t max_filter_gain(const ShiftPlan& plan) {
+  std::int64_t best = 0;
+  for (std::size_t f = 0; f < static_cast<std::size_t>(plan.filters); ++f) {
+    std::int64_t gain = 0;
+    for (std::int64_t e = plan.filter_begin[f]; e < plan.filter_begin[f + 1];
+         ++e) {
+      gain += std::int64_t{1} << plan.shift[static_cast<std::size_t>(e)];
+    }
+    best = std::max(best, gain);
+  }
+  return best;
+}
+
 // Activations with |q| up to 2^26: too large for the int32 bound.
 QuantizedActivations wide_activations(const Shape& shape, support::Rng& rng) {
   QuantizedActivations wide;
@@ -221,9 +237,7 @@ TEST(ShiftKernelDiffTest, WideAccumulatorPathMatchesReference) {
       Tensor w = Tensor::randn(Shape{4, 3, 3, 3}, rng, 0.0F, 0.3F);
       Tensor wq = quant::quantize_lightnn(w, 2, config);
       const ShiftConv2d engine(wq, 2, config, stride, padding);
-      const ShiftPlan& plan = engine.plan();
-      ASSERT_GT(*std::max_element(plan.filter_gain.begin(),
-                                  plan.filter_gain.end()),
+      ASSERT_GT(max_filter_gain(engine.plan()),
                 std::int64_t{0x7fffffff} / wide.abs_max())
           << "these activations must fail the narrow bound";
       ASSERT_NE(engine.dense(), nullptr) << "the weights do fit int8";
@@ -243,8 +257,7 @@ TEST(ShiftKernelDiffTest, WideAccumulatorPathMatchesReference) {
   Tensor w = Tensor::randn(Shape{6, 40}, rng, 0.0F, 0.3F);
   Tensor wq = quant::quantize_lightnn(w, 2, config);
   const ShiftConv2d linear = oracle::linear_engine(wq, 2, config);
-  const ShiftPlan& plan = linear.plan();
-  ASSERT_GT(*std::max_element(plan.filter_gain.begin(), plan.filter_gain.end()),
+  ASSERT_GT(max_filter_gain(linear.plan()),
             std::int64_t{0x7fffffff} / wide_vec.abs_max())
       << "these activations must fail the narrow bound";
   const Tensor reference = oracle::TermWalkLinear(wq, 2, config).run(wide_vec);
