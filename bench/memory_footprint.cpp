@@ -3,7 +3,7 @@
 // Table-1 CIFAR-10 network is warmed and run over a batch, and the bench
 // records:
 //
-//   - the plan's arena capacity (largest offset table + largest accumulator
+//   - the plan's arena capacity (largest offset table + largest code
 //     plane, from the load-time walk) vs the arena slots measured after
 //     warm + run (must agree within alignment slack),
 //   - the plan's activation pool bytes vs what a fresh thread's tensor pool

@@ -21,9 +21,9 @@
 // engine (0 = FLIGHTNN_NUM_THREADS / hardware default). Outputs are
 // bit-identical at every thread count. --max-batch / --queue-delay-ms are
 // the dynamic batcher's flush knobs (DESIGN.md §11). --profile additionally
-// prints per-layer wall time, shift-term counts, the path each layer took
-// (a dense kernel tier -- scalar, avx2 or vnni -- or the shift walk), and
-// the arena scratch each layer fetches (QuantizedNetwork::profile) -- the
+// prints per-layer wall time, shift-term counts, the dense kernel tier each
+// shift layer ran on (scalar, avx2 or vnni), and the arena scratch each
+// layer fetches (QuantizedNetwork::profile) -- the
 // deployment check that a host is actually on the vector fast path.
 //
 // --mem-budget caps the deployment's inference memory (MiB, 0 = unlimited):
@@ -176,8 +176,8 @@ int serve_burst(const flightnn::inference::QuantizedNetwork& network,
 }
 
 // Break one image's inference cost down per step: where the wall time goes,
-// how many single-shift terms each shift layer executes, and which path
-// (dense tier scalar / avx2 / vnni, or the shift walk) each layer took.
+// how many single-shift terms each shift layer executes, and which dense
+// tier (scalar / avx2 / vnni) each shift layer ran on.
 // Shared between the
 // freshly-trained path and the artifact cold-start path, so a deployment
 // can confirm its mmap-loaded plans landed on the vector fast path.

@@ -64,9 +64,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     try {
       (void)model.network().run(image);
     } catch (const flightnn::support::CheckFailure&) {
-      // A validated artifact may still hit a runtime shape contract (e.g.
-      // a residual join whose branches disagree); rejecting is fine, only
-      // sanitizer findings count.
+      // A loaded artifact's float weights may still be non-finite, and a
+      // quantizer refuses the activation they make; rejecting is fine,
+      // only sanitizer findings count.
     }
   } catch (const ArtifactError&) {
     // clean typed rejection -- the expected outcome for hostile bytes

@@ -14,11 +14,13 @@
 // per-entry streams of equal length), and the plan is adopted through the
 // ShiftConv2d constructor, the one path every plan takes. Adoption must
 // either reject it with CheckFailure (check_plan: an entry whose channel
-// lands past in_channels, a window wider than the barrel's budget) or
-// yield a dense form, if any, of one block of words, one correction and one
-// sign per live filter, within its words per entry bound. An adopted
-// engine then runs one small input, so every plan check_plan accepts is
-// also proven safe to index.
+// lands past in_channels, a window wider than the barrel's budget;
+// pack_dense: weights int8 cannot hold, a filter past the int32 bound, a
+// pack past its words-per-entry bound) or yield a dense form of one block
+// of words, one correction and one sign per live filter, within that
+// bound. An adopted engine then runs one small input of codes within u8,
+// which it must accept, so every plan adoption accepts is also proven safe
+// to run.
 
 #include <cstdint>
 #include <exception>
@@ -90,25 +92,20 @@ void check_plan_invariants(ShiftPlan plan, const Pow2Config& config,
   } catch (const flightnn::support::CheckFailure&) {
     return;  // typed rejection by check_plan or the geometry check
   }
-  if (const DensePack* dense = engine->dense()) {
-    const std::size_t live = dense->filters.size();
-    if (dense->taps != (in_channels + 3) / 4 * kernel * kernel ||
-        dense->correction.size() != live || dense->negated.size() != live ||
-        dense->words.size() != live * static_cast<std::size_t>(dense->taps) ||
-        static_cast<std::int64_t>(dense->words.size()) >
-            flightnn::inference::kMaxDenseWordsPerEntry *
-                engine->plan().entries()) {
-      std::terminate();
-    }
+  const DensePack& dense = engine->dense();
+  const std::size_t live = dense.filters.size();
+  if (dense.taps != (in_channels + 3) / 4 * kernel * kernel ||
+      dense.correction.size() != live || dense.negated.size() != live ||
+      dense.words.size() != live * static_cast<std::size_t>(dense.taps) ||
+      static_cast<std::int64_t>(dense.words.size()) >
+          flightnn::inference::kMaxDenseWordsPerEntry *
+              engine->plan().entries()) {
+    std::terminate();
   }
   QuantizedActivations input;
   input.shape = flightnn::tensor::Shape{in_channels, kernel, kernel};
-  input.values.assign(static_cast<std::size_t>(input.shape.numel()), 1);
-  try {
-    (void)engine->run(input);
-  } catch (const flightnn::support::CheckFailure&) {
-    // the walk's int64 bound refused a plan whose gain is past its reach
-  }
+  input.values.assign(static_cast<std::size_t>(input.shape.numel()), 127);
+  (void)engine->run(input);
 }
 
 void fuzz_compile(const std::uint8_t* data, std::size_t size) {

@@ -119,8 +119,9 @@ void emit_shift_plan(const fs::path& dir) {
 
 // One deterministic seed per corruption class of the artifact loader's
 // validation ladder (header, checksum, section table, op records, plan
-// streams, the load walk, run()'s overflow bound), plus two valid artifacts -- a tiny VGG and a tiny ResNet (for
-// residual-segment coverage) -- built by the repo's own compiler.
+// streams, the int8 pack's refusals, the load walk), plus two valid
+// artifacts -- a tiny VGG and a tiny ResNet (for residual-segment coverage)
+// -- built by the repo's own compiler.
 void emit_artifact(const fs::path& dir) {
   namespace ser = flightnn::serialize;
   using ser::ArtifactHeader;
@@ -284,9 +285,9 @@ void emit_artifact(const fs::path& dir) {
     std::fprintf(stderr, "artifact fixture lacks a shift conv\n");
     std::exit(1);
   };
-  // A 61-shift window with one shift-61 entry: a valid artifact whose walk
-  // would overflow int64 on a nonzero image (run() must throw instead).
-  write_seed(dir, "artifact_walk_overflow",
+  // A 61-shift window with one shift-61 entry: check_plan accepts it, and
+  // the int8 pack refuses it at load (kBadProgram).
+  write_seed(dir, "artifact_shift_61",
              patch_first_shift_conv(vgg, [&](OpRecord& record, Bytes& blob) {
                record.e_min = record.e_max - 61;
                const SectionDesc shift =

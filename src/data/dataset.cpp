@@ -129,7 +129,9 @@ tensor::Tensor Dataset::image(std::int64_t index) const {
     throw std::out_of_range("Dataset::image: index out of range");
   }
   const std::int64_t image_size = spec.channels * spec.height * spec.width;
-  tensor::Tensor out(tensor::Shape{1, spec.channels, spec.height, spec.width});
+  // Every element is written by the copy below.
+  tensor::Tensor out = tensor::Tensor::uninitialized(
+      tensor::Shape{1, spec.channels, spec.height, spec.width});
   const float* src = images.data() + index * image_size;
   std::copy(src, src + image_size, out.data());
   return out;

@@ -14,8 +14,6 @@ MemoryPlan::MemoryPlan(std::vector<OpMemory> per_op,
     : per_op_(std::move(per_op)) {
   for (const OpMemory& mem : per_op_) {
     offsets_peak_bytes_ = std::max(offsets_peak_bytes_, mem.offsets_bytes);
-    accumulator_peak_bytes_ =
-        std::max(accumulator_peak_bytes_, mem.accumulator_bytes);
     input_peak_bytes_ = std::max(input_peak_bytes_, mem.input_bytes);
     quant_peak_values_ =
         std::max(quant_peak_values_, mem.quant_bytes / sizeof(std::int32_t));
@@ -44,7 +42,6 @@ MemoryPlan::MemoryPlan(std::vector<OpMemory> per_op,
 void MemoryPlan::warm_thread() const {
   runtime::ScratchArena& arena = runtime::ScratchArena::current();
   arena.reserve(runtime::Scratch::kConvOffsets, offsets_peak_bytes_);
-  arena.reserve(runtime::Scratch::kConvAccumulator, accumulator_peak_bytes_);
   arena.reserve(runtime::Scratch::kConvInput, input_peak_bytes_);
   for (const auto& [numel, count] : working_set_) {
     tensor::pool::prewarm(numel, count);

@@ -7,14 +7,9 @@
 // it too and the artifact stores none of it. The walk reads plan sizes from
 // the shift engines and records, per op, exactly which buffers run() touches:
 //
-//   - Arena scratch (conv offset tables, the shift walk's accumulator
-//     planes and the conv input planes, sized by ShiftConv2d::scratch_bytes
-//     for the path its static gate picks: a dense op fetches per-tap
-//     offsets and the u8 code plane, a shift-walk op per-entry offsets, an
-//     int64 accumulator and the int32 padded plane, and a walk op with a
-//     dense form each slot's larger row of the two, since a batch of small
-//     codes still runs dense; a linear op is a 1x1 conv and fetches the
-//     same slots): the grow-once slots of
+//   - Arena scratch (each shift op's per-tap offset table and u8 code
+//     plane, sized by ShiftConv2d::scratch_bytes; a linear op is a 1x1 conv
+//     and fetches the same two slots): the grow-once slots of
 //     runtime::ScratchArena. Every buffer is live for one op only, so a
 //     slot's high-water mark is the largest request any op makes, and
 //     warm_thread reserves each slot to it.
@@ -45,9 +40,8 @@ struct OpMemory {
   ProgramOpKind kind = ProgramOpKind::kQuantAct;
   // Arena scratch this op's kernel fetches.
   std::size_t offsets_bytes = 0;
-  std::size_t accumulator_bytes = 0;  // 0 on the dense path
-  std::size_t input_bytes = 0;  // code or padded plane (0 when read in place)
-  std::size_t scratch_bytes = 0;  // offsets + accumulator + input
+  std::size_t input_bytes = 0;    // the code plane
+  std::size_t scratch_bytes = 0;  // offsets + input
   std::size_t quant_bytes = 0;    // quant-scratch bytes while running
 };
 
@@ -69,9 +63,9 @@ class MemoryPlan {
              const std::vector<ActivationInterval>& activations);
 
   // Arena scratch one thread holds after warm_thread: the largest offset
-  // table, the largest accumulator plane and the largest input plane.
+  // table and the largest code plane.
   [[nodiscard]] std::size_t arena_capacity_bytes() const {
-    return offsets_peak_bytes_ + accumulator_peak_bytes_ + input_peak_bytes_;
+    return offsets_peak_bytes_ + input_peak_bytes_;
   }
   // Bytes warm_thread parks in the thread's tensor pool: the activation
   // working set, sum of numel x count x sizeof(float). The pool keys
@@ -109,7 +103,6 @@ class MemoryPlan {
   // that numel) over the whole program.
   std::vector<std::pair<std::size_t, std::size_t>> working_set_;
   std::size_t offsets_peak_bytes_ = 0;
-  std::size_t accumulator_peak_bytes_ = 0;
   std::size_t input_peak_bytes_ = 0;
   std::size_t activation_pool_bytes_ = 0;
   std::size_t quant_peak_values_ = 0;

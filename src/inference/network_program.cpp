@@ -21,7 +21,6 @@ namespace flightnn::inference {
 namespace {
 
 struct ProgramState {
-  const CompileOptions* options;
   int current_act_bits;  // bits of the most recent activation quantizer
 };
 
@@ -32,10 +31,8 @@ struct ShiftCoding {
   quant::Pow2Config pow2;
 };
 
-ShiftCoding shift_coding(quant::WeightTransform* transform,
-                         const CompileOptions& options) {
+ShiftCoding shift_coding(quant::WeightTransform* transform) {
   ShiftCoding coding;
-  coding.pow2 = options.pow2;
   if (auto* lightnn = dynamic_cast<quant::LightNNTransform*>(transform)) {
     coding.k_max = lightnn->k();
     coding.pow2 = lightnn->config();
@@ -67,8 +64,7 @@ void program_layer(nn::Layer& layer, ProgramState& state,
     tensor::Tensor wq = conv->quantized_weight();
     tensor::Tensor bias =
         conv->has_bias() ? conv->bias().value : tensor::Tensor();
-    const ShiftCoding coding =
-        shift_coding(conv->weight_transform(), *state.options);
+    const ShiftCoding coding = shift_coding(conv->weight_transform());
     ProgramOp op;
     const auto& ws = wq.shape();
     op.out_channels = ws[0];
@@ -140,8 +136,7 @@ void program_layer(nn::Layer& layer, ProgramState& state,
   }
   if (auto* linear = dynamic_cast<nn::Linear*>(&layer)) {
     tensor::Tensor wq = linear->quantized_weight();
-    const ShiftCoding coding =
-        shift_coding(linear->weight_transform(), *state.options);
+    const ShiftCoding coding = shift_coding(linear->weight_transform());
     ProgramOp op;
     op.out_channels = wq.shape()[0];
     op.in_channels = wq.shape()[1];
@@ -213,8 +208,7 @@ void program_into(nn::Sequential& seq, ProgramState& state,
 }  // namespace
 
 NetworkProgram compile_program(nn::Sequential& model,
-                               const tensor::Shape& input_shape,
-                               const CompileOptions& options) {
+                               const tensor::Shape& input_shape) {
   FLIGHTNN_CHECK(input_shape.rank() == 4 && input_shape[0] == 1,
                  "compile_program: expected [1, C, H, W] input shape, got ",
                  input_shape.to_string());
@@ -226,7 +220,7 @@ NetworkProgram compile_program(nn::Sequential& model,
   program.input_c = input_shape[1];
   program.input_h = input_shape[2];
   program.input_w = input_shape[3];
-  ProgramState state{&options, options.act_bits};
+  ProgramState state{kShiftInputBits};
   program_into(model, state, program.ops);
   return program;
 }

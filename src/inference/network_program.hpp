@@ -17,7 +17,8 @@
 // an engine. The in-memory compile path and the artifact load path hand it
 // the same plans, so both produce one kind of network with identical logits.
 // from_program checks every op field (the caps below) and the adopting
-// engine every plan stream (check_plan), whoever built the program.
+// engine every plan stream (check_plan) and that its int8 pack can run the
+// plan (pack_dense), whoever built the program.
 
 #include <cstdint>
 #include <vector>
@@ -32,13 +33,9 @@ class Sequential;
 
 namespace flightnn::inference {
 
-struct CompileOptions {
-  // Activation bit width used where the model has no explicit quantizer.
-  int act_bits = 8;
-  // Maximum shift terms expected per weight (for decomposition).
-  int k_max = 2;
-  quant::Pow2Config pow2;
-};
+// Re-quantization width of a shift op's input when no activation quantizer
+// precedes the layer.
+inline constexpr int kShiftInputBits = 8;
 
 // Serialization-stable op kinds (the artifact records these values; append
 // only, never renumber).
@@ -62,7 +59,7 @@ struct ProgramOp {
   ProgramOpKind kind = ProgramOpKind::kQuantAct;
 
   int bits = 0;      // kQuantAct: activation quantizer width
-  int act_bits = 8;  // shift ops: input re-quantization width
+  int act_bits = kShiftInputBits;  // shift ops: input re-quantization width
   float slope = 0.0F;  // kLeakyRelu
 
   // Geometry. Conv: out_channels/in_channels/kernel/stride/padding.
@@ -131,7 +128,6 @@ struct NetworkProgram {
 // layer types it does not understand. The model is used in eval mode during
 // compilation (one dummy forward fixes geometry and batch-norm statistics).
 NetworkProgram compile_program(nn::Sequential& model,
-                               const tensor::Shape& input_shape,
-                               const CompileOptions& options = {});
+                               const tensor::Shape& input_shape);
 
 }  // namespace flightnn::inference

@@ -5,10 +5,10 @@
 #include <cmath>
 #include <utility>
 
+#include "nn/activations.hpp"
+#include "nn/loss.hpp"
 #include "support/annotations.hpp"
 #include "support/check.hpp"
-
-#include "nn/loss.hpp"
 
 namespace flightnn::inference {
 
@@ -37,7 +37,7 @@ std::size_t subtree_end(const std::vector<ProgramOp>& ops, std::size_t i) {
 //
 // from_program's check of every op field, whoever built the program (the
 // compiler, an artifact or hand-written code); the adopting engines check
-// the plans (check_plan). Residual segments are length-delimited
+// the plans (check_plan, pack_dense). Residual segments are length-delimited
 // (op.main_ops etc. are total counts), so exact consumption is checked at
 // every nesting level: a program whose counts lie -- truncated,
 // overlapping, or out of range -- fails with a typed CheckFailure instead
@@ -49,9 +49,9 @@ void check_dim(std::int64_t value, std::int64_t lo, const char* what) {
                  value, " outside [", lo, ", 2^24]");
 }
 
-void check_bits(int bits, const char* what) {
-  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "from_program: ", what, " ", bits,
-                 " outside [2, 16]");
+void check_bits(int bits, int max_bits, const char* what) {
+  FLIGHTNN_CHECK(bits >= 2 && bits <= max_bits, "from_program: ", what, " ",
+                 bits, " outside [2, ", max_bits, "]");
 }
 
 void validate_ops(  // NOLINT(misc-no-recursion)
@@ -63,11 +63,12 @@ void validate_ops(  // NOLINT(misc-no-recursion)
     ++cursor;
     switch (op.kind) {
       case ProgramOpKind::kQuantAct:
-        check_bits(op.bits, "quant op bits");
+        check_bits(op.bits, 16, "quant op bits");
         break;
       case ProgramOpKind::kShiftConv:
       case ProgramOpKind::kShiftLinear:
-        check_bits(op.act_bits, "shift op act bits");
+        // Codes past 8 bits do not fit the dense kernels' u8 lanes.
+        check_bits(op.act_bits, kMaxShiftActBits, "shift op act bits");
         check_dim(op.out_channels, 1, "shift op out channels");
         check_dim(op.in_channels, 1, "shift op in channels");
         check_dim(op.kernel, 1, "shift op kernel");
@@ -110,9 +111,11 @@ void validate_ops(  // NOLINT(misc-no-recursion)
                        op.scale.size(), " vs ", op.affine_bias.size(), ")");
         break;
       case ProgramOpKind::kLeakyRelu:
-        FLIGHTNN_CHECK(std::isfinite(op.slope),
+        // nn::LeakyReLU's contract: where its branch-free kernel equals
+        // the op's ternary v > 0 ? v : slope * v bit for bit.
+        FLIGHTNN_CHECK(nn::leaky_slope_ok(op.slope),
                        "from_program: leaky-relu slope ", op.slope,
-                       " is not finite");
+                       " outside [0, 1)");
         break;
       case ProgramOpKind::kGap:
       case ProgramOpKind::kFlatten:
@@ -170,6 +173,11 @@ FLIGHTNN_HOT void affine_channels(const ProgramOp& op, tensor::Tensor& x) {
   }
 }
 
+// GCC keeps this select as a branch, which mispredicts on about half of the
+// activations. nn::LeakyReLU's branch-free max(v, slope * v) gives the same
+// bits at every slope validate_ops accepts; switching to it waits for the
+// perf ledger's sample buffers to be sized for the speed it brings
+// (ROADMAP.md, leaky-ReLU item).
 FLIGHTNN_HOT void leaky_relu_values(tensor::Tensor& x, float slope) {
   float* values = x.data();
   for (std::int64_t i = 0; i < x.numel(); ++i) {
@@ -237,6 +245,15 @@ FLIGHTNN_HOT tensor::Tensor float_linear(const ProgramOp& op,
     out[o] = static_cast<float>(acc);
   }
   return out;
+}
+
+// `image` as [C, H, W]: a [1, C, H, W] image is reshaped in place.
+tensor::Tensor as_chw(tensor::Tensor image) {
+  if (image.shape().rank() == 4) {
+    const tensor::Shape s = image.shape();
+    image.reshape(tensor::Shape{s[1], s[2], s[3]});
+  }
+  return image;
 }
 
 NetworkOpCounts shift_counts(const OpCounts& ops) {
@@ -332,17 +349,14 @@ struct LoadWalk {
   // Op `t`'s memory row: the quantized `in` and the scratch the engine
   // fetches for it.
   void record_shift_scratch(std::size_t t, const ShiftConv2d& conv,
-                            const tensor::Shape& in, int act_bits) {
+                            const tensor::Shape& in) {
     OpMemory& mem = per_op[t];
     mem.quant_bytes =
         static_cast<std::size_t>(in.numel()) * sizeof(std::int32_t);
-    const ConvScratchBytes scratch =
-        conv.scratch_bytes(in[1], in[2], act_bits);
+    const ConvScratchBytes scratch = conv.scratch_bytes(in[1], in[2]);
     mem.offsets_bytes = scratch.offsets;
-    mem.accumulator_bytes = scratch.accumulator;
     mem.input_bytes = scratch.input;
-    mem.scratch_bytes =
-        mem.offsets_bytes + mem.accumulator_bytes + mem.input_bytes;
+    mem.scratch_bytes = mem.offsets_bytes + mem.input_bytes;
   }
 
   void use(const Activation& x, std::size_t t) {
@@ -404,7 +418,7 @@ struct LoadWalk {
         // After the shape check: the census tabulates `kernel` values.
         counts = shift_counts(conv.census(in[1], in[2]));
         out = tensor::Shape{op.out_channels, geom.out_h(), geom.out_w()};
-        record_shift_scratch(i, conv, in, op.act_bits);
+        record_shift_scratch(i, conv, in);
         break;
       }
       case ProgramOpKind::kFloatConv: {
@@ -453,8 +467,7 @@ struct LoadWalk {
         // The 1x1 conv run_op runs on the [in_features, 1, 1] plane.
         const ShiftConv2d& conv = *engines[i];
         counts = shift_counts(conv.census(1, 1));
-        record_shift_scratch(i, conv, tensor::Shape{in.numel(), 1, 1},
-                             op.act_bits);
+        record_shift_scratch(i, conv, tensor::Shape{in.numel(), 1, 1});
         out = tensor::Shape{op.out_channels};
         break;
       }
@@ -500,9 +513,8 @@ void reserve_quant_scratch(std::size_t values) {
 }
 
 QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
-                                           const tensor::Shape& input_shape,
-                                           const CompileOptions& options) {
-  return from_program(compile_program(model, input_shape, options));
+                                           const tensor::Shape& input_shape) {
+  return from_program(compile_program(model, input_shape));
 }
 
 QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
@@ -553,18 +565,16 @@ const char* QuantizedNetwork::image_defect(const tensor::Tensor& image) const {
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor QuantizedNetwork::run(
-    const tensor::Tensor& image, NetworkOpCounts* counts) const {
+    tensor::Tensor image, NetworkOpCounts* counts) const {
   const char* defect = image_defect(image);
-  const auto& s = image.shape();
   FLIGHTNN_CHECK(defect == nullptr, "QuantizedNetwork::run: ", defect,
                  ": expected a finite [", program_.input_c, ", ",
                  program_.input_h, ", ", program_.input_w,
-                 "] image (or [1, C, H, W]), got ", s.to_string());
-  // The chain starts on run()'s one copy of the image, which the first op
-  // rewrites or replaces.
-  tensor::Tensor logits = run_ops(
-      0, program_.ops.size(),
-      s.rank() == 3 ? image : image.reshaped(tensor::Shape{s[1], s[2], s[3]}));
+                 "] image (or [1, C, H, W]), got ", image.shape().to_string());
+  // The chain starts on the image run() owns, which the first op rewrites
+  // or replaces.
+  tensor::Tensor logits =
+      run_ops(0, program_.ops.size(), as_chw(std::move(image)));
   if (counts != nullptr) *counts += census_;
   return logits;
 }
@@ -641,13 +651,11 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
   FLIGHTNN_CHECK(repeats >= 1, "QuantizedNetwork::profile: repeats ", repeats,
                  " must be >= 1");
   const char* defect = image_defect(image);
-  const auto& s = image.shape();
   FLIGHTNN_CHECK(defect == nullptr, "QuantizedNetwork::profile: ", defect,
                  ": expected a finite [", program_.input_c, ", ",
                  program_.input_h, ", ", program_.input_w,
-                 "] image (or [1, C, H, W]), got ", s.to_string());
-  tensor::Tensor current =
-      s.rank() == 3 ? image : image.reshaped(tensor::Shape{s[1], s[2], s[3]});
+                 "] image (or [1, C, H, W]), got ", image.shape().to_string());
+  tensor::Tensor current = as_chw(image);
 
   std::vector<StepProfile> profiles;
   for (std::size_t i = 0; i < program_.ops.size();
@@ -657,7 +665,7 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
     p.name = op_token(op);
     if (engines_[i]) {
       p.terms = engines_[i]->term_count();
-      p.kernel_tier = engines_[i]->kernel_tier(op.act_bits);
+      p.kernel_tier = engines_[i]->kernel_tier();
     }
     for (std::size_t op_i = i; op_i < subtree_end(program_.ops, i); ++op_i) {
       p.planned_scratch_bytes += memory_plan_.per_op()[op_i].scratch_bytes;
@@ -685,6 +693,7 @@ double QuantizedNetwork::evaluate(const data::Dataset& dataset, int top_k,
                                   NetworkOpCounts* counts) const {
   std::int64_t hits = 0;
   for (std::int64_t n = 0; n < dataset.size(); ++n) {
+    // run() takes the dataset's copy of the image itself: no second one.
     tensor::Tensor logits = run(dataset.image(n), counts);
     logits.reshape(tensor::Shape{1, logits.numel()});
     hits += nn::top_k_accuracy(logits,

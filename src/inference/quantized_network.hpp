@@ -81,9 +81,9 @@ struct StepProfile {
   std::int64_t adds = 0;
   std::int64_t float_macs = 0;
   std::int64_t terms = 0;  // single-shift filter terms (0 for non-shift ops)
-  // Path the op takes (ShiftConv2d::kernel_tier): a dense kernel tier
-  // ("scalar" / "avx2" / "vnni"), "shift" for the shift walk, "-" for ops
-  // that do not run on the shift engine.
+  // The dense kernel tier a shift op runs on (ShiftConv2d::kernel_tier:
+  // "scalar" / "avx2" / "vnni"), "-" for ops that do not run on the shift
+  // engine.
   std::string kernel_tier = "-";
   // Arena scratch this op's kernels fetch, from the memory plan's per-op
   // rows (0 when the op uses none).
@@ -96,8 +96,7 @@ class QuantizedNetwork {
   // throws on layer types it does not understand. The model is used in
   // eval mode during compilation (one dummy forward fixes geometry).
   static QuantizedNetwork compile(nn::Sequential& model,
-                                  const tensor::Shape& input_shape,
-                                  const CompileOptions& options = {});
+                                  const tensor::Shape& input_shape);
 
   // Build an executable network from a lowered program (the IR
   // compile_program emits and the deployment artifact stores). Validates the
@@ -112,8 +111,10 @@ class QuantizedNetwork {
   static QuantizedNetwork from_program(NetworkProgram program);
 
   // Run one image [C, H, W] (or [1, C, H, W]) to logits. The image must pass
-  // image_defect(). Adds census() to `counts` once the pass has succeeded.
-  [[nodiscard]] tensor::Tensor run(const tensor::Tensor& image,
+  // image_defect(). The forward pass runs on `image` itself: a caller that
+  // hands over a temporary (evaluate() does) saves run() a copy. Adds
+  // census() to `counts` once the pass has succeeded.
+  [[nodiscard]] tensor::Tensor run(tensor::Tensor image,
                                    NetworkOpCounts* counts = nullptr) const;
 
   // Why `image` cannot run on this network, or nullptr when it can: it must
@@ -126,7 +127,8 @@ class QuantizedNetwork {
   // run() adds to its `counts` per image.
   [[nodiscard]] const NetworkOpCounts& census() const { return census_; }
 
-  // Top-k classification accuracy over a dataset.
+  // Top-k classification accuracy over a dataset. Each image must pass
+  // image_defect().
   [[nodiscard]] double evaluate(const data::Dataset& dataset, int top_k = 1,
                                 NetworkOpCounts* counts = nullptr) const;
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <type_traits>
+#include <limits>
 #include <utility>
 
 #include "core/decompose.hpp"
@@ -52,18 +51,15 @@ std::int64_t valid_positions(std::int64_t k, std::int64_t out_n,
   return hi >= lo ? hi - lo + 1 : 0;
 }
 
-// Layout of the input planes run() reads (DESIGN.md §9): the input with its
-// zero padding materialized and each padded row split into `stride` column
-// phases (padded column px at phase px % s, column px / s). Tap (ky, kx) of
-// output (oy, ox) then reads phase kx % s, column ox + kx / s of padded row
-// oy*s + ky: out_w contiguous cells per output row, in bounds at every
-// stride. Only the rows and columns some output reads are kept. The dense
-// path's code plane has this geometry per group of four channels; the
-// shift walk's int32 plane has it per channel, and a stride-1, padding-0
-// walk reads its input in place.
+// Layout of the code plane run() reads (DESIGN.md §9): per group of four
+// channels, the input with its zero padding materialized and each padded
+// row split into `stride` column phases (padded column px at phase px % s,
+// column px / s). Tap (ky, kx) of output (oy, ox) then reads phase kx % s,
+// column ox + kx / s of padded row oy*s + ky: out_w contiguous cells per
+// output row, in bounds at every stride. Only the rows and columns some
+// output reads are kept.
 struct PaddedPlane {
   std::int64_t rows, phase_w, row_w, channel;
-  std::int64_t copied;  // int32 cells the walk copies into kConvInput (0 in place)
   std::int64_t groups;  // four-channel groups of the code plane
 
   explicit PaddedPlane(const tensor::ConvGeometry& g)
@@ -71,7 +67,6 @@ struct PaddedPlane {
         phase_w(g.out_w() + (g.kernel - 1) / g.stride),
         row_w(g.stride * phase_w),
         channel(rows * row_w),
-        copied(g.stride == 1 && g.padding == 0 ? 0 : g.in_channels * channel),
         groups((g.in_channels + 3) / 4) {}
 
   // Phase column j of `phase` holds input column j*s + phase - p; [lo, hi)
@@ -86,42 +81,6 @@ struct PaddedPlane {
     return {lo, hi};
   }
 };
-
-// Copy the [C, H, W] input `src` into the shift walk's int32 plane `dst`,
-// writing every element: pad cells get q = 0, which adds nothing to any
-// accumulator.
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void fill_padded_plane(
-    const std::int32_t* src, const tensor::ConvGeometry& g,
-    const PaddedPlane& plane, std::int32_t* dst) {
-  const std::int64_t s = g.stride, p = g.padding;
-  for (std::int64_t c = 0; c < g.in_channels; ++c) {
-    const std::int32_t* src_c = src + c * g.in_h * g.in_w;
-    std::int32_t* dst_c = dst + c * plane.channel;
-    for (std::int64_t py = 0; py < plane.rows; ++py) {
-      std::int32_t* row = dst_c + py * plane.row_w;
-      const std::int64_t iy = py - p;
-      if (iy < 0 || iy >= g.in_h) {
-        std::fill(row, row + plane.row_w, std::int32_t{0});
-        continue;
-      }
-      const std::int32_t* src_row = src_c + iy * g.in_w;
-      for (std::int64_t phase = 0; phase < s; ++phase) {
-        std::int32_t* dst_phase = row + phase * plane.phase_w;
-        const auto [lo, hi] = plane.inside(g, phase);
-        std::fill(dst_phase, dst_phase + lo, std::int32_t{0});
-        const std::int32_t* from = src_row + lo * s + phase - p;
-        if (s == 1) {
-          std::copy(from, from + (hi - lo), dst_phase + lo);
-        } else {
-          for (std::int64_t j = lo; j < hi; ++j) {
-            dst_phase[j] = from[(j - lo) * s];
-          }
-        }
-        std::fill(dst_phase + hi, dst_phase + plane.phase_w, std::int32_t{0});
-      }
-    }
-  }
-}
 
 // Four q = 0 codes: every pad cell, and the bytes of channels past
 // in_channels.
@@ -198,75 +157,23 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void fill_code_plane(
   }
 }
 
-// The shift walk: int64 accumulation of one filter's output plane, the
-// barrel shifter's full budget over the int32 padded plane. It runs every
-// op the dense gate refuses. Each plane is owned by one caller chunk. The
-// walk adds the term walk's integer addends (q * sign*2^shift equals the
-// shift-and-signed-add exactly; no overflow by the gain bound) plus zeros
-// from pad cells, and exact integer addition is associative and
-// commutative, so every thread count is bit-identical to the term walk.
-struct WalkGeom {
-  std::int64_t row_step;  // input elements from output row oy to oy + 1
-  std::int64_t out_h, out_w;
-};
-
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_accumulate_wide(
-    const ShiftPlan& plan, std::int64_t f, const WalkGeom& g,
-    const std::int32_t* in, const std::int32_t* off, std::int64_t* acc) {
-  // Integer accumulators at scale 2^(input.scale_exp + e_min): each weight
-  // term sign * 2^e contributes sign * (q << (e - e_min)), a non-negative
-  // left shift since e >= e_min.
-  std::fill(acc, acc + g.out_h * g.out_w, std::int64_t{0});
-  const std::int64_t fb = plan.filter_begin[static_cast<std::size_t>(f)];
-  const std::int64_t fe = plan.filter_begin[static_cast<std::size_t>(f) + 1];
-  for (std::int64_t e = fb; e < fe; ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    const std::int64_t m = static_cast<std::int64_t>(plan.sign[ei]) *
-                           (std::int64_t{1} << plan.shift[ei]);
-    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
-      const std::int32_t* irow = in + off[e] + oy * g.row_step;
-      std::int64_t* arow = acc + oy * g.out_w;
-      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
-        arow[ox] += static_cast<std::int64_t>(irow[ox]) * m;
-      }
-    }
-  }
-}
-
-// Narrow (int32) bound: |any partial sum| <= max|q| * gain (the gain sums
-// absolute contributions, and gain >= sum |w| for every rebuilt weight w),
-// so when the product fits int32 the dense kernels' wrapping 32-bit sum is
-// the exact sum the walk adds.
-constexpr std::int64_t kNarrowMax = 0x7fffffff;
-bool narrow_bound_ok(std::int64_t max_gain, std::int64_t amax) {
-  return max_gain <= kNarrowMax &&
-         (max_gain == 0 || amax <= kNarrowMax / max_gain);
-}
-
-// run()'s offsets are int32, so every cell of the padded plane must be (the
-// code plane has at most as many groups as the int32 plane has channels).
-// The product overflows int64 at capped geometry: 2^24 channels times a
-// plane of about 2^52 cells.
-bool plane_fits_int32(std::int64_t in_channels, const PaddedPlane& plane) {
+// run()'s tap offsets are int32, so every word of the code plane must be.
+// The product overflows int64 at capped geometry: 2^22 groups times a plane
+// of about 2^52 cells.
+bool plane_fits_int32(const PaddedPlane& plane) {
   std::int64_t cells = 0;
-  return !__builtin_mul_overflow(in_channels, plane.channel, &cells) &&
-         cells <= kNarrowMax;
+  return !__builtin_mul_overflow(plane.groups, plane.channel, &cells) &&
+         cells <= std::numeric_limits<std::int32_t>::max();
 }
 
 // Largest |q| whose code q + 128 fits a u8 lane symmetrically: every
-// `act_bits` <= 8 input.
-constexpr std::int64_t kMaxDenseCode = 127;
+// kMaxShiftActBits-bit input.
+constexpr std::int64_t kMaxDenseCode =
+    (std::int64_t{1} << (kMaxShiftActBits - 1)) - 1;
 
-// Parallel cost hints of run()'s two paths, in ns (measurements at their
-// use): per (tap word x output value) on the dense path, per (plan entry x
-// output pixel) on the shift walk.
+// Parallel cost hint of run(), in ns per (tap word x output value); the
+// measurement is at its use.
 constexpr double kDenseNsPerTapOutput = 0.05;
-constexpr double kWalkNsPerEntryPixel = 0.3;
-
-// Largest |q| of any properly quantized `act_bits` input: 2^(bits-1) - 1.
-std::int64_t max_code_at_bits(int act_bits) {
-  return (std::int64_t{1} << (act_bits - 1)) - 1;
-}
 
 // Shared core of the quantize functions: pow2 scale from the abs-max, values
 // rounded-to-nearest and clamped symmetric, max|q| cached on the way. `out`
@@ -456,28 +363,8 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
   check_plan(plan_, out_channels_, in_channels_, kernel_, config_);
-  // The one place the gain and the dense form come from, compiled or
-  // loaded. The plan is read through a const reference: an adopted plan's
-  // streams are zero-copy views into an artifact mapping.
-  const ShiftPlan& adopted = plan_;
-  for (std::int64_t f = 0; f < adopted.filters; ++f) {
-    const auto fi = static_cast<std::size_t>(f);
-    std::int64_t gain = 0;
-    for (std::int64_t e = adopted.filter_begin[fi];
-         e < adopted.filter_begin[fi + 1]; ++e) {
-      const std::int64_t step = std::int64_t{1}
-                                << adopted.shift[static_cast<std::size_t>(e)];
-      gain = gain > kShiftAccumulatorGuard - step ? kShiftAccumulatorGuard
-                                                  : gain + step;
-    }
-    max_gain_ = std::max(max_gain_, gain);
-  }
-  dense_ = pack_dense(adopted, in_channels_, kernel_);
-}
-
-bool ShiftConv2d::takes_dense(std::int64_t max_abs_q) const {
-  return dense_.has_value() && max_abs_q <= kMaxDenseCode &&
-         narrow_bound_ok(max_gain_, max_abs_q);
+  // The one place the dense form comes from, compiled or loaded.
+  dense_ = pack_dense(plan_, in_channels_, kernel_);
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
@@ -489,6 +376,12 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
                      input.shape.numel(),
                  "ShiftConv2d::run: ", input.values.size(),
                  " values do not fill shape ", input.shape.to_string());
+  // The one per-call check of the codes: pack_dense bounded each filter's
+  // int32 sums for |q| <= 127 at adoption.
+  const std::int64_t max_q = input.abs_max();
+  FLIGHTNN_CHECK(max_q <= kMaxDenseCode, "ShiftConv2d::run: max |q| ", max_q,
+                 " passes ", kMaxDenseCode,
+                 ", the widest code a u8 lane holds");
   const tensor::ConvGeometry geom{in_channels_, input.shape[1], input.shape[2],
                                   kernel_,      stride_,        padding_};
   const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
@@ -496,9 +389,9 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
                  input.shape.to_string(), " input gives an empty output");
   const std::int64_t out_hw = out_h * out_w;
   const PaddedPlane plane(geom);
-  FLIGHTNN_CHECK(plane_fits_int32(in_channels_, plane),
-                 "ShiftConv2d::run: padded input of ", in_channels_, " x ",
-                 plane.channel, " cells exceeds the int32 offset range");
+  FLIGHTNN_CHECK(plane_fits_int32(plane), "ShiftConv2d::run: code plane of ",
+                 plane.groups, " x ", plane.channel,
+                 " words exceeds the int32 offset range");
 
   // Scratch is built once per call in the caller's arena. Workers helping
   // the parallel region read it through raw pointers; it stays valid
@@ -512,172 +405,94 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
     return bias_.empty() ? 0.0F : bias_[f];
   };
 
-  const std::int64_t max_q = input.abs_max();
-  if (takes_dense(max_q)) {
-    // The dense path (shift_kernels.hpp): the code plane and one offset per
-    // (channel group, ky, kx) tap, in the pack's word order.
-    const DensePack& dense = *dense_;
-    std::uint32_t* codes = arena.fetch<std::uint32_t>(
-        runtime::Scratch::kConvInput,
-        static_cast<std::size_t>(plane.groups * plane.channel));
-    fill_code_plane(input.values.data(), geom, plane, codes);
-    std::int32_t* tap_off = arena.fetch<std::int32_t>(
-        runtime::Scratch::kConvOffsets, static_cast<std::size_t>(dense.taps));
-    for (std::int64_t g = 0, t = 0; g < plane.groups; ++g) {
-      for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-        for (std::int64_t kx = 0; kx < kernel_; ++kx, ++t) {
-          tap_off[t] = static_cast<std::int32_t>(
-              g * plane.channel + ky * plane.row_w +
-              (kx % stride_) * plane.phase_w + kx / stride_);
-        }
+  // The code plane and one offset per (channel group, ky, kx) tap, in the
+  // pack's word order (shift_kernels.hpp).
+  std::uint32_t* codes = arena.fetch<std::uint32_t>(
+      runtime::Scratch::kConvInput,
+      static_cast<std::size_t>(plane.groups * plane.channel));
+  fill_code_plane(input.values.data(), geom, plane, codes);
+  std::int32_t* tap_off = arena.fetch<std::int32_t>(
+      runtime::Scratch::kConvOffsets, static_cast<std::size_t>(dense_.taps));
+  for (std::int64_t g = 0, t = 0; g < plane.groups; ++g) {
+    for (std::int64_t ky = 0; ky < kernel_; ++ky) {
+      for (std::int64_t kx = 0; kx < kernel_; ++kx, ++t) {
+        tap_off[t] = static_cast<std::int32_t>(
+            g * plane.channel + ky * plane.row_w +
+            (kx % stride_) * plane.phase_w + kx / stride_);
       }
     }
-    // A pruned filter's plane is its bias: what dequantizing its zero
-    // accumulator gives.
-    const auto live = static_cast<std::int64_t>(dense.filters.size());
-    for (std::int64_t f = 0, next = 0; f < out_channels_; ++f) {
-      if (next < live && dense.filters[static_cast<std::size_t>(next)] == f) {
-        ++next;
-        continue;
-      }
-      float* out_plane = output.data() + f * out_hw;
-      std::fill(out_plane, out_plane + out_hw,
-                static_cast<float>(std::int32_t{0}) * scale + bias_at(f));
+  }
+  // A pruned filter's plane is its bias: what dequantizing its zero
+  // accumulator gives.
+  const auto live = static_cast<std::int64_t>(dense_.filters.size());
+  for (std::int64_t f = 0, next = 0; f < out_channels_; ++f) {
+    if (next < live && dense_.filters[static_cast<std::size_t>(next)] == f) {
+      ++next;
+      continue;
     }
-    // The kernel leaves each live filter's int32 sums in its output plane;
-    // dequantize them in place (a separate multiply and add, as on the walk).
-    // A negated filter's sum is -S with |S| <= INT32_MAX, and
-    // float(-S) * -scale is float(S) * scale exactly.
-    const auto dequant_in_place = [&](std::int64_t i_live) {
-      const auto at = static_cast<std::size_t>(i_live);
-      const std::int64_t f = dense.filters[at];
-      const float s = dense.negated[at] != 0 ? -scale : scale;
-      const float b = bias_at(f);
-      float* out_plane = output.data() + f * out_hw;
-      for (std::int64_t i = 0; i < out_hw; ++i) {
-        std::int32_t acc = 0;
-        std::memcpy(&acc, out_plane + i, sizeof acc);
-        out_plane[i] = static_cast<float>(acc) * s + b;
-      }
-    };
-    // Parallel across blocks of kDenseFilterBlock live filters. Cost hint:
-    // traced ShiftConv2d::run spans of the VNNI tier (perf ledger, VGG-7
-    // w1.0, one CPU of a 4-core AVX-512 host) read 0.032-0.095 ns per
-    // (tap word x output value), 0.05 in the median, over its seven convs;
-    // the 4x4 64->64 layer, which fills 4 of 16 lanes, is the slowest. At
-    // that rate a ledger conv stays under the pool's dispatch threshold
-    // unless it takes tens of microseconds.
-    const runtime::CostHint block_cost{
-        kDenseNsPerTapOutput * static_cast<double>(dense.taps) *
-        static_cast<double>(out_hw) * kDenseFilterBlock};
-    const DenseConvGeom dense_geom{stride_ * plane.row_w, out_h, out_w,
-                                   dense.taps};
-    const ShiftKernels& kern = active_shift_kernels();
-    runtime::parallel_for(
-        0, (live + kDenseFilterBlock - 1) / kDenseFilterBlock, 1, block_cost,
-        [&](std::int64_t b_begin, std::int64_t b_end) {
-          for (std::int64_t b = b_begin; b < b_end; ++b) {
-            const std::int64_t first = b * kDenseFilterBlock;
-            const auto n = static_cast<int>(
-                std::min<std::int64_t>(kDenseFilterBlock, live - first));
-            std::int32_t* planes[kDenseFilterBlock] = {};
-            for (int j = 0; j < n; ++j) {
-              planes[j] = reinterpret_cast<std::int32_t*>(
-                  output.data() +
-                  dense.filters[static_cast<std::size_t>(first + j)] * out_hw);
-            }
-            kern.dense_conv(codes, tap_off,
-                            dense.words.data() + first * dense.taps,
-                            dense.correction.data() + first, n, dense_geom,
-                            planes);
-            for (int j = 0; j < n; ++j) dequant_in_place(first + j);
+    float* out_plane = output.data() + f * out_hw;
+    std::fill(out_plane, out_plane + out_hw,
+              static_cast<float>(std::int32_t{0}) * scale + bias_at(f));
+  }
+  // The kernel leaves each live filter's int32 sums in its output plane;
+  // dequantize them in place (a separate multiply and add). A negated
+  // filter's sum is -S with |S| <= INT32_MAX, and float(-S) * -scale is
+  // float(S) * scale exactly.
+  const auto dequant_in_place = [&](std::int64_t i_live) {
+    const auto at = static_cast<std::size_t>(i_live);
+    const std::int64_t f = dense_.filters[at];
+    const float s = dense_.negated[at] != 0 ? -scale : scale;
+    const float b = bias_at(f);
+    float* out_plane = output.data() + f * out_hw;
+    for (std::int64_t i = 0; i < out_hw; ++i) {
+      std::int32_t acc = 0;
+      std::memcpy(&acc, out_plane + i, sizeof acc);
+      out_plane[i] = static_cast<float>(acc) * s + b;
+    }
+  };
+  // Parallel across blocks of kDenseFilterBlock live filters. Cost hint:
+  // traced ShiftConv2d::run spans of the VNNI tier (perf ledger, VGG-7
+  // w1.0, one CPU of a 4-core AVX-512 host) read 0.032-0.095 ns per
+  // (tap word x output value), 0.05 in the median, over its seven convs;
+  // the 4x4 64->64 layer, which fills 4 of 16 lanes, is the slowest. At
+  // that rate a ledger conv stays under the pool's dispatch threshold
+  // unless it takes tens of microseconds.
+  const runtime::CostHint block_cost{
+      kDenseNsPerTapOutput * static_cast<double>(dense_.taps) *
+      static_cast<double>(out_hw) * kDenseFilterBlock};
+  const DenseConvGeom dense_geom{stride_ * plane.row_w, out_h, out_w,
+                                 dense_.taps};
+  const ShiftKernels& kern = active_shift_kernels();
+  runtime::parallel_for(
+      0, (live + kDenseFilterBlock - 1) / kDenseFilterBlock, 1, block_cost,
+      [&](std::int64_t b_begin, std::int64_t b_end) {
+        for (std::int64_t b = b_begin; b < b_end; ++b) {
+          const std::int64_t first = b * kDenseFilterBlock;
+          const auto n = static_cast<int>(
+              std::min<std::int64_t>(kDenseFilterBlock, live - first));
+          std::int32_t* planes[kDenseFilterBlock] = {};
+          for (int j = 0; j < n; ++j) {
+            planes[j] = reinterpret_cast<std::int32_t*>(
+                output.data() +
+                dense_.filters[static_cast<std::size_t>(first + j)] * out_hw);
           }
-        });
-    return output;
-  }
-
-  // The walk's overflow contract: |accumulator| <= max|q| * (filter f's
-  // gain) <= max|q| * max_gain_ (the gain sums absolute contributions, so
-  // this covers every partial sum too), which must stay inside int64. The
-  // dense gate's narrow bound implies it; here it is one always-on compare.
-  FLIGHTNN_CHECK(max_gain_ == 0 ||
-                     max_q <= (kShiftAccumulatorGuard - 1) / max_gain_,
-                 "ShiftConv2d::run: max |q| ", max_q, " times the plan's gain ",
-                 max_gain_, " could overflow the int64 accumulator");
-  // The shift walk: the int32 padded plane (read in place at stride 1,
-  // padding 0) and the per-entry offsets into it (channel + tap row + tap
-  // column, the last from a `kernel`-entry table after the entries: no
-  // per-entry division).
-  const std::int32_t* in_data = input.values.data();
-  if (plane.copied > 0) {
-    std::int32_t* padded = arena.fetch<std::int32_t>(
-        runtime::Scratch::kConvInput, static_cast<std::size_t>(plane.copied));
-    fill_padded_plane(in_data, geom, plane, padded);
-    in_data = padded;
-  }
-  const std::int64_t n_entries = plan_.entries();
-  std::int32_t* off = arena.fetch<std::int32_t>(
-      runtime::Scratch::kConvOffsets,
-      static_cast<std::size_t>(n_entries + kernel_));
-  std::int32_t* tap_col = off + n_entries;
-  for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-    tap_col[kx] = static_cast<std::int32_t>((kx % stride_) * plane.phase_w +
-                                            kx / stride_);
-  }
-  for (std::int64_t e = 0; e < n_entries; ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    off[e] = static_cast<std::int32_t>(
-        static_cast<std::int64_t>(plan_.channel[ei]) * plane.channel +
-        static_cast<std::int64_t>(plan_.ky[ei]) * plane.row_w +
-        tap_col[plan_.kx[ei]]);
-  }
-  const WalkGeom walk{stride_ * plane.row_w, out_h, out_w};
-  // Parallel across output filters. Cost hint: 0.3 ns per entry-pixel, the
-  // walk's rate on a 4-core AVX-512 host (a 32->32 3x3 LightNN-2 layer at
-  // 8x8 to 32x32, forced onto the walk by 9-bit activations: 0.29-0.33 ns).
-  const runtime::CostHint filter_cost{
-      kWalkNsPerEntryPixel * static_cast<double>(n_entries) *
-      static_cast<double>(out_hw) / static_cast<double>(out_channels_)};
-  runtime::parallel_for(0, out_channels_, 1, filter_cost,
-                        [&](std::int64_t f_begin, std::int64_t f_end) {
-    // Each helper thread fetches from its own thread-local arena.
-    std::int64_t* acc = runtime::ScratchArena::current().fetch<std::int64_t>(
-        runtime::Scratch::kConvAccumulator, static_cast<std::size_t>(out_hw));
-    for (std::int64_t f = f_begin; f < f_end; ++f) {
-      conv_accumulate_wide(plan_, f, walk, in_data, off, acc);
-      const float b = bias_at(f);
-      float* out_plane = output.data() + f * out_hw;
-      for (std::int64_t i = 0; i < out_hw; ++i) {
-        out_plane[i] = static_cast<float>(acc[i]) * scale + b;
-      }
-    }
-  });
+          kern.dense_conv(codes, tap_off,
+                          dense_.words.data() + first * dense_.taps,
+                          dense_.correction.data() + first, n, dense_geom,
+                          planes);
+          for (int j = 0; j < n; ++j) dequant_in_place(first + j);
+        }
+      });
   return output;
 }
 
 ConvScratchBytes ShiftConv2d::scratch_bytes(std::int64_t in_h,
-                                            std::int64_t in_w,
-                                            int act_bits) const {
-  const tensor::ConvGeometry geom{in_channels_, in_h,    in_w,
-                                  kernel_,      stride_, padding_};
-  const PaddedPlane plane(geom);
-  ConvScratchBytes walk;
-  walk.offsets =
-      static_cast<std::size_t>(plan_.entries() + kernel_) * sizeof(std::int32_t);
-  walk.accumulator = static_cast<std::size_t>(geom.out_h() * geom.out_w()) *
-                     sizeof(std::int64_t);
-  walk.input = static_cast<std::size_t>(plane.copied) * sizeof(std::int32_t);
-  if (!dense_) return walk;
-  ConvScratchBytes dense;
-  dense.offsets = static_cast<std::size_t>(dense_->taps) * sizeof(std::int32_t);
-  dense.input = static_cast<std::size_t>(plane.groups * plane.channel) *
-                sizeof(std::uint32_t);
-  if (takes_dense(max_code_at_bits(act_bits))) return dense;
-  // run() gates on the batch's own max|q|, so an op the static gate sends
-  // down the walk still runs dense on a batch of small codes: cover both.
-  return {std::max(walk.offsets, dense.offsets),
-          std::max(walk.accumulator, dense.accumulator),
-          std::max(walk.input, dense.input)};
+                                            std::int64_t in_w) const {
+  const PaddedPlane plane(tensor::ConvGeometry{in_channels_, in_h, in_w,
+                                               kernel_, stride_, padding_});
+  return {static_cast<std::size_t>(dense_.taps) * sizeof(std::int32_t),
+          static_cast<std::size_t>(plane.groups * plane.channel) *
+              sizeof(std::uint32_t)};
 }
 
 OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
@@ -687,7 +502,7 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
   // run() refuses a plane past its int32 bound, so the census does too,
   // before its tables: the kernel fits inside the padded plane, so kernel^2
   // <= 2^31 and the two tables stay under 1 MB whatever the geometry claims.
-  FLIGHTNN_CHECK(plane_fits_int32(in_channels_, PaddedPlane(geom)),
+  FLIGHTNN_CHECK(plane_fits_int32(PaddedPlane(geom)),
                  "ShiftConv2d::census: a [", in_channels_, ", ", in_h, ", ",
                  in_w, "] input pads past the int32 offset range");
   // An entry at tap (ky, kx) accumulates vy[ky] * vx[kx] times: the valid
@@ -709,10 +524,8 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
   return {total, total};
 }
 
-const char* ShiftConv2d::kernel_tier(int act_bits) const {
-  return takes_dense(max_code_at_bits(act_bits))
-             ? kernel_tier_name(active_shift_kernels().tier)
-             : "shift";
+const char* ShiftConv2d::kernel_tier() const {
+  return kernel_tier_name(active_shift_kernels().tier);
 }
 
 tensor::Tensor reference_conv(const tensor::Tensor& weights,

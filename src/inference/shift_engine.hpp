@@ -12,18 +12,17 @@
 // ShiftPlan -- a sparsity-elided SoA entry stream, the one stored form of
 // the weights -- and, built from it at adoption, the plan's dense int8 form
 // (pack_dense). A CPU has fast int8 dot products where the paper's hardware
-// has shifts, so run() executes the dense form whenever it exists, 8-bit
-// activations fit its u8 codes and the int32 bound holds: it copies the
-// input once into a u8 code plane (four channels per word, zero-padded and
-// split into `stride` column phases, so one dispatched kernel covers every
-// output pixel at every stride with no bounds checks) and runs the tier's
-// dot-product kernel (shift_kernels.hpp). Every other op runs the shift
-// walk: the int64 barrel-shift loop over the plan's entries on a padded
-// int32 plane, the hardware-faithful reference. Both paths add the term
-// walk's integers exactly (DESIGN.md §9). Both constructors end in the same
-// place: the weights constructor decomposes and lowers once, then adopts
-// the plan exactly as the artifact load path does. The pre-plan term walk
-// lives in tests/ as the bit-exact oracle the property suites compare
+// has shifts, so the dense form is the one execution path: run() copies the
+// 8-bit input once into a u8 code plane (four channels per word,
+// zero-padded and split into `stride` column phases, so one dispatched
+// kernel covers every output pixel at every stride with no bounds checks)
+// and runs the tier's dot-product kernel (shift_kernels.hpp), which adds the
+// term walk's integers exactly (DESIGN.md §9). A plan the pack cannot run
+// -- weights past int8, a filter past the int32 bound, a pack past its
+// words-per-entry cap -- is refused at adoption. Both constructors end in
+// the same place: the weights constructor decomposes and lowers once, then
+// adopts the plan exactly as the artifact load path does. The pre-plan term
+// walk lives in tests/ as the bit-exact oracle the property suites compare
 // against.
 //
 // Like the paper's FPGA evaluation (Sec. 5.2), the engine operates at layer
@@ -32,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "inference/shift_plan.hpp"
@@ -47,9 +45,9 @@ struct QuantizedActivations {
   std::vector<std::int32_t> values;  // q; real value = q * 2^scale_exp
   int scale_exp = 0;
   tensor::Shape shape;  // [C, H, W] (single image)
-  // Largest |q|, cached at quantize time so the engines' hoisted overflow
-  // checks never rescan the activation vector. -1 = unknown (hand-built
-  // activations); abs_max() then falls back to a scan.
+  // Largest |q|, cached at quantize time so run()'s code-range check never
+  // rescans the activation vector. -1 = unknown (hand-built activations);
+  // abs_max() then falls back to a scan.
   std::int64_t max_abs = -1;
 
   [[nodiscard]] std::int64_t abs_max() const;
@@ -87,15 +85,16 @@ struct OpCounts {
   std::int64_t adds = 0;    // accumulator additions
 };
 
+// Widest activation code the dense kernels take: |q| <= 2^(8-1) - 1 = 127,
+// so the code q + 128 fits a u8 lane. from_program refuses a shift op that
+// quantizes its input wider, and run() any input with a larger |q|.
+inline constexpr int kMaxShiftActBits = 8;
+
 // Arena bytes one ShiftConv2d::run fetches per conv scratch slot; the
-// load-time walk sizes the slots with it (DESIGN.md §15). A dense op fetches
-// its per-tap offsets and the u8 code plane and no accumulator; a shift-walk
-// op its per-entry offsets, an int64 accumulator plane per worker and the
-// int32 padded plane.
+// load-time walk sizes the slots with it (DESIGN.md §15).
 struct ConvScratchBytes {
-  std::size_t offsets = 0;      // int32 tap or entry offsets
-  std::size_t accumulator = 0;  // one filter's int64 plane, per worker
-  std::size_t input = 0;        // code or padded plane; 0 when read in place
+  std::size_t offsets = 0;  // int32 per-tap offsets into the code plane
+  std::size_t input = 0;    // the u8 code plane
 };
 
 // Geometry bundle for engines that adopt an already-compiled plan (every
@@ -129,33 +128,25 @@ class ShiftConv2d {
   // Adopt an already-compiled plan (the program and artifact load paths: the
   // plan's streams may be zero-copy views into a mapped blob). Checks the
   // geometry and the bias, then every plan stream and entry (check_plan,
-  // which throws CheckFailure whoever built the plan), takes the plan's
-  // largest filter gain in one pass over the entries and builds its dense
-  // form (pack_dense).
+  // which throws CheckFailure whoever built the plan), and builds the dense
+  // form (pack_dense, which throws CheckFailure for a plan it cannot run).
   ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
   // Run on one quantized image; returns the dequantized float output
   // [out_channels, out_h, out_w], a Tensor::uninitialized tensor whose every
-  // element it writes. Takes the dense path when the plan has a dense form,
-  // max|q| <= 127 and max|q| * the largest filter gain <= INT32_MAX, else
-  // the shift walk. Pruned filters cost nothing but their bias on either
-  // path, every output pixel runs without bounds checks on the padded,
-  // stride-phased plane, and scratch comes from the per-thread arena's
-  // grow-once slots (zero steady-state allocation beyond the pooled output
-  // tensor). The whole plane must fit int32 offsets, and on the walk max|q|
-  // * the largest filter gain must stay inside int64 (both throw
-  // CheckFailure otherwise).
+  // element it writes. Pruned filters cost nothing but their bias, every
+  // output pixel runs without bounds checks on the padded, stride-phased
+  // code plane, and scratch comes from the per-thread arena's grow-once
+  // slots (zero steady-state allocation beyond the pooled output tensor).
+  // Throws CheckFailure for an input whose max|q| passes 127 (only
+  // hand-built activations can: every kMaxShiftActBits-bit quantization
+  // stays inside) or whose plane passes the int32 offset range.
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
 
-  // Scratch one run() on an [in_channels, in_h, in_w] input fetches, for
-  // every properly quantized `act_bits` input (|q| <= 2^(bits-1) - 1): the
-  // dense path's rows when its gate holds at the largest such |q|, else
-  // each slot's larger row of the walk and (when the plan has a dense form,
-  // which a batch of smaller codes takes) the dense path.
+  // Scratch one run() on an [in_channels, in_h, in_w] input fetches.
   [[nodiscard]] ConvScratchBytes scratch_bytes(std::int64_t in_h,
-                                               std::int64_t in_w,
-                                               int act_bits) const;
+                                               std::int64_t in_w) const;
 
   // Op census of one run() on an [in_channels, in_h, in_w] input: each plan
   // entry counts once per output position whose tap reads a real input
@@ -169,16 +160,12 @@ class ShiftConv2d {
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
   [[nodiscard]] std::int64_t out_channels() const { return out_channels_; }
   [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
-  // The plan's dense form, or nullptr when pack_dense refused it.
-  [[nodiscard]] const DensePack* dense() const {
-    return dense_ ? &*dense_ : nullptr;
-  }
-  // Name of the path run() takes for activations quantized at `act_bits`:
-  // the dense kernel tier ("scalar" / "avx2" / "vnni"), or "shift" for the
-  // shift walk. The static form of run()'s gate, using
-  // |q| <= 2^(bits-1)-1; reflects the currently active dispatch (CPU,
+  // The plan's dense form, which run() executes.
+  [[nodiscard]] const DensePack& dense() const { return dense_; }
+  // Name of the dense kernel tier run() dispatches to ("scalar" / "avx2" /
+  // "vnni"); reflects the currently active dispatch (CPU,
   // FLIGHTNN_FORCE_SCALAR, test override).
-  [[nodiscard]] const char* kernel_tier(int act_bits) const;
+  [[nodiscard]] const char* kernel_tier() const;
 
  private:
   quant::Pow2Config config_;
@@ -187,16 +174,7 @@ class ShiftConv2d {
   tensor::Tensor bias_;  // float; folded in after dequantization
   // Compiled SoA execution plan.
   ShiftPlan plan_;
-  // Largest filter gain: a filter's gain is the sum of 2^shift over its
-  // entries, saturated at kShiftAccumulatorGuard, so |accumulator| <=
-  // max|q| * max_gain_ bounds every partial sum and run() checks for
-  // overflow once per call instead of per element.
-  std::int64_t max_gain_ = 0;
-  std::optional<DensePack> dense_;  // pack_dense(plan_), when it exists
-
-  // run()'s gate for inputs with max|q| = `max_abs_q`: the dense path, or
-  // the shift walk.
-  [[nodiscard]] bool takes_dense(std::int64_t max_abs_q) const;
+  DensePack dense_;  // pack_dense(plan_)
 };
 
 // Reference float convolution of one image (for bit-exactness tests):

@@ -5,8 +5,8 @@
 // integer in [-128, 128] (ShiftPlan's pack_dense rebuilds it from the plan's
 // entries and packs it as int8, negating a filter that reaches +128). A
 // dot product of 8-bit activation codes with those integers adds exactly
-// the integers the shift walk adds, so a CPU's int8 dot-product
-// instruction runs a shift conv bit-exactly.
+// the integers the term walk of the shift-add datapath adds, so a CPU's
+// int8 dot-product instruction runs a shift conv bit-exactly.
 //
 // Operands. The engine's code plane (ShiftConv2d::run) holds u = q + 128 as
 // u8, four input channels per 32-bit word, in the zero-padded,
@@ -18,9 +18,9 @@
 //
 // Exactness. Every tier computes, in wrapping 32-bit arithmetic,
 // sum_t dot4(u, w) - 128 * sum(w) = sum_t dot4(q, w) (mod 2^32). The engine
-// calls a kernel only when max|q| * gain <= INT32_MAX, where a filter's
-// gain (the sum of 2^shift over its plan entries) is >= sum |w|, so that
-// residue is the exact sum the shift walk adds. No tier saturates: VNNI's
+// runs only codes with |q| <= 127 and only packs whose filters have
+// 127 * sum |w| <= INT32_MAX (pack_dense refuses the rest), so that
+// residue is the exact sum the term walk adds. No tier saturates: VNNI's
 // vpdpbusd wraps, and the AVX2 tier builds the same products with vpmaddwd
 // on zero-extended code bytes and sign-extended weight bytes (vpmaddubsw,
 // which saturates, is never used).

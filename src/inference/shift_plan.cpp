@@ -60,14 +60,12 @@ void check_plan(const ShiftPlan& plan, std::int64_t filters,
 }
 
 // One pass over the entries: each filter's weights are summed into a
-// scratch row in int64, checked, and packed. The pack is refused when it
-// would outgrow the plan it comes from (more than kMaxDenseWordsPerEntry
-// words per entry): adoption then allocates O(entries + filters) whatever
-// the geometry claims, and a plan that sparse does less work on the shift
-// walk anyway (the cost hints in shift_engine.cpp break even near 6 words
-// per entry).
-FLIGHTNN_COLD_ALLOC std::optional<DensePack> pack_dense(
-    const ShiftPlan& plan, std::int64_t in_channels, std::int64_t kernel) {
+// scratch row in int64, checked, and packed. The word count is checked
+// first, so a refused pack allocates O(entries + filters) whatever the
+// geometry claims.
+FLIGHTNN_COLD_ALLOC DensePack pack_dense(const ShiftPlan& plan,
+                                         std::int64_t in_channels,
+                                         std::int64_t kernel) {
   std::int64_t live = 0;
   for (std::int64_t f = 0; f < plan.filters; ++f) {
     const auto fi = static_cast<std::size_t>(f);
@@ -77,12 +75,14 @@ FLIGHTNN_COLD_ALLOC std::optional<DensePack> pack_dense(
   std::int64_t kk = 0;
   std::int64_t taps = 0;
   std::int64_t words = 0;
-  if (__builtin_mul_overflow(kernel, kernel, &kk) ||
-      __builtin_mul_overflow(groups, kk, &taps) ||
-      __builtin_mul_overflow(live, taps, &words) ||
-      words > kMaxDenseWordsPerEntry * plan.entries()) {
-    return std::nullopt;
-  }
+  FLIGHTNN_CHECK(!__builtin_mul_overflow(kernel, kernel, &kk) &&
+                     !__builtin_mul_overflow(groups, kk, &taps) &&
+                     !__builtin_mul_overflow(live, taps, &words) &&
+                     words <= kMaxDenseWordsPerEntry * plan.entries(),
+                 "ShiftPlan: the int8 pack of ", live, " live [", in_channels,
+                 ", ", kernel, ", ", kernel, "] filters passes ",
+                 kMaxDenseWordsPerEntry, " words per plan entry (",
+                 plan.entries(), " entries)");
   DensePack pack;
   pack.taps = taps;
   if (live == 0) return pack;  // every filter pruned: run() writes biases
@@ -95,6 +95,10 @@ FLIGHTNN_COLD_ALLOC std::optional<DensePack> pack_dense(
   // + kx. Each term is at most 2^kMaxShift and |w| stays below it while
   // summing, so no add can overflow.
   constexpr std::int64_t kSumLimit = std::int64_t{1} << kMaxShift;
+  // The kernels' int32 sums are exact while 127 * sum |w| fits (DESIGN.md
+  // §9): |q| <= 127 for every code run() accepts.
+  constexpr std::int64_t kMaxAbsSum =
+      std::numeric_limits<std::int32_t>::max() / 127;
   std::vector<std::int64_t> w(static_cast<std::size_t>(taps * 4));
   for (std::int64_t f = 0; f < plan.filters; ++f) {
     const std::int64_t lo = plan.filter_begin[static_cast<std::size_t>(f)];
@@ -108,21 +112,30 @@ FLIGHTNN_COLD_ALLOC std::optional<DensePack> pack_dense(
           w[static_cast<std::size_t>(
               ((c / 4) * kk + plan.ky[ei] * kernel + plan.kx[ei]) * 4 + c % 4)];
       weight += plan.sign[ei] * (std::int64_t{1} << plan.shift[ei]);
-      if (weight > kSumLimit || weight < -kSumLimit) return std::nullopt;
+      FLIGHTNN_CHECK(weight <= kSumLimit && weight >= -kSumLimit,
+                     "ShiftPlan: filter ", f, " sums a weight past 2^",
+                     kMaxShift, ", which int8 cannot hold");
     }
     // int8 holds [-128, 127]. A filter that reaches +128 but not -128 (a
     // LightNN-2 weight of 2^0 + 2^0 at the default exponent range) packs
     // negated; run() flips the sign of its scale.
     const auto [lo_w, hi_w] = std::minmax_element(w.begin(), w.end());
     const bool negate = *hi_w > 127;
-    if (*lo_w < (negate ? -127 : -128) || *hi_w > (negate ? 128 : 127)) {
-      return std::nullopt;
-    }
+    FLIGHTNN_CHECK(
+        *lo_w >= (negate ? -127 : -128) && *hi_w <= (negate ? 128 : 127),
+        "ShiftPlan: filter ", f, " holds weights in [", *lo_w, ", ", *hi_w,
+        "] units of 2^e_min, which int8 holds neither as they are nor "
+        "negated");
     std::int64_t sum = 0;
+    std::int64_t abs_sum = 0;
     for (std::int64_t& weight : w) {
       if (negate) weight = -weight;
       sum += weight;
+      abs_sum += weight < 0 ? -weight : weight;
     }
+    FLIGHTNN_CHECK(abs_sum <= kMaxAbsSum, "ShiftPlan: filter ", f,
+                   "'s sum of |w| is ", abs_sum, ", and 127 times it passes "
+                   "the kernels' int32 bound (at most ", kMaxAbsSum, ")");
     pack.filters.push_back(static_cast<std::int32_t>(f));
     pack.negated.push_back(negate ? 1 : 0);
     // The kernels subtract it in wrapping 32-bit arithmetic, so its residue

@@ -10,27 +10,25 @@
 // `ShiftPlan` lowers the decomposition once, at engine construction, into a
 // flat structure-of-arrays: one contiguous stream of (channel, ky, kx, shift,
 // sign) entries per filter, with every zero element and every pruned filter
-// elided. The shift walk's work is then exactly proportional to
-// Σ_i k_i · nnz_i -- the paper's energy-proportionality, realized in
-// software -- and the analytic op census counts it that way.
+// elided, so the analytic op census counts exactly Σ_i k_i · nnz_i
+// shift-adds -- the paper's energy-proportionality.
 //
 // The plan is also the one stored form of the weights, and nothing derived
-// is kept in it. An engine that adopts it takes the largest filter gain
-// (its overflow bound) from the entries, rebuilds each filter's int8
-// weights from them (pack_dense below) and runs that dense form whenever it
-// exists; there a live filter costs the same for every k_i in {1, 2}, and a
-// pruned one (k_i = 0) costs nothing.
+// is kept in it. An engine that adopts it rebuilds each filter's int8
+// weights from the entries (pack_dense below) and runs only that dense
+// form: a live filter costs the same for every k_i in {1, 2}, and a pruned
+// one (k_i = 0) costs nothing. A plan the pack cannot hold is refused at
+// adoption.
 //
 // Entry order is: filters ascending; within a filter, terms in decomposition
 // order; within a term, elements in index order. The order is stable and
-// documented, but the engine's correctness does not depend on it: each
-// output accumulator receives the same multiset of integer addends as the
-// reference term-walk, and int64 addition is associative and commutative, so
-// any regrouping produces bit-identical results (DESIGN.md §9).
+// documented, but the engine's correctness does not depend on it: the pack
+// sums each weight's entries exactly, so any entry order gives the same
+// weights and the same integer sums as the reference term-walk (DESIGN.md
+// §9).
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -138,9 +136,8 @@ struct ShiftPlan {
   // --- SoA entry streams, indexed [filter_begin[f], filter_begin[f+1]) ----
   // The stored form of the weights (the artifact holds exactly these). Each
   // entry's tap into the OIHW filter: input channel, kernel row and kernel
-  // column. They give the entry's word in the dense pack, its offset into
-  // the shift walk's padded, stride-phased input plane (rebuilt per call,
-  // since it depends on the input size), and ky/kx the analytic op counts.
+  // column. They give the entry's byte in the dense pack, and ky/kx the
+  // analytic op counts.
   // A linear layer is a 1x1 conv, so its entries carry the input feature as
   // `channel` and ky = kx = 0.
   PlanArray<std::int32_t> channel;
@@ -173,7 +170,8 @@ struct ShiftPlan {
 // Dense int8 form of a conv plan (DESIGN.md §9): each weight rebuilt as
 // w = sum of sign * 2^shift over its entries, in units of 2^e_min, four
 // input channels per int32 word. The engine builds it when it adopts a plan
-// and runs its convolution as u8 x s8 dot products (shift_kernels.hpp).
+// and runs its convolution as u8 x s8 dot products (shift_kernels.hpp), its
+// only execution path.
 struct DensePack {
   // Words per filter: channel groups (ceil(in_channels / 4)) x kernel x
   // kernel.
@@ -198,27 +196,27 @@ struct DensePack {
 inline constexpr std::int64_t kMaxDenseWordsPerEntry = 4;
 
 // The dense form of a plan check_plan accepted over [in_channels, kernel,
-// kernel] filters, or nullopt when some filter's weights fit int8 neither
-// as they are nor negated, or when the pack's word count overflows or
-// exceeds kMaxDenseWordsPerEntry words per plan entry. A refused pack
-// allocates nothing past O(entries + filters).
-std::optional<DensePack> pack_dense(const ShiftPlan& plan,
-                                    std::int64_t in_channels,
-                                    std::int64_t kernel);
+// kernel] filters: the adoption check of everything the kernels assume.
+// Throws CheckFailure, naming the filter and the bound it breaks, when
+//  - a filter's weights fit int8 neither as they are nor negated (+128
+//    beside -128, a LightNN-3 weight of 192 units, a 2^61 term);
+//  - 127 x a filter's sum of |w| passes INT32_MAX, so a u8 x s8 sum over
+//    8-bit codes could wrap the kernels' int32 accumulator;
+//  - the pack's word count overflows or passes kMaxDenseWordsPerEntry
+//    words per plan entry.
+// A refused pack allocates nothing past O(entries + filters).
+DensePack pack_dense(const ShiftPlan& plan, std::int64_t in_channels,
+                     std::int64_t kernel);
 
 // The barrel shifter's budget: a shift, and so the exponent window e_max -
 // e_min, is at most 61, which keeps 1 << shift and a sum of two such terms
 // inside int64.
 inline constexpr int kMaxShift = 61;
 
-// Saturation ceiling shared with the engine's overflow contract.
-inline constexpr std::int64_t kShiftAccumulatorGuard = std::int64_t{1} << 62;
-
 // The one check of a plan's contents, which the plan-adopting ShiftConv2d
 // constructor makes before anything reads the streams: whoever built the
-// plan (compile_conv, an artifact, a test), the adoption's gain pass,
-// pack_dense, the census and the shift walk then index it unchecked. Throws
-// CheckFailure unless
+// plan (compile_conv, an artifact, a test), pack_dense and the census then
+// index it unchecked. Throws CheckFailure unless
 //  - the exponent window lies in [-126, 127] and spans at most kMaxShift;
 //  - the plan covers `filters` filters with at most 2^31 entries, every
 //    stream as long as the entry stream;

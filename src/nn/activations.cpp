@@ -35,8 +35,8 @@ inline float round_half_even(float v) {
 // mispredicts on nearly every element (~15 cycles each); these kernels
 // compile to max/min/blend with no flow control in the loop body.
 
-// Valid for any negative_slope < 1 (see the dispatch in forward):
-// max(v, slope*v) picks v when v > 0 and slope*v otherwise.
+// max(v, slope*v) picks v when v > 0 and slope*v otherwise, for every
+// slope leaky_slope_ok accepts.
 FLIGHTNN_SIMD_CLONES
 void leaky_forward_train(const float* in, float* out, std::uint8_t* mask,
                          std::int64_t n, float slope) {
@@ -103,10 +103,13 @@ void quant_backward(const float* gout, const std::uint8_t* mask, float* gin,
 
 }  // namespace
 
-tensor::Tensor LeakyReLU::forward(const tensor::Tensor& input, bool training) {
-  FLIGHTNN_CHECK(negative_slope_ < 1.0F,
-                 "LeakyReLU: negative_slope must be < 1, got ",
+LeakyReLU::LeakyReLU(float negative_slope) : negative_slope_(negative_slope) {
+  FLIGHTNN_CHECK(leaky_slope_ok(negative_slope_),
+                 "LeakyReLU: negative_slope must lie in [0, 1), got ",
                  negative_slope_);
+}
+
+tensor::Tensor LeakyReLU::forward(const tensor::Tensor& input, bool training) {
   tensor::Tensor output = tensor::Tensor::uninitialized(input.shape());
   const float* in = input.data();
   float* out = output.data();

@@ -16,10 +16,19 @@
 
 namespace flightnn::nn {
 
+// The slopes LeakyReLU and the compiled network's leaky-ReLU op accept:
+// [0, 1). There LeakyReLU's branch-free max(v, slope * v) equals the
+// ternary v > 0 ? v : slope * v bit for bit, signed zeros included; a
+// negative slope turns slope * +0 into -0 where max keeps +0, and a slope
+// of 1 or more makes max pick slope * v for v > 0.
+[[nodiscard]] inline bool leaky_slope_ok(float slope) {
+  return slope >= 0.0F && slope < 1.0F;
+}
+
 class LeakyReLU final : public Layer {
  public:
-  explicit LeakyReLU(float negative_slope = 0.01F)
-      : negative_slope_(negative_slope) {}
+  // Throws CheckFailure unless leaky_slope_ok(negative_slope).
+  explicit LeakyReLU(float negative_slope = 0.01F);
 
   tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;

@@ -5,7 +5,6 @@
 #include "inference/memory_plan.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/annotations.hpp"
-#include "support/check.hpp"
 
 namespace flightnn::runtime {
 
@@ -62,17 +61,12 @@ FLIGHTNN_HOT void BatchRunner::run_images(
                });
 }
 
-FLIGHTNN_HOT FLIGHTNN_API_ENTRY void BatchRunner::run(
-    const InferenceRequest& request, InferenceResult& result) const {
-  // Boundary contract: every image must be a [C, H, W] or [1, C, H, W]
-  // tensor. run() checks each image's whole geometry again; checking rank
-  // here makes a malformed request fail at the API boundary, named after it.
-  for (const auto& image : request.images) {
-    const auto rank = image.shape().rank();
-    FLIGHTNN_CHECK(rank == 3 || (rank == 4 && image.shape()[0] == 1),
-                   "BatchRunner::run: images must be [C,H,W] or [1,C,H,W], "
-                   "got ", image.shape().to_string());
-  }
+// Not an API entry of its own: the request's one precondition, the image
+// contract, is checked once per image by the API entry QuantizedNetwork::run
+// (image_defect), and a malformed image throws CheckFailure out of the
+// parallel region.
+FLIGHTNN_HOT void BatchRunner::run(const InferenceRequest& request,
+                                   InferenceResult& result) const {
   // First call pays the warmup (arena reserve + pool prewarm on every
   // thread); after that the latch short-circuits.
   if (!warmed_.load(std::memory_order_relaxed)) {

@@ -17,27 +17,22 @@ InferenceRequest InferenceRequest::from_image(tensor::Tensor image,
 
 InferenceRequest InferenceRequest::from_nchw(const tensor::Tensor& batch,
                                              std::uint64_t id) {
+  const auto& s = batch.shape();
+  FLIGHTNN_CHECK(s.rank() == 4, "InferenceRequest::from_nchw: NCHW batch "
+                 "expected, got ", s.to_string());
+  const tensor::Shape image_shape{s[1], s[2], s[3]};
+  const std::int64_t image_numel = image_shape.numel();
   InferenceRequest request;
   request.id = id;
-  split_nchw(batch, request.images);
-  return request;
-}
-
-void split_nchw(const tensor::Tensor& batch,
-                std::vector<tensor::Tensor>& images) {
-  const auto& s = batch.shape();
-  FLIGHTNN_CHECK(s.rank() == 4, "split_nchw: NCHW batch expected, got ",
-                 s.to_string());
-  const std::int64_t n = s[0];
-  const std::int64_t image_numel = s[1] * s[2] * s[3];
-  const tensor::Shape image_shape{s[1], s[2], s[3]};
-  images.resize(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    auto& image = images[static_cast<std::size_t>(i)];
-    if (image.shape() != image_shape) image = tensor::Tensor(image_shape);
+  request.images.reserve(static_cast<std::size_t>(s[0]));
+  for (std::int64_t i = 0; i < s[0]; ++i) {
+    // Every element is written by the copy.
+    tensor::Tensor image = tensor::Tensor::uninitialized(image_shape);
     std::memcpy(image.data(), batch.data() + i * image_numel,
                 static_cast<std::size_t>(image_numel) * sizeof(float));
+    request.images.push_back(std::move(image));
   }
+  return request;
 }
 
 }  // namespace flightnn::runtime

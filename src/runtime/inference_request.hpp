@@ -30,7 +30,7 @@ struct InferenceRequest {
   // Convenience constructors for the two common call shapes.
   static InferenceRequest from_image(tensor::Tensor image,
                                      std::uint64_t id = 0);
-  // Split an NCHW batch tensor into per-image tensors (copies).
+  // Split an NCHW batch tensor into per-image [C, H, W] tensors (copies).
   static InferenceRequest from_nchw(const tensor::Tensor& batch,
                                     std::uint64_t id = 0);
 };
@@ -57,12 +57,5 @@ struct InferenceResult {
   inference::NetworkOpCounts counts;
   RequestTiming timing;
 };
-
-// Split an NCHW batch into per-image [C, H, W] tensors, recycling the
-// tensors already in `images` when shapes match (zero-allocation steady
-// state). InferenceRequest::from_nchw splits into a fresh vector; a caller
-// that refills one request's `images` batch after batch reuses its tensors.
-void split_nchw(const tensor::Tensor& batch,
-                std::vector<tensor::Tensor>& images);
 
 }  // namespace flightnn::runtime

@@ -18,8 +18,8 @@
 //   - Slots are owned by call sites, not by layers: two kernels may share a
 //     slot only if they can never be live simultaneously on one thread.
 //     Nested use of the same slot (conv calling back into something that
-//     uses kConvAccumulator) is a bug; slots used by nestable helpers get
-//     their own ids.
+//     uses kConvInput) is a bug; slots used by nestable helpers get their
+//     own ids.
 //   - Buffers keep their high-water capacity until the thread exits. Call
 //     `trim()` to return the memory (tests; long-lived threads switching
 //     workloads).
@@ -34,12 +34,9 @@ namespace flightnn::runtime {
 // Slot ids for per-thread scratch, one per independent scratch use (see the
 // lifetime rules above).
 enum class Scratch : std::size_t {
-  kConvAccumulator = 0,  // ShiftConv2d's shift walk: int64 accumulator plane
-  kConvOffsets,          // ShiftConv2d: int32 per-tap (dense) or per-entry
-                         // (shift walk) input offsets
-  kConvInput,            // ShiftConv2d: u8 code plane (dense) or int32
-                         // padded plane (shift walk), stride-phased
-  kGemmPackA,            // f32 packed A micro-panels (core/gemm)
+  kConvOffsets = 0,  // ShiftConv2d: int32 per-tap code-plane offsets
+  kConvInput,        // ShiftConv2d: u8 code plane, padded, stride-phased
+  kGemmPackA,        // f32 packed A micro-panels (core/gemm)
   kSlotCount,
 };
 

@@ -128,7 +128,7 @@ OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
 // section table and, per op record, its kind and each role's section. The
 // op fields and plan streams it hands on are checked where every program
 // is, whoever built it: QuantizedNetwork::from_program (every op field) and
-// the plan-adopting engine (check_plan).
+// the plan-adopting engine (check_plan, pack_dense).
 
 // Validated view of one section's payload.
 struct SectionView {

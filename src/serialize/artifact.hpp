@@ -36,7 +36,8 @@
 // large as their dims say). The contents are checked where every program's
 // are, whoever built it: QuantizedNetwork::from_program checks every op
 // field (inference/network_program.hpp lists its caps) and the adopting
-// engine every plan stream and entry (check_plan). ArtifactModel maps their
+// engine every plan stream and entry (check_plan) and whether its int8 pack
+// can run the plan (pack_dense). ArtifactModel maps their
 // CheckFailure to kBadProgram, so any violation throws ArtifactError with a
 // typed code -- never UB, never an unchecked allocation driven by a hostile
 // length.

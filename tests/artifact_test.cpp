@@ -3,15 +3,18 @@
 //   1. Golden regression: a checked-in artifact built from a fully
 //      deterministic ResNet must be byte-identical to a fresh build --
 //      any layout drift (field order, alignment, section order, checksum)
-//      fails loudly. Regenerate with FLIGHTNN_REGEN_GOLDEN=1.
+//      fails loudly -- and the loaded and heap-compiled networks must
+//      reproduce its checked-in logits byte for byte, in every build.
+//      Regenerate both with FLIGHTNN_REGEN_GOLDEN=1.
 //   2. Differential: logits from the mmap-loaded and heap-compiled paths
 //      must be memcmp-identical, serial and under 4 threads.
 //   3. Corruption matrix: every structural violation (truncation, bad
 //      magic/version/checksum, misaligned or escaping sections, invalid
-//      op records and plan streams) throws the matching typed
-//      ArtifactError -- never UB, never a wild allocation. The parser
-//      rejects the container's violations; from_program and the adopting
-//      engines the contents', which ArtifactModel maps to kBadProgram.
+//      op records and plan streams, plans the int8 pack cannot run) throws
+//      the matching typed ArtifactError -- never UB, never a wild
+//      allocation. The parser rejects the container's violations;
+//      from_program and the adopting engines the contents', which
+//      ArtifactModel maps to kBadProgram.
 //   4. Shared mapping: two processes mapping one artifact file produce
 //      identical logits (fork-based, POSIX only).
 
@@ -111,6 +114,13 @@ std::string golden_path() {
   return std::string(FLIGHTNN_GOLDEN_DIR) + "/table1_resnet18_w8.flnart";
 }
 
+// The golden network's logits on deterministic_image(0..kGoldenImages-1),
+// as raw float bytes.
+std::string golden_logits_path() {
+  return std::string(FLIGHTNN_GOLDEN_DIR) + "/table1_resnet18_w8.logits";
+}
+constexpr int kGoldenImages = 4;
+
 std::string unique_temp_path(const char* stem) {
   static int counter = 0;
   return ::testing::TempDir() + "/" + stem + "_" +
@@ -156,8 +166,12 @@ TEST(GoldenArtifact, BuildIsByteIdenticalToCheckedInBlob) {
   const std::vector<std::uint8_t> blob = build_artifact(deterministic_program());
   if (std::getenv("FLIGHTNN_REGEN_GOLDEN") != nullptr) {
     write_file(golden_path(), blob);
+    write_file(golden_logits_path(),
+               logits_bytes(QuantizedNetwork::from_program(
+                                deterministic_program()),
+                            kGoldenImages));
     GTEST_SKIP() << "regenerated " << golden_path() << " (" << blob.size()
-                 << " bytes)";
+                 << " bytes) and " << golden_logits_path();
   }
   const std::vector<std::uint8_t> golden = read_file(golden_path());
   ASSERT_FALSE(golden.empty())
@@ -174,9 +188,15 @@ TEST(GoldenArtifact, BuildIsDeterministicAcrossRuns) {
   EXPECT_EQ(build_artifact(program), build_artifact(program));
 }
 
+// Both load paths must reproduce the checked-in logits bytes: a kernel,
+// glue or compiler-flag change that moves one bit of one logit (an FMA
+// contraction in a native build, say) fails here.
 TEST(GoldenArtifact, CheckedInBlobLoadsAndMatchesHeapLogits) {
   const std::vector<std::uint8_t> golden = read_file(golden_path());
-  if (golden.empty()) GTEST_SKIP() << "no golden blob yet";
+  const std::vector<std::uint8_t> logits = read_file(golden_logits_path());
+  ASSERT_FALSE(golden.empty() || logits.empty())
+      << "missing golden blob or logits under " << FLIGHTNN_GOLDEN_DIR
+      << "; regenerate with FLIGHTNN_REGEN_GOLDEN=1";
   const ArtifactModel model = ArtifactModel::load_buffer(golden.data(),
                                                          golden.size());
   EXPECT_EQ(model.input_c(), 3);
@@ -184,7 +204,8 @@ TEST(GoldenArtifact, CheckedInBlobLoadsAndMatchesHeapLogits) {
   EXPECT_EQ(model.input_w(), 16);
   const QuantizedNetwork heap =
       QuantizedNetwork::from_program(deterministic_program());
-  EXPECT_EQ(logits_bytes(model.network(), 4), logits_bytes(heap, 4));
+  EXPECT_EQ(logits_bytes(model.network(), kGoldenImages), logits);
+  EXPECT_EQ(logits_bytes(heap, kGoldenImages), logits);
 }
 
 // --- Differential: mmap vs heap, serial and threaded ----------------------
@@ -255,8 +276,7 @@ TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
     const inference::ShiftPlan& adopted = engine.plan();
     EXPECT_EQ(adopted.channel.data(), op.plan.channel.data());
     EXPECT_EQ(adopted.kx.data(), op.plan.kx.data());
-    ASSERT_NE(engine.dense(), nullptr);
-    EXPECT_FALSE(in_blob(engine.dense()->words.data()));
+    EXPECT_FALSE(in_blob(engine.dense().words.data()));
   }
   EXPECT_GT(shift_ops, 10) << "ResNet-18 should lower many shift layers";
   EXPECT_EQ(linear_ops, 1) << "the classifier is a shift linear op";
@@ -496,7 +516,8 @@ const CorruptionCase kCorruptionMatrix[] = {
      }},
     // Adoption builds each engine's dense form before the load walk checks
     // any shape: a 2^24 x 2^24 kernel over a few entries must be refused
-    // there without allocating (or overflowing), then rejected by the walk.
+    // there (pack_dense's words-per-entry bound) without allocating or
+    // overflowing.
     {"conv kernel of 2^24 over a few entries", ArtifactErrorCode::kBadProgram,
      true,
      [](std::vector<std::uint8_t>& blob) {
@@ -518,6 +539,20 @@ const CorruptionCase kCorruptionMatrix[] = {
      true, [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 2); }},
     {"section of the retired gain kind", ArtifactErrorCode::kBadSection, true,
      [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 9); }},
+    // A plan may use the barrel's whole budget: check_plan accepts a
+    // 61-shift window with a shift-61 entry. int8 cannot hold 2^61, so
+    // adoption refuses it and the artifact does not load.
+    {"shift-61 entry under a 61-shift window", ArtifactErrorCode::kBadProgram,
+     true,
+     [](std::vector<std::uint8_t>& blob) {
+       std::uint32_t shift_section = 0;
+       patch_first_shift_conv(blob, [&](OpRecord& record) {
+         record.e_min = record.e_max - inference::kMaxShift;
+         shift_section = record.sec[kRoleShift];
+       });
+       blob[read_sections(blob)[shift_section].offset] =
+           static_cast<std::uint8_t>(inference::kMaxShift);
+     }},
     {"non-monotone filter_begin", ArtifactErrorCode::kBadProgram, true,
      [](std::vector<std::uint8_t>& blob) {
        const SectionDesc begin = find_section(blob,
@@ -551,23 +586,97 @@ TEST(ArtifactCorruption, EveryCorruptionClassYieldsItsTypedError) {
   }
 }
 
-// A plan may use the barrel's whole budget: a 61-shift window with one
-// shift-61 entry is a valid artifact. The walk it runs on (int8 cannot hold
-// 2^61) would overflow int64 on any nonzero input, so run() must throw in
-// every build, not only where DCHECKs are compiled in.
-TEST(ArtifactCorruption, WalkPastInt64ThrowsAtRun) {
-  NetworkProgram program = deterministic_program();
-  for (inference::ProgramOp& op : program.ops) {
-    if (op.kind != ProgramOpKind::kShiftConv) continue;
-    op.pow2.e_min = op.pow2.e_max - inference::kMaxShift;
-    op.plan.shift[0] = static_cast<std::int8_t>(inference::kMaxShift);
-    break;
+// --- Plans the int8 pack cannot run ----------------------------------------
+//
+// One shift conv over an [in_channels, kernel, kernel] input whose plan
+// holds `entries` (channel, ky, kx, shift, sign) for its one filter.
+struct PlanEntry {
+  std::int32_t channel;
+  std::int16_t ky, kx;
+  std::int8_t shift, sign;
+};
+
+NetworkProgram one_conv_program(std::int64_t in_channels, std::int64_t kernel,
+                                const std::vector<PlanEntry>& entries,
+                                const quant::Pow2Config& pow2 = {}) {
+  inference::ProgramOp op;
+  op.kind = ProgramOpKind::kShiftConv;
+  op.out_channels = 1;
+  op.in_channels = in_channels;
+  op.kernel = kernel;
+  op.pow2 = pow2;
+  op.plan.filters = 1;
+  for (const PlanEntry& e : entries) {
+    op.plan.channel.push_back(e.channel);
+    op.plan.ky.push_back(e.ky);
+    op.plan.kx.push_back(e.kx);
+    op.plan.shift.push_back(e.shift);
+    op.plan.sign.push_back(e.sign);
   }
-  const std::vector<std::uint8_t> blob = build_artifact(program);
-  const ArtifactModel model = ArtifactModel::load_buffer(blob.data(),
-                                                         blob.size());
-  EXPECT_THROW((void)model.network().run(deterministic_image(0)),
-               support::CheckFailure);
+  op.plan.filter_begin.push_back(0);
+  op.plan.filter_begin.push_back(static_cast<std::int64_t>(entries.size()));
+  NetworkProgram program;
+  program.ops.push_back(std::move(op));
+  program.input_c = in_channels;
+  program.input_h = kernel;
+  program.input_w = kernel;
+  return program;
+}
+
+// A plan the dense kernels cannot run is a typed refusal at load on both
+// paths: CheckFailure from from_program, kBadProgram from the artifact
+// loader. Nothing of it reaches run().
+TEST(ArtifactCorruption, PlansThePackCannotRunAreRefusedAtLoad) {
+  struct Refusal {
+    const char* name;
+    NetworkProgram program;
+  };
+  std::vector<Refusal> refusals;
+  // In units of 2^e_min at the default window [-6, 0]: two shift-6 entries
+  // on one tap make a weight of 128.
+  refusals.push_back({"+128 beside -128",
+                      one_conv_program(2, 1, {{0, 0, 0, 6, 1},
+                                              {0, 0, 0, 6, 1},
+                                              {1, 0, 0, 6, -1},
+                                              {1, 0, 0, 6, -1}})});
+  refusals.push_back({"a k_max-3 weight of 192 units",
+                      one_conv_program(1, 1, {{0, 0, 0, 6, 1},
+                                              {0, 0, 0, 6, 1},
+                                              {0, 0, 0, 6, 1}})});
+  quant::Pow2Config barrel;
+  barrel.e_min = barrel.e_max - inference::kMaxShift;
+  refusals.push_back({"a shift-61 entry under a 61-shift window",
+                      one_conv_program(1, 1, {{0, 0, 0, 61, 1}}, barrel)});
+  // 8 channel groups x 3 x 3 taps = 72 words for one entry.
+  refusals.push_back({"a pack past 4 words per entry",
+                      one_conv_program(32, 3, {{0, 1, 1, 0, 1}})});
+  // 132,105 weights of -128: 127 x their sum |w| passes INT32_MAX.
+  quant::Pow2Config seven;
+  seven.e_min = -7;
+  std::vector<PlanEntry> row;
+  for (std::int32_t c = 0; c < 132105; ++c) row.push_back({c, 0, 0, 7, -1});
+  refusals.push_back({"a filter past the int32 bound",
+                      one_conv_program(132105, 1, row, seven)});
+  NetworkProgram wide_codes = one_conv_program(1, 1, {{0, 0, 0, 3, 1}});
+  wide_codes.ops[0].act_bits = 9;
+  refusals.push_back({"a shift op with act_bits 9", std::move(wide_codes)});
+
+  // The same plan within every bound loads.
+  ASSERT_NO_THROW((void)QuantizedNetwork::from_program(
+      one_conv_program(1, 1, {{0, 0, 0, 3, 1}})));
+  for (const Refusal& refusal : refusals) {
+    EXPECT_THROW((void)QuantizedNetwork::from_program(refusal.program),
+                 support::CheckFailure)
+        << refusal.name;
+    const std::vector<std::uint8_t> blob = build_artifact(refusal.program);
+    try {
+      (void)ArtifactModel::load_buffer(blob.data(), blob.size());
+      ADD_FAILURE() << refusal.name << ": loader accepted the plan";
+    } catch (const ArtifactError& error) {
+      EXPECT_EQ(error.code(), ArtifactErrorCode::kBadProgram)
+          << refusal.name << " threw \"" << error.what() << "\"";
+    }
+  }
 }
 
 TEST(ArtifactCorruption, MmapLoadRejectsCorruptFileToo) {

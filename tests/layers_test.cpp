@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gradient_check.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -98,6 +100,15 @@ TEST(LeakyReLUTest, ForwardValues) {
   EXPECT_FLOAT_EQ(y[1], -0.05F);
   EXPECT_FLOAT_EQ(y[2], 0.0F);
   EXPECT_FLOAT_EQ(y[3], 3.0F);
+}
+
+// The slope contract the compiled network's leaky-ReLU op shares: [0, 1),
+// where the branch-free max(v, slope * v) is the ternary bit for bit.
+TEST(LeakyReLUTest, SlopeOutsideZeroOneIsRejected) {
+  EXPECT_THROW(LeakyReLU(-0.1F), std::invalid_argument);
+  EXPECT_THROW(LeakyReLU(1.0F), std::invalid_argument);
+  EXPECT_NO_THROW(LeakyReLU(0.0F));
+  EXPECT_NO_THROW(LeakyReLU(std::nextafter(1.0F, 0.0F)));
 }
 
 TEST(LeakyReLUTest, Gradient) {

@@ -6,10 +6,10 @@
 //      scratch for every shift conv.
 //   2. Plan adequacy: after BatchRunner::warm, a run grows no arena slot,
 //      across a sweep of network geometries -- the walk's model of the
-//      kernels' scratch requests matches what the kernels actually ask for
-//      -- and at act_bits 9 an op's rows cover both of run()'s paths. On
-//      the pool side, warm parks exactly the planned activation bytes, and
-//      a run takes one buffer per activation it makes, each a pool hit.
+//      kernels' scratch requests matches what the kernels actually ask
+//      for. On the pool side, warm parks exactly the planned activation
+//      bytes, and a run takes one buffer per activation it makes, each a
+//      pool hit.
 //   3. Artifact round trip: the plan taken on the artifact load path equals
 //      the in-process one, and both networks produce byte-identical logits
 //      at every thread count.
@@ -28,9 +28,7 @@
 #include "core/quantize_model.hpp"
 #include "inference/network_program.hpp"
 #include "inference/quantized_network.hpp"
-#include "inference/shift_engine.hpp"
 #include "models/networks.hpp"
-#include "quant/lightnn.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/inference_request.hpp"
 #include "runtime/scratch_arena.hpp"
@@ -100,21 +98,18 @@ TEST(MemoryPlanTest, Table1NetworkLayoutsAreSound) {
     const auto network =
         inference::QuantizedNetwork::from_program(std::move(program));
     const inference::MemoryPlan* plan = network.memory_plan();
-    // Every shift op (a linear one is a 1x1 conv) must have arena scratch;
-    // the census must be coherent. These LightNN-2 weights all fit int8, so
-    // every shift op takes the dense path: per-tap offsets and the u8 code
-    // plane (always copied), no accumulator plane.
+    // Every shift op (a linear one is a 1x1 conv) must have arena scratch,
+    // its per-tap offsets and the u8 code plane; the census must be
+    // coherent.
     EXPECT_EQ(plan->per_op().size(), op_count);
     for (std::size_t i = 0; i < plan->per_op().size(); ++i) {
       const auto& mem = plan->per_op()[i];
       EXPECT_EQ(mem.op, i);
-      EXPECT_EQ(mem.scratch_bytes,
-                mem.offsets_bytes + mem.accumulator_bytes + mem.input_bytes);
+      EXPECT_EQ(mem.scratch_bytes, mem.offsets_bytes + mem.input_bytes);
       if (mem.kind == inference::ProgramOpKind::kShiftConv ||
           mem.kind == inference::ProgramOpKind::kShiftLinear) {
         EXPECT_GT(mem.offsets_bytes, 0U);
         EXPECT_GT(mem.input_bytes, 0U);
-        EXPECT_EQ(mem.accumulator_bytes, 0U);
       } else {
         EXPECT_EQ(mem.scratch_bytes, 0U);
       }
@@ -237,45 +232,6 @@ TEST(MemoryPlanTest, WarmCoversEveryFetchAcrossGeometries) {
       }
     }
   }
-}
-
-// At act_bits 9 the static gate sends a dense-capable op down the shift
-// walk, but run() gates on the batch's own max|q|: a batch of small codes
-// (here all zero) still runs dense. The op's rows must cover both paths
-// slot by slot, so neither run grows the arena past them. At stride 1 and
-// padding 0 the walk reads its input in place while the dense path fills a
-// code plane.
-TEST(MemoryPlanTest, NineBitRowsCoverBothPaths) {
-  const ThreadCountGuard guard;
-  runtime::set_num_threads(1);
-  const quant::Pow2Config config;
-  support::Rng rng(23);
-  const Tensor wq = quant::quantize_lightnn(
-      Tensor::randn(Shape{8, 4, 3, 3}, rng, 0.0F, 0.3F), 2, config);
-  const auto zeros = inference::quantize_image(Tensor(Shape{4, 12, 12}), 9);
-  const auto codes =
-      inference::quantize_image(Tensor::randn(Shape{4, 12, 12}, rng), 9);
-  ASSERT_EQ(zeros.abs_max(), 0);
-  ASSERT_GT(codes.abs_max(), 127);
-  for (const auto& [stride, padding] :
-       {std::pair<std::int64_t, std::int64_t>{1, 0}, {2, 1}}) {
-    const inference::ShiftConv2d engine(wq, 2, config, stride, padding);
-    ASSERT_NE(engine.dense(), nullptr);
-    ASSERT_STREQ(engine.kernel_tier(9), "shift");
-    const inference::ConvScratchBytes rows = engine.scratch_bytes(12, 12, 9);
-    auto& arena = runtime::ScratchArena::current();
-    arena.trim();
-    arena.reserve(runtime::Scratch::kConvOffsets, rows.offsets);
-    arena.reserve(runtime::Scratch::kConvAccumulator, rows.accumulator);
-    arena.reserve(runtime::Scratch::kConvInput, rows.input);
-    const std::size_t reserved = arena.footprint_bytes();
-    (void)engine.run(zeros);  // the dense path
-    (void)engine.run(codes);  // the shift walk
-    EXPECT_EQ(arena.footprint_bytes(), reserved)
-        << "stride " << stride << " padding " << padding
-        << ": a run grew a scratch slot past the op's rows";
-  }
-  runtime::ScratchArena::current().trim();
 }
 
 TEST(MemoryPlanTest, ArtifactRoundTripKeepsPlanAndLogits) {

@@ -144,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(EngineParam{1, 1, 0, 8}, EngineParam{1, 1, 1, 8},
                       EngineParam{1, 2, 1, 8}, EngineParam{2, 1, 1, 8},
                       EngineParam{2, 2, 0, 8}, EngineParam{2, 1, 1, 4},
-                      EngineParam{2, 1, 1, 12}, EngineParam{3, 1, 1, 8}));
+                      EngineParam{3, 1, 1, 8}));
 
 // --- FLightNN threshold monotonicity ------------------------------------------
 

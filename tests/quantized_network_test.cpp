@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/trainer.hpp"
 #include "inference/shift_kernels.hpp"
 #include "models/networks.hpp"
+#include "nn/activations.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/inference_request.hpp"
 #include "term_walk_oracle.hpp"
@@ -228,6 +231,28 @@ TEST(QuantizedNetworkTest, NonFiniteImagesAreRejected) {
     runtime::InferenceResult result;
     EXPECT_THROW(runner.run(request, result), std::invalid_argument) << bad;
   }
+}
+
+// BatchRunner::run leaves the image check to QuantizedNetwork::run, once
+// per image: a rank-2 image inside a batch that four threads split still
+// fails the whole request with a typed error.
+TEST(QuantizedNetworkTest, RunnerRejectsAMalformedImageInsideABatch) {
+  auto model = untrained_model(4);
+  const auto network = QuantizedNetwork::compile(*model, Shape{1, 3, 16, 16});
+  const runtime::BatchRunner runner(network);
+  support::Rng rng(23);
+  runtime::InferenceRequest request;
+  for (int i = 0; i < 6; ++i) {
+    request.images.push_back(Tensor::randn(Shape{3, 16, 16}, rng));
+  }
+  request.images[3] = Tensor::randn(Shape{48, 16}, rng);
+  runtime::set_num_threads(4);
+  runtime::InferenceResult result;
+  EXPECT_THROW(runner.run(request, result), std::invalid_argument);
+  request.images[3] = Tensor::randn(Shape{3, 16, 16}, rng);
+  EXPECT_NO_THROW(runner.run(request, result));
+  EXPECT_EQ(result.logits.size(), 6U);
+  runtime::set_num_threads(1);
 }
 
 // The network holds its program's input geometry and checks images against
@@ -483,10 +508,13 @@ TEST(QuantizedNetworkTest, FromProgramChecksEveryField) {
     conv.padding = kMaxOpDim;
     rejects("a float conv padded by 2^24", hand_program({conv}));
   }
-  {
+  // The leaky op's branch-free kernel equals v > 0 ? v : slope * v only
+  // for slopes in [0, 1), nn::LeakyReLU's contract.
+  for (const float slope : {std::numeric_limits<float>::quiet_NaN(), -0.1F,
+                            1.0F}) {
     ProgramOp leaky = leaky_op();
-    leaky.slope = std::numeric_limits<float>::quiet_NaN();
-    rejects("a NaN leaky slope", hand_program({leaky}));
+    leaky.slope = slope;
+    rejects("a leaky slope outside [0, 1)", hand_program({leaky}));
   }
   // Residual blocks nested `depth` deep around one leaky op.
   const auto nested = [](std::int64_t depth) {
@@ -499,6 +527,62 @@ TEST(QuantizedNetworkTest, FromProgramChecksEveryField) {
   };
   EXPECT_NO_THROW((void)QuantizedNetwork::from_program(nested(64)));
   rejects("residual nesting 65 deep", nested(65));
+}
+
+// At both ends of the slope contract the compiled leaky-ReLU op and
+// nn::LeakyReLU's branch-free max(v, v * slope) kernel must both equal the
+// ternary v > 0 ? v : slope * v byte for byte, on signed zeros and on
+// denormal negatives whose product underflows to -0: either form may run
+// the op.
+TEST(QuantizedNetworkTest, LeakyReluOpMatchesTheTernaryBytewise) {
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> values = {
+      0.0F,      -0.0F,          denormal,        -denormal,
+      -2 * denormal, -std::numeric_limits<float>::min() / 2, -1.5F, 1.5F,
+      -std::numeric_limits<float>::min(), std::numeric_limits<float>::min(),
+      -3.0e38F,  3.0e38F,        -1e-30F,         1e-30F,
+      -7.25F,    0.5F};
+  for (const float slope :
+       {0.0F, std::nextafter(1.0F, 0.0F), 0.01F}) {
+    ProgramOp leaky = leaky_op();
+    leaky.slope = slope;
+    const auto network = QuantizedNetwork::from_program(hand_program({leaky}));
+    Tensor image(Shape{2, 4, 4});
+    for (std::int64_t i = 0; i < image.numel(); ++i) {
+      image[i] = values[static_cast<std::size_t>(i) % values.size()];
+    }
+    const Tensor out = network.run(image);
+    const Tensor trained = nn::LeakyReLU(slope).forward(image, false);
+    ASSERT_EQ(out.numel(), image.numel());
+    ASSERT_EQ(trained.numel(), image.numel());
+    for (std::int64_t i = 0; i < image.numel(); ++i) {
+      const float v = image[i];
+      const float want = v > 0.0F ? v : slope * v;
+      EXPECT_EQ(std::memcmp(&want, out.data() + i, sizeof want), 0)
+          << "slope " << slope << " v " << v << " op " << out[i];
+      EXPECT_EQ(std::memcmp(&want, trained.data() + i, sizeof want), 0)
+          << "slope " << slope << " v " << v << " kernel " << trained[i];
+    }
+  }
+}
+
+// The affine op (folded batch norm) computes scale * x + bias as a rounded
+// product, then a rounded sum, in every build: flightnn_inference compiles
+// with -ffp-contract=off, so a host-tuned build cannot fuse the two into an
+// FMA. At scale = x = 1 + 2^-12 and bias = -1 the exact product 1 + 2^-11 +
+// 2^-24 rounds to 1 + 2^-11, so the op must give 2^-11; an FMA would keep
+// the 2^-24.
+TEST(QuantizedNetworkTest, AffineRoundsTheProductBeforeTheSum) {
+  const float near_one = 1.0F + std::ldexp(1.0F, -12);
+  ProgramOp affine;
+  affine.kind = ProgramOpKind::kAffine;
+  affine.scale = {near_one, near_one};
+  affine.affine_bias = {-1.0F, -1.0F};
+  const auto network = QuantizedNetwork::from_program(hand_program({affine}));
+  const Tensor out = network.run(Tensor::full(Shape{2, 4, 4}, near_one));
+  for (std::int64_t i = 0; i < out.numel(); ++i) {
+    EXPECT_EQ(out[i], std::ldexp(1.0F, -11)) << "element " << i;
+  }
 }
 
 // The census walk follows the [2, 4, 4] input through the ops, so a program

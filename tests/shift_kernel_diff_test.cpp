@@ -5,9 +5,10 @@
 // 16-lane and 8-lane tails, strides, paddings, channel counts that are not a
 // multiple of four, pruning, linear layers (1x1 convs on a 1x1 plane),
 // thread counts, and artifact-adopted plans whose streams are zero-copy
-// views into an mmap. The gate cases (a weight outside int8, codes outside
-// u8, activations past the int32 bound) must take the shift walk and match
-// the term walk too. The direct kernel test runs the dispatch-table
+// views into an mmap. A filter reaching +128 packs negated and matches too;
+// what the kernels cannot run (a filter int8 holds neither as it is nor
+// negated, codes outside u8) throws CheckFailure, at adoption or at run.
+// The direct kernel test runs the dispatch-table
 // function pointers on exactly-sized buffers, so the ASan CI preset turns
 // any overread past a plane into a hard failure. Tier comparisons cover
 // only the tiers the host has; on a host without AVX2 only the scalar tier
@@ -33,6 +34,7 @@
 #include "quant/lightnn.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serialize/artifact.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "term_walk_oracle.hpp"
 
@@ -84,17 +86,14 @@ void prune_filters(Tensor& wq, Prune prune) {
 
 // --- Engine-level sweeps ---------------------------------------------------
 
-// Every host tier and the term walk on one engine; `path` is the
-// kernel_tier() the engine must report for 8-bit activations under a
-// dense tier ("dense" for the pinned tier's name, or "shift").
+// Every host tier on one engine: each must report its own name and match
+// the term walk's output byte for byte.
 void expect_tiers_match(const ShiftConv2d& engine, const Tensor& reference,
-                        const QuantizedActivations& input, int act_bits,
-                        const std::string& path, const std::string& what) {
+                        const QuantizedActivations& input,
+                        const std::string& what) {
   for (const KernelTier tier : host_tiers()) {
     set_kernel_tier_override(static_cast<int>(tier));
-    const std::string expected =
-        path == "dense" ? kernel_tier_name(tier) : path;
-    EXPECT_EQ(engine.kernel_tier(act_bits), expected)
+    EXPECT_STREQ(engine.kernel_tier(), kernel_tier_name(tier))
         << what << " tier=" << kernel_tier_name(tier);
     const Tensor out = input.shape.rank() == 1
                            ? oracle::run_linear(engine, input)
@@ -114,8 +113,7 @@ void expect_conv_tiers_match_reference(const Tensor& wq, int k_max,
   const ShiftConv2d engine(wq, k_max, config, stride, padding);
   const Tensor reference =
       oracle::TermWalkConv2d(wq, k_max, config, stride, padding).run(qimg);
-  expect_tiers_match(engine, reference, qimg, 8,
-                     engine.dense() != nullptr ? "dense" : "shift", what);
+  expect_tiers_match(engine, reference, qimg, what);
 }
 
 TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
@@ -184,10 +182,8 @@ TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
           prune_filters(wq, prune);
           const auto qx = quantize_tensor(Tensor::randn(Shape{in_features}, rng), 8);
           const ShiftConv2d engine = oracle::linear_engine(wq, k_max, config);
-          ASSERT_NE(engine.dense(), nullptr);
           expect_tiers_match(
-              engine, oracle::TermWalkLinear(wq, k_max, config).run(qx), qx, 8,
-              "dense",
+              engine, oracle::TermWalkLinear(wq, k_max, config).run(qx), qx,
               "in=" + std::to_string(in_features) +
                   " out=" + std::to_string(out_features) +
                   " k_max=" + std::to_string(k_max) +
@@ -198,82 +194,12 @@ TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
   }
 }
 
-// The plan's largest filter gain, the sum of 2^shift over a filter's
-// entries: the dense gate refuses an input whose max|q| times it passes
-// INT32_MAX.
-std::int64_t max_filter_gain(const ShiftPlan& plan) {
-  std::int64_t best = 0;
-  for (std::size_t f = 0; f < static_cast<std::size_t>(plan.filters); ++f) {
-    std::int64_t gain = 0;
-    for (std::int64_t e = plan.filter_begin[f]; e < plan.filter_begin[f + 1];
-         ++e) {
-      gain += std::int64_t{1} << plan.shift[static_cast<std::size_t>(e)];
-    }
-    best = std::max(best, gain);
-  }
-  return best;
-}
-
-// Activations with |q| up to 2^26: too large for the int32 bound.
-QuantizedActivations wide_activations(const Shape& shape, support::Rng& rng) {
-  QuantizedActivations wide;
-  wide.shape = shape;
-  for (std::int64_t i = 0; i < shape.numel(); ++i) {
-    wide.values.push_back(
-        static_cast<std::int32_t>(rng.uniform_index(1U << 27)) - (1 << 26));
-  }
-  return wide;
-}
-
-// Activations too large for the int32 bound send every tier to the shift
-// walk: the int64 loop over the padded, stride-phased int32 plane.
-TEST(ShiftKernelDiffTest, WideAccumulatorPathMatchesReference) {
-  TierGuard guard;
-  const quant::Pow2Config config;
-  support::Rng rng(108);
-  const QuantizedActivations wide = wide_activations(Shape{3, 11, 9}, rng);
-  for (const std::int64_t stride : {1, 2}) {
-    for (const std::int64_t padding : {0, 1}) {
-      Tensor w = Tensor::randn(Shape{4, 3, 3, 3}, rng, 0.0F, 0.3F);
-      Tensor wq = quant::quantize_lightnn(w, 2, config);
-      const ShiftConv2d engine(wq, 2, config, stride, padding);
-      ASSERT_GT(max_filter_gain(engine.plan()),
-                std::int64_t{0x7fffffff} / wide.abs_max())
-          << "these activations must fail the narrow bound";
-      ASSERT_NE(engine.dense(), nullptr) << "the weights do fit int8";
-      for (const KernelTier tier : host_tiers()) {
-        set_kernel_tier_override(static_cast<int>(tier));
-        EXPECT_TRUE(bytes_equal(
-            engine.run(wide),
-            oracle::TermWalkConv2d(wq, 2, config, stride, padding).run(wide)))
-            << "wide s=" << stride << " p=" << padding
-            << " tier=" << kernel_tier_name(tier);
-      }
-      set_kernel_tier_override(-1);
-    }
-  }
-  // A linear layer: the 1x1 conv on a 1x1 plane takes the same int64 loop.
-  const QuantizedActivations wide_vec = wide_activations(Shape{40}, rng);
-  Tensor w = Tensor::randn(Shape{6, 40}, rng, 0.0F, 0.3F);
-  Tensor wq = quant::quantize_lightnn(w, 2, config);
-  const ShiftConv2d linear = oracle::linear_engine(wq, 2, config);
-  ASSERT_GT(max_filter_gain(linear.plan()),
-            std::int64_t{0x7fffffff} / wide_vec.abs_max())
-      << "these activations must fail the narrow bound";
-  const Tensor reference = oracle::TermWalkLinear(wq, 2, config).run(wide_vec);
-  for (const KernelTier tier : host_tiers()) {
-    set_kernel_tier_override(static_cast<int>(tier));
-    EXPECT_TRUE(bytes_equal(oracle::run_linear(linear, wide_vec), reference))
-        << "wide linear tier=" << kernel_tier_name(tier);
-  }
-}
-
 // The dense gate's cases, at stride 1 and 2. A filter reaching +128 (two
-// 2^0 terms at LightNN-2) packs negated and stays on the dense path; the
-// refusals take the shift walk under every tier: +128 beside -128 in one
-// filter, a LightNN-3 weight past int8 (1 + 1 + 1 = 192 units), and 9-bit
-// activations whose codes do not fit u8. Every case matches the term walk.
-TEST(ShiftKernelDiffTest, GateCasesTakeShiftWalk) {
+// 2^0 terms at LightNN-2) packs negated and matches the term walk under
+// every tier. Adoption refuses +128 beside -128 in one filter and a
+// LightNN-3 weight past int8 (1 + 1 + 1 = 192 units); run() refuses 9-bit
+// codes, and hand-built codes of |q| = 128, which no u8 lane holds.
+TEST(ShiftKernelDiffTest, GateCasesNegateOrRefuse) {
   TierGuard guard;
   const quant::Pow2Config config;
   support::Rng rng(109);
@@ -286,11 +212,10 @@ TEST(ShiftKernelDiffTest, GateCasesTakeShiftWalk) {
         Tensor::randn(Shape{6, 5, 3, 3}, rng, 0.0F, 0.3F), 2, config);
     plus.data()[7] = 2.0F;
     const ShiftConv2d negated(plus, 2, config, stride, 1);
-    ASSERT_NE(negated.dense(), nullptr) << at;
-    EXPECT_EQ(negated.dense()->negated[0], 1) << at;
+    EXPECT_EQ(negated.dense().negated[0], 1) << at;
     expect_tiers_match(
         negated, oracle::TermWalkConv2d(plus, 2, config, stride, 1).run(qimg),
-        qimg, 8, "dense", "+128 weight" + at);
+        qimg, "+128 weight" + at);
 
     Tensor both(plus);
     both.data()[8] = -2.0F;
@@ -300,26 +225,40 @@ TEST(ShiftKernelDiffTest, GateCasesTakeShiftWalk) {
     for (const auto& [wq, k_max, what] :
          {std::tuple<const Tensor&, int, const char*>{both, 2, "+128 and -128"},
           std::tuple<const Tensor&, int, const char*>{wide, 3, "192 at k_max 3"}}) {
-      const ShiftConv2d engine(wq, k_max, config, stride, 1);
-      ASSERT_EQ(engine.dense(), nullptr) << what << at;
-      expect_tiers_match(
-          engine, oracle::TermWalkConv2d(wq, k_max, config, stride, 1).run(qimg),
-          qimg, 8, "shift", what + at);
+      EXPECT_THROW((void)ShiftConv2d(wq, k_max, config, stride, 1),
+                   support::CheckFailure)
+          << what << at;
     }
 
-    Tensor wq = quant::quantize_lightnn(
-        Tensor::randn(Shape{6, 5, 3, 3}, rng, 0.0F, 0.3F), 2, config);
-    const ShiftConv2d engine(wq, 2, config, stride, 1);
-    ASSERT_NE(engine.dense(), nullptr) << at;
-    expect_tiers_match(engine,
-                       oracle::TermWalkConv2d(wq, 2, config, stride, 1).run(q9),
-                       q9, 9, "shift", "act_bits 9" + at);
+    for (const KernelTier tier : host_tiers()) {
+      set_kernel_tier_override(static_cast<int>(tier));
+      EXPECT_THROW((void)negated.run(q9), support::CheckFailure)
+          << "act_bits 9" << at << " tier=" << kernel_tier_name(tier);
+    }
+    set_kernel_tier_override(-1);
+  }
+  // Hand-built codes carry no cached max|q| (max_abs = -1), so run() scans
+  // them: 127 is the widest code it takes, either sign.
+  const Tensor wq = quant::quantize_lightnn(
+      Tensor::randn(Shape{2, 1, 1, 1}, rng, 0.0F, 0.3F), 2, config);
+  const ShiftConv2d engine(wq, 2, config, 1, 0);
+  for (const std::int32_t q : {127, -127, 128, -128}) {
+    QuantizedActivations hand;
+    hand.shape = Shape{1, 2, 2};
+    hand.values = {0, q, 1, -1};
+    if (q == 127 || q == -127) {
+      EXPECT_TRUE(bytes_equal(
+          engine.run(hand),
+          oracle::TermWalkConv2d(wq, 2, config, 1, 0).run(hand)))
+          << "q=" << q;
+    } else {
+      EXPECT_THROW((void)engine.run(hand), support::CheckFailure) << "q=" << q;
+    }
   }
 }
 
 // Pruning removes filters, and a stride changes only the plane's layout;
-// neither may change which path a layer takes. A filter that int8 holds
-// neither as it is nor negated always reports the shift walk.
+// every engine reports the active dense tier.
 TEST(ShiftKernelDiffTest, KernelTierReporting) {
   TierGuard guard;
   const quant::Pow2Config config;
@@ -328,26 +267,18 @@ TEST(ShiftKernelDiffTest, KernelTierReporting) {
   Tensor wq = quant::quantize_lightnn(w, 2, config);
   Tensor wq_pruned(wq);
   prune_filters(wq_pruned, Prune::kFirstHalf);
-  Tensor wq_wide(wq);
-  wq_wide.data()[0] = 2.0F;
-  wq_wide.data()[1] = -2.0F;
   const ShiftConv2d dense(wq, 2, config, 1, 1);
   const ShiftConv2d pruned(wq_pruned, 2, config, 1, 1);
   const ShiftConv2d strided(wq, 2, config, 2, 1);
-  const ShiftConv2d walk(wq_wide, 2, config, 1, 1);
-  EXPECT_STREQ(dense.kernel_tier(8), pruned.kernel_tier(8));
-  EXPECT_STREQ(strided.kernel_tier(8), dense.kernel_tier(8));
-  EXPECT_STREQ(dense.kernel_tier(8),
+  EXPECT_STREQ(dense.kernel_tier(),
                kernel_tier_name(active_shift_kernels().tier));
   for (const KernelTier tier :
        {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kVnni}) {
     set_kernel_tier_override(static_cast<int>(tier));
     const char* name = host_has(tier) ? kernel_tier_name(tier) : "scalar";
-    EXPECT_STREQ(dense.kernel_tier(8), name);
-    EXPECT_STREQ(pruned.kernel_tier(8), name);
-    EXPECT_STREQ(strided.kernel_tier(8), name);
-    EXPECT_STREQ(walk.kernel_tier(8), "shift");
-    EXPECT_STREQ(dense.kernel_tier(9), "shift");
+    EXPECT_STREQ(dense.kernel_tier(), name);
+    EXPECT_STREQ(pruned.kernel_tier(), name);
+    EXPECT_STREQ(strided.kernel_tier(), name);
   }
   EXPECT_STREQ(kernel_tier_name(KernelTier::kVnni), "vnni");
 }
@@ -498,8 +429,8 @@ TEST(ShiftKernelDiffTest, ArtifactPlansRunEveryTierBitIdentical) {
   serialize::save_artifact(program, path);
   {
     // mmap-backed load: the adopted plans' core streams are views into the
-    // mapping; the gains and the dense pack are built (and owned) by the
-    // adopting constructor. Every tier must match the weights-built
+    // mapping; the dense pack is built (and owned) by the adopting
+    // constructor. Every tier must match the weights-built
     // network's scalar tier byte for byte.
     const serialize::ArtifactModel mapped = serialize::ArtifactModel::load(path);
     support::Rng rng(107);

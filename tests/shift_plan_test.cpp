@@ -5,12 +5,16 @@
 // the engine's analytic census must equal the op counts the term walk
 // tallies accumulate by accumulate, and the plan itself must satisfy its
 // structural invariants (sorted filter prefix, no zero-sign entries, shifts
-// inside the barrel range, pruned filters with empty entry ranges).
+// inside the barrel range, pruned filters with empty entry ranges). Weights
+// the int8 pack cannot hold must be refused at adoption with CheckFailure.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/decompose.hpp"
@@ -53,7 +57,28 @@ void prune_filters(Tensor& weights, double fraction) {
   }
 }
 
-// `plan` is an adopted one (engine.plan()), so its derived gains exist.
+// Whether every filter of `wq` fits the engine's int8 pack as it is or
+// negated: its weights, in units of 2^e_min, lie in [-128, 127] or
+// [-127, 128]. Adoption refuses any other filter.
+bool fits_int8_pack(const Tensor& wq, const quant::Pow2Config& config) {
+  const std::int64_t filters = wq.shape()[0];
+  const std::int64_t row = wq.numel() / filters;
+  for (std::int64_t f = 0; f < filters; ++f) {
+    double lo = 0.0;
+    double hi = 0.0;
+    for (std::int64_t i = 0; i < row; ++i) {
+      const double units = std::ldexp(wq[f * row + i], -config.e_min);
+      lo = std::min(lo, units);
+      hi = std::max(hi, units);
+    }
+    if (!((lo >= -128.0 && hi <= 127.0) || (lo >= -127.0 && hi <= 128.0))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// `plan` is an adopted one (engine.plan()).
 void check_plan_invariants(const inference::ShiftPlan& plan,
                            const quant::Pow2Config& config,
                            std::int64_t in_channels, std::int64_t kernel) {
@@ -104,6 +129,7 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
   const double kPruneFractions[] = {0.0, 0.35, 0.5, 1.0};
   support::Rng rng(20260805);
   int cases = 0;
+  int refused = 0;
   for (const int k_max : {1, 2, 3}) {
     for (const std::int64_t kernel : {1, 3, 5}) {
       for (const std::int64_t stride : {1, 2, 3}) {
@@ -123,6 +149,16 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
           Tensor w = Tensor::randn(Shape{out_ch, in_ch, kernel, kernel}, rng);
           Tensor wq = quant::quantize_lightnn(w, k_max, config);
           prune_filters(wq, fraction);
+          const Tensor image = Tensor::randn(Shape{in_ch, in_h, in_w}, rng);
+          if (!fits_int8_pack(wq, config)) {
+            ++refused;
+            EXPECT_THROW((void)inference::ShiftConv2d(wq, k_max, config,
+                                                      stride, padding),
+                         support::CheckFailure)
+                << "k=" << k_max << ": adoption must refuse weights int8 "
+                << "holds neither as they are nor negated";
+            continue;
+          }
 
           const inference::ShiftConv2d engine(wq, k_max, config, stride,
                                               padding);
@@ -131,7 +167,6 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
                     expected_entries(wq, k_max, config))
               << "plan did not elide exactly the zero elements";
 
-          const Tensor image = Tensor::randn(Shape{in_ch, in_h, in_w}, rng);
           const auto q = inference::quantize_image(image, 8);
 
           inference::OpCounts ref_counts{};
@@ -150,6 +185,9 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
       }
     }
   }
+  // These unit-variance weights cover both sides of the pack's bound.
+  EXPECT_GT(refused, 0);
+  EXPECT_LT(refused, cases);
 }
 
 // The conv plan path parallelizes across filters; its agreement with the
@@ -158,9 +196,12 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
 TEST(ShiftPlanPropertyTest, ConvPlanThreadCountInvariant) {
   const quant::Pow2Config config;
   support::Rng rng(7);
-  Tensor w = Tensor::randn(Shape{9, 3, 3, 3}, rng);
+  // At standard deviation 0.5 every filter fits the int8 pack; at 1 most
+  // hold both +-2 (+-128 units), which adoption refuses.
+  Tensor w = Tensor::randn(Shape{9, 3, 3, 3}, rng, 0.0F, 0.5F);
   Tensor wq = quant::quantize_lightnn(w, 2, config);
   prune_filters(wq, 0.3);
+  ASSERT_TRUE(fits_int8_pack(wq, config));
   const inference::ShiftConv2d engine(wq, 2, config, 1, 1);
   const Tensor image = Tensor::randn(Shape{3, 12, 12}, rng);
   const auto q = inference::quantize_image(image, 8);
@@ -179,6 +220,8 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
   const quant::Pow2Config config;
   const double kPruneFractions[] = {0.0, 0.5, 1.0};
   support::Rng rng(99);
+  int cases = 0;
+  int refused = 0;
   for (const int k_max : {1, 2, 3}) {
     for (const double fraction : kPruneFractions) {
       const std::int64_t in_features =
@@ -188,13 +231,22 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
       Tensor w = Tensor::randn(Shape{out_features, in_features}, rng);
       Tensor wq = quant::quantize_lightnn(w, k_max, config);
       prune_filters(wq, fraction);
+      const Tensor x = Tensor::randn(Shape{in_features}, rng);
+      ++cases;
+      if (!fits_int8_pack(wq, config)) {
+        ++refused;
+        EXPECT_THROW((void)inference::oracle::linear_engine(wq, k_max, config),
+                     support::CheckFailure)
+            << "k=" << k_max << ": adoption must refuse weights int8 holds "
+            << "neither as they are nor negated";
+        continue;
+      }
 
       const inference::ShiftConv2d engine =
           inference::oracle::linear_engine(wq, k_max, config);
       check_plan_invariants(engine.plan(), config, in_features, 1);
       EXPECT_EQ(engine.plan().entries(), expected_entries(wq, k_max, config));
 
-      const Tensor x = Tensor::randn(Shape{in_features}, rng);
       const auto q = inference::quantize_tensor(x, 8);
 
       inference::OpCounts ref_counts{};
@@ -209,16 +261,21 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
       EXPECT_EQ(plan_counts.adds, ref_counts.adds);
     }
   }
+  EXPECT_LT(refused, cases);
 }
 
 // Hand-built single-entry plan: one +1.0 weight at element 0 must compile to
 // exactly one entry with shift = -e_min (2^0 needs exponent 0) and sign +1.
+// Its int8 pack would spend 9 words (one 3x3 channel group) on that one
+// entry, past the 4 per entry adoption allows, so the engine refuses it.
 TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   const quant::Pow2Config config;
   Tensor wq = Tensor::zeros(Shape{2, 1, 3, 3});
   wq.data()[0] = 1.0F;  // filter 0, element (0, 0, 0); filter 1 pruned
-  const inference::ShiftConv2d engine(wq, 1, config, 1, 1);
-  const auto& plan = engine.plan();
+  const inference::ShiftPlan plan = inference::ShiftPlan::compile_conv(
+      core::decompose_to_lightnn1(wq, 1, config), config, 1, 3);
+  EXPECT_THROW((void)inference::ShiftConv2d(wq, 1, config, 1, 1),
+               support::CheckFailure);
   ASSERT_EQ(plan.entries(), 1);
   EXPECT_EQ(plan.channel[0], 0);
   EXPECT_EQ(plan.ky[0], 0);
@@ -255,54 +312,53 @@ inference::ShiftPlan dense_test_plan() {
 // channels per word in [filter][group][ky][kx] order, skips the pruned
 // filter and keeps 128 * (sum of the weights) per live filter.
 TEST(ShiftPlanPropertyTest, DensePackRebuildsWeights) {
-  const auto pack = inference::pack_dense(dense_test_plan(), 5, 3);
-  ASSERT_TRUE(pack.has_value());
-  EXPECT_EQ(pack->taps, 2 * 9);
-  ASSERT_EQ(pack->filters, std::vector<std::int32_t>{0});
-  ASSERT_EQ(pack->words.size(), 18U);
+  const inference::DensePack pack =
+      inference::pack_dense(dense_test_plan(), 5, 3);
+  EXPECT_EQ(pack.taps, 2 * 9);
+  ASSERT_EQ(pack.filters, std::vector<std::int32_t>{0});
+  ASSERT_EQ(pack.words.size(), 18U);
   const auto byte_at = [&](std::int64_t channel, std::int64_t ky,
                            std::int64_t kx) {
     const auto word = static_cast<std::uint32_t>(
-        pack->words[static_cast<std::size_t>((channel / 4) * 9 + ky * 3 + kx)]);
+        pack.words[static_cast<std::size_t>((channel / 4) * 9 + ky * 3 + kx)]);
     return static_cast<std::int8_t>(word >> (8 * (channel % 4)));
   };
   EXPECT_EQ(byte_at(4, 1, 2), 63);
   EXPECT_EQ(byte_at(1, 0, 0), -128);
   EXPECT_EQ(byte_at(3, 2, 1), 8);
   int nonzero = 0;
-  for (const std::int32_t word : pack->words) {
+  for (const std::int32_t word : pack.words) {
     for (int i = 0; i < 4; ++i) {
       nonzero += (static_cast<std::uint32_t>(word) >> (8 * i)) & 0xFFU ? 1 : 0;
     }
   }
   EXPECT_EQ(nonzero, 3);
-  ASSERT_EQ(pack->correction.size(), 1U);
-  EXPECT_EQ(pack->correction[0], 128 * (63 - 128 + 8));
-  EXPECT_EQ(pack->negated, std::vector<std::uint8_t>{0});
+  ASSERT_EQ(pack.correction.size(), 1U);
+  EXPECT_EQ(pack.correction[0], 128 * (63 - 128 + 8));
+  EXPECT_EQ(pack.negated, std::vector<std::uint8_t>{0});
 
   // A filter reaching +128 (and not -128) packs negated.
   inference::ShiftPlan plus = dense_test_plan();
   plus.sign[1] = 1;
   plus.sign[3] = 1;
-  const auto negated = inference::pack_dense(plus, 5, 3);
-  ASSERT_TRUE(negated.has_value());
-  EXPECT_EQ(negated->negated, std::vector<std::uint8_t>{1});
+  const inference::DensePack negated = inference::pack_dense(plus, 5, 3);
+  EXPECT_EQ(negated.negated, std::vector<std::uint8_t>{1});
   const auto negated_byte = [&](std::int64_t channel, std::int64_t ky,
                                 std::int64_t kx) {
-    const auto word = static_cast<std::uint32_t>(negated->words[static_cast<
+    const auto word = static_cast<std::uint32_t>(negated.words[static_cast<
         std::size_t>((channel / 4) * 9 + ky * 3 + kx)]);
     return static_cast<std::int8_t>(word >> (8 * (channel % 4)));
   };
   EXPECT_EQ(negated_byte(4, 1, 2), -63);
   EXPECT_EQ(negated_byte(1, 0, 0), -128);
   EXPECT_EQ(negated_byte(3, 2, 1), -8);
-  EXPECT_EQ(negated->correction[0], -128 * (63 + 128 + 8));
+  EXPECT_EQ(negated.correction[0], -128 * (63 + 128 + 8));
 }
 
 // The adopting constructor checks every plan (check_plan) before anything
 // indexes it, whoever built it. Each hostile plan below must throw
-// CheckFailure there (the sanitizer legs run this case): the gain pass,
-// pack_dense, the census and the walk never see it.
+// CheckFailure there (the sanitizer legs run this case): pack_dense and the
+// census never see it.
 TEST(ShiftPlanPropertyTest, AdoptionRejectsHostilePlans) {
   // The default config's window is e_max - e_min = 6 shifts.
   const auto adopt = [](const inference::ShiftPlan& plan,
@@ -374,14 +430,28 @@ TEST(ShiftPlanPropertyTest, AdoptionRejectsHostilePlans) {
 }
 
 // pack_dense's own refusals, on plans check_plan accepts: weights int8
-// holds neither as they are nor negated, and a pack that would outgrow the
-// plan. Each refuses the dense form without allocating past O(entries +
-// filters).
+// holds neither as they are nor negated, a filter whose int32 sums could
+// wrap, and a pack that would outgrow the plan. Each throws CheckFailure
+// naming what it breaks, without allocating past O(entries + filters); the
+// adopting constructor, and so every load path, throws with it.
 TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
-  ASSERT_TRUE(inference::pack_dense(dense_test_plan(), 5, 3).has_value());
-  const auto refuses = [](const inference::ShiftPlan& plan,
-                          std::int64_t in_channels, std::int64_t kernel) {
-    return !inference::pack_dense(plan, in_channels, kernel).has_value();
+  ASSERT_NO_THROW((void)inference::pack_dense(dense_test_plan(), 5, 3));
+  const auto refusal = [](const inference::ShiftPlan& plan,
+                          std::int64_t in_channels, std::int64_t kernel,
+                          const quant::Pow2Config& config = {}) {
+    try {
+      (void)inference::pack_dense(plan, in_channels, kernel);
+    } catch (const support::CheckFailure& failure) {
+      const inference::ShiftConvSpec spec{plan.filters, in_channels, kernel,
+                                          1,            0,           0};
+      EXPECT_THROW((void)inference::ShiftConv2d(plan, spec, config),
+                   support::CheckFailure);
+      return std::string(failure.what());
+    }
+    return std::string();
+  };
+  const auto names = [](const std::string& message, const char* part) {
+    return message.find(part) != std::string::npos;
   };
   {
     // +128 at channel 1 beside -128 at channel 2: int8 holds the filter
@@ -398,7 +468,9 @@ TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
     }
     plan.filter_begin = {};
     for (const std::int64_t begin : {0, 7, 7}) plan.filter_begin.push_back(begin);
-    EXPECT_TRUE(refuses(plan, 5, 3)) << "a +128 weight beside a -128 weight";
+    EXPECT_TRUE(names(refusal(plan, 5, 3),
+                      "filter 0 holds weights in [-128, 128]"))
+        << "a +128 weight beside a -128 weight";
   }
   {
     inference::ShiftPlan plan = dense_test_plan();
@@ -408,11 +480,14 @@ TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
     plan.ky[4] = 0;
     plan.kx[4] = 0;
     plan.shift[4] = 0;
-    EXPECT_TRUE(refuses(plan, 5, 3)) << "a +129 weight";
+    EXPECT_TRUE(names(refusal(plan, 5, 3), "filter 0 holds weights"))
+        << "a +129 weight";
   }
   // Many shift-61 entries on one tap, valid under a 61-shift window: the
-  // sum must refuse before it can overflow int64, and the engine then runs
-  // the walk.
+  // sum must refuse before it can overflow int64.
+  quant::Pow2Config wide;
+  wide.e_min = -61;
+  wide.e_max = 0;
   inference::ShiftPlan big;
   big.filters = 1;
   for (int e = 0; e < 8; ++e) {
@@ -423,12 +498,32 @@ TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
     big.sign.push_back(1);
   }
   for (const std::int64_t begin : {0, 8}) big.filter_begin.push_back(begin);
-  EXPECT_TRUE(refuses(big, 1, 1));
-  quant::Pow2Config wide;
-  wide.e_min = -61;
-  wide.e_max = 0;
-  const inference::ShiftConv2d walk(big, {1, 1, 1, 1, 0, 0}, wide);
-  EXPECT_EQ(walk.dense(), nullptr);
+  EXPECT_TRUE(names(refusal(big, 1, 1, wide), "filter 0 sums a weight past"));
+
+  // 127 x sum |w| against INT32_MAX, at the bound's exact edge: 132,104
+  // weights of -128 (one shift-7 entry each) fit, one more does not.
+  quant::Pow2Config seven;
+  seven.e_min = -7;
+  const auto row_of = [](std::int32_t channels) {
+    inference::ShiftPlan plan;
+    plan.filters = 1;
+    for (std::int32_t c = 0; c < channels; ++c) {
+      plan.channel.push_back(c);
+      plan.ky.push_back(0);
+      plan.kx.push_back(0);
+      plan.shift.push_back(7);
+      plan.sign.push_back(-1);
+    }
+    for (const std::int64_t begin : {0, channels}) {
+      plan.filter_begin.push_back(begin);
+    }
+    return plan;
+  };
+  EXPECT_EQ(refusal(row_of(132104), 132104, 1, seven), "")
+      << "127 * 128 * 132104 fits int32";
+  EXPECT_TRUE(names(refusal(row_of(132105), 132105, 1, seven),
+                    "filter 0's sum of |w| is 16909440"))
+      << "127 * 128 * 132105 passes INT32_MAX";
 
   // Geometry the entries cannot pay for. With every filter pruned the word
   // count overflows int64 (2^22 groups x 2^48 taps); with one entry a
@@ -437,11 +532,11 @@ TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
   pruned.filters = 2;
   for (const std::int64_t begin : {0, 0, 0}) pruned.filter_begin.push_back(begin);
   const std::int64_t huge = std::int64_t{1} << 24;
-  EXPECT_TRUE(refuses(pruned, huge, huge)) << "a word count past int64";
-  const auto empty = inference::pack_dense(pruned, 5, 3);
-  ASSERT_TRUE(empty.has_value()) << "an all-pruned plan of sane geometry";
-  EXPECT_TRUE(empty->filters.empty());
-  EXPECT_TRUE(empty->words.empty());
+  EXPECT_TRUE(names(refusal(pruned, huge, huge), "words per plan entry"))
+      << "a word count past int64";
+  const inference::DensePack empty = inference::pack_dense(pruned, 5, 3);
+  EXPECT_TRUE(empty.filters.empty()) << "an all-pruned plan of sane geometry";
+  EXPECT_TRUE(empty.words.empty());
   inference::ShiftPlan one;
   one.filters = 1;
   one.channel.push_back(0);
@@ -450,10 +545,12 @@ TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
   one.shift.push_back(0);
   one.sign.push_back(1);
   for (const std::int64_t begin : {0, 1}) one.filter_begin.push_back(begin);
-  EXPECT_FALSE(refuses(one, 4, 1)) << "one word for one entry";
-  EXPECT_TRUE(refuses(one, 1, std::int64_t{1} << 15))
+  EXPECT_EQ(refusal(one, 4, 1), "") << "one word for one entry";
+  EXPECT_TRUE(names(refusal(one, 1, std::int64_t{1} << 15),
+                    "words per plan entry"))
       << "2^30 words for one entry";
-  EXPECT_TRUE(refuses(one, 17, 1)) << "5 words for one entry";
+  EXPECT_TRUE(names(refusal(one, 17, 1), "words per plan entry"))
+      << "5 words for one entry";
 }
 
 // Bias handling must match the oracle's (bias folds in after
@@ -461,7 +558,8 @@ TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
 TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const quant::Pow2Config config;
   support::Rng rng(5);
-  Tensor w = Tensor::randn(Shape{4, 2, 3, 3}, rng);
+  // Standard deviation 0.5 keeps every filter inside the int8 pack.
+  Tensor w = Tensor::randn(Shape{4, 2, 3, 3}, rng, 0.0F, 0.5F);
   Tensor wq = quant::quantize_lightnn(w, 2, config);
   Tensor bias = Tensor::randn(Shape{4}, rng);
   const inference::ShiftConv2d engine(wq, 2, config, 2, 1, bias);
@@ -471,7 +569,7 @@ TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
       inference::oracle::TermWalkConv2d(wq, 2, config, 2, 1, bias).run(q),
       engine.run(q), "conv+bias");
 
-  Tensor wl = Tensor::randn(Shape{5, 12}, rng);
+  Tensor wl = Tensor::randn(Shape{5, 12}, rng, 0.0F, 0.5F);
   Tensor wlq = quant::quantize_lightnn(wl, 2, config);
   Tensor bl = Tensor::randn(Shape{5}, rng);
   const inference::ShiftConv2d lin =

@@ -193,6 +193,9 @@ int cmd_export(const std::vector<std::string>& argv) {
 
   const inference::NetworkProgram program = inference::compile_program(
       *model, tensor::Shape{1, spec.channels, spec.height, spec.width});
+  // Adopt the program before writing it: a plan the int8 pack cannot run
+  // fails here, so no artifact that cannot load is ever written.
+  (void)inference::QuantizedNetwork::from_program(program);
   const std::string path = args.get("--artifact");
   serialize::save_artifact(program, path);
   std::printf("artifact: %zu ops -> %s (paper storage %.0f bytes)\n",
