@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <future>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/decompose.hpp"
@@ -355,19 +356,23 @@ int main(int argc, char** argv) {
   // Each InferenceResult reports how long the request queued, how long its
   // fused batch computed, and which dynamic batch size it rode in -- the
   // per-request observability the serving API carries natively.
-  const auto network = inference::QuantizedNetwork::compile(
+  inference::NetworkProgram program = inference::compile_program(
       *model, tensor::Shape{1, spec.channels, spec.height, spec.width});
-
   // --save-artifact: freeze the compiled network into the flat deployment
-  // blob a later --load-artifact run (or any serving replica) can mmap.
-  if (const std::string save_path = parser.get("--save-artifact");
-      !save_path.empty()) {
-    const auto program = inference::compile_program(
-        *model, tensor::Shape{1, spec.channels, spec.height, spec.width});
-    serialize::save_artifact(program, save_path);
-    const auto blob = serialize::build_artifact(program);
+  // blob a later --load-artifact run (or any serving replica) can mmap. The
+  // blob is laid out before the program is adopted and written after, so a
+  // program that cannot load is never written.
+  const std::string save_path = parser.get("--save-artifact");
+  const std::size_t program_ops = program.ops.size();
+  const std::vector<std::uint8_t> blob =
+      save_path.empty() ? std::vector<std::uint8_t>()
+                        : serialize::build_artifact(program);
+  const auto network =
+      inference::QuantizedNetwork::from_program(std::move(program));
+  if (!save_path.empty()) {
+    serialize::write_artifact(blob, save_path);
     std::printf("\nsaved deployment artifact: %s (%zu bytes, %zu ops)\n",
-                save_path.c_str(), blob.size(), program.ops.size());
+                save_path.c_str(), blob.size(), program_ops);
   }
 
   const int batch = apply_mem_budget(network, spec.channels, spec.height,

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -88,32 +89,153 @@ void emit_model_io(const fs::path& dir) {
   write_seed(dir, "random_256", pseudo_random(256, 0x5EEDU));
 }
 
+// One fuzz_shift_plan program: header { e_min + 128, e_max - e_min + 2,
+// flush, k_max, conv, filters, in_channels, kernel (conv only) }, then one
+// { class, payload } per weight (decode_weight's classes: 0-9 on the grid as
+// an int8 count of units, 10 = 128-135 units, 11 = +-0, 12 = NaN/+-inf,
+// 13 = units plus a fraction, 14 = below half a unit, 15 = raw float bits).
+struct PlanProgram {
+  int e_min = -6;
+  int e_max = 0;
+  bool flush = true;
+  int k_max = 2;
+  bool conv = true;
+  int filters = 1;
+  int in_channels = 1;
+  int kernel = 1;
+  Bytes weights;
+
+  // A weight of `units` x 2^e_min, |units| <= 127.
+  PlanProgram& units(int count) {
+    weights.push_back(0);
+    weights.push_back(static_cast<std::uint8_t>(static_cast<std::int8_t>(count)));
+    return *this;
+  }
+  PlanProgram& weight(std::uint8_t kind, Bytes payload) {
+    weights.push_back(kind);
+    weights.insert(weights.end(), payload.begin(), payload.end());
+    return *this;
+  }
+  [[nodiscard]] Bytes bytes() const {
+    Bytes out = {static_cast<std::uint8_t>(e_min + 128),
+                 static_cast<std::uint8_t>(e_max - e_min + 2),
+                 static_cast<std::uint8_t>(flush ? 1 : 0),
+                 static_cast<std::uint8_t>(k_max),
+                 static_cast<std::uint8_t>(conv ? 1 : 0),
+                 static_cast<std::uint8_t>(filters),
+                 static_cast<std::uint8_t>(in_channels)};
+    if (conv) out.push_back(static_cast<std::uint8_t>(kernel));
+    out.insert(out.end(), weights.begin(), weights.end());
+    return out;
+  }
+};
+
 void emit_shift_plan(const fs::path& dir) {
-  // Byte programs for fuzz_shift_plan's decoder: header is
-  // { e_min, e_max_span, flush, filters, terms, in_channels, kernel,
-  //   elements_per_filter }, then per term { filter, level, count, then
-  //   count x { sign, exponent } }.
   write_seed(dir, "empty", {});
   write_seed(dir, "zeros_16", Bytes(16, 0));
-  write_seed(dir, "valid_small",
-             {5, 6, 1, 4, 2, 3, 3, 9,
-              /*term0*/ 0, 1, 2, /*w*/ 1, 0xFB, /*w*/ 0xFF, 0xFC,
-              /*term1*/ 3, 0, 1, /*w*/ 1, 0xFA});
-  write_seed(dir, "oob_filter",
-             {5, 6, 0, 2, 1, 1, 1, 4,
-              /*term0*/ 0x7F, 0, 1, /*w*/ 1, 0xFB});
-  write_seed(dir, "negative_filter",
-             {5, 6, 0, 2, 1, 1, 1, 4,
-              /*term0*/ 0x80, 0, 1, /*w*/ 1, 0xFB});
-  write_seed(dir, "bad_sign",
-             {5, 6, 0, 2, 1, 1, 1, 4,
-              /*term0*/ 0, 0, 1, /*w*/ 5, 0xFB});
-  write_seed(dir, "far_exponent",
-             {5, 6, 0, 2, 1, 1, 1, 4,
-              /*term0*/ 0, 0, 1, /*w*/ 1, 0x40});
-  write_seed(dir, "zero_geometry",
-             {5, 6, 0, 2, 1, 0, 0, 4,
-              /*term0*/ 0, 0, 1, /*w*/ 1, 0xFB});
+  // Sums of at most two powers of two in [2^-6, 2^0], in units of 2^-6:
+  // the values a LightNN-2 layer holds, its k_i = 1 and zero weights among
+  // them.
+  const int kLightNN2[] = {0,  1,   -2, 3,   5,  -6,  9,   12, -17, 24, 0,
+                           40, -48, 64, 65,  -80, 96, 0,   -3, 4,   33, -66};
+  const auto lightnn2 = [&](int filters, int in_channels, int kernel) {
+    PlanProgram p;
+    p.filters = filters;
+    p.in_channels = in_channels;
+    p.kernel = kernel;
+    const int weights = filters * in_channels * kernel * kernel;
+    for (int i = 0; i < weights; ++i) {
+      p.units(kLightNN2[(i * 7) % static_cast<int>(std::size(kLightNN2))]);
+    }
+    return p;
+  };
+  write_seed(dir, "lightnn2_conv3", lightnn2(3, 5, 3).bytes());
+  write_seed(dir, "lightnn2_conv5", lightnn2(2, 3, 5).bytes());
+  {
+    // A linear layer with a pruned filter and a k_i = 1 filter.
+    PlanProgram p = lightnn2(3, 6, 1);
+    p.conv = false;
+    p.weights.clear();
+    for (int i = 0; i < 6; ++i) p.units(0);
+    for (int i = 0; i < 6; ++i) p.units(i % 2 == 0 ? 16 : -4);
+    for (int i = 0; i < 6; ++i) p.units(kLightNN2[i + 3]);
+    write_seed(dir, "flightnn_linear", p.bytes());
+  }
+  {
+    // Window [-7, 0]: 2^0 is 128 units, and -2^0 - 2^0 is -256, which no
+    // plan holds.
+    PlanProgram p;
+    p.e_min = -7;
+    p.filters = 2;
+    p.in_channels = 2;
+    p.weight(10, {0}).units(-1).weight(10, {0x80}).units(64);
+    write_seed(dir, "window7_128_units", p.bytes());
+    p.weights.clear();
+    p.weight(10, {0}).units(-1).units(3).weight(15, {0, 0, 0, 0xC0});
+    write_seed(dir, "window7_256_units", p.bytes());
+  }
+  {
+    // Window [-3, 0]: terms past 8 units clamp to 2^0, so 24 takes three.
+    PlanProgram p;
+    p.e_min = -3;
+    p.k_max = 5;
+    p.filters = 2;
+    p.in_channels = 4;
+    for (const int u : {24, -17, 12, 5, 3, 0, 1, -2}) p.units(u);
+    write_seed(dir, "window3_clamped", p.bytes());
+  }
+  {
+    PlanProgram p;
+    p.filters = 2;
+    p.in_channels = 2;
+    p.units(3).weight(12, {0}).units(1).units(2);
+    write_seed(dir, "nan_weight", p.bytes());
+    p.weights.clear();
+    p.units(3).weight(12, {1}).units(1).units(2);
+    write_seed(dir, "inf_weight", p.bytes());
+    p.weights.clear();
+    p.units(3).weight(13, {0, 77}).units(1).units(2);
+    write_seed(dir, "fraction_weight", p.bytes());
+    p.weights.clear();
+    p.units(3).units(11).units(1).units(2);
+    write_seed(dir, "eleven_units_k2", p.bytes());
+    p.weights.clear();
+    p.k_max = 3;
+    p.units(3).weight(15, {0, 0, 0x40, 0x40}).units(1).units(2);  // 3.0
+    write_seed(dir, "192_units_k3", p.bytes());
+    p.weights.clear();
+    p.k_max = 2;
+    p.weight(10, {0}).weight(10, {0x80}).units(1).units(2);
+    write_seed(dir, "plus_minus_128", p.bytes());
+    p.weights.clear();
+    p.flush = false;
+    p.units(3).weight(14, {30}).units(1).units(2);
+    write_seed(dir, "tiny_no_flush", p.bytes());
+  }
+  {
+    PlanProgram p = lightnn2(1, 2, 1);
+    p.e_min = -62;
+    write_seed(dir, "window_62_shifts", p.bytes());
+    p.e_min = 1;
+    p.e_max = 0;
+    write_seed(dir, "window_inverted", p.bytes());
+    p.weights.clear();
+    p.units(1).units(-7).units(8).units(0);
+    p.in_channels = 4;
+    p.e_min = 120;
+    p.e_max = 127;
+    write_seed(dir, "window_top", p.bytes());
+    // 8 units of 2^125 is 2^128, past FLT_MAX.
+    p.e_min = 125;
+    write_seed(dir, "window_past_float", p.bytes());
+  }
+  {
+    PlanProgram p = lightnn2(2, 0, 3);
+    write_seed(dir, "zero_geometry", p.bytes());
+    p = lightnn2(2, 2, 1);
+    p.k_max = 0;
+    write_seed(dir, "k_max_zero", p.bytes());
+  }
   write_seed(dir, "max_counts", pseudo_random(512, 0xF1A9U));
 }
 

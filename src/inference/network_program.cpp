@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/decompose.hpp"
 #include "core/flightnn_transform.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -78,11 +77,10 @@ void program_layer(nn::Layer& layer, ProgramState& state,
       op.act_bits = state.current_act_bits;
       op.k_max = coding.k_max;
       op.pow2 = coding.pow2;
-      const core::Decomposition decomposition =
-          core::decompose_to_lightnn1(wq, coding.k_max, coding.pow2);
-      op.term_count = decomposition.term_count();
-      op.plan = ShiftPlan::compile_conv(decomposition, coding.pow2,
-                                        op.in_channels, op.kernel);
+      CompiledPlan compiled =
+          ShiftPlan::compile_conv(wq, coding.k_max, coding.pow2);
+      op.term_count = compiled.term_count;
+      op.plan = std::move(compiled.plan);
     } else {
       op.kind = ProgramOpKind::kFloatConv;
       op.weights = std::move(wq);
@@ -148,11 +146,10 @@ void program_layer(nn::Layer& layer, ProgramState& state,
       op.act_bits = state.current_act_bits;
       op.k_max = coding.k_max;
       op.pow2 = coding.pow2;
-      const core::Decomposition decomposition =
-          core::decompose_to_lightnn1(wq, coding.k_max, coding.pow2);
-      op.term_count = decomposition.term_count();
-      op.plan = ShiftPlan::compile_conv(decomposition, coding.pow2,
-                                        op.in_channels, 1);
+      CompiledPlan compiled =
+          ShiftPlan::compile_conv(wq, coding.k_max, coding.pow2);
+      op.term_count = compiled.term_count;
+      op.plan = std::move(compiled.plan);
     } else {
       op.kind = ProgramOpKind::kFloatLinear;
       op.weights = std::move(wq);
@@ -212,10 +209,6 @@ NetworkProgram compile_program(nn::Sequential& model,
   FLIGHTNN_CHECK(input_shape.rank() == 4 && input_shape[0] == 1,
                  "compile_program: expected [1, C, H, W] input shape, got ",
                  input_shape.to_string());
-  // One eval forward so batch-norm statistics and conv geometry are final.
-  tensor::Tensor dummy(input_shape);
-  (void)model.forward(dummy, /*training=*/false);
-
   NetworkProgram program;
   program.input_c = input_shape[1];
   program.input_h = input_shape[2];

@@ -6,7 +6,8 @@
 // always did) and lowers every layer into a self-contained ProgramOp --
 // shift layers carry their compiled ShiftPlan, batch norm arrives already
 // folded into per-channel affines, residual blocks are flattened into
-// pre-order segments with explicit child counts.
+// pre-order segments with explicit child counts. A shift layer is lowered
+// once, straight from its quantized weights (ShiftPlan::compile_conv).
 //
 // The IR exists so the deployment artifact (serialize/artifact.hpp) has a
 // stable, pointer-free description to serialize: every field is a scalar,
@@ -17,8 +18,9 @@
 // an engine. The in-memory compile path and the artifact load path hand it
 // the same plans, so both produce one kind of network with identical logits.
 // from_program checks every op field (the caps below) and the adopting
-// engine every plan stream (check_plan) and that its int8 pack can run the
-// plan (pack_dense), whoever built the program.
+// engine every plan stream (check_plan), then every entry as its int8 pack
+// takes it and that the pack can run the plan (pack_dense), whoever built
+// the program.
 
 #include <cstdint>
 #include <vector>
@@ -124,9 +126,15 @@ struct NetworkProgram {
   std::int64_t input_w = 0;
 };
 
-// Lower a trained model. Walks the layer tree in execution order; throws on
-// layer types it does not understand. The model is used in eval mode during
-// compilation (one dummy forward fixes geometry and batch-norm statistics).
+// Lower a trained model for [1, C, H, W] inputs. Walks the layer tree in
+// execution order and reads each layer's parameters as they stand (a
+// conv's quantized weights, stride, padding and bias; a batch norm's
+// running statistics, folded): it runs no forward pass, so the calling
+// thread's tensor pool keeps only the quantized weights it asked each
+// transform for. Throws on layer types it does not understand and, through
+// ShiftPlan::compile_conv, on a shift layer whose weights its pow2 coding
+// cannot hold. It does not check that the layers can take `input_shape`:
+// from_program's load walk does, for every adopter.
 NetworkProgram compile_program(nn::Sequential& model,
                                const tensor::Shape& input_shape);
 

@@ -92,9 +92,11 @@ struct StepProfile {
 
 class QuantizedNetwork {
  public:
-  // Compile a trained model. Walks the layer tree in execution order;
-  // throws on layer types it does not understand. The model is used in
-  // eval mode during compilation (one dummy forward fixes geometry).
+  // Compile a trained model: from_program(compile_program(model,
+  // input_shape)). Throws on layer types it does not understand, and
+  // CheckFailure where from_program does, an input shape the layers cannot
+  // take included (its load walk is the shape check; compile runs no
+  // forward pass).
   static QuantizedNetwork compile(nn::Sequential& model,
                                   const tensor::Shape& input_shape);
 

@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/decompose.hpp"
 #include "inference/shift_kernels.hpp"
 #include "runtime/scratch_arena.hpp"
 #include "runtime/thread_pool.hpp"
@@ -317,22 +316,19 @@ tensor::Tensor dequantize(const QuantizedActivations& activations) {
 
 namespace {
 
-// Decompose (Fig. 3) and lower the weights, then hand the plan to the
-// adopting constructor -- the one construction path every engine takes.
+// Lower the weights, then hand the plan to the adopting constructor -- the
+// one construction path every engine takes.
 ShiftConv2d lower_conv(const tensor::Tensor& quantized_weights, int k_max,
                        const quant::Pow2Config& config, std::int64_t stride,
                        std::int64_t padding, tensor::Tensor bias) {
   const auto& s = quantized_weights.shape();
   FLIGHTNN_CHECK(s.rank() == 4, "ShiftConv2d: OIHW weights required, got ",
                  s.to_string());
-  FLIGHTNN_CHECK(s[2] == s[3], "ShiftConv2d: square kernels only, got ",
-                 s.to_string());
-  const core::Decomposition decomposition =
-      core::decompose_to_lightnn1(quantized_weights, k_max, config);
+  CompiledPlan compiled =
+      ShiftPlan::compile_conv(quantized_weights, k_max, config);
   const ShiftConvSpec spec{s[0],   s[1],    s[2],
-                           stride, padding, decomposition.term_count()};
-  return {ShiftPlan::compile_conv(decomposition, config, s[1], s[2]), spec,
-          config, std::move(bias)};
+                           stride, padding, compiled.term_count};
+  return {std::move(compiled.plan), spec, config, std::move(bias)};
 }
 
 }  // namespace
@@ -362,9 +358,10 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
   FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_channels_,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
-  check_plan(plan_, out_channels_, in_channels_, kernel_, config_);
-  // The one place the dense form comes from, compiled or loaded.
-  dense_ = pack_dense(plan_, in_channels_, kernel_);
+  check_plan(plan_, out_channels_, config_);
+  // The one place the dense form comes from, compiled or loaded; it checks
+  // each entry as it packs it.
+  dense_ = pack_dense(plan_, in_channels_, kernel_, config_);
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(

@@ -20,10 +20,10 @@
 // term walk's integers exactly (DESIGN.md §9). A plan the pack cannot run
 // -- weights past int8, a filter past the int32 bound, a pack past its
 // words-per-entry cap -- is refused at adoption. Both constructors end in
-// the same place: the weights constructor decomposes and lowers once, then
-// adopts the plan exactly as the artifact load path does. The pre-plan term
-// walk lives in tests/ as the bit-exact oracle the property suites compare
-// against.
+// the same place: the weights constructor lowers the quantized weights once
+// (ShiftPlan::compile_conv), then adopts the plan exactly as the artifact
+// load path does. The pre-plan term walk lives in tests/ as the bit-exact
+// oracle the property suites compare against.
 //
 // Like the paper's FPGA evaluation (Sec. 5.2), the engine operates at layer
 // granularity -- convolutions dominate >90% of CNN compute, so the largest
@@ -119,17 +119,19 @@ class ShiftConv2d {
  public:
   // `quantized_weights` is an OIHW tensor whose elements are sums of at most
   // `k_max` powers of two (output of LightNN-k / FLightNN quantization).
-  // `bias` may be empty. Decomposes and lowers the weights once, then adopts
-  // the plan; the weights are not retained.
+  // `bias` may be empty. Lowers the weights straight into a plan
+  // (ShiftPlan::compile_conv, which throws CheckFailure for weights off
+  // its grid), then adopts the plan; the weights are not retained.
   ShiftConv2d(const tensor::Tensor& quantized_weights, int k_max,
               const quant::Pow2Config& config, std::int64_t stride,
               std::int64_t padding, tensor::Tensor bias = {});
 
   // Adopt an already-compiled plan (the program and artifact load paths: the
   // plan's streams may be zero-copy views into a mapped blob). Checks the
-  // geometry and the bias, then every plan stream and entry (check_plan,
-  // which throws CheckFailure whoever built the plan), and builds the dense
-  // form (pack_dense, which throws CheckFailure for a plan it cannot run).
+  // geometry and the bias, then every plan stream (check_plan), and builds
+  // the dense form (pack_dense, which checks each entry as it packs it);
+  // both throw CheckFailure whoever built the plan, pack_dense also for a
+  // plan it cannot run.
   ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 

@@ -1,7 +1,10 @@
 #include "inference/shift_plan.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
+#include <vector>
 
 #include "support/annotations.hpp"
 #include "support/check.hpp"
@@ -13,18 +16,23 @@ namespace {
 // Plan entries check_plan accepts at most.
 constexpr std::int64_t kMaxPlanEntries = std::int64_t{1} << 31;
 
-}  // namespace
 
-void check_plan(const ShiftPlan& plan, std::int64_t filters,
-                std::int64_t in_channels, std::int64_t kernel,
-                const quant::Pow2Config& config) {
-  // In int64: e_max - e_min of two hostile ints overflows int.
+// The window check compile_conv makes before it lowers and check_plan
+// before a plan is adopted. In int64: e_max - e_min of two hostile ints
+// overflows int.
+void check_window(const quant::Pow2Config& config, const char* who) {
   const std::int64_t window = std::int64_t{config.e_max} - config.e_min;
   FLIGHTNN_CHECK(config.e_min >= -126 && config.e_max <= 127 && window >= 0 &&
                      window <= kMaxShift,
-                 "ShiftPlan: exponent window [", config.e_min, ", ",
-                 config.e_max, "] outside [-126, 127] or wider than ",
-                 kMaxShift, " shifts");
+                 who, ": exponent window [", config.e_min, ", ", config.e_max,
+                 "] outside [-126, 127] or wider than ", kMaxShift, " shifts");
+}
+
+}  // namespace
+
+void check_plan(const ShiftPlan& plan, std::int64_t filters,
+                const quant::Pow2Config& config) {
+  check_window(config, "ShiftPlan");
   const std::int64_t n = plan.entries();
   FLIGHTNN_CHECK(filters >= 0 && plan.filters == filters,
                  "ShiftPlan: plan covers ", plan.filters, " filters, the layer ",
@@ -44,28 +52,17 @@ void check_plan(const ShiftPlan& plan, std::int64_t filters,
     FLIGHTNN_CHECK(begin[f - 1] <= begin[f],
                    "ShiftPlan: filter_begin decreases at ", f);
   }
-  for (std::size_t e = 0; e < entries; ++e) {
-    const std::int64_t sign = plan.sign[e], shift = plan.shift[e],
-                       channel = plan.channel[e], ky = plan.ky[e],
-                       kx = plan.kx[e];
-    FLIGHTNN_CHECK((sign == 1 || sign == -1) && shift >= 0 &&
-                       shift <= window && channel >= 0 &&
-                       channel < in_channels && ky >= 0 && ky < kernel &&
-                       kx >= 0 && kx < kernel,
-                   "ShiftPlan: entry ", e, " (sign ", sign, ", shift ", shift,
-                   ", tap ", channel, "/", ky, "/", kx,
-                   ") outside the window [0, ", window, "] or the [",
-                   in_channels, ", ", kernel, ", ", kernel, "] filter");
-  }
 }
 
-// One pass over the entries: each filter's weights are summed into a
-// scratch row in int64, checked, and packed. The word count is checked
-// first, so a refused pack allocates O(entries + filters) whatever the
-// geometry claims.
+// One pass over the entries: each entry is checked, then summed into its
+// filter's scratch row in int64, and each filter's row is checked and
+// packed. The word count is checked first, so a refused pack allocates
+// O(entries + filters) whatever the geometry claims.
 FLIGHTNN_COLD_ALLOC DensePack pack_dense(const ShiftPlan& plan,
                                          std::int64_t in_channels,
-                                         std::int64_t kernel) {
+                                         std::int64_t kernel,
+                                         const quant::Pow2Config& config) {
+  const std::int64_t window = std::int64_t{config.e_max} - config.e_min;
   std::int64_t live = 0;
   for (std::int64_t f = 0; f < plan.filters; ++f) {
     const auto fi = static_cast<std::size_t>(f);
@@ -107,11 +104,19 @@ FLIGHTNN_COLD_ALLOC DensePack pack_dense(const ShiftPlan& plan,
     std::fill(w.begin(), w.end(), std::int64_t{0});
     for (std::int64_t e = lo; e < hi; ++e) {
       const auto ei = static_cast<std::size_t>(e);
-      const std::int64_t c = plan.channel[ei];
-      std::int64_t& weight =
-          w[static_cast<std::size_t>(
-              ((c / 4) * kk + plan.ky[ei] * kernel + plan.kx[ei]) * 4 + c % 4)];
-      weight += plan.sign[ei] * (std::int64_t{1} << plan.shift[ei]);
+      const std::int64_t sign = plan.sign[ei], shift = plan.shift[ei],
+                         c = plan.channel[ei], ky = plan.ky[ei],
+                         kx = plan.kx[ei];
+      FLIGHTNN_CHECK((sign == 1 || sign == -1) && shift >= 0 &&
+                         shift <= window && c >= 0 && c < in_channels &&
+                         ky >= 0 && ky < kernel && kx >= 0 && kx < kernel,
+                     "ShiftPlan: entry ", e, " (sign ", sign, ", shift ", shift,
+                     ", tap ", c, "/", ky, "/", kx,
+                     ") outside the window [0, ", window, "] or the [",
+                     in_channels, ", ", kernel, ", ", kernel, "] filter");
+      std::int64_t& weight = w[static_cast<std::size_t>(
+          ((c >> 2) * kk + ky * kernel + kx) * 4 + (c & 3))];
+      weight += sign * (std::int64_t{1} << shift);
       FLIGHTNN_CHECK(weight <= kSumLimit && weight >= -kSumLimit,
                      "ShiftPlan: filter ", f, " sums a weight past 2^",
                      kMaxShift, ", which int8 cannot hold");
@@ -155,61 +160,186 @@ FLIGHTNN_COLD_ALLOC DensePack pack_dense(const ShiftPlan& plan,
   return pack;
 }
 
-// Group terms by filter, stream out only nonzero elements.
-FLIGHTNN_API_ENTRY ShiftPlan ShiftPlan::compile_conv(
-    const core::Decomposition& decomposition, const quant::Pow2Config& config,
-    std::int64_t in_channels, std::int64_t kernel) {
-  FLIGHTNN_CHECK(in_channels > 0 && kernel > 0,
-                 "ShiftPlan::compile_conv: bad conv geometry ", in_channels,
-                 "x", kernel);
-  const auto filters = static_cast<std::int64_t>(decomposition.filter_k.size());
+namespace {
 
-  ShiftPlan plan;
-  plan.filters = filters;
+// One term of a weight's greedy peel: its shift (exponent - e_min) and sign.
+struct PeelTerm {
+  std::int8_t shift = 0;
+  std::int8_t sign = 0;
+};
 
-  // Terms grouped by filter in decomposition order (compile-time only; the
-  // runtime structure is the flat entry stream).
-  std::vector<std::vector<std::size_t>> terms_by_filter(
-      static_cast<std::size_t>(filters));
-  for (std::size_t t = 0; t < decomposition.terms.size(); ++t) {
-    const std::int64_t filter = decomposition.terms[t].filter;
-    // A term addressing a filter outside the decomposition's own range would
-    // write straight past terms_by_filter; fuzzed decompositions reach this
-    // path, so the bound is a hard check, not a DCHECK.
-    FLIGHTNN_CHECK(filter >= 0 && filter < filters, "ShiftPlan: term ", t,
-                   " addresses filter ", filter, " outside [0, ", filters,
-                   ")");
-    terms_by_filter[static_cast<std::size_t>(filter)].push_back(t);
+// The greedy peel of every weight the int8 pack can hold, u * 2^e_min with
+// integer |u| <= 128: the Fig. 3 decomposition's per-element loop
+// (core/decompose.cpp: round the residual to the nearest power of two,
+// subtract, repeat until zero), run once per op on each of the 257 values
+// instead of once per weight. On these values every residual is a whole
+// number of units below 129, so the float peel is exact and a row's terms
+// are the terms the decomposition gives each weight of that value.
+class PeelTable {
+ public:
+  static constexpr int kMaxUnits = 128;
+  static constexpr int kRows = 2 * kMaxUnits + 1;
+  static constexpr int kOffGrid = kRows;  // units() of any other weight
+  static constexpr std::uint8_t kTooLong = 0xFF;  // needs more than k_max
+
+  PeelTable(int k_max, const quant::Pow2Config& config)
+      : inv_unit_(std::ldexp(1.0F, -config.e_min)),
+        // Each term takes at least one unit off |residual|, so no row needs
+        // more than 128.
+        levels_(std::min(k_max, kMaxUnits)),
+        terms_(static_cast<std::size_t>(levels_) * kRows) {
+    const float unit = std::ldexp(1.0F, config.e_min);
+    for (int u = -kMaxUnits; u <= kMaxUnits; ++u) {
+      const int row = u + kMaxUnits;
+      // Past FLT_MAX when e_min > 120: no finite weight has that value.
+      float residual = static_cast<float>(u) * unit;
+      value_[row] = residual;
+      int length = 0;
+      for (; residual != 0.0F && length < levels_ && std::isfinite(residual);
+           ++length) {
+        const quant::Pow2Term term = quant::round_to_pow2(residual, config);
+        terms_[static_cast<std::size_t>(length) * kRows + row] = {
+            static_cast<std::int8_t>(term.exponent - config.e_min), term.sign};
+        residual -= term.value();
+      }
+      length_[row] = residual == 0.0F ? static_cast<std::uint8_t>(length)
+                                      : kTooLong;
+    }
   }
 
-  plan.filter_begin.reserve(static_cast<std::size_t>(filters) + 1);
-  plan.filter_begin.push_back(0);
-  const std::int64_t kk = kernel * kernel;
+  // u when `w` is exactly u * 2^e_min with |u| <= 128, else kOffGrid (NaN,
+  // +-inf, a fraction of a unit, past 128 units).
+  [[nodiscard]] int units(float w) const {
+    const float t = w * inv_unit_;
+    if (!(t >= -kMaxUnits && t <= kMaxUnits)) return kOffGrid;
+    const int u = static_cast<int>(t);
+    // The value check catches a product that rounded (a subnormal t).
+    return static_cast<float>(u) == t && value_[u + kMaxUnits] == w ? u
+                                                                    : kOffGrid;
+  }
+  // Terms of u's peel, or kTooLong.
+  [[nodiscard]] int length(int u) const { return length_[u + kMaxUnits]; }
+  // Term `level` (< length(u)) of each u's peel, indexed by u.
+  [[nodiscard]] const PeelTerm* level(int level) const {
+    return terms_.data() + static_cast<std::size_t>(level) * kRows + kMaxUnits;
+  }
+  // length() indexed by u.
+  [[nodiscard]] const std::uint8_t* lengths() const {
+    return length_.data() + kMaxUnits;
+  }
+
+ private:
+  float inv_unit_;
+  int levels_;
+  std::vector<PeelTerm> terms_;  // [level][u + 128]
+  std::array<float, kRows> value_{};
+  std::array<std::uint8_t, kRows> length_{};
+};
+
+}  // namespace
+
+// Two passes over the weights: the first maps each to its peel row, checks
+// it and sizes every stream; the second writes the entries in place, level
+// by level per filter.
+FLIGHTNN_API_ENTRY CompiledPlan ShiftPlan::compile_conv(
+    const tensor::Tensor& quantized_weights, int k_max,
+    const quant::Pow2Config& config) {
+  check_window(config, "ShiftPlan::compile_conv");
+  FLIGHTNN_CHECK(k_max >= 1, "ShiftPlan::compile_conv: k_max must be >= 1, got ",
+                 k_max);
+  const tensor::Shape& s = quantized_weights.shape();
+  const bool conv = s.rank() == 4;
+  FLIGHTNN_CHECK((conv && s[2] == s[3]) || s.rank() == 2,
+                 "ShiftPlan::compile_conv: OIHW weights with a square kernel "
+                 "or [out, in] weights required, got ",
+                 s.to_string());
+  const std::int64_t filters = s[0], in_channels = s[1];
+  const std::int64_t kernel = conv ? s[2] : 1;
+  FLIGHTNN_CHECK(filters > 0 && in_channels > 0 && kernel > 0 &&
+                     in_channels - 1 <= std::numeric_limits<std::int32_t>::max() &&
+                     kernel - 1 <= std::numeric_limits<std::int16_t>::max(),
+                 "ShiftPlan::compile_conv: bad geometry ", s.to_string());
+  const PeelTable table(k_max, config);
+  const std::int64_t row = in_channels * kernel * kernel;
+  const float* weights = quantized_weights.data();
+
+  CompiledPlan compiled;
+  ShiftPlan& plan = compiled.plan;
+  plan.filters = filters;
+  plan.filter_begin.resize(static_cast<std::size_t>(filters) + 1);
+  std::int64_t* begin = plan.filter_begin.mutable_data();
+  std::vector<std::int16_t> units(static_cast<std::size_t>(filters * row));
+  std::vector<std::uint8_t> filter_k(static_cast<std::size_t>(filters));
   for (std::int64_t f = 0; f < filters; ++f) {
-    for (const std::size_t t : terms_by_filter[static_cast<std::size_t>(f)]) {
-      const auto& term = decomposition.terms[t];
-      for (std::size_t e = 0; e < term.elements.size(); ++e) {
-        const quant::Pow2Term w = term.elements[e];
-        if (w.sign == 0) continue;  // elided: zero elements never reach run()
-        FLIGHTNN_CHECK(w.sign == 1 || w.sign == -1, "ShiftPlan: term sign ",
-                       static_cast<int>(w.sign), " must be -1, 0 or +1");
-        const int shift = static_cast<int>(w.exponent) - config.e_min;
-        FLIGHTNN_CHECK(shift >= 0 && shift <= kMaxShift,
-                       "ShiftPlan: shift ", shift,
-                       " outside the barrel shifter's range");
-        const auto ei = static_cast<std::int64_t>(e);
-        FLIGHTNN_CHECK(ei / kk <= std::numeric_limits<std::int32_t>::max(),
-                       "ShiftPlan: channel of element ", e, " overflows int32");
-        plan.channel.push_back(static_cast<std::int32_t>(ei / kk));
-        plan.ky.push_back(static_cast<std::int16_t>((ei % kk) / kernel));
-        plan.kx.push_back(static_cast<std::int16_t>(ei % kernel));
-        plan.shift.push_back(static_cast<std::int8_t>(shift));
-        plan.sign.push_back(w.sign);
+    int k = 0;
+    std::int64_t entries = 0;
+    for (std::int64_t e = 0; e < row; ++e) {
+      const float w = weights[f * row + e];
+      const int u = table.units(w);
+      FLIGHTNN_CHECK(u != PeelTable::kOffGrid, "ShiftPlan::compile_conv: "
+                     "filter ", f, " element ", e, " (", w,
+                     ") is not a whole number of 2^", config.e_min,
+                     " units within ", PeelTable::kMaxUnits);
+      const int length = table.length(u);
+      FLIGHTNN_CHECK(length != PeelTable::kTooLong && length <= k_max,
+                     "ShiftPlan::compile_conv: filter ", f,
+                     " element ", e, " (", w, ") is not a sum of <= ", k_max,
+                     " powers of two");
+      units[static_cast<std::size_t>(f * row + e)] =
+          static_cast<std::int16_t>(u);
+      entries += length;
+      k = std::max(k, length);
+    }
+    filter_k[static_cast<std::size_t>(f)] = static_cast<std::uint8_t>(k);
+    compiled.term_count += k;
+    begin[f + 1] = begin[f] + entries;
+  }
+
+  // One slack entry: the second pass writes every element's term and
+  // advances only past the live ones, so the last skipped element of the
+  // layer writes one past the end.
+  const auto n = static_cast<std::size_t>(begin[filters]);
+  plan.channel.resize(n + 1);
+  plan.ky.resize(n + 1);
+  plan.kx.resize(n + 1);
+  plan.shift.resize(n + 1);
+  plan.sign.resize(n + 1);
+  std::int32_t* channel = plan.channel.mutable_data();
+  std::int16_t* ky_of = plan.ky.mutable_data();
+  std::int16_t* kx_of = plan.kx.mutable_data();
+  std::int8_t* shift = plan.shift.mutable_data();
+  std::int8_t* sign = plan.sign.mutable_data();
+  const std::uint8_t* lengths = table.lengths();
+  for (std::int64_t f = 0; f < filters; ++f) {
+    const std::int16_t* filter_units = units.data() + f * row;
+    std::int64_t at = begin[f];
+    for (int level = 0; level < filter_k[static_cast<std::size_t>(f)];
+         ++level) {
+      const PeelTerm* terms = table.level(level);
+      const std::int16_t* u = filter_units;
+      for (std::int64_t c = 0; c < in_channels; ++c) {
+        for (std::int64_t ky = 0; ky < kernel; ++ky) {
+          for (std::int64_t kx = 0; kx < kernel; ++kx, ++u) {
+            // Written unconditionally; an element already peeled to zero
+            // at this level does not advance, so the next entry
+            // overwrites it.
+            channel[at] = static_cast<std::int32_t>(c);
+            ky_of[at] = static_cast<std::int16_t>(ky);
+            kx_of[at] = static_cast<std::int16_t>(kx);
+            shift[at] = terms[*u].shift;
+            sign[at] = terms[*u].sign;
+            at += lengths[*u] > level ? 1 : 0;
+          }
+        }
       }
     }
-    plan.filter_begin.push_back(plan.entries());
   }
-  return plan;
+  plan.channel.resize(n);
+  plan.ky.resize(n);
+  plan.kx.resize(n);
+  plan.shift.resize(n);
+  plan.sign.resize(n);
+  return compiled;
 }
 
 }  // namespace flightnn::inference

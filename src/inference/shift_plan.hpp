@@ -1,17 +1,20 @@
 #pragma once
 
-// Compiled execution plan for the shift-add engine. A `core::Decomposition`
-// is a faithful record of the quantizer's output: per-term element vectors
-// that still contain zero elements (sign == 0) and per-filter term lists
-// that may be empty (pruned filters). Walking that record at inference time
-// makes the inner loop pay for weights that contribute nothing -- exactly
-// the cost the paper's per-filter k_i is supposed to eliminate (Fig. 3).
+// Compiled execution plan for the shift-add engine. A quantized FLightNN
+// weight is a sum of k_i powers of two (Fig. 3 decomposes its filter into
+// k_i single-shift filters), and most of its single-shift elements are
+// zero: walking every term's full element vector at inference time makes
+// the inner loop pay for weights that contribute nothing -- exactly the
+// cost the paper's per-filter k_i is supposed to eliminate.
 //
-// `ShiftPlan` lowers the decomposition once, at engine construction, into a
-// flat structure-of-arrays: one contiguous stream of (channel, ky, kx, shift,
-// sign) entries per filter, with every zero element and every pruned filter
-// elided, so the analytic op census counts exactly Σ_i k_i · nnz_i
-// shift-adds -- the paper's energy-proportionality.
+// `ShiftPlan::compile_conv` lowers the quantized weights once, straight into
+// a flat structure-of-arrays: one contiguous stream of (channel, ky, kx,
+// shift, sign) entries per filter, with every zero element and every pruned
+// filter elided, so the analytic op census counts exactly Σ_i k_i · nnz_i
+// shift-adds -- the paper's energy-proportionality. It yields the entries
+// the Fig. 3 decomposition's greedy peel (core/decompose.hpp) would, without
+// building the decomposition (tests/term_walk_oracle.hpp keeps that route
+// as the reference).
 //
 // The plan is also the one stored form of the weights, and nothing derived
 // is kept in it. An engine that adopts it rebuilds each filter's int8
@@ -20,8 +23,9 @@
 // one (k_i = 0) costs nothing. A plan the pack cannot hold is refused at
 // adoption.
 //
-// Entry order is: filters ascending; within a filter, terms in decomposition
-// order; within a term, elements in index order. The order is stable and
+// Entry order is: filters ascending; within a filter, peel levels
+// ascending (level 0 is each weight's largest term); within a level,
+// nonzero elements in (channel, ky, kx) order. The order is stable and
 // documented, but the engine's correctness does not depend on it: the pack
 // sums each weight's entries exactly, so any entry order gives the same
 // weights and the same integer sums as the reference term-walk (DESIGN.md
@@ -32,14 +36,14 @@
 #include <utility>
 #include <vector>
 
-#include "core/decompose.hpp"
 #include "quant/pow2.hpp"
 #include "support/check.hpp"
+#include "tensor/tensor.hpp"
 
 namespace flightnn::inference {
 
 // Own-or-view array for the plan's SoA streams. A plan built by compile_conv
-// owns its storage (push_back during lowering); a plan fixed up from a
+// owns its storage (sized once, then written in place); a plan fixed up from a
 // mapped deployment artifact *views* the blob's sections directly -- zero
 // copies, the mapping is the storage. The read API
 // (data/size/operator[]/iteration) is identical in both modes, so the
@@ -115,9 +119,16 @@ class PlanArray {
     own_.push_back(value);
     rebind();
   }
-  void reserve(std::size_t count) {
+  // Owns `count` zeroed elements, which the lowering then writes in place
+  // through mutable_data().
+  void resize(std::size_t count) {
     FLIGHTNN_DCHECK(!viewing_, "PlanArray: mutation of a view");
-    own_.reserve(count);
+    own_.resize(count);
+    rebind();
+  }
+  T* mutable_data() {
+    FLIGHTNN_CHECK(!viewing_, "PlanArray: mutation of a view");
+    return own_.data();
   }
 
  private:
@@ -131,6 +142,8 @@ class PlanArray {
   std::size_t size_ = 0;
   std::vector<T> own_;  // empty in view mode
 };
+
+struct CompiledPlan;
 
 struct ShiftPlan {
   // --- SoA entry streams, indexed [filter_begin[f], filter_begin[f+1]) ----
@@ -159,12 +172,24 @@ struct ShiftPlan {
     return static_cast<std::int64_t>(shift.size());
   }
 
-  // Lower a conv decomposition (OIHW weights [filters, in_channels, K, K]).
-  // A linear layer [filters, in_features] lowers as in_channels =
-  // in_features, kernel = 1.
-  static ShiftPlan compile_conv(const core::Decomposition& decomposition,
-                                const quant::Pow2Config& config,
-                                std::int64_t in_channels, std::int64_t kernel);
+  // Lower quantized weights: OIHW [filters, in_channels, K, K], or a linear
+  // layer's [filters, in_features], which lowers as in_channels =
+  // in_features, kernel = 1. Every weight must be u * 2^e_min with integer
+  // |u| <= 128 whose greedy peel (core/decompose.hpp's) takes at most
+  // k_max terms. Throws CheckFailure, before building anything, for an
+  // exponent window check_plan refuses, k_max < 1 or an empty or malformed
+  // shape; then for a weight off that grid (NaN, +-inf, a fraction of
+  // 2^e_min, past 128 units) or past k_max terms, naming its filter.
+  static CompiledPlan compile_conv(const tensor::Tensor& quantized_weights,
+                                   int k_max, const quant::Pow2Config& config);
+};
+
+// What compile_conv returns: the plan and its term count Σ_i k_i, the
+// single-shift filters Fig. 3 decomposes the layer into (metadata: a
+// ProgramOp's term_count, ShiftConv2d::term_count()).
+struct CompiledPlan {
+  ShiftPlan plan;
+  std::int64_t term_count = 0;
 };
 
 // Dense int8 form of a conv plan (DESIGN.md §9): each weight rebuilt as
@@ -196,8 +221,13 @@ struct DensePack {
 inline constexpr std::int64_t kMaxDenseWordsPerEntry = 4;
 
 // The dense form of a plan check_plan accepted over [in_channels, kernel,
-// kernel] filters: the adoption check of everything the kernels assume.
-// Throws CheckFailure, naming the filter and the bound it breaks, when
+// kernel] filters and config's exponent window: the adoption check of
+// everything the kernels and the census assume. Checks each entry before it
+// uses it, in the one pass that sums it into its weight. Throws
+// CheckFailure, naming the filter and the bound it breaks, when
+//  - an entry's sign is not +1 or -1, its shift lies outside [0, e_max -
+//    e_min], or its tap outside the filter (channel < in_channels, ky and
+//    kx < kernel);
 //  - a filter's weights fit int8 neither as they are nor negated (+128
 //    beside -128, a LightNN-3 weight of 192 units, a 2^61 term);
 //  - 127 x a filter's sum of |w| passes INT32_MAX, so a u8 x s8 sum over
@@ -206,26 +236,24 @@ inline constexpr std::int64_t kMaxDenseWordsPerEntry = 4;
 //    words per plan entry.
 // A refused pack allocates nothing past O(entries + filters).
 DensePack pack_dense(const ShiftPlan& plan, std::int64_t in_channels,
-                     std::int64_t kernel);
+                     std::int64_t kernel, const quant::Pow2Config& config);
 
 // The barrel shifter's budget: a shift, and so the exponent window e_max -
 // e_min, is at most 61, which keeps 1 << shift and a sum of two such terms
 // inside int64.
 inline constexpr int kMaxShift = 61;
 
-// The one check of a plan's contents, which the plan-adopting ShiftConv2d
-// constructor makes before anything reads the streams: whoever built the
-// plan (compile_conv, an artifact, a test), pack_dense and the census then
-// index it unchecked. Throws CheckFailure unless
+// The check of a plan's streams, which the plan-adopting ShiftConv2d
+// constructor makes before anything reads them; pack_dense, which it calls
+// next, checks every entry. Whoever built the plan (compile_conv, an
+// artifact, a test), the census then indexes it unchecked. Throws
+// CheckFailure unless
 //  - the exponent window lies in [-126, 127] and spans at most kMaxShift;
 //  - the plan covers `filters` filters with at most 2^31 entries, every
 //    stream as long as the entry stream;
 //  - filter_begin holds filters + 1 values, from 0 to entries(), never
-//    decreasing;
-//  - every entry has sign +1 or -1, a shift inside the window, channel <
-//    in_channels and ky, kx < kernel.
+//    decreasing.
 void check_plan(const ShiftPlan& plan, std::int64_t filters,
-                std::int64_t in_channels, std::int64_t kernel,
                 const quant::Pow2Config& config);
 
 }  // namespace flightnn::inference

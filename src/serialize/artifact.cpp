@@ -436,10 +436,9 @@ void rewrite_artifact_checksum(std::vector<std::uint8_t>& blob) {
               &checksum, sizeof(checksum));
 }
 
-FLIGHTNN_API_ENTRY void save_artifact(const NetworkProgram& program,
-                                      const std::string& path) {
-  FLIGHTNN_CHECK(!path.empty(), "save_artifact: empty path");
-  const std::vector<std::uint8_t> blob = build_artifact(program);
+FLIGHTNN_API_ENTRY void write_artifact(const std::vector<std::uint8_t>& blob,
+                                       const std::string& path) {
+  FLIGHTNN_CHECK(!path.empty(), "write_artifact: empty path");
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) {
     fail(ArtifactErrorCode::kIo, "cannot open " + path + " for writing");
@@ -448,6 +447,12 @@ FLIGHTNN_API_ENTRY void save_artifact(const NetworkProgram& program,
              static_cast<std::streamsize>(blob.size()));
   file.flush();
   if (!file) fail(ArtifactErrorCode::kIo, "write failed for " + path);
+}
+
+FLIGHTNN_API_ENTRY void save_artifact(const NetworkProgram& program,
+                                      const std::string& path) {
+  FLIGHTNN_CHECK(!path.empty(), "save_artifact: empty path");
+  write_artifact(build_artifact(program), path);
 }
 
 FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(

@@ -36,8 +36,9 @@
 // large as their dims say). The contents are checked where every program's
 // are, whoever built it: QuantizedNetwork::from_program checks every op
 // field (inference/network_program.hpp lists its caps) and the adopting
-// engine every plan stream and entry (check_plan) and whether its int8 pack
-// can run the plan (pack_dense). ArtifactModel maps their
+// engine every plan stream (check_plan), then each entry as its int8 pack
+// takes it and whether the pack can run the plan (pack_dense): the rungs
+// DESIGN.md §13 lists, in order. ArtifactModel maps their
 // CheckFailure to kBadProgram, so any violation throws ArtifactError with a
 // typed code -- never UB, never an unchecked allocation driven by a hostile
 // length.
@@ -183,7 +184,12 @@ static_assert(sizeof(OpRecord) == 224, "op record layout drift");
 std::vector<std::uint8_t> build_artifact(
     const inference::NetworkProgram& program);
 
-// build_artifact + atomic-ish write to `path` (throws ArtifactError{kIo}).
+// Write a built blob to `path` (throws ArtifactError{kIo}): for a caller
+// that keeps the blob, e.g. to adopt the program before it writes.
+void write_artifact(const std::vector<std::uint8_t>& blob,
+                    const std::string& path);
+
+// build_artifact + write_artifact.
 void save_artifact(const inference::NetworkProgram& program,
                    const std::string& path);
 

@@ -1,5 +1,6 @@
 #include "tensor/buffer_pool.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -75,6 +76,12 @@ void prewarm(std::size_t n, std::size_t count) {
   if (n == 0 || count == 0) return;
   ThreadPool& p = tls();
   auto& list = p.free_lists[n];
+  // A slot past the parked buffers, the ones already there included (a
+  // caller's pool holds what its earlier work released): BatchRunner
+  // releases the previous batch's logits, which another thread may have
+  // acquired, before the forward pass acquires new ones, and that push must
+  // not grow the list.
+  list.reserve(std::min(std::max(list.size(), count), kMaxPooledPerSize) + 1);
   const std::size_t bytes = n * sizeof(float);
   while (list.size() < count && list.size() < kMaxPooledPerSize &&
          p.counters.cached_bytes + bytes <= kMaxPooledBytes) {

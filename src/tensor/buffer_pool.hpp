@@ -56,9 +56,11 @@ FLIGHTNN_COLD_ALLOC void release(std::vector<float>&& buffer) noexcept;
 
 // Park `count` buffers of exactly `n` elements in the calling thread's pool
 // (topping up an existing free list, not adding to it blindly), so the first
-// acquire of each hits the free list instead of the allocator. The memory
-// planner's warm path uses this with the program's exact activation working
-// set (DESIGN.md §15). Respects both caps; requests past them are dropped.
+// acquire of each hits the free list instead of the allocator, and reserve
+// the free list one slot more, so a buffer released before the next acquire
+// parks without growing it. The memory planner's warm path uses this with
+// the program's exact activation working set (DESIGN.md §15). Respects both
+// caps; requests past them are dropped.
 FLIGHTNN_COLD_ALLOC void prewarm(std::size_t n, std::size_t count);
 
 // --- Introspection / test hooks ----------------------------------------------

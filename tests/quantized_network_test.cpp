@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,8 @@
 #include "nn/activations.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/inference_request.hpp"
+#include "support/check.hpp"
+#include "tensor/buffer_pool.hpp"
 #include "term_walk_oracle.hpp"
 
 namespace flightnn::inference {
@@ -178,6 +181,57 @@ TEST(QuantizedNetworkTest, RejectsBadInputs) {
   auto network = QuantizedNetwork::compile(*model, Shape{1, 3, 16, 16});
   EXPECT_THROW((void)network.run(Tensor(Shape{2, 3, 16, 16})),
                std::invalid_argument);
+}
+
+std::unique_ptr<nn::Sequential> untrained_model(int network_id,
+                                                int quantizer) {
+  models::BuildOptions build;
+  build.classes = 4;
+  build.width_scale = 0.25F;
+  build.seed = 5;
+  auto model = models::build_network(models::table1_network(network_id), build);
+  if (quantizer == 3) {
+    core::install_flightnn(*model, core::FLightNNConfig{});
+  } else {
+    core::install_lightnn(*model, quantizer);
+  }
+  return model;
+}
+
+// compile_program reads each layer's parameters and runs no forward pass,
+// so all it leaves in the calling thread's pool are the quantized weights
+// it asked each transform for: at most one buffer per weight size.
+TEST(QuantizedNetworkTest, CompileProgramPoolsOnlyQuantizedWeights) {
+  for (const int network_id : {1, 2}) {  // VGG-7 and ResNet-18
+    for (const int quantizer : {2, 3}) {  // LightNN-2 and FLightNN
+      auto model = untrained_model(network_id, quantizer);
+      std::set<std::int64_t> weight_sizes;
+      for (const core::QuantizableLayer& layer :
+           core::quantizable_layers(*model)) {
+        weight_sizes.insert(layer.weight->value.numel());
+      }
+      std::size_t weight_bytes = 0;
+      for (const std::int64_t numel : weight_sizes) {
+        weight_bytes += static_cast<std::size_t>(numel) * sizeof(float);
+      }
+      tensor::pool::trim();
+      // Held while measured: destroying it would pool its biases.
+      const NetworkProgram program =
+          compile_program(*model, Shape{1, 3, 16, 16});
+      EXPECT_LE(tensor::pool::stats().cached_bytes, weight_bytes)
+          << "network " << network_id << ", quantizer " << quantizer;
+    }
+  }
+  tensor::pool::trim();
+}
+
+// With no forward pass in compile, from_program's load walk is what
+// refuses an input shape the layers cannot take.
+TEST(QuantizedNetworkTest, CompileRefusesAnInputTheModelCannotTake) {
+  auto model = untrained_model(1, 2);  // a 3-channel stem
+  EXPECT_THROW((void)QuantizedNetwork::compile(*model, Shape{1, 4, 16, 16}),
+               support::CheckFailure);
+  EXPECT_NO_THROW((void)QuantizedNetwork::compile(*model, Shape{1, 3, 16, 16}));
 }
 
 TEST(QuantizedNetworkTest, LinearAsOneByOneConvMatchesFloatLinear) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/decompose.hpp"
 #include "quant/lightnn.hpp"
 #include "support/rng.hpp"
 

@@ -14,10 +14,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/decompose.hpp"
+#include "core/flightnn_transform.hpp"
 #include "inference/shift_engine.hpp"
 #include "inference/shift_plan.hpp"
 #include "quant/lightnn.hpp"
@@ -272,8 +275,8 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   const quant::Pow2Config config;
   Tensor wq = Tensor::zeros(Shape{2, 1, 3, 3});
   wq.data()[0] = 1.0F;  // filter 0, element (0, 0, 0); filter 1 pruned
-  const inference::ShiftPlan plan = inference::ShiftPlan::compile_conv(
-      core::decompose_to_lightnn1(wq, 1, config), config, 1, 3);
+  const inference::ShiftPlan plan =
+      inference::ShiftPlan::compile_conv(wq, 1, config).plan;
   EXPECT_THROW((void)inference::ShiftConv2d(wq, 1, config, 1, 1),
                support::CheckFailure);
   ASSERT_EQ(plan.entries(), 1);
@@ -284,6 +287,178 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   EXPECT_EQ(plan.sign[0], 1);
   EXPECT_EQ(plan.filter_begin[1], 1);
   EXPECT_EQ(plan.filter_begin[2], 1) << "pruned filter must have empty range";
+}
+
+template <typename T>
+std::vector<T> stream(const inference::PlanArray<T>& array) {
+  return {array.begin(), array.end()};
+}
+
+quant::Pow2Config window(int e_min, int e_max) {
+  quant::Pow2Config config;
+  config.e_min = e_min;
+  config.e_max = e_max;
+  return config;
+}
+
+// Adopts a compiled plan of `wq` (stride 1, padding 0); throws CheckFailure
+// where adoption refuses it.
+void adopt(inference::CompiledPlan compiled, const Tensor& wq,
+           const quant::Pow2Config& config) {
+  const Shape& s = wq.shape();
+  const inference::ShiftConvSpec spec{s[0], s[1], s.rank() == 4 ? s[2] : 1,
+                                      1,    0,    compiled.term_count};
+  (void)inference::ShiftConv2d(std::move(compiled.plan), spec, config);
+}
+
+// compile_conv against the lowering it replaced (decompose_to_lightnn1, then
+// the term-by-term loop): the same streams, filter_begin and term count. A
+// weight past 128 units has no int8 byte, so compile_conv refuses it where
+// the reference lowers it and adoption refuses the reference's plan. Returns
+// whether the two lowered.
+bool expect_reference_lowering(const Tensor& wq, int k_max,
+                               const quant::Pow2Config& config,
+                               const std::string& what) {
+  inference::CompiledPlan want =
+      inference::oracle::reference_compile_conv(wq, k_max, config);
+  std::optional<inference::CompiledPlan> got;
+  try {
+    got = inference::ShiftPlan::compile_conv(wq, k_max, config);
+  } catch (const support::CheckFailure&) {
+    EXPECT_THROW(adopt(std::move(want), wq, config), support::CheckFailure)
+        << what << ": compile_conv refused weights whose reference plan loads";
+    return false;
+  }
+  EXPECT_EQ(got->term_count, want.term_count) << what;
+  EXPECT_EQ(got->plan.filters, want.plan.filters) << what;
+  EXPECT_EQ(stream(got->plan.filter_begin), stream(want.plan.filter_begin))
+      << what;
+  EXPECT_EQ(stream(got->plan.channel), stream(want.plan.channel)) << what;
+  EXPECT_EQ(stream(got->plan.ky), stream(want.plan.ky)) << what;
+  EXPECT_EQ(stream(got->plan.kx), stream(want.plan.kx)) << what;
+  EXPECT_EQ(stream(got->plan.shift), stream(want.plan.shift)) << what;
+  EXPECT_EQ(stream(got->plan.sign), stream(want.plan.sign)) << what;
+  return true;
+}
+
+// LightNN-1, -2 and -3 weights over kernels 1, 3 and 5, channel counts that
+// leave a partial four-channel group, half-pruned layers and a linear layer,
+// in three exponent windows.
+TEST(ShiftPlanPropertyTest, CompileConvEqualsReferenceLoweringForLightNN) {
+  support::Rng rng(2026);
+  int lowered = 0;
+  int cases = 0;
+  for (const quant::Pow2Config& config :
+       {window(-6, 0), window(-7, 0), window(-3, 0)}) {
+    for (const int k : {1, 2, 3}) {
+      for (const std::int64_t kernel : {1, 3, 5}) {
+        for (const std::int64_t in_ch : {3, 5, 8}) {
+          Tensor w = Tensor::randn(Shape{6, in_ch, kernel, kernel}, rng, 0.0F,
+                                   0.3F);
+          Tensor wq = quant::quantize_lightnn(w, k, config);
+          prune_filters(wq, in_ch == 5 ? 0.5 : 0.0);
+          const std::string what = "k=" + std::to_string(k) + " kernel=" +
+                                   std::to_string(kernel) + " in=" +
+                                   std::to_string(in_ch) + " window=[" +
+                                   std::to_string(config.e_min) + ", 0]";
+          ++cases;
+          lowered += expect_reference_lowering(wq, k, config, what) ? 1 : 0;
+        }
+      }
+      Tensor wl = Tensor::randn(Shape{7, 13}, rng, 0.0F, 0.3F);
+      Tensor wlq = quant::quantize_lightnn(wl, k, config);
+      ++cases;
+      lowered += expect_reference_lowering(wlq, k, config,
+                                           "linear k=" + std::to_string(k))
+                     ? 1
+                     : 0;
+    }
+  }
+  // Window [-7, 0] puts 2^0 + 2^0 at 256 units, which no plan holds.
+  EXPECT_GT(lowered, cases * 3 / 4);
+}
+
+// FLightNN weights: per-filter k_i in {0, 1, 2}, pruned filters included.
+TEST(ShiftPlanPropertyTest, CompileConvEqualsReferenceLoweringForFLightNN) {
+  support::Rng rng(2027);
+  for (const quant::Pow2Config& pow2 :
+       {window(-6, 0), window(-7, 0), window(-3, 0)}) {
+    core::FLightNNConfig fl;
+    fl.pow2 = pow2;
+    core::FLightNNTransform transform(fl);
+    transform.set_thresholds({0.6F, 0.25F});
+    // Filter f's weights scale with f, so the residual norms straddle both
+    // thresholds.
+    Tensor w = Tensor::randn(Shape{12, 5, 3, 3}, rng, 0.0F, 0.3F);
+    for (std::int64_t f = 0; f < 12; ++f) {
+      for (std::int64_t i = 0; i < 45; ++i) {
+        w[f * 45 + i] *= static_cast<float>(f + 1) / 12.0F;
+      }
+    }
+    int histogram[3] = {0, 0, 0};
+    for (const int k : transform.filter_k(w)) ++histogram[k];
+    EXPECT_GT(histogram[0], 0) << "no pruned filter";
+    EXPECT_GT(histogram[1], 0) << "no k_i = 1 filter";
+    EXPECT_GT(histogram[2], 0) << "no k_i = 2 filter";
+    const Tensor wq = transform.forward(w);
+    EXPECT_TRUE(expect_reference_lowering(
+        wq, 2, pow2, "flightnn window=[" + std::to_string(pow2.e_min) + ", 0]"));
+  }
+}
+
+// What no plan can hold is refused with CheckFailure, by compile_conv or by
+// adoption: a NaN or infinite weight, a fraction of 2^e_min, 11 units at
+// k_max 2 (8 + 4 - 1 takes three terms) and 192 units at k_max 3 (64 + 64 +
+// 64, past int8). The reference refuses each as well.
+TEST(ShiftPlanPropertyTest, CompileConvRefusesWeightsNoPlanHolds) {
+  const quant::Pow2Config config;
+  const float unit = std::ldexp(1.0F, config.e_min);
+  const auto layer = [&](float w) {
+    Tensor t = Tensor::zeros(Shape{2, 4, 1, 1});
+    t[1] = w;
+    t[4] = 8.0F * unit;
+    return t;
+  };
+  const auto refused = [&](const Tensor& wq, int k_max) {
+    try {
+      adopt(inference::ShiftPlan::compile_conv(wq, k_max, config), wq, config);
+    } catch (const support::CheckFailure&) {
+      return true;
+    }
+    return false;
+  };
+  const auto reference_refused = [&](const Tensor& wq, int k_max) {
+    try {
+      adopt(inference::oracle::reference_compile_conv(wq, k_max, config), wq,
+            config);
+    } catch (const support::CheckFailure&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(refused(layer(-128.0F * unit), 2)) << "a weight int8 holds";
+  const struct {
+    float weight;
+    int k_max;
+    const char* what;
+  } cases[] = {
+      {std::numeric_limits<float>::quiet_NaN(), 2, "NaN"},
+      {std::numeric_limits<float>::infinity(), 2, "+inf"},
+      {0.3F * unit, 2, "0.3 units"},
+      {11.0F * unit, 2, "11 units at k_max 2"},
+      {192.0F * unit, 3, "192 units at k_max 3"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_TRUE(refused(layer(c.weight), c.k_max)) << c.what;
+    EXPECT_TRUE(reference_refused(layer(c.weight), c.k_max)) << c.what;
+  }
+  EXPECT_THROW((void)inference::ShiftPlan::compile_conv(layer(unit), 2,
+                                                        window(-62, 0)),
+               support::CheckFailure)
+      << "a window check_plan refuses";
+  EXPECT_THROW((void)inference::ShiftPlan::compile_conv(layer(unit), 0, config),
+               support::CheckFailure)
+      << "k_max 0";
 }
 
 // A well-formed hand-built plan: 2 filters over [5, 3, 3] (two channel
@@ -313,7 +488,7 @@ inference::ShiftPlan dense_test_plan() {
 // filter and keeps 128 * (sum of the weights) per live filter.
 TEST(ShiftPlanPropertyTest, DensePackRebuildsWeights) {
   const inference::DensePack pack =
-      inference::pack_dense(dense_test_plan(), 5, 3);
+      inference::pack_dense(dense_test_plan(), 5, 3, {});
   EXPECT_EQ(pack.taps, 2 * 9);
   ASSERT_EQ(pack.filters, std::vector<std::int32_t>{0});
   ASSERT_EQ(pack.words.size(), 18U);
@@ -341,7 +516,8 @@ TEST(ShiftPlanPropertyTest, DensePackRebuildsWeights) {
   inference::ShiftPlan plus = dense_test_plan();
   plus.sign[1] = 1;
   plus.sign[3] = 1;
-  const inference::DensePack negated = inference::pack_dense(plus, 5, 3);
+  const inference::DensePack negated =
+      inference::pack_dense(plus, 5, 3, {});
   EXPECT_EQ(negated.negated, std::vector<std::uint8_t>{1});
   const auto negated_byte = [&](std::int64_t channel, std::int64_t ky,
                                 std::int64_t kx) {
@@ -355,10 +531,11 @@ TEST(ShiftPlanPropertyTest, DensePackRebuildsWeights) {
   EXPECT_EQ(negated.correction[0], -128 * (63 + 128 + 8));
 }
 
-// The adopting constructor checks every plan (check_plan) before anything
-// indexes it, whoever built it. Each hostile plan below must throw
-// CheckFailure there (the sanitizer legs run this case): pack_dense and the
-// census never see it.
+// The adopting constructor checks every plan before anything indexes it,
+// whoever built it: its streams (check_plan), then each entry as pack_dense
+// takes it. Each hostile plan below must throw CheckFailure there (the
+// sanitizer legs run this case): no entry is used before its check, and the
+// census never sees the plan.
 TEST(ShiftPlanPropertyTest, AdoptionRejectsHostilePlans) {
   // The default config's window is e_max - e_min = 6 shifts.
   const auto adopt = [](const inference::ShiftPlan& plan,
@@ -413,12 +590,6 @@ TEST(ShiftPlanPropertyTest, AdoptionRejectsHostilePlans) {
   }
   // The exponent window is checked in int64, and its ends bound the scale
   // exponent run() forms from it.
-  const auto window = [](int e_min, int e_max) {
-    quant::Pow2Config config;
-    config.e_min = e_min;
-    config.e_max = e_max;
-    return config;
-  };
   EXPECT_TRUE(rejects(dense_test_plan(), 5, 3, window(-62, 0)))
       << "a window of 62 shifts";
   EXPECT_TRUE(rejects(dense_test_plan(), 5, 3, window(194, 200)))
@@ -435,12 +606,12 @@ TEST(ShiftPlanPropertyTest, AdoptionRejectsHostilePlans) {
 // naming what it breaks, without allocating past O(entries + filters); the
 // adopting constructor, and so every load path, throws with it.
 TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
-  ASSERT_NO_THROW((void)inference::pack_dense(dense_test_plan(), 5, 3));
+  ASSERT_NO_THROW((void)inference::pack_dense(dense_test_plan(), 5, 3, {}));
   const auto refusal = [](const inference::ShiftPlan& plan,
                           std::int64_t in_channels, std::int64_t kernel,
                           const quant::Pow2Config& config = {}) {
     try {
-      (void)inference::pack_dense(plan, in_channels, kernel);
+      (void)inference::pack_dense(plan, in_channels, kernel, config);
     } catch (const support::CheckFailure& failure) {
       const inference::ShiftConvSpec spec{plan.filters, in_channels, kernel,
                                           1,            0,           0};
@@ -534,7 +705,7 @@ TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
   const std::int64_t huge = std::int64_t{1} << 24;
   EXPECT_TRUE(names(refusal(pruned, huge, huge), "words per plan entry"))
       << "a word count past int64";
-  const inference::DensePack empty = inference::pack_dense(pruned, 5, 3);
+  const inference::DensePack empty = inference::pack_dense(pruned, 5, 3, {});
   EXPECT_TRUE(empty.filters.empty()) << "an all-pruned plan of sane geometry";
   EXPECT_TRUE(empty.words.empty());
   inference::ShiftPlan one;

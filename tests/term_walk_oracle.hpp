@@ -8,7 +8,9 @@
 // exactly these integer addends, so ShiftConv2d::run -- for a linear layer,
 // the 1x1 conv run_linear drives -- must match this walk bit for bit, op
 // counts included (DESIGN.md §9). It is slow by design and exists only here,
-// for the property suites.
+// for the property suites, beside the lowering compile_conv replaced
+// (reference_compile_conv), which the plan tests and the ShiftPlan fuzz
+// harness hold compile_conv to.
 
 #include <algorithm>
 #include <atomic>
@@ -19,6 +21,7 @@
 
 #include "core/decompose.hpp"
 #include "inference/shift_engine.hpp"
+#include "inference/shift_plan.hpp"
 #include "quant/pow2.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/check.hpp"
@@ -38,6 +41,54 @@ inline std::vector<std::vector<std::size_t>> terms_by_filter(
         .push_back(t);
   }
   return filter_terms;
+}
+
+// The lowering ShiftPlan::compile_conv replaced, kept as its reference:
+// decompose the weights (Fig. 3), group the terms by filter in decomposition
+// order, and stream each term's nonzero elements out with push_back. Takes
+// OIHW or [out, in] weights, as compile_conv does, and returns the plan and
+// the decomposition's term count. Throws CheckFailure where
+// decompose_to_lightnn1 or the old lowering did; a plan it returns may
+// still be one adoption refuses.
+inline CompiledPlan reference_compile_conv(
+    const tensor::Tensor& quantized_weights, int k_max,
+    const quant::Pow2Config& config) {
+  const tensor::Shape& s = quantized_weights.shape();
+  FLIGHTNN_CHECK(s.rank() == 4 || s.rank() == 2,
+                 "reference_compile_conv: OIHW or [out, in] weights required");
+  const std::int64_t in_channels = s[1];
+  const std::int64_t kernel = s.rank() == 4 ? s[2] : 1;
+  const core::Decomposition decomposition =
+      core::decompose_to_lightnn1(quantized_weights, k_max, config);
+  FLIGHTNN_CHECK(in_channels > 0 && kernel > 0,
+                 "reference_compile_conv: bad conv geometry ", in_channels,
+                 "x", kernel);
+  const auto filters = static_cast<std::int64_t>(decomposition.filter_k.size());
+  CompiledPlan compiled;
+  compiled.term_count = decomposition.term_count();
+  ShiftPlan& plan = compiled.plan;
+  plan.filters = filters;
+  plan.filter_begin.push_back(0);
+  const std::int64_t kk = kernel * kernel;
+  for (const std::vector<std::size_t>& terms :
+       terms_by_filter(decomposition, filters)) {
+    for (const std::size_t t : terms) {
+      const auto& elements = decomposition.terms[t].elements;
+      for (std::size_t e = 0; e < elements.size(); ++e) {
+        const quant::Pow2Term w = elements[e];
+        if (w.sign == 0) continue;  // elided: zero elements never reach run()
+        const auto ei = static_cast<std::int64_t>(e);
+        plan.channel.push_back(static_cast<std::int32_t>(ei / kk));
+        plan.ky.push_back(static_cast<std::int16_t>((ei % kk) / kernel));
+        plan.kx.push_back(static_cast<std::int16_t>(ei % kernel));
+        plan.shift.push_back(
+            static_cast<std::int8_t>(static_cast<int>(w.exponent) - config.e_min));
+        plan.sign.push_back(w.sign);
+      }
+    }
+    plan.filter_begin.push_back(plan.entries());
+  }
+  return compiled;
 }
 
 // Term-walk convolution over the same weights a ShiftConv2d was built from.
