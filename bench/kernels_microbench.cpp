@@ -36,16 +36,26 @@ tensor::Tensor random_weights(std::int64_t out_ch, std::int64_t in_ch,
                                0.3F);
 }
 
+// LightNN-k quantization of a [filters, filters, 3, 3] layer on one thread:
+// k peel levels (quant::peel_level) over every weight. Args: k, filters
+// (64 is the widest conv of VGG-7 w1.0 and of ResNet-18 w0.5; 256 gives a
+// layer 16x larger). The time per item over k is the per-level cost hint
+// of quantize_lightnn's parallel_for.
 void BM_QuantizeLightNN(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
-  tensor::Tensor w = random_weights(64, 64, 1);
+  tensor::Tensor w = random_weights(state.range(1), state.range(1), 1);
   const quant::Pow2Config config;
+  runtime::set_num_threads(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(quant::quantize_lightnn(w, k, config));
   }
   state.SetItemsProcessed(state.iterations() * w.numel());
 }
-BENCHMARK(BM_QuantizeLightNN)->Arg(1)->Arg(2);
+BENCHMARK(BM_QuantizeLightNN)
+    ->Args({1, 256})
+    ->Args({2, 256})
+    ->Args({3, 256})
+    ->Args({2, 64});
 
 void BM_QuantizeFLightNN(benchmark::State& state) {
   tensor::Tensor w = random_weights(64, 64, 2);
@@ -125,15 +135,16 @@ void BM_ShiftEngineConvSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_ShiftEngineConvSparse)->Arg(0)->Arg(50)->Arg(90);
 
-// One-time plan-compilation cost (decompose + SoA lowering), amortized over
-// an engine's lifetime.
+// One-time set-up cost of a layer, amortized over an engine's lifetime:
+// compile_conv's lowering of the quantized weights into plan streams, then
+// adoption (check_plan and pack_dense).
 void BM_PlanCompile(benchmark::State& state) {
   const quant::Pow2Config config;
   tensor::Tensor w = random_weights(64, 64, 13);
   tensor::Tensor wq = quant::quantize_lightnn(w, 2, config);
   for (auto _ : state) {
     inference::ShiftConv2d engine(wq, 2, config, 1, 1);
-    benchmark::DoNotOptimize(engine.plan().entries());
+    benchmark::DoNotOptimize(engine.dense().words.data());
   }
   state.SetItemsProcessed(state.iterations() * w.numel());
 }

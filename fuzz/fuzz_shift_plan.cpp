@@ -15,10 +15,10 @@
 //  - where the reference lowers the weights, compile_conv yields the same
 //    streams, filter_begin and term count, or refuses with CheckFailure
 //    because adoption refuses the reference's plan or the reference's
-//    terms do not sum back to its weights (with flush_to_zero off, its float
-//    peel can round a weight below 2^(e_min - 24) into a cancelling
-//    +-2^e_min pair);
-//  - where the reference refuses, compile_conv refuses too.
+//    terms do not sum back to its weights in double;
+//  - where the reference refuses, compile_conv refuses too (with
+//    flush_to_zero off, a weight below 2^(e_min - 24) peels into a
+//    cancelling +-2^e_min pair, which both refuse).
 // Anything else (sanitizer finding, uncaught exception, disagreement) is a
 // crash.
 //
@@ -182,16 +182,16 @@ std::optional<ShiftConv2d> adopt(CompiledPlan compiled,
   }
 }
 
-void run_adopted(const ShiftConv2d& engine, std::int64_t in_channels,
-                 std::int64_t kernel) {
+// `entries`: the adopted plan's, which the engine does not keep.
+void run_adopted(const ShiftConv2d& engine, std::int64_t entries,
+                 std::int64_t in_channels, std::int64_t kernel) {
   const DensePack& dense = engine.dense();
   const std::size_t live = dense.filters.size();
   if (dense.taps != (in_channels + 3) / 4 * kernel * kernel ||
       dense.correction.size() != live || dense.negated.size() != live ||
       dense.words.size() != live * static_cast<std::size_t>(dense.taps) ||
       static_cast<std::int64_t>(dense.words.size()) >
-          flightnn::inference::kMaxDenseWordsPerEntry *
-              engine.plan().entries()) {
+          flightnn::inference::kMaxDenseWordsPerEntry * entries) {
     std::terminate();
   }
   QuantizedActivations input;
@@ -247,9 +247,10 @@ void fuzz_compile(const std::uint8_t* data, std::size_t size) {
     disagree();  // refused a plan the reference lowers and adoption takes
   }
   if (!same_plan(*got, *want)) disagree();
+  const std::int64_t entries = got->plan.entries();
   const std::optional<ShiftConv2d> engine =
       adopt(std::move(*got), in_channels, kernel, config);
-  if (engine) run_adopted(*engine, in_channels, kernel);
+  if (engine) run_adopted(*engine, entries, in_channels, kernel);
 }
 
 }  // namespace

@@ -41,8 +41,11 @@ struct Decomposition {
 
 // Decompose a quantized, filter-major weight tensor whose every element is a
 // sum of at most `k_max` powers of two (the output of LightNN-k or FLightNN
-// quantization). Throws if an element fails to reduce to zero within k_max
-// greedy peeling steps, i.e. if the tensor is not actually quantized.
+// quantization). Throws CheckFailure for a window check_exponent_window
+// refuses, and, naming the filter and the element, if an element fails to
+// reduce to zero within k_max greedy peeling steps or its terms do not add
+// back to it, i.e. if the tensor is not actually quantized: reconstruct()
+// gives back every tensor this accepts.
 Decomposition decompose_to_lightnn1(const tensor::Tensor& quantized_weights,
                                     int k_max, const quant::Pow2Config& config);
 

@@ -44,9 +44,7 @@ FLightNNTransform::FLightNNTransform(FLightNNConfig config)
   FLIGHTNN_CHECK(config_.temperature > 0.0F,
                  "FLightNNConfig: temperature must be > 0, got ",
                  config_.temperature);
-  FLIGHTNN_CHECK(config_.pow2.e_min <= config_.pow2.e_max,
-                 "FLightNNConfig: e_min ", config_.pow2.e_min, " > e_max ",
-                 config_.pow2.e_max);
+  quant::check_exponent_window(config_.pow2, "FLightNNConfig");
   if (config_.lambdas.empty()) config_.lambdas = {0.0F};
   // Extend lambdas to k_max levels by repeating the last coefficient.
   while (static_cast<int>(config_.lambdas.size()) < config_.k_max) {
@@ -64,8 +62,14 @@ int FLightNNTransform::quantize_filter(const float* filter, std::int64_t count,
       config_.k_max);
   int k = 0;
   std::vector<float> residual(filter, filter + count);
+  // Each level's terms add into `out`, or into a sink when only k (and the
+  // trace) is wanted; a traced level peels into its own zeroed row, so the
+  // row holds that level's terms.
+  std::vector<float> sink;
   if (out != nullptr) {
-    for (std::int64_t e = 0; e < count; ++e) out[e] = 0.0F;
+    std::fill_n(out, count, 0.0F);
+  } else if (trace == nullptr) {
+    sink.resize(static_cast<std::size_t>(count));
   }
   for (int j = 0; j < config_.k_max; ++j) {
     double norm_sq = 0.0;
@@ -76,39 +80,22 @@ int FLightNNTransform::quantize_filter(const float* filter, std::int64_t count,
     const double norm = std::sqrt(norm_sq);
     if (norm <= thresholds_[static_cast<std::size_t>(j)]) break;  // Fig. 2 early exit
 
-    if (trace != nullptr) {
+    if (trace == nullptr) {
+      quant::peel_level(residual.data(), out != nullptr ? out : sink.data(),
+                        count, config_.pow2);
+    } else {
       // Backward needs the full per-level history: residual snapshot, the
       // rounded terms, and the residual norm.
+      trace->residuals.push_back(residual);
+      trace->norms.push_back(norm);
       std::vector<float> rounded(static_cast<std::size_t>(count));
-      for (std::int64_t e = 0; e < count; ++e) {
-        rounded[static_cast<std::size_t>(e)] =
-            quant::round_to_pow2(residual[static_cast<std::size_t>(e)],
-                                 config_.pow2)
-                .value();
-      }
+      quant::peel_level(residual.data(), rounded.data(), count, config_.pow2);
       if (out != nullptr) {
         for (std::int64_t e = 0; e < count; ++e) {
           out[e] += rounded[static_cast<std::size_t>(e)];
         }
       }
-      trace->residuals.push_back(residual);
-      trace->norms.push_back(norm);
-      for (std::int64_t e = 0; e < count; ++e) {
-        residual[static_cast<std::size_t>(e)] -=
-            rounded[static_cast<std::size_t>(e)];
-      }
       trace->rounded.push_back(std::move(rounded));
-    } else {
-      // Forward-only: fuse round / accumulate / peel in one pass, no
-      // per-level history copies.
-      for (std::int64_t e = 0; e < count; ++e) {
-        const float term =
-            quant::round_to_pow2(residual[static_cast<std::size_t>(e)],
-                                 config_.pow2)
-                .value();
-        if (out != nullptr) out[e] += term;
-        residual[static_cast<std::size_t>(e)] -= term;
-      }
     }
     ++k;
   }
@@ -269,9 +256,13 @@ double FLightNNTransform::regularization(const tensor::Tensor& w,
           double block_loss = 0.0;
           const std::int64_t i_end =
               std::min(filters, (blk + 1) * kFilterBlock);
+          // The peel's sums are not needed: only the residuals shape the
+          // loss.
+          std::vector<float> residual(static_cast<std::size_t>(per_filter));
+          std::vector<float> sink(static_cast<std::size_t>(per_filter));
           for (std::int64_t i = blk * kFilterBlock; i < i_end; ++i) {
             const float* filter = w.data() + i * per_filter;
-            std::vector<float> residual(filter, filter + per_filter);
+            residual.assign(filter, filter + per_filter);
             for (int j = 0; j < config_.k_max; ++j) {
               double norm_sq = 0.0;
               for (float v : residual) norm_sq += static_cast<double>(v) * v;
@@ -290,10 +281,8 @@ double FLightNNTransform::regularization(const tensor::Tensor& w,
               // Peel to the next residual level regardless of the threshold:
               // the regularizer shapes residuals even for levels that did not
               // fire, which is what pulls ||r_{i,j}|| below t_j over training.
-              for (std::int64_t e = 0; e < per_filter; ++e) {
-                auto& v = residual[static_cast<std::size_t>(e)];
-                v -= quant::round_to_pow2(v, config_.pow2).value();
-              }
+              quant::peel_level(residual.data(), sink.data(), per_filter,
+                                config_.pow2);
             }
           }
           partials[static_cast<std::size_t>(blk)] = block_loss;

@@ -177,10 +177,12 @@ constexpr double kDenseNsPerTapOutput = 0.05;
 // Shared core of the quantize functions: pow2 scale from the abs-max, values
 // rounded-to-nearest and clamped symmetric, max|q| cached on the way. `out`
 // is reused scratch: its value buffer grows to the largest layer once and is
-// never reallocated after (the warm path pre-reserves it).
-FLIGHTNN_COLD_ALLOC void quantize_values_into(const float* data, std::int64_t n,
-                                              int bits, float abs_max,
-                                              QuantizedActivations& out) {
+// never reallocated after (the warm path pre-reserves it). Every shift
+// op's input passes through it, and each quant op's through fake_quantize,
+// so both start on a cache line.
+FLIGHTNN_COLD_ALLOC FLIGHTNN_ALIGNED void quantize_values_into(
+    const float* data, std::int64_t n, int bits, float abs_max,
+    QuantizedActivations& out) {
   const std::int64_t q_max = (1LL << (bits - 1)) - 1;
   // Tensor::abs_max is NaN/Inf for a non-finite input; the scale exponent
   // cast below would then be undefined.
@@ -234,8 +236,8 @@ std::int64_t QuantizedActivations::abs_max() const {
   return max_abs >= 0 ? max_abs : max_abs_value(values);
 }
 
-void quantize_image_into(const tensor::Tensor& image, int bits,
-                         QuantizedActivations& out) {
+FLIGHTNN_ALIGNED void quantize_image_into(const tensor::Tensor& image,
+                                          int bits, QuantizedActivations& out) {
   const auto& s = image.shape();
   FLIGHTNN_CHECK(s.rank() == 3 || (s.rank() == 4 && s[0] == 1),
                  "quantize_image: expected [C,H,W] or [1,C,H,W], got ",
@@ -246,7 +248,7 @@ void quantize_image_into(const tensor::Tensor& image, int bits,
   quantize_values_into(image.data(), image.numel(), bits, image.abs_max(), out);
 }
 
-void fake_quantize(tensor::Tensor& x, int bits) {
+FLIGHTNN_ALIGNED void fake_quantize(tensor::Tensor& x, int bits) {
   FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "fake_quantize: bits ", bits,
                  " outside [2, 16]");
   const std::int64_t q_max = (1LL << (bits - 1)) - 1;
@@ -348,8 +350,7 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
       stride_(spec.stride),
       padding_(spec.padding),
       term_count_(spec.term_count),
-      bias_(std::move(bias)),
-      plan_(std::move(plan)) {
+      bias_(std::move(bias)) {
   FLIGHTNN_CHECK(out_channels_ > 0 && in_channels_ > 0 && kernel_ > 0,
                  "ShiftConv2d: bad adopted geometry [", out_channels_, ", ",
                  in_channels_, ", ", kernel_, "]");
@@ -358,10 +359,11 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
   FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_channels_,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
-  check_plan(plan_, out_channels_, config_);
+  check_plan(plan, out_channels_, config_);
   // The one place the dense form comes from, compiled or loaded; it checks
-  // each entry as it packs it.
-  dense_ = pack_dense(plan_, in_channels_, kernel_, config_);
+  // each entry as it packs it. The plan is released on return: run() and
+  // census() read only the pack.
+  dense_ = pack_dense(plan, in_channels_, kernel_, config_);
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
@@ -504,8 +506,8 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
                  in_w, "] input pads past the int32 offset range");
   // An entry at tap (ky, kx) accumulates vy[ky] * vx[kx] times: the valid
   // output rows of its tap row times the valid columns of its tap column.
-  // Tabulated per tap so that each entry costs two lookups: this runs in
-  // every network load, over every plan entry.
+  // pack_dense counted the entries at each tap, so the census is O(kernel^2)
+  // whatever the plan's size.
   const auto k = static_cast<std::size_t>(kernel_);
   std::vector<std::int64_t> vy(k), vx(k);
   for (std::size_t t = 0; t < k; ++t) {
@@ -514,9 +516,8 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
     vx[t] = valid_positions(tap, out_w, in_w, stride_, padding_);
   }
   std::int64_t total = 0;
-  for (std::size_t e = 0; e < plan_.ky.size(); ++e) {
-    total += vy[static_cast<std::size_t>(plan_.ky[e])] *
-             vx[static_cast<std::size_t>(plan_.kx[e])];
+  for (std::size_t t = 0; t < dense_.tap_entries.size(); ++t) {
+    total += dense_.tap_entries[t] * vy[t / k] * vx[t % k];
   }
   return {total, total};
 }

@@ -8,16 +8,17 @@
 // feature-map summation. The engine is bit-exact: its dequantized output
 // equals the real-arithmetic convolution of the quantized operands.
 //
-// Execution is plan-compiled (inference/shift_plan.hpp): an engine holds its
+// Execution is plan-compiled (inference/shift_plan.hpp): an engine adopts a
 // ShiftPlan -- a sparsity-elided SoA entry stream, the one stored form of
-// the weights -- and, built from it at adoption, the plan's dense int8 form
-// (pack_dense). A CPU has fast int8 dot products where the paper's hardware
-// has shifts, so the dense form is the one execution path: run() copies the
-// 8-bit input once into a u8 code plane (four channels per word,
-// zero-padded and split into `stride` column phases, so one dispatched
-// kernel covers every output pixel at every stride with no bounds checks)
-// and runs the tier's dot-product kernel (shift_kernels.hpp), which adds the
-// term walk's integers exactly (DESIGN.md §9). A plan the pack cannot run
+// the weights -- builds from it the plan's dense int8 form (pack_dense) and
+// keeps only that form: the plan is released once adopted. A CPU has fast
+// int8 dot products where the paper's hardware has shifts, so the dense
+// form is the one execution path: run() copies the 8-bit input once into a
+// u8 code plane (four channels per word, zero-padded and split into
+// `stride` column phases, so one dispatched kernel covers every output
+// pixel at every stride with no bounds checks) and runs the tier's
+// dot-product kernel (shift_kernels.hpp), which adds the term walk's
+// integers exactly (DESIGN.md §9). A plan the pack cannot run
 // -- weights past int8, a filter past the int32 bound, a pack past its
 // words-per-entry cap -- is refused at adoption. Both constructors end in
 // the same place: the weights constructor lowers the quantized weights once
@@ -131,7 +132,8 @@ class ShiftConv2d {
   // geometry and the bias, then every plan stream (check_plan), and builds
   // the dense form (pack_dense, which checks each entry as it packs it);
   // both throw CheckFailure whoever built the plan, pack_dense also for a
-  // plan it cannot run.
+  // plan it cannot run. The engine keeps the dense form only: an owned plan
+  // is freed, and nothing reads a viewed one after this returns.
   ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
@@ -153,15 +155,15 @@ class ShiftConv2d {
   // Op census of one run() on an [in_channels, in_h, in_w] input: each plan
   // entry counts once per output position whose tap reads a real input
   // element (not a pad cell), the term walk's per-accumulate count exactly.
-  // A function of the plan and the geometry alone, so QuantizedNetwork takes
-  // it once at load time. Throws CheckFailure for an input run() refuses
-  // for its int32 plane bound, before it allocates anything.
+  // A function of the plan's entries per tap (DensePack::tap_entries) and
+  // the geometry alone, O(kernel^2), so QuantizedNetwork takes it once at
+  // load time. Throws CheckFailure for an input run() refuses for its int32
+  // plane bound, before it allocates anything.
   [[nodiscard]] OpCounts census(std::int64_t in_h, std::int64_t in_w) const;
 
   // Number of single-shift filter terms (the LightNN-1 engine's workload).
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
   [[nodiscard]] std::int64_t out_channels() const { return out_channels_; }
-  [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
   // The plan's dense form, which run() executes.
   [[nodiscard]] const DensePack& dense() const { return dense_; }
   // Name of the dense kernel tier run() dispatches to ("scalar" / "avx2" /
@@ -174,9 +176,7 @@ class ShiftConv2d {
   std::int64_t out_channels_, in_channels_, kernel_, stride_, padding_;
   std::int64_t term_count_ = 0;
   tensor::Tensor bias_;  // float; folded in after dequantization
-  // Compiled SoA execution plan.
-  ShiftPlan plan_;
-  DensePack dense_;  // pack_dense(plan_)
+  DensePack dense_;  // pack_dense of the adopted plan
 };
 
 // Reference float convolution of one image (for bit-exactness tests):

@@ -16,16 +16,14 @@ namespace {
 // Plan entries check_plan accepts at most.
 constexpr std::int64_t kMaxPlanEntries = std::int64_t{1} << 31;
 
-
 // The window check compile_conv makes before it lowers and check_plan
-// before a plan is adopted. In int64: e_max - e_min of two hostile ints
-// overflows int.
+// before a plan is adopted: the quantizers' window, at most kMaxShift
+// shifts wide (its ends are bounded first, so the span cannot overflow).
 void check_window(const quant::Pow2Config& config, const char* who) {
-  const std::int64_t window = std::int64_t{config.e_max} - config.e_min;
-  FLIGHTNN_CHECK(config.e_min >= -126 && config.e_max <= 127 && window >= 0 &&
-                     window <= kMaxShift,
-                 who, ": exponent window [", config.e_min, ", ", config.e_max,
-                 "] outside [-126, 127] or wider than ", kMaxShift, " shifts");
+  quant::check_exponent_window(config, who);
+  FLIGHTNN_CHECK(config.e_max - config.e_min <= kMaxShift, who,
+                 ": exponent window [", config.e_min, ", ", config.e_max,
+                 "] is wider than ", kMaxShift, " shifts");
 }
 
 }  // namespace
@@ -54,10 +52,10 @@ void check_plan(const ShiftPlan& plan, std::int64_t filters,
   }
 }
 
-// One pass over the entries: each entry is checked, then summed into its
-// filter's scratch row in int64, and each filter's row is checked and
-// packed. The word count is checked first, so a refused pack allocates
-// O(entries + filters) whatever the geometry claims.
+// One pass over the entries: each entry is checked, then counted at its tap
+// and summed into its filter's scratch row in int64, and each filter's row
+// is checked and packed. The word count is checked first, so a refused pack
+// allocates O(entries + filters) whatever the geometry claims.
 FLIGHTNN_COLD_ALLOC DensePack pack_dense(const ShiftPlan& plan,
                                          std::int64_t in_channels,
                                          std::int64_t kernel,
@@ -88,6 +86,7 @@ FLIGHTNN_COLD_ALLOC DensePack pack_dense(const ShiftPlan& plan,
   pack.correction.reserve(live_n);
   pack.negated.reserve(live_n);
   pack.words.reserve(static_cast<std::size_t>(words));
+  pack.tap_entries.assign(static_cast<std::size_t>(kk), 0);
   // Byte (word t, lane i) of a filter: channel 4g + i at tap t = g*kk + ky*k
   // + kx. Each term is at most 2^kMaxShift and |w| stays below it while
   // summing, so no add can overflow.
@@ -114,6 +113,7 @@ FLIGHTNN_COLD_ALLOC DensePack pack_dense(const ShiftPlan& plan,
                      ", tap ", c, "/", ky, "/", kx,
                      ") outside the window [0, ", window, "] or the [",
                      in_channels, ", ", kernel, ", ", kernel, "] filter");
+      ++pack.tap_entries[static_cast<std::size_t>(ky * kernel + kx)];
       std::int64_t& weight = w[static_cast<std::size_t>(
           ((c >> 2) * kk + ky * kernel + kx) * 4 + (c & 3))];
       weight += sign * (std::int64_t{1} << shift);
@@ -169,12 +169,12 @@ struct PeelTerm {
 };
 
 // The greedy peel of every weight the int8 pack can hold, u * 2^e_min with
-// integer |u| <= 128: the Fig. 3 decomposition's per-element loop
-// (core/decompose.cpp: round the residual to the nearest power of two,
-// subtract, repeat until zero), run once per op on each of the 257 values
-// instead of once per weight. On these values every residual is a whole
-// number of units below 129, so the float peel is exact and a row's terms
-// are the terms the decomposition gives each weight of that value.
+// integer |u| <= 128: the Fig. 3 decomposition's peel (core/decompose.cpp:
+// quant::peel_level, level by level until every residual is zero), run once
+// per op over the 257 values instead of over every weight. On these values
+// every residual is a whole number of units below 129, so the float peel is
+// exact and a row's terms are the terms the decomposition gives each weight
+// of that value.
 class PeelTable {
  public:
   static constexpr int kMaxUnits = 128;
@@ -189,21 +189,32 @@ class PeelTable {
         levels_(std::min(k_max, kMaxUnits)),
         terms_(static_cast<std::size_t>(levels_) * kRows) {
     const float unit = std::ldexp(1.0F, config.e_min);
-    for (int u = -kMaxUnits; u <= kMaxUnits; ++u) {
-      const int row = u + kMaxUnits;
-      // Past FLT_MAX when e_min > 120: no finite weight has that value.
-      float residual = static_cast<float>(u) * unit;
-      value_[row] = residual;
-      int length = 0;
-      for (; residual != 0.0F && length < levels_ && std::isfinite(residual);
-           ++length) {
-        const quant::Pow2Term term = quant::round_to_pow2(residual, config);
-        terms_[static_cast<std::size_t>(length) * kRows + row] = {
-            static_cast<std::int8_t>(term.exponent - config.e_min), term.sign};
-        residual -= term.value();
+    // Past FLT_MAX when e_min > 120: no finite weight has that value, and
+    // its residual stays +-inf, so its row is kTooLong.
+    std::array<float, kRows> residual;
+    for (int row = 0; row < kRows; ++row) {
+      value_[row] = static_cast<float>(row - kMaxUnits) * unit;
+      residual[row] = value_[row];
+    }
+    std::array<float, kRows> term;
+    for (int level = 0; level < levels_; ++level) {
+      // A row has a term at this level while its residual is not zero; the
+      // +0 terms of the other rows are stored but never read.
+      for (int row = 0; row < kRows; ++row) {
+        if (residual[row] != 0.0F) {
+          length_[row] = static_cast<std::uint8_t>(level + 1);
+        }
       }
-      length_[row] = residual == 0.0F ? static_cast<std::uint8_t>(length)
-                                      : kTooLong;
+      term.fill(0.0F);
+      quant::peel_level(residual.data(), term.data(), kRows, config);
+      for (int row = 0; row < kRows; ++row) {
+        const quant::Pow2Term t = quant::pow2_term_of(term[row]);
+        terms_[static_cast<std::size_t>(level) * kRows + row] = {
+            static_cast<std::int8_t>(t.exponent - config.e_min), t.sign};
+      }
+    }
+    for (int row = 0; row < kRows; ++row) {
+      if (residual[row] != 0.0F) length_[row] = kTooLong;
     }
   }
 

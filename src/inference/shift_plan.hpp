@@ -18,10 +18,10 @@
 //
 // The plan is also the one stored form of the weights, and nothing derived
 // is kept in it. An engine that adopts it rebuilds each filter's int8
-// weights from the entries (pack_dense below) and runs only that dense
-// form: a live filter costs the same for every k_i in {1, 2}, and a pruned
-// one (k_i = 0) costs nothing. A plan the pack cannot hold is refused at
-// adoption.
+// weights from the entries (pack_dense below), keeps only that dense form
+// and runs it: a live filter costs the same for every k_i in {1, 2}, and a
+// pruned one (k_i = 0) costs nothing. A plan the pack cannot hold is
+// refused at adoption.
 //
 // Entry order is: filters ascending; within a filter, peel levels
 // ascending (level 0 is each weight's largest term); within a level,
@@ -213,6 +213,10 @@ struct DensePack {
   // Per live filter: 1 when its words hold -w (a filter whose weights reach
   // +128 but not -128), so its int32 sum is the negated dot product.
   std::vector<std::uint8_t> negated;
+  // [ky][kx]: the plan's entries at each kernel tap, over all filters and
+  // channels (empty when every filter is pruned). The census needs nothing
+  // else of the plan: an entry's accumulates depend on its tap alone.
+  std::vector<std::int64_t> tap_entries;
 };
 
 // pack_dense refuses a pack of more words than this per plan entry, so
@@ -245,8 +249,8 @@ inline constexpr int kMaxShift = 61;
 
 // The check of a plan's streams, which the plan-adopting ShiftConv2d
 // constructor makes before anything reads them; pack_dense, which it calls
-// next, checks every entry. Whoever built the plan (compile_conv, an
-// artifact, a test), the census then indexes it unchecked. Throws
+// next, checks every entry and counts the entries per tap that the census
+// reads, whoever built the plan (compile_conv, an artifact, a test). Throws
 // CheckFailure unless
 //  - the exponent window lies in [-126, 127] and spans at most kMaxShift;
 //  - the plan covers `filters` filters with at most 2^31 entries, every

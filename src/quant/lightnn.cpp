@@ -1,5 +1,8 @@
 #include "quant/lightnn.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "runtime/thread_pool.hpp"
 #include "support/check.hpp"
 
@@ -8,24 +11,27 @@ namespace flightnn::quant {
 tensor::Tensor quantize_lightnn(const tensor::Tensor& w, int k,
                                 const Pow2Config& config) {
   FLIGHTNN_CHECK(k >= 1, "quantize_lightnn: k must be >= 1, got ", k);
-  FLIGHTNN_CHECK(config.e_min <= config.e_max, "quantize_lightnn: e_min ",
-                 config.e_min, " > e_max ", config.e_max);
+  check_exponent_window(config, "quantize_lightnn");
+  // Zero-filled: the sums each level adds its terms to.
   tensor::Tensor out(w.shape());
   // Elementwise and independent, so the parallel partition cannot change any
   // result; the cost hint keeps small weight tensors on the calling thread.
+  // bench/kernels_microbench's BM_QuantizeLightNN measures about 0.5 ns per
+  // weight plus 0.5 ns per level on one thread of an AVX-512 host.
   runtime::parallel_for(
-      0, w.numel(), 1024, runtime::CostHint{static_cast<double>(k) * 5.0},
+      0, w.numel(), 1024, runtime::CostHint{0.5 + 0.5 * static_cast<double>(k)},
       [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          float acc = 0.0F;
-          float residual = w[i];
+        // Level by level over stack blocks of the range: Q_k's recursion is
+        // k peel levels from a zero sum, and a level that finds nothing to
+        // peel adds +0, so no element needs an early exit.
+        constexpr std::int64_t kBlock = 1024;
+        std::array<float, kBlock> residual;
+        for (std::int64_t b = begin; b < end; b += kBlock) {
+          const std::int64_t n = std::min(kBlock, end - b);
+          std::copy_n(w.data() + b, n, residual.data());
           for (int j = 0; j < k; ++j) {
-            const float term = round_to_pow2(residual, config).value();
-            if (term == 0.0F) break;  // residual already representable as zero
-            acc += term;
-            residual -= term;
+            peel_level(residual.data(), out.data() + b, n, config);
           }
-          out[i] = acc;
         }
       });
   // Every output must decompose back into <= k shifter terms; anything else

@@ -29,13 +29,22 @@ struct Pow2Config {
   [[nodiscard]] int exponent_levels() const { return e_max - e_min + 1; }
 };
 
+// The exponents whose power of two is a normal float: the window every
+// quantizer accepts (check_exponent_window), which a plan's must also lie
+// in (inference/shift_plan.hpp).
+inline constexpr int kMinPow2Exponent = -126;
+inline constexpr int kMaxPow2Exponent = 127;
+
+// Throws CheckFailure, naming `who`, unless kMinPow2Exponent <= e_min <=
+// e_max <= kMaxPow2Exponent. Every quantizer makes it where it takes its
+// config, so exp2_int's range holds for every exponent R(x) can return.
+void check_exponent_window(const Pow2Config& config, const char* who);
+
 // 2^e as a float for e in the normal exponent range, built directly from
-// the IEEE-754 bit layout. ldexp is a libm call; this is one shift. The
-// quantizers call it (via round_to_pow2 below) once per weight per residual
-// level every training step, so it must inline.
+// the IEEE-754 bit layout. ldexp is a libm call; this is one shift.
 inline float exp2_int(int e) {
-  FLIGHTNN_DCHECK(e >= -126 && e <= 127, "exp2_int: exponent ", e,
-                  " outside the normal float range");
+  FLIGHTNN_DCHECK(e >= kMinPow2Exponent && e <= kMaxPow2Exponent,
+                  "exp2_int: exponent ", e, " outside the normal float range");
   return std::bit_cast<float>(static_cast<std::uint32_t>(e + 127) << 23);
 }
 
@@ -53,7 +62,9 @@ struct Pow2Term {
 };
 
 // Round a scalar to the nearest power of two under `config`. Returns the
-// term; use term.value() for the float realization.
+// term; use term.value() for the float realization. This is the
+// specification of R(x): every quantizer runs peel_level below, which the
+// tests compare against it bit for bit.
 //
 // "Nearest in the log domain" (round(log2|x|)) is computed from the float
 // bit pattern: split |x| = 2^e * m with m in [1, 2) and bump e when
@@ -86,6 +97,32 @@ inline Pow2Term round_to_pow2(float x, const Pow2Config& config) {
   return term;
 }
 
+// The term peel_level wrote as a float: the Pow2Term whose value() it is
+// (sign 0 and exponent 0 for +0, as round_to_pow2 gives).
+inline Pow2Term pow2_term_of(float term) {
+  const auto bits = std::bit_cast<std::uint32_t>(term);
+  Pow2Term out;
+  if ((bits & 0x7FFFFFFFU) == 0) return out;
+  out.sign = static_cast<std::int8_t>((bits >> 31) != 0 ? -1 : 1);
+  out.exponent =
+      static_cast<std::int8_t>(static_cast<int>(bits >> 23 & 0xFFU) - 127);
+  return out;
+}
+
+// One level of the greedy residual peel over n elements, the step every
+// quantizer repeats (LightNN's Q_k, FLightNN's levels, the Fig. 3
+// decomposition): term = round_to_pow2(residual[i], config).value(), then
+// acc[i] += term and, where the term is not zero, residual[i] -= term.
+// Bit-identical to that scalar form for every float, NaN and +-inf
+// included (a NaN's term is +0). A zero term is +0, so a level that finds
+// nothing to peel changes no residual and no sum but a -0 one. It reads
+// the term off the IEEE-754 bits with no branch and no multiply, so it
+// vectorizes in every FLIGHTNN_SIMD_CLONES clone and no FMA contraction
+// can change it (DESIGN.md §10). The caller checks the window
+// (check_exponent_window).
+void peel_level(float* residual, float* acc, std::int64_t n,
+                const Pow2Config& config);
+
 // Elementwise R(x) over a tensor (float realization).
 tensor::Tensor round_to_pow2(const tensor::Tensor& x, const Pow2Config& config);
 
@@ -93,8 +130,9 @@ tensor::Tensor round_to_pow2(const tensor::Tensor& x, const Pow2Config& config);
 // e in [config.e_min, config.e_max] or exact zero.
 bool is_pow2_representable(const tensor::Tensor& x, const Pow2Config& config);
 
-// True if every element is a sum of at most k representable terms. Verifies
-// LightNN-k / FLightNN quantizer outputs in tests.
+// True if every element is a sum of at most k representable terms: its
+// greedy peel reaches zero within k levels and its terms sum back to it.
+// Verifies LightNN-k / FLightNN quantizer outputs in tests.
 bool is_sum_of_pow2(const tensor::Tensor& x, int k, const Pow2Config& config);
 
 }  // namespace flightnn::quant

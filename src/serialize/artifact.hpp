@@ -5,8 +5,10 @@
 // FlexNN deployment unit for FLightNNs -- all planning (decomposition,
 // ShiftPlan lowering, batch-norm folding) happens offline in
 // build_artifact; loading is mmap plus an O(#sections) pointer fixup that
-// binds PlanArray views straight into the mapping. N serving replicas that
-// map the same file share one physical copy of every plan stream.
+// binds PlanArray views straight into the mapping. The adopting engines
+// read those views once, to check each entry and build the layer's int8
+// pack in their own memory, and keep no plan: once loaded, nothing reads
+// the mapping. N serving replicas of one file each hold their own packs.
 //
 // Format v2 (DESIGN.md §13 is the normative spec):
 //
@@ -221,7 +223,9 @@ inference::NetworkProgram parse_artifact(const std::uint8_t* data,
 
 // A deployable model bound to its backing artifact bytes. Owns the mapping
 // (mmap on POSIX, aligned heap elsewhere or via load_buffer) and the
-// executable network whose plans view straight into it. Move-only.
+// executable network built from the plans that view it; the network keeps
+// only the int8 packs it built at load, so it never reads the mapping
+// again. Move-only.
 class ArtifactModel {
  public:
   // mmap `path` read-only and fix up. O(#sections) work after the map.
@@ -244,7 +248,7 @@ class ArtifactModel {
   [[nodiscard]] std::int64_t input_h() const { return input_h_; }
   [[nodiscard]] std::int64_t input_w() const { return input_w_; }
 
-  // Backing bytes (tests assert the plans' zero-copy views land in here).
+  // Backing bytes: the artifact as loaded.
   [[nodiscard]] const std::uint8_t* data() const { return mapping_->data(); }
   [[nodiscard]] std::size_t size() const { return mapping_->size(); }
 

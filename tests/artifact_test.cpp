@@ -267,15 +267,13 @@ TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
               0U);
     // The artifact path carries plans, never the float weights.
     EXPECT_TRUE(op.weights.empty());
-    // Adoption keeps the streams as views and builds the dense pack into
-    // owned storage (a linear op adopts as a 1x1 conv).
+    // Adoption reads the views once and builds the dense pack, the one
+    // form the engine keeps, into owned storage (a linear op adopts as a
+    // 1x1 conv).
     const inference::ShiftConvSpec spec{op.out_channels, op.in_channels,
                                         op.kernel,       op.stride,
                                         op.padding,      op.term_count};
     const inference::ShiftConv2d engine(op.plan, spec, op.pow2, op.bias);
-    const inference::ShiftPlan& adopted = engine.plan();
-    EXPECT_EQ(adopted.channel.data(), op.plan.channel.data());
-    EXPECT_EQ(adopted.kx.data(), op.plan.kx.data());
     EXPECT_FALSE(in_blob(engine.dense().words.data()));
   }
   EXPECT_GT(shift_ops, 10) << "ResNet-18 should lower many shift layers";

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+
 #include "core/flightnn_transform.hpp"
 #include "quant/lightnn.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace flightnn::core {
@@ -78,6 +83,48 @@ TEST(DecomposeTest, NonQuantizedInputThrows) {
   Tensor w(Shape{1, 1, 1, 3}, std::vector<float>{0.3F, 0.1F, 0.7F});
   EXPECT_THROW((void)decompose_to_lightnn1(w, 1, quant::Pow2Config{}),
                std::invalid_argument);
+}
+
+// With flush_to_zero off, 2^(e_min - 30) peels into +2^e_min, then
+// -2^e_min (2^(e_min - 30) - 2^e_min rounds to -2^e_min): a zero residual
+// whose two terms reconstruct to 0, not to the weight. It is refused,
+// naming the filter and the element.
+TEST(DecomposeTest, WeightWhoseTermsDoNotAddBackIsRefused) {
+  quant::Pow2Config config;
+  config.flush_to_zero = false;
+  Tensor q(Shape{2, 1, 1, 3},
+           std::vector<float>{0.5F, 0.25F, 0.0F,
+                              0.5F, std::ldexp(1.0F, config.e_min - 30), 1.0F});
+  try {
+    (void)decompose_to_lightnn1(q, 2, config);
+    FAIL() << "decomposed a weight its terms do not rebuild";
+  } catch (const support::CheckFailure& failure) {
+    const std::string what = failure.what();
+    EXPECT_NE(what.find("filter 1 element 1"), std::string::npos) << what;
+  }
+  // With the flush, the same weight rounds to zero: one fewer weight than
+  // the filter holds, so it is not a sum of terms either.
+  config.flush_to_zero = true;
+  EXPECT_THROW((void)decompose_to_lightnn1(q, 2, config),
+               support::CheckFailure);
+  // The quantized tensor decomposes and rebuilds exactly.
+  q[4] = std::ldexp(1.0F, config.e_min);
+  const auto d = decompose_to_lightnn1(q, 2, config);
+  const Tensor back = d.reconstruct(q.shape());
+  for (std::int64_t i = 0; i < q.numel(); ++i) EXPECT_EQ(back[i], q[i]) << i;
+}
+
+TEST(DecomposeTest, WindowOutsideTheNormalRangeIsRefused) {
+  const Tensor q(Shape{1, 1, 1, 2}, std::vector<float>{0.5F, 0.25F});
+  for (const auto& [e_min, e_max] :
+       {std::pair{-127, 0}, std::pair{-6, 128}, std::pair{0, -1}}) {
+    quant::Pow2Config config;
+    config.e_min = e_min;
+    config.e_max = e_max;
+    EXPECT_THROW((void)decompose_to_lightnn1(q, 2, config),
+                 support::CheckFailure)
+        << e_min << ", " << e_max;
+  }
 }
 
 TEST(DecomposeTest, InvalidArgsThrow) {

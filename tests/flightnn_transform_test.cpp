@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "pow2_reference.hpp"
 #include "quant/lightnn.hpp"
+#include "runtime/thread_pool.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace flightnn::core {
@@ -287,6 +294,225 @@ TEST(FLightNNTransformTest, ConfigValidation) {
   FLightNNTransform transform;
   EXPECT_THROW(transform.set_thresholds({1.0F}), std::invalid_argument);
   EXPECT_EQ(transform.describe(), "flightnn[kmax=2]");
+}
+
+TEST(FLightNNTransformTest, WindowOutsideTheNormalRangeIsRefused) {
+  for (const auto& [e_min, e_max] :
+       {std::pair{-127, 0}, std::pair{-6, 128}, std::pair{0, -1}}) {
+    FLightNNConfig config;
+    config.pow2.e_min = e_min;
+    config.pow2.e_max = e_max;
+    EXPECT_THROW(FLightNNTransform{config}, support::CheckFailure)
+        << e_min << ", " << e_max;
+  }
+}
+
+// --- The peel level against the scalar peel, through FLightNN's paths ----
+
+// One filter quantized on the scalar peel, as FLightNNTransform did before
+// quant::peel_level: the fired levels' residual snapshots, terms and norms,
+// and the quantized filter.
+struct ScalarTrace {
+  std::vector<std::vector<float>> residuals;
+  std::vector<std::vector<float>> rounded;
+  std::vector<double> norms;
+  std::vector<float> out;
+};
+
+ScalarTrace scalar_quantize_filter(const float* filter, std::int64_t count,
+                                   const std::vector<float>& thresholds,
+                                   const quant::Pow2Config& pow2) {
+  ScalarTrace trace;
+  std::vector<float> residual(filter, filter + count);
+  trace.out.assign(residual.size(), 0.0F);
+  for (const float threshold : thresholds) {
+    double norm_sq = 0.0;
+    for (const float v : residual) norm_sq += static_cast<double>(v) * v;
+    const double norm = std::sqrt(norm_sq);
+    if (norm <= threshold) break;
+    trace.residuals.push_back(residual);
+    trace.norms.push_back(norm);
+    std::vector<float> rounded(residual.size());
+    for (std::size_t e = 0; e < residual.size(); ++e) {
+      rounded[e] = quant::round_to_pow2(residual[e], pow2).value();
+      trace.out[e] += rounded[e];
+      residual[e] -= rounded[e];
+    }
+    trace.rounded.push_back(std::move(rounded));
+  }
+  return trace;
+}
+
+// Sec. 4.2's threshold gradients from scalar traces, in the library's
+// order: filters in blocks of 16, each block's double partials cast and
+// added in block order.
+std::vector<float> scalar_threshold_grads(const Tensor& w,
+                                          const Tensor& grad_wq,
+                                          const std::vector<float>& thresholds,
+                                          const FLightNNConfig& config) {
+  const std::int64_t filters = w.shape()[0];
+  const std::int64_t per_filter = w.numel() / filters;
+  const auto k_max = thresholds.size();
+  const double temperature = config.temperature;
+  const auto sigmoid_prime = [temperature](double x) {
+    const double s = 1.0 / (1.0 + std::exp(-x / temperature));
+    return s * (1.0 - s) / temperature;
+  };
+  std::vector<float> grads(k_max, 0.0F);
+  for (std::int64_t block = 0; block * 16 < filters; ++block) {
+    std::vector<double> partial(k_max, 0.0);
+    const std::int64_t end = std::min(filters, block * 16 + 16);
+    for (std::int64_t i = block * 16; i < end; ++i) {
+      const ScalarTrace trace = scalar_quantize_filter(
+          w.data() + i * per_filter, per_filter, thresholds, config.pow2);
+      const float* g = grad_wq.data() + i * per_filter;
+      const auto k = trace.norms.size();
+      for (std::size_t j = 0; j < k; ++j) {
+        std::vector<double> dr(static_cast<std::size_t>(per_filter), 0.0);
+        double grad_tj = 0.0;
+        for (std::size_t l = j; l < k; ++l) {
+          const auto& r = trace.residuals[l];
+          const auto& rr = trace.rounded[l];
+          const double norm = trace.norms[l];
+          double dnorm = 0.0;
+          if (norm > 0.0) {
+            for (std::size_t e = 0; e < dr.size(); ++e) dnorm += r[e] * dr[e];
+            dnorm /= norm;
+          }
+          const double dg = sigmoid_prime(norm - thresholds[l]) *
+                            (dnorm - (l == j ? 1.0 : 0.0));
+          for (std::size_t e = 0; e < dr.size(); ++e) {
+            grad_tj += static_cast<double>(g[e]) * (dg * rr[e] + dr[e]);
+            dr[e] = -dg * rr[e];
+          }
+        }
+        partial[j] += grad_tj;
+      }
+    }
+    for (std::size_t j = 0; j < k_max; ++j) {
+      grads[j] += static_cast<float>(partial[j]);
+    }
+  }
+  return grads;
+}
+
+// [filters, 64] weights holding `values` in order, zero-padded.
+Tensor filters_of(const std::vector<float>& values) {
+  const auto filters = static_cast<std::int64_t>((values.size() + 63) / 64);
+  Tensor w(Shape{filters, 64});
+  std::copy(values.begin(), values.end(), w.data());
+  return w;
+}
+
+std::vector<FLightNNConfig> exactness_configs() {
+  std::vector<FLightNNConfig> configs;
+  for (const auto& [e_min, e_max] : {std::pair{-6, 0}, std::pair{-126, 127},
+                                    std::pair{-10, -3}}) {
+    for (const bool flush : {true, false}) {
+      for (int k_max = 1; k_max <= 3; ++k_max) {
+        FLightNNConfig config;
+        config.k_max = k_max;
+        config.pow2.e_min = e_min;
+        config.pow2.e_max = e_max;
+        config.pow2.flush_to_zero = flush;
+        configs.push_back(config);
+      }
+    }
+  }
+  return configs;
+}
+
+std::string describe(const FLightNNConfig& config, int threads) {
+  return "window [" + std::to_string(config.pow2.e_min) + ", " +
+         std::to_string(config.pow2.e_max) + "] flush " +
+         std::to_string(config.pow2.flush_to_zero) + " k_max " +
+         std::to_string(config.k_max) + " threads " + std::to_string(threads);
+}
+
+// The forward path (peel into the output) and filter_k's (peel into a sink)
+// give the scalar peel's quantized weights and k_i bit for bit, on every
+// adversarial float, on one thread and on four.
+TEST(FLightNNTransformTest, ForwardMatchesTheScalarPeelBitForBit) {
+  const std::vector<float> all_thresholds = {0.0F, 0.5F, 0.05F};
+  for (const FLightNNConfig& config : exactness_configs()) {
+    const Tensor w = filters_of(
+        quant::reference::adversarial_floats(config.pow2, 44, 1 << 12));
+    const std::vector<float> thresholds(
+        all_thresholds.begin(), all_thresholds.begin() + config.k_max);
+    const std::int64_t filters = w.shape()[0];
+    Tensor want(w.shape());
+    std::vector<int> want_k;
+    for (std::int64_t i = 0; i < filters; ++i) {
+      const ScalarTrace trace = scalar_quantize_filter(
+          w.data() + i * 64, 64, thresholds, config.pow2);
+      std::copy(trace.out.begin(), trace.out.end(), want.data() + i * 64);
+      want_k.push_back(static_cast<int>(trace.norms.size()));
+    }
+    FLightNNTransform transform(config);
+    transform.set_thresholds(thresholds);
+    for (const int threads : {1, 4}) {
+      runtime::set_num_threads(threads);
+      const Tensor got = transform.forward(w);
+      EXPECT_TRUE(quant::reference::same_bits(
+          got.data(), want.data(), static_cast<std::size_t>(w.numel())))
+          << describe(config, threads);
+      EXPECT_EQ(transform.filter_k(w), want_k) << describe(config, threads);
+    }
+  }
+  runtime::set_num_threads(0);
+}
+
+// The trace path (each level peeled into its own zeroed row) feeds the
+// threshold gradients: they match the scalar traces' and agree bit for bit
+// at one and four threads. A term that differed would move a gradient by a
+// whole power of two times its weight's share; the tolerance only absorbs
+// a multiply-add the compiler may contract differently in the two copies.
+TEST(FLightNNTransformTest, TracePathMatchesTheScalarPeel) {
+  const std::vector<float> all_thresholds = {0.5F, 1.0F, 0.6F};
+  for (const FLightNNConfig& config : exactness_configs()) {
+    // Each filter: 56 random weights and 8 adversarial floats, finite so
+    // that no NaN reaches every gradient.
+    std::vector<float> specials;
+    for (const float v :
+         quant::reference::adversarial_floats(config.pow2, 45, 0)) {
+      if (std::isfinite(v)) specials.push_back(v);
+    }
+    support::Rng rng(46);
+    std::vector<float> values;
+    for (std::size_t s = 0; s < specials.size(); s += 8) {
+      for (int e = 0; e < 56; ++e) {
+        values.push_back(static_cast<float>(rng.normal(0.0, 0.3)));
+      }
+      for (std::size_t e = s; e < std::min(specials.size(), s + 8); ++e) {
+        values.push_back(specials[e]);
+      }
+    }
+    const Tensor w = filters_of(values);
+    const Tensor grad_wq = Tensor::randn(w.shape(), rng);
+    const std::vector<float> thresholds(
+        all_thresholds.begin(), all_thresholds.begin() + config.k_max);
+    const std::vector<float> want =
+        scalar_threshold_grads(w, grad_wq, thresholds, config);
+    FLightNNTransform transform(config);
+    transform.set_thresholds(thresholds);
+    std::vector<float> one_thread;
+    for (const int threads : {1, 4}) {
+      runtime::set_num_threads(threads);
+      Tensor grad_w(w.shape());
+      transform.zero_internal_grads();
+      transform.backward(w, grad_wq, grad_w);
+      const std::vector<float>& got = transform.threshold_grads();
+      if (threads == 1) one_thread = got;
+      EXPECT_TRUE(quant::reference::same_bits(got.data(), one_thread.data(),
+                                              got.size()))
+          << describe(config, threads);
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        EXPECT_NEAR(got[j], want[j], 1e-5 * (std::fabs(want[j]) + 1e-3))
+            << describe(config, threads) << " level " << j;
+      }
+    }
+  }
+  runtime::set_num_threads(0);
 }
 
 TEST(FLightNNTransformTest, LambdasExtendedToKmax) {

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "pow2_reference.hpp"
+#include "runtime/thread_pool.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace flightnn::quant {
@@ -79,6 +84,69 @@ TEST(LightNNTest, InvalidKThrows) {
   tensor::Tensor w(tensor::Shape{1});
   EXPECT_THROW((void)quantize_lightnn(w, 0, config), std::invalid_argument);
   EXPECT_THROW(LightNNTransform(0), std::invalid_argument);
+}
+
+// Q_k as it was computed element by element before the level-by-level
+// peel: k scalar terms, stopping at the first zero term.
+tensor::Tensor scalar_quantize_lightnn(const tensor::Tensor& w, int k,
+                                       const Pow2Config& config) {
+  tensor::Tensor out(w.shape());
+  for (std::int64_t i = 0; i < w.numel(); ++i) {
+    float acc = 0.0F;
+    float residual = w[i];
+    for (int j = 0; j < k; ++j) {
+      const float term = round_to_pow2(residual, config).value();
+      if (term == 0.0F) break;
+      acc += term;
+      residual -= term;
+    }
+    out[i] = acc;
+  }
+  return out;
+}
+
+// Bit-identical to the scalar loop on the adversarial floats, for k = 1..3,
+// flush on and off, on one thread and on four (whose split of the range
+// cuts the stack blocks at other places). The windows keep k * 2^e_max
+// finite: in [-126, 127] a weight near FLT_MAX quantizes to inf, which
+// pow2_test's sweep covers at the level itself.
+TEST(LightNNTest, MatchesTheScalarLoopBitForBit) {
+  for (const auto& [e_min, e_max] : {std::pair{-6, 0}, std::pair{-10, -3}}) {
+    for (const bool flush : {true, false}) {
+      Pow2Config config;
+      config.e_min = e_min;
+      config.e_max = e_max;
+      config.flush_to_zero = flush;
+      const std::vector<float> values =
+          reference::adversarial_floats(config, 43, 1 << 14);
+      const tensor::Tensor w(
+          tensor::Shape{static_cast<std::int64_t>(values.size())}, values);
+      for (int k = 1; k <= 3; ++k) {
+        const tensor::Tensor want = scalar_quantize_lightnn(w, k, config);
+        for (const int threads : {1, 4}) {
+          runtime::set_num_threads(threads);
+          const tensor::Tensor got = quantize_lightnn(w, k, config);
+          EXPECT_TRUE(reference::same_bits(got.data(), want.data(),
+                                           values.size()))
+              << "window [" << e_min << ", " << e_max << "] flush " << flush
+              << " k " << k << " threads " << threads;
+        }
+      }
+    }
+  }
+  runtime::set_num_threads(0);
+}
+
+TEST(LightNNTest, WindowOutsideTheNormalRangeIsRefused) {
+  const tensor::Tensor w(tensor::Shape{2}, std::vector<float>{0.5F, -0.3F});
+  for (const auto& [e_min, e_max] :
+       {std::pair{-127, 0}, std::pair{-6, 128}, std::pair{0, -1}}) {
+    Pow2Config config;
+    config.e_min = e_min;
+    config.e_max = e_max;
+    EXPECT_THROW((void)quantize_lightnn(w, 2, config), support::CheckFailure)
+        << e_min << ", " << e_max;
+  }
 }
 
 TEST(LightNNTransformTest, ForwardMatchesFreeFunction) {

@@ -81,7 +81,7 @@ bool fits_int8_pack(const Tensor& wq, const quant::Pow2Config& config) {
   return true;
 }
 
-// `plan` is an adopted one (engine.plan()).
+// `plan` is one compile_conv returned, which the engine adopted.
 void check_plan_invariants(const inference::ShiftPlan& plan,
                            const quant::Pow2Config& config,
                            std::int64_t in_channels, std::int64_t kernel) {
@@ -165,8 +165,10 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
 
           const inference::ShiftConv2d engine(wq, k_max, config, stride,
                                               padding);
-          check_plan_invariants(engine.plan(), config, in_ch, kernel);
-          EXPECT_EQ(engine.plan().entries(),
+          const inference::CompiledPlan compiled =
+              inference::ShiftPlan::compile_conv(wq, k_max, config);
+          check_plan_invariants(compiled.plan, config, in_ch, kernel);
+          EXPECT_EQ(compiled.plan.entries(),
                     expected_entries(wq, k_max, config))
               << "plan did not elide exactly the zero elements";
 
@@ -247,8 +249,10 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
 
       const inference::ShiftConv2d engine =
           inference::oracle::linear_engine(wq, k_max, config);
-      check_plan_invariants(engine.plan(), config, in_features, 1);
-      EXPECT_EQ(engine.plan().entries(), expected_entries(wq, k_max, config));
+      const inference::CompiledPlan compiled =
+          inference::ShiftPlan::compile_conv(wq, k_max, config);
+      check_plan_invariants(compiled.plan, config, in_features, 1);
+      EXPECT_EQ(compiled.plan.entries(), expected_entries(wq, k_max, config));
 
       const auto q = inference::quantize_tensor(x, 8);
 
