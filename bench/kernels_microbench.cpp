@@ -135,20 +135,39 @@ void BM_ShiftEngineConvSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_ShiftEngineConvSparse)->Arg(0)->Arg(50)->Arg(90);
 
-// One-time set-up cost of a layer, amortized over an engine's lifetime:
-// compile_conv's lowering of the quantized weights into plan streams, then
-// adoption (check_plan and pack_dense).
+// One-time set-up cost of a layer, amortized over an engine's lifetime, in
+// its two steps: compile_conv's lowering of the quantized weights into the
+// int8 pack, then adoption's one pass over the words (adopt_plan), which
+// every load path runs.
 void BM_PlanCompile(benchmark::State& state) {
   const quant::Pow2Config config;
   tensor::Tensor w = random_weights(64, 64, 13);
   tensor::Tensor wq = quant::quantize_lightnn(w, 2, config);
   for (auto _ : state) {
-    inference::ShiftConv2d engine(wq, 2, config, 1, 1);
-    benchmark::DoNotOptimize(engine.dense().words.data());
+    inference::CompiledPlan compiled =
+        inference::ShiftPlan::compile_conv(wq, 2, config);
+    benchmark::DoNotOptimize(compiled.plan.words.data());
   }
   state.SetItemsProcessed(state.iterations() * w.numel());
 }
 BENCHMARK(BM_PlanCompile);
+
+// Adoption of a plan copy, as each artifact load adopts the sections it
+// copied out.
+void BM_PlanAdopt(benchmark::State& state) {
+  const quant::Pow2Config config;
+  tensor::Tensor w = random_weights(64, 64, 13);
+  tensor::Tensor wq = quant::quantize_lightnn(w, 2, config);
+  const inference::ShiftPlan plan =
+      inference::ShiftPlan::compile_conv(wq, 2, config).plan;
+  for (auto _ : state) {
+    const inference::AdoptedPlan adopted =
+        inference::adopt_plan(plan, 64, 64, 3, config);
+    benchmark::DoNotOptimize(adopted.correction.data());
+  }
+  state.SetItemsProcessed(state.iterations() * w.numel());
+}
+BENCHMARK(BM_PlanAdopt);
 
 // The same plan executed under a pinned kernel tier (Arg: 0 = scalar,
 // 1 = AVX2, 2 = AVX-512 VNNI; a tier the host lacks falls back to scalar).

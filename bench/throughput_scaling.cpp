@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
   tensor::Tensor layer_img =
       tensor::Tensor::randn(tensor::Shape{32, 32, 32}, layer_rng);
   const auto qimg = inference::quantize_image(layer_img, 8);
-  const inference::DensePack& pack = dense.dense();
+  const inference::AdoptedPlan& pack = dense.adopted();
   const char* active_tier =
       inference::kernel_tier_name(inference::active_shift_kernels().tier);
   const double dense_s = time_layer(layer_repeats, [&] { (void)dense.run(qimg); });
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
     }
   }
   const inference::DenseConvGeom kernel_geom{pw, lw, lw, pack.taps};
-  const auto live = static_cast<std::int64_t>(pack.filters.size());
+  const auto live = static_cast<std::int64_t>(pack.plan.live.size());
   const auto run_kernel = [&](inference::DenseConvFn fn,
                               std::vector<std::int32_t>& out) {
     for (std::int64_t first = 0; first < live;
@@ -252,7 +252,8 @@ int main(int argc, char** argv) {
           std::min<std::int64_t>(inference::kDenseFilterBlock, live - first));
       std::int32_t* planes[inference::kDenseFilterBlock] = {};
       for (int j = 0; j < n; ++j) planes[j] = out.data() + (first + j) * lhw;
-      fn(codes.data(), tap_off.data(), pack.words.data() + first * pack.taps,
+      fn(codes.data(), tap_off.data(),
+         pack.plan.words.data() + first * pack.taps,
          pack.correction.data() + first, n, kernel_geom, planes);
     }
   };

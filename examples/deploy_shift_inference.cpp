@@ -14,8 +14,8 @@
 //
 // --save-artifact writes the compiled network as a flat deployment artifact
 // (serialize/artifact.hpp) after training. --load-artifact skips training
-// entirely: the artifact is mmap-ed, fixed up in O(#sections), and served
-// directly -- the production cold-start path.
+// entirely: the artifact is mmap-ed, its int8 packs adopted in one pass
+// each, and served directly -- the production cold-start path.
 //
 // --threads sets the runtime pool size for both training and the shift
 // engine (0 = FLIGHTNN_NUM_THREADS / hardware default). Outputs are
@@ -315,8 +315,9 @@ int main(int argc, char** argv) {
   std::printf("compiled conv layer: %lld filters -> %lld single-shift terms\n",
               static_cast<long long>(target->out_channels()),
               static_cast<long long>(engine.term_count()));
-  // The engine keeps only its compiled plan; the per-filter k comes from the
-  // same decomposition the plan was lowered from.
+  // The engine keeps only its int8 pack; the per-filter k histogram comes
+  // from the Fig. 3 decomposition of the same weights, whose term count the
+  // engine's equals.
   int histogram[3] = {0, 0, 0};
   for (int k : core::decompose_to_lightnn1(wq, 2, pow2).filter_k) {
     ++histogram[k];

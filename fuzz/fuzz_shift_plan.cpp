@@ -1,43 +1,34 @@
-// Fuzz harness for ShiftPlan compilation and adoption
-// (inference/shift_plan, inference/shift_engine).
+// Fuzz harness for int8 pack adoption (inference/shift_plan:adopt_plan,
+// through the plan-adopting ShiftConv2d constructor every load path takes).
 //
-// The input bytes are decoded as a little program that builds a bounded
-// weight tensor -- OIHW or a linear layer's [out, in], zero dimensions
-// allowed -- with an exponent window and a k_max, and *no* validity
-// filtering: the window may be inverted, too wide or past the float
-// exponent range, and a weight may be on the window's grid, past 128 units,
-// a fraction of a unit, tiny, NaN, infinite or any float bit pattern.
-// ShiftPlan::compile_conv must agree with the lowering it replaced
-// (tests/term_walk_oracle.hpp: decompose_to_lightnn1, then the term-by-term
-// loop):
-//  - where the window is one check_plan refuses, compile_conv refuses before
-//    the reference runs (the decomposition assumes a sane window);
-//  - where the reference lowers the weights, compile_conv yields the same
-//    streams, filter_begin and term count, or refuses with CheckFailure
-//    because adoption refuses the reference's plan or the reference's
-//    terms do not sum back to its weights in double;
-//  - where the reference refuses, compile_conv refuses too (with
-//    flush_to_zero off, a weight below 2^(e_min - 24) peels into a
-//    cancelling +-2^e_min pair, which both refuse).
+// The input bytes are decoded as a little program that builds a plan
+// directly, with *no* validity filtering: an exponent window (inverted,
+// too wide or past the float exponent range allowed), a k_max, a geometry
+// (zero dimensions allowed), a live-filter list (sorted or raw: unsorted,
+// repeated, negative, past out_channels), negated bytes (0, 1 or 2 to 17),
+// words (one short or one long, bytes mostly on a LightNN-2 value set, any
+// int8 otherwise, padding lanes mostly zero) and stored entry and term
+// counts (true, or one off). The harness judges the plan by the contract
+// adopt_plan documents, computing each weight's term count with the scalar
+// specification of the peel (quant::round_to_pow2), and
+//  - adoption must refuse, with CheckFailure, exactly the plans that break
+//    it, and accept every other;
+//  - an accepted plan must run bit-equal to the term-walk oracle
+//    (tests/term_walk_oracle.hpp) on the weights its words decode to, on
+//    one small input of codes within u8, with the oracle's op counts as its
+//    census, the decomposition's term count and entry count, and the
+//    filters with a nonzero weight as its live list.
 // Anything else (sanitizer finding, uncaught exception, disagreement) is a
-// crash.
-//
-// A lowered plan is then adopted through the ShiftConv2d constructor, the
-// one path every plan takes. Adoption must either reject it with
-// CheckFailure (pack_dense: weights int8 cannot hold, a filter past the
-// int32 bound, a pack past its words-per-entry bound) or yield a dense form
-// of one block of words, one correction and one sign per live filter,
-// within that bound. An adopted engine then runs one small input of codes
-// within u8, which it must accept, so every plan adoption accepts is also
-// proven safe to run. Hostile plan streams reach adoption through
-// fuzz_artifact and the hand-built plans of tests/shift_plan_test.cpp.
+// crash. ShiftPlan::compile_conv is held to the decomposition route by
+// tests/shift_plan_test.cpp, and hostile artifacts reach adoption through
+// fuzz_artifact.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -54,8 +45,7 @@
 
 namespace {
 
-using flightnn::inference::CompiledPlan;
-using flightnn::inference::DensePack;
+using flightnn::inference::OpCounts;
 using flightnn::inference::QuantizedActivations;
 using flightnn::inference::ShiftConv2d;
 using flightnn::inference::ShiftConvSpec;
@@ -65,14 +55,13 @@ using flightnn::tensor::Shape;
 using flightnn::tensor::Tensor;
 
 // Sequential byte reader; returns 0 past the end so every input decodes to
-// *some* program (short inputs just build small tensors).
+// *some* plan (short inputs just build small ones).
 class ByteProgram {
  public:
   ByteProgram(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
   std::uint8_t u8() { return cursor_ < size_ ? data_[cursor_++] : 0; }
-  std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
 
  private:
   const std::uint8_t* data_;
@@ -80,177 +69,199 @@ class ByteProgram {
   std::size_t cursor_ = 0;
 };
 
-// Size clamps keep per-input cost flat (both lowerings are O(weights x
-// k_max)); the interesting state space is in the *values*, not the counts.
+// Size clamps keep per-input cost flat (the oracle walks every term over
+// every output); the interesting state space is in the *values*.
 constexpr int kMaxFilters = 8;
-constexpr int kMaxChannels = 6;
+constexpr int kMaxChannels = 9;
 constexpr int kMaxKernel = 5;
 constexpr int kMaxK = 5;
 
-// One weight, decoded from a class byte and its payload.
-float decode_weight(ByteProgram& program, const Pow2Config& config) {
-  const int kind = program.u8() % 16;
-  if (kind < 10) {  // on the grid, within int8
-    return std::ldexp(static_cast<float>(program.i8()), config.e_min);
+// Sums of at most two powers of two in [2^-6, 2^0], in units of 2^-6: the
+// bytes a LightNN-2 layer at the default window holds.
+constexpr int kLightNN2[] = {1,  -2, 3,   5,   -6, 9,  12, -17, 24,  40,
+                             -48, 64, 65, -80, 96, -3, 4,  33,  -66, -128};
+
+// One byte of a word. A padding lane (a channel past in_channels) is zero
+// unless the class byte is 250 or more.
+std::int8_t decode_byte(ByteProgram& program, bool padding) {
+  const std::uint8_t c = program.u8();
+  if (padding ? c < 250 : c < 96) return 0;
+  if (!padding && c < 224) {
+    return static_cast<std::int8_t>(kLightNN2[c % std::size(kLightNN2)]);
   }
-  switch (kind) {
-    case 10: {  // 128 to 135 units: only +-128 has an int8 byte
-      const std::uint8_t b = program.u8();
-      const float units = static_cast<float>(128 + b % 8);
-      return std::ldexp((b & 0x80) != 0 ? -units : units, config.e_min);
-    }
-    case 11:
-      return (program.u8() & 1) != 0 ? -0.0F : 0.0F;
-    case 12: {
-      const std::uint8_t b = program.u8() % 3;
-      if (b == 0) return std::numeric_limits<float>::quiet_NaN();
-      return b == 1 ? std::numeric_limits<float>::infinity()
-                    : -std::numeric_limits<float>::infinity();
-    }
-    case 13: {  // a whole number of units plus a fraction
-      const float units = static_cast<float>(program.i8()) +
-                          static_cast<float>(program.u8() % 255 + 1) / 256.0F;
-      return std::ldexp(units, config.e_min);
-    }
-    case 14:  // below half a unit: flushed, or peeled to a cancelling pair
-      return std::ldexp(1.0F, config.e_min - 1 - program.u8() % 40);
-    default: {  // any bit pattern
-      std::uint32_t bits = 0;
-      for (int i = 0; i < 4; ++i) {
-        bits |= static_cast<std::uint32_t>(program.u8()) << (8 * i);
-      }
-      float w = 0.0F;
-      std::memcpy(&w, &bits, sizeof w);
-      return w;
-    }
-  }
+  return static_cast<std::int8_t>(program.u8());
+}
+
+// -1, +1 or 0 (most often) from one byte.
+std::int64_t decode_delta(ByteProgram& program) {
+  const int b = program.u8() % 16;
+  return b == 0 ? -1 : b == 1 ? 1 : 0;
 }
 
 [[noreturn]] void disagree() { std::abort(); }
 
-bool same_plan(const CompiledPlan& a, const CompiledPlan& b) {
-  const auto same = [](const auto& x, const auto& y) {
-    return x.size() == y.size() &&
-           std::equal(x.begin(), x.end(), y.begin());
-  };
-  return a.term_count == b.term_count && a.plan.filters == b.plan.filters &&
-         same(a.plan.filter_begin, b.plan.filter_begin) &&
-         same(a.plan.channel, b.plan.channel) && same(a.plan.ky, b.plan.ky) &&
-         same(a.plan.kx, b.plan.kx) && same(a.plan.shift, b.plan.shift) &&
-         same(a.plan.sign, b.plan.sign);
+// Terms of the greedy peel of `units` x 2^e_min, by the scalar
+// specification, or k_max + 1 when k_max terms do not reach zero.
+int peel_length(int units, int k_max, const Pow2Config& config) {
+  float residual = std::ldexp(static_cast<float>(units), config.e_min);
+  int terms = 0;
+  while (residual != 0.0F && terms <= k_max) {
+    residual -= flightnn::quant::round_to_pow2(residual, config).value();
+    ++terms;
+  }
+  return residual == 0.0F ? terms : k_max + 1;
 }
 
-// Whether a plan's terms sum back to every weight of `wq` exactly. The
-// reference plan's shifts lie in the window, so each term and each sum of a
-// few of them is exact in double.
-bool sums_back(const CompiledPlan& compiled, const Tensor& wq,
-               std::int64_t kernel, const Pow2Config& config) {
-  const ShiftPlan& plan = compiled.plan;
-  const std::int64_t row = wq.numel() / plan.filters;
-  std::vector<double> rebuilt(static_cast<std::size_t>(wq.numel()), 0.0);
-  for (std::int64_t f = 0; f < plan.filters; ++f) {
-    const auto fi = static_cast<std::size_t>(f);
-    for (std::int64_t e = plan.filter_begin[fi]; e < plan.filter_begin[fi + 1];
-         ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      const std::int64_t at = f * row +
-                              (plan.channel[ei] * kernel + plan.ky[ei]) * kernel +
-                              plan.kx[ei];
-      rebuilt[static_cast<std::size_t>(at)] +=
-          plan.sign[ei] * std::ldexp(1.0, plan.shift[ei] + config.e_min);
-    }
-  }
-  for (std::int64_t i = 0; i < wq.numel(); ++i) {
-    if (rebuilt[static_cast<std::size_t>(i)] != static_cast<double>(wq[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Adopts the plan (stride 1, padding kernel / 2); nullopt when adoption
-// refuses it.
-std::optional<ShiftConv2d> adopt(CompiledPlan compiled,
-                                 std::int64_t in_channels, std::int64_t kernel,
-                                 const Pow2Config& config) {
-  const ShiftConvSpec spec{compiled.plan.filters, in_channels, kernel, 1,
-                           kernel / 2, compiled.term_count};
-  try {
-    return ShiftConv2d(std::move(compiled.plan), spec, config);
-  } catch (const flightnn::support::CheckFailure&) {
-    return std::nullopt;  // typed rejection by check_plan or pack_dense
-  }
-}
-
-// `entries`: the adopted plan's, which the engine does not keep.
-void run_adopted(const ShiftConv2d& engine, std::int64_t entries,
-                 std::int64_t in_channels, std::int64_t kernel) {
-  const DensePack& dense = engine.dense();
-  const std::size_t live = dense.filters.size();
-  if (dense.taps != (in_channels + 3) / 4 * kernel * kernel ||
-      dense.correction.size() != live || dense.negated.size() != live ||
-      dense.words.size() != live * static_cast<std::size_t>(dense.taps) ||
-      static_cast<std::int64_t>(dense.words.size()) >
-          flightnn::inference::kMaxDenseWordsPerEntry * entries) {
-    std::terminate();
-  }
-  QuantizedActivations input;
-  input.shape = Shape{in_channels, kernel, kernel};
-  input.values.assign(static_cast<std::size_t>(input.shape.numel()), 127);
-  (void)engine.run(input);
-}
-
-void fuzz_compile(const std::uint8_t* data, std::size_t size) {
+void fuzz_adopt(const std::uint8_t* data, std::size_t size) {
   ByteProgram program(data, size);
 
   Pow2Config config;
   config.e_min = static_cast<int>(program.u8()) - 128;  // [-128, 127]
   config.e_max = config.e_min + static_cast<int>(program.u8() % 66) - 2;
   config.flush_to_zero = (program.u8() & 1) != 0;
-  const int k_max = static_cast<int>(program.u8() % (kMaxK + 1));
-  const bool conv = (program.u8() & 1) != 0;
-  const std::int64_t filters = program.u8() % (kMaxFilters + 1);
+  ShiftPlan plan;
+  plan.k_max = static_cast<int>(program.u8() % (kMaxK + 1));
+  const std::int64_t out_channels = program.u8() % (kMaxFilters + 1);
   const std::int64_t in_channels = program.u8() % (kMaxChannels + 1);
-  const std::int64_t kernel = conv ? program.u8() % (kMaxKernel + 1) : 1;
+  const std::int64_t kernel = program.u8() % (kMaxKernel + 1);
+  const std::int64_t stride = 1 + program.u8() % 3;
+  const std::int64_t padding = program.u8() % 3;
 
-  const Shape shape = conv ? Shape{filters, in_channels, kernel, kernel}
-                           : Shape{filters, in_channels};
-  Tensor wq(shape);
-  for (std::int64_t i = 0; i < wq.numel(); ++i) {
-    wq[i] = decode_weight(program, config);
+  if ((program.u8() & 1) != 0) {  // a sorted list: the filters of a mask
+    const std::uint8_t mask = program.u8();
+    for (std::int32_t f = 0; f < out_channels; ++f) {
+      if ((mask >> f & 1) != 0) plan.live.push_back(f);
+    }
+  } else {  // a raw list
+    const int count = program.u8() % (kMaxFilters + 2);
+    for (int i = 0; i < count; ++i) {
+      plan.live.push_back(static_cast<std::int32_t>(program.u8() % 11) - 1);
+    }
+  }
+  for (std::size_t i = 0; i < plan.live.size(); ++i) {
+    const std::uint8_t b = program.u8();
+    plan.negated.push_back(
+        static_cast<std::uint8_t>(b < 240 ? b & 1 : b - 238));
+  }
+  const std::int64_t groups = (in_channels + 3) / 4;
+  const std::int64_t taps = groups * kernel * kernel;
+  const auto live = static_cast<std::int64_t>(plan.live.size());
+  const std::int64_t words = live * taps + decode_delta(program);
+  for (std::int64_t i = 0; i < std::max<std::int64_t>(words, 0); ++i) {
+    std::uint32_t word = 0;
+    for (std::int64_t lane = 0; lane < 4; ++lane) {
+      const std::int64_t group = taps > 0 ? i % taps / (kernel * kernel) : 0;
+      const std::int64_t channel = 4 * group + lane;
+      const bool pad = i < live * taps && channel >= in_channels;
+      word |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
+                  decode_byte(program, pad)))
+              << (8 * lane);
+    }
+    plan.words.push_back(static_cast<std::int32_t>(word));
   }
 
-  std::optional<CompiledPlan> got;
-  try {
-    got = ShiftPlan::compile_conv(wq, k_max, config);
-  } catch (const flightnn::support::CheckFailure&) {
-  }
+  // The contract, judged here: the plan adoption must accept, and the
+  // weights its words decode to.
   const std::int64_t window = std::int64_t{config.e_max} - config.e_min;
-  if (config.e_min < -126 || config.e_max > 127 || window < 0 ||
-      window > flightnn::inference::kMaxShift) {
-    if (got) disagree();  // lowered under a window adoption refuses
-    return;
+  bool valid = config.e_min >= flightnn::quant::kMinPow2Exponent &&
+               config.e_max <= flightnn::quant::kMaxPow2Exponent &&
+               window >= 0 && window <= flightnn::inference::kMaxShift &&
+               plan.k_max >= 1 &&
+               (plan.k_max < 2 ||
+                plan.k_max * std::ldexp(1.0, config.e_max) <=
+                    std::numeric_limits<float>::max()) &&
+               out_channels > 0 && in_channels > 0 &&
+               kernel > 0 &&
+               static_cast<std::int64_t>(plan.words.size()) == live * taps;
+  for (std::int64_t i = 0; valid && i < live; ++i) {
+    const std::int64_t f = plan.live[static_cast<std::size_t>(i)];
+    valid = f >= 0 && f < out_channels &&
+            (i == 0 || plan.live[static_cast<std::size_t>(i - 1)] < f) &&
+            plan.negated[static_cast<std::size_t>(i)] <= 1;
   }
-  std::optional<CompiledPlan> want;
+  const std::int64_t row = in_channels * kernel * kernel;
+  Tensor wq(Shape{std::max<std::int64_t>(out_channels, 1),
+                  std::max<std::int64_t>(in_channels, 1),
+                  std::max<std::int64_t>(kernel, 1),
+                  std::max<std::int64_t>(kernel, 1)});
+  std::int64_t entries = 0;
+  std::int64_t term_count = 0;
+  for (std::int64_t i = 0; valid && i < live; ++i) {
+    const std::int64_t f = plan.live[static_cast<std::size_t>(i)];
+    const int sign = plan.negated[static_cast<std::size_t>(i)] != 0 ? -1 : 1;
+    int k = 0;
+    for (std::int64_t t = 0; t < taps; ++t) {
+      const auto word = static_cast<std::uint32_t>(
+          plan.words[static_cast<std::size_t>(i * taps + t)]);
+      const std::int64_t group = t / (kernel * kernel);
+      for (std::int64_t lane = 0; lane < 4; ++lane) {
+        const int b = static_cast<std::int8_t>(word >> (8 * lane));
+        const std::int64_t channel = 4 * group + lane;
+        if (channel >= in_channels) {
+          valid = valid && b == 0;
+          continue;
+        }
+        const int n = peel_length(sign * b, plan.k_max, config);
+        valid = valid && n <= plan.k_max;
+        entries += n;
+        k = std::max(k, n);
+        wq[f * row + channel * kernel * kernel + t % (kernel * kernel)] =
+            std::ldexp(static_cast<float>(sign * b), config.e_min);
+      }
+    }
+    valid = valid && k > 0;
+    term_count += k;
+  }
+  plan.entry_count = entries + decode_delta(program);
+  const std::int64_t stored_terms = term_count + decode_delta(program);
+  valid = valid && plan.entry_count == entries && stored_terms == term_count;
+
+  std::optional<ShiftConv2d> engine;
   try {
-    want = flightnn::inference::oracle::reference_compile_conv(wq, k_max,
-                                                               config);
+    engine.emplace(plan, ShiftConvSpec{out_channels, in_channels, kernel,
+                                       stride, padding, stored_terms},
+                   config);
   } catch (const flightnn::support::CheckFailure&) {
   }
-  if (!want) {
-    if (got) disagree();  // lowered what the reference refuses
-    return;
+  if (engine.has_value() != valid) disagree();
+  if (!engine) return;
+
+  // Run one input of codes within u8 on the engine and on the oracle.
+  const std::int64_t side = kernel + program.u8() % 3;
+  QuantizedActivations input;
+  input.shape = Shape{in_channels, side, side};
+  input.scale_exp = static_cast<int>(program.u8() % 8) - 4;
+  for (std::int64_t i = 0; i < input.shape.numel(); ++i) {
+    input.values.push_back(static_cast<std::int32_t>(program.u8() % 255) - 127);
   }
-  if (!got) {
-    if (!sums_back(*want, wq, kernel, config)) return;  // a lossy reference
-    if (!adopt(std::move(*want), in_channels, kernel, config)) return;
-    disagree();  // refused a plan the reference lowers and adoption takes
+  const flightnn::core::Decomposition decomposition =
+      flightnn::core::decompose_to_lightnn1(wq, plan.k_max, config);
+  std::int64_t want_entries = 0;
+  for (const auto& term : decomposition.terms) {
+    for (const auto& element : term.elements) {
+      want_entries += element.sign != 0 ? 1 : 0;
+    }
   }
-  if (!same_plan(*got, *want)) disagree();
-  const std::int64_t entries = got->plan.entries();
-  const std::optional<ShiftConv2d> engine =
-      adopt(std::move(*got), in_channels, kernel, config);
-  if (engine) run_adopted(*engine, entries, in_channels, kernel);
+  OpCounts counts{};
+  const Tensor want = flightnn::inference::oracle::TermWalkConv2d(
+                          wq, plan.k_max, config, stride, padding)
+                          .run(input, &counts);
+  const Tensor got = engine->run(input);
+  std::vector<std::int32_t> nonzero;
+  for (std::int64_t f = 0; f < out_channels; ++f) {
+    const float* filter = wq.data() + f * row;
+    if (std::any_of(filter, filter + row, [](float w) { return w != 0.0F; })) {
+      nonzero.push_back(static_cast<std::int32_t>(f));
+    }
+  }
+  if (got.shape() != want.shape() ||
+      std::memcmp(got.data(), want.data(),
+                  static_cast<std::size_t>(got.numel()) * sizeof(float)) != 0 ||
+      engine->census(side, side).shifts != counts.shifts ||
+      engine->term_count() != decomposition.term_count() ||
+      want_entries != entries || nonzero != plan.live) {
+    disagree();
+  }
 }
 
 }  // namespace
@@ -258,6 +269,6 @@ void fuzz_compile(const std::uint8_t* data, std::size_t size) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   flightnn::support::set_check_policy(flightnn::support::CheckPolicy::kThrow);
-  fuzz_compile(data, size);
+  fuzz_adopt(data, size);
   return 0;
 }

@@ -8,12 +8,13 @@
 //     start from deep inside the accepted grammar instead of spending their
 //     budget rediscovering the magic header;
 //   - one regression seed per parser hardening check (bad magic, truncation,
-//     bad section ranges, entry taps outside the filter, ...). Replaying
+//     bad section ranges, a live list out of order, ...). Replaying
 //     these in tier-1 ctest keeps every past finding fixed.
 //
 // Every seed is deterministic: rerunning this tool reproduces the corpus
 // byte for byte.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/quantize_model.hpp"
@@ -89,43 +91,88 @@ void emit_model_io(const fs::path& dir) {
   write_seed(dir, "random_256", pseudo_random(256, 0x5EEDU));
 }
 
-// One fuzz_shift_plan program: header { e_min + 128, e_max - e_min + 2,
-// flush, k_max, conv, filters, in_channels, kernel (conv only) }, then one
-// { class, payload } per weight (decode_weight's classes: 0-9 on the grid as
-// an int8 count of units, 10 = 128-135 units, 11 = +-0, 12 = NaN/+-inf,
-// 13 = units plus a fraction, 14 = below half a unit, 15 = raw float bits).
-struct PlanProgram {
+// One fuzz_shift_plan program (see its decoder): header { e_min + 128,
+// e_max - e_min + 2, flush, k_max, out_channels, in_channels, kernel,
+// stride - 1, padding }, the live list (1 + a filter mask, or 0 + a count
+// and raw entries stored as filter + 1), one negated byte per live filter
+// (0 or 1, or 238 + n for a raw n >= 2), the word-count delta, each word's
+// four lanes (0 for a zero byte, or 0xFF and the byte), the entry and term
+// count deltas (a delta byte of 0 is -1, 1 is +1 and 2 is 0), then the
+// input: its side past the kernel, its scale and its codes stored as
+// q + 127.
+struct PackProgram {
   int e_min = -6;
   int e_max = 0;
   bool flush = true;
   int k_max = 2;
-  bool conv = true;
-  int filters = 1;
-  int in_channels = 1;
-  int kernel = 1;
-  Bytes weights;
+  int out_channels = 2;
+  int in_channels = 5;
+  int kernel = 3;
+  int stride = 1;
+  int padding = 1;
+  // Live filters; `raw` writes them as a list, else as a mask.
+  std::vector<int> live = {0, 1};
+  bool raw = false;
+  std::vector<int> negated;  // per live filter; 0 when empty
+  int word_delta = 0;
+  int entry_delta = 0;
+  int term_delta = 0;
+  // units[((f * in + c) * kernel + ky) * kernel + kx], and the bytes of the
+  // padding lanes (channels past in_channels), row by row.
+  std::vector<int> units;
+  int padding_byte = 0;
 
-  // A weight of `units` x 2^e_min, |units| <= 127.
-  PlanProgram& units(int count) {
-    weights.push_back(0);
-    weights.push_back(static_cast<std::uint8_t>(static_cast<std::int8_t>(count)));
-    return *this;
-  }
-  PlanProgram& weight(std::uint8_t kind, Bytes payload) {
-    weights.push_back(kind);
-    weights.insert(weights.end(), payload.begin(), payload.end());
-    return *this;
+  // Byte of filter `f`'s lane at word `t`, `lane`.
+  [[nodiscard]] int byte_at(int f, int t, int lane) const {
+    const int kk = kernel * kernel;
+    const int c = 4 * (t / kk) + lane;
+    if (c >= in_channels) return padding_byte;
+    return units[static_cast<std::size_t>((f * in_channels + c) * kk + t % kk)];
   }
   [[nodiscard]] Bytes bytes() const {
-    Bytes out = {static_cast<std::uint8_t>(e_min + 128),
-                 static_cast<std::uint8_t>(e_max - e_min + 2),
-                 static_cast<std::uint8_t>(flush ? 1 : 0),
-                 static_cast<std::uint8_t>(k_max),
-                 static_cast<std::uint8_t>(conv ? 1 : 0),
-                 static_cast<std::uint8_t>(filters),
-                 static_cast<std::uint8_t>(in_channels)};
-    if (conv) out.push_back(static_cast<std::uint8_t>(kernel));
-    out.insert(out.end(), weights.begin(), weights.end());
+    const auto u8 = [](int v) { return static_cast<std::uint8_t>(v); };
+    Bytes out = {u8(e_min + 128), u8(e_max - e_min + 2), u8(flush ? 1 : 0),
+                 u8(k_max),       u8(out_channels),      u8(in_channels),
+                 u8(kernel),      u8(stride - 1),        u8(padding)};
+    if (raw) {
+      out.push_back(0);
+      out.push_back(u8(static_cast<int>(live.size())));
+      for (const int f : live) out.push_back(u8(f + 1));
+    } else {
+      int mask = 0;
+      for (const int f : live) mask |= 1 << f;
+      out.push_back(1);
+      out.push_back(u8(mask));
+    }
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      out.push_back(u8(i < negated.size() ? negated[i] : 0));
+    }
+    const auto delta = [](int d) { return d < 0 ? 0 : d > 0 ? 1 : 2; };
+    out.push_back(u8(delta(word_delta)));
+    const int taps = (in_channels + 3) / 4 * kernel * kernel;
+    const int words = static_cast<int>(live.size()) * taps + word_delta;
+    for (int w = 0; w < words; ++w) {
+      for (int lane = 0; lane < 4; ++lane) {
+        const std::size_t i = static_cast<std::size_t>(w / taps);
+        const int b = i < live.size()
+                          ? byte_at(std::max(live[i], 0), w % taps, lane)
+                          : 1;
+        if (b == 0) {
+          out.push_back(0);
+        } else {
+          out.push_back(0xFF);
+          out.push_back(u8(b));
+        }
+      }
+    }
+    out.push_back(u8(delta(entry_delta)));
+    out.push_back(u8(delta(term_delta)));
+    const int side = kernel + 1;
+    out.push_back(1);  // side: kernel + 1
+    out.push_back(4);  // scale exponent 0
+    for (int i = 0; i < in_channels * side * side; ++i) {
+      out.push_back(u8((i * 37) % 255));  // codes q = (i * 37) % 255 - 127
+    }
     return out;
   }
 };
@@ -139,89 +186,113 @@ void emit_shift_plan(const fs::path& dir) {
   const int kLightNN2[] = {0,  1,   -2, 3,   5,  -6,  9,   12, -17, 24, 0,
                            40, -48, 64, 65,  -80, 96, 0,   -3, 4,   33, -66};
   const auto lightnn2 = [&](int filters, int in_channels, int kernel) {
-    PlanProgram p;
-    p.filters = filters;
+    PackProgram p;
+    p.out_channels = filters;
     p.in_channels = in_channels;
     p.kernel = kernel;
+    p.padding = kernel / 2;
+    p.live.clear();
+    for (int f = 0; f < filters; ++f) p.live.push_back(f);
     const int weights = filters * in_channels * kernel * kernel;
     for (int i = 0; i < weights; ++i) {
-      p.units(kLightNN2[(i * 7) % static_cast<int>(std::size(kLightNN2))]);
+      p.units.push_back(
+          kLightNN2[(i * 7 + 1) % static_cast<int>(std::size(kLightNN2))]);
     }
     return p;
   };
   write_seed(dir, "lightnn2_conv3", lightnn2(3, 5, 3).bytes());
   write_seed(dir, "lightnn2_conv5", lightnn2(2, 3, 5).bytes());
   {
-    // A linear layer with a pruned filter and a k_i = 1 filter.
-    PlanProgram p = lightnn2(3, 6, 1);
-    p.conv = false;
-    p.weights.clear();
-    for (int i = 0; i < 6; ++i) p.units(0);
-    for (int i = 0; i < 6; ++i) p.units(i % 2 == 0 ? 16 : -4);
-    for (int i = 0; i < 6; ++i) p.units(kLightNN2[i + 3]);
-    write_seed(dir, "flightnn_linear", p.bytes());
+    PackProgram p = lightnn2(3, 9, 1);
+    p.stride = 1;
+    write_seed(dir, "lightnn2_linear", p.bytes());
+    // FLightNN: filter 1 pruned (k_i = 0), filter 2 of one-term weights.
+    p = lightnn2(3, 6, 3);
+    p.live = {0, 2};
+    for (int i = 54; i < 162; ++i) {
+      int& u = p.units[static_cast<std::size_t>(i)];
+      u = i < 108 ? 0 : (i % 3 == 0 ? 16 : -4);
+    }
+    write_seed(dir, "flightnn_pruned", p.bytes());
+    // Stride 2 with padding 2.
+    p = lightnn2(2, 4, 3);
+    p.stride = 2;
+    p.padding = 2;
+    write_seed(dir, "lightnn2_stride2", p.bytes());
   }
   {
-    // Window [-7, 0]: 2^0 is 128 units, and -2^0 - 2^0 is -256, which no
-    // plan holds.
-    PlanProgram p;
-    p.e_min = -7;
-    p.filters = 2;
-    p.in_channels = 2;
-    p.weight(10, {0}).units(-1).weight(10, {0x80}).units(64);
-    write_seed(dir, "window7_128_units", p.bytes());
-    p.weights.clear();
-    p.weight(10, {0}).units(-1).units(3).weight(15, {0, 0, 0, 0xC0});
-    write_seed(dir, "window7_256_units", p.bytes());
+    // A filter reaching +128 packs negated: its words hold -128 for it.
+    PackProgram p = lightnn2(2, 2, 1);
+    p.units = {-128, 5, 64, -3};
+    p.negated = {1, 0};
+    write_seed(dir, "negated_128", p.bytes());
+    p.negated = {240, 0};
+    write_seed(dir, "negated_byte_2", p.bytes());
+  }
+  {
+    // One nonzero weight in each 9 x 3 x 3 filter: 27 words for one entry.
+    PackProgram p = lightnn2(8, 9, 3);
+    std::fill(p.units.begin(), p.units.end(), 0);
+    const int units[] = {5, -6, 12, -48, 80, 2, -96, 33};
+    for (int f = 0; f < 8; ++f) {
+      p.units[static_cast<std::size_t>(f * 81 + (f * 29) % 81)] =
+          units[static_cast<std::size_t>(f)];
+    }
+    write_seed(dir, "sparse_live", p.bytes());
+  }
+  {
+    PackProgram p = lightnn2(3, 5, 3);
+    p.raw = true;
+    p.live = {1, 0, 2};
+    write_seed(dir, "live_unsorted", p.bytes());
+    p.live = {0, 0, 2};
+    write_seed(dir, "live_repeated", p.bytes());
+    p.live = {0, 1, 3};
+    write_seed(dir, "live_past_out", p.bytes());
+    p.live = {-1, 0, 1};
+    write_seed(dir, "live_negative", p.bytes());
+  }
+  {
+    PackProgram p = lightnn2(3, 5, 3);
+    p.word_delta = -1;
+    write_seed(dir, "words_short", p.bytes());
+    p.word_delta = 1;
+    write_seed(dir, "words_long", p.bytes());
+    p.word_delta = 0;
+    p.padding_byte = 3;
+    write_seed(dir, "padding_lane", p.bytes());
+    p.padding_byte = 0;
+    p.entry_delta = 1;
+    write_seed(dir, "entries_high", p.bytes());
+    p.entry_delta = -1;
+    write_seed(dir, "entries_low", p.bytes());
+    p.entry_delta = 0;
+    p.term_delta = -1;
+    write_seed(dir, "terms_low", p.bytes());
+    p.term_delta = 0;
+    // 11 = 8 + 4 - 1 takes three terms.
+    p.units[4] = 11;
+    write_seed(dir, "eleven_units_k2", p.bytes());
+    p.k_max = 3;
+    write_seed(dir, "eleven_units_k3", p.bytes());
+    p.k_max = 2;
+    p.units[4] = 0;
+    std::fill(p.units.begin() + 45, p.units.begin() + 90, 0);
+    write_seed(dir, "live_zero_filter", p.bytes());
   }
   {
     // Window [-3, 0]: terms past 8 units clamp to 2^0, so 24 takes three.
-    PlanProgram p;
+    PackProgram p = lightnn2(2, 4, 1);
     p.e_min = -3;
     p.k_max = 5;
-    p.filters = 2;
-    p.in_channels = 4;
-    for (const int u : {24, -17, 12, 5, 3, 0, 1, -2}) p.units(u);
+    p.units = {24, -17, 12, 5, 3, 0, 1, -2};
     write_seed(dir, "window3_clamped", p.bytes());
-  }
-  {
-    PlanProgram p;
-    p.filters = 2;
-    p.in_channels = 2;
-    p.units(3).weight(12, {0}).units(1).units(2);
-    write_seed(dir, "nan_weight", p.bytes());
-    p.weights.clear();
-    p.units(3).weight(12, {1}).units(1).units(2);
-    write_seed(dir, "inf_weight", p.bytes());
-    p.weights.clear();
-    p.units(3).weight(13, {0, 77}).units(1).units(2);
-    write_seed(dir, "fraction_weight", p.bytes());
-    p.weights.clear();
-    p.units(3).units(11).units(1).units(2);
-    write_seed(dir, "eleven_units_k2", p.bytes());
-    p.weights.clear();
-    p.k_max = 3;
-    p.units(3).weight(15, {0, 0, 0x40, 0x40}).units(1).units(2);  // 3.0
-    write_seed(dir, "192_units_k3", p.bytes());
-    p.weights.clear();
-    p.k_max = 2;
-    p.weight(10, {0}).weight(10, {0x80}).units(1).units(2);
-    write_seed(dir, "plus_minus_128", p.bytes());
-    p.weights.clear();
-    p.flush = false;
-    p.units(3).weight(14, {30}).units(1).units(2);
-    write_seed(dir, "tiny_no_flush", p.bytes());
-  }
-  {
-    PlanProgram p = lightnn2(1, 2, 1);
     p.e_min = -62;
+    p.units = {1, -7, 8, 0, 3, 5, 0, 2};
     write_seed(dir, "window_62_shifts", p.bytes());
     p.e_min = 1;
     p.e_max = 0;
     write_seed(dir, "window_inverted", p.bytes());
-    p.weights.clear();
-    p.units(1).units(-7).units(8).units(0);
-    p.in_channels = 4;
     p.e_min = 120;
     p.e_max = 127;
     write_seed(dir, "window_top", p.bytes());
@@ -230,18 +301,18 @@ void emit_shift_plan(const fs::path& dir) {
     write_seed(dir, "window_past_float", p.bytes());
   }
   {
-    PlanProgram p = lightnn2(2, 0, 3);
+    PackProgram p = lightnn2(2, 0, 3);
     write_seed(dir, "zero_geometry", p.bytes());
     p = lightnn2(2, 2, 1);
     p.k_max = 0;
     write_seed(dir, "k_max_zero", p.bytes());
   }
-  write_seed(dir, "max_counts", pseudo_random(512, 0xF1A9U));
+  write_seed(dir, "max_counts", pseudo_random(2048, 0xF1A9U));
 }
 
 // One deterministic seed per corruption class of the artifact loader's
-// validation ladder (header, checksum, section table, op records, plan
-// streams, the int8 pack's refusals, the load walk), plus two valid
+// validation ladder (header, checksum, section table, op records, the int8
+// pack's sections and counts, the load walk), plus two valid
 // artifacts -- a tiny VGG and a tiny ResNet (for residual-segment coverage)
 // -- built by the repo's own compiler.
 void emit_artifact(const fs::path& dir) {
@@ -284,25 +355,20 @@ void emit_artifact(const fs::path& dir) {
                            index * sizeof(SectionDesc), sizeof(desc));
     return desc;
   };
-  // The first (or last) section of a kind; exits if the fixture lacks it.
-  const auto find_kind = [&](const Bytes& blob, SectionKind kind,
-                             bool last = false) {
+  // Index of the first section of a kind; exits if the fixture lacks it.
+  const auto find_index = [&](const Bytes& blob, SectionKind kind) {
     const ArtifactHeader header = header_of(blob);
-    bool found = false;
-    SectionDesc match;
     for (std::uint32_t i = 0; i < header.section_count; ++i) {
-      const SectionDesc desc = section_at(blob, i);
-      if (desc.kind != static_cast<std::uint32_t>(kind)) continue;
-      match = desc;
-      found = true;
-      if (!last) break;
+      if (section_at(blob, i).kind == static_cast<std::uint32_t>(kind)) {
+        return i;
+      }
     }
-    if (!found) {
-      std::fprintf(stderr, "artifact fixture lacks section kind %u\n",
-                   static_cast<unsigned>(kind));
-      std::exit(1);
-    }
-    return match;
+    std::fprintf(stderr, "artifact fixture lacks section kind %u\n",
+                 static_cast<unsigned>(kind));
+    std::exit(1);
+  };
+  const auto find_kind = [&](const Bytes& blob, SectionKind kind) {
+    return section_at(blob, find_index(blob, kind));
   };
   const auto resealed = [](Bytes blob) {
     ser::rewrite_artifact_checksum(blob);
@@ -316,6 +382,8 @@ void emit_artifact(const fs::path& dir) {
   }
   write_seed(dir, "artifact_bad_version",
              patch_header(vgg, [](ArtifactHeader& h) { h.version = 99; }));
+  write_seed(dir, "artifact_v2",
+             patch_header(vgg, [](ArtifactHeader& h) { h.version = 2; }));
   write_seed(dir, "artifact_bad_input_geom",
              patch_header(vgg, [](ArtifactHeader& h) { h.input_c = -1; }));
   {
@@ -357,37 +425,35 @@ void emit_artifact(const fs::path& dir) {
     write_seed(dir, "artifact_bad_op_kind", resealed(mutated));
   }
   {
-    Bytes mutated = vgg;  // plan sign outside {-1, +1}
-    const SectionDesc sign = find_kind(mutated, SectionKind::kPlanSign);
-    mutated[sign.offset] = 5;
-    write_seed(dir, "artifact_bad_sign", resealed(mutated));
+    Bytes mutated = vgg;  // the first conv's live list, first two swapped
+    const SectionDesc live = find_kind(mutated, SectionKind::kPackLive);
+    std::int32_t pair[2];
+    std::memcpy(pair, mutated.data() + live.offset, sizeof(pair));
+    std::swap(pair[0], pair[1]);
+    std::memcpy(mutated.data() + live.offset, pair, sizeof(pair));
+    write_seed(dir, "artifact_live_unsorted", resealed(mutated));
   }
   {
-    Bytes mutated = vgg;  // shift beyond the exponent window
-    const SectionDesc shift = find_kind(mutated, SectionKind::kPlanShift);
-    mutated[shift.offset] = 60;
-    write_seed(dir, "artifact_bad_shift", resealed(mutated));
+    Bytes mutated = vgg;  // a negated byte of 2
+    mutated[find_kind(mutated, SectionKind::kPackNegated).offset] = 2;
+    write_seed(dir, "artifact_negated_2", resealed(mutated));
   }
   {
-    Bytes mutated = vgg;  // non-monotone filter prefix
-    const SectionDesc begin = find_kind(mutated, SectionKind::kPlanFilterBegin);
-    std::int64_t hostile = -1;
-    std::memcpy(mutated.data() + begin.offset + 8, &hostile, sizeof(hostile));
-    write_seed(dir, "artifact_bad_filter_begin", resealed(mutated));
+    Bytes mutated = vgg;  // the first words section one word short
+    const std::uint32_t i = find_index(mutated, SectionKind::kPackWords);
+    SectionDesc desc = section_at(mutated, i);
+    desc.bytes -= sizeof(std::int32_t);
+    std::memcpy(mutated.data() + sizeof(ArtifactHeader) +
+                    i * sizeof(SectionDesc),
+                &desc, sizeof(desc));
+    write_seed(dir, "artifact_words_short", resealed(mutated));
   }
   {
-    Bytes mutated = vgg;  // first conv entry's channel past in_channels
-    const SectionDesc channel = find_kind(mutated, SectionKind::kPlanChannel);
-    const std::int32_t hostile = 0x7FFFFFFF;
-    std::memcpy(mutated.data() + channel.offset, &hostile, sizeof(hostile));
-    write_seed(dir, "artifact_bad_channel", resealed(mutated));
-  }
-  {
-    Bytes mutated = vgg;  // the classifier (a 1x1 conv) with kx = 1
-    const SectionDesc kx = find_kind(mutated, SectionKind::kPlanKx, true);
-    const std::int16_t hostile = 1;
-    std::memcpy(mutated.data() + kx.offset, &hostile, sizeof(hostile));
-    write_seed(dir, "artifact_bad_kx", resealed(mutated));
+    // The first conv reads the RGB image: byte 3 of a word is a padding
+    // lane.
+    Bytes mutated = vgg;
+    mutated[find_kind(mutated, SectionKind::kPackWords).offset + 3] = 1;
+    write_seed(dir, "artifact_padding_lane", resealed(mutated));
   }
   // The first shift conv's record, patched by `mutate(record, blob)`.
   const auto patch_first_shift_conv = [&](Bytes blob, auto mutate) {
@@ -407,14 +473,19 @@ void emit_artifact(const fs::path& dir) {
     std::fprintf(stderr, "artifact fixture lacks a shift conv\n");
     std::exit(1);
   };
-  // A 61-shift window with one shift-61 entry: check_plan accepts it, and
-  // the int8 pack refuses it at load (kBadProgram).
-  write_seed(dir, "artifact_shift_61",
-             patch_first_shift_conv(vgg, [&](OpRecord& record, Bytes& blob) {
-               record.e_min = record.e_max - 61;
-               const SectionDesc shift =
-                   section_at(blob, record.sec[ser::kRoleShift]);
-               blob[shift.offset] = 61;
+  // Stored counts the words do not give, and weights past a k_max of 1
+  // (the fixture is LightNN-2): kBadProgram at adoption.
+  write_seed(dir, "artifact_entries_high",
+             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
+               ++record.entries;
+             }));
+  write_seed(dir, "artifact_term_count_low",
+             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
+               --record.term_count;
+             }));
+  write_seed(dir, "artifact_k_max_1",
+             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
+               record.k_max = 1;
              }));
   // An exponent window near INT_MIN: run()'s scale exponent would overflow.
   write_seed(dir, "artifact_e_min_near_int_min",
@@ -430,13 +501,16 @@ void emit_artifact(const fs::path& dir) {
                record.kernel = std::int64_t{1} << 24;
                record.padding = std::int64_t{1} << 24;
              }));
-  {
-    Bytes mutated = vgg;  // a section of v1's retired element kind
+  // Sections of v1's retired element kind and v2's retired shift stream
+  // kind.
+  for (const std::uint32_t kind : {2U, 6U}) {
+    Bytes mutated = vgg;
     SectionDesc desc = section_at(mutated, 1);
-    desc.kind = 2;
+    desc.kind = kind;
     std::memcpy(mutated.data() + sizeof(ArtifactHeader) + sizeof(SectionDesc),
                 &desc, sizeof(desc));
-    write_seed(dir, "artifact_retired_kind", resealed(mutated));
+    write_seed(dir, "artifact_retired_kind_" + std::to_string(kind),
+               resealed(mutated));
   }
 
   write_seed(dir, "empty", {});

@@ -45,6 +45,7 @@ FLightNNTransform::FLightNNTransform(FLightNNConfig config)
                  "FLightNNConfig: temperature must be > 0, got ",
                  config_.temperature);
   quant::check_exponent_window(config_.pow2, "FLightNNConfig");
+  quant::check_term_sum(config_.k_max, config_.pow2, "FLightNNConfig");
   if (config_.lambdas.empty()) config_.lambdas = {0.0F};
   // Extend lambdas to k_max levels by repeating the last coefficient.
   while (static_cast<int>(config_.lambdas.size()) < config_.k_max) {

@@ -75,7 +75,6 @@ void program_layer(nn::Layer& layer, ProgramState& state,
     if (coding.k_max > 0) {
       op.kind = ProgramOpKind::kShiftConv;
       op.act_bits = state.current_act_bits;
-      op.k_max = coding.k_max;
       op.pow2 = coding.pow2;
       CompiledPlan compiled =
           ShiftPlan::compile_conv(wq, coding.k_max, coding.pow2);
@@ -144,7 +143,6 @@ void program_layer(nn::Layer& layer, ProgramState& state,
       op.kind = ProgramOpKind::kShiftLinear;
       op.kernel = 1;
       op.act_bits = state.current_act_bits;
-      op.k_max = coding.k_max;
       op.pow2 = coding.pow2;
       CompiledPlan compiled =
           ShiftPlan::compile_conv(wq, coding.k_max, coding.pow2);

@@ -4,23 +4,22 @@
 // model and the executable QuantizedNetwork. compile_program() walks the
 // layer tree once (the same dynamic_cast walk QuantizedNetwork::compile
 // always did) and lowers every layer into a self-contained ProgramOp --
-// shift layers carry their compiled ShiftPlan, batch norm arrives already
-// folded into per-channel affines, residual blocks are flattened into
-// pre-order segments with explicit child counts. A shift layer is lowered
-// once, straight from its quantized weights (ShiftPlan::compile_conv).
+// shift layers carry their compiled ShiftPlan (the int8 pack), batch norm
+// arrives already folded into per-channel affines, residual blocks are
+// flattened into pre-order segments with explicit child counts. A shift
+// layer is lowered once, straight from its quantized weights
+// (ShiftPlan::compile_conv).
 //
 // The IR exists so the deployment artifact (serialize/artifact.hpp) has a
 // stable, pointer-free description to serialize: every field is a scalar,
-// a tensor, or a plan stream, so an op can be laid out into a flat blob
+// a tensor, or a plan section, so an op can be laid out into a flat blob
 // and reconstituted without re-deriving anything from the float model.
 // It is also the executable form: QuantizedNetwork::from_program() keeps the
 // validated op list and runs it directly, adopting each shift op's plan into
 // an engine. The in-memory compile path and the artifact load path hand it
 // the same plans, so both produce one kind of network with identical logits.
 // from_program checks every op field (the caps below) and the adopting
-// engine every plan stream (check_plan), then every entry as its int8 pack
-// takes it and that the pack can run the plan (pack_dense), whoever built
-// the program.
+// engine every plan (adopt_plan), whoever built the program.
 
 #include <cstdint>
 #include <vector>
@@ -75,9 +74,8 @@ struct ProgramOp {
   std::int64_t padding = 0;
 
   // Shift ops: compiled plan + the pow2 grid it shifts on, plus the
-  // decomposition's term census (metadata reported by term_count()).
+  // decomposition's term census, which adoption checks against the plan.
   std::int64_t term_count = 0;
-  int k_max = 0;
   quant::Pow2Config pow2;
   ShiftPlan plan;
 

@@ -37,7 +37,7 @@ std::size_t subtree_end(const std::vector<ProgramOp>& ops, std::size_t i) {
 //
 // from_program's check of every op field, whoever built the program (the
 // compiler, an artifact or hand-written code); the adopting engines check
-// the plans (check_plan, pack_dense). Residual segments are length-delimited
+// the plans (adopt_plan). Residual segments are length-delimited
 // (op.main_ops etc. are total counts), so exact consumption is checked at
 // every nesting level: a program whose counts lie -- truncated,
 // overlapping, or out of range -- fails with a typed CheckFailure instead

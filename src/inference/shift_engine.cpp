@@ -349,21 +349,18 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
       kernel_(spec.kernel),
       stride_(spec.stride),
       padding_(spec.padding),
-      term_count_(spec.term_count),
       bias_(std::move(bias)) {
-  FLIGHTNN_CHECK(out_channels_ > 0 && in_channels_ > 0 && kernel_ > 0,
-                 "ShiftConv2d: bad adopted geometry [", out_channels_, ", ",
-                 in_channels_, ", ", kernel_, "]");
   FLIGHTNN_CHECK(stride_ > 0 && padding_ >= 0, "ShiftConv2d: bad stride ",
                  stride_, " / padding ", padding_);
   FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_channels_,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
-  check_plan(plan, out_channels_, config_);
-  // The one place the dense form comes from, compiled or loaded; it checks
-  // each entry as it packs it. The plan is released on return: run() and
-  // census() read only the pack.
-  dense_ = pack_dense(plan, in_channels_, kernel_, config_);
+  // The one place an engine's weights come from, compiled or loaded.
+  pack_ = adopt_plan(std::move(plan), out_channels_, in_channels_, kernel_,
+                     config_);
+  FLIGHTNN_CHECK(pack_.term_count == spec.term_count,
+                 "ShiftConv2d: stored term count ", spec.term_count,
+                 ", the plan's words hold ", pack_.term_count);
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
@@ -375,8 +372,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
                      input.shape.numel(),
                  "ShiftConv2d::run: ", input.values.size(),
                  " values do not fill shape ", input.shape.to_string());
-  // The one per-call check of the codes: pack_dense bounded each filter's
-  // int32 sums for |q| <= 127 at adoption.
+  // The one per-call check of the codes: adopt_plan bounded each filter's
+  // int32 sums for |q| <= 127.
   const std::int64_t max_q = input.abs_max();
   FLIGHTNN_CHECK(max_q <= kMaxDenseCode, "ShiftConv2d::run: max |q| ", max_q,
                  " passes ", kMaxDenseCode,
@@ -411,7 +408,7 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
       static_cast<std::size_t>(plane.groups * plane.channel));
   fill_code_plane(input.values.data(), geom, plane, codes);
   std::int32_t* tap_off = arena.fetch<std::int32_t>(
-      runtime::Scratch::kConvOffsets, static_cast<std::size_t>(dense_.taps));
+      runtime::Scratch::kConvOffsets, static_cast<std::size_t>(pack_.taps));
   for (std::int64_t g = 0, t = 0; g < plane.groups; ++g) {
     for (std::int64_t ky = 0; ky < kernel_; ++ky) {
       for (std::int64_t kx = 0; kx < kernel_; ++kx, ++t) {
@@ -423,9 +420,10 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   }
   // A pruned filter's plane is its bias: what dequantizing its zero
   // accumulator gives.
-  const auto live = static_cast<std::int64_t>(dense_.filters.size());
+  const std::vector<std::int32_t>& filters = pack_.plan.live;
+  const auto live = static_cast<std::int64_t>(filters.size());
   for (std::int64_t f = 0, next = 0; f < out_channels_; ++f) {
-    if (next < live && dense_.filters[static_cast<std::size_t>(next)] == f) {
+    if (next < live && filters[static_cast<std::size_t>(next)] == f) {
       ++next;
       continue;
     }
@@ -439,8 +437,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   // float(S) * scale exactly.
   const auto dequant_in_place = [&](std::int64_t i_live) {
     const auto at = static_cast<std::size_t>(i_live);
-    const std::int64_t f = dense_.filters[at];
-    const float s = dense_.negated[at] != 0 ? -scale : scale;
+    const std::int64_t f = filters[at];
+    const float s = pack_.plan.negated[at] != 0 ? -scale : scale;
     const float b = bias_at(f);
     float* out_plane = output.data() + f * out_hw;
     for (std::int64_t i = 0; i < out_hw; ++i) {
@@ -457,10 +455,10 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   // that rate a ledger conv stays under the pool's dispatch threshold
   // unless it takes tens of microseconds.
   const runtime::CostHint block_cost{
-      kDenseNsPerTapOutput * static_cast<double>(dense_.taps) *
+      kDenseNsPerTapOutput * static_cast<double>(pack_.taps) *
       static_cast<double>(out_hw) * kDenseFilterBlock};
   const DenseConvGeom dense_geom{stride_ * plane.row_w, out_h, out_w,
-                                 dense_.taps};
+                                 pack_.taps};
   const ShiftKernels& kern = active_shift_kernels();
   runtime::parallel_for(
       0, (live + kDenseFilterBlock - 1) / kDenseFilterBlock, 1, block_cost,
@@ -473,11 +471,11 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
           for (int j = 0; j < n; ++j) {
             planes[j] = reinterpret_cast<std::int32_t*>(
                 output.data() +
-                dense_.filters[static_cast<std::size_t>(first + j)] * out_hw);
+                filters[static_cast<std::size_t>(first + j)] * out_hw);
           }
           kern.dense_conv(codes, tap_off,
-                          dense_.words.data() + first * dense_.taps,
-                          dense_.correction.data() + first, n, dense_geom,
+                          pack_.plan.words.data() + first * pack_.taps,
+                          pack_.correction.data() + first, n, dense_geom,
                           planes);
           for (int j = 0; j < n; ++j) dequant_in_place(first + j);
         }
@@ -489,7 +487,7 @@ ConvScratchBytes ShiftConv2d::scratch_bytes(std::int64_t in_h,
                                             std::int64_t in_w) const {
   const PaddedPlane plane(tensor::ConvGeometry{in_channels_, in_h, in_w,
                                                kernel_, stride_, padding_});
-  return {static_cast<std::size_t>(dense_.taps) * sizeof(std::int32_t),
+  return {static_cast<std::size_t>(pack_.taps) * sizeof(std::int32_t),
           static_cast<std::size_t>(plane.groups * plane.channel) *
               sizeof(std::uint32_t)};
 }
@@ -506,7 +504,7 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
                  in_w, "] input pads past the int32 offset range");
   // An entry at tap (ky, kx) accumulates vy[ky] * vx[kx] times: the valid
   // output rows of its tap row times the valid columns of its tap column.
-  // pack_dense counted the entries at each tap, so the census is O(kernel^2)
+  // Adoption counted the entries at each tap, so the census is O(kernel^2)
   // whatever the plan's size.
   const auto k = static_cast<std::size_t>(kernel_);
   std::vector<std::int64_t> vy(k), vx(k);
@@ -516,8 +514,8 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
     vx[t] = valid_positions(tap, out_w, in_w, stride_, padding_);
   }
   std::int64_t total = 0;
-  for (std::size_t t = 0; t < dense_.tap_entries.size(); ++t) {
-    total += dense_.tap_entries[t] * vy[t / k] * vx[t % k];
+  for (std::size_t t = 0; t < pack_.tap_entries.size(); ++t) {
+    total += pack_.tap_entries[t] * vy[t / k] * vx[t % k];
   }
   return {total, total};
 }

@@ -8,23 +8,23 @@
 // feature-map summation. The engine is bit-exact: its dequantized output
 // equals the real-arithmetic convolution of the quantized operands.
 //
-// Execution is plan-compiled (inference/shift_plan.hpp): an engine adopts a
-// ShiftPlan -- a sparsity-elided SoA entry stream, the one stored form of
-// the weights -- builds from it the plan's dense int8 form (pack_dense) and
-// keeps only that form: the plan is released once adopted. A CPU has fast
-// int8 dot products where the paper's hardware has shifts, so the dense
-// form is the one execution path: run() copies the 8-bit input once into a
-// u8 code plane (four channels per word, zero-padded and split into
-// `stride` column phases, so one dispatched kernel covers every output
-// pixel at every stride with no bounds checks) and runs the tier's
-// dot-product kernel (shift_kernels.hpp), which adds the term walk's
-// integers exactly (DESIGN.md §9). A plan the pack cannot run
-// -- weights past int8, a filter past the int32 bound, a pack past its
-// words-per-entry cap -- is refused at adoption. Both constructors end in
-// the same place: the weights constructor lowers the quantized weights once
-// (ShiftPlan::compile_conv), then adopts the plan exactly as the artifact
-// load path does. The pre-plan term walk lives in tests/ as the bit-exact
-// oracle the property suites compare against.
+// Execution reads the layer's int8 pack (inference/shift_plan.hpp), the one
+// stored form of its weights: an engine adopts a ShiftPlan -- live filters,
+// int8 words and negated bytes, as compile lowers them and the artifact
+// stores them -- checks it and derives from its words what the kernels and
+// the census read beside it (adopt_plan), and keeps it. A CPU has fast int8
+// dot products where the paper's hardware has shifts, so that is the one
+// execution path: run() copies the 8-bit input once into a u8 code plane
+// (four channels per word, zero-padded and split into `stride` column
+// phases, so one dispatched kernel covers every output pixel at every
+// stride with no bounds checks) and runs the tier's dot-product kernel
+// (shift_kernels.hpp), which adds the term walk's integers exactly
+// (DESIGN.md §9). A plan the kernels cannot run -- a weight past k_max
+// terms, a filter past the int32 bound -- is refused at adoption. Both
+// constructors end in the same place: the weights constructor lowers the
+// quantized weights (ShiftPlan::compile_conv), then adopts the plan exactly
+// as the artifact load path does. The pre-plan term walk lives in tests/ as
+// the bit-exact oracle the property suites compare against.
 //
 // Like the paper's FPGA evaluation (Sec. 5.2), the engine operates at layer
 // granularity -- convolutions dominate >90% of CNN compute, so the largest
@@ -106,8 +106,8 @@ struct ShiftConvSpec {
   std::int64_t kernel = 0;
   std::int64_t stride = 1;
   std::int64_t padding = 0;
-  // Single-shift filter terms the plan was lowered from (metadata only;
-  // reported by term_count()).
+  // Single-shift filter terms the plan was lowered from, as stored beside
+  // it; adoption refuses a plan whose words give another count.
   std::int64_t term_count = 0;
 };
 
@@ -122,18 +122,16 @@ class ShiftConv2d {
   // `k_max` powers of two (output of LightNN-k / FLightNN quantization).
   // `bias` may be empty. Lowers the weights straight into a plan
   // (ShiftPlan::compile_conv, which throws CheckFailure for weights off
-  // its grid), then adopts the plan; the weights are not retained.
+  // its grid or past int8), then adopts the plan; the weights are not
+  // retained.
   ShiftConv2d(const tensor::Tensor& quantized_weights, int k_max,
               const quant::Pow2Config& config, std::int64_t stride,
               std::int64_t padding, tensor::Tensor bias = {});
 
-  // Adopt an already-compiled plan (the program and artifact load paths: the
-  // plan's streams may be zero-copy views into a mapped blob). Checks the
-  // geometry and the bias, then every plan stream (check_plan), and builds
-  // the dense form (pack_dense, which checks each entry as it packs it);
-  // both throw CheckFailure whoever built the plan, pack_dense also for a
-  // plan it cannot run. The engine keeps the dense form only: an owned plan
-  // is freed, and nothing reads a viewed one after this returns.
+  // Adopt an already-compiled plan (the program and artifact load paths).
+  // Checks the stride, padding and bias, then the plan (adopt_plan), and
+  // that its words give spec.term_count; throws CheckFailure whoever built
+  // the plan. The engine keeps the plan as the weights run() reads.
   ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
@@ -155,17 +153,17 @@ class ShiftConv2d {
   // Op census of one run() on an [in_channels, in_h, in_w] input: each plan
   // entry counts once per output position whose tap reads a real input
   // element (not a pad cell), the term walk's per-accumulate count exactly.
-  // A function of the plan's entries per tap (DensePack::tap_entries) and
+  // A function of the plan's entries per tap (AdoptedPlan::tap_entries) and
   // the geometry alone, O(kernel^2), so QuantizedNetwork takes it once at
   // load time. Throws CheckFailure for an input run() refuses for its int32
   // plane bound, before it allocates anything.
   [[nodiscard]] OpCounts census(std::int64_t in_h, std::int64_t in_w) const;
 
   // Number of single-shift filter terms (the LightNN-1 engine's workload).
-  [[nodiscard]] std::int64_t term_count() const { return term_count_; }
+  [[nodiscard]] std::int64_t term_count() const { return pack_.term_count; }
   [[nodiscard]] std::int64_t out_channels() const { return out_channels_; }
-  // The plan's dense form, which run() executes.
-  [[nodiscard]] const DensePack& dense() const { return dense_; }
+  // The adopted plan, which run() executes.
+  [[nodiscard]] const AdoptedPlan& adopted() const { return pack_; }
   // Name of the dense kernel tier run() dispatches to ("scalar" / "avx2" /
   // "vnni"); reflects the currently active dispatch (CPU,
   // FLIGHTNN_FORCE_SCALAR, test override).
@@ -174,9 +172,8 @@ class ShiftConv2d {
  private:
   quant::Pow2Config config_;
   std::int64_t out_channels_, in_channels_, kernel_, stride_, padding_;
-  std::int64_t term_count_ = 0;
   tensor::Tensor bias_;  // float; folded in after dequantization
-  DensePack dense_;  // pack_dense of the adopted plan
+  AdoptedPlan pack_;
 };
 
 // Reference float convolution of one image (for bit-exactness tests):

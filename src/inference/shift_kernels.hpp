@@ -2,8 +2,8 @@
 
 // Dense int8 conv kernels (DESIGN.md §14). A LightNN-k weight with k <= 2 in
 // the default exponent range is sign*2^a + sign*2^b in units of 2^e_min, an
-// integer in [-128, 128] (ShiftPlan's pack_dense rebuilds it from the plan's
-// entries and packs it as int8, negating a filter that reaches +128). A
+// integer in [-128, 128] (ShiftPlan::compile_conv stores it as int8,
+// negating a filter that reaches +128). A
 // dot product of 8-bit activation codes with those integers adds exactly
 // the integers the term walk of the shift-add datapath adds, so a CPU's
 // int8 dot-product instruction runs a shift conv bit-exactly.
@@ -19,7 +19,7 @@
 // Exactness. Every tier computes, in wrapping 32-bit arithmetic,
 // sum_t dot4(u, w) - 128 * sum(w) = sum_t dot4(q, w) (mod 2^32). The engine
 // runs only codes with |q| <= 127 and only packs whose filters have
-// 127 * sum |w| <= INT32_MAX (pack_dense refuses the rest), so that
+// 127 * sum |w| <= INT32_MAX (adopt_plan refuses the rest), so that
 // residue is the exact sum the term walk adds. No tier saturates: VNNI's
 // vpdpbusd wraps, and the AVX2 tier builds the same products with vpmaddwd
 // on zero-extended code bytes and sign-extended weight bytes (vpmaddubsw,

@@ -12,6 +12,7 @@ tensor::Tensor quantize_lightnn(const tensor::Tensor& w, int k,
                                 const Pow2Config& config) {
   FLIGHTNN_CHECK(k >= 1, "quantize_lightnn: k must be >= 1, got ", k);
   check_exponent_window(config, "quantize_lightnn");
+  check_term_sum(k, config, "quantize_lightnn");
   // Zero-filled: the sums each level adds its terms to.
   tensor::Tensor out(w.shape());
   // Elementwise and independent, so the parallel partition cannot change any
@@ -45,6 +46,8 @@ tensor::Tensor quantize_lightnn(const tensor::Tensor& w, int k,
 LightNNTransform::LightNNTransform(int k, Pow2Config config)
     : k_(k), config_(config) {
   FLIGHTNN_CHECK(k >= 1, "LightNNTransform: k must be >= 1, got ", k);
+  check_exponent_window(config_, "LightNNTransform");
+  check_term_sum(k, config_, "LightNNTransform");
 }
 
 tensor::Tensor LightNNTransform::forward(const tensor::Tensor& w) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "support/check.hpp"
 #include "support/simd.hpp"
@@ -19,6 +20,13 @@ void check_exponent_window(const Pow2Config& config, const char* who) {
                  who, ": exponent window [", config.e_min, ", ", config.e_max,
                  "] is empty or outside [", kMinPow2Exponent, ", ",
                  kMaxPow2Exponent, "]");
+}
+
+void check_term_sum(int k, const Pow2Config& config, const char* who) {
+  FLIGHTNN_CHECK(
+      k < 2 || static_cast<double>(k) * std::ldexp(1.0, config.e_max) <=
+                   static_cast<double>(std::numeric_limits<float>::max()),
+      who, ": ", k, " terms of 2^", config.e_max, " overflow a float");
 }
 
 // round_to_pow2 on the bit pattern, element by element, with every branch

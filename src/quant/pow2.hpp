@@ -40,6 +40,12 @@ inline constexpr int kMaxPow2Exponent = 127;
 // config, so exp2_int's range holds for every exponent R(x) can return.
 void check_exponent_window(const Pow2Config& config, const char* who);
 
+// Throws CheckFailure, naming `who`, when k >= 2 terms of 2^e_max overflow a
+// float (k * 2^e_max > FLT_MAX): a quantizer that sums k levels of the peel
+// would then turn a large weight into +-inf. Every k-term quantizer makes it
+// beside check_exponent_window.
+void check_term_sum(int k, const Pow2Config& config, const char* who);
+
 // 2^e as a float for e in the normal exponent range, built directly from
 // the IEEE-754 bit layout. ldexp is a libm call; this is one shift.
 inline float exp2_int(int e) {

@@ -25,14 +25,14 @@ namespace flightnn::serialize {
 namespace {
 
 using inference::NetworkProgram;
-using inference::PlanArray;
 using inference::ProgramOp;
 using inference::ProgramOpKind;
 using inference::ShiftPlan;
 
-// Section kinds v1 wrote and v2 retired (SectionKind keeps the gaps).
-constexpr std::uint32_t kRetiredElementKind = 2;
-constexpr std::uint32_t kRetiredGainKind = 9;
+// Section kinds v1 and v2 wrote and later versions retired (SectionKind
+// keeps the gap).
+constexpr std::uint32_t kFirstRetiredKind = 2;
+constexpr std::uint32_t kLastRetiredKind = 9;
 
 [[noreturn]] void fail(ArtifactErrorCode code, const std::string& message) {
   throw ArtifactError(code, message);
@@ -66,10 +66,11 @@ OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
   record.stride = op.stride;
   record.padding = op.padding;
   record.term_count = op.term_count;
+  record.entries = op.plan.entry_count;
   record.main_ops = op.main_ops;
   record.shortcut_ops = op.shortcut_ops;
   record.post_ops = op.post_ops;
-  record.k_max = op.k_max;
+  record.k_max = op.plan.k_max;
   record.e_min = op.pow2.e_min;
   record.e_max = op.pow2.e_max;
   record.flush_to_zero = op.pow2.flush_to_zero ? 1 : 0;
@@ -85,20 +86,16 @@ OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
   const bool float_op = op.kind == ProgramOpKind::kFloatConv ||
                         op.kind == ProgramOpKind::kFloatLinear;
   if (shift_op) {
-    // The plan's core streams, the only stored form of shift weights. Role
-    // order here IS the serialized section order per op -- part of the
-    // format's determinism contract.
+    // The int8 pack, the only stored form of shift weights. Role order here
+    // IS the serialized section order per op -- part of the format's
+    // determinism contract.
     const ShiftPlan& plan = op.plan;
-    const auto n = static_cast<std::size_t>(plan.entries());
-    add(kRoleChannel, SectionKind::kPlanChannel, plan.channel.data(),
-        n * sizeof(std::int32_t));
-    add(kRoleKy, SectionKind::kPlanKy, plan.ky.data(), n * sizeof(std::int16_t));
-    add(kRoleKx, SectionKind::kPlanKx, plan.kx.data(), n * sizeof(std::int16_t));
-    add(kRoleShift, SectionKind::kPlanShift, plan.shift.data(), n);
-    add(kRoleSign, SectionKind::kPlanSign, plan.sign.data(), n);
-    add(kRoleFilterBegin, SectionKind::kPlanFilterBegin,
-        plan.filter_begin.data(),
-        plan.filter_begin.size() * sizeof(std::int64_t));
+    add(kRoleLive, SectionKind::kPackLive, plan.live.data(),
+        plan.live.size() * sizeof(std::int32_t));
+    add(kRoleWords, SectionKind::kPackWords, plan.words.data(),
+        plan.words.size() * sizeof(std::int32_t));
+    add(kRoleNegated, SectionKind::kPackNegated, plan.negated.data(),
+        plan.negated.size());
   }
   if (float_op) {
     const auto& shape = op.weights.shape();
@@ -126,9 +123,9 @@ OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
 //
 // The parser checks only the container: the header, the checksum, the
 // section table and, per op record, its kind and each role's section. The
-// op fields and plan streams it hands on are checked where every program
-// is, whoever built it: QuantizedNetwork::from_program (every op field) and
-// the plan-adopting engine (check_plan, pack_dense).
+// op fields and plans it hands on are checked where every program is,
+// whoever built it: QuantizedNetwork::from_program (every op field) and
+// the plan-adopting engine (adopt_plan).
 
 // Validated view of one section's payload.
 struct SectionView {
@@ -178,12 +175,14 @@ std::size_t section_count_of(const SectionView& view, std::size_t elem_bytes,
   return view.bytes / elem_bytes;
 }
 
-// A plan stream as a zero-copy view of its whole section.
+// A plan section copied out whole (byte-wise: parse_artifact takes `data`
+// at any alignment).
 template <typename T>
-PlanArray<T> plan_stream(const SectionView& view, std::uint32_t op_index,
-                         const char* what) {
-  return PlanArray<T>::view(reinterpret_cast<const T*>(view.data),
-                            section_count_of(view, sizeof(T), op_index, what));
+std::vector<T> copy_section(const SectionView& view, std::uint32_t op_index,
+                            const char* what) {
+  std::vector<T> out(section_count_of(view, sizeof(T), op_index, what));
+  if (!out.empty()) std::memcpy(out.data(), view.data, view.bytes);
+  return out;
 }
 
 // A float section copied out whole, as a tensor of `shape`.
@@ -215,7 +214,6 @@ ProgramOp decode_op(const std::uint8_t* base, const SectionDesc* sections,
   op.stride = record.stride;
   op.padding = record.padding;
   op.term_count = record.term_count;
-  op.k_max = record.k_max;
   op.pow2.e_min = record.e_min;
   op.pow2.e_max = record.e_max;
   op.pow2.flush_to_zero = record.flush_to_zero != 0;
@@ -242,25 +240,19 @@ ProgramOp decode_op(const std::uint8_t* base, const SectionDesc* sections,
   switch (op.kind) {
     case ProgramOpKind::kShiftConv:
     case ProgramOpKind::kShiftLinear: {
-      // The plan streams, viewed zero-copy: the adopting engine checks them,
-      // takes the filter gain and builds the dense form (DESIGN.md §9).
+      // The int8 pack, copied: the adopting engine checks it and derives the
+      // rest from its words (DESIGN.md §9).
       ShiftPlan& plan = op.plan;
-      plan.filters = record.out_channels;
-      plan.channel = plan_stream<std::int32_t>(
-          resolve(kRoleChannel, SectionKind::kPlanChannel, true), op_index,
-          "channel");
-      plan.ky = plan_stream<std::int16_t>(
-          resolve(kRoleKy, SectionKind::kPlanKy, true), op_index, "ky");
-      plan.kx = plan_stream<std::int16_t>(
-          resolve(kRoleKx, SectionKind::kPlanKx, true), op_index, "kx");
-      plan.shift = plan_stream<std::int8_t>(
-          resolve(kRoleShift, SectionKind::kPlanShift, true), op_index,
-          "shift");
-      plan.sign = plan_stream<std::int8_t>(
-          resolve(kRoleSign, SectionKind::kPlanSign, true), op_index, "sign");
-      plan.filter_begin = plan_stream<std::int64_t>(
-          resolve(kRoleFilterBegin, SectionKind::kPlanFilterBegin, true),
-          op_index, "filter_begin");
+      plan.k_max = record.k_max;
+      plan.entry_count = record.entries;
+      plan.live = copy_section<std::int32_t>(
+          resolve(kRoleLive, SectionKind::kPackLive, true), op_index, "live");
+      plan.words = copy_section<std::int32_t>(
+          resolve(kRoleWords, SectionKind::kPackWords, true), op_index,
+          "words");
+      plan.negated = copy_section<std::uint8_t>(
+          resolve(kRoleNegated, SectionKind::kPackNegated, true), op_index,
+          "negated");
       op.bias = optional_bias();
       break;
     }
@@ -517,12 +509,12 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
   for (std::uint32_t i = 0; i < header.section_count; ++i) {
     const SectionDesc& desc = sections[i];
     if (desc.kind < static_cast<std::uint32_t>(SectionKind::kProgram) ||
-        desc.kind > static_cast<std::uint32_t>(SectionKind::kAffineBias)) {
+        desc.kind > static_cast<std::uint32_t>(SectionKind::kPackNegated)) {
       fail(ArtifactErrorCode::kBadSection,
            "section " + std::to_string(i) + " has unknown kind " +
                std::to_string(desc.kind));
     }
-    if (desc.kind == kRetiredElementKind || desc.kind == kRetiredGainKind) {
+    if (desc.kind >= kFirstRetiredKind && desc.kind <= kLastRetiredKind) {
       fail(ArtifactErrorCode::kBadSection,
            "section " + std::to_string(i) + " has retired kind " +
                std::to_string(desc.kind));
@@ -607,8 +599,8 @@ ArtifactModel::ArtifactModel(std::unique_ptr<Mapping> mapping,
 
 namespace {
 
-// kArtifactAlignment-aligned heap block so the plan streams' int64 views
-// are aligned exactly as they would be under mmap (page-aligned base).
+// kArtifactAlignment-aligned heap block so every section is aligned exactly
+// as it would be under mmap (page-aligned base).
 std::uint8_t* aligned_alloc_bytes(std::size_t size) {
   return static_cast<std::uint8_t*>(
       ::operator new(size, std::align_val_t{kArtifactAlignment}));

@@ -1,16 +1,17 @@
 #pragma once
 
-// The zero-copy deployable model artifact: a compiled NetworkProgram laid
-// out into one flat, relocatable, mmap-able blob. This is the FINN-R /
-// FlexNN deployment unit for FLightNNs -- all planning (decomposition,
-// ShiftPlan lowering, batch-norm folding) happens offline in
-// build_artifact; loading is mmap plus an O(#sections) pointer fixup that
-// binds PlanArray views straight into the mapping. The adopting engines
-// read those views once, to check each entry and build the layer's int8
-// pack in their own memory, and keep no plan: once loaded, nothing reads
-// the mapping. N serving replicas of one file each hold their own packs.
+// The deployable model artifact: a compiled NetworkProgram laid out into
+// one flat, relocatable, mmap-able blob. This is the FINN-R / FlexNN
+// deployment unit for FLightNNs -- all planning (quantization, lowering to
+// the int8 pack, batch-norm folding) happens offline in build_artifact, and
+// the file stores each shift layer's weights in the form the kernels read:
+// its live-filter list, its int8 words and its negated bytes. Loading is
+// mmap, the checksum, a section table walk, and one copy of each section
+// into the program; each adopting engine then checks its plan and derives
+// the rest in one pass over its words (adopt_plan). Once loaded, nothing
+// reads the mapping.
 //
-// Format v2 (DESIGN.md §13 is the normative spec):
+// Format v3 (DESIGN.md §13 is the normative spec):
 //
 //   [ArtifactHeader: 128 bytes]
 //   [section table: section_count x SectionDesc (24 bytes each)]
@@ -27,9 +28,11 @@
 // Versioning: `version` is bumped on any layout change; loaders reject
 // versions they do not know (no silent forward compat). New op kinds or
 // section kinds append enum values, never renumber; retired kinds keep
-// their numbers and are rejected. v2 stores each plan entry once, as its
-// channel/ky/kx tap plus shift and sign (a linear plan is a 1x1 conv's);
-// gains and multipliers are derived when the engine adopts the plan.
+// their numbers and are rejected. v3 stores a shift op's int8 pack (kinds
+// 14-16) where v2 stored six per-entry streams (kinds 3-8), and its op
+// record carries the plan's entry count beside the term count; the
+// correction, the census's per-tap counts and each filter's k_i are derived
+// when the engine adopts the plan.
 //
 // The loader treats the file as untrusted input, in two steps. The parser
 // checks the container: header (input geometry included), checksum,
@@ -38,12 +41,12 @@
 // large as their dims say). The contents are checked where every program's
 // are, whoever built it: QuantizedNetwork::from_program checks every op
 // field (inference/network_program.hpp lists its caps) and the adopting
-// engine every plan stream (check_plan), then each entry as its int8 pack
-// takes it and whether the pack can run the plan (pack_dense): the rungs
-// DESIGN.md §13 lists, in order. ArtifactModel maps their
-// CheckFailure to kBadProgram, so any violation throws ArtifactError with a
-// typed code -- never UB, never an unchecked allocation driven by a hostile
-// length.
+// engine every plan (adopt_plan: the live list, the negated bytes, the word
+// count, the padding lanes, each weight's peel against k_max, the int32
+// bound and the stored counts): the rungs DESIGN.md §13 lists, in order.
+// ArtifactModel maps their CheckFailure to kBadProgram, so any violation
+// throws ArtifactError with a typed code -- never UB, never an allocation
+// the file's own bytes do not pay for.
 
 #include <cstdint>
 #include <memory>
@@ -66,7 +69,7 @@ enum class ArtifactErrorCode : int {
   kBadHeader,       // header field out of range / inconsistent
   kBadChecksum,     // payload checksum mismatch
   kBadSection,      // section table entry out of range / misaligned
-  kBadProgram,      // op records or plan streams fail validation
+  kBadProgram,      // op records or int8 packs fail validation
 };
 
 const char* artifact_error_name(ArtifactErrorCode code);
@@ -87,7 +90,7 @@ class ArtifactError : public std::runtime_error {
 
 inline constexpr char kArtifactMagic[8] = {'F', 'L', 'N', 'A',
                                            'R', 'T', '0', '1'};
-inline constexpr std::uint32_t kArtifactVersion = 2;
+inline constexpr std::uint32_t kArtifactVersion = 3;
 inline constexpr std::size_t kArtifactAlignment = 64;
 
 struct ArtifactHeader {
@@ -108,21 +111,19 @@ struct ArtifactHeader {
 };
 static_assert(sizeof(ArtifactHeader) == 128, "artifact header layout drift");
 
-// Serialization-stable section kinds (append only, never renumber). Kinds 2
-// and 9 held v1's per-entry flat element index and per-filter gain; they
-// are retired and the loader rejects them.
+// Serialization-stable section kinds (append only, never renumber). Kinds
+// 2-9 are retired and the loader rejects them: v1's per-entry flat element
+// index (2) and per-filter gain (9), and v2's per-entry channel, ky, kx,
+// shift and sign streams and filter prefix (3-8).
 enum class SectionKind : std::uint32_t {
-  kProgram = 1,  // op_count x OpRecord
-  kPlanChannel = 3,
-  kPlanKy = 4,
-  kPlanKx = 5,
-  kPlanShift = 6,
-  kPlanSign = 7,
-  kPlanFilterBegin = 8,
+  kProgram = 1,       // op_count x OpRecord
   kBias = 10,         // float[out_channels]
   kWeights = 11,      // float fallback layers, row-major
   kAffineScale = 12,  // float[channels]
   kAffineBias = 13,   // float[channels]
+  kPackLive = 14,     // int32 per live filter (ShiftPlan::live)
+  kPackWords = 15,    // int32 x taps per live filter (ShiftPlan::words)
+  kPackNegated = 16,  // uint8 per live filter (ShiftPlan::negated)
 };
 
 struct SectionDesc {
@@ -138,12 +139,9 @@ inline constexpr std::uint32_t kAbsentSection = 0xffffffffU;
 
 // Section-reference roles inside OpRecord::sec, in serialization order.
 enum OpSectionRole : int {
-  kRoleChannel = 0,
-  kRoleKy,
-  kRoleKx,
-  kRoleShift,
-  kRoleSign,
-  kRoleFilterBegin,
+  kRoleLive = 0,
+  kRoleWords,
+  kRoleNegated,
   kRoleBias,
   kRoleWeights,
   kRoleAffineScale,
@@ -163,10 +161,11 @@ struct OpRecord {
   std::int64_t stride = 0;
   std::int64_t padding = 0;
   std::int64_t term_count = 0;
+  std::int64_t entries = 0;  // ShiftPlan::entry_count
   std::int64_t main_ops = 0;
   std::int64_t shortcut_ops = 0;
   std::int64_t post_ops = 0;
-  std::int32_t k_max = 0;
+  std::int32_t k_max = 0;  // ShiftPlan::k_max
   std::int32_t e_min = 0;
   std::int32_t e_max = 0;
   std::int32_t flush_to_zero = 0;
@@ -174,15 +173,15 @@ struct OpRecord {
   std::uint32_t weight_rank = 0;
   std::int64_t weight_dims[4] = {};
   std::uint32_t sec[kOpSectionRoles] = {};  // section indices per role
-  std::uint8_t reserved[32] = {};
+  std::uint8_t reserved[36] = {};
 };
 static_assert(sizeof(OpRecord) == 224, "op record layout drift");
 
 // --- Compiler -------------------------------------------------------------
 
 // Lay the program out into one artifact blob. Deterministic: the same
-// program produces the same bytes. Shift ops store their compiled plans
-// (never float weights); float fallback ops store their weight tensors.
+// program produces the same bytes. Shift ops store their int8 packs (never
+// float weights); float fallback ops store their weight tensors.
 std::vector<std::uint8_t> build_artifact(
     const inference::NetworkProgram& program);
 
@@ -210,28 +209,25 @@ std::uint64_t artifact_checksum64(const std::uint8_t* data, std::size_t size);
 
 // --- Loader ---------------------------------------------------------------
 
-// Check `data`'s container and reconstitute its NetworkProgram. Plan
-// streams become PlanArray *views* into `data` -- zero copies; the caller
-// guarantees `data` outlives the returned program (ArtifactModel does).
-// Bias/affine/weight tensors are small and are copied out. Throws
-// ArtifactError on a malformed container. The program's contents are
-// unchecked: hand it to QuantizedNetwork::from_program (as ArtifactModel
-// does) or each shift op's plan to the adopting ShiftConv2d constructor
-// before anything reads it.
+// Check `data`'s container and reconstitute its NetworkProgram, copying
+// every section it reads (the int8 packs as well as the float tensors), so
+// the program does not refer to `data`. Throws ArtifactError on a malformed
+// container. The program's contents are unchecked: hand it to
+// QuantizedNetwork::from_program (as ArtifactModel does) or each shift op's
+// plan to the adopting ShiftConv2d constructor before anything reads it.
 inference::NetworkProgram parse_artifact(const std::uint8_t* data,
                                          std::size_t size);
 
 // A deployable model bound to its backing artifact bytes. Owns the mapping
 // (mmap on POSIX, aligned heap elsewhere or via load_buffer) and the
-// executable network built from the plans that view it; the network keeps
-// only the int8 packs it built at load, so it never reads the mapping
-// again. Move-only.
+// executable network built from it; the network keeps its own copy of the
+// int8 packs, so it never reads the mapping again. Move-only.
 class ArtifactModel {
  public:
-  // mmap `path` read-only and fix up. O(#sections) work after the map.
+  // mmap `path` read-only, check it and adopt its program.
   static ArtifactModel load(const std::string& path);
 
-  // Copy `size` bytes into a 64-byte-aligned heap block and fix up. For
+  // Copy `size` bytes into a 64-byte-aligned heap block and load them. For
   // callers that already hold the blob (tests, fuzzers, network receive).
   static ArtifactModel load_buffer(const std::uint8_t* data, std::size_t size);
 

@@ -158,10 +158,10 @@ TEST(ArenaAllocationTest, SingleThreadSteadyStateAllocatesNothing) {
 }
 
 // Deployment regression: a network executed out of an mmap-loaded artifact
-// (plan streams are zero-copy views into the read-only mapping; engines hold
-// no weights) must reach the same zero-allocation steady state as the
-// in-process compiled network above. Catches any loader change that starts
-// materializing per-batch copies of the mapped plan data.
+// (its int8 packs copied out of the read-only mapping once, at load) must
+// reach the same zero-allocation steady state as the in-process compiled
+// network above. Catches any loader change that starts materializing
+// per-batch copies of the plan data.
 TEST(ArenaAllocationTest, ArtifactMmapLoadedSteadyStateAllocatesNothing) {
   runtime::set_num_threads(1);
   const inference::NetworkProgram program = make_program();

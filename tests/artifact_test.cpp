@@ -9,12 +9,12 @@
 //   2. Differential: logits from the mmap-loaded and heap-compiled paths
 //      must be memcmp-identical, serial and under 4 threads.
 //   3. Corruption matrix: every structural violation (truncation, bad
-//      magic/version/checksum, misaligned or escaping sections, invalid
-//      op records and plan streams, plans the int8 pack cannot run) throws
-//      the matching typed ArtifactError -- never UB, never a wild
-//      allocation. The parser rejects the container's violations;
-//      from_program and the adopting engines the contents', which
-//      ArtifactModel maps to kBadProgram.
+//      magic/version/checksum, misaligned or escaping or retired sections,
+//      invalid op records, int8 packs that lie about themselves or that the
+//      kernels cannot run) throws the matching typed ArtifactError -- never
+//      UB, never a wild allocation. The parser rejects the container's
+//      violations; from_program and the adopting engines the contents',
+//      which ArtifactModel maps to kBadProgram.
 //   4. Shared mapping: two processes mapping one artifact file produce
 //      identical logits (fork-based, POSIX only).
 
@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +37,7 @@
 #include "models/networks.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/check.hpp"
+#include "term_walk_oracle.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -234,10 +236,13 @@ TEST(ArtifactDifferential, MmapAndHeapLogitsAreMemcmpIdentical) {
   std::remove(path.c_str());
 }
 
-// --- Zero-copy: plan streams must view the blob, not copies ---------------
+// --- Parse: the int8 packs are copied out whole -----------------------------
 
-TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
-  const std::vector<std::uint8_t> blob = build_artifact(deterministic_program());
+// The parsed plans are the compiled ones, byte for byte, and live in the
+// program's own memory: nothing of a loaded network reads the blob.
+TEST(ArtifactParse, PacksAreCopiedOutIntact) {
+  const NetworkProgram program = deterministic_program();
+  const std::vector<std::uint8_t> blob = build_artifact(program);
   const NetworkProgram parsed = parse_artifact(blob.data(), blob.size());
   const auto* begin = blob.data();
   const auto* end = blob.data() + blob.size();
@@ -245,39 +250,73 @@ TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
     return p >= static_cast<const void*>(begin) &&
            p < static_cast<const void*>(end);
   };
+  ASSERT_EQ(parsed.ops.size(), program.ops.size());
   int shift_ops = 0;
   int linear_ops = 0;
-  for (const auto& op : parsed.ops) {
+  for (std::size_t i = 0; i < parsed.ops.size(); ++i) {
+    const inference::ProgramOp& op = parsed.ops[i];
     if (op.kind != ProgramOpKind::kShiftConv &&
         op.kind != ProgramOpKind::kShiftLinear) {
       continue;
     }
     ++shift_ops;
-    const bool conv = op.kind == ProgramOpKind::kShiftConv;
-    linear_ops += conv ? 0 : 1;
+    linear_ops += op.kind == ProgramOpKind::kShiftLinear ? 1 : 0;
+    const inference::ShiftPlan& want = program.ops[i].plan;
     ASSERT_GT(op.plan.entries(), 0);
-    EXPECT_TRUE(in_blob(op.plan.channel.data()));
-    EXPECT_TRUE(in_blob(op.plan.ky.data()));
-    EXPECT_TRUE(in_blob(op.plan.kx.data()));
-    EXPECT_TRUE(in_blob(op.plan.shift.data()));
-    EXPECT_TRUE(in_blob(op.plan.sign.data()));
-    EXPECT_TRUE(in_blob(op.plan.filter_begin.data()));
-    // Streams of 8-byte elements must be naturally aligned in the mapping.
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(op.plan.filter_begin.data()) % 8,
-              0U);
-    // The artifact path carries plans, never the float weights.
+    EXPECT_EQ(op.plan.entries(), want.entries());
+    EXPECT_EQ(op.plan.k_max, want.k_max);
+    EXPECT_EQ(op.plan.live, want.live);
+    EXPECT_EQ(op.plan.words, want.words);
+    EXPECT_EQ(op.plan.negated, want.negated);
+    EXPECT_FALSE(in_blob(op.plan.words.data()));
+    EXPECT_FALSE(in_blob(op.plan.live.data()));
+    // The artifact path carries packs, never the float weights.
     EXPECT_TRUE(op.weights.empty());
-    // Adoption reads the views once and builds the dense pack, the one
-    // form the engine keeps, into owned storage (a linear op adopts as a
-    // 1x1 conv).
-    const inference::ShiftConvSpec spec{op.out_channels, op.in_channels,
-                                        op.kernel,       op.stride,
-                                        op.padding,      op.term_count};
-    const inference::ShiftConv2d engine(op.plan, spec, op.pow2, op.bias);
-    EXPECT_FALSE(in_blob(engine.dense().words.data()));
   }
   EXPECT_GT(shift_ops, 10) << "ResNet-18 should lower many shift layers";
   EXPECT_EQ(linear_ops, 1) << "the classifier is a shift linear op";
+}
+
+// A filter of 576 weights with one nonzero among them pays 144 words for one
+// entry; v3 stores it as it is and loads it, and the loaded network runs it
+// bit for bit as the term walk does.
+TEST(ArtifactParse, SparseLiveFiltersRoundTrip) {
+  const quant::Pow2Config pow2;
+  const float unit = std::ldexp(1.0F, pow2.e_min);
+  Tensor wq = Tensor::zeros(Shape{8, 64, 3, 3});
+  const int units[] = {5, -6, 12, -48, 80, 2, -96, 33};
+  for (std::int64_t f = 0; f < 8; ++f) {
+    wq[f * 576 + (f * 131) % 576] =
+        static_cast<float>(units[static_cast<std::size_t>(f)]) * unit;
+  }
+  inference::ProgramOp op;
+  op.kind = ProgramOpKind::kShiftConv;
+  op.out_channels = 8;
+  op.in_channels = 64;
+  op.kernel = 3;
+  op.padding = 1;
+  inference::CompiledPlan compiled =
+      inference::ShiftPlan::compile_conv(wq, 2, pow2);
+  op.term_count = compiled.term_count;
+  op.plan = std::move(compiled.plan);
+  NetworkProgram program;
+  program.ops.push_back(std::move(op));
+  program.input_c = 64;
+  program.input_h = 6;
+  program.input_w = 6;
+  const std::vector<std::uint8_t> blob = build_artifact(program);
+  const ArtifactModel model = ArtifactModel::load_buffer(blob.data(),
+                                                         blob.size());
+  std::uint32_t state = 0x51A75EU;
+  Tensor image(Shape{64, 6, 6});
+  fill_grid(image, state);
+  const Tensor got = model.network().run(image);
+  const Tensor want = inference::oracle::TermWalkConv2d(wq, 2, pow2, 1, 1)
+                          .run(inference::quantize_image(image, 8));
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(got.numel()) * sizeof(float)),
+            0);
 }
 
 // --- Corruption matrix ----------------------------------------------------
@@ -337,17 +376,6 @@ SectionDesc find_op_section(const std::vector<std::uint8_t>& blob,
   return {};
 }
 
-// Overwrite the first entry of a conv plan's ky or kx stream with the
-// kernel size, one past its last valid tap.
-void set_first_tap_to_kernel(std::vector<std::uint8_t>& blob,
-                             SectionKind kind) {
-  const SectionDesc tap =
-      find_op_section(blob, kind, ProgramOpKind::kShiftConv);
-  const auto hostile =
-      static_cast<std::int16_t>(read_op(blob, tap.op_index).kernel);
-  std::memcpy(blob.data() + tap.offset, &hostile, sizeof(hostile));
-}
-
 void set_section_1_kind(std::vector<std::uint8_t>& blob, std::uint32_t kind) {
   auto sections = read_sections(blob);
   sections[1].kind = kind;
@@ -384,6 +412,21 @@ void patch_first_shift_conv(std::vector<std::uint8_t>& blob, Mutate mutate) {
     }
   }
   ADD_FAILURE() << "no shift conv op in the fixture network";
+}
+
+// The live list of the first shift conv with two or more live filters.
+std::int32_t* first_conv_live(std::vector<std::uint8_t>& blob) {
+  for (const SectionDesc& desc : read_sections(blob)) {
+    if (desc.kind == static_cast<std::uint32_t>(SectionKind::kPackLive) &&
+        read_op(blob, desc.op_index).kind ==
+            static_cast<std::uint32_t>(ProgramOpKind::kShiftConv) &&
+        desc.bytes >= 2 * sizeof(std::int32_t)) {
+      return reinterpret_cast<std::int32_t*>(blob.data() + desc.offset);
+    }
+  }
+  ADD_FAILURE() << "no shift conv with two live filters";
+  static std::int32_t none[2] = {0, 1};
+  return none;
 }
 
 const CorruptionCase kCorruptionMatrix[] = {
@@ -478,87 +521,98 @@ const CorruptionCase kCorruptionMatrix[] = {
        }
        ADD_FAILURE() << "no residual op in the fixture network";
      }},
-    {"plan sign outside {-1, +1}", ArtifactErrorCode::kBadProgram, true,
+    {"a v2 file", ArtifactErrorCode::kBadVersion, false,
      [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc sign = find_section(blob, SectionKind::kPlanSign);
-       blob[sign.offset] = 3;
+       auto header = read_header(blob);
+       header.version = 2;
+       write_header(blob, header);
      }},
-    {"plan shift beyond the exponent range", ArtifactErrorCode::kBadProgram,
+    {"section of the retired element kind", ArtifactErrorCode::kBadSection,
      true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc shift = find_section(blob, SectionKind::kPlanShift);
-       blob[shift.offset] = 63;
-     }},
-    {"conv plan channel at in_channels", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc channel = find_op_section(
-           blob, SectionKind::kPlanChannel, ProgramOpKind::kShiftConv);
-       const auto hostile =
-           static_cast<std::int32_t>(read_op(blob, channel.op_index).in_channels);
-       std::memcpy(blob.data() + channel.offset, &hostile, sizeof(hostile));
-     }},
-    {"conv plan ky at the kernel size", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       set_first_tap_to_kernel(blob, SectionKind::kPlanKy);
-     }},
-    {"conv plan kx at the kernel size", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       set_first_tap_to_kernel(blob, SectionKind::kPlanKx);
-     }},
-    {"linear plan kx not 0", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc kx = find_op_section(blob, SectionKind::kPlanKx,
-                                              ProgramOpKind::kShiftLinear);
-       const std::int16_t hostile = 1;
-       std::memcpy(blob.data() + kx.offset, &hostile, sizeof(hostile));
-     }},
-    // Adoption builds each engine's dense form before the load walk checks
-    // any shape: a 2^24 x 2^24 kernel over a few entries must be refused
-    // there (pack_dense's words-per-entry bound) without allocating or
-    // overflowing.
-    {"conv kernel of 2^24 over a few entries", ArtifactErrorCode::kBadProgram,
+     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 2); }},
+    {"section of v2's channel stream kind", ArtifactErrorCode::kBadSection,
      true,
+     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 3); }},
+    {"section of v2's sign stream kind", ArtifactErrorCode::kBadSection, true,
+     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 7); }},
+    {"section of v2's filter prefix kind", ArtifactErrorCode::kBadSection,
+     true,
+     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 8); }},
+    {"section of the retired gain kind", ArtifactErrorCode::kBadSection, true,
+     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 9); }},
+    {"live list unsorted", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       std::int32_t* live = first_conv_live(blob);
+       std::swap(live[0], live[1]);
+     }},
+    {"live list repeating a filter", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       std::int32_t* live = first_conv_live(blob);
+       live[1] = live[0];
+     }},
+    {"live filter at out_channels", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       const SectionDesc live = find_op_section(blob, SectionKind::kPackLive,
+                                                ProgramOpKind::kShiftConv);
+       const auto hostile = static_cast<std::int32_t>(
+           read_op(blob, live.op_index).out_channels);
+       std::memcpy(blob.data() + live.offset + live.bytes - sizeof(hostile),
+                   &hostile, sizeof(hostile));
+     }},
+    {"negated byte 2", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       blob[find_section(blob, SectionKind::kPackNegated).offset] = 2;
+     }},
+    {"words section one word short", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       std::size_t index = 0;
+       SectionDesc words = find_section(blob, SectionKind::kPackWords, &index);
+       words.bytes -= sizeof(std::int32_t);
+       write_section(blob, index, words);
+     }},
+    // The first conv reads the RGB image: byte 3 of each word is a padding
+    // lane.
+    {"nonzero padding lane", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       const SectionDesc words = find_op_section(
+           blob, SectionKind::kPackWords, ProgramOpKind::kShiftConv);
+       EXPECT_EQ(read_op(blob, words.op_index).in_channels, 3);
+       blob[words.offset + 3] = 1;
+     }},
+    {"stored entry count one high", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       patch_first_shift_conv(blob, [](OpRecord& record) { ++record.entries; });
+     }},
+    {"stored entry count one low", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       patch_first_shift_conv(blob, [](OpRecord& record) { --record.entries; });
+     }},
+    {"stored term count one high", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       patch_first_shift_conv(blob,
+                              [](OpRecord& record) { ++record.term_count; });
+     }},
+    // The LightNN-2 fixture holds two-term weights.
+    {"weights past a k_max of 1", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob) {
+       patch_first_shift_conv(blob, [](OpRecord& record) { record.k_max = 1; });
+     }},
+    // Adoption checks the word count before it sizes anything from the
+    // geometry: a 2^24 x 2^24 kernel over the stored words must be refused
+    // there without allocating or overflowing.
+    {"conv kernel of 2^24 over the stored words",
+     ArtifactErrorCode::kBadProgram, true,
      [](std::vector<std::uint8_t>& blob) {
        patch_first_shift_conv(blob, [](OpRecord& record) {
          record.kernel = std::int64_t{1} << 24;
        });
      }},
-    // A padding as large as the kernel gives a non-empty output: the load
-    // walk must refuse the plane run() would refuse before its census
-    // tabulates 2^24 taps per axis.
     {"conv kernel and padding of 2^24", ArtifactErrorCode::kBadProgram, true,
      [](std::vector<std::uint8_t>& blob) {
        patch_first_shift_conv(blob, [](OpRecord& record) {
          record.kernel = std::int64_t{1} << 24;
          record.padding = std::int64_t{1} << 24;
        });
-     }},
-    {"section of the retired element kind", ArtifactErrorCode::kBadSection,
-     true, [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 2); }},
-    {"section of the retired gain kind", ArtifactErrorCode::kBadSection, true,
-     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 9); }},
-    // A plan may use the barrel's whole budget: check_plan accepts a
-    // 61-shift window with a shift-61 entry. int8 cannot hold 2^61, so
-    // adoption refuses it and the artifact does not load.
-    {"shift-61 entry under a 61-shift window", ArtifactErrorCode::kBadProgram,
-     true,
-     [](std::vector<std::uint8_t>& blob) {
-       std::uint32_t shift_section = 0;
-       patch_first_shift_conv(blob, [&](OpRecord& record) {
-         record.e_min = record.e_max - inference::kMaxShift;
-         shift_section = record.sec[kRoleShift];
-       });
-       blob[read_sections(blob)[shift_section].offset] =
-           static_cast<std::uint8_t>(inference::kMaxShift);
-     }},
-    {"non-monotone filter_begin", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc begin = find_section(blob,
-                                              SectionKind::kPlanFilterBegin);
-       std::int64_t first = 0;
-       std::memcpy(&first, blob.data() + begin.offset + 8, sizeof(first));
-       first = -first - 1;
-       std::memcpy(blob.data() + begin.offset + 8, &first, sizeof(first));
      }},
 };
 
@@ -586,38 +640,30 @@ TEST(ArtifactCorruption, EveryCorruptionClassYieldsItsTypedError) {
 
 // --- Plans the int8 pack cannot run ----------------------------------------
 //
-// One shift conv over an [in_channels, kernel, kernel] input whose plan
-// holds `entries` (channel, ky, kx, shift, sign) for its one filter.
-struct PlanEntry {
-  std::int32_t channel;
-  std::int16_t ky, kx;
-  std::int8_t shift, sign;
-};
-
-NetworkProgram one_conv_program(std::int64_t in_channels, std::int64_t kernel,
-                                const std::vector<PlanEntry>& entries,
+// One shift conv with one filter over an [in_channels, 1, 1] input, lowered
+// from `units` (its weights in units of 2^e_min) at k_max.
+NetworkProgram one_conv_program(const std::vector<float>& units, int k_max,
                                 const quant::Pow2Config& pow2 = {}) {
+  const auto in_channels = static_cast<std::int64_t>(units.size());
+  Tensor wq(Shape{1, in_channels, 1, 1});
+  for (std::int64_t c = 0; c < in_channels; ++c) {
+    wq[c] = std::ldexp(units[static_cast<std::size_t>(c)], pow2.e_min);
+  }
   inference::ProgramOp op;
   op.kind = ProgramOpKind::kShiftConv;
   op.out_channels = 1;
   op.in_channels = in_channels;
-  op.kernel = kernel;
+  op.kernel = 1;
   op.pow2 = pow2;
-  op.plan.filters = 1;
-  for (const PlanEntry& e : entries) {
-    op.plan.channel.push_back(e.channel);
-    op.plan.ky.push_back(e.ky);
-    op.plan.kx.push_back(e.kx);
-    op.plan.shift.push_back(e.shift);
-    op.plan.sign.push_back(e.sign);
-  }
-  op.plan.filter_begin.push_back(0);
-  op.plan.filter_begin.push_back(static_cast<std::int64_t>(entries.size()));
+  inference::CompiledPlan compiled =
+      inference::ShiftPlan::compile_conv(wq, k_max, pow2);
+  op.term_count = compiled.term_count;
+  op.plan = std::move(compiled.plan);
   NetworkProgram program;
   program.ops.push_back(std::move(op));
   program.input_c = in_channels;
-  program.input_h = kernel;
-  program.input_w = kernel;
+  program.input_h = 1;
+  program.input_w = 1;
   return program;
 }
 
@@ -630,38 +676,28 @@ TEST(ArtifactCorruption, PlansThePackCannotRunAreRefusedAtLoad) {
     NetworkProgram program;
   };
   std::vector<Refusal> refusals;
-  // In units of 2^e_min at the default window [-6, 0]: two shift-6 entries
-  // on one tap make a weight of 128.
-  refusals.push_back({"+128 beside -128",
-                      one_conv_program(2, 1, {{0, 0, 0, 6, 1},
-                                              {0, 0, 0, 6, 1},
-                                              {1, 0, 0, 6, -1},
-                                              {1, 0, 0, 6, -1}})});
-  refusals.push_back({"a k_max-3 weight of 192 units",
-                      one_conv_program(1, 1, {{0, 0, 0, 6, 1},
-                                              {0, 0, 0, 6, 1},
-                                              {0, 0, 0, 6, 1}})});
-  quant::Pow2Config barrel;
-  barrel.e_min = barrel.e_max - inference::kMaxShift;
-  refusals.push_back({"a shift-61 entry under a 61-shift window",
-                      one_conv_program(1, 1, {{0, 0, 0, 61, 1}}, barrel)});
-  // 8 channel groups x 3 x 3 taps = 72 words for one entry.
-  refusals.push_back({"a pack past 4 words per entry",
-                      one_conv_program(32, 3, {{0, 1, 1, 0, 1}})});
-  // 132,105 weights of -128: 127 x their sum |w| passes INT32_MAX.
-  quant::Pow2Config seven;
-  seven.e_min = -7;
-  std::vector<PlanEntry> row;
-  for (std::int32_t c = 0; c < 132105; ++c) row.push_back({c, 0, 0, 7, -1});
+  // 132,105 weights of -128 units at window [-7, 0]: 127 x their sum |w|
+  // passes INT32_MAX.
   refusals.push_back({"a filter past the int32 bound",
-                      one_conv_program(132105, 1, row, seven)});
-  NetworkProgram wide_codes = one_conv_program(1, 1, {{0, 0, 0, 3, 1}});
+                      one_conv_program(std::vector<float>(132105, -128.0F), 1,
+                                       {-7, 0, true})});
+  NetworkProgram wide_codes = one_conv_program({8.0F}, 2);
   wide_codes.ops[0].act_bits = 9;
   refusals.push_back({"a shift op with act_bits 9", std::move(wide_codes)});
+  // 11 = 8 + 4 - 1 takes three terms; the stored counts follow it.
+  NetworkProgram three_terms = one_conv_program({8.0F}, 2);
+  inference::ProgramOp& op = three_terms.ops[0];
+  op.plan.words[0] = 11;
+  op.plan.entry_count = 3;
+  op.term_count = 3;
+  refusals.push_back({"a weight of three terms at k_max 2",
+                      std::move(three_terms)});
 
-  // The same plan within every bound loads.
+  // The same plans within every bound load.
   ASSERT_NO_THROW((void)QuantizedNetwork::from_program(
-      one_conv_program(1, 1, {{0, 0, 0, 3, 1}})));
+      one_conv_program(std::vector<float>(132104, -128.0F), 1, {-7, 0, true})));
+  ASSERT_NO_THROW(
+      (void)QuantizedNetwork::from_program(one_conv_program({8.0F}, 2)));
   for (const Refusal& refusal : refusals) {
     EXPECT_THROW((void)QuantizedNetwork::from_program(refusal.program),
                  support::CheckFailure)

@@ -307,6 +307,21 @@ TEST(FLightNNTransformTest, WindowOutsideTheNormalRangeIsRefused) {
   }
 }
 
+// k_max terms of 2^e_max must sum to a finite float.
+TEST(FLightNNTransformTest, KMaxTermsPastFltMaxAreRefused) {
+  FLightNNConfig config;
+  config.pow2.e_min = -126;
+  config.pow2.e_max = 127;
+  EXPECT_THROW(FLightNNTransform{config}, support::CheckFailure);
+  config.k_max = 1;
+  config.lambdas = {1e-5F};
+  EXPECT_NO_THROW(FLightNNTransform{config});
+  config.k_max = 2;
+  config.lambdas = {1e-5F, 3e-5F};
+  config.pow2.e_max = 126;
+  EXPECT_NO_THROW(FLightNNTransform{config});
+}
+
 // --- The peel level against the scalar peel, through FLightNN's paths ----
 
 // One filter quantized on the scalar peel, as FLightNNTransform did before
@@ -404,12 +419,15 @@ Tensor filters_of(const std::vector<float>& values) {
   return w;
 }
 
+// Every window, flush mode and k_max the config accepts: at e_max = 127 only
+// k_max 1, since two terms of 2^127 overflow a float.
 std::vector<FLightNNConfig> exactness_configs() {
   std::vector<FLightNNConfig> configs;
-  for (const auto& [e_min, e_max] : {std::pair{-6, 0}, std::pair{-126, 127},
-                                    std::pair{-10, -3}}) {
+  for (const auto& [e_min, e_max] :
+       {std::pair{-6, 0}, std::pair{-126, 127}, std::pair{-126, 126},
+        std::pair{-10, -3}}) {
     for (const bool flush : {true, false}) {
-      for (int k_max = 1; k_max <= 3; ++k_max) {
+      for (int k_max = 1; k_max <= (e_max == 127 ? 1 : 3); ++k_max) {
         FLightNNConfig config;
         config.k_max = k_max;
         config.pow2.e_min = e_min;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -108,8 +109,8 @@ tensor::Tensor scalar_quantize_lightnn(const tensor::Tensor& w, int k,
 // Bit-identical to the scalar loop on the adversarial floats, for k = 1..3,
 // flush on and off, on one thread and on four (whose split of the range
 // cuts the stack blocks at other places). The windows keep k * 2^e_max
-// finite: in [-126, 127] a weight near FLT_MAX quantizes to inf, which
-// pow2_test's sweep covers at the level itself.
+// finite, as quantize_lightnn requires for k >= 2; pow2_test's sweep covers
+// [-126, 127] at the level itself.
 TEST(LightNNTest, MatchesTheScalarLoopBitForBit) {
   for (const auto& [e_min, e_max] : {std::pair{-6, 0}, std::pair{-10, -3}}) {
     for (const bool flush : {true, false}) {
@@ -147,6 +148,28 @@ TEST(LightNNTest, WindowOutsideTheNormalRangeIsRefused) {
     EXPECT_THROW((void)quantize_lightnn(w, 2, config), support::CheckFailure)
         << e_min << ", " << e_max;
   }
+}
+
+// k terms of 2^e_max must sum to a finite float: in [-126, 127], FLT_MAX
+// would quantize to 2^127 + 2^127 = +inf at k = 2.
+TEST(LightNNTest, KTermsPastFltMaxAreRefused) {
+  const tensor::Tensor w(tensor::Shape{1},
+                         std::vector<float>{std::numeric_limits<float>::max()});
+  Pow2Config top;
+  top.e_min = -126;
+  top.e_max = 127;
+  EXPECT_EQ(quantize_lightnn(w, 1, top)[0], std::ldexp(1.0F, 127));
+  for (const int k : {2, 3}) {
+    EXPECT_THROW((void)quantize_lightnn(w, k, top), support::CheckFailure) << k;
+    EXPECT_THROW(LightNNTransform(k, top), support::CheckFailure) << k;
+  }
+  // 3 * 2^126 fits; 4 * 2^126 is 2^128.
+  Pow2Config below = top;
+  below.e_max = 126;
+  const tensor::Tensor q = quantize_lightnn(w, 3, below);
+  EXPECT_TRUE(std::isfinite(q[0]));
+  EXPECT_EQ(q[0], 3.0F * std::ldexp(1.0F, 126));
+  EXPECT_THROW((void)quantize_lightnn(w, 4, below), support::CheckFailure);
 }
 
 TEST(LightNNTransformTest, ForwardMatchesFreeFunction) {

@@ -469,9 +469,19 @@ TEST(QuantizedNetworkTest, FromProgramRejectsMalformedPrograms) {
 }
 
 // A shift conv over the [2, 4, 4] input: 2 filters of [2, 3, 3], padding 1,
-// the default window (e_max - e_min = 6), filter 0 with three entries and
-// filter 1 with two (dense enough for the dense path's 4 words per entry).
+// the default window (e_max - e_min = 6). In units of 2^e_min, filter 0
+// holds 64, -8 and 1 and filter 1 holds 4 and -2.
 ProgramOp shift_conv_op() {
+  const float unit = std::ldexp(1.0F, quant::Pow2Config{}.e_min);
+  Tensor wq = Tensor::zeros(Shape{2, 2, 3, 3});
+  // (filter, channel, ky, kx, units)
+  const int weights[][5] = {{0, 0, 0, 0, 64}, {0, 1, 2, 1, -8},
+                            {0, 1, 1, 1, 1},  {1, 0, 1, 1, 4},
+                            {1, 1, 0, 2, -2}};
+  for (const auto& w : weights) {
+    wq[((w[0] * 2 + w[1]) * 3 + w[2]) * 3 + w[3]] =
+        static_cast<float>(w[4]) * unit;
+  }
   ProgramOp op;
   op.kind = ProgramOpKind::kShiftConv;
   op.out_channels = 2;
@@ -479,27 +489,19 @@ ProgramOp shift_conv_op() {
   op.kernel = 3;
   op.stride = 1;
   op.padding = 1;
-  // (channel, ky, kx, shift, sign)
-  const int entries[][5] = {{0, 0, 0, 6, 1},  {1, 2, 1, 3, -1},
-                            {1, 1, 1, 0, 1},  {0, 1, 1, 2, 1},
-                            {1, 0, 2, 1, -1}};
-  for (const auto& e : entries) {
-    op.plan.channel.push_back(e[0]);
-    op.plan.ky.push_back(static_cast<std::int16_t>(e[1]));
-    op.plan.kx.push_back(static_cast<std::int16_t>(e[2]));
-    op.plan.shift.push_back(static_cast<std::int8_t>(e[3]));
-    op.plan.sign.push_back(static_cast<std::int8_t>(e[4]));
-  }
-  op.plan.filters = 2;
-  for (const std::int64_t begin : {0, 3, 5}) op.plan.filter_begin.push_back(begin);
+  inference::CompiledPlan compiled =
+      inference::ShiftPlan::compile_conv(wq, 2, op.pow2);
+  op.term_count = compiled.term_count;
+  op.plan = std::move(compiled.plan);
   return op;
 }
 
 // Each program below is malformed in one field. from_program must throw
 // CheckFailure for every one (the sanitizer legs run this case, so none may
-// reach run()). Unchecked, run() would overflow a heap buffer (channel,
-// bias), give -inf (e_min) or NaN (slope) logits, or shift past int64
-// (shift 70).
+// reach run()). Unchecked, run() would index past the output (a live
+// filter at out_channels) or a heap buffer (a short words section, the
+// bias), give -inf (e_min) or NaN (slope) logits, or report counts its
+// words do not hold.
 TEST(QuantizedNetworkTest, FromProgramChecksEveryField) {
   const Tensor image = Tensor::zeros(Shape{2, 4, 4});
   {
@@ -520,24 +522,24 @@ TEST(QuantizedNetworkTest, FromProgramChecksEveryField) {
     mutate(op);
     return hand_program({op});
   };
-  rejects("plan channel = in_channels",
-          with_conv([](ProgramOp& op) { op.plan.channel[1] = 2; }));
-  rejects("sign 100", with_conv([](ProgramOp& op) { op.plan.sign[1] = 100; }));
-  rejects("shift 70", with_conv([](ProgramOp& op) { op.plan.shift[1] = 70; }));
-  rejects("shift 10 under a 6-shift window",
-          with_conv([](ProgramOp& op) { op.plan.shift[1] = 10; }));
-  rejects("a filter_begin that decreases", with_conv([](ProgramOp& op) {
-            op.plan.filter_begin = {};
-            for (const std::int64_t begin : {0, 6, 5}) {
-              op.plan.filter_begin.push_back(begin);
-            }
+  rejects("live filter = out_channels",
+          with_conv([](ProgramOp& op) { op.plan.live[1] = 2; }));
+  rejects("negated byte 100",
+          with_conv([](ProgramOp& op) { op.plan.negated[1] = 100; }));
+  rejects("a byte in channel 2's lane, past in_channels 2",
+          with_conv([](ProgramOp& op) { op.plan.words[0] |= 0x10000; }));
+  rejects("11 units, three terms at k_max 2", with_conv([](ProgramOp& op) {
+            op.plan.words[1] |= 11;
+            op.plan.entry_count += 3;
           }));
-  rejects("a sign stream one entry short", with_conv([](ProgramOp& op) {
-            op.plan.sign = {};
-            for (const std::int8_t sign : {1, -1, 1, 1}) {
-              op.plan.sign.push_back(sign);
-            }
-          }));
+  rejects("an entry count one high",
+          with_conv([](ProgramOp& op) { ++op.plan.entry_count; }));
+  rejects("a term count one low",
+          with_conv([](ProgramOp& op) { --op.term_count; }));
+  rejects("a words section one word short",
+          with_conv([](ProgramOp& op) { op.plan.words.pop_back(); }));
+  rejects("a negated section one byte short",
+          with_conv([](ProgramOp& op) { op.plan.negated.pop_back(); }));
   rejects("e_min = -2^31 + 2", with_conv([](ProgramOp& op) {
             op.pow2.e_min = std::numeric_limits<int>::min() + 2;
             op.pow2.e_max = op.pow2.e_min + 6;

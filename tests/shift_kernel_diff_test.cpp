@@ -4,8 +4,8 @@
 // geometry the plan compiler can produce -- output widths that hit the
 // 16-lane and 8-lane tails, strides, paddings, channel counts that are not a
 // multiple of four, pruning, linear layers (1x1 convs on a 1x1 plane),
-// thread counts, and artifact-adopted plans whose streams are zero-copy
-// views into an mmap. A filter reaching +128 packs negated and matches too;
+// thread counts, and plans adopted from an mmap-ed artifact. A filter
+// reaching +128 packs negated and matches too;
 // what the kernels cannot run (a filter int8 holds neither as it is nor
 // negated, codes outside u8) throws CheckFailure, at adoption or at run.
 // The direct kernel test runs the dispatch-table
@@ -212,7 +212,7 @@ TEST(ShiftKernelDiffTest, GateCasesNegateOrRefuse) {
         Tensor::randn(Shape{6, 5, 3, 3}, rng, 0.0F, 0.3F), 2, config);
     plus.data()[7] = 2.0F;
     const ShiftConv2d negated(plus, 2, config, stride, 1);
-    EXPECT_EQ(negated.dense().negated[0], 1) << at;
+    EXPECT_EQ(negated.adopted().plan.negated[0], 1) << at;
     expect_tiers_match(
         negated, oracle::TermWalkConv2d(plus, 2, config, stride, 1).run(qimg),
         qimg, "+128 weight" + at);
@@ -413,7 +413,7 @@ TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
   runtime::set_num_threads(1);
 }
 
-// --- Artifact-adopted plans (zero-copy mmap views) -------------------------
+// --- Artifact-adopted plans ------------------------------------------------
 
 TEST(ShiftKernelDiffTest, ArtifactPlansRunEveryTierBitIdentical) {
   TierGuard guard;
@@ -428,10 +428,9 @@ TEST(ShiftKernelDiffTest, ArtifactPlansRunEveryTierBitIdentical) {
                            ".flnart";
   serialize::save_artifact(program, path);
   {
-    // mmap-backed load: the adopted plans' core streams are views into the
-    // mapping; the dense pack is built (and owned) by the adopting
-    // constructor. Every tier must match the weights-built
-    // network's scalar tier byte for byte.
+    // mmap-backed load: each int8 pack is copied out of the mapping and
+    // adopted. Every tier must match the weights-built network's scalar
+    // tier byte for byte.
     const serialize::ArtifactModel mapped = serialize::ArtifactModel::load(path);
     support::Rng rng(107);
     Tensor image = Tensor::randn(Shape{3, 16, 16}, rng);

@@ -1,12 +1,16 @@
-// Property tests for the compiled shift-plan engine: over randomized layer
-// geometries, k_max values and pruning fractions (including all-pruned and
-// fully-dense extremes), the compiled plan path must produce BIT-IDENTICAL
-// outputs to the pre-plan term walk (the oracle in term_walk_oracle.hpp),
-// the engine's analytic census must equal the op counts the term walk
-// tallies accumulate by accumulate, and the plan itself must satisfy its
-// structural invariants (sorted filter prefix, no zero-sign entries, shifts
-// inside the barrel range, pruned filters with empty entry ranges). Weights
-// the int8 pack cannot hold must be refused at adoption with CheckFailure.
+// Property tests for the int8 pack, the stored form of a shift layer's
+// weights: over randomized layer geometries, k_max values and pruning
+// fractions (including all-pruned and fully-dense extremes), the adopted
+// plan must produce BIT-IDENTICAL outputs to the pre-plan term walk (the
+// oracle in term_walk_oracle.hpp) and the engine's analytic census must
+// equal the op counts the term walk tallies accumulate by accumulate.
+// compile_conv must write the words, live filters and negated bytes the
+// decomposition route writes, and adoption must derive from the words the
+// entries, per-tap counts and term count the decomposition gives -- on
+// random layers and on every shift layer of the eight Table-1 networks.
+// What the pack cannot hold is refused by compile_conv, and what the
+// kernels cannot run, or a plan that lies about itself, by adoption, with
+// CheckFailure.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +23,12 @@
 #include <utility>
 #include <vector>
 
-#include "core/decompose.hpp"
 #include "core/flightnn_transform.hpp"
+#include "core/quantize_model.hpp"
 #include "inference/shift_engine.hpp"
 #include "inference/shift_plan.hpp"
+#include "models/networks.hpp"
+#include "nn/conv2d.hpp"
 #include "quant/lightnn.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/check.hpp"
@@ -62,7 +68,7 @@ void prune_filters(Tensor& weights, double fraction) {
 
 // Whether every filter of `wq` fits the engine's int8 pack as it is or
 // negated: its weights, in units of 2^e_min, lie in [-128, 127] or
-// [-127, 128]. Adoption refuses any other filter.
+// [-127, 128]. compile_conv refuses any other filter.
 bool fits_int8_pack(const Tensor& wq, const quant::Pow2Config& config) {
   const std::int64_t filters = wq.shape()[0];
   const std::int64_t row = wq.numel() / filters;
@@ -81,50 +87,77 @@ bool fits_int8_pack(const Tensor& wq, const quant::Pow2Config& config) {
   return true;
 }
 
-// `plan` is one compile_conv returned, which the engine adopted.
-void check_plan_invariants(const inference::ShiftPlan& plan,
-                           const quant::Pow2Config& config,
-                           std::int64_t in_channels, std::int64_t kernel) {
-  ASSERT_EQ(plan.filter_begin.size(),
-            static_cast<std::size_t>(plan.filters) + 1);
-  EXPECT_EQ(plan.filter_begin.front(), 0);
-  EXPECT_EQ(plan.filter_begin.back(), plan.entries());
-  for (std::size_t f = 1; f < plan.filter_begin.size(); ++f) {
-    EXPECT_LE(plan.filter_begin[f - 1], plan.filter_begin[f]);
-  }
-  const auto n = static_cast<std::size_t>(plan.entries());
-  ASSERT_EQ(plan.channel.size(), n);
-  ASSERT_EQ(plan.ky.size(), n);
-  ASSERT_EQ(plan.kx.size(), n);
-  ASSERT_EQ(plan.shift.size(), n);
-  ASSERT_EQ(plan.sign.size(), n);
-  const int shift_levels = config.exponent_levels();
-  for (std::size_t e = 0; e < n; ++e) {
-    EXPECT_TRUE(plan.sign[e] == 1 || plan.sign[e] == -1)
-        << "zero-sign entry survived compilation at " << e;
-    EXPECT_GE(plan.shift[e], 0);
-    EXPECT_LT(plan.shift[e], shift_levels);
-    EXPECT_GE(plan.channel[e], 0);
-    EXPECT_LT(plan.channel[e], in_channels);
-    EXPECT_GE(plan.ky[e], 0);
-    EXPECT_LT(plan.ky[e], kernel);
-    EXPECT_GE(plan.kx[e], 0);
-    EXPECT_LT(plan.kx[e], kernel);
-  }
+quant::Pow2Config window(int e_min, int e_max) {
+  quant::Pow2Config config;
+  config.e_min = e_min;
+  config.e_max = e_max;
+  return config;
 }
 
-// Count nonzero elements of a quantized weight tensor, term by term: the
-// plan must contain exactly one entry per nonzero single-shift term element.
-std::int64_t expected_entries(const Tensor& wq, int k_max,
-                              const quant::Pow2Config& config) {
-  const auto decomposition = core::decompose_to_lightnn1(wq, k_max, config);
-  std::int64_t entries = 0;
-  for (const auto& term : decomposition.terms) {
-    for (const auto& element : term.elements) {
-      if (element.sign != 0) ++entries;
-    }
+// The kernel of OIHW weights, 1 for a linear layer's [out, in].
+std::int64_t kernel_of(const Tensor& wq) {
+  return wq.shape().rank() == 4 ? wq.shape()[2] : 1;
+}
+
+// Adopts a compiled plan of `wq` (stride 1, padding 0); throws CheckFailure
+// where adoption refuses it.
+inference::ShiftConv2d adopt(inference::CompiledPlan compiled, const Tensor& wq,
+                             const quant::Pow2Config& config) {
+  const Shape& s = wq.shape();
+  const inference::ShiftConvSpec spec{s[0], s[1], kernel_of(wq),
+                                      1,    0,    compiled.term_count};
+  return {std::move(compiled.plan), spec, config};
+}
+
+// compile_conv against the decomposition route (decompose_to_lightnn1, then
+// each weight summed back from its terms and packed): the same live
+// filters, words, negated bytes, entry count and term count; and the
+// adopted plan's per-tap entries and term count, derived from the words,
+// against the decomposition's. Returns whether both lowered; where one
+// refuses, the other must too, or adoption must refuse what it lowered.
+// `taps`, when given, receives the decomposition's entries per tap.
+bool expect_reference_lowering(const Tensor& wq, int k_max,
+                               const quant::Pow2Config& config,
+                               const std::string& what,
+                               std::vector<std::int64_t>* taps = nullptr) {
+  std::optional<inference::CompiledPlan> want;
+  std::vector<std::int64_t> want_taps;
+  try {
+    want = inference::oracle::reference_compile_conv(wq, k_max, config,
+                                                     &want_taps);
+  } catch (const support::CheckFailure&) {
   }
-  return entries;
+  std::optional<inference::CompiledPlan> got;
+  try {
+    got = inference::ShiftPlan::compile_conv(wq, k_max, config);
+  } catch (const support::CheckFailure&) {
+  }
+  if (!got || !want) {
+    EXPECT_FALSE(want) << what << ": compile_conv refused what the reference "
+                       << "lowers";
+    if (got) {
+      EXPECT_THROW((void)adopt(std::move(*got), wq, config),
+                   support::CheckFailure)
+          << what << ": lowered and adopted what the reference refuses";
+    }
+    return false;
+  }
+  const inference::ShiftPlan& g = got->plan;
+  const inference::ShiftPlan& w = want->plan;
+  EXPECT_EQ(got->term_count, want->term_count) << what;
+  EXPECT_EQ(g.entries(), w.entries()) << what;
+  EXPECT_EQ(g.k_max, k_max) << what;
+  EXPECT_EQ(g.live, w.live) << what;
+  EXPECT_EQ(g.negated, w.negated) << what;
+  EXPECT_EQ(g.words, w.words) << what;
+  const inference::AdoptedPlan adopted = inference::adopt_plan(
+      got->plan, wq.shape()[0], wq.shape()[1], kernel_of(wq), config);
+  EXPECT_EQ(adopted.term_count, want->term_count) << what;
+  if (!w.live.empty()) {
+    EXPECT_EQ(adopted.tap_entries, want_taps) << what;
+  }
+  if (taps != nullptr) *taps = std::move(want_taps);
+  return true;
 }
 
 TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
@@ -153,25 +186,21 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
           Tensor wq = quant::quantize_lightnn(w, k_max, config);
           prune_filters(wq, fraction);
           const Tensor image = Tensor::randn(Shape{in_ch, in_h, in_w}, rng);
+          const std::string what = "k=" + std::to_string(k_max) +
+                                   " kernel=" + std::to_string(kernel);
           if (!fits_int8_pack(wq, config)) {
             ++refused;
             EXPECT_THROW((void)inference::ShiftConv2d(wq, k_max, config,
                                                       stride, padding),
                          support::CheckFailure)
-                << "k=" << k_max << ": adoption must refuse weights int8 "
-                << "holds neither as they are nor negated";
+                << what << ": weights int8 holds neither as they are nor "
+                << "negated must be refused";
             continue;
           }
 
           const inference::ShiftConv2d engine(wq, k_max, config, stride,
                                               padding);
-          const inference::CompiledPlan compiled =
-              inference::ShiftPlan::compile_conv(wq, k_max, config);
-          check_plan_invariants(compiled.plan, config, in_ch, kernel);
-          EXPECT_EQ(compiled.plan.entries(),
-                    expected_entries(wq, k_max, config))
-              << "plan did not elide exactly the zero elements";
-
+          EXPECT_TRUE(expect_reference_lowering(wq, k_max, config, what));
           const auto q = inference::quantize_image(image, 8);
 
           inference::OpCounts ref_counts{};
@@ -183,8 +212,8 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
           expect_bitwise_equal(want, got, "conv");
           const inference::OpCounts plan_counts = engine.census(in_h, in_w);
           EXPECT_EQ(plan_counts.shifts, ref_counts.shifts)
-              << "k=" << k_max << " kernel=" << kernel << " stride=" << stride
-              << " pad=" << padding << " prune=" << fraction;
+              << what << " stride=" << stride << " pad=" << padding
+              << " prune=" << fraction;
           EXPECT_EQ(plan_counts.adds, ref_counts.adds);
         }
       }
@@ -202,7 +231,7 @@ TEST(ShiftPlanPropertyTest, ConvPlanThreadCountInvariant) {
   const quant::Pow2Config config;
   support::Rng rng(7);
   // At standard deviation 0.5 every filter fits the int8 pack; at 1 most
-  // hold both +-2 (+-128 units), which adoption refuses.
+  // hold both +-2 (+-128 units), which compile_conv refuses.
   Tensor w = Tensor::randn(Shape{9, 3, 3, 3}, rng, 0.0F, 0.5F);
   Tensor wq = quant::quantize_lightnn(w, 2, config);
   prune_filters(wq, 0.3);
@@ -242,18 +271,15 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
         ++refused;
         EXPECT_THROW((void)inference::oracle::linear_engine(wq, k_max, config),
                      support::CheckFailure)
-            << "k=" << k_max << ": adoption must refuse weights int8 holds "
-            << "neither as they are nor negated";
+            << "k=" << k_max << ": weights int8 holds neither as they are "
+            << "nor negated must be refused";
         continue;
       }
 
       const inference::ShiftConv2d engine =
           inference::oracle::linear_engine(wq, k_max, config);
-      const inference::CompiledPlan compiled =
-          inference::ShiftPlan::compile_conv(wq, k_max, config);
-      check_plan_invariants(compiled.plan, config, in_features, 1);
-      EXPECT_EQ(compiled.plan.entries(), expected_entries(wq, k_max, config));
-
+      EXPECT_TRUE(expect_reference_lowering(
+          wq, k_max, config, "linear k=" + std::to_string(k_max)));
       const auto q = inference::quantize_tensor(x, 8);
 
       inference::OpCounts ref_counts{};
@@ -271,78 +297,29 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
   EXPECT_LT(refused, cases);
 }
 
-// Hand-built single-entry plan: one +1.0 weight at element 0 must compile to
-// exactly one entry with shift = -e_min (2^0 needs exponent 0) and sign +1.
-// Its int8 pack would spend 9 words (one 3x3 channel group) on that one
-// entry, past the 4 per entry adoption allows, so the engine refuses it.
-TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
+// A pack holds a byte for every weight of a live filter, so a filter with
+// one nonzero weight in 576 costs its full 144 words: stored words bound
+// what adoption allocates, and no ratio of words to entries is refused.
+TEST(ShiftPlanPropertyTest, SparseLiveFiltersCompileAndRun) {
   const quant::Pow2Config config;
-  Tensor wq = Tensor::zeros(Shape{2, 1, 3, 3});
-  wq.data()[0] = 1.0F;  // filter 0, element (0, 0, 0); filter 1 pruned
-  const inference::ShiftPlan plan =
-      inference::ShiftPlan::compile_conv(wq, 1, config).plan;
-  EXPECT_THROW((void)inference::ShiftConv2d(wq, 1, config, 1, 1),
-               support::CheckFailure);
-  ASSERT_EQ(plan.entries(), 1);
-  EXPECT_EQ(plan.channel[0], 0);
-  EXPECT_EQ(plan.ky[0], 0);
-  EXPECT_EQ(plan.kx[0], 0);
-  EXPECT_EQ(plan.shift[0], -config.e_min);
-  EXPECT_EQ(plan.sign[0], 1);
-  EXPECT_EQ(plan.filter_begin[1], 1);
-  EXPECT_EQ(plan.filter_begin[2], 1) << "pruned filter must have empty range";
-}
-
-template <typename T>
-std::vector<T> stream(const inference::PlanArray<T>& array) {
-  return {array.begin(), array.end()};
-}
-
-quant::Pow2Config window(int e_min, int e_max) {
-  quant::Pow2Config config;
-  config.e_min = e_min;
-  config.e_max = e_max;
-  return config;
-}
-
-// Adopts a compiled plan of `wq` (stride 1, padding 0); throws CheckFailure
-// where adoption refuses it.
-void adopt(inference::CompiledPlan compiled, const Tensor& wq,
-           const quant::Pow2Config& config) {
-  const Shape& s = wq.shape();
-  const inference::ShiftConvSpec spec{s[0], s[1], s.rank() == 4 ? s[2] : 1,
-                                      1,    0,    compiled.term_count};
-  (void)inference::ShiftConv2d(std::move(compiled.plan), spec, config);
-}
-
-// compile_conv against the lowering it replaced (decompose_to_lightnn1, then
-// the term-by-term loop): the same streams, filter_begin and term count. A
-// weight past 128 units has no int8 byte, so compile_conv refuses it where
-// the reference lowers it and adoption refuses the reference's plan. Returns
-// whether the two lowered.
-bool expect_reference_lowering(const Tensor& wq, int k_max,
-                               const quant::Pow2Config& config,
-                               const std::string& what) {
-  inference::CompiledPlan want =
-      inference::oracle::reference_compile_conv(wq, k_max, config);
-  std::optional<inference::CompiledPlan> got;
-  try {
-    got = inference::ShiftPlan::compile_conv(wq, k_max, config);
-  } catch (const support::CheckFailure&) {
-    EXPECT_THROW(adopt(std::move(want), wq, config), support::CheckFailure)
-        << what << ": compile_conv refused weights whose reference plan loads";
-    return false;
+  const float unit = std::ldexp(1.0F, config.e_min);
+  Tensor wq = Tensor::zeros(Shape{8, 64, 3, 3});
+  const int values[] = {1, -3, 64, -128, 24, 96, -5, 128};
+  for (std::int64_t f = 0; f < 8; ++f) {
+    wq[f * 576 + (f * 73) % 576] =
+        static_cast<float>(values[static_cast<std::size_t>(f)]) * unit;
   }
-  EXPECT_EQ(got->term_count, want.term_count) << what;
-  EXPECT_EQ(got->plan.filters, want.plan.filters) << what;
-  EXPECT_EQ(stream(got->plan.filter_begin), stream(want.plan.filter_begin))
-      << what;
-  EXPECT_EQ(stream(got->plan.channel), stream(want.plan.channel)) << what;
-  EXPECT_EQ(stream(got->plan.ky), stream(want.plan.ky)) << what;
-  EXPECT_EQ(stream(got->plan.kx), stream(want.plan.kx)) << what;
-  EXPECT_EQ(stream(got->plan.shift), stream(want.plan.shift)) << what;
-  EXPECT_EQ(stream(got->plan.sign), stream(want.plan.sign)) << what;
-  return true;
+  ASSERT_TRUE(expect_reference_lowering(wq, 2, config, "sparse"));
+  const inference::ShiftConv2d engine(wq, 2, config, 1, 1);
+  EXPECT_EQ(engine.adopted().plan.live.size(), 8U);
+  EXPECT_EQ(engine.adopted().plan.words.size(), 8U * 16U * 9U);
+  support::Rng rng(11);
+  const auto q = inference::quantize_image(
+      Tensor::randn(Shape{64, 6, 7}, rng), 8);
+  inference::OpCounts ref_counts{};
+  const inference::oracle::TermWalkConv2d walk(wq, 2, config, 1, 1);
+  expect_bitwise_equal(walk.run(q, &ref_counts), engine.run(q), "sparse");
+  EXPECT_EQ(engine.census(6, 7).shifts, ref_counts.shifts);
 }
 
 // LightNN-1, -2 and -3 weights over kernels 1, 3 and 5, channel counts that
@@ -410,10 +387,103 @@ TEST(ShiftPlanPropertyTest, CompileConvEqualsReferenceLoweringForFLightNN) {
   }
 }
 
+// Every shift layer of the eight Table-1 networks at width 0.5, under
+// LightNN-1, LightNN-2 and FLightNN with pruned filters: compile_conv's pack
+// and adoption's derived counts against the decomposition, and the census
+// of the adopted engine against the per-tap entries the decomposition gives,
+// counted output position by output position.
+TEST(ShiftPlanPropertyTest, TableOneNetworksMatchTheDecomposition) {
+  int layers = 0;
+  int pruned = 0;
+  for (int id = 1; id <= 8; ++id) {
+    for (const int quantizer : {1, 2, 0}) {  // 0: FLightNN
+      models::BuildOptions build;
+      build.width_scale = 0.5F;
+      build.seed = static_cast<std::uint64_t>(id);
+      auto model = models::build_network(models::table1_network(id), build);
+      int k_max = quantizer;
+      quant::Pow2Config pow2;
+      if (quantizer == 0) {
+        const core::FLightNNConfig fl;
+        k_max = fl.k_max;
+        pow2 = fl.pow2;
+        core::install_flightnn(*model, fl);
+      } else {
+        core::install_lightnn(*model, quantizer);
+      }
+      for (const core::QuantizableLayer& layer :
+           core::quantizable_layers(*model)) {
+        const Tensor& w = layer.weight->value;
+        if (quantizer == 0) {
+          // Prune about a quarter of the filters and give a third of the
+          // rest k_i = 1: level thresholds at quantiles of the filter norms.
+          auto* transform =
+              dynamic_cast<core::FLightNNTransform*>(layer.transform);
+          ASSERT_NE(transform, nullptr);
+          const std::int64_t filters = w.shape()[0];
+          const std::int64_t row = w.numel() / filters;
+          std::vector<float> norms;
+          for (std::int64_t f = 0; f < filters; ++f) {
+            double sq = 0.0;
+            for (std::int64_t i = 0; i < row; ++i) {
+              sq += static_cast<double>(w[f * row + i]) * w[f * row + i];
+            }
+            norms.push_back(static_cast<float>(std::sqrt(sq)));
+          }
+          std::sort(norms.begin(), norms.end());
+          transform->set_thresholds(
+              {norms[norms.size() / 4], 0.3F * norms[norms.size() / 2]});
+        }
+        const Tensor wq = layer.transform->forward(w);
+        const std::string what = "network " + std::to_string(id) +
+                                 " quantizer " + std::to_string(quantizer) +
+                                 " layer " + std::to_string(layers);
+        ++layers;
+        std::vector<std::int64_t> taps;
+        ASSERT_TRUE(expect_reference_lowering(wq, k_max, pow2, what, &taps));
+        inference::CompiledPlan compiled =
+            inference::ShiftPlan::compile_conv(wq, k_max, pow2);
+        pruned += static_cast<int>(wq.shape()[0]) -
+                  static_cast<int>(compiled.plan.live.size());
+
+        const auto* conv = dynamic_cast<const nn::Conv2d*>(layer.layer);
+        const std::int64_t kernel = kernel_of(wq);
+        const std::int64_t stride = conv != nullptr ? conv->stride() : 1;
+        const std::int64_t padding = conv != nullptr ? conv->padding() : 0;
+        const std::int64_t side = conv != nullptr ? kernel + 2 * stride : 1;
+        const inference::ShiftConvSpec spec{wq.shape()[0], wq.shape()[1],
+                                            kernel,        stride,
+                                            padding,       compiled.term_count};
+        const inference::ShiftConv2d engine(std::move(compiled.plan), spec,
+                                            pow2);
+        std::int64_t census = 0;
+        for (std::int64_t t = 0; t < static_cast<std::int64_t>(taps.size());
+             ++t) {
+          const std::int64_t ky = t / kernel, kx = t % kernel;
+          const std::int64_t out = (side + 2 * padding - kernel) / stride + 1;
+          for (std::int64_t oy = 0; oy < out; ++oy) {
+            for (std::int64_t ox = 0; ox < out; ++ox) {
+              const std::int64_t iy = oy * stride + ky - padding;
+              const std::int64_t ix = ox * stride + kx - padding;
+              if (iy >= 0 && iy < side && ix >= 0 && ix < side) {
+                census += taps[static_cast<std::size_t>(t)];
+              }
+            }
+          }
+        }
+        EXPECT_EQ(engine.census(side, side).shifts, census) << what;
+      }
+    }
+  }
+  EXPECT_GT(layers, 100);
+  EXPECT_GT(pruned, 0);
+}
+
 // What no plan can hold is refused with CheckFailure, by compile_conv or by
 // adoption: a NaN or infinite weight, a fraction of 2^e_min, 11 units at
-// k_max 2 (8 + 4 - 1 takes three terms) and 192 units at k_max 3 (64 + 64 +
-// 64, past int8). The reference refuses each as well.
+// k_max 2 (8 + 4 - 1 takes three terms), 192 units at k_max 3 (64 + 64 +
+// 64, past int8) and +128 beside -128 in one filter. The reference refuses
+// each as well.
 TEST(ShiftPlanPropertyTest, CompileConvRefusesWeightsNoPlanHolds) {
   const quant::Pow2Config config;
   const float unit = std::ldexp(1.0F, config.e_min);
@@ -425,7 +495,8 @@ TEST(ShiftPlanPropertyTest, CompileConvRefusesWeightsNoPlanHolds) {
   };
   const auto refused = [&](const Tensor& wq, int k_max) {
     try {
-      adopt(inference::ShiftPlan::compile_conv(wq, k_max, config), wq, config);
+      (void)adopt(inference::ShiftPlan::compile_conv(wq, k_max, config), wq,
+                  config);
     } catch (const support::CheckFailure&) {
       return true;
     }
@@ -433,14 +504,15 @@ TEST(ShiftPlanPropertyTest, CompileConvRefusesWeightsNoPlanHolds) {
   };
   const auto reference_refused = [&](const Tensor& wq, int k_max) {
     try {
-      adopt(inference::oracle::reference_compile_conv(wq, k_max, config), wq,
-            config);
+      (void)adopt(inference::oracle::reference_compile_conv(wq, k_max, config),
+                  wq, config);
     } catch (const support::CheckFailure&) {
       return true;
     }
     return false;
   };
   EXPECT_FALSE(refused(layer(-128.0F * unit), 2)) << "a weight int8 holds";
+  EXPECT_FALSE(refused(layer(128.0F * unit), 2)) << "a negated filter";
   const struct {
     float weight;
     int k_max;
@@ -456,280 +528,216 @@ TEST(ShiftPlanPropertyTest, CompileConvRefusesWeightsNoPlanHolds) {
     EXPECT_TRUE(refused(layer(c.weight), c.k_max)) << c.what;
     EXPECT_TRUE(reference_refused(layer(c.weight), c.k_max)) << c.what;
   }
+  Tensor both = layer(128.0F * unit);
+  both[2] = -128.0F * unit;
+  EXPECT_TRUE(refused(both, 2)) << "+128 beside -128";
+  EXPECT_TRUE(reference_refused(both, 2)) << "+128 beside -128";
   EXPECT_THROW((void)inference::ShiftPlan::compile_conv(layer(unit), 2,
                                                         window(-62, 0)),
                support::CheckFailure)
-      << "a window check_plan refuses";
+      << "a window adoption refuses";
   EXPECT_THROW((void)inference::ShiftPlan::compile_conv(layer(unit), 0, config),
                support::CheckFailure)
       << "k_max 0";
 }
 
-// A well-formed hand-built plan: 2 filters over [5, 3, 3] (two channel
-// groups, the second holding one live channel), filter 1 pruned.
-inference::ShiftPlan dense_test_plan() {
-  inference::ShiftPlan plan;
-  plan.filters = 2;
-  // (channel, ky, kx, shift, sign): 2^6 - 2^0 = 63 at channel 4's tap
-  // (1, 2); -2^6 - 2^6 = -128 at channel 1's tap (0, 0); 2^3 = 8 at
-  // channel 3's tap (2, 1).
-  const int entries[][5] = {
-      {4, 1, 2, 6, 1}, {1, 0, 0, 6, -1}, {4, 1, 2, 0, -1},
-      {1, 0, 0, 6, -1}, {3, 2, 1, 3, 1}};
-  for (const auto& e : entries) {
-    plan.channel.push_back(e[0]);
-    plan.ky.push_back(static_cast<std::int16_t>(e[1]));
-    plan.kx.push_back(static_cast<std::int16_t>(e[2]));
-    plan.shift.push_back(static_cast<std::int8_t>(e[3]));
-    plan.sign.push_back(static_cast<std::int8_t>(e[4]));
-  }
-  for (const std::int64_t begin : {0, 5, 5}) plan.filter_begin.push_back(begin);
-  return plan;
+// 2 filters over [5, 3, 3] (two channel groups, the second holding one live
+// channel), filter 1 pruned. In units of 2^e_min: 63 = 2^6 - 2^0 at channel
+// 4's tap (1, 2), -128 = -2^6 - 2^6 at channel 1's tap (0, 0) and 8 = 2^3 at
+// channel 3's tap (2, 1); `plus` flips the -128 to +128.
+Tensor pack_test_weights(bool plus = false) {
+  const float unit = std::ldexp(1.0F, quant::Pow2Config{}.e_min);
+  Tensor wq = Tensor::zeros(Shape{2, 5, 3, 3});
+  wq[4 * 9 + 1 * 3 + 2] = 63.0F * unit;
+  wq[1 * 9 + 0] = (plus ? 128.0F : -128.0F) * unit;
+  wq[3 * 9 + 2 * 3 + 1] = 8.0F * unit;
+  return wq;
 }
 
-// The dense form rebuilds each weight as the sum of its entries, four
-// channels per word in [filter][group][ky][kx] order, skips the pruned
-// filter and keeps 128 * (sum of the weights) per live filter.
-TEST(ShiftPlanPropertyTest, DensePackRebuildsWeights) {
-  const inference::DensePack pack =
-      inference::pack_dense(dense_test_plan(), 5, 3, {});
-  EXPECT_EQ(pack.taps, 2 * 9);
-  ASSERT_EQ(pack.filters, std::vector<std::int32_t>{0});
-  ASSERT_EQ(pack.words.size(), 18U);
-  const auto byte_at = [&](std::int64_t channel, std::int64_t ky,
-                           std::int64_t kx) {
-    const auto word = static_cast<std::uint32_t>(
-        pack.words[static_cast<std::size_t>((channel / 4) * 9 + ky * 3 + kx)]);
-    return static_cast<std::int8_t>(word >> (8 * (channel % 4)));
-  };
-  EXPECT_EQ(byte_at(4, 1, 2), 63);
-  EXPECT_EQ(byte_at(1, 0, 0), -128);
-  EXPECT_EQ(byte_at(3, 2, 1), 8);
+// Byte `channel` of the pack word at tap (ky, kx) of a [5, 3, 3] filter.
+int byte_at(const std::vector<std::int32_t>& words, std::int64_t channel,
+            std::int64_t ky, std::int64_t kx) {
+  const auto word = static_cast<std::uint32_t>(
+      words[static_cast<std::size_t>((channel / 4) * 9 + ky * 3 + kx)]);
+  return static_cast<std::int8_t>(word >> (8 * (channel % 4)));
+}
+
+// compile_conv packs each weight as its byte, four channels per word in
+// [filter][group][ky][kx] order, skips the pruned filter and counts the
+// peel's terms; adoption derives 128 * (sum of the bytes) per live filter,
+// the entries per tap and the term count.
+TEST(ShiftPlanPropertyTest, PackHoldsEachWeightAsItsByte) {
+  const quant::Pow2Config config;
+  const inference::CompiledPlan compiled =
+      inference::ShiftPlan::compile_conv(pack_test_weights(), 2, config);
+  const inference::ShiftPlan& plan = compiled.plan;
+  EXPECT_EQ(plan.live, std::vector<std::int32_t>{0});
+  EXPECT_EQ(plan.negated, std::vector<std::uint8_t>{0});
+  EXPECT_EQ(plan.k_max, 2);
+  EXPECT_EQ(plan.entries(), 5);
+  EXPECT_EQ(compiled.term_count, 2);
+  ASSERT_EQ(plan.words.size(), 18U);
+  EXPECT_EQ(byte_at(plan.words, 4, 1, 2), 63);
+  EXPECT_EQ(byte_at(plan.words, 1, 0, 0), -128);
+  EXPECT_EQ(byte_at(plan.words, 3, 2, 1), 8);
   int nonzero = 0;
-  for (const std::int32_t word : pack.words) {
+  for (const std::int32_t word : plan.words) {
     for (int i = 0; i < 4; ++i) {
       nonzero += (static_cast<std::uint32_t>(word) >> (8 * i)) & 0xFFU ? 1 : 0;
     }
   }
   EXPECT_EQ(nonzero, 3);
-  ASSERT_EQ(pack.correction.size(), 1U);
-  EXPECT_EQ(pack.correction[0], 128 * (63 - 128 + 8));
-  EXPECT_EQ(pack.negated, std::vector<std::uint8_t>{0});
+  const inference::AdoptedPlan adopted =
+      inference::adopt_plan(plan, 2, 5, 3, config);
+  EXPECT_EQ(adopted.taps, 18);
+  EXPECT_EQ(adopted.correction,
+            std::vector<std::int32_t>{128 * (63 - 128 + 8)});
+  EXPECT_EQ(adopted.tap_entries,
+            (std::vector<std::int64_t>{2, 0, 0, 0, 0, 2, 0, 1, 0}));
+  EXPECT_EQ(adopted.term_count, 2);
 
   // A filter reaching +128 (and not -128) packs negated.
-  inference::ShiftPlan plus = dense_test_plan();
-  plus.sign[1] = 1;
-  plus.sign[3] = 1;
-  const inference::DensePack negated =
-      inference::pack_dense(plus, 5, 3, {});
+  const inference::ShiftPlan negated =
+      inference::ShiftPlan::compile_conv(pack_test_weights(true), 2, config)
+          .plan;
   EXPECT_EQ(negated.negated, std::vector<std::uint8_t>{1});
-  const auto negated_byte = [&](std::int64_t channel, std::int64_t ky,
-                                std::int64_t kx) {
-    const auto word = static_cast<std::uint32_t>(negated.words[static_cast<
-        std::size_t>((channel / 4) * 9 + ky * 3 + kx)]);
-    return static_cast<std::int8_t>(word >> (8 * (channel % 4)));
-  };
-  EXPECT_EQ(negated_byte(4, 1, 2), -63);
-  EXPECT_EQ(negated_byte(1, 0, 0), -128);
-  EXPECT_EQ(negated_byte(3, 2, 1), -8);
-  EXPECT_EQ(negated.correction[0], -128 * (63 + 128 + 8));
+  EXPECT_EQ(byte_at(negated.words, 4, 1, 2), -63);
+  EXPECT_EQ(byte_at(negated.words, 1, 0, 0), -128);
+  EXPECT_EQ(byte_at(negated.words, 3, 2, 1), -8);
+  EXPECT_EQ(inference::adopt_plan(negated, 2, 5, 3, config).correction,
+            std::vector<std::int32_t>{-128 * (63 + 128 + 8)});
 }
 
 // The adopting constructor checks every plan before anything indexes it,
-// whoever built it: its streams (check_plan), then each entry as pack_dense
-// takes it. Each hostile plan below must throw CheckFailure there (the
-// sanitizer legs run this case): no entry is used before its check, and the
-// census never sees the plan.
+// whoever built it. Each hostile plan below must throw CheckFailure there
+// (the sanitizer legs run this case), allocating nothing the plan's own
+// words do not pay for.
 TEST(ShiftPlanPropertyTest, AdoptionRejectsHostilePlans) {
-  // The default config's window is e_max - e_min = 6 shifts.
-  const auto adopt = [](const inference::ShiftPlan& plan,
-                        std::int64_t in_channels, std::int64_t kernel,
-                        const quant::Pow2Config& config = {}) {
-    const inference::ShiftConvSpec spec{plan.filters, in_channels, kernel, 1,
-                                        1, 0};
-    return inference::ShiftConv2d(plan, spec, config);
+  const quant::Pow2Config config;
+  const inference::ShiftPlan good =
+      inference::ShiftPlan::compile_conv(pack_test_weights(), 2, config).plan;
+  struct Geometry {
+    std::int64_t out_channels = 2, in_channels = 5, kernel = 3;
+    std::int64_t term_count = 2;
   };
-  ASSERT_NO_THROW((void)adopt(dense_test_plan(), 5, 3));
   const auto rejects = [&](const inference::ShiftPlan& plan,
-                           std::int64_t in_channels, std::int64_t kernel,
-                           const quant::Pow2Config& config = {}) {
+                           const Geometry& g = {},
+                           const quant::Pow2Config& window_config = {}) {
+    const inference::ShiftConvSpec spec{g.out_channels, g.in_channels,
+                                        g.kernel,       1,
+                                        1,              g.term_count};
     try {
-      (void)adopt(plan, in_channels, kernel, config);
+      (void)inference::ShiftConv2d(plan, spec, window_config);
     } catch (const support::CheckFailure&) {
       return true;
     }
     return false;
   };
-  {
-    const inference::ShiftPlan plan = dense_test_plan();
-    EXPECT_TRUE(rejects(plan, 4, 3)) << "channel 4 >= in_channels 4";
-    EXPECT_TRUE(rejects(plan, 5, 2)) << "kx 2 >= kernel 2";
-    EXPECT_TRUE(rejects(plan, 0, 3)) << "no input channels";
+  ASSERT_FALSE(rejects(good));
+  const auto with = [&](auto mutate) {
+    inference::ShiftPlan plan = good;
+    mutate(plan);
+    return plan;
+  };
+  // Two live filters holding the good filter's words twice.
+  const auto twice = [&](std::int32_t first, std::int32_t second) {
+    return with([&](inference::ShiftPlan& p) {
+      p.live = {first, second};
+      p.words.insert(p.words.end(), good.words.begin(), good.words.end());
+      p.negated = {0, 0};
+      p.entry_count = 10;
+    });
+  };
+  EXPECT_FALSE(rejects(twice(0, 1), {2, 5, 3, 4})) << "two live filters";
+  EXPECT_TRUE(rejects(twice(1, 0), {2, 5, 3, 4})) << "live list unsorted";
+  EXPECT_TRUE(rejects(twice(0, 0), {2, 5, 3, 4})) << "live filter repeated";
+  EXPECT_TRUE(rejects(with([](auto& p) { p.live = {2}; })))
+      << "live filter at out_channels";
+  EXPECT_TRUE(rejects(with([](auto& p) { p.live = {-1}; })))
+      << "negative live filter";
+  EXPECT_TRUE(rejects(with([](auto& p) { p.negated = {2}; })))
+      << "negated byte 2";
+  EXPECT_TRUE(rejects(with([](auto& p) { p.negated = {}; })))
+      << "no negated byte";
+  EXPECT_TRUE(rejects(with([](auto& p) { p.words.pop_back(); })))
+      << "words one short";
+  EXPECT_TRUE(rejects(with([](auto& p) { p.words.push_back(0); })))
+      << "words one long";
+  // Channel 5's lane of the second group: past in_channels 5.
+  EXPECT_TRUE(rejects(with([](auto& p) { p.words[9] |= 0x0100; })))
+      << "nonzero padding lane";
+  EXPECT_TRUE(rejects(with([](auto& p) {
+    std::fill(p.words.begin(), p.words.end(), 0);
+    p.entry_count = 0;
+  }), {2, 5, 3, 0})) << "live filter of zeros";
+  // 11 = 8 + 4 - 1 takes three terms; the stored count follows it.
+  EXPECT_TRUE(rejects(with([](auto& p) {
+    p.words[0] |= 11 << 16;
+    p.entry_count += 3;
+  }))) << "a weight past k_max";
+  EXPECT_TRUE(rejects(with([](auto& p) { p.k_max = 0; }))) << "k_max 0";
+  for (const std::int64_t off : {-1, 1}) {
+    EXPECT_TRUE(rejects(with([&](auto& p) { p.entry_count += off; })))
+        << "entry count off by " << off;
+    EXPECT_TRUE(rejects(good, {2, 5, 3, 2 + off}))
+        << "term count off by " << off;
   }
-  for (const std::int8_t shift : {7, 61, -1}) {
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.shift[4] = shift;
-    EXPECT_TRUE(rejects(plan, 5, 3))
-        << "shift " << int{shift} << " outside the window [0, 6]";
-  }
-  for (const std::int8_t sign : {0, 2, -100}) {
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.sign[4] = sign;
-    EXPECT_TRUE(rejects(plan, 5, 3)) << "sign " << int{sign};
-  }
-  for (const auto& spans : {std::vector<std::int64_t>{0, 9, 9},
-                            std::vector<std::int64_t>{0, 3, 2},
-                            std::vector<std::int64_t>{0, 6, 5},
-                            std::vector<std::int64_t>{-1, 5, 5},
-                            std::vector<std::int64_t>{0, 5}}) {
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.filter_begin = {};
-    for (const std::int64_t begin : spans) plan.filter_begin.push_back(begin);
-    EXPECT_TRUE(rejects(plan, 5, 3)) << "a prefix that is no span of the stream";
-  }
-  {
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.kx.push_back(0);
-    EXPECT_TRUE(rejects(plan, 5, 3)) << "streams of unequal length";
-  }
+  EXPECT_TRUE(rejects(good, {2, 4, 3, 2})) << "in_channels 4: 9 taps";
+  EXPECT_TRUE(rejects(good, {2, 5, 2, 2})) << "kernel 2: 8 taps";
+  EXPECT_TRUE(rejects(good, {2, 0, 3, 2})) << "no input channels";
+  EXPECT_TRUE(rejects(good, {0, 5, 3, 2})) << "no filters";
+  // A word count past int64 (2^22 groups x 2^48 taps) refuses before
+  // anything is sized from it; an all-pruned plan of a 2^15 x 2^15 kernel
+  // loads without its 2^30-entry tap table.
+  const std::int64_t huge = std::int64_t{1} << 24;
+  inference::ShiftPlan pruned;
+  pruned.k_max = 2;
+  EXPECT_TRUE(rejects(pruned, {2, huge, huge, 0})) << "word count past int64";
+  EXPECT_TRUE(rejects(good, {2, huge, huge, 2})) << "word count past int64";
+  EXPECT_FALSE(rejects(pruned, {2, 1, std::int64_t{1} << 15, 0}))
+      << "an all-pruned plan";
+  EXPECT_TRUE(rejects(with([](auto& p) {
+    p.live = {};
+    p.words = {};
+    p.negated = {};
+  }), {2, 5, 3, 0})) << "an all-pruned plan claiming 5 entries";
   // The exponent window is checked in int64, and its ends bound the scale
   // exponent run() forms from it.
-  EXPECT_TRUE(rejects(dense_test_plan(), 5, 3, window(-62, 0)))
-      << "a window of 62 shifts";
-  EXPECT_TRUE(rejects(dense_test_plan(), 5, 3, window(194, 200)))
-      << "e_max past 127";
-  EXPECT_TRUE(rejects(dense_test_plan(), 5, 3,
+  EXPECT_TRUE(rejects(good, {}, window(-62, 0))) << "a window of 62 shifts";
+  EXPECT_TRUE(rejects(good, {}, window(194, 200))) << "e_max past 127";
+  EXPECT_TRUE(rejects(good, {},
                       window(std::numeric_limits<int>::min(),
                              std::numeric_limits<int>::max())))
       << "a window whose width overflows int";
 }
 
-// pack_dense's own refusals, on plans check_plan accepts: weights int8
-// holds neither as they are nor negated, a filter whose int32 sums could
-// wrap, and a pack that would outgrow the plan. Each throws CheckFailure
-// naming what it breaks, without allocating past O(entries + filters); the
-// adopting constructor, and so every load path, throws with it.
-TEST(ShiftPlanPropertyTest, PackDenseRefusesWhatInt8CannotHold) {
-  ASSERT_NO_THROW((void)inference::pack_dense(dense_test_plan(), 5, 3, {}));
-  const auto refusal = [](const inference::ShiftPlan& plan,
-                          std::int64_t in_channels, std::int64_t kernel,
-                          const quant::Pow2Config& config = {}) {
+// 127 x sum |w| against INT32_MAX, at the bound's exact edge: 132,104
+// weights of -128 (one term each at window [-7, 0]) fit, one more does not.
+TEST(ShiftPlanPropertyTest, AdoptionRefusesAFilterPastTheInt32Bound) {
+  const quant::Pow2Config seven = window(-7, 0);
+  const auto row_of = [&](std::int64_t channels) {
+    Tensor wq(Shape{1, channels});
+    wq.fill(-1.0F);
+    return inference::ShiftPlan::compile_conv(wq, 1, seven);
+  };
+  const auto message = [&](std::int64_t channels) {
+    inference::CompiledPlan compiled = row_of(channels);
     try {
-      (void)inference::pack_dense(plan, in_channels, kernel, config);
+      (void)inference::adopt_plan(std::move(compiled.plan), 1, channels, 1,
+                                  seven);
     } catch (const support::CheckFailure& failure) {
-      const inference::ShiftConvSpec spec{plan.filters, in_channels, kernel,
-                                          1,            0,           0};
-      EXPECT_THROW((void)inference::ShiftConv2d(plan, spec, config),
-                   support::CheckFailure);
       return std::string(failure.what());
     }
     return std::string();
   };
-  const auto names = [](const std::string& message, const char* part) {
-    return message.find(part) != std::string::npos;
-  };
-  {
-    // +128 at channel 1 beside -128 at channel 2: int8 holds the filter
-    // neither as it is nor negated.
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.sign[1] = 1;
-    plan.sign[3] = 1;
-    for (int e = 0; e < 2; ++e) {
-      plan.channel.push_back(2);
-      plan.ky.push_back(0);
-      plan.kx.push_back(0);
-      plan.shift.push_back(6);
-      plan.sign.push_back(-1);
-    }
-    plan.filter_begin = {};
-    for (const std::int64_t begin : {0, 7, 7}) plan.filter_begin.push_back(begin);
-    EXPECT_TRUE(names(refusal(plan, 5, 3),
-                      "filter 0 holds weights in [-128, 128]"))
-        << "a +128 weight beside a -128 weight";
-  }
-  {
-    inference::ShiftPlan plan = dense_test_plan();
-    plan.sign[1] = 1;
-    plan.sign[3] = 1;
-    plan.channel[4] = 1;
-    plan.ky[4] = 0;
-    plan.kx[4] = 0;
-    plan.shift[4] = 0;
-    EXPECT_TRUE(names(refusal(plan, 5, 3), "filter 0 holds weights"))
-        << "a +129 weight";
-  }
-  // Many shift-61 entries on one tap, valid under a 61-shift window: the
-  // sum must refuse before it can overflow int64.
-  quant::Pow2Config wide;
-  wide.e_min = -61;
-  wide.e_max = 0;
-  inference::ShiftPlan big;
-  big.filters = 1;
-  for (int e = 0; e < 8; ++e) {
-    big.channel.push_back(0);
-    big.ky.push_back(0);
-    big.kx.push_back(0);
-    big.shift.push_back(61);
-    big.sign.push_back(1);
-  }
-  for (const std::int64_t begin : {0, 8}) big.filter_begin.push_back(begin);
-  EXPECT_TRUE(names(refusal(big, 1, 1, wide), "filter 0 sums a weight past"));
-
-  // 127 x sum |w| against INT32_MAX, at the bound's exact edge: 132,104
-  // weights of -128 (one shift-7 entry each) fit, one more does not.
-  quant::Pow2Config seven;
-  seven.e_min = -7;
-  const auto row_of = [](std::int32_t channels) {
-    inference::ShiftPlan plan;
-    plan.filters = 1;
-    for (std::int32_t c = 0; c < channels; ++c) {
-      plan.channel.push_back(c);
-      plan.ky.push_back(0);
-      plan.kx.push_back(0);
-      plan.shift.push_back(7);
-      plan.sign.push_back(-1);
-    }
-    for (const std::int64_t begin : {0, channels}) {
-      plan.filter_begin.push_back(begin);
-    }
-    return plan;
-  };
-  EXPECT_EQ(refusal(row_of(132104), 132104, 1, seven), "")
-      << "127 * 128 * 132104 fits int32";
-  EXPECT_TRUE(names(refusal(row_of(132105), 132105, 1, seven),
-                    "filter 0's sum of |w| is 16909440"))
+  EXPECT_EQ(message(132104), "") << "127 * 128 * 132104 fits int32";
+  EXPECT_NE(message(132105).find("filter 0's sum of |w| is 16909440"),
+            std::string::npos)
       << "127 * 128 * 132105 passes INT32_MAX";
-
-  // Geometry the entries cannot pay for. With every filter pruned the word
-  // count overflows int64 (2^22 groups x 2^48 taps); with one entry a
-  // 2^15 x 2^15 kernel asks for 2^30 words. Both refuse before allocating.
-  inference::ShiftPlan pruned;
-  pruned.filters = 2;
-  for (const std::int64_t begin : {0, 0, 0}) pruned.filter_begin.push_back(begin);
-  const std::int64_t huge = std::int64_t{1} << 24;
-  EXPECT_TRUE(names(refusal(pruned, huge, huge), "words per plan entry"))
-      << "a word count past int64";
-  const inference::DensePack empty = inference::pack_dense(pruned, 5, 3, {});
-  EXPECT_TRUE(empty.filters.empty()) << "an all-pruned plan of sane geometry";
-  EXPECT_TRUE(empty.words.empty());
-  inference::ShiftPlan one;
-  one.filters = 1;
-  one.channel.push_back(0);
-  one.ky.push_back(0);
-  one.kx.push_back(0);
-  one.shift.push_back(0);
-  one.sign.push_back(1);
-  for (const std::int64_t begin : {0, 1}) one.filter_begin.push_back(begin);
-  EXPECT_EQ(refusal(one, 4, 1), "") << "one word for one entry";
-  EXPECT_TRUE(names(refusal(one, 1, std::int64_t{1} << 15),
-                    "words per plan entry"))
-      << "2^30 words for one entry";
-  EXPECT_TRUE(names(refusal(one, 17, 1), "words per plan entry"))
-      << "5 words for one entry";
 }
 
 // Bias handling must match the oracle's (bias folds in after
-// dequantization, independent of the entry walk).
+// dequantization, independent of the pack).
 TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const quant::Pow2Config config;
   support::Rng rng(5);

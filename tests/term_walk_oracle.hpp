@@ -4,13 +4,13 @@
 // decomposes the quantized weights into single power-of-two terms (Fig. 3),
 // groups the terms by output filter in decomposition order, and walks every
 // term's full element vector -- zero elements and all -- accumulating each
-// in-bounds tap as a shift-and-signed-add. The compiled ShiftPlan regroups
-// exactly these integer addends, so ShiftConv2d::run -- for a linear layer,
-// the 1x1 conv run_linear drives -- must match this walk bit for bit, op
-// counts included (DESIGN.md §9). It is slow by design and exists only here,
-// for the property suites, beside the lowering compile_conv replaced
-// (reference_compile_conv), which the plan tests and the ShiftPlan fuzz
-// harness hold compile_conv to.
+// in-bounds tap as a shift-and-signed-add. The int8 pack's dot products add
+// exactly these integers, so ShiftConv2d::run -- for a linear layer, the
+// 1x1 conv run_linear drives -- must match this walk bit for bit, op counts
+// included (DESIGN.md §9). It is slow by design and exists only here, for
+// the property suites, beside the decomposition route to a plan
+// (reference_compile_conv), which the plan tests hold compile_conv and
+// adoption's derived counts to.
 
 #include <algorithm>
 #include <atomic>
@@ -43,16 +43,20 @@ inline std::vector<std::vector<std::size_t>> terms_by_filter(
   return filter_terms;
 }
 
-// The lowering ShiftPlan::compile_conv replaced, kept as its reference:
-// decompose the weights (Fig. 3), group the terms by filter in decomposition
-// order, and stream each term's nonzero elements out with push_back. Takes
-// OIHW or [out, in] weights, as compile_conv does, and returns the plan and
-// the decomposition's term count. Throws CheckFailure where
-// decompose_to_lightnn1 or the old lowering did; a plan it returns may
-// still be one adoption refuses.
+// The decomposition route to a plan, kept as compile_conv's reference:
+// decompose the weights (Fig. 3), sum each weight's terms back in units of
+// 2^e_min, count each nonzero term element as one entry, and pack every
+// filter with an entry four channels per word, negated when it reaches
+// +128. Takes OIHW or [out, in] weights, as compile_conv does, and returns
+// the plan and the decomposition's term count; `tap_entries`, when given,
+// receives the entries at each [ky][kx] tap over all filters, which
+// adoption derives for the census. Throws CheckFailure where
+// decompose_to_lightnn1 does, and for a filter int8 holds neither as it is
+// nor negated; a plan it returns may still be one adoption refuses.
 inline CompiledPlan reference_compile_conv(
     const tensor::Tensor& quantized_weights, int k_max,
-    const quant::Pow2Config& config) {
+    const quant::Pow2Config& config,
+    std::vector<std::int64_t>* tap_entries = nullptr) {
   const tensor::Shape& s = quantized_weights.shape();
   FLIGHTNN_CHECK(s.rank() == 4 || s.rank() == 2,
                  "reference_compile_conv: OIHW or [out, in] weights required");
@@ -64,30 +68,57 @@ inline CompiledPlan reference_compile_conv(
                  "reference_compile_conv: bad conv geometry ", in_channels,
                  "x", kernel);
   const auto filters = static_cast<std::int64_t>(decomposition.filter_k.size());
+  const std::int64_t kk = kernel * kernel;
+  const std::int64_t row = in_channels * kk;
   CompiledPlan compiled;
   compiled.term_count = decomposition.term_count();
   ShiftPlan& plan = compiled.plan;
-  plan.filters = filters;
-  plan.filter_begin.push_back(0);
-  const std::int64_t kk = kernel * kernel;
-  for (const std::vector<std::size_t>& terms :
-       terms_by_filter(decomposition, filters)) {
-    for (const std::size_t t : terms) {
-      const auto& elements = decomposition.terms[t].elements;
-      for (std::size_t e = 0; e < elements.size(); ++e) {
-        const quant::Pow2Term w = elements[e];
-        if (w.sign == 0) continue;  // elided: zero elements never reach run()
-        const auto ei = static_cast<std::int64_t>(e);
-        plan.channel.push_back(static_cast<std::int32_t>(ei / kk));
-        plan.ky.push_back(static_cast<std::int16_t>((ei % kk) / kernel));
-        plan.kx.push_back(static_cast<std::int16_t>(ei % kernel));
-        plan.shift.push_back(
-            static_cast<std::int8_t>(static_cast<int>(w.exponent) - config.e_min));
-        plan.sign.push_back(w.sign);
+  plan.k_max = k_max;
+  std::vector<std::int64_t> taps(static_cast<std::size_t>(kk), 0);
+  std::vector<std::int64_t> units(static_cast<std::size_t>(filters * row), 0);
+  std::vector<char> has_entry(static_cast<std::size_t>(filters), 0);
+  for (const core::Pow2FilterTerm& term : decomposition.terms) {
+    for (std::size_t e = 0; e < term.elements.size(); ++e) {
+      const quant::Pow2Term w = term.elements[e];
+      if (w.sign == 0) continue;  // elided: zero elements are no entries
+      const auto ei = static_cast<std::int64_t>(e);
+      std::int64_t& u = units[static_cast<std::size_t>(term.filter * row + ei)];
+      u += w.sign * (std::int64_t{1} << (static_cast<int>(w.exponent) -
+                                        config.e_min));
+      FLIGHTNN_CHECK(u >= -(std::int64_t{1} << kMaxShift) &&
+                         u <= (std::int64_t{1} << kMaxShift),
+                     "reference_compile_conv: a weight past 2^", kMaxShift,
+                     " units");
+      ++plan.entry_count;
+      ++taps[static_cast<std::size_t>(ei % kk)];
+      has_entry[static_cast<std::size_t>(term.filter)] = 1;
+    }
+  }
+  const std::int64_t tap_words = (in_channels + 3) / 4 * kk;
+  for (std::int64_t f = 0; f < filters; ++f) {
+    if (has_entry[static_cast<std::size_t>(f)] == 0) continue;
+    const auto first = units.begin() + f * row;
+    const auto [lo, hi] = std::minmax_element(first, first + row);
+    const bool negate = *hi > 127;
+    FLIGHTNN_CHECK(*lo >= (negate ? -127 : -128) && *hi <= (negate ? 128 : 127),
+                   "reference_compile_conv: filter ", f,
+                   " holds weights int8 cannot hold");
+    plan.live.push_back(static_cast<std::int32_t>(f));
+    plan.negated.push_back(negate ? 1 : 0);
+    std::vector<std::uint32_t> words(static_cast<std::size_t>(tap_words), 0);
+    for (std::int64_t c = 0; c < in_channels; ++c) {
+      for (std::int64_t t = 0; t < kk; ++t) {
+        const std::int64_t u = first[c * kk + t];
+        const auto byte = static_cast<std::uint8_t>(negate ? -u : u);
+        words[static_cast<std::size_t>((c / 4) * kk + t)] |=
+            static_cast<std::uint32_t>(byte) << (8 * (c % 4));
       }
     }
-    plan.filter_begin.push_back(plan.entries());
+    for (const std::uint32_t word : words) {
+      plan.words.push_back(static_cast<std::int32_t>(word));
+    }
   }
+  if (tap_entries != nullptr) *tap_entries = std::move(taps);
   return compiled;
 }
 
