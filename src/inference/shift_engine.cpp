@@ -174,6 +174,21 @@ constexpr std::int64_t kMaxDenseCode =
 // measurement is at its use.
 constexpr double kDenseNsPerTapOutput = 0.05;
 
+// The pow2 activation scale exponent of a finite abs-max >= 0 at `q_max`
+// levels: ceil(log2(abs_max / q_max)), the quotient rounded to float as the
+// quantizers have always taken it. A quotient that underflows to zero (a
+// subnormal abs-max below about q_max * 2^-150, where the float log2 is -inf
+// and its int conversion undefined) is taken in double instead. No such
+// quotient lies within a relative 1/q_max of a power of two, so there the
+// result is the smallest e with abs_max <= q_max * 2^e.
+int scale_exponent(float abs_max, std::int64_t q_max) {
+  if (abs_max == 0.0F) return 0;
+  const float quotient = abs_max / static_cast<float>(q_max);
+  if (quotient > 0.0F) return static_cast<int>(std::ceil(std::log2(quotient)));
+  return static_cast<int>(std::ceil(std::log2(
+      static_cast<double>(abs_max) / static_cast<double>(q_max))));
+}
+
 // Shared core of the quantize functions: pow2 scale from the abs-max, values
 // rounded-to-nearest and clamped symmetric, max|q| cached on the way. `out`
 // is reused scratch: its value buffer grows to the largest layer once and is
@@ -189,11 +204,7 @@ FLIGHTNN_COLD_ALLOC FLIGHTNN_ALIGNED void quantize_values_into(
   FLIGHTNN_CHECK(std::isfinite(abs_max),
                  "quantize: input holds a non-finite value (abs-max ", abs_max,
                  ")");
-  int scale_exp = 0;
-  if (abs_max > 0.0F) {
-    scale_exp = static_cast<int>(
-        std::ceil(std::log2(abs_max / static_cast<float>(q_max))));
-  }
+  const int scale_exp = scale_exponent(abs_max, q_max);
   // The scale is a power of two, so dividing by it and multiplying by its
   // reciprocal are the same correctly-rounded value -- use the multiply.
   const float inv_scale = std::ldexp(1.0F, -scale_exp);
@@ -256,11 +267,7 @@ FLIGHTNN_ALIGNED void fake_quantize(tensor::Tensor& x, int bits) {
   FLIGHTNN_CHECK(std::isfinite(abs_max),
                  "fake_quantize: input holds a non-finite value (abs-max ",
                  abs_max, ")");
-  int scale_exp = 0;
-  if (abs_max > 0.0F) {
-    scale_exp = static_cast<int>(
-        std::ceil(std::log2(abs_max / static_cast<float>(q_max))));
-  }
+  const int scale_exp = scale_exponent(abs_max, q_max);
   float* values = x.data();
   const std::int64_t n = x.numel();
   const float scale = std::ldexp(1.0F, scale_exp);

@@ -221,7 +221,8 @@ inference::NetworkProgram parse_artifact(const std::uint8_t* data,
 // A deployable model bound to its backing artifact bytes. Owns the mapping
 // (mmap on POSIX, aligned heap elsewhere or via load_buffer) and the
 // executable network built from it; the network keeps its own copy of the
-// int8 packs, so it never reads the mapping again. Move-only.
+// int8 packs, so it never reads the mapping again, and `load` drops the
+// mapping's pages from the resident set once the network is built. Move-only.
 class ArtifactModel {
  public:
   // mmap `path` read-only, check it and adopt its program.
@@ -244,7 +245,8 @@ class ArtifactModel {
   [[nodiscard]] std::int64_t input_h() const { return input_h_; }
   [[nodiscard]] std::int64_t input_w() const { return input_w_; }
 
-  // Backing bytes: the artifact as loaded.
+  // Backing bytes: the artifact as loaded. After `load`, a read faults the
+  // file's pages back in.
   [[nodiscard]] const std::uint8_t* data() const { return mapping_->data(); }
   [[nodiscard]] std::size_t size() const { return mapping_->size(); }
 

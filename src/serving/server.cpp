@@ -5,6 +5,7 @@
 
 #include "support/annotations.hpp"
 #include "support/check.hpp"
+#include "tensor/buffer_pool.hpp"
 
 namespace flightnn::serving {
 
@@ -146,6 +147,7 @@ void Server::batcher_loop() {
       histogram.resize(static_cast<std::size_t>(fused_images) + 1, 0);
     }
     ++histogram[static_cast<std::size_t>(fused_images)];
+    stats_.batcher_pooled_bytes = tensor::pool::stats().cached_bytes;
   }
 }
 

@@ -35,6 +35,7 @@
 // BatchRunner::run of the same image (asserted by tests/serving_test).
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -80,6 +81,9 @@ struct ServerStats {
   // batch_size_histogram[k] = number of executed batches fusing exactly k
   // images (index 0 unused). Sized to the largest batch seen.
   std::vector<std::int64_t> batch_size_histogram;
+  // Bytes parked in the batcher thread's tensor pool after the last batch
+  // (tensor::pool::stats().cached_bytes on that thread).
+  std::size_t batcher_pooled_bytes = 0;
 };
 
 class Server {

@@ -236,6 +236,31 @@ TEST(ArtifactDifferential, MmapAndHeapLogitsAreMemcmpIdentical) {
   std::remove(path.c_str());
 }
 
+// load drops the mapping's pages from the resident set once the network is
+// built (for a file of 64 KiB and up, as VGG-7 w1.0's 84 KiB is); the mapping
+// stays, so data() still reads the file's bytes and re-parsing them gives
+// the program the file holds.
+TEST(ArtifactDifferential, DataReparsesToTheSameProgramAfterLoad) {
+  models::BuildOptions build;
+  build.classes = 10;
+  build.seed = 23;
+  auto model = models::build_network(models::table1_network(1), build);
+  core::install_lightnn(*model, 2);
+  const NetworkProgram program = inference::compile_program(*model, kInputShape);
+  const std::vector<std::uint8_t> blob = build_artifact(program);
+  ASSERT_GE(blob.size(), std::size_t{64} << 10);
+  const std::string path = unique_temp_path("artifact_reparse");
+  write_file(path, blob);
+  const ArtifactModel mapped = ArtifactModel::load(path);
+  ASSERT_EQ(mapped.size(), blob.size());
+  EXPECT_EQ(std::memcmp(mapped.data(), blob.data(), blob.size()), 0);
+  EXPECT_EQ(build_artifact(parse_artifact(mapped.data(), mapped.size())), blob);
+  const QuantizedNetwork compiled = QuantizedNetwork::from_program(
+      inference::compile_program(*model, kInputShape));
+  EXPECT_EQ(logits_bytes(mapped.network(), 2), logits_bytes(compiled, 2));
+  std::remove(path.c_str());
+}
+
 // --- Parse: the int8 packs are copied out whole -----------------------------
 
 // The parsed plans are the compiled ones, byte for byte, and live in the

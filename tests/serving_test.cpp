@@ -444,5 +444,35 @@ TEST(ServingTest, BadRequestsAreRefusedAtAdmission) {
                "invalid_request");
 }
 
+// The batcher frees the request images it fuses, which clients made, and
+// the clients free the logits it makes: one-way traffic its tensor pool must
+// not park. 80 requests of 4 images, more than the 256 per size a count cap
+// once let the batcher keep, leave it holding no more than the activation
+// working set warm parked there.
+TEST(ServingTest, BatcherPoolHoldsOnlyTheWorkingSet) {
+  runtime::set_num_threads(1);
+  const auto network = make_network(kBaseSeed + 3);
+  const runtime::BatchRunner runner(network);
+  serving::ServerConfig config;
+  config.max_batch = 4;  // every request flushes on size
+  config.max_queue_delay_s = 10.0;
+  serving::Server server(runner, config);
+
+  constexpr int kRequests = 80;
+  for (int r = 0; r < kRequests; ++r) {
+    auto submission = server.submit(make_request(
+        static_cast<std::uint64_t>(r), 4,
+        kBaseSeed + 200 + static_cast<std::uint64_t>(r)));
+    ASSERT_EQ(submission.status, serving::SubmitStatus::Ok);
+    EXPECT_EQ(submission.result.get().logits.size(), 4U);
+  }
+  server.shutdown();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.batches, kRequests);
+  EXPECT_GT(stats.batcher_pooled_bytes, 0U);
+  EXPECT_LE(stats.batcher_pooled_bytes,
+            network.memory_plan()->activation_pool_bytes());
+}
+
 }  // namespace
 }  // namespace flightnn

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/decompose.hpp"
 #include "quant/lightnn.hpp"
@@ -64,6 +66,56 @@ TEST(QuantizeImageTest, FakeQuantizeInPlaceMatchesTwoStep) {
       }
     }
   }
+}
+
+// The scale exponent is defined for every finite abs-max. Where the float
+// quotient abs_max / q_max is nonzero it is ceil(log2) of that quotient, as
+// the quantizers have always taken it; where the quotient underflows (a
+// subnormal abs-max below about q_max * 2^-150, where the float log2 is -inf)
+// it is the smallest e with abs_max <= q_max * 2^e. Swept over every float
+// exponent at the mantissa edges and every bit width.
+TEST(QuantizeImageTest, ScaleExponentIsDefinedForEveryFiniteAbsMax) {
+  std::vector<float> abs_maxes = {std::numeric_limits<float>::max()};
+  for (int e = -149; e <= 127; ++e) {
+    const float p = std::ldexp(1.0F, e);
+    for (const float a : {std::nextafter(p, 0.0F), p,
+                          std::nextafter(p, std::numeric_limits<float>::max()),
+                          1.5F * p}) {
+      if (a > 0.0F) abs_maxes.push_back(a);
+    }
+  }
+  int underflowed = 0;
+  for (int bits = 2; bits <= 16; ++bits) {
+    const std::int64_t q_max = (std::int64_t{1} << (bits - 1)) - 1;
+    for (const float a : abs_maxes) {
+      const QuantizedActivations q = quantize_tensor(Tensor(Shape{1}, a), bits);
+      const float quotient = a / static_cast<float>(q_max);
+      if (quotient > 0.0F) {
+        EXPECT_EQ(q.scale_exp, static_cast<int>(std::ceil(std::log2(quotient))))
+            << "abs-max " << a << " bits " << bits;
+      } else {
+        ++underflowed;
+        const auto bound = static_cast<double>(q_max);
+        EXPECT_LE(a, std::ldexp(bound, q.scale_exp))
+            << "abs-max " << a << " bits " << bits;
+        EXPECT_GT(a, std::ldexp(bound, q.scale_exp - 1))
+            << "abs-max " << a << " bits " << bits;
+      }
+      EXPECT_LE(q.max_abs, q_max) << "abs-max " << a << " bits " << bits;
+    }
+  }
+  EXPECT_GT(underflowed, 0);
+
+  // The smallest subnormal at 8 bits: 2^-149 = 64 * 2^-155.
+  const float tiny = std::ldexp(1.0F, -149);
+  const QuantizedActivations q = quantize_tensor(Tensor(Shape{1}, tiny), 8);
+  EXPECT_EQ(q.scale_exp, -155);
+  ASSERT_EQ(q.values.size(), 1U);
+  EXPECT_EQ(q.values[0], 64);
+  Tensor x(Shape{1}, tiny);
+  const Tensor expected = dequantize(q);
+  fake_quantize(x, 8);
+  EXPECT_EQ(x[0], expected[0]);
 }
 
 // The central claim: the shift-add integer engine is bit-exact against real

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <barrier>
 #include <cmath>
 #include <thread>
 #include <utility>
@@ -138,17 +140,26 @@ TEST(TensorTest, CopyIsDeep) {
   EXPECT_EQ(a[0], 1.0F);
 }
 
-// One-way traffic between threads: every buffer acquired on one thread is
-// released on another (a serving client freeing logits the batcher made).
-// The releasing thread's pool keeps kMaxPooledPerSize of them and frees the
-// rest, however small they are.
-TEST(BufferPoolTest, CrossThreadReleasesPastTheCountCapAreFreed) {
-  constexpr std::size_t kNumel = 10;
-  constexpr std::size_t kExtra = 44;
+// Buffers acquired on a thread of their own, which exits, so the thread
+// that releases them is the only pool that sees them again.
+std::vector<std::vector<float>> foreign_buffers(std::size_t n,
+                                                std::size_t count) {
   std::vector<std::vector<float>> buffers;
-  for (std::size_t i = 0; i < pool::kMaxPooledPerSize + kExtra; ++i) {
-    buffers.push_back(pool::acquire(kNumel));
-  }
+  std::thread maker([&] {
+    for (std::size_t i = 0; i < count; ++i) buffers.push_back(pool::acquire(n));
+  });
+  maker.join();
+  return buffers;
+}
+
+// One-way traffic between threads (a serving client freeing the logits the
+// batcher made, the batcher freeing the images a client made): a thread
+// that never acquired the size parks none of them, however many arrive --
+// more here than the 256 per size a count cap once kept.
+TEST(BufferPoolTest, ForeignReleasesOfASizeNeverAcquiredAreFreed) {
+  constexpr std::size_t kNumel = 10;
+  constexpr std::size_t kBuffers = 300;
+  auto buffers = foreign_buffers(kNumel, kBuffers);
   pool::Stats released;
   std::thread releaser([&] {
     // A thread's pool comes up on first use; releases before that are freed.
@@ -157,9 +168,77 @@ TEST(BufferPoolTest, CrossThreadReleasesPastTheCountCapAreFreed) {
     released = pool::stats();
   });
   releaser.join();
-  EXPECT_EQ(released.releases, pool::kMaxPooledPerSize + kExtra);
-  EXPECT_EQ(released.cached_bytes,
-            pool::kMaxPooledPerSize * kNumel * sizeof(float));
+  EXPECT_EQ(released.releases, kBuffers);
+  EXPECT_EQ(released.cached_bytes, 0U);
+}
+
+// A thread parks at most the most it has had out at once, whichever
+// buffers come back first: its own or other threads'.
+TEST(BufferPoolTest, AThreadParksAtMostWhatItHadOut) {
+  constexpr std::size_t kNumel = 24;
+  constexpr std::size_t kOut = 5;
+  constexpr std::size_t kBytes = kOut * kNumel * sizeof(float);
+  for (const bool own_first : {false, true}) {
+    auto foreign = foreign_buffers(kNumel, 40);
+    std::size_t cached_after_first = 0;
+    pool::Stats after;
+    std::thread worker([&] {
+      pool::trim();
+      std::vector<std::vector<float>> own;
+      for (std::size_t i = 0; i < kOut; ++i) {
+        own.push_back(pool::acquire(kNumel));
+      }
+      auto& first = own_first ? own : foreign;
+      auto& second = own_first ? foreign : own;
+      for (auto& buffer : first) pool::release(std::move(buffer));
+      cached_after_first = pool::stats().cached_bytes;
+      for (auto& buffer : second) pool::release(std::move(buffer));
+      // The parked buffers serve the thread's next kOut acquires.
+      for (std::size_t i = 0; i < kOut; ++i) {
+        own.push_back(pool::acquire(kNumel));
+      }
+      after = pool::stats();
+    });
+    worker.join();
+    EXPECT_EQ(cached_after_first, kBytes) << "own first: " << own_first;
+    EXPECT_EQ(after.releases, kOut + 40) << "own first: " << own_first;
+    EXPECT_EQ(after.hits, kOut) << "own first: " << own_first;
+    EXPECT_EQ(after.cached_bytes, 0U) << "own first: " << own_first;
+  }
+}
+
+// BatchRunner::run_images when images change workers between batches: each
+// thread releases the buffer another thread acquired last round, then
+// acquires its own. A prewarm counts as demand, so from the first round on
+// every acquire hits the free list, and neither pool grows past one buffer.
+TEST(BufferPoolTest, ReleaseBeforeAcquireAcrossThreadsHitsTheList) {
+  constexpr std::size_t kNumel = 10;
+  constexpr int kRounds = 300;
+  std::vector<float> slot[2];
+  pool::Stats stats[2];
+  std::size_t most_cached[2] = {0, 0};
+  std::barrier sync(2);
+  const auto worker = [&](int t) {
+    pool::prewarm(kNumel, 1);
+    for (int r = 0; r < kRounds; ++r) {
+      sync.arrive_and_wait();  // both slots hold last round's buffers
+      std::vector<float> other = std::move(slot[1 - t]);
+      sync.arrive_and_wait();  // both threads have taken the other's
+      pool::release(std::move(other));
+      most_cached[t] = std::max(most_cached[t], pool::stats().cached_bytes);
+      slot[t] = pool::acquire(kNumel);
+    }
+    stats[t] = pool::stats();
+  };
+  std::thread first(worker, 0);
+  std::thread second(worker, 1);
+  first.join();
+  second.join();
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_EQ(stats[t].acquires, static_cast<std::uint64_t>(kRounds));
+    EXPECT_EQ(stats[t].hits, stats[t].acquires) << "thread " << t;
+    EXPECT_EQ(most_cached[t], kNumel * sizeof(float)) << "thread " << t;
+  }
 }
 
 }  // namespace
