@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "inference/shift_kernels.hpp"
+#include "quant/fixedpoint.hpp"
 #include "runtime/scratch_arena.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/annotations.hpp"
@@ -174,139 +175,40 @@ constexpr std::int64_t kMaxDenseCode =
 // measurement is at its use.
 constexpr double kDenseNsPerTapOutput = 0.05;
 
-// The pow2 activation scale exponent of a finite abs-max >= 0 at `q_max`
-// levels: ceil(log2(abs_max / q_max)), the quotient rounded to float as the
-// quantizers have always taken it. A quotient that underflows to zero (a
-// subnormal abs-max below about q_max * 2^-150, where the float log2 is -inf
-// and its int conversion undefined) is taken in double instead. No such
-// quotient lies within a relative 1/q_max of a power of two, so there the
-// result is the smallest e with abs_max <= q_max * 2^e.
-int scale_exponent(float abs_max, std::int64_t q_max) {
-  if (abs_max == 0.0F) return 0;
-  const float quotient = abs_max / static_cast<float>(q_max);
-  if (quotient > 0.0F) return static_cast<int>(std::ceil(std::log2(quotient)));
-  return static_cast<int>(std::ceil(std::log2(
-      static_cast<double>(abs_max) / static_cast<double>(q_max))));
-}
-
-// Shared core of the quantize functions: pow2 scale from the abs-max, values
-// rounded-to-nearest and clamped symmetric, max|q| cached on the way. `out`
-// is reused scratch: its value buffer grows to the largest layer once and is
-// never reallocated after (the warm path pre-reserves it). Every shift
-// op's input passes through it, and each quant op's through fake_quantize,
-// so both start on a cache line.
-FLIGHTNN_COLD_ALLOC FLIGHTNN_ALIGNED void quantize_values_into(
-    const float* data, std::int64_t n, int bits, float abs_max,
-    QuantizedActivations& out) {
-  const std::int64_t q_max = (1LL << (bits - 1)) - 1;
-  // Tensor::abs_max is NaN/Inf for a non-finite input; the scale exponent
-  // cast below would then be undefined.
-  FLIGHTNN_CHECK(std::isfinite(abs_max),
-                 "quantize: input holds a non-finite value (abs-max ", abs_max,
-                 ")");
-  const int scale_exp = scale_exponent(abs_max, q_max);
-  // The scale is a power of two, so dividing by it and multiplying by its
-  // reciprocal are the same correctly-rounded value -- use the multiply.
-  const float inv_scale = std::ldexp(1.0F, -scale_exp);
-  // Round-to-nearest-even via the 1.5*2^23 constant: exact for |v| < 2^22,
-  // guaranteed here because the scale covers the abs-max (|v| <= q_max <
-  // 2^15). Identical results to std::nearbyint in the default rounding
-  // mode, but branch-free, libm-free and vectorizable.
-  constexpr float kRound = 12582912.0F;  // 1.5 * 2^23
-  const auto q_lim = static_cast<std::int32_t>(q_max);
-
-  out.scale_exp = scale_exp;
-  out.values.resize(static_cast<std::size_t>(n));
-  std::int32_t max_abs_q = 0;
-  if (scale_exp >= -126) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float v = data[i] * inv_scale;
-      auto q = static_cast<std::int32_t>((v + kRound) - kRound);
-      q = std::min(q_lim, std::max(-q_lim, q));
-      out.values[static_cast<std::size_t>(i)] = q;
-      max_abs_q = std::max(max_abs_q, q < 0 ? -q : q);
-    }
-  } else {
-    // Pathologically tiny abs-max: 2^-scale_exp overflows float, so form the
-    // quotient in double (exact: 24-bit mantissa times a power of two).
-    const double inv = std::ldexp(1.0, -scale_exp);
-    for (std::int64_t i = 0; i < n; ++i) {
-      const auto v = static_cast<float>(static_cast<double>(data[i]) * inv);
-      auto q = static_cast<std::int32_t>((v + kRound) - kRound);
-      q = std::min(q_lim, std::max(-q_lim, q));
-      out.values[static_cast<std::size_t>(i)] = q;
-      max_abs_q = std::max(max_abs_q, q < 0 ? -q : q);
-    }
-  }
-  out.max_abs = max_abs_q;
-}
-
 }  // namespace
 
 std::int64_t QuantizedActivations::abs_max() const {
   return max_abs >= 0 ? max_abs : max_abs_value(values);
 }
 
-FLIGHTNN_ALIGNED void quantize_image_into(const tensor::Tensor& image,
-                                          int bits, QuantizedActivations& out) {
+// Grows out.values to the image once; the warm path pre-reserves it.
+FLIGHTNN_COLD_ALLOC FLIGHTNN_ALIGNED void quantize_image_into(
+    const tensor::Tensor& image, int bits, QuantizedActivations& out) {
   const auto& s = image.shape();
   FLIGHTNN_CHECK(s.rank() == 3 || (s.rank() == 4 && s[0] == 1),
                  "quantize_image: expected [C,H,W] or [1,C,H,W], got ",
                  s.to_string());
   FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "quantize_image: bits ", bits,
                  " outside [2, 16]");
+  const std::int32_t q_max = quant::FixedPointConfig{bits}.q_max();
   out.shape = s.rank() == 3 ? s : tensor::Shape{s[1], s[2], s[3]};
-  quantize_values_into(image.data(), image.numel(), bits, image.abs_max(), out);
+  out.scale_exp = quant::scale_exponent(image.abs_max(), q_max);
+  out.values.resize(static_cast<std::size_t>(image.numel()));
+  out.max_abs = quant::quantize_codes(image.data(), out.values.data(),
+                                      image.numel(), out.scale_exp, q_max);
 }
 
 FLIGHTNN_ALIGNED void fake_quantize(tensor::Tensor& x, int bits) {
   FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "fake_quantize: bits ", bits,
                  " outside [2, 16]");
-  const std::int64_t q_max = (1LL << (bits - 1)) - 1;
-  const float abs_max = x.abs_max();
-  FLIGHTNN_CHECK(std::isfinite(abs_max),
-                 "fake_quantize: input holds a non-finite value (abs-max ",
-                 abs_max, ")");
-  const int scale_exp = scale_exponent(abs_max, q_max);
-  float* values = x.data();
-  const std::int64_t n = x.numel();
-  const float scale = std::ldexp(1.0F, scale_exp);
-  if (scale_exp < -126) {
-    // Pathologically tiny abs-max; take the exact two-step path.
-    QuantizedActivations q;
-    quantize_values_into(values, n, bits, abs_max, q);
-    for (std::int64_t i = 0; i < n; ++i) {
-      values[i] = static_cast<float>(q.values[static_cast<std::size_t>(i)]) *
-                  scale;
-    }
-    return;
-  }
-  const float inv_scale = std::ldexp(1.0F, -scale_exp);
-  constexpr float kRound = 12582912.0F;  // 1.5 * 2^23, round-to-nearest-even
-  const auto lim = static_cast<float>(q_max);
-  // The rounded value is integral and |q| <= q_max < 2^15, so the float
-  // clamp and the rescale q * 2^scale_exp are both exact -- element-wise
-  // identical to quantize-then-dequantize.
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float v = values[i] * inv_scale;
-    float r = (v + kRound) - kRound;
-    r = std::min(lim, std::max(-lim, r));
-    values[i] = r * scale;
-  }
+  const std::int32_t q_max = quant::FixedPointConfig{bits}.q_max();
+  quant::fake_quantize_values(x.data(), x.data(), nullptr, x.numel(),
+                              quant::scale_exponent(x.abs_max(), q_max), q_max);
 }
 
 QuantizedActivations quantize_image(const tensor::Tensor& image, int bits) {
   QuantizedActivations out;
   quantize_image_into(image, bits, out);
-  return out;
-}
-
-QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits) {
-  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "quantize_tensor: bits ", bits,
-                 " outside [2, 16]");
-  QuantizedActivations out;
-  out.shape = x.shape();
-  quantize_values_into(x.data(), x.numel(), bits, x.abs_max(), out);
   return out;
 }
 
@@ -316,9 +218,9 @@ tensor::Tensor dequantize(const QuantizedActivations& activations) {
                  "dequantize: ", activations.values.size(),
                  " values do not fill shape ", activations.shape.to_string());
   tensor::Tensor out(activations.shape);
-  const float scale = std::ldexp(1.0F, activations.scale_exp);
   for (std::int64_t i = 0; i < out.numel(); ++i) {
-    out[i] = static_cast<float>(activations.values[static_cast<std::size_t>(i)]) * scale;
+    out[i] = quant::scale_code(
+        activations.values[static_cast<std::size_t>(i)], activations.scale_exp);
   }
   return out;
 }
@@ -401,7 +303,13 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   // because the caller blocks inside parallel_for and slots are never
   // shared between live kernels.
   runtime::ScratchArena& arena = runtime::ScratchArena::current();
-  const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
+  // The sums' scale 2^out_exp; off normal_scale a float 2^out_exp would
+  // underflow or overflow, and the sums take the quantizer's exact product.
+  // The float loop stays for normal scales: one loop scaling every sum in
+  // double read latency_ms 2-4% higher on all four perf-ledger workloads.
+  const int out_exp = input.scale_exp + config_.e_min;
+  const bool exact = !quant::normal_scale(out_exp);
+  const float scale = std::ldexp(1.0F, out_exp);
   tensor::Tensor output =
       tensor::Tensor::uninitialized(tensor::Shape{out_channels_, out_h, out_w});
   const auto bias_at = [&](std::int64_t f) {
@@ -426,7 +334,7 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
     }
   }
   // A pruned filter's plane is its bias: what dequantizing its zero
-  // accumulator gives.
+  // accumulator gives (+0 + bias).
   const std::vector<std::int32_t>& filters = pack_.plan.live;
   const auto live = static_cast<std::int64_t>(filters.size());
   for (std::int64_t f = 0, next = 0; f < out_channels_; ++f) {
@@ -435,8 +343,7 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
       continue;
     }
     float* out_plane = output.data() + f * out_hw;
-    std::fill(out_plane, out_plane + out_hw,
-              static_cast<float>(std::int32_t{0}) * scale + bias_at(f));
+    std::fill(out_plane, out_plane + out_hw, 0.0F + bias_at(f));
   }
   // The kernel leaves each live filter's int32 sums in its output plane;
   // dequantize them in place (a separate multiply and add). A negated
@@ -445,9 +352,19 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   const auto dequant_in_place = [&](std::int64_t i_live) {
     const auto at = static_cast<std::size_t>(i_live);
     const std::int64_t f = filters[at];
-    const float s = pack_.plan.negated[at] != 0 ? -scale : scale;
+    const bool negated = pack_.plan.negated[at] != 0;
     const float b = bias_at(f);
     float* out_plane = output.data() + f * out_hw;
+    if (exact) {
+      for (std::int64_t i = 0; i < out_hw; ++i) {
+        std::int32_t acc = 0;
+        std::memcpy(&acc, out_plane + i, sizeof acc);
+        const float v = quant::scale_code(acc, out_exp);
+        out_plane[i] = (negated ? -v : v) + b;
+      }
+      return;
+    }
+    const float s = negated ? -scale : scale;
     for (std::int64_t i = 0; i < out_hw; ++i) {
       std::int32_t acc = 0;
       std::memcpy(&acc, out_plane + i, sizeof acc);

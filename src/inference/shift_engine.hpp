@@ -26,6 +26,12 @@
 // as the artifact load path does. The pre-plan term walk lives in tests/ as
 // the bit-exact oracle the property suites compare against.
 //
+// Activations are quantized by the one fixed-point quantizer ActivationQuant
+// trains with (quant/fixedpoint.hpp), exact at the exponent it picks: off
+// quant::normal_scale its loops work in double, and run() and dequantize
+// scale their outputs by its exact q * 2^e (quant::scale_code), rounded
+// once to float.
+//
 // Like the paper's FPGA evaluation (Sec. 5.2), the engine operates at layer
 // granularity -- convolutions dominate >90% of CNN compute, so the largest
 // conv layer is the implementation target.
@@ -55,12 +61,9 @@ struct QuantizedActivations {
 };
 
 // Symmetric `bits`-bit quantization with a power-of-two scale covering the
-// abs-max. `image` must be [C, H, W] or [1, C, H, W].
+// abs-max. `image` must be [C, H, W] or [1, C, H, W] (a flat vector of n
+// values: its [n, 1, 1] view) and finite.
 QuantizedActivations quantize_image(const tensor::Tensor& image, int bits = 8);
-
-// Same quantization for a tensor of any shape (rank preserved), e.g. a flat
-// feature vector to check a 1x1 engine against.
-QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits = 8);
 
 // quantize_image into `out`, reusing its value buffer (no heap traffic once
 // the buffer has reached its high-water size): what the compiled network's
@@ -70,14 +73,14 @@ QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits = 8);
 void quantize_image_into(const tensor::Tensor& image, int bits,
                          QuantizedActivations& out);
 
-// Dequantize back to float (for comparisons).
+// Dequantize back to float (for comparisons), exactly (quant::scale_code).
 tensor::Tensor dequantize(const QuantizedActivations& activations);
 
-// dequantize(quantize_tensor(x, bits)) fused into one float pass over `x`,
-// in place: snaps every element to the `bits`-bit pow2-scaled grid without
-// materializing the integer codes. Element-wise identical to the two-step
-// form; the compiled network's activation-quantization ops rewrite their
-// activation with it.
+// dequantize(quantize_image(x, bits)) fused into one pass over `x` of any
+// shape, in place: snaps every element to the `bits`-bit pow2-scaled grid
+// without materializing the integer codes. Element-wise identical to the
+// two-step form and to nn::ActivationQuant's eval forward; the compiled
+// network's activation-quantization ops rewrite their activation with it.
 void fake_quantize(tensor::Tensor& x, int bits);
 
 // Operation census of one engine run (ShiftConv2d::census).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "quant/fixedpoint.hpp"
@@ -17,18 +16,6 @@ namespace {
 // Rough per-element cost of the pointwise loops below, for the pool's
 // serial-fallback gate.
 constexpr double kPointwiseNs = 1.0;
-
-// Round-to-nearest-even without the libm nearbyint call (the default
-// -march baseline has no SSE4.1 roundps, so std::nearbyint does not
-// inline). The magic-constant trick is exact for |v| < 2^22; anything at
-// or above that magnitude is already an integer in float. Written as a
-// select, not an early return, so the surrounding loops stay branchless
-// and vectorizable.
-inline float round_half_even(float v) {
-  constexpr float kMagic = 12582912.0F;  // 1.5 * 2^23
-  const float rounded = (v + kMagic) - kMagic;
-  return std::fabs(v) >= 4194304.0F ? v : rounded;  // 2^22: integral already
-}
 
 // Branchless pointwise kernels. Activation signs are data-dependent and
 // close to 50/50 after batch norm, so a compare-and-branch formulation
@@ -64,29 +51,6 @@ void leaky_backward(const float* gout, const std::uint8_t* mask, float* gin,
   const float factor[2] = {slope, 1.0F};
   for (std::int64_t i = 0; i < n; ++i) {
     gin[i] = gout[i] * factor[mask[i]];
-  }
-}
-
-FLIGHTNN_SIMD_CLONES
-void quant_forward_train(const float* in, float* out, std::uint8_t* mask,
-                         std::int64_t n, float scale, float inv_scale,
-                         float q_max, float limit) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float v = in[i];
-    float q = round_half_even(v * inv_scale);
-    q = std::min(std::max(q, -q_max), q_max);
-    out[i] = q * scale;
-    mask[i] = static_cast<std::uint8_t>(std::fabs(v) > limit);
-  }
-}
-
-FLIGHTNN_SIMD_CLONES
-void quant_forward_eval(const float* in, float* out, std::int64_t n,
-                        float scale, float inv_scale, float q_max) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    float q = round_half_even(in[i] * inv_scale);
-    q = std::min(std::max(q, -q_max), q_max);
-    out[i] = q * scale;
   }
 }
 
@@ -161,33 +125,24 @@ ActivationQuant::ActivationQuant(int bits) : bits_(bits) {
 
 tensor::Tensor ActivationQuant::forward(const tensor::Tensor& input,
                                         bool training) {
-  const quant::FixedPointConfig config{bits_};
-  last_scale_ = quant::choose_pow2_scale(input, config);
-  const float scale = last_scale_;
-  const float inv_scale = 1.0F / scale;  // exact: scale is a power of two
-  const float q_max = static_cast<float>(config.q_max());
-  const float limit = scale * q_max;
+  const std::int32_t q_max = quant::FixedPointConfig{bits_}.q_max();
+  const int e = quant::scale_exponent(input.abs_max(), q_max);
   tensor::Tensor output = tensor::Tensor::uninitialized(input.shape());
   const float* in = input.data();
   float* out = output.data();
+  std::uint8_t* mask = nullptr;
   if (training) {
     cached_shape_ = input.shape();
     saturated_mask_.resize(static_cast<std::size_t>(input.numel()));
-    std::uint8_t* mask = saturated_mask_.data();
-    runtime::parallel_for(
-        0, input.numel(), 4096, runtime::CostHint{kPointwiseNs},
-        [&](std::int64_t begin, std::int64_t end) {
-          quant_forward_train(in + begin, out + begin, mask + begin,
-                              end - begin, scale, inv_scale, q_max, limit);
-        });
-  } else {
-    runtime::parallel_for(
-        0, input.numel(), 4096, runtime::CostHint{kPointwiseNs},
-        [&](std::int64_t begin, std::int64_t end) {
-          quant_forward_eval(in + begin, out + begin, end - begin, scale,
-                             inv_scale, q_max);
-        });
+    mask = saturated_mask_.data();
   }
+  runtime::parallel_for(
+      0, input.numel(), 4096, runtime::CostHint{kPointwiseNs},
+      [&](std::int64_t begin, std::int64_t end) {
+        quant::fake_quantize_values(in + begin, out + begin,
+                                    mask == nullptr ? nullptr : mask + begin,
+                                    end - begin, e, q_max);
+      });
   return output;
 }
 

@@ -43,9 +43,12 @@ class LeakyReLU final : public Layer {
 };
 
 // Symmetric fixed-point fake-quantization of activations with a dynamic
-// per-tensor power-of-two scale. Backward is straight-through inside the
-// representable range and zero outside it (saturated values carry no
-// gradient).
+// per-tensor power-of-two scale: the project's one fixed-point quantizer
+// (quant/fixedpoint.hpp), which the compiled network's quant op runs too, so
+// eval mode gives that op's bytes at every finite scale. Backward is
+// straight-through inside the representable range and zero outside it
+// (saturated values carry no gradient). Throws CheckFailure for an input
+// holding a NaN or an infinity.
 class ActivationQuant final : public Layer {
  public:
   explicit ActivationQuant(int bits = 8);
@@ -55,14 +58,10 @@ class ActivationQuant final : public Layer {
   [[nodiscard]] std::string name() const override { return "act_quant"; }
 
   [[nodiscard]] int bits() const { return bits_; }
-  // Scale used by the most recent forward (for export to the integer
-  // inference engine).
-  [[nodiscard]] float last_scale() const { return last_scale_; }
 
  private:
   int bits_;
-  float last_scale_ = 1.0F;
-  std::vector<std::uint8_t> saturated_mask_;  // |input| > q_max*scale
+  std::vector<std::uint8_t> saturated_mask_;  // |input * 2^-e| > q_max
   tensor::Shape cached_shape_;
 };
 

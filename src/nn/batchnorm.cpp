@@ -10,7 +10,8 @@ namespace flightnn::nn {
 namespace {
 
 // Per-plane reduction and normalization bodies, multiversioned so the
-// autovectorizer can emit AVX2/FMA code in the fast clone.
+// autovectorizer can emit AVX2 code in the fast clone (no FMA: GCC's
+// target("avx2") does not enable it).
 //
 // The channel statistics reduce through four fixed double lanes combined in
 // a fixed order -- the algorithm depends only on the plane length, never on

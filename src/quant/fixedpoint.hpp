@@ -5,6 +5,27 @@
 // hardware realization stays multiplier+shift only. Used for the 4-bit
 // weight baseline and for 8-bit activation quantization in all quantized
 // models (Sec. 5.1).
+//
+// This is the project's one power-of-two fixed-point quantizer: the weight
+// transform below, nn::ActivationQuant (train and eval) and the compiled
+// network's quant ops and shift-op inputs (inference::fake_quantize,
+// quantize_image_into) all run it, so a model trains with the quantizer its
+// compiled network runs. It is one exponent rule (scale_exponent), one loop
+// writing floats and the training mask (fake_quantize_values), one loop
+// writing int32 codes (quantize_codes) and one exact q * 2^e (scale_code).
+//
+// Exactness: at the exponent e it is given, every loop returns the real
+// clamp(round(x * 2^-e), +-q_max) * 2^e rounded once to float. A product
+// with a power of two is exact wherever the result is a normal float, so
+// where 2^e and 2^-e are both normal (normal_scale) the loops run in float;
+// elsewhere -- an abs-max below about 2^-120, or past 2^126 at 2 bits --
+// they form each product in double and round once, one branch per call:
+// 2^-149 at 8 bits is code 64 at 2^-155 and comes back as 2^-149, and
+// {FLT_MAX, 1} at 2 bits comes back as {+inf, 0}. The exponent covers the
+// abs-max except in one band, where scale_exponent's quotient is subnormal.
+
+#include <cmath>
+#include <cstdint>
 
 #include "quant/transform.hpp"
 
@@ -17,21 +38,48 @@ struct FixedPointConfig {
   [[nodiscard]] int q_max() const { return (1 << (bits - 1)) - 1; }
 };
 
-// Per-tensor power-of-two scale chosen so q_max * scale covers abs-max.
-// Returns the scale (2^e); abs-max of zero yields scale 1.
-float choose_pow2_scale(const tensor::Tensor& x, const FixedPointConfig& config);
+// The power-of-two scale exponent of an abs-max >= 0 at `q_max` levels:
+// ceil(log2(abs_max / q_max)), the quotient rounded to float as the
+// quantizers have always taken it, and 0 for an abs-max of 0. A quotient
+// that underflows to zero (a subnormal abs-max below about q_max * 2^-150,
+// where the float log2 is -inf and its int conversion undefined) is taken in
+// double instead. No such quotient lies within a relative 1/q_max of a power
+// of two, so there the result is the smallest e with abs_max <= q_max * 2^e.
+// A subnormal but nonzero float quotient (an abs-max below about
+// q_max * 2^-126) keeps few bits and can round down to a power of two; then
+// e is one too small and the peak saturates: 2^-140 at 8 bits gets e = -147
+// and code 127, where e = -146 would hold it as code 64.
+// Throws CheckFailure for a NaN or infinite abs-max.
+[[nodiscard]] int scale_exponent(float abs_max, std::int64_t q_max);
 
-// Quantize to fixed point with an explicit scale: round(x / scale) clamped
-// to the symmetric integer range, returned in float realization
-// (value = q * scale).
-tensor::Tensor quantize_fixed_point(const tensor::Tensor& x, float scale,
-                                    const FixedPointConfig& config);
+// 2^e and 2^-e are both normal floats: the loops below run in float.
+[[nodiscard]] constexpr bool normal_scale(int e) {
+  return e >= -126 && e <= 126;
+}
 
-// Convenience: choose scale then quantize.
-tensor::Tensor quantize_fixed_point(const tensor::Tensor& x,
-                                    const FixedPointConfig& config);
+// q * 2^e rounded once to float, the product being exact in double: exact
+// wherever the result is a normal float, else the nearest subnormal or +-inf.
+// For a normal 2^e and an integer float q it is float(q) * 2^e, bit for bit.
+[[nodiscard]] inline float scale_code(double q, int e) {
+  return static_cast<float>(std::ldexp(q, e));
+}
 
-// Fixed-point weights as a WeightTransform (STE backward).
+// out[i] = clamp(q_i, +-q_max) * 2^e, q_i being in[i] * 2^-e rounded to the
+// nearest integer, ties to even (+0 for code 0); and, when `mask` is not
+// null, mask[i] = |in[i] * 2^-e| > q_max: the saturated elements, which get
+// no gradient. `out` may be `in`. Inputs finite, q_max in [1, 2^15 - 1].
+void fake_quantize_values(const float* in, float* out, std::uint8_t* mask,
+                          std::int64_t n, int e, std::int32_t q_max);
+
+// codes[i] = clamp(q_i, +-q_max), q_i as above; returns max |codes[i]|.
+// `e` must cover the inputs, as scale_exponent of their abs-max does (past
+// 2^31 the int conversion is undefined); q_max as above.
+[[nodiscard]] std::int32_t quantize_codes(const float* in, std::int32_t* codes,
+                                          std::int64_t n, int e,
+                                          std::int32_t q_max);
+
+// Fixed-point weights as a WeightTransform (STE backward), at the
+// scale_exponent of each tensor's abs-max.
 class FixedPointTransform final : public WeightTransform {
  public:
   explicit FixedPointTransform(FixedPointConfig config = {});
@@ -44,10 +92,5 @@ class FixedPointTransform final : public WeightTransform {
  private:
   FixedPointConfig config_;
 };
-
-// Activation fake-quantization: symmetric `bits`-bit fixed point with a
-// dynamic per-tensor power-of-two scale. Identity for non-finite-safe
-// ranges. STE is applied by the ActivationQuant layer in nn/.
-tensor::Tensor quantize_activations(const tensor::Tensor& x, int bits);
 
 }  // namespace flightnn::quant

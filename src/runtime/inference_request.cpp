@@ -7,14 +7,6 @@
 
 namespace flightnn::runtime {
 
-InferenceRequest InferenceRequest::from_image(tensor::Tensor image,
-                                              std::uint64_t id) {
-  InferenceRequest request;
-  request.id = id;
-  request.images.push_back(std::move(image));
-  return request;
-}
-
 InferenceRequest InferenceRequest::from_nchw(const tensor::Tensor& batch,
                                              std::uint64_t id) {
   const auto& s = batch.shape();

@@ -27,9 +27,6 @@ struct InferenceRequest {
   // One [C, H, W] (or [1, C, H, W]) tensor per image.
   std::vector<tensor::Tensor> images;
 
-  // Convenience constructors for the two common call shapes.
-  static InferenceRequest from_image(tensor::Tensor image,
-                                     std::uint64_t id = 0);
   // Split an NCHW batch tensor into per-image [C, H, W] tensors (copies).
   static InferenceRequest from_nchw(const tensor::Tensor& batch,
                                     std::uint64_t id = 0);

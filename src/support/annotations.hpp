@@ -32,8 +32,9 @@
 // Cache-line start, alone: for a forward-pass function that cannot be
 // FLIGHTNN_HOT (it may grow its scratch once), so that its loops'
 // alignment does not move with unrelated code either (left unaligned, a
-// change elsewhere in shift_engine.cpp moved quantize_values_into 48 bytes
-// into its cache line, and ResNet-18's perf-ledger latency_ms read +0.7%).
+// change elsewhere in shift_engine.cpp moved the activation code loop 48
+// bytes into its cache line, and ResNet-18's perf-ledger latency_ms read
+// +0.7%).
 #define FLIGHTNN_ALIGNED __attribute__((aligned(64)))
 
 // Grow-once / cold-path allocator: this function may allocate, by design,

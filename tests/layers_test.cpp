@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "gradient_check.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/pooling.hpp"
+#include "quant/fixedpoint.hpp"
 
 namespace flightnn::nn {
 namespace {
@@ -135,11 +139,83 @@ TEST(ActivationQuantTest, OutputIsQuantized) {
   support::Rng rng(6);
   Tensor x = Tensor::randn(Shape{1, 3, 8, 8}, rng);
   Tensor y = aq.forward(x, false);
-  const float scale = aq.last_scale();
+  const int e = quant::scale_exponent(x.abs_max(), 127);
   for (std::int64_t i = 0; i < y.numel(); ++i) {
-    const float ratio = y[i] / scale;
+    const float ratio = std::ldexp(y[i], -e);
     EXPECT_FLOAT_EQ(ratio, std::nearbyint(ratio));
+    EXPECT_LE(std::fabs(ratio), 127.0F);
   }
+}
+
+TEST(ActivationQuantTest, RangeAndGranularity) {
+  support::Rng rng(27);
+  const Tensor x = Tensor::randn(Shape{200}, rng, 0.0F, 1.0F);
+  const Tensor q = ActivationQuant(8).forward(x, false);
+  EXPECT_LE(q.abs_max(), x.abs_max() * 1.01F + 1e-6F);
+  // 8-bit: error bounded by half the scale step.
+  const float scale = std::ldexp(1.0F, quant::scale_exponent(x.abs_max(), 127));
+  EXPECT_LT(tensor::max_abs_diff(x, q), scale * 0.51F);
+}
+
+// Scales a float cannot hold, in both modes: at 8 bits {2^-126, -2^-127}
+// are codes {64, -32} at 2^-132 and 2^-149 is code 64 at 2^-155, so each
+// comes back as itself; at 2 bits {FLT_MAX, 1} at 2^128 comes back as
+// {+inf, +0}, +inf being the correctly rounded 1 * 2^128.
+TEST(ActivationQuantTest, ScalesPastTheFloatRangeAreExact) {
+  const float min_normal = std::numeric_limits<float>::min();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float big = std::numeric_limits<float>::max();
+  const float inf = std::numeric_limits<float>::infinity();
+  struct Case {
+    int bits;
+    std::vector<float> x, want;
+  };
+  const std::vector<Case> cases = {
+      {8, {min_normal, -min_normal / 2}, {min_normal, -min_normal / 2}},
+      {8, {tiny, -tiny, 0.0F}, {tiny, -tiny, 0.0F}},
+      {2, {big, 1.0F}, {inf, 0.0F}},
+  };
+  for (const Case& c : cases) {
+    for (const bool training : {false, true}) {
+      ActivationQuant aq(c.bits);
+      const Tensor x(Shape{static_cast<std::int64_t>(c.x.size())}, c.x);
+      const Tensor y = aq.forward(x, training);
+      for (std::int64_t i = 0; i < y.numel(); ++i) {
+        const float want = c.want[static_cast<std::size_t>(i)];
+        EXPECT_EQ(std::memcmp(&want, y.data() + i, sizeof want), 0)
+            << "bits " << c.bits << " training " << training << " x "
+            << x[i] << ": " << y[i] << " vs " << want;
+      }
+    }
+  }
+}
+
+// The training mask is |x * 2^-e| > q_max at every scale, so backward passes
+// exactly the unsaturated gradients. At 2^-149 nothing saturates (e = -155,
+// below a float scale's range); at abs-max (127 + 2^-17) * 2^-127 the float
+// quotient rounds down to 2^-127, so e = -127 and that element saturates.
+TEST(ActivationQuantTest, MaskAtTinyScalesIsTheSaturatedElements) {
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<std::vector<float>> inputs = {
+      {tiny, -tiny, 0.0F, tiny},
+      {std::ldexp(127.0F + std::ldexp(1.0F, -17), -127), std::ldexp(1.0F, -130),
+       -std::ldexp(1.0F, -127), std::ldexp(-126.0F, -127)},
+  };
+  int saturated = 0;
+  for (const auto& values : inputs) {
+    ActivationQuant aq(8);
+    const Tensor x(Shape{static_cast<std::int64_t>(values.size())}, values);
+    (void)aq.forward(x, true);
+    const Tensor grad = aq.backward(Tensor(x.shape(), 1.0F));
+    const int e = quant::scale_exponent(x.abs_max(), 127);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      const bool over =
+          std::fabs(std::ldexp(static_cast<long double>(x[i]), -e)) > 127;
+      saturated += over ? 1 : 0;
+      EXPECT_EQ(grad[i], over ? 0.0F : 1.0F) << "x " << x[i] << " e " << e;
+    }
+  }
+  EXPECT_EQ(saturated, 1);
 }
 
 TEST(ActivationQuantTest, StraightThroughGradientInRange) {

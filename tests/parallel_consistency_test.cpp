@@ -133,7 +133,7 @@ TEST(ParallelConsistencyTest, LinearAsOneByOneConvBitIdentical) {
   const inference::ShiftConv2d engine =
       inference::oracle::linear_engine(wq, 2, config, bias);
   Tensor x = Tensor::randn(Shape{48}, rng);
-  const auto q = inference::quantize_tensor(x, 8);
+  const auto q = inference::quantize_image(x.reshaped(Shape{48, 1, 1}), 8);
   check_thread_invariance("shift_linear", [&] {
     return inference::oracle::run_linear(engine, q);
   });

@@ -202,13 +202,14 @@ TEST_P(FixedPointProperty, ErrorShrinksWithBits) {
   support::Rng rng(700 + bits);
   Tensor x = Tensor::randn(Shape{512}, rng);
   const quant::FixedPointConfig coarse{bits}, fine{bits + 2};
+  quant::FixedPointTransform coarse_quantizer(coarse), fine_quantizer(fine);
   const float err_coarse =
-      tensor::max_abs_diff(x, quant::quantize_fixed_point(x, coarse));
-  const float err_fine =
-      tensor::max_abs_diff(x, quant::quantize_fixed_point(x, fine));
+      tensor::max_abs_diff(x, coarse_quantizer.forward(x));
+  const float err_fine = tensor::max_abs_diff(x, fine_quantizer.forward(x));
   EXPECT_LE(err_fine, err_coarse);
   // Error bound: half an LSB of the chosen scale.
-  const float scale = quant::choose_pow2_scale(x, coarse);
+  const float scale =
+      std::ldexp(1.0F, quant::scale_exponent(x.abs_max(), coarse.q_max()));
   EXPECT_LE(err_coarse, scale * 0.5F + 1e-6F);
 }
 

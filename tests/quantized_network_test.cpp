@@ -241,7 +241,7 @@ TEST(QuantizedNetworkTest, LinearAsOneByOneConvMatchesFloatLinear) {
   Tensor wq = quant::quantize_lightnn(w, 2, config);
   Tensor bias = Tensor::randn(Shape{5}, rng);
   Tensor x = Tensor::randn(Shape{12}, rng);
-  const auto qx = quantize_tensor(x, 8);
+  const auto qx = quantize_image(x.reshaped(Shape{12, 1, 1}), 8);
 
   // A linear layer runs as a 1x1 conv over the [12, 1, 1] plane.
   const ShiftConv2d engine = oracle::linear_engine(wq, 2, config, bias);
@@ -620,6 +620,44 @@ TEST(QuantizedNetworkTest, LeakyReluOpMatchesTheTernaryBytewise) {
           << "slope " << slope << " v " << v << " kernel " << trained[i];
     }
   }
+}
+
+// The compiled network's quant op runs the quantizer nn::ActivationQuant
+// trains with, so a one-op program gives the layer's eval bytes at every
+// scale: abs-max from the smallest subnormal to FLT_MAX, where a float 2^e
+// or 2^-e underflows or overflows at both ends.
+TEST(QuantizedNetworkTest, QuantOpMatchesActivationQuantBytewise) {
+  support::Rng rng(41);
+  const Tensor noise = Tensor::randn(Shape{2, 4, 4}, rng);
+  int cases = 0;
+  for (const int bits : {2, 8, 16}) {
+    ProgramOp quant;
+    quant.kind = ProgramOpKind::kQuantAct;
+    quant.bits = bits;
+    const auto network = QuantizedNetwork::from_program(hand_program({quant}));
+    nn::ActivationQuant layer(bits);
+    for (int p = -149; p <= 128; ++p) {
+      // Scale the noise so its abs-max is 2^p (FLT_MAX in place of 2^128).
+      Tensor image = noise;
+      const float top = p == 128 ? std::numeric_limits<float>::max()
+                                 : std::ldexp(1.0F, p);
+      const float peak = noise.abs_max();
+      for (std::int64_t i = 0; i < image.numel(); ++i) {
+        image[i] = static_cast<float>(static_cast<double>(noise[i]) / peak *
+                                      static_cast<double>(top));
+      }
+      image[7] = top;
+      const Tensor want = layer.forward(image, false);
+      const Tensor got = network.run(image);
+      ASSERT_EQ(got.numel(), want.numel());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<std::size_t>(got.numel()) * sizeof(float)),
+                0)
+          << "bits " << bits << " abs-max 2^" << p;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 3 * 278);
 }
 
 // The affine op (folded batch norm) computes scale * x + bias as a rounded

@@ -50,14 +50,14 @@ TEST(QuantizeImageTest, ValuesFitBitWidth) {
 }
 
 // fake_quantize rewrites its tensor in place with exactly the values of the
-// two-step dequantize(quantize_tensor(x)), on the fused pass and on the
+// two-step dequantize(quantize_image(x)), on the float path and on the
 // exact path a pathologically tiny abs-max (scale below 2^-126) takes.
 TEST(QuantizeImageTest, FakeQuantizeInPlaceMatchesTwoStep) {
   support::Rng rng(5);
-  for (const float magnitude : {3.0F, 1e-38F}) {
+  for (const float magnitude : {3.0F, 1e-38F, 1e-43F}) {
     for (const int bits : {4, 8}) {
       Tensor x = Tensor::randn(Shape{2, 5, 5}, rng) * magnitude;
-      const Tensor expected = dequantize(quantize_tensor(x, bits));
+      const Tensor expected = dequantize(quantize_image(x, bits));
       fake_quantize(x, bits);
       ASSERT_EQ(x.shape(), expected.shape());
       for (std::int64_t i = 0; i < x.numel(); ++i) {
@@ -88,7 +88,8 @@ TEST(QuantizeImageTest, ScaleExponentIsDefinedForEveryFiniteAbsMax) {
   for (int bits = 2; bits <= 16; ++bits) {
     const std::int64_t q_max = (std::int64_t{1} << (bits - 1)) - 1;
     for (const float a : abs_maxes) {
-      const QuantizedActivations q = quantize_tensor(Tensor(Shape{1}, a), bits);
+      const QuantizedActivations q =
+          quantize_image(Tensor(Shape{1, 1, 1}, a), bits);
       const float quotient = a / static_cast<float>(q_max);
       if (quotient > 0.0F) {
         EXPECT_EQ(q.scale_exp, static_cast<int>(std::ceil(std::log2(quotient))))
@@ -106,16 +107,63 @@ TEST(QuantizeImageTest, ScaleExponentIsDefinedForEveryFiniteAbsMax) {
   }
   EXPECT_GT(underflowed, 0);
 
-  // The smallest subnormal at 8 bits: 2^-149 = 64 * 2^-155.
+  // The smallest subnormal at 8 bits: 2^-149 = 64 * 2^-155, and both the
+  // two-step form and fake_quantize give it back, not the 0 a float scale
+  // of 2^-155 underflows to.
   const float tiny = std::ldexp(1.0F, -149);
-  const QuantizedActivations q = quantize_tensor(Tensor(Shape{1}, tiny), 8);
+  const QuantizedActivations q = quantize_image(Tensor(Shape{1, 1, 1}, tiny), 8);
   EXPECT_EQ(q.scale_exp, -155);
   ASSERT_EQ(q.values.size(), 1U);
   EXPECT_EQ(q.values[0], 64);
+  EXPECT_EQ(dequantize(q)[0], tiny);
   Tensor x(Shape{1}, tiny);
-  const Tensor expected = dequantize(q);
   fake_quantize(x, 8);
-  EXPECT_EQ(x[0], expected[0]);
+  EXPECT_EQ(x[0], tiny);
+}
+
+// At 2 bits {FLT_MAX, 1} takes scale 2^128, which a float cannot hold: the
+// codes {1, 0} come back as {+inf, +0} through dequantize and fake_quantize,
+// +inf being the correctly rounded 1 * 2^128 and +0 not 0 * inf = NaN.
+TEST(QuantizeImageTest, TopOfTheRangeRoundsToInfinityAndZero) {
+  const float big = std::numeric_limits<float>::max();
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor x(Shape{2, 1, 1}, std::vector<float>{big, 1.0F});
+  const QuantizedActivations q = quantize_image(x, 2);
+  EXPECT_EQ(q.scale_exp, 128);
+  EXPECT_EQ(q.values, (std::vector<std::int32_t>{1, 0}));
+  EXPECT_EQ(q.max_abs, 1);
+  const Tensor back = dequantize(q);
+  fake_quantize(x, 2);
+  for (const Tensor& t : {back, x}) {
+    EXPECT_EQ(t[0], inf);
+    EXPECT_EQ(t[1], 0.0F);
+    EXPECT_FALSE(std::signbit(t[1]));
+  }
+}
+
+// The conv's output scale 2^(scale_exp + e_min) underflows a float for a
+// tiny input: 2^-140 quantizes to code 127 at 2^-147 (saturated, since its
+// subnormal float quotient 2^-140 / 127 rounds down to 2^-147; see
+// quant::scale_exponent), and a 1x1 conv with one weight of 1.0 (e_min -6)
+// must give 127 * 2^-147, what the reference conv on the dequantized input
+// gives, not the 0 of a float scale of 2^-153. A bias is added after the
+// exact product.
+TEST(ShiftConvTest, TinyInputScaleIsExact) {
+  const quant::Pow2Config config;
+  const Tensor wq(Shape{1, 1, 1, 1}, std::vector<float>{1.0F});
+  const auto q = quantize_image(Tensor(Shape{1, 1, 1}, std::ldexp(1.0F, -140)), 8);
+  ASSERT_EQ(q.scale_exp, -147);
+  ASSERT_EQ(q.values[0], 127);
+  const float want = 127.0F * std::ldexp(1.0F, -147);
+  const Tensor ref = reference_conv(wq, dequantize(q), 1, 0);
+  EXPECT_EQ(ref[0], want);
+  EXPECT_EQ(ShiftConv2d(wq, 1, config, 1, 0).run(q)[0], want);
+  // Negated filters (a 2^0 + 2^0 weight packs as -128) flip the exact
+  // product's sign.
+  const Tensor two(Shape{1, 1, 1, 1}, std::vector<float>{2.0F});
+  EXPECT_EQ(ShiftConv2d(two, 2, config, 1, 0).run(q)[0], 2.0F * want);
+  const Tensor bias(Shape{1}, std::vector<float>{0.5F});
+  EXPECT_EQ(ShiftConv2d(wq, 1, config, 1, 0, bias).run(q)[0], want + 0.5F);
 }
 
 // The central claim: the shift-add integer engine is bit-exact against real

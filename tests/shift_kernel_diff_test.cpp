@@ -87,7 +87,8 @@ void prune_filters(Tensor& wq, Prune prune) {
 // --- Engine-level sweeps ---------------------------------------------------
 
 // Every host tier on one engine: each must report its own name and match
-// the term walk's output byte for byte.
+// the term walk's output byte for byte. A rank-1 reference is a linear
+// layer's [out] features, which the engine gives through run_linear.
 void expect_tiers_match(const ShiftConv2d& engine, const Tensor& reference,
                         const QuantizedActivations& input,
                         const std::string& what) {
@@ -95,7 +96,7 @@ void expect_tiers_match(const ShiftConv2d& engine, const Tensor& reference,
     set_kernel_tier_override(static_cast<int>(tier));
     EXPECT_STREQ(engine.kernel_tier(), kernel_tier_name(tier))
         << what << " tier=" << kernel_tier_name(tier);
-    const Tensor out = input.shape.rank() == 1
+    const Tensor out = reference.shape().rank() == 1
                            ? oracle::run_linear(engine, input)
                            : engine.run(input);
     EXPECT_TRUE(bytes_equal(out, reference))
@@ -180,7 +181,8 @@ TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
                                    0.0F, 0.3F);
           Tensor wq = quant::quantize_lightnn(w, k_max, config);
           prune_filters(wq, prune);
-          const auto qx = quantize_tensor(Tensor::randn(Shape{in_features}, rng), 8);
+          const auto qx = quantize_image(
+              Tensor::randn(Shape{in_features, 1, 1}, rng), 8);
           const ShiftConv2d engine = oracle::linear_engine(wq, k_max, config);
           expect_tiers_match(
               engine, oracle::TermWalkLinear(wq, k_max, config).run(qx), qx,

@@ -280,7 +280,8 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
           inference::oracle::linear_engine(wq, k_max, config);
       EXPECT_TRUE(expect_reference_lowering(
           wq, k_max, config, "linear k=" + std::to_string(k_max)));
-      const auto q = inference::quantize_tensor(x, 8);
+      const auto q = inference::quantize_image(
+          x.reshaped(Shape{x.numel(), 1, 1}), 8);
 
       inference::OpCounts ref_counts{};
       const Tensor got = inference::oracle::run_linear(engine, q);
@@ -758,7 +759,7 @@ TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const inference::ShiftConv2d lin =
       inference::oracle::linear_engine(wlq, 2, config, bl);
   const Tensor x = Tensor::randn(Shape{12}, rng);
-  const auto qx = inference::quantize_tensor(x, 8);
+  const auto qx = inference::quantize_image(x.reshaped(Shape{12, 1, 1}), 8);
   expect_bitwise_equal(
       inference::oracle::TermWalkLinear(wlq, 2, config, bl).run(qx),
       inference::oracle::run_linear(lin, qx), "linear+bias");
