@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -66,11 +67,20 @@ inline std::string json_escape(const std::string& value) {
 // call order; values are raw JSON fragments produced by the helpers below.
 class JsonObject {
  public:
+  // Built by appends: GCC 12 reports a false -Wrestrict on a string
+  // literal + std::string chain once the operator+ calls are inlined.
   void add(const std::string& key, const std::string& raw_json) {
-    fields_.push_back("\"" + json_escape(key) + "\": " + raw_json);
+    std::string field = "\"";
+    field += json_escape(key);
+    field += "\": ";
+    field += raw_json;
+    fields_.push_back(std::move(field));
   }
   void add_string(const std::string& key, const std::string& value) {
-    add(key, "\"" + json_escape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += json_escape(value);
+    quoted += '"';
+    add(key, quoted);
   }
   void add_number(const std::string& key, double value) {
     std::ostringstream out;

@@ -259,6 +259,99 @@ void BM_Im2ColGemmConv(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2ColGemmConv);
 
+// The small-plane layers of VGG-7, ResNet-18 and the tiny FLightNN, and two
+// wide planes, each run (ShiftConv2d::run: code-plane fill, kernel,
+// dequantize) on both tiles of every vector tier the host has, one thread,
+// round-robin over the (tier, tile) pairs. Each tile must give the scalar
+// tier's bytes. A row names the layer, its output plane, the two times, the
+// filter tile's speedup over the column tile and the tile pick_conv_tile
+// chooses; the speedups are what the rule's cost ratios are read from.
+bool small_plane_rows(const std::vector<inference::KernelTier>& tiers,
+                      int repeats, std::vector<std::string>& rows) {
+  struct Layer {
+    const char* name;
+    std::int64_t in_ch, out_ch, live, side, stride;
+  };
+  const Layer layers[] = {
+      {"64->64", 64, 64, 64, 4, 1},     {"32->64 s2", 32, 64, 64, 8, 2},
+      {"32->32", 32, 32, 32, 8, 1},     {"32->64", 32, 64, 64, 8, 1},
+      {"16->32 s2", 16, 32, 32, 16, 2}, {"16->16 12 live", 16, 16, 12, 4, 1},
+      {"16->16", 16, 16, 16, 16, 1},    {"8->8", 8, 8, 8, 32, 1}};
+  const quant::Pow2Config config;
+  support::Rng rng(22);
+  for (const Layer& layer : layers) {
+    tensor::Tensor wq = quant::quantize_lightnn(
+        random_weights(layer.out_ch, layer.in_ch, 23), 2, config);
+    // Pruned filters (k_i = 0) leave `live` of them.
+    const std::int64_t row = layer.in_ch * 9;
+    for (std::int64_t f = layer.live; f < layer.out_ch; ++f) {
+      std::fill(wq.data() + f * row, wq.data() + (f + 1) * row, 0.0F);
+    }
+    const inference::ShiftConv2d conv(wq, 2, config, layer.stride, 1);
+    const auto qimg = inference::quantize_image(
+        tensor::Tensor::randn(
+            tensor::Shape{layer.in_ch, layer.side, layer.side}, rng),
+        8);
+    const std::int64_t out_side = (layer.side - 1) / layer.stride + 1;
+    inference::set_kernel_tier_override(0);
+    const tensor::Tensor scalar_out = conv.run(qimg);
+    const std::size_t bytes =
+        static_cast<std::size_t>(scalar_out.numel()) * sizeof(float);
+    constexpr inference::ConvTile kTiles[] = {inference::ConvTile::kColumn,
+                                              inference::ConvTile::kFilter};
+    std::vector<std::vector<double>> samples(2 * tiers.size());
+    for (int r = 0; r < 4 * repeats; ++r) {
+      for (std::size_t i = 1; i < tiers.size(); ++i) {
+        inference::set_kernel_tier_override(static_cast<int>(tiers[i]));
+        for (int tile = 0; tile < 2; ++tile) {
+          const auto start = std::chrono::steady_clock::now();
+          const tensor::Tensor out = conv.run(qimg, kTiles[tile]);
+          const auto stop = std::chrono::steady_clock::now();
+          if (std::memcmp(out.data(), scalar_out.data(), bytes) != 0) {
+            std::fprintf(stderr,
+                         "FATAL: %s %s tile differs from scalar on %s\n",
+                         inference::kernel_tier_name(tiers[i]),
+                         inference::conv_tile_name(kTiles[tile]), layer.name);
+            inference::set_kernel_tier_override(-1);
+            return false;
+          }
+          samples[2 * i + static_cast<std::size_t>(tile)].push_back(
+              std::chrono::duration<double>(stop - start).count());
+        }
+      }
+    }
+    inference::set_kernel_tier_override(-1);
+    for (std::size_t i = 1; i < tiers.size(); ++i) {
+      auto median_us = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2] * 1e6;
+      };
+      const double column_us = median_us(samples[2 * i]);
+      const double filter_us = median_us(samples[2 * i + 1]);
+      const char* picked = inference::conv_tile_name(
+          inference::pick_conv_tile(tiers[i], out_side, layer.live));
+      bench::JsonObject row;
+      row.add_string("tier", inference::kernel_tier_name(tiers[i]));
+      row.add_string("layer", layer.name);
+      row.add_int("out_side", out_side);
+      row.add_int("live", layer.live);
+      row.add_number("column_tile_us", column_us);
+      row.add_number("filter_tile_us", filter_us);
+      row.add_number("filter_speedup", column_us / filter_us);
+      row.add_string("picked", picked);
+      rows.push_back(row.to_string(4));
+      std::printf("%s %-15s %2lldx%-2lld live %3lld: column %8.2f us, filter "
+                  "%8.2f us (%.2fx), picks %s\n",
+                  inference::kernel_tier_name(tiers[i]), layer.name,
+                  static_cast<long long>(out_side),
+                  static_cast<long long>(out_side),
+                  static_cast<long long>(layer.live), column_us, filter_us,
+                  column_us / filter_us, picked);
+    }
+  }
+  return true;
+}
+
 // Per-tier rows, spliced into the BENCH_shift_engine.json that
 // throughput_scaling writes so the kernel numbers live next to the
 // whole-network numbers instead of stdout-only. Measures one conv layer
@@ -328,10 +421,13 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
                 inference::kernel_tier_name(tiers[i]), tier_s * 1e3,
                 scalar_s / tier_s);
   }
+  std::vector<std::string> plane_rows;
+  if (!small_plane_rows(tiers, repeats, plane_rows)) return 1;
   bench::JsonObject rows;
   rows.add_int("repeats", repeats);
   rows.add("tiers", bench::json_array(tier_rows));
   rows.add_bool("tiers_bit_identical", true);
+  rows.add("small_plane_rows", bench::json_array(plane_rows));
 
   if (bench::merge_into_json_file(path, "kernels_microbench", rows)) {
     std::printf("merged kernel tier rows into %s\n", path.c_str());

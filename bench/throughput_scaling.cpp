@@ -208,8 +208,8 @@ int main(int argc, char** argv) {
   // time includes the code-plane fill, the tap table and the dequantize,
   // which run identical code on every tier; the kernel time is the
   // dispatched kernel alone over the same code plane (padding 1, stride 1:
-  // 34x34 words per four-channel group, pad cells q = 0), four filters per
-  // call as run() makes them. Every tier must match the scalar tier byte
+  // 34x34 words per four-channel group, pad cells q = 0), on the tile and
+  // in the units run() takes. Every tier must match the scalar tier byte
   // for byte.
   std::vector<inference::KernelTier> tiers{inference::KernelTier::kScalar};
   for (const auto tier :
@@ -242,32 +242,37 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const inference::DenseConvGeom kernel_geom{pw, lw, lw, pack.taps};
   const auto live = static_cast<std::int64_t>(pack.plan.live.size());
-  const auto run_kernel = [&](inference::DenseConvFn fn,
+  // The tier's kernel on the tile run() picks for this layer, over the
+  // units run() makes: kColumnFilters filters per column-tile call, a block
+  // of kFilterBlock per filter-tile call.
+  const auto run_kernel = [&](inference::KernelTier tier,
                               std::vector<std::int32_t>& out) {
-    for (std::int64_t first = 0; first < live;
-         first += inference::kDenseFilterBlock) {
-      const auto n = static_cast<int>(
-          std::min<std::int64_t>(inference::kDenseFilterBlock, live - first));
-      std::int32_t* planes[inference::kDenseFilterBlock] = {};
-      for (int j = 0; j < n; ++j) planes[j] = out.data() + (first + j) * lhw;
-      fn(codes.data(), tap_off.data(),
-         pack.plan.words.data() + first * pack.taps,
-         pack.correction.data() + first, n, kernel_geom, planes);
+    const inference::ConvTile tile = inference::pick_conv_tile(tier, lw, live);
+    const inference::DenseConvFn fn =
+        inference::shift_kernels_for(tier).dense_conv(tile);
+    const std::int64_t unit = tile == inference::ConvTile::kFilter
+                                  ? inference::kFilterBlock
+                                  : inference::kColumnFilters;
+    const inference::DenseConv conv{codes.data(), tap_off.data(),
+                                    pack.plan.words.data(),
+                                    pack.correction.data(),
+                                    pack.plan.live.data(), out.data(),
+                                    pw, lw, lw, pack.taps};
+    for (std::int64_t first = 0; first < live; first += unit) {
+      fn(conv, first, std::min(first + unit, live));
     }
   };
   inference::set_kernel_tier_override(0);
   const tensor::Tensor scalar_layer_out = dense.run(qimg);
   std::vector<std::int32_t> scalar_kernel_out(static_cast<std::size_t>(live * lhw));
-  run_kernel(inference::shift_kernels_for(inference::KernelTier::kScalar).dense_conv,
-             scalar_kernel_out);
+  run_kernel(inference::KernelTier::kScalar, scalar_kernel_out);
   std::vector<std::vector<std::int32_t>> kernel_out(
       tiers.size(), std::vector<std::int32_t>(scalar_kernel_out.size()));
   for (std::size_t i = 0; i < tiers.size(); ++i) {
     inference::set_kernel_tier_override(static_cast<int>(tiers[i]));
     const tensor::Tensor out = dense.run(qimg);
-    run_kernel(inference::shift_kernels_for(tiers[i]).dense_conv, kernel_out[i]);
+    run_kernel(tiers[i], kernel_out[i]);
     if (std::memcmp(out.data(), scalar_layer_out.data(),
                     static_cast<std::size_t>(out.numel()) * sizeof(float)) != 0 ||
         kernel_out[i] != scalar_kernel_out) {
@@ -288,10 +293,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < tiers.size(); ++i) {
       inference::set_kernel_tier_override(static_cast<int>(tiers[i]));
       layer_samples[i].push_back(seconds_of([&] { (void)dense.run(qimg); }));
-      const inference::DenseConvFn fn =
-          inference::shift_kernels_for(tiers[i]).dense_conv;
       kernel_samples[i].push_back(
-          seconds_of([&] { run_kernel(fn, kernel_out[i]); }));
+          seconds_of([&] { run_kernel(tiers[i], kernel_out[i]); }));
     }
   }
   inference::set_kernel_tier_override(-1);

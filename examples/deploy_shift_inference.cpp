@@ -22,7 +22,8 @@
 // bit-identical at every thread count. --max-batch / --queue-delay-ms are
 // the dynamic batcher's flush knobs (DESIGN.md §11). --profile additionally
 // prints per-layer wall time, shift-term counts, the dense kernel tier each
-// shift layer ran on (scalar, avx2 or vnni), and the arena scratch each
+// shift layer ran on (scalar, avx2 or vnni) and its tile (column or
+// filter), and the arena scratch each
 // layer fetches (QuantizedNetwork::profile) -- the
 // deployment check that a host is actually on the vector fast path.
 //
@@ -178,7 +179,8 @@ int serve_burst(const flightnn::inference::QuantizedNetwork& network,
 
 // Break one image's inference cost down per step: where the wall time goes,
 // how many single-shift terms each shift layer executes, and which dense
-// tier (scalar / avx2 / vnni) each shift layer ran on.
+// tier (scalar / avx2 / vnni) and tile (column / filter) each shift layer
+// ran on.
 // Shared between the
 // freshly-trained path and the artifact cold-start path, so a deployment
 // can confirm its mmap-loaded plans landed on the vector fast path.
@@ -192,12 +194,12 @@ void print_profile(const flightnn::inference::QuantizedNetwork& network,
   const auto steps = network.profile(image, /*repeats=*/20);
   double total_us = 0.0;
   for (const auto& step : steps) total_us += step.seconds * 1e6;
-  support::Table table({"step", "kernel", "scratch", "time (us)",
+  support::Table table({"step", "kernel", "tile", "scratch", "time (us)",
                         "% of total", "terms", "shifts", "adds",
                         "float MACs"});
   for (const auto& step : steps) {
     const double us = step.seconds * 1e6;
-    table.add_row({step.name, step.kernel_tier,
+    table.add_row({step.name, step.kernel_tier, step.tile,
                    step.planned_scratch_bytes > 0
                        ? std::to_string(step.planned_scratch_bytes) + "B"
                        : "-",

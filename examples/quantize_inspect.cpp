@@ -21,7 +21,7 @@ int main() {
   for (std::int64_t i = 0; i < elems; ++i) std::printf("%+7.4f ", w[i]);
   std::printf("\n\n");
 
-  for (const auto thresholds : {std::vector<float>{0.0F, 0.0F},
+  for (const auto& thresholds : {std::vector<float>{0.0F, 0.0F},
                                 std::vector<float>{0.0F, 0.30F},
                                 std::vector<float>{0.95F, 0.30F}}) {
     core::FLightNNTransform transform;

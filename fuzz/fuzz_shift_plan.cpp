@@ -15,9 +15,10 @@
 //    it, and accept every other;
 //  - an accepted plan must run bit-equal to the term-walk oracle
 //    (tests/term_walk_oracle.hpp) on the weights its words decode to, on
-//    one small input of codes within u8, with the oracle's op counts as its
-//    census, the decomposition's term count and entry count, and the
-//    filters with a nonzero weight as its live list.
+//    one small input of codes within u8, on both kernel tiles of every tier
+//    the host has, with the oracle's op counts as its census, the
+//    decomposition's term count and entry count, and the filters with a
+//    nonzero weight as its live list.
 // Anything else (sanitizer finding, uncaught exception, disagreement) is a
 // crash. ShiftPlan::compile_conv is held to the decomposition route by
 // tests/shift_plan_test.cpp, and hostile artifacts reach adoption through
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "inference/shift_engine.hpp"
+#include "inference/shift_kernels.hpp"
 #include "inference/shift_plan.hpp"
 #include "quant/pow2.hpp"
 #include "support/check.hpp"
@@ -45,11 +47,15 @@
 
 namespace {
 
+using flightnn::inference::ConvTile;
+using flightnn::inference::KernelTier;
 using flightnn::inference::OpCounts;
 using flightnn::inference::QuantizedActivations;
 using flightnn::inference::ShiftConv2d;
 using flightnn::inference::ShiftConvSpec;
 using flightnn::inference::ShiftPlan;
+using flightnn::inference::set_kernel_tier_override;
+using flightnn::inference::shift_kernels_for;
 using flightnn::quant::Pow2Config;
 using flightnn::tensor::Shape;
 using flightnn::tensor::Tensor;
@@ -70,8 +76,9 @@ class ByteProgram {
 };
 
 // Size clamps keep per-input cost flat (the oracle walks every term over
-// every output); the interesting state space is in the *values*.
-constexpr int kMaxFilters = 8;
+// every output); the interesting state space is in the *values*. Up to 33
+// filters reach a third block of the kernels' weight order.
+constexpr int kMaxFilters = 33;
 constexpr int kMaxChannels = 9;
 constexpr int kMaxKernel = 5;
 constexpr int kMaxK = 5;
@@ -128,14 +135,19 @@ void fuzz_adopt(const std::uint8_t* data, std::size_t size) {
   const std::int64_t padding = program.u8() % 3;
 
   if ((program.u8() & 1) != 0) {  // a sorted list: the filters of a mask
-    const std::uint8_t mask = program.u8();
-    for (std::int32_t f = 0; f < out_channels; ++f) {
-      if ((mask >> f & 1) != 0) plan.live.push_back(f);
+    // One mask byte per eight filters, at least one.
+    std::uint8_t mask = 0;
+    for (std::int32_t f = 0; f < std::max<std::int64_t>(out_channels, 1); ++f) {
+      if (f % 8 == 0) mask = program.u8();
+      if (f < out_channels && (mask >> (f % 8) & 1) != 0) {
+        plan.live.push_back(f);
+      }
     }
   } else {  // a raw list
     const int count = program.u8() % (kMaxFilters + 2);
     for (int i = 0; i < count; ++i) {
-      plan.live.push_back(static_cast<std::int32_t>(program.u8() % 11) - 1);
+      plan.live.push_back(
+          static_cast<std::int32_t>(program.u8() % (kMaxFilters + 3)) - 1);
     }
   }
   for (std::size_t i = 0; i < plan.live.size(); ++i) {
@@ -246,7 +258,20 @@ void fuzz_adopt(const std::uint8_t* data, std::size_t size) {
   const Tensor want = flightnn::inference::oracle::TermWalkConv2d(
                           wq, plan.k_max, config, stride, padding)
                           .run(input, &counts);
-  const Tensor got = engine->run(input);
+  bool tiles_agree = true;
+  for (const KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kVnni}) {
+    if (shift_kernels_for(tier).tier != tier) continue;  // not on this host
+    set_kernel_tier_override(static_cast<int>(tier));
+    for (const ConvTile tile : {ConvTile::kColumn, ConvTile::kFilter}) {
+      const Tensor got = engine->run(input, tile);
+      tiles_agree = tiles_agree && got.shape() == want.shape() &&
+                    std::memcmp(got.data(), want.data(),
+                                static_cast<std::size_t>(got.numel()) *
+                                    sizeof(float)) == 0;
+    }
+  }
+  set_kernel_tier_override(-1);
   std::vector<std::int32_t> nonzero;
   for (std::int64_t f = 0; f < out_channels; ++f) {
     const float* filter = wq.data() + f * row;
@@ -254,10 +279,7 @@ void fuzz_adopt(const std::uint8_t* data, std::size_t size) {
       nonzero.push_back(static_cast<std::int32_t>(f));
     }
   }
-  if (got.shape() != want.shape() ||
-      std::memcmp(got.data(), want.data(),
-                  static_cast<std::size_t>(got.numel()) * sizeof(float)) != 0 ||
-      engine->census(side, side).shifts != counts.shifts ||
+  if (!tiles_agree || engine->census(side, side).shifts != counts.shifts ||
       engine->term_count() != decomposition.term_count() ||
       want_entries != entries || nonzero != plan.live) {
     disagree();

@@ -93,8 +93,9 @@ void emit_model_io(const fs::path& dir) {
 
 // One fuzz_shift_plan program (see its decoder): header { e_min + 128,
 // e_max - e_min + 2, flush, k_max, out_channels, in_channels, kernel,
-// stride - 1, padding }, the live list (1 + a filter mask, or 0 + a count
-// and raw entries stored as filter + 1), one negated byte per live filter
+// stride - 1, padding }, the live list (1 + a filter mask of one byte per
+// eight filters, at least one, or 0 + a count and raw entries stored as
+// filter + 1), one negated byte per live filter
 // (0 or 1, or 238 + n for a raw n >= 2), the word-count delta, each word's
 // four lanes (0 for a zero byte, or 0xFF and the byte), the entry and term
 // count deltas (a delta byte of 0 is -1, 1 is +1 and 2 is 0), then the
@@ -139,10 +140,12 @@ struct PackProgram {
       out.push_back(u8(static_cast<int>(live.size())));
       for (const int f : live) out.push_back(u8(f + 1));
     } else {
-      int mask = 0;
-      for (const int f : live) mask |= 1 << f;
+      std::uint64_t mask = 0;
+      for (const int f : live) mask |= std::uint64_t{1} << f;
       out.push_back(1);
-      out.push_back(u8(mask));
+      for (int b = 0; b < std::max(1, (out_channels + 7) / 8); ++b) {
+        out.push_back(u8(static_cast<int>(mask >> (8 * b) & 0xFFU)));
+      }
     }
     for (std::size_t i = 0; i < live.size(); ++i) {
       out.push_back(u8(i < negated.size() ? negated[i] : 0));
@@ -228,6 +231,13 @@ void emit_shift_plan(const fs::path& dir) {
     write_seed(dir, "negated_128", p.bytes());
     p.negated = {240, 0};
     write_seed(dir, "negated_byte_2", p.bytes());
+  }
+  {
+    // 17 live filters, one past a block of the kernels' weight order, on a
+    // 4x4 output plane (side 4, kernel 3, padding 1): the filter tile's
+    // narrow plane with a masked last block.
+    PackProgram p = lightnn2(17, 5, 3);
+    write_seed(dir, "lightnn2_17_filters_4x4", p.bytes());
   }
   {
     // One nonzero weight in each 9 x 3 x 3 filter: 27 words for one entry.

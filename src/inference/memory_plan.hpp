@@ -30,14 +30,19 @@
 #include <vector>
 
 #include "inference/network_program.hpp"
+#include "inference/shift_kernels.hpp"
 
 namespace flightnn::inference {
 
-// Per-op memory census (observability: --profile's scratch column, the
-// memory bench).
+// Per-op row of the load walk: the op's memory census (observability:
+// --profile's scratch column, the memory bench) and the kernel tile a
+// shift op runs on.
 struct OpMemory {
   std::uint32_t op = 0;
   ProgramOpKind kind = ProgramOpKind::kQuantAct;
+  // The tile run() dispatches a shift op to, picked for its output width
+  // and live count (ShiftConv2d::tile); kColumn for every other op.
+  ConvTile tile = ConvTile::kColumn;
   // Arena scratch this op's kernel fetches.
   std::size_t offsets_bytes = 0;
   std::size_t input_bytes = 0;    // the code plane

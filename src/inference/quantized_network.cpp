@@ -346,11 +346,12 @@ struct LoadWalk {
     return {std::move(shape), intervals.size() - 1};
   }
 
-  // Op `t`'s memory row: the quantized `in` and the scratch the engine
-  // fetches for it.
-  void record_shift_scratch(std::size_t t, const ShiftConv2d& conv,
-                            const tensor::Shape& in) {
+  // Op `t`'s row: the quantized `in`, the scratch the engine fetches for
+  // it and the tile it runs on.
+  void record_shift_op(std::size_t t, const ShiftConv2d& conv,
+                       const tensor::Shape& in) {
     OpMemory& mem = per_op[t];
+    mem.tile = conv.tile(in[1], in[2]);
     mem.quant_bytes =
         static_cast<std::size_t>(in.numel()) * sizeof(std::int32_t);
     const ConvScratchBytes scratch = conv.scratch_bytes(in[1], in[2]);
@@ -418,7 +419,7 @@ struct LoadWalk {
         // After the shape check: the census tabulates `kernel` values.
         counts = shift_counts(conv.census(in[1], in[2]));
         out = tensor::Shape{op.out_channels, geom.out_h(), geom.out_w()};
-        record_shift_scratch(i, conv, in);
+        record_shift_op(i, conv, in);
         break;
       }
       case ProgramOpKind::kFloatConv: {
@@ -467,7 +468,7 @@ struct LoadWalk {
         // The 1x1 conv run_op runs on the [in_features, 1, 1] plane.
         const ShiftConv2d& conv = *engines[i];
         counts = shift_counts(conv.census(1, 1));
-        record_shift_scratch(i, conv, tensor::Shape{in.numel(), 1, 1});
+        record_shift_op(i, conv, tensor::Shape{in.numel(), 1, 1});
         out = tensor::Shape{op.out_channels};
         break;
       }
@@ -601,7 +602,7 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(std::size_t i,
       // scale).
       QuantizedActivations& q = quant_scratch();
       quantize_image_into(x, op.act_bits, q);
-      return engines_[i]->run(q);
+      return engines_[i]->run(q, memory_plan_.per_op()[i].tile);
     }
     case ProgramOpKind::kFloatConv:
       return reference_conv(op.weights, x, op.stride, op.padding, op.bias);
@@ -624,7 +625,7 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(std::size_t i,
       x.reshape(tensor::Shape{x.numel(), 1, 1});
       QuantizedActivations& q = quant_scratch();
       quantize_image_into(x, op.act_bits, q);
-      tensor::Tensor out = engines_[i]->run(q);
+      tensor::Tensor out = engines_[i]->run(q, memory_plan_.per_op()[i].tile);
       out.reshape(tensor::Shape{op.out_channels});
       return out;
     }
@@ -666,6 +667,7 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
     if (engines_[i]) {
       p.terms = engines_[i]->term_count();
       p.kernel_tier = engines_[i]->kernel_tier();
+      p.tile = conv_tile_name(memory_plan_.per_op()[i].tile);
     }
     for (std::size_t op_i = i; op_i < subtree_end(program_.ops, i); ++op_i) {
       p.planned_scratch_bytes += memory_plan_.per_op()[op_i].scratch_bytes;

@@ -85,6 +85,9 @@ struct StepProfile {
   // "scalar" / "avx2" / "vnni"), "-" for ops that do not run on the shift
   // engine.
   std::string kernel_tier = "-";
+  // The tile a shift op runs on, as the load walk picked it
+  // (conv_tile_name: "column" / "filter"), "-" for the other ops.
+  std::string tile = "-";
   // Arena scratch this op's kernels fetch, from the memory plan's per-op
   // rows (0 when the op uses none).
   std::size_t planned_scratch_bytes = 0;

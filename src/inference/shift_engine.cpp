@@ -171,9 +171,18 @@ bool plane_fits_int32(const PaddedPlane& plane) {
 constexpr std::int64_t kMaxDenseCode =
     (std::int64_t{1} << (kMaxShiftActBits - 1)) - 1;
 
-// Parallel cost hint of run(), in ns per (tap word x output value); the
-// measurement is at its use.
-constexpr double kDenseNsPerTapOutput = 0.05;
+// Parallel cost hint of run(), in ns per (tap word x output value), for the
+// column tile and the filter tile. kernels_microbench's layer rows through
+// run() on the VNNI tier (one pinned CPU of a 4-core AVX-512 VNNI host)
+// read 0.029-0.052 for the column tile on planes 16 and 32 wide (the 32->32
+// layer at 32x32 the fastest, the 8->8 one the slowest) and 0.028-0.033 for
+// the filter tile on the 4x4 and 8x8 layers of 32 or more filters; a layer
+// of 12 filters at 4x4 read 0.13, its fixed costs spread over few
+// tap-outputs. The column tile takes 0.05, the top of its range, at which
+// the pool's gate splits the same wide-plane convs as before; the filter
+// tile takes its median, at which the narrow layers of the perf ledger's
+// networks stay under the gate and run unsplit.
+constexpr double kDenseNsPerTapOutput[2] = {0.05, 0.03};
 
 }  // namespace
 
@@ -272,8 +281,17 @@ ShiftConv2d::ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
                  ", the plan's words hold ", pack_.term_count);
 }
 
-FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
+// The checking entry point is run(input, tile), which refuses an input of
+// any other rank.
+FLIGHTNN_HOT tensor::Tensor ShiftConv2d::run(
     const QuantizedActivations& input) const {
+  return run(input, input.shape.rank() == 3
+                        ? tile(input.shape[1], input.shape[2])
+                        : ConvTile::kColumn);
+}
+
+FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
+    const QuantizedActivations& input, ConvTile tile) const {
   FLIGHTNN_CHECK(input.shape.rank() == 3 && input.shape[0] == in_channels_,
                  "ShiftConv2d::run: expected [", in_channels_,
                  ", H, W] input, got ", input.shape.to_string());
@@ -371,37 +389,40 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
       out_plane[i] = static_cast<float>(acc) * s + b;
     }
   };
-  // Parallel across blocks of kDenseFilterBlock live filters. Cost hint:
-  // traced ShiftConv2d::run spans of the VNNI tier (perf ledger, VGG-7
-  // w1.0, one CPU of a 4-core AVX-512 host) read 0.032-0.095 ns per
-  // (tap word x output value), 0.05 in the median, over its seven convs;
-  // the 4x4 64->64 layer, which fills 4 of 16 lanes, is the slowest. At
-  // that rate a ledger conv stays under the pool's dispatch threshold
-  // unless it takes tens of microseconds.
-  const runtime::CostHint block_cost{
-      kDenseNsPerTapOutput * static_cast<double>(pack_.taps) *
-      static_cast<double>(out_hw) * kDenseFilterBlock};
-  const DenseConvGeom dense_geom{stride_ * plane.row_w, out_h, out_w,
-                                 pack_.taps};
-  const ShiftKernels& kern = active_shift_kernels();
+  // Parallel across units of live filters: a column-tile call's
+  // kColumnFilters, or a filter tile's block of kFilterBlock. Cost hint: the
+  // tile's measured ns per (tap word x output value) (kDenseNsPerTapOutput).
+  // At that rate a conv stays under the pool's dispatch threshold unless it
+  // takes tens of microseconds.
+  const bool filter_tile = tile == ConvTile::kFilter;
+  const std::int64_t unit = filter_tile ? kFilterBlock : kColumnFilters;
+  const runtime::CostHint unit_cost{
+      kDenseNsPerTapOutput[filter_tile ? 1 : 0] *
+      static_cast<double>(pack_.taps) * static_cast<double>(out_hw) *
+      static_cast<double>(unit)};
+  const DenseConv conv{codes,
+                       tap_off,
+                       pack_.plan.words.data(),
+                       pack_.correction.data(),
+                       filters.data(),
+                       reinterpret_cast<std::int32_t*>(output.data()),
+                       stride_ * plane.row_w,
+                       out_h,
+                       out_w,
+                       pack_.taps};
+  const DenseConvFn kernel = active_shift_kernels().dense_conv(tile);
   runtime::parallel_for(
-      0, (live + kDenseFilterBlock - 1) / kDenseFilterBlock, 1, block_cost,
-      [&](std::int64_t b_begin, std::int64_t b_end) {
-        for (std::int64_t b = b_begin; b < b_end; ++b) {
-          const std::int64_t first = b * kDenseFilterBlock;
-          const auto n = static_cast<int>(
-              std::min<std::int64_t>(kDenseFilterBlock, live - first));
-          std::int32_t* planes[kDenseFilterBlock] = {};
-          for (int j = 0; j < n; ++j) {
-            planes[j] = reinterpret_cast<std::int32_t*>(
-                output.data() +
-                filters[static_cast<std::size_t>(first + j)] * out_hw);
-          }
-          kern.dense_conv(codes, tap_off,
-                          pack_.plan.words.data() + first * pack_.taps,
-                          pack_.correction.data() + first, n, dense_geom,
-                          planes);
-          for (int j = 0; j < n; ++j) dequant_in_place(first + j);
+      0, (live + unit - 1) / unit, 1, unit_cost,
+      [&](std::int64_t u_begin, std::int64_t u_end) {
+        // The filter tile takes a worker's units in one call, so it can
+        // pair their blocks; the column tile takes one unit at a time, and
+        // each unit's planes are dequantized while they are in cache.
+        const std::int64_t step = filter_tile ? u_end - u_begin : 1;
+        for (std::int64_t u = u_begin; u < u_end; u += step) {
+          const std::int64_t first = u * unit;
+          const std::int64_t end = std::min((u + step) * unit, live);
+          kernel(conv, first, end);
+          for (std::int64_t j = first; j < end; ++j) dequant_in_place(j);
         }
       });
   return output;
@@ -442,6 +463,13 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
     total += pack_.tap_entries[t] * vy[t / k] * vx[t % k];
   }
   return {total, total};
+}
+
+ConvTile ShiftConv2d::tile(std::int64_t in_h, std::int64_t in_w) const {
+  const tensor::ConvGeometry geom{in_channels_, in_h, in_w, kernel_, stride_,
+                                  padding_};
+  return pick_conv_tile(active_shift_kernels().tier, geom.out_w(),
+                        static_cast<std::int64_t>(pack_.plan.live.size()));
 }
 
 const char* ShiftConv2d::kernel_tier() const {

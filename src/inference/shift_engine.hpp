@@ -17,10 +17,11 @@
 // execution path: run() copies the 8-bit input once into a u8 code plane
 // (four channels per word, zero-padded and split into `stride` column
 // phases, so one dispatched kernel covers every output pixel at every
-// stride with no bounds checks) and runs the tier's dot-product kernel
-// (shift_kernels.hpp), which adds the term walk's integers exactly
-// (DESIGN.md §9). A plan the kernels cannot run -- a weight past k_max
-// terms, a filter past the int32 bound -- is refused at adoption. Both
+// stride with no bounds checks) and runs the tier's dot-product kernel on
+// the tile that fills its lanes for the plane's width (shift_kernels.hpp),
+// which adds the term walk's integers exactly (DESIGN.md §9). A plan the
+// kernels cannot run -- a weight past k_max terms, a filter past the int32
+// bound -- is refused at adoption. Both
 // constructors end in the same place: the weights constructor lowers the
 // quantized weights (ShiftPlan::compile_conv), then adopts the plan exactly
 // as the artifact load path does. The pre-plan term walk lives in tests/ as
@@ -40,6 +41,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "inference/shift_kernels.hpp"
 #include "inference/shift_plan.hpp"
 #include "quant/pow2.hpp"
 #include "tensor/ops.hpp"
@@ -148,6 +150,17 @@ class ShiftConv2d {
   // hand-built activations can: every kMaxShiftActBits-bit quantization
   // stays inside) or whose plane passes the int32 offset range.
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
+
+  // run() on the given kernel tile of the active tier (shift_kernels.hpp):
+  // every tile gives the same bytes, so the tile only sets the speed.
+  // run(input) takes tile(H, W); QuantizedNetwork passes the tile its load
+  // walk picked.
+  [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
+                                   ConvTile tile) const;
+
+  // The tile the active tier runs an [in_channels, in_h, in_w] input on:
+  // pick_conv_tile of the output width and the live filter count.
+  [[nodiscard]] ConvTile tile(std::int64_t in_h, std::int64_t in_w) const;
 
   // Scratch one run() on an [in_channels, in_h, in_w] input fetches.
   [[nodiscard]] ConvScratchBytes scratch_bytes(std::int64_t in_h,

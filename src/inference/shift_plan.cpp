@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -43,7 +44,9 @@ class PeelLengths {
   static constexpr int kOffGrid = kRows;  // units() of any other weight
   static constexpr std::uint8_t kTooLong = 0xFF;  // needs more than k_max
 
-  PeelLengths(int k_max, const quant::Pow2Config& config)
+  // Out of line, and shared by compile_conv and adopt_plan: inlined, its
+  // table loops doubled both functions' code.
+  [[gnu::noinline]] PeelLengths(int k_max, const quant::Pow2Config& config)
       : inv_unit_(std::ldexp(1.0F, -config.e_min)) {
     const float unit = std::ldexp(1.0F, config.e_min);
     // Past FLT_MAX when e_min > 120: no finite weight has that value, and
@@ -68,6 +71,11 @@ class PeelLengths {
     for (int row = 0; row < kRows; ++row) {
       if (residual[row] != 0.0F) length_[row] = kTooLong;
     }
+    for (int b = -128; b < 128; ++b) {
+      const auto abs_b = static_cast<std::uint32_t>(b < 0 ? -b : b);
+      byte_[0][b + 128] = std::uint32_t{length_[b + kMaxUnits]} << 16 | abs_b;
+      byte_[1][b + 128] = std::uint32_t{length_[kMaxUnits - b]} << 16 | abs_b;
+    }
   }
 
   // u when `w` is exactly u * 2^e_min with |u| <= 128, else kOffGrid (NaN,
@@ -84,19 +92,29 @@ class PeelLengths {
   [[nodiscard]] const std::uint8_t* lengths() const {
     return length_.data() + kMaxUnits;
   }
+  // Per int8 pack byte b in [-128, 127], indexed by b: the peel length of
+  // its weight (b, or -b in a negated filter) << 16 | |b|. Four bytes' sum
+  // holds their terms above bit 16 and their |b| below it, and their
+  // maximum holds the longest peel above bit 16.
+  [[nodiscard]] const std::uint32_t* bytes(bool negated) const {
+    return byte_[negated ? 1 : 0].data() + 128;
+  }
 
  private:
   float inv_unit_;
   std::array<float, kRows> value_{};
   std::array<std::uint8_t, kRows> length_{};
+  std::array<std::array<std::uint32_t, 256>, 2> byte_{};
 };
 
 }  // namespace
 
-// One pass over the words: each live filter's bytes are checked and summed,
-// and each byte's peel length is counted at its tap and maxed into the
-// filter's k_i. The per-word checks accumulate and are tested once per
-// filter, so the inner loop does not branch.
+// One pass over the words, block by block: each block's words are copied
+// aside, then each of its live filters' bytes are checked and summed, each
+// byte's peel length is counted at its tap and maxed into the filter's k_i
+// (one table load per byte gives both its length and |b|), and each word is
+// written back at its blocked place. The per-word checks accumulate and are
+// tested once per filter, so the inner loop does not branch.
 FLIGHTNN_COLD_ALLOC AdoptedPlan adopt_plan(ShiftPlan plan,
                                            std::int64_t out_channels,
                                            std::int64_t in_channels,
@@ -140,7 +158,6 @@ FLIGHTNN_COLD_ALLOC AdoptedPlan adopt_plan(ShiftPlan plan,
   adopted.correction.reserve(live);
   adopted.tap_entries.assign(static_cast<std::size_t>(kk), 0);
   const PeelLengths peel(plan.k_max, config);
-  const std::uint8_t* length = peel.lengths();
   // The lanes of the last channel group past in_channels.
   const std::uint32_t padding =
       in_channels % 4 == 0 ? 0U : ~0U << (8 * (in_channels % 4));
@@ -148,53 +165,78 @@ FLIGHTNN_COLD_ALLOC AdoptedPlan adopt_plan(ShiftPlan plan,
   // §9): |q| <= 127 for every code run() accepts.
   constexpr std::int64_t kMaxAbsSum =
       std::numeric_limits<std::int32_t>::max() / 127;
+  // The blocked order (shift_kernels.hpp) holds every full block where its
+  // filters' words were, so each block is re-laid in place; only the last
+  // block's zero padding grows the words. Its size stays within 16 x the
+  // words the plan brought.
+  const auto block_words = static_cast<std::size_t>(kFilterBlock * taps);
+  const std::size_t blocks = (live + kFilterBlock - 1) / kFilterBlock;
+  plan.words.resize(blocks * block_words);
+  std::vector<std::uint32_t> aside(std::min<std::size_t>(live, kFilterBlock) *
+                                   static_cast<std::size_t>(taps));
   std::int64_t entries = 0;
-  const auto* word = reinterpret_cast<const std::uint32_t*>(plan.words.data());
-  for (std::size_t i = 0; i < live; ++i) {
-    const std::int32_t f = plan.live[i];
-    FLIGHTNN_CHECK(plan.negated[i] <= 1, "ShiftPlan: filter ", f,
-                   "'s negated byte is ", int{plan.negated[i]}, ", not 0 or 1");
-    // The weight of byte b is -b in a negated filter.
-    const int sign = plan.negated[i] != 0 ? -1 : 1;
-    std::int64_t sum = 0;
-    std::int64_t abs_sum = 0;
-    std::uint32_t padded = 0;
-    int k = 0;
-    for (std::int64_t g = 0; g < groups; ++g) {
-      const std::uint32_t pad = g + 1 == groups ? padding : 0U;
-      for (std::int64_t t = 0; t < kk; ++t, ++word) {
-        const std::uint32_t w = *word;
-        padded |= w & pad;
-        int terms = 0;
-        for (int lane = 0; lane < 4; ++lane) {
-          const int b = static_cast<std::int8_t>(w >> (8 * lane));
-          const int n = length[sign * b];
-          terms += n;
-          k = std::max(k, n);
-          sum += b;
-          abs_sum += b < 0 ? -b : b;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t first = b * kFilterBlock;
+    const std::size_t filters =
+        std::min<std::size_t>(kFilterBlock, live - first);
+    auto* block = reinterpret_cast<std::uint32_t*>(plan.words.data()) +
+                  b * block_words;
+    std::memcpy(aside.data(), block,
+                filters * static_cast<std::size_t>(taps) *
+                    sizeof(std::uint32_t));
+    if (filters < kFilterBlock) std::fill(block, block + block_words, 0U);
+    const std::uint32_t* word = aside.data();
+    for (std::size_t j = 0; j < filters; ++j) {
+      const std::size_t i = first + j;
+      const std::int32_t f = plan.live[i];
+      FLIGHTNN_CHECK(plan.negated[i] <= 1, "ShiftPlan: filter ", f,
+                     "'s negated byte is ", int{plan.negated[i]},
+                     ", not 0 or 1");
+      // The weight of byte b is -b in a negated filter.
+      const std::uint32_t* byte = peel.bytes(plan.negated[i] != 0);
+      std::int64_t sum = 0;
+      std::int64_t abs_sum = 0;
+      std::uint32_t padded = 0;
+      std::uint32_t longest = 0;
+      std::uint32_t* out = block + j;
+      for (std::int64_t g = 0; g < groups; ++g) {
+        const std::uint32_t pad = g + 1 == groups ? padding : 0U;
+        for (std::int64_t t = 0; t < kk; ++t, ++word, out += kFilterBlock) {
+          const std::uint32_t w = *word;
+          *out = w;
+          padded |= w & pad;
+          std::uint32_t lanes = 0;
+          for (int lane = 0; lane < 4; ++lane) {
+            const int v = static_cast<std::int8_t>(w >> (8 * lane));
+            lanes += byte[v];
+            longest = std::max(longest, byte[v]);
+            sum += v;
+          }
+          const std::uint32_t terms = lanes >> 16;
+          abs_sum += lanes & 0xFFFFU;
+          adopted.tap_entries[static_cast<std::size_t>(t)] += terms;
+          entries += terms;
         }
-        adopted.tap_entries[static_cast<std::size_t>(t)] += terms;
-        entries += terms;
       }
+      const auto k = static_cast<int>(longest >> 16);
+      FLIGHTNN_CHECK(padded == 0, "ShiftPlan: filter ", f,
+                     " holds a nonzero byte past in_channels ", in_channels);
+      FLIGHTNN_CHECK(k != PeelLengths::kTooLong, "ShiftPlan: filter ", f,
+                     " holds a weight that is not a sum of <= ", plan.k_max,
+                     " powers of two in [2^", config.e_min, ", 2^",
+                     config.e_max, "]");
+      FLIGHTNN_CHECK(k > 0, "ShiftPlan: live filter ", f,
+                     " has no nonzero weight");
+      FLIGHTNN_CHECK(abs_sum <= kMaxAbsSum, "ShiftPlan: filter ", f,
+                     "'s sum of |w| is ", abs_sum,
+                     ", and 127 times it passes the kernels' int32 bound (at "
+                     "most ", kMaxAbsSum, ")");
+      // The kernels subtract it in wrapping 32-bit arithmetic, so its
+      // residue mod 2^32 is all they need.
+      adopted.correction.push_back(
+          static_cast<std::int32_t>(static_cast<std::uint32_t>(sum * 128)));
+      adopted.term_count += k;
     }
-    FLIGHTNN_CHECK(padded == 0, "ShiftPlan: filter ", f,
-                   " holds a nonzero byte past in_channels ", in_channels);
-    FLIGHTNN_CHECK(k != PeelLengths::kTooLong, "ShiftPlan: filter ", f,
-                   " holds a weight that is not a sum of <= ", plan.k_max,
-                   " powers of two in [2^", config.e_min, ", 2^", config.e_max,
-                   "]");
-    FLIGHTNN_CHECK(k > 0, "ShiftPlan: live filter ", f,
-                   " has no nonzero weight");
-    FLIGHTNN_CHECK(abs_sum <= kMaxAbsSum, "ShiftPlan: filter ", f,
-                   "'s sum of |w| is ", abs_sum,
-                   ", and 127 times it passes the kernels' int32 bound (at "
-                   "most ", kMaxAbsSum, ")");
-    // The kernels subtract it in wrapping 32-bit arithmetic, so its residue
-    // mod 2^32 is all they need.
-    adopted.correction.push_back(
-        static_cast<std::int32_t>(static_cast<std::uint32_t>(sum * 128)));
-    adopted.term_count += k;
   }
   FLIGHTNN_CHECK(entries == plan.entry_count, "ShiftPlan: stored entry count ",
                  plan.entry_count, ", its words hold ", entries);

@@ -7,7 +7,8 @@
 // [-128, 128], one byte: the paper's 8-bit storage of an L-2 weight (Table
 // 2). A CPU has fast int8 dot products where the paper's hardware has
 // shifts, so the bytes the kernels read are the bytes compile writes, the
-// artifact stores and load adopts (DESIGN.md §9).
+// artifact stores and load adopts, re-laid by adoption into the kernels'
+// blocked order (DESIGN.md §9, §14).
 //
 // `ShiftPlan::compile_conv` lowers quantized weights straight into the pack
 // in one pass: each weight's value in units, checked against the greedy peel
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "inference/shift_kernels.hpp"
 #include "quant/pow2.hpp"
 #include "tensor/tensor.hpp"
 
@@ -39,7 +41,9 @@ struct ShiftPlan {
   // (ceil(in_channels / 4) x kernel x kernel): byte i of a word is the int8
   // weight, in units of 2^e_min, of input channel 4 * group + i, and 0 past
   // in_channels. A linear layer is a 1x1 conv: its input features are the
-  // channels.
+  // channels. That is the order compile writes and the artifact stores;
+  // adopt_plan re-lays the words in place into the kernels' blocked order
+  // (AdoptedPlan::plan).
   std::vector<std::int32_t> words;
   // Per live filter: 1 when its words hold -w (a filter whose weights reach
   // +128 but not -128), so its int32 sum is the negated dot product; else 0.
@@ -78,6 +82,9 @@ struct CompiledPlan {
 // A plan checked for the kernels, with what they and the census read beside
 // it, derived from its words (adopt_plan).
 struct AdoptedPlan {
+  // The plan, its words re-laid into the kernels' order (shift_kernels.hpp):
+  // [block of kFilterBlock live filters][tap][filter], the last block
+  // zero-padded to kFilterBlock filters. The engine keeps no other copy.
   ShiftPlan plan;
   // Words per live filter.
   std::int64_t taps = 0;
@@ -99,7 +106,8 @@ inline constexpr int kMaxShift = 61;
 // Adopt a plan over `out_channels` [in_channels, kernel, kernel] filters
 // and config's exponent window, whoever built it (compile_conv, an artifact,
 // a test): the check of everything the kernels and the census assume, and
-// one pass over the words that derives the rest. Throws CheckFailure when
+// one pass over the words that derives the rest and re-lays them in the
+// kernels' blocked order. Throws CheckFailure when
 //  - the window lies outside [-126, 127] or spans more than kMaxShift, k_max
 //    < 1, k_max terms of 2^e_max pass FLT_MAX, or the geometry is empty or
 //    its word count overflows;
@@ -113,7 +121,8 @@ inline constexpr int kMaxShift = 61;
 //    8-bit codes could wrap the kernels' int32 accumulator;
 //  - the plan's entry count is not the sum of its weights' peel lengths.
 // Allocates nothing past O(out_channels + kernel^2) beyond the plan itself,
-// and the kernel^2 only once the words have paid for it.
+// its last block's zero padding and one block of words set aside while it
+// is re-laid, and the kernel^2 only once the words have paid for it.
 AdoptedPlan adopt_plan(ShiftPlan plan, std::int64_t out_channels,
                        std::int64_t in_channels, std::int64_t kernel,
                        const quant::Pow2Config& config);

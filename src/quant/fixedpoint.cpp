@@ -1,6 +1,7 @@
 #include "quant/fixedpoint.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/annotations.hpp"
 #include "support/check.hpp"
@@ -62,7 +63,9 @@ int scale_exponent(float abs_max, std::int64_t q_max) {
                  ")");
   if (abs_max == 0.0F) return 0;
   const float quotient = abs_max / static_cast<float>(q_max);
-  if (quotient > 0.0F) return static_cast<int>(std::ceil(std::log2(quotient)));
+  if (quotient >= std::numeric_limits<float>::min()) {
+    return static_cast<int>(std::ceil(std::log2(quotient)));
+  }
   return static_cast<int>(std::ceil(std::log2(
       static_cast<double>(abs_max) / static_cast<double>(q_max))));
 }

@@ -21,8 +21,7 @@
 // elsewhere -- an abs-max below about 2^-120, or past 2^126 at 2 bits --
 // they form each product in double and round once, one branch per call:
 // 2^-149 at 8 bits is code 64 at 2^-155 and comes back as 2^-149, and
-// {FLT_MAX, 1} at 2 bits comes back as {+inf, 0}. The exponent covers the
-// abs-max except in one band, where scale_exponent's quotient is subnormal.
+// {FLT_MAX, 1} at 2 bits comes back as {+inf, 0}.
 
 #include <cmath>
 #include <cstdint>
@@ -40,15 +39,14 @@ struct FixedPointConfig {
 
 // The power-of-two scale exponent of an abs-max >= 0 at `q_max` levels:
 // ceil(log2(abs_max / q_max)), the quotient rounded to float as the
-// quantizers have always taken it, and 0 for an abs-max of 0. A quotient
-// that underflows to zero (a subnormal abs-max below about q_max * 2^-150,
-// where the float log2 is -inf and its int conversion undefined) is taken in
-// double instead. No such quotient lies within a relative 1/q_max of a power
-// of two, so there the result is the smallest e with abs_max <= q_max * 2^e.
-// A subnormal but nonzero float quotient (an abs-max below about
-// q_max * 2^-126) keeps few bits and can round down to a power of two; then
-// e is one too small and the peak saturates: 2^-140 at 8 bits gets e = -147
-// and code 127, where e = -146 would hold it as code 64.
+// quantizers have always taken it where it is a normal float, and 0 for an
+// abs-max of 0. A quotient below FLT_MIN (an abs-max below about
+// q_max * 2^-126) is taken in double instead: a subnormal float quotient
+// keeps few bits and could round down to a power of two, and one that
+// underflows to zero has no log2. The double quotient lies within a relative
+// 2^-39 of a power of two only when it is one, so there the result is the
+// smallest e with abs_max <= q_max * 2^e: 2^-140 at 8 bits gets e = -146
+// and code 64. Exponents from a normal quotient (e >= -126) are unchanged.
 // Throws CheckFailure for a NaN or infinite abs-max.
 [[nodiscard]] int scale_exponent(float abs_max, std::int64_t q_max);
 

@@ -4,12 +4,12 @@
 // one flat, relocatable, mmap-able blob. This is the FINN-R / FlexNN
 // deployment unit for FLightNNs -- all planning (quantization, lowering to
 // the int8 pack, batch-norm folding) happens offline in build_artifact, and
-// the file stores each shift layer's weights in the form the kernels read:
+// the file stores each shift layer's weights as the bytes the kernels read:
 // its live-filter list, its int8 words and its negated bytes. Loading is
 // mmap, the checksum, a section table walk, and one copy of each section
-// into the program; each adopting engine then checks its plan and derives
-// the rest in one pass over its words (adopt_plan). Once loaded, nothing
-// reads the mapping.
+// into the program; each adopting engine then checks its plan, derives the
+// rest and re-lays the words in the kernels' blocked order in one pass
+// over them (adopt_plan). Once loaded, nothing reads the mapping.
 //
 // Format v3 (DESIGN.md §13 is the normative spec):
 //

@@ -192,8 +192,11 @@ TEST(ActivationQuantTest, ScalesPastTheFloatRangeAreExact) {
 
 // The training mask is |x * 2^-e| > q_max at every scale, so backward passes
 // exactly the unsaturated gradients. At 2^-149 nothing saturates (e = -155,
-// below a float scale's range); at abs-max (127 + 2^-17) * 2^-127 the float
-// quotient rounds down to 2^-127, so e = -127 and that element saturates.
+// below a float scale's range); at abs-max (127 + 2^-17) * 2^-127 the
+// quotient lies just above 2^-127, below FLT_MIN, where scale_exponent
+// takes it in double: e = -126, and the peak does not saturate either (a
+// float quotient rounds down to 2^-127, which gave e = -127 and saturated
+// it).
 TEST(ActivationQuantTest, MaskAtTinyScalesIsTheSaturatedElements) {
   const float tiny = std::numeric_limits<float>::denorm_min();
   const std::vector<std::vector<float>> inputs = {
@@ -202,12 +205,14 @@ TEST(ActivationQuantTest, MaskAtTinyScalesIsTheSaturatedElements) {
        -std::ldexp(1.0F, -127), std::ldexp(-126.0F, -127)},
   };
   int saturated = 0;
+  std::vector<int> exponents;
   for (const auto& values : inputs) {
     ActivationQuant aq(8);
     const Tensor x(Shape{static_cast<std::int64_t>(values.size())}, values);
     (void)aq.forward(x, true);
     const Tensor grad = aq.backward(Tensor(x.shape(), 1.0F));
     const int e = quant::scale_exponent(x.abs_max(), 127);
+    exponents.push_back(e);
     for (std::int64_t i = 0; i < x.numel(); ++i) {
       const bool over =
           std::fabs(std::ldexp(static_cast<long double>(x[i]), -e)) > 127;
@@ -215,7 +220,8 @@ TEST(ActivationQuantTest, MaskAtTinyScalesIsTheSaturatedElements) {
       EXPECT_EQ(grad[i], over ? 0.0F : 1.0F) << "x " << x[i] << " e " << e;
     }
   }
-  EXPECT_EQ(saturated, 1);
+  EXPECT_EQ(exponents, (std::vector<int>{-155, -126}));
+  EXPECT_EQ(saturated, 0);
 }
 
 TEST(ActivationQuantTest, StraightThroughGradientInRange) {

@@ -19,9 +19,11 @@
 #include "inference/shift_kernels.hpp"
 #include "models/networks.hpp"
 #include "nn/activations.hpp"
+#include "quant/lightnn.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/inference_request.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 #include "tensor/buffer_pool.hpp"
 #include "term_walk_oracle.hpp"
 
@@ -494,6 +496,72 @@ ProgramOp shift_conv_op() {
   op.term_count = compiled.term_count;
   op.plan = std::move(compiled.plan);
   return op;
+}
+
+// The load walk picks each shift op's tile from its output width and live
+// count (pick_conv_tile, on the tier active at load), records it in the
+// op's row, and run() and profile() follow the row: on VNNI the 16x16 conv
+// runs the column tile and the 8x8 and 4x4 convs the filter tile, and
+// every tier and tile gives the scalar tier's logits.
+TEST(QuantizedNetworkTest, EachShiftOpRecordsItsTile) {
+  support::Rng rng(71);
+  const auto conv = [&](std::int64_t in, std::int64_t out,
+                        std::int64_t stride) {
+    ProgramOp op;
+    op.kind = ProgramOpKind::kShiftConv;
+    op.out_channels = out;
+    op.in_channels = in;
+    op.kernel = 3;
+    op.stride = stride;
+    op.padding = 1;
+    inference::CompiledPlan compiled = inference::ShiftPlan::compile_conv(
+        quant::quantize_lightnn(
+            Tensor::randn(Shape{out, in, 3, 3}, rng, 0.0F, 0.3F), 2, op.pow2),
+        2, op.pow2);
+    op.term_count = compiled.term_count;
+    op.plan = std::move(compiled.plan);
+    return op;
+  };
+  NetworkProgram program;
+  program.ops = {conv(8, 32, 1), conv(32, 32, 2), conv(32, 32, 2)};
+  program.input_c = 8;
+  program.input_h = 16;
+  program.input_w = 16;
+  const Tensor image = Tensor::randn(Shape{8, 16, 16}, rng);
+  const std::int64_t widths[] = {16, 8, 4};
+
+  struct ClearTierOverride {
+    ~ClearTierOverride() { inference::set_kernel_tier_override(-1); }
+  } clear;
+  inference::set_kernel_tier_override(0);
+  const Tensor scalar_logits =
+      QuantizedNetwork::from_program(program).run(image);
+  for (const KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kVnni}) {
+    if (inference::shift_kernels_for(tier).tier != tier) continue;
+    inference::set_kernel_tier_override(static_cast<int>(tier));
+    const auto network = QuantizedNetwork::from_program(program);
+    const auto& rows = network.memory_plan()->per_op();
+    const auto steps = network.profile(image, 1);
+    ASSERT_EQ(steps.size(), 3U);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(rows[i].tile, inference::pick_conv_tile(tier, widths[i], 32))
+          << kernel_tier_name(tier) << " op " << i;
+      EXPECT_EQ(steps[i].tile, inference::conv_tile_name(rows[i].tile))
+          << kernel_tier_name(tier) << " op " << i;
+    }
+    if (tier == KernelTier::kVnni) {
+      EXPECT_EQ(steps[0].tile, "column");
+      EXPECT_EQ(steps[1].tile, "filter");
+      EXPECT_EQ(steps[2].tile, "filter");
+    }
+    const Tensor logits = network.run(image);
+    EXPECT_EQ(std::memcmp(logits.data(), scalar_logits.data(),
+                          static_cast<std::size_t>(logits.numel()) *
+                              sizeof(float)),
+              0)
+        << kernel_tier_name(tier);
+  }
 }
 
 // Each program below is malformed in one field. from_program must throw

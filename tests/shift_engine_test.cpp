@@ -84,18 +84,18 @@ TEST(QuantizeImageTest, ScaleExponentIsDefinedForEveryFiniteAbsMax) {
       if (a > 0.0F) abs_maxes.push_back(a);
     }
   }
-  int underflowed = 0;
+  int subnormal = 0;
   for (int bits = 2; bits <= 16; ++bits) {
     const std::int64_t q_max = (std::int64_t{1} << (bits - 1)) - 1;
     for (const float a : abs_maxes) {
       const QuantizedActivations q =
           quantize_image(Tensor(Shape{1, 1, 1}, a), bits);
       const float quotient = a / static_cast<float>(q_max);
-      if (quotient > 0.0F) {
+      if (quotient >= std::numeric_limits<float>::min()) {
         EXPECT_EQ(q.scale_exp, static_cast<int>(std::ceil(std::log2(quotient))))
             << "abs-max " << a << " bits " << bits;
       } else {
-        ++underflowed;
+        ++subnormal;
         const auto bound = static_cast<double>(q_max);
         EXPECT_LE(a, std::ldexp(bound, q.scale_exp))
             << "abs-max " << a << " bits " << bits;
@@ -105,7 +105,7 @@ TEST(QuantizeImageTest, ScaleExponentIsDefinedForEveryFiniteAbsMax) {
       EXPECT_LE(q.max_abs, q_max) << "abs-max " << a << " bits " << bits;
     }
   }
-  EXPECT_GT(underflowed, 0);
+  EXPECT_GT(subnormal, 0);
 
   // The smallest subnormal at 8 bits: 2^-149 = 64 * 2^-155, and both the
   // two-step form and fake_quantize give it back, not the 0 a float scale
@@ -142,19 +142,18 @@ TEST(QuantizeImageTest, TopOfTheRangeRoundsToInfinityAndZero) {
 }
 
 // The conv's output scale 2^(scale_exp + e_min) underflows a float for a
-// tiny input: 2^-140 quantizes to code 127 at 2^-147 (saturated, since its
-// subnormal float quotient 2^-140 / 127 rounds down to 2^-147; see
-// quant::scale_exponent), and a 1x1 conv with one weight of 1.0 (e_min -6)
-// must give 127 * 2^-147, what the reference conv on the dequantized input
-// gives, not the 0 of a float scale of 2^-153. A bias is added after the
-// exact product.
+// tiny input: 2^-140 quantizes to code 64 at 2^-146 (its quotient 2^-140 /
+// 127 is below FLT_MIN, so quant::scale_exponent takes it in double), and a
+// 1x1 conv with one weight of 1.0 (e_min -6) must give 64 * 2^-146 =
+// 2^-140, what the reference conv on the dequantized input gives, not the 0
+// of a float scale of 2^-152. A bias is added after the exact product.
 TEST(ShiftConvTest, TinyInputScaleIsExact) {
   const quant::Pow2Config config;
   const Tensor wq(Shape{1, 1, 1, 1}, std::vector<float>{1.0F});
   const auto q = quantize_image(Tensor(Shape{1, 1, 1}, std::ldexp(1.0F, -140)), 8);
-  ASSERT_EQ(q.scale_exp, -147);
-  ASSERT_EQ(q.values[0], 127);
-  const float want = 127.0F * std::ldexp(1.0F, -147);
+  ASSERT_EQ(q.scale_exp, -146);
+  ASSERT_EQ(q.values[0], 64);
+  const float want = std::ldexp(1.0F, -140);
   const Tensor ref = reference_conv(wq, dequantize(q), 1, 0);
   EXPECT_EQ(ref[0], want);
   EXPECT_EQ(ShiftConv2d(wq, 1, config, 1, 0).run(q)[0], want);

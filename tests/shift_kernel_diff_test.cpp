@@ -1,8 +1,9 @@
-// Differential property suite for the dense conv kernels: every dense tier
-// the host has (AVX2, AVX-512 VNNI) must be byte-identical to the scalar
-// tier and to the pre-plan term walk (term_walk_oracle.hpp) under every
-// geometry the plan compiler can produce -- output widths that hit the
-// 16-lane and 8-lane tails, strides, paddings, channel counts that are not a
+// Differential property suite for the dense conv kernels: both tiles of
+// every dense tier the host has (AVX2, AVX-512 VNNI) must be byte-identical
+// to the scalar tier and to the pre-plan term walk (term_walk_oracle.hpp)
+// under every geometry the plan compiler can produce -- output widths that
+// hit the 16-lane and 8-lane tails, narrow planes, live counts around the
+// 16-filter block, strides, paddings, channel counts that are not a
 // multiple of four, pruning, linear layers (1x1 convs on a 1x1 plane),
 // thread counts, and plans adopted from an mmap-ed artifact. A filter
 // reaching +128 packs negated and matches too;
@@ -55,6 +56,8 @@ struct TierGuard {
 
 bool host_has(KernelTier tier) { return shift_kernels_for(tier).tier == tier; }
 
+constexpr ConvTile kTiles[] = {ConvTile::kColumn, ConvTile::kFilter};
+
 // Every tier this host can run, scalar first.
 std::vector<KernelTier> host_tiers() {
   std::vector<KernelTier> tiers{KernelTier::kScalar};
@@ -86,9 +89,10 @@ void prune_filters(Tensor& wq, Prune prune) {
 
 // --- Engine-level sweeps ---------------------------------------------------
 
-// Every host tier on one engine: each must report its own name and match
-// the term walk's output byte for byte. A rank-1 reference is a linear
-// layer's [out] features, which the engine gives through run_linear.
+// Every host tier and both its tiles on one engine: each tier must report
+// its own name and each tile match the term walk's output byte for byte. A
+// rank-1 reference is a linear layer's [out] features, which the engine
+// gives through run_linear.
 void expect_tiers_match(const ShiftConv2d& engine, const Tensor& reference,
                         const QuantizedActivations& input,
                         const std::string& what) {
@@ -96,11 +100,14 @@ void expect_tiers_match(const ShiftConv2d& engine, const Tensor& reference,
     set_kernel_tier_override(static_cast<int>(tier));
     EXPECT_STREQ(engine.kernel_tier(), kernel_tier_name(tier))
         << what << " tier=" << kernel_tier_name(tier);
-    const Tensor out = reference.shape().rank() == 1
-                           ? oracle::run_linear(engine, input)
-                           : engine.run(input);
-    EXPECT_TRUE(bytes_equal(out, reference))
-        << what << " tier=" << kernel_tier_name(tier);
+    for (const ConvTile tile : kTiles) {
+      const Tensor out = reference.shape().rank() == 1
+                             ? oracle::run_linear(engine, input, tile)
+                             : engine.run(input, tile);
+      EXPECT_TRUE(bytes_equal(out, reference))
+          << what << " tier=" << kernel_tier_name(tier)
+          << " tile=" << conv_tile_name(tile);
+    }
   }
   set_kernel_tier_override(-1);
 }
@@ -164,6 +171,89 @@ TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
     expect_conv_tiers_match_reference(quant::quantize_lightnn(w, k_max, config),
                                       k_max, 2, 0, qblock,
                                       "shortcut k_max=" + std::to_string(k_max));
+  }
+  // The narrow planes the filter tile is for: outputs from 2x2 to 9x9 (row
+  // lengths shorter than a tile of pixels, and pixel counts that leave
+  // every tail of one), live counts around one and two blocks of 16 (odd
+  // pruning leaves 6 to 17 of them), stride 2, and the 1x1 stride-2
+  // shortcut onto 4x4.
+  for (const std::int64_t side : {2, 3, 4, 5, 6, 7, 8, 9}) {
+    for (const std::int64_t stride : {1, 2}) {
+      const auto qimg = quantize_image(
+          Tensor::randn(Shape{6, side * stride, side * stride}, rng), 8);
+      for (const std::int64_t filters : {12, 16, 17, 33}) {
+        for (const Prune prune : {Prune::kNone, Prune::kOdd}) {
+          Tensor w =
+              Tensor::randn(Shape{filters, 6, 3, 3}, rng, 0.0F, 0.3F);
+          Tensor wq = quant::quantize_lightnn(w, 2, config);
+          prune_filters(wq, prune);
+          expect_conv_tiers_match_reference(
+              wq, 2, stride, 1, qimg,
+              "side=" + std::to_string(side) +
+                  " s=" + std::to_string(stride) +
+                  " filters=" + std::to_string(filters) +
+                  " prune=" + std::to_string(static_cast<int>(prune)));
+        }
+      }
+    }
+  }
+  const auto qstage = quantize_image(Tensor::randn(Shape{32, 8, 8}, rng), 8);
+  for (const Prune prune : {Prune::kNone, Prune::kOdd}) {
+    Tensor wq = quant::quantize_lightnn(
+        Tensor::randn(Shape{33, 32, 1, 1}, rng, 0.0F, 0.3F), 2, config);
+    prune_filters(wq, prune);
+    expect_conv_tiers_match_reference(
+        wq, 2, 2, 0, qstage,
+        "shortcut onto 4x4 prune=" + std::to_string(static_cast<int>(prune)));
+  }
+}
+
+// The rule run() takes its tile by: on VNNI the filter tile fills its lanes
+// where a plane is narrower than a zmm of columns, and the column tile
+// keeps planes a zmm wide; the scalar tier has one kernel.
+TEST(ShiftKernelDiffTest, TileRulePicksTheFilterTileForNarrowPlanes) {
+  for (const std::int64_t live : {16, 32, 64, 128}) {
+    for (const std::int64_t side : {4, 8}) {
+      EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, side, live),
+                ConvTile::kFilter)
+          << side << "x" << side << " live=" << live;
+    }
+    for (const std::int64_t side : {16, 32}) {
+      EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, side, live),
+                ConvTile::kColumn)
+          << side << "x" << side << " live=" << live;
+    }
+    EXPECT_EQ(pick_conv_tile(KernelTier::kAvx2, 4, live), ConvTile::kFilter)
+        << "avx2 4x4 live=" << live;
+    for (const std::int64_t side : {16, 32}) {
+      EXPECT_EQ(pick_conv_tile(KernelTier::kAvx2, side, live),
+                ConvTile::kColumn)
+          << "avx2 " << side << "x" << side << " live=" << live;
+    }
+    for (const std::int64_t side : {1, 4, 32}) {
+      EXPECT_EQ(pick_conv_tile(KernelTier::kScalar, side, live),
+                ConvTile::kColumn);
+    }
+  }
+  // One live filter fills one lane of the filter tile: the column tile.
+  EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, 4, 1), ConvTile::kColumn);
+  EXPECT_STREQ(conv_tile_name(ConvTile::kColumn), "column");
+  EXPECT_STREQ(conv_tile_name(ConvTile::kFilter), "filter");
+
+  // An engine picks by the active tier and its input's output width.
+  TierGuard guard;
+  const quant::Pow2Config config;
+  support::Rng rng(111);
+  const ShiftConv2d engine(
+      quant::quantize_lightnn(
+          Tensor::randn(Shape{32, 8, 3, 3}, rng, 0.0F, 0.3F), 2, config),
+      2, config, 1, 1);
+  for (const KernelTier tier : host_tiers()) {
+    set_kernel_tier_override(static_cast<int>(tier));
+    for (const std::int64_t side : {4, 8, 16, 32}) {
+      EXPECT_EQ(engine.tile(side, side), pick_conv_tile(tier, side, 32))
+          << kernel_tier_name(tier) << " " << side;
+    }
   }
 }
 
@@ -298,13 +388,31 @@ TEST(ShiftKernelDiffTest, DenseKernelDirect) {
     return static_cast<std::uint32_t>(rng.uniform_index(1U << 16)) << 16 |
            static_cast<std::uint32_t>(rng.uniform_index(1U << 16));
   };
+  // Each call covers [first, end) of the live filters: the whole layer, the
+  // units run() makes (kColumnFilters or a block of kFilterBlock), and a
+  // range that starts and ends inside a block.
+  const auto call = [](DenseConvFn fn, const DenseConv& conv,
+                       std::int64_t live, std::int64_t unit) {
+    if (unit == 0) {
+      fn(conv, 0, live);
+      return;
+    }
+    if (unit < 0) {
+      fn(conv, 1, live - 1);
+      return;
+    }
+    for (std::int64_t first = 0; first < live; first += unit) {
+      fn(conv, first, std::min(first + unit, live));
+    }
+  };
   for (const KernelTier tier : host_tiers()) {
     if (tier == KernelTier::kScalar) continue;
     const ShiftKernels& vector = shift_kernels_for(tier);
-    // Output widths around both lane counts; heights with and without a
-    // trailing single row; one and two channel groups; 1-4 filters.
+    // Output widths across and past both lane counts; heights with and
+    // without a trailing single row; one and two channel groups; live
+    // counts around one, two and three blocks.
     for (const std::int64_t stride : {1, 2}) {
-      for (const std::int64_t out_w : {1, 5, 8, 9, 15, 16, 17, 23, 32, 33}) {
+      for (std::int64_t out_w = 1; out_w <= 17; ++out_w) {
         for (const std::int64_t out_h : {1, 2, 5}) {
           for (const std::int64_t groups : {1, 2}) {
             // The engine's code plane (ShiftConv2d::run): the rows and
@@ -327,32 +435,60 @@ TEST(ShiftKernelDiffTest, DenseKernelDirect) {
               }
             }
             const auto taps = static_cast<std::int64_t>(tap_off.size());
-            std::vector<std::int32_t> weights(
-                static_cast<std::size_t>(kDenseFilterBlock * taps));
-            for (auto& w : weights) w = static_cast<std::int32_t>(random_word());
-            std::vector<std::int32_t> correction(kDenseFilterBlock);
-            for (auto& c : correction) c = static_cast<std::int32_t>(random_word());
-            const DenseConvGeom geom{stride * row_w, out_h, out_w, taps};
-            for (int filters = 1; filters <= kDenseFilterBlock; ++filters) {
-              const auto plane = static_cast<std::size_t>(out_h * out_w);
-              std::vector<std::vector<std::int32_t>> want(
-                  static_cast<std::size_t>(filters),
-                  std::vector<std::int32_t>(plane));
-              std::vector<std::vector<std::int32_t>> got(want);
-              std::int32_t* want_at[kDenseFilterBlock] = {};
-              std::int32_t* got_at[kDenseFilterBlock] = {};
-              for (int j = 0; j < filters; ++j) {
-                want_at[j] = want[static_cast<std::size_t>(j)].data();
-                got_at[j] = got[static_cast<std::size_t>(j)].data();
+            for (const std::int64_t live : {1, 5, 15, 16, 17, 31, 33}) {
+              // The adopted order: blocks of 16 filters, [tap][filter], the
+              // last block zero-padded.
+              const std::int64_t blocks =
+                  (live + kFilterBlock - 1) / kFilterBlock;
+              std::vector<std::int32_t> words(
+                  static_cast<std::size_t>(blocks * kFilterBlock * taps), 0);
+              for (std::int64_t j = 0; j < live; ++j) {
+                for (std::int64_t t = 0; t < taps; ++t) {
+                  words[static_cast<std::size_t>(
+                      (j / kFilterBlock) * kFilterBlock * taps +
+                      t * kFilterBlock + j % kFilterBlock)] =
+                      static_cast<std::int32_t>(random_word());
+                }
               }
-              scalar.dense_conv(codes.data(), tap_off.data(), weights.data(),
-                                correction.data(), filters, geom, want_at);
-              vector.dense_conv(codes.data(), tap_off.data(), weights.data(),
-                                correction.data(), filters, geom, got_at);
-              EXPECT_EQ(want, got)
-                  << kernel_tier_name(tier) << " stride=" << stride
-                  << " out_w=" << out_w << " out_h=" << out_h
-                  << " groups=" << groups << " filters=" << filters;
+              const auto n = static_cast<std::size_t>(live);
+              std::vector<std::int32_t> correction(n);
+              for (auto& c : correction) {
+                c = static_cast<std::int32_t>(random_word());
+              }
+              // Live filters on every other output channel: the planes
+              // between them must stay untouched.
+              std::vector<std::int32_t> channels(n);
+              for (std::size_t j = 0; j < n; ++j) {
+                channels[j] = static_cast<std::int32_t>(2 * j);
+              }
+              const auto plane = static_cast<std::size_t>(out_h * out_w);
+              std::vector<std::int32_t> want(plane * (2 * n - 1), 7);
+              DenseConv conv{codes.data(), tap_off.data(), words.data(),
+                             correction.data(), channels.data(), want.data(),
+                             stride * row_w, out_h, out_w, taps};
+              call(scalar.column_tile, conv, live, 0);
+              for (const ConvTile tile : kTiles) {
+                const std::int64_t unit =
+                    tile == ConvTile::kFilter ? kFilterBlock : kColumnFilters;
+                for (const std::int64_t split : {std::int64_t{0}, unit,
+                                                 std::int64_t{-1}}) {
+                  if (split < 0 && live < 3) continue;
+                  std::vector<std::int32_t> got(want.size(), 7);
+                  conv.out = got.data();
+                  call(vector.dense_conv(tile), conv, live, split);
+                  std::vector<std::int32_t> expected(want);
+                  if (split < 0) {  // filters 0 and live - 1 are not run
+                    std::fill_n(expected.begin(), plane, 7);
+                    std::fill_n(expected.end() - static_cast<long>(plane),
+                                plane, 7);
+                  }
+                  EXPECT_EQ(expected, got)
+                      << kernel_tier_name(tier) << " " << conv_tile_name(tile)
+                      << " split=" << split << " stride=" << stride
+                      << " out_w=" << out_w << " out_h=" << out_h
+                      << " groups=" << groups << " live=" << live;
+                }
+              }
             }
           }
         }
@@ -410,6 +546,39 @@ TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
       const Tensor logits = network.run(image);
       EXPECT_TRUE(bytes_equal(baseline, logits))
           << "threads=" << threads << " tier=" << kernel_tier_name(tier);
+    }
+  }
+  runtime::set_num_threads(1);
+}
+
+// A layer large enough that the pool's gate splits it on both tiles (128
+// filters, or 64 after odd pruning, at 8x8): every tier and tile gives the
+// scalar tier's bytes at every thread count, however the units fall to the
+// workers.
+TEST(ShiftKernelDiffTest, BothTilesMatchAcrossThreadCounts) {
+  TierGuard guard;
+  const quant::Pow2Config config;
+  support::Rng rng(112);
+  const auto qimg = quantize_image(Tensor::randn(Shape{128, 8, 8}, rng), 8);
+  for (const Prune prune : {Prune::kNone, Prune::kOdd}) {
+    Tensor wq = quant::quantize_lightnn(
+        Tensor::randn(Shape{128, 128, 3, 3}, rng, 0.0F, 0.3F), 2, config);
+    prune_filters(wq, prune);
+    const ShiftConv2d engine(wq, 2, config, 1, 1);
+    runtime::set_num_threads(1);
+    set_kernel_tier_override(0);
+    const Tensor reference = engine.run(qimg);
+    for (const int threads : {1, 2, 4, 7}) {
+      runtime::set_num_threads(threads);
+      for (const KernelTier tier : host_tiers()) {
+        set_kernel_tier_override(static_cast<int>(tier));
+        for (const ConvTile tile : kTiles) {
+          EXPECT_TRUE(bytes_equal(engine.run(qimg, tile), reference))
+              << "threads=" << threads << " tier=" << kernel_tier_name(tier)
+              << " tile=" << conv_tile_name(tile)
+              << " prune=" << static_cast<int>(prune);
+        }
+      }
     }
   }
   runtime::set_num_threads(1);

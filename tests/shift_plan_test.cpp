@@ -300,7 +300,8 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
 
 // A pack holds a byte for every weight of a live filter, so a filter with
 // one nonzero weight in 576 costs its full 144 words: stored words bound
-// what adoption allocates, and no ratio of words to entries is refused.
+// what adoption allocates, up to the zero padding of its last block of 16
+// filters, and no ratio of words to entries is refused.
 TEST(ShiftPlanPropertyTest, SparseLiveFiltersCompileAndRun) {
   const quant::Pow2Config config;
   const float unit = std::ldexp(1.0F, config.e_min);
@@ -313,7 +314,7 @@ TEST(ShiftPlanPropertyTest, SparseLiveFiltersCompileAndRun) {
   ASSERT_TRUE(expect_reference_lowering(wq, 2, config, "sparse"));
   const inference::ShiftConv2d engine(wq, 2, config, 1, 1);
   EXPECT_EQ(engine.adopted().plan.live.size(), 8U);
-  EXPECT_EQ(engine.adopted().plan.words.size(), 8U * 16U * 9U);
+  EXPECT_EQ(engine.adopted().plan.words.size(), 16U * 16U * 9U);
   support::Rng rng(11);
   const auto q = inference::quantize_image(
       Tensor::randn(Shape{64, 6, 7}, rng), 8);
@@ -607,6 +608,50 @@ TEST(ShiftPlanPropertyTest, PackHoldsEachWeightAsItsByte) {
   EXPECT_EQ(byte_at(negated.words, 3, 2, 1), -8);
   EXPECT_EQ(inference::adopt_plan(negated, 2, 5, 3, config).correction,
             std::vector<std::int32_t>{-128 * (63 + 128 + 8)});
+}
+
+// Adoption re-lays the words in place into the kernels' blocked order:
+// live filter j's word at tap t moves to (j / 16) * 16 * taps + t * 16 +
+// j % 16, and the lanes past the last live filter of the last block are
+// zero. Live counts below, at and past one and two blocks, with pruned
+// filters between them.
+TEST(ShiftPlanPropertyTest, AdoptionLaysTheWordsOutInBlocksOfSixteen) {
+  const quant::Pow2Config config;
+  support::Rng rng(31);
+  for (const std::int64_t filters : {1, 15, 16, 17, 40}) {
+    Tensor wq = quant::quantize_lightnn(
+        Tensor::randn(Shape{filters, 6, 3, 3}, rng, 0.0F, 0.3F), 2, config);
+    for (std::int64_t f = 2; f < filters; f += 7) {
+      std::fill(wq.data() + f * 54, wq.data() + (f + 1) * 54, 0.0F);
+    }
+    const inference::ShiftPlan plan =
+        inference::ShiftPlan::compile_conv(wq, 2, config).plan;
+    const inference::AdoptedPlan adopted =
+        inference::adopt_plan(plan, filters, 6, 3, config);
+    const auto live = static_cast<std::int64_t>(plan.live.size());
+    const std::int64_t taps = adopted.taps;
+    const std::int64_t blocks = (live + 15) / 16;
+    ASSERT_EQ(adopted.plan.words.size(),
+              static_cast<std::size_t>(blocks * 16 * taps))
+        << filters;
+    EXPECT_EQ(adopted.plan.live, plan.live);
+    std::vector<bool> placed(adopted.plan.words.size(), false);
+    for (std::int64_t j = 0; j < live; ++j) {
+      for (std::int64_t t = 0; t < taps; ++t) {
+        const auto at =
+            static_cast<std::size_t>((j / 16) * 16 * taps + t * 16 + j % 16);
+        EXPECT_EQ(adopted.plan.words[at],
+                  plan.words[static_cast<std::size_t>(j * taps + t)])
+            << filters << " filter " << j << " tap " << t;
+        placed[at] = true;
+      }
+    }
+    for (std::size_t at = 0; at < placed.size(); ++at) {
+      if (!placed[at]) {
+        EXPECT_EQ(adopted.plan.words[at], 0) << filters << " " << at;
+      }
+    }
+  }
 }
 
 // The adopting constructor checks every plan before anything indexes it,

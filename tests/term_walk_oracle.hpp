@@ -230,13 +230,18 @@ inline ShiftConv2d linear_engine(const tensor::Tensor& quantized_weights,
 }
 
 // Runs `engine` (a linear_engine) on the flat feature vector `input` the
-// way QuantizedNetwork's kShiftLinear op does; returns [out_features].
+// way QuantizedNetwork's kShiftLinear op does, on `tile` or the one the
+// engine picks; returns [out_features].
 inline tensor::Tensor run_linear(const ShiftConv2d& engine,
-                                 QuantizedActivations input) {
+                                 QuantizedActivations input, ConvTile tile) {
   input.shape = tensor::Shape{input.shape.numel(), 1, 1};
-  tensor::Tensor out = engine.run(input);
+  tensor::Tensor out = engine.run(input, tile);
   out.reshape(tensor::Shape{engine.out_channels()});
   return out;
+}
+inline tensor::Tensor run_linear(const ShiftConv2d& engine,
+                                 const QuantizedActivations& input) {
+  return run_linear(engine, input, engine.tile(1, 1));
 }
 
 // Term-walk fully-connected layer over the weights a linear_engine was built
