@@ -259,35 +259,50 @@ void BM_Im2ColGemmConv(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2ColGemmConv);
 
-// The small-plane layers of VGG-7, ResNet-18 and the tiny FLightNN, and two
-// wide planes, each run (ShiftConv2d::run: code-plane fill, kernel,
-// dequantize) on both tiles of every vector tier the host has, one thread,
-// round-robin over the (tier, tile) pairs. Each tile must give the scalar
-// tier's bytes. A row names the layer, its output plane, the two times, the
-// filter tile's speedup over the column tile and the tile pick_conv_tile
-// chooses; the speedups are what the rule's cost ratios are read from.
+// The small-plane layers of VGG-7, ResNet-18 and the tiny FLightNN, two
+// wide planes and the networks' linear layers (a 1x1 conv on a 1x1 plane,
+// as the compiled network runs them), each run (ShiftConv2d::run:
+// code-plane fill, kernel, dequantize) on both tiles of every vector tier
+// the host has, one thread, round-robin over the (tier, tile) pairs. Each
+// tile must give the scalar tier's bytes. A row names the layer, its output
+// plane, the two times, the filter tile's speedup over the column tile and
+// the tile pick_conv_tile chooses; the speedups are what the rule's cost
+// ratios are read from.
 bool small_plane_rows(const std::vector<inference::KernelTier>& tiers,
                       int repeats, std::vector<std::string>& rows) {
   struct Layer {
     const char* name;
-    std::int64_t in_ch, out_ch, live, side, stride;
+    std::int64_t in_ch, out_ch, live, side, stride, kernel;
   };
   const Layer layers[] = {
-      {"64->64", 64, 64, 64, 4, 1},     {"32->64 s2", 32, 64, 64, 8, 2},
-      {"32->32", 32, 32, 32, 8, 1},     {"32->64", 32, 64, 64, 8, 1},
-      {"16->32 s2", 16, 32, 32, 16, 2}, {"16->16 12 live", 16, 16, 12, 4, 1},
-      {"16->16", 16, 16, 16, 16, 1},    {"8->8", 8, 8, 8, 32, 1}};
+      {"64->64", 64, 64, 64, 4, 1, 3},
+      {"32->64 s2", 32, 64, 64, 8, 2, 3},
+      {"32->32", 32, 32, 32, 8, 1, 3},
+      {"32->64", 32, 64, 64, 8, 1, 3},
+      {"16->32 s2", 16, 32, 32, 16, 2, 3},
+      {"16->16 12 live", 16, 16, 12, 4, 1, 3},
+      {"8->16 12 live", 8, 16, 12, 8, 1, 3},
+      {"16->16", 16, 16, 16, 16, 1, 3},
+      {"8->8", 8, 8, 8, 32, 1, 3},
+      {"linear 64->10", 64, 10, 10, 1, 1, 1},
+      {"linear 16->10", 16, 10, 10, 1, 1, 1},
+      {"linear 256->64", 256, 64, 64, 1, 1, 1}};
   const quant::Pow2Config config;
   support::Rng rng(22);
   for (const Layer& layer : layers) {
+    support::Rng weight_rng(23);
     tensor::Tensor wq = quant::quantize_lightnn(
-        random_weights(layer.out_ch, layer.in_ch, 23), 2, config);
+        tensor::Tensor::randn(tensor::Shape{layer.out_ch, layer.in_ch,
+                                            layer.kernel, layer.kernel},
+                              weight_rng, 0.0F, 0.3F),
+        2, config);
     // Pruned filters (k_i = 0) leave `live` of them.
-    const std::int64_t row = layer.in_ch * 9;
+    const std::int64_t row = layer.in_ch * layer.kernel * layer.kernel;
     for (std::int64_t f = layer.live; f < layer.out_ch; ++f) {
       std::fill(wq.data() + f * row, wq.data() + (f + 1) * row, 0.0F);
     }
-    const inference::ShiftConv2d conv(wq, 2, config, layer.stride, 1);
+    const inference::ShiftConv2d conv(wq, 2, config, layer.stride,
+                                      layer.kernel / 2);
     const auto qimg = inference::quantize_image(
         tensor::Tensor::randn(
             tensor::Shape{layer.in_ch, layer.side, layer.side}, rng),
@@ -329,7 +344,8 @@ bool small_plane_rows(const std::vector<inference::KernelTier>& tiers,
       const double column_us = median_us(samples[2 * i]);
       const double filter_us = median_us(samples[2 * i + 1]);
       const char* picked = inference::conv_tile_name(
-          inference::pick_conv_tile(tiers[i], out_side, layer.live));
+          inference::pick_conv_tile(tiers[i], out_side, out_side,
+                                    layer.live));
       bench::JsonObject row;
       row.add_string("tier", inference::kernel_tier_name(tiers[i]));
       row.add_string("layer", layer.name);

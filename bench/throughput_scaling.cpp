@@ -248,7 +248,8 @@ int main(int argc, char** argv) {
   // of kFilterBlock per filter-tile call.
   const auto run_kernel = [&](inference::KernelTier tier,
                               std::vector<std::int32_t>& out) {
-    const inference::ConvTile tile = inference::pick_conv_tile(tier, lw, live);
+    const inference::ConvTile tile =
+        inference::pick_conv_tile(tier, lw, lw, live);
     const inference::DenseConvFn fn =
         inference::shift_kernels_for(tier).dense_conv(tile);
     const std::int64_t unit = tile == inference::ConvTile::kFilter

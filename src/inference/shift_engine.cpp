@@ -468,7 +468,8 @@ OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {
 ConvTile ShiftConv2d::tile(std::int64_t in_h, std::int64_t in_w) const {
   const tensor::ConvGeometry geom{in_channels_, in_h, in_w, kernel_, stride_,
                                   padding_};
-  return pick_conv_tile(active_shift_kernels().tier, geom.out_w(),
+  return pick_conv_tile(active_shift_kernels().tier, geom.out_h(),
+                        geom.out_w(),
                         static_cast<std::int64_t>(pack_.plan.live.size()));
 }
 

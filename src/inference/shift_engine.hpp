@@ -159,7 +159,7 @@ class ShiftConv2d {
                                    ConvTile tile) const;
 
   // The tile the active tier runs an [in_channels, in_h, in_w] input on:
-  // pick_conv_tile of the output width and the live filter count.
+  // pick_conv_tile of the output plane and the live filter count.
   [[nodiscard]] ConvTile tile(std::int64_t in_h, std::int64_t in_w) const;
 
   // Scratch one run() on an [in_channels, in_h, in_w] input fetches.

@@ -22,20 +22,26 @@ namespace {
 // (4 x 64 x 4 B) stay in L1 across the whole tap walk.
 constexpr std::int64_t kScalarCols = 64;
 
+// Output pixels per filter-tile step: its accumulators, one register each.
+constexpr int kTilePixels = 8;
+
 // What one filter-tile vector step (one pixel, one register of filters, one
 // tap) costs against one column-tile step (one row vector, one filter, one
 // tap), as a ratio num / den: pick_conv_tile's measured crossover. Read from
 // kernels_microbench's small-plane rows (BENCH_shift_engine.json; one
-// pinned CPU of a 4-core AVX-512 VNNI host), each row's time ratio over its
-// ratio of steps: 0.96-2.2 on VNNI (1.02-1.45 on the stride-1 layers of 32
-// or more filters; the rest carry more fixed cost per step), 1.03-1.25 on
-// AVX2. With these ratios the rule picks the faster tile on every row, and
-// a plane as wide as the column tile's register keeps it.
+// pinned CPU of a 4-core AVX-512 VNNI host). A row's time ratio over its
+// ratio of steps spreads too widely to be one constant (fixed per-call
+// costs weigh on small layers; on a one-row plane the column tile's few
+// accumulators wait on the multiply-add latency), so each ratio sits inside
+// the range where every row picks its faster tile: [1, 1.25) on VNNI, the
+// linear layers of 10 outputs setting the top; [1, 1.5) on AVX2, where only
+// the 256->64 linear row, not a layer of the networks, picks its slower
+// tile. At 1 or more, a plane as wide as the column tile's register keeps it.
 struct TileCost {
   std::int64_t num;
   std::int64_t den;
 };
-constexpr TileCost kVnniFilterCost{3, 2};
+constexpr TileCost kVnniFilterCost{9, 8};
 constexpr TileCost kAvx2FilterCost{11, 10};
 
 // Live filter j's word at tap 0 of the blocked pack; its word at tap t is
@@ -111,9 +117,6 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void dense_conv_scalar(const DenseConv& c,
 }
 
 #if FLIGHTNN_X86_DISPATCH
-
-// Output pixels per filter-tile step: its accumulators, one register each.
-constexpr int kTilePixels = 8;
 
 // The code-plane words that tap 0 of the output pixels q0 .. q0 + n - 1 in
 // raster order read (a narrow plane's rows are shorter than a tile); tap t
@@ -557,14 +560,17 @@ const char* conv_tile_name(ConvTile tile) {
   return tile == ConvTile::kFilter ? "filter" : "column";
 }
 
-ConvTile pick_conv_tile(KernelTier tier, std::int64_t out_w,
-                        std::int64_t live) {
-  if (tier == KernelTier::kScalar || out_w <= 0 || live <= 0) {
+ConvTile pick_conv_tile(KernelTier tier, std::int64_t out_h,
+                        std::int64_t out_w, std::int64_t live) {
+  if (tier == KernelTier::kScalar || out_h <= 0 || out_w <= 0 || live <= 0) {
     return ConvTile::kColumn;
   }
   const std::int64_t lanes = tier == KernelTier::kVnni ? 16 : 8;
-  const std::int64_t column = (out_w + lanes - 1) / lanes * live;
-  const std::int64_t filter = (live + lanes - 1) / lanes * out_w;
+  const std::int64_t column = (out_w + lanes - 1) / lanes * out_h * live;
+  // A tail step fills all kTilePixels accumulators.
+  const std::int64_t pixels =
+      (out_h * out_w + kTilePixels - 1) / kTilePixels * kTilePixels;
+  const std::int64_t filter = (live + lanes - 1) / lanes * pixels;
   const TileCost& cost =
       tier == KernelTier::kVnni ? kVnniFilterCost : kAvx2FilterCost;
   return filter * cost.num < column * cost.den ? ConvTile::kFilter

@@ -47,7 +47,7 @@
 // override; the vector tiers are compiled with per-function target
 // attributes (the portable build carries no -march flags) and only
 // dispatched after __builtin_cpu_supports confirms the ISA. pick_conv_tile
-// is the measured rule that chooses a layer's tile from its output width
+// is the measured rule that chooses a layer's tile from its output plane
 // and live count. shift_kernels_for() exposes each tier's table so
 // differential tests can drive both tiles explicitly.
 
@@ -114,14 +114,15 @@ struct ShiftKernels {
   }
 };
 
-// The tile a tier runs a layer of `live` filters on an out_w-wide output
-// plane with: the one whose estimated vector work is smaller. The column
-// tile runs ceil(out_w / lanes) vectors per output row and filter, the
-// filter tile ceil(live / lanes) per output pixel, each of those costing
-// the tier's measured ratio more (DESIGN.md §14). kColumn on the scalar
-// tier, which runs both tiles the same way.
-ConvTile pick_conv_tile(KernelTier tier, std::int64_t out_w,
-                        std::int64_t live);
+// The tile a tier runs a layer of `live` filters on an out_h x out_w output
+// plane with: the one whose estimated vector work per tap is smaller. The
+// column tile runs ceil(out_w / lanes) vectors per output row and filter,
+// the filter tile ceil(live / lanes) per output pixel, its pixels counted
+// in whole steps of 8 (a tail step fills all eight accumulators), each of
+// those costing the tier's measured ratio more (DESIGN.md §14). kColumn on
+// the scalar tier, which runs both tiles the same way.
+ConvTile pick_conv_tile(KernelTier tier, std::int64_t out_h,
+                        std::int64_t out_w, std::int64_t live);
 
 // Kernel table for a tier. Requesting a tier the CPU lacks returns the
 // scalar table, so the result is always safe to call.

@@ -545,7 +545,8 @@ TEST(QuantizedNetworkTest, EachShiftOpRecordsItsTile) {
     const auto steps = network.profile(image, 1);
     ASSERT_EQ(steps.size(), 3U);
     for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(rows[i].tile, inference::pick_conv_tile(tier, widths[i], 32))
+      EXPECT_EQ(rows[i].tile,
+                inference::pick_conv_tile(tier, widths[i], widths[i], 32))
           << kernel_tier_name(tier) << " op " << i;
       EXPECT_EQ(steps[i].tile, inference::conv_tile_name(rows[i].tile))
           << kernel_tier_name(tier) << " op " << i;

@@ -69,11 +69,11 @@ TEST(QuantizeImageTest, FakeQuantizeInPlaceMatchesTwoStep) {
 }
 
 // The scale exponent is defined for every finite abs-max. Where the float
-// quotient abs_max / q_max is nonzero it is ceil(log2) of that quotient, as
-// the quantizers have always taken it; where the quotient underflows (a
-// subnormal abs-max below about q_max * 2^-150, where the float log2 is -inf)
-// it is the smallest e with abs_max <= q_max * 2^e. Swept over every float
-// exponent at the mantissa edges and every bit width.
+// quotient abs_max / q_max is at least FLT_MIN it is ceil(log2) of that
+// quotient, as the quantizers have always taken it; below that (a subnormal
+// or zero quotient, whose float log2 loses bits or is -inf) it is the
+// smallest e with abs_max <= q_max * 2^e. Swept over every float exponent at
+// the mantissa edges and every bit width.
 TEST(QuantizeImageTest, ScaleExponentIsDefinedForEveryFiniteAbsMax) {
   std::vector<float> abs_maxes = {std::numeric_limits<float>::max()};
   for (int e = -149; e <= 127; ++e) {

@@ -210,33 +210,52 @@ TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
 
 // The rule run() takes its tile by: on VNNI the filter tile fills its lanes
 // where a plane is narrower than a zmm of columns, and the column tile
-// keeps planes a zmm wide; the scalar tier has one kernel.
+// keeps planes a zmm wide; planes of fewer than 8 pixels count a whole
+// filter-tile step; the scalar tier has one kernel.
 TEST(ShiftKernelDiffTest, TileRulePicksTheFilterTileForNarrowPlanes) {
   for (const std::int64_t live : {16, 32, 64, 128}) {
     for (const std::int64_t side : {4, 8}) {
-      EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, side, live),
+      EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, side, side, live),
                 ConvTile::kFilter)
           << side << "x" << side << " live=" << live;
     }
     for (const std::int64_t side : {16, 32}) {
-      EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, side, live),
+      EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, side, side, live),
                 ConvTile::kColumn)
           << side << "x" << side << " live=" << live;
     }
-    EXPECT_EQ(pick_conv_tile(KernelTier::kAvx2, 4, live), ConvTile::kFilter)
+    EXPECT_EQ(pick_conv_tile(KernelTier::kAvx2, 4, 4, live),
+              ConvTile::kFilter)
         << "avx2 4x4 live=" << live;
     for (const std::int64_t side : {16, 32}) {
-      EXPECT_EQ(pick_conv_tile(KernelTier::kAvx2, side, live),
+      EXPECT_EQ(pick_conv_tile(KernelTier::kAvx2, side, side, live),
                 ConvTile::kColumn)
           << "avx2 " << side << "x" << side << " live=" << live;
     }
     for (const std::int64_t side : {1, 4, 32}) {
-      EXPECT_EQ(pick_conv_tile(KernelTier::kScalar, side, live),
+      EXPECT_EQ(pick_conv_tile(KernelTier::kScalar, side, side, live),
                 ConvTile::kColumn);
     }
   }
   // One live filter fills one lane of the filter tile: the column tile.
-  EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, 4, 1), ConvTile::kColumn);
+  EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, 4, 4, 1), ConvTile::kColumn);
+  // A filter-tile step fills all 8 pixel accumulators, so a plane of fewer
+  // pixels pays for 8: on VNNI a linear layer (a 1x1 plane) with up to 8
+  // live outputs and a 2x2 plane with up to 4 keep the column tile, and
+  // the networks' 10-output classifiers take the filter tile.
+  for (const std::int64_t live : {1, 2, 5, 7, 8}) {
+    EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, 1, 1, live),
+              ConvTile::kColumn)
+        << "1x1 live=" << live;
+  }
+  EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, 1, 1, 10), ConvTile::kFilter);
+  for (const std::int64_t live : {1, 2, 4}) {
+    EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, 2, 2, live),
+              ConvTile::kColumn)
+        << "2x2 live=" << live;
+  }
+  EXPECT_EQ(pick_conv_tile(KernelTier::kVnni, 2, 2, 5), ConvTile::kFilter);
+  EXPECT_EQ(pick_conv_tile(KernelTier::kAvx2, 1, 1, 10), ConvTile::kColumn);
   EXPECT_STREQ(conv_tile_name(ConvTile::kColumn), "column");
   EXPECT_STREQ(conv_tile_name(ConvTile::kFilter), "filter");
 
@@ -251,7 +270,7 @@ TEST(ShiftKernelDiffTest, TileRulePicksTheFilterTileForNarrowPlanes) {
   for (const KernelTier tier : host_tiers()) {
     set_kernel_tier_override(static_cast<int>(tier));
     for (const std::int64_t side : {4, 8, 16, 32}) {
-      EXPECT_EQ(engine.tile(side, side), pick_conv_tile(tier, side, 32))
+      EXPECT_EQ(engine.tile(side, side), pick_conv_tile(tier, side, side, 32))
           << kernel_tier_name(tier) << " " << side;
     }
   }
@@ -408,11 +427,15 @@ TEST(ShiftKernelDiffTest, DenseKernelDirect) {
   for (const KernelTier tier : host_tiers()) {
     if (tier == KernelTier::kScalar) continue;
     const ShiftKernels& vector = shift_kernels_for(tier);
-    // Output widths across and past both lane counts; heights with and
-    // without a trailing single row; one and two channel groups; live
-    // counts around one, two and three blocks.
+    // Every output width up to one past a zmm of columns, and widths that
+    // take two full zmm (32, 33) or three and more ymm (23, 32, 33) per
+    // row; heights with and without a trailing single row; one and two
+    // channel groups; live counts around one, two and three blocks.
+    std::vector<std::int64_t> widths;
+    for (std::int64_t w = 1; w <= 17; ++w) widths.push_back(w);
+    for (const std::int64_t w : {23, 32, 33}) widths.push_back(w);
     for (const std::int64_t stride : {1, 2}) {
-      for (std::int64_t out_w = 1; out_w <= 17; ++out_w) {
+      for (const std::int64_t out_w : widths) {
         for (const std::int64_t out_h : {1, 2, 5}) {
           for (const std::int64_t groups : {1, 2}) {
             // The engine's code plane (ShiftConv2d::run): the rows and
