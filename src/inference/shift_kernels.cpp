@@ -32,11 +32,14 @@ constexpr int kTilePixels = 8;
 // pinned CPU of a 4-core AVX-512 VNNI host). A row's time ratio over its
 // ratio of steps spreads too widely to be one constant (fixed per-call
 // costs weigh on small layers; on a one-row plane the column tile's few
-// accumulators wait on the multiply-add latency), so each ratio sits inside
-// the range where every row picks its faster tile: [1, 1.25) on VNNI, the
-// linear layers of 10 outputs setting the top; [1, 1.5) on AVX2, where only
-// the 256->64 linear row, not a layer of the networks, picks its slower
-// tile. At 1 or more, a plane as wide as the column tile's register keeps it.
+// accumulators wait on the multiply-add latency), so each ratio is set by
+// the rows it must split. VNNI's lies in [1, 1.25): at 1 or more the 16x16
+// and 32x32 planes keep the column tile, and below 1.25 the linear layers
+// of 10 outputs take the filter tile, 1.1x faster there; the tiny
+// FLightNN's 8x8 layer of 12 live filters, where the tiles tie (0.96-1.04x
+// over five runs), takes the filter tile. AVX2's lies in [1, 1.5), which
+// every row but the 256->64 linear one (not a layer of the networks)
+// agrees with.
 struct TileCost {
   std::int64_t num;
   std::int64_t den;
