@@ -40,7 +40,7 @@ namespace flightnn::inference {
 struct OpMemory {
   std::uint32_t op = 0;
   ProgramOpKind kind = ProgramOpKind::kQuantAct;
-  // The tile run() dispatches a shift op to, picked for its output width
+  // The tile run() dispatches a shift op to, picked for its output plane
   // and live count (ShiftConv2d::tile); kColumn for every other op.
   ConvTile tile = ConvTile::kColumn;
   // Arena scratch this op's kernel fetches.

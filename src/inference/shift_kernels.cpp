@@ -34,12 +34,12 @@ constexpr int kTilePixels = 8;
 // costs weigh on small layers; on a one-row plane the column tile's few
 // accumulators wait on the multiply-add latency), so each ratio is set by
 // the rows it must split. VNNI's lies in [1, 1.25): at 1 or more the 16x16
-// and 32x32 planes keep the column tile, and below 1.25 the linear layers
-// of 10 outputs take the filter tile, 1.1x faster there; the tiny
-// FLightNN's 8x8 layer of 12 live filters, where the tiles tie (0.96-1.04x
-// over five runs), takes the filter tile. AVX2's lies in [1, 1.5), which
-// every row but the 256->64 linear one (not a layer of the networks)
-// agrees with.
+// and 32x32 planes keep the column tile, and below 1.25 the networks'
+// 10-output linear layers take the filter tile, which ran them faster in
+// every run; the tiny FLightNN's 8x8 layer of 12 live filters, where the
+// two tiles come within a few percent of each other in most runs, takes
+// the filter tile. AVX2's lies in [1, 1.5), which every row but the
+// 256->64 linear one (not a layer of the networks) agrees with.
 struct TileCost {
   std::int64_t num;
   std::int64_t den;

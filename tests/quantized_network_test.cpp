@@ -498,7 +498,7 @@ ProgramOp shift_conv_op() {
   return op;
 }
 
-// The load walk picks each shift op's tile from its output width and live
+// The load walk picks each shift op's tile from its output plane and live
 // count (pick_conv_tile, on the tier active at load), records it in the
 // op's row, and run() and profile() follow the row: on VNNI the 16x16 conv
 // runs the column tile and the 8x8 and 4x4 convs the filter tile, and

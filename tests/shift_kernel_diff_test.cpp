@@ -259,7 +259,7 @@ TEST(ShiftKernelDiffTest, TileRulePicksTheFilterTileForNarrowPlanes) {
   EXPECT_STREQ(conv_tile_name(ConvTile::kColumn), "column");
   EXPECT_STREQ(conv_tile_name(ConvTile::kFilter), "filter");
 
-  // An engine picks by the active tier and its input's output width.
+  // An engine picks by the active tier and its input's output plane.
   TierGuard guard;
   const quant::Pow2Config config;
   support::Rng rng(111);
