@@ -173,9 +173,12 @@ inline void add_host_info(JsonObject& object, const std::string& dispatch_tier) 
 
 // Splice `object` into an existing BENCH_*.json under `key`, so a second
 // writer (e.g. kernels_microbench) can extend a file another bench produced
-// without a JSON parser. Relies on write_json_file's output shape: the file
-// is one top-level object ending "}\n". Fails (returns false) if the file
-// is missing or does not end in '}', leaving it untouched.
+// without a JSON parser; a top-level `key` already there is replaced, so a
+// rerun leaves one. Relies on write_json_file's output shape: the file is
+// one top-level object ending "}\n", each of its fields starting on a line
+// that begins `  "name": ` (nested lines are indented further). Fails
+// (returns false) if the file is missing or does not end in '}', leaving it
+// untouched.
 inline bool merge_into_json_file(const std::string& path,
                                  const std::string& key,
                                  const JsonObject& object) {
@@ -197,6 +200,21 @@ inline bool merge_into_json_file(const std::string& path,
   while (!text.empty() &&
          (text.back() == '\n' || text.back() == '\r' || text.back() == ' ')) {
     text.pop_back();
+  }
+  // Drop every top-level field named `key`: from its line to the next
+  // top-level field's, or to the end with the separator before it.
+  std::string field = "\n  \"";
+  field += json_escape(key);
+  field += "\": ";
+  for (std::size_t at = text.find(field); at != std::string::npos;
+       at = text.find(field)) {
+    const std::size_t next = text.find("\n  \"", at + 1);
+    if (next != std::string::npos) {
+      text.erase(at, next - at);
+    } else {
+      text.erase(at);
+      if (text.back() == ',') text.pop_back();
+    }
   }
   const bool empty_object = !text.empty() && text.back() == '{';
   text += std::string(empty_object ? "\n" : ",\n") + "  \"" +

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -135,7 +136,9 @@ int main(int argc, char** argv) {
         tensor::Tensor::randn(tensor::Shape{3, 32, 32}, rng));
   }
 
-  const int hw = runtime::num_threads();
+  // The host's CPUs, not runtime::num_threads(): the pool was pinned to one
+  // thread above.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::vector<int> sweep{1, 2, 4};
   if (hw > 4) sweep.push_back(hw);
 

@@ -15,7 +15,7 @@
 //    it, and accept every other;
 //  - an accepted plan must run bit-equal to the term-walk oracle
 //    (tests/term_walk_oracle.hpp) on the weights its words decode to, on
-//    one small input of codes within u8, on both kernel tiles of every tier
+//    one small input of int8 codes, on both kernel tiles of every tier
 //    the host has, with the oracle's op counts as its census, the
 //    decomposition's term count and entry count, and the filters with a
 //    nonzero weight as its live list.
@@ -238,13 +238,14 @@ void fuzz_adopt(const std::uint8_t* data, std::size_t size) {
   if (engine.has_value() != valid) disagree();
   if (!engine) return;
 
-  // Run one input of codes within u8 on the engine and on the oracle.
+  // Run one input of int8 codes, -128 included, on the engine and on the
+  // oracle.
   const std::int64_t side = kernel + program.u8() % 3;
   QuantizedActivations input;
   input.shape = Shape{in_channels, side, side};
   input.scale_exp = static_cast<int>(program.u8() % 8) - 4;
   for (std::int64_t i = 0; i < input.shape.numel(); ++i) {
-    input.values.push_back(static_cast<std::int32_t>(program.u8() % 255) - 127);
+    input.values.push_back(static_cast<std::int8_t>(program.u8() - 128));
   }
   const flightnn::core::Decomposition decomposition =
       flightnn::core::decompose_to_lightnn1(wq, plan.k_max, config);

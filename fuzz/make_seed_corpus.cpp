@@ -100,7 +100,7 @@ void emit_model_io(const fs::path& dir) {
 // four lanes (0 for a zero byte, or 0xFF and the byte), the entry and term
 // count deltas (a delta byte of 0 is -1, 1 is +1 and 2 is 0), then the
 // input: its side past the kernel, its scale and its codes stored as
-// q + 127.
+// q + 128.
 struct PackProgram {
   int e_min = -6;
   int e_max = 0;
@@ -174,7 +174,7 @@ struct PackProgram {
     out.push_back(1);  // side: kernel + 1
     out.push_back(4);  // scale exponent 0
     for (int i = 0; i < in_channels * side * side; ++i) {
-      out.push_back(u8((i * 37) % 255));  // codes q = (i * 37) % 255 - 127
+      out.push_back(u8((i * 37) % 255));  // codes q = (i * 37) % 255 - 128
     }
     return out;
   }

@@ -15,8 +15,7 @@ MemoryPlan::MemoryPlan(std::vector<OpMemory> per_op,
   for (const OpMemory& mem : per_op_) {
     offsets_peak_bytes_ = std::max(offsets_peak_bytes_, mem.offsets_bytes);
     input_peak_bytes_ = std::max(input_peak_bytes_, mem.input_bytes);
-    quant_peak_values_ =
-        std::max(quant_peak_values_, mem.quant_bytes / sizeof(std::int32_t));
+    quant_peak_bytes_ = std::max(quant_peak_bytes_, mem.quant_bytes);
   }
   // Per-numel working set: sweep every op time and count the live
   // intervals. O(ops * activations) -- trivially fast at network sizes and
@@ -46,7 +45,7 @@ void MemoryPlan::warm_thread() const {
   for (const auto& [numel, count] : working_set_) {
     tensor::pool::prewarm(numel, count);
   }
-  reserve_quant_scratch(quant_peak_values_);
+  reserve_quant_scratch(quant_peak_bytes_);
 }
 
 }  // namespace flightnn::inference

@@ -80,11 +80,10 @@ class MemoryPlan {
   [[nodiscard]] std::size_t activation_pool_bytes() const {
     return activation_pool_bytes_;
   }
-  [[nodiscard]] std::size_t quant_peak_values() const {
-    return quant_peak_values_;
-  }
+  // The quantization scratch: one int8 code per element of the largest
+  // shift-op input.
   [[nodiscard]] std::size_t quant_peak_bytes() const {
-    return quant_peak_values_ * sizeof(std::int32_t);
+    return quant_peak_bytes_;
   }
   // Bytes one thread holds after warm_thread, and still after any run():
   // the arena scratch, the quantization scratch and the pooled activation
@@ -110,7 +109,7 @@ class MemoryPlan {
   std::size_t offsets_peak_bytes_ = 0;
   std::size_t input_peak_bytes_ = 0;
   std::size_t activation_pool_bytes_ = 0;
-  std::size_t quant_peak_values_ = 0;
+  std::size_t quant_peak_bytes_ = 0;
 };
 
 }  // namespace flightnn::inference

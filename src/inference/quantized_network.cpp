@@ -352,8 +352,7 @@ struct LoadWalk {
                        const tensor::Shape& in) {
     OpMemory& mem = per_op[t];
     mem.tile = conv.tile(in[1], in[2]);
-    mem.quant_bytes =
-        static_cast<std::size_t>(in.numel()) * sizeof(std::int32_t);
+    mem.quant_bytes = static_cast<std::size_t>(in.numel()) * sizeof(std::int8_t);
     const ConvScratchBytes scratch = conv.scratch_bytes(in[1], in[2]);
     mem.offsets_bytes = scratch.offsets;
     mem.input_bytes = scratch.input;
@@ -509,8 +508,8 @@ struct LoadWalk {
 
 }  // namespace
 
-void reserve_quant_scratch(std::size_t values) {
-  quant_scratch().values.reserve(values);
+void reserve_quant_scratch(std::size_t bytes) {
+  quant_scratch().values.reserve(bytes);
 }
 
 QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
@@ -656,7 +655,19 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
                  ": expected a finite [", program_.input_c, ", ",
                  program_.input_h, ", ", program_.input_w,
                  "] image (or [1, C, H, W]), got ", image.shape().to_string());
-  tensor::Tensor current = as_chw(image);
+  // Each repeat is one forward pass as run() makes it, on its own untimed
+  // copy of the image, and times each op where it runs in that pass.
+  std::vector<std::chrono::steady_clock::duration> elapsed(step_count());
+  for (int r = 0; r < repeats; ++r) {
+    tensor::Tensor x = as_chw(image);
+    std::size_t row = 0;
+    for (std::size_t i = 0; i < program_.ops.size();
+         i = subtree_end(program_.ops, i), ++row) {
+      const auto t0 = std::chrono::steady_clock::now();
+      x = run_op(i, std::move(x));
+      elapsed[row] += std::chrono::steady_clock::now() - t0;
+    }
+  }
 
   std::vector<StepProfile> profiles;
   for (std::size_t i = 0; i < program_.ops.size();
@@ -672,21 +683,13 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
     for (std::size_t op_i = i; op_i < subtree_end(program_.ops, i); ++op_i) {
       p.planned_scratch_bytes += memory_plan_.per_op()[op_i].scratch_bytes;
     }
-    // run_op consumes its input, so each repeat times it on an untimed copy.
-    tensor::Tensor out;
-    std::chrono::steady_clock::duration elapsed{};
-    for (int r = 0; r < repeats; ++r) {
-      tensor::Tensor input = current;
-      const auto t0 = std::chrono::steady_clock::now();
-      out = run_op(i, std::move(input));
-      elapsed += std::chrono::steady_clock::now() - t0;
-    }
-    p.seconds = std::chrono::duration<double>(elapsed).count() / repeats;
+    p.seconds =
+        std::chrono::duration<double>(elapsed[profiles.size()]).count() /
+        repeats;
     p.shifts = op_census_[i].shifts;
     p.adds = op_census_[i].adds;
     p.float_macs = op_census_[i].float_macs;
     profiles.push_back(std::move(p));
-    current = std::move(out);
   }
   return profiles;
 }

@@ -137,11 +137,12 @@ class QuantizedNetwork {
   [[nodiscard]] double evaluate(const data::Dataset& dataset, int top_k = 1,
                                 NetworkOpCounts* counts = nullptr) const;
 
-  // Per-op wall time and op census: runs the image through the network one
-  // top-level op at a time (a residual block is one row), timing each op
-  // over `repeats` runs, each on an untimed copy of the op's input (run_op
-  // consumes it); the counts are the op's share of census(). Observability
-  // only -- outputs are discarded.
+  // Per-op wall time and op census, one row per top-level op (a residual
+  // block is one row): runs `repeats` forward passes as run() does, each on
+  // an untimed copy of the image, timing each op inside the pass it runs
+  // in; a row's time is its op's mean over the passes, and the counts are
+  // the op's share of census(). Observability only -- outputs are
+  // discarded.
   [[nodiscard]] std::vector<StepProfile> profile(const tensor::Tensor& image,
                                                  int repeats = 10) const;
 
@@ -180,9 +181,9 @@ class QuantizedNetwork {
   MemoryPlan memory_plan_;
 };
 
-// Pre-reserve the calling thread's shared quantization scratch for `values`
-// int32 codes (warm path; MemoryPlan::warm_thread calls this with the
+// Pre-reserve the calling thread's shared quantization scratch for `bytes`
+// int8 codes (warm path; MemoryPlan::warm_thread calls this with the
 // largest shift-layer input so steady state starts allocation-free).
-void reserve_quant_scratch(std::size_t values);
+void reserve_quant_scratch(std::size_t bytes);
 
 }  // namespace flightnn::inference

@@ -17,17 +17,6 @@ namespace flightnn::inference {
 
 namespace {
 
-// Largest input magnitude (fallback when QuantizedActivations::max_abs was
-// not populated at quantize time).
-std::int64_t max_abs_value(const std::vector<std::int32_t>& values) {
-  std::int64_t max_abs = 0;
-  for (const std::int32_t v : values) {
-    const std::int64_t a = v < 0 ? -static_cast<std::int64_t>(v) : v;
-    if (a > max_abs) max_abs = a;
-  }
-  return max_abs;
-}
-
 // Integer division helpers for the valid-range and padded-plane arithmetic;
 // both require b > 0 and round the true quotient toward -inf / +inf.
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
@@ -86,14 +75,14 @@ struct PaddedPlane {
 // in_channels.
 constexpr std::uint32_t kZeroCodes = 0x80808080U;
 
-// The code u = q + 128 of |q| <= 127, as a word's byte.
-inline std::uint32_t code_of(std::int32_t q) {
-  return static_cast<std::uint32_t>(q + 128) & 0xFFU;
+// The code u = q + 128 of an int8 q, as a word's byte.
+inline std::uint32_t code_of(std::int8_t q) {
+  return static_cast<std::uint32_t>(q + 128);
 }
 
 // One code word: channels i < kLive at x[i * hw], 128 in the bytes above.
 template <int kLive>
-inline std::uint32_t code_word(const std::int32_t* x, std::int64_t hw) {
+inline std::uint32_t code_word(const std::int8_t* x, std::int64_t hw) {
   std::uint32_t word = kLive == 4 ? 0U : kZeroCodes << (8 * (kLive % 4));
   for (int i = 0; i < kLive; ++i) word |= code_of(x[i * hw]) << (8 * i);
   return word;
@@ -102,7 +91,7 @@ inline std::uint32_t code_word(const std::int32_t* x, std::int64_t hw) {
 // `n` code words from input columns from[0], from[s], ...; the unit-stride
 // loop is the one the compiler vectorizes.
 template <int kLive>
-FLIGHTNN_INT_KERNEL void code_words(const std::int32_t* from, std::int64_t hw,
+FLIGHTNN_INT_KERNEL void code_words(const std::int8_t* from, std::int64_t hw,
                                     std::int64_t s, std::int64_t n,
                                     std::uint32_t* to) {
   if (s == 1) {
@@ -122,14 +111,14 @@ FLIGHTNN_INT_KERNEL void code_words(const std::int32_t* from, std::int64_t hw,
 // (a 1x1 stride-2 shortcut: every other row, one phase); the others are
 // left unwritten, since no tap reads them.
 FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void fill_code_plane(
-    const std::int32_t* src, const tensor::ConvGeometry& g,
+    const std::int8_t* src, const tensor::ConvGeometry& g,
     const PaddedPlane& plane, std::uint32_t* dst) {
   const std::int64_t s = g.stride, p = g.padding;
   const std::int64_t hw = g.in_h * g.in_w;
   const std::int64_t phases = std::min(s, g.kernel);
   for (std::int64_t group = 0; group < plane.groups; ++group) {
     const std::int64_t live = std::min<std::int64_t>(4, g.in_channels - 4 * group);
-    const std::int32_t* src_g = src + 4 * group * hw;
+    const std::int8_t* src_g = src + 4 * group * hw;
     std::uint32_t* dst_g = dst + group * plane.channel;
     for (std::int64_t py = 0, row_phase = 0; py < plane.rows;
          ++py, row_phase = row_phase + 1 == s ? 0 : row_phase + 1) {
@@ -145,7 +134,7 @@ FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void fill_code_plane(
         const auto [lo, hi] = plane.inside(g, phase);
         std::fill(dst_phase, dst_phase + lo, kZeroCodes);
         std::fill(dst_phase + hi, dst_phase + plane.phase_w, kZeroCodes);
-        const std::int32_t* from = src_g + iy * g.in_w + lo * s + phase - p;
+        const std::int8_t* from = src_g + iy * g.in_w + lo * s + phase - p;
         switch (live) {
           case 1: code_words<1>(from, hw, s, hi - lo, dst_phase + lo); break;
           case 2: code_words<2>(from, hw, s, hi - lo, dst_phase + lo); break;
@@ -166,10 +155,11 @@ bool plane_fits_int32(const PaddedPlane& plane) {
          cells <= std::numeric_limits<std::int32_t>::max();
 }
 
-// Largest |q| whose code q + 128 fits a u8 lane symmetrically: every
-// kMaxShiftActBits-bit input.
-constexpr std::int64_t kMaxDenseCode =
-    (std::int64_t{1} << (kMaxShiftActBits - 1)) - 1;
+// The scale exponents quant::scale_exponent gives 2- to 8-bit codes: 2^-149
+// at 8 bits takes 2^-155, FLT_MAX at 2 bits 2^128. run() refuses any other,
+// so scale_exp + e_min cannot overflow an int.
+constexpr int kMinScaleExp = -155;
+constexpr int kMaxScaleExp = 128;
 
 // Parallel cost hint of run(), in ns per (tap word x output value), for the
 // column tile and the filter tile. kernels_microbench's layer rows through
@@ -186,10 +176,6 @@ constexpr double kDenseNsPerTapOutput[2] = {0.05, 0.03};
 
 }  // namespace
 
-std::int64_t QuantizedActivations::abs_max() const {
-  return max_abs >= 0 ? max_abs : max_abs_value(values);
-}
-
 // Grows out.values to the image once; the warm path pre-reserves it.
 FLIGHTNN_COLD_ALLOC FLIGHTNN_ALIGNED void quantize_image_into(
     const tensor::Tensor& image, int bits, QuantizedActivations& out) {
@@ -197,14 +183,14 @@ FLIGHTNN_COLD_ALLOC FLIGHTNN_ALIGNED void quantize_image_into(
   FLIGHTNN_CHECK(s.rank() == 3 || (s.rank() == 4 && s[0] == 1),
                  "quantize_image: expected [C,H,W] or [1,C,H,W], got ",
                  s.to_string());
-  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "quantize_image: bits ", bits,
-                 " outside [2, 16]");
+  FLIGHTNN_CHECK(bits >= 2 && bits <= kMaxShiftActBits, "quantize_image: bits ",
+                 bits, " outside [2, ", kMaxShiftActBits, "]");
   const std::int32_t q_max = quant::FixedPointConfig{bits}.q_max();
   out.shape = s.rank() == 3 ? s : tensor::Shape{s[1], s[2], s[3]};
   out.scale_exp = quant::scale_exponent(image.abs_max(), q_max);
   out.values.resize(static_cast<std::size_t>(image.numel()));
-  out.max_abs = quant::quantize_codes(image.data(), out.values.data(),
-                                      image.numel(), out.scale_exp, q_max);
+  quant::quantize_codes(image.data(), out.values.data(), image.numel(),
+                        out.scale_exp, q_max);
 }
 
 FLIGHTNN_ALIGNED void fake_quantize(tensor::Tensor& x, int bits) {
@@ -299,12 +285,10 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
                      input.shape.numel(),
                  "ShiftConv2d::run: ", input.values.size(),
                  " values do not fill shape ", input.shape.to_string());
-  // The one per-call check of the codes: adopt_plan bounded each filter's
-  // int32 sums for |q| <= 127.
-  const std::int64_t max_q = input.abs_max();
-  FLIGHTNN_CHECK(max_q <= kMaxDenseCode, "ShiftConv2d::run: max |q| ", max_q,
-                 " passes ", kMaxDenseCode,
-                 ", the widest code a u8 lane holds");
+  FLIGHTNN_CHECK(input.scale_exp >= kMinScaleExp &&
+                     input.scale_exp <= kMaxScaleExp,
+                 "ShiftConv2d::run: scale_exp ", input.scale_exp,
+                 " outside [", kMinScaleExp, ", ", kMaxScaleExp, "]");
   const tensor::ConvGeometry geom{in_channels_, input.shape[1], input.shape[2],
                                   kernel_,      stride_,        padding_};
   const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();

@@ -49,22 +49,21 @@
 
 namespace flightnn::inference {
 
-// Activations quantized to signed integers with scale 2^scale_exp.
+// Widest activation code the dense kernels take: an int8 code q, whose
+// byte q + 128 is a u8 lane. quantize_image takes no more bits, and
+// from_program refuses a shift op that quantizes its input wider.
+inline constexpr int kMaxShiftActBits = 8;
+
+// Activations quantized to int8 codes with scale 2^scale_exp.
 struct QuantizedActivations {
-  std::vector<std::int32_t> values;  // q; real value = q * 2^scale_exp
+  std::vector<std::int8_t> values;  // q; real value = q * 2^scale_exp
   int scale_exp = 0;
   tensor::Shape shape;  // [C, H, W] (single image)
-  // Largest |q|, cached at quantize time so run()'s code-range check never
-  // rescans the activation vector. -1 = unknown (hand-built activations);
-  // abs_max() then falls back to a scan.
-  std::int64_t max_abs = -1;
-
-  [[nodiscard]] std::int64_t abs_max() const;
 };
 
-// Symmetric `bits`-bit quantization with a power-of-two scale covering the
-// abs-max. `image` must be [C, H, W] or [1, C, H, W] (a flat vector of n
-// values: its [n, 1, 1] view) and finite.
+// Symmetric `bits`-bit quantization, bits in [2, kMaxShiftActBits], with a
+// power-of-two scale covering the abs-max. `image` must be [C, H, W] or
+// [1, C, H, W] (a flat vector of n values: its [n, 1, 1] view) and finite.
 QuantizedActivations quantize_image(const tensor::Tensor& image, int bits = 8);
 
 // quantize_image into `out`, reusing its value buffer (no heap traffic once
@@ -78,11 +77,12 @@ void quantize_image_into(const tensor::Tensor& image, int bits,
 // Dequantize back to float (for comparisons), exactly (quant::scale_code).
 tensor::Tensor dequantize(const QuantizedActivations& activations);
 
-// dequantize(quantize_image(x, bits)) fused into one pass over `x` of any
-// shape, in place: snaps every element to the `bits`-bit pow2-scaled grid
-// without materializing the integer codes. Element-wise identical to the
-// two-step form and to nn::ActivationQuant's eval forward; the compiled
-// network's activation-quantization ops rewrite their activation with it.
+// Snaps every element of `x`, of any shape, in place to the `bits`-bit
+// pow2-scaled grid, bits in [2, 16], without materializing the integer
+// codes: element-wise identical to nn::ActivationQuant's eval forward and,
+// up to kMaxShiftActBits, to dequantize(quantize_image(x, bits)). The
+// compiled network's activation-quantization ops rewrite their activation
+// with it.
 void fake_quantize(tensor::Tensor& x, int bits);
 
 // Operation census of one engine run (ShiftConv2d::census).
@@ -90,11 +90,6 @@ struct OpCounts {
   std::int64_t shifts = 0;  // one per nonzero weight term element per output
   std::int64_t adds = 0;    // accumulator additions
 };
-
-// Widest activation code the dense kernels take: |q| <= 2^(8-1) - 1 = 127,
-// so the code q + 128 fits a u8 lane. from_program refuses a shift op that
-// quantizes its input wider, and run() any input with a larger |q|.
-inline constexpr int kMaxShiftActBits = 8;
 
 // Arena bytes one ShiftConv2d::run fetches per conv scratch slot; the
 // load-time walk sizes the slots with it (DESIGN.md §15).
@@ -146,9 +141,10 @@ class ShiftConv2d {
   // output pixel runs without bounds checks on the padded, stride-phased
   // code plane, and scratch comes from the per-thread arena's grow-once
   // slots (zero steady-state allocation beyond the pooled output tensor).
-  // Throws CheckFailure for an input whose max|q| passes 127 (only
-  // hand-built activations can: every kMaxShiftActBits-bit quantization
-  // stays inside) or whose plane passes the int32 offset range.
+  // Every int8 code runs exactly: adoption bounded each filter's int32 sums
+  // for |q| <= 128. Throws CheckFailure for an input whose plane passes the
+  // int32 offset range, or whose scale_exp lies outside [-155, 128], the
+  // exponents quant::scale_exponent gives 2- to 8-bit codes.
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input) const;
 
   // run() on the given kernel tile of the active tier (shift_kernels.hpp):

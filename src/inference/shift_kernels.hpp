@@ -19,10 +19,10 @@
 // at tap t is words[(j / 16) * 16 * taps + t * 16 + j % 16].
 //
 // Exactness. Every tier computes, in wrapping 32-bit arithmetic,
-// sum_t dot4(u, w) - 128 * sum(w) = sum_t dot4(q, w) (mod 2^32). The engine
-// runs only codes with |q| <= 127 and only packs whose filters have
-// 127 * sum |w| <= INT32_MAX (adopt_plan refuses the rest), so that
-// residue is the exact sum the term walk adds. No tier saturates: VNNI's
+// sum_t dot4(u, w) - 128 * sum(w) = sum_t dot4(q, w) (mod 2^32). The codes
+// are int8, |q| <= 128, and the engine runs only packs whose filters have
+// 128 * sum |w| <= INT32_MAX (adopt_plan refuses the rest), so that residue
+// is the exact sum the term walk adds. No tier saturates: VNNI's
 // vpdpbusd wraps, and the AVX2 tier builds the same products with vpmaddwd
 // on zero-extended code bytes and sign-extended weight bytes (vpmaddubsw,
 // which saturates, is never used).

@@ -161,10 +161,10 @@ FLIGHTNN_COLD_ALLOC AdoptedPlan adopt_plan(ShiftPlan plan,
   // The lanes of the last channel group past in_channels.
   const std::uint32_t padding =
       in_channels % 4 == 0 ? 0U : ~0U << (8 * (in_channels % 4));
-  // The kernels' int32 sums are exact while 127 * sum |w| fits (DESIGN.md
-  // §9): |q| <= 127 for every code run() accepts.
+  // The kernels' int32 sums are exact while 128 * sum |w| fits (DESIGN.md
+  // §9): |q| <= 128 for every int8 code run() can be handed.
   constexpr std::int64_t kMaxAbsSum =
-      std::numeric_limits<std::int32_t>::max() / 127;
+      std::numeric_limits<std::int32_t>::max() / 128;
   // The blocked order (shift_kernels.hpp) holds every full block where its
   // filters' words were, so each block is re-laid in place; only the last
   // block's zero padding grows the words. Its size stays within 16 x the
@@ -229,7 +229,7 @@ FLIGHTNN_COLD_ALLOC AdoptedPlan adopt_plan(ShiftPlan plan,
                      " has no nonzero weight");
       FLIGHTNN_CHECK(abs_sum <= kMaxAbsSum, "ShiftPlan: filter ", f,
                      "'s sum of |w| is ", abs_sum,
-                     ", and 127 times it passes the kernels' int32 bound (at "
+                     ", and 128 times it passes the kernels' int32 bound (at "
                      "most ", kMaxAbsSum, ")");
       // The kernels subtract it in wrapping 32-bit arithmetic, so its
       // residue mod 2^32 is all they need.

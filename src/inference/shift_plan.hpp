@@ -117,8 +117,8 @@ inline constexpr int kMaxShift = 61;
 //  - a padding lane (a channel past in_channels) is nonzero, a live filter
 //    has no nonzero weight, or a weight's peel takes more than k_max terms
 //    in the window;
-//  - 127 x a filter's sum of |w| passes INT32_MAX, so a u8 x s8 sum over
-//    8-bit codes could wrap the kernels' int32 accumulator;
+//  - 128 x a filter's sum of |w| passes INT32_MAX, so a u8 x s8 sum over
+//    int8 codes could wrap the kernels' int32 accumulator;
 //  - the plan's entry count is not the sum of its weights' peel lengths.
 // Allocates nothing past O(out_channels + kernel^2) beyond the plan itself,
 // its last block's zero padding and one block of words set aside while it

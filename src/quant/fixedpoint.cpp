@@ -28,17 +28,13 @@ inline double round_to_integer(double v) {
 
 // The code loop in T: float on normal_scale, else double (the exact path).
 template <typename T>
-std::int32_t codes_in(const float* in, std::int32_t* codes, std::int64_t n,
-                      T down, std::int32_t q_max) {
-  std::int32_t max_abs = 0;
+void codes_in(const float* in, std::int8_t* codes, std::int64_t n, T down,
+              std::int32_t q_max) {
   for (std::int64_t i = 0; i < n; ++i) {
-    auto q = static_cast<std::int32_t>(
+    const auto q = static_cast<std::int32_t>(
         round_to_integer(static_cast<T>(in[i]) * down));
-    q = std::min(q_max, std::max(-q_max, q));
-    codes[i] = q;
-    max_abs = std::max(max_abs, q < 0 ? -q : q);
+    codes[i] = static_cast<std::int8_t>(std::min(q_max, std::max(-q_max, q)));
   }
-  return max_abs;
 }
 
 // fake_quantize_values off normal_scale: each product formed in double,
@@ -102,12 +98,14 @@ FLIGHTNN_SIMD_CLONES FLIGHTNN_ALIGNED void fake_quantize_values(
 }
 
 // Every shift op's input passes through here, so it starts on a cache line.
-FLIGHTNN_ALIGNED std::int32_t quantize_codes(const float* in,
-                                             std::int32_t* codes,
-                                             std::int64_t n, int e,
-                                             std::int32_t q_max) {
-  return normal_scale(e) ? codes_in(in, codes, n, std::ldexp(1.0F, -e), q_max)
-                         : codes_in(in, codes, n, std::ldexp(1.0, -e), q_max);
+FLIGHTNN_ALIGNED void quantize_codes(const float* in, std::int8_t* codes,
+                                     std::int64_t n, int e,
+                                     std::int32_t q_max) {
+  if (normal_scale(e)) {
+    codes_in(in, codes, n, std::ldexp(1.0F, -e), q_max);
+  } else {
+    codes_in(in, codes, n, std::ldexp(1.0, -e), q_max);
+  }
 }
 
 FixedPointTransform::FixedPointTransform(FixedPointConfig config)

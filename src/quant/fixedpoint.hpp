@@ -12,7 +12,7 @@
 // quantize_image_into) all run it, so a model trains with the quantizer its
 // compiled network runs. It is one exponent rule (scale_exponent), one loop
 // writing floats and the training mask (fake_quantize_values), one loop
-// writing int32 codes (quantize_codes) and one exact q * 2^e (scale_code).
+// writing int8 codes (quantize_codes) and one exact q * 2^e (scale_code).
 //
 // Exactness: at the exponent e it is given, every loop returns the real
 // clamp(round(x * 2^-e), +-q_max) * 2^e rounded once to float. A product
@@ -69,12 +69,11 @@ struct FixedPointConfig {
 void fake_quantize_values(const float* in, float* out, std::uint8_t* mask,
                           std::int64_t n, int e, std::int32_t q_max);
 
-// codes[i] = clamp(q_i, +-q_max), q_i as above; returns max |codes[i]|.
-// `e` must cover the inputs, as scale_exponent of their abs-max does (past
-// 2^31 the int conversion is undefined); q_max as above.
-[[nodiscard]] std::int32_t quantize_codes(const float* in, std::int32_t* codes,
-                                          std::int64_t n, int e,
-                                          std::int32_t q_max);
+// codes[i] = clamp(q_i, +-q_max), q_i as above. `e` must cover the inputs,
+// as scale_exponent of their abs-max does (past 2^31 the int conversion is
+// undefined); q_max in [1, 127], so every code is an int8.
+void quantize_codes(const float* in, std::int8_t* codes, std::int64_t n, int e,
+                    std::int32_t q_max);
 
 // Fixed-point weights as a WeightTransform (STE backward), at the
 // scale_exponent of each tensor's abs-max.

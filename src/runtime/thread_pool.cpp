@@ -141,6 +141,7 @@ FLIGHTNN_COLD_ALLOC void ThreadPool::for_each_worker(
   FLIGHTNN_CHECK(fn != nullptr, "ThreadPool::for_each_worker: null fn");
   const int workers = static_cast<int>(workers_.size());
   if (workers == 0) return;
+  const support::MutexLock turn(rendezvous_mutex_);
   // Rendezvous: every task blocks after running `fn` until all `workers`
   // tasks have entered, which forces the queue entries onto distinct worker
   // threads (a worker stuck inside one task cannot pop a second).

@@ -63,11 +63,12 @@ class ThreadPool {
   // to initialize thread_local state (arena slots, buffer-pool prewarm)
   // on every thread before the first batch, upholding the zero-allocation
   // contract from the very first inference. Must be called from outside the
-  // pool (a worker calling it would deadlock the rendezvous). Exceptions
+  // pool (a worker calling it would deadlock the rendezvous). Concurrent
+  // calls take turns: one rendezvous holds the workers at a time. Exceptions
   // thrown by `fn` are rethrown on the caller (first one wins; every worker
   // still completes the rendezvous). No-op when the pool has no workers.
   void for_each_worker(const std::function<void()>& fn)
-      FLIGHTNN_EXCLUDES(mutex_);
+      FLIGHTNN_EXCLUDES(mutex_, rendezvous_mutex_);
 
   // Invoke `body(lo, hi)` over disjoint subranges covering [begin, end)
   // exactly once, with each subrange at least `grain` long (except possibly
@@ -97,6 +98,10 @@ class ThreadPool {
 
   int threads_;
   std::vector<std::thread> workers_;
+  // Held for the whole of a for_each_worker call. Two interleaved
+  // rendezvous would each hold some workers inside their tasks while
+  // waiting for the rest, and neither would complete.
+  support::Mutex rendezvous_mutex_;
   support::Mutex mutex_;
   support::CondVar work_available_;
   support::CondVar helpers_idle_;

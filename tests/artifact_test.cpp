@@ -701,10 +701,10 @@ TEST(ArtifactCorruption, PlansThePackCannotRunAreRefusedAtLoad) {
     NetworkProgram program;
   };
   std::vector<Refusal> refusals;
-  // 132,105 weights of -128 units at window [-7, 0]: 127 x their sum |w|
+  // 131,072 weights of -128 units at window [-7, 0]: 128 x their sum |w|
   // passes INT32_MAX.
   refusals.push_back({"a filter past the int32 bound",
-                      one_conv_program(std::vector<float>(132105, -128.0F), 1,
+                      one_conv_program(std::vector<float>(131072, -128.0F), 1,
                                        {-7, 0, true})});
   NetworkProgram wide_codes = one_conv_program({8.0F}, 2);
   wide_codes.ops[0].act_bits = 9;
@@ -720,7 +720,7 @@ TEST(ArtifactCorruption, PlansThePackCannotRunAreRefusedAtLoad) {
 
   // The same plans within every bound load.
   ASSERT_NO_THROW((void)QuantizedNetwork::from_program(
-      one_conv_program(std::vector<float>(132104, -128.0F), 1, {-7, 0, true})));
+      one_conv_program(std::vector<float>(131071, -128.0F), 1, {-7, 0, true})));
   ASSERT_NO_THROW(
       (void)QuantizedNetwork::from_program(one_conv_program({8.0F}, 2)));
   for (const Refusal& refusal : refusals) {

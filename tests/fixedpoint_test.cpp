@@ -97,16 +97,16 @@ TEST(FixedPointTest, SaturationClampsAndMasks) {
   fake_quantize_values(x.data(), q.data(), mask.data(), 4, 0, 7);
   EXPECT_EQ(q, (std::vector<float>{7.0F, -7.0F, 7.0F, -7.0F}));
   EXPECT_EQ(mask, (std::vector<std::uint8_t>{1, 1, 0, 1}));
-  std::vector<std::int32_t> codes(x.size());
-  EXPECT_EQ(quantize_codes(x.data(), codes.data(), 4, 0, 7), 7);
-  EXPECT_EQ(codes, (std::vector<std::int32_t>{7, -7, 7, -7}));
+  std::vector<std::int8_t> codes(x.size());
+  quantize_codes(x.data(), codes.data(), 4, 0, 7);
+  EXPECT_EQ(codes, (std::vector<std::int8_t>{7, -7, 7, -7}));
 }
 
 // Both loops against the long-double definition, bit for bit, at every
 // scale: abs-max from the smallest subnormal to FLT_MAX, so both the float
-// path and the exact path run, at 2, 8 and 16 bits. The codes scale back to
-// the float loop's values through scale_code, and the mask is the saturated
-// elements.
+// path and the exact path run, at 2, 8 and 16 bits for the float loop and
+// at 2 and 8 for the int8 code loop. The codes scale back to the float
+// loop's values through scale_code, and the mask is the saturated elements.
 TEST(FixedPointTest, LoopsMatchTheDefinitionAtEveryScale) {
   support::Rng rng(28);
   int exact_path = 0;
@@ -125,24 +125,24 @@ TEST(FixedPointTest, LoopsMatchTheDefinitionAtEveryScale) {
       if (!normal_scale(e)) ++exact_path;
       std::vector<float> values(x.size());
       std::vector<std::uint8_t> mask(x.size());
-      std::vector<std::int32_t> codes(x.size());
+      std::vector<std::int8_t> codes(x.size());
       fake_quantize_values(x.data(), values.data(), mask.data(), 67, e, q_max);
-      const std::int32_t max_q = quantize_codes(x.data(), codes.data(), 67, e, q_max);
-      std::int32_t want_max = 0;
+      const bool int8_codes = bits <= 8;
+      if (int8_codes) quantize_codes(x.data(), codes.data(), 67, e, q_max);
       for (std::size_t i = 0; i < x.size(); ++i) {
         // + 0.0F: a zero code comes out +0.
         const float want = reference_value(x[i], e, q_max) + 0.0F;
         EXPECT_TRUE(same_bits(values[i], want))
             << "bits " << bits << " p " << p << " x " << x[i] << ": "
             << values[i] << " vs " << want;
-        EXPECT_TRUE(same_bits(scale_code(codes[i], e), values[i]))
-            << "bits " << bits << " p " << p << " code " << codes[i];
+        if (int8_codes) {
+          EXPECT_TRUE(same_bits(scale_code(codes[i], e), values[i]))
+              << "bits " << bits << " p " << p << " code " << int{codes[i]};
+        }
         const bool saturated =
             std::fabs(std::ldexp(static_cast<long double>(x[i]), -e)) > q_max;
         EXPECT_EQ(mask[i] != 0, saturated) << "bits " << bits << " p " << p;
-        want_max = std::max(want_max, std::abs(codes[i]));
       }
-      EXPECT_EQ(max_q, want_max);
     }
   }
   EXPECT_GT(exact_path, 0);

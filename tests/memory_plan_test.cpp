@@ -116,7 +116,7 @@ TEST(MemoryPlanTest, Table1NetworkLayoutsAreSound) {
     }
     EXPECT_GT(plan->arena_capacity_bytes(), 0U);
     EXPECT_GT(plan->activation_pool_bytes(), 0U);
-    EXPECT_GT(plan->quant_peak_values(), 0U);
+    EXPECT_GT(plan->quant_peak_bytes(), 0U);
     EXPECT_EQ(plan->planned_per_thread_bytes(),
               plan->arena_capacity_bytes() + plan->quant_peak_bytes() +
                   plan->activation_pool_bytes());

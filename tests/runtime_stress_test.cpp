@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -114,6 +116,71 @@ TEST(RuntimeStressTest, ConcurrentBatchRunnersOverSharedWeights) {
       }
     }
   }
+}
+
+// 2-4 threads make the first run() of a cold runner at once, so each warms
+// every pool worker through for_each_worker at the same time; a fresh
+// runner per round, the same caller threads in every round. Every call
+// returns the serial logits. Two such warms once held each other's workers
+// and hung.
+TEST(RuntimeStressTest, ConcurrentFirstRunsOfAColdRunner) {
+  models::BuildOptions build;
+  build.classes = 10;
+  build.width_scale = 0.125F;
+  build.seed = kBaseSeed;
+  auto model = models::build_network(models::table1_network(1), build);
+  core::install_lightnn(*model, 2);
+
+  runtime::set_num_threads(1);
+  const auto network =
+      inference::QuantizedNetwork::compile(*model, Shape{1, 3, 12, 12});
+  const runtime::InferenceRequest request = random_request(kBaseSeed + 900, 2);
+  const std::vector<Tensor> reference =
+      runtime::BatchRunner(network).run(request).logits;
+
+  constexpr int kRounds = 20;
+  runtime::set_num_threads(4);
+  for (int callers = 2; callers <= 4; ++callers) {
+    std::vector<std::unique_ptr<runtime::BatchRunner>> runners;
+    for (int r = 0; r < kRounds; ++r) {
+      runners.push_back(std::make_unique<runtime::BatchRunner>(network));
+    }
+    // logits[r][c]: caller c's result in round r.
+    std::vector<std::vector<std::vector<Tensor>>> logits(
+        kRounds, std::vector<std::vector<Tensor>>(
+                     static_cast<std::size_t>(callers)));
+    // Round r starts once every caller has arrived at it.
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < callers; ++c) {
+      threads.emplace_back([&, c] {
+        for (int r = 0; r < kRounds; ++r) {
+          arrived.fetch_add(1);
+          while (arrived.load() < callers * (r + 1)) std::this_thread::yield();
+          logits[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] =
+              runners[static_cast<std::size_t>(r)]->run(request).logits;
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (int r = 0; r < kRounds; ++r) {
+      for (int c = 0; c < callers; ++c) {
+        const auto& got =
+            logits[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)];
+        ASSERT_EQ(got.size(), reference.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].shape(), reference[i].shape());
+          EXPECT_EQ(std::memcmp(got[i].data(), reference[i].data(),
+                                static_cast<std::size_t>(got[i].numel()) *
+                                    sizeof(float)),
+                    0)
+              << callers << " callers, round " << r << ", caller " << c
+              << ", image " << i;
+        }
+      }
+    }
+  }
+  runtime::set_num_threads(1);
 }
 
 TEST(RuntimeStressTest, ConcurrentEvaluateIsDeterministic) {

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "core/decompose.hpp"
+#include "quant/fixedpoint.hpp"
 #include "quant/lightnn.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace flightnn::inference {
@@ -88,21 +90,19 @@ TEST(QuantizeImageTest, ScaleExponentIsDefinedForEveryFiniteAbsMax) {
   for (int bits = 2; bits <= 16; ++bits) {
     const std::int64_t q_max = (std::int64_t{1} << (bits - 1)) - 1;
     for (const float a : abs_maxes) {
-      const QuantizedActivations q =
-          quantize_image(Tensor(Shape{1, 1, 1}, a), bits);
+      const int e = quant::scale_exponent(a, q_max);
       const float quotient = a / static_cast<float>(q_max);
       if (quotient >= std::numeric_limits<float>::min()) {
-        EXPECT_EQ(q.scale_exp, static_cast<int>(std::ceil(std::log2(quotient))))
+        EXPECT_EQ(e, static_cast<int>(std::ceil(std::log2(quotient))))
             << "abs-max " << a << " bits " << bits;
       } else {
         ++subnormal;
         const auto bound = static_cast<double>(q_max);
-        EXPECT_LE(a, std::ldexp(bound, q.scale_exp))
+        EXPECT_LE(a, std::ldexp(bound, e))
             << "abs-max " << a << " bits " << bits;
-        EXPECT_GT(a, std::ldexp(bound, q.scale_exp - 1))
+        EXPECT_GT(a, std::ldexp(bound, e - 1))
             << "abs-max " << a << " bits " << bits;
       }
-      EXPECT_LE(q.max_abs, q_max) << "abs-max " << a << " bits " << bits;
     }
   }
   EXPECT_GT(subnormal, 0);
@@ -130,8 +130,7 @@ TEST(QuantizeImageTest, TopOfTheRangeRoundsToInfinityAndZero) {
   Tensor x(Shape{2, 1, 1}, std::vector<float>{big, 1.0F});
   const QuantizedActivations q = quantize_image(x, 2);
   EXPECT_EQ(q.scale_exp, 128);
-  EXPECT_EQ(q.values, (std::vector<std::int32_t>{1, 0}));
-  EXPECT_EQ(q.max_abs, 1);
+  EXPECT_EQ(q.values, (std::vector<std::int8_t>{1, 0}));
   const Tensor back = dequantize(q);
   fake_quantize(x, 2);
   for (const Tensor& t : {back, x}) {
@@ -269,6 +268,31 @@ TEST(ShiftConvTest, InputValidation) {
                std::invalid_argument);
   Tensor bad_bias(Shape{3});
   EXPECT_THROW(ShiftConv2d(wq, 1, config, 1, 0, bad_bias), std::invalid_argument);
+}
+
+// run() takes the scale exponents quant::scale_exponent gives 2- to 8-bit
+// codes, [-155, 128], and refuses a hand-built one outside them before it
+// forms scale_exp + e_min, which overflows an int at INT_MIN. At the ends,
+// code 64 of a 1.0 weight gives 2^-149 and +inf, as the reference conv of
+// the dequantized input does.
+TEST(ShiftConvTest, RefusesScaleExponentsNoQuantizerGives) {
+  const quant::Pow2Config config;
+  const Tensor wq(Shape{1, 1, 1, 1}, std::vector<float>{1.0F});
+  const ShiftConv2d engine(wq, 1, config, 1, 0);
+  QuantizedActivations q;
+  q.shape = Shape{1, 1, 1};
+  q.values = {64};
+  for (const int e : {-155, 128}) {
+    q.scale_exp = e;
+    EXPECT_EQ(engine.run(q)[0], reference_conv(wq, dequantize(q), 1, 0)[0])
+        << "scale_exp " << e;
+  }
+  for (const int e : {std::numeric_limits<int>::min(), -156, 129,
+                      std::numeric_limits<int>::max()}) {
+    q.scale_exp = e;
+    EXPECT_THROW((void)engine.run(q), support::CheckFailure)
+        << "scale_exp " << e;
+  }
 }
 
 TEST(ReferenceConvTest, KnownValue) {

@@ -308,15 +308,29 @@ TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
 // The dense gate's cases, at stride 1 and 2. A filter reaching +128 (two
 // 2^0 terms at LightNN-2) packs negated and matches the term walk under
 // every tier. Adoption refuses +128 beside -128 in one filter and a
-// LightNN-3 weight past int8 (1 + 1 + 1 = 192 units); run() refuses 9-bit
-// codes, and hand-built codes of |q| = 128, which no u8 lane holds.
+// LightNN-3 weight past int8 (1 + 1 + 1 = 192 units); quantize_image
+// refuses 9-bit codes, which no int8 holds. Hand-built codes take every
+// int8, -128 included (+128 has no int8), and match the term walk too.
 TEST(ShiftKernelDiffTest, GateCasesNegateOrRefuse) {
   TierGuard guard;
   const quant::Pow2Config config;
   support::Rng rng(109);
   const auto qimg = quantize_image(Tensor::randn(Shape{5, 9, 11}, rng), 8);
-  const auto q9 = quantize_image(Tensor::randn(Shape{5, 9, 11}, rng), 9);
-  ASSERT_GT(q9.abs_max(), 127) << "9-bit codes must overflow a u8 lane";
+  EXPECT_THROW((void)quantize_image(Tensor::randn(Shape{5, 9, 11}, rng), 9),
+               support::CheckFailure);
+  // Random codes over the whole int8 range, with -128 and 127 at the two
+  // ends of every row.
+  QuantizedActivations full;
+  full.shape = Shape{5, 9, 11};
+  full.scale_exp = -3;
+  for (std::int64_t i = 0; i < full.shape.numel(); ++i) {
+    const std::int64_t x = i % 11;
+    full.values.push_back(
+        x == 0 ? -128
+               : x == 10 ? 127
+                         : static_cast<std::int8_t>(
+                               static_cast<int>(rng.uniform_index(256)) - 128));
+  }
   for (const std::int64_t stride : {1, 2}) {
     const std::string at = " stride=" + std::to_string(stride);
     Tensor plus = quant::quantize_lightnn(
@@ -327,6 +341,9 @@ TEST(ShiftKernelDiffTest, GateCasesNegateOrRefuse) {
     expect_tiers_match(
         negated, oracle::TermWalkConv2d(plus, 2, config, stride, 1).run(qimg),
         qimg, "+128 weight" + at);
+    expect_tiers_match(
+        negated, oracle::TermWalkConv2d(plus, 2, config, stride, 1).run(full),
+        full, "+128 weight, full-range codes" + at);
 
     Tensor both(plus);
     both.data()[8] = -2.0F;
@@ -340,31 +357,17 @@ TEST(ShiftKernelDiffTest, GateCasesNegateOrRefuse) {
                    support::CheckFailure)
           << what << at;
     }
-
-    for (const KernelTier tier : host_tiers()) {
-      set_kernel_tier_override(static_cast<int>(tier));
-      EXPECT_THROW((void)negated.run(q9), support::CheckFailure)
-          << "act_bits 9" << at << " tier=" << kernel_tier_name(tier);
-    }
-    set_kernel_tier_override(-1);
   }
-  // Hand-built codes carry no cached max|q| (max_abs = -1), so run() scans
-  // them: 127 is the widest code it takes, either sign.
   const Tensor wq = quant::quantize_lightnn(
       Tensor::randn(Shape{2, 1, 1, 1}, rng, 0.0F, 0.3F), 2, config);
   const ShiftConv2d engine(wq, 2, config, 1, 0);
-  for (const std::int32_t q : {127, -127, 128, -128}) {
+  for (const std::int8_t q : {127, -127, -128}) {
     QuantizedActivations hand;
     hand.shape = Shape{1, 2, 2};
     hand.values = {0, q, 1, -1};
-    if (q == 127 || q == -127) {
-      EXPECT_TRUE(bytes_equal(
-          engine.run(hand),
-          oracle::TermWalkConv2d(wq, 2, config, 1, 0).run(hand)))
-          << "q=" << q;
-    } else {
-      EXPECT_THROW((void)engine.run(hand), support::CheckFailure) << "q=" << q;
-    }
+    expect_tiers_match(engine,
+                       oracle::TermWalkConv2d(wq, 2, config, 1, 0).run(hand),
+                       hand, "q=" + std::to_string(q));
   }
 }
 

@@ -757,7 +757,7 @@ TEST(ShiftPlanPropertyTest, AdoptionRejectsHostilePlans) {
       << "a window whose width overflows int";
 }
 
-// 127 x sum |w| against INT32_MAX, at the bound's exact edge: 132,104
+// 128 x sum |w| against INT32_MAX, at the bound's exact edge: 131,071
 // weights of -128 (one term each at window [-7, 0]) fit, one more does not.
 TEST(ShiftPlanPropertyTest, AdoptionRefusesAFilterPastTheInt32Bound) {
   const quant::Pow2Config seven = window(-7, 0);
@@ -776,10 +776,10 @@ TEST(ShiftPlanPropertyTest, AdoptionRefusesAFilterPastTheInt32Bound) {
     }
     return std::string();
   };
-  EXPECT_EQ(message(132104), "") << "127 * 128 * 132104 fits int32";
-  EXPECT_NE(message(132105).find("filter 0's sum of |w| is 16909440"),
+  EXPECT_EQ(message(131071), "") << "128 * 128 * 131071 fits int32";
+  EXPECT_NE(message(131072).find("filter 0's sum of |w| is 16777216"),
             std::string::npos)
-      << "127 * 128 * 132105 passes INT32_MAX";
+      << "128 * 128 * 131072 passes INT32_MAX";
 }
 
 // Bias handling must match the oracle's (bias folds in after

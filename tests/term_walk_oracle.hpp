@@ -166,7 +166,7 @@ class TermWalkConv2d {
           // Walk the filter elements; each nonzero element is one shifter lane.
           std::int64_t e = 0;
           for (std::int64_t c = 0; c < in_channels_; ++c) {
-            const std::int32_t* in_plane = input.values.data() + c * in_h * in_w;
+            const std::int8_t* in_plane = input.values.data() + c * in_h * in_w;
             for (std::int64_t ky = 0; ky < kernel_; ++ky) {
               for (std::int64_t kx = 0; kx < kernel_; ++kx, ++e) {
                 const quant::Pow2Term w =

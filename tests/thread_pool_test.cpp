@@ -1,7 +1,8 @@
 // Property tests for the runtime thread pool: parallel_for covers every
 // index exactly once under adversarial range/grain combinations, nested
-// submission cannot deadlock, worker exceptions propagate to the caller,
-// and destruction drains pending submitted work.
+// submission cannot deadlock, concurrent for_each_worker calls all
+// complete, worker exceptions propagate to the caller, and destruction
+// drains pending submitted work.
 
 #include "runtime/thread_pool.hpp"
 
@@ -9,7 +10,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -101,6 +104,43 @@ TEST(ThreadPoolTest, DeeplyNestedSubmissionCompletes) {
     }
   });
   EXPECT_EQ(total.load(), 4 * 4 * 16);
+}
+
+// 2-4 threads call for_each_worker on one pool at once, many times over:
+// every call returns, having run its function once on each worker. Two
+// rendezvous whose tasks interleaved in the queue once held each other's
+// workers, and neither returned.
+TEST(ThreadPoolTest, ConcurrentForEachWorkerCallsAllComplete) {
+  ThreadPool pool(4);
+  const auto workers = static_cast<std::size_t>(pool.size() - 1);
+  for (int callers = 2; callers <= 4; ++callers) {
+    for (int round = 0; round < 50; ++round) {
+      std::mutex mutex;
+      std::vector<std::vector<std::thread::id>> ran(
+          static_cast<std::size_t>(callers));
+      std::atomic<int> ready{0};
+      std::vector<std::thread> threads;
+      for (int c = 0; c < callers; ++c) {
+        threads.emplace_back([&, c] {
+          ready.fetch_add(1);
+          while (ready.load() < callers) std::this_thread::yield();
+          pool.for_each_worker([&, c] {
+            const std::lock_guard<std::mutex> lock(mutex);
+            ran[static_cast<std::size_t>(c)].push_back(
+                std::this_thread::get_id());
+          });
+        });
+      }
+      for (auto& thread : threads) thread.join();
+      for (int c = 0; c < callers; ++c) {
+        const auto& ids = ran[static_cast<std::size_t>(c)];
+        EXPECT_EQ(ids.size(), workers) << callers << " callers, call " << c;
+        EXPECT_EQ(std::set<std::thread::id>(ids.begin(), ids.end()).size(),
+                  workers)
+            << callers << " callers, call " << c;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, WorkerExceptionPropagatesToCaller) {
