@@ -4,11 +4,11 @@
 // records:
 //
 //   - the plan's arena capacity (largest offset table + largest code
-//     plane, from the load-time walk) vs the arena slots measured after
-//     warm + run (must agree within alignment slack),
+//     plane + largest input's int8 codes, from the load-time walk) vs the
+//     arena slots measured after warm + run (must agree within alignment
+//     slack),
 //   - the plan's activation pool bytes vs what a fresh thread's tensor pool
 //     holds after warm + one forward pass (must agree exactly),
-//   - the plan's quantization scratch,
 //   - process peak RSS at cold start, after compile, and at steady state
 //     (getrusage; the whole-process view the OS bills).
 //
@@ -145,8 +145,6 @@ int main(int argc, char** argv) {
   table.add_row({"pool measured after warm + run",
                  std::to_string(pool_measured),
                  support::format_fixed(kib(pool_measured), 1)});
-  table.add_row({"quant scratch peak", std::to_string(plan.quant_peak_bytes()),
-                 support::format_fixed(kib(plan.quant_peak_bytes()), 1)});
   table.add_row({"planned per-thread total",
                  std::to_string(plan.planned_per_thread_bytes()),
                  support::format_fixed(kib(plan.planned_per_thread_bytes()),
@@ -181,8 +179,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(pool_planned));
   out.add_int("activation_pool_measured_bytes",
               static_cast<long long>(pool_measured));
-  out.add_int("quant_peak_bytes",
-              static_cast<long long>(plan.quant_peak_bytes()));
   out.add_int("planned_per_thread_bytes",
               static_cast<long long>(plan.planned_per_thread_bytes()));
   out.add_int("rss_cold_kib", rss_cold_kib);

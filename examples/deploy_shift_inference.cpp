@@ -77,10 +77,9 @@ int apply_mem_budget(const flightnn::inference::QuantizedNetwork& network,
       static_cast<std::size_t>(channels * height * width) * sizeof(float);
   const double mib = 1024.0 * 1024.0;
   std::printf(
-      "\nmemory plan: arena %.1f KiB + quant %.1f KiB + activation pool %.1f "
-      "KiB = %.2f MiB/thread x %zu threads = %.2f MiB planned peak\n",
+      "\nmemory plan: arena %.1f KiB + activation pool %.1f KiB = %.2f "
+      "MiB/thread x %zu threads = %.2f MiB planned peak\n",
       static_cast<double>(plan->arena_capacity_bytes()) / 1024.0,
-      static_cast<double>(plan->quant_peak_bytes()) / 1024.0,
       static_cast<double>(plan->activation_pool_bytes()) / 1024.0,
       static_cast<double>(per_thread) / mib, threads,
       static_cast<double>(fixed) / mib);

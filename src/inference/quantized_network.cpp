@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <utility>
 
 #include "nn/activations.hpp"
@@ -13,16 +14,6 @@
 namespace flightnn::inference {
 
 namespace {
-
-// Quantization scratch shared by the shift ops on one thread. Safe because a
-// thread runs its forward pass op by op: the quantized values are consumed
-// by the engine before the next op overwrites them. Reusing one buffer
-// across layers keeps steady-state quantization allocation-free once the
-// largest layer has sized it.
-QuantizedActivations& quant_scratch() {
-  thread_local QuantizedActivations scratch;
-  return scratch;
-}
 
 // One past the last flat op of op `i`'s subtree: residual segment counts are
 // nested-inclusive totals, so a block is skipped without recursing.
@@ -295,29 +286,28 @@ std::string op_token(const ProgramOp& op) {
 
 using Engine = std::optional<ShiftConv2d>;
 
-// One activation run() holds: its shape and the index of its live interval
-// (the pooled buffer behind it).
-struct Activation {
-  tensor::Shape shape;
-  std::size_t interval = 0;
-};
-
 // from_program's one walk over the validated program: the shape flow run()
 // takes for every image, op by op, and the only check of each op's input
 // shape (run_op checks none). Along the way it records what run() costs and
 // allocates: each op's counts, its memory row (scratch sizes read from the
-// adopted engines' plans) and the live interval of every activation run()
-// allocates -- the image copy, each shape-changing op's output and each
-// residual main chain's copy of its input; an op that keeps the shape
-// rewrites its input, whose interval it extends. Flat pre-order op indices
-// are the time axis (main -> shortcut -> post segment order equals
-// execution order). Residual segment bounds were validated by validate_ops.
+// adopted engines' plans) and run()'s pool traffic, replayed. It acquires
+// where run_op makes a tensor -- the image copy, each shape-changing op's
+// output and each residual main chain's copy of its input -- and releases
+// where run_op drops one: a shape-changing op's input once its output
+// exists, and a residual's shortcut output once it is added to the main
+// one. An op that keeps the shape rewrites its input and makes no traffic.
+// Per element count, the most buffers out at once is the pool's own demand
+// rule (tensor/buffer_pool.hpp), so it is what warm parks. Residual segment
+// bounds were validated by validate_ops.
 struct LoadWalk {
   const std::vector<ProgramOp>& ops;
   const std::vector<Engine>& engines;
   std::vector<NetworkOpCounts> op_census;
   std::vector<OpMemory> per_op;
-  std::vector<ActivationInterval> intervals;
+  // Per element count: the pooled buffers run() has out, and the most it
+  // has had out at once.
+  std::map<std::size_t, std::size_t> live;
+  std::map<std::size_t, std::size_t> peak;
 
   LoadWalk(const std::vector<ProgramOp>& program_ops,
            const std::vector<Engine>& program_engines)
@@ -331,8 +321,8 @@ struct LoadWalk {
     }
   }
 
-  // A fresh tensor made at op `t`: its live interval starts there.
-  Activation define(std::size_t t, tensor::Shape shape) {
+  // A tensor of `shape` made at op `t`: one pool acquire.
+  tensor::Shape acquire(std::size_t t, tensor::Shape shape) {
     std::int64_t elements = 1;
     for (std::size_t axis = 0; axis < shape.rank(); ++axis) {
       FLIGHTNN_CHECK(!__builtin_mul_overflow(elements, shape[axis], &elements) &&
@@ -341,9 +331,13 @@ struct LoadWalk {
                      " activation, past 2^31 - 1 elements");
     }
     const auto numel = static_cast<std::size_t>(elements);
-    const auto at = static_cast<std::uint32_t>(t);
-    intervals.push_back(ActivationInterval{numel, at, at});
-    return {std::move(shape), intervals.size() - 1};
+    peak[numel] = std::max(peak[numel], ++live[numel]);
+    return shape;
+  }
+
+  // A tensor of `shape` dropped: one pool release.
+  void release(const tensor::Shape& shape) {
+    --live[static_cast<std::size_t>(shape.numel())];
   }
 
   // Op `t`'s row: the quantized `in`, the scratch the engine fetches for
@@ -352,39 +346,18 @@ struct LoadWalk {
                        const tensor::Shape& in) {
     OpMemory& mem = per_op[t];
     mem.tile = conv.tile(in[1], in[2]);
-    mem.quant_bytes = static_cast<std::size_t>(in.numel()) * sizeof(std::int8_t);
     const ConvScratchBytes scratch = conv.scratch_bytes(in[1], in[2]);
     mem.offsets_bytes = scratch.offsets;
     mem.input_bytes = scratch.input;
-    mem.scratch_bytes = mem.offsets_bytes + mem.input_bytes;
-  }
-
-  void use(const Activation& x, std::size_t t) {
-    std::uint32_t& last = intervals[x.interval].last_use_op;
-    last = std::max(last, static_cast<std::uint32_t>(t));
-  }
-
-  // Op `t` rewrites `x` in place, leaving it `shape` (same element count).
-  Activation in_place(const Activation& x, std::size_t t, tensor::Shape shape) {
-    use(x, t);
-    return {std::move(shape), x.interval};
-  }
-
-  // The copy of the block input `x` a residual's main chain [begin, end)
-  // starts on: made at the chain's first op, or for an empty chain at the
-  // residual op itself.
-  Activation chain_entry(const Activation& x, std::size_t begin,
-                         std::size_t end) {
-    const std::size_t t = begin < end ? begin : begin - 1;
-    use(x, t);
-    return define(t, x.shape);
+    mem.codes_bytes = scratch.codes;
+    mem.scratch_bytes = scratch.offsets + scratch.input + scratch.codes;
   }
 
   // The chain of top-level ops [begin, end) on `x`: fills op_census for
   // every op in it, adds the chain's counts to `total` and returns the
   // chain's output.
-  Activation walk_ops(  // NOLINT(misc-no-recursion)
-      std::size_t begin, std::size_t end, Activation x,
+  tensor::Shape walk_ops(  // NOLINT(misc-no-recursion)
+      std::size_t begin, std::size_t end, tensor::Shape x,
       NetworkOpCounts& total) {
     for (std::size_t i = begin; i < end; i = subtree_end(ops, i)) {
       NetworkOpCounts counts{};
@@ -395,16 +368,15 @@ struct LoadWalk {
     return x;
   }
 
-  // Top-level op `i` on `x` (a residual walks its whole block).
-  Activation walk_op(  // NOLINT(misc-no-recursion)
-      std::size_t i, const Activation& x, NetworkOpCounts& counts) {
+  // Top-level op `i` on `in` (a residual walks its whole block).
+  tensor::Shape walk_op(  // NOLINT(misc-no-recursion)
+      std::size_t i, const tensor::Shape& in, NetworkOpCounts& counts) {
     const ProgramOp& op = ops[i];
-    const tensor::Shape& in = x.shape;
     tensor::Shape out;
     switch (op.kind) {
       case ProgramOpKind::kQuantAct:
       case ProgramOpKind::kLeakyRelu:
-        return in_place(x, i, in);
+        return in;
       case ProgramOpKind::kShiftConv: {
         FLIGHTNN_CHECK(in.rank() == 3 && in[0] == op.in_channels,
                        "from_program: shift conv at op ", i, " expects [",
@@ -431,11 +403,11 @@ struct LoadWalk {
         FLIGHTNN_CHECK(geom.out_h() > 0 && geom.out_w() > 0,
                        "from_program: float conv at op ", i,
                        " produces an empty output from ", in.to_string());
-        // Defined here, so its size is checked before the MACs count it.
-        use(x, i);
-        Activation y =
-            define(i, tensor::Shape{ws[0], geom.out_h(), geom.out_w()});
-        counts.float_macs = ws.numel() * y.shape[1] * y.shape[2];
+        // Acquired here, so its size is checked before the MACs count it.
+        tensor::Shape y =
+            acquire(i, tensor::Shape{ws[0], geom.out_h(), geom.out_w()});
+        release(in);
+        counts.float_macs = ws.numel() * y[1] * y[2];
         return y;
       }
       case ProgramOpKind::kAffine:
@@ -444,7 +416,7 @@ struct LoadWalk {
                 in[0] == static_cast<std::int64_t>(op.scale.size()),
             "from_program: affine at op ", i, " expects [", op.scale.size(),
             ", H, W] input, gets ", in.to_string());
-        return in_place(x, i, in);
+        return in;
       case ProgramOpKind::kMaxPool:
         FLIGHTNN_CHECK(in.rank() == 3 && in[1] >= op.window &&
                            in[2] >= op.window,
@@ -459,7 +431,7 @@ struct LoadWalk {
         out = tensor::Shape{in[0]};
         break;
       case ProgramOpKind::kFlatten:
-        return in_place(x, i, tensor::Shape{in.numel()});
+        return tensor::Shape{in.numel()};
       case ProgramOpKind::kShiftLinear: {
         FLIGHTNN_CHECK(in.numel() == op.in_channels,
                        "from_program: shift linear at op ", i, " expects ",
@@ -481,36 +453,31 @@ struct LoadWalk {
         break;
       }
       case ProgramOpKind::kResidual: {
-        // run_op's residual: the main chain starts on a copy of the block
-        // input and the shortcut chain on the input itself, `main_out +=
-        // skip_out` happens after both (at the last op before the post
-        // chain), then the post chain runs on main_out's buffer.
+        // run_op's residual: the main chain runs on a copy of the block
+        // input, then the shortcut chain on the input itself; `main_out +=
+        // skip_out` drops the shortcut's output, and the post chain runs on
+        // main_out's buffer.
         const std::size_t shortcut =
             i + 1 + static_cast<std::size_t>(op.main_ops);
         const std::size_t post =
             shortcut + static_cast<std::size_t>(op.shortcut_ops);
-        const Activation main_out =
-            walk_ops(i + 1, shortcut, chain_entry(x, i + 1, shortcut), counts);
-        const Activation skip_out = walk_ops(shortcut, post, x, counts);
-        FLIGHTNN_CHECK(main_out.shape == skip_out.shape,
-                       "from_program: residual at op ", i, " adds a ",
-                       main_out.shape.to_string(), " main output to a ",
-                       skip_out.shape.to_string(), " shortcut");
-        use(main_out, post - 1);
-        use(skip_out, post - 1);
+        const tensor::Shape main_out =
+            walk_ops(i + 1, shortcut, acquire(i, in), counts);
+        const tensor::Shape skip_out = walk_ops(shortcut, post, in, counts);
+        FLIGHTNN_CHECK(main_out == skip_out, "from_program: residual at op ",
+                       i, " adds a ", main_out.to_string(),
+                       " main output to a ", skip_out.to_string(), " shortcut");
+        release(skip_out);
         return walk_ops(post, subtree_end(ops, i), main_out, counts);
       }
     }
-    use(x, i);
-    return define(i, std::move(out));
+    tensor::Shape y = acquire(i, std::move(out));
+    release(in);
+    return y;
   }
 };
 
 }  // namespace
-
-void reserve_quant_scratch(std::size_t bytes) {
-  quant_scratch().values.reserve(bytes);
-}
 
 QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
                                            const tensor::Shape& input_shape) {
@@ -537,17 +504,15 @@ QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
   network.program_ = std::move(program);
   const NetworkProgram& p = network.program_;
   LoadWalk walk(p.ops, network.engines_);
-  if (!p.ops.empty()) {
-    // run() starts on a copy of the image and hands the last op's output
-    // to the caller, so that one lives through the last op.
-    const Activation image =
-        walk.define(0, tensor::Shape{p.input_c, p.input_h, p.input_w});
-    walk.use(walk.walk_ops(0, p.ops.size(), image, network.census_),
-             p.ops.size() - 1);
-  }
+  // run() starts on its copy of the image and hands the last op's output
+  // to the caller.
+  (void)walk.walk_ops(
+      0, p.ops.size(),
+      walk.acquire(0, tensor::Shape{p.input_c, p.input_h, p.input_w}),
+      network.census_);
   network.census_.images = 1;
   network.op_census_ = std::move(walk.op_census);
-  network.memory_plan_ = MemoryPlan(std::move(walk.per_op), walk.intervals);
+  network.memory_plan_ = MemoryPlan(std::move(walk.per_op), std::move(walk.peak));
   return network;
 }
 
@@ -595,14 +560,11 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(std::size_t i,
     case ProgramOpKind::kQuantAct:
       fake_quantize(x, op.bits);
       return x;
-    case ProgramOpKind::kShiftConv: {
+    case ProgramOpKind::kShiftConv:
       // Inputs arriving here are already on the activation-quantizer grid,
       // so this re-quantization is lossless (same abs-max-driven pow2
       // scale).
-      QuantizedActivations& q = quant_scratch();
-      quantize_image_into(x, op.act_bits, q);
-      return engines_[i]->run(q, memory_plan_.per_op()[i].tile);
-    }
+      return engines_[i]->run(x, op.act_bits, memory_plan_.per_op()[i].tile);
     case ProgramOpKind::kFloatConv:
       return reference_conv(op.weights, x, op.stride, op.padding, op.bias);
     case ProgramOpKind::kAffine:
@@ -622,9 +584,8 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(std::size_t i,
       // The 1x1 conv over the input viewed as an [in_features, 1, 1] plane;
       // the [out, 1, 1] result becomes [out] in place.
       x.reshape(tensor::Shape{x.numel(), 1, 1});
-      QuantizedActivations& q = quant_scratch();
-      quantize_image_into(x, op.act_bits, q);
-      tensor::Tensor out = engines_[i]->run(q, memory_plan_.per_op()[i].tile);
+      tensor::Tensor out =
+          engines_[i]->run(x, op.act_bits, memory_plan_.per_op()[i].tile);
       out.reshape(tensor::Shape{op.out_channels});
       return out;
     }

@@ -181,9 +181,4 @@ class QuantizedNetwork {
   MemoryPlan memory_plan_;
 };
 
-// Pre-reserve the calling thread's shared quantization scratch for `bytes`
-// int8 codes (warm path; MemoryPlan::warm_thread calls this with the
-// largest shift-layer input so steady state starts allocation-free).
-void reserve_quant_scratch(std::size_t bytes);
-
 }  // namespace flightnn::inference

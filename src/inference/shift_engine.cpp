@@ -174,23 +174,33 @@ constexpr int kMaxScaleExp = 128;
 // networks stay under the gate and run unsplit.
 constexpr double kDenseNsPerTapOutput[2] = {0.05, 0.03};
 
+// The shift ops' one input quantizer: the `bits`-bit codes of `image` into
+// `codes`, one per element, at the scale_exponent of its abs-max; returns
+// that exponent. quantize_image_into writes a QuantizedActivations' values
+// with it and ShiftConv2d::run(x, act_bits, tile) its arena slot.
+FLIGHTNN_HOT int quantize_into(const tensor::Tensor& image, int bits,
+                               std::int8_t* codes) {
+  FLIGHTNN_CHECK(bits >= 2 && bits <= kMaxShiftActBits, "quantize_image: bits ",
+                 bits, " outside [2, ", kMaxShiftActBits, "]");
+  const std::int32_t q_max = quant::FixedPointConfig{bits}.q_max();
+  const int scale_exp = quant::scale_exponent(image.abs_max(), q_max);
+  quant::quantize_codes(image.data(), codes, image.numel(), scale_exp, q_max);
+  return scale_exp;
+}
+
 }  // namespace
 
-// Grows out.values to the image once; the warm path pre-reserves it.
-FLIGHTNN_COLD_ALLOC FLIGHTNN_ALIGNED void quantize_image_into(
-    const tensor::Tensor& image, int bits, QuantizedActivations& out) {
+// Grows out.values to the image once.
+FLIGHTNN_COLD_ALLOC void quantize_image_into(const tensor::Tensor& image,
+                                             int bits,
+                                             QuantizedActivations& out) {
   const auto& s = image.shape();
   FLIGHTNN_CHECK(s.rank() == 3 || (s.rank() == 4 && s[0] == 1),
                  "quantize_image: expected [C,H,W] or [1,C,H,W], got ",
                  s.to_string());
-  FLIGHTNN_CHECK(bits >= 2 && bits <= kMaxShiftActBits, "quantize_image: bits ",
-                 bits, " outside [2, ", kMaxShiftActBits, "]");
-  const std::int32_t q_max = quant::FixedPointConfig{bits}.q_max();
   out.shape = s.rank() == 3 ? s : tensor::Shape{s[1], s[2], s[3]};
-  out.scale_exp = quant::scale_exponent(image.abs_max(), q_max);
   out.values.resize(static_cast<std::size_t>(image.numel()));
-  quant::quantize_codes(image.data(), out.values.data(), image.numel(),
-                        out.scale_exp, q_max);
+  out.scale_exp = quantize_into(image, bits, out.values.data());
 }
 
 FLIGHTNN_ALIGNED void fake_quantize(tensor::Tensor& x, int bits) {
@@ -285,15 +295,34 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
                      input.shape.numel(),
                  "ShiftConv2d::run: ", input.values.size(),
                  " values do not fill shape ", input.shape.to_string());
-  FLIGHTNN_CHECK(input.scale_exp >= kMinScaleExp &&
-                     input.scale_exp <= kMaxScaleExp,
-                 "ShiftConv2d::run: scale_exp ", input.scale_exp,
-                 " outside [", kMinScaleExp, ", ", kMaxScaleExp, "]");
-  const tensor::ConvGeometry geom{in_channels_, input.shape[1], input.shape[2],
-                                  kernel_,      stride_,        padding_};
+  return run_codes(input.values.data(), input.shape[1], input.shape[2],
+                   input.scale_exp, tile);
+}
+
+FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
+    const tensor::Tensor& x, int act_bits, ConvTile tile) const {
+  const auto& s = x.shape();
+  FLIGHTNN_CHECK(s.rank() == 3 && s[0] == in_channels_,
+                 "ShiftConv2d::run: expected [", in_channels_,
+                 ", H, W] input, got ", s.to_string());
+  auto* codes = runtime::ScratchArena::current().fetch<std::int8_t>(
+      runtime::Scratch::kConvCodes, static_cast<std::size_t>(x.numel()));
+  return run_codes(codes, s[1], s[2], quantize_into(x, act_bits, codes), tile);
+}
+
+FLIGHTNN_HOT tensor::Tensor ShiftConv2d::run_codes(const std::int8_t* codes,
+                                                   std::int64_t in_h,
+                                                   std::int64_t in_w,
+                                                   int scale_exp,
+                                                   ConvTile tile) const {
+  FLIGHTNN_CHECK(scale_exp >= kMinScaleExp && scale_exp <= kMaxScaleExp,
+                 "ShiftConv2d::run: scale_exp ", scale_exp, " outside [",
+                 kMinScaleExp, ", ", kMaxScaleExp, "]");
+  const tensor::ConvGeometry geom{in_channels_, in_h,    in_w,
+                                  kernel_,      stride_, padding_};
   const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
-  FLIGHTNN_CHECK(out_h > 0 && out_w > 0, "ShiftConv2d::run: ",
-                 input.shape.to_string(), " input gives an empty output");
+  FLIGHTNN_CHECK(out_h > 0 && out_w > 0, "ShiftConv2d::run: [", in_channels_,
+                 ", ", in_h, ", ", in_w, "] input gives an empty output");
   const std::int64_t out_hw = out_h * out_w;
   const PaddedPlane plane(geom);
   FLIGHTNN_CHECK(plane_fits_int32(plane), "ShiftConv2d::run: code plane of ",
@@ -309,7 +338,7 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   // underflow or overflow, and the sums take the quantizer's exact product.
   // The float loop stays for normal scales: one loop scaling every sum in
   // double read latency_ms 2-4% higher on all four perf-ledger workloads.
-  const int out_exp = input.scale_exp + config_.e_min;
+  const int out_exp = scale_exp + config_.e_min;
   const bool exact = !quant::normal_scale(out_exp);
   const float scale = std::ldexp(1.0F, out_exp);
   tensor::Tensor output =
@@ -320,10 +349,10 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
 
   // The code plane and one offset per (channel group, ky, kx) tap, in the
   // pack's word order (shift_kernels.hpp).
-  std::uint32_t* codes = arena.fetch<std::uint32_t>(
+  std::uint32_t* plane_words = arena.fetch<std::uint32_t>(
       runtime::Scratch::kConvInput,
       static_cast<std::size_t>(plane.groups * plane.channel));
-  fill_code_plane(input.values.data(), geom, plane, codes);
+  fill_code_plane(codes, geom, plane, plane_words);
   std::int32_t* tap_off = arena.fetch<std::int32_t>(
       runtime::Scratch::kConvOffsets, static_cast<std::size_t>(pack_.taps));
   for (std::int64_t g = 0, t = 0; g < plane.groups; ++g) {
@@ -384,7 +413,7 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
       kDenseNsPerTapOutput[filter_tile ? 1 : 0] *
       static_cast<double>(pack_.taps) * static_cast<double>(out_hw) *
       static_cast<double>(unit)};
-  const DenseConv conv{codes,
+  const DenseConv conv{plane_words,
                        tap_off,
                        pack_.plan.words.data(),
                        pack_.correction.data(),
@@ -418,7 +447,9 @@ ConvScratchBytes ShiftConv2d::scratch_bytes(std::int64_t in_h,
                                                kernel_, stride_, padding_});
   return {static_cast<std::size_t>(pack_.taps) * sizeof(std::int32_t),
           static_cast<std::size_t>(plane.groups * plane.channel) *
-              sizeof(std::uint32_t)};
+              sizeof(std::uint32_t),
+          static_cast<std::size_t>(in_channels_ * in_h * in_w) *
+              sizeof(std::int8_t)};
 }
 
 OpCounts ShiftConv2d::census(std::int64_t in_h, std::int64_t in_w) const {

@@ -67,10 +67,9 @@ struct QuantizedActivations {
 QuantizedActivations quantize_image(const tensor::Tensor& image, int bits = 8);
 
 // quantize_image into `out`, reusing its value buffer (no heap traffic once
-// the buffer has reached its high-water size): what the compiled network's
-// shift ops call in steady state, a linear op on its input viewed as an
-// [in_features, 1, 1] plane. Checks the image's rank and `bits`, as it is
-// a public entry point.
+// the buffer has reached its high-water size). Checks the image's rank and
+// `bits`, as it is a public entry point. Its codes are those
+// ShiftConv2d::run(x, act_bits, tile) quantizes into the arena.
 void quantize_image_into(const tensor::Tensor& image, int bits,
                          QuantizedActivations& out);
 
@@ -96,6 +95,7 @@ struct OpCounts {
 struct ConvScratchBytes {
   std::size_t offsets = 0;  // int32 per-tap offsets into the code plane
   std::size_t input = 0;    // the u8 code plane
+  std::size_t codes = 0;    // the int8 codes of a float input (run(x, ...))
 };
 
 // Geometry bundle for engines that adopt an already-compiled plan (every
@@ -149,16 +149,24 @@ class ShiftConv2d {
 
   // run() on the given kernel tile of the active tier (shift_kernels.hpp):
   // every tile gives the same bytes, so the tile only sets the speed.
-  // run(input) takes tile(H, W); QuantizedNetwork passes the tile its load
-  // walk picked.
+  // run(input) takes tile(H, W).
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
+                                   ConvTile tile) const;
+
+  // The compiled network's shift ops: quantizes the float `x` ([in_channels,
+  // H, W], finite) at `act_bits` in [2, kMaxShiftActBits] into the calling
+  // thread's kConvCodes arena slot, as quantize_image_into would, and runs
+  // on those codes: the bytes of run(quantize_image(x, act_bits), tile).
+  // QuantizedNetwork passes the tile its load walk picked.
+  [[nodiscard]] tensor::Tensor run(const tensor::Tensor& x, int act_bits,
                                    ConvTile tile) const;
 
   // The tile the active tier runs an [in_channels, in_h, in_w] input on:
   // pick_conv_tile of the output plane and the live filter count.
   [[nodiscard]] ConvTile tile(std::int64_t in_h, std::int64_t in_w) const;
 
-  // Scratch one run() on an [in_channels, in_h, in_w] input fetches.
+  // Scratch one run(x, act_bits, tile) on an [in_channels, in_h, in_w]
+  // input fetches (run(input, tile) fetches all but the codes).
   [[nodiscard]] ConvScratchBytes scratch_bytes(std::int64_t in_h,
                                                std::int64_t in_w) const;
 
@@ -182,6 +190,12 @@ class ShiftConv2d {
   [[nodiscard]] const char* kernel_tier() const;
 
  private:
+  // Both run()s past their input checks: `codes` holds the [in_channels,
+  // in_h, in_w] int8 codes of an input at scale 2^scale_exp.
+  [[nodiscard]] tensor::Tensor run_codes(const std::int8_t* codes,
+                                         std::int64_t in_h, std::int64_t in_w,
+                                         int scale_exp, ConvTile tile) const;
+
   quant::Pow2Config config_;
   std::int64_t out_channels_, in_channels_, kernel_, stride_, padding_;
   tensor::Tensor bias_;  // float; folded in after dequantization

@@ -29,12 +29,11 @@ int argmax_of(const tensor::Tensor& logits) {
 FLIGHTNN_COLD_ALLOC void BatchRunner::warm(std::size_t /*max_batch*/) const {
   // Every thread that can execute a forward pass gets its arena slots
   // reserved and a pool prewarmed to the network's activation working set:
-  // the caller (which participates in its own parallel_for) and each pool
-  // worker (for_each_worker's rendezvous guarantees all of them run it).
-  const inference::MemoryPlan* plan = network_->memory_plan();
-  plan->warm_thread();
-  global_pool().for_each_worker([plan] { plan->warm_thread(); });
+  // the caller, which takes chunks of its own parallel_for, and each pool
+  // worker.
   warmed_.store(true, std::memory_order_relaxed);
+  const inference::MemoryPlan* plan = network_->memory_plan();
+  global_pool().for_each_thread([plan] { plan->warm_thread(); });
 }
 
 FLIGHTNN_HOT void BatchRunner::run_images(
@@ -67,9 +66,11 @@ FLIGHTNN_HOT void BatchRunner::run_images(
 // parallel region.
 FLIGHTNN_HOT void BatchRunner::run(const InferenceRequest& request,
                                    InferenceResult& result) const {
-  // First call pays the warmup (arena reserve + pool prewarm on every
-  // thread); after that the latch short-circuits.
-  if (!warmed_.load(std::memory_order_relaxed)) {
+  // The first call pays the warmup (arena reserve + pool prewarm on every
+  // thread); after that the latch short-circuits. Of several concurrent
+  // first callers, only the one whose exchange sets it warms.
+  if (!warmed_.load(std::memory_order_relaxed) &&
+      !warmed_.exchange(true, std::memory_order_relaxed)) {
     warm(request.images.size());
   }
   result.id = request.id;

@@ -47,8 +47,9 @@ class BatchRunner {
   // Pre-size every thread's scratch arena and pools to the network's memory
   // plan so the FIRST batch already runs allocation-free (no grow-once
   // warmup): MemoryPlan::warm_thread on the calling thread and on every
-  // pool worker. Must be called from outside the pool (any non-worker
-  // thread); idempotent and cheap to repeat. run() warms lazily on first use, so calling this is an
+  // pool worker, in one ThreadPool::for_each_thread. Must be called from
+  // outside the pool (any non-worker thread); idempotent and cheap to
+  // repeat. run() warms lazily on first use, so calling this is an
   // optimization, not a requirement. The warm state does not depend on the
   // batch size; `max_batch` is accepted for the callers that pass one.
   void warm(std::size_t max_batch = 64) const;
@@ -64,8 +65,9 @@ class BatchRunner {
                   std::vector<tensor::Tensor>& logits) const;
 
   const inference::QuantizedNetwork* network_;
-  // First-run lazy-warm latch (see warm()). Relaxed: a racing duplicate
-  // warm is idempotent, and the warming thread synchronizes with its own
+  // First-run lazy-warm latch (see warm()), set before the warm starts so
+  // one of several concurrent first run()s warms. Relaxed: a warm is an
+  // optimization, and the warming thread synchronizes with its own
   // subsequent batch by program order.
   mutable std::atomic<bool> warmed_{false};
 };

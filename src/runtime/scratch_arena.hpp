@@ -36,6 +36,7 @@ namespace flightnn::runtime {
 enum class Scratch : std::size_t {
   kConvOffsets = 0,  // ShiftConv2d: int32 per-tap code-plane offsets
   kConvInput,        // ShiftConv2d: u8 code plane, padded, stride-phased
+  kConvCodes,        // ShiftConv2d: int8 codes of a float input
   kGemmPackA,        // f32 packed A micro-panels (core/gemm)
   kSlotCount,
 };

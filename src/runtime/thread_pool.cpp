@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <latch>
 #include <memory>
 
 #include "support/annotations.hpp"
@@ -96,87 +97,44 @@ void ThreadPool::run_op_chunks(detail::ParallelOp& op) {
 void ThreadPool::worker_loop() {
   support::MutexLock lock(mutex_);
   for (;;) {
-    while (!stopping_ && queue_.empty() &&
-           detail::find_runnable(ops_head_) == nullptr) {
+    // A worker leaves only when the pool stops with no op runnable. An op
+    // found runnable may drain before the worker enters it (chunks are
+    // claimed outside the mutex); run_op_chunks then returns at once.
+    detail::ParallelOp* op = detail::find_runnable(ops_head_);
+    if (op == nullptr) {
+      if (stopping_) return;
       work_available_.wait(mutex_);
-    }
-    if (detail::ParallelOp* op = detail::find_runnable(ops_head_)) {
-      ++op->helpers_inside;  // pins the op: its caller now waits for us
-      lock.unlock();
-      run_op_chunks(*op);
-      lock.lock();
-      if (--op->helpers_inside == 0) helpers_idle_.notify_all();
       continue;
     }
-    if (!queue_.empty()) {
-      std::function<void()> task = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      task();
-      lock.lock();
-      continue;
-    }
-    if (stopping_) return;
+    ++op->helpers_inside;  // pins the op: its caller now waits for us
+    lock.unlock();
+    run_op_chunks(*op);
+    lock.lock();
+    if (--op->helpers_inside == 0) helpers_idle_.notify_all();
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  FLIGHTNN_CHECK(task != nullptr, "ThreadPool::submit: null task");
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  {
-    const support::MutexLock lock(mutex_);
-    FLIGHTNN_CHECK(!stopping_, "ThreadPool::submit: pool is shutting down");
-    queue_.push_back(std::move(task));
-  }
-  work_available_.notify_one();
-}
-
-// COLD_ALLOC: warm-path only (submit allocates a std::function per worker);
-// never called from steady-state inference.
-FLIGHTNN_COLD_ALLOC void ThreadPool::for_each_worker(
+// COLD_ALLOC: warm path only (the std::function may allocate); never
+// called from steady-state inference.
+FLIGHTNN_COLD_ALLOC void ThreadPool::for_each_thread(
     const std::function<void()>& fn) {
-  FLIGHTNN_CHECK(fn != nullptr, "ThreadPool::for_each_worker: null fn");
-  const int workers = static_cast<int>(workers_.size());
-  if (workers == 0) return;
+  FLIGHTNN_CHECK(fn != nullptr, "ThreadPool::for_each_thread: null fn");
   const support::MutexLock turn(rendezvous_mutex_);
-  // Rendezvous: every task blocks after running `fn` until all `workers`
-  // tasks have entered, which forces the queue entries onto distinct worker
-  // threads (a worker stuck inside one task cannot pop a second).
-  struct Rendezvous {
-    support::Mutex mutex;
-    support::CondVar arrived;
-    support::CondVar released;
-    int entered FLIGHTNN_GUARDED_BY(mutex) = 0;
-    int finished FLIGHTNN_GUARDED_BY(mutex) = 0;
-    bool release FLIGHTNN_GUARDED_BY(mutex) = false;
-    std::exception_ptr error FLIGHTNN_GUARDED_BY(mutex);
-  } sync;
-  for (int w = 0; w < workers; ++w) {
-    submit([&sync, &fn] {
-      std::exception_ptr err;
-      try {
-        fn();
-      } catch (...) {
-        err = std::current_exception();
-      }
-      support::MutexLock lock(sync.mutex);
-      if (err && !sync.error) sync.error = err;
-      ++sync.entered;
-      sync.arrived.notify_all();
-      while (!sync.release) sync.released.wait(sync.mutex);
-      ++sync.finished;
-      sync.arrived.notify_all();
-    });
-  }
-  const support::MutexLock lock(sync.mutex);
-  while (sync.entered < workers) sync.arrived.wait(sync.mutex);
-  sync.release = true;
-  sync.released.notify_all();
-  while (sync.finished < workers) sync.arrived.wait(sync.mutex);
-  if (sync.error) std::rethrow_exception(sync.error);
+  // A thread that has run its chunk waits here until all size() chunks
+  // have, so it cannot claim a second: the chunks land on size() distinct
+  // threads, and the caller, which claims chunks of its own op until none
+  // is left, takes one of them.
+  std::latch all_ran(threads_);
+  parallel_for(0, threads_, 1, [&](std::int64_t, std::int64_t) {
+    std::exception_ptr error;
+    try {
+      fn();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    all_ran.arrive_and_wait();
+    if (error) std::rethrow_exception(error);
+  });
 }
 
 void ThreadPool::run_parallel(std::int64_t begin, std::int64_t end,

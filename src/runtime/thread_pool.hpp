@@ -1,10 +1,10 @@
 #pragma once
 
 // Fixed-size thread pool and the `parallel_for` primitive the inference
-// kernels are built on. Deliberately work-stealing-free: one shared FIFO of
-// tasks plus atomic chunk claiming inside each parallel_for, which is simple
-// enough to reason about under ThreadSanitizer and fully sufficient for the
-// regular, statically-partitionable loops in this codebase (batch elements,
+// kernels are built on. Deliberately work-stealing-free: one work path,
+// atomic chunk claiming inside each parallel_for, which is simple enough to
+// reason about under ThreadSanitizer and fully sufficient for the regular,
+// statically-partitionable loops in this codebase (batch elements,
 // output-filter blocks, image planes).
 //
 // parallel_for is allocation-free: the per-invocation bookkeeping lives in a
@@ -24,10 +24,8 @@
 //     output element computes, only which thread computes it.
 //   - Exceptions thrown by a body are captured and rethrown on the calling
 //     thread (first one wins; remaining chunks are skipped).
-//   - The destructor drains pending submitted tasks before joining.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -53,21 +51,19 @@ class ThreadPool {
 
   [[nodiscard]] int size() const { return threads_; }
 
-  // Fire-and-forget task. Runs inline when the pool has no workers. Pending
-  // tasks are executed (not dropped) during destruction. (This path does
-  // allocate a std::function; the hot inference loops only use parallel_for.)
-  void submit(std::function<void()> task) FLIGHTNN_EXCLUDES(mutex_);
-
-  // Run `fn` exactly once on each of the size()-1 worker threads (not on the
-  // caller), rendezvousing so no worker runs it twice. Warm paths use this
-  // to initialize thread_local state (arena slots, buffer-pool prewarm)
-  // on every thread before the first batch, upholding the zero-allocation
+  // Run `fn` exactly once on each of the size() threads that can take a
+  // parallel_for chunk: the caller and every worker. It is one parallel_for
+  // of size() chunks, each running `fn` and then waiting at a barrier until
+  // all size() have arrived, so no thread can claim two. Warm paths use this
+  // to initialize thread_local state (arena slots, buffer-pool prewarm) on
+  // every thread before the first batch, upholding the zero-allocation
   // contract from the very first inference. Must be called from outside the
-  // pool (a worker calling it would deadlock the rendezvous). Concurrent
-  // calls take turns: one rendezvous holds the workers at a time. Exceptions
-  // thrown by `fn` are rethrown on the caller (first one wins; every worker
-  // still completes the rendezvous). No-op when the pool has no workers.
-  void for_each_worker(const std::function<void()>& fn)
+  // pool: a worker's call would wait at the barrier for one thread more than
+  // the pool can send. Concurrent calls take turns: one barrier holds the
+  // workers at a time. A throw from `fn` still reaches the barrier, and is
+  // rethrown on the caller once every thread has passed it (first one
+  // wins).
+  void for_each_thread(const std::function<void()>& fn)
       FLIGHTNN_EXCLUDES(mutex_, rendezvous_mutex_);
 
   // Invoke `body(lo, hi)` over disjoint subranges covering [begin, end)
@@ -98,14 +94,13 @@ class ThreadPool {
 
   int threads_;
   std::vector<std::thread> workers_;
-  // Held for the whole of a for_each_worker call. Two interleaved
-  // rendezvous would each hold some workers inside their tasks while
-  // waiting for the rest, and neither would complete.
+  // Held for the whole of a for_each_thread call. Two interleaved ones
+  // would each hold some threads at their barrier while waiting for the
+  // rest, and neither would complete.
   support::Mutex rendezvous_mutex_;
   support::Mutex mutex_;
   support::CondVar work_available_;
   support::CondVar helpers_idle_;
-  std::deque<std::function<void()>> queue_ FLIGHTNN_GUARDED_BY(mutex_);
   // Intrusive list head of in-flight parallel_for ops (stack-allocated in
   // their callers; see ParallelOp in the .cpp for the pinning protocol).
   detail::ParallelOp* ops_head_ FLIGHTNN_GUARDED_BY(mutex_) = nullptr;

@@ -104,7 +104,7 @@ void Server::batcher_loop() {
   // The batcher thread participates in its own parallel_for when executing
   // batches, so it needs the plan warmup too (the ctor warmed its own
   // thread and the pool workers, not this one).
-  runner_->warm(static_cast<std::size_t>(config_.max_batch));
+  runner_->network().memory_plan()->warm_thread();
   std::vector<Pending> batch;
   support::MutexLock lock(mutex_);
   for (;;) {

@@ -7,9 +7,10 @@
 //   2. Plan adequacy: after BatchRunner::warm, a run grows no arena slot,
 //      across a sweep of network geometries -- the walk's model of the
 //      kernels' scratch requests matches what the kernels actually ask
-//      for. On the pool side, warm parks exactly the planned activation
+//      for. On the pool side, the walk's replay of run()'s pool traffic
+//      gives the working set exactly: warm parks the planned activation
 //      bytes, and a run takes one buffer per activation it makes, each a
-//      pool hit.
+//      pool hit, on real networks and on hand-built residual edge cases.
 //   3. Artifact round trip: the plan taken on the artifact load path equals
 //      the in-process one, and both networks produce byte-identical logits
 //      at every thread count.
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "core/quantize_model.hpp"
+#include "hand_program.hpp"
 #include "inference/network_program.hpp"
 #include "inference/quantized_network.hpp"
 #include "models/networks.hpp"
@@ -99,27 +101,27 @@ TEST(MemoryPlanTest, Table1NetworkLayoutsAreSound) {
         inference::QuantizedNetwork::from_program(std::move(program));
     const inference::MemoryPlan* plan = network.memory_plan();
     // Every shift op (a linear one is a 1x1 conv) must have arena scratch,
-    // its per-tap offsets and the u8 code plane; the census must be
-    // coherent.
+    // its per-tap offsets, the u8 code plane and one int8 code per input
+    // element; the census must be coherent.
     EXPECT_EQ(plan->per_op().size(), op_count);
     for (std::size_t i = 0; i < plan->per_op().size(); ++i) {
       const auto& mem = plan->per_op()[i];
       EXPECT_EQ(mem.op, i);
-      EXPECT_EQ(mem.scratch_bytes, mem.offsets_bytes + mem.input_bytes);
+      EXPECT_EQ(mem.scratch_bytes,
+                mem.offsets_bytes + mem.input_bytes + mem.codes_bytes);
       if (mem.kind == inference::ProgramOpKind::kShiftConv ||
           mem.kind == inference::ProgramOpKind::kShiftLinear) {
         EXPECT_GT(mem.offsets_bytes, 0U);
         EXPECT_GT(mem.input_bytes, 0U);
+        EXPECT_GT(mem.codes_bytes, 0U);
       } else {
         EXPECT_EQ(mem.scratch_bytes, 0U);
       }
     }
     EXPECT_GT(plan->arena_capacity_bytes(), 0U);
     EXPECT_GT(plan->activation_pool_bytes(), 0U);
-    EXPECT_GT(plan->quant_peak_bytes(), 0U);
     EXPECT_EQ(plan->planned_per_thread_bytes(),
-              plan->arena_capacity_bytes() + plan->quant_peak_bytes() +
-                  plan->activation_pool_bytes());
+              plan->arena_capacity_bytes() + plan->activation_pool_bytes());
   }
 }
 
@@ -175,29 +177,85 @@ TEST(MemoryPlanTest, RunAcquiresOneBufferPerActivationItMakes) {
 // warm_thread parks exactly activation_pool_bytes() in a fresh thread's
 // pool, and a run() on that thread takes every buffer it needs from there
 // and gives each one back: the pool holds the plan's number before and
-// after, which is what --mem-budget counts per thread.
+// after, which is what --mem-budget counts per thread. The hand-built
+// residual blocks are the replay's edge cases; on them, and on the perf
+// ledger's three networks, the plan's pool bytes are pinned too, so a walk
+// that parked more than run() needs fails as well.
 TEST(MemoryPlanTest, WarmParksThePlannedPoolBytes) {
+  using inference::hand::hand_program;
+  using inference::hand::leaky_op;
+  using inference::hand::max_pool_op;
+  using inference::hand::residual_op;
+  using inference::hand::shift_conv_op;
   const ThreadCountGuard guard;
   runtime::set_num_threads(1);
-  support::Rng rng(9);
+  struct Case {
+    std::string name;
+    inference::QuantizedNetwork network;
+    Shape image;
+    std::size_t pool_bytes;
+  };
+  std::vector<Case> cases;
+  // A [2, 4, 4] activation is 32 floats (128 B), its 2x2 pool 8 (32 B).
+  cases.push_back(
+      {"empty main chain",
+       inference::QuantizedNetwork::from_program(hand_program(
+           {residual_op(0, 1, 1, true), leaky_op(), max_pool_op(2, 2)})),
+       Shape{2, 4, 4}, 2 * 128 + 32});
+  cases.push_back({"empty shortcut",
+                   inference::QuantizedNetwork::from_program(hand_program(
+                       {residual_op(1, 0, 0, false), shift_conv_op()})),
+                   Shape{2, 4, 4}, 3 * 128});
+  cases.push_back(
+      {"shape-changing shortcut",
+       inference::QuantizedNetwork::from_program(
+           hand_program({residual_op(2, 1, 0, true), shift_conv_op(),
+                         max_pool_op(2, 2), max_pool_op(2, 2)})),
+       Shape{2, 4, 4}, 3 * 128 + 2 * 32});
+  // An outer block whose main chain is an inner block and a leaky-ReLU: at
+  // the inner conv the image, both copies and the conv output are out.
+  cases.push_back(
+      {"nested blocks",
+       inference::QuantizedNetwork::from_program(hand_program(
+           {residual_op(4, 0, 1, false), residual_op(1, 1, 0, true),
+            shift_conv_op(), leaky_op(), leaky_op(), max_pool_op(2, 2)})),
+       Shape{2, 4, 4}, 4 * 128 + 32});
   for (const LedgerNetwork& net : kLedgerNetworks) {
     auto model = make_model(net.id, net.width, 1);
-    const auto network = inference::QuantizedNetwork::compile(
-        *model, Shape{1, 3, 32, 32});
-    const inference::MemoryPlan& plan = *network.memory_plan();
-    const Tensor image = Tensor::randn(Shape{3, 32, 32}, rng);
+    cases.push_back({"network " + std::to_string(net.id),
+                     inference::QuantizedNetwork::compile(
+                         *model, Shape{1, 3, 32, 32}),
+                     Shape{3, 32, 32}, net.id == 1 ? 168232U : 196904U});
+  }
+  {
+    // The ledger's tiny FLightNN: VGG-7 w0.25, per-filter k.
+    models::BuildOptions build;
+    build.classes = 10;
+    build.width_scale = 0.25F;
+    build.seed = 1;
+    auto model = models::build_network(models::table1_network(1), build);
+    core::install_flightnn(*model, core::FLightNNConfig{});
+    cases.push_back({"tiny FLightNN",
+                     inference::QuantizedNetwork::compile(
+                         *model, Shape{1, 3, 32, 32}),
+                     Shape{3, 32, 32}, 67688U});
+  }
+
+  support::Rng rng(9);
+  for (const Case& c : cases) {
+    const inference::MemoryPlan& plan = *c.network.memory_plan();
+    EXPECT_EQ(plan.activation_pool_bytes(), c.pool_bytes) << c.name;
+    const Tensor image = Tensor::randn(c.image, rng);
     std::thread fresh([&] {
       plan.warm_thread();
       const tensor::pool::Stats warmed = tensor::pool::stats();
-      EXPECT_EQ(warmed.cached_bytes, plan.activation_pool_bytes())
-          << "network " << net.id;
-      { const Tensor logits = network.run(image); }
+      EXPECT_EQ(warmed.cached_bytes, plan.activation_pool_bytes()) << c.name;
+      { const Tensor logits = c.network.run(image); }
       const tensor::pool::Stats after = tensor::pool::stats();
-      EXPECT_EQ(after.cached_bytes, warmed.cached_bytes)
-          << "network " << net.id;
-      EXPECT_GT(after.acquires, warmed.acquires);
+      EXPECT_EQ(after.cached_bytes, warmed.cached_bytes) << c.name;
+      EXPECT_GT(after.acquires, warmed.acquires) << c.name;
       EXPECT_EQ(after.hits - warmed.hits, after.acquires - warmed.acquires)
-          << "network " << net.id << ": a run() acquire missed the pool";
+          << c.name << ": a run() acquire missed the pool";
     });
     fresh.join();
   }

@@ -118,11 +118,11 @@ TEST(RuntimeStressTest, ConcurrentBatchRunnersOverSharedWeights) {
   }
 }
 
-// 2-4 threads make the first run() of a cold runner at once, so each warms
-// every pool worker through for_each_worker at the same time; a fresh
-// runner per round, the same caller threads in every round. Every call
-// returns the serial logits. Two such warms once held each other's workers
-// and hung.
+// 2-4 threads make the first run() of a cold runner at once; a fresh runner
+// per round, the same caller threads in every round. The first to set the
+// runner's latch warms every pool thread through for_each_thread while the
+// others run unwarmed beside it; no call may hang, and every one returns
+// the serial logits.
 TEST(RuntimeStressTest, ConcurrentFirstRunsOfAColdRunner) {
   models::BuildOptions build;
   build.classes = 10;

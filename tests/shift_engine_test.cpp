@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "core/decompose.hpp"
 #include "quant/fixedpoint.hpp"
 #include "quant/lightnn.hpp"
+#include "runtime/scratch_arena.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -268,6 +270,51 @@ TEST(ShiftConvTest, InputValidation) {
                std::invalid_argument);
   Tensor bad_bias(Shape{3});
   EXPECT_THROW(ShiftConv2d(wq, 1, config, 1, 0, bad_bias), std::invalid_argument);
+}
+
+// The float entry the compiled network's shift ops call quantizes its input
+// into the kConvCodes arena slot and gives the bytes of quantize_image then
+// run(), on both tiles, at every stride and padding and at 4 and 8 bits. Its
+// scratch is what scratch_bytes reports, and it refuses the channel counts
+// and bit widths run() and quantize_image refuse.
+TEST(ShiftConvTest, FloatEntryMatchesQuantizeThenRun) {
+  support::Rng rng(12);
+  const quant::Pow2Config config;
+  const Tensor wq = quant::quantize_lightnn(
+      Tensor::randn(Shape{20, 5, 3, 3}, rng, 0.0F, 0.3F), 2, config);
+  const Tensor img = Tensor::randn(Shape{5, 9, 11}, rng);
+  runtime::ScratchArena& arena = runtime::ScratchArena::current();
+  for (const std::int64_t stride : {1, 2}) {
+    for (const std::int64_t padding : {0, 1}) {
+      const ShiftConv2d engine(wq, 2, config, stride, padding);
+      const ConvScratchBytes scratch = engine.scratch_bytes(9, 11);
+      EXPECT_EQ(scratch.codes, 5U * 9U * 11U);
+      for (const int bits : {4, 8}) {
+        const QuantizedActivations q = quantize_image(img, bits);
+        for (const ConvTile tile : {ConvTile::kColumn, ConvTile::kFilter}) {
+          arena.trim();
+          const Tensor expected = engine.run(q, tile);
+          const Tensor got = engine.run(img, bits, tile);
+          ASSERT_EQ(got.shape(), expected.shape());
+          EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                                static_cast<std::size_t>(got.numel()) *
+                                    sizeof(float)),
+                    0)
+              << "stride " << stride << " padding " << padding << " bits "
+              << bits << " tile " << conv_tile_name(tile);
+          EXPECT_EQ(arena.footprint_bytes(),
+                    scratch.offsets + scratch.input + scratch.codes);
+        }
+      }
+    }
+  }
+  const ShiftConv2d engine(wq, 2, config, 1, 1);
+  EXPECT_THROW((void)engine.run(Tensor(Shape{4, 9, 11}), 8, ConvTile::kColumn),
+               support::CheckFailure);
+  EXPECT_THROW((void)engine.run(img, 9, ConvTile::kColumn),
+               support::CheckFailure);
+  EXPECT_THROW((void)engine.run(img, 1, ConvTile::kColumn),
+               support::CheckFailure);
 }
 
 // run() takes the scale exponents quant::scale_exponent gives 2- to 8-bit

@@ -1,8 +1,8 @@
 // Property tests for the runtime thread pool: parallel_for covers every
 // index exactly once under adversarial range/grain combinations, nested
-// submission cannot deadlock, concurrent for_each_worker calls all
-// complete, worker exceptions propagate to the caller, and destruction
-// drains pending submitted work.
+// submission cannot deadlock, for_each_thread runs once on every thread and
+// concurrent calls all complete, and exceptions from a parallel_for body or
+// a for_each_thread function propagate to the caller.
 
 #include "runtime/thread_pool.hpp"
 
@@ -106,13 +106,32 @@ TEST(ThreadPoolTest, DeeplyNestedSubmissionCompletes) {
   EXPECT_EQ(total.load(), 4 * 4 * 16);
 }
 
-// 2-4 threads call for_each_worker on one pool at once, many times over:
-// every call returns, having run its function once on each worker. Two
-// rendezvous whose tasks interleaved in the queue once held each other's
-// workers, and neither returned.
-TEST(ThreadPoolTest, ConcurrentForEachWorkerCallsAllComplete) {
+// for_each_thread runs its function once on each of the pool's threads,
+// the caller one of them; on a pool without workers, once, on the caller.
+TEST(ThreadPoolTest, ForEachThreadRunsOnceOnEveryThread) {
+  for (const int threads : {1, 2, 4, 7}) {
+    ThreadPool pool(threads);
+    std::mutex mutex;
+    std::vector<std::thread::id> ran;
+    pool.for_each_thread([&] {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ran.push_back(std::this_thread::get_id());
+    });
+    const std::set<std::thread::id> distinct(ran.begin(), ran.end());
+    EXPECT_EQ(ran.size(), static_cast<std::size_t>(threads));
+    EXPECT_EQ(distinct.size(), static_cast<std::size_t>(threads));
+    EXPECT_EQ(distinct.count(std::this_thread::get_id()), 1U) << threads;
+  }
+}
+
+// 2-4 threads call for_each_thread on one pool at once, many times over:
+// every call returns, having run its function once on each of its caller
+// and the workers. Two calls whose chunks interleaved would each hold some
+// threads at their barrier while waiting for the rest, and neither would
+// return.
+TEST(ThreadPoolTest, ConcurrentForEachThreadCallsAllComplete) {
   ThreadPool pool(4);
-  const auto workers = static_cast<std::size_t>(pool.size() - 1);
+  const auto pool_threads = static_cast<std::size_t>(pool.size());
   for (int callers = 2; callers <= 4; ++callers) {
     for (int round = 0; round < 50; ++round) {
       std::mutex mutex;
@@ -124,7 +143,7 @@ TEST(ThreadPoolTest, ConcurrentForEachWorkerCallsAllComplete) {
         threads.emplace_back([&, c] {
           ready.fetch_add(1);
           while (ready.load() < callers) std::this_thread::yield();
-          pool.for_each_worker([&, c] {
+          pool.for_each_thread([&, c] {
             const std::lock_guard<std::mutex> lock(mutex);
             ran[static_cast<std::size_t>(c)].push_back(
                 std::this_thread::get_id());
@@ -134,9 +153,10 @@ TEST(ThreadPoolTest, ConcurrentForEachWorkerCallsAllComplete) {
       for (auto& thread : threads) thread.join();
       for (int c = 0; c < callers; ++c) {
         const auto& ids = ran[static_cast<std::size_t>(c)];
-        EXPECT_EQ(ids.size(), workers) << callers << " callers, call " << c;
+        EXPECT_EQ(ids.size(), pool_threads)
+            << callers << " callers, call " << c;
         EXPECT_EQ(std::set<std::thread::id>(ids.begin(), ids.end()).size(),
-                  workers)
+                  pool_threads)
             << callers << " callers, call " << c;
       }
     }
@@ -168,26 +188,71 @@ TEST(ThreadPoolTest, ExceptionFromSerialPathPropagates) {
                std::invalid_argument);
 }
 
-TEST(ThreadPoolTest, DestructionDrainsPendingWork) {
-  std::atomic<int> executed{0};
-  {
-    ThreadPool pool(2);
-    for (int t = 0; t < 64; ++t) {
-      pool.submit([&executed] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        executed.fetch_add(1);
+// Chunks are claimed outside the pool mutex, so an op a worker found
+// runnable can drain before the worker enters it. The worker must stay in
+// its loop then: one that left would leave the pool a thread short, and
+// the next for_each_thread would wait for it forever (ctest's timeout
+// fails that). Ops of four 5 us chunks drain while workers wake: over 40
+// fresh pools of 500 ops each, a loop that left hung in about half the
+// runs, not in every one.
+TEST(ThreadPoolTest, WorkersStayWhenTheOpTheyFoundDrains) {
+  for (int round = 0; round < 40; ++round) {
+    ThreadPool pool(4);
+    for (int op = 0; op < 500; ++op) {
+      pool.parallel_for(0, 4, 1, [](std::int64_t, std::int64_t) {
+        const auto start = std::chrono::steady_clock::now();
+        while (std::chrono::steady_clock::now() - start <
+               std::chrono::microseconds(5)) {
+        }
       });
     }
-    // Destructor runs here with most tasks still queued.
+    std::atomic<int> ran{0};
+    pool.for_each_thread([&] { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), pool.size()) << "round " << round;
   }
-  EXPECT_EQ(executed.load(), 64);
 }
 
-TEST(ThreadPoolTest, SubmitRunsInlineWithoutWorkers) {
-  ThreadPool pool(1);
-  int ran = 0;
-  pool.submit([&ran] { ++ran; });
-  EXPECT_EQ(ran, 1);
+// A for_each_thread function that throws on one thread, the caller's or a
+// worker's, still takes that thread to the barrier: the call rethrows on
+// the caller once every thread has run the function and passed the
+// barrier, and the pool then runs a parallel_for and a second
+// for_each_thread to completion.
+TEST(ThreadPoolTest, ForEachThreadRethrowsAfterEveryThreadPassedTheBarrier) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const bool caller_throws : {true, false}) {
+    std::atomic<int> entered{0};
+    std::atomic<int> finished{0};
+    std::atomic<bool> thrown{false};
+    try {
+      pool.for_each_thread([&] {
+        entered.fetch_add(1);
+        const bool on_caller = std::this_thread::get_id() == caller;
+        if (on_caller == caller_throws && !thrown.exchange(true)) {
+          throw std::runtime_error("warm failed");
+        }
+        // The other threads arrive late: the caller must wait for them.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1);
+      });
+      ADD_FAILURE() << "for_each_thread swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "warm failed");
+    }
+    EXPECT_EQ(entered.load(), pool.size())
+        << "caller throws: " << caller_throws;
+    EXPECT_EQ(finished.load(), pool.size() - 1)
+        << "caller throws: " << caller_throws;
+
+    std::atomic<std::int64_t> total{0};
+    pool.parallel_for(0, 100, 1, [&](std::int64_t lo, std::int64_t hi) {
+      total.fetch_add(hi - lo);
+    });
+    EXPECT_EQ(total.load(), 100);
+    std::atomic<int> again{0};
+    pool.for_each_thread([&] { again.fetch_add(1); });
+    EXPECT_EQ(again.load(), pool.size());
+  }
 }
 
 TEST(ThreadPoolTest, BadGrainThrows) {
