@@ -10,7 +10,7 @@
 //      for. On the pool side, the walk's replay of run()'s pool traffic
 //      gives the working set exactly: warm parks the planned activation
 //      bytes, and a run takes one buffer per activation it makes, each a
-//      pool hit, on real networks and on hand-built residual edge cases.
+//      pool hit, on real networks and on hand-built edge cases.
 //   3. Artifact round trip: the plan taken on the artifact load path equals
 //      the in-process one, and both networks produce byte-identical logits
 //      at every thread count.
@@ -178,7 +178,7 @@ TEST(MemoryPlanTest, RunAcquiresOneBufferPerActivationItMakes) {
 // pool, and a run() on that thread takes every buffer it needs from there
 // and gives each one back: the pool holds the plan's number before and
 // after, which is what --mem-budget counts per thread. The hand-built
-// residual blocks are the replay's edge cases; on them, and on the perf
+// programs are the replay's edge cases; on them, and on the perf
 // ledger's three networks, the plan's pool bytes are pinned too, so a walk
 // that parked more than run() needs fails as well.
 TEST(MemoryPlanTest, WarmParksThePlannedPoolBytes) {
@@ -197,6 +197,10 @@ TEST(MemoryPlanTest, WarmParksThePlannedPoolBytes) {
   };
   std::vector<Case> cases;
   // A [2, 4, 4] activation is 32 floats (128 B), its 2x2 pool 8 (32 B).
+  // With no ops, run() hands back its copy of the image.
+  cases.push_back({"no ops",
+                   inference::QuantizedNetwork::from_program(hand_program({})),
+                   Shape{2, 4, 4}, 128});
   cases.push_back(
       {"empty main chain",
        inference::QuantizedNetwork::from_program(hand_program(
