@@ -28,11 +28,12 @@
 // deployment check that a host is actually on the vector fast path.
 //
 // --mem-budget caps the deployment's inference memory (MiB, 0 = unlimited):
-// the memory plan's per-thread peak (arena scratch + quantization scratch +
-// activation working set) is reported against the budget, and when the
-// requested batch would overshoot, the dynamic batcher's flush size is
-// capped so the in-flight input set fits (DESIGN.md §15). The plan itself
-// never changes -- the knob trades throughput for footprint, not accuracy.
+// the memory plan's per-thread peak (arena scratch, the shift ops' int8
+// codes included, + activation working set) is reported against the
+// budget, and when the requested batch would overshoot, the dynamic
+// batcher's flush size is capped so the in-flight input set fits
+// (DESIGN.md §15). The plan itself never changes -- the knob trades
+// throughput for footprint, not accuracy.
 
 #include <algorithm>
 #include <chrono>

@@ -6,8 +6,8 @@
 //
 // Two regimes:
 //  - 1 thread: strict. The calling thread owns every buffer; after the first
-//    batch has populated the tensor pool, quantization scratch, arenas and
-//    counter vectors, subsequent batches must allocate exactly nothing.
+//    batch has populated the tensor pool, arenas and counter vectors,
+//    subsequent batches must allocate exactly nothing.
 //  - 4 threads: converge-then-assert. Workers acquire pool buffers lazily and
 //    batch elements can land on different workers run-to-run, so each worker
 //    may pay a one-time transient of at most one buffer per size class. The
@@ -141,8 +141,8 @@ TEST(ArenaAllocationTest, SingleThreadSteadyStateAllocatesNothing) {
   const auto request = make_request(6, 1001);
 
   runtime::InferenceResult result;
-  // Warm-up: first batch builds the tensor pool, quantization scratch,
-  // arena slots and counter vectors; second proves stability before arming.
+  // Warm-up: first batch builds the tensor pool, arena slots and counter
+  // vectors; second proves stability before arming.
   runner.run(request, result);
   runner.run(request, result);
 
@@ -199,9 +199,9 @@ TEST(ArenaAllocationTest, ArtifactMmapLoadedSteadyStateAllocatesNothing) {
 
 // Memory plan (DESIGN.md §15): after BatchRunner::warm() the very FIRST
 // batch must already be allocation-free -- the plan taken at load time
-// pre-sizes the arena slots, the pooled activation working set (residual
-// chain copies included), the quantization scratch and the counter vectors,
-// so there is no grow-once warmup left to pay. The client-owned result
+// pre-sizes the arena slots (the shift ops' int8 codes among them), the
+// pooled activation working set (residual chain copies included) and the
+// counter vectors, so there is no grow-once warmup left to pay. The client-owned result
 // storage is reserved by the client (that is its cost, like the request
 // tensors above).
 TEST(ArenaAllocationTest, PlannedWarmMakesFirstBatchAllocationFree) {
