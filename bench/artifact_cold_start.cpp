@@ -6,9 +6,9 @@
 //   checkpoint: build_network + install_lightnn + load_state (stream-parse
 //               of every tensor) + QuantizedNetwork::compile (requantize +
 //               shift-plan compilation from scratch)
-//   artifact:   ArtifactModel::load (mmap, the checksum, the section
-//               table, one copy of each int8 pack and one adoption pass
-//               over its words)
+//   artifact:   ArtifactModel::load (mmap, the checksum, one read of the
+//               stream, which copies each int8 pack, and one adoption
+//               pass over its words)
 //
 // Both paths must produce byte-identical logits -- the bench memcmp-checks
 // them on a handful of images and exits nonzero on any mismatch, so a wrong

@@ -152,7 +152,7 @@ void BM_PlanCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanCompile);
 
-// Adoption of a plan copy, as each artifact load adopts the sections it
+// Adoption of a plan copy, as each artifact load adopts the arrays it
 // copied out.
 void BM_PlanAdopt(benchmark::State& state) {
   const quant::Pow2Config config;

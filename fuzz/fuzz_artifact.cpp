@@ -2,15 +2,16 @@
 // The artifact is the format that crosses trust boundaries -- a serving
 // host maps whatever file it is pointed at -- so the loader must treat
 // every byte as hostile. The harness feeds raw bytes to the full
-// load_buffer path (header, checksum, section table and op records in the
-// parser; every op field in from_program; every int8 pack at engine
-// adoption; the load walk's shape flow, census and memory rows); a typed
-// ArtifactError or CheckFailure is the expected outcome for malformed
-// input. Every input that parses is loaded, whatever geometry it claims:
-// the load itself must stay bounded. Inputs the loader *accepts* are
-// executed when small: the network runs one zero image end to end, so any
-// plan the checks let through is also proven safe to execute under the
-// sanitizers (the kernels index the pack's words unchecked by design).
+// load_buffer path (the header, the checksum, each op record's kind and
+// array counts against the bytes left, in the parser; every op field in
+// from_program; every int8 pack at engine adoption; the load walk's shape
+// flow, census and memory rows); a typed ArtifactError or CheckFailure is
+// the expected outcome for malformed input. Every input that parses is
+// loaded, whatever geometry it claims: the load itself must stay bounded.
+// Inputs the loader *accepts* are executed when small: the network runs one
+// zero image end to end, so any plan the checks let through is also proven
+// safe to execute under the sanitizers (the kernels index the pack's words
+// unchecked by design).
 
 #include <cstdint>
 #include <vector>

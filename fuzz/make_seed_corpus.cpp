@@ -8,7 +8,7 @@
 //     start from deep inside the accepted grammar instead of spending their
 //     budget rediscovering the magic header;
 //   - one regression seed per parser hardening check (bad magic, truncation,
-//     bad section ranges, a live list out of order, ...). Replaying
+//     a count past the bytes left, a live list out of order, ...). Replaying
 //     these in tier-1 ctest keeps every past finding fixed.
 //
 // Every seed is deterministic: rerunning this tool reproduces the corpus
@@ -320,19 +320,21 @@ void emit_shift_plan(const fs::path& dir) {
   write_seed(dir, "max_counts", pseudo_random(2048, 0xF1A9U));
 }
 
-// One deterministic seed per corruption class of the artifact loader's
-// validation ladder (header, checksum, section table, op records, the int8
-// pack's sections and counts, the load walk), plus two valid
-// artifacts -- a tiny VGG and a tiny ResNet (for residual-segment coverage)
-// -- built by the repo's own compiler.
+// One deterministic seed per check of the artifact loader's ladder -- the
+// stream's (header, checksum, op kinds, counts against the bytes left,
+// bytes past the last op) and the contents' (the int8 pack and its stored
+// counts, the op fields, the load walk) -- plus two valid artifacts, a tiny
+// VGG and a tiny ResNet (for residual-segment coverage), built by the
+// repo's own compiler. Content seeds mutate the program and build it.
 void emit_artifact(const fs::path& dir) {
   namespace ser = flightnn::serialize;
+  using flightnn::inference::NetworkProgram;
+  using flightnn::inference::ProgramOp;
+  using flightnn::inference::ProgramOpKind;
   using ser::ArtifactHeader;
   using ser::OpRecord;
-  using ser::SectionDesc;
-  using ser::SectionKind;
 
-  const auto compile_blob = [](int network_id, float width_scale) {
+  const auto compile = [](int network_id, float width_scale) {
     flightnn::models::BuildOptions build;
     build.classes = 4;
     build.width_scale = width_scale;
@@ -340,13 +342,14 @@ void emit_artifact(const fs::path& dir) {
     auto model = flightnn::models::build_network(
         flightnn::models::table1_network(network_id), build);
     flightnn::core::install_lightnn(*model, 2);
-    const auto program = flightnn::inference::compile_program(
+    return flightnn::inference::compile_program(
         *model, flightnn::tensor::Shape{1, 3, 8, 8});
-    return ser::build_artifact(program);
   };
-  const Bytes vgg = compile_blob(4, 0.125F);
+  const NetworkProgram vgg_program = compile(4, 0.125F);
+  const Bytes vgg = ser::build_artifact(vgg_program);
   write_seed(dir, "artifact_vgg_valid", vgg);
-  write_seed(dir, "artifact_resnet_valid", compile_blob(2, 0.0625F));
+  write_seed(dir, "artifact_resnet_valid",
+             ser::build_artifact(compile(2, 0.0625F)));
 
   const auto header_of = [](const Bytes& blob) {
     ArtifactHeader header;
@@ -359,32 +362,43 @@ void emit_artifact(const fs::path& dir) {
     std::memcpy(blob.data(), &header, sizeof(header));
     return blob;
   };
-  const auto section_at = [&](const Bytes& blob, std::size_t index) {
-    SectionDesc desc;
-    std::memcpy(&desc, blob.data() + sizeof(ArtifactHeader) +
-                           index * sizeof(SectionDesc), sizeof(desc));
-    return desc;
+  // The blob with its current size declared and its checksum recomputed.
+  const auto refit = [&](Bytes blob) {
+    const std::uint64_t size = blob.size();
+    blob = patch_header(std::move(blob),
+                        [&](ArtifactHeader& h) { h.file_bytes = size; });
+    ser::rewrite_artifact_checksum(blob);
+    return blob;
   };
-  // Index of the first section of a kind; exits if the fixture lacks it.
-  const auto find_index = [&](const Bytes& blob, SectionKind kind) {
-    const ArtifactHeader header = header_of(blob);
-    for (std::uint32_t i = 0; i < header.section_count; ++i) {
-      if (section_at(blob, i).kind == static_cast<std::uint32_t>(kind)) {
-        return i;
-      }
+  // Offset of op `index`'s record: the header, then each earlier op's
+  // record and arrays.
+  const auto record_offset = [&](std::size_t index) {
+    std::size_t at = sizeof(ArtifactHeader);
+    for (std::size_t i = 0; i < index; ++i) {
+      const ProgramOp& op = vgg_program.ops[i];
+      const std::size_t floats =
+          static_cast<std::size_t>(op.weights.numel() + op.bias.numel()) +
+          op.scale.size() + op.affine_bias.size();
+      at += sizeof(OpRecord) +
+            (op.plan.live.size() + op.plan.words.size()) * 4 +
+            op.plan.negated.size() + floats * 4;
     }
-    std::fprintf(stderr, "artifact fixture lacks section kind %u\n",
-                 static_cast<unsigned>(kind));
-    std::exit(1);
+    return at;
   };
-  const auto find_kind = [&](const Bytes& blob, SectionKind kind) {
-    return section_at(blob, find_index(blob, kind));
-  };
-  const auto resealed = [](Bytes blob) {
+  std::size_t conv = 0;  // the first shift conv
+  while (vgg_program.ops.at(conv).kind != ProgramOpKind::kShiftConv) ++conv;
+  const std::size_t conv_at = record_offset(conv);
+  const auto patch_conv_record = [&](auto mutate) {
+    Bytes blob = vgg;
+    OpRecord record;
+    std::memcpy(&record, blob.data() + conv_at, sizeof(record));
+    mutate(record);
+    std::memcpy(blob.data() + conv_at, &record, sizeof(record));
     ser::rewrite_artifact_checksum(blob);
     return blob;
   };
 
+  // --- the stream ---
   {
     Bytes mutated = vgg;
     mutated[0] ^= 0xFF;
@@ -392,8 +406,8 @@ void emit_artifact(const fs::path& dir) {
   }
   write_seed(dir, "artifact_bad_version",
              patch_header(vgg, [](ArtifactHeader& h) { h.version = 99; }));
-  write_seed(dir, "artifact_v2",
-             patch_header(vgg, [](ArtifactHeader& h) { h.version = 2; }));
+  write_seed(dir, "artifact_v3",
+             patch_header(vgg, [](ArtifactHeader& h) { h.version = 3; }));
   write_seed(dir, "artifact_bad_input_geom",
              patch_header(vgg, [](ArtifactHeader& h) { h.input_c = -1; }));
   {
@@ -408,120 +422,78 @@ void emit_artifact(const fs::path& dir) {
     mutated = vgg;
     mutated.resize(mutated.size() - 48);
     write_seed(dir, "artifact_truncated_payload", mutated);
+    mutated = vgg;
+    mutated.push_back(0xAB);
+    write_seed(dir, "artifact_trailing_bytes", mutated);
+    mutated = vgg;
+    mutated.insert(mutated.end(), 8, 0);
+    write_seed(dir, "artifact_bytes_after_last_op", refit(mutated));
+    // The last op's record cut in half.
+    mutated = vgg;
+    mutated.resize(record_offset(vgg_program.ops.size() - 1) +
+                   sizeof(OpRecord) / 2);
+    write_seed(dir, "artifact_record_cut_short", refit(mutated));
   }
-  {
-    Bytes mutated = vgg;  // misalign the first per-op section
-    SectionDesc desc = section_at(mutated, 1);
-    desc.offset += 4;
-    std::memcpy(mutated.data() + sizeof(ArtifactHeader) + sizeof(SectionDesc),
-                &desc, sizeof(desc));
-    write_seed(dir, "artifact_section_misaligned", resealed(mutated));
-  }
-  {
-    Bytes mutated = vgg;  // section range escaping the file
-    SectionDesc desc = section_at(mutated, 1);
-    desc.bytes = ~std::uint64_t{0} / 2;
-    std::memcpy(mutated.data() + sizeof(ArtifactHeader) + sizeof(SectionDesc),
-                &desc, sizeof(desc));
-    write_seed(dir, "artifact_section_oob", resealed(mutated));
-  }
-  {
-    Bytes mutated = vgg;  // first op record: unknown kind
-    const SectionDesc program = find_kind(mutated, SectionKind::kProgram);
-    OpRecord record;
-    std::memcpy(&record, mutated.data() + program.offset, sizeof(record));
-    record.kind = 0xAB;
-    std::memcpy(mutated.data() + program.offset, &record, sizeof(record));
-    write_seed(dir, "artifact_bad_op_kind", resealed(mutated));
-  }
-  {
-    Bytes mutated = vgg;  // the first conv's live list, first two swapped
-    const SectionDesc live = find_kind(mutated, SectionKind::kPackLive);
-    std::int32_t pair[2];
-    std::memcpy(pair, mutated.data() + live.offset, sizeof(pair));
-    std::swap(pair[0], pair[1]);
-    std::memcpy(mutated.data() + live.offset, pair, sizeof(pair));
-    write_seed(dir, "artifact_live_unsorted", resealed(mutated));
-  }
-  {
-    Bytes mutated = vgg;  // a negated byte of 2
-    mutated[find_kind(mutated, SectionKind::kPackNegated).offset] = 2;
-    write_seed(dir, "artifact_negated_2", resealed(mutated));
-  }
-  {
-    Bytes mutated = vgg;  // the first words section one word short
-    const std::uint32_t i = find_index(mutated, SectionKind::kPackWords);
-    SectionDesc desc = section_at(mutated, i);
-    desc.bytes -= sizeof(std::int32_t);
-    std::memcpy(mutated.data() + sizeof(ArtifactHeader) +
-                    i * sizeof(SectionDesc),
-                &desc, sizeof(desc));
-    write_seed(dir, "artifact_words_short", resealed(mutated));
-  }
-  {
-    // The first conv reads the RGB image: byte 3 of a word is a padding
-    // lane.
-    Bytes mutated = vgg;
-    mutated[find_kind(mutated, SectionKind::kPackWords).offset + 3] = 1;
-    write_seed(dir, "artifact_padding_lane", resealed(mutated));
-  }
-  // The first shift conv's record, patched by `mutate(record, blob)`.
-  const auto patch_first_shift_conv = [&](Bytes blob, auto mutate) {
-    const SectionDesc program = find_kind(blob, SectionKind::kProgram);
-    for (std::uint32_t i = 0; i < header_of(blob).op_count; ++i) {
-      OpRecord record;
-      std::uint8_t* at = blob.data() + program.offset + i * sizeof(record);
-      std::memcpy(&record, at, sizeof(record));
-      if (record.kind != static_cast<std::uint32_t>(
-                             flightnn::inference::ProgramOpKind::kShiftConv)) {
-        continue;
-      }
-      mutate(record, blob);
-      std::memcpy(at, &record, sizeof(record));
-      return resealed(blob);
-    }
-    std::fprintf(stderr, "artifact fixture lacks a shift conv\n");
-    std::exit(1);
+  write_seed(dir, "artifact_op_count_past_file",
+             patch_header(vgg, [](ArtifactHeader& h) { h.op_count = ~0U; }));
+  write_seed(dir, "artifact_no_ops",
+             patch_header(vgg, [](ArtifactHeader& h) { h.op_count = 0; }));
+  write_seed(dir, "artifact_bad_op_kind", patch_conv_record([](OpRecord& r) {
+               r.kind = 0xAB;
+             }));
+  write_seed(dir, "artifact_count_past_bytes",
+             patch_conv_record([&](OpRecord& r) {
+               r.word_count = vgg.size() / 4 + 1;
+             }));
+  // 4 x (2^62 + 1) wraps to 4 bytes.
+  write_seed(dir, "artifact_count_overflow", patch_conv_record([](OpRecord& r) {
+               r.word_count = (std::uint64_t{1} << 62) + 1;
+             }));
+
+  // --- the contents: the first shift conv, mutated, then built ---
+  const auto mutated_conv = [&](auto mutate) {
+    NetworkProgram program = vgg_program;
+    mutate(program.ops[conv]);
+    return ser::build_artifact(program);
   };
+  write_seed(dir, "artifact_live_unsorted", mutated_conv([](ProgramOp& op) {
+               std::swap(op.plan.live.at(0), op.plan.live.at(1));
+             }));
+  write_seed(dir, "artifact_negated_2", mutated_conv([](ProgramOp& op) {
+               op.plan.negated.at(0) = 2;
+             }));
+  write_seed(dir, "artifact_words_short", mutated_conv([](ProgramOp& op) {
+               op.plan.words.pop_back();
+             }));
+  // The first conv reads the RGB image: byte 3 of a word is a padding lane.
+  write_seed(dir, "artifact_padding_lane", mutated_conv([](ProgramOp& op) {
+               op.plan.words.at(0) |= std::int32_t{1} << 24;
+             }));
   // Stored counts the words do not give, and weights past a k_max of 1
   // (the fixture is LightNN-2): kBadProgram at adoption.
-  write_seed(dir, "artifact_entries_high",
-             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
-               ++record.entries;
+  write_seed(dir, "artifact_entries_high", mutated_conv([](ProgramOp& op) {
+               ++op.plan.entry_count;
              }));
-  write_seed(dir, "artifact_term_count_low",
-             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
-               --record.term_count;
+  write_seed(dir, "artifact_term_count_low", mutated_conv([](ProgramOp& op) {
+               --op.term_count;
              }));
-  write_seed(dir, "artifact_k_max_1",
-             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
-               record.k_max = 1;
+  write_seed(dir, "artifact_k_max_1", mutated_conv([](ProgramOp& op) {
+               op.plan.k_max = 1;
              }));
   // An exponent window near INT_MIN: run()'s scale exponent would overflow.
   write_seed(dir, "artifact_e_min_near_int_min",
-             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
-               const int levels = record.e_max - record.e_min;
-               record.e_min = std::numeric_limits<std::int32_t>::min() + 2;
-               record.e_max = record.e_min + levels;
+             mutated_conv([](ProgramOp& op) {
+               const int levels = op.pow2.e_max - op.pow2.e_min;
+               op.pow2.e_min = std::numeric_limits<std::int32_t>::min() + 2;
+               op.pow2.e_max = op.pow2.e_min + levels;
              }));
   // Kernel and padding of 2^24: a non-empty output whose plane run() would
   // refuse, which the load walk must refuse before it allocates.
   write_seed(dir, "artifact_huge_kernel_padding",
-             patch_first_shift_conv(vgg, [](OpRecord& record, Bytes&) {
-               record.kernel = std::int64_t{1} << 24;
-               record.padding = std::int64_t{1} << 24;
+             mutated_conv([](ProgramOp& op) {
+               op.kernel = std::int64_t{1} << 24;
+               op.padding = std::int64_t{1} << 24;
              }));
-  // Sections of v1's retired element kind and v2's retired shift stream
-  // kind.
-  for (const std::uint32_t kind : {2U, 6U}) {
-    Bytes mutated = vgg;
-    SectionDesc desc = section_at(mutated, 1);
-    desc.kind = kind;
-    std::memcpy(mutated.data() + sizeof(ArtifactHeader) + sizeof(SectionDesc),
-                &desc, sizeof(desc));
-    write_seed(dir, "artifact_retired_kind_" + std::to_string(kind),
-               resealed(mutated));
-  }
 
   write_seed(dir, "empty", {});
   write_seed(dir, "random_512", pseudo_random(512, 0xA97FAC7U));

@@ -12,7 +12,7 @@
 //
 // The IR exists so the deployment artifact (serialize/artifact.hpp) has a
 // stable, pointer-free description to serialize: every field is a scalar,
-// a tensor, or a plan section, so an op can be laid out into a flat blob
+// a tensor, or a plan array, so an op can be laid out into a flat blob
 // and reconstituted without re-deriving anything from the float model.
 // It is also the executable form: QuantizedNetwork::from_program() keeps the
 // validated op list and runs it directly, adopting each shift op's plan into
@@ -100,7 +100,7 @@ struct ProgramOp {
 
 // Caps QuantizedNetwork::from_program enforces on every program, whatever
 // built it. A valid network never gets near them; a hostile one (an
-// artifact's 224-byte op record) cannot use them to demand unbounded work.
+// artifact's 200-byte op record) cannot use them to demand unbounded work.
 // Every geometry field an op reads (channels, kernel, stride, padding,
 // window, float weight dims, the input geometry) lies in [0 or 1, 2^24].
 inline constexpr std::int64_t kMaxOpDim = std::int64_t{1} << 24;

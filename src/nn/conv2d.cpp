@@ -360,9 +360,8 @@ tensor::Tensor Conv2d::backward_naive(const tensor::Tensor& grad_output) {
 }
 
 std::vector<Parameter*> Conv2d::parameters() {
-  std::vector<Parameter*> params{&weight_};
-  if (has_bias_) params.push_back(&bias_);
-  return params;
+  if (has_bias_) return {&weight_, &bias_};
+  return {&weight_};
 }
 
 }  // namespace flightnn::nn

@@ -156,9 +156,8 @@ tensor::Tensor Linear::backward_naive(const tensor::Tensor& grad_output) {
 }
 
 std::vector<Parameter*> Linear::parameters() {
-  std::vector<Parameter*> params{&weight_};
-  if (has_bias_) params.push_back(&bias_);
-  return params;
+  if (has_bias_) return {&weight_, &bias_};
+  return {&weight_};
 }
 
 }  // namespace flightnn::nn

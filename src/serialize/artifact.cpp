@@ -3,7 +3,7 @@
 #include <cstddef>
 #include <cstring>
 #include <fstream>
-#include <new>
+#include <limits>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -29,32 +29,39 @@ using inference::ProgramOp;
 using inference::ProgramOpKind;
 using inference::ShiftPlan;
 
-// Section kinds v1 and v2 wrote and later versions retired (SectionKind
-// keeps the gap).
-constexpr std::uint32_t kFirstRetiredKind = 2;
-constexpr std::uint32_t kLastRetiredKind = 9;
-
 [[noreturn]] void fail(ArtifactErrorCode code, const std::string& message) {
   throw ArtifactError(code, message);
 }
 
-std::size_t align_up(std::size_t value, std::size_t alignment) {
-  return (value + alignment - 1) & ~(alignment - 1);
+bool shift_kind(ProgramOpKind kind) {
+  return kind == ProgramOpKind::kShiftConv ||
+         kind == ProgramOpKind::kShiftLinear;
+}
+
+bool float_kind(ProgramOpKind kind) {
+  return kind == ProgramOpKind::kFloatConv ||
+         kind == ProgramOpKind::kFloatLinear;
 }
 
 // --- Build ----------------------------------------------------------------
 
-struct PendingSection {
-  SectionKind kind;
-  std::uint32_t op_index;
-  const void* data;
-  std::size_t bytes;
-};
+// The bytes write_op writes for `op`, its record and its arrays, when the
+// arrays its kind does not store are empty (as compile_program leaves them;
+// otherwise an overestimate).
+std::size_t op_bytes(const ProgramOp& op) {
+  const ShiftPlan& plan = op.plan;
+  const std::size_t floats = static_cast<std::size_t>(op.weights.numel()) +
+                             static_cast<std::size_t>(op.bias.numel()) +
+                             op.scale.size() + op.affine_bias.size();
+  return sizeof(OpRecord) +
+         (plan.live.size() + plan.words.size()) * sizeof(std::int32_t) +
+         plan.negated.size() + floats * sizeof(float);
+}
 
-OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
-                   std::vector<PendingSection>& sections) {
+// One op: its record, then its arrays in the order its kind fixes. This
+// order IS the format's, and part of its determinism contract.
+void write_op(ByteWriter& writer, const ProgramOp& op) {
   OpRecord record;
-  for (auto& s : record.sec) s = kAbsentSection;
   record.kind = static_cast<std::uint32_t>(op.kind);
   record.bits = op.bits;
   record.act_bits = op.act_bits;
@@ -76,134 +83,91 @@ OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
   record.flush_to_zero = op.pow2.flush_to_zero ? 1 : 0;
   record.has_shortcut = op.has_shortcut ? 1 : 0;
 
-  const auto add = [&](int role, SectionKind kind, const void* data,
-                       std::size_t bytes) {
-    record.sec[role] = static_cast<std::uint32_t>(sections.size());
-    sections.push_back(PendingSection{kind, op_index, data, bytes});
-  };
-  const bool shift_op = op.kind == ProgramOpKind::kShiftConv ||
-                        op.kind == ProgramOpKind::kShiftLinear;
-  const bool float_op = op.kind == ProgramOpKind::kFloatConv ||
-                        op.kind == ProgramOpKind::kFloatLinear;
-  if (shift_op) {
-    // The int8 pack, the only stored form of shift weights. Role order here
-    // IS the serialized section order per op -- part of the format's
-    // determinism contract.
-    const ShiftPlan& plan = op.plan;
-    add(kRoleLive, SectionKind::kPackLive, plan.live.data(),
-        plan.live.size() * sizeof(std::int32_t));
-    add(kRoleWords, SectionKind::kPackWords, plan.words.data(),
-        plan.words.size() * sizeof(std::int32_t));
-    add(kRoleNegated, SectionKind::kPackNegated, plan.negated.data(),
-        plan.negated.size());
-  }
-  if (float_op) {
+  const ShiftPlan& plan = op.plan;
+  if (shift_kind(op.kind)) {
+    // The int8 pack, the only stored form of shift weights.
+    record.live_count = plan.live.size();
+    record.word_count = plan.words.size();
+    record.negated_count = plan.negated.size();
+    record.bias_count = static_cast<std::uint64_t>(op.bias.numel());
+  } else if (float_kind(op.kind)) {
     const auto& shape = op.weights.shape();
     record.weight_rank = static_cast<std::uint32_t>(shape.rank());
     for (std::size_t axis = 0; axis < shape.rank(); ++axis) {
       record.weight_dims[axis] = shape[axis];
     }
-    add(kRoleWeights, SectionKind::kWeights, op.weights.data(),
-        static_cast<std::size_t>(op.weights.numel()) * sizeof(float));
+    record.bias_count = static_cast<std::uint64_t>(op.bias.numel());
+  } else if (op.kind == ProgramOpKind::kAffine) {
+    record.scale_count = op.scale.size();
+    record.bias_count = op.affine_bias.size();
   }
-  if ((shift_op || float_op) && !op.bias.empty()) {
-    add(kRoleBias, SectionKind::kBias, op.bias.data(),
-        static_cast<std::size_t>(op.bias.numel()) * sizeof(float));
+  writer.bytes(&record, sizeof(record));
+
+  if (shift_kind(op.kind)) {
+    writer.bytes(plan.live.data(), plan.live.size() * sizeof(std::int32_t));
+    writer.bytes(plan.words.data(), plan.words.size() * sizeof(std::int32_t));
+    writer.bytes(plan.negated.data(), plan.negated.size());
+    writer.floats(op.bias.data(), op.bias.numel());
+  } else if (float_kind(op.kind)) {
+    writer.floats(op.weights.data(), op.weights.numel());
+    writer.floats(op.bias.data(), op.bias.numel());
+  } else if (op.kind == ProgramOpKind::kAffine) {
+    writer.floats(op.scale.data(), static_cast<std::int64_t>(op.scale.size()));
+    writer.floats(op.affine_bias.data(),
+                  static_cast<std::int64_t>(op.affine_bias.size()));
   }
-  if (op.kind == ProgramOpKind::kAffine) {
-    add(kRoleAffineScale, SectionKind::kAffineScale, op.scale.data(),
-        op.scale.size() * sizeof(float));
-    add(kRoleAffineBias, SectionKind::kAffineBias, op.affine_bias.data(),
-        op.affine_bias.size() * sizeof(float));
-  }
-  return record;
 }
 
-// --- Parse helpers --------------------------------------------------------
+// --- Parse ----------------------------------------------------------------
 //
-// The parser checks only the container: the header, the checksum, the
-// section table and, per op record, its kind and each role's section. The
-// op fields and plans it hands on are checked where every program is,
-// whoever built it: QuantizedNetwork::from_program (every op field) and
-// the plan-adopting engine (adopt_plan).
+// The parser checks only the stream: the header, the checksum and, per op,
+// its record's kind and its arrays' counts. The op fields and plans it
+// hands on are checked where every program is, whoever built it:
+// QuantizedNetwork::from_program (every op field) and the plan-adopting
+// engine (adopt_plan).
 
-// Validated view of one section's payload.
-struct SectionView {
-  const std::uint8_t* data = nullptr;
-  std::size_t bytes = 0;
-};
-
-// Resolve a role's section for `op_index`, checking kind and ownership.
-// Returns nullopt-style {nullptr, 0} for absent optional roles.
-SectionView resolve_section(const std::uint8_t* base,
-                            const SectionDesc* sections,
-                            std::uint32_t section_count, const OpRecord& record,
-                            std::uint32_t op_index, int role,
-                            SectionKind expected, bool required) {
-  const std::uint32_t index = record.sec[role];
-  if (index == kAbsentSection) {
-    if (required) {
-      fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " misses required section role " +
-               std::to_string(role));
-    }
-    return {};
-  }
-  if (index >= section_count) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) + " references section " +
-             std::to_string(index) + " of " + std::to_string(section_count));
-  }
-  const SectionDesc& desc = sections[index];
-  if (desc.kind != static_cast<std::uint32_t>(expected) ||
-      desc.op_index != op_index) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) + " section " +
-             std::to_string(index) + " has wrong kind or owner");
-  }
-  return SectionView{base + desc.offset, static_cast<std::size_t>(desc.bytes)};
-}
-
-// Typed element count of a section whose payload is `elem_bytes`-sized.
-std::size_t section_count_of(const SectionView& view, std::size_t elem_bytes,
-                             std::uint32_t op_index, const char* what) {
-  if (view.bytes % elem_bytes != 0) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) + " " + what +
-             " section is not a whole number of elements");
-  }
-  return view.bytes / elem_bytes;
-}
-
-// A plan section copied out whole (byte-wise: parse_artifact takes `data`
-// at any alignment).
+// The stream's next `count` elements of T, checked against the bytes left
+// before anything is allocated. The bound divides, so a count whose byte
+// size would overflow cannot pass it.
 template <typename T>
-std::vector<T> copy_section(const SectionView& view, std::uint32_t op_index,
-                            const char* what) {
-  std::vector<T> out(section_count_of(view, sizeof(T), op_index, what));
-  if (!out.empty()) std::memcpy(out.data(), view.data, view.bytes);
+std::vector<T> read_array(ByteReader& reader, std::uint64_t count,
+                          std::uint32_t op_index, const char* what) {
+  if (count > reader.remaining() / sizeof(T)) {
+    fail(ArtifactErrorCode::kTruncated,
+         "op " + std::to_string(op_index) + " " + what + " count " +
+             std::to_string(count) + " passes the " +
+             std::to_string(reader.remaining()) + " bytes left");
+  }
+  std::vector<T> out(static_cast<std::size_t>(count));
+  reader.bytes(out.data(), out.size() * sizeof(T));
   return out;
 }
 
-// A float section copied out whole, as a tensor of `shape`.
-tensor::Tensor copy_floats(const SectionView& view, const tensor::Shape& shape) {
-  tensor::Tensor out(shape);
-  std::memcpy(out.data(), view.data, view.bytes);
-  return out;
+// A bias of `count` floats; an absent one (count 0) stays empty.
+tensor::Tensor read_bias(ByteReader& reader, std::uint64_t count,
+                         std::uint32_t op_index) {
+  std::vector<float> bias = read_array<float>(reader, count, op_index, "bias");
+  if (bias.empty()) return {};
+  const tensor::Shape shape{static_cast<std::int64_t>(bias.size())};
+  return tensor::Tensor(shape, std::move(bias));
 }
 
-ProgramOp decode_op(const std::uint8_t* base, const SectionDesc* sections,
-                    std::uint32_t section_count, const OpRecord& record,
-                    std::uint32_t op_index) {
-  ProgramOp op;
-  const auto kind_value = record.kind;
-  if (kind_value < static_cast<std::uint32_t>(ProgramOpKind::kQuantAct) ||
-      kind_value > static_cast<std::uint32_t>(ProgramOpKind::kResidual)) {
+ProgramOp read_op(ByteReader& reader, std::uint32_t op_index) {
+  if (reader.remaining() < sizeof(OpRecord)) {
+    fail(ArtifactErrorCode::kTruncated,
+         "op " + std::to_string(op_index) + "'s record is cut short at " +
+             std::to_string(reader.remaining()) + " bytes");
+  }
+  OpRecord record;
+  reader.bytes(&record, sizeof(record));
+  if (record.kind < static_cast<std::uint32_t>(ProgramOpKind::kQuantAct) ||
+      record.kind > static_cast<std::uint32_t>(ProgramOpKind::kResidual)) {
     fail(ArtifactErrorCode::kBadProgram,
          "op " + std::to_string(op_index) + " has unknown kind " +
-             std::to_string(kind_value));
+             std::to_string(record.kind));
   }
-  op.kind = static_cast<ProgramOpKind>(kind_value);
+  ProgramOp op;
+  op.kind = static_cast<ProgramOpKind>(record.kind);
   op.bits = record.bits;
   op.act_bits = record.act_bits;
   op.slope = record.slope;
@@ -222,88 +186,48 @@ ProgramOp decode_op(const std::uint8_t* base, const SectionDesc* sections,
   op.post_ops = record.post_ops;
   op.has_shortcut = record.has_shortcut != 0;
 
-  const auto resolve = [&](int role, SectionKind kind, bool required) {
-    return resolve_section(base, sections, section_count, record, op_index,
-                           role, kind, required);
-  };
-  // Element count of a section of whole floats.
-  const auto float_count = [&](const SectionView& view, const char* what) {
-    return static_cast<std::int64_t>(
-        section_count_of(view, sizeof(float), op_index, what));
-  };
-  const auto optional_bias = [&]() -> tensor::Tensor {
-    const SectionView view = resolve(kRoleBias, SectionKind::kBias, false);
-    if (view.data == nullptr) return {};
-    return copy_floats(view, tensor::Shape{float_count(view, "bias")});
-  };
-
-  switch (op.kind) {
-    case ProgramOpKind::kShiftConv:
-    case ProgramOpKind::kShiftLinear: {
-      // The int8 pack, copied: the adopting engine checks it and derives the
-      // rest from its words (DESIGN.md §9).
-      ShiftPlan& plan = op.plan;
-      plan.k_max = record.k_max;
-      plan.entry_count = record.entries;
-      plan.live = copy_section<std::int32_t>(
-          resolve(kRoleLive, SectionKind::kPackLive, true), op_index, "live");
-      plan.words = copy_section<std::int32_t>(
-          resolve(kRoleWords, SectionKind::kPackWords, true), op_index,
-          "words");
-      plan.negated = copy_section<std::uint8_t>(
-          resolve(kRoleNegated, SectionKind::kPackNegated, true), op_index,
-          "negated");
-      op.bias = optional_bias();
-      break;
+  if (shift_kind(op.kind)) {
+    // The int8 pack, copied: the adopting engine checks it and derives the
+    // rest from its words (DESIGN.md §9).
+    ShiftPlan& plan = op.plan;
+    plan.k_max = record.k_max;
+    plan.entry_count = record.entries;
+    plan.live = read_array<std::int32_t>(reader, record.live_count, op_index,
+                                         "live");
+    plan.words = read_array<std::int32_t>(reader, record.word_count, op_index,
+                                          "words");
+    plan.negated = read_array<std::uint8_t>(reader, record.negated_count,
+                                            op_index, "negated");
+    op.bias = read_bias(reader, record.bias_count, op_index);
+  } else if (float_kind(op.kind)) {
+    if (record.weight_rank > 4) {
+      fail(ArtifactErrorCode::kBadProgram,
+           "op " + std::to_string(op_index) + " float weights rank " +
+               std::to_string(record.weight_rank) + " exceeds 4");
     }
-    case ProgramOpKind::kFloatConv:
-    case ProgramOpKind::kFloatLinear: {
-      if (record.weight_rank > 4) {
+    const std::vector<std::int64_t> dims(
+        record.weight_dims, record.weight_dims + record.weight_rank);
+    // The dims' product, saturated: an overflow fails the count check.
+    std::uint64_t numel = 1;
+    for (const std::int64_t d : dims) {
+      if (d < 0) {
         fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " float weights rank " +
-                 std::to_string(record.weight_rank) + " exceeds 4");
+             "op " + std::to_string(op_index) + " has a negative weight dim");
       }
-      const std::vector<std::int64_t> dims(
-          record.weight_dims, record.weight_dims + record.weight_rank);
-      const SectionView weights_view =
-          resolve(kRoleWeights, SectionKind::kWeights, true);
-      // dims x 4 = the section's bytes, multiplied without overflow.
-      std::uint64_t bytes = sizeof(float);
-      for (const std::int64_t d : dims) {
-        if (d < 0 ||
-            __builtin_mul_overflow(bytes, static_cast<std::uint64_t>(d),
-                                   &bytes)) {
-          bytes = ~std::uint64_t{0};
-          break;
-        }
+      if (__builtin_mul_overflow(numel, static_cast<std::uint64_t>(d),
+                                 &numel)) {
+        numel = ~std::uint64_t{0};
       }
-      if (bytes != weights_view.bytes) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) +
-                 " weights section does not match its dims");
-      }
-      op.weights = copy_floats(weights_view, tensor::Shape(dims));
-      op.bias = optional_bias();
-      break;
     }
-    case ProgramOpKind::kAffine: {
-      const SectionView scale_view =
-          resolve(kRoleAffineScale, SectionKind::kAffineScale, true);
-      const SectionView bias_view =
-          resolve(kRoleAffineBias, SectionKind::kAffineBias, true);
-      const auto* scale = reinterpret_cast<const float*>(scale_view.data);
-      const auto* bias = reinterpret_cast<const float*>(bias_view.data);
-      op.scale.assign(scale, scale + float_count(scale_view, "scale"));
-      op.affine_bias.assign(bias, bias + float_count(bias_view, "bias"));
-      break;
-    }
-    case ProgramOpKind::kQuantAct:
-    case ProgramOpKind::kLeakyRelu:
-    case ProgramOpKind::kMaxPool:
-    case ProgramOpKind::kGap:
-    case ProgramOpKind::kFlatten:
-    case ProgramOpKind::kResidual:
-      break;
+    op.weights = tensor::Tensor(
+        tensor::Shape(dims),
+        read_array<float>(reader, numel, op_index, "weights"));
+    op.bias = read_bias(reader, record.bias_count, op_index);
+  } else if (op.kind == ProgramOpKind::kAffine) {
+    op.scale = read_array<float>(reader, record.scale_count, op_index,
+                                 "scale");
+    op.affine_bias = read_array<float>(reader, record.bias_count, op_index,
+                                       "bias");
   }
   return op;
 }
@@ -318,7 +242,6 @@ const char* artifact_error_name(ArtifactErrorCode code) {
     case ArtifactErrorCode::kBadVersion: return "artifact bad version";
     case ArtifactErrorCode::kBadHeader: return "artifact bad header";
     case ArtifactErrorCode::kBadChecksum: return "artifact bad checksum";
-    case ArtifactErrorCode::kBadSection: return "artifact bad section";
     case ArtifactErrorCode::kBadProgram: return "artifact bad program";
   }
   return "artifact error";
@@ -360,61 +283,28 @@ FLIGHTNN_API_ENTRY std::vector<std::uint8_t> build_artifact(
                      program.input_w > 0,
                  "build_artifact: bad input geometry [", program.input_c, ", ",
                  program.input_h, ", ", program.input_w, "]");
-  FLIGHTNN_CHECK(program.ops.size() < kAbsentSection,
-                 "build_artifact: too many ops");
+  FLIGHTNN_CHECK(
+      program.ops.size() <= std::numeric_limits<std::uint32_t>::max(),
+      "build_artifact: too many ops");
 
-  // Pass 1: encode records and collect the section list in role order.
-  std::vector<OpRecord> records;
-  records.reserve(program.ops.size());
-  std::vector<PendingSection> sections;
-  sections.push_back(PendingSection{SectionKind::kProgram, kAbsentSection,
-                                    nullptr, 0});  // patched below
-  for (std::size_t i = 0; i < program.ops.size(); ++i) {
-    records.push_back(
-        encode_op(program.ops[i], static_cast<std::uint32_t>(i), sections));
-  }
-  sections[0].data = records.data();
-  sections[0].bytes = records.size() * sizeof(OpRecord);
-
-  // Pass 2: lay out -- header, table, then 64-byte-aligned sections.
   ArtifactHeader header;
   std::memcpy(header.magic, kArtifactMagic, sizeof(header.magic));
   header.version = kArtifactVersion;
-  header.header_bytes = sizeof(ArtifactHeader);
-  header.section_table_offset = sizeof(ArtifactHeader);
-  header.section_count = static_cast<std::uint32_t>(sections.size());
-  header.op_count = static_cast<std::uint32_t>(records.size());
+  header.op_count = static_cast<std::uint32_t>(program.ops.size());
   header.input_c = program.input_c;
   header.input_h = program.input_h;
   header.input_w = program.input_w;
-
-  std::vector<SectionDesc> table(sections.size());
-  std::size_t cursor =
-      sizeof(ArtifactHeader) + sections.size() * sizeof(SectionDesc);
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    cursor = align_up(cursor, kArtifactAlignment);
-    table[i].kind = static_cast<std::uint32_t>(sections[i].kind);
-    table[i].op_index = sections[i].op_index;
-    table[i].offset = cursor;
-    table[i].bytes = sections[i].bytes;
-    cursor += sections[i].bytes;
-  }
-  header.file_bytes = cursor;
-
+  // Reserve the whole blob, so writing never regrows it.
+  std::size_t bytes = sizeof(ArtifactHeader);
+  for (const ProgramOp& op : program.ops) bytes += op_bytes(op);
   ByteWriter writer;
-  writer.reserve(cursor);
-  writer.bytes(&header, sizeof(header));
-  writer.bytes(table.data(), table.size() * sizeof(SectionDesc));
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    writer.align_to(kArtifactAlignment);
-    if (sections[i].bytes > 0) {
-      writer.bytes(sections[i].data, sections[i].bytes);
-    }
-  }
+  writer.reserve(bytes);
+  writer.bytes(&header, sizeof(header));  // file_bytes and checksum patched
+  for (const ProgramOp& op : program.ops) write_op(writer, op);
   std::vector<std::uint8_t> blob = writer.take();
-  FLIGHTNN_CHECK(blob.size() == cursor,
-                 "build_artifact: layout/write size mismatch (", blob.size(),
-                 " vs ", cursor, ")");
+  const std::uint64_t file_bytes = blob.size();
+  std::memcpy(blob.data() + offsetof(ArtifactHeader, file_bytes), &file_bytes,
+              sizeof(file_bytes));
   rewrite_artifact_checksum(blob);
   return blob;
 }
@@ -422,8 +312,9 @@ FLIGHTNN_API_ENTRY std::vector<std::uint8_t> build_artifact(
 void rewrite_artifact_checksum(std::vector<std::uint8_t>& blob) {
   FLIGHTNN_CHECK(blob.size() >= sizeof(ArtifactHeader),
                  "rewrite_artifact_checksum: blob smaller than a header");
-  const std::uint64_t checksum = artifact_checksum64(blob.data() + sizeof(ArtifactHeader),
-                                         blob.size() - sizeof(ArtifactHeader));
+  const std::uint64_t checksum =
+      artifact_checksum64(blob.data() + sizeof(ArtifactHeader),
+                          blob.size() - sizeof(ArtifactHeader));
   std::memcpy(blob.data() + offsetof(ArtifactHeader, payload_checksum),
               &checksum, sizeof(checksum));
 }
@@ -457,8 +348,9 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
          "file is " + std::to_string(size) + " bytes, header needs " +
              std::to_string(sizeof(ArtifactHeader)));
   }
+  ByteReader reader(data, size);
   ArtifactHeader header;
-  std::memcpy(&header, data, sizeof(header));
+  reader.bytes(&header, sizeof(header));
   if (std::memcmp(header.magic, kArtifactMagic, sizeof(kArtifactMagic)) != 0) {
     fail(ArtifactErrorCode::kBadMagic, "not a FLightNN artifact");
   }
@@ -466,11 +358,6 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
     fail(ArtifactErrorCode::kBadVersion,
          "format version " + std::to_string(header.version) +
              ", this loader reads " + std::to_string(kArtifactVersion));
-  }
-  if (header.header_bytes != sizeof(ArtifactHeader) ||
-      header.section_table_offset != sizeof(ArtifactHeader)) {
-    fail(ArtifactErrorCode::kBadHeader,
-         "header geometry fields are inconsistent");
   }
   if (header.file_bytes > size) {
     fail(ArtifactErrorCode::kTruncated,
@@ -489,80 +376,32 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
     fail(ArtifactErrorCode::kBadHeader, "input geometry out of range");
   }
   // --- checksum (everything after the header) ---
-  const std::uint64_t checksum =
-      artifact_checksum64(data + sizeof(ArtifactHeader), size - sizeof(ArtifactHeader));
+  const std::uint64_t checksum = artifact_checksum64(
+      data + sizeof(ArtifactHeader), size - sizeof(ArtifactHeader));
   if (checksum != header.payload_checksum) {
     fail(ArtifactErrorCode::kBadChecksum, "payload checksum mismatch");
   }
-  // --- section table ---
-  const std::size_t table_capacity =
-      (size - sizeof(ArtifactHeader)) / sizeof(SectionDesc);
-  if (header.section_count == 0 || header.section_count > table_capacity) {
-    fail(ArtifactErrorCode::kBadSection,
-         "section count " + std::to_string(header.section_count) +
-             " does not fit the file");
+  // --- the ops, each record followed by its arrays ---
+  if (header.op_count == 0) {
+    fail(ArtifactErrorCode::kBadProgram, "the program holds no ops");
   }
-  const auto* sections =
-      reinterpret_cast<const SectionDesc*>(data + sizeof(ArtifactHeader));
-  const std::size_t table_end =
-      sizeof(ArtifactHeader) + header.section_count * sizeof(SectionDesc);
-  for (std::uint32_t i = 0; i < header.section_count; ++i) {
-    const SectionDesc& desc = sections[i];
-    if (desc.kind < static_cast<std::uint32_t>(SectionKind::kProgram) ||
-        desc.kind > static_cast<std::uint32_t>(SectionKind::kPackNegated)) {
-      fail(ArtifactErrorCode::kBadSection,
-           "section " + std::to_string(i) + " has unknown kind " +
-               std::to_string(desc.kind));
-    }
-    if (desc.kind >= kFirstRetiredKind && desc.kind <= kLastRetiredKind) {
-      fail(ArtifactErrorCode::kBadSection,
-           "section " + std::to_string(i) + " has retired kind " +
-               std::to_string(desc.kind));
-    }
-    if (desc.offset % kArtifactAlignment != 0) {
-      fail(ArtifactErrorCode::kBadSection,
-           "section " + std::to_string(i) + " offset " +
-               std::to_string(desc.offset) + " is not 64-byte aligned");
-    }
-    // Overflow-proof range check: offset and bytes each bounded by the file
-    // size before their sum is formed.
-    if (desc.offset < table_end || desc.offset > size ||
-        desc.bytes > size - desc.offset) {
-      fail(ArtifactErrorCode::kBadSection,
-           "section " + std::to_string(i) + " range [" +
-               std::to_string(desc.offset) + ", +" +
-               std::to_string(desc.bytes) + ") escapes the file");
-    }
+  if (header.op_count > reader.remaining() / sizeof(OpRecord)) {
+    fail(ArtifactErrorCode::kTruncated,
+         "op count " + std::to_string(header.op_count) + " does not fit the " +
+             std::to_string(reader.remaining()) + " bytes after the header");
   }
-  // --- program section ---
-  if (sections[0].kind != static_cast<std::uint32_t>(SectionKind::kProgram) ||
-      sections[0].op_index != kAbsentSection) {
-    fail(ArtifactErrorCode::kBadSection,
-         "section 0 must be the program section");
-  }
-  for (std::uint32_t i = 1; i < header.section_count; ++i) {
-    if (sections[i].kind == static_cast<std::uint32_t>(SectionKind::kProgram)) {
-      fail(ArtifactErrorCode::kBadSection, "duplicate program section");
-    }
-  }
-  if (header.op_count == 0 ||
-      sections[0].bytes !=
-          static_cast<std::uint64_t>(header.op_count) * sizeof(OpRecord)) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "program section does not hold " + std::to_string(header.op_count) +
-             " op records");
-  }
-  const auto* records =
-      reinterpret_cast<const OpRecord*>(data + sections[0].offset);
-  // --- per-op decode: kind and sections ---
   NetworkProgram program;
   program.input_c = header.input_c;
   program.input_h = header.input_h;
   program.input_w = header.input_w;
   program.ops.reserve(header.op_count);
   for (std::uint32_t i = 0; i < header.op_count; ++i) {
-    program.ops.push_back(
-        decode_op(data, sections, header.section_count, records[i], i));
+    program.ops.push_back(read_op(reader, i));
+  }
+  if (!reader.exhausted()) {
+    fail(ArtifactErrorCode::kBadHeader,
+         std::to_string(reader.remaining()) + " bytes follow the last of " +
+             std::to_string(header.op_count) + " ops");
   }
   return program;
 }
@@ -570,15 +409,9 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
 // --- ArtifactModel --------------------------------------------------------
 
 ArtifactModel::Mapping::~Mapping() {
-  if (data_ == nullptr) return;
-  if (mmapped_) {
 #if FLIGHTNN_ARTIFACT_HAS_MMAP
-    ::munmap(const_cast<std::uint8_t*>(data_), size_);
+  if (mapped_) ::munmap(const_cast<std::uint8_t*>(data_), size_);
 #endif
-  } else {
-    ::operator delete(const_cast<std::uint8_t*>(data_),
-                      std::align_val_t{kArtifactAlignment});
-  }
 }
 
 ArtifactModel::ArtifactModel(std::unique_ptr<Mapping> mapping,
@@ -590,23 +423,12 @@ ArtifactModel::ArtifactModel(std::unique_ptr<Mapping> mapping,
   try {
     network_ = inference::QuantizedNetwork::from_program(std::move(program));
   } catch (const support::CheckFailure& failure) {
-    // parse_artifact checked only the container: from_program and the
+    // parse_artifact checked only the stream: from_program and the
     // adopting engines check the contents, and a program they reject is a
     // malformed artifact, not a caller bug.
     fail(ArtifactErrorCode::kBadProgram, failure.what());
   }
 }
-
-namespace {
-
-// kArtifactAlignment-aligned heap block so every section is aligned exactly
-// as it would be under mmap (page-aligned base).
-std::uint8_t* aligned_alloc_bytes(std::size_t size) {
-  return static_cast<std::uint8_t*>(
-      ::operator new(size, std::align_val_t{kArtifactAlignment}));
-}
-
-}  // namespace
 
 // FLIGHTNN_COLD_ALLOC: cold-start boundary -- the mapping wrapper and the
 // adopted network are built exactly once per load, never on the hot path.
@@ -631,8 +453,8 @@ FLIGHTNN_COLD_ALLOC FLIGHTNN_API_ENTRY ArtifactModel ArtifactModel::load(
   void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
   if (base == MAP_FAILED) fail(ArtifactErrorCode::kIo, "mmap failed for " + path);
-  auto mapping = std::make_unique<Mapping>(
-      static_cast<const std::uint8_t*>(base), size, /*mmapped=*/true);
+  auto mapping =
+      std::make_unique<Mapping>(static_cast<const std::uint8_t*>(base), size);
   inference::NetworkProgram program =
       parse_artifact(mapping->data(), mapping->size());
   ArtifactModel model(std::move(mapping), std::move(program));
@@ -640,25 +462,25 @@ FLIGHTNN_COLD_ALLOC FLIGHTNN_API_ENTRY ArtifactModel ArtifactModel::load(
   // the resident set. The mapping stays: a later read of data() faults its
   // pages back in from the file. The drop is a syscall of ~3-6 us plus ~0.12
   // us per resident page (4-core x86-64 VM host), so a small file keeps its
-  // few pages: dropping the 14 KiB tiny FLightNN artifact's cost its perf
-  // ledger workload 7% of `setup_s`, while ResNet-18 w0.5's 201 KiB file is
-  // 2% of its workload's peak RSS.
+  // few pages: measured on format v3, dropping the 14 KiB tiny FLightNN
+  // artifact's cost its perf ledger workload 7% of `setup_s`, while
+  // ResNet-18 w0.5's 201 KiB file is 2% of its workload's peak RSS.
   constexpr std::size_t kMinDroppedBytes = std::size_t{64} << 10;
   if (size >= kMinDroppedBytes) ::madvise(base, size, MADV_DONTNEED);
   return model;
 #else
-  // No mmap on this platform: stream the file into an aligned buffer.
+  // No mmap on this platform: read the file into a byte vector.
   std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) fail(ArtifactErrorCode::kIo, "cannot open " + path);
   const std::streamsize stream_size = file.tellg();
   if (stream_size <= 0) fail(ArtifactErrorCode::kTruncated, path + " is empty");
-  const auto size = static_cast<std::size_t>(stream_size);
-  std::uint8_t* buffer = aligned_alloc_bytes(size);
-  auto mapping = std::make_unique<Mapping>(buffer, size, /*mmapped=*/false);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(stream_size));
   file.seekg(0);
-  file.read(reinterpret_cast<char*>(buffer), stream_size);
+  file.read(reinterpret_cast<char*>(bytes.data()), stream_size);
   if (!file) fail(ArtifactErrorCode::kIo, "read failed for " + path);
-  inference::NetworkProgram program = parse_artifact(buffer, size);
+  auto mapping = std::make_unique<Mapping>(std::move(bytes));
+  inference::NetworkProgram program =
+      parse_artifact(mapping->data(), mapping->size());
   return ArtifactModel(std::move(mapping), std::move(program));
 #endif
 }
@@ -667,10 +489,10 @@ FLIGHTNN_COLD_ALLOC FLIGHTNN_API_ENTRY ArtifactModel ArtifactModel::load_buffer(
     const std::uint8_t* data, std::size_t size) {
   FLIGHTNN_CHECK(data != nullptr || size == 0,
                  "ArtifactModel::load_buffer: null data with nonzero size");
-  std::uint8_t* buffer = aligned_alloc_bytes(size == 0 ? 1 : size);
-  auto mapping = std::make_unique<Mapping>(buffer, size, /*mmapped=*/false);
-  if (size > 0) std::memcpy(buffer, data, size);
-  inference::NetworkProgram program = parse_artifact(buffer, size);
+  auto mapping =
+      std::make_unique<Mapping>(std::vector<std::uint8_t>(data, data + size));
+  inference::NetworkProgram program =
+      parse_artifact(mapping->data(), mapping->size());
   return ArtifactModel(std::move(mapping), std::move(program));
 }
 

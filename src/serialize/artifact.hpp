@@ -1,49 +1,46 @@
 #pragma once
 
-// The deployable model artifact: a compiled NetworkProgram laid out into
-// one flat, relocatable, mmap-able blob. This is the FINN-R / FlexNN
-// deployment unit for FLightNNs -- all planning (quantization, lowering to
-// the int8 pack, batch-norm folding) happens offline in build_artifact, and
-// the file stores each shift layer's weights as the bytes the kernels read:
-// its live-filter list, its int8 words and its negated bytes. Loading is
-// mmap, the checksum, a section table walk, and one copy of each section
-// into the program; each adopting engine then checks its plan, derives the
-// rest and re-lays the words in the kernels' blocked order in one pass
-// over them (adopt_plan). Once loaded, nothing reads the mapping.
+// The deployable model artifact: a compiled NetworkProgram written as one
+// checked byte stream. This is the FINN-R / FlexNN deployment unit for
+// FLightNNs -- all planning (quantization, lowering to the int8 pack,
+// batch-norm folding) happens offline in build_artifact, and the file stores
+// each shift layer's weights as the bytes the kernels read: its live-filter
+// list, its int8 words and its negated bytes. Loading is mmap, the checksum
+// and one read of the stream, which copies each array into the program;
+// each adopting engine then checks its plan, derives the rest and re-lays
+// the words in the kernels' blocked order in one pass over them
+// (adopt_plan). Once loaded, nothing reads the mapping.
 //
-// Format v3 (DESIGN.md §13 is the normative spec):
+// Format v4 (DESIGN.md §13 is the normative spec):
 //
-//   [ArtifactHeader: 128 bytes]
-//   [section table: section_count x SectionDesc (24 bytes each)]
-//   [sections: each 64-byte aligned, zero-padded between]
+//   [ArtifactHeader: 56 bytes]
+//   op_count x [OpRecord: 200 bytes][the op's arrays]
 //
-// All multi-byte fields are little-endian native; offsets are absolute file
-// offsets (never pointers), so the blob is position-independent. The header
-// carries a checksum (8-lane interleaved FNV-1a-64, see
-// artifact_checksum64) over everything after itself. Section order
-// is deterministic: the program section first, then each op's arrays in
-// role order -- so build_artifact is byte-reproducible for a given program
-// (the golden test pins this).
+// An op's arrays follow its record in an order its kind fixes -- shift ops:
+// live (int32), words (int32), negated (uint8), bias (float); float ops:
+// weights (float, as the record's dims say), bias; affine ops: scale, bias
+// (float) -- each as long as its record says; other kinds have none. Every
+// field is little-endian native and no structure has padding or reserved
+// bytes; the parser memcpys each header, record and array out, so a buffer
+// at any alignment parses. The header carries a checksum (8-lane
+// interleaved FNV-1a-64, see artifact_checksum64) over everything after
+// itself. build_artifact is byte-reproducible for a given program (the
+// golden test pins this).
 //
 // Versioning: `version` is bumped on any layout change; loaders reject
-// versions they do not know (no silent forward compat). New op kinds or
-// section kinds append enum values, never renumber; retired kinds keep
-// their numbers and are rejected. v3 stores a shift op's int8 pack (kinds
-// 14-16) where v2 stored six per-entry streams (kinds 3-8), and its op
-// record carries the plan's entry count beside the term count; the
-// correction, the census's per-tap counts and each filter's k_i are derived
-// when the engine adopts the plan.
+// versions they do not know (no silent forward compat: a v3 or older file is
+// refused). New op kinds append enum values, never renumber.
 //
 // The loader treats the file as untrusted input, in two steps. The parser
-// checks the container: header (input geometry included), checksum,
-// section table, each op record's kind and each role's section (present,
-// of its kind and owner, a whole number of elements, float weights as
-// large as their dims say). The contents are checked where every program's
-// are, whoever built it: QuantizedNetwork::from_program checks every op
-// field (inference/network_program.hpp lists its caps) and the adopting
-// engine every plan (adopt_plan: the live list, the negated bytes, the word
-// count, the padding lanes, each weight's peel against k_max, the int32
-// bound and the stored counts): the rungs DESIGN.md §13 lists, in order.
+// checks the stream: the header (input geometry included), the checksum,
+// each record's op kind, every count against the bytes left before it
+// allocates, a float op's weight dims, and nothing after the last op. The
+// contents are checked where every program's are, whoever built it:
+// QuantizedNetwork::from_program checks every op field
+// (inference/network_program.hpp lists its caps) and the adopting engine
+// every plan (adopt_plan: the live list, the negated bytes, the word count,
+// the padding lanes, each weight's peel against k_max, the int32 bound and
+// the stored counts): the rungs DESIGN.md §13 lists, in order.
 // ArtifactModel maps their CheckFailure to kBadProgram, so any violation
 // throws ArtifactError with a typed code -- never UB, never an allocation
 // the file's own bytes do not pay for.
@@ -52,6 +49,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "inference/network_program.hpp"
@@ -68,7 +66,6 @@ enum class ArtifactErrorCode : int {
   kBadVersion,      // artifact from an unknown format revision
   kBadHeader,       // header field out of range / inconsistent
   kBadChecksum,     // payload checksum mismatch
-  kBadSection,      // section table entry out of range / misaligned
   kBadProgram,      // op records or int8 packs fail validation
 };
 
@@ -90,64 +87,21 @@ class ArtifactError : public std::runtime_error {
 
 inline constexpr char kArtifactMagic[8] = {'F', 'L', 'N', 'A',
                                            'R', 'T', '0', '1'};
-inline constexpr std::uint32_t kArtifactVersion = 3;
-inline constexpr std::size_t kArtifactAlignment = 64;
+inline constexpr std::uint32_t kArtifactVersion = 4;
 
 struct ArtifactHeader {
   char magic[8] = {};
   std::uint32_t version = 0;
-  std::uint32_t header_bytes = 0;  // sizeof(ArtifactHeader)
-  std::uint64_t file_bytes = 0;    // total artifact size
-  std::uint64_t section_table_offset = 0;
-  std::uint32_t section_count = 0;
   std::uint32_t op_count = 0;
-  // artifact_checksum64 over [header_bytes, file_bytes) -- everything
-  // after the header, section table and padding included.
+  std::uint64_t file_bytes = 0;  // total artifact size
+  // artifact_checksum64 over [sizeof(ArtifactHeader), file_bytes): every
+  // record and array.
   std::uint64_t payload_checksum = 0;
   std::int64_t input_c = 0;
   std::int64_t input_h = 0;
   std::int64_t input_w = 0;
-  std::uint8_t reserved[56] = {};
 };
-static_assert(sizeof(ArtifactHeader) == 128, "artifact header layout drift");
-
-// Serialization-stable section kinds (append only, never renumber). Kinds
-// 2-9 are retired and the loader rejects them: v1's per-entry flat element
-// index (2) and per-filter gain (9), and v2's per-entry channel, ky, kx,
-// shift and sign streams and filter prefix (3-8).
-enum class SectionKind : std::uint32_t {
-  kProgram = 1,       // op_count x OpRecord
-  kBias = 10,         // float[out_channels]
-  kWeights = 11,      // float fallback layers, row-major
-  kAffineScale = 12,  // float[channels]
-  kAffineBias = 13,   // float[channels]
-  kPackLive = 14,     // int32 per live filter (ShiftPlan::live)
-  kPackWords = 15,    // int32 x taps per live filter (ShiftPlan::words)
-  kPackNegated = 16,  // uint8 per live filter (ShiftPlan::negated)
-};
-
-struct SectionDesc {
-  std::uint32_t kind = 0;      // SectionKind
-  std::uint32_t op_index = 0;  // owning op; 0xffffffff for kProgram
-  std::uint64_t offset = 0;    // absolute, kArtifactAlignment-aligned
-  std::uint64_t bytes = 0;     // payload bytes (padding not included)
-};
-static_assert(sizeof(SectionDesc) == 24, "section descriptor layout drift");
-
-// Index of an op's section per role; kAbsentSection = role not present.
-inline constexpr std::uint32_t kAbsentSection = 0xffffffffU;
-
-// Section-reference roles inside OpRecord::sec, in serialization order.
-enum OpSectionRole : int {
-  kRoleLive = 0,
-  kRoleWords,
-  kRoleNegated,
-  kRoleBias,
-  kRoleWeights,
-  kRoleAffineScale,
-  kRoleAffineBias,
-  kOpSectionRoles,
-};
+static_assert(sizeof(ArtifactHeader) == 56, "artifact header layout drift");
 
 struct OpRecord {
   std::uint32_t kind = 0;  // inference::ProgramOpKind
@@ -171,11 +125,15 @@ struct OpRecord {
   std::int32_t flush_to_zero = 0;
   std::int32_t has_shortcut = 0;
   std::uint32_t weight_rank = 0;
-  std::int64_t weight_dims[4] = {};
-  std::uint32_t sec[kOpSectionRoles] = {};  // section indices per role
-  std::uint8_t reserved[36] = {};
+  std::int64_t weight_dims[4] = {};  // a float op's weights, element count
+  // Element counts of the arrays after the record.
+  std::uint64_t live_count = 0;     // shift: int32 per live filter
+  std::uint64_t word_count = 0;     // shift: int32 words
+  std::uint64_t negated_count = 0;  // shift: uint8 per live filter
+  std::uint64_t scale_count = 0;    // affine: float per channel
+  std::uint64_t bias_count = 0;     // shift, float, affine: float
 };
-static_assert(sizeof(OpRecord) == 224, "op record layout drift");
+static_assert(sizeof(OpRecord) == 200, "op record layout drift");
 
 // --- Compiler -------------------------------------------------------------
 
@@ -209,17 +167,18 @@ std::uint64_t artifact_checksum64(const std::uint8_t* data, std::size_t size);
 
 // --- Loader ---------------------------------------------------------------
 
-// Check `data`'s container and reconstitute its NetworkProgram, copying
-// every section it reads (the int8 packs as well as the float tensors), so
-// the program does not refer to `data`. Throws ArtifactError on a malformed
-// container. The program's contents are unchecked: hand it to
+// Check `data`'s stream and reconstitute its NetworkProgram, copying every
+// array it reads (the int8 packs as well as the float tensors), so the
+// program does not refer to `data`, which may sit at any alignment. Throws
+// ArtifactError on a malformed stream. The program's contents are
+// unchecked: hand it to
 // QuantizedNetwork::from_program (as ArtifactModel does) or each shift op's
 // plan to the adopting ShiftConv2d constructor before anything reads it.
 inference::NetworkProgram parse_artifact(const std::uint8_t* data,
                                          std::size_t size);
 
 // A deployable model bound to its backing artifact bytes. Owns the mapping
-// (mmap on POSIX, aligned heap elsewhere or via load_buffer) and the
+// (mmap on POSIX, a heap copy elsewhere or via load_buffer) and the
 // executable network built from it; the network keeps its own copy of the
 // int8 packs, so it never reads the mapping again, and `load` drops the
 // mapping's pages from the resident set once the network is built. Move-only.
@@ -228,8 +187,8 @@ class ArtifactModel {
   // mmap `path` read-only, check it and adopt its program.
   static ArtifactModel load(const std::string& path);
 
-  // Copy `size` bytes into a 64-byte-aligned heap block and load them. For
-  // callers that already hold the blob (tests, fuzzers, network receive).
+  // Copy `size` bytes to the heap and load them. For callers that already
+  // hold the blob (tests, fuzzers, network receive).
   static ArtifactModel load_buffer(const std::uint8_t* data, std::size_t size);
 
   ArtifactModel(ArtifactModel&&) noexcept = default;
@@ -251,11 +210,14 @@ class ArtifactModel {
   [[nodiscard]] std::size_t size() const { return mapping_->size(); }
 
  private:
-  // Read-only byte mapping; unmaps / frees on destruction.
+  // The artifact's bytes: the file's read-only mapping, unmapped on
+  // destruction, or a heap copy.
   class Mapping {
    public:
-    Mapping(const std::uint8_t* data, std::size_t size, bool mmapped)
-        : data_(data), size_(size), mmapped_(mmapped) {}
+    Mapping(const std::uint8_t* mapped, std::size_t size)
+        : data_(mapped), size_(size), mapped_(true) {}
+    explicit Mapping(std::vector<std::uint8_t> copy)
+        : copy_(std::move(copy)), data_(copy_.data()), size_(copy_.size()) {}
     Mapping(const Mapping&) = delete;
     Mapping& operator=(const Mapping&) = delete;
     ~Mapping();
@@ -263,9 +225,10 @@ class ArtifactModel {
     [[nodiscard]] std::size_t size() const { return size_; }
 
    private:
+    std::vector<std::uint8_t> copy_;
     const std::uint8_t* data_;
     std::size_t size_;
-    bool mmapped_;
+    bool mapped_ = false;
   };
 
   ArtifactModel(std::unique_ptr<Mapping> mapping,

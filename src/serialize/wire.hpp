@@ -28,12 +28,7 @@ class ByteWriter {
   void floats(const float* data, std::int64_t count) {
     bytes(data, static_cast<std::size_t>(count) * sizeof(float));
   }
-  // Zero-pad until the next multiple of `alignment` (a power of two).
-  void align_to(std::size_t alignment) {
-    while (buffer_.size() % alignment != 0) buffer_.push_back(0);
-  }
   void reserve(std::size_t capacity) { buffer_.reserve(capacity); }
-  [[nodiscard]] std::size_t size() const { return buffer_.size(); }
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
 
  private:
@@ -53,6 +48,7 @@ class ByteReader {
     if (count > size_ - cursor_) {
       throw std::runtime_error("serialize: truncated buffer");
     }
+    if (count == 0) return;  // `out` may be an empty vector's null data()
     std::memcpy(out, data_ + cursor_, count);
     cursor_ += count;
   }

@@ -2,19 +2,20 @@
 //
 //   1. Golden regression: a checked-in artifact built from a fully
 //      deterministic ResNet must be byte-identical to a fresh build --
-//      any layout drift (field order, alignment, section order, checksum)
-//      fails loudly -- and the loaded and heap-compiled networks must
-//      reproduce its checked-in logits byte for byte, in every build.
-//      Regenerate both with FLIGHTNN_REGEN_GOLDEN=1.
+//      any layout drift (field order, array order, checksum) fails loudly
+//      -- and the loaded and heap-compiled networks must reproduce its
+//      checked-in logits byte for byte, in every build. Regenerate both
+//      with FLIGHTNN_REGEN_GOLDEN=1.
 //   2. Differential: logits from the mmap-loaded and heap-compiled paths
 //      must be memcmp-identical, serial and under 4 threads.
-//   3. Corruption matrix: every structural violation (truncation, bad
-//      magic/version/checksum, misaligned or escaping or retired sections,
-//      invalid op records, int8 packs that lie about themselves or that the
-//      kernels cannot run) throws the matching typed ArtifactError -- never
-//      UB, never a wild allocation. The parser rejects the container's
-//      violations; from_program and the adopting engines the contents',
-//      which ArtifactModel maps to kBadProgram.
+//   3. Corruption matrix: every stream violation (truncation, bad
+//      magic/version/checksum/geometry, counts past the bytes left or
+//      overflowing, trailing bytes, unknown op kinds) and every content
+//      violation (op records and int8 packs that lie about themselves or
+//      that the kernels cannot run) throws the matching typed
+//      ArtifactError -- never UB, never a wild allocation. The parser
+//      rejects the stream's violations; from_program and the adopting
+//      engines the contents', which ArtifactModel maps to kBadProgram.
 //   4. Shared mapping: two processes mapping one artifact file produce
 //      identical logits (fork-based, POSIX only).
 
@@ -23,11 +24,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -185,6 +188,61 @@ TEST(GoldenArtifact, BuildIsByteIdenticalToCheckedInBlob) {
          "changed intentionally, bump kArtifactVersion and regenerate";
 }
 
+// Bytes of the arrays after `op`'s record. Every array a kind does not
+// store is empty in its op, so one sum serves every kind.
+std::size_t array_bytes(const inference::ProgramOp& op) {
+  const inference::ShiftPlan& plan = op.plan;
+  const std::size_t floats = static_cast<std::size_t>(op.weights.numel()) +
+                             static_cast<std::size_t>(op.bias.numel()) +
+                             op.scale.size() + op.affine_bias.size();
+  return (plan.live.size() + plan.words.size()) * sizeof(std::int32_t) +
+         plan.negated.size() + floats * sizeof(float);
+}
+
+// Offset of op `index`'s record in `program`'s artifact.
+std::size_t record_offset(const NetworkProgram& program, std::size_t index) {
+  std::size_t at = sizeof(ArtifactHeader);
+  for (std::size_t i = 0; i < index; ++i) {
+    at += sizeof(OpRecord) + array_bytes(program.ops[i]);
+  }
+  return at;
+}
+
+// The artifact is its header, then each op's record and arrays: no table,
+// no padding.
+TEST(GoldenArtifact, HoldsTheHeaderRecordsAndArraysOnly) {
+  const NetworkProgram program = deterministic_program();
+  const std::vector<std::uint8_t> golden = read_file(golden_path());
+  ASSERT_EQ(golden.size(), record_offset(program, program.ops.size()));
+  const std::size_t last_at = record_offset(program, program.ops.size() - 1);
+  OpRecord last;
+  std::memcpy(&last, golden.data() + last_at, sizeof(last));
+  EXPECT_EQ(last.kind, static_cast<std::uint32_t>(program.ops.back().kind));
+  EXPECT_EQ(last.word_count, program.ops.back().plan.words.size());
+}
+
+// The first 72 bytes of the version 3 golden artifact; its other 56 header
+// bytes were reserved zeros. The version is all a loader reads of it.
+constexpr std::uint8_t kV3GoldenHeader[72] = {
+    0x46, 0x4c, 0x4e, 0x41, 0x52, 0x54, 0x30, 0x31, 0x03, 0x00, 0x00, 0x00,
+    0x80, 0x00, 0x00, 0x00, 0xa8, 0x99, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x69, 0x00, 0x00, 0x00,
+    0x55, 0x00, 0x00, 0x00, 0x17, 0xea, 0xdd, 0x1d, 0x90, 0xa4, 0x4c, 0x11,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+
+TEST(GoldenArtifact, TheV3GoldenIsRefusedAsBadVersion) {
+  std::vector<std::uint8_t> v3(std::begin(kV3GoldenHeader),
+                               std::end(kV3GoldenHeader));
+  v3.resize(128);
+  try {
+    (void)ArtifactModel::load_buffer(v3.data(), v3.size());
+    ADD_FAILURE() << "loader accepted a v3 artifact";
+  } catch (const ArtifactError& error) {
+    EXPECT_EQ(error.code(), ArtifactErrorCode::kBadVersion) << error.what();
+  }
+}
+
 TEST(GoldenArtifact, BuildIsDeterministicAcrossRuns) {
   const NetworkProgram program = deterministic_program();
   EXPECT_EQ(build_artifact(program), build_artifact(program));
@@ -237,7 +295,7 @@ TEST(ArtifactDifferential, MmapAndHeapLogitsAreMemcmpIdentical) {
 }
 
 // load drops the mapping's pages from the resident set once the network is
-// built (for a file of 64 KiB and up, as VGG-7 w1.0's 84 KiB is); the mapping
+// built (for a file of 64 KiB and up, as VGG-7 w1.0's 82 KiB is); the mapping
 // stays, so data() still reads the file's bytes and re-parsing them gives
 // the program the file holds.
 TEST(ArtifactDifferential, DataReparsesToTheSameProgramAfterLoad) {
@@ -302,9 +360,20 @@ TEST(ArtifactParse, PacksAreCopiedOutIntact) {
   EXPECT_EQ(linear_ops, 1) << "the classifier is a shift linear op";
 }
 
+// The parser reads every field by memcpy, so a blob at an odd address parses
+// to the program the aligned blob holds.
+TEST(ArtifactParse, AnAlignmentOfOneParsesAlike) {
+  const std::vector<std::uint8_t> blob =
+      build_artifact(deterministic_program());
+  std::vector<std::uint8_t> buffer(blob.size() + 1);
+  std::memcpy(buffer.data() + 1, blob.data(), blob.size());
+  EXPECT_EQ(build_artifact(parse_artifact(buffer.data() + 1, blob.size())),
+            build_artifact(parse_artifact(blob.data(), blob.size())));
+}
+
 // A filter of 576 weights with one nonzero among them pays 144 words for one
-// entry; v3 stores it as it is and loads it, and the loaded network runs it
-// bit for bit as the term walk does.
+// entry; the artifact stores it as it is and loads it, and the loaded
+// network runs it bit for bit as the term walk does.
 TEST(ArtifactParse, SparseLiveFiltersRoundTrip) {
   const quant::Pow2Config pow2;
   const float unit = std::ldexp(1.0F, pow2.e_min);
@@ -345,13 +414,9 @@ TEST(ArtifactParse, SparseLiveFiltersRoundTrip) {
 }
 
 // --- Corruption matrix ----------------------------------------------------
-
-struct CorruptionCase {
-  const char* name;
-  ArtifactErrorCode expected;
-  bool reseal;  // recompute the checksum so deeper validators are reached
-  void (*mutate)(std::vector<std::uint8_t>& blob);
-};
+//
+// Stream cases mutate the built bytes. Content cases mutate the program and
+// build it, which writes the bytes a hostile file would hold.
 
 ArtifactHeader read_header(const std::vector<std::uint8_t>& blob) {
   ArtifactHeader header;
@@ -363,304 +428,278 @@ void write_header(std::vector<std::uint8_t>& blob, const ArtifactHeader& header)
   std::memcpy(blob.data(), &header, sizeof(header));
 }
 
-std::vector<SectionDesc> read_sections(const std::vector<std::uint8_t>& blob) {
-  const ArtifactHeader header = read_header(blob);
-  std::vector<SectionDesc> sections(header.section_count);
-  std::memcpy(sections.data(), blob.data() + sizeof(ArtifactHeader),
-              sections.size() * sizeof(SectionDesc));
-  return sections;
+// Declare the blob's current size in its header (after a resize).
+void refit(std::vector<std::uint8_t>& blob) {
+  ArtifactHeader header = read_header(blob);
+  header.file_bytes = blob.size();
+  write_header(blob, header);
 }
 
-void write_section(std::vector<std::uint8_t>& blob, std::size_t index,
-                   const SectionDesc& desc) {
-  std::memcpy(blob.data() + sizeof(ArtifactHeader) + index * sizeof(SectionDesc),
-              &desc, sizeof(desc));
-}
-
-OpRecord read_op(const std::vector<std::uint8_t>& blob, std::uint32_t index) {
-  const auto sections = read_sections(blob);
-  OpRecord record;
-  std::memcpy(&record, blob.data() + sections[0].offset + index * sizeof(record),
-              sizeof(record));
-  return record;
-}
-
-// The first section of `kind` owned by an op of `op_kind`; aborts the test
-// if absent.
-SectionDesc find_op_section(const std::vector<std::uint8_t>& blob,
-                            SectionKind kind, ProgramOpKind op_kind) {
-  for (const SectionDesc& desc : read_sections(blob)) {
-    if (desc.kind == static_cast<std::uint32_t>(kind) &&
-        read_op(blob, desc.op_index).kind ==
-            static_cast<std::uint32_t>(op_kind)) {
-      return desc;
-    }
+// Index of the first op of `kind`; fails the test if there is none.
+std::size_t first_op(const NetworkProgram& program, ProgramOpKind kind) {
+  for (std::size_t i = 0; i < program.ops.size(); ++i) {
+    if (program.ops[i].kind == kind) return i;
   }
-  ADD_FAILURE() << "no section of kind " << static_cast<int>(kind)
-                << " on an op of kind " << static_cast<int>(op_kind);
-  return {};
+  ADD_FAILURE() << "no op of kind " << static_cast<int>(kind);
+  return 0;
 }
 
-void set_section_1_kind(std::vector<std::uint8_t>& blob, std::uint32_t kind) {
-  auto sections = read_sections(blob);
-  sections[1].kind = kind;
-  write_section(blob, 1, sections[1]);
-}
-
-// First section of `kind`; aborts the test if absent.
-SectionDesc find_section(const std::vector<std::uint8_t>& blob,
-                         SectionKind kind, std::size_t* index = nullptr) {
-  const auto sections = read_sections(blob);
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    if (sections[i].kind == static_cast<std::uint32_t>(kind)) {
-      if (index != nullptr) *index = i;
-      return sections[i];
-    }
-  }
-  ADD_FAILURE() << "no section of kind " << static_cast<int>(kind);
-  return {};
-}
-
-// Apply `mutate` to the record of the first shift conv op.
+// Apply `mutate` to the record of the program's first shift conv.
 template <typename Mutate>
-void patch_first_shift_conv(std::vector<std::uint8_t>& blob, Mutate mutate) {
-  const SectionDesc program = find_section(blob, SectionKind::kProgram);
-  const ArtifactHeader header = read_header(blob);
-  for (std::uint32_t i = 0; i < header.op_count; ++i) {
-    OpRecord record;
-    std::uint8_t* at = blob.data() + program.offset + i * sizeof(record);
-    std::memcpy(&record, at, sizeof(record));
-    if (record.kind == static_cast<std::uint32_t>(ProgramOpKind::kShiftConv)) {
-      mutate(record);
-      std::memcpy(at, &record, sizeof(record));
-      return;
-    }
-  }
-  ADD_FAILURE() << "no shift conv op in the fixture network";
+void patch_first_shift_conv(std::vector<std::uint8_t>& blob,
+                            const NetworkProgram& program, Mutate mutate) {
+  std::uint8_t* at = blob.data() + record_offset(
+      program, first_op(program, ProgramOpKind::kShiftConv));
+  OpRecord record;
+  std::memcpy(&record, at, sizeof(record));
+  mutate(record);
+  std::memcpy(at, &record, sizeof(record));
 }
 
-// The live list of the first shift conv with two or more live filters.
-std::int32_t* first_conv_live(std::vector<std::uint8_t>& blob) {
-  for (const SectionDesc& desc : read_sections(blob)) {
-    if (desc.kind == static_cast<std::uint32_t>(SectionKind::kPackLive) &&
-        read_op(blob, desc.op_index).kind ==
-            static_cast<std::uint32_t>(ProgramOpKind::kShiftConv) &&
-        desc.bytes >= 2 * sizeof(std::int32_t)) {
-      return reinterpret_cast<std::int32_t*>(blob.data() + desc.offset);
-    }
-  }
-  ADD_FAILURE() << "no shift conv with two live filters";
-  static std::int32_t none[2] = {0, 1};
-  return none;
-}
+struct StreamCase {
+  const char* name;
+  ArtifactErrorCode expected;
+  bool reseal;  // recompute the checksum so the checks behind it are reached
+  void (*mutate)(std::vector<std::uint8_t>& blob,
+                 const NetworkProgram& program);
+};
 
-const CorruptionCase kCorruptionMatrix[] = {
+const StreamCase kStreamMatrix[] = {
     {"empty file", ArtifactErrorCode::kTruncated, false,
-     [](std::vector<std::uint8_t>& blob) { blob.clear(); }},
-    {"file shorter than the header", ArtifactErrorCode::kTruncated, false,
-     [](std::vector<std::uint8_t>& blob) { blob.resize(64); }},
-    {"payload truncated mid-section", ArtifactErrorCode::kTruncated, false,
-     [](std::vector<std::uint8_t>& blob) { blob.resize(blob.size() - 32); }},
-    {"flipped magic byte", ArtifactErrorCode::kBadMagic, false,
-     [](std::vector<std::uint8_t>& blob) { blob[0] ^= 0xFF; }},
-    {"future format version", ArtifactErrorCode::kBadVersion, false,
-     [](std::vector<std::uint8_t>& blob) {
-       auto header = read_header(blob);
-       header.version = kArtifactVersion + 7;
-       write_header(blob, header);
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       blob.clear();
      }},
-    {"inconsistent header geometry", ArtifactErrorCode::kBadHeader, false,
-     [](std::vector<std::uint8_t>& blob) {
-       auto header = read_header(blob);
-       header.section_table_offset = 64;
-       write_header(blob, header);
+    {"truncated header", ArtifactErrorCode::kTruncated, false,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       blob.resize(sizeof(ArtifactHeader) - 1);
      }},
-    {"trailing garbage past file_bytes", ArtifactErrorCode::kBadHeader, false,
-     [](std::vector<std::uint8_t>& blob) { blob.push_back(0xAB); }},
-    {"zero input geometry", ArtifactErrorCode::kBadHeader, false,
-     [](std::vector<std::uint8_t>& blob) {
-       auto header = read_header(blob);
-       header.input_c = 0;
-       write_header(blob, header);
+    {"file shorter than file_bytes", ArtifactErrorCode::kTruncated, false,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       blob.resize(blob.size() - 32);
      }},
-    {"single flipped payload bit", ArtifactErrorCode::kBadChecksum, false,
-     [](std::vector<std::uint8_t>& blob) { blob.back() ^= 0x01; }},
-    {"section count beyond the file", ArtifactErrorCode::kBadSection, false,
-     [](std::vector<std::uint8_t>& blob) {
-       auto header = read_header(blob);
-       header.section_count = 0x10000000U;
-       write_header(blob, header);
+    {"op count past the file", ArtifactErrorCode::kTruncated, false,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
        // The count lives in the header, outside the checksum; no reseal.
+       ArtifactHeader header = read_header(blob);
+       header.op_count = 0x10000000U;
+       write_header(blob, header);
      }},
-    {"misaligned section offset", ArtifactErrorCode::kBadSection, true,
-     [](std::vector<std::uint8_t>& blob) {
-       auto sections = read_sections(blob);
-       sections[1].offset += 8;
-       write_section(blob, 1, sections[1]);
+    {"record cut short", ArtifactErrorCode::kTruncated, true,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram& program) {
+       blob.resize(record_offset(program, program.ops.size() - 1) +
+                   sizeof(OpRecord) / 2);
+       refit(blob);
      }},
-    {"section escaping the file", ArtifactErrorCode::kBadSection, true,
-     [](std::vector<std::uint8_t>& blob) {
-       auto sections = read_sections(blob);
-       sections[1].bytes = ~std::uint64_t{0} - sections[1].offset + 1;
-       write_section(blob, 1, sections[1]);
+    {"array count past the bytes left", ArtifactErrorCode::kTruncated, true,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram& program) {
+       const std::uint64_t words = blob.size() / sizeof(std::int32_t) + 1;
+       patch_first_shift_conv(blob, program, [&](OpRecord& record) {
+         record.word_count = words;
+       });
      }},
-    {"unknown section kind", ArtifactErrorCode::kBadSection, true,
-     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 0xDEAD); }},
-    {"program section replaced", ArtifactErrorCode::kBadSection, true,
-     [](std::vector<std::uint8_t>& blob) {
-       auto sections = read_sections(blob);
-       sections[0].kind = static_cast<std::uint32_t>(SectionKind::kBias);
-       write_section(blob, 0, sections[0]);
+    // 4 x (2^62 + 1) wraps to 4 bytes.
+    {"count whose byte size overflows", ArtifactErrorCode::kTruncated, true,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram& program) {
+       patch_first_shift_conv(blob, program, [](OpRecord& record) {
+         record.word_count = (std::uint64_t{1} << 62) + 1;
+       });
      }},
-    {"op count disagreeing with the program section",
-     ArtifactErrorCode::kBadProgram, false,
-     [](std::vector<std::uint8_t>& blob) {
-       auto header = read_header(blob);
-       header.op_count += 1;
+    {"trailing bytes past file_bytes", ArtifactErrorCode::kBadHeader, false,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       blob.push_back(0xAB);
+     }},
+    {"bytes after the last op", ArtifactErrorCode::kBadHeader, true,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       blob.insert(blob.end(), 4, 0);
+       refit(blob);
+     }},
+    {"zero op count", ArtifactErrorCode::kBadProgram, false,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       ArtifactHeader header = read_header(blob);
+       header.op_count = 0;
        write_header(blob, header);
      }},
     {"unknown op kind", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc program = find_section(blob, SectionKind::kProgram);
-       OpRecord record;
-       std::memcpy(&record, blob.data() + program.offset, sizeof(record));
-       record.kind = 99;
-       std::memcpy(blob.data() + program.offset, &record, sizeof(record));
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       const std::uint32_t kind = 99;
+       std::memcpy(blob.data() + sizeof(ArtifactHeader) +
+                       offsetof(OpRecord, kind),
+                   &kind, sizeof(kind));
      }},
-    {"residual segment overrunning the op stream",
-     ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc program = find_section(blob, SectionKind::kProgram);
-       const ArtifactHeader header = read_header(blob);
-       for (std::uint32_t i = 0; i < header.op_count; ++i) {
-         OpRecord record;
-         std::memcpy(&record, blob.data() + program.offset + i * sizeof(record),
-                     sizeof(record));
-         if (record.kind ==
-             static_cast<std::uint32_t>(ProgramOpKind::kResidual)) {
-           record.main_ops = header.op_count + 100;
-           std::memcpy(blob.data() + program.offset + i * sizeof(record),
-                       &record, sizeof(record));
-           return;
-         }
-       }
-       ADD_FAILURE() << "no residual op in the fixture network";
+    {"flipped magic byte", ArtifactErrorCode::kBadMagic, false,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       blob[0] ^= 0xFF;
      }},
-    {"a v2 file", ArtifactErrorCode::kBadVersion, false,
-     [](std::vector<std::uint8_t>& blob) {
-       auto header = read_header(blob);
-       header.version = 2;
+    {"future format version", ArtifactErrorCode::kBadVersion, false,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       ArtifactHeader header = read_header(blob);
+       header.version = kArtifactVersion + 7;
        write_header(blob, header);
      }},
-    {"section of the retired element kind", ArtifactErrorCode::kBadSection,
-     true,
-     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 2); }},
-    {"section of v2's channel stream kind", ArtifactErrorCode::kBadSection,
-     true,
-     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 3); }},
-    {"section of v2's sign stream kind", ArtifactErrorCode::kBadSection, true,
-     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 7); }},
-    {"section of v2's filter prefix kind", ArtifactErrorCode::kBadSection,
-     true,
-     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 8); }},
-    {"section of the retired gain kind", ArtifactErrorCode::kBadSection, true,
-     [](std::vector<std::uint8_t>& blob) { set_section_1_kind(blob, 9); }},
-    {"live list unsorted", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       std::int32_t* live = first_conv_live(blob);
+    {"single flipped payload bit", ArtifactErrorCode::kBadChecksum, false,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       blob.back() ^= 0x01;
+     }},
+    {"zero input geometry", ArtifactErrorCode::kBadHeader, false,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
+       ArtifactHeader header = read_header(blob);
+       header.input_c = 0;
+       write_header(blob, header);
+     }},
+};
+
+// The program's first shift conv.
+inference::ProgramOp& first_shift_conv(NetworkProgram& program) {
+  return program.ops[first_op(program, ProgramOpKind::kShiftConv)];
+}
+
+struct ContentCase {
+  const char* name;
+  void (*mutate)(NetworkProgram& program);
+};
+
+// Every case is kBadProgram: from_program or adoption refuses it.
+const ContentCase kContentMatrix[] = {
+    {"live list unsorted",
+     [](NetworkProgram& program) {
+       std::vector<std::int32_t>& live = first_shift_conv(program).plan.live;
+       ASSERT_GE(live.size(), 2U);
        std::swap(live[0], live[1]);
      }},
-    {"live list repeating a filter", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       std::int32_t* live = first_conv_live(blob);
+    {"live list repeating a filter",
+     [](NetworkProgram& program) {
+       std::vector<std::int32_t>& live = first_shift_conv(program).plan.live;
+       ASSERT_GE(live.size(), 2U);
        live[1] = live[0];
      }},
-    {"live filter at out_channels", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc live = find_op_section(blob, SectionKind::kPackLive,
-                                                ProgramOpKind::kShiftConv);
-       const auto hostile = static_cast<std::int32_t>(
-           read_op(blob, live.op_index).out_channels);
-       std::memcpy(blob.data() + live.offset + live.bytes - sizeof(hostile),
-                   &hostile, sizeof(hostile));
+    {"live filter at out_channels",
+     [](NetworkProgram& program) {
+       inference::ProgramOp& op = first_shift_conv(program);
+       op.plan.live.back() = static_cast<std::int32_t>(op.out_channels);
      }},
-    {"negated byte 2", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       blob[find_section(blob, SectionKind::kPackNegated).offset] = 2;
+    {"negated byte 2",
+     [](NetworkProgram& program) {
+       first_shift_conv(program).plan.negated[0] = 2;
      }},
-    {"words section one word short", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       std::size_t index = 0;
-       SectionDesc words = find_section(blob, SectionKind::kPackWords, &index);
-       words.bytes -= sizeof(std::int32_t);
-       write_section(blob, index, words);
+    {"words one short",
+     [](NetworkProgram& program) {
+       first_shift_conv(program).plan.words.pop_back();
      }},
     // The first conv reads the RGB image: byte 3 of each word is a padding
     // lane.
-    {"nonzero padding lane", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc words = find_op_section(
-           blob, SectionKind::kPackWords, ProgramOpKind::kShiftConv);
-       EXPECT_EQ(read_op(blob, words.op_index).in_channels, 3);
-       blob[words.offset + 3] = 1;
+    {"nonzero padding lane",
+     [](NetworkProgram& program) {
+       inference::ProgramOp& op = first_shift_conv(program);
+       ASSERT_EQ(op.in_channels, 3);
+       op.plan.words[0] |= std::int32_t{1} << 24;
      }},
-    {"stored entry count one high", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       patch_first_shift_conv(blob, [](OpRecord& record) { ++record.entries; });
+    {"stored entry count one high",
+     [](NetworkProgram& program) {
+       ++first_shift_conv(program).plan.entry_count;
      }},
-    {"stored entry count one low", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       patch_first_shift_conv(blob, [](OpRecord& record) { --record.entries; });
+    {"stored entry count one low",
+     [](NetworkProgram& program) {
+       --first_shift_conv(program).plan.entry_count;
      }},
-    {"stored term count one high", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       patch_first_shift_conv(blob,
-                              [](OpRecord& record) { ++record.term_count; });
-     }},
+    {"stored term count one high",
+     [](NetworkProgram& program) { ++first_shift_conv(program).term_count; }},
     // The LightNN-2 fixture holds two-term weights.
-    {"weights past a k_max of 1", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       patch_first_shift_conv(blob, [](OpRecord& record) { record.k_max = 1; });
-     }},
+    {"weights past a k_max of 1",
+     [](NetworkProgram& program) { first_shift_conv(program).plan.k_max = 1; }},
     // Adoption checks the word count before it sizes anything from the
     // geometry: a 2^24 x 2^24 kernel over the stored words must be refused
     // there without allocating or overflowing.
     {"conv kernel of 2^24 over the stored words",
-     ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       patch_first_shift_conv(blob, [](OpRecord& record) {
-         record.kernel = std::int64_t{1} << 24;
-       });
+     [](NetworkProgram& program) {
+       first_shift_conv(program).kernel = std::int64_t{1} << 24;
      }},
-    {"conv kernel and padding of 2^24", ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       patch_first_shift_conv(blob, [](OpRecord& record) {
-         record.kernel = std::int64_t{1} << 24;
-         record.padding = std::int64_t{1} << 24;
-       });
+    {"conv kernel and padding of 2^24",
+     [](NetworkProgram& program) {
+       inference::ProgramOp& op = first_shift_conv(program);
+       op.kernel = std::int64_t{1} << 24;
+       op.padding = std::int64_t{1} << 24;
+     }},
+    {"residual segment overrunning the op stream",
+     [](NetworkProgram& program) {
+       program.ops[first_op(program, ProgramOpKind::kResidual)].main_ops =
+           static_cast<std::int64_t>(program.ops.size()) + 100;
      }},
 };
 
-TEST(ArtifactCorruption, EveryCorruptionClassYieldsItsTypedError) {
-  const std::vector<std::uint8_t> pristine =
-      build_artifact(deterministic_program());
+// Load `blob` and check it is refused with `expected`.
+void expect_refused(const std::vector<std::uint8_t>& blob,
+                    ArtifactErrorCode expected, const char* name) {
+  try {
+    (void)ArtifactModel::load_buffer(blob.data(), blob.size());
+    ADD_FAILURE() << name << ": loader accepted corrupt artifact";
+  } catch (const ArtifactError& error) {
+    EXPECT_EQ(error.code(), expected)
+        << name << " threw \"" << error.what() << "\"";
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << name << ": untyped exception " << error.what();
+  }
+}
+
+TEST(ArtifactCorruption, EveryStreamViolationYieldsItsTypedError) {
+  const NetworkProgram program = deterministic_program();
+  const std::vector<std::uint8_t> pristine = build_artifact(program);
   // The pristine blob must load -- otherwise the matrix proves nothing.
   ASSERT_NO_THROW(ArtifactModel::load_buffer(pristine.data(), pristine.size()));
-
-  for (const CorruptionCase& test_case : kCorruptionMatrix) {
+  for (const StreamCase& test_case : kStreamMatrix) {
     std::vector<std::uint8_t> blob = pristine;
-    test_case.mutate(blob);
+    test_case.mutate(blob, program);
     if (test_case.reseal) rewrite_artifact_checksum(blob);
-    try {
-      (void)ArtifactModel::load_buffer(blob.data(), blob.size());
-      ADD_FAILURE() << test_case.name << ": loader accepted corrupt artifact";
-    } catch (const ArtifactError& error) {
-      EXPECT_EQ(error.code(), test_case.expected)
-          << test_case.name << " threw \"" << error.what() << "\"";
-    } catch (const std::exception& error) {
-      ADD_FAILURE() << test_case.name << ": untyped exception " << error.what();
-    }
+    expect_refused(blob, test_case.expected, test_case.name);
   }
+}
+
+TEST(ArtifactCorruption, EveryContentViolationIsABadProgram) {
+  for (const ContentCase& test_case : kContentMatrix) {
+    NetworkProgram program = deterministic_program();
+    test_case.mutate(program);
+    expect_refused(build_artifact(program), ArtifactErrorCode::kBadProgram,
+                   test_case.name);
+  }
+}
+
+// A float op's weight dims size its array: the parser refuses a rank past 4
+// and a negative dim, and a product past the bytes left, overflowing or
+// not, before it allocates.
+TEST(ArtifactCorruption, FloatWeightDimsAreChecked) {
+  inference::ProgramOp op;
+  op.kind = ProgramOpKind::kFloatConv;
+  op.out_channels = 2;
+  op.in_channels = 3;
+  op.kernel = 1;
+  op.weights = Tensor(Shape{2, 3, 1, 1}, 0.5F);
+  NetworkProgram program;
+  program.ops.push_back(std::move(op));
+  program.input_c = 3;
+  program.input_h = 2;
+  program.input_w = 2;
+  const std::vector<std::uint8_t> pristine = build_artifact(program);
+  ASSERT_NO_THROW(ArtifactModel::load_buffer(pristine.data(), pristine.size()));
+  const auto patched = [&](auto mutate) {
+    std::vector<std::uint8_t> blob = pristine;
+    OpRecord record;
+    std::memcpy(&record, blob.data() + sizeof(ArtifactHeader), sizeof(record));
+    mutate(record);
+    std::memcpy(blob.data() + sizeof(ArtifactHeader), &record, sizeof(record));
+    rewrite_artifact_checksum(blob);
+    return blob;
+  };
+  expect_refused(patched([](OpRecord& r) { r.weight_rank = 5; }),
+                 ArtifactErrorCode::kBadProgram, "weight rank 5");
+  expect_refused(patched([](OpRecord& r) { r.weight_dims[1] = -3; }),
+                 ArtifactErrorCode::kBadProgram, "a negative weight dim");
+  expect_refused(patched([](OpRecord& r) { r.weight_dims[0] = 3; }),
+                 ArtifactErrorCode::kTruncated, "dims past the bytes left");
+  // 2 x 3 x 2^32 x 2^32 wraps to 0 elements.
+  expect_refused(patched([](OpRecord& r) {
+                   r.weight_dims[2] = std::int64_t{1} << 32;
+                   r.weight_dims[3] = std::int64_t{1} << 32;
+                 }),
+                 ArtifactErrorCode::kTruncated, "dims whose product overflows");
 }
 
 // --- Plans the int8 pack cannot run ----------------------------------------
