@@ -375,13 +375,7 @@ void emit_artifact(const fs::path& dir) {
   const auto record_offset = [&](std::size_t index) {
     std::size_t at = sizeof(ArtifactHeader);
     for (std::size_t i = 0; i < index; ++i) {
-      const ProgramOp& op = vgg_program.ops[i];
-      const std::size_t floats =
-          static_cast<std::size_t>(op.weights.numel() + op.bias.numel()) +
-          op.scale.size() + op.affine_bias.size();
-      at += sizeof(OpRecord) +
-            (op.plan.live.size() + op.plan.words.size()) * 4 +
-            op.plan.negated.size() + floats * 4;
+      at += ser::artifact_op_bytes(vgg_program.ops[i]);
     }
     return at;
   };
@@ -449,6 +443,33 @@ void emit_artifact(const fs::path& dir) {
   write_seed(dir, "artifact_count_overflow", patch_conv_record([](OpRecord& r) {
                r.word_count = (std::uint64_t{1} << 62) + 1;
              }));
+
+  // A float conv's weight dims 2^31 x 2^32 x 0 x 1: the product is 0, but
+  // its prefix is 2^65 bytes, which stays refused.
+  {
+    ProgramOp op;
+    op.kind = ProgramOpKind::kFloatConv;
+    op.out_channels = 2;
+    op.in_channels = 3;
+    op.kernel = 1;
+    op.weights = flightnn::tensor::Tensor(flightnn::tensor::Shape{2, 3, 1, 1},
+                                          0.5F);
+    NetworkProgram program;
+    program.ops.push_back(std::move(op));
+    program.input_c = 3;
+    program.input_h = 2;
+    program.input_w = 2;
+    Bytes blob = ser::build_artifact(program);
+    OpRecord record;
+    std::memcpy(&record, blob.data() + sizeof(ArtifactHeader), sizeof(record));
+    record.weight_dims[0] = std::int64_t{1} << 31;
+    record.weight_dims[1] = std::int64_t{1} << 32;
+    record.weight_dims[2] = 0;
+    record.weight_dims[3] = 1;
+    std::memcpy(blob.data() + sizeof(ArtifactHeader), &record, sizeof(record));
+    ser::rewrite_artifact_checksum(blob);
+    write_seed(dir, "artifact_float_dims_overflow", blob);
+  }
 
   // --- the contents: the first shift conv, mutated, then built ---
   const auto mutated_conv = [&](auto mutate) {

@@ -45,19 +45,6 @@ bool float_kind(ProgramOpKind kind) {
 
 // --- Build ----------------------------------------------------------------
 
-// The bytes write_op writes for `op`, its record and its arrays, when the
-// arrays its kind does not store are empty (as compile_program leaves them;
-// otherwise an overestimate).
-std::size_t op_bytes(const ProgramOp& op) {
-  const ShiftPlan& plan = op.plan;
-  const std::size_t floats = static_cast<std::size_t>(op.weights.numel()) +
-                             static_cast<std::size_t>(op.bias.numel()) +
-                             op.scale.size() + op.affine_bias.size();
-  return sizeof(OpRecord) +
-         (plan.live.size() + plan.words.size()) * sizeof(std::int32_t) +
-         plan.negated.size() + floats * sizeof(float);
-}
-
 // One op: its record, then its arrays in the order its kind fixes. This
 // order IS the format's, and part of its determinism contract.
 void write_op(ByteWriter& writer, const ProgramOp& op) {
@@ -207,21 +194,24 @@ ProgramOp read_op(ByteReader& reader, std::uint32_t op_index) {
     }
     const std::vector<std::int64_t> dims(
         record.weight_dims, record.weight_dims + record.weight_rank);
-    // The dims' product, saturated: an overflow fails the count check.
-    std::uint64_t numel = 1;
+    // dims x 4 bytes, saturated at the first overflow, which then fails the
+    // count check: a later zero dim cannot undo it, so every prefix of the
+    // dims multiplies to under 2^62 elements, as Shape::numel needs.
+    std::uint64_t bytes = sizeof(float);
     for (const std::int64_t d : dims) {
       if (d < 0) {
         fail(ArtifactErrorCode::kBadProgram,
              "op " + std::to_string(op_index) + " has a negative weight dim");
       }
-      if (__builtin_mul_overflow(numel, static_cast<std::uint64_t>(d),
-                                 &numel)) {
-        numel = ~std::uint64_t{0};
+      if (__builtin_mul_overflow(bytes, static_cast<std::uint64_t>(d),
+                                 &bytes)) {
+        bytes = ~std::uint64_t{0};
+        break;
       }
     }
     op.weights = tensor::Tensor(
         tensor::Shape(dims),
-        read_array<float>(reader, numel, op_index, "weights"));
+        read_array<float>(reader, bytes / sizeof(float), op_index, "weights"));
     op.bias = read_bias(reader, record.bias_count, op_index);
   } else if (op.kind == ProgramOpKind::kAffine) {
     op.scale = read_array<float>(reader, record.scale_count, op_index,
@@ -276,6 +266,16 @@ std::uint64_t artifact_checksum64(const std::uint8_t* data,
   return hash;
 }
 
+std::size_t artifact_op_bytes(const ProgramOp& op) {
+  const ShiftPlan& plan = op.plan;
+  const std::size_t floats = static_cast<std::size_t>(op.weights.numel()) +
+                             static_cast<std::size_t>(op.bias.numel()) +
+                             op.scale.size() + op.affine_bias.size();
+  return sizeof(OpRecord) +
+         (plan.live.size() + plan.words.size()) * sizeof(std::int32_t) +
+         plan.negated.size() + floats * sizeof(float);
+}
+
 FLIGHTNN_API_ENTRY std::vector<std::uint8_t> build_artifact(
     const NetworkProgram& program) {
   FLIGHTNN_CHECK(!program.ops.empty(), "build_artifact: empty program");
@@ -296,7 +296,7 @@ FLIGHTNN_API_ENTRY std::vector<std::uint8_t> build_artifact(
   header.input_w = program.input_w;
   // Reserve the whole blob, so writing never regrows it.
   std::size_t bytes = sizeof(ArtifactHeader);
-  for (const ProgramOp& op : program.ops) bytes += op_bytes(op);
+  for (const ProgramOp& op : program.ops) bytes += artifact_op_bytes(op);
   ByteWriter writer;
   writer.reserve(bytes);
   writer.bytes(&header, sizeof(header));  // file_bytes and checksum patched

@@ -143,6 +143,12 @@ static_assert(sizeof(OpRecord) == 200, "op record layout drift");
 std::vector<std::uint8_t> build_artifact(
     const inference::NetworkProgram& program);
 
+// The bytes build_artifact writes for `op`, its record and its arrays, when
+// the arrays its kind does not store are empty (as compile_program leaves
+// them; otherwise an overestimate). Op i's record sits at
+// sizeof(ArtifactHeader) plus the bytes of ops 0..i-1.
+std::size_t artifact_op_bytes(const inference::ProgramOp& op);
+
 // Write a built blob to `path` (throws ArtifactError{kIo}): for a caller
 // that keeps the blob, e.g. to adopt the program before it writes.
 void write_artifact(const std::vector<std::uint8_t>& blob,
