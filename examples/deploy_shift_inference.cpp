@@ -195,8 +195,7 @@ void print_profile(const flightnn::inference::QuantizedNetwork& network,
   double total_us = 0.0;
   for (const auto& step : steps) total_us += step.seconds * 1e6;
   support::Table table({"step", "kernel", "tile", "scratch", "time (us)",
-                        "% of total", "terms", "shifts", "adds",
-                        "float MACs"});
+                        "% of total", "terms", "shifts", "adds"});
   for (const auto& step : steps) {
     const double us = step.seconds * 1e6;
     table.add_row({step.name, step.kernel_tier, step.tile,
@@ -206,8 +205,7 @@ void print_profile(const flightnn::inference::QuantizedNetwork& network,
                    support::format_fixed(us, 1),
                    support::format_fixed(100.0 * us / total_us, 1),
                    std::to_string(step.terms), std::to_string(step.shifts),
-                   std::to_string(step.adds),
-                   std::to_string(step.float_macs)});
+                   std::to_string(step.adds)});
   }
   std::printf("\nper-layer profile (%zu steps, %.1f us/image total):\n%s",
               steps.size(), total_us, table.to_string().c_str());

@@ -88,9 +88,8 @@ int main() {
   const double engine_acc = loaded.network().evaluate(split.test, 1, &counts);
   std::printf("integer engine accuracy: %.2f%% (float path: %.2f%%)\n",
               engine_acc * 100.0, fit.test_accuracy * 100.0);
-  std::printf("integer ops per image: %lld shifts, %lld adds, %lld float MACs\n",
+  std::printf("integer ops per image: %lld shifts, %lld adds\n",
               static_cast<long long>(counts.shifts / counts.images),
-              static_cast<long long>(counts.adds / counts.images),
-              static_cast<long long>(counts.float_macs / counts.images));
+              static_cast<long long>(counts.adds / counts.images));
   return mismatches == 0 ? 0 : 1;
 }

@@ -400,8 +400,8 @@ void emit_artifact(const fs::path& dir) {
   }
   write_seed(dir, "artifact_bad_version",
              patch_header(vgg, [](ArtifactHeader& h) { h.version = 99; }));
-  write_seed(dir, "artifact_v3",
-             patch_header(vgg, [](ArtifactHeader& h) { h.version = 3; }));
+  write_seed(dir, "artifact_v4",
+             patch_header(vgg, [](ArtifactHeader& h) { h.version = 4; }));
   write_seed(dir, "artifact_bad_input_geom",
              patch_header(vgg, [](ArtifactHeader& h) { h.input_c = -1; }));
   {
@@ -435,6 +435,11 @@ void emit_artifact(const fs::path& dir) {
   write_seed(dir, "artifact_bad_op_kind", patch_conv_record([](OpRecord& r) {
                r.kind = 0xAB;
              }));
+  // The float conv and float linear kinds of v4 and earlier.
+  write_seed(dir, "artifact_retired_kind_3",
+             patch_conv_record([](OpRecord& r) { r.kind = 3; }));
+  write_seed(dir, "artifact_retired_kind_10",
+             patch_conv_record([](OpRecord& r) { r.kind = 10; }));
   write_seed(dir, "artifact_count_past_bytes",
              patch_conv_record([&](OpRecord& r) {
                r.word_count = vgg.size() / 4 + 1;
@@ -443,33 +448,6 @@ void emit_artifact(const fs::path& dir) {
   write_seed(dir, "artifact_count_overflow", patch_conv_record([](OpRecord& r) {
                r.word_count = (std::uint64_t{1} << 62) + 1;
              }));
-
-  // A float conv's weight dims 2^31 x 2^32 x 0 x 1: the product is 0, but
-  // its prefix is 2^65 bytes, which stays refused.
-  {
-    ProgramOp op;
-    op.kind = ProgramOpKind::kFloatConv;
-    op.out_channels = 2;
-    op.in_channels = 3;
-    op.kernel = 1;
-    op.weights = flightnn::tensor::Tensor(flightnn::tensor::Shape{2, 3, 1, 1},
-                                          0.5F);
-    NetworkProgram program;
-    program.ops.push_back(std::move(op));
-    program.input_c = 3;
-    program.input_h = 2;
-    program.input_w = 2;
-    Bytes blob = ser::build_artifact(program);
-    OpRecord record;
-    std::memcpy(&record, blob.data() + sizeof(ArtifactHeader), sizeof(record));
-    record.weight_dims[0] = std::int64_t{1} << 31;
-    record.weight_dims[1] = std::int64_t{1} << 32;
-    record.weight_dims[2] = 0;
-    record.weight_dims[3] = 1;
-    std::memcpy(blob.data() + sizeof(ArtifactHeader), &record, sizeof(record));
-    ser::rewrite_artifact_checksum(blob);
-    write_seed(dir, "artifact_float_dims_overflow", blob);
-  }
 
   // --- the contents: the first shift conv, mutated, then built ---
   const auto mutated_conv = [&](auto mutate) {

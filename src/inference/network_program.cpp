@@ -23,14 +23,19 @@ struct ProgramState {
   int current_act_bits;  // bits of the most recent activation quantizer
 };
 
-// Shift-coding parameters of a weight transform: k_max > 0 when the layer's
-// weights are sums of at most k_max powers of two (LightNN-k / FLightNN).
+// Shift-coding parameters of a weight transform: the layer's weights are
+// sums of at most k_max powers of two (LightNN-k / FLightNN).
 struct ShiftCoding {
   int k_max = 0;
   quant::Pow2Config pow2;
 };
 
-ShiftCoding shift_coding(quant::WeightTransform* transform) {
+// The shift coding of `layer`, the conv or linear layer about to become op
+// `at`. A compiled network runs every such layer on the shift engine, so a
+// layer whose transform has none (a full-precision or fixed-point model)
+// is refused: that model evaluates in float, on the training stack.
+ShiftCoding shift_coding(nn::Layer& layer, std::size_t at) {
+  quant::WeightTransform* transform = layer.weight_transform();
   ShiftCoding coding;
   if (auto* lightnn = dynamic_cast<quant::LightNNTransform*>(transform)) {
     coding.k_max = lightnn->k();
@@ -39,7 +44,26 @@ ShiftCoding shift_coding(quant::WeightTransform* transform) {
     coding.k_max = fl->config().k_max;
     coding.pow2 = fl->config().pow2;
   }
+  FLIGHTNN_CHECK(
+      coding.k_max > 0, "compile_program: ", layer.name(), " at op ", at,
+      " has no shift coding (weights: ",
+      transform != nullptr ? transform->describe() : "full precision",
+      "); the integer engine runs only shift-coded layers "
+      "(lightnn1|lightnn2|flightnn): evaluate this model in float "
+      "(flightnn eval --engine float)");
   return coding;
+}
+
+// A shift op's input width, pow2 window and plan, lowered from its layer's
+// quantized weights `wq`.
+void lower_weights(ProgramOp& op, const tensor::Tensor& wq,
+                   const ShiftCoding& coding, const ProgramState& state) {
+  op.act_bits = state.current_act_bits;
+  op.pow2 = coding.pow2;
+  CompiledPlan compiled =
+      ShiftPlan::compile_conv(wq, coding.k_max, coding.pow2);
+  op.term_count = compiled.term_count;
+  op.plan = std::move(compiled.plan);
 }
 
 void program_into(nn::Sequential& seq, ProgramState& state,
@@ -60,30 +84,18 @@ void program_layer(nn::Layer& layer, ProgramState& state,
     return;
   }
   if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
-    tensor::Tensor wq = conv->quantized_weight();
-    tensor::Tensor bias =
-        conv->has_bias() ? conv->bias().value : tensor::Tensor();
-    const ShiftCoding coding = shift_coding(conv->weight_transform());
+    const ShiftCoding coding = shift_coding(*conv, ops.size());
+    const tensor::Tensor wq = conv->quantized_weight();
     ProgramOp op;
+    op.kind = ProgramOpKind::kShiftConv;
     const auto& ws = wq.shape();
     op.out_channels = ws[0];
     op.in_channels = ws[1];
     op.kernel = ws[2];
     op.stride = conv->stride();
     op.padding = conv->padding();
-    op.bias = std::move(bias);
-    if (coding.k_max > 0) {
-      op.kind = ProgramOpKind::kShiftConv;
-      op.act_bits = state.current_act_bits;
-      op.pow2 = coding.pow2;
-      CompiledPlan compiled =
-          ShiftPlan::compile_conv(wq, coding.k_max, coding.pow2);
-      op.term_count = compiled.term_count;
-      op.plan = std::move(compiled.plan);
-    } else {
-      op.kind = ProgramOpKind::kFloatConv;
-      op.weights = std::move(wq);
-    }
+    if (conv->has_bias()) op.bias = conv->bias().value;
+    lower_weights(op, wq, coding, state);
     ops.push_back(std::move(op));
     return;
   }
@@ -132,26 +144,16 @@ void program_layer(nn::Layer& layer, ProgramState& state,
     return;
   }
   if (auto* linear = dynamic_cast<nn::Linear*>(&layer)) {
-    tensor::Tensor wq = linear->quantized_weight();
-    const ShiftCoding coding = shift_coding(linear->weight_transform());
+    const ShiftCoding coding = shift_coding(*linear, ops.size());
+    const tensor::Tensor wq = linear->quantized_weight();
+    // A 1x1 conv over the [in_features, 1, 1] plane.
     ProgramOp op;
+    op.kind = ProgramOpKind::kShiftLinear;
     op.out_channels = wq.shape()[0];
     op.in_channels = wq.shape()[1];
+    op.kernel = 1;
     op.bias = linear->bias().value;
-    if (coding.k_max > 0) {
-      // A 1x1 conv over the [in_features, 1, 1] plane.
-      op.kind = ProgramOpKind::kShiftLinear;
-      op.kernel = 1;
-      op.act_bits = state.current_act_bits;
-      op.pow2 = coding.pow2;
-      CompiledPlan compiled =
-          ShiftPlan::compile_conv(wq, coding.k_max, coding.pow2);
-      op.term_count = compiled.term_count;
-      op.plan = std::move(compiled.plan);
-    } else {
-      op.kind = ProgramOpKind::kFloatLinear;
-      op.weights = std::move(wq);
-    }
+    lower_weights(op, wq, coding, state);
     ops.push_back(std::move(op));
     return;
   }

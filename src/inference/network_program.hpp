@@ -4,7 +4,8 @@
 // model and the executable QuantizedNetwork. compile_program() walks the
 // layer tree once (the same dynamic_cast walk QuantizedNetwork::compile
 // always did) and lowers every layer into a self-contained ProgramOp --
-// shift layers carry their compiled ShiftPlan (the int8 pack), batch norm
+// conv and linear layers become shift ops carrying their compiled ShiftPlan
+// (the int8 pack), so a program is shift ops and float glue; batch norm
 // arrives already folded into per-channel affines, residual blocks are
 // flattened into pre-order segments with explicit child counts. A shift
 // layer is lowered once, straight from its quantized weights
@@ -39,18 +40,17 @@ namespace flightnn::inference {
 inline constexpr int kShiftInputBits = 8;
 
 // Serialization-stable op kinds (the artifact records these values; append
-// only, never renumber).
+// only, never renumber). 3 and 10, the float conv and float linear kinds of
+// artifact format v4 and earlier, were retired in v5: never reuse them.
 enum class ProgramOpKind : std::uint32_t {
   kQuantAct = 1,
   kShiftConv = 2,
-  kFloatConv = 3,
   kAffine = 4,
   kLeakyRelu = 5,
   kMaxPool = 6,
   kGap = 7,
   kFlatten = 8,
   kShiftLinear = 9,
-  kFloatLinear = 10,
   kResidual = 11,
 };
 
@@ -75,14 +75,11 @@ struct ProgramOp {
 
   // Shift ops: compiled plan + the pow2 grid it shifts on, plus the
   // decomposition's term census, which adoption checks against the plan.
+  // They carry only their plan, never weights.
   std::int64_t term_count = 0;
   quant::Pow2Config pow2;
   ShiftPlan plan;
-
-  // kFloatConv/kFloatLinear: the (quantized) float weights. Shift ops carry
-  // only their plan, never weights.
-  tensor::Tensor weights;
-  tensor::Tensor bias;  // conv/linear bias; may be empty
+  tensor::Tensor bias;  // shift op bias; may be empty
 
   // kAffine (folded batch norm): y = scale[c] * x + affine_bias[c].
   std::vector<float> scale;
@@ -100,9 +97,9 @@ struct ProgramOp {
 
 // Caps QuantizedNetwork::from_program enforces on every program, whatever
 // built it. A valid network never gets near them; a hostile one (an
-// artifact's 200-byte op record) cannot use them to demand unbounded work.
+// artifact's 168-byte op record) cannot use them to demand unbounded work.
 // Every geometry field an op reads (channels, kernel, stride, padding,
-// window, float weight dims, the input geometry) lies in [0 or 1, 2^24].
+// window, the input geometry) lies in [0 or 1, 2^24].
 inline constexpr std::int64_t kMaxOpDim = std::int64_t{1} << 24;
 // A shift op's term census (metadata) lies in [0, 2^40].
 inline constexpr std::int64_t kMaxTermCount = std::int64_t{1} << 40;
@@ -129,10 +126,13 @@ struct NetworkProgram {
 // conv's quantized weights, stride, padding and bias; a batch norm's
 // running statistics, folded): it runs no forward pass, so the calling
 // thread's tensor pool keeps only the quantized weights it asked each
-// transform for. Throws on layer types it does not understand and, through
-// ShiftPlan::compile_conv, on a shift layer whose weights its pow2 coding
-// cannot hold. It does not check that the layers can take `input_shape`:
-// from_program's load walk does, for every adopter.
+// transform for. Throws on layer types it does not understand, CheckFailure
+// on a conv or linear layer whose weight transform has no shift coding (a
+// full-precision or fixed-point model: evaluate it in float, `flightnn eval
+// --engine float`) and, through ShiftPlan::compile_conv, on a shift layer
+// whose weights its pow2 coding cannot hold. It does not check that the
+// layers can take `input_shape`: from_program's load walk does, for every
+// adopter.
 NetworkProgram compile_program(nn::Sequential& model,
                                const tensor::Shape& input_shape);
 

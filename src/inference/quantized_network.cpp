@@ -76,26 +76,6 @@ void validate_ops(  // NOLINT(misc-no-recursion)
                        "from_program: term count ", op.term_count,
                        " outside [0, 2^40]");
         break;
-      case ProgramOpKind::kFloatConv:
-      case ProgramOpKind::kFloatLinear: {
-        const bool conv = op.kind == ProgramOpKind::kFloatConv;
-        const auto& ws = op.weights.shape();
-        FLIGHTNN_CHECK(ws.rank() == (conv ? 4U : 2U), "from_program: float ",
-                       conv ? "conv weights must be OIHW, got "
-                            : "linear weights must be [out, in], got ",
-                       ws.to_string());
-        for (std::size_t axis = 0; axis < ws.rank(); ++axis) {
-          check_dim(ws[axis], 1, "float weight dim");
-        }
-        if (conv) {
-          check_dim(op.stride, 1, "float conv stride");
-          check_dim(op.padding, 0, "float conv padding");
-        }
-        FLIGHTNN_CHECK(op.bias.empty() || op.bias.numel() == ws[0],
-                       "from_program: float op bias holds ", op.bias.numel(),
-                       " values for ", ws[0], " outputs");
-        break;
-      }
       case ProgramOpKind::kAffine:
         FLIGHTNN_CHECK(op.scale.size() == op.affine_bias.size(),
                        "from_program: affine scale/bias size mismatch (",
@@ -218,26 +198,6 @@ FLIGHTNN_HOT tensor::Tensor global_avg_pool(const tensor::Tensor& input) {
   return out;
 }
 
-// Dense fallback over the op's (quantized) float weights; the input is read
-// as a flat vector whatever its shape.
-FLIGHTNN_HOT tensor::Tensor float_linear(const ProgramOp& op,
-                                         const tensor::Tensor& input) {
-  const std::int64_t out_features = op.weights.shape()[0];
-  const std::int64_t in_features = op.weights.shape()[1];
-  tensor::Tensor out =
-      tensor::Tensor::uninitialized(tensor::Shape{out_features});
-  const float* x = input.data();
-  for (std::int64_t o = 0; o < out_features; ++o) {
-    double acc = op.bias.empty() ? 0.0 : op.bias[o];
-    const float* row = op.weights.data() + o * in_features;
-    for (std::int64_t e = 0; e < in_features; ++e) {
-      acc += static_cast<double>(row[e]) * x[e];
-    }
-    out[o] = static_cast<float>(acc);
-  }
-  return out;
-}
-
 // `image` as [C, H, W]: a [1, C, H, W] image is reshaped in place.
 tensor::Tensor as_chw(tensor::Tensor image) {
   if (image.shape().rank() == 4) {
@@ -248,7 +208,7 @@ tensor::Tensor as_chw(tensor::Tensor image) {
 }
 
 NetworkOpCounts shift_counts(const OpCounts& ops) {
-  return {ops.shifts, ops.adds, 0, 0};
+  return {ops.shifts, ops.adds, 0};
 }
 
 // describe() token of one op ("quant(8b)", "shift_conv[16f/25t]", ...).
@@ -259,8 +219,6 @@ std::string op_token(const ProgramOp& op) {
     case ProgramOpKind::kShiftConv:
       return "shift_conv[" + std::to_string(op.out_channels) + "f/" +
              std::to_string(op.term_count) + "t]";
-    case ProgramOpKind::kFloatConv:
-      return "float_conv[" + std::to_string(op.weights.shape()[0]) + "f]";
     case ProgramOpKind::kAffine:
       return "affine";
     case ProgramOpKind::kLeakyRelu:
@@ -273,8 +231,6 @@ std::string op_token(const ProgramOp& op) {
       return "flatten";
     case ProgramOpKind::kShiftLinear:
       return "shift_linear[" + std::to_string(op.out_channels) + "]";
-    case ProgramOpKind::kFloatLinear:
-      return "float_linear[" + std::to_string(op.weights.shape()[0]) + "]";
     case ProgramOpKind::kResidual:
       return "residual";
   }
@@ -393,23 +349,6 @@ struct LoadWalk {
         record_shift_op(i, conv, in);
         break;
       }
-      case ProgramOpKind::kFloatConv: {
-        const auto& ws = op.weights.shape();
-        FLIGHTNN_CHECK(in.rank() == 3 && in[0] == ws[1] && ws[2] == ws[3],
-                       "from_program: float conv at op ", i, " with weights ",
-                       ws.to_string(), " cannot take ", in.to_string());
-        const tensor::ConvGeometry geom{in[0], in[1],     in[2],
-                                        ws[2], op.stride, op.padding};
-        FLIGHTNN_CHECK(geom.out_h() > 0 && geom.out_w() > 0,
-                       "from_program: float conv at op ", i,
-                       " produces an empty output from ", in.to_string());
-        // Acquired here, so its size is checked before the MACs count it.
-        tensor::Shape y =
-            acquire(i, tensor::Shape{ws[0], geom.out_h(), geom.out_w()});
-        release(in);
-        counts.float_macs = ws.numel() * y[1] * y[2];
-        return y;
-      }
       case ProgramOpKind::kAffine:
         FLIGHTNN_CHECK(
             in.rank() == 3 &&
@@ -441,15 +380,6 @@ struct LoadWalk {
         counts = shift_counts(conv.census(1, 1));
         record_shift_op(i, conv, tensor::Shape{in.numel(), 1, 1});
         out = tensor::Shape{op.out_channels};
-        break;
-      }
-      case ProgramOpKind::kFloatLinear: {
-        const auto& ws = op.weights.shape();
-        FLIGHTNN_CHECK(in.numel() == ws[1], "from_program: float linear at op ",
-                       i, " expects ", ws[1], " features, gets ",
-                       in.to_string());
-        counts.float_macs = ws.numel();
-        out = tensor::Shape{ws[0]};
         break;
       }
       case ProgramOpKind::kResidual: {
@@ -565,8 +495,6 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(std::size_t i,
       // so this re-quantization is lossless (same abs-max-driven pow2
       // scale).
       return engines_[i]->run(x, op.act_bits, memory_plan_.per_op()[i].tile);
-    case ProgramOpKind::kFloatConv:
-      return reference_conv(op.weights, x, op.stride, op.padding, op.bias);
     case ProgramOpKind::kAffine:
       affine_channels(op, x);
       return x;
@@ -589,8 +517,6 @@ FLIGHTNN_HOT tensor::Tensor QuantizedNetwork::run_op(std::size_t i,
       out.reshape(tensor::Shape{op.out_channels});
       return out;
     }
-    case ProgramOpKind::kFloatLinear:
-      return float_linear(op, x);
     case ProgramOpKind::kResidual: {
       // The main chain runs on a copy of the block input, then the shortcut
       // chain on the input itself (an empty shortcut is the identity); the
@@ -649,7 +575,6 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
         repeats;
     p.shifts = op_census_[i].shifts;
     p.adds = op_census_[i].adds;
-    p.float_macs = op_census_[i].float_macs;
     profiles.push_back(std::move(p));
   }
   return profiles;

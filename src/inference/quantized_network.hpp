@@ -16,11 +16,10 @@
 // the classifier that the float model lacks -- logits agree to that step's
 // 8-bit granularity, convolution outputs bit-exactly.
 //
-// Layers with shift-codable weights (LightNN-k / FLightNN transforms, or
-// full-precision weights after `quantize_weights_to(k)`) run on the
-// integer engine; fixed-point / full-precision layers fall back to float
-// math on their (quantized) weights so that any model variant can be
-// compiled and compared.
+// Every conv and linear layer runs on the integer engine, so only a model
+// whose layers are shift-coded (LightNN-k / FLightNN transforms) compiles;
+// compile_program refuses a full-precision or fixed-point one, which
+// evaluates in float on the training stack.
 //
 // Execution form: the network *is* its validated NetworkProgram. run() is
 // one switch over the flat pre-order op list, recursing only into a
@@ -34,8 +33,8 @@
 // output of each op that changes the shape and one copy per residual block.
 // profile(), describe() and step_count() walk the same top-level ranges.
 //
-// Op census and memory plan: the shift/add/float-MAC counts of one forward
-// pass, and the buffers it touches, depend only on the weights and the input
+// Op census and memory plan: the shift/add counts of one forward pass, and
+// the buffers it touches, depend only on the weights and the input
 // geometry, and run() fixes the geometry, so from_program takes both once
 // (census(), memory_plan()) and run() adds the census as a constant.
 
@@ -54,21 +53,18 @@ namespace flightnn::inference {
 struct NetworkOpCounts {
   std::int64_t shifts = 0;
   std::int64_t adds = 0;
-  // MAC-equivalents executed in float fallback (non-shift layers).
-  std::int64_t float_macs = 0;
   std::int64_t images = 0;
 
   NetworkOpCounts& operator+=(const NetworkOpCounts& other) {
     shifts += other.shifts;
     adds += other.adds;
-    float_macs += other.float_macs;
     images += other.images;
     return *this;
   }
   // This census repeated `n` times (every field scaled): a per-image census
   // times n is the census of n images.
   [[nodiscard]] NetworkOpCounts times(std::int64_t n) const {
-    return {shifts * n, adds * n, float_macs * n, images * n};
+    return {shifts * n, adds * n, images * n};
   }
 };
 
@@ -79,7 +75,6 @@ struct StepProfile {
   double seconds = 0.0;    // mean wall time per run of this op
   std::int64_t shifts = 0;
   std::int64_t adds = 0;
-  std::int64_t float_macs = 0;
   std::int64_t terms = 0;  // single-shift filter terms (0 for non-shift ops)
   // The dense kernel tier a shift op runs on (ShiftConv2d::kernel_tier:
   // "scalar" / "avx2" / "vnni"), "-" for ops that do not run on the shift
@@ -97,9 +92,9 @@ class QuantizedNetwork {
  public:
   // Compile a trained model: from_program(compile_program(model,
   // input_shape)). Throws on layer types it does not understand, and
-  // CheckFailure where from_program does, an input shape the layers cannot
-  // take included (its load walk is the shape check; compile runs no
-  // forward pass).
+  // CheckFailure on a conv or linear layer without shift coding and where
+  // from_program does, an input shape the layers cannot take included (its
+  // load walk is the shape check; compile runs no forward pass).
   static QuantizedNetwork compile(nn::Sequential& model,
                                   const tensor::Shape& input_shape);
 

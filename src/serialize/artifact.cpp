@@ -38,9 +38,22 @@ bool shift_kind(ProgramOpKind kind) {
          kind == ProgramOpKind::kShiftLinear;
 }
 
-bool float_kind(ProgramOpKind kind) {
-  return kind == ProgramOpKind::kFloatConv ||
-         kind == ProgramOpKind::kFloatLinear;
+// Whether a record's kind names an op kind of this format: 3 and 10, the
+// float conv and linear kinds of v4 and earlier, are retired.
+bool known_kind(std::uint32_t kind) {
+  switch (static_cast<ProgramOpKind>(kind)) {
+    case ProgramOpKind::kQuantAct:
+    case ProgramOpKind::kShiftConv:
+    case ProgramOpKind::kAffine:
+    case ProgramOpKind::kLeakyRelu:
+    case ProgramOpKind::kMaxPool:
+    case ProgramOpKind::kGap:
+    case ProgramOpKind::kFlatten:
+    case ProgramOpKind::kShiftLinear:
+    case ProgramOpKind::kResidual:
+      return true;
+  }
+  return false;
 }
 
 // --- Build ----------------------------------------------------------------
@@ -77,13 +90,6 @@ void write_op(ByteWriter& writer, const ProgramOp& op) {
     record.word_count = plan.words.size();
     record.negated_count = plan.negated.size();
     record.bias_count = static_cast<std::uint64_t>(op.bias.numel());
-  } else if (float_kind(op.kind)) {
-    const auto& shape = op.weights.shape();
-    record.weight_rank = static_cast<std::uint32_t>(shape.rank());
-    for (std::size_t axis = 0; axis < shape.rank(); ++axis) {
-      record.weight_dims[axis] = shape[axis];
-    }
-    record.bias_count = static_cast<std::uint64_t>(op.bias.numel());
   } else if (op.kind == ProgramOpKind::kAffine) {
     record.scale_count = op.scale.size();
     record.bias_count = op.affine_bias.size();
@@ -94,9 +100,6 @@ void write_op(ByteWriter& writer, const ProgramOp& op) {
     writer.bytes(plan.live.data(), plan.live.size() * sizeof(std::int32_t));
     writer.bytes(plan.words.data(), plan.words.size() * sizeof(std::int32_t));
     writer.bytes(plan.negated.data(), plan.negated.size());
-    writer.floats(op.bias.data(), op.bias.numel());
-  } else if (float_kind(op.kind)) {
-    writer.floats(op.weights.data(), op.weights.numel());
     writer.floats(op.bias.data(), op.bias.numel());
   } else if (op.kind == ProgramOpKind::kAffine) {
     writer.floats(op.scale.data(), static_cast<std::int64_t>(op.scale.size()));
@@ -147,8 +150,7 @@ ProgramOp read_op(ByteReader& reader, std::uint32_t op_index) {
   }
   OpRecord record;
   reader.bytes(&record, sizeof(record));
-  if (record.kind < static_cast<std::uint32_t>(ProgramOpKind::kQuantAct) ||
-      record.kind > static_cast<std::uint32_t>(ProgramOpKind::kResidual)) {
+  if (!known_kind(record.kind)) {
     fail(ArtifactErrorCode::kBadProgram,
          "op " + std::to_string(op_index) + " has unknown kind " +
              std::to_string(record.kind));
@@ -185,33 +187,6 @@ ProgramOp read_op(ByteReader& reader, std::uint32_t op_index) {
                                           "words");
     plan.negated = read_array<std::uint8_t>(reader, record.negated_count,
                                             op_index, "negated");
-    op.bias = read_bias(reader, record.bias_count, op_index);
-  } else if (float_kind(op.kind)) {
-    if (record.weight_rank > 4) {
-      fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " float weights rank " +
-               std::to_string(record.weight_rank) + " exceeds 4");
-    }
-    const std::vector<std::int64_t> dims(
-        record.weight_dims, record.weight_dims + record.weight_rank);
-    // dims x 4 bytes, saturated at the first overflow, which then fails the
-    // count check: a later zero dim cannot undo it, so every prefix of the
-    // dims multiplies to under 2^62 elements, as Shape::numel needs.
-    std::uint64_t bytes = sizeof(float);
-    for (const std::int64_t d : dims) {
-      if (d < 0) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " has a negative weight dim");
-      }
-      if (__builtin_mul_overflow(bytes, static_cast<std::uint64_t>(d),
-                                 &bytes)) {
-        bytes = ~std::uint64_t{0};
-        break;
-      }
-    }
-    op.weights = tensor::Tensor(
-        tensor::Shape(dims),
-        read_array<float>(reader, bytes / sizeof(float), op_index, "weights"));
     op.bias = read_bias(reader, record.bias_count, op_index);
   } else if (op.kind == ProgramOpKind::kAffine) {
     op.scale = read_array<float>(reader, record.scale_count, op_index,
@@ -268,8 +243,7 @@ std::uint64_t artifact_checksum64(const std::uint8_t* data,
 
 std::size_t artifact_op_bytes(const ProgramOp& op) {
   const ShiftPlan& plan = op.plan;
-  const std::size_t floats = static_cast<std::size_t>(op.weights.numel()) +
-                             static_cast<std::size_t>(op.bias.numel()) +
+  const std::size_t floats = static_cast<std::size_t>(op.bias.numel()) +
                              op.scale.size() + op.affine_bias.size();
   return sizeof(OpRecord) +
          (plan.live.size() + plan.words.size()) * sizeof(std::int32_t) +

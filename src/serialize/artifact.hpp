@@ -11,39 +11,39 @@
 // the words in the kernels' blocked order in one pass over them
 // (adopt_plan). Once loaded, nothing reads the mapping.
 //
-// Format v4 (DESIGN.md §13 is the normative spec):
+// Format v5 (DESIGN.md §13 is the normative spec):
 //
 //   [ArtifactHeader: 56 bytes]
-//   op_count x [OpRecord: 200 bytes][the op's arrays]
+//   op_count x [OpRecord: 168 bytes][the op's arrays]
 //
 // An op's arrays follow its record in an order its kind fixes -- shift ops:
-// live (int32), words (int32), negated (uint8), bias (float); float ops:
-// weights (float, as the record's dims say), bias; affine ops: scale, bias
-// (float) -- each as long as its record says; other kinds have none. Every
-// field is little-endian native and no structure has padding or reserved
-// bytes; the parser memcpys each header, record and array out, so a buffer
-// at any alignment parses. The header carries a checksum (8-lane
+// live (int32), words (int32), negated (uint8), bias (float); affine ops:
+// scale, bias (float) -- each as long as its record says; other kinds have
+// none. Every field is little-endian native and no structure has padding or
+// reserved bytes (static_asserts below hold each struct's size to the sum
+// of its fields'); the parser memcpys each header, record and array out, so
+// a buffer at any alignment parses. The header carries a checksum (8-lane
 // interleaved FNV-1a-64, see artifact_checksum64) over everything after
 // itself. build_artifact is byte-reproducible for a given program (the
 // golden test pins this).
 //
 // Versioning: `version` is bumped on any layout change; loaders reject
-// versions they do not know (no silent forward compat: a v3 or older file is
-// refused). New op kinds append enum values, never renumber.
+// versions they do not know (no silent forward compat: a v4 or older file is
+// refused). New op kinds append enum values, never renumber; v5 retired the
+// float conv and linear kinds (3 and 10), which the parser refuses.
 //
 // The loader treats the file as untrusted input, in two steps. The parser
 // checks the stream: the header (input geometry included), the checksum,
 // each record's op kind, every count against the bytes left before it
-// allocates, a float op's weight dims, and nothing after the last op. The
-// contents are checked where every program's are, whoever built it:
-// QuantizedNetwork::from_program checks every op field
-// (inference/network_program.hpp lists its caps) and the adopting engine
-// every plan (adopt_plan: the live list, the negated bytes, the word count,
-// the padding lanes, each weight's peel against k_max, the int32 bound and
-// the stored counts): the rungs DESIGN.md §13 lists, in order.
-// ArtifactModel maps their CheckFailure to kBadProgram, so any violation
-// throws ArtifactError with a typed code -- never UB, never an allocation
-// the file's own bytes do not pay for.
+// allocates, and nothing after the last op. The contents are checked where
+// every program's are, whoever built it: QuantizedNetwork::from_program
+// checks every op field (inference/network_program.hpp lists its caps) and
+// the adopting engine every plan (adopt_plan: the live list, the negated
+// bytes, the word count, the padding lanes, each weight's peel against
+// k_max, the int32 bound and the stored counts): the rungs DESIGN.md §13
+// lists, in order. ArtifactModel maps their CheckFailure to kBadProgram, so
+// any violation throws ArtifactError with a typed code -- never UB, never an
+// allocation the file's own bytes do not pay for.
 
 #include <cstdint>
 #include <memory>
@@ -87,7 +87,7 @@ class ArtifactError : public std::runtime_error {
 
 inline constexpr char kArtifactMagic[8] = {'F', 'L', 'N', 'A',
                                            'R', 'T', '0', '1'};
-inline constexpr std::uint32_t kArtifactVersion = 4;
+inline constexpr std::uint32_t kArtifactVersion = 5;
 
 struct ArtifactHeader {
   char magic[8] = {};
@@ -102,6 +102,17 @@ struct ArtifactHeader {
   std::int64_t input_w = 0;
 };
 static_assert(sizeof(ArtifactHeader) == 56, "artifact header layout drift");
+// No padding: build_artifact writes the struct's bytes as they are.
+static_assert(sizeof(ArtifactHeader) ==
+                  sizeof(ArtifactHeader::magic) +
+                      sizeof(ArtifactHeader::version) +
+                      sizeof(ArtifactHeader::op_count) +
+                      sizeof(ArtifactHeader::file_bytes) +
+                      sizeof(ArtifactHeader::payload_checksum) +
+                      sizeof(ArtifactHeader::input_c) +
+                      sizeof(ArtifactHeader::input_h) +
+                      sizeof(ArtifactHeader::input_w),
+              "artifact header has padding");
 
 struct OpRecord {
   std::uint32_t kind = 0;  // inference::ProgramOpKind
@@ -123,23 +134,45 @@ struct OpRecord {
   std::int32_t e_min = 0;
   std::int32_t e_max = 0;
   std::int32_t flush_to_zero = 0;
-  std::int32_t has_shortcut = 0;
-  std::uint32_t weight_rank = 0;
-  std::int64_t weight_dims[4] = {};  // a float op's weights, element count
+  // 8 bytes wide, so the counts below start 8-aligned with no hole before
+  // them.
+  std::int64_t has_shortcut = 0;
   // Element counts of the arrays after the record.
   std::uint64_t live_count = 0;     // shift: int32 per live filter
   std::uint64_t word_count = 0;     // shift: int32 words
   std::uint64_t negated_count = 0;  // shift: uint8 per live filter
   std::uint64_t scale_count = 0;    // affine: float per channel
-  std::uint64_t bias_count = 0;     // shift, float, affine: float
+  std::uint64_t bias_count = 0;     // shift, affine: float
 };
-static_assert(sizeof(OpRecord) == 200, "op record layout drift");
+static_assert(sizeof(OpRecord) == 168, "op record layout drift");
+// No padding: build_artifact writes the struct's bytes as they are, so a
+// hole would put indeterminate bytes in the file.
+static_assert(sizeof(OpRecord) ==
+                  sizeof(OpRecord::kind) + sizeof(OpRecord::bits) +
+                      sizeof(OpRecord::act_bits) + sizeof(OpRecord::slope) +
+                      sizeof(OpRecord::out_channels) +
+                      sizeof(OpRecord::in_channels) +
+                      sizeof(OpRecord::kernel) + sizeof(OpRecord::window) +
+                      sizeof(OpRecord::stride) + sizeof(OpRecord::padding) +
+                      sizeof(OpRecord::term_count) +
+                      sizeof(OpRecord::entries) + sizeof(OpRecord::main_ops) +
+                      sizeof(OpRecord::shortcut_ops) +
+                      sizeof(OpRecord::post_ops) + sizeof(OpRecord::k_max) +
+                      sizeof(OpRecord::e_min) + sizeof(OpRecord::e_max) +
+                      sizeof(OpRecord::flush_to_zero) +
+                      sizeof(OpRecord::has_shortcut) +
+                      sizeof(OpRecord::live_count) +
+                      sizeof(OpRecord::word_count) +
+                      sizeof(OpRecord::negated_count) +
+                      sizeof(OpRecord::scale_count) +
+                      sizeof(OpRecord::bias_count),
+              "op record has padding");
 
 // --- Compiler -------------------------------------------------------------
 
 // Lay the program out into one artifact blob. Deterministic: the same
-// program produces the same bytes. Shift ops store their int8 packs (never
-// float weights); float fallback ops store their weight tensors.
+// program produces the same bytes. Shift ops store their int8 packs, never
+// float weights.
 std::vector<std::uint8_t> build_artifact(
     const inference::NetworkProgram& program);
 
@@ -174,7 +207,7 @@ std::uint64_t artifact_checksum64(const std::uint8_t* data, std::size_t size);
 // --- Loader ---------------------------------------------------------------
 
 // Check `data`'s stream and reconstitute its NetworkProgram, copying every
-// array it reads (the int8 packs as well as the float tensors), so the
+// array it reads (the int8 packs as well as the float arrays), so the
 // program does not refer to `data`, which may sit at any alignment. Throws
 // ArtifactError on a malformed stream. The program's contents are
 // unchecked: hand it to

@@ -10,9 +10,9 @@
 //      must be memcmp-identical, serial and under 4 threads.
 //   3. Corruption matrix: every stream violation (truncation, bad
 //      magic/version/checksum/geometry, counts past the bytes left or
-//      overflowing, trailing bytes, unknown op kinds) and every content
-//      violation (op records and int8 packs that lie about themselves or
-//      that the kernels cannot run) throws the matching typed
+//      overflowing, trailing bytes, unknown and retired op kinds) and every
+//      content violation (op records and int8 packs that lie about
+//      themselves or that the kernels cannot run) throws the matching typed
 //      ArtifactError -- never UB, never a wild allocation. The parser
 //      rejects the stream's violations; from_program and the adopting
 //      engines the contents', which ArtifactModel maps to kBadProgram.
@@ -191,8 +191,7 @@ TEST(GoldenArtifact, BuildIsByteIdenticalToCheckedInBlob) {
 // store is empty in its op, so one sum serves every kind.
 std::size_t array_bytes(const inference::ProgramOp& op) {
   const inference::ShiftPlan& plan = op.plan;
-  const std::size_t floats = static_cast<std::size_t>(op.weights.numel()) +
-                             static_cast<std::size_t>(op.bias.numel()) +
+  const std::size_t floats = static_cast<std::size_t>(op.bias.numel()) +
                              op.scale.size() + op.affine_bias.size();
   return (plan.live.size() + plan.words.size()) * sizeof(std::int32_t) +
          plan.negated.size() + floats * sizeof(float);
@@ -330,8 +329,6 @@ TEST(ArtifactParse, PacksAreCopiedOutIntact) {
     EXPECT_EQ(op.plan.negated, want.negated);
     EXPECT_FALSE(in_blob(op.plan.words.data()));
     EXPECT_FALSE(in_blob(op.plan.live.data()));
-    // The artifact path carries packs, never the float weights.
-    EXPECT_TRUE(op.weights.empty());
   }
   EXPECT_GT(shift_ops, 10) << "ResNet-18 should lower many shift layers";
   EXPECT_EQ(linear_ops, 1) << "the classifier is a shift linear op";
@@ -421,12 +418,13 @@ std::size_t first_op(const NetworkProgram& program, ProgramOpKind kind) {
   return 0;
 }
 
-// Apply `mutate` to the record of the program's first shift conv.
+// Apply `mutate` to the record of the program's first op of `kind`.
 template <typename Mutate>
-void patch_first_shift_conv(std::vector<std::uint8_t>& blob,
-                            const NetworkProgram& program, Mutate mutate) {
-  std::uint8_t* at = blob.data() + record_offset(
-      program, first_op(program, ProgramOpKind::kShiftConv));
+void patch_first_record(std::vector<std::uint8_t>& blob,
+                        const NetworkProgram& program, ProgramOpKind kind,
+                        Mutate mutate) {
+  std::uint8_t* at = blob.data() + record_offset(program,
+                                                 first_op(program, kind));
   OpRecord record;
   std::memcpy(&record, at, sizeof(record));
   mutate(record);
@@ -470,16 +468,16 @@ const StreamCase kStreamMatrix[] = {
     {"array count past the bytes left", ArtifactErrorCode::kTruncated, true,
      [](std::vector<std::uint8_t>& blob, const NetworkProgram& program) {
        const std::uint64_t words = blob.size() / sizeof(std::int32_t) + 1;
-       patch_first_shift_conv(blob, program, [&](OpRecord& record) {
-         record.word_count = words;
-       });
+       patch_first_record(blob, program, ProgramOpKind::kShiftConv,
+                          [&](OpRecord& record) { record.word_count = words; });
      }},
     // 4 x (2^62 + 1) wraps to 4 bytes.
     {"count whose byte size overflows", ArtifactErrorCode::kTruncated, true,
      [](std::vector<std::uint8_t>& blob, const NetworkProgram& program) {
-       patch_first_shift_conv(blob, program, [](OpRecord& record) {
-         record.word_count = (std::uint64_t{1} << 62) + 1;
-       });
+       patch_first_record(blob, program, ProgramOpKind::kShiftConv,
+                          [](OpRecord& record) {
+                            record.word_count = (std::uint64_t{1} << 62) + 1;
+                          });
      }},
     {"trailing bytes past file_bytes", ArtifactErrorCode::kBadHeader, false,
      [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
@@ -503,6 +501,19 @@ const StreamCase kStreamMatrix[] = {
                        offsetof(OpRecord, kind),
                    &kind, sizeof(kind));
      }},
+    // The float conv and float linear kinds of v4 and earlier, on a leaky
+    // op's record: it has no arrays, so only the kind check can refuse it
+    // in the parser.
+    {"retired op kind 3", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram& program) {
+       patch_first_record(blob, program, ProgramOpKind::kLeakyRelu,
+                          [](OpRecord& record) { record.kind = 3; });
+     }},
+    {"retired op kind 10", ArtifactErrorCode::kBadProgram, true,
+     [](std::vector<std::uint8_t>& blob, const NetworkProgram& program) {
+       patch_first_record(blob, program, ProgramOpKind::kLeakyRelu,
+                          [](OpRecord& record) { record.kind = 10; });
+     }},
     {"flipped magic byte", ArtifactErrorCode::kBadMagic, false,
      [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
        blob[0] ^= 0xFF;
@@ -513,10 +524,10 @@ const StreamCase kStreamMatrix[] = {
        header.version = kArtifactVersion + 7;
        write_header(blob, header);
      }},
-    {"a v3 file", ArtifactErrorCode::kBadVersion, false,
+    {"a v4 file", ArtifactErrorCode::kBadVersion, false,
      [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
        ArtifactHeader header = read_header(blob);
-       header.version = 3;
+       header.version = 4;
        write_header(blob, header);
      }},
     {"single flipped payload bit", ArtifactErrorCode::kBadChecksum, false,
@@ -633,6 +644,14 @@ TEST(ArtifactCorruption, EveryStreamViolationYieldsItsTypedError) {
     test_case.mutate(blob, program);
     if (test_case.reseal) rewrite_artifact_checksum(blob);
     expect_refused(blob, test_case.expected, test_case.name);
+    // The parser refuses it, before from_program sees any op.
+    try {
+      (void)parse_artifact(blob.data(), blob.size());
+      ADD_FAILURE() << test_case.name << ": the parser accepted it";
+    } catch (const ArtifactError& error) {
+      EXPECT_EQ(error.code(), test_case.expected)
+          << test_case.name << " threw \"" << error.what() << "\"";
+    }
   }
 }
 
@@ -642,60 +661,6 @@ TEST(ArtifactCorruption, EveryContentViolationIsABadProgram) {
     test_case.mutate(program);
     expect_refused(build_artifact(program), ArtifactErrorCode::kBadProgram,
                    test_case.name);
-  }
-}
-
-// A float op's weight dims size its array: the parser refuses a rank past 4
-// and a negative dim, and a product past the bytes left, overflowing or
-// not, before it allocates.
-TEST(ArtifactCorruption, FloatWeightDimsAreChecked) {
-  inference::ProgramOp op;
-  op.kind = ProgramOpKind::kFloatConv;
-  op.out_channels = 2;
-  op.in_channels = 3;
-  op.kernel = 1;
-  op.weights = Tensor(Shape{2, 3, 1, 1}, 0.5F);
-  NetworkProgram program;
-  program.ops.push_back(std::move(op));
-  program.input_c = 3;
-  program.input_h = 2;
-  program.input_w = 2;
-  const std::vector<std::uint8_t> pristine = build_artifact(program);
-  ASSERT_NO_THROW(ArtifactModel::load_buffer(pristine.data(), pristine.size()));
-  const auto patched = [&](auto mutate) {
-    std::vector<std::uint8_t> blob = pristine;
-    OpRecord record;
-    std::memcpy(&record, blob.data() + sizeof(ArtifactHeader), sizeof(record));
-    mutate(record);
-    std::memcpy(blob.data() + sizeof(ArtifactHeader), &record, sizeof(record));
-    rewrite_artifact_checksum(blob);
-    return blob;
-  };
-  expect_refused(patched([](OpRecord& r) { r.weight_rank = 5; }),
-                 ArtifactErrorCode::kBadProgram, "weight rank 5");
-  expect_refused(patched([](OpRecord& r) { r.weight_dims[1] = -3; }),
-                 ArtifactErrorCode::kBadProgram, "a negative weight dim");
-  expect_refused(patched([](OpRecord& r) { r.weight_dims[0] = 3; }),
-                 ArtifactErrorCode::kTruncated, "dims past the bytes left");
-  // 2 x 3 x 2^32 x 2^32 wraps to 0 elements.
-  expect_refused(patched([](OpRecord& r) {
-                   r.weight_dims[2] = std::int64_t{1} << 32;
-                   r.weight_dims[3] = std::int64_t{1} << 32;
-                 }),
-                 ArtifactErrorCode::kTruncated, "dims whose product overflows");
-  // A zero dim after an overflowing prefix makes the product 0, but the
-  // prefix is past what Shape::numel can multiply: the overflow stands.
-  const std::int64_t two_31 = std::int64_t{1} << 31;
-  const std::int64_t two_32 = std::int64_t{1} << 32;
-  for (const std::int64_t first : {two_32, two_31}) {
-    expect_refused(patched([&](OpRecord& r) {
-                     r.weight_dims[0] = first;
-                     r.weight_dims[1] = two_32;
-                     r.weight_dims[2] = 0;
-                     r.weight_dims[3] = 1;
-                   }),
-                   ArtifactErrorCode::kTruncated,
-                   "an overflowing prefix before a zero dim");
   }
 }
 

@@ -184,7 +184,6 @@ TEST_P(NetworkBatchSizes, QuantizedNetworkBatchBitIdentical) {
     EXPECT_EQ(parallel.argmax, serial.argmax);
     EXPECT_EQ(parallel.counts.shifts, serial.counts.shifts);
     EXPECT_EQ(parallel.counts.adds, serial.counts.adds);
-    EXPECT_EQ(parallel.counts.float_macs, serial.counts.float_macs);
     EXPECT_EQ(parallel.counts.images, serial.counts.images);
   }
   runtime::set_num_threads(1);

@@ -380,7 +380,6 @@ TEST(ServingTest, ServerPathBitIdenticalToDirectBatchRunner) {
       // Per-request census attribution survives dynamic batching.
       EXPECT_EQ(expected.counts.shifts, actual.counts.shifts);
       EXPECT_EQ(expected.counts.adds, actual.counts.adds);
-      EXPECT_EQ(expected.counts.float_macs, actual.counts.float_macs);
       EXPECT_EQ(expected.counts.images, actual.counts.images);
     }
   }

@@ -11,7 +11,10 @@
 //                    --checkpoint out.ckpt [--index 0]
 //
 // Datasets are the synthetic stand-ins (cifar10 / svhn / cifar100 /
-// imagenet); networks are the paper's Table-1 ids (1-8).
+// imagenet); networks are the paper's Table-1 ids (1-8). The integer engine
+// (`eval --engine integer`, `export`, `predict`) runs shift-coded models
+// only (lightnn1|lightnn2|flightnn); a full or fixed4 model evaluates with
+// `--engine float`.
 
 #include <cstdio>
 #include <memory>
@@ -162,10 +165,9 @@ int cmd_eval(const std::vector<std::string>& argv) {
     const double accuracy = network.evaluate(split.test, top_k, &counts);
     std::printf("integer-engine accuracy (top-%d): %.2f%%\n", top_k,
                 accuracy * 100.0);
-    std::printf("per image: %lld shifts, %lld adds, %lld float MACs\n",
+    std::printf("per image: %lld shifts, %lld adds\n",
                 static_cast<long long>(counts.shifts / counts.images),
-                static_cast<long long>(counts.adds / counts.images),
-                static_cast<long long>(counts.float_macs / counts.images));
+                static_cast<long long>(counts.adds / counts.images));
   } else {
     core::TrainConfig unused;
     core::Trainer trainer(*model, unused);
