@@ -320,6 +320,192 @@ void emit_shift_plan(const fs::path& dir) {
   write_seed(dir, "max_counts", pseudo_random(2048, 0xF1A9U));
 }
 
+// One fuzz_compile_conv program (see its decoder): header { e_min + 126,
+// e_max - e_min, k_max - 1, flush, filters - 1, channels - 1, kernel - 1 or
+// 128 for a linear layer }, then per filter a mode byte (0 for a filter of
+// zeros, or 255 and its weights), each weight a class byte and its payload.
+struct ConvProgram {
+  int e_min = -6;
+  int e_max = 0;
+  int k_max = 2;
+  bool flush = true;
+  int filters = 3;
+  int channels = 5;
+  int kernel = 3;  // 0 for a linear layer
+  // Per filter, each weight's bytes; an empty filter is a filter of zeros.
+  std::vector<std::vector<Bytes>> weights;
+
+  [[nodiscard]] int row() const {
+    return channels * std::max(kernel, 1) * std::max(kernel, 1);
+  }
+  [[nodiscard]] Bytes bytes() const {
+    const auto u8 = [](int v) { return static_cast<std::uint8_t>(v); };
+    Bytes out = {u8(e_min + 126), u8(e_max - e_min), u8(k_max - 1),
+                 u8(flush ? 1 : 0), u8(filters - 1),  u8(channels - 1),
+                 u8(kernel == 0 ? 128 : kernel - 1)};
+    for (int f = 0; f < filters; ++f) {
+      const auto i = static_cast<std::size_t>(f);
+      if (i >= weights.size() || weights[i].empty()) {
+        out.push_back(0);
+        continue;
+      }
+      out.push_back(255);
+      for (const Bytes& w : weights[i]) out.insert(out.end(), w.begin(), w.end());
+    }
+    return out;
+  }
+};
+
+// The weight classes of fuzz_compile_conv's decoder.
+Bytes units_weight(int u) {  // u in [-129, 129]
+  if (u == 0) return {0};
+  if (u >= 128) return {232, static_cast<std::uint8_t>(u == 128 ? 0 : 2)};
+  if (u == -129) return {232, 3};
+  return {160, static_cast<std::uint8_t>(u)};
+}
+// One ulp past 3 units, up or down.
+Bytes ulp_weight(bool down) {
+  return {176, static_cast<std::uint8_t>(4 << 1 | (down ? 1 : 0))};
+}
+Bytes nan_weight(bool quiet, bool negative, std::uint8_t payload) {
+  return {192, static_cast<std::uint8_t>((quiet ? 2 : 0) | (negative ? 1 : 0)),
+          payload};
+}
+Bytes inf_weight(bool negative) {
+  return {static_cast<std::uint8_t>(negative ? 209 : 208)};
+}
+Bytes subnormal_weight(bool negative) {
+  return {216, static_cast<std::uint8_t>(0x5A << 1 | (negative ? 1 : 0)), 0x3C,
+          0x11};
+}
+
+void emit_compile_conv(const fs::path& dir) {
+  write_seed(dir, "empty", {});
+  // Sums of at most two powers of two in [2^-6, 2^0], in units of 2^-6.
+  const int kLightNN2[] = {0,  1,   -2, 3,   5,  -6,  9,   12, -17, 24, 0,
+                           40, -48, 64, 65,  -80, 96, 0,   -3, 4,   33, -66};
+  // Every filter live, on LightNN-2 values.
+  const auto lightnn2 = [&](int filters, int channels, int kernel) {
+    ConvProgram p;
+    p.filters = filters;
+    p.channels = channels;
+    p.kernel = kernel;
+    int i = 0;
+    p.weights.resize(static_cast<std::size_t>(filters));
+    for (auto& filter : p.weights) {
+      for (int e = 0; e < p.row(); ++e, ++i) {
+        filter.push_back(units_weight(
+            kLightNN2[(i * 7 + 1) % static_cast<int>(std::size(kLightNN2))]));
+      }
+    }
+    return p;
+  };
+  {
+    ConvProgram p = lightnn2(4, 3, 3);
+    p.weights[2].clear();  // pruned
+    write_seed(dir, "lightnn2_conv3", p.bytes());
+    write_seed(dir, "lightnn2_linear", lightnn2(7, 9, 0).bytes());
+  }
+  {
+    // FLightNN: 20 filters of 9 x 3 x 3, pruned (k_i = 0), one-term and
+    // LightNN-2 filters in turn.
+    ConvProgram p = lightnn2(20, 9, 3);
+    for (int f = 0; f < 20; ++f) {
+      auto& filter = p.weights[static_cast<std::size_t>(f)];
+      if (f % 3 == 0) filter.clear();
+      if (f % 3 != 1) continue;
+      for (std::size_t e = 0; e < filter.size(); ++e) {
+        filter[e] = units_weight(e % 4 == 0 ? 0 : e % 4 == 1 ? 16 : -4);
+      }
+    }
+    write_seed(dir, "flightnn_20x9x3", p.bytes());
+  }
+  {
+    // A filter reaching +128 packs negated; +128 beside -128 is refused.
+    ConvProgram p = lightnn2(2, 5, 3);
+    p.weights[1][44] = units_weight(128);
+    write_seed(dir, "negated_128", p.bytes());
+    p.weights[1][0] = units_weight(-128);
+    write_seed(dir, "plus_minus_128", p.bytes());
+  }
+  {
+    // One weight no plan holds, at the last element of the middle filter
+    // (row 45: past five vectors of 8 floats), or one that lowers.
+    const auto one = [&](const char* name, Bytes weight, int k_max = 2) {
+      ConvProgram p = lightnn2(3, 5, 3);
+      p.k_max = k_max;
+      p.weights[1][44] = std::move(weight);
+      write_seed(dir, name, p.bytes());
+    };
+    one("nan_quiet", nan_weight(true, false, 0x21));
+    one("nan_signaling", nan_weight(false, true, 0x00));
+    one("inf_positive", inf_weight(false));
+    one("inf_negative", inf_weight(true));
+    one("subnormal", subnormal_weight(false));
+    one("ulp_above", ulp_weight(false));
+    one("ulp_below", ulp_weight(true));
+    one("units_129", units_weight(129));
+    one("units_minus_129", units_weight(-129));
+    // 11 = 8 + 4 - 1 takes three terms.
+    one("eleven_units_k2", units_weight(11));
+    one("eleven_units_k3", units_weight(11), 3);
+    // 127 = 64 + 64 - 1: the filter's greatest weight below +128 packs as
+    // it is.
+    one("units_127_k3", units_weight(127), 3);
+    one("negative_zero", {64});
+  }
+  {
+    // -0.0 throughout a filter, which is pruned.
+    ConvProgram p = lightnn2(2, 7, 0);
+    for (Bytes& w : p.weights[0]) w = {64};
+    write_seed(dir, "negative_zero_filter", p.bytes());
+  }
+  {
+    // Window [-3, 0]: terms past 8 units clamp to 2^0, so 24 takes three.
+    ConvProgram p;
+    p.e_min = -3;
+    p.k_max = 5;
+    p.filters = 2;
+    p.channels = 4;
+    p.kernel = 1;
+    p.weights = {{units_weight(24), units_weight(-17), units_weight(12),
+                  units_weight(5)},
+                 {units_weight(3), units_weight(0), units_weight(1),
+                  units_weight(-2)}};
+    write_seed(dir, "window3_clamped", p.bytes());
+    // One exponent: every term is one unit, so u takes |u| terms.
+    p.e_min = -2;
+    p.e_max = -2;
+    p.k_max = 8;
+    p.weights = {{units_weight(8), units_weight(-7), units_weight(3),
+                  units_weight(0)},
+                 {units_weight(-8), units_weight(1), units_weight(0),
+                  units_weight(0)}};
+    write_seed(dir, "window_one_exponent", p.bytes());
+    // 128 units of 2^120 is 2^127: two terms of 2^126.
+    p.e_min = 120;
+    p.e_max = 126;
+    p.k_max = 2;
+    p.weights = {{units_weight(128), units_weight(-96), units_weight(64),
+                  units_weight(0)},
+                 {units_weight(3), units_weight(0), units_weight(-1),
+                  units_weight(0)}};
+    write_seed(dir, "window_top", p.bytes());
+    // A subnormal weight is 0 units of 2^120 only to a rounded quotient.
+    p.weights[1][3] = subnormal_weight(false);
+    write_seed(dir, "window_top_subnormal", p.bytes());
+    p.weights[1][3] = units_weight(0);
+    // The flush off: a subnormal weight peels into terms of 2^e_min that
+    // never reach it.
+    p.e_min = -126;
+    p.e_max = -120;
+    p.flush = false;
+    p.weights[1][1] = subnormal_weight(true);
+    write_seed(dir, "flush_off_subnormal", p.bytes());
+  }
+  write_seed(dir, "random_1024", pseudo_random(1024, 0xC0C0A5U));
+}
+
 // One deterministic seed per check of the artifact loader's ladder -- the
 // stream's (header, checksum, op kinds, counts against the bytes left,
 // bytes past the last op) and the contents' (the int8 pack and its stored
@@ -508,14 +694,18 @@ int main(int argc, char** argv) {
   const fs::path root(argv[1]);
   const fs::path model_io = root / "model_io";
   const fs::path shift_plan = root / "shift_plan";
+  const fs::path compile_conv = root / "compile_conv";
   const fs::path artifact = root / "artifact";
   fs::create_directories(model_io);
   fs::create_directories(shift_plan);
+  fs::create_directories(compile_conv);
   fs::create_directories(artifact);
   std::printf("%s:\n", model_io.string().c_str());
   emit_model_io(model_io);
   std::printf("%s:\n", shift_plan.string().c_str());
   emit_shift_plan(shift_plan);
+  std::printf("%s:\n", compile_conv.string().c_str());
+  emit_compile_conv(compile_conv);
   std::printf("%s:\n", artifact.string().c_str());
   emit_artifact(artifact);
   return 0;

@@ -10,9 +10,11 @@
 // artifact stores and load adopts, re-laid by adoption into the kernels'
 // blocked order (DESIGN.md §9, §14).
 //
-// `ShiftPlan::compile_conv` lowers quantized weights straight into the pack
-// in one pass: each weight's value in units, checked against the greedy peel
-// (core/decompose.hpp's, tabulated once over the 257 values), and written as
+// `ShiftPlan::compile_conv` lowers quantized weights straight into the pack,
+// filter by filter: a branch-free vector scan takes each weight's value in
+// units and folds the filter's grid checks into one flag, then one pass
+// checks each value against the greedy peel (core/decompose.hpp's,
+// tabulated over the 257 values once per k_max and window) and writes it as
 // its byte. Pruned filters (k_i = 0) have no words and cost nothing but their
 // bias. Everything else a run or a census reads is a pure function of the
 // bytes and the exponent window, so adopt_plan derives it in one pass over

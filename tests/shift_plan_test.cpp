@@ -485,7 +485,10 @@ TEST(ShiftPlanPropertyTest, TableOneNetworksMatchTheDecomposition) {
 // adoption: a NaN or infinite weight, a fraction of 2^e_min, 11 units at
 // k_max 2 (8 + 4 - 1 takes three terms), 192 units at k_max 3 (64 + 64 +
 // 64, past int8) and +128 beside -128 in one filter. The reference refuses
-// each as well.
+// each as well. compile_conv's refusal names the filter and, but for +128
+// beside -128, the element, wherever the filter scan meets it: at the
+// first, a middle and the last element of every filter of layers whose
+// rows are no whole number of 8- or 16-float vectors. -0.0 is byte 0.
 TEST(ShiftPlanPropertyTest, CompileConvRefusesWeightsNoPlanHolds) {
   const quant::Pow2Config config;
   const float unit = std::ldexp(1.0F, config.e_min);
@@ -541,6 +544,79 @@ TEST(ShiftPlanPropertyTest, CompileConvRefusesWeightsNoPlanHolds) {
   EXPECT_THROW((void)inference::ShiftPlan::compile_conv(layer(unit), 0, config),
                support::CheckFailure)
       << "k_max 0";
+
+  // The text of compile_conv's own refusal, or "" when it lowers.
+  const auto refusal = [&](const Tensor& wq, int k_max) -> std::string {
+    try {
+      (void)inference::ShiftPlan::compile_conv(wq, k_max, config);
+    } catch (const support::CheckFailure& failure) {
+      return failure.what();
+    }
+    return "";
+  };
+  const float plus_128 = 128.0F * unit;
+  const struct {
+    float weight;
+    int k_max;
+    const char* what;
+  } placed[] = {
+      {std::numeric_limits<float>::quiet_NaN(), 2, "NaN"},
+      {std::numeric_limits<float>::infinity(), 2, "+inf"},
+      {-std::numeric_limits<float>::infinity(), 2, "-inf"},
+      {3.0F * std::numeric_limits<float>::denorm_min(), 2, "a subnormal"},
+      {0.3F * unit, 2, "0.3 units"},
+      {129.0F * unit, 2, "129 units"},
+      {11.0F * unit, 2, "11 units at k_max 2"},
+      {plus_128, 2, "+128 beside -128"},
+  };
+  // Rows of 45 and 7 weights.
+  for (const Shape& shape : {Shape{3, 5, 3, 3}, Shape{2, 7}}) {
+    const std::int64_t filters = shape[0];
+    const std::int64_t row = shape.numel() / filters;
+    // Every filter live, on LightNN-2 values: 3, -5 and 12 units.
+    Tensor base(shape);
+    for (std::int64_t i = 0; i < base.numel(); ++i) {
+      base[i] = static_cast<float>(i % 3 == 0 ? 3 : i % 3 == 1 ? -5 : 12) *
+                unit;
+    }
+    ASSERT_EQ(refusal(base, 2), "") << shape.to_string();
+    for (std::int64_t f = 0; f < filters; ++f) {
+      for (const std::int64_t e : {std::int64_t{0}, row / 2, row - 1}) {
+        for (const auto& c : placed) {
+          Tensor wq = base;
+          wq[f * row + e] = c.weight;
+          if (c.weight == plus_128) wq[f * row + (e == 0 ? 1 : 0)] = -plus_128;
+          const std::string filter = "filter " + std::to_string(f);
+          const std::string named =
+              c.weight == plus_128
+                  ? filter + " holds weights of -128 and +128"
+                  : filter + " element " + std::to_string(e) + " (";
+          const std::string text = refusal(wq, c.k_max);
+          EXPECT_NE(text.find("ShiftPlan::compile_conv: " + named),
+                    std::string::npos)
+              << shape.to_string() << " " << c.what << " at " << filter
+              << " element " << e << ": refused with \"" << text << "\"";
+          EXPECT_TRUE(reference_refused(wq, c.k_max))
+              << shape.to_string() << " " << c.what;
+        }
+      }
+    }
+  }
+
+  // -0.0 lowers as +0.0 does: byte 0 in a live filter, and a filter of
+  // nothing else is pruned.
+  Tensor negative_zero = layer(-0.0F);
+  negative_zero[5] = -0.0F;
+  const inference::CompiledPlan got =
+      inference::ShiftPlan::compile_conv(negative_zero, 2, config);
+  const inference::CompiledPlan want =
+      inference::ShiftPlan::compile_conv(layer(0.0F), 2, config);
+  EXPECT_EQ(got.plan.live, std::vector<std::int32_t>{1});
+  EXPECT_EQ(got.plan.words, want.plan.words);
+  EXPECT_EQ(got.plan.words, std::vector<std::int32_t>{8});
+  EXPECT_EQ(got.plan.negated, want.plan.negated);
+  EXPECT_EQ(got.plan.entries(), want.plan.entries());
+  EXPECT_EQ(got.term_count, want.term_count);
 }
 
 // 2 filters over [5, 3, 3] (two channel groups, the second holding one live

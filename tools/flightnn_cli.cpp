@@ -151,6 +151,14 @@ int cmd_eval(const std::vector<std::string>& argv) {
     std::fprintf(stderr, "%s\n%s", args.error().c_str(), args.usage().c_str());
     return 2;
   }
+  // Refused before any work: a misspelt engine must not report the float
+  // path's accuracy as if it had been asked for.
+  const std::string engine = args.get("--engine");
+  if (engine != "float" && engine != "integer") {
+    std::fprintf(stderr, "--engine must be float or integer, got '%s'\n%s",
+                 engine.c_str(), args.usage().c_str());
+    return 2;
+  }
 
   data::DatasetSpec spec;
   const auto split = load_data(args, spec);
@@ -158,7 +166,7 @@ int cmd_eval(const std::vector<std::string>& argv) {
   serialize::load_state(*model, args.get("--checkpoint"));
 
   const int top_k = args.get_int("--top-k");
-  if (args.get("--engine") == "integer") {
+  if (engine == "integer") {
     auto network = inference::QuantizedNetwork::compile(
         *model, tensor::Shape{1, spec.channels, spec.height, spec.width});
     inference::NetworkOpCounts counts{};
