@@ -586,8 +586,8 @@ void emit_artifact(const fs::path& dir) {
   }
   write_seed(dir, "artifact_bad_version",
              patch_header(vgg, [](ArtifactHeader& h) { h.version = 99; }));
-  write_seed(dir, "artifact_v4",
-             patch_header(vgg, [](ArtifactHeader& h) { h.version = 4; }));
+  write_seed(dir, "artifact_v5",
+             patch_header(vgg, [](ArtifactHeader& h) { h.version = 5; }));
   write_seed(dir, "artifact_bad_input_geom",
              patch_header(vgg, [](ArtifactHeader& h) { h.input_c = -1; }));
   {

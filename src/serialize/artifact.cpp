@@ -1,5 +1,6 @@
 #include "serialize/artifact.hpp"
 
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
@@ -214,30 +215,49 @@ const char* artifact_error_name(ArtifactErrorCode code) {
 
 std::uint64_t artifact_checksum64(const std::uint8_t* data,
                                   std::size_t size) {
-  // Interleaved FNV-1a-64: eight independent lanes stripe the payload
-  // (lane j consumes bytes j, j+8, ...), then a final FNV pass folds the
-  // lane states and the length. Plain FNV-1a is a single dependent
-  // multiply chain (~1 byte/multiply-latency); eight chains keep the
-  // multiplier pipelined, which matters because this checksum gates every
-  // cold start and the artifact is sized in megabytes.
-  constexpr std::uint64_t kBasis = 14695981039346656037ULL;
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  // Eight independent lanes stripe the payload's 64-bit words (lane j
+  // takes words j, j+8, ...), so eight multiply chains run in parallel,
+  // one multiply per 8 bytes each. A lane step is xor, rotate and an
+  // odd-constant multiply: for a fixed state each is a bijection, so the
+  // state after a word is an injective function of that word and every
+  // later step a bijection of the state. A change confined to one word
+  // therefore changes its lane's final state, and the fold below is
+  // injective in each lane, so it always changes the checksum.
+  constexpr std::uint64_t kMul = 0x9E3779B185EBCA87ULL;
+  constexpr int kRotate = 31;
+  const auto step = [](std::uint64_t state, std::uint64_t word) {
+    return std::rotl(state ^ word, kRotate) * kMul;
+  };
   std::uint64_t lane[8];
-  for (std::uint64_t j = 0; j < 8; ++j) lane[j] = kBasis ^ (j * kPrime);
-  std::size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
+  for (std::uint64_t j = 0; j < 8; ++j) lane[j] = (j + 1) * kMul;
+  const std::size_t body = size - size % sizeof(lane);
+  // One 8-byte load per word: a 64-byte block copy made gcc 12 stage the
+  // words and the lanes through the stack, ~25% slower.
+  for (std::size_t at = 0; at < body; at += sizeof(lane)) {
     for (std::size_t j = 0; j < 8; ++j) {
-      lane[j] = (lane[j] ^ data[i + j]) * kPrime;
+      std::uint64_t word = 0;
+      std::memcpy(&word, data + at + 8 * j, sizeof(word));
+      lane[j] = step(lane[j], word);
     }
   }
-  for (std::size_t j = 0; i < size; ++i, ++j) {
-    lane[j] = (lane[j] ^ data[i]) * kPrime;
+  // The last words, fewer than eight, go to the first lanes; the last one
+  // is zero-padded. (Constant lane indices keep the lanes in registers.)
+  if (body != size) {
+    std::uint64_t block[8] = {};
+    std::memcpy(block, data + body, size - body);
+    for (std::size_t j = 0; j < 8; ++j) {
+      if (8 * j < size - body) lane[j] = step(lane[j], block[j]);
+    }
   }
-  std::uint64_t hash = kBasis ^ static_cast<std::uint64_t>(size);
-  for (const std::uint64_t state : lane) {
-    hash = (hash ^ (state & 0xFFFFFFFFULL)) * kPrime;
-    hash = (hash ^ (state >> 32)) * kPrime;
-  }
+  // Fold the length and the lanes, then avalanche (MurmurHash3's fmix64,
+  // a bijection) so every input bit reaches every output bit.
+  std::uint64_t hash = static_cast<std::uint64_t>(size) * kMul;
+  for (const std::uint64_t state : lane) hash = step(hash, state);
+  hash ^= hash >> 33;
+  hash *= 0xFF51AFD7ED558CCDULL;
+  hash ^= hash >> 33;
+  hash *= 0xC4CEB9FE1A85EC53ULL;
+  hash ^= hash >> 33;
   return hash;
 }
 

@@ -11,7 +11,7 @@
 // the words in the kernels' blocked order in one pass over them
 // (adopt_plan). Once loaded, nothing reads the mapping.
 //
-// Format v5 (DESIGN.md §13 is the normative spec):
+// Format v6 (DESIGN.md §13 is the normative spec):
 //
 //   [ArtifactHeader: 56 bytes]
 //   op_count x [OpRecord: 168 bytes][the op's arrays]
@@ -22,15 +22,16 @@
 // none. Every field is little-endian native and no structure has padding or
 // reserved bytes (static_asserts below hold each struct's size to the sum
 // of its fields'); the parser memcpys each header, record and array out, so
-// a buffer at any alignment parses. The header carries a checksum (8-lane
-// interleaved FNV-1a-64, see artifact_checksum64) over everything after
+// a buffer at any alignment parses. The header carries a checksum (eight
+// lanes over 64-bit words, see artifact_checksum64) over everything after
 // itself. build_artifact is byte-reproducible for a given program (the
 // golden test pins this).
 //
 // Versioning: `version` is bumped on any layout change; loaders reject
-// versions they do not know (no silent forward compat: a v4 or older file is
+// versions they do not know (no silent forward compat: a v5 or older file is
 // refused). New op kinds append enum values, never renumber; v5 retired the
-// float conv and linear kinds (3 and 10), which the parser refuses.
+// float conv and linear kinds (3 and 10), which the parser refuses. v6
+// changed only the checksum.
 //
 // The loader treats the file as untrusted input, in two steps. The parser
 // checks the stream: the header (input geometry included), the checksum,
@@ -87,7 +88,7 @@ class ArtifactError : public std::runtime_error {
 
 inline constexpr char kArtifactMagic[8] = {'F', 'L', 'N', 'A',
                                            'R', 'T', '0', '1'};
-inline constexpr std::uint32_t kArtifactVersion = 5;
+inline constexpr std::uint32_t kArtifactVersion = 6;
 
 struct ArtifactHeader {
   char magic[8] = {};
@@ -197,11 +198,12 @@ void save_artifact(const inference::NetworkProgram& program,
 // validation behind the checksum gate, not just the checksum itself.
 void rewrite_artifact_checksum(std::vector<std::uint8_t>& blob);
 
-// The artifact's payload checksum primitive (exposed for tests): FNV-1a-64
-// computed over eight interleaved byte lanes, folded with the length. The
-// striping keeps the multiply chains pipelined so checksumming does not
-// dominate cold start; the result is as deterministic and portable as the
-// plain byte-serial form.
+// The artifact's payload checksum primitive (exposed for tests): eight
+// lanes over the payload's little-endian 64-bit words (lane j takes words
+// j, j+8, ..., the last one zero-padded), each word one xor, rotate and
+// odd-constant multiply, then the length and the lanes folded through a
+// final avalanche. Any change confined to one 8-byte word -- every bit flip
+// and every corrupted byte -- changes the result (DESIGN.md §13).
 std::uint64_t artifact_checksum64(const std::uint8_t* data, std::size_t size);
 
 // --- Loader ---------------------------------------------------------------

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -31,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/quantize_model.hpp"
@@ -242,6 +244,87 @@ TEST(GoldenArtifact, CheckedInBlobLoadsAndMatchesHeapLogits) {
       QuantizedNetwork::from_program(deterministic_program());
   EXPECT_EQ(logits_bytes(model.network(), kGoldenImages), logits);
   EXPECT_EQ(logits_bytes(heap, kGoldenImages), logits);
+}
+
+// --- Checksum (DESIGN.md §13) -----------------------------------------------
+
+// The code parse_artifact refuses `blob` with; a failure if it parses.
+ArtifactErrorCode parse_error(const std::vector<std::uint8_t>& blob) {
+  try {
+    (void)parse_artifact(blob.data(), blob.size());
+  } catch (const ArtifactError& error) {
+    return error.code();
+  }
+  ADD_FAILURE() << "the parser accepted a corrupt blob";
+  return ArtifactErrorCode::kIo;
+}
+
+// Lengths around a word and a 64-byte block, so the tail handling is pinned
+// by more than the golden's one length.
+TEST(ArtifactChecksum, MatchesKnownAnswers) {
+  std::vector<std::uint8_t> bytes(1000);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 167 + 13);
+  }
+  const std::pair<std::size_t, std::uint64_t> answers[] = {
+      {0, 0xA42748B0620A4815ULL},   {1, 0x69415F1618F7A78DULL},
+      {7, 0x4AD61678B6580336ULL},   {8, 0x83E0211858040149ULL},
+      {9, 0x34091CC083B6E7D3ULL},   {63, 0x9EC2651863631DD6ULL},
+      {64, 0x0450B94AF826955BULL},  {65, 0x474B108B0B6F9B20ULL},
+      {1000, 0x1BA3170D4C180F74ULL},
+  };
+  for (const auto& [size, expected] : answers) {
+    EXPECT_EQ(artifact_checksum64(bytes.data(), size), expected)
+        << size << " bytes";
+  }
+}
+
+// A change confined to one 8-byte word always changes the checksum, so
+// every bit flip of the payload is refused. Each stripe is 64 bytes: every
+// lane at every byte position of its word. They sit at the payload's start,
+// at its quarters and at its end, which holds the zero-padded tail word.
+TEST(ArtifactChecksum, EveryBitFlipOfAStripeIsCaught) {
+  std::vector<std::uint8_t> golden = read_file(golden_path());
+  ASSERT_FALSE(golden.empty());
+  // The pristine blob must parse -- otherwise every refusal proves nothing.
+  ASSERT_NO_THROW(parse_artifact(golden.data(), golden.size()));
+  const std::size_t payload = golden.size() - sizeof(ArtifactHeader);
+  ASSERT_NE(payload % 8, 0U) << "the golden has no partial tail word";
+  std::vector<std::size_t> stripes = {0, payload - 64};
+  for (std::size_t quarter = 1; quarter < 4; ++quarter) {
+    stripes.push_back(payload * quarter / 4 / 64 * 64);
+  }
+  for (const std::size_t start : stripes) {
+    for (std::size_t at = sizeof(ArtifactHeader) + start;
+         at < sizeof(ArtifactHeader) + start + 64; ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        golden[at] ^= static_cast<std::uint8_t>(1U << bit);
+        ASSERT_EQ(parse_error(golden), ArtifactErrorCode::kBadChecksum)
+            << "byte " << at << " bit " << bit;
+        golden[at] ^= static_cast<std::uint8_t>(1U << bit);
+      }
+    }
+  }
+}
+
+TEST(ArtifactChecksum, SwappedWordsAreCaught) {
+  const std::vector<std::uint8_t> golden = read_file(golden_path());
+  ASSERT_FALSE(golden.empty());
+  ASSERT_NO_THROW(parse_artifact(golden.data(), golden.size()));
+  const std::size_t words = (golden.size() - sizeof(ArtifactHeader)) / 8;
+  // Neighbours (two lanes), eight apart (one lane), the first and the last.
+  const std::pair<std::size_t, std::size_t> swaps[] = {
+      {0, 1}, {0, 8}, {words / 2, words / 2 + 8}, {0, words - 1}};
+  for (const auto& [a, b] : swaps) {
+    std::vector<std::uint8_t> blob = golden;
+    std::uint8_t* first = blob.data() + sizeof(ArtifactHeader) + 8 * a;
+    std::uint8_t* second = blob.data() + sizeof(ArtifactHeader) + 8 * b;
+    ASSERT_NE(std::memcmp(first, second, 8), 0)
+        << "words " << a << " and " << b << " are equal";
+    std::swap_ranges(first, first + 8, second);
+    EXPECT_EQ(parse_error(blob), ArtifactErrorCode::kBadChecksum)
+        << "words " << a << " and " << b;
+  }
 }
 
 // --- Differential: mmap vs heap, serial and threaded ----------------------
@@ -524,10 +607,10 @@ const StreamCase kStreamMatrix[] = {
        header.version = kArtifactVersion + 7;
        write_header(blob, header);
      }},
-    {"a v4 file", ArtifactErrorCode::kBadVersion, false,
+    {"a v5 file", ArtifactErrorCode::kBadVersion, false,
      [](std::vector<std::uint8_t>& blob, const NetworkProgram&) {
        ArtifactHeader header = read_header(blob);
-       header.version = 4;
+       header.version = 5;
        write_header(blob, header);
      }},
     {"single flipped payload bit", ArtifactErrorCode::kBadChecksum, false,
