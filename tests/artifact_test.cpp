@@ -1,4 +1,4 @@
-// The deployment-artifact battery (DESIGN.md §13). Four legs:
+// The deployment-artifact battery (DESIGN.md §13). Five legs:
 //
 //   1. Golden regression: a checked-in artifact built from a fully
 //      deterministic ResNet must be byte-identical to a fresh build --
@@ -6,9 +6,12 @@
 //      -- and the loaded and heap-compiled networks must reproduce its
 //      checked-in logits byte for byte, in every build. Regenerate both
 //      with FLIGHTNN_REGEN_GOLDEN=1.
-//   2. Differential: logits from the mmap-loaded and heap-compiled paths
+//   2. Checksum: known answers around the word and block lengths, and
+//      every bit flip of 64-byte stripes of the golden's payload and swaps
+//      of unequal words refused as kBadChecksum.
+//   3. Differential: logits from the mmap-loaded and heap-compiled paths
 //      must be memcmp-identical, serial and under 4 threads.
-//   3. Corruption matrix: every stream violation (truncation, bad
+//   4. Corruption matrix: every stream violation (truncation, bad
 //      magic/version/checksum/geometry, counts past the bytes left or
 //      overflowing, trailing bytes, unknown and retired op kinds) and every
 //      content violation (op records and int8 packs that lie about
@@ -16,7 +19,7 @@
 //      ArtifactError -- never UB, never a wild allocation. The parser
 //      rejects the stream's violations; from_program and the adopting
 //      engines the contents', which ArtifactModel maps to kBadProgram.
-//   4. Shared mapping: two processes mapping one artifact file produce
+//   5. Shared mapping: two processes mapping one artifact file produce
 //      identical logits (fork-based, POSIX only).
 
 #include "serialize/artifact.hpp"
