@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -466,7 +467,8 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
   rows.add_bool("tiers_bit_identical", true);
   rows.add("small_plane_rows", bench::json_array(plane_rows));
 
-  if (std::filesystem::exists(path)) {
+  std::error_code unreadable;  // treated as missing: the write below reports it
+  if (std::filesystem::exists(path, unreadable)) {
     if (!bench::merge_into_json_file(path, "kernels_microbench", rows)) {
       std::fprintf(stderr, "FATAL: could not splice kernel tier rows into %s\n",
                    path.c_str());
