@@ -249,8 +249,8 @@ std::uint64_t artifact_checksum64(const std::uint8_t* data,
       if (8 * j < size - body) lane[j] = step(lane[j], block[j]);
     }
   }
-  // Fold the length and the lanes, then avalanche (MurmurHash3's fmix64,
-  // a bijection) so every input bit reaches every output bit.
+  // Fold the length and the lanes, then avalanche with MurmurHash3's
+  // fmix64, a bijection, so the fold's injectivity carries through.
   std::uint64_t hash = static_cast<std::uint64_t>(size) * kMul;
   for (const std::uint64_t state : lane) hash = step(hash, state);
   hash ^= hash >> 33;
